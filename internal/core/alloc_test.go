@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -30,6 +31,25 @@ func TestObserveLocalAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("warm ProbTable operations allocate %.1f objects, want 0", allocs)
+	}
+}
+
+// TestProbTableFootprintFollowsPairs pins the storage layout's one
+// promise: a table costs what the pairs it holds cost, wherever their
+// addresses sit. One observation between two high addresses on a fresh
+// table must allocate a slot and an index entry — not row headers or a
+// row sized by the address.
+func TestProbTableFootprintFollowsPairs(t *testing.T) {
+	pt := NewProbTable(0.5, 3*time.Second)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	pt.ObserveGossip(1900, 1901, 0.5, time.Second)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 8<<10 {
+		t.Errorf("one observed pair allocated %d bytes, want < 8 KB", got)
+	}
+	if pt.Get(1900, 1901, time.Second) != 0.5 {
+		t.Error("lost observation")
 	}
 }
 
@@ -142,14 +162,14 @@ func TestVehicleDeliverDispatchAllocFree(t *testing.T) {
 // salvage request).
 func TestTrimSalvageOverflow(t *testing.T) {
 	k := sim.NewKernel(1)
-	n := &Node{K: k}
+	n := &Node{K: k, vehs: map[uint16]*vehState{}}
 	vs := n.ensureVeh(3)
 	for i := 0; i < 600; i++ {
 		vs.salvage = append(vs.salvage, &downPkt{fromNetAt: k.Now(), acked: i%2 == 0})
 	}
 	marker := vs.salvage[599]
 	n.trimSalvage(3)
-	got := n.lookupVeh(3).salvage
+	got := n.vehs[3].salvage
 	if len(got) != 512 {
 		t.Fatalf("kept %d entries, want 512", len(got))
 	}

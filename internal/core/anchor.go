@@ -14,7 +14,7 @@ const salvageCacheTTL = 5 * time.Second
 // anchor: register with the Internet gateway and pull stranded packets
 // from the previous anchor (§4.5).
 func (n *Node) becomeAnchor(veh, prevAnchor uint16) {
-	vs := n.lookupVeh(veh)
+	vs := n.vehs[veh]
 	if vs != nil {
 		vs.amAnchor = true
 	}
@@ -102,7 +102,7 @@ func (n *Node) handleSalvageReq(from uint16, req *frame.Frame) {
 	}
 	now := n.K.Now()
 	veh := req.Target
-	vs := n.lookupVeh(veh)
+	vs := n.vehs[veh]
 	if vs == nil {
 		return
 	}
@@ -128,7 +128,7 @@ func (n *Node) handleSalvageData(f *frame.Frame) {
 
 // trimSalvage bounds the per-vehicle salvage cache.
 func (n *Node) trimSalvage(veh uint16) {
-	vs := n.lookupVeh(veh)
+	vs := n.vehs[veh]
 	if vs == nil {
 		return
 	}

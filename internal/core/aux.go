@@ -22,12 +22,12 @@ func (n *Node) considerPending(f *frame.Frame) {
 	var veh uint16
 	if f.FromVehicle {
 		veh = f.Src
-	} else if n.lookupVeh(f.Dst) != nil {
+	} else if n.vehs[f.Dst] != nil {
 		veh = f.Dst
 	} else {
 		return
 	}
-	vs := n.lookupVeh(veh)
+	vs := n.vehs[veh]
 	if vs == nil || now-vs.lastBeacon > n.cfg.ProbStale {
 		return
 	}
@@ -148,7 +148,7 @@ func (n *Node) decideRelay(key pendKey, p *pendPkt) {
 // scratch, reused across decisions.
 func (n *Node) buildRelayContext(p *pendPkt) (*RelayContext, bool) {
 	now := n.K.Now()
-	vs := n.lookupVeh(p.veh)
+	vs := n.vehs[p.veh]
 	if vs == nil {
 		return nil, false
 	}

@@ -21,6 +21,7 @@ func newBareVehicle(addr uint16) *Node {
 		probs:      NewProbTable(cfg.ProbAlpha, cfg.ProbStale),
 		anchor:     frame.None,
 		prevAnchor: frame.None,
+		vehPeers:   map[uint16]bool{},
 	}
 }
 
@@ -83,16 +84,16 @@ func TestAuxSetWholeExpiry(t *testing.T) {
 
 // TestVehPeersExcludedFromCandidates pins the fleet rule at the
 // selection layer: a vehicle peer is never anchor nor auxiliary, even
-// when it is the loudest peer in the table, in both the dense and the
-// sparse address regimes.
+// when it is the loudest peer in the table, at addresses across the
+// whole range.
 func TestVehPeersExcludedFromCandidates(t *testing.T) {
-	for _, vehAddr := range []uint16{7, maxDenseID + 9} {
+	for _, vehAddr := range []uint16{0, 2047, 2048, 65535} {
 		n := newBareVehicle(0)
 		t0 := time.Second
 		n.probs.ObserveLocal(vehAddr, n.addr, 1.0, t0) // loudest peer is a vehicle
 		n.probs.ObserveLocal(3, n.addr, 0.5, t0)
-		n.markVehPeer(vehAddr)
-		if !n.isVehPeer(vehAddr) || n.isVehPeer(3) {
+		n.vehPeers[vehAddr] = true
+		if !n.vehPeers[vehAddr] || n.vehPeers[3] {
 			t.Fatalf("vehAddr %d: vehicle-peer marking wrong", vehAddr)
 		}
 		n.selectAnchor(t0 + time.Millisecond)
@@ -120,7 +121,7 @@ func TestFleetAnchorNeverVehicle(t *testing.T) {
 			t.Errorf("vehicle %d anchored on %d, want basestation %d", i, v.Anchor(), bsAddr)
 		}
 		for _, aux := range v.auxList {
-			if v.isVehPeer(aux) {
+			if v.vehPeers[aux] {
 				t.Errorf("vehicle %d lists vehicle %d as auxiliary", i, aux)
 			}
 		}

@@ -202,7 +202,7 @@ func TestColdRestartClearsProtocolState(t *testing.T) {
 
 	bs := cell.BSes[0]
 	seqBefore := bs.nextSeq
-	if bs.lookupVeh(veh) == nil || !bs.lookupVeh(veh).amAnchor {
+	if bs.vehs[veh] == nil || !bs.vehs[veh].amAnchor {
 		t.Fatal("BS0 is not the anchor; scenario not exercised")
 	}
 	if len(bs.probs.FreshLocalPeers(bs.addr, k.Now())) == 0 {
@@ -210,7 +210,7 @@ func TestColdRestartClearsProtocolState(t *testing.T) {
 	}
 
 	bs.ColdRestart()
-	if vs := bs.lookupVeh(veh); vs != nil {
+	if vs := bs.vehs[veh]; vs != nil {
 		t.Error("per-vehicle state survived ColdRestart")
 	}
 	if got := len(bs.probs.FreshLocalPeers(bs.addr, k.Now())); got != 0 {
@@ -234,7 +234,7 @@ func TestColdRestartClearsProtocolState(t *testing.T) {
 		})
 	}
 	k.RunUntil(12 * time.Second)
-	if vs := bs.lookupVeh(veh); vs == nil || !vs.amAnchor {
+	if vs := bs.vehs[veh]; vs == nil || !vs.amAnchor {
 		t.Error("BS did not re-learn its anchor role after ColdRestart")
 	}
 	if delivered == 0 {

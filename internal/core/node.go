@@ -19,10 +19,8 @@ type DeliverFunc func(id frame.PacketID, payload []byte, from uint16)
 
 // vehState is a basestation's view of one vehicle, learned from its
 // beacons (§4.3: "Beacons enable all nearby BSes to learn the current
-// anchor and the set of auxiliary BSes"). States live by value in a dense
-// ID-indexed slice; known marks populated entries.
+// anchor and the set of auxiliary BSes").
 type vehState struct {
-	known      bool
 	amAnchor   bool // this BS believes it is the vehicle's anchor
 	anchor     uint16
 	prevAnchor uint16
@@ -145,17 +143,12 @@ type Node struct {
 	auxList    []uint16
 	// vehPeers marks addresses whose beacons carry FromVehicle: in fleet
 	// deployments a vehicle hears other vehicles loud and clear, but only
-	// basestations may serve as anchor or auxiliary (§4.3). Dense by
-	// address up to maxDenseID, grown on demand; vehPeersHi backs larger
-	// addresses so the dense bound is a layout choice, not a limit.
-	vehPeers   []bool
-	vehPeersHi map[uint16]bool
+	// basestations may serve as anchor or auxiliary (§4.3).
+	vehPeers map[uint16]bool
 
-	// Basestation state: vehs is dense by vehicle address (vehsHi backs
-	// addresses beyond the dense bound, mirroring ProbTable's sparse
-	// fallback); pending is the auxiliary's overheard-packet list.
-	vehs    []vehState
-	vehsHi  map[uint16]*vehState
+	// Basestation state: vehs holds the per-vehicle state by vehicle
+	// address; pending is the auxiliary's overheard-packet list.
+	vehs    map[uint16]*vehState
 	pending []pendEntry
 	// relayScratch is relayTick's reusable index buffer (sorted there for
 	// deterministic relay decisions).
@@ -200,6 +193,8 @@ func newNode(k *sim.Kernel, cfg Config, m *mac.MAC, bp *backplane.Net,
 		acked:       map[frame.PacketID]ackedInfo{},
 		anchor:      frame.None,
 		prevAnchor:  frame.None,
+		vehPeers:    map[uint16]bool{},
+		vehs:        map[uint16]*vehState{},
 	}
 	n.windowH.n, n.relayH.n = n, n
 	n.counter = newBeaconCounter(n.probs, n.addr, cfg.ProbWindow, cfg.BeaconInterval)
@@ -241,41 +236,12 @@ func (n *Node) MAC() *mac.MAC { return n.mac }
 // Probs exposes the node's probability table (diagnostics).
 func (n *Node) Probs() *ProbTable { return n.probs }
 
-// lookupVeh returns the state for a vehicle, nil when unknown. The
-// pointer is valid until the next ensureVeh call.
-func (n *Node) lookupVeh(veh uint16) *vehState {
-	if int(veh) >= maxDenseID {
-		return n.vehsHi[veh]
-	}
-	if int(veh) < len(n.vehs) && n.vehs[veh].known {
-		return &n.vehs[veh]
-	}
-	return nil
-}
-
 // ensureVeh returns the state for a vehicle, creating it on first beacon.
-// Addresses beyond the dense bound live in the sparse fallback map, so
-// correctness never rests on the density assumption.
 func (n *Node) ensureVeh(veh uint16) *vehState {
-	if int(veh) >= maxDenseID {
-		vs := n.vehsHi[veh]
-		if vs == nil {
-			vs = &vehState{known: true, anchor: frame.None, prevAnchor: frame.None}
-			if n.vehsHi == nil {
-				n.vehsHi = map[uint16]*vehState{}
-			}
-			n.vehsHi[veh] = vs
-		}
-		return vs
-	}
-	for len(n.vehs) <= int(veh) {
-		n.vehs = append(n.vehs, vehState{})
-	}
-	vs := &n.vehs[veh]
-	if !vs.known {
-		vs.known = true
-		vs.anchor = frame.None
-		vs.prevAnchor = frame.None
+	vs := n.vehs[veh]
+	if vs == nil {
+		vs = &vehState{anchor: frame.None, prevAnchor: frame.None}
+		n.vehs[veh] = vs
 	}
 	return vs
 }
@@ -314,7 +280,7 @@ func (n *Node) selectAnchor(now time.Duration) {
 	best := frame.None
 	bestVal := usableBS
 	for _, peer := range n.probs.FreshLocalPeers(n.addr, now) {
-		if n.isVehPeer(peer) {
+		if n.vehPeers[peer] {
 			continue // only basestations can anchor (fleet deployments)
 		}
 		v := n.probs.Get(peer, n.addr, now)
@@ -344,7 +310,7 @@ func (n *Node) selectAnchor(now time.Duration) {
 	// Auxiliaries: every other usable basestation.
 	n.auxList = n.auxList[:0]
 	for _, peer := range n.probs.FreshLocalPeers(n.addr, now) {
-		if peer == n.anchor || n.isVehPeer(peer) {
+		if peer == n.anchor || n.vehPeers[peer] {
 			continue
 		}
 		if n.probs.Get(peer, n.addr, now) >= usableBS {
@@ -396,34 +362,11 @@ func (n *Node) handleFrame(f *frame.Frame, info radio.RxInfo) {
 }
 
 // handleBeacon ingests probability reports and vehicle designations.
-// markVehPeer remembers that an address belongs to a vehicle.
-func (n *Node) markVehPeer(addr uint16) {
-	if int(addr) >= maxDenseID {
-		if n.vehPeersHi == nil {
-			n.vehPeersHi = map[uint16]bool{}
-		}
-		n.vehPeersHi[addr] = true
-		return
-	}
-	for len(n.vehPeers) <= int(addr) {
-		n.vehPeers = append(n.vehPeers, false)
-	}
-	n.vehPeers[addr] = true
-}
-
-// isVehPeer reports whether the address is a known vehicle.
-func (n *Node) isVehPeer(addr uint16) bool {
-	if int(addr) >= maxDenseID {
-		return n.vehPeersHi[addr]
-	}
-	return int(addr) < len(n.vehPeers) && n.vehPeers[addr]
-}
-
 func (n *Node) handleBeacon(f *frame.Frame) {
 	now := n.K.Now()
 	n.counter.hear(f.Src)
 	if f.FromVehicle {
-		n.markVehPeer(f.Src)
+		n.vehPeers[f.Src] = true
 	}
 	if f.Beacon != nil {
 		for _, pe := range f.Beacon.Probs {

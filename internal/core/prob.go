@@ -7,13 +7,6 @@ import (
 	"github.com/vanlan/vifi/internal/frame"
 )
 
-// maxDenseID bounds the dense, ID-indexed probability and vehicle tables.
-// Radio node IDs are small integers assigned densely in attachment order,
-// so every in-simulation address fits; anything larger (possible only from
-// arbitrary wire input) falls back to a sparse map so correctness never
-// rests on the density assumption.
-const maxDenseID = 2048
-
 // freshAt is the one staleness predicate of the probability table: a
 // timestamp recorded at t is fresh against the cutoff epoch (now − stale)
 // when it was ever set (≥ 0, −1 means never) and is at or after the
@@ -25,8 +18,8 @@ const maxDenseID = 2048
 func freshAt(t, cutoff time.Duration) bool { return t >= 0 && t >= cutoff }
 
 // probSlot is one directed reception-probability estimate, stored by
-// value in the dense table. The EWMA of stats.EWMA is inlined so a slot
-// carries no pointers and observations touch exactly one cache line.
+// value in the table's slot slice. The EWMA of stats.EWMA is inlined so a
+// slot carries no pointers and observations touch exactly one cache line.
 //
 // The mem/wheel flags are owned by the per-self incremental index: for a
 // pair (a, b), memL/inLW describe the local fresh set of self b (is a a
@@ -165,12 +158,16 @@ type probIndex struct {
 // gossiped in peers' beacons (§4.6). Entries age out after the staleness
 // window so departed nodes stop influencing relay decisions.
 //
-// Storage is a dense flat structure indexed [from][to] (sparse map
-// fallback for IDs ≥ maxDenseID) — the relay and beacon hot paths perform
-// no hashing and no allocation in steady state. The aggregate read paths
-// (FreshLocalPeers, Report) are served by incremental per-self indexes
-// (probIndex) maintained by the observe calls and aged by expiry wheels,
-// so their cost follows the node's neighborhood, never the population.
+// Storage is one pointer-free slot slice plus one index map keyed
+// from<<16|to (a uint32, so lookups take the runtime's fast 32-bit map
+// path): a node's table holds exactly the pairs it has observed — its own
+// neighborhood and what neighbors gossip — whatever the addresses are,
+// and neither the map nor the slots contain pointers, keeping a
+// million-slot fleet out of garbage-collector scans. Steady state never
+// allocates. The aggregate read paths (FreshLocalPeers, Report) are
+// served by incremental per-self indexes (probIndex) maintained by the
+// observe calls and aged by expiry wheels, so their cost follows the
+// node's neighborhood, never the population.
 //
 // Time must be fed monotonically: observations and queries with a `now`
 // earlier than a previous call may miss entries the wheels already aged
@@ -178,14 +175,8 @@ type probIndex struct {
 type ProbTable struct {
 	alpha float64
 	stale time.Duration
-	rows  [][]probSlot
-	// sparse backs pairs involving IDs ≥ maxDenseID — at city scale most
-	// of a node's table lands here. Slots live in fixed-size slab chunks
-	// and the map holds indices: chunks never move (so *probSlot stays
-	// valid) and neither the map nor the slabs contain pointers, keeping
-	// a million-slot fleet entirely out of garbage-collector scans.
-	sparse map[[2]uint16]int32
-	slabs  [][]probSlot
+	index map[uint32]int32 // from<<16|to → position in slots
+	slots []probSlot
 
 	// idx is the per-self incremental index. A protocol node only ever
 	// queries its own address, so the first index is cached directly;
@@ -196,65 +187,37 @@ type ProbTable struct {
 
 // NewProbTable creates a table with the given EWMA factor and staleness.
 func NewProbTable(alpha float64, stale time.Duration) *ProbTable {
-	return &ProbTable{alpha: alpha, stale: stale}
+	return &ProbTable{alpha: alpha, stale: stale, index: map[uint32]int32{}}
 }
 
+// slotKey packs a directed pair into the index key.
+func slotKey(from, to uint16) uint32 { return uint32(from)<<16 | uint32(to) }
+
 // peek returns the slot for (from, to) without growing the table, or nil
-// when the pair has never been observed.
+// when the pair has never been observed. The pointer is valid until the
+// next slot call.
 func (t *ProbTable) peek(from, to uint16) *probSlot {
-	if int(from) < maxDenseID && int(to) < maxDenseID {
-		if int(from) < len(t.rows) {
-			if row := t.rows[from]; int(to) < len(row) {
-				return &row[to]
-			}
-		}
-		return nil
-	}
-	if si, ok := t.sparse[[2]uint16{from, to}]; ok {
-		return t.slabAt(si)
+	if si, ok := t.index[slotKey(from, to)]; ok {
+		return &t.slots[si]
 	}
 	return nil
 }
 
-// slabChunk is the slab chunk size (power of two) for sparse slots.
-const slabChunk = 1 << 12
-
-// slabAt resolves a slab index to its slot.
-func (t *ProbTable) slabAt(si int32) *probSlot {
-	return &t.slabs[si>>12][si&(slabChunk-1)]
-}
-
-// slot returns the slot for (from, to), growing the dense table (or the
-// sparse overflow) on first touch. Growth only happens while the node
-// population is still being discovered; steady state never allocates.
+// slot returns the slot for (from, to), appending it on first touch.
+// Growth only happens while the neighborhood is still being discovered;
+// steady state never allocates. An append may move the slice, so the
+// returned pointer — and any earlier one from peek or slot — is valid
+// only until the next slot call; ObserveLocal and ObserveGossip, the only
+// holders, finish with theirs before returning.
 func (t *ProbTable) slot(from, to uint16) *probSlot {
-	if int(from) >= maxDenseID || int(to) >= maxDenseID {
-		k := [2]uint16{from, to}
-		si, ok := t.sparse[k]
-		if !ok {
-			n := len(t.slabs)
-			if n == 0 || len(t.slabs[n-1]) == slabChunk {
-				t.slabs = append(t.slabs, make([]probSlot, 0, slabChunk))
-				n++
-			}
-			t.slabs[n-1] = append(t.slabs[n-1], emptySlot())
-			si = int32((n-1)*slabChunk + len(t.slabs[n-1]) - 1)
-			if t.sparse == nil {
-				t.sparse = map[[2]uint16]int32{}
-			}
-			t.sparse[k] = si
-		}
-		return t.slabAt(si)
+	k := slotKey(from, to)
+	si, ok := t.index[k]
+	if !ok {
+		si = int32(len(t.slots))
+		t.slots = append(t.slots, emptySlot())
+		t.index[k] = si
 	}
-	for len(t.rows) <= int(from) {
-		t.rows = append(t.rows, nil)
-	}
-	row := t.rows[from]
-	for len(row) <= int(to) {
-		row = append(row, emptySlot())
-	}
-	t.rows[from] = row
-	return &row[to]
+	return &t.slots[si]
 }
 
 // peekIndex returns the index for self when one exists.
@@ -307,42 +270,23 @@ func (t *ProbTable) indexFor(self uint16, now time.Duration) *probIndex {
 func (t *ProbTable) buildIndex(self uint16, now time.Duration) *probIndex {
 	ix := &probIndex{self: self}
 	cutoff := now - t.stale
-	s := int(self)
-	for from := range t.rows {
-		row := t.rows[from]
-		if s < len(row) {
-			if e := &row[s]; freshAt(e.local, cutoff) {
-				e.memL, e.inLW = true, true
-				ix.local.members = append(ix.local.members, uint16(from))
-				ix.local.pushWheel(e.local+t.stale, uint16(from))
-			}
-		}
-	}
-	if s < len(t.rows) {
-		row := t.rows[s]
-		for to := range row {
-			if e := &row[to]; e.hasG && freshAt(e.gossipT, cutoff) {
-				e.memG, e.inGW = true, true
-				ix.gossip.members = append(ix.gossip.members, uint16(to))
-				ix.gossip.pushWheel(e.gossipT+t.stale, uint16(to))
-			}
-		}
-	}
-	for k, si := range t.sparse {
-		e := t.slabAt(si)
-		if k[1] == self && freshAt(e.local, cutoff) {
+	for k, si := range t.index {
+		from, to := uint16(k>>16), uint16(k)
+		e := &t.slots[si]
+		if to == self && freshAt(e.local, cutoff) {
 			e.memL, e.inLW = true, true
-			ix.local.members = append(ix.local.members, k[0])
-			ix.local.pushWheel(e.local+t.stale, k[0])
+			ix.local.members = append(ix.local.members, from)
+			ix.local.pushWheel(e.local+t.stale, from)
 		}
-		if k[0] == self && e.hasG && freshAt(e.gossipT, cutoff) {
+		if from == self && e.hasG && freshAt(e.gossipT, cutoff) {
 			e.memG, e.inGW = true, true
-			ix.gossip.members = append(ix.gossip.members, k[1])
-			ix.gossip.pushWheel(e.gossipT+t.stale, k[1])
+			ix.gossip.members = append(ix.gossip.members, to)
+			ix.gossip.pushWheel(e.gossipT+t.stale, to)
 		}
 	}
-	// Dense froms arrive in order but sparse ones in map order; one sort
-	// at build time establishes the invariant the updates maintain.
+	// Pairs arrive in map order; one sort at build time establishes the
+	// invariant the updates maintain. (Wheel pops are ordered by (at, id),
+	// a total order over one-record-per-member, so filing order is moot.)
 	slices.Sort(ix.local.members)
 	slices.Sort(ix.gossip.members)
 	return ix
@@ -512,17 +456,16 @@ func (t *ProbTable) Report(self uint16, now time.Duration) []frame.ProbEntry {
 
 // beaconCounter tracks beacons heard from each peer in the current
 // probe window and flushes per-window reception ratios into a ProbTable.
-// The per-peer counters are a dense ID-indexed slice; heardList records
-// which entries the window touched, so both the flush sweep and the
-// zeroing visit exactly the peers heard — O(neighbors), never O(table).
+// heard holds the per-peer counts; heardList records which peers the
+// window touched in first-heard order, so the flush sweep and the zeroing
+// visit exactly the peers heard — O(neighbors) — in a deterministic order.
 type beaconCounter struct {
 	table     *ProbTable
 	self      uint16
 	window    time.Duration
-	expected  float64  // beacons expected per window
-	heard     []int32  // beacons heard this window, indexed by peer
-	heardList []uint16 // dense peers with a nonzero count, in first-heard order
-	heardHi   map[uint16]int32
+	expected  float64          // beacons expected per window
+	heard     map[uint16]int32 // beacons heard this window, by peer
+	heardList []uint16         // peers with a nonzero count, in first-heard order
 	windowAt  time.Duration
 }
 
@@ -532,53 +475,25 @@ func newBeaconCounter(table *ProbTable, self uint16, window, beaconInterval time
 		self:     self,
 		window:   window,
 		expected: float64(window) / float64(beaconInterval),
+		heard:    map[uint16]int32{},
 	}
 }
 
 // hear records one beacon from the peer.
 func (b *beaconCounter) hear(peer uint16) {
-	if int(peer) >= maxDenseID {
-		if b.heardHi == nil {
-			b.heardHi = map[uint16]int32{}
-		}
-		b.heardHi[peer]++
-		return
-	}
-	for len(b.heard) <= int(peer) {
-		b.heard = append(b.heard, 0)
-	}
-	if b.heard[peer] == 0 {
+	n := b.heard[peer]
+	if n == 0 {
 		b.heardList = append(b.heardList, peer)
 	}
-	b.heard[peer]++
-}
-
-// heardFrom reports whether the peer beaconed this window.
-func (b *beaconCounter) heardFrom(peer uint16) bool {
-	if int(peer) >= maxDenseID {
-		return b.heardHi[peer] > 0
-	}
-	return int(peer) < len(b.heard) && b.heard[peer] > 0
+	b.heard[peer] = n + 1
 }
 
 // flush closes the window at time now: every peer heard this window gets
 // its ratio folded in, and currently-known peers that went silent decay
 // toward zero so their estimates can age out.
 func (b *beaconCounter) flush(now time.Duration) {
-	// Fold ratios for peers heard this window. EWMA folding is per-peer
-	// independent, so the sweep order does not affect state.
 	for _, peer := range b.heardList {
 		r := float64(b.heard[peer]) / b.expected
-		if r > 1 {
-			r = 1
-		}
-		b.table.ObserveLocal(peer, b.self, r, now)
-	}
-	for peer, n := range b.heardHi {
-		if n == 0 {
-			continue
-		}
-		r := float64(n) / b.expected
 		if r > 1 {
 			r = 1
 		}
@@ -588,16 +503,11 @@ func (b *beaconCounter) flush(now time.Duration) {
 	// once an estimate has decayed to noise stop refreshing it so the
 	// entry can age out entirely.
 	for _, peer := range b.table.FreshLocalPeers(b.self, now) {
-		if !b.heardFrom(peer) {
-			if b.table.Get(peer, b.self, now) > 0.01 {
-				b.table.ObserveLocal(peer, b.self, 0, now)
-			}
+		if b.heard[peer] == 0 && b.table.Get(peer, b.self, now) > 0.01 {
+			b.table.ObserveLocal(peer, b.self, 0, now)
 		}
 	}
-	for _, peer := range b.heardList {
-		b.heard[peer] = 0
-	}
+	clear(b.heard)
 	b.heardList = b.heardList[:0]
-	clear(b.heardHi)
 	b.windowAt = now
 }

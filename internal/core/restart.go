@@ -37,21 +37,11 @@ func (n *Node) ColdRestart() {
 	// Vehicle designations.
 	n.anchor, n.prevAnchor = frame.None, frame.None
 	n.auxList = n.auxList[:0]
-	for i := range n.vehPeers {
-		n.vehPeers[i] = false
-	}
-	for k := range n.vehPeersHi {
-		delete(n.vehPeersHi, k)
-	}
+	clear(n.vehPeers)
 
 	// Basestation roles: per-vehicle state (anchor flags, salvage caches)
 	// and the auxiliary's overheard-packet list.
-	for i := range n.vehs {
-		n.vehs[i] = vehState{}
-	}
-	for k := range n.vehsHi {
-		delete(n.vehsHi, k)
-	}
+	clear(n.vehs)
 	for i := range n.pending {
 		n.pending[i] = pendEntry{}
 	}

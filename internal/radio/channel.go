@@ -41,9 +41,8 @@ func (f ReceiverFunc) RadioReceive(payload []byte, info RxInfo) { f(payload, inf
 // LinkFactory builds the LinkModel for a directed (from, to) pair. The
 // default factory creates independent FadingLinks; trace-driven
 // experiments install ScheduleLinks instead. Factories must be pure
-// functions of (from, to): below the index threshold the channel
-// instantiates every directed pair eagerly at attach time, above it
-// lazily on first contact — the two must be indistinguishable.
+// functions of (from, to): the channel instantiates a directed pair on
+// its first contact, whenever that happens to be.
 type LinkFactory func(from, to NodeID) LinkModel
 
 // reception is one in-flight frame at one receiver. It carries its own
@@ -88,15 +87,16 @@ func (r *reception) OnEvent() {
 }
 
 // nbrEntry is one cached broadcast candidate: a node bucketed in the
-// transmitter's 3×3 grid neighborhood. The link state is resolved on the
-// candidate's first in-cutoff contact and memoized — not prefetched at
-// cache build — so links come into being on exactly the contacts that
-// instantiated them before the cache existed; a 3×3 neighborhood holds
-// several times more candidates than the cutoff disc, and materializing
-// links for the fringe would multiply the lazy table for pairs that may
-// never exchange a frame. (The sharded path is the exception: it
-// resolves links eagerly at cache build, because worker lanes must never
-// touch the lazy map — see broadcastSharded.)
+// transmitter's 3×3 grid neighborhood on the indexed path, every other
+// node on the full sweep. The link state is resolved on the candidate's
+// first contact and memoized — not prefetched at cache build — so the
+// steady-state broadcast probes no map, and links come into being only
+// for pairs that exchange a frame; a 3×3 neighborhood holds several times
+// more candidates than the cutoff disc, and materializing links for the
+// fringe would multiply the link table for pairs that may never do so.
+// (The sharded path is the exception: it resolves links eagerly at cache
+// build, because worker lanes must never touch the link map — see
+// broadcastSharded.)
 //
 // owner is the delivery lane owning this candidate (the stripe of its
 // bucket cell column), filled only by the sharded path; the serial path
@@ -117,10 +117,12 @@ type node struct {
 	cur     *reception    // latest reception locking this receiver
 	down    bool          // radio muted by fault injection (SetDown)
 
-	// nbr caches the candidate list of the node's last indexed broadcast,
-	// in grid walk order. Valid while the grid version and the node's
-	// query cell are unchanged — then a fresh walk would return the exact
-	// same nodes in the same order, so reuse is byte-identical.
+	// nbr caches the candidate list of the node's last broadcast. With
+	// nbrOK set it is a grid neighborhood in walk order, valid while the
+	// grid version and the node's query cell are unchanged — then a fresh
+	// walk would return the exact same nodes in the same order, so reuse
+	// is byte-identical. With nbrOK clear it is the full sweep's list:
+	// every other node in ID order, valid while the node count holds.
 	nbr     []nbrEntry
 	nbrVer  uint64
 	nbrCell uint64
@@ -183,8 +185,8 @@ func (t *txEnd) OnEvent() {
 }
 
 // DefaultIndexThreshold is the attached-node count at which a channel
-// switches to the spatially indexed hot path and lazy per-pair links,
-// unless Params.IndexThresholdNodes overrides it. Every run at or above
+// switches to the spatially indexed hot path, unless
+// Params.IndexThresholdNodes overrides it. Every run at or above
 // the threshold skips out-of-range receivers entirely (their per-link
 // streams advance less — safe because streams are private per link and
 // the skipped draws are guaranteed losses); every run below it keeps the
@@ -201,14 +203,9 @@ type Channel struct {
 	P       Params
 	factory LinkFactory
 	nodes   []*node
-	capHint int // expected final node count (0 = unknown)
-	// links is the dense directed link table, indexed [from][to],
-	// instantiated eagerly at attach time; the diagonal is never
-	// populated. Above the index threshold it is replaced by lazy, the
-	// per-pair table keyed from<<32|to, populated on first contact — the
-	// two yield identical coin flips because link RNG streams are
-	// label-derived (see newLink).
-	links  [][]linkState
+	// lazy is the directed link table keyed from<<32|to, populated on
+	// first contact. When a link comes into being never moves a coin flip:
+	// link RNG streams are label-derived (see newLink).
 	lazy   map[uint64]*linkState
 	bufs   frame.BufferPool
 	freeRx *reception
@@ -240,7 +237,7 @@ type Channel struct {
 // If factory is nil, independent FadingLinks are created per directed pair,
 // each seeded from the kernel's labeled RNG streams.
 func NewChannel(k *sim.Kernel, p Params, factory LinkFactory) *Channel {
-	c := &Channel{K: k, P: p}
+	c := &Channel{K: k, P: p, lazy: map[uint64]*linkState{}}
 	if factory == nil {
 		// The fading-derived cutoff (CutoffM) describes exactly the links
 		// this factory builds, so the indexed path may rely on it.
@@ -262,24 +259,17 @@ func NewChannel(k *sim.Kernel, p Params, factory LinkFactory) *Channel {
 
 // NewChannelSized is NewChannel with a capacity hint from a caller that
 // knows the deployment size up front (scenario generators, fleet cells).
-// The hint pre-sizes the node and link tables so Attach never re-grows a
-// row, and a hint at or above the index threshold starts the channel in
-// lazy link mode immediately instead of eagerly building links it would
-// migrate later.
+// The hint pre-sizes the node table.
 func NewChannelSized(k *sim.Kernel, p Params, factory LinkFactory, capacity int) *Channel {
 	c := NewChannel(k, p, factory)
 	if capacity > 0 {
-		c.capHint = capacity
 		c.nodes = make([]*node, 0, capacity)
-		if capacity < c.indexThreshold() {
-			c.links = make([][]linkState, 0, capacity)
-		}
 	}
 	return c
 }
 
-// indexThreshold returns the node count at which the indexed path and
-// lazy link table take over.
+// indexThreshold returns the node count at which the indexed path takes
+// over.
 func (c *Channel) indexThreshold() int {
 	if c.P.IndexThresholdNodes > 0 {
 		return c.P.IndexThresholdNodes
@@ -295,8 +285,8 @@ func (c *Channel) indexed() bool {
 }
 
 // newLink builds the state of one directed link. Each link's RNG streams
-// are derived from stable labels, so eager construction at attach time
-// yields exactly the coin flips lazy construction does.
+// are derived from stable labels, so the coin flips do not depend on when
+// the link is constructed.
 func (c *Channel) newLink(from, to NodeID) linkState {
 	ls := linkState{
 		model: c.factory(from, to),
@@ -312,57 +302,24 @@ func (c *Channel) newLink(from, to NodeID) linkState {
 	return ls
 }
 
-// pairKey packs a directed pair into the lazy-table key.
+// pairKey packs a directed pair into the link-table key.
 func pairKey(from, to NodeID) uint64 {
 	return uint64(uint32(from))<<32 | uint64(uint32(to))
 }
 
-// Attach registers a radio with the channel and returns its NodeID.
-// Below the index threshold the directed link table grows by one row and
-// one column, instantiated immediately so the frame path never consults
-// a map; crossing the threshold migrates the table to lazy per-pair mode
-// (identical coin flips, see newLink) so a large fleet never pays the
-// O(N²) link memory or the quadratic attach cost.
+// Attach registers a radio with the channel and returns its NodeID. No
+// link state is built here — pairs are instantiated on first contact — so
+// a large fleet never pays O(N²) link memory or a quadratic attach cost.
 func (c *Channel) Attach(name string, mover mobility.Mover, recv Receiver) NodeID {
 	id := NodeID(len(c.nodes))
 	c.nodes = append(c.nodes, &node{id: id, name: name, mover: mover, recv: recv})
-	if c.lazy == nil && max(len(c.nodes), c.capHint) >= c.indexThreshold() {
-		c.migrateLazy()
-	}
 	if c.grid != nil {
 		c.grid.insert(id, mover, c.K.Now())
 		c.scheduleReval()
 	} else if c.indexed() {
 		c.buildGrid()
 	}
-	if c.lazy != nil {
-		return id
-	}
-	rowCap := max(len(c.nodes), c.capHint)
-	row := make([]linkState, len(c.nodes), rowCap)
-	for other := NodeID(0); other < id; other++ {
-		row[other] = c.newLink(id, other)
-		c.links[other] = append(c.links[other], c.newLink(other, id))
-	}
-	c.links = append(c.links, row)
 	return id
-}
-
-// migrateLazy moves the dense link table into the lazy per-pair map.
-// Only links already instantiated move; everything else is created on
-// first contact.
-func (c *Channel) migrateLazy() {
-	c.lazy = make(map[uint64]*linkState, len(c.links)*len(c.links))
-	for from, row := range c.links {
-		for to := range row {
-			if row[to].model == nil {
-				continue // the diagonal
-			}
-			ls := row[to]
-			c.lazy[pairKey(NodeID(from), NodeID(to))] = &ls
-		}
-	}
-	c.links = nil
 }
 
 // SetReceiver replaces the receiver of an attached node (used when protocol
@@ -425,19 +382,16 @@ func (c *Channel) Position(id NodeID) mobility.Point {
 }
 
 // link returns the state for the directed pair, instantiating it on
-// first contact in lazy mode.
+// first contact.
 func (c *Channel) link(from, to NodeID) *linkState {
-	if c.lazy != nil {
-		key := pairKey(from, to)
-		ls := c.lazy[key]
-		if ls == nil {
-			l := c.newLink(from, to)
-			ls = &l
-			c.lazy[key] = ls
-		}
-		return ls
+	key := pairKey(from, to)
+	ls := c.lazy[key]
+	if ls == nil {
+		l := c.newLink(from, to)
+		ls = &l
+		c.lazy[key] = ls
 	}
-	return &c.links[from][to]
+	return ls
 }
 
 // Link exposes the LinkModel for a directed pair (diagnostics and
@@ -573,13 +527,7 @@ func (c *Channel) Broadcast(from NodeID, payload []byte, txDone sim.Handler) tim
 	} else if c.indexed() {
 		c.broadcastIndexed(src, srcPos, payload, now, end)
 	} else {
-		for _, dst := range c.nodes {
-			if dst.id == from {
-				continue
-			}
-			dist := srcPos.Dist(dst.mover.Position(now))
-			c.deliver(src, dst, c.link(src.id, dst.id), dist, payload, now, end)
-		}
+		c.broadcastSweep(src, srcPos, payload, now, end)
 	}
 	// Schedule the tx-done notification after the delivery events so that
 	// receptions completing exactly at end are processed before the sender
@@ -595,6 +543,32 @@ func (c *Channel) Broadcast(from NodeID, payload []byte, txDone sim.Handler) tim
 	te.txDone = txDone
 	c.K.AtHandler(end, te)
 	return airtime
+}
+
+// broadcastSweep is the sub-threshold path: every other node is a
+// candidate, in ID order, and none is skipped by range — a receiver far
+// beyond any cutoff still draws its RSSI noise and its (losing) coin,
+// because the seeded paper-figure runs are pinned with those draws
+// consumed. The candidate list is cached per transmitter like the indexed
+// path's, so the steady-state sweep probes no map either.
+func (c *Channel) broadcastSweep(src *node, srcPos mobility.Point, payload []byte, now, end time.Duration) {
+	if src.nbrOK || len(src.nbr) != len(c.nodes)-1 {
+		src.nbr = src.nbr[:0]
+		for _, dst := range c.nodes {
+			if dst != src {
+				src.nbr = append(src.nbr, nbrEntry{dst: dst})
+			}
+		}
+		src.nbrOK = false
+	}
+	for i := range src.nbr {
+		nb := &src.nbr[i]
+		if nb.ls == nil {
+			nb.ls = c.link(src.id, nb.dst.id)
+		}
+		dist := srcPos.Dist(nb.dst.mover.Position(now))
+		c.deliver(src, nb.dst, nb.ls, dist, payload, now, end)
+	}
 }
 
 // broadcastIndexed delivers to the 3×3 grid neighborhood only: receivers
@@ -742,7 +716,7 @@ func (c *Channel) ensureGrid(now time.Duration) *grid {
 // deliver decides and schedules the reception of one frame at one node.
 func (c *Channel) deliver(src, dst *node, ls *linkState, dist float64, payload []byte, now, end time.Duration) {
 	if dst.down {
-		// Muted receiver (single gate for both the dense and the indexed
+		// Muted receiver (single gate for both the sweep and the indexed
 		// path): skipped before any draw, so only this directed pair's
 		// private streams advance less — a guaranteed loss, same argument
 		// as the indexed path's out-of-range skip.

@@ -291,55 +291,54 @@ func TestSetCurRecyclesDisplacedRecord(t *testing.T) {
 	}
 }
 
-// TestAttachRowsPreSized pins the capacity-hint satellite: with the
-// final node count known up front, no dense link row is ever re-grown by
-// a later attach.
-func TestAttachRowsPreSized(t *testing.T) {
-	k := sim.NewKernel(10)
-	const n = 40
-	c := NewChannelSized(k, DefaultParams(), nil, n)
-	for i := 0; i < n; i++ {
-		c.Attach("n", mobility.Fixed{X: float64(i) * 10}, nil)
-	}
-	for i, row := range c.links {
-		if cap(row) != n {
-			t.Fatalf("row %d capacity = %d, want the hint %d", i, cap(row), n)
+// TestLinksInstantiateOnFirstContact pins the one link-table layout on
+// both sides of the index threshold: attaching builds no link state at
+// any population, and traffic instantiates exactly the directed pairs it
+// uses — every other node on the full sweep, the in-range ones only on
+// the indexed path.
+func TestLinksInstantiateOnFirstContact(t *testing.T) {
+	// 8 nodes 600 m apart: only node 1 is within node 0's ≈1060 m cutoff.
+	for _, tc := range []struct {
+		name      string
+		threshold int
+		indexed   bool
+		want      int
+	}{
+		{"sweep", 16, false, 7},
+		{"indexed", 4, true, 1},
+	} {
+		k := sim.NewKernel(11)
+		p := DefaultParams()
+		p.IndexThresholdNodes = tc.threshold
+		c := NewChannelSized(k, p, nil, 8)
+		for i := 0; i < 8; i++ {
+			c.Attach("n", mobility.Fixed{X: float64(i) * 600}, nil)
 		}
-		if len(row) != n {
-			t.Fatalf("row %d length = %d, want %d", i, len(row), n)
+		if c.Indexed() != tc.indexed {
+			t.Fatalf("%s: Indexed() = %v", tc.name, c.Indexed())
+		}
+		if len(c.lazy) != 0 {
+			t.Fatalf("%s: %d links before any traffic", tc.name, len(c.lazy))
+		}
+		for rep := 0; rep < 2; rep++ { // the repeat finds every link in place
+			c.Broadcast(0, make([]byte, 50), nil)
+			k.Run()
+		}
+		if len(c.lazy) != tc.want {
+			t.Fatalf("%s: %d links after node 0 broadcast to 7 peers, want %d", tc.name, len(c.lazy), tc.want)
+		}
+		for key := range c.lazy {
+			if from := key >> 32; from != 0 {
+				t.Fatalf("%s: link from %d instantiated, only node 0 transmitted", tc.name, from)
+			}
 		}
 	}
 }
 
-// TestSizedChannelStartsLazy pins the other half of the hint: a capacity
-// at or above the index threshold starts the channel in lazy per-pair
-// mode, so a city-scale attach sequence never builds the O(N²) table.
-func TestSizedChannelStartsLazy(t *testing.T) {
-	k := sim.NewKernel(11)
-	p := DefaultParams()
-	p.IndexThresholdNodes = 16
-	c := NewChannelSized(k, p, nil, 64)
-	for i := 0; i < 8; i++ {
-		c.Attach("n", mobility.Fixed{X: float64(i) * 10}, nil)
-	}
-	if c.lazy == nil || c.links != nil {
-		t.Fatal("sized channel did not start in lazy link mode")
-	}
-	if len(c.lazy) != 0 {
-		t.Fatalf("lazy table has %d links before any traffic", len(c.lazy))
-	}
-	// First contact instantiates exactly the directed pairs used.
-	c.Broadcast(0, make([]byte, 50), nil)
-	k.Run()
-	if len(c.lazy) != 7 {
-		t.Fatalf("lazy table has %d links after one broadcast to 7 peers, want 7", len(c.lazy))
-	}
-}
-
-// TestThresholdCrossingMigratesLazy pins the unhinted path: a channel
-// that grows past the threshold without a capacity hint migrates its
-// dense rows into the lazy table, and the label-derived link streams
-// make the migrated and freshly-instantiated links indistinguishable.
+// TestThresholdCrossingMigratesLazy pins the mid-attach sweep→index
+// switch: traffic before the crossing instantiates links on the sweep,
+// traffic after it runs indexed over the same table, and a channel told
+// the final size up front is indistinguishable from one that was not.
 func TestThresholdCrossingMigratesLazy(t *testing.T) {
 	run := func(hint int) Stats {
 		k := sim.NewKernel(12)
@@ -351,25 +350,37 @@ func TestThresholdCrossingMigratesLazy(t *testing.T) {
 		} else {
 			c = NewChannel(k, p, nil)
 		}
+		drive := func(n, steps int) {
+			for step := 0; step < steps; step++ {
+				src := NodeID(step % n)
+				if !c.Transmitting(src) {
+					c.Broadcast(src, make([]byte, 80), nil)
+				}
+				k.RunUntil(k.Now() + 3*time.Millisecond)
+			}
+		}
 		for i := 0; i < 20; i++ {
 			c.Attach("n", mobility.Fixed{X: float64(i) * 25}, nil)
-		}
-		if c.lazy == nil {
-			t.Fatal("channel past the threshold still has a dense table")
-		}
-		for step := 0; step < 30; step++ {
-			src := NodeID(step % 20)
-			if !c.Transmitting(src) {
-				c.Broadcast(src, make([]byte, 80), nil)
+			if i == 8 {
+				if c.Indexed() {
+					t.Fatal("channel indexed below the threshold")
+				}
+				drive(9, 12)
 			}
-			k.RunUntil(k.Now() + 3*time.Millisecond)
 		}
+		if !c.Indexed() {
+			t.Fatal("channel past the threshold still sweeps")
+		}
+		drive(20, 30)
 		k.Run()
 		return c.Stats()
 	}
-	migrated := run(0) // dense for the first 9 attaches, then migrates
-	hinted := run(20)  // lazy from the first attach
-	if migrated != hinted {
-		t.Errorf("migrated and hinted channels diverged: %+v vs %+v", migrated, hinted)
+	unhinted := run(0)
+	hinted := run(20)
+	if unhinted != hinted {
+		t.Errorf("hinted and un-hinted channels diverged: %+v vs %+v", unhinted, hinted)
+	}
+	if unhinted.Deliveries == 0 {
+		t.Error("no frame was delivered")
 	}
 }

@@ -73,8 +73,7 @@ type Params struct {
 	// untouched.
 	MaxRangeM float64
 	// IndexThresholdNodes is the attached-node count at which the channel
-	// switches from the dense full-sweep path to the spatial grid index
-	// (and from an eager dense link table to lazy per-pair links).
+	// switches from the full-sweep path to the spatial grid index.
 	// 0 means DefaultIndexThreshold.
 	IndexThresholdNodes int
 

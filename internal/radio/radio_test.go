@@ -524,7 +524,7 @@ func BenchmarkBroadcastIndexed1000(b *testing.B) {
 // deployment with the threshold forced above the population, so every
 // transmission sweeps all 1000 radios.
 func BenchmarkBroadcastSweep1000(b *testing.B) {
-	k, c, veh := benchCityChannel(b, 1 << 20)
+	k, c, veh := benchCityChannel(b, 1<<20)
 	payload := make([]byte, 500)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -219,8 +219,8 @@ func (c *Channel) broadcastSharded(src *node, srcPos mobility.Point, payload []b
 		g.neighborhoodCells(srcPos, func(id NodeID, cellX int32) {
 			if id != src.id {
 				// Links resolve eagerly here — on the coordinator, at
-				// cache build — because lanes must never touch the lazy
-				// link map. Invisible to results: link RNG streams are
+				// cache build — because lanes must never touch the link
+				// map. Invisible to results: link RNG streams are
 				// label-derived, so instantiation time never moves a
 				// coin flip, and untouched links draw nothing. The cost
 				// is materializing fringe links the serial path would

@@ -27,12 +27,7 @@ func batchReport(t *testing.T, name string, seed int64, dur time.Duration, shard
 	if err != nil {
 		t.Fatal(err)
 	}
-	var run *experiment.FleetAppRun
-	if shards > 1 {
-		run, err = experiment.RunFleetAppWorkloadSharded(seed, spec, core.DefaultConfig(), dur, shards)
-	} else {
-		run, err = experiment.RunFleetAppWorkload(seed, spec, core.DefaultConfig(), dur)
-	}
+	run, err := experiment.RunFleetAppWorkload(seed, spec, core.DefaultConfig(), dur, shards)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -131,7 +131,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		futs := make([]experiment.Future[*experiment.FleetAppRun], len(cfgs))
 		for i, cfg := range cfgs {
-			futs[i] = eng.FleetAppShards(*seed, spec, cfg, *duration, *shards)
+			futs[i] = eng.FleetApp(*seed, spec, cfg, *duration, *shards)
 		}
 		for i, name := range names {
 			experiment.FprintFleetReport(stdout, futs[i].Wait(), name, *duration, *seed)

@@ -137,7 +137,7 @@ func TestVehicleDeliverDispatchAllocFree(t *testing.T) {
 	k := sim.NewKernel(3)
 	cell := NewFleetCell(k, DefaultCellOptions(),
 		[]mobility.Mover{mobility.Fixed{X: 0}, mobility.Fixed{X: 60}},
-		[]mobility.Mover{mobility.Fixed{X: 10}, mobility.Fixed{X: 50}})
+		[]mobility.Mover{mobility.Fixed{X: 10}, mobility.Fixed{X: 50}}, Placement{})
 	hits := make([]int, 2)
 	cell.HookVehicle(0, func(frame.PacketID, []byte, uint16) {},
 		func(id frame.PacketID, p []byte, from uint16) { hits[0]++ })

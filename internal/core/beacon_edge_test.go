@@ -113,7 +113,7 @@ func TestFleetAnchorNeverVehicle(t *testing.T) {
 	k := sim.NewKernel(11)
 	cell := NewFleetCell(k, DefaultCellOptions(),
 		[]mobility.Mover{mobility.Fixed{X: 40}},
-		[]mobility.Mover{mobility.Fixed{X: 0}, mobility.Fixed{X: 2}})
+		[]mobility.Mover{mobility.Fixed{X: 0}, mobility.Fixed{X: 2}}, Placement{})
 	k.RunUntil(4 * time.Second)
 	bsAddr := cell.BSes[0].Addr()
 	for i, v := range cell.Vehicles {

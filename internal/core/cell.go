@@ -41,23 +41,23 @@ type Cell struct {
 	Backplane *backplane.Net
 	Gateway   *Gateway
 	BSes      []*Node
-	// Vehicle is the first (often only) vehicle; Vehicles carries the full
-	// fleet when the cell was built with NewFleetCell.
+	// Vehicle is the first (often only) locally owned vehicle; Vehicles
+	// carries the full fleet.
 	Vehicle  *Node
 	Vehicles []*Node
 
-	// Gateways lists every gateway (one per district for districted
-	// cells; [Gateway] otherwise). VehDistrict maps fleet slots to their
-	// district (nil when there is only one).
+	// Gateways lists every gateway, one per district (nil for districts
+	// owned by another shard); Gateway is the first local one. VehDistrict
+	// maps fleet slots to their district (nil when there is only one).
 	Gateways    []*Gateway
 	VehDistrict []int
 
-	// Shard-cell bookkeeping (nil/unset outside NewDistrictShardCell):
-	// BSLocal/VehLocal mark which global indexes own a full protocol
-	// stack on this shard — the rest are position-only ghosts, and their
-	// BSes/Vehicles entries are nil. BSRadioIDs/VehRadioIDs carry the
-	// channel NodeID of every node, ghost or not, so fault injection can
-	// address radios it does not own a Node for.
+	// Ghost bookkeeping (nil while every district is local — see
+	// Placement): BSLocal/VehLocal mark which global indexes own a full
+	// protocol stack on this shard — the rest are position-only ghosts,
+	// and their BSes/Vehicles entries are nil. BSRadioIDs/VehRadioIDs
+	// carry the channel NodeID of every node, ghost or not, so fault
+	// injection can address radios it does not own a Node for.
 	BSLocal     []bool
 	VehLocal    []bool
 	BSRadioIDs  []radio.NodeID
@@ -83,7 +83,7 @@ func (c *Cell) LocalVehicle(i int) bool { return c.VehLocal == nil || c.VehLocal
 // StartRadioShards enables halo-band stripe-sharded delivery on the
 // cell's channel — the single-kernel sharding mode for un-districted
 // cities whose stripes share radio edges, complementing the multi-kernel
-// NewDistrictShardCell partition. Returns the effective lane count (1
+// district partition (Placement). Returns the effective lane count (1
 // when the channel keeps the serial path). The caller must
 // StopRadioShards before dropping the cell.
 func (c *Cell) StartRadioShards(lanes int) int { return c.Channel.StartShards(lanes) }
@@ -109,173 +109,136 @@ func (c *Cell) RadioLaneCounts() (bs, veh []int) {
 	return bs, veh
 }
 
-// newCellBase wires the shared substrate: channel, backplane, gateway and
-// basestations (addresses 0..len(bsMovers)-1, in order). vehicles is the
-// number of vehicles the caller will attach afterwards: the channel uses
-// the total as a capacity hint, so link rows never re-grow and city-scale
-// fleets start on the spatially indexed path from the first attach.
-func newCellBase(k *sim.Kernel, opts CellOptions, bsMovers []mobility.Mover, vehicles int) *Cell {
-	if len(bsMovers) == 0 {
-		panic("core: a cell needs at least one basestation")
-	}
-	ch := radio.NewChannelSized(k, opts.Radio, opts.LinkFactory, len(bsMovers)+vehicles)
-	bp := backplane.New(k, opts.Backplane)
-	gw := NewGateway(k, bp, opts.Events)
-
-	c := &Cell{K: k, Channel: ch, Backplane: bp, Gateway: gw, Gateways: []*Gateway{gw}}
-	for i, mv := range bsMovers {
-		m := mac.NewWithConfig(k, ch, fmt.Sprintf("bs%d", i), mv, opts.MAC)
-		n := newNode(k, opts.Protocol, m, bp, gw.Addr(), false, opts.Events)
-		c.BSes = append(c.BSes, n)
-		c.BSRadioIDs = append(c.BSRadioIDs, m.ID())
-	}
-	return c
+// Placement says where the nodes of a deployment live: which district
+// (gateway) each one is wired to, and which districts run full protocol
+// stacks on this cell. It is the one constructor's only degree of freedom:
+// the zero value is one district with everything local (the plain fleet
+// cell), districts without a DistrictShard map are the serial districted
+// cell, and a map naming foreign shards makes this cell one shard of a
+// coupled run.
+type Placement struct {
+	Districts   int   // district count; 0 reads as 1
+	BSDistrict  []int // district per basestation; nil = all in district 0
+	VehDistrict []int // district per fleet slot; nil = all in district 0
+	// DistrictShard maps each district to its owning shard and Shard names
+	// this cell's; nil = every district is local.
+	DistrictShard []int
+	Shard         int
 }
 
-// NewCell builds and starts a deployment. Basestations are attached first
-// (addresses 0..len(bsMovers)-1), the vehicle last. All nodes begin
-// beaconing immediately; anchor selection settles after roughly one
-// probability window.
-func NewCell(k *sim.Kernel, opts CellOptions, bsMovers []mobility.Mover, vehMover mobility.Mover) *Cell {
-	c := newCellBase(k, opts, bsMovers, 1)
-	// The single vehicle keeps its historical stream labels ("mac","veh"),
-	// so fleet support cannot disturb existing seeded experiments.
-	vm := mac.NewWithConfig(k, c.Channel, "veh", vehMover, opts.MAC)
-	c.Vehicle = newNode(k, opts.Protocol, vm, nil, c.Gateway.Addr(), true, opts.Events)
-	c.Vehicles = []*Node{c.Vehicle}
-	c.VehRadioIDs = []radio.NodeID{vm.ID()}
-	return c
+// district reads a node's district from one of the per-node maps.
+func district(of []int, i int) int {
+	if of == nil {
+		return 0
+	}
+	return of[i]
 }
 
-// NewFleetCell builds a deployment with a fleet of vehicles sharing one
-// channel: basestations get addresses 0..len(bsMovers)-1 and vehicles
-// len(bsMovers)..len(bsMovers)+len(vehMovers)-1, in order. Every protocol
-// structure is per-vehicle already (basestations track designations and
-// salvage state per vehicle address, the gateway maps each vehicle to its
-// anchor), so the fleet contends for the medium like any dense 802.11
-// deployment while each vehicle runs its own anchor/auxiliary protocol.
-func NewFleetCell(k *sim.Kernel, opts CellOptions, bsMovers, vehMovers []mobility.Mover) *Cell {
-	if len(vehMovers) == 0 {
-		panic("core: a fleet cell needs at least one vehicle")
-	}
-	c := newCellBase(k, opts, bsMovers, len(vehMovers))
-	for i, mv := range vehMovers {
-		vm := mac.NewWithConfig(k, c.Channel, fmt.Sprintf("veh%d", i), mv, opts.MAC)
-		c.Vehicles = append(c.Vehicles, newNode(k, opts.Protocol, vm, nil, c.Gateway.Addr(), true, opts.Events))
-		c.VehRadioIDs = append(c.VehRadioIDs, vm.ID())
-	}
-	c.Vehicle = c.Vehicles[0]
-	return c
+// local reports whether district d runs full protocol stacks on this cell.
+func (p Placement) local(d int) bool {
+	return p.DistrictShard == nil || p.DistrictShard[d] == p.Shard
 }
 
-// NewDistrictFleetCell builds a fleet deployment split into radio-
-// isolated districts: one gateway per district (addresses GatewayAddr+d),
-// every basestation and vehicle wired to its own district's gateway.
-// Attachment order — and therefore every channel NodeID and RNG stream
-// label — matches NewFleetCell exactly: basestations in global index
-// order, then vehicles in global index order; only the gatewayAddr each
-// node registers with differs. districts must be ≥ 1; with districts=1
-// the cell is behaviorally identical to NewFleetCell.
-func NewDistrictFleetCell(k *sim.Kernel, opts CellOptions, bsMovers, vehMovers []mobility.Mover, bsDistrict, vehDistrict []int, districts int) *Cell {
-	if len(bsMovers) == 0 {
-		panic("core: a cell needs at least one basestation")
-	}
-	if len(vehMovers) == 0 {
-		panic("core: a fleet cell needs at least one vehicle")
-	}
-	ch := radio.NewChannelSized(k, opts.Radio, opts.LinkFactory, len(bsMovers)+len(vehMovers))
-	bp := backplane.New(k, opts.Backplane)
-	c := &Cell{K: k, Channel: ch, Backplane: bp, VehDistrict: append([]int(nil), vehDistrict...)}
-	for d := 0; d < districts; d++ {
-		c.Gateways = append(c.Gateways, NewGatewayAt(k, bp, GatewayAddr+uint16(d), opts.Events))
-	}
-	c.Gateway = c.Gateways[0]
-	for i, mv := range bsMovers {
-		m := mac.NewWithConfig(k, ch, fmt.Sprintf("bs%d", i), mv, opts.MAC)
-		gw := c.Gateways[bsDistrict[i]]
-		c.BSes = append(c.BSes, newNode(k, opts.Protocol, m, bp, gw.Addr(), false, opts.Events))
-		c.BSRadioIDs = append(c.BSRadioIDs, m.ID())
-	}
-	for i, mv := range vehMovers {
-		vm := mac.NewWithConfig(k, ch, fmt.Sprintf("veh%d", i), mv, opts.MAC)
-		gw := c.Gateways[vehDistrict[i]]
-		c.Vehicles = append(c.Vehicles, newNode(k, opts.Protocol, vm, nil, gw.Addr(), true, opts.Events))
-		c.VehRadioIDs = append(c.VehRadioIDs, vm.ID())
-	}
-	c.Vehicle = c.Vehicles[0]
-	return c
-}
-
-// NewDistrictShardCell builds shard `shard` of a districted deployment:
-// nodes whose district maps to this shard (districtShard) get full
-// protocol stacks, everyone else attaches to the channel as a
+// newCell is the one cell constructor. Attachment order — and therefore
+// every channel NodeID and RNG stream label — is the same under any
+// placement: one gateway per district (addresses GatewayAddr+d), then
+// basestations in global index order (addresses 0..len(bsMovers)-1), then
+// vehicles in global index order, each wired to its own district's
+// gateway. The channel is sized for the total up front, so link rows
+// never re-grow and city-scale fleets start on the spatially indexed path
+// from the first attach.
+//
+// A node whose district belongs to another shard attaches as a
 // position-only ghost — same name, same mover, nil receiver — so channel
-// NodeIDs, RNG stream labels and spatial-grid state are byte-identical
-// to the serial cell at any shard count. Ghosts never transmit, never
-// receive and hold no protocol state; with districts separated by more
-// than the radio conflict reach they exchange no radio interaction with
-// local nodes either, which is what makes the partition exact. Foreign
+// NodeIDs, stream labels and spatial-grid state are byte-identical to the
+// all-local cell at any shard count. Ghosts never transmit, never receive
+// and hold no protocol state; with districts separated by more than the
+// radio conflict reach they exchange no radio interaction with local
+// nodes either, which is what makes the partition exact. Foreign
 // backplane addresses (gateways and basestation ports) are registered as
 // remotes pointing at their owning shard, so any cross-shard backplane
 // send flows through the coupler instead of being dropped as unknown.
-func NewDistrictShardCell(k *sim.Kernel, opts CellOptions, bsMovers, vehMovers []mobility.Mover, bsDistrict, vehDistrict []int, districts int, districtShard []int, shard int) *Cell {
+func newCell(k *sim.Kernel, opts CellOptions, bsMovers, vehMovers []mobility.Mover, vehName func(int) string, p Placement) *Cell {
+	if len(bsMovers) == 0 {
+		panic("core: a cell needs at least one basestation")
+	}
+	if len(vehMovers) == 0 {
+		panic("core: a fleet cell needs at least one vehicle")
+	}
 	ch := radio.NewChannelSized(k, opts.Radio, opts.LinkFactory, len(bsMovers)+len(vehMovers))
 	bp := backplane.New(k, opts.Backplane)
-	c := &Cell{
-		K: k, Channel: ch, Backplane: bp,
-		VehDistrict: append([]int(nil), vehDistrict...),
-		BSLocal:     make([]bool, len(bsMovers)),
-		VehLocal:    make([]bool, len(vehMovers)),
+	c := &Cell{K: k, Channel: ch, Backplane: bp}
+	if p.VehDistrict != nil {
+		c.VehDistrict = append([]int(nil), p.VehDistrict...)
 	}
-	for d := 0; d < districts; d++ {
-		addr := GatewayAddr + uint16(d)
-		if districtShard[d] == shard {
-			c.Gateways = append(c.Gateways, NewGatewayAt(k, bp, addr, opts.Events))
+	for d := 0; d < max(p.Districts, 1); d++ {
+		var gw *Gateway
+		if p.local(d) {
+			gw = NewGatewayAt(k, bp, GatewayAddr+uint16(d), opts.Events)
+			if c.Gateway == nil {
+				c.Gateway = gw
+			}
 		} else {
-			bp.AttachRemote(addr, districtShard[d])
-			c.Gateways = append(c.Gateways, nil)
+			bp.AttachRemote(GatewayAddr+uint16(d), p.DistrictShard[d])
+			if c.BSLocal == nil {
+				c.BSLocal = make([]bool, len(bsMovers))
+				c.VehLocal = make([]bool, len(vehMovers))
+			}
 		}
+		c.Gateways = append(c.Gateways, gw)
 	}
-	for d := 0; d < districts; d++ {
-		if c.Gateways[d] != nil {
-			c.Gateway = c.Gateways[d]
-			break
+	// attach wires one radio: a full stack (nodeBP is nil for vehicles,
+	// which have no wired port) or, off-shard, a ghost.
+	attach := func(name string, mv mobility.Mover, d int, nodeBP *backplane.Net) (*Node, radio.NodeID) {
+		if !p.local(d) {
+			id := ch.Attach(name, mv, nil)
+			if nodeBP != nil {
+				bp.AttachRemote(uint16(id), p.DistrictShard[d])
+			}
+			return nil, id
 		}
+		m := mac.NewWithConfig(k, ch, name, mv, opts.MAC)
+		return newNode(k, opts.Protocol, m, nodeBP, c.Gateways[d].Addr(), nodeBP == nil, opts.Events), m.ID()
 	}
 	for i, mv := range bsMovers {
-		if districtShard[bsDistrict[i]] == shard {
-			m := mac.NewWithConfig(k, ch, fmt.Sprintf("bs%d", i), mv, opts.MAC)
-			gw := c.Gateways[bsDistrict[i]]
-			c.BSes = append(c.BSes, newNode(k, opts.Protocol, m, bp, gw.Addr(), false, opts.Events))
-			c.BSRadioIDs = append(c.BSRadioIDs, m.ID())
-			c.BSLocal[i] = true
-		} else {
-			id := ch.Attach(fmt.Sprintf("bs%d", i), mv, nil)
-			bp.AttachRemote(uint16(id), districtShard[bsDistrict[i]])
-			c.BSes = append(c.BSes, nil)
-			c.BSRadioIDs = append(c.BSRadioIDs, id)
+		n, id := attach(fmt.Sprintf("bs%d", i), mv, district(p.BSDistrict, i), bp)
+		c.BSes, c.BSRadioIDs = append(c.BSes, n), append(c.BSRadioIDs, id)
+		if c.BSLocal != nil {
+			c.BSLocal[i] = n != nil
 		}
 	}
 	for i, mv := range vehMovers {
-		if districtShard[vehDistrict[i]] == shard {
-			vm := mac.NewWithConfig(k, ch, fmt.Sprintf("veh%d", i), mv, opts.MAC)
-			gw := c.Gateways[vehDistrict[i]]
-			c.Vehicles = append(c.Vehicles, newNode(k, opts.Protocol, vm, nil, gw.Addr(), true, opts.Events))
-			c.VehRadioIDs = append(c.VehRadioIDs, vm.ID())
-			c.VehLocal[i] = true
-		} else {
-			id := ch.Attach(fmt.Sprintf("veh%d", i), mv, nil)
-			c.Vehicles = append(c.Vehicles, nil)
-			c.VehRadioIDs = append(c.VehRadioIDs, id)
+		n, id := attach(vehName(i), mv, district(p.VehDistrict, i), nil)
+		c.Vehicles, c.VehRadioIDs = append(c.Vehicles, n), append(c.VehRadioIDs, id)
+		if c.VehLocal != nil {
+			c.VehLocal[i] = n != nil
 		}
-	}
-	for _, v := range c.Vehicles {
-		if v != nil {
-			c.Vehicle = v
-			break
+		if c.Vehicle == nil {
+			c.Vehicle = n
 		}
 	}
 	return c
+}
+
+// NewCell builds and starts a single-vehicle deployment. Basestations are
+// attached first (addresses 0..len(bsMovers)-1), the vehicle last. All
+// nodes begin beaconing immediately; anchor selection settles after
+// roughly one probability window. The vehicle keeps its historical stream
+// labels ("mac","veh"), so fleet support cannot disturb existing seeded
+// experiments.
+func NewCell(k *sim.Kernel, opts CellOptions, bsMovers []mobility.Mover, vehMover mobility.Mover) *Cell {
+	return newCell(k, opts, bsMovers, []mobility.Mover{vehMover}, func(int) string { return "veh" }, Placement{})
+}
+
+// NewFleetCell builds a deployment with a fleet of vehicles ("veh0",
+// "veh1", …) sharing one channel, placed by p (see newCell; Placement{}
+// is the plain one-gateway fleet). Every protocol structure is
+// per-vehicle already (basestations track designations and salvage state
+// per vehicle address, the gateway maps each vehicle to its anchor), so
+// the fleet contends for the medium like any dense 802.11 deployment while
+// each vehicle runs its own anchor/auxiliary protocol.
+func NewFleetCell(k *sim.Kernel, opts CellOptions, bsMovers, vehMovers []mobility.Mover, p Placement) *Cell {
+	return newCell(k, opts, bsMovers, vehMovers, func(i int) string { return fmt.Sprintf("veh%d", i) }, p)
 }
 
 // HookVehicle installs per-vehicle application delivery callbacks for

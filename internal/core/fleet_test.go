@@ -30,7 +30,7 @@ func fleetTestCell(k *sim.Kernel, events EventFunc) *Cell {
 		&mobility.RouteMover{Route: mkRoute(30), Depart: 2 * time.Second},
 		&mobility.RouteMover{Route: mkRoute(60), Depart: 4 * time.Second},
 	}
-	return NewFleetCell(k, opts, bs, vehs)
+	return NewFleetCell(k, opts, bs, vehs, Placement{})
 }
 
 // TestFleetCellPerVehicleProtocol checks that every vehicle in a fleet

@@ -110,7 +110,7 @@ func AblateDiversity(o Options) *Report {
 				movers[j] = mobility.Fixed(v.BSes[j])
 			}
 			cell := core.NewCell(k, opts, movers, &mobility.RouteMover{Route: v.Route})
-			return voipOnCell(k, cell, dur)
+			return voipOnCell(k, cell, dur, 0, nil)
 		})
 	}
 	for i, nb := range counts {
@@ -152,7 +152,7 @@ func AblateBackplane(o Options) *Report {
 				CoreDelay: c.delay / 2,
 			}
 			cell := core.NewVanLANCell(k, opts)
-			return tcpOnCell(k, cell, dur)
+			return tcpOnCell(k, cell, dur, 0, nil)
 		})
 	}
 	for i, c := range cases {

@@ -280,7 +280,7 @@ func runTCPWorkload(seed int64, env Env, cfg core.Config, duration time.Duration
 		}
 	}
 	k.After(2*time.Second, sample)
-	st := tcpOnCellMetrics(k, cell, duration, mi,
+	st := tcpOnCell(k, cell, duration, mi,
 		runMeta("tcp", env.String(), seed, 1, duration, cfg))
 	return &TCPRun{Stats: st, Collector: col, Duration: duration - 2*time.Second, Salvaged: col.Salvaged}
 }
@@ -288,14 +288,8 @@ func runTCPWorkload(seed int64, env Env, cfg core.Config, duration time.Duration
 // tcpOnCell runs the repeated-transfer workload over an already-built
 // cell until the deadline and returns its statistics. The session itself
 // is the workload.TCP driver; this wrapper only binds it to the cell's
-// single vehicle and runs the clock.
-func tcpOnCell(k *sim.Kernel, cell *core.Cell, duration time.Duration) *transport.WorkloadStats {
-	return tcpOnCellMetrics(k, cell, duration, 0, nil)
-}
-
-// tcpOnCellMetrics is tcpOnCell with an optional sampler attached for
-// the run (mi ≤ 0 disables it).
-func tcpOnCellMetrics(k *sim.Kernel, cell *core.Cell, duration time.Duration, mi time.Duration, meta map[string]string) *transport.WorkloadStats {
+// single vehicle, attaches a sampler when mi > 0, and runs the clock.
+func tcpOnCell(k *sim.Kernel, cell *core.Cell, duration time.Duration, mi time.Duration, meta map[string]string) *transport.WorkloadStats {
 	d := workload.NewTCP(k, transport.DefaultWorkloadConfig(), workload.CellPort(cell, 0),
 		0, 2*time.Second, duration)
 	workload.Bind(cell, 0, d)
@@ -318,7 +312,7 @@ func tcpOnEnv(seed int64, env Env, cfg core.Config, duration time.Duration, col 
 	if limit > 0 && duration > limit {
 		duration = limit
 	}
-	return tcpOnCell(k, cell, duration)
+	return tcpOnCell(k, cell, duration, 0, nil)
 }
 
 // --- VoIP workload (Fig 11) ------------------------------------------------
@@ -344,19 +338,15 @@ func runVoIPWorkload(seed int64, env Env, cfg core.Config, duration time.Duratio
 	if limit > 0 && duration > limit {
 		duration = limit
 	}
-	return &VoIPRun{Quality: voipOnCellMetrics(k, cell, duration, mi,
+	return &VoIPRun{Quality: voipOnCell(k, cell, duration, mi,
 		runMeta("voip", env.String(), seed, 1, duration, cfg))}
 }
 
 // voipOnCell runs the bidirectional G.729 stream over an already-built
-// cell and scores the call. The stream, loss accounting and §5.3.2
-// disruption classifier live in the workload.VoIP driver.
-func voipOnCell(k *sim.Kernel, cell *core.Cell, duration time.Duration) voip.Quality {
-	return voipOnCellMetrics(k, cell, duration, 0, nil)
-}
-
-// voipOnCellMetrics is voipOnCell with an optional sampler attached.
-func voipOnCellMetrics(k *sim.Kernel, cell *core.Cell, duration time.Duration, mi time.Duration, meta map[string]string) voip.Quality {
+// cell and scores the call, with a sampler attached when mi > 0. The
+// stream, loss accounting and §5.3.2 disruption classifier live in the
+// workload.VoIP driver.
+func voipOnCell(k *sim.Kernel, cell *core.Cell, duration time.Duration, mi time.Duration, meta map[string]string) voip.Quality {
 	d := workload.NewVoIP(k, workload.CellPort(cell, 0), 0, 2*time.Second, duration)
 	workload.Bind(cell, 0, d)
 	d.Start()

@@ -111,23 +111,30 @@ type Future[T any] struct{ f *future }
 // results are shared between callers and must be treated as immutable.
 func (f Future[T]) Wait() T { return f.f.wait().(T) }
 
-// submit schedules fn on the pool with no memoization. Used for jobs whose
-// side effects (event collectors) make their results non-shareable.
-func (e *Engine) submit(fn func() any) *future {
-	f := newFuture()
-	if e.inline {
+// launch runs fn and delivers its result into f: synchronously on the
+// inline engine, on a pool slot otherwise.
+func (e *Engine) launch(f *future, fn func() any) {
+	run := func() {
 		e.jobs.Add(1)
 		f.val = fn()
 		close(f.done)
-		return f
+	}
+	if e.inline {
+		run()
+		return
 	}
 	go func() {
 		e.sem <- struct{}{}
 		defer func() { <-e.sem }()
-		e.jobs.Add(1)
-		f.val = fn()
-		close(f.done)
+		run()
 	}()
+}
+
+// submit schedules fn on the pool with no memoization. Used for jobs whose
+// side effects (event collectors) make their results non-shareable.
+func (e *Engine) submit(fn func() any) *future {
+	f := newFuture()
+	e.launch(f, fn)
 	return f
 }
 
@@ -140,26 +147,10 @@ func (e *Engine) memoize(key JobKey, fn func() any) *future {
 		e.hits.Add(1)
 		return f
 	}
-	var f *future
-	if e.inline {
-		f = newFuture()
-		e.memo[key] = f
-		e.mu.Unlock()
-		e.jobs.Add(1)
-		f.val = fn()
-		close(f.done)
-		return f
-	}
-	f = newFuture()
+	f := newFuture()
 	e.memo[key] = f
 	e.mu.Unlock()
-	go func() {
-		e.sem <- struct{}{}
-		defer func() { <-e.sem }()
-		e.jobs.Add(1)
-		f.val = fn()
-		close(f.done)
-	}()
+	e.launch(f, fn)
 	return f
 }
 

@@ -119,8 +119,15 @@ func appStagger(kind workload.Kind, cfg workload.Config) time.Duration {
 // runs its own driver over the shared cell. Deterministic per
 // (seed, spec, cfg, duration); all driver randomness flows through
 // streams labeled with the spec's canonical key and the vehicle index.
-func RunFleetAppWorkload(seed int64, spec scenario.Spec, cfg core.Config, duration time.Duration) (*FleetAppRun, error) {
-	return runFleetApp(seed, spec, cfg, duration, 1, 0)
+//
+// shards is the requested parallelism (≤ 1 = serial): coupled kernels for
+// districted specs, halo stripe lanes for un-districted indexed ones (see
+// shardPlan). Both preserve every RNG stream label, NodeID and draw order
+// of the serial run; only event execution (coupled) or the delivery
+// fan-out (halo) is partitioned. The result is byte-identical at any
+// shard count — ShardExec aside, which is execution bookkeeping.
+func RunFleetAppWorkload(seed int64, spec scenario.Spec, cfg core.Config, duration time.Duration, shards int) (*FleetAppRun, error) {
+	return runFleetApp(seed, spec, cfg, duration, shards, 0)
 }
 
 // assembleLink rebuilds the slot-level FleetRun from the CBR vehicles so
@@ -151,19 +158,15 @@ func assembleLink(run *FleetAppRun, slotDur time.Duration) {
 	run.Link = link
 }
 
-// FleetApp schedules a fleet application workload on the engine,
-// memoized per (seed, spec, config, duration) — the spec's canonical key
-// (which encodes the app and its knobs) is the cache discriminator.
-func (e *Engine) FleetApp(seed int64, spec scenario.Spec, cfg core.Config, dur time.Duration) Future[*FleetAppRun] {
-	return e.FleetAppShards(seed, spec, cfg, dur, 1)
-}
-
-// FleetAppShards is FleetApp with a requested shard count. Shard counts
-// above one get their own cache line (" shards=N" key fragment): the
-// simulation outcome is byte-identical at any count — that is the whole
-// contract — but the identity tests need both executions to actually
-// run, and a shards≤1 request keeps the exact historical key.
-func (e *Engine) FleetAppShards(seed int64, spec scenario.Spec, cfg core.Config, dur time.Duration, shards int) Future[*FleetAppRun] {
+// FleetApp schedules a fleet application workload on the engine at the
+// requested shard count, memoized per (seed, spec, config, duration,
+// shards) — the spec's canonical key (which encodes the app and its
+// knobs) is the cache discriminator. Shard counts above one get their own
+// cache line (" shards=N" key fragment): the simulation outcome is
+// byte-identical at any count — that is the whole contract — but the
+// identity tests need both executions to actually run, and a shards≤1
+// request keeps the exact historical key.
+func (e *Engine) FleetApp(seed int64, spec scenario.Spec, cfg core.Config, dur time.Duration, shards int) Future[*FleetAppRun] {
 	extra := spec.Key()
 	if shards > 1 {
 		extra += fmt.Sprintf(" shards=%d", shards)
@@ -221,7 +224,7 @@ func runFleetSweep(r *Report, o Options, def string, app workload.Kind, values [
 	for i, n := range values {
 		spec := base
 		set(&spec, n)
-		futs[i] = eng.FleetAppShards(o.Seed, spec, core.DefaultConfig(), dur, o.shardCount())
+		futs[i] = eng.FleetApp(o.Seed, spec, core.DefaultConfig(), dur, o.shardCount())
 	}
 	for i, n := range values {
 		r.AddRow(row(n, futs[i].Wait())...)

@@ -67,7 +67,7 @@ func TestFleetAppWorkloadsRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			run, err := RunFleetAppWorkload(7, spec, core.DefaultConfig(), 40*time.Second)
+			run, err := RunFleetAppWorkload(7, spec, core.DefaultConfig(), 40*time.Second, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -87,7 +87,7 @@ func TestFleetAppWorkloadsRun(t *testing.T) {
 func TestFleetAppDeterminism(t *testing.T) {
 	spec, _ := scenario.Parse("grid,app=mixed,vehicles=4")
 	run := func() *FleetAppRun {
-		r, err := RunFleetAppWorkload(19, spec, core.DefaultConfig(), 30*time.Second)
+		r, err := RunFleetAppWorkload(19, spec, core.DefaultConfig(), 30*time.Second, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,15 +107,16 @@ func TestFleetAppDeterminism(t *testing.T) {
 	}
 }
 
-// TestRunFleetWorkloadMatchesCBRApp pins the compatibility wrapper: the
-// legacy constant-rate entry point is exactly the CBR application run.
+// TestRunFleetWorkloadMatchesCBRApp pins the constant-rate view: the Link
+// of a spec forced to CBR is exactly the default (CBR) application run.
 func TestRunFleetWorkloadMatchesCBRApp(t *testing.T) {
 	spec, _ := scenario.Parse("grid-small,vehicles=4")
-	link, err := RunFleetWorkload(9, spec, core.DefaultConfig(), 20*time.Second)
+	forced, err := RunFleetAppWorkload(9, forceApp(spec, workload.CBRKind), core.DefaultConfig(), 20*time.Second, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	app, err := RunFleetAppWorkload(9, spec, core.DefaultConfig(), 20*time.Second)
+	link := forced.Link
+	app, err := RunFleetAppWorkload(9, spec, core.DefaultConfig(), 20*time.Second, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -202,47 +202,36 @@ func buildRegistry(k *sim.Kernel, cell *core.Cell, drivers []workload.Driver, ki
 }
 
 // addShardSeries registers per-shard execution-balance series
-// (shard.<i>.events/rounds/stalled/halo_sent/halo_recv) on one shard's
-// registry, so vifi-metrics and vifi-serve can show shard balance live.
-// Serial runs register nothing — their schema is unchanged.
+// (shard.<i>.events/rounds/stalled/halo_sent/halo_recv, pulled through
+// shardStat) on one shard's registry, so vifi-metrics and vifi-serve can
+// show shard balance live. Serial runs register nothing — their schema is
+// unchanged.
 //
-// Coupled mode: every shard registers the full K-shard layout (obs.Merge
-// demands an identical schema), but pulls real values only for its own
-// index — a sampler tick runs on its shard's goroutine, which may read
-// only its own coupler stats mid-window — so the merged sum reconstructs
-// every shard's true series. Halo mode: the single kernel's sampler reads
-// every lane directly (lane counters are quiescent between dispatches,
-// and sampling runs in the kernel phase).
+// Every registry carries the full layout (obs.Merge demands an identical
+// schema). Under coupled kernels a registry pulls real values only for
+// its own index — a sampler tick runs on its shard's goroutine, which may
+// read only its own coupler stats mid-window — so the merged sum
+// reconstructs every shard's true series. The single halo kernel's
+// sampler reads every lane directly: lane counters are quiescent between
+// dispatches, and sampling runs in the kernel phase.
 func (s *fleetSession) addShardSeries(reg *obs.Registry, sh int) {
-	switch {
-	case s.coupler != nil:
-		for i := 0; i < s.eff; i++ {
-			prefix := fmt.Sprintf("shard.%d.", i)
-			if i != sh {
-				zero := func() int64 { return 0 }
-				for _, name := range [...]string{"events", "rounds", "stalled", "halo_sent", "halo_recv"} {
-					reg.Counter(prefix+name, zero)
-				}
-				continue
+	n := s.width()
+	if n < 2 {
+		return
+	}
+	for i := 0; i < n; i++ {
+		pull := func(f func(ShardRunStats) int64) func() int64 {
+			if s.coupler != nil && i != sh {
+				return func() int64 { return 0 }
 			}
-			st := s.coupler.ShardStatsAt(i)
-			reg.Counter(prefix+"events", func() int64 { return int64(st.Events) })
-			reg.Counter(prefix+"rounds", func() int64 { return int64(st.Rounds) })
-			reg.Counter(prefix+"stalled", func() int64 { return int64(st.StalledRounds) })
-			reg.Counter(prefix+"halo_sent", func() int64 { return int64(st.Posted) })
-			reg.Counter(prefix+"halo_recv", func() int64 { return int64(st.Injected) })
+			return func() int64 { return f(s.shardStat(i)) }
 		}
-	case s.haloLanes > 1:
-		ch := s.cells[0].Channel
-		for i := 0; i < s.haloLanes; i++ {
-			i := i
-			prefix := fmt.Sprintf("shard.%d.", i)
-			reg.Counter(prefix+"events", func() int64 { return int64(ch.LaneStat(i).Computed) })
-			reg.Counter(prefix+"rounds", func() int64 { return int64(ch.LaneStat(i).Rounds) })
-			reg.Counter(prefix+"stalled", func() int64 { return int64(ch.LaneStat(i).Idle) })
-			reg.Counter(prefix+"halo_sent", func() int64 { return int64(ch.LaneStat(i).HaloSent) })
-			reg.Counter(prefix+"halo_recv", func() int64 { return int64(ch.LaneStat(i).HaloRecv) })
-		}
+		prefix := fmt.Sprintf("shard.%d.", i)
+		reg.Counter(prefix+"events", pull(func(st ShardRunStats) int64 { return int64(st.Events) }))
+		reg.Counter(prefix+"rounds", pull(func(st ShardRunStats) int64 { return int64(st.Rounds) }))
+		reg.Counter(prefix+"stalled", pull(func(st ShardRunStats) int64 { return int64(st.Stalled) }))
+		reg.Counter(prefix+"halo_sent", pull(func(st ShardRunStats) int64 { return int64(st.HaloSent) }))
+		reg.Counter(prefix+"halo_recv", pull(func(st ShardRunStats) int64 { return int64(st.HaloRecv) }))
 	}
 }
 

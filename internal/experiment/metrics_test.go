@@ -57,7 +57,7 @@ func TestShardedMetricsMergeDeterminism(t *testing.T) {
 	run := func() *FleetAppRun {
 		eng := NewEngine(2)
 		eng.EnableMetrics(time.Second)
-		return eng.FleetAppShards(17, spec, core.DefaultConfig(), 20*time.Second, 4).Wait()
+		return eng.FleetApp(17, spec, core.DefaultConfig(), 20*time.Second, 4).Wait()
 	}
 	TakeRecordings()
 	ra := run()
@@ -127,7 +127,7 @@ func TestLiveRunMatchesBatch(t *testing.T) {
 		}
 		live := l.Finish()
 
-		batch, err := RunFleetAppWorkloadSharded(17, spec, core.DefaultConfig(), 20*time.Second, shards)
+		batch, err := RunFleetAppWorkload(17, spec, core.DefaultConfig(), 20*time.Second, shards)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -59,7 +59,7 @@ func TestFaultedRunInjectsAndRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := RunFleetAppWorkload(17, spec, core.DefaultConfig(), 30*time.Second)
+	run, err := RunFleetAppWorkload(17, spec, core.DefaultConfig(), 30*time.Second, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestUnfaultedRunHasNilFaultReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := RunFleetAppWorkload(17, spec, core.DefaultConfig(), 5*time.Second)
+	run, err := RunFleetAppWorkload(17, spec, core.DefaultConfig(), 5*time.Second, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -113,7 +113,7 @@ func (s shardSweep) run(o Options) *Report {
 	for i, arm := range s.arms {
 		spec := base
 		spec.Faults = arm.faults
-		futs[i] = eng.FleetAppShards(o.Seed, spec, core.DefaultConfig(), dur, arm.shards)
+		futs[i] = eng.FleetApp(o.Seed, spec, core.DefaultConfig(), dur, arm.shards)
 	}
 	for i, arm := range s.arms {
 		run := futs[i].Wait()

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/vanlan/vifi/internal/core"
 	"github.com/vanlan/vifi/internal/scenario"
 	"github.com/vanlan/vifi/internal/workload"
 )
@@ -158,21 +157,6 @@ func (f *FleetRun) Interruptions() float64 {
 		return 0
 	}
 	return float64(total) / hours
-}
-
-// RunFleetWorkload drives a generated scenario with the constant-rate
-// fleet workload: every vehicle, once departed and warmed up, runs the
-// CBR application driver — one 500-byte packet each way per slot, all
-// offsets staggered within the slot so the fleet does not hit the MAC in
-// phase. Deterministic per (seed, spec, cfg, duration). The app fields
-// of the spec are ignored: this entry point is always constant-rate.
-func RunFleetWorkload(seed int64, spec scenario.Spec, cfg core.Config, duration time.Duration) (*FleetRun, error) {
-	spec = forceApp(spec, workload.CBRKind)
-	run, err := RunFleetAppWorkload(seed, spec, cfg, duration)
-	if err != nil {
-		return nil, err
-	}
-	return run.Link, nil
 }
 
 // baseScenario resolves the experiment's base spec: the -scenario option

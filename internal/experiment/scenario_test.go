@@ -203,10 +203,11 @@ func TestScaleFleetTopArmShape(t *testing.T) {
 	if spec.BS < 50 || spec.Vehicles < 20 {
 		t.Fatalf("grid-city preset is %d BSes / %d vehicles, acceptance needs ≥50/≥20", spec.BS, spec.Vehicles)
 	}
-	run, err := RunFleetWorkload(5, spec, core.DefaultConfig(), 10*time.Second)
+	app, err := RunFleetAppWorkload(5, forceApp(spec, workload.CBRKind), core.DefaultConfig(), 10*time.Second, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	run := app.Link
 	if run.BSCount != spec.BS || len(run.Up) != spec.Vehicles {
 		t.Errorf("run shape %d/%d, want %d/%d", run.BSCount, len(run.Up), spec.BS, spec.Vehicles)
 	}
@@ -222,8 +223,8 @@ func TestFleetRunCache(t *testing.T) {
 	eng := NewEngine(2)
 	spec, _ := scenario.Parse("grid-small")
 	cfg := core.DefaultConfig()
-	a := eng.FleetApp(3, spec, cfg, 8*time.Second)
-	b := eng.FleetApp(3, spec, cfg, 8*time.Second)
+	a := eng.FleetApp(3, spec, cfg, 8*time.Second, 1)
+	b := eng.FleetApp(3, spec, cfg, 8*time.Second, 1)
 	if a.Wait() != b.Wait() {
 		t.Error("identical fleet jobs returned distinct results")
 	}
@@ -232,7 +233,7 @@ func TestFleetRunCache(t *testing.T) {
 	}
 	other := spec
 	other.Vehicles++
-	c := eng.FleetApp(3, other, cfg, 8*time.Second)
+	c := eng.FleetApp(3, other, cfg, 8*time.Second, 1)
 	if c.Wait() == a.Wait() {
 		t.Error("different specs shared a cached result")
 	}
@@ -240,7 +241,7 @@ func TestFleetRunCache(t *testing.T) {
 	// CBR run's cache line.
 	tcp := spec
 	tcp.App = workload.TCPKind
-	d := eng.FleetApp(3, tcp, cfg, 8*time.Second)
+	d := eng.FleetApp(3, tcp, cfg, 8*time.Second, 1)
 	if d.Wait() == a.Wait() {
 		t.Error("different apps shared a cached result")
 	}
@@ -250,11 +251,13 @@ func TestFleetRunCache(t *testing.T) {
 // executions agree on every aggregate.
 func TestFleetWorkloadDeterminism(t *testing.T) {
 	spec, _ := scenario.Parse("grid-small,vehicles=4")
-	a, err := RunFleetWorkload(9, spec, core.DefaultConfig(), 20*time.Second)
+	spec = forceApp(spec, workload.CBRKind)
+	appA, err := RunFleetAppWorkload(9, spec, core.DefaultConfig(), 20*time.Second, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _ := RunFleetWorkload(9, spec, core.DefaultConfig(), 20*time.Second)
+	appB, _ := RunFleetAppWorkload(9, spec, core.DefaultConfig(), 20*time.Second, 1)
+	a, b := appA.Link, appB.Link
 	if a.DeliveryRatio() != b.DeliveryRatio() || a.Transmissions != b.Transmissions ||
 		a.Collisions != b.Collisions || a.DeliveredPerSec() != b.DeliveredPerSec() {
 		t.Errorf("fleet runs diverged: %+v vs %+v", a, b)

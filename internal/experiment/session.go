@@ -17,16 +17,16 @@ import (
 // runners so a serving frontend can hold a run open, advance it in
 // barrier-aligned steps, sample metrics between steps, and still produce
 // the byte-identical FleetAppRun the batch path computes. The batch
-// runners (RunFleetAppWorkload and its sharded variant) are thin
-// wrappers that build a session and drive it to completion in one call.
+// runner (RunFleetAppWorkload) builds a session and drives the same step
+// loop to completion in one call.
 
 // fleetSession is one fleet application execution between build and
 // finish. eff==1 runs a single kernel — serially, or with the channel's
 // delivery fan-out halo-sharded across stripe lanes (haloLanes>1) when
 // the planner chose shardModeHalo; eff>1 runs coupled shard kernels
-// (districted specs). The setup order inside each branch mirrors the
-// historical one-shot runners exactly — that equivalence is what the
-// sampling-identity and shard-identity goldens pin.
+// (districted specs). Every kernel runs the one setup sequence — the
+// serial run is the one-shard case, with an all-local placement — which
+// is what the sampling-identity and shard-identity goldens pin.
 type fleetSession struct {
 	seed     int64
 	spec     scenario.Spec
@@ -54,7 +54,6 @@ type fleetSession struct {
 
 	cursor time.Duration // serial stepping cursor
 	crun   *sim.CoupledRun
-	stats  []sim.ShardStats
 	ran    bool
 }
 
@@ -91,13 +90,7 @@ func newFleetSession(seed int64, spec scenario.Spec, cfg core.Config, duration t
 
 	for sh := 0; sh < eff; sh++ {
 		k := sim.NewKernel(seed)
-		var cell *core.Cell
-		var lay *scenario.Layout
-		if s.coupler == nil {
-			cell, lay, err = scenario.BuildCell(k, spec, opts)
-		} else {
-			cell, lay, err = scenario.BuildShardCell(k, spec, opts, plan.districtShard, sh)
-		}
+		cell, lay, err := scenario.BuildCell(k, spec, opts, plan.districtShard, sh)
 		if err != nil {
 			return nil, err
 		}
@@ -111,9 +104,8 @@ func newFleetSession(seed int64, spec scenario.Spec, cfg core.Config, duration t
 		}
 		s.kernels[sh], s.cells[sh], s.lay = k, cell, lay
 
-		// Mirror the serial setup order exactly: faults first, then the
-		// workload mix, then the drivers — only the driver set is
-		// filtered to locally owned fleet slots.
+		// Faults first, then the workload mix, then the drivers — only
+		// the driver set is filtered to locally owned fleet slots.
 		nv := len(cell.Vehicles)
 		if !fs.Empty() {
 			s.tl = fault.Plan(k, s.key, fs, duration, len(cell.BSes), nv)
@@ -197,11 +189,7 @@ func newFleetSession(seed int64, spec scenario.Spec, cfg core.Config, duration t
 // non-nil, fires synchronously on each shard's tick with a transient
 // view of the sampled row.
 func (s *fleetSession) attachMetrics(interval time.Duration, onSample func(shard int, at time.Duration, row []int64)) {
-	par := s.eff
-	if s.haloLanes > 1 {
-		par = s.haloLanes // the meta records effective parallelism
-	}
-	meta := runMeta("fleetapp", s.key, s.seed, par, s.duration, s.cfg)
+	meta := runMeta("fleetapp", s.key, s.seed, s.width(), s.duration, s.cfg)
 	s.samplers = make([]*obs.Sampler, s.eff)
 	for sh := 0; sh < s.eff; sh++ {
 		reg := buildRegistry(s.kernels[sh], s.cells[sh], s.drivers[sh], s.kinds)
@@ -214,15 +202,32 @@ func (s *fleetSession) attachMetrics(interval time.Duration, onSample func(shard
 	}
 }
 
-// runAll drives the session to completion in one call (the batch path).
-func (s *fleetSession) runAll() {
-	if s.coupler == nil {
-		s.kernels[0].RunUntil(s.until)
-		s.cursor = s.until
-	} else {
-		s.stats = s.coupler.Run(s.until)
+// width is the run's effective parallelism: coupled kernels or halo
+// lanes, 1 when serial.
+func (s *fleetSession) width() int {
+	if s.haloLanes > 1 {
+		return s.haloLanes
 	}
-	s.ran = true
+	return s.eff
+}
+
+// shardStat reads shard (coupled) or lane (halo) i's live execution
+// counters — the one accessor behind FleetAppRun.ShardExec and the
+// shard.<i>.* series; finish adds the owned-node counts. Halo lanes
+// report in the coupled vocabulary: Events counts in-cutoff delivery
+// decisions, Rounds the broadcast dispatches, Stalled the dispatches the
+// lane sat idle. All of it is a pure function of the simulation (stripe
+// ownership and the candidate sets are deterministic), so it is
+// reproducible across hosts despite measuring parallel execution.
+func (s *fleetSession) shardStat(i int) ShardRunStats {
+	if s.coupler != nil {
+		st := s.coupler.ShardStatsAt(i)
+		return ShardRunStats{Shard: i, Events: st.Events, Rounds: st.Rounds,
+			Stalled: st.StalledRounds, HaloSent: st.Posted, HaloRecv: st.Injected}
+	}
+	ls := s.cells[0].Channel.LaneStat(i)
+	return ShardRunStats{Shard: i, Events: ls.Computed, Rounds: int(ls.Rounds),
+		Stalled: int(ls.Idle), HaloSent: int(ls.HaloSent), HaloRecv: int(ls.HaloRecv)}
 }
 
 // step advances the session through one more barrier and reports the
@@ -238,19 +243,14 @@ func (s *fleetSession) step(quantum time.Duration) (time.Duration, bool) {
 		}
 		s.kernels[0].RunUntil(next)
 		s.cursor = next
-		if next >= s.until {
-			s.ran = true
-		}
+		s.ran = next >= s.until
 		return next, s.ran
 	}
 	if s.crun == nil {
 		s.crun = s.coupler.Begin(s.until)
 	}
 	t, done := s.crun.Step()
-	if done {
-		s.stats = s.crun.Finish()
-		s.ran = true
-	}
+	s.ran = done
 	return t, done
 }
 
@@ -342,48 +342,24 @@ func (s *fleetSession) finish() *FleetAppRun {
 	}
 	assembleLink(run, s.appcfg.CBRSlot)
 
-	if s.coupler != nil {
-		run.ShardExec = make([]ShardRunStats, s.eff)
-		for sh := 0; sh < s.eff; sh++ {
-			nb, nvl := 0, 0
-			for i := range s.cells[sh].BSLocal {
-				if s.cells[sh].BSLocal[i] {
-					nb++
-				}
+	if n := s.width(); n > 1 {
+		bsN, vehN := make([]int, n), make([]int, n)
+		if s.coupler == nil {
+			bsN, vehN = s.cells[0].RadioLaneCounts() // live stripe ownership
+		} else {
+			for i := range s.lay.BSes {
+				bsN[bsOwner(i)]++
 			}
-			for i := range s.cells[sh].VehLocal {
-				if s.cells[sh].VehLocal[i] {
-					nvl++
-				}
-			}
-			run.ShardExec[sh] = ShardRunStats{
-				Shard: sh, BSes: nb, Vehicles: nvl,
-				Events: s.stats[sh].Events, Rounds: s.stats[sh].Rounds,
-				Stalled:  s.stats[sh].StalledRounds,
-				HaloSent: s.stats[sh].Posted, HaloRecv: s.stats[sh].Injected,
+			for i := 0; i < nv; i++ {
+				vehN[vehOwner(i)]++
 			}
 		}
-		logShards(ShardLogEntry{SpecKey: s.key, Shards: s.eff, Stats: run.ShardExec})
-	}
-	if s.haloLanes > 1 {
-		// Halo execution bookkeeping mirrors the coupled fields: Events
-		// counts in-cutoff delivery computations, Rounds the broadcast
-		// dispatches, Stalled the dispatches a lane sat idle. All of it is
-		// a pure function of the simulation (stripe ownership and the
-		// candidate sets are deterministic), so ShardExec is reproducible
-		// across hosts despite measuring parallel execution.
-		ch := s.cells[0].Channel
-		bsN, vehN := s.cells[0].RadioLaneCounts()
-		run.ShardExec = make([]ShardRunStats, s.haloLanes)
+		run.ShardExec = make([]ShardRunStats, n)
 		for i := range run.ShardExec {
-			ls := ch.LaneStat(i)
-			run.ShardExec[i] = ShardRunStats{
-				Shard: i, BSes: bsN[i], Vehicles: vehN[i],
-				Events: ls.Computed, Rounds: int(ls.Rounds), Stalled: int(ls.Idle),
-				HaloSent: int(ls.HaloSent), HaloRecv: int(ls.HaloRecv),
-			}
+			run.ShardExec[i] = s.shardStat(i)
+			run.ShardExec[i].BSes, run.ShardExec[i].Vehicles = bsN[i], vehN[i]
 		}
-		logShards(ShardLogEntry{SpecKey: s.key, Shards: s.haloLanes, Halo: true, Stats: run.ShardExec})
+		logShards(ShardLogEntry{SpecKey: s.key, Shards: n, Halo: s.coupler == nil, Stats: run.ShardExec})
 		s.cells[0].StopRadioShards()
 	}
 	if s.reason != "" && s.requested > 1 {
@@ -395,10 +371,11 @@ func (s *fleetSession) finish() *FleetAppRun {
 	return run
 }
 
-// runFleetApp is the shared one-shot driver behind the batch runners:
-// build, optionally attach metrics, run to completion, assemble. A
-// positive interval publishes the run's recording to the package sink
-// (TakeRecordings).
+// runFleetApp is the one-shot driver behind the batch entry points:
+// build, optionally attach metrics, step to completion in whole-run
+// quanta (one RunUntil on a single kernel, every coupler window
+// otherwise), assemble. A positive interval publishes the run's
+// recording to the package sink (TakeRecordings).
 func runFleetApp(seed int64, spec scenario.Spec, cfg core.Config, duration time.Duration, shards int, interval time.Duration) (*FleetAppRun, error) {
 	s, err := newFleetSession(seed, spec, cfg, duration, shards)
 	if err != nil {
@@ -407,7 +384,9 @@ func runFleetApp(seed int64, spec scenario.Spec, cfg core.Config, duration time.
 	if interval > 0 {
 		s.attachMetrics(interval, nil)
 	}
-	s.runAll()
+	for !s.ran {
+		s.step(s.until)
+	}
 	run := s.finish()
 	logRecording(s.recording())
 	return run, nil

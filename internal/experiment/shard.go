@@ -5,7 +5,6 @@ import (
 	"io"
 	"sort"
 	"sync"
-	"time"
 
 	"github.com/vanlan/vifi/internal/core"
 	"github.com/vanlan/vifi/internal/radio"
@@ -136,8 +135,10 @@ type shardPlanResult struct {
 // radio conflict reach; balanced contiguous district groups, clamped to
 // the district count). Un-districted indexed specs get halo lanes: the
 // stripes share radio edges, so the partition moves inside the kernel
-// (see radio.StartShards). Anything else falls back to serial with the
-// reason recorded, keeping results byte-identical by construction.
+// (see radio.StartShards; clamped to radio.MaxShardLanes — the request is
+// outside input, and every lane is a worker goroutine). Anything else
+// falls back to serial with the reason recorded, keeping results
+// byte-identical by construction.
 func shardPlan(spec scenario.Spec, opts core.CellOptions, shards int) shardPlanResult {
 	if shards < 2 {
 		return shardPlanResult{mode: shardModeSerial, eff: 1}
@@ -164,16 +165,5 @@ func shardPlan(spec scenario.Spec, opts core.CellOptions, shards int) shardPlanR
 		}
 		return shardPlanResult{mode: shardModeCoupled, eff: shards, districtShard: m}
 	}
-	return shardPlanResult{mode: shardModeHalo, eff: shards}
-}
-
-// RunFleetAppWorkloadSharded is RunFleetAppWorkload executed at `shards`
-// parallelism — coupled kernels for districted specs, halo stripe lanes
-// for un-districted indexed ones (see shardPlan). Both preserve every
-// RNG stream label, NodeID and draw order of the serial run; only event
-// execution (coupled) or the delivery fan-out (halo) is partitioned. The
-// result is byte-identical to the serial one at any shard count —
-// ShardExec aside, which is execution bookkeeping.
-func RunFleetAppWorkloadSharded(seed int64, spec scenario.Spec, cfg core.Config, duration time.Duration, shards int) (*FleetAppRun, error) {
-	return runFleetApp(seed, spec, cfg, duration, shards, 0)
+	return shardPlanResult{mode: shardModeHalo, eff: min(shards, radio.MaxShardLanes)}
 }

@@ -38,7 +38,7 @@ func TestShardedMatchesSerial(t *testing.T) {
 		}
 		spec.Faults = faults
 		dur := 12 * time.Second
-		serial, err := RunFleetAppWorkload(11, spec, core.DefaultConfig(), dur)
+		serial, err := RunFleetAppWorkload(11, spec, core.DefaultConfig(), dur, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,7 +46,7 @@ func TestShardedMatchesSerial(t *testing.T) {
 			t.Fatalf("faults=%q: serial run saw no traffic — identity would be vacuous", faults)
 		}
 		for _, k := range []int{2, 4} {
-			sharded, err := RunFleetAppWorkloadSharded(11, spec, core.DefaultConfig(), dur, k)
+			sharded, err := RunFleetAppWorkload(11, spec, core.DefaultConfig(), dur, k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -81,7 +81,7 @@ func TestShardedHaloMatchesSerial(t *testing.T) {
 		}
 		spec.Faults = faults
 		dur := 10 * time.Second
-		serial, err := RunFleetAppWorkload(11, spec, core.DefaultConfig(), dur)
+		serial, err := RunFleetAppWorkload(11, spec, core.DefaultConfig(), dur, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +92,7 @@ func TestShardedHaloMatchesSerial(t *testing.T) {
 			t.Fatal("serial run grew shard bookkeeping")
 		}
 		for _, k := range []int{2, 4, 8} {
-			sharded, err := RunFleetAppWorkloadSharded(11, spec, core.DefaultConfig(), dur, k)
+			sharded, err := RunFleetAppWorkload(11, spec, core.DefaultConfig(), dur, k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -182,12 +182,12 @@ func TestShardedFallbackSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	dur := 8 * time.Second
-	serial, err := RunFleetAppWorkload(7, spec, core.DefaultConfig(), dur)
+	serial, err := RunFleetAppWorkload(7, spec, core.DefaultConfig(), dur, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	TakeShardLog() // drain earlier tests' entries
-	sharded, err := RunFleetAppWorkloadSharded(7, spec, core.DefaultConfig(), dur, 4)
+	sharded, err := RunFleetAppWorkload(7, spec, core.DefaultConfig(), dur, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,6 +307,12 @@ func TestShardPlanShape(t *testing.T) {
 	flat, _ := scenario.Parse("grid-metro")
 	if p = shardPlan(flat, opts, 4); p.mode != shardModeHalo || p.eff != 4 || p.districtShard != nil {
 		t.Errorf("un-districted indexed spec: plan %+v, want 4 halo lanes", p)
+	}
+	// The lane count is outside input (-shards, a served spec): a runaway
+	// request clamps to the channel's ceiling instead of starting that
+	// many worker goroutines.
+	if p = shardPlan(flat, opts, 100000); p.mode != shardModeHalo || p.eff != radio.MaxShardLanes {
+		t.Errorf("runaway halo request: plan %+v, want %d lanes", p, radio.MaxShardLanes)
 	}
 	custom := opts
 	custom.LinkFactory = func(from, to radio.NodeID) radio.LinkModel { return radio.FixedLink(1) }

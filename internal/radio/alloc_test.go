@@ -112,6 +112,51 @@ func TestIndexedBroadcastAllocFree(t *testing.T) {
 	}
 }
 
+// TestLaneBroadcastAllocFree is the same guard with two delivery lanes
+// engaged: the dispatch, the lane-side decisions (records from lane
+// pools, the coordinator's freed records recycled into them) and the
+// candidate-order commit must not allocate in steady state either.
+func TestLaneBroadcastAllocFree(t *testing.T) {
+	k := sim.NewKernel(13)
+	p := DefaultParams()
+	p.IndexThresholdNodes = 4
+	p.MaxRangeM = 1000
+	c := NewChannel(k, p, func(from, to NodeID) LinkModel { return FixedLink(1) })
+	got := 0
+	sink := ReceiverFunc(func(payload []byte, info RxInfo) { got += len(payload) })
+	const n = 32
+	for i := 0; i < n; i++ {
+		// Stationary, all within the cutoff of node 0, straddling the grid
+		// column edge at 1250 m so both lanes own candidates.
+		c.Attach("n", mobility.Fixed{X: 750 + float64(i)*30}, sink)
+	}
+	if c.StartShards(2) != 2 {
+		t.Fatal("test did not engage the lanes")
+	}
+	defer c.StopShards()
+	payload := make([]byte, 200)
+	// Warm the pools on both sides of the dispatch.
+	for i := 0; i < 8; i++ {
+		c.Broadcast(0, payload, nil)
+		k.Run()
+	}
+	allocs := testing.AllocsPerRun(500, func() {
+		c.Broadcast(0, payload, nil)
+		k.Run()
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state 2-lane broadcast allocates %.1f objects, want 0", allocs)
+	}
+	if got == 0 {
+		t.Fatal("no payload delivered")
+	}
+	for i := 0; i < 2; i++ {
+		if c.LaneStat(i).Computed == 0 {
+			t.Errorf("lane %d computed nothing: the guard is not covering it", i)
+		}
+	}
+}
+
 // TestBusyAllocFree guards the carrier-sense fast path: scanning the
 // active-transmitter list must never allocate, busy medium or idle.
 func TestBusyAllocFree(t *testing.T) {

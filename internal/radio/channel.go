@@ -72,7 +72,7 @@ func (r *reception) OnEvent() {
 	if d.cur == r {
 		d.cur = nil
 	}
-	c.freeReception(r)
+	c.put(r)
 	if !ok {
 		if buf != nil {
 			c.bufs.Put(buf)
@@ -94,13 +94,11 @@ func (r *reception) OnEvent() {
 // for pairs that exchange a frame; a 3×3 neighborhood holds several times
 // more candidates than the cutoff disc, and materializing links for the
 // fringe would multiply the link table for pairs that may never do so.
-// (The sharded path is the exception: it resolves links eagerly at cache
-// build, because worker lanes must never touch the link map — see
-// broadcastSharded.)
+// Under delivery lanes the cache resolves links eagerly instead, because
+// worker lanes must never touch the link map (see candidates).
 //
 // owner is the delivery lane owning this candidate (the stripe of its
-// bucket cell column), filled only by the sharded path; the serial path
-// leaves it zero and never reads it.
+// bucket cell column); zero, and never read, without lanes.
 type nbrEntry struct {
 	dst   *node
 	ls    *linkState
@@ -137,6 +135,35 @@ type Stats struct {
 	Collisions    int // receptions destroyed by overlap
 	HalfDuplex    int // receptions missed because receiver was sending
 	ChannelLosses int // receptions lost to the link model
+}
+
+// rxLane is what a delivery decision is charged to: the counters it
+// bumps and the pool its reception records come from. The channel owns
+// one (all of Stats, and the pool delivery events free into); under
+// StartShards every worker lane owns another, so concurrent decisions
+// share nothing.
+type rxLane struct {
+	stats  Stats
+	freeRx *reception
+}
+
+// alloc takes a reception record from the lane's pool.
+func (ln *rxLane) alloc(c *Channel) *reception {
+	if r := ln.freeRx; r != nil {
+		ln.freeRx = r.next
+		r.next = nil
+		return r
+	}
+	return &reception{ch: c}
+}
+
+// put returns a record to the lane's pool.
+func (ln *rxLane) put(r *reception) {
+	r.dst = nil
+	r.buf = nil
+	r.scheduled = false
+	r.next = ln.freeRx
+	ln.freeRx = r
 }
 
 // linkState bundles the model and the private randomness of one directed
@@ -208,7 +235,7 @@ type Channel struct {
 	// link RNG streams are label-derived (see newLink).
 	lazy   map[uint64]*linkState
 	bufs   frame.BufferPool
-	freeRx *reception
+	rxLane // the channel's own counters and reception pool
 	freeTx *txEnd
 	// activeTx lists the transmitters currently on the air, maintained by
 	// Broadcast and txEnd.OnEvent, so carrier sense scans frames in
@@ -225,9 +252,8 @@ type Channel struct {
 	// that: every shard sees identical bucket state at identical times.
 	revalAt      time.Duration
 	revalPending bool
-	stats        Stats
 	// shard, when non-nil, fans each indexed broadcast's delivery
-	// computations out across stripe-owned worker lanes (see shard.go).
+	// decisions out across stripe-owned worker lanes (see shard.go).
 	// Byte-identity with serial holds by construction: one kernel, one
 	// event order, same per-link streams, commit in candidate order.
 	shard *channelShard
@@ -443,35 +469,6 @@ func (c *Channel) Transmitting(id NodeID) bool {
 	return c.nodes[id].txUntil > c.K.Now()
 }
 
-// allocReception takes a record from the pool.
-func (c *Channel) allocReception() *reception {
-	if r := c.freeRx; r != nil {
-		c.freeRx = r.next
-		r.next = nil
-		return r
-	}
-	return &reception{ch: c}
-}
-
-// freeReception returns a record to the pool.
-func (c *Channel) freeReception(r *reception) {
-	r.dst = nil
-	r.buf = nil
-	r.scheduled = false
-	r.next = c.freeRx
-	c.freeRx = r
-}
-
-// setCur installs rx as the receiver's locking reception. A displaced
-// record that no delivery event owns (a lost frame that completed) is
-// recycled here; scheduled records free themselves when they fire.
-func (c *Channel) setCur(dst *node, rx *reception) {
-	if prev := dst.cur; prev != nil && !prev.scheduled {
-		c.freeReception(prev)
-	}
-	dst.cur = rx
-}
-
 // Broadcast puts a frame on the air from the given node. Every other node
 // receives it with its link-model probability, subject to half-duplex and
 // collision rules. Returns the frame's airtime. If txDone is non-nil its
@@ -499,16 +496,7 @@ func (c *Channel) Broadcast(from NodeID, payload []byte, txDone sim.Handler) tim
 		// still elapses for the caller and txDone still fires, so the
 		// MAC's one-outstanding-frame gate advances normally. No RNG is
 		// touched, keeping every live pair's streams byte-identical.
-		te := c.freeTx
-		if te != nil {
-			c.freeTx = te.next
-			te.next = nil
-		} else {
-			te = &txEnd{ch: c}
-		}
-		te.src = src
-		te.txDone = txDone
-		c.K.AtHandler(end, te)
+		c.scheduleTxEnd(src, txDone, end)
 		return airtime
 	}
 	src.txUntil = end
@@ -522,16 +510,43 @@ func (c *Channel) Broadcast(from NodeID, payload []byte, txDone sim.Handler) tim
 	}
 
 	srcPos := src.mover.Position(now)
+	nbr := c.candidates(src, srcPos, now)
 	if c.shard != nil {
-		c.broadcastSharded(src, srcPos, payload, now, end)
-	} else if c.indexed() {
-		c.broadcastIndexed(src, srcPos, payload, now, end)
+		c.dispatchLanes(src, srcPos, payload, now, end)
 	} else {
-		c.broadcastSweep(src, srcPos, payload, now, end)
+		// An indexed list skips receivers beyond the channel cutoff — or
+		// beyond the link model's own advertised reach — entirely, so
+		// neither their loss/noise streams nor any collision state is
+		// touched. Per-link streams make that safe: the skipped draws are
+		// guaranteed losses, and every other link's flips are unchanged.
+		// The full sweep never skips by range — a receiver far beyond any
+		// cutoff still draws its RSSI noise and its (losing) coin, because
+		// the seeded paper-figure runs are pinned with those draws consumed.
+		ranged := src.nbrOK
+		for i := range nbr {
+			nb := &nbr[i]
+			dist := srcPos.Dist(nb.dst.mover.Position(now))
+			if ranged && dist > c.cutoff {
+				continue
+			}
+			if nb.ls == nil {
+				nb.ls = c.link(src.id, nb.dst.id)
+			}
+			if ranged && dist > nb.ls.reach {
+				continue
+			}
+			c.deliver(&c.rxLane, src, nb.dst, nb.ls, dist, payload, now, end)
+		}
 	}
 	// Schedule the tx-done notification after the delivery events so that
 	// receptions completing exactly at end are processed before the sender
 	// reuses the medium (FIFO among equal timestamps).
+	c.scheduleTxEnd(src, txDone, end)
+	return airtime
+}
+
+// scheduleTxEnd arms the pooled end-of-airtime event for one transmission.
+func (c *Channel) scheduleTxEnd(src *node, txDone sim.Handler, end time.Duration) {
 	te := c.freeTx
 	if te != nil {
 		c.freeTx = te.next
@@ -542,75 +557,59 @@ func (c *Channel) Broadcast(from NodeID, payload []byte, txDone sim.Handler) tim
 	te.src = src
 	te.txDone = txDone
 	c.K.AtHandler(end, te)
-	return airtime
 }
 
-// broadcastSweep is the sub-threshold path: every other node is a
-// candidate, in ID order, and none is skipped by range — a receiver far
-// beyond any cutoff still draws its RSSI noise and its (losing) coin,
-// because the seeded paper-figure runs are pinned with those draws
-// consumed. The candidate list is cached per transmitter like the indexed
-// path's, so the steady-state sweep probes no map either.
-func (c *Channel) broadcastSweep(src *node, srcPos mobility.Point, payload []byte, now, end time.Duration) {
-	if src.nbrOK || len(src.nbr) != len(c.nodes)-1 {
-		src.nbr = src.nbr[:0]
-		for _, dst := range c.nodes {
-			if dst != src {
-				src.nbr = append(src.nbr, nbrEntry{dst: dst})
+// candidates returns src's broadcast candidate list, rebuilding the
+// per-transmitter cache when it went stale, so the steady-state broadcast
+// does no map lookups at all. Below the index threshold the list is every
+// other node in ID order (nbrOK clear), valid while the node count holds.
+// On the indexed path it is the 3×3 grid neighborhood in walk order
+// (nbrOK set), valid while the grid version and the transmitter's query
+// cell hold still (stationary nodes: until the next bucket change
+// anywhere; movers: also bounded by their own cell crossings) — then a
+// fresh walk would return the exact same nodes in the same order, so
+// reuse is byte-identical.
+//
+// Links stay lazy (resolved by the delivery loop on first contact) except
+// under delivery lanes, where they resolve here — on the coordinator —
+// together with each candidate's stripe owner, because lanes must never
+// touch the link map. Either timing is invisible to results: link RNG
+// streams are label-derived, so instantiation time never moves a coin
+// flip, and untouched links draw nothing. The eager cost is materializing
+// fringe links (inside the 3×3 cells but beyond the cutoff) the lazy path
+// would have skipped.
+func (c *Channel) candidates(src *node, srcPos mobility.Point, now time.Duration) []nbrEntry {
+	if !c.indexed() {
+		if src.nbrOK || len(src.nbr) != len(c.nodes)-1 {
+			src.nbr = src.nbr[:0]
+			for _, dst := range c.nodes {
+				if dst != src {
+					src.nbr = append(src.nbr, nbrEntry{dst: dst})
+				}
 			}
+			src.nbrOK = false
 		}
-		src.nbrOK = false
+		return src.nbr
 	}
-	for i := range src.nbr {
-		nb := &src.nbr[i]
-		if nb.ls == nil {
-			nb.ls = c.link(src.id, nb.dst.id)
-		}
-		dist := srcPos.Dist(nb.dst.mover.Position(now))
-		c.deliver(src, nb.dst, nb.ls, dist, payload, now, end)
-	}
-}
-
-// broadcastIndexed delivers to the 3×3 grid neighborhood only: receivers
-// beyond the channel cutoff — or beyond the link model's own advertised
-// reach — are skipped entirely, so neither their loss/noise streams nor
-// any collision state is touched. Per-link streams make that safe: the
-// skipped draws correspond to guaranteed losses, and every other link's
-// flips are unchanged.
-// Candidate lists are cached per transmitter and reused while the grid
-// version and the transmitter's query cell hold still (stationary nodes:
-// until the next bucket change anywhere; movers: also bounded by their
-// own cell crossings), so the steady-state broadcast does no map lookups
-// at all. Prefetching the link states of candidates a walk would have
-// skipped (inside the 3×3 cells but beyond the cutoff) is invisible:
-// link RNG streams are label-derived, so instantiation time never moves
-// a coin flip, and untouched links draw nothing.
-func (c *Channel) broadcastIndexed(src *node, srcPos mobility.Point, payload []byte, now, end time.Duration) {
 	g := c.ensureGrid(now)
 	cell := g.cellKey(srcPos)
 	if !src.nbrOK || src.nbrVer != g.version || src.nbrCell != cell {
+		lanes := c.ShardLanes()
 		src.nbr = src.nbr[:0]
-		g.neighborhood(srcPos, func(id NodeID) {
-			if id != src.id {
-				src.nbr = append(src.nbr, nbrEntry{dst: c.nodes[id]})
+		g.neighborhood(srcPos, func(id NodeID, cellX int32) {
+			if id == src.id {
+				return
 			}
+			nb := nbrEntry{dst: c.nodes[id]}
+			if lanes > 0 {
+				nb.ls = c.link(src.id, id)
+				nb.owner = uint8(laneOf(cellX, lanes))
+			}
+			src.nbr = append(src.nbr, nb)
 		})
 		src.nbrOK, src.nbrVer, src.nbrCell = true, g.version, cell
 	}
-	for i := range src.nbr {
-		nb := &src.nbr[i]
-		dist := srcPos.Dist(nb.dst.mover.Position(now))
-		if dist > c.cutoff {
-			continue
-		}
-		if nb.ls == nil {
-			nb.ls = c.link(src.id, nb.dst.id)
-		}
-		if dist > nb.ls.reach {
-			continue
-		}
-		c.deliver(src, nb.dst, nb.ls, dist, payload, now, end)
-	}
+	return src.nbr
 }
 
 // Indexed reports whether the channel is running the spatially indexed
@@ -641,7 +640,7 @@ func (c *Channel) NeighborIDs(id NodeID, buf []NodeID) []NodeID {
 		return buf
 	}
 	pos := c.nodes[id].mover.Position(c.K.Now())
-	g.neighborhood(pos, func(nid NodeID) {
+	g.neighborhood(pos, func(nid NodeID, _ int32) {
 		if nid != id {
 			buf = append(buf, nid)
 		}
@@ -713,23 +712,28 @@ func (c *Channel) ensureGrid(now time.Duration) *grid {
 	return g
 }
 
-// deliver decides and schedules the reception of one frame at one node.
-func (c *Channel) deliver(src, dst *node, ls *linkState, dist float64, payload []byte, now, end time.Duration) {
+// deliver decides the reception of one frame at one node — the single
+// delivery decision, charged to ln's counters and reception pool. Handed
+// the channel's own lane it also commits a surviving frame inline (payload
+// copy, delivery event) and returns nil; a worker lane must touch neither
+// the buffer pool nor the kernel, so it gets the record back — non-nil
+// exactly when a delivery event is owed — and the coordinator commits in
+// candidate order (see dispatchLanes).
+func (c *Channel) deliver(ln *rxLane, src, dst *node, ls *linkState, dist float64, payload []byte, now, end time.Duration) *reception {
 	if dst.down {
-		// Muted receiver (single gate for both the sweep and the indexed
-		// path): skipped before any draw, so only this directed pair's
-		// private streams advance less — a guaranteed loss, same argument
-		// as the indexed path's out-of-range skip.
-		return
+		// Muted receiver: skipped before any draw, so only this directed
+		// pair's private streams advance less — a guaranteed loss, same
+		// argument as the indexed path's out-of-range skip.
+		return nil
 	}
 	pr := ls.model.ReceiveProb(now, dist)
 
 	// Half duplex: a transmitting receiver hears nothing.
 	if dst.txUntil > now {
 		if pr > 0 {
-			c.stats.HalfDuplex++
+			ln.stats.HalfDuplex++
 		}
-		return
+		return nil
 	}
 
 	rssi := c.P.rssi(dist, ls.noise.NormFloat64()*c.P.RSSINoiseDB)
@@ -745,37 +749,53 @@ func (c *Channel) deliver(src, dst *node, ls *linkState, dist float64, payload [
 			// New frame captures the receiver; the old one is lost.
 			if prev.ok {
 				prev.ok = false
-				c.stats.Collisions++
+				ln.stats.Collisions++
 			}
 		case prev.rssi >= rssi+c.P.CaptureDB:
 			// Existing frame survives; the new one is lost.
-			c.stats.Collisions++
-			return
+			ln.stats.Collisions++
+			return nil
 		default:
 			// Mutual destruction.
 			if prev.ok {
 				prev.ok = false
-				c.stats.Collisions++
+				ln.stats.Collisions++
 			}
-			c.stats.Collisions++
-			return
+			ln.stats.Collisions++
+			return nil
 		}
 	}
 
 	// Channel loss?
 	ok := ls.loss.Float64() < pr
-	rx := c.allocReception()
+	rx := ln.alloc(c)
 	rx.ch, rx.dst = c, dst
 	rx.from, rx.rssi, rx.end, rx.ok = src.id, rssi, end, ok
-	c.setCur(dst, rx)
-	if !ok {
-		c.stats.ChannelLosses++
-		return
+	// rx becomes the receiver's locking reception. A displaced record that
+	// no delivery event owns (a lost frame that completed) is recycled
+	// here; scheduled records free themselves when they fire.
+	if prev := dst.cur; prev != nil && !prev.scheduled {
+		ln.put(prev)
 	}
+	dst.cur = rx
+	if !ok {
+		ln.stats.ChannelLosses++
+		return nil
+	}
+	rx.info = RxInfo{From: src.id, At: end, RSSI: rssi, Dist: dist}
+	if ln != &c.rxLane {
+		return rx
+	}
+	c.commit(rx, payload, end)
+	return nil
+}
+
+// commit copies the payload into a pooled buffer and schedules the
+// delivery event of a reception that survived deliver.
+func (c *Channel) commit(rx *reception, payload []byte, end time.Duration) {
 	buf := c.bufs.Get(len(payload))
 	copy(buf, payload)
 	rx.buf = buf
-	rx.info = RxInfo{From: src.id, At: end, RSSI: rssi, Dist: dist}
 	rx.scheduled = true
 	c.K.AtHandler(end, rx)
 }

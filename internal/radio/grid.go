@@ -175,19 +175,14 @@ func (g *grid) rebucket(id NodeID, m mobility.Mover, now time.Duration) {
 }
 
 // neighborhood invokes visit for every node bucketed in the 3×3 cells
-// around pos, in fixed row-major cell order. Bucket contents are a
+// around pos, in fixed row-major cell order, passing each node's bucket
+// cell column (cellX) alongside its ID. Bucket contents are a
 // deterministic function of the simulation history, so the visit order —
-// and therefore the order of scheduled receptions — is reproducible.
-func (g *grid) neighborhood(pos mobility.Point, visit func(NodeID)) {
-	g.neighborhoodCells(pos, func(id NodeID, _ int32) { visit(id) })
-}
-
-// neighborhoodCells is neighborhood with each node's bucket cell column
-// (cellX) passed alongside its ID. The column is what the sharded
-// channel folds into stripe ownership: it is a pure function of bucket
-// state — itself a pure function of simulation history — so lane
-// assignment is deterministic without ever reading a true position.
-func (g *grid) neighborhoodCells(pos mobility.Point, visit func(NodeID, int32)) {
+// and therefore the order of scheduled receptions — is reproducible. The
+// column is what a sharded channel folds into stripe ownership: a pure
+// function of bucket state, so lane assignment is deterministic without
+// ever reading a true position.
+func (g *grid) neighborhood(pos mobility.Point, visit func(NodeID, int32)) {
 	cx := int32(math.Floor(pos.X / g.cellM))
 	cy := int32(math.Floor(pos.Y / g.cellM))
 	for dy := int32(-1); dy <= 1; dy++ {

@@ -56,8 +56,7 @@ import (
 // exactly one goroutine per dispatch; the gang's barrier publishes their
 // writes to the coordinator.
 type channelLane struct {
-	stats Stats      // HalfDuplex/Collisions/ChannelLosses from this lane's computations
-	free  *reception // lane-local reception pool
+	rxLane // HalfDuplex/Collisions/ChannelLosses and records from this lane's decisions
 	// Execution diagnostics: computed counts in-cutoff delivery
 	// computations, rounds counts dispatches, idle counts dispatches in
 	// which no candidate fell to this lane. haloFrom[s] counts
@@ -76,7 +75,7 @@ type channelShard struct {
 	lanes []*channelLane
 	rr    int // round-robin cursor for recycling coordinator-freed receptions
 
-	// Dispatch arguments: set by broadcastSharded before the gang runs,
+	// Dispatch arguments: set by dispatchLanes before the gang runs,
 	// read by every lane. The gang's epoch/pending atomics carry the
 	// happens-before edges in both directions.
 	src    *node
@@ -106,17 +105,24 @@ func laneOf(cellX int32, k int) int {
 	return int((cellX%int32(k) + int32(k)) % int32(k))
 }
 
+// MaxShardLanes is the most delivery lanes a channel will run. Every lane
+// past the first is a spinning worker goroutine, and the count arrives from
+// outside the program (-shards, a served JSON spec), so it needs a ceiling;
+// this one sits well above any host the mode targets and inside what
+// nbrEntry.owner (a uint8) can address.
+const MaxShardLanes = 64
+
 // StartShards enables stripe-sharded delivery with k lanes and returns
 // the effective lane count: k when sharding engaged, 1 when the channel
-// keeps the serial path (k < 2, or the channel is not on the spatially
-// indexed path — the full sweep has no stripe plan). The caller owns the
-// lifecycle and must StopShards before the channel is dropped, or the
-// k-1 worker goroutines leak parked.
+// keeps the serial path (k < 2, k > MaxShardLanes, or the channel is not
+// on the spatially indexed path — the full sweep has no stripe plan). The
+// caller owns the lifecycle and must StopShards before the channel is
+// dropped, or the k-1 worker goroutines leak parked.
 func (c *Channel) StartShards(k int) int {
 	if c.shard != nil {
 		panic("radio: StartShards while sharded")
 	}
-	if k < 2 || !c.indexed() {
+	if k < 2 || k > MaxShardLanes || !c.indexed() {
 		return 1
 	}
 	sh := &channelShard{
@@ -150,13 +156,13 @@ func (c *Channel) StopShards() {
 		c.stats.HalfDuplex += ln.stats.HalfDuplex
 		c.stats.Collisions += ln.stats.Collisions
 		c.stats.ChannelLosses += ln.stats.ChannelLosses
-		for r := ln.free; r != nil; {
+		for r := ln.freeRx; r != nil; {
 			next := r.next
 			r.next = c.freeRx
 			c.freeRx = r
 			r = next
 		}
-		ln.free = nil
+		ln.freeRx = nil
 	}
 	c.shard = nil
 }
@@ -204,36 +210,14 @@ func (c *Channel) LaneOf(id NodeID) int {
 	return laneOf(c.grid.cellX(pos), len(c.shard.lanes))
 }
 
-// broadcastSharded is broadcastIndexed with the per-receiver delivery
-// computations fanned out across the stripe lanes. Candidate discovery,
-// cache maintenance and result commitment stay on the coordinator; the
-// commit loop schedules deliveries in candidate order, reproducing the
-// serial kernel sequence exactly.
-func (c *Channel) broadcastSharded(src *node, srcPos mobility.Point, payload []byte, now, end time.Duration) {
-	g := c.ensureGrid(now)
+// dispatchLanes fans the delivery decisions over src's candidate list out
+// across the stripe lanes. Candidate discovery and cache maintenance
+// already happened on the coordinator (candidates); so does the commit
+// loop below, which schedules deliveries in candidate order, reproducing
+// the serial kernel sequence exactly.
+func (c *Channel) dispatchLanes(src *node, srcPos mobility.Point, payload []byte, now, end time.Duration) {
 	sh := c.shard
 	k := len(sh.lanes)
-	cell := g.cellKey(srcPos)
-	if !src.nbrOK || src.nbrVer != g.version || src.nbrCell != cell {
-		src.nbr = src.nbr[:0]
-		g.neighborhoodCells(srcPos, func(id NodeID, cellX int32) {
-			if id != src.id {
-				// Links resolve eagerly here — on the coordinator, at
-				// cache build — because lanes must never touch the link
-				// map. Invisible to results: link RNG streams are
-				// label-derived, so instantiation time never moves a
-				// coin flip, and untouched links draw nothing. The cost
-				// is materializing fringe links the serial path would
-				// have skipped (candidates beyond the cutoff).
-				src.nbr = append(src.nbr, nbrEntry{
-					dst:   c.nodes[id],
-					ls:    c.link(src.id, id),
-					owner: uint8(laneOf(cellX, k)),
-				})
-			}
-		})
-		src.nbrOK, src.nbrVer, src.nbrCell = true, g.version, cell
-	}
 
 	// Recycle receptions freed by delivery events since the last
 	// dispatch into one lane's pool, round-robin. Pool identity is
@@ -245,8 +229,8 @@ func (c *Channel) broadcastSharded(src *node, srcPos mobility.Point, payload []b
 		for tail.next != nil {
 			tail = tail.next
 		}
-		tail.next = ln.free
-		ln.free = c.freeRx
+		tail.next = ln.freeRx
+		ln.freeRx = c.freeRx
 		c.freeRx = nil
 	}
 
@@ -255,28 +239,21 @@ func (c *Channel) broadcastSharded(src *node, srcPos mobility.Point, payload []b
 	}
 	sh.out = sh.out[:len(src.nbr)]
 	sh.src, sh.pos, sh.now, sh.end = src, srcPos, now, end
-	sh.stripe = laneOf(g.cellX(srcPos), k)
+	sh.stripe = laneOf(c.grid.cellX(srcPos), k)
 	sh.gang.Dispatch(sh.run)
 
-	// Commit phase: schedule surviving deliveries in candidate order —
-	// the exact (at, seq) sequence the serial loop produces.
 	for i, rx := range sh.out {
-		if rx == nil {
-			continue
+		if rx != nil {
+			sh.out[i] = nil
+			c.commit(rx, payload, end)
 		}
-		sh.out[i] = nil
-		buf := c.bufs.Get(len(payload))
-		copy(buf, payload)
-		rx.buf = buf
-		rx.scheduled = true
-		c.K.AtHandler(end, rx)
 	}
 	sh.src = nil
 }
 
 // laneRun is one lane's slice of a dispatched broadcast: every candidate
-// whose bucket column this lane owns gets the full serial delivery
-// decision, writing only lane-local and receiver-exclusive state.
+// whose bucket column this lane owns gets the delivery decision, writing
+// only lane-local and receiver-exclusive state.
 func (c *Channel) laneRun(lane int) {
 	sh := c.shard
 	ln := sh.lanes[lane]
@@ -296,85 +273,10 @@ func (c *Channel) laneRun(lane int) {
 		}
 		did++
 		ln.haloFrom[sh.stripe]++
-		out[i] = c.deliverCompute(ln, src, nb.dst, nb.ls, dist, now, end)
+		out[i] = c.deliver(&ln.rxLane, src, nb.dst, nb.ls, dist, nil, now, end)
 	}
 	ln.computed += did
 	if did == 0 {
 		ln.idle++
 	}
-}
-
-// deliverCompute is the worker-phase half of deliver: everything up to —
-// but not including — the payload copy and event scheduling, which the
-// coordinator commits in candidate order. It must mirror deliver's
-// decision sequence draw for draw; the returned reception is non-nil
-// exactly when a delivery event must be scheduled.
-func (c *Channel) deliverCompute(ln *channelLane, src, dst *node, ls *linkState, dist float64, now, end time.Duration) *reception {
-	if dst.down {
-		return nil
-	}
-	pr := ls.model.ReceiveProb(now, dist)
-
-	if dst.txUntil > now {
-		if pr > 0 {
-			ln.stats.HalfDuplex++
-		}
-		return nil
-	}
-
-	rssi := c.P.rssi(dist, ls.noise.NormFloat64()*c.P.RSSINoiseDB)
-
-	if prev := dst.cur; prev != nil && prev.end > now {
-		switch {
-		case rssi >= prev.rssi+c.P.CaptureDB:
-			if prev.ok {
-				prev.ok = false
-				ln.stats.Collisions++
-			}
-		case prev.rssi >= rssi+c.P.CaptureDB:
-			ln.stats.Collisions++
-			return nil
-		default:
-			if prev.ok {
-				prev.ok = false
-				ln.stats.Collisions++
-			}
-			ln.stats.Collisions++
-			return nil
-		}
-	}
-
-	ok := ls.loss.Float64() < pr
-	rx := ln.alloc(c)
-	rx.ch, rx.dst = c, dst
-	rx.from, rx.rssi, rx.end, rx.ok = src.id, rssi, end, ok
-	if prev := dst.cur; prev != nil && !prev.scheduled {
-		ln.put(prev)
-	}
-	dst.cur = rx
-	if !ok {
-		ln.stats.ChannelLosses++
-		return nil
-	}
-	rx.info = RxInfo{From: src.id, At: end, RSSI: rssi, Dist: dist}
-	return rx
-}
-
-// alloc takes a reception from the lane pool.
-func (ln *channelLane) alloc(c *Channel) *reception {
-	if r := ln.free; r != nil {
-		ln.free = r.next
-		r.next = nil
-		return r
-	}
-	return &reception{ch: c}
-}
-
-// put returns a reception to the lane pool.
-func (ln *channelLane) put(r *reception) {
-	r.dst = nil
-	r.buf = nil
-	r.scheduled = false
-	r.next = ln.free
-	ln.free = r
 }

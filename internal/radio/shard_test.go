@@ -134,6 +134,13 @@ func TestShardedBelowIndexRefuses(t *testing.T) {
 		t.Fatal("refused StartShards left the channel sharded")
 	}
 	c.StopShards() // no-op, must not panic
+
+	// Same refusal for a lane count past the ceiling, even on an indexed
+	// channel: owners are a uint8 and every lane is a worker goroutine.
+	c, _, _, _, _ = buildCaptureTie(t, 30, 1)
+	if got := c.StartShards(MaxShardLanes + 1); got != 1 || c.ShardLanes() != 0 {
+		t.Fatalf("StartShards(%d) = %d with %d lanes live, want a refusal", MaxShardLanes+1, got, c.ShardLanes())
+	}
 }
 
 // buildCaptureTie builds the cross-stripe capture-tie geometry: a

@@ -101,17 +101,107 @@ func TestDistrictSpecValidation(t *testing.T) {
 	}
 }
 
+// cellIdentity is everything about a built cell that a placement must
+// not move: radio IDs and names in attachment order, protocol addresses
+// (-1 marks a ghost slot), gateway addresses per district and per fleet
+// slot, which slot Vehicle points at, and whether the ghost bookkeeping
+// exists at all.
+type cellIdentity struct {
+	RadioIDs          []radio.NodeID
+	Names             []string
+	Addrs, VehGateway []int
+	Gateways          []int
+	Vehicle           int
+	BSLocalNil        bool
+	VehLocalNil       bool
+}
+
+func identityOf(c *core.Cell) cellIdentity {
+	id := cellIdentity{Vehicle: -1, BSLocalNil: c.BSLocal == nil, VehLocalNil: c.VehLocal == nil}
+	id.RadioIDs = append(append(id.RadioIDs, c.BSRadioIDs...), c.VehRadioIDs...)
+	for _, r := range id.RadioIDs {
+		id.Names = append(id.Names, c.Channel.NodeName(r))
+	}
+	for _, n := range append(append([]*core.Node(nil), c.BSes...), c.Vehicles...) {
+		if n == nil {
+			id.Addrs = append(id.Addrs, -1)
+		} else {
+			id.Addrs = append(id.Addrs, int(n.Addr()))
+		}
+	}
+	for _, gw := range c.Gateways {
+		if gw == nil {
+			id.Gateways = append(id.Gateways, -1)
+		} else {
+			id.Gateways = append(id.Gateways, int(gw.Addr()))
+		}
+	}
+	for i, v := range c.Vehicles {
+		if v != nil && v == c.Vehicle {
+			id.Vehicle = i
+		}
+		if gw := c.GatewayFor(i); gw != nil {
+			id.VehGateway = append(id.VehGateway, int(gw.Addr()))
+		} else {
+			id.VehGateway = append(id.VehGateway, -1)
+		}
+	}
+	return id
+}
+
 // TestShardCellMatchesSerialIdentity pins ghost attachment: shard cells
 // assign every node — owned or ghost — the same channel NodeID the
 // serial districted cell assigns, and per-shard ownership covers each
-// node exactly once.
+// node exactly once. The K=1 placements pin the other end of the one
+// constructor: however "everything local" is spelled — no placement, a
+// one-district placement, or every district mapped to this shard — the
+// cell is the same cell, with no ghost bookkeeping.
 func TestShardCellMatchesSerialIdentity(t *testing.T) {
+	for _, tc := range []struct {
+		spec     string
+		allLocal []int
+	}{
+		{"grid-small", []int{0}},
+		{"metro-districts,bs=124,vehicles=8", []int{0, 0, 0, 0}},
+	} {
+		spec, err := Parse(tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		zero, lay, err := BuildCell(sim.NewKernel(9), spec, core.DefaultCellOptions(), nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := identityOf(zero)
+		if !want.BSLocalNil || !want.VehLocalNil || want.Vehicle != 0 || want.Gateways[0] != int(core.GatewayAddr) {
+			t.Fatalf("%s: all-local cell carries ghost state: %+v", tc.spec, want)
+		}
+		mapped, _, err := BuildCell(sim.NewKernel(9), spec, core.DefaultCellOptions(), tc.allLocal, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := identityOf(mapped); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: districtShard=%v diverges from the zero placement:\n got %+v\nwant %+v", tc.spec, tc.allLocal, got, want)
+		}
+		if lay.Districts() > 1 {
+			continue
+		}
+		// One district spelled out node by node is still the zero placement.
+		bs, vehs := layoutMovers(lay)
+		explicit := core.NewFleetCell(sim.NewKernel(9), spec.Apply(core.DefaultCellOptions()), bs, vehs, core.Placement{
+			Districts: 1, BSDistrict: make([]int, len(bs)), VehDistrict: make([]int, len(vehs)),
+		})
+		if got := identityOf(explicit); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: explicit one-district placement diverges:\n got %+v\nwant %+v", tc.spec, got, want)
+		}
+	}
+
 	spec, err := Parse("metro-districts,bs=124,vehicles=8")
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := core.DefaultCellOptions()
-	serial, _, err := BuildCell(sim.NewKernel(9), spec, opts)
+	serial, _, err := BuildCell(sim.NewKernel(9), spec, opts, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +209,7 @@ func TestShardCellMatchesSerialIdentity(t *testing.T) {
 	bsOwners := make([]int, len(serial.BSes))
 	vehOwners := make([]int, len(serial.Vehicles))
 	for shard := 0; shard < 2; shard++ {
-		cell, _, err := BuildShardCell(sim.NewKernel(9), spec, opts, districtShard, shard)
+		cell, _, err := BuildCell(sim.NewKernel(9), spec, opts, districtShard, shard)
 		if err != nil {
 			t.Fatal(err)
 		}

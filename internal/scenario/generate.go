@@ -255,37 +255,25 @@ func (s Spec) Apply(opts core.CellOptions) core.CellOptions {
 // fixed basestations, one route-driven vehicle per fleet slot with its
 // staggered departure, and the spec's radio/backplane parameters.
 // Districted specs get one gateway per district so the wired side is
-// partitioned exactly like the radio side.
-func BuildCell(k *sim.Kernel, s Spec, opts core.CellOptions) (*core.Cell, *Layout, error) {
+// partitioned exactly like the radio side. districtShard places the
+// districts: nil runs them all here; otherwise district d's nodes are
+// full stacks when districtShard[d] == shard and position-only ghosts
+// otherwise (see core.Placement). The layout — and every NodeID and RNG
+// stream label — is identical under any placement on the same kernel seed.
+func BuildCell(k *sim.Kernel, s Spec, opts core.CellOptions, districtShard []int, shard int) (*core.Cell, *Layout, error) {
 	lay, err := Generate(k, s)
 	if err != nil {
 		return nil, nil, err
 	}
-	bs, vehs := layoutMovers(lay)
-	if lay.Spec.Districts >= 2 {
-		cell := core.NewDistrictFleetCell(k, s.Apply(opts), bs, vehs,
-			lay.BSDistrict, lay.VehDistrict, lay.Districts())
-		return cell, lay, nil
-	}
-	return core.NewFleetCell(k, s.Apply(opts), bs, vehs), lay, nil
-}
-
-// BuildShardCell generates the same layout and wires shard `shard` of it:
-// district d's nodes are full stacks when districtShard[d] == shard and
-// position-only ghosts otherwise. The layout — and every NodeID and RNG
-// stream label — is identical to BuildCell's on the same kernel seed.
-func BuildShardCell(k *sim.Kernel, s Spec, opts core.CellOptions, districtShard []int, shard int) (*core.Cell, *Layout, error) {
-	lay, err := Generate(k, s)
-	if err != nil {
-		return nil, nil, err
-	}
-	if lay.Spec.Districts < 2 {
-		return nil, nil, fmt.Errorf("scenario: shard cells need a districted spec")
+	if districtShard != nil && len(districtShard) != lay.Districts() {
+		return nil, nil, fmt.Errorf("scenario: %d-district placement for a %d-district spec", len(districtShard), lay.Districts())
 	}
 	bs, vehs := layoutMovers(lay)
-	cell := core.NewDistrictShardCell(k, s.Apply(opts), bs, vehs,
-		lay.BSDistrict, lay.VehDistrict, lay.Districts(), districtShard, shard)
-	return cell, lay, nil
+	return core.NewFleetCell(k, s.Apply(opts), bs, vehs, core.Placement{
+		Districts:  lay.Districts(),
+		BSDistrict: lay.BSDistrict, VehDistrict: lay.VehDistrict,
+		DistrictShard: districtShard, Shard: shard,
+	}), lay, nil
 }
 
 // layoutMovers materializes the layout's movers: fixed basestations and

@@ -241,7 +241,7 @@ func TestBuildCellRunsFleet(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := sim.NewKernel(11)
-	cell, lay, err := BuildCell(k, spec, core.DefaultCellOptions())
+	cell, lay, err := BuildCell(k, spec, core.DefaultCellOptions(), nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

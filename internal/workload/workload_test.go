@@ -20,7 +20,7 @@ func testCell(t *testing.T, seed int64, nv int) (*sim.Kernel, *core.Cell) {
 	for i := range vehs {
 		vehs[i] = mobility.Fixed{X: 20 + float64(i)*15}
 	}
-	cell := core.NewFleetCell(k, core.DefaultCellOptions(), bs, vehs)
+	cell := core.NewFleetCell(k, core.DefaultCellOptions(), bs, vehs, core.Placement{})
 	return k, cell
 }
 

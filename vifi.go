@@ -182,7 +182,7 @@ func NewScenario(seed int64, spec string, cfg Protocol) (*ScenarioDeployment, er
 // vehicle per 200 ms slot) and returns per-vehicle and per-app
 // application statistics.
 func (d *ScenarioDeployment) RunFleet(duration time.Duration) (*FleetRun, error) {
-	return experiment.RunFleetAppWorkload(d.seed, d.spec, d.cfg, duration)
+	return experiment.RunFleetAppWorkload(d.seed, d.spec, d.cfg, duration, 1)
 }
 
 // GenerateDieselNetTrace synthesizes a DieselNet-style per-second beacon

@@ -255,11 +255,6 @@ func (s *session) runLoop(slots chan struct{}) {
 	s.finishSubs()
 	s.cond.Broadcast()
 	s.mu.Unlock()
-
-	// Sharded diagnostics accumulate in the experiment package's shard
-	// log; drain so a long-lived daemon doesn't grow it without bound.
-	experiment.TakeShardLog()
-	experiment.TakeRecordings()
 }
 
 // waitDone blocks until the session reaches a terminal state (tests).

@@ -173,7 +173,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "salvaged packets:      %d\n\n", run.Salvaged)
 		}
 	case "probes":
-		futs := make([]experiment.Future[*experiment.ProbeRun], len(cfgs))
+		futs := make([]experiment.Future[*experiment.FleetRun], len(cfgs))
 		for i, cfg := range cfgs {
 			futs[i] = eng.Probe(*seed, e, cfg, *duration)
 		}

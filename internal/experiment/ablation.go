@@ -12,6 +12,7 @@ import (
 	"github.com/vanlan/vifi/internal/sim"
 	"github.com/vanlan/vifi/internal/transport"
 	"github.com/vanlan/vifi/internal/voip"
+	"github.com/vanlan/vifi/internal/workload"
 )
 
 // AblateAux probes the §5.5.2 limitation: coordination quality as the
@@ -110,7 +111,9 @@ func AblateDiversity(o Options) *Report {
 				movers[j] = mobility.Fixed(v.BSes[j])
 			}
 			cell := core.NewCell(k, opts, movers, &mobility.RouteMover{Route: v.Route})
-			return voipOnCell(k, cell, dur, 0, nil)
+			d := workload.NewVoIP(k, workload.CellPort(cell, 0), 0, fleetWarm, dur)
+			driveCell(k, cell, d, workload.VoIPKind, dur+time.Second, 0, nil)
+			return d.Stop().VoIP
 		})
 	}
 	for i, nb := range counts {
@@ -152,7 +155,9 @@ func AblateBackplane(o Options) *Report {
 				CoreDelay: c.delay / 2,
 			}
 			cell := core.NewVanLANCell(k, opts)
-			return tcpOnCell(k, cell, dur, 0, nil)
+			d := workload.NewTCP(k, transport.DefaultWorkloadConfig(), workload.CellPort(cell, 0), 0, fleetWarm, dur)
+			driveCell(k, cell, d, workload.TCPKind, dur, 0, nil)
+			return d.Workload().Stop()
 		})
 	}
 	for i, c := range cases {
@@ -205,26 +210,18 @@ func AblateRetx(o Options) *Report {
 	eng := o.engine()
 	dur := time.Duration(o.scaled(900)) * time.Second
 	percentiles := []float64{0.5, 0.9, 0.99, 0.999}
-	type retxResult struct {
-		st  *transport.WorkloadStats
-		col *Collector
-	}
-	futs := make([]Future[retxResult], len(percentiles))
+	futs := make([]Future[*TCPRun], len(percentiles))
 	for i, p := range percentiles {
 		cfg := core.DefaultConfig()
 		cfg.RetxPercentile = p
-		futs[i] = goJob(eng, func() retxResult {
-			col := NewCollector()
-			st := tcpOnEnv(o.Seed, EnvVanLAN, cfg, dur, col)
-			return retxResult{st: st, col: col}
-		})
+		futs[i] = eng.TCP(o.Seed, EnvVanLAN, cfg, dur)
 	}
 	for i, p := range percentiles {
-		res := futs[i].Wait()
+		run := futs[i].Wait()
 		// Spurious retransmissions ≈ retransmitted attempts whose earlier
 		// attempt had already reached the destination.
-		spurious := spuriousRetxRate(res.col)
-		r.AddRow(fmt.Sprintf("%g", p), f2(res.st.MedianTransferTime()), f2(spurious))
+		spurious := spuriousRetxRate(run.Collector)
+		r.AddRow(fmt.Sprintf("%g", p), f2(run.Stats.MedianTransferTime()), f2(spurious))
 	}
 	r.AddNote("paper: the 99th percentile errs toward waiting, trading delay for fewer spurious retransmissions")
 	return r

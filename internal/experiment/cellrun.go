@@ -1,17 +1,15 @@
 package experiment
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sync"
 	"time"
 
 	"github.com/vanlan/vifi/internal/core"
-	"github.com/vanlan/vifi/internal/frame"
 	"github.com/vanlan/vifi/internal/mobility"
+	"github.com/vanlan/vifi/internal/obs"
 	"github.com/vanlan/vifi/internal/radio"
 	"github.com/vanlan/vifi/internal/sim"
-	"github.com/vanlan/vifi/internal/stats"
 	"github.com/vanlan/vifi/internal/trace"
 	"github.com/vanlan/vifi/internal/transport"
 	"github.com/vanlan/vifi/internal/voip"
@@ -46,14 +44,16 @@ func (e Env) String() string {
 // "live" on the fading channel over the campus layout (the deployment of
 // §5.1); DieselNet cells are trace-driven — vehicle↔BS links replay the
 // per-second beacon ratios and inter-BS links use the paper's
-// never-co-visible rule (§5.1).
-func buildCell(k *sim.Kernel, env Env, cfg core.Config, events core.EventFunc) (*core.Cell, time.Duration) {
+// never-co-visible rule (§5.1). It returns the run duration clamped to
+// what the environment can supply (the trace's length; VanLAN is
+// unbounded).
+func buildCell(k *sim.Kernel, env Env, cfg core.Config, events core.EventFunc, duration time.Duration) (*core.Cell, time.Duration) {
 	opts := core.DefaultCellOptions()
 	opts.Protocol = cfg
 	opts.Events = events
 	switch env {
 	case EnvVanLAN:
-		return core.NewVanLANCell(k, opts), 0 // unbounded
+		return core.NewVanLANCell(k, opts), duration
 	case EnvDieselNetCh1, EnvDieselNetCh6:
 		ch := 1
 		if env == EnvDieselNetCh6 {
@@ -80,7 +80,10 @@ func buildCell(k *sim.Kernel, env Env, cfg core.Config, events core.EventFunc) (
 			movers[i] = mobility.Fixed{X: float64(i) * 50}
 		}
 		cell := core.NewCell(k, opts, movers, mobility.Fixed{X: float64(nb) * 50})
-		return cell, time.Duration(tr.Seconds()) * time.Second
+		if limit := time.Duration(tr.Seconds()) * time.Second; duration > limit {
+			duration = limit
+		}
+		return cell, duration
 	default:
 		panic("experiment: unknown environment")
 	}
@@ -117,138 +120,54 @@ func traceFor(k *sim.Kernel, ch int) *trace.Trace {
 	return slot.tr
 }
 
-// --- Probe workload (link-layer experiments, Fig 7/8) ---------------------
+// --- Single-vehicle runs ---------------------------------------------------
+//
+// The paper's own evaluation runs one vehicle per cell. Each such run is
+// the one-vehicle case of the fleet machinery: a workload.Driver on fleet
+// slot 0, advanced by driveCell.
 
-// ProbeRun is the outcome of the §5.2 link-layer workload: a 500-byte
-// packet each way every 100 ms, no link-layer retransmissions, with
-// per-slot delivery outcomes recorded.
-type ProbeRun struct {
-	SlotDur time.Duration
-	Up      []bool
-	Down    []bool
-	// Pos is the vehicle position per slot (VanLAN only; nil otherwise).
-	Pos []mobility.Point
-}
-
-// CombinedIntervalRatios reduces per-slot outcomes to per-interval
-// combined reception ratios.
-func (p *ProbeRun) CombinedIntervalRatios(interval time.Duration) []float64 {
-	spi := int(interval / p.SlotDur)
-	if spi < 1 {
-		spi = 1
+// driveCell runs one driver on fleet slot 0 of an already-built cell:
+// bind, start, attach a sampler when mi > 0, run the clock to until, and
+// publish the recording to the package sink (TakeRecordings). The caller
+// stops the driver and reads what it needs from it.
+func driveCell(k *sim.Kernel, cell *core.Cell, d workload.Driver, kind workload.Kind,
+	until, mi time.Duration, meta map[string]string) {
+	workload.Bind(cell, 0, d)
+	d.Start()
+	var sp *obs.Sampler
+	if mi > 0 {
+		reg := buildRegistry(k, cell, []workload.Driver{d}, []workload.Kind{kind})
+		sp = obs.Attach(k, reg, mi, until, meta)
 	}
-	n := len(p.Up) / spi
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		hit := 0
-		for j := i * spi; j < (i+1)*spi; j++ {
-			if p.Up[j] {
-				hit++
-			}
-			if p.Down[j] {
-				hit++
-			}
-		}
-		out[i] = float64(hit) / float64(2*spi)
-	}
-	return out
-}
-
-// MedianSession extracts the time-weighted median uninterrupted session
-// length for the given adequacy definition (interval, minimum ratio).
-func (p *ProbeRun) MedianSession(interval time.Duration, minRatio float64) float64 {
-	ratios := p.CombinedIntervalRatios(interval)
-	var lens []float64
-	run := 0
-	flush := func() {
-		if run > 0 {
-			lens = append(lens, float64(run)*interval.Seconds())
-			run = 0
-		}
-	}
-	for _, r := range ratios {
-		if r >= minRatio {
-			run++
-		} else {
-			flush()
-		}
-	}
-	flush()
-	return medianTimeWeighted(lens)
-}
-
-func medianTimeWeighted(lens []float64) float64 {
-	return stats.TimeWeightedMedian(lens)
-}
-
-// RunProbeWorkload drives the §5.2 experiment for one protocol config.
-func RunProbeWorkload(seed int64, env Env, cfg core.Config, duration time.Duration, events core.EventFunc) *ProbeRun {
-	return runProbeWorkload(seed, env, cfg, duration, events, 0)
-}
-
-// runProbeWorkload is RunProbeWorkload with an optional metrics-sampling
-// cadence (engine jobs thread the engine's interval through here).
-func runProbeWorkload(seed int64, env Env, cfg core.Config, duration time.Duration, events core.EventFunc, mi time.Duration) *ProbeRun {
-	cfg.MaxRetx = 0 // link-layer experiments disable retransmissions
-	k := sim.NewKernel(seed)
-	cell, limit := buildCell(k, env, cfg, events)
-	if limit > 0 && duration > limit {
-		duration = limit
-	}
-	const slot = 100 * time.Millisecond
-	warm := 2 * time.Second
-	slots := int((duration - warm) / slot)
-	run := &ProbeRun{
-		SlotDur: slot,
-		Up:      make([]bool, slots),
-		Down:    make([]bool, slots),
-	}
-	if env == EnvVanLAN {
-		run.Pos = make([]mobility.Point, slots)
-	}
-
-	payload := func(i int) []byte {
-		b := make([]byte, 500)
-		binary.BigEndian.PutUint32(b, uint32(i))
-		return b
-	}
-	slotOf := func(p []byte) int {
-		if len(p) < 4 {
-			return -1
-		}
-		return int(binary.BigEndian.Uint32(p))
-	}
-	cell.Gateway.SetDeliver(func(id frame.PacketID, p []byte, from uint16) {
-		if i := slotOf(p); i >= 0 && i < slots {
-			run.Up[i] = true
-		}
-	})
-	cell.Vehicle.SetDeliver(func(id frame.PacketID, p []byte, from uint16) {
-		if i := slotOf(p); i >= 0 && i < slots {
-			run.Down[i] = true
-		}
-	})
-	for i := 0; i < slots; i++ {
-		i := i
-		k.At(warm+time.Duration(i)*slot, func() {
-			cell.Vehicle.SendData(payload(i))
-			cell.Gateway.Send(cell.Vehicle.Addr(), payload(i))
-			if run.Pos != nil {
-				run.Pos[i] = cell.Channel.Position(cell.Vehicle.MAC().ID())
-			}
-		})
-	}
-	until := warm + time.Duration(slots)*slot + 2*time.Second
-	publish := attachCellMetrics(k, cell, nil, nil, mi, until,
-		runMeta("probe", env.String(), seed, 1, duration, cfg))
 	k.RunUntil(until)
-	publish()
-	return run
+	if sp != nil {
+		logRecording(sp.Recording())
+	}
 }
 
-// --- TCP workload (Fig 9/10, Table 1, Fig 12) -----------------------------
+// RunProbeWorkload drives the §5.2 link-layer experiment for one protocol
+// config: the CBR driver at a 500-byte packet each way every 100 ms with
+// link-layer retransmissions off, reported as a one-row slot table. mi > 0
+// samples metrics at that cadence (engine jobs pass the engine's).
+func RunProbeWorkload(seed int64, env Env, cfg core.Config, duration time.Duration, events core.EventFunc, mi time.Duration) *FleetRun {
+	cfg.MaxRetx = 0 // link-layer experiments disable retransmissions
+	const slot = 100 * time.Millisecond
+	k := sim.NewKernel(seed)
+	cell, duration := buildCell(k, env, cfg, events, duration)
+	d := workload.NewCBR(k, workload.CellPort(cell, 0), 0, fleetWarm, duration, slot, 500)
+	until := fleetWarm + time.Duration(d.Slots())*slot + 2*time.Second
+	driveCell(k, cell, d, workload.CBRKind, until, mi,
+		runMeta("probe", env.String(), seed, 1, duration, cfg))
+	m := d.Stop()
+	st := cell.Channel.Stats()
+	return &FleetRun{
+		SpecKey: env.String(), SlotDur: m.Slot, Duration: m.Span,
+		Up: [][]bool{m.Up}, Down: [][]bool{m.Down},
+		Transmissions: st.Transmissions, Collisions: st.Collisions, BSCount: len(cell.BSes),
+	}
+}
 
-// TCPRun reports one TCP workload execution.
+// TCPRun reports one TCP workload execution (Fig 9/10, Table 1, Fig 12).
 type TCPRun struct {
 	Stats     *transport.WorkloadStats
 	Collector *Collector
@@ -257,20 +176,11 @@ type TCPRun struct {
 }
 
 // RunTCPWorkload drives the §5.3.1 workload: repeated 10 KB downloads
-// through the cell with the 10 s stall abort.
-func RunTCPWorkload(seed int64, env Env, cfg core.Config, duration time.Duration) *TCPRun {
-	return runTCPWorkload(seed, env, cfg, duration, 0)
-}
-
-// runTCPWorkload is RunTCPWorkload with an optional metrics-sampling
-// cadence.
-func runTCPWorkload(seed int64, env Env, cfg core.Config, duration time.Duration, mi time.Duration) *TCPRun {
+// through the cell with the 10 s stall abort. mi > 0 samples metrics.
+func RunTCPWorkload(seed int64, env Env, cfg core.Config, duration time.Duration, mi time.Duration) *TCPRun {
 	k := sim.NewKernel(seed)
 	col := NewCollector()
-	cell, limit := buildCell(k, env, cfg, col.Handle)
-	if limit > 0 && duration > limit {
-		duration = limit
-	}
+	cell, duration := buildCell(k, env, cfg, col.Handle, duration)
 	// Sample the auxiliary-set size each second (Table 1 row A1).
 	var sample func()
 	sample = func() {
@@ -279,45 +189,14 @@ func runTCPWorkload(seed int64, env Env, cfg core.Config, duration time.Duration
 			k.After(time.Second, sample)
 		}
 	}
-	k.After(2*time.Second, sample)
-	st := tcpOnCell(k, cell, duration, mi,
+	k.After(fleetWarm, sample)
+	d := workload.NewTCP(k, transport.DefaultWorkloadConfig(), workload.CellPort(cell, 0), 0, fleetWarm, duration)
+	driveCell(k, cell, d, workload.TCPKind, duration, mi,
 		runMeta("tcp", env.String(), seed, 1, duration, cfg))
-	return &TCPRun{Stats: st, Collector: col, Duration: duration - 2*time.Second, Salvaged: col.Salvaged}
+	return &TCPRun{Stats: d.Workload().Stop(), Collector: col, Duration: duration - fleetWarm, Salvaged: col.Salvaged}
 }
 
-// tcpOnCell runs the repeated-transfer workload over an already-built
-// cell until the deadline and returns its statistics. The session itself
-// is the workload.TCP driver; this wrapper only binds it to the cell's
-// single vehicle, attaches a sampler when mi > 0, and runs the clock.
-func tcpOnCell(k *sim.Kernel, cell *core.Cell, duration time.Duration, mi time.Duration, meta map[string]string) *transport.WorkloadStats {
-	d := workload.NewTCP(k, transport.DefaultWorkloadConfig(), workload.CellPort(cell, 0),
-		0, 2*time.Second, duration)
-	workload.Bind(cell, 0, d)
-	d.Start()
-	publish := attachCellMetrics(k, cell, []workload.Driver{d}, []workload.Kind{workload.TCPKind}, mi, duration, meta)
-	k.RunUntil(duration)
-	publish()
-	return d.Workload().Stop()
-}
-
-// tcpOnEnv builds a cell for the environment with the given collector and
-// runs the TCP workload.
-func tcpOnEnv(seed int64, env Env, cfg core.Config, duration time.Duration, col *Collector) *transport.WorkloadStats {
-	k := sim.NewKernel(seed)
-	var events core.EventFunc
-	if col != nil {
-		events = col.Handle
-	}
-	cell, limit := buildCell(k, env, cfg, events)
-	if limit > 0 && duration > limit {
-		duration = limit
-	}
-	return tcpOnCell(k, cell, duration, 0, nil)
-}
-
-// --- VoIP workload (Fig 11) ------------------------------------------------
-
-// VoIPRun reports one VoIP workload execution.
+// VoIPRun reports one VoIP workload execution (Fig 11).
 type VoIPRun struct {
 	Quality voip.Quality
 }
@@ -325,33 +204,13 @@ type VoIPRun struct {
 // RunVoIPWorkload drives the §5.3.2 workload: a bidirectional G.729
 // stream, scored with the E-model and the 3-second MoS<2 interruption
 // rule. Link-layer retransmissions stay enabled (≤3) as in the paper's
-// application experiments.
-func RunVoIPWorkload(seed int64, env Env, cfg core.Config, duration time.Duration) *VoIPRun {
-	return runVoIPWorkload(seed, env, cfg, duration, 0)
-}
-
-// runVoIPWorkload is RunVoIPWorkload with an optional metrics-sampling
-// cadence.
-func runVoIPWorkload(seed int64, env Env, cfg core.Config, duration time.Duration, mi time.Duration) *VoIPRun {
+// application experiments. mi > 0 samples metrics.
+func RunVoIPWorkload(seed int64, env Env, cfg core.Config, duration time.Duration, mi time.Duration) *VoIPRun {
 	k := sim.NewKernel(seed)
-	cell, limit := buildCell(k, env, cfg, nil)
-	if limit > 0 && duration > limit {
-		duration = limit
-	}
-	return &VoIPRun{Quality: voipOnCell(k, cell, duration, mi,
-		runMeta("voip", env.String(), seed, 1, duration, cfg))}
-}
-
-// voipOnCell runs the bidirectional G.729 stream over an already-built
-// cell and scores the call, with a sampler attached when mi > 0. The
-// stream, loss accounting and §5.3.2 disruption classifier live in the
-// workload.VoIP driver.
-func voipOnCell(k *sim.Kernel, cell *core.Cell, duration time.Duration, mi time.Duration, meta map[string]string) voip.Quality {
-	d := workload.NewVoIP(k, workload.CellPort(cell, 0), 0, 2*time.Second, duration)
-	workload.Bind(cell, 0, d)
-	d.Start()
-	publish := attachCellMetrics(k, cell, []workload.Driver{d}, []workload.Kind{workload.VoIPKind}, mi, duration+time.Second, meta)
-	k.RunUntil(duration + time.Second)
-	publish()
-	return d.Stop().VoIP
+	cell, duration := buildCell(k, env, cfg, nil, duration)
+	d := workload.NewVoIP(k, workload.CellPort(cell, 0), 0, fleetWarm, duration)
+	// One drain second past the last packet pair.
+	driveCell(k, cell, d, workload.VoIPKind, duration+time.Second, mi,
+		runMeta("voip", env.String(), seed, 1, duration, cfg))
+	return &VoIPRun{Quality: d.Stop().VoIP}
 }

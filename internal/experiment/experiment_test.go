@@ -1,12 +1,15 @@
 package experiment
 
 import (
+	"math"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/vanlan/vifi/internal/core"
+	"github.com/vanlan/vifi/internal/stats"
 )
 
 // tiny returns options small enough for CI while still exercising every
@@ -101,29 +104,123 @@ func TestFig6BurstShape(t *testing.T) {
 	}
 }
 
-func TestProbeRunReductions(t *testing.T) {
-	run := &ProbeRun{
-		SlotDur: 100 * time.Millisecond,
-		Up:      []bool{true, true, false, false, true, true, true, true, false, false},
-		Down:    []bool{true, true, true, true, true, true, true, true, false, false},
+// TestSlotTableReductions pins the one interval-adequacy reducer under
+// every session metric — MedianSession, Interruptions and Fig 8's
+// timeline (its adequacy row is these ratios thresholded at 0.5, its
+// count row is interruptions) — against hand-computed values.
+func TestSlotTableReductions(t *testing.T) {
+	rep := func(n int, v bool) []bool {
+		out := make([]bool, n)
+		for i := range out {
+			out[i] = v
+		}
+		return out
 	}
-	ratios := run.CombinedIntervalRatios(500 * time.Millisecond)
-	if len(ratios) != 2 {
-		t.Fatalf("ratios = %v", ratios)
+	cat := func(parts ...[]bool) []bool {
+		var out []bool
+		for _, p := range parts {
+			out = append(out, p...)
+		}
+		return out
 	}
-	if ratios[0] != 0.8 || ratios[1] != 0.6 {
-		t.Errorf("ratios = %v, want [0.8 0.6]", ratios)
-	}
-	if med := run.MedianSession(500*time.Millisecond, 0.5); med != 1.0 {
-		t.Errorf("median session = %v, want 1.0", med)
+	T, F := true, false
+	for _, tc := range []struct {
+		name          string
+		run           FleetRun
+		interval      time.Duration
+		ratios        [][]float64 // per vehicle, at interval
+		interrupts    []int       // per vehicle, at interval and 0.5
+		median        float64     // MedianSession(interval, 0.5)
+		interruptions float64     // Interruptions(): 1 s intervals per vehicle-hour
+	}{
+		{
+			// A probe run: one vehicle, 100 ms slots, five per interval.
+			name: "one vehicle",
+			run: FleetRun{SlotDur: 100 * time.Millisecond,
+				Up:   [][]bool{{T, T, F, F, T, T, T, T, F, F}},
+				Down: [][]bool{{T, T, T, T, T, T, T, T, F, F}}},
+			interval:   500 * time.Millisecond,
+			ratios:     [][]float64{{0.8, 0.6}},
+			interrupts: []int{0},
+			median:     1.0, // one session of two intervals
+			// One whole second at 14/20: adequate, no interruption.
+			interruptions: 0,
+		},
+		{
+			// Staggered departures leave later vehicles shorter rows:
+			// 10, 7 and 25 slots of 200 ms. Trailing partial intervals
+			// (v1's last two slots) are dropped.
+			name: "ragged fleet",
+			run: FleetRun{SlotDur: 200 * time.Millisecond,
+				Up: [][]bool{
+					cat(rep(5, T), rep(5, F)),
+					{F, F, F, F, F, T, T},
+					cat(rep(7, T), rep(3, F), rep(15, T)),
+				},
+				Down: [][]bool{
+					cat(rep(5, T), rep(5, F)),
+					{F, F, F, F, T, T, T},
+					cat(rep(5, T), rep(5, F), rep(15, T)),
+				}},
+			interval:   time.Second,
+			ratios:     [][]float64{{1, 0}, {0.1}, {1, 0.2, 1, 1, 1}},
+			interrupts: []int{1, 1, 1}, // v1 opens inadequate: that counts
+			median:     3,              // sessions 1 s, 1 s, 3 s: half of 5 s falls in the 3 s one
+			// 3 interruptions over 2+1+5 whole vehicle-seconds.
+			interruptions: 3 / (8.0 / 3600),
+		},
+		{
+			// An interval shorter than a slot counts one slot per
+			// interval; session lengths are still in interval units.
+			name: "interval below slot",
+			run: FleetRun{SlotDur: 200 * time.Millisecond,
+				Up:   [][]bool{{T, F, T, T}},
+				Down: [][]bool{{T, F, F, T}}},
+			interval:   100 * time.Millisecond,
+			ratios:     [][]float64{{1, 0, 0.5, 1}},
+			interrupts: []int{1},
+			median:     0.2, // sessions 0.1 s and 0.2 s
+			// Four slots make no whole second: no vehicle-hours.
+			interruptions: 0,
+		},
+		{
+			name:     "no vehicles",
+			run:      FleetRun{SlotDur: 200 * time.Millisecond},
+			interval: time.Second,
+		},
+		{
+			// Vehicles that departed after the run's end.
+			name: "empty rows",
+			run: FleetRun{SlotDur: 200 * time.Millisecond,
+				Up: [][]bool{{}, {}}, Down: [][]bool{{}, {}}},
+			interval:   time.Second,
+			ratios:     [][]float64{{}, {}},
+			interrupts: []int{0, 0},
+		},
+	} {
+		for v := range tc.run.Up {
+			got := tc.run.intervalRatios(v, tc.interval)
+			if !reflect.DeepEqual(got, tc.ratios[v]) {
+				t.Errorf("%s: vehicle %d ratios = %v, want %v", tc.name, v, got, tc.ratios[v])
+			}
+			if n := interruptions(got, 0.5); n != tc.interrupts[v] {
+				t.Errorf("%s: vehicle %d interruptions = %d, want %d", tc.name, v, n, tc.interrupts[v])
+			}
+		}
+		if got := tc.run.MedianSession(tc.interval, 0.5); got != tc.median {
+			t.Errorf("%s: median session = %v, want %v", tc.name, got, tc.median)
+		}
+		if got := tc.run.Interruptions(); math.Abs(got-tc.interruptions) > 1e-9*tc.interruptions {
+			t.Errorf("%s: interruptions/veh·h = %v, want %v", tc.name, got, tc.interruptions)
+		}
 	}
 }
 
 func TestMedianTimeWeightedHelper(t *testing.T) {
-	if got := medianTimeWeighted(nil); got != 0 {
+	if got := stats.TimeWeightedMedian(nil); got != 0 {
 		t.Errorf("empty = %v", got)
 	}
-	if got := medianTimeWeighted([]float64{1, 1, 8}); got != 8 {
+	if got := stats.TimeWeightedMedian([]float64{1, 1, 8}); got != 8 {
 		t.Errorf("weighted median = %v, want 8", got)
 	}
 }
@@ -131,7 +228,7 @@ func TestMedianTimeWeightedHelper(t *testing.T) {
 func TestCollectorTable1Pipeline(t *testing.T) {
 	// A miniature TCP run must populate every Table 1 statistic without
 	// NaNs or out-of-range values.
-	run := RunTCPWorkload(11, EnvVanLAN, core.DefaultConfig(), 60*time.Second)
+	run := RunTCPWorkload(11, EnvVanLAN, core.DefaultConfig(), 60*time.Second, 0)
 	for _, dir := range []core.Direction{core.Up, core.Down} {
 		s := run.Collector.Stats(dir)
 		if s.SourceTransmissions == 0 {
@@ -158,7 +255,7 @@ func TestCollectorTable1Pipeline(t *testing.T) {
 }
 
 func TestEfficiencyBounds(t *testing.T) {
-	run := RunTCPWorkload(12, EnvVanLAN, core.DefaultConfig(), 60*time.Second)
+	run := RunTCPWorkload(12, EnvVanLAN, core.DefaultConfig(), 60*time.Second, 0)
 	for _, dir := range []core.Direction{core.Up, core.Down} {
 		e := run.Collector.Efficiency(dir)
 		p := run.Collector.PerfectRelayEfficiency(dir)
@@ -172,7 +269,7 @@ func TestEfficiencyBounds(t *testing.T) {
 }
 
 func TestVoIPWorkloadRuns(t *testing.T) {
-	run := RunVoIPWorkload(13, EnvVanLAN, core.DefaultConfig(), 90*time.Second)
+	run := RunVoIPWorkload(13, EnvVanLAN, core.DefaultConfig(), 90*time.Second, 0)
 	q := run.Quality
 	if q.Windows == 0 {
 		t.Fatal("no VoIP windows scored")
@@ -183,12 +280,12 @@ func TestVoIPWorkloadRuns(t *testing.T) {
 }
 
 func TestProbeWorkloadTraceDriven(t *testing.T) {
-	run := RunProbeWorkload(14, EnvDieselNetCh1, core.DefaultConfig(), 60*time.Second, nil)
-	if len(run.Up) == 0 || len(run.Down) == 0 {
+	run := RunProbeWorkload(14, EnvDieselNetCh1, core.DefaultConfig(), 60*time.Second, nil, 0)
+	if len(run.Up) != 1 || len(run.Up[0]) == 0 || len(run.Down[0]) == 0 {
 		t.Fatal("probe run empty")
 	}
 	anyUp := false
-	for _, ok := range run.Up {
+	for _, ok := range run.Up[0] {
 		if ok {
 			anyUp = true
 			break

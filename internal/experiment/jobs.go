@@ -18,11 +18,11 @@ import (
 // Probe schedules the §5.2 link-layer probe workload. The workload forces
 // MaxRetx to zero, so the key is normalized the same way: configurations
 // differing only in MaxRetx share one run.
-func (e *Engine) Probe(seed int64, env Env, cfg core.Config, dur time.Duration) Future[*ProbeRun] {
+func (e *Engine) Probe(seed int64, env Env, cfg core.Config, dur time.Duration) Future[*FleetRun] {
 	cfg.MaxRetx = 0
 	key := JobKey{Kind: "probe", Seed: seed, Env: env, Cfg: cfg, Dur: dur}
-	return Future[*ProbeRun]{f: e.memoize(key, func() any {
-		return runProbeWorkload(seed, env, cfg, dur, nil, e.metricsInterval)
+	return Future[*FleetRun]{f: e.memoize(key, func() any {
+		return RunProbeWorkload(seed, env, cfg, dur, nil, e.metricsInterval)
 	})}
 }
 
@@ -33,7 +33,7 @@ func (e *Engine) Probe(seed int64, env Env, cfg core.Config, dur time.Duration) 
 func (e *Engine) ProbeCollect(seed int64, env Env, cfg core.Config, dur time.Duration) Future[*Collector] {
 	return goJob(e, func() *Collector {
 		col := NewCollector()
-		RunProbeWorkload(seed, env, cfg, dur, col.Handle)
+		RunProbeWorkload(seed, env, cfg, dur, col.Handle, 0)
 		return col
 	})
 }
@@ -44,7 +44,7 @@ func (e *Engine) ProbeCollect(seed int64, env Env, cfg core.Config, dur time.Dur
 func (e *Engine) TCP(seed int64, env Env, cfg core.Config, dur time.Duration) Future[*TCPRun] {
 	key := JobKey{Kind: "tcp", Seed: seed, Env: env, Cfg: cfg, Dur: dur}
 	return Future[*TCPRun]{f: e.memoize(key, func() any {
-		run := runTCPWorkload(seed, env, cfg, dur, e.metricsInterval)
+		run := RunTCPWorkload(seed, env, cfg, dur, e.metricsInterval)
 		// Freeze lazily-sorting state before publication: Sample.Quantile
 		// sorts in place, and two figures quantiling one cached run
 		// concurrently would race on it.
@@ -57,7 +57,7 @@ func (e *Engine) TCP(seed int64, env Env, cfg core.Config, dur time.Duration) Fu
 func (e *Engine) VoIP(seed int64, env Env, cfg core.Config, dur time.Duration) Future[*VoIPRun] {
 	key := JobKey{Kind: "voip", Seed: seed, Env: env, Cfg: cfg, Dur: dur}
 	return Future[*VoIPRun]{f: e.memoize(key, func() any {
-		return runVoIPWorkload(seed, env, cfg, dur, e.metricsInterval)
+		return RunVoIPWorkload(seed, env, cfg, dur, e.metricsInterval)
 	})}
 }
 

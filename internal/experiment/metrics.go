@@ -251,17 +251,3 @@ func runMeta(kind, key string, seed int64, shards int, dur time.Duration, cfg co
 	}
 	return m
 }
-
-// attachCellMetrics attaches a sampler over an already-built cell run
-// when interval > 0, returning a publish func the runner calls once the
-// clock stops. The no-metrics path returns a no-op, so callers need no
-// branching.
-func attachCellMetrics(k *sim.Kernel, cell *core.Cell, drivers []workload.Driver, kinds []workload.Kind,
-	interval, until time.Duration, meta map[string]string) func() {
-	if interval <= 0 {
-		return func() {}
-	}
-	reg := buildRegistry(k, cell, drivers, kinds)
-	s := obs.Attach(k, reg, interval, until, meta)
-	return func() { logRecording(s.Recording()) }
-}

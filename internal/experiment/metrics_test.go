@@ -146,3 +146,41 @@ func TestLiveRunMatchesBatch(t *testing.T) {
 	TakeShardLog()
 	TakeRecordings()
 }
+
+// TestLiveRunLeavesSinksEmpty pins the sink ownership rule: only the
+// batch path writes the process-global shard log and recording sink. A
+// stepped run hands both back on the run itself, so concurrent serve
+// sessions have nothing of each other's to drain.
+func TestLiveRunLeavesSinksEmpty(t *testing.T) {
+	spec, err := scenario.Parse("grid-metro")
+	if err != nil {
+		t.Fatal(err)
+	}
+	TakeShardLog() // start from clean sinks
+	TakeRecordings()
+	l, err := StartLiveRun(3, spec, core.DefaultConfig(), 3*time.Second, 2, time.Second, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l.Lanes() != 2 {
+		t.Fatalf("lanes = %d, want 2", l.Lanes())
+	}
+	for {
+		if _, done := l.Step(); done {
+			break
+		}
+	}
+	run := l.Finish()
+	if len(run.ShardExec) != 2 {
+		t.Errorf("ShardExec has %d entries, want 2", len(run.ShardExec))
+	}
+	if rec := l.Recording(); rec == nil || rec.Rows() == 0 {
+		t.Error("live run produced no recording")
+	}
+	if got := TakeShardLog(); len(got) != 0 {
+		t.Errorf("live run appended %d shard-log entries", len(got))
+	}
+	if got := TakeRecordings(); len(got) != 0 {
+		t.Errorf("live run published %d recordings to the sink", len(got))
+	}
+}

@@ -6,6 +6,7 @@ import (
 
 	"github.com/vanlan/vifi/internal/core"
 	"github.com/vanlan/vifi/internal/handoff"
+	"github.com/vanlan/vifi/internal/stats"
 	"github.com/vanlan/vifi/internal/trace"
 )
 
@@ -70,25 +71,18 @@ func Fig8(o Options) *Report {
 		name string
 		cfg  core.Config
 	}{{"BRR", core.BRRConfig()}, {"ViFi", core.DefaultConfig()}}
-	futs := make([]Future[*ProbeRun], len(arms))
+	futs := make([]Future[*FleetRun], len(arms))
 	for i, c := range arms {
 		futs[i] = eng.Probe(o.Seed, EnvVanLAN, c.cfg, dur)
 	}
 	for i, c := range arms {
-		run := futs[i].Wait()
-		ratios := run.CombinedIntervalRatios(time.Second)
+		ratios := futs[i].Wait().intervalRatios(0, time.Second)
 		adequate := make([]bool, len(ratios))
-		interruptions := 0
-		prev := true
 		for i, ratio := range ratios {
 			adequate[i] = ratio >= 0.5
-			if !adequate[i] && prev {
-				interruptions++
-			}
-			prev = adequate[i]
 		}
 		r.AddRow(c.name, sparkline(adequate))
-		r.AddRow(c.name+" interruptions", fmt.Sprint(interruptions))
+		r.AddRow(c.name+" interruptions", fmt.Sprint(interruptions(ratios, 0.5)))
 	}
 	r.AddNote("paper shape: the same segment shows several interruptions under BRR and almost none under ViFi")
 	return r
@@ -210,7 +204,7 @@ func Fig11(o Options) *Report {
 			if mosN > 0 {
 				meanMoS = mosSum / float64(mosN)
 			}
-			return medianTimeWeighted(lens), meanMoS
+			return stats.TimeWeightedMedian(lens), meanMoS
 		}
 		bMed, bMoS := pooled(futs[env][true])
 		vMed, vMoS := pooled(futs[env][false])

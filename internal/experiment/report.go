@@ -42,9 +42,6 @@ type Options struct {
 	Metrics time.Duration
 }
 
-// DefaultOptions returns full-scale options with a fixed seed.
-func DefaultOptions() Options { return Options{Seed: 42, Scale: 1.0} }
-
 // engine returns the configured engine, or a fresh serial inline engine
 // so figures can be called directly without one.
 func (o Options) engine() *Engine {

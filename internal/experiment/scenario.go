@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/vanlan/vifi/internal/scenario"
+	"github.com/vanlan/vifi/internal/stats"
 	"github.com/vanlan/vifi/internal/workload"
 )
 
@@ -23,7 +24,8 @@ import (
 // probability window plus anchor selection slack, as in the §5 workloads).
 const fleetWarm = 2 * time.Second
 
-// FleetRun is the outcome of one fleet workload execution: per-vehicle,
+// FleetRun is the slot table of one constant-rate execution — a CBR
+// fleet's link view, or the §5.2 probe run as a fleet of one: per-vehicle,
 // per-slot delivery outcomes for both directions, plus channel-level
 // counters. Results are shared through the run-cache; treat as read-only.
 type FleetRun struct {
@@ -83,15 +85,52 @@ func (f *FleetRun) DeliveredPerSec() float64 {
 	return float64(f.delivered()) / f.Duration.Seconds()
 }
 
-// MedianSession pools every vehicle's uninterrupted sessions (intervals
-// whose combined up+down delivery ratio stays ≥ minRatio) and returns the
-// time-weighted median length in seconds — the fleet analogue of the §5.2
-// session metric.
-func (f *FleetRun) MedianSession(interval time.Duration, minRatio float64) float64 {
+// intervalRatios reduces vehicle v's per-slot outcomes to the combined
+// up+down delivery ratio of each whole interval (a trailing partial
+// interval is dropped; intervals shorter than a slot count one slot).
+// Every session metric below is a reading of this vector.
+func (f *FleetRun) intervalRatios(v int, interval time.Duration) []float64 {
 	spi := int(interval / f.SlotDur)
 	if spi < 1 {
 		spi = 1
 	}
+	up, down := f.Up[v], f.Down[v]
+	out := make([]float64, len(up)/spi)
+	for i := range out {
+		hit := 0
+		for j := i * spi; j < (i+1)*spi; j++ {
+			if up[j] {
+				hit++
+			}
+			if down[j] {
+				hit++
+			}
+		}
+		out[i] = float64(hit) / float64(2*spi)
+	}
+	return out
+}
+
+// interruptions counts adequate→interrupted transitions along one
+// vehicle's interval ratios (a session that opens inadequate counts one).
+func interruptions(ratios []float64, minRatio float64) int {
+	n := 0
+	prev := true
+	for _, r := range ratios {
+		ok := r >= minRatio
+		if !ok && prev {
+			n++
+		}
+		prev = ok
+	}
+	return n
+}
+
+// MedianSession pools every vehicle's uninterrupted sessions (intervals
+// whose combined up+down delivery ratio stays ≥ minRatio) and returns the
+// time-weighted median length in seconds — the §5.2 session metric, over
+// one vehicle for a probe run and the whole fleet otherwise.
+func (f *FleetRun) MedianSession(interval time.Duration, minRatio float64) float64 {
 	var lens []float64
 	for v := range f.Up {
 		run := 0
@@ -101,18 +140,8 @@ func (f *FleetRun) MedianSession(interval time.Duration, minRatio float64) float
 				run = 0
 			}
 		}
-		n := len(f.Up[v]) / spi
-		for i := 0; i < n; i++ {
-			hit := 0
-			for j := i * spi; j < (i+1)*spi; j++ {
-				if f.Up[v][j] {
-					hit++
-				}
-				if f.Down[v][j] {
-					hit++
-				}
-			}
-			if float64(hit)/float64(2*spi) >= minRatio {
+		for _, r := range f.intervalRatios(v, interval) {
+			if r >= minRatio {
 				run++
 			} else {
 				flush()
@@ -120,38 +149,18 @@ func (f *FleetRun) MedianSession(interval time.Duration, minRatio float64) float
 		}
 		flush()
 	}
-	return medianTimeWeighted(lens)
+	return stats.TimeWeightedMedian(lens)
 }
 
 // Interruptions counts adequate→interrupted transitions across the fleet
 // (1 s intervals, 50% adequacy), normalized per vehicle-hour.
 func (f *FleetRun) Interruptions() float64 {
-	spi := int(time.Second / f.SlotDur)
-	if spi < 1 {
-		spi = 1
-	}
 	total := 0
 	hours := 0.0
 	for v := range f.Up {
-		n := len(f.Up[v]) / spi
-		hours += float64(n) * time.Second.Hours()
-		prev := true
-		for i := 0; i < n; i++ {
-			hit := 0
-			for j := i * spi; j < (i+1)*spi; j++ {
-				if f.Up[v][j] {
-					hit++
-				}
-				if f.Down[v][j] {
-					hit++
-				}
-			}
-			ok := float64(hit)/float64(2*spi) >= 0.5
-			if !ok && prev {
-				total++
-			}
-			prev = ok
-		}
+		ratios := f.intervalRatios(v, time.Second)
+		hours += float64(len(ratios)) * time.Second.Hours()
+		total += interruptions(ratios, 0.5)
 	}
 	if hours == 0 {
 		return 0

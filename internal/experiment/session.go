@@ -359,14 +359,7 @@ func (s *fleetSession) finish() *FleetAppRun {
 			run.ShardExec[i] = s.shardStat(i)
 			run.ShardExec[i].BSes, run.ShardExec[i].Vehicles = bsN[i], vehN[i]
 		}
-		logShards(ShardLogEntry{SpecKey: s.key, Shards: n, Halo: s.coupler == nil, Stats: run.ShardExec})
 		s.cells[0].StopRadioShards()
-	}
-	if s.reason != "" && s.requested > 1 {
-		// The caller asked for sharding and did not get it: say why on the
-		// shard log (the CLIs drain it to stderr) instead of silently
-		// having run serial.
-		logShards(ShardLogEntry{SpecKey: s.key, Shards: s.requested, Reason: s.reason})
 	}
 	return run
 }
@@ -374,8 +367,10 @@ func (s *fleetSession) finish() *FleetAppRun {
 // runFleetApp is the one-shot driver behind the batch entry points:
 // build, optionally attach metrics, step to completion in whole-run
 // quanta (one RunUntil on a single kernel, every coupler window
-// otherwise), assemble. A positive interval publishes the run's
-// recording to the package sink (TakeRecordings).
+// otherwise), assemble. Only this batch path writes the package sinks —
+// the shard log (TakeShardLog) and, for a positive interval, the run's
+// recording (TakeRecordings); a LiveRun carries both on itself
+// (FleetAppRun.ShardExec, LiveRun.Recording).
 func runFleetApp(seed int64, spec scenario.Spec, cfg core.Config, duration time.Duration, shards int, interval time.Duration) (*FleetAppRun, error) {
 	s, err := newFleetSession(seed, spec, cfg, duration, shards)
 	if err != nil {
@@ -388,6 +383,15 @@ func runFleetApp(seed int64, spec scenario.Spec, cfg core.Config, duration time.
 		s.step(s.until)
 	}
 	run := s.finish()
+	if run.ShardExec != nil {
+		logShards(ShardLogEntry{SpecKey: s.key, Shards: len(run.ShardExec), Halo: s.coupler == nil, Stats: run.ShardExec})
+	}
+	if s.reason != "" && s.requested > 1 {
+		// The caller asked for sharding and did not get it: say why on the
+		// shard log (the CLIs drain it to stderr) instead of silently
+		// having run serial.
+		logShards(ShardLogEntry{SpecKey: s.key, Shards: s.requested, Reason: s.reason})
+	}
 	logRecording(s.recording())
 	return run, nil
 }

@@ -122,11 +122,6 @@ func (r *Route) Position(t time.Duration) Point {
 	return r.PositionAtDistance(r.SpeedMPS * t.Seconds())
 }
 
-// DistanceAt returns meters traveled by time t (not wrapped).
-func (r *Route) DistanceAt(t time.Duration) float64 {
-	return r.SpeedMPS * t.Seconds()
-}
-
 // Mover reports a position as a function of time. Both moving vehicles
 // and fixed basestations implement it.
 type Mover interface {

@@ -402,11 +402,6 @@ func (c *Channel) Stats() Stats {
 // frames into recycled buffers.
 func (c *Channel) Buffers() *frame.BufferPool { return &c.bufs }
 
-// Position returns a node's current position.
-func (c *Channel) Position(id NodeID) mobility.Point {
-	return c.nodes[id].mover.Position(c.K.Now())
-}
-
 // link returns the state for the directed pair, instantiating it on
 // first contact.
 func (c *Channel) link(from, to NodeID) *linkState {

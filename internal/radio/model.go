@@ -314,10 +314,6 @@ func (l *FadingLink) MaxRangeM() float64 {
 	return l.p.D50 + l.shadow + l.p.FalloffM*math.Log(l.p.PMax*1e9)
 }
 
-// GrayEpisodes reports how many gray periods this link has entered so far
-// (diagnostic, used by tests).
-func (l *FadingLink) GrayEpisodes() int { return l.gray.episodes }
-
 // Shadow returns the link's static shadowing offset in meters of D50 shift.
 func (l *FadingLink) Shadow() float64 { return l.shadow }
 

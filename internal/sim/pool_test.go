@@ -103,21 +103,36 @@ func (h *stepHandler) OnEvent() {
 }
 
 // TestKernelDispatchAllocFree is the hot-path guard for the event kernel:
-// scheduling via a Handler and dispatching through Step must not allocate
-// in steady state (the arena and heap are warm after the first pass).
+// scheduling and dispatching through Step must not allocate in steady
+// state (the arena and heap are warm after the first pass) — for a
+// Handler, and for an existing closure, whose conversion to the kernel's
+// one callback kind is free.
 func TestKernelDispatchAllocFree(t *testing.T) {
 	k := NewKernel(1)
-	h := &stepHandler{k: k, limit: 1 << 30}
-	// Warm the arena and heap.
-	k.AfterHandler(time.Microsecond, h)
-	k.Run()
-	allocs := testing.AllocsPerRun(1000, func() {
-		k.AfterHandler(time.Microsecond, h)
-		for k.Step() {
+	h := &stepHandler{k: k, limit: 1} // fires once per schedule; a larger limit only lengthens the warm-up
+	fired := 0
+	fn := func() { fired++ }
+	for _, tc := range []struct {
+		name     string
+		schedule func()
+	}{
+		{"handler", func() { k.AfterHandler(time.Microsecond, h) }},
+		{"closure", func() { k.After(time.Microsecond, fn) }},
+	} {
+		// Warm the arena and heap.
+		tc.schedule()
+		k.Run()
+		allocs := testing.AllocsPerRun(1000, func() {
+			tc.schedule()
+			for k.Step() {
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s dispatch allocates %.1f objects per event, want 0", tc.name, allocs)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("kernel dispatch allocates %.1f objects per event, want 0", allocs)
+	}
+	if fired == 0 {
+		t.Error("closure form never fired")
 	}
 }
 

@@ -19,12 +19,18 @@ import (
 // Event is a callback scheduled to run at a virtual time.
 type Event func()
 
+// OnEvent makes a closure a Handler: At/After schedule fn as Event(fn),
+// and converting a func value to an interface allocates nothing (func
+// values are pointer-shaped), so the kernel stores one callback kind.
+func (e Event) OnEvent() { e() }
+
 // Handler is the allocation-free way to schedule work: a long-lived
 // protocol object implements OnEvent once and is scheduled repeatedly via
 // AtHandler/AfterHandler without allocating a closure per event. The
-// closure forms At/After remain as the convenient fallback; the kernel
-// itself never allocates per event either way — event records live in a
-// pooled, index-addressed arena with a free list.
+// closure forms At/After are the convenient form — the closure itself is
+// the caller's allocation; the kernel never allocates per event either
+// way, event records live in a pooled, index-addressed arena with a free
+// list.
 type Handler interface {
 	OnEvent()
 }
@@ -36,7 +42,6 @@ type event struct {
 	at   time.Duration
 	seq  uint64 // tie-breaker: FIFO among equal timestamps
 	h    Handler
-	fn   Event
 	gen  uint32
 	hpos int32 // position in the heap, -1 when not queued
 	next int32 // free-list link
@@ -114,51 +119,42 @@ func (k *Kernel) alloc() int32 {
 // Timer handles via the generation counter.
 func (k *Kernel) release(i int32) {
 	ev := &k.pool[i]
-	ev.h, ev.fn = nil, nil
+	ev.h = nil
 	ev.gen++
 	ev.hpos = -1
 	ev.next = k.free
 	k.free = i
 }
 
-func (k *Kernel) schedule(at time.Duration, h Handler, fn Event) Timer {
+func (k *Kernel) schedule(at time.Duration, h Handler) Timer {
 	if at < k.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, k.now))
 	}
 	k.seq++
 	i := k.alloc()
 	ev := &k.pool[i]
-	ev.at, ev.seq, ev.h, ev.fn = at, k.seq, h, fn
+	ev.at, ev.seq, ev.h = at, k.seq, h
 	k.heapPush(i)
 	return Timer{k: k, idx: i, gen: ev.gen}
 }
 
 // At schedules fn to run at absolute virtual time at. Scheduling in the
 // past panics: it always indicates a protocol bug.
-func (k *Kernel) At(at time.Duration, fn Event) Timer {
-	return k.schedule(at, nil, fn)
-}
+func (k *Kernel) At(at time.Duration, fn Event) Timer { return k.schedule(at, fn) }
 
 // After schedules fn to run d after the current time.
-func (k *Kernel) After(d time.Duration, fn Event) Timer {
-	if d < 0 {
-		d = 0
-	}
-	return k.schedule(k.now+d, nil, fn)
-}
+func (k *Kernel) After(d time.Duration, fn Event) Timer { return k.AfterHandler(d, fn) }
 
 // AtHandler schedules h.OnEvent to run at absolute virtual time at. It is
 // the allocation-free twin of At.
-func (k *Kernel) AtHandler(at time.Duration, h Handler) Timer {
-	return k.schedule(at, h, nil)
-}
+func (k *Kernel) AtHandler(at time.Duration, h Handler) Timer { return k.schedule(at, h) }
 
 // AfterHandler schedules h.OnEvent to run d after the current time.
 func (k *Kernel) AfterHandler(d time.Duration, h Handler) Timer {
 	if d < 0 {
 		d = 0
 	}
-	return k.schedule(k.now+d, h, nil)
+	return k.schedule(k.now+d, h)
 }
 
 // Step executes the earliest pending event. It reports false when the
@@ -175,13 +171,9 @@ func (k *Kernel) Step() bool {
 	// Copy the callback out and free the slot before invoking: the
 	// callback may schedule (possibly growing the arena and reusing this
 	// very slot), so no pointer into the pool survives the call.
-	h, fn := ev.h, ev.fn
+	h := ev.h
 	k.release(i)
-	if h != nil {
-		h.OnEvent()
-	} else {
-		fn()
-	}
+	h.OnEvent()
 	return true
 }
 

@@ -378,9 +378,6 @@ func (h *Histogram) Count(i int) int { return h.bins[i] }
 // Total returns the number of observations recorded.
 func (h *Histogram) Total() int { return h.total }
 
-// Bins returns the number of bins.
-func (h *Histogram) Bins() int { return len(h.bins) }
-
 // BinCenter returns the midpoint of bin i.
 func (h *Histogram) BinCenter(i int) float64 {
 	w := (h.max - h.min) / float64(len(h.bins))

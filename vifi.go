@@ -90,13 +90,13 @@ func NewDieselNet(seed int64, channel int, cfg Protocol) *Deployment {
 // RunVoIP drives a bidirectional G.729 call for the duration and scores
 // it with the paper's E-model and interruption rule (§5.3.2).
 func (d *Deployment) RunVoIP(duration time.Duration) VoIPQuality {
-	return experiment.RunVoIPWorkload(d.seed, d.env, d.cfg, duration).Quality
+	return experiment.RunVoIPWorkload(d.seed, d.env, d.cfg, duration, 0).Quality
 }
 
 // RunTCP drives the paper's repeated 10 KB transfer workload with the
 // 10-second stall abort (§5.3.1).
 func (d *Deployment) RunTCP(duration time.Duration) *TCPStats {
-	return experiment.RunTCPWorkload(d.seed, d.env, d.cfg, duration).Stats
+	return experiment.RunTCPWorkload(d.seed, d.env, d.cfg, duration, 0).Stats
 }
 
 // LinkSessionMedian runs the §5.2 link-layer probe workload (500-byte
@@ -104,7 +104,7 @@ func (d *Deployment) RunTCP(duration time.Duration) *TCPStats {
 // time-weighted median uninterrupted session length for the adequacy
 // definition (interval, minimum combined reception ratio).
 func (d *Deployment) LinkSessionMedian(duration, interval time.Duration, minRatio float64) float64 {
-	run := experiment.RunProbeWorkload(d.seed, d.env, d.cfg, duration, nil)
+	run := experiment.RunProbeWorkload(d.seed, d.env, d.cfg, duration, nil, 0)
 	return run.MedianSession(interval, minRatio)
 }
 

@@ -125,8 +125,10 @@ func BenchmarkScaleFleet(b *testing.B) { benchExperiment(b, "scale-fleet") }
 func BenchmarkScaleFleetMetrics(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
+		eng := experiment.NewEngine(1)
+		eng.EnableMetrics(time.Second)
 		_, err := experiment.Run("scale-fleet", experiment.Options{
-			Seed: int64(42 + i), Scale: benchScale, Metrics: time.Second,
+			Seed: int64(42 + i), Scale: benchScale, Engine: eng,
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -162,7 +162,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *metrics != "" {
 		eng.EnableMetrics(*minterv)
 	}
-	opts := experiment.Options{Seed: *seed, Scale: *scale, Engine: eng, Scenario: *scn, Shards: *shards, Metrics: eng.MetricsInterval()}
+	opts := experiment.Options{Seed: *seed, Scale: *scale, Engine: eng, Scenario: *scn, Shards: *shards}
 
 	type outcome struct {
 		rep     *experiment.Report

@@ -72,16 +72,9 @@ func (sv *server) createSession(w http.ResponseWriter, r *http.Request) {
 	if req.Protocol == "" {
 		req.Protocol = "vifi"
 	}
-	var cfg core.Config
-	switch req.Protocol {
-	case "vifi":
-		cfg = core.DefaultConfig()
-	case "brr":
-		cfg = core.BRRConfig()
-	case "diversity-only":
-		cfg = core.DiversityOnlyConfig()
-	default:
-		httpError(w, http.StatusBadRequest, "unknown protocol %q", req.Protocol)
+	cfg, err := core.ConfigByName(req.Protocol)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	dur, err := time.ParseDuration(req.Duration)

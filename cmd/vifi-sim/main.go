@@ -95,15 +95,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cfgs := make([]core.Config, len(names))
 	for i, name := range names {
 		names[i] = strings.TrimSpace(name)
-		switch names[i] {
-		case "vifi":
-			cfgs[i] = core.DefaultConfig()
-		case "brr":
-			cfgs[i] = core.BRRConfig()
-		case "diversity-only":
-			cfgs[i] = core.DiversityOnlyConfig()
-		default:
-			fmt.Fprintf(stderr, "vifi-sim: unknown protocol %q\n", names[i])
+		var err error
+		if cfgs[i], err = core.ConfigByName(names[i]); err != nil {
+			fmt.Fprintf(stderr, "vifi-sim: %v\n", err)
 			return 2
 		}
 	}

@@ -165,6 +165,9 @@ func newCell(k *sim.Kernel, opts CellOptions, bsMovers, vehMovers []mobility.Mov
 	if len(vehMovers) == 0 {
 		panic("core: a fleet cell needs at least one vehicle")
 	}
+	if n := len(bsMovers) + len(vehMovers); n > int(GatewayAddr) {
+		panic(fmt.Sprintf("core: %d radios overflow the 16-bit address space below the gateway (%d)", n, GatewayAddr))
+	}
 	ch := radio.NewChannelSized(k, opts.Radio, opts.LinkFactory, len(bsMovers)+len(vehMovers))
 	bp := backplane.New(k, opts.Backplane)
 	c := &Cell{K: k, Channel: ch, Backplane: bp}

@@ -16,6 +16,7 @@
 package core
 
 import (
+	"fmt"
 	"time"
 )
 
@@ -140,4 +141,19 @@ func DiversityOnlyConfig() Config {
 	c := DefaultConfig()
 	c.EnableSalvage = false
 	return c
+}
+
+// ConfigByName resolves a protocol name as the tools spell it: vifi (the
+// paper's settings), brr (hard handoff) or diversity-only (no salvaging).
+func ConfigByName(name string) (Config, error) {
+	switch name {
+	case "vifi":
+		return DefaultConfig(), nil
+	case "brr":
+		return BRRConfig(), nil
+	case "diversity-only":
+		return DiversityOnlyConfig(), nil
+	default:
+		return Config{}, fmt.Errorf("unknown protocol %q (vifi, brr, diversity-only)", name)
+	}
 }

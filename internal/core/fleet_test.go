@@ -115,3 +115,20 @@ func TestFleetCellDeterminism(t *testing.T) {
 		t.Errorf("transmissions diverged: %d vs %d", tx1, tx2)
 	}
 }
+
+// TestCellRejectsAddressOverflow pins the internal invariant behind
+// scenario.Spec.Validate's radio bound: node IDs are the uint16 addresses
+// below GatewayAddr, so a cell with more radios than that must refuse to
+// build rather than alias radios onto gateway addresses.
+func TestCellRejectsAddressOverflow(t *testing.T) {
+	bs := make([]mobility.Mover, int(GatewayAddr))
+	for i := range bs {
+		bs[i] = mobility.Fixed{X: float64(i)}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Errorf("a cell of %d radios was built", len(bs)+1)
+		}
+	}()
+	NewFleetCell(sim.NewKernel(1), DefaultCellOptions(), bs, []mobility.Mover{mobility.Fixed{}}, Placement{})
+}

@@ -10,7 +10,6 @@ import (
 	"github.com/vanlan/vifi/internal/mobility"
 	"github.com/vanlan/vifi/internal/radio"
 	"github.com/vanlan/vifi/internal/sim"
-	"github.com/vanlan/vifi/internal/transport"
 	"github.com/vanlan/vifi/internal/voip"
 	"github.com/vanlan/vifi/internal/workload"
 )
@@ -145,9 +144,9 @@ func AblateBackplane(o Options) *Report {
 		{"100 Mbit/s, 1 ms (LAN)", 100e6, time.Millisecond},
 	}
 	eng := o.engine()
-	futs := make([]Future[*transport.WorkloadStats], len(cases))
+	futs := make([]Future[*workload.TCPStats], len(cases))
 	for i, c := range cases {
-		futs[i] = goJob(eng, func() *transport.WorkloadStats {
+		futs[i] = goJob(eng, func() *workload.TCPStats {
 			k := sim.NewKernel(o.Seed)
 			opts := core.DefaultCellOptions()
 			opts.Backplane = backplane.Config{
@@ -155,9 +154,10 @@ func AblateBackplane(o Options) *Report {
 				CoreDelay: c.delay / 2,
 			}
 			cell := core.NewVanLANCell(k, opts)
-			d := workload.NewTCP(k, transport.DefaultWorkloadConfig(), workload.CellPort(cell, 0), 0, fleetWarm, dur)
+			d := workload.NewTCP(k, workload.DefaultTCPConfig(), workload.CellPort(cell, 0), 0, fleetWarm, dur)
 			driveCell(k, cell, d, workload.TCPKind, dur, 0, nil)
-			return d.Workload().Stop()
+			d.Stop()
+			return d.Stats()
 		})
 	}
 	for i, c := range cases {

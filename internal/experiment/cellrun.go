@@ -11,7 +11,6 @@ import (
 	"github.com/vanlan/vifi/internal/radio"
 	"github.com/vanlan/vifi/internal/sim"
 	"github.com/vanlan/vifi/internal/trace"
-	"github.com/vanlan/vifi/internal/transport"
 	"github.com/vanlan/vifi/internal/voip"
 	"github.com/vanlan/vifi/internal/workload"
 )
@@ -169,7 +168,7 @@ func RunProbeWorkload(seed int64, env Env, cfg core.Config, duration time.Durati
 
 // TCPRun reports one TCP workload execution (Fig 9/10, Table 1, Fig 12).
 type TCPRun struct {
-	Stats     *transport.WorkloadStats
+	Stats     *workload.TCPStats
 	Collector *Collector
 	Duration  time.Duration
 	Salvaged  int
@@ -190,10 +189,11 @@ func RunTCPWorkload(seed int64, env Env, cfg core.Config, duration time.Duration
 		}
 	}
 	k.After(fleetWarm, sample)
-	d := workload.NewTCP(k, transport.DefaultWorkloadConfig(), workload.CellPort(cell, 0), 0, fleetWarm, duration)
+	d := workload.NewTCP(k, workload.DefaultTCPConfig(), workload.CellPort(cell, 0), 0, fleetWarm, duration)
 	driveCell(k, cell, d, workload.TCPKind, duration, mi,
 		runMeta("tcp", env.String(), seed, 1, duration, cfg))
-	return &TCPRun{Stats: d.Workload().Stop(), Collector: col, Duration: duration - fleetWarm, Salvaged: col.Salvaged}
+	d.Stop()
+	return &TCPRun{Stats: d.Stats(), Collector: col, Duration: duration - fleetWarm, Salvaged: col.Salvaged}
 }
 
 // VoIPRun reports one VoIP workload execution (Fig 11).

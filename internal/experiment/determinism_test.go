@@ -20,10 +20,12 @@ var determinismSample = []string{"fig2", "fig6", "fig8", "fig10", "fig11", "tabl
 // goldenOnly extends the sample for TestGoldenReports alone: the
 // single-vehicle paths no other golden reaches — the probe and TCP runs
 // on VanLAN (fig7, fig9, table1), a driver on a hand-built cell
-// (ablate-diversity) and a TCP run with its own collector (ablate-retx).
-// Kept out of the equal-seed and parallel-vs-serial sweeps so those stay
-// as long as they were.
-var goldenOnly = []string{"fig7", "fig9", "table1", "ablate-diversity", "ablate-retx"}
+// (ablate-diversity), a TCP run with its own collector (ablate-retx) and
+// the handoff study's session reducers (fig3, fig4: Result.Sessions,
+// SessionTimeCDF and the time-weighted median). Kept out of the
+// equal-seed and parallel-vs-serial sweeps so those stay as long as they
+// were.
+var goldenOnly = []string{"fig3", "fig4", "fig7", "fig9", "table1", "ablate-diversity", "ablate-retx"}
 
 // TestEqualSeedsByteIdenticalReports is the package's reproducibility
 // contract: rendering the same experiment twice with equal options gives

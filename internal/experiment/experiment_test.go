@@ -104,10 +104,11 @@ func TestFig6BurstShape(t *testing.T) {
 	}
 }
 
-// TestSlotTableReductions pins the one interval-adequacy reducer under
+// TestSlotTableReductions pins the one interval-adequacy vector under
 // every session metric — MedianSession, Interruptions and Fig 8's
 // timeline (its adequacy row is these ratios thresholded at 0.5, its
-// count row is interruptions) — against hand-computed values.
+// count row is stats.Sessions' interruptions) — against hand-computed
+// values.
 func TestSlotTableReductions(t *testing.T) {
 	rep := func(n int, v bool) []bool {
 		out := make([]bool, n)
@@ -203,7 +204,7 @@ func TestSlotTableReductions(t *testing.T) {
 			if !reflect.DeepEqual(got, tc.ratios[v]) {
 				t.Errorf("%s: vehicle %d ratios = %v, want %v", tc.name, v, got, tc.ratios[v])
 			}
-			if n := interruptions(got, 0.5); n != tc.interrupts[v] {
+			if _, n := stats.Sessions(got, 0.5, tc.interval.Seconds()); n != tc.interrupts[v] {
 				t.Errorf("%s: vehicle %d interruptions = %d, want %d", tc.name, v, n, tc.interrupts[v])
 			}
 		}

@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"bytes"
+	"os"
 	"testing"
 	"time"
 
@@ -128,5 +130,41 @@ func TestRunFleetWorkloadMatchesCBRApp(t *testing.T) {
 	}
 	if len(link.Up) != 4 {
 		t.Errorf("link rows = %d, want one per vehicle", len(link.Up))
+	}
+}
+
+// TestFleetReportGolden pins the rendered report of a mixed city fleet —
+// the one path that runs the Web and TCP drivers side by side, next to
+// CBR and VoIP — across code versions (-update-golden to refresh
+// deliberately). It is the command
+// `vifi-sim -scenario grid-city,app=mixed -duration 30s -seed 7`.
+func TestFleetReportGolden(t *testing.T) {
+	const (
+		seed = 7
+		dur  = 30 * time.Second
+		path = "testdata/golden_fleet-mixed.txt"
+	)
+	spec, err := scenario.Parse("grid-city,app=mixed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := RunFleetAppWorkload(seed, spec, core.DefaultConfig(), dur, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	FprintFleetReport(&buf, run, "vifi", dur, seed)
+	if *updateGolden {
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update-golden to create)", err)
+	}
+	if buf.String() != string(want) {
+		t.Errorf("fleet report diverged from committed golden %s:\n%s", path, buf.String())
 	}
 }

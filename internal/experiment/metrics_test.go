@@ -27,7 +27,9 @@ func TestSamplingPreservesGoldenReports(t *testing.T) {
 		{"fig8", 0.04},
 		{"scale-faults", scaleFaultsTestScale},
 	} {
-		rep, err := Run(tc.id, Options{Seed: 17, Scale: tc.scale, Metrics: time.Second})
+		eng := NewEngine(1)
+		eng.EnableMetrics(time.Second)
+		rep, err := Run(tc.id, Options{Seed: 17, Scale: tc.scale, Engine: eng})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.id, err)
 		}

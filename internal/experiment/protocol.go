@@ -81,8 +81,9 @@ func Fig8(o Options) *Report {
 		for i, ratio := range ratios {
 			adequate[i] = ratio >= 0.5
 		}
+		_, interruptions := stats.Sessions(ratios, 0.5, 1)
 		r.AddRow(c.name, sparkline(adequate))
-		r.AddRow(c.name+" interruptions", fmt.Sprint(interruptions(ratios, 0.5)))
+		r.AddRow(c.name+" interruptions", fmt.Sprint(interruptions))
 	}
 	r.AddNote("paper shape: the same segment shows several interruptions under BRR and almost none under ViFi")
 	return r

@@ -8,7 +8,6 @@ package experiment
 import (
 	"fmt"
 	"strings"
-	"time"
 )
 
 // Options control experiment scale and reproducibility.
@@ -34,12 +33,6 @@ type Options struct {
 	// path), and falls back to the serial path otherwise. Results are
 	// byte-identical either way; 0 means 1.
 	Shards int
-	// Metrics, when positive, samples every run's obs registry at this
-	// sim-time cadence and publishes recordings to TakeRecordings.
-	// Sampling is pure observation: reports are byte-identical with it
-	// on or off. Applies to the inline engine created when Engine is
-	// nil; a provided Engine's own EnableMetrics setting wins.
-	Metrics time.Duration
 }
 
 // engine returns the configured engine, or a fresh serial inline engine
@@ -48,9 +41,7 @@ func (o Options) engine() *Engine {
 	if o.Engine != nil {
 		return o.Engine
 	}
-	e := newInlineEngine()
-	e.EnableMetrics(o.Metrics)
-	return e
+	return newInlineEngine()
 }
 
 // shardCount returns the requested shard count, at least 1.

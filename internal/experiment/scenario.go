@@ -88,7 +88,7 @@ func (f *FleetRun) DeliveredPerSec() float64 {
 // intervalRatios reduces vehicle v's per-slot outcomes to the combined
 // up+down delivery ratio of each whole interval (a trailing partial
 // interval is dropped; intervals shorter than a slot count one slot).
-// Every session metric below is a reading of this vector.
+// Every session metric below reads this vector through stats.Sessions.
 func (f *FleetRun) intervalRatios(v int, interval time.Duration) []float64 {
 	spi := int(interval / f.SlotDur)
 	if spi < 1 {
@@ -111,45 +111,17 @@ func (f *FleetRun) intervalRatios(v int, interval time.Duration) []float64 {
 	return out
 }
 
-// interruptions counts adequate→interrupted transitions along one
-// vehicle's interval ratios (a session that opens inadequate counts one).
-func interruptions(ratios []float64, minRatio float64) int {
-	n := 0
-	prev := true
-	for _, r := range ratios {
-		ok := r >= minRatio
-		if !ok && prev {
-			n++
-		}
-		prev = ok
-	}
-	return n
-}
-
 // MedianSession pools every vehicle's uninterrupted sessions (intervals
 // whose combined up+down delivery ratio stays ≥ minRatio) and returns the
 // time-weighted median length in seconds — the §5.2 session metric, over
 // one vehicle for a probe run and the whole fleet otherwise.
 func (f *FleetRun) MedianSession(interval time.Duration, minRatio float64) float64 {
-	var lens []float64
+	var pooled []float64
 	for v := range f.Up {
-		run := 0
-		flush := func() {
-			if run > 0 {
-				lens = append(lens, float64(run)*interval.Seconds())
-				run = 0
-			}
-		}
-		for _, r := range f.intervalRatios(v, interval) {
-			if r >= minRatio {
-				run++
-			} else {
-				flush()
-			}
-		}
-		flush()
+		lens, _ := stats.Sessions(f.intervalRatios(v, interval), minRatio, interval.Seconds())
+		pooled = append(pooled, lens...)
 	}
-	return stats.TimeWeightedMedian(lens)
+	return stats.TimeWeightedMedian(pooled)
 }
 
 // Interruptions counts adequate→interrupted transitions across the fleet
@@ -160,7 +132,8 @@ func (f *FleetRun) Interruptions() float64 {
 	for v := range f.Up {
 		ratios := f.intervalRatios(v, time.Second)
 		hours += float64(len(ratios)) * time.Second.Hours()
-		total += interruptions(ratios, 0.5)
+		_, n := stats.Sessions(ratios, 0.5, 1)
+		total += n
 	}
 	if hours == 0 {
 		return 0

@@ -88,29 +88,18 @@ func Evaluate(pt *trace.ProbeTrace, p Policy, interval time.Duration) *Result {
 // from the result: a session is a maximal run of intervals, within one
 // trip, whose combined reception ratio meets minRatio (§3.3: "contiguous
 // time intervals when the performance of an application is above a
-// threshold").
+// threshold") — the shared session reducer, read once per trip.
 func (r *Result) Sessions(minRatio float64) []float64 {
 	var out []float64
-	run := 0
-	trip := -1
-	flush := func() {
-		if run > 0 {
-			out = append(out, float64(run)*r.IntervalDur.Seconds())
-			run = 0
+	for lo := 0; lo < len(r.IntervalRatio); {
+		hi := lo + 1
+		for hi < len(r.IntervalRatio) && r.IntervalTrip[hi] == r.IntervalTrip[lo] {
+			hi++
 		}
+		lens, _ := stats.Sessions(r.IntervalRatio[lo:hi], minRatio, r.IntervalDur.Seconds())
+		out = append(out, lens...)
+		lo = hi
 	}
-	for i, ratio := range r.IntervalRatio {
-		if r.IntervalTrip[i] != trip {
-			flush()
-			trip = r.IntervalTrip[i]
-		}
-		if ratio >= minRatio {
-			run++
-		} else {
-			flush()
-		}
-	}
-	flush()
 	return out
 }
 
@@ -118,31 +107,7 @@ func (r *Result) Sessions(minRatio float64) []float64 {
 // time spent in sessions — the y-metric of Fig 3d/4/7 ("the cumulative
 // time clients spend in an uninterrupted session of a given length").
 func (r *Result) MedianSessionTimeWeighted(minRatio float64) float64 {
-	lens := r.Sessions(minRatio)
-	return MedianTimeWeighted(lens)
-}
-
-// MedianTimeWeighted computes the session length at which half the total
-// in-session time is spent in shorter-or-equal sessions.
-func MedianTimeWeighted(lens []float64) float64 {
-	if len(lens) == 0 {
-		return 0
-	}
-	s := stats.NewSample(len(lens))
-	total := 0.0
-	for _, l := range lens {
-		s.Add(l)
-		total += l
-	}
-	s.Sort()
-	cum := 0.0
-	for _, l := range s.Values() {
-		cum += l
-		if cum >= total/2 {
-			return l
-		}
-	}
-	return s.Max()
+	return stats.TimeWeightedMedian(r.Sessions(minRatio))
 }
 
 // SessionTimeCDF returns the CDF of time spent in sessions of a given

@@ -188,18 +188,21 @@ func TestSessionsSplitOnBadIntervals(t *testing.T) {
 }
 
 func TestMedianTimeWeighted(t *testing.T) {
-	// Sessions: 1s ×9 and one 91s session. Time-weighted median = 91
-	// (more than half the time is inside the long session); the plain
-	// median would be 1.
-	lens := make([]float64, 0, 10)
+	// Sessions: 1s ×9 and one 91s session (the row stats.TestTimeWeightedMedian
+	// pins). Time-weighted median = 91 (more than half the time is inside
+	// the long session); the plain median would be 1.
+	r := &Result{IntervalDur: time.Second}
 	for i := 0; i < 9; i++ {
-		lens = append(lens, 1)
+		r.IntervalRatio = append(r.IntervalRatio, 1, 0)
 	}
-	lens = append(lens, 91)
-	if got := MedianTimeWeighted(lens); got != 91 {
+	for i := 0; i < 91; i++ {
+		r.IntervalRatio = append(r.IntervalRatio, 1)
+	}
+	r.IntervalTrip = make([]int, len(r.IntervalRatio))
+	if got := r.MedianSessionTimeWeighted(0.5); got != 91 {
 		t.Errorf("time-weighted median = %v, want 91", got)
 	}
-	if got := MedianTimeWeighted(nil); got != 0 {
+	if got := (&Result{IntervalDur: time.Second}).MedianSessionTimeWeighted(0.5); got != 0 {
 		t.Errorf("empty median = %v", got)
 	}
 }

@@ -267,39 +267,3 @@ func NewDieselNet(channel int) *DieselNet {
 		Route:   NewRoute(road, KmhToMps(32), true),
 	}
 }
-
-// Trip describes one pass of a vehicle through the deployment region.
-type Trip struct {
-	Start, End time.Duration
-}
-
-// Duration returns the trip length.
-func (t Trip) Duration() time.Duration { return t.End - t.Start }
-
-// DaySchedule returns n trips spread over a day, mirroring the shuttle's
-// roughly ten visits per day. Each trip lasts lapTime; gaps are uniform.
-// When n laps cannot fit in 24 hours the count is clamped to the largest
-// number that does (previously trips kept their spacing and ran past the
-// day boundary); a single lap longer than the day yields one trip
-// truncated at the day's end. Every returned trip lies within [0, 24h]
-// and trips never overlap.
-func DaySchedule(n int, lapTime time.Duration) []Trip {
-	if n <= 0 || lapTime <= 0 {
-		return nil
-	}
-	day := 24 * time.Hour
-	if lapTime >= day {
-		return []Trip{{Start: 0, End: day}}
-	}
-	if most := int(day / lapTime); n > most {
-		n = most
-	}
-	gap := (day - time.Duration(n)*lapTime) / time.Duration(n+1)
-	trips := make([]Trip, n)
-	at := gap
-	for i := range trips {
-		trips[i] = Trip{Start: at, End: at + lapTime}
-		at += lapTime + gap
-	}
-	return trips
-}

@@ -211,29 +211,6 @@ func TestDieselNetLayouts(t *testing.T) {
 	NewDieselNet(3)
 }
 
-func TestDaySchedule(t *testing.T) {
-	lap := 20 * time.Minute
-	trips := DaySchedule(10, lap)
-	if len(trips) != 10 {
-		t.Fatalf("got %d trips, want 10", len(trips))
-	}
-	day := 24 * time.Hour
-	for i, tr := range trips {
-		if tr.Duration() != lap {
-			t.Errorf("trip %d duration %v, want %v", i, tr.Duration(), lap)
-		}
-		if tr.Start < 0 || tr.End > day {
-			t.Errorf("trip %d outside the day: %+v", i, tr)
-		}
-		if i > 0 && tr.Start < trips[i-1].End {
-			t.Errorf("trips %d and %d overlap", i-1, i)
-		}
-	}
-	if DaySchedule(0, lap) != nil {
-		t.Error("zero trips should be nil")
-	}
-}
-
 // TestSpeedBounds pins the SpeedBounded contract the radio layer's
 // spatial index relies on: fixed basestations advertise zero (indexed
 // once, never revalidated) and route movers advertise their constant

@@ -2,42 +2,9 @@ package mobility
 
 import (
 	"testing"
-	"time"
 
 	"github.com/vanlan/vifi/internal/sim"
 )
-
-// TestDayScheduleClampsToDay is the regression test for the overrun bug:
-// when n laps cannot fit in 24 hours, trips used to keep their spacing and
-// run past the day boundary. Now the count clamps.
-func TestDayScheduleClampsToDay(t *testing.T) {
-	day := 24 * time.Hour
-	trips := DaySchedule(10, 3*time.Hour) // 30h of driving requested
-	if len(trips) != 8 {
-		t.Fatalf("got %d trips, want 8 (the most 3h laps that fit a day)", len(trips))
-	}
-	for i, tr := range trips {
-		if tr.Start < 0 || tr.End > day {
-			t.Errorf("trip %d outside the day: %+v", i, tr)
-		}
-		if tr.Duration() != 3*time.Hour {
-			t.Errorf("trip %d duration %v, want 3h", i, tr.Duration())
-		}
-		if i > 0 && tr.Start < trips[i-1].End {
-			t.Errorf("trips %d and %d overlap", i-1, i)
-		}
-	}
-
-	// A lap longer than the whole day: one trip, truncated at midnight.
-	long := DaySchedule(5, 30*time.Hour)
-	if len(long) != 1 || long[0].Start != 0 || long[0].End != day {
-		t.Errorf("oversized lap schedule = %+v, want one full-day trip", long)
-	}
-
-	if DaySchedule(3, 0) != nil {
-		t.Error("non-positive lap time should yield no trips")
-	}
-}
 
 func inBounds(t *testing.T, r *Route, w, h float64) {
 	t.Helper()

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -36,6 +37,34 @@ func TestParseErrors(t *testing.T) {
 	} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", bad)
+		}
+	}
+}
+
+// TestRadioCountFitsAddressSpace pins the deployment-size bound: radio
+// addresses are uint16 node IDs below core.GatewayAddr (0xFF00 = 65280),
+// so a spec asking for more radios is an error at the one parser every
+// tool shares, not a run that aliases radios onto gateway addresses.
+func TestRadioCountFitsAddressSpace(t *testing.T) {
+	for _, tc := range []struct {
+		spec string
+		ok   bool
+	}{
+		{"grid,bs=65279,vehicles=1", true}, // 65280 radios: IDs 0…65279
+		{"grid,bs=1,vehicles=65279", true},
+		{"grid,bs=65280,vehicles=1", false}, // 65281
+		{"grid,bs=1,vehicles=65280", false},
+		{"grid,bs=70000", false},
+		{"grid,bs=100000000", false},
+		{"grid,vehicles=100000000", false},
+		{"grid,bs=9223372036854775807,vehicles=9223372036854775807", false}, // the sum wraps
+	} {
+		_, err := Parse(tc.spec)
+		if tc.ok && err != nil {
+			t.Errorf("Parse(%q): %v, want accepted", tc.spec, err)
+		}
+		if !tc.ok && (err == nil || !strings.Contains(err.Error(), "65280")) {
+			t.Errorf("Parse(%q) = %v, want an error naming the 65280-radio limit", tc.spec, err)
 		}
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/vanlan/vifi/internal/core"
 	"github.com/vanlan/vifi/internal/fault"
 	"github.com/vanlan/vifi/internal/workload"
 )
@@ -332,11 +333,17 @@ func parseMix(val string) ([4]int, error) {
 
 // Validate reports the first configuration error.
 func (s Spec) Validate() error {
+	// Radio addresses are uint16 node IDs and the gateways sit at
+	// core.GatewayAddr and up, so a deployment holds that many radios.
+	const maxRadios = int(core.GatewayAddr)
 	switch {
 	case s.BS < 1:
 		return fmt.Errorf("scenario: bs = %d, need ≥ 1", s.BS)
 	case s.Vehicles < 1:
 		return fmt.Errorf("scenario: vehicles = %d, need ≥ 1", s.Vehicles)
+	case s.BS > maxRadios || s.Vehicles > maxRadios || s.BS+s.Vehicles > maxRadios:
+		return fmt.Errorf("scenario: bs = %d plus vehicles = %d exceeds the %d radios the 16-bit address space holds",
+			s.BS, s.Vehicles, maxRadios)
 	case s.Width <= 0 || s.Height <= 0:
 		return fmt.Errorf("scenario: region %gx%g must be positive", s.Width, s.Height)
 	case s.SpeedKmh <= 0:

@@ -86,10 +86,6 @@ func (c *Coupler) AddLookahead(d time.Duration) {
 	}
 }
 
-// Lookahead returns the effective coupling window width (0 before any
-// AddLookahead call).
-func (c *Coupler) Lookahead() time.Duration { return c.lookahead }
-
 // Post schedules fn to run in shard dst at absolute time at. It must be
 // called from shard src's goroutine while that shard is inside a window
 // (i.e. from an event executing under Run). at must be at least the end of

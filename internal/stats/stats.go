@@ -1,7 +1,7 @@
 // Package stats provides the small statistical toolkit used throughout the
-// ViFi reproduction: empirical CDFs, quantiles, confidence intervals,
-// exponentially weighted moving averages, online moment accumulators and
-// fixed-bin histograms.
+// ViFi reproduction: samples with quantiles and confidence intervals,
+// empirical CDFs, exponentially weighted moving averages, and the paper's
+// session metric (Sessions, TimeWeightedMedian).
 //
 // The package is deliberately dependency-free and allocation-conscious; the
 // experiment harnesses construct millions of samples per run.
@@ -54,6 +54,35 @@ func TimeWeightedMedian(vs []float64) float64 {
 		}
 	}
 	return cp[len(cp)-1]
+}
+
+// Sessions is the session reducer under the paper's §3, §5.2 and §5.3.2
+// metrics. vals scores consecutive intervals of unitSec seconds each; an
+// interval is adequate when its value is at least min. It returns the
+// length in seconds of every uninterrupted session (maximal run of
+// adequate intervals) and the number of interruptions
+// (adequate→inadequate transitions; a series that opens inadequate
+// counts one).
+func Sessions(vals []float64, min, unitSec float64) (lens []float64, interruptions int) {
+	run, prev := 0, true
+	flush := func() {
+		if run > 0 {
+			lens = append(lens, float64(run)*unitSec)
+			run = 0
+		}
+	}
+	for _, v := range vals {
+		ok := v >= min
+		if ok {
+			run++
+		} else if prev {
+			interruptions++
+			flush()
+		}
+		prev = ok
+	}
+	flush()
+	return lens, interruptions
 }
 
 // Add appends one observation.
@@ -186,32 +215,6 @@ func (s *Sample) MeanCI95() (mean, halfWidth float64) {
 	return mean, halfWidth
 }
 
-// MedianCI95 estimates a 95 % confidence interval for the median using the
-// binomial order-statistic method. It returns the median and the lower and
-// upper bounds. For very small samples the bounds degrade to min/max.
-func (s *Sample) MedianCI95() (median, lo, hi float64) {
-	n := len(s.xs)
-	if n == 0 {
-		return 0, 0, 0
-	}
-	s.Sort()
-	median = quantileSorted(s.xs, 0.5)
-	if n < 6 {
-		return median, s.xs[0], s.xs[n-1]
-	}
-	// Order statistics around n/2 ± 1.96·√(n)/2.
-	d := 1.96 * math.Sqrt(float64(n)) / 2
-	loIdx := int(math.Floor(float64(n)/2 - d))
-	hiIdx := int(math.Ceil(float64(n)/2 + d))
-	if loIdx < 0 {
-		loIdx = 0
-	}
-	if hiIdx > n-1 {
-		hiIdx = n - 1
-	}
-	return median, s.xs[loIdx], s.xs[hiIdx]
-}
-
 // CDF is an empirical cumulative distribution function over a fixed,
 // sorted set of observations.
 type CDF struct {
@@ -222,14 +225,6 @@ type CDF struct {
 func NewCDF(s *Sample) *CDF {
 	xs := make([]float64, len(s.xs))
 	copy(xs, s.xs)
-	sort.Float64s(xs)
-	return &CDF{xs: xs}
-}
-
-// CDFOf builds an empirical CDF directly from a slice (copied).
-func CDFOf(values []float64) *CDF {
-	xs := make([]float64, len(values))
-	copy(xs, values)
 	sort.Float64s(xs)
 	return &CDF{xs: xs}
 }
@@ -245,31 +240,6 @@ func (c *CDF) P(x float64) float64 {
 	// Index of first element > x.
 	i := sort.Search(len(c.xs), func(i int) bool { return c.xs[i] > x })
 	return float64(i) / float64(len(c.xs))
-}
-
-// Inverse returns the smallest x with P[X ≤ x] ≥ p (the p-quantile).
-func (c *CDF) Inverse(p float64) float64 {
-	if len(c.xs) == 0 {
-		return 0
-	}
-	return quantileSorted(c.xs, p)
-}
-
-// Points returns (x, P[X ≤ x]) pairs suitable for plotting, deduplicating
-// repeated x values. The returned slices are freshly allocated.
-func (c *CDF) Points() (xs, ps []float64) {
-	n := len(c.xs)
-	if n == 0 {
-		return nil, nil
-	}
-	for i := 0; i < n; i++ {
-		if i+1 < n && c.xs[i+1] == c.xs[i] {
-			continue
-		}
-		xs = append(xs, c.xs[i])
-		ps = append(ps, float64(i+1)/float64(n))
-	}
-	return xs, ps
 }
 
 // EWMA is an exponentially weighted moving average with smoothing factor
@@ -309,113 +279,3 @@ func (e *EWMA) Initialized() bool { return e.init }
 
 // Reset clears the average to its pristine state.
 func (e *EWMA) Reset() { e.value, e.init = 0, false }
-
-// Online accumulates count, mean and variance in a single pass using
-// Welford's algorithm. The zero value is ready to use.
-type Online struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add folds one observation into the accumulator.
-func (o *Online) Add(x float64) {
-	o.n++
-	d := x - o.mean
-	o.mean += d / float64(o.n)
-	o.m2 += d * (x - o.mean)
-}
-
-// N returns the number of observations.
-func (o *Online) N() int { return o.n }
-
-// Mean returns the running mean.
-func (o *Online) Mean() float64 { return o.mean }
-
-// Variance returns the unbiased running variance.
-func (o *Online) Variance() float64 {
-	if o.n < 2 {
-		return 0
-	}
-	return o.m2 / float64(o.n-1)
-}
-
-// Stddev returns the running standard deviation.
-func (o *Online) Stddev() float64 { return math.Sqrt(o.Variance()) }
-
-// Histogram is a fixed-width-bin histogram over [min, max). Observations
-// outside the range are clamped into the first or last bin.
-type Histogram struct {
-	min, max float64
-	bins     []int
-	total    int
-}
-
-// NewHistogram creates a histogram with n equal bins spanning [min, max).
-func NewHistogram(min, max float64, n int) *Histogram {
-	if n <= 0 || max <= min {
-		panic("stats: invalid histogram parameters")
-	}
-	return &Histogram{min: min, max: max, bins: make([]int, n)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	i := int((x - h.min) / (h.max - h.min) * float64(len(h.bins)))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.bins) {
-		i = len(h.bins) - 1
-	}
-	h.bins[i]++
-	h.total++
-}
-
-// Count returns the number of observations in bin i.
-func (h *Histogram) Count(i int) int { return h.bins[i] }
-
-// Total returns the number of observations recorded.
-func (h *Histogram) Total() int { return h.total }
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.max - h.min) / float64(len(h.bins))
-	return h.min + (float64(i)+0.5)*w
-}
-
-// Fraction returns the fraction of observations falling in bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.bins[i]) / float64(h.total)
-}
-
-// Ratio is a convenience counter for reception-ratio style statistics:
-// successes over trials.
-type Ratio struct {
-	Hit, Total int
-}
-
-// Observe records one trial with the given outcome.
-func (r *Ratio) Observe(hit bool) {
-	r.Total++
-	if hit {
-		r.Hit++
-	}
-}
-
-// Value returns Hit/Total, or 0 when no trials were observed.
-func (r *Ratio) Value() float64 {
-	if r.Total == 0 {
-		return 0
-	}
-	return float64(r.Hit) / float64(r.Total)
-}
-
-// Merge folds another ratio into r.
-func (r *Ratio) Merge(o Ratio) {
-	r.Hit += o.Hit
-	r.Total += o.Total
-}

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -95,23 +96,15 @@ func TestMeanCI95ShrinksWithN(t *testing.T) {
 	}
 }
 
-func TestMedianCI95Brackets(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	s := NewSample(1000)
-	for i := 0; i < 1000; i++ {
-		s.Add(rng.Float64())
-	}
-	med, lo, hi := s.MedianCI95()
-	if !(lo <= med && med <= hi) {
-		t.Errorf("median CI does not bracket median: lo=%v med=%v hi=%v", lo, med, hi)
-	}
-	if lo < 0.4 || hi > 0.6 {
-		t.Errorf("uniform median CI unexpectedly wide: [%v, %v]", lo, hi)
-	}
+// cdfOf builds a CDF from raw values.
+func cdfOf(values []float64) *CDF {
+	var s Sample
+	s.AddAll(values...)
+	return NewCDF(&s)
 }
 
 func TestCDFBasics(t *testing.T) {
-	c := CDFOf([]float64{1, 2, 2, 3})
+	c := cdfOf([]float64{1, 2, 2, 3})
 	cases := []struct{ x, want float64 }{
 		{0.5, 0}, {1, 0.25}, {2, 0.75}, {2.5, 0.75}, {3, 1}, {9, 1},
 	}
@@ -120,37 +113,19 @@ func TestCDFBasics(t *testing.T) {
 			t.Errorf("P(%v) = %v, want %v", cse.x, got, cse.want)
 		}
 	}
-	if got := c.Inverse(0.5); !almostEqual(got, 2, 1e-12) {
-		t.Errorf("Inverse(0.5) = %v, want 2", got)
-	}
-}
-
-func TestCDFPointsDeduplicated(t *testing.T) {
-	c := CDFOf([]float64{5, 5, 5, 7})
-	xs, ps := c.Points()
-	if len(xs) != 2 || xs[0] != 5 || xs[1] != 7 {
-		t.Fatalf("xs = %v, want [5 7]", xs)
-	}
-	if !almostEqual(ps[0], 0.75, 1e-12) || ps[1] != 1 {
-		t.Errorf("ps = %v, want [0.75 1]", ps)
-	}
 }
 
 func TestCDFEmpty(t *testing.T) {
-	c := CDFOf(nil)
-	if c.P(3) != 0 || c.Inverse(0.5) != 0 || c.Len() != 0 {
+	c := cdfOf(nil)
+	if c.P(3) != 0 || c.Len() != 0 {
 		t.Error("empty CDF should return zeros")
-	}
-	xs, ps := c.Points()
-	if xs != nil || ps != nil {
-		t.Error("empty CDF points should be nil")
 	}
 }
 
 // Property: a CDF is monotone non-decreasing and bounded in [0,1].
 func TestCDFMonotoneProperty(t *testing.T) {
 	f := func(values []float64, probes []float64) bool {
-		c := CDFOf(values)
+		c := cdfOf(values)
 		sort.Float64s(probes)
 		prev := 0.0
 		for _, x := range probes {
@@ -242,81 +217,6 @@ func TestEWMABadAlphaPanics(t *testing.T) {
 	}
 }
 
-func TestOnlineMatchesSample(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	var o Online
-	var s Sample
-	for i := 0; i < 5000; i++ {
-		x := rng.NormFloat64()*3 + 11
-		o.Add(x)
-		s.Add(x)
-	}
-	if o.N() != s.Len() {
-		t.Fatalf("n mismatch: %d vs %d", o.N(), s.Len())
-	}
-	if !almostEqual(o.Mean(), s.Mean(), 1e-9) {
-		t.Errorf("mean mismatch: %v vs %v", o.Mean(), s.Mean())
-	}
-	if !almostEqual(o.Variance(), s.Variance(), 1e-6) {
-		t.Errorf("variance mismatch: %v vs %v", o.Variance(), s.Variance())
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{0, 1.9, 2, 9.99, 10, 100, -5} {
-		h.Add(x)
-	}
-	if h.Total() != 7 {
-		t.Fatalf("total = %d, want 7", h.Total())
-	}
-	// Bin 0 holds [0,2): values 0, 1.9 and the clamped -5.
-	if got := h.Count(0); got != 3 {
-		t.Errorf("bin 0 count = %d, want 3", got)
-	}
-	// Bin 4 holds [8,10): 9.99 plus clamped 10 and 100.
-	if got := h.Count(4); got != 3 {
-		t.Errorf("bin 4 count = %d, want 3", got)
-	}
-	if got := h.Count(1); got != 1 { // [2,4): value 2
-		t.Errorf("bin 1 count = %d, want 1", got)
-	}
-	if !almostEqual(h.BinCenter(0), 1, 1e-12) {
-		t.Errorf("bin 0 center = %v, want 1", h.BinCenter(0))
-	}
-	if !almostEqual(h.Fraction(0), 3.0/7.0, 1e-12) {
-		t.Errorf("bin 0 fraction = %v", h.Fraction(0))
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewHistogram with max<=min did not panic")
-		}
-	}()
-	NewHistogram(5, 5, 3)
-}
-
-func TestRatio(t *testing.T) {
-	var r Ratio
-	if r.Value() != 0 {
-		t.Error("empty ratio should be 0")
-	}
-	r.Observe(true)
-	r.Observe(true)
-	r.Observe(false)
-	if !almostEqual(r.Value(), 2.0/3.0, 1e-12) {
-		t.Errorf("ratio = %v, want 2/3", r.Value())
-	}
-	var other Ratio
-	other.Observe(false)
-	r.Merge(other)
-	if !almostEqual(r.Value(), 0.5, 1e-12) {
-		t.Errorf("merged ratio = %v, want 0.5", r.Value())
-	}
-}
-
 func TestMeanCI95Coverage(t *testing.T) {
 	// The 95% CI of the mean should cover the true mean ~95% of the time.
 	rng := rand.New(rand.NewSource(4))
@@ -335,5 +235,51 @@ func TestMeanCI95Coverage(t *testing.T) {
 	frac := float64(covered) / trials
 	if frac < 0.88 || frac > 0.99 {
 		t.Errorf("CI coverage = %v, want ≈0.95", frac)
+	}
+}
+
+// TestSessions pins the session reducer against hand-computed values:
+// the same runs and interruption counts the FleetRun, handoff and voip
+// tests expect from their readings of it.
+func TestSessions(t *testing.T) {
+	cases := []struct {
+		name          string
+		vals          []float64
+		min, unitSec  float64
+		lens          []float64
+		interruptions int
+	}{
+		{"empty", nil, 0.5, 1, nil, 0},
+		{"all adequate", []float64{1, 0.5, 0.75}, 0.5, 1, []float64{3}, 0},
+		{"all inadequate", []float64{0, 0.25}, 0.5, 1, nil, 1},
+		{"opens inadequate", []float64{0, 1, 1}, 0.5, 1, []float64{2}, 1},
+		{"alternating", []float64{1, 0, 1, 0, 1}, 0.5, 1, []float64{1, 1, 1}, 2},
+		{"adjacent gaps merge", []float64{1, 1, 0, 0, 1, 0}, 0.5, 1, []float64{2, 1}, 2},
+		{"half-second intervals", []float64{0.9, 0.9, 0.1, 0.9}, 0.5, 0.5, []float64{1, 0.5}, 1},
+		{"3 s MoS windows", []float64{4, 4, 1.5, 4, 4, 4}, 2, 3, []float64{6, 9}, 1},
+	}
+	for _, c := range cases {
+		lens, n := Sessions(c.vals, c.min, c.unitSec)
+		if !slices.Equal(lens, c.lens) || n != c.interruptions {
+			t.Errorf("%s: Sessions = %v, %d; want %v, %d", c.name, lens, n, c.lens, c.interruptions)
+		}
+	}
+}
+
+func TestTimeWeightedMedian(t *testing.T) {
+	if got := TimeWeightedMedian(nil); got != 0 {
+		t.Errorf("empty = %v, want 0", got)
+	}
+	// Half of the 10 s of session time is reached inside the 8 s session.
+	if got := TimeWeightedMedian([]float64{1, 1, 8}); got != 8 {
+		t.Errorf("got %v, want 8", got)
+	}
+	// One long session dominates many short ones.
+	lens := []float64{91}
+	for i := 0; i < 9; i++ {
+		lens = append(lens, 1)
+	}
+	if got := TimeWeightedMedian(lens); got != 91 {
+		t.Errorf("got %v, want 91", got)
 	}
 }

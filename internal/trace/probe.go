@@ -1,9 +1,7 @@
 package trace
 
 import (
-	"encoding/gob"
 	"fmt"
-	"io"
 	"math"
 	"time"
 
@@ -260,22 +258,4 @@ func (pt *ProbeTrace) VisibleCounts(threshold float64) []int {
 		}
 	}
 	return out
-}
-
-// WriteGob serializes the probe trace (gob; probe traces are bulky and
-// internal, unlike the CSV Trace interchange format).
-func (pt *ProbeTrace) WriteGob(w io.Writer) error {
-	return gob.NewEncoder(w).Encode(pt)
-}
-
-// ReadGob deserializes a probe trace written by WriteGob.
-func ReadGob(r io.Reader) (*ProbeTrace, error) {
-	var pt ProbeTrace
-	if err := gob.NewDecoder(r).Decode(&pt); err != nil {
-		return nil, err
-	}
-	if err := pt.Validate(); err != nil {
-		return nil, err
-	}
-	return &pt, nil
 }

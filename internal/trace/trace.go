@@ -272,28 +272,3 @@ func GenerateDieselNet(seed int64, channel int, duration time.Duration) *Trace {
 	t.computeCoVisibility()
 	return t
 }
-
-// FromVanLANProbes reduces a ProbeTrace to the per-second Trace form
-// (used to validate the trace-driven pipeline against the "deployment",
-// as §5.1 describes).
-func FromVanLANProbes(pt *ProbeTrace) *Trace {
-	slotsPerSec := int(time.Second / pt.SlotDur)
-	secs := pt.Slots / slotsPerSec
-	t := &Trace{Name: "vanlan", BSes: append([]string(nil), pt.BSes...)}
-	t.Ratio = make([][]float64, secs)
-	for s := 0; s < secs; s++ {
-		row := make([]float64, len(pt.BSes))
-		for b := range pt.BSes {
-			heard := 0
-			for j := 0; j < slotsPerSec; j++ {
-				if pt.Down[s*slotsPerSec+j][b] {
-					heard++
-				}
-			}
-			row[b] = float64(heard) / float64(slotsPerSec)
-		}
-		t.Ratio[s] = row
-	}
-	t.computeCoVisibility()
-	return t
-}

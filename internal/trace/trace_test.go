@@ -294,52 +294,3 @@ func TestProbeVisibleCounts(t *testing.T) {
 		t.Errorf("max visible BSes = %d, want ≥2 (diversity exists)", max)
 	}
 }
-
-func TestFromVanLANProbes(t *testing.T) {
-	cfg := DefaultVanLANConfig(6)
-	cfg.Trips = 1
-	pt := GenerateVanLANProbes(cfg)
-	tr := FromVanLANProbes(pt)
-	if err := tr.Validate(); err != nil {
-		t.Fatalf("reduced trace invalid: %v", err)
-	}
-	if tr.Seconds() != pt.Slots/10 {
-		t.Errorf("seconds = %d, want %d", tr.Seconds(), pt.Slots/10)
-	}
-	// Ratios must be the mean of the Down bits.
-	s, b := 5, 0
-	heard := 0
-	for j := 0; j < 10; j++ {
-		if pt.Down[s*10+j][b] {
-			heard++
-		}
-	}
-	if got := tr.Ratio[s][b]; got != float64(heard)/10 {
-		t.Errorf("ratio[5][0] = %v, want %v", got, float64(heard)/10)
-	}
-}
-
-func TestProbeGobRoundtrip(t *testing.T) {
-	cfg := DefaultVanLANConfig(7)
-	cfg.Trips = 1
-	cfg.BSSubset = []int{0, 1}
-	pt := GenerateVanLANProbes(cfg)
-	var buf bytes.Buffer
-	if err := pt.WriteGob(&buf); err != nil {
-		t.Fatalf("gob write: %v", err)
-	}
-	got, err := ReadGob(&buf)
-	if err != nil {
-		t.Fatalf("gob read: %v", err)
-	}
-	if got.Slots != pt.Slots || len(got.BSes) != 2 {
-		t.Errorf("roundtrip mismatch: %d slots, %d BSes", got.Slots, len(got.BSes))
-	}
-	for s := 0; s < pt.Slots; s += 97 {
-		for b := range pt.BSes {
-			if got.Down[s][b] != pt.Down[s][b] || got.Up[s][b] != pt.Up[s][b] {
-				t.Fatalf("bit mismatch at %d/%d", s, b)
-			}
-		}
-	}
-}

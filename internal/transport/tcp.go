@@ -1,13 +1,14 @@
-// Package transport implements the application workloads of the ViFi
-// paper's evaluation: a miniature TCP (connection setup, slow start,
-// AIMD, duplicate-ack fast retransmit, exponential RTO backoff) driving
-// repeated 10 KB transfers with the paper's 10-second no-progress abort
-// (§5.3.1), plus a reference cellular link for the EVDO comparison.
+// Package transport is the miniature TCP under the ViFi paper's
+// application workloads: connection setup, slow start, AIMD,
+// duplicate-ack fast retransmit and exponential RTO backoff, one Sender
+// and one Receiver per transfer. What is transferred, when, and when to
+// give up (the §5.3.1 loop and its no-progress abort) is the business of
+// the drivers in internal/workload.
 //
 // The mini-TCP deliberately reproduces the dynamics the paper's TCP
 // results hinge on — loss-triggered retransmission timeouts and their
 // exponential backoff on a lossy link layer — while staying compact. It
-// runs over any datagram service (the ViFi cell, the BRR baseline, the
+// runs over any datagram service (the ViFi cell, the BRR baseline, a
 // cellular model) through the SendFunc/Deliver pair.
 package transport
 

@@ -186,109 +186,6 @@ func TestSegmentRoundtrip(t *testing.T) {
 	}
 }
 
-func TestWorkloadSessionsOnFlappingLink(t *testing.T) {
-	// A link that dies for 25 s mid-run must abort a transfer (ending a
-	// session) and recover afterwards.
-	k := sim.NewKernel(8)
-	dead := func() bool {
-		now := k.Now()
-		return now > 20*time.Second && now < 45*time.Second
-	}
-	mkSend := func(label string, out *func([]byte)) SendFunc {
-		p := newPipe(k, 15*time.Millisecond, 0, label)
-		return func(b []byte) bool {
-			if dead() {
-				return true // swallowed by the outage
-			}
-			p.out = *out
-			return p.send(b)
-		}
-	}
-	cfg := DefaultWorkloadConfig()
-	var w *Workload
-	var clientOut, serverOut func([]byte)
-	clientSend := mkSend("c", &serverOut)
-	serverSend := mkSend("s", &clientOut)
-	w = NewWorkload(k, cfg, true, clientSend, serverSend)
-	clientOut = w.ClientDeliver
-	serverOut = w.ServerDeliver
-	w.Start()
-	k.RunUntil(90 * time.Second)
-	st := w.Stop()
-
-	if st.Completed < 10 {
-		t.Errorf("completed only %d transfers", st.Completed)
-	}
-	if st.Aborted == 0 {
-		t.Error("the outage aborted no transfer")
-	}
-	if len(st.Sessions) < 2 {
-		t.Errorf("sessions = %v, want the outage to split them", st.Sessions)
-	}
-	if st.MedianTransferTime() <= 0 || st.MedianTransferTime() > 2 {
-		t.Errorf("median transfer time = %v s", st.MedianTransferTime())
-	}
-}
-
-func TestWorkloadStatsAccounting(t *testing.T) {
-	ws := newWorkloadStats()
-	ws.transferDone(TransferResult{Completed: true, Duration: time.Second})
-	ws.transferDone(TransferResult{Completed: true, Duration: 2 * time.Second})
-	ws.transferDone(TransferResult{Completed: false})
-	ws.transferDone(TransferResult{Completed: true, Duration: time.Second})
-	ws.finish()
-	if ws.Completed != 3 || ws.Aborted != 1 {
-		t.Errorf("completed/aborted = %d/%d", ws.Completed, ws.Aborted)
-	}
-	if len(ws.Sessions) != 2 || ws.Sessions[0] != 2 || ws.Sessions[1] != 1 {
-		t.Errorf("sessions = %v", ws.Sessions)
-	}
-	if got := ws.TransfersPerSession(); got != 1.5 {
-		t.Errorf("transfers/session = %v, want 1.5", got)
-	}
-}
-
-func TestCellularLinkLatencyAndRate(t *testing.T) {
-	k := sim.NewKernel(9)
-	c := NewCellularLink(k)
-	c.Loss = 0
-	var gotAt []time.Duration
-	c.Bind(func(b []byte) { gotAt = append(gotAt, k.Now()) }, nil)
-	c.SendDown(make([]byte, 3000)) // 10 ms at 2.4 Mbps
-	c.SendDown(make([]byte, 3000))
-	k.Run()
-	if len(gotAt) != 2 {
-		t.Fatalf("deliveries = %d", len(gotAt))
-	}
-	ser := time.Duration(float64(3000*8) / 2.4e6 * float64(time.Second))
-	if gotAt[0] != ser+75*time.Millisecond {
-		t.Errorf("first delivery at %v, want %v", gotAt[0], ser+75*time.Millisecond)
-	}
-	if gotAt[1]-gotAt[0] != ser {
-		t.Errorf("spacing %v, want serialization %v", gotAt[1]-gotAt[0], ser)
-	}
-}
-
-func TestTCPOverCellularReference(t *testing.T) {
-	// The §5.3.1 sanity point: a 10 KB fetch over the EVDO-like link
-	// completes in several hundred ms (the paper measured 0.75 s down).
-	k := sim.NewKernel(10)
-	link := NewCellularLink(k)
-	link.Loss = 0
-	var res TransferResult
-	s := NewSender(k, DefaultConfig(), 1, 10*1024, link.SendDown, func(r TransferResult) { res = r })
-	r := NewReceiver(k, 1, link.SendUp)
-	link.Bind(r.Deliver, s.Deliver)
-	s.Start()
-	k.RunUntil(10 * time.Second)
-	if !res.Completed {
-		t.Fatal("cellular transfer did not complete")
-	}
-	if res.Duration < 300*time.Millisecond || res.Duration > 1500*time.Millisecond {
-		t.Errorf("cellular 10KB fetch took %v, want several hundred ms", res.Duration)
-	}
-}
-
 // TestParseSegmentZeroCopy pins the DESIGN.md §6 regime on the segment
 // decode path: parsing allocates nothing (the payload aliases the input
 // buffer), and a payload retained by the out-of-order buffer is copied so

@@ -148,28 +148,6 @@ func (c *Call) Windows(total time.Duration) []WindowScore {
 // severe disruption (§5.3.2).
 const InterruptionMoS = 2.0
 
-// Sessions extracts uninterrupted-call session lengths in seconds: maximal
-// runs of windows with MoS ≥ threshold.
-func Sessions(windows []WindowScore, threshold float64) []float64 {
-	var out []float64
-	run := 0
-	flush := func() {
-		if run > 0 {
-			out = append(out, float64(run)*3.0)
-			run = 0
-		}
-	}
-	for _, w := range windows {
-		if w.MoS >= threshold {
-			run++
-		} else {
-			flush()
-		}
-	}
-	flush()
-	return out
-}
-
 // Quality summarizes a call.
 type Quality struct {
 	MedianSessionSec float64 // time-weighted median uninterrupted session
@@ -179,32 +157,22 @@ type Quality struct {
 	SessionLens      []float64 // raw uninterrupted-session lengths (seconds)
 }
 
-// Score evaluates the call over its duration using the interruption
-// threshold.
+// Score evaluates the call over its duration: the windows' MoS series
+// read through the session reducer at the interruption threshold.
 func (c *Call) Score(total time.Duration) Quality {
 	ws := c.Windows(total)
 	q := Quality{Windows: len(ws)}
 	if len(ws) == 0 {
 		return q
 	}
-	mos := 0.0
-	prevBad := false
-	for _, w := range ws {
-		mos += w.MoS
-		bad := w.MoS < InterruptionMoS
-		if bad && !prevBad {
-			q.Interruptions++
-		}
-		prevBad = bad
+	mos := make([]float64, len(ws))
+	sum := 0.0
+	for i, w := range ws {
+		mos[i] = w.MoS
+		sum += w.MoS
 	}
-	q.MeanMoS = mos / float64(len(ws))
-	q.SessionLens = Sessions(ws, InterruptionMoS)
-	q.MedianSessionSec = medianTimeWeighted(q.SessionLens)
+	q.MeanMoS = sum / float64(len(ws))
+	q.SessionLens, q.Interruptions = stats.Sessions(mos, InterruptionMoS, c.Window.Seconds())
+	q.MedianSessionSec = stats.TimeWeightedMedian(q.SessionLens)
 	return q
-}
-
-// medianTimeWeighted is the shared session-time median (stats package):
-// the session length at which half the in-session time is accumulated.
-func medianTimeWeighted(lens []float64) float64 {
-	return stats.TimeWeightedMedian(lens)
 }

@@ -2,6 +2,7 @@ package voip
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -141,16 +142,25 @@ func TestEmptyWindowIsOutage(t *testing.T) {
 	}
 }
 
+// TestSessions checks the call's reading of the shared session reducer
+// against the hand-computed row of stats.TestSessions ("3 s MoS
+// windows"): good, good, bad, good, good, good → sessions of 6 s and 9 s
+// around one interruption.
 func TestSessions(t *testing.T) {
-	ws := []WindowScore{
-		{MoS: 4}, {MoS: 4}, {MoS: 1.5}, {MoS: 4}, {MoS: 4}, {MoS: 4},
+	c := NewCall()
+	addStream(c, 0, 6*time.Second, true)
+	addStream(c, 6*time.Second, 9*time.Second, false)
+	addStream(c, 9*time.Second, 18*time.Second, true)
+	q := c.Score(18 * time.Second)
+	if !slices.Equal(q.SessionLens, []float64{6, 9}) || q.Interruptions != 1 {
+		t.Errorf("sessions = %v, interruptions = %d; want [6 9], 1", q.SessionLens, q.Interruptions)
 	}
-	lens := Sessions(ws, 2)
-	if len(lens) != 2 || lens[0] != 6 || lens[1] != 9 {
-		t.Errorf("sessions = %v, want [6 9]", lens)
+	// Half the 15 s of in-session time is reached inside the 9 s session.
+	if q.MedianSessionSec != 9 {
+		t.Errorf("median session = %v, want 9", q.MedianSessionSec)
 	}
-	if got := Sessions(nil, 2); got != nil {
-		t.Errorf("empty sessions = %v", got)
+	if q := c.Score(0); q.SessionLens != nil || q.Interruptions != 0 {
+		t.Errorf("empty score = %+v", q)
 	}
 }
 

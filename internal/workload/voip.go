@@ -111,13 +111,10 @@ func (v *VoIP) Stop() Metrics {
 			}
 		}
 	}
-	span := v.end - v.start
-	if span < 0 {
-		span = 0
-	}
+	length := span(v.start, v.end)
 	v.final = Metrics{
-		App: VoIPKind, Vehicle: v.veh, Span: span,
-		VoIP: v.call.Score(span),
+		App: VoIPKind, Vehicle: v.veh, Span: length,
+		VoIP: v.call.Score(length),
 	}
 	return v.final
 }

@@ -43,43 +43,26 @@ func DefaultWebConfig() WebConfig {
 type Web struct {
 	k          *sim.Kernel
 	cfg        WebConfig
-	port       Port
+	x          transfer
 	veh        int
 	start, end time.Duration
 	rng        *sim.RNG
 
-	conn     uint32
-	sender   *transport.Sender
-	receiver *transport.Receiver
-
 	pageStart time.Duration
 	objsLeft  int
-
-	stall transport.StallGuard
 
 	completed int
 	aborted   int
 	pageSecs  []float64
 
-	stopped bool
-	final   Metrics
+	final Metrics
 }
 
 // NewWeb builds the driver. rng drives page shapes and think times and
 // must be dedicated to this driver.
 func NewWeb(k *sim.Kernel, cfg WebConfig, port Port, veh int, start, end time.Duration, rng *sim.RNG) *Web {
-	w := &Web{k: k, cfg: cfg, port: port, veh: veh, start: start, end: end, rng: rng}
-	w.stall = transport.StallGuard{
-		K: k, Timeout: cfg.StallTimeout,
-		Progress: func() int {
-			if w.stopped || w.sender == nil {
-				return -1
-			}
-			return w.sender.Progress()
-		},
-		// Page abandoned: the §5.3.1 rule applied to the burst.
-		Abort: func() { w.sender.Abort() },
-	}
+	w := &Web{k: k, cfg: cfg, veh: veh, start: start, end: end, rng: rng}
+	w.x = transfer{k: k, cfg: cfg.TCP, port: port, timeout: cfg.StallTimeout, settled: w.objectDone}
 	return w
 }
 
@@ -89,27 +72,18 @@ func (w *Web) Start() { w.k.At(w.start, w.startPage) }
 // startPage begins a new burst: the main object plus a drawn number of
 // embedded objects.
 func (w *Web) startPage() {
-	if w.stopped || w.k.Now() >= w.end {
+	if w.x.stopped || w.k.Now() >= w.end {
 		return
 	}
 	w.pageStart = w.k.Now()
 	w.objsLeft = 1 + w.rng.Intn(w.cfg.MaxExtraObjects+1)
-	w.startObject(w.cfg.PageBytes)
+	w.x.open(w.cfg.PageBytes)
 }
 
-// startObject opens one mini-TCP download of size bytes.
-func (w *Web) startObject(size int) {
-	w.conn++
-	w.sender = transport.NewSender(w.k, w.cfg.TCP, w.conn, size, w.port.SendDown, w.objectDone)
-	w.receiver = transport.NewReceiver(w.k, w.conn, w.port.SendUp)
-	w.sender.Start()
-	w.stall.Watch()
-}
-
-// objectDone advances the burst or closes the page.
+// objectDone advances the burst or closes the page. A stalled object
+// abandons the whole page: the §5.3.1 rule applied to the burst.
 func (w *Web) objectDone(r transport.TransferResult) {
-	w.stall.Stop()
-	if w.stopped {
+	if w.x.stopped {
 		return
 	}
 	if !r.Completed {
@@ -119,7 +93,7 @@ func (w *Web) objectDone(r transport.TransferResult) {
 	}
 	w.objsLeft--
 	if w.objsLeft > 0 {
-		w.startObject(w.cfg.ObjectBytes)
+		w.x.open(w.cfg.ObjectBytes)
 		return
 	}
 	w.completed++
@@ -127,47 +101,31 @@ func (w *Web) objectDone(r transport.TransferResult) {
 	w.think()
 }
 
-// think schedules the next page after an exponential pause.
+// think drops the page's endpoints and schedules the next page after an
+// exponential pause.
 func (w *Web) think() {
-	w.sender, w.receiver = nil, nil
+	w.x.drop()
 	pause := time.Duration(w.rng.ExpFloat64() * float64(w.cfg.Think))
 	w.k.After(pause, w.startPage)
 }
 
-// DeliverDown feeds a datagram that arrived at the vehicle (object data
-// and SYN-ACKs reach the client here).
-func (w *Web) DeliverDown(p []byte) {
-	if w.stopped || w.receiver == nil {
-		return
-	}
-	w.receiver.Deliver(p)
-}
+// DeliverDown feeds a datagram that arrived at the vehicle (the client).
+func (w *Web) DeliverDown(p []byte) { w.x.deliverDown(p) }
 
-// DeliverUp feeds a datagram that arrived at the gateway (acks reach the
-// server here).
-func (w *Web) DeliverUp(p []byte) {
-	if w.stopped || w.sender == nil {
-		return
-	}
-	w.sender.Deliver(p)
-}
+// DeliverUp feeds a datagram that arrived at the gateway (the server).
+func (w *Web) DeliverUp(p []byte) { w.x.deliverUp(p) }
 
 // Live reports pages loaded and aborted so far.
 func (w *Web) Live() LiveStats { return LiveStats{Completed: w.completed, Aborted: w.aborted} }
 
 // Stop halts the session and reports page metrics.
 func (w *Web) Stop() Metrics {
-	if w.stopped {
+	if w.x.stopped {
 		return w.final
 	}
-	w.stopped = true
-	w.stall.Stop()
-	span := w.end - w.start
-	if span < 0 {
-		span = 0
-	}
+	w.x.stop()
 	w.final = Metrics{
-		App: WebKind, Vehicle: w.veh, Span: span,
+		App: WebKind, Vehicle: w.veh, Span: span(w.start, w.end),
 		Completed: w.completed, Aborted: w.aborted,
 		TransferSecs: w.pageSecs,
 	}

@@ -5,8 +5,11 @@
 // delivery. A Driver is one vehicle's session: CBR (the constant-rate
 // probe workload), TCP (the §5.3.1 repeated-transfer loop), VoIP (the
 // §5.3.2 G.729 call with the disruption classifier) or Web (request/
-// response bursts over mini-TCP). SplitKinds assigns drivers per vehicle
-// for mixed fleets from a deterministic seeded split.
+// response bursts). The driver is the loop: TCP and Web decide what to
+// fetch next and run each fetch on the one mini-TCP engine (transfer),
+// and internal/transport below them is only the mini-TCP itself.
+// SplitKinds assigns drivers per vehicle for mixed fleets from a
+// deterministic seeded split.
 //
 // Determinism contract (DESIGN.md §8): drivers draw randomness only from
 // the *sim.RNG handed to their constructor. Callers label that stream
@@ -129,7 +132,7 @@ type Config struct {
 
 	// TCP: the §5.3.1 repeated-transfer workload (transfer size, stall
 	// abort, inter-transfer gap).
-	TCP transport.WorkloadConfig
+	TCP TCPConfig
 
 	// Web: request/response bursts over mini-TCP.
 	Web WebConfig
@@ -146,7 +149,7 @@ func DefaultConfig() Config {
 		App:      CBRKind,
 		CBRSlot:  200 * time.Millisecond,
 		CBRBytes: 500,
-		TCP:      transport.DefaultWorkloadConfig(),
+		TCP:      DefaultTCPConfig(),
 		Web:      DefaultWebConfig(),
 		Mix:      [4]int{1, 1, 1, 1},
 	}
@@ -170,6 +173,12 @@ func New(k *sim.Kernel, cfg Config, kind Kind, port Port, veh int, start, end ti
 	default:
 		panic(fmt.Sprintf("workload: New on non-concrete kind %v", kind))
 	}
+}
+
+// span is a session's scheduled length: end − start, zero for a vehicle
+// that departs after the run's end.
+func span(start, end time.Duration) time.Duration {
+	return max(end-start, 0)
 }
 
 // SplitKinds deterministically assigns one concrete kind per vehicle

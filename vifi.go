@@ -33,7 +33,6 @@ import (
 	"github.com/vanlan/vifi/internal/scenario"
 	"github.com/vanlan/vifi/internal/sim"
 	"github.com/vanlan/vifi/internal/trace"
-	"github.com/vanlan/vifi/internal/transport"
 	"github.com/vanlan/vifi/internal/voip"
 	"github.com/vanlan/vifi/internal/workload"
 )
@@ -58,7 +57,7 @@ func DiversityOnly() Protocol { return core.DiversityOnlyConfig() }
 type VoIPQuality = voip.Quality
 
 // TCPStats summarizes a repeated-transfer TCP run.
-type TCPStats = transport.WorkloadStats
+type TCPStats = workload.TCPStats
 
 // Deployment is a runnable ViFi environment: VanLAN (live channel
 // simulation over the campus layout) or DieselNet (trace-driven).

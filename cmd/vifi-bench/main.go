@@ -23,22 +23,15 @@
 //
 //	vifi-bench -cpuprofile cpu.out          # pprof CPU profile of the run
 //	vifi-bench -memprofile mem.out          # pprof heap profile at exit
-//	vifi-bench -benchjson BENCH_2026.json   # per-experiment ns/allocs/bytes
 //
-// -benchjson measures each experiment's wall time and allocator traffic
-// and writes a JSON perf-trajectory file (see cmd/vifi-benchcmp for the
-// CI regression gate over the same schema). Accurate per-experiment
-// attribution requires exclusive use of the allocator and an unshared
-// run-cache, so -benchjson forces -parallel 1 and gives every experiment
-// a fresh engine (costs are never deduplicated across experiments, and a
-// given -run id measures the same regardless of what ran before it).
+// What a change costs is measured by benchmark/ (bash benchmark/run.sh,
+// -compare between two result files); the profiles above say where.
 //
 // Reports go to stdout; per-figure wall times and engine statistics go to
 // stderr, so stdout is byte-identical for any -parallel value.
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -49,7 +42,6 @@ import (
 	"strings"
 	"time"
 
-	"github.com/vanlan/vifi/internal/benchfmt"
 	"github.com/vanlan/vifi/internal/experiment"
 	"github.com/vanlan/vifi/internal/obs"
 	"github.com/vanlan/vifi/internal/scenario"
@@ -73,7 +65,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		shards     = fs.Int("shards", 1, "run each fleet simulation this many ways parallel — coupled shard kernels (districted) or halo-band stripe lanes (un-districted indexed); reports stay byte-identical, fallbacks to serial say why on stderr")
 		cpuprofile = fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memprofile = fs.String("memprofile", "", "write a pprof heap profile to this file at exit")
-		benchjson  = fs.String("benchjson", "", "write per-experiment ns/op, allocs/op, B/op to this JSON file (forces -parallel 1)")
 		metrics    = fs.String("metrics", "", "write an FTDC-style metrics recording of every executed run to this file (reports stay byte-identical)")
 		minterv    = fs.Duration("metrics-interval", time.Second, "sim-time sampling cadence for -metrics")
 	)
@@ -143,14 +134,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	measure := *benchjson != ""
-	if measure && *parallel != 1 {
-		// Concurrent workers share the allocator, so per-experiment
-		// attribution of allocs/op needs the serial path.
-		fmt.Fprintln(stderr, "vifi-bench: -benchjson forces -parallel 1")
-		*parallel = 1
-	}
-
 	if *scn != "" {
 		if _, err := scenario.Parse(*scn); err != nil {
 			fmt.Fprintln(stderr, "vifi-bench:", err)
@@ -168,37 +151,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		rep     *experiment.Report
 		err     error
 		elapsed time.Duration
-		bench   benchfmt.Entry
 	}
 	results := make([]outcome, len(ids))
-	engines := make([]*experiment.Engine, len(ids))
 	exec := func(i int) {
-		runOpts := opts
-		var before runtime.MemStats
-		if measure {
-			// A fresh engine per experiment keeps attribution exact: the
-			// shared run-cache would otherwise charge a memoized job's
-			// whole cost to whichever experiment happened to run it first.
-			runOpts.Engine = experiment.NewEngine(1)
-			runOpts.Engine.EnableMetrics(eng.MetricsInterval())
-			engines[i] = runOpts.Engine
-			runtime.GC()
-			runtime.ReadMemStats(&before)
-		}
 		t0 := time.Now()
-		rep, err := experiment.Run(ids[i], runOpts)
-		elapsed := time.Since(t0)
-		o := outcome{rep: rep, err: err, elapsed: elapsed}
-		if measure {
-			var after runtime.MemStats
-			runtime.ReadMemStats(&after)
-			o.bench = benchfmt.Entry{
-				NsOp:     elapsed.Nanoseconds(),
-				BytesOp:  after.TotalAlloc - before.TotalAlloc,
-				AllocsOp: after.Mallocs - before.Mallocs,
-			}
-		}
-		results[i] = o
+		rep, err := experiment.Run(ids[i], opts)
+		results[i] = outcome{rep: rep, err: err, elapsed: time.Since(t0)}
 	}
 	// emit streams one finished report, preserving request order.
 	emit := func(i int) error {
@@ -238,20 +196,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 	}
-	jobs, hits := eng.Jobs(), eng.CacheHits()
-	if measure {
-		// The shared engine executed nothing; report the per-experiment
-		// engines' aggregate instead.
-		jobs, hits = 0, 0
-		for _, e := range engines {
-			if e != nil {
-				jobs += e.Jobs()
-				hits += e.CacheHits()
-			}
-		}
-	}
 	fmt.Fprintf(stderr, "total %v · %d workers · %d jobs run · %d run-cache hits\n",
-		time.Since(start).Round(time.Millisecond), eng.Workers(), jobs, hits)
+		time.Since(start).Round(time.Millisecond), eng.Workers(), eng.Jobs(), eng.CacheHits())
 	// Per-shard execution stats for any sharded simulations, next to the
 	// engine stats; stdout stays byte-identical for any -shards value.
 	experiment.FprintShardLog(stderr, experiment.TakeShardLog())
@@ -268,29 +214,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "vifi-bench:", err)
 			return 1
 		}
-	}
-
-	if measure {
-		bf := benchfmt.File{
-			Generated:   time.Now().UTC().Format(time.RFC3339),
-			GoVersion:   runtime.Version(),
-			Seed:        *seed,
-			Scale:       *scale,
-			Experiments: make(map[string]benchfmt.Entry, len(ids)),
-		}
-		for i, id := range ids {
-			bf.Experiments[id] = results[i].bench
-		}
-		data, err := json.MarshalIndent(&bf, "", "  ")
-		if err != nil {
-			fmt.Fprintln(stderr, "vifi-bench:", err)
-			return 1
-		}
-		if err := os.WriteFile(*benchjson, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintln(stderr, "vifi-bench:", err)
-			return 1
-		}
-		fmt.Fprintf(stderr, "wrote %s\n", *benchjson)
 	}
 	return 0
 }

@@ -347,6 +347,38 @@ func TestServeBadRequests(t *testing.T) {
 	}
 }
 
+// TestServeRequestBounds pins the two bounds on outside input: a request
+// body is read up to maxBodyBytes and no further, and a sampling interval
+// below minInterval (one barrier step and one retained row per interval)
+// is refused with the floor named.
+func TestServeRequestBounds(t *testing.T) {
+	sv, ts := startTestServer(t, 1)
+	// Valid JSON either way: only its size is wrong.
+	pad := strings.Repeat(" ", maxBodyBytes)
+	for _, tc := range []struct {
+		name, path, body string
+		want             int
+		mention          string
+	}{
+		{"interval 1ms", "/v1/sessions", `{"scenario":"grid-small","duration":"2s","interval":"1ms"}`, http.StatusCreated, "s1"},
+		{"interval 1ns", "/v1/sessions", `{"scenario":"grid-small","duration":"2s","interval":"1ns"}`, http.StatusBadRequest, minInterval.String()},
+		{"interval 0s", "/v1/sessions", `{"scenario":"grid-small","duration":"2s","interval":"0s"}`, http.StatusBadRequest, minInterval.String()},
+		{"oversize create", "/v1/sessions", `{"scenario":"grid-small","duration":"2s"` + pad + `}`, http.StatusRequestEntityTooLarge, ""},
+		{"oversize pause", "/v1/sessions/s1/pause", `{"at":""` + pad + `}`, http.StatusRequestEntityTooLarge, ""},
+	} {
+		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want || !strings.Contains(string(b), tc.mention) {
+			t.Errorf("%s: status %d %s, want %d mentioning %q", tc.name, resp.StatusCode, b, tc.want, tc.mention)
+		}
+	}
+	waitDone(t, sv, "s1")
+}
+
 func TestServeSessionList(t *testing.T) {
 	sv, ts := startTestServer(t, 2)
 	a := createSession(t, ts, `{"scenario":"grid-small","duration":"15s","seed":1}`)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -46,9 +47,33 @@ func (sv *server) handler() http.Handler {
 	return mux
 }
 
+// Bounds on what a client may ask of the daemon. A session takes one
+// barrier step and retains one sample row per interval, so the floor on
+// interval bounds both its step rate and its memory per simulated second.
+const (
+	maxBodyBytes = 64 << 10
+	minInterval  = time.Millisecond
+)
+
+// decodeBody reads a JSON request body of at most maxBodyBytes into v,
+// answering 413 or 400 itself when it cannot.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	httpError(w, code, "bad JSON body: %v", err)
+	return false
+}
+
 // createRequest is the POST /v1/sessions body. Durations are Go
-// duration strings ("600s", "2m"); interval defaults to 1s and shards
-// to 1 (serial).
+// duration strings ("600s", "2m"); interval defaults to 1s (and may not
+// be below minInterval) and shards to 1 (serial).
 type createRequest struct {
 	Scenario string `json:"scenario"`
 	Protocol string `json:"protocol"`
@@ -60,8 +85,7 @@ type createRequest struct {
 
 func (sv *server) createSession(w http.ResponseWriter, r *http.Request) {
 	var req createRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad JSON body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	spec, err := scenario.Parse(req.Scenario)
@@ -85,8 +109,12 @@ func (sv *server) createSession(w http.ResponseWriter, r *http.Request) {
 	interval := time.Second
 	if req.Interval != "" {
 		interval, err = time.ParseDuration(req.Interval)
-		if err != nil || interval <= 0 {
+		if err != nil {
 			httpError(w, http.StatusBadRequest, "bad interval %q", req.Interval)
+			return
+		}
+		if interval < minInterval {
+			httpError(w, http.StatusBadRequest, "interval %q is below the %v floor", req.Interval, minInterval)
 			return
 		}
 	}
@@ -335,11 +363,8 @@ func (sv *server) pauseSession(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req pauseRequest
-	if r.ContentLength != 0 {
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, "bad JSON body: %v", err)
-			return
-		}
+	if r.ContentLength != 0 && !decodeBody(w, r, &req) {
+		return
 	}
 	var at time.Duration
 	if req.At != "" {

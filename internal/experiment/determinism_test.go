@@ -3,7 +3,7 @@ package experiment
 import (
 	"flag"
 	"os"
-	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -17,19 +17,19 @@ import (
 // path (fig2), the collector pipeline (table2) and a custom-cell ablation.
 var determinismSample = []string{"fig2", "fig6", "fig8", "fig10", "fig11", "table2", "ablate-aux"}
 
-// goldenOnly extends the sample for TestGoldenReports alone: the
-// single-vehicle paths no other golden reaches — the probe and TCP runs
-// on VanLAN (fig7, fig9, table1), a driver on a hand-built cell
-// (ablate-diversity), a TCP run with its own collector (ablate-retx) and
-// the handoff study's session reducers (fig3, fig4: Result.Sessions,
-// SessionTimeCDF and the time-weighted median). Kept out of the
-// equal-seed and parallel-vs-serial sweeps so those stay as long as they
-// were.
+// goldenOnly is TestGoldenReports' own list: the single-vehicle paths no
+// other golden reaches — the probe and TCP runs on VanLAN (fig7, fig9,
+// table1), a driver on a hand-built cell (ablate-diversity), a TCP run
+// with its own collector (ablate-retx) and the handoff study's session
+// reducers (fig3, fig4: Result.Sessions, SessionTimeCDF and the
+// time-weighted median). Kept out of the equal-seed and
+// parallel-vs-serial sweeps so those stay as long as they were.
 var goldenOnly = []string{"fig3", "fig4", "fig7", "fig9", "table1", "ablate-diversity", "ablate-retx"}
 
 // TestEqualSeedsByteIdenticalReports is the package's reproducibility
 // contract: rendering the same experiment twice with equal options gives
-// byte-identical text.
+// byte-identical text. The first rendering is also the one checked
+// against the sample's committed goldens.
 func TestEqualSeedsByteIdenticalReports(t *testing.T) {
 	for _, id := range determinismSample {
 		o := Options{Seed: 17, Scale: 0.04}
@@ -37,6 +37,7 @@ func TestEqualSeedsByteIdenticalReports(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
+		checkGolden(t, id, a)
 		b, err := Run(id, o)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
@@ -49,7 +50,7 @@ func TestEqualSeedsByteIdenticalReports(t *testing.T) {
 
 // updateGolden regenerates the golden reports instead of checking them:
 //
-//	go test ./internal/experiment -run TestGoldenReports -update-golden
+//	go test ./internal/experiment -update-golden
 //
 // Only use it for deliberate, reviewed output changes — the goldens are
 // the cross-version determinism contract: performance work must leave
@@ -57,30 +58,65 @@ func TestEqualSeedsByteIdenticalReports(t *testing.T) {
 // kernel and dense tables existed) prove it.
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden reports")
 
-// TestGoldenReports pins report bytes across code versions. Equal-seed
-// reproducibility (above) only shows a binary agrees with itself; this
-// test catches optimizations that change behavior while staying
-// self-consistent.
+// goldenBytes compares got with testdata/golden_<name>.txt, or rewrites
+// the file under -update-golden.
+func goldenBytes(t *testing.T, name, got string) {
+	t.Helper()
+	path := "testdata/golden_" + name + ".txt"
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%s: %v (run with -update-golden to create)", name, err)
+	}
+	if got != string(want) {
+		t.Errorf("%s: diverged from committed golden %s:\n%s", name, path, got)
+	}
+}
+
+// checkWellFormed asserts what every registered runner owes its caller:
+// a report that carries its id, a title, a header and at least one row.
+func checkWellFormed(t *testing.T, id string, rep *Report) {
+	t.Helper()
+	if rep.ID != id {
+		t.Errorf("%s: report carries id %q", id, rep.ID)
+	}
+	if rep.Title == "" || len(rep.Header) == 0 {
+		t.Errorf("%s: missing title or header", id)
+	}
+	if len(rep.Rows) == 0 {
+		t.Errorf("%s: empty report", id)
+	}
+	if s := rep.String(); !strings.Contains(s, id) {
+		t.Errorf("%s: rendering lacks the id:\n%s", id, s)
+	}
+}
+
+// checkGolden pins one rendered report: well-formed, and byte-identical
+// to its committed golden across code versions. Equal-seed
+// reproducibility only shows a binary agrees with itself; the goldens
+// catch changes that alter behaviour while staying self-consistent.
+func checkGolden(t *testing.T, id string, rep *Report) {
+	t.Helper()
+	checkWellFormed(t, id, rep)
+	goldenBytes(t, id, rep.String())
+}
+
+// TestGoldenReports pins the goldenOnly reports. They render on a shared
+// multi-worker engine, so these ids run on the pool path once too; the
+// sample's goldens are checked by TestEqualSeedsByteIdenticalReports.
 func TestGoldenReports(t *testing.T) {
-	for _, id := range slices.Concat(determinismSample, goldenOnly) {
-		rep, err := Run(id, Options{Seed: 17, Scale: 0.04})
+	eng := NewEngine(4)
+	for _, id := range goldenOnly {
+		rep, err := Run(id, Options{Seed: 17, Scale: 0.04, Engine: eng})
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
-		path := "testdata/golden_" + id + ".txt"
-		if *updateGolden {
-			if err := os.WriteFile(path, []byte(rep.String()), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			continue
-		}
-		want, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("%s: %v (run with -update-golden to create)", id, err)
-		}
-		if rep.String() != string(want) {
-			t.Errorf("%s: report diverged from committed golden %s", id, path)
-		}
+		checkGolden(t, id, rep)
 	}
 }
 

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"bytes"
-	"os"
 	"testing"
 	"time"
 
@@ -142,7 +141,6 @@ func TestFleetReportGolden(t *testing.T) {
 	const (
 		seed = 7
 		dur  = 30 * time.Second
-		path = "testdata/golden_fleet-mixed.txt"
 	)
 	spec, err := scenario.Parse("grid-city,app=mixed")
 	if err != nil {
@@ -154,17 +152,5 @@ func TestFleetReportGolden(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	FprintFleetReport(&buf, run, "vifi", dur, seed)
-	if *updateGolden {
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (run with -update-golden to create)", err)
-	}
-	if buf.String() != string(want) {
-		t.Errorf("fleet report diverged from committed golden %s:\n%s", path, buf.String())
-	}
+	goldenBytes(t, "fleet-mixed", buf.String())
 }

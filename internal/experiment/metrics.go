@@ -28,9 +28,6 @@ import (
 // disable sampling.
 func (e *Engine) EnableMetrics(interval time.Duration) { e.metricsInterval = interval }
 
-// MetricsInterval returns the sampling cadence (0 when disabled).
-func (e *Engine) MetricsInterval() time.Duration { return e.metricsInterval }
-
 // --- Recording sink --------------------------------------------------------
 
 var (

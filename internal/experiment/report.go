@@ -1,8 +1,9 @@
 // Package experiment contains one runner per table and figure of the ViFi
 // paper's evaluation (§3 and §5), plus the ablation studies listed in
 // DESIGN.md. Each runner returns a Report — the textual equivalent of the
-// paper's plot or table — and is reachable both from cmd/vifi-bench and
-// from the root bench_test.go benchmarks.
+// paper's plot or table — and is reachable from cmd/vifi-bench. What the
+// runs cost is measured by the benchmark/ module (shard.speedup and
+// shard.coupled_speedup for the sharded modes).
 package experiment
 
 import (
@@ -28,10 +29,12 @@ type Options struct {
 	// default. Paper figures ignore it.
 	Scenario string
 	// Shards requests sharded single-run execution: each fleet simulation
-	// runs as this many coupled event kernels when its scenario supports
-	// an exact spatial partition (districted spec on the indexed radio
-	// path), and falls back to the serial path otherwise. Results are
-	// byte-identical either way; 0 means 1.
+	// runs as this many coupled event kernels when its scenario is
+	// districted, as this many halo-band stripe lanes inside one kernel
+	// when it is un-districted but on the indexed radio path, and
+	// serially — with the reason in the shard log — when shardPlan can
+	// prove neither exact. Results are byte-identical in every case; 0
+	// means 1.
 	Shards int
 }
 

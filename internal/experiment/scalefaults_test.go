@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"os"
 	"testing"
 	"time"
 
@@ -27,20 +26,7 @@ func TestScaleFaultsDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := "testdata/golden_scale-faults.txt"
-	if *updateGolden {
-		if err := os.WriteFile(path, []byte(serial.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	} else {
-		want, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("%v (run with -update-golden to create)", err)
-		}
-		if serial.String() != string(want) {
-			t.Errorf("scale-faults diverged from committed golden %s", path)
-		}
-	}
+	checkGolden(t, "scale-faults", serial)
 	par, err := Run("scale-faults", Options{Seed: 17, Scale: scaleFaultsTestScale, Engine: NewEngine(4)})
 	if err != nil {
 		t.Fatal(err)

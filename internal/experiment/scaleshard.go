@@ -18,7 +18,9 @@ import (
 // result is that the metric columns do NOT change down the rows —
 // byte-identical cells across shard counts are the report-level proof
 // that sharding is an execution strategy, not a model change. Wall-clock
-// gains are measured by BenchmarkScaleShard and BenchmarkScaleShardHalo.
+// gains are measured by the benchmark/ module's traced pass: shard.speedup
+// (grid-metro on two halo lanes) and shard.coupled_speedup
+// (metro-districts on two coupled kernels).
 
 // chaosFaults is the multi-layer fault mix of the sharded identity
 // contract: basestation crash/restart, backplane brownouts with loss

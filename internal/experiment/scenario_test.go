@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"os"
 	"slices"
 	"testing"
 	"time"
@@ -17,18 +16,23 @@ import (
 // 54-basestation deployment.
 const scaleTestScale = 0.04
 
+// scaleFleetSample is the grid-city scaling sweeps
+// TestScaleFleetByteIdentical renders.
+var scaleFleetSample = []string{"scale-fleet", "scale-density", "scale-app-tcp", "scale-app-voip"}
+
 // TestScaleFleetByteIdentical is the acceptance contract for the scaling
 // experiments: the registered scale-fleet experiment — whose top arm runs
 // 54 basestations and 24 concurrent vehicles — renders byte-identically
-// across two runs of the same seed and between the serial inline path and
-// a multi-worker engine.
+// to its committed golden, across two runs of the same seed and between
+// the serial inline path and a multi-worker engine.
 func TestScaleFleetByteIdentical(t *testing.T) {
-	for _, id := range []string{"scale-fleet", "scale-density", "scale-app-tcp", "scale-app-voip"} {
+	for _, id := range scaleFleetSample {
 		o := Options{Seed: 17, Scale: scaleTestScale}
 		a, err := Run(id, o)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
+		checkGolden(t, id, a)
 		b, err := Run(id, o)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
@@ -42,34 +46,6 @@ func TestScaleFleetByteIdentical(t *testing.T) {
 		}
 		if a.String() != par.String() {
 			t.Errorf("%s: parallel output differs from serial:\n--- serial\n%s\n--- parallel\n%s", id, a, par)
-		}
-	}
-}
-
-// TestScaleGoldenReports pins the scaling sweeps' report bytes across
-// code versions, exactly like TestGoldenReports does for the paper set
-// (same seed/scale, same -update-golden flag). Equal-seed reproducibility
-// only shows a binary agrees with itself; these files catch refactors
-// that change fleet behavior while staying self-consistent.
-func TestScaleGoldenReports(t *testing.T) {
-	for _, id := range []string{"scale-fleet", "scale-density", "scale-app-tcp", "scale-app-voip"} {
-		rep, err := Run(id, Options{Seed: 17, Scale: scaleTestScale})
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		path := "testdata/golden_" + id + ".txt"
-		if *updateGolden {
-			if err := os.WriteFile(path, []byte(rep.String()), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			continue
-		}
-		want, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("%s: %v (run with -update-golden to create)", id, err)
-		}
-		if rep.String() != string(want) {
-			t.Errorf("%s: report diverged from committed golden %s", id, path)
 		}
 	}
 }
@@ -91,20 +67,7 @@ func TestScaleRadioIndexedDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := "testdata/golden_scale-radio.txt"
-	if *updateGolden {
-		if err := os.WriteFile(path, []byte(serial.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	} else {
-		want, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("%v (run with -update-golden to create)", err)
-		}
-		if serial.String() != string(want) {
-			t.Errorf("scale-radio diverged from committed golden %s", path)
-		}
-	}
+	checkGolden(t, "scale-radio", serial)
 	par, err := Run("scale-radio", Options{Seed: 17, Scale: scaleRadioTestScale, Engine: NewEngine(4)})
 	if err != nil {
 		t.Fatal(err)
@@ -132,20 +95,7 @@ func TestScaleProtocolDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := "testdata/golden_scale-protocol.txt"
-	if *updateGolden {
-		if err := os.WriteFile(path, []byte(serial.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	} else {
-		want, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("%v (run with -update-golden to create)", err)
-		}
-		if serial.String() != string(want) {
-			t.Errorf("scale-protocol diverged from committed golden %s", path)
-		}
-	}
+	checkGolden(t, "scale-protocol", serial)
 	par, err := Run("scale-protocol", Options{Seed: 17, Scale: scaleProtocolTestScale, Engine: NewEngine(4)})
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -232,20 +231,7 @@ func TestScaleShardDeterminism(t *testing.T) {
 	if !reflect.DeepEqual(metrics(rep.Rows[3]), metrics(rep.Rows[4])) {
 		t.Errorf("chaos arms diverged:\n%v\n%v", rep.Rows[3], rep.Rows[4])
 	}
-	path := "testdata/golden_scale-shard.txt"
-	if *updateGolden {
-		if err := os.WriteFile(path, []byte(rep.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (run with -update-golden to create)", err)
-	}
-	if rep.String() != string(want) {
-		t.Errorf("scale-shard diverged from committed golden %s:\n%s", path, rep)
-	}
+	checkGolden(t, "scale-shard", rep)
 }
 
 // TestScaleShardHaloDeterminism pins the halo-band sharding sweep:
@@ -268,20 +254,7 @@ func TestScaleShardHaloDeterminism(t *testing.T) {
 	if !reflect.DeepEqual(metrics(rep.Rows[4]), metrics(rep.Rows[5])) {
 		t.Errorf("chaos arms diverged:\n%v\n%v", rep.Rows[4], rep.Rows[5])
 	}
-	path := "testdata/golden_scale-shard-halo.txt"
-	if *updateGolden {
-		if err := os.WriteFile(path, []byte(rep.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (run with -update-golden to create)", err)
-	}
-	if rep.String() != string(want) {
-		t.Errorf("scale-shard-halo diverged from committed golden %s:\n%s", path, rep)
-	}
+	checkGolden(t, "scale-shard-halo", rep)
 }
 
 // TestShardPlanShape pins the partitioner: balanced contiguous district

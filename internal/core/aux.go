@@ -52,6 +52,17 @@ func (n *Node) considerPending(f *frame.Frame) {
 		key: key,
 		pkt: pendPkt{f: f, heardAt: now, veh: veh},
 	})
+	if !n.relayArmed {
+		// Wake the dormant chain: skip the instants that passed while there
+		// was nothing to decide, drawing each one's jitter as its (no-op)
+		// tick would have. An instant equal to now is skipped too: this
+		// entry's age there is 0 < AckWait, so that tick decides nothing.
+		for n.relayNext <= now {
+			n.relayNext += n.relayPeriod()
+		}
+		n.relayArmed = true
+		n.K.AtHandler(n.relayNext, &n.relayH)
+	}
 }
 
 func dirOfFrame(f *frame.Frame) Direction {
@@ -70,11 +81,22 @@ func contains(xs []uint16, x uint16) bool {
 	return false
 }
 
-// relayTick is the auxiliary's periodic relay timer (§4.4: "Each auxiliary
-// BS has a timer that fires periodically... decides whether it needs to
-// relay any unacknowledged packet"). Firing times are jittered so
-// auxiliaries stay desynchronized, which suppresses duplicate relays via
-// overheard acknowledgments.
+// relayPeriod draws the gap to the chain's next instant. Gaps are jittered
+// so auxiliaries stay desynchronized, which suppresses duplicate relays
+// via overheard acknowledgments.
+func (n *Node) relayPeriod() time.Duration {
+	return n.cfg.RelayCheck + n.rng.Jitter(n.cfg.RelayCheck/2)
+}
+
+// relayTick is the auxiliary's relay timer (§4.4: "Each auxiliary BS has a
+// timer that fires periodically... decides whether it needs to relay any
+// unacknowledged packet"). The period is a fixed chain of instants
+// (relayNext) drawn from the node's own RNG stream; the timer is a kernel
+// event only while the pending list is non-empty. A tick over an empty list
+// would do nothing but draw its successor's jitter, and considerPending
+// makes those draws in the same stream order when it wakes the chain, so
+// every decision falls on the instant — and the stream position — an
+// always-running timer would give it.
 func (n *Node) relayTick() {
 	now := n.K.Now()
 	if len(n.pending) > 0 {
@@ -123,7 +145,11 @@ func (n *Node) relayTick() {
 		}
 		n.pending = live
 	}
-	n.K.AfterHandler(n.cfg.RelayCheck+n.rng.Jitter(n.cfg.RelayCheck/2), &n.relayH)
+	n.relayNext = now + n.relayPeriod()
+	n.relayArmed = len(n.pending) > 0
+	if n.relayArmed {
+		n.K.AtHandler(n.relayNext, &n.relayH)
+	}
 }
 
 // decideRelay computes this auxiliary's relay probability for the packet

@@ -168,6 +168,16 @@ func newCell(k *sim.Kernel, opts CellOptions, bsMovers, vehMovers []mobility.Mov
 	if n := len(bsMovers) + len(vehMovers); n > int(GatewayAddr) {
 		panic(fmt.Sprintf("core: %d radios overflow the 16-bit address space below the gateway (%d)", n, GatewayAddr))
 	}
+	if pc := opts.Protocol; pc.EnableRelay {
+		// The relay chain advances by RelayCheck, and an instant that ties
+		// with a reception is skipped because age 0 < AckWait.
+		if pc.RelayCheck <= 0 {
+			panic(fmt.Sprintf("core: Config.RelayCheck is %v; EnableRelay needs a positive relay period", pc.RelayCheck))
+		}
+		if pc.AckWait <= 0 {
+			panic(fmt.Sprintf("core: Config.AckWait is %v; EnableRelay needs a positive acknowledgment window", pc.AckWait))
+		}
+	}
 	ch := radio.NewChannelSized(k, opts.Radio, opts.LinkFactory, len(bsMovers)+len(vehMovers))
 	bp := backplane.New(k, opts.Backplane)
 	c := &Cell{K: k, Channel: ch, Backplane: bp}

@@ -71,10 +71,13 @@ type Config struct {
 	ProbStale time.Duration
 
 	// AckWait is how long an auxiliary waits to overhear an acknowledgment
-	// before its relay timer may consider the packet.
+	// before its relay timer may consider the packet. Must be positive with
+	// EnableRelay: a relay-timer instant that coincides with a reception
+	// is skipped on the grounds that the new packet's age 0 is below it.
 	AckWait time.Duration
 	// RelayCheck is the period of the auxiliary relay timer; each firing
-	// is jittered so auxiliaries stay desynchronized (§4.4).
+	// is jittered so auxiliaries stay desynchronized (§4.4). Must be
+	// positive with EnableRelay.
 	RelayCheck time.Duration
 	// PendingCap bounds the per-auxiliary overheard-packet buffer.
 	PendingCap int

@@ -154,6 +154,11 @@ type Node struct {
 	// deterministic relay decisions).
 	relayScratch []int32
 	relayCtx     RelayContext
+	// relayNext is the next instant of the relay-timer chain; relayArmed
+	// says relayH is scheduled there (true only while pending may be
+	// non-empty — see relayTick).
+	relayNext  time.Duration
+	relayArmed bool
 
 	// Reusable frame scratch for synchronous sends (the MAC marshals
 	// before returning, so one scratch serves all send sites).
@@ -205,7 +210,7 @@ func newNode(k *sim.Kernel, cfg Config, m *mac.MAC, bp *backplane.Net,
 	m.StartBeacons(n.buildBeacon)
 	k.AfterHandler(cfg.ProbWindow+k.RNG("corewin", fmt.Sprint(m.Addr())).Jitter(cfg.ProbWindow/4), &n.windowH)
 	if !isVehicle && cfg.EnableRelay {
-		k.AfterHandler(cfg.RelayCheck+n.rng.Jitter(cfg.RelayCheck), &n.relayH)
+		n.relayNext = k.Now() + cfg.RelayCheck + n.rng.Jitter(cfg.RelayCheck)
 	}
 	return n
 }

@@ -14,8 +14,10 @@ import "github.com/vanlan/vifi/internal/frame"
 // sequence numbers after a crash would collide fresh PacketIDs with
 // pre-crash ones still sitting in peers' dedup caches, silently
 // swallowing new packets — modeling the usual persisted/randomized
-// initial sequence number. The node's periodic window/relay timers keep
-// running; they operate correctly on the fresh state.
+// initial sequence number. The node's window timer keeps running and its
+// relay-timer chain keeps its place (a tick armed over the discarded
+// pending list fires once, finds nothing and goes dormant); both operate
+// correctly on the fresh state.
 func (n *Node) ColdRestart() {
 	// Sender: settle and recycle everything in flight.
 	for seq, pkt := range n.outstanding {

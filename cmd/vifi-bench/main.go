@@ -203,14 +203,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	experiment.FprintShardLog(stderr, experiment.TakeShardLog())
 
 	if *metrics != "" {
-		f, err := os.Create(*metrics)
-		if err == nil {
-			err = obs.WriteAll(f, experiment.TakeRecordings())
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
+		if err := obs.WriteFile(*metrics, experiment.TakeRecordings()); err != nil {
 			fmt.Fprintln(stderr, "vifi-bench:", err)
 			return 1
 		}

@@ -86,4 +86,18 @@ func TestScenarioFlag(t *testing.T) {
 	if code := run([]string{"-run", "scale-fleet", "-scenario", "nope"}, &out, &errb); code != 2 {
 		t.Errorf("bad -scenario: exit %d, want 2", code)
 	}
+	// A valid base that makes one arm invalid (one vehicle cannot populate
+	// four districts) is an error naming the arm, with nothing on stdout —
+	// not a panic on an engine goroutine.
+	out.Reset()
+	errb.Reset()
+	code = run([]string{"-run", "scale-fleet", "-scenario", "metro-districts", "-scale", "0.01"}, &out, &errb)
+	if code != 1 || out.Len() != 0 {
+		t.Errorf("arm-invalidating -scenario: exit %d with %d bytes of stdout, want 1 and none", code, out.Len())
+	}
+	for _, want := range []string{`scale-fleet arm "fleet=1"`, "vehicles = 1 < districts = 4"} {
+		if !strings.Contains(errb.String(), want) {
+			t.Errorf("stderr %q does not mention %q", errb.String(), want)
+		}
+	}
 }

@@ -110,7 +110,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if *metrics == "" {
 			return 0
 		}
-		if err := dumpRecordings(*metrics); err != nil {
+		if err := obs.WriteFile(*metrics, experiment.TakeRecordings()); err != nil {
 			fmt.Fprintln(stderr, "vifi-sim:", err)
 			return 1
 		}
@@ -189,18 +189,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 func printHeader(w io.Writer, e experiment.Env, protocol string, d time.Duration, seed int64) {
 	fmt.Fprintf(w, "environment=%s protocol=%s duration=%v seed=%d\n", e, protocol, d, seed)
-}
-
-// dumpRecordings writes the engine's accumulated metrics recordings as a
-// binary FTDC-style stream (read back with vifi-metrics or obs.ReadAll).
-func dumpRecordings(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := obs.WriteAll(f, experiment.TakeRecordings()); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -3,47 +3,138 @@ package experiment
 import (
 	"flag"
 	"os"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/vanlan/vifi/internal/core"
+	"github.com/vanlan/vifi/internal/scenario"
 )
 
-// determinismSample is the figure subset the regression tests sweep: it
-// covers the probe, TCP and VoIP workloads, both environments
-// (live-channel VanLAN and trace-driven DieselNet), the measurement-trace
-// path (fig2), the collector pipeline (table2) and a custom-cell ablation.
-var determinismSample = []string{"fig2", "fig6", "fig8", "fig10", "fig11", "table2", "ablate-aux"}
+// reportTable is the package's byte-identity contract: one row per
+// registered id, rendered at seed 17 and the scale its committed golden
+// was taken at. TestReports ends by asserting the id column equals IDs(),
+// so an experiment registered without a row — and a golden — here fails.
+// A golden is regenerated (-update-golden) on the parent tree first; the
+// change is then shown to reproduce it (EXPERIMENTS.md).
+var reportTable = []struct {
+	id    string
+	scale float64
+	// arms > 0 cuts a sweep's second rendering to its first arms: 10000
+	// radios are simulated once per run of the suite, and 100/250/500 still
+	// straddle the index threshold. CI's -parallel 1 vs 4 cmp has the rest.
+	arms int
+}{
+	{id: "fig1", scale: 0.04},
+	{id: "fig2", scale: 0.04},
+	{id: "fig3", scale: 0.04},
+	{id: "fig4", scale: 0.04},
+	{id: "fig5", scale: 0.04},
+	{id: "fig6", scale: 0.04},
+	{id: "fig7", scale: 0.04},
+	{id: "fig8", scale: 0.04},
+	{id: "fig9", scale: 0.04},
+	{id: "fig10", scale: 0.04},
+	{id: "fig11", scale: 0.04},
+	{id: "fig12", scale: 0.04},
+	{id: "table1", scale: 0.04},
+	{id: "table2", scale: 0.04},
+	{id: "ablate-aux", scale: 0.04},
+	{id: "ablate-diversity", scale: 0.04},
+	{id: "ablate-backplane", scale: 0.04},
+	{id: "ablate-salvage", scale: 0.04},
+	{id: "ablate-retx", scale: 0.04},
+	// ~10 simulated seconds per arm on the full 54-basestation grid-city:
+	// enough for even the longest-MTBF scale-faults arm to see outages.
+	{id: "scale-fleet", scale: 0.04},
+	{id: "scale-density", scale: 0.04},
+	{id: "scale-app-tcp", scale: 0.04},
+	{id: "scale-app-voip", scale: 0.04},
+	{id: "scale-faults", scale: 0.04},
+	// ~5 simulated seconds per arm. scale-protocol shares scale-radio's
+	// scale so its arms are run-cache hits of scale-radio's.
+	{id: "scale-radio", scale: 0.02, arms: 3},
+	{id: "scale-protocol", scale: 0.02, arms: 1},
+	{id: "scale-shard", scale: 0.02},
+	{id: "scale-shard-halo", scale: 0.02},
+}
 
-// goldenOnly is TestGoldenReports' own list: the single-vehicle paths no
-// other golden reaches — the probe and TCP runs on VanLAN (fig7, fig9,
-// table1), a driver on a hand-built cell (ablate-diversity), a TCP run
-// with its own collector (ablate-retx) and the handoff study's session
-// reducers (fig3, fig4: Result.Sessions, SessionTimeCDF and the
-// time-weighted median). Kept out of the equal-seed and
-// parallel-vs-serial sweeps so those stay as long as they were.
-var goldenOnly = []string{"fig3", "fig4", "fig7", "fig9", "table1", "ablate-diversity", "ablate-retx"}
+// TestReports pins every registered experiment. Each id renders on a
+// shared 4-worker engine and must be well-formed and byte-identical to
+// its committed golden — the cross-version contract: reproducibility only
+// shows a binary agrees with itself, the goldens catch behaviour changes
+// that stay self-consistent. A sweep must render one row per arm, equal
+// where arms differ only in shard count. Then the id renders again with
+// equal options on a one-worker engine: that one byte comparison is both
+// "equal seeds reproduce" and "pool width never shows".
+func TestReports(t *testing.T) {
+	pool, serial := NewEngine(4), NewEngine(1)
+	var ids []string
+	for _, tc := range reportTable {
+		ids = append(ids, tc.id)
+		t.Run(tc.id, func(t *testing.T) {
+			o := Options{Seed: 17, Scale: tc.scale, Engine: pool}
+			rep, err := Run(tc.id, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkWellFormed(t, tc.id, rep)
+			goldenBytes(t, tc.id, rep.String())
+			s, isSweep := sweepByID(tc.id)
+			if isSweep {
+				checkSweepRows(t, s, rep)
+			}
 
-// TestEqualSeedsByteIdenticalReports is the package's reproducibility
-// contract: rendering the same experiment twice with equal options gives
-// byte-identical text. The first rendering is also the one checked
-// against the sample's committed goldens.
-func TestEqualSeedsByteIdenticalReports(t *testing.T) {
-	for _, id := range determinismSample {
-		o := Options{Seed: 17, Scale: 0.04}
-		a, err := Run(id, o)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		checkGolden(t, id, a)
-		b, err := Run(id, o)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		if a.String() != b.String() {
-			t.Errorf("%s: equal seeds diverged:\n--- first\n%s\n--- second\n%s", id, a, b)
+			o.Engine = serial
+			want := *rep
+			var again *Report
+			if tc.arms > 0 {
+				s.arms = s.arms[:tc.arms]
+				want.Rows = want.Rows[:tc.arms]
+				again, err = s.run(o)
+			} else {
+				again, err = Run(tc.id, o)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want.String() != again.String() {
+				t.Errorf("one-worker rendering differs:\n--- 4 workers\n%s\n--- 1 worker\n%s", &want, again)
+			}
+		})
+	}
+	sort.Strings(ids)
+	if !slices.Equal(ids, IDs()) {
+		t.Errorf("reportTable pins %v\nbut IDs() registers %v", ids, IDs())
+	}
+}
+
+// checkSweepRows asserts a sweep rendered one row per arm, and that arms
+// differing only in their pinned shard count — the identity sweeps' whole
+// point — rendered equal cells after the label. An arm that pins a count
+// but has no sibling to be identical to is a stale table.
+func checkSweepRows(t *testing.T, s sweep, rep *Report) {
+	t.Helper()
+	if len(rep.Rows) != len(s.arms) {
+		t.Fatalf("%s: %d rows for %d arms", s.id, len(rep.Rows), len(s.arms))
+	}
+	bySpec := map[string][]int{}
+	for i, arm := range s.arms {
+		var spec scenario.Spec
+		arm.set(&spec)
+		bySpec[spec.Key()] = append(bySpec[spec.Key()], i)
+	}
+	for _, g := range bySpec {
+		for _, i := range g {
+			if arm := s.arms[i]; arm.shards != 0 && len(g) < 2 {
+				t.Errorf("%s: arm %q pins %d shards but no other arm runs its spec", s.id, arm.label, arm.shards)
+			}
+			if !slices.Equal(rep.Rows[i][1:], rep.Rows[g[0]][1:]) {
+				t.Errorf("%s: arms running one spec diverged:\n%v\n%v", s.id, rep.Rows[g[0]], rep.Rows[i])
+			}
 		}
 	}
 }
@@ -93,51 +184,6 @@ func checkWellFormed(t *testing.T, id string, rep *Report) {
 	}
 	if s := rep.String(); !strings.Contains(s, id) {
 		t.Errorf("%s: rendering lacks the id:\n%s", id, s)
-	}
-}
-
-// checkGolden pins one rendered report: well-formed, and byte-identical
-// to its committed golden across code versions. Equal-seed
-// reproducibility only shows a binary agrees with itself; the goldens
-// catch changes that alter behaviour while staying self-consistent.
-func checkGolden(t *testing.T, id string, rep *Report) {
-	t.Helper()
-	checkWellFormed(t, id, rep)
-	goldenBytes(t, id, rep.String())
-}
-
-// TestGoldenReports pins the goldenOnly reports. They render on a shared
-// multi-worker engine, so these ids run on the pool path once too; the
-// sample's goldens are checked by TestEqualSeedsByteIdenticalReports.
-func TestGoldenReports(t *testing.T) {
-	eng := NewEngine(4)
-	for _, id := range goldenOnly {
-		rep, err := Run(id, Options{Seed: 17, Scale: 0.04, Engine: eng})
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		checkGolden(t, id, rep)
-	}
-}
-
-// TestParallelMatchesSerial is the engine's correctness gate: a shared
-// multi-worker engine must render byte-identically to the serial inline
-// path, figure by figure.
-func TestParallelMatchesSerial(t *testing.T) {
-	eng := NewEngine(4)
-	for _, id := range determinismSample {
-		serial, err := Run(id, Options{Seed: 23, Scale: 0.04})
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		par, err := Run(id, Options{Seed: 23, Scale: 0.04, Engine: eng})
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		if serial.String() != par.String() {
-			t.Errorf("%s: parallel output differs from serial:\n--- serial\n%s\n--- parallel\n%s",
-				id, serial, par)
-		}
 	}
 }
 

@@ -25,15 +25,12 @@ import (
 // Rule: job functions must be leaves. A job must never Wait on another
 // future from the same engine — with a bounded pool that is a deadlock
 // (the waiting job holds the slot its dependency needs). Figures submit
-// first, then Wait from the merge step only.
+// first, then Wait from the merge step only. That rule is also why there
+// is one execution mode: "serial" is a one-worker pool (NewEngine(1)),
+// which completes every figure because no job ever waits on a slot.
 type Engine struct {
 	workers int
 	sem     chan struct{}
-	// inline makes submissions execute synchronously in the caller's
-	// goroutine: the zero-dependency serial path used when no engine is
-	// configured.
-	inline bool
-
 	// metricsInterval, when positive, makes every executed run attach an
 	// obs sampler at this sim-time cadence (see metrics.go). Set once via
 	// EnableMetrics before scheduling; engine-constant, so it never
@@ -58,12 +55,6 @@ func NewEngine(workers int) *Engine {
 		sem:     make(chan struct{}, workers),
 		memo:    map[JobKey]*future{},
 	}
-}
-
-// newInlineEngine returns the serial fallback used when Options carries no
-// engine: jobs run immediately on submission, still through the run-cache.
-func newInlineEngine() *Engine {
-	return &Engine{workers: 1, inline: true, memo: map[JobKey]*future{}}
 }
 
 // Workers returns the pool size.
@@ -111,22 +102,14 @@ type Future[T any] struct{ f *future }
 // results are shared between callers and must be treated as immutable.
 func (f Future[T]) Wait() T { return f.f.wait().(T) }
 
-// launch runs fn and delivers its result into f: synchronously on the
-// inline engine, on a pool slot otherwise.
+// launch runs fn on a pool slot and delivers its result into f.
 func (e *Engine) launch(f *future, fn func() any) {
-	run := func() {
-		e.jobs.Add(1)
-		f.val = fn()
-		close(f.done)
-	}
-	if e.inline {
-		run()
-		return
-	}
 	go func() {
 		e.sem <- struct{}{}
 		defer func() { <-e.sem }()
-		run()
+		e.jobs.Add(1)
+		f.val = fn()
+		close(f.done)
 	}()
 }
 

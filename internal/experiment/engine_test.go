@@ -79,33 +79,10 @@ func TestEngineMemoizeSingleExecution(t *testing.T) {
 	}
 }
 
-// TestInlineEngineRunsAtSubmission checks the serial fallback used when
-// Options has no engine: jobs execute immediately, in submission order,
-// on the caller's goroutine, and the run-cache still dedups.
-func TestInlineEngineRunsAtSubmission(t *testing.T) {
-	eng := newInlineEngine()
-	var order []int
-	f1 := goJob(eng, func() int { order = append(order, 1); return 1 })
-	f2 := goJob(eng, func() int { order = append(order, 2); return 2 })
-	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
-		t.Fatalf("inline jobs did not run at submission: %v", order)
-	}
-	if f1.Wait() != 1 || f2.Wait() != 2 {
-		t.Error("inline futures returned wrong values")
-	}
-	key := JobKey{Kind: "test", Seed: 9}
-	calls := 0
-	eng.memoize(key, func() any { calls++; return calls })
-	v := Future[int]{f: eng.memoize(key, func() any { calls++; return calls })}.Wait()
-	if calls != 1 || v != 1 {
-		t.Errorf("inline memoization broken: calls=%d v=%d", calls, v)
-	}
-}
-
 func TestOptionsEngineFallback(t *testing.T) {
 	var o Options
-	if e := o.engine(); e == nil || !e.inline {
-		t.Error("nil Options.Engine should yield the inline engine")
+	if e := o.engine(); e == nil || e.Workers() != 1 {
+		t.Error("nil Options.Engine should yield a one-worker engine")
 	}
 	shared := NewEngine(2)
 	o.Engine = shared

@@ -29,14 +29,10 @@ func TestReportRendering(t *testing.T) {
 }
 
 func TestRegistryComplete(t *testing.T) {
-	// Every paper table/figure must be registered.
-	for _, id := range PaperOrder() {
-		if _, err := Run(id, Options{}); err != nil {
-			// Run executes; we only check registration here by looking at
-			// unknown-id errors, so probe the registry directly instead.
-			t.Errorf("paper experiment %s missing: %v", id, err)
-		}
-		break // executing all at full scale is the bench's job
+	// Executing every id is TestReports' job; here, that a registered id
+	// runs even on zero Options and an unknown one does not.
+	if _, err := Run(PaperOrder()[0], Options{}); err != nil {
+		t.Errorf("paper experiment %s missing: %v", PaperOrder()[0], err)
 	}
 	if _, err := Run("nope", tiny()); err == nil {
 		t.Error("unknown id accepted")

@@ -13,10 +13,8 @@ import (
 // This file carries the fleet application workloads: every vehicle of a
 // generated scenario runs the application session its spec names (CBR,
 // TCP, VoIP, Web, or a mixed split), multiplexed over the shared channel
-// and backplane through per-vehicle delivery hooks. The scale-app-tcp
-// and scale-app-voip sweeps measure what the paper's §5.3 actually
-// evaluates — application metrics under fleet contention — rather than
-// link delivery.
+// and backplane through per-vehicle delivery hooks. The scale-* sweeps
+// (sweeps.go) are tables of these runs.
 
 // FleetAppRun is the outcome of one fleet application execution: the
 // per-vehicle driver metrics, the fleet-wide per-app aggregation, and —
@@ -175,132 +173,11 @@ func (e *Engine) FleetApp(seed int64, spec scenario.Spec, cfg core.Config, dur t
 	return Future[*FleetAppRun]{f: e.memoize(key, func() any {
 		run, err := runFleetApp(seed, spec, cfg, dur, shards, e.metricsInterval)
 		if err != nil {
-			// Spec validity is checked by the runners before scheduling;
+			// Callers validate the spec before scheduling ((sweep).run
+			// does so arm by arm, the CLIs through scenario.Parse);
 			// reaching this is a programming error, not a data error.
 			panic(fmt.Sprintf("experiment: fleet app job: %v", err))
 		}
 		return run
 	})}
-}
-
-// --- Application scaling sweeps --------------------------------------------
-
-// appFleets is the fleet-size axis of the application sweeps. Smaller
-// than the CBR sweep's top arm: per-vehicle transport state makes these
-// runs heavier, and the application knee appears well before 24 vehicles.
-var appFleets = []int{1, 4, 8, 16}
-
-// forceApp pins a sweep's measured application on its base spec and
-// clears the knobs that app ignores, so meaningless -scenario overrides
-// neither split the run-cache nor leak into the scenario-base note.
-func forceApp(s scenario.Spec, app workload.Kind) scenario.Spec {
-	s.App = app
-	if app != workload.TCPKind {
-		s.AppXferBytes = 0
-	}
-	if app != workload.WebKind {
-		s.AppThink = 0
-	}
-	if app != workload.MixedKind {
-		s.AppMix = [4]int{}
-	}
-	return s
-}
-
-// runFleetSweep is the shared scaffold of the scaling sweeps: resolve
-// the base scenario, pin the measured app, schedule one memoized fleet
-// job per axis value, and render rows in declaration order.
-func runFleetSweep(r *Report, o Options, def string, app workload.Kind, values []int,
-	set func(*scenario.Spec, int), row func(int, *FleetAppRun) []string) {
-	base, err := o.baseScenario(def)
-	if err != nil {
-		r.AddNote("invalid -scenario: %v", err)
-		return
-	}
-	base = forceApp(base, app)
-	eng := o.engine()
-	dur := time.Duration(o.scaled(240)) * time.Second
-	futs := make([]Future[*FleetAppRun], len(values))
-	for i, n := range values {
-		spec := base
-		set(&spec, n)
-		futs[i] = eng.FleetApp(o.Seed, spec, core.DefaultConfig(), dur, o.shardCount())
-	}
-	for i, n := range values {
-		r.AddRow(row(n, futs[i].Wait())...)
-	}
-	r.AddNote("scenario base: %s", base.Key())
-}
-
-// appTCPHeader labels the TCP application sweep columns.
-var appTCPHeader = []string{"arm", "BSes", "vehicles", "completed", "aborted", "median xfer (s)", "p90 xfer (s)", "xfers/veh·min"}
-
-// ScaleAppTCP sweeps fleet size under the §5.3.1 repeated-transfer
-// workload on a generated city grid: every vehicle runs its own 10 KB
-// transfer loop, so the report shows how per-application throughput
-// degrades as the fleet contends for the shared channel. Options.Scenario
-// overrides the base deployment; its app is forced to tcp.
-func ScaleAppTCP(o Options) *Report {
-	r := &Report{
-		ID:     "scale-app-tcp",
-		Title:  "TCP transfer scaling on a generated city grid",
-		Header: appTCPHeader,
-	}
-	runFleetSweep(r, o, "grid-city", workload.TCPKind, appFleets,
-		func(s *scenario.Spec, n int) { s.Vehicles = n },
-		func(n int, run *FleetAppRun) []string {
-			a := run.Apps.App(workload.TCPKind)
-			// Rate over summed session time, not wall time: departure
-			// stagger shortens late vehicles' sessions, and dividing by
-			// the full run would add a spurious downward slope as the
-			// fleet grows.
-			perVehMin := 0.0
-			if a.ActiveMinutes > 0 {
-				perVehMin = float64(a.Completed) / a.ActiveMinutes
-			}
-			return []string{
-				fmt.Sprintf("fleet=%d", n),
-				fmt.Sprintf("%d", run.BSCount),
-				fmt.Sprintf("%d", a.Vehicles),
-				fmt.Sprintf("%d", a.Completed),
-				fmt.Sprintf("%d", a.Aborted),
-				f2(a.MedianTransferSec),
-				f2(a.P90TransferSec),
-				f1(perVehMin),
-			}
-		})
-	r.AddNote("expected shape: median transfer time grows and per-vehicle completions fall as the fleet contends (§5.3.1 measured under contention)")
-	return r
-}
-
-// appVoIPHeader labels the VoIP application sweep columns.
-var appVoIPHeader = []string{"arm", "BSes", "vehicles", "mean MoS", "median session (s)", "disruptions", "disrupt/call·min"}
-
-// ScaleAppVoIP sweeps fleet size under the §5.3.2 G.729 call workload:
-// every vehicle holds a bidirectional call scored with the E-model and
-// the MoS<2 disruption classifier, reporting disruptions per minute of
-// call time as contention grows. Options.Scenario overrides the base
-// deployment; its app is forced to voip.
-func ScaleAppVoIP(o Options) *Report {
-	r := &Report{
-		ID:     "scale-app-voip",
-		Title:  "VoIP call scaling on a generated city grid",
-		Header: appVoIPHeader,
-	}
-	runFleetSweep(r, o, "grid-city", workload.VoIPKind, appFleets,
-		func(s *scenario.Spec, n int) { s.Vehicles = n },
-		func(n int, run *FleetAppRun) []string {
-			a := run.Apps.App(workload.VoIPKind)
-			return []string{
-				fmt.Sprintf("fleet=%d", n),
-				fmt.Sprintf("%d", run.BSCount),
-				fmt.Sprintf("%d", a.Vehicles),
-				f2(a.MeanMoS),
-				fmt.Sprintf("%.0f", a.MedianSessionSec),
-				fmt.Sprintf("%d", a.Disruptions),
-				f2(a.DisruptionsPerMin),
-			}
-		})
-	r.AddNote("expected shape: disruptions per call-minute climb with fleet size as windows blow the 52 ms wireless budget (§5.3.2 under contention)")
-	return r
 }

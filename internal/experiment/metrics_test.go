@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"os"
 	"reflect"
 	"testing"
 	"time"
@@ -19,27 +18,14 @@ import (
 // same committed goldens the unsampled runs are pinned to.
 func TestSamplingPreservesGoldenReports(t *testing.T) {
 	TakeRecordings() // start from a clean sink
-	for _, tc := range []struct {
-		id    string
-		scale float64
-	}{
-		{"fig2", 0.04},
-		{"fig8", 0.04},
-		{"scale-faults", scaleFaultsTestScale},
-	} {
+	for _, id := range []string{"fig2", "fig8", "scale-faults"} {
 		eng := NewEngine(1)
 		eng.EnableMetrics(time.Second)
-		rep, err := Run(tc.id, Options{Seed: 17, Scale: tc.scale, Engine: eng})
+		rep, err := Run(id, Options{Seed: 17, Scale: 0.04, Engine: eng}) // reportTable's options
 		if err != nil {
-			t.Fatalf("%s: %v", tc.id, err)
+			t.Fatalf("%s: %v", id, err)
 		}
-		want, err := os.ReadFile("testdata/golden_" + tc.id + ".txt")
-		if err != nil {
-			t.Fatalf("%s: %v", tc.id, err)
-		}
-		if rep.String() != string(want) {
-			t.Errorf("%s: sampling changed the report bytes", tc.id)
-		}
+		goldenBytes(t, id, rep.String())
 	}
 	// The guard is only meaningful if sampling actually ran.
 	if recs := TakeRecordings(); len(recs) == 0 {

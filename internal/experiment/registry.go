@@ -5,11 +5,13 @@ import (
 	"sort"
 )
 
-// Runner produces one report.
+// Runner produces one paper figure, table or ablation report.
 type Runner func(Options) *Report
 
-// registry maps experiment ids to runners.
-var registry = map[string]Runner{
+// figures maps the paper's tables and figures, and the ablations, to their
+// runners. The city-scale scale-* reports are not functions but rows of
+// the sweeps table (sweeps.go); Run and IDs consult both.
+var figures = map[string]Runner{
 	"fig1":   Fig1,
 	"fig2":   Fig2,
 	"fig3":   Fig3,
@@ -31,42 +33,32 @@ var registry = map[string]Runner{
 	"ablate-backplane": AblateBackplane,
 	"ablate-salvage":   AblateSalvage,
 	"ablate-retx":      AblateRetx,
-
-	// City-scale scenario sweeps (DESIGN.md §7).
-	"scale-fleet":    ScaleFleet,
-	"scale-density":  ScaleDensity,
-	"scale-radio":    ScaleRadio,
-	"scale-protocol": ScaleProtocol,
-
-	// Fleet application sweeps (DESIGN.md §8).
-	"scale-app-tcp":  ScaleAppTCP,
-	"scale-app-voip": ScaleAppVoIP,
-
-	// Fault-injection resilience sweep (DESIGN.md §9).
-	"scale-faults": ScaleFaults,
-
-	// Sharded-execution identity sweeps (DESIGN.md §10).
-	"scale-shard":      ScaleShard,
-	"scale-shard-halo": ScaleShardHalo,
 }
 
 // IDs returns all experiment ids in a stable order.
 func IDs() []string {
-	out := make([]string, 0, len(registry))
-	for id := range registry {
+	out := make([]string, 0, len(figures)+len(sweeps))
+	for id := range figures {
 		out = append(out, id)
+	}
+	for _, s := range sweeps {
+		out = append(out, s.id)
 	}
 	sort.Strings(out)
 	return out
 }
 
-// Run executes one experiment by id.
+// Run executes one experiment by id. A figure always yields its report; a
+// sweep fails — before simulating anything — when Options.Scenario does
+// not parse or makes one of its arms an invalid deployment.
 func Run(id string, o Options) (*Report, error) {
-	r, ok := registry[id]
-	if !ok {
-		return nil, fmt.Errorf("experiment: unknown id %q (have %v)", id, IDs())
+	if r, ok := figures[id]; ok {
+		return r(o), nil
 	}
-	return r(o), nil
+	if s, ok := sweepByID(id); ok {
+		return s.run(o)
+	}
+	return nil, fmt.Errorf("experiment: unknown id %q (have %v)", id, IDs())
 }
 
 // PaperOrder lists the paper's tables and figures in presentation order.

@@ -1,8 +1,6 @@
 package experiment
 
 import (
-	"os"
-	"slices"
 	"strings"
 	"testing"
 )
@@ -42,37 +40,32 @@ func TestRunUnknownID(t *testing.T) {
 	}
 }
 
-// poolRendered lists the ids another test already renders on a
-// multi-worker engine and checks with checkGolden: the determinism and
-// golden tables, and the sweeps that each have a determinism test of
-// their own.
-var poolRendered = slices.Concat(determinismSample, goldenOnly, scaleFleetSample,
-	[]string{"scale-radio", "scale-protocol", "scale-faults", "scale-shard", "scale-shard-halo"})
-
-// TestEveryRunnerProducesReport executes, at a sharply reduced scale
-// through one shared engine, every registered experiment that is not in
-// poolRendered, and checks each yields a non-empty, well-formed report.
-// The set is IDs() minus that table, so a newly registered id runs here
-// until it has a golden; an entry whose golden is missing is a stale
-// table, not coverage.
-func TestEveryRunnerProducesReport(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full registry sweep in -short mode")
-	}
-	for _, id := range poolRendered {
-		if _, err := os.Stat("testdata/golden_" + id + ".txt"); err != nil {
-			t.Errorf("poolRendered lists %s, which has no golden: %v", id, err)
+// TestSweepRejectsBadScenario: a -scenario override that does not parse,
+// or that makes a single arm an invalid deployment (a one-vehicle fleet
+// cannot populate metro-districts' four districts), is an error from Run
+// naming the sweep and the arm before any job is scheduled — not a report
+// without rows, nor a panic on an engine goroutine.
+func TestSweepRejectsBadScenario(t *testing.T) {
+	for _, tc := range []struct {
+		id, scenario string
+		want         []string
+	}{
+		{"scale-fleet", "metro-districts",
+			[]string{"scale-fleet", `arm "fleet=1"`, `"metro-districts"`, "vehicles = 1 < districts = 4"}},
+		{"scale-faults", "no-such-preset", []string{"scale-faults", `"no-such-preset"`}},
+	} {
+		eng := NewEngine(2)
+		rep, err := Run(tc.id, Options{Seed: 1, Scale: 0.01, Engine: eng, Scenario: tc.scenario})
+		if err == nil {
+			t.Fatalf("%s on %q: no error, report:\n%s", tc.id, tc.scenario, rep)
 		}
-	}
-	o := Options{Seed: 7, Scale: 0.03, Engine: NewEngine(0)}
-	for _, id := range IDs() {
-		if slices.Contains(poolRendered, id) {
-			continue
+		for _, want := range tc.want {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s on %q: error %q does not mention %q", tc.id, tc.scenario, err, want)
+			}
 		}
-		rep, err := Run(id, o)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
+		if rep != nil || eng.Jobs() != 0 {
+			t.Errorf("%s on %q: report %v and %d jobs run beside the error", tc.id, tc.scenario, rep, eng.Jobs())
 		}
-		checkWellFormed(t, id, rep)
 	}
 }

@@ -19,14 +19,15 @@ type Options struct {
 	// paper-shaped run; benchmarks use smaller values for speed.
 	Scale float64
 	// Engine schedules the experiment's simulation runs. nil runs every
-	// job serially in the calling goroutine (still through a per-figure
+	// job on a fresh one-worker engine (serial, with a per-figure
 	// run-cache); a shared Engine adds bounded parallelism and
 	// cross-figure memoization. Reports are byte-identical either way.
 	Engine *Engine
-	// Scenario overrides the base scenario spec of the scaling experiments
-	// (scale-fleet, scale-density): a preset name plus key=value overrides
-	// in internal/scenario.Parse syntax. Empty keeps each experiment's
-	// default. Paper figures ignore it.
+	// Scenario overrides the base scenario spec of the scale-* sweeps: a
+	// preset name plus key=value overrides in internal/scenario.Parse
+	// syntax. Empty keeps each sweep's default; one that does not parse,
+	// or that makes an arm invalid, is an error from Run. Paper figures
+	// ignore it.
 	Scenario string
 	// Shards requests sharded single-run execution: each fleet simulation
 	// runs as this many coupled event kernels when its scenario is
@@ -38,21 +39,13 @@ type Options struct {
 	Shards int
 }
 
-// engine returns the configured engine, or a fresh serial inline engine
-// so figures can be called directly without one.
+// engine returns the configured engine, or a fresh one-worker engine so
+// figures can be called directly without one.
 func (o Options) engine() *Engine {
 	if o.Engine != nil {
 		return o.Engine
 	}
-	return newInlineEngine()
-}
-
-// shardCount returns the requested shard count, at least 1.
-func (o Options) shardCount() int {
-	if o.Shards < 1 {
-		return 1
-	}
-	return o.Shards
+	return NewEngine(1)
 }
 
 // scaled returns max(1, round(n·Scale)) for trial counts.

@@ -1,23 +1,19 @@
 package experiment
 
 import (
-	"fmt"
 	"time"
 
 	"github.com/vanlan/vifi/internal/core"
 	"github.com/vanlan/vifi/internal/fault"
 	"github.com/vanlan/vifi/internal/frame"
-	"github.com/vanlan/vifi/internal/scenario"
 	"github.com/vanlan/vifi/internal/sim"
 	"github.com/vanlan/vifi/internal/workload"
 )
 
-// This file carries the resilience sweep: deterministic fault injection
-// (internal/fault) against a fixed VoIP fleet, with fault frequency as
-// the axis. Where the other scale-* sweeps show cost staying flat, this
-// one shows service degrading gracefully — availability and recovery
-// time track the injected outage rate instead of collapsing, and the
-// protocol neither wedges nor double-delivers across restarts.
+// This file carries the resilience measurement of a faulted fleet run:
+// what deterministic fault injection (internal/fault) did to it and how
+// the fleet rode through. The scale-faults sweep (sweeps.go) reads it
+// with fault frequency as the axis.
 
 // FaultReport is the resilience outcome of one faulted fleet run:
 // what was injected (per-layer windows and union downtime from the
@@ -180,73 +176,4 @@ func (r *faultRecorder) report(tl fault.Timeline) *FaultReport {
 	}
 	rep.Availability = float64(total-rep.GapBins) / float64(total)
 	return rep
-}
-
-// --- The resilience sweep --------------------------------------------------
-
-// scaleFaultsVehicles is the fixed VoIP fleet shared by every arm, so
-// degradation is attributable to the injected faults, not to changed
-// contention.
-const scaleFaultsVehicles = 16
-
-// scaleFaultArms is the fault-frequency axis: per-basestation crash
-// processes of decreasing MTBF at a fixed 4 s restart time, against the
-// un-faulted baseline. Every basestation runs its own Poisson process,
-// so even short runs see outages on a city grid.
-var scaleFaultArms = []struct {
-	label string
-	spec  string
-}{
-	{"none", ""},
-	{"mtbf=4m", "bs:mtbf=4m0s:mttr=4s"},
-	{"mtbf=2m", "bs:mtbf=2m0s:mttr=4s"},
-	{"mtbf=1m", "bs:mtbf=1m0s:mttr=4s"},
-}
-
-// faultsHeader labels the resilience sweep columns.
-var faultsHeader = []string{"arm", "outages", "down (s)", "avail", "gaps (fault/all)",
-	"recovery (s)", "mean MoS", "disrupt/call·min"}
-
-// ScaleFaults sweeps basestation crash frequency under a fixed VoIP
-// fleet on a generated city grid: every arm injects a seeded
-// crash/restart process (radio muted, backplane partitioned, protocol
-// state cold on restart) and reports availability, fault-attributable
-// delivery gaps, and post-restore recovery time next to the call
-// quality the scale-app-voip sweep measures unfaulted. Options.Scenario
-// overrides the base deployment; each arm pins its own faults= knob and
-// the fixed fleet.
-func ScaleFaults(o Options) *Report {
-	r := &Report{
-		ID:     "scale-faults",
-		Title:  "Resilience under basestation crash/restart on a generated city grid",
-		Header: faultsHeader,
-	}
-	arms := make([]int, len(scaleFaultArms))
-	for i := range arms {
-		arms[i] = i
-	}
-	runFleetSweep(r, o, "grid-city", workload.VoIPKind, arms,
-		func(s *scenario.Spec, i int) {
-			s.Vehicles = scaleFaultsVehicles
-			s.Faults = scaleFaultArms[i].spec
-		},
-		func(i int, run *FleetAppRun) []string {
-			a := run.Apps.App(workload.VoIPKind)
-			row := []string{scaleFaultArms[i].label, "-", "-", "-", "-", "-"}
-			if f := run.Faults; f != nil {
-				bs := f.Windows[fault.LayerBS]
-				row = []string{
-					scaleFaultArms[i].label,
-					fmt.Sprintf("%d", bs),
-					f1(f.DownSec[fault.LayerBS]),
-					pct1(f.Availability),
-					fmt.Sprintf("%d/%d", f.GapBinsFault, f.GapBins),
-					f2(f.RecoveryMeanSec),
-				}
-			}
-			return append(row, f2(a.MeanMoS), f2(a.DisruptionsPerMin))
-		})
-	r.AddNote("graceful degradation: availability and recovery stay bounded as crash frequency grows; the un-faulted arm pins the baseline the faulted arms degrade from")
-	r.AddNote("each basestation runs its own seeded Poisson crash process (mttr=4s); restarts come back with cold protocol state and must re-learn peers and anchors")
-	return r
 }

@@ -9,33 +9,6 @@ import (
 	"github.com/vanlan/vifi/internal/scenario"
 )
 
-// scaleFaultsTestScale keeps the resilience sweep affordable while
-// leaving each arm ~10 simulated seconds — with a per-basestation crash
-// process on a 54-BS city grid, even the longest-MTBF arm expects
-// outages in that window.
-const scaleFaultsTestScale = 0.04
-
-// TestScaleFaultsDeterminism is the chaos determinism gate: the faulted
-// sweep must render byte-identically to the committed golden
-// (cross-version contract, -update-golden to refresh deliberately) and
-// between the serial inline path and a multi-worker engine — same
-// faulted spec + seed, same injected timeline, same report, regardless
-// of -parallel.
-func TestScaleFaultsDeterminism(t *testing.T) {
-	serial, err := Run("scale-faults", Options{Seed: 17, Scale: scaleFaultsTestScale})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "scale-faults", serial)
-	par, err := Run("scale-faults", Options{Seed: 17, Scale: scaleFaultsTestScale, Engine: NewEngine(4)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.String() != par.String() {
-		t.Errorf("scale-faults parallel output differs from serial:\n--- serial\n%s\n--- parallel\n%s", serial, par)
-	}
-}
-
 // TestFaultedRunInjectsAndRecovers pins the sweep's substance at test
 // scale: the faulted run actually injects basestation outages, the
 // report attributes them, and the fleet keeps delivering — availability

@@ -1,24 +1,15 @@
 package experiment
 
 import (
-	"fmt"
 	"time"
 
-	"github.com/vanlan/vifi/internal/scenario"
 	"github.com/vanlan/vifi/internal/stats"
-	"github.com/vanlan/vifi/internal/workload"
 )
 
-// This file carries the city-scale scaling experiments: synthetic
-// environments from internal/scenario driven by a fleet-wide constant-rate
-// workload, swept over fleet size (scale-fleet) and basestation density
-// (scale-density). They probe the regime the ROADMAP's north star cares
-// about — many vehicles contending for one channel across a large
-// deployment — rather than any figure of the paper. The workload itself
-// is the CBR application driver (one 500-byte packet each way per 200 ms
-// slot — 5 pkt/s per direction per vehicle drives a 24-vehicle fleet to
-// the channel's saturation knee); fleetapp.go carries the runner and the
-// application-metric sweeps.
+// This file carries the constant-rate slot table: the link view of a CBR
+// fleet (one 500-byte packet each way per 200 ms slot per vehicle) and of
+// the §5.2 probe run, which is a fleet of one. The sweeps that read it are
+// rows of the table in sweeps.go; fleetapp.go carries the runner.
 
 // fleetWarm is the settling time before a vehicle starts measuring (one
 // probability window plus anchor selection slack, as in the §5 workloads).
@@ -139,78 +130,4 @@ func (f *FleetRun) Interruptions() float64 {
 		return 0
 	}
 	return float64(total) / hours
-}
-
-// baseScenario resolves the experiment's base spec: the -scenario option
-// when given, otherwise the named default preset.
-func (o Options) baseScenario(def string) (scenario.Spec, error) {
-	src := o.Scenario
-	if src == "" {
-		src = def
-	}
-	return scenario.Parse(src)
-}
-
-// fleetRow renders one sweep arm of a scaling report.
-func fleetRow(label string, run *FleetRun) []string {
-	colPerK := 0.0
-	if run.Transmissions > 0 {
-		colPerK = 1000 * float64(run.Collisions) / float64(run.Transmissions)
-	}
-	return []string{
-		label,
-		fmt.Sprintf("%d", run.BSCount),
-		fmt.Sprintf("%d", len(run.Up)),
-		fmt.Sprintf("%.1f", run.DeliveredPerSec()),
-		pct(run.DeliveryRatio()),
-		fmt.Sprintf("%.0f", run.MedianSession(time.Second, 0.5)),
-		fmt.Sprintf("%.0f", run.Interruptions()),
-		fmt.Sprintf("%.0f", colPerK),
-	}
-}
-
-// fleetHeader labels the sweep columns. "rx collisions" are per-receiver
-// collision events (one transmission can collide at many receivers), so
-// the rate can exceed 1000 — it is a congestion signal, not a fraction.
-var fleetHeader = []string{"arm", "BSes", "vehicles", "delivered/s", "delivery", "median session (s)", "interrupts/veh·h", "rx collisions/1k tx"}
-
-// ScaleFleet sweeps fleet size over a city-scale deployment: aggregate
-// throughput, delivery ratio and session quality as more vehicles share
-// one channel. The base scenario is grid-city (54 basestations) unless
-// Options.Scenario overrides it; the sweep tops out at a 24-vehicle
-// fleet. Durations scale with Options.Scale as everywhere else.
-func ScaleFleet(o Options) *Report {
-	r := &Report{
-		ID:     "scale-fleet",
-		Title:  "Fleet-size scaling on a generated city grid",
-		Header: fleetHeader,
-	}
-	// This sweep measures link delivery, so the workload is pinned to CBR.
-	runFleetSweep(r, o, "grid-city", workload.CBRKind, []int{1, 4, 8, 16, 24},
-		func(s *scenario.Spec, n int) { s.Vehicles = n },
-		func(n int, run *FleetAppRun) []string {
-			return fleetRow(fmt.Sprintf("fleet=%d", n), run.Link)
-		})
-	r.AddNote("expected shape: aggregate delivered/s grows then saturates at the channel knee; per-vehicle delivery and session length degrade as the fleet contends")
-	return r
-}
-
-// ScaleDensity sweeps basestation density at a fixed fleet: coverage and
-// session quality versus infrastructure investment. The default base runs
-// 8 vehicles; a -scenario override keeps whatever fleet size it asks for
-// (only the BS count is swept).
-func ScaleDensity(o Options) *Report {
-	r := &Report{
-		ID:     "scale-density",
-		Title:  "Basestation-density scaling on a generated city grid",
-		Header: fleetHeader,
-	}
-	// This sweep measures link delivery, so the workload is pinned to CBR.
-	runFleetSweep(r, o, "grid-city,vehicles=8", workload.CBRKind, []int{14, 28, 54, 96},
-		func(s *scenario.Spec, n int) { s.BS = n },
-		func(n int, run *FleetAppRun) []string {
-			return fleetRow(fmt.Sprintf("bs=%d", n), run.Link)
-		})
-	r.AddNote("expected shape: delivery ratio and session length improve with density until routes are fully covered, then flatten")
-	return r
 }

@@ -11,100 +11,6 @@ import (
 	"github.com/vanlan/vifi/internal/workload"
 )
 
-// scaleSample keeps these tests quick: grid-city durations at Scale 0.04
-// are ~10 simulated seconds per arm, yet the big arm still runs the full
-// 54-basestation deployment.
-const scaleTestScale = 0.04
-
-// scaleFleetSample is the grid-city scaling sweeps
-// TestScaleFleetByteIdentical renders.
-var scaleFleetSample = []string{"scale-fleet", "scale-density", "scale-app-tcp", "scale-app-voip"}
-
-// TestScaleFleetByteIdentical is the acceptance contract for the scaling
-// experiments: the registered scale-fleet experiment — whose top arm runs
-// 54 basestations and 24 concurrent vehicles — renders byte-identically
-// to its committed golden, across two runs of the same seed and between
-// the serial inline path and a multi-worker engine.
-func TestScaleFleetByteIdentical(t *testing.T) {
-	for _, id := range scaleFleetSample {
-		o := Options{Seed: 17, Scale: scaleTestScale}
-		a, err := Run(id, o)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		checkGolden(t, id, a)
-		b, err := Run(id, o)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		if a.String() != b.String() {
-			t.Errorf("%s: equal seeds diverged:\n--- first\n%s\n--- second\n%s", id, a, b)
-		}
-		par, err := Run(id, Options{Seed: 17, Scale: scaleTestScale, Engine: NewEngine(4)})
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		if a.String() != par.String() {
-			t.Errorf("%s: parallel output differs from serial:\n--- serial\n%s\n--- parallel\n%s", id, a, par)
-		}
-	}
-}
-
-// scaleRadioTestScale keeps the radio-count sweep affordable in the test
-// suite: the 10000-radio top arm still runs ~5 simulated seconds of full
-// fleet traffic on the channel's spatially indexed path.
-const scaleRadioTestScale = 0.02
-
-// TestScaleRadioIndexedDeterminism is the large-N determinism gate for
-// the spatially indexed channel: the scale-radio sweep — whose top arm
-// runs 10000 radios, far past radio.DefaultIndexThreshold — must render
-// byte-identically to the committed golden (cross-version contract,
-// -update-golden to refresh deliberately) and between the serial inline
-// path and a multi-worker engine. One serial rendering serves both
-// checks to keep the suite affordable.
-func TestScaleRadioIndexedDeterminism(t *testing.T) {
-	serial, err := Run("scale-radio", Options{Seed: 17, Scale: scaleRadioTestScale})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "scale-radio", serial)
-	par, err := Run("scale-radio", Options{Seed: 17, Scale: scaleRadioTestScale, Engine: NewEngine(4)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.String() != par.String() {
-		t.Errorf("scale-radio parallel output differs from serial:\n--- serial\n%s\n--- parallel\n%s", serial, par)
-	}
-}
-
-// scaleProtocolTestScale keeps the occupancy sweep affordable: its arms
-// overlap scale-radio's, but the two tests cannot share an engine, so
-// this sweep runs a shorter (~2 simulated seconds) slice of the same
-// deployments. Occupancy saturates within the first staleness window,
-// so the shorter run still exercises the full index machinery.
-const scaleProtocolTestScale = 0.01
-
-// TestScaleProtocolDeterminism pins the protocol-occupancy sweep the
-// same way the radio sweep is pinned: golden bytes across versions and
-// serial-vs-parallel identity at 10000 radios. The occupancy columns
-// come from the incremental prob-table index, so this golden is the
-// end-to-end contract that lazy expiry, cached reports and the grid
-// neighborhood agree between engines.
-func TestScaleProtocolDeterminism(t *testing.T) {
-	serial, err := Run("scale-protocol", Options{Seed: 17, Scale: scaleProtocolTestScale})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "scale-protocol", serial)
-	par, err := Run("scale-protocol", Options{Seed: 17, Scale: scaleProtocolTestScale, Engine: NewEngine(4)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.String() != par.String() {
-		t.Errorf("scale-protocol parallel output differs from serial:\n--- serial\n%s\n--- parallel\n%s", serial, par)
-	}
-}
-
 // TestScaleProtocolArmsShared pins the run-cache economics the sweep is
 // built on: every scale-protocol arm is also a scale-radio arm and both
 // sweeps build their specs through setScaleRadioArm, so one engine
@@ -124,12 +30,8 @@ func TestScaleProtocolArmsShared(t *testing.T) {
 // arm's radio population is far past the index threshold, and the fixed
 // probe fleet is the same in every arm.
 func TestScaleRadioTopArmIndexed(t *testing.T) {
-	top := scaleRadioArms[len(scaleRadioArms)-1]
-	if top < 2000 {
-		t.Fatalf("top arm is %d radios, acceptance needs ≥ 2000", top)
-	}
-	if scaleRadioArms[len(scaleRadioArms)-1] < 8*radio.DefaultIndexThreshold {
-		t.Fatalf("top arm %d radios does not stress the indexed path (threshold %d)",
+	if top := scaleRadioArms[len(scaleRadioArms)-1]; top < 2000 || top < 8*radio.DefaultIndexThreshold {
+		t.Fatalf("top arm is %d radios, acceptance needs ≥ 2000 and well past the index threshold %d",
 			top, radio.DefaultIndexThreshold)
 	}
 	for _, n := range scaleRadioArms {

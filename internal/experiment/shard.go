@@ -147,10 +147,7 @@ func shardPlan(spec scenario.Spec, opts core.CellOptions, shards int) shardPlanR
 		return shardPlanResult{mode: shardModeSerial, eff: 1,
 			reason: "custom LinkFactory keeps the full-sweep channel path (no derivable cutoff, no stripe plan)"}
 	}
-	threshold := radio.DefaultIndexThreshold
-	if opts.Radio.IndexThresholdNodes > 0 {
-		threshold = opts.Radio.IndexThresholdNodes
-	}
+	threshold := opts.Radio.IndexThreshold()
 	if n := spec.BS + spec.Vehicles; n < threshold {
 		return shardPlanResult{mode: shardModeSerial, eff: 1,
 			reason: fmt.Sprintf("population %d below the index threshold %d: full-sweep channel path has no stripe plan", n, threshold)}

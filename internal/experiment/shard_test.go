@@ -207,56 +207,6 @@ func TestShardedFallbackSerial(t *testing.T) {
 	}
 }
 
-// scaleShardTestScale keeps the sweep affordable: the 216-basestation
-// districted metro runs ~5 simulated seconds per arm, five arms.
-const scaleShardTestScale = 0.02
-
-// TestScaleShardDeterminism pins the sharded-execution sweep: golden
-// bytes across versions, and — the reason the report exists — identical
-// metric cells across shard counts within each fault variant.
-func TestScaleShardDeterminism(t *testing.T) {
-	rep, err := Run("scale-shard", Options{Seed: 17, Scale: scaleShardTestScale, Engine: NewEngine(4)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Rows) != len(scaleShardArms) {
-		t.Fatalf("got %d rows, want %d", len(rep.Rows), len(scaleShardArms))
-	}
-	metrics := func(row []string) []string { return row[1:] } // drop the arm label
-	for i := 1; i <= 2; i++ {
-		if !reflect.DeepEqual(metrics(rep.Rows[0]), metrics(rep.Rows[i])) {
-			t.Errorf("plain arm %q diverged from serial:\n%v\n%v", rep.Rows[i][0], rep.Rows[0], rep.Rows[i])
-		}
-	}
-	if !reflect.DeepEqual(metrics(rep.Rows[3]), metrics(rep.Rows[4])) {
-		t.Errorf("chaos arms diverged:\n%v\n%v", rep.Rows[3], rep.Rows[4])
-	}
-	checkGolden(t, "scale-shard", rep)
-}
-
-// TestScaleShardHaloDeterminism pins the halo-band sharding sweep:
-// golden bytes across versions, and — the reason the report exists —
-// identical metric cells across lane counts within each fault variant.
-func TestScaleShardHaloDeterminism(t *testing.T) {
-	rep, err := Run("scale-shard-halo", Options{Seed: 17, Scale: scaleShardTestScale, Engine: NewEngine(4)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Rows) != len(scaleShardHaloArms) {
-		t.Fatalf("got %d rows, want %d", len(rep.Rows), len(scaleShardHaloArms))
-	}
-	metrics := func(row []string) []string { return row[1:] } // drop the arm label
-	for i := 1; i <= 3; i++ {
-		if !reflect.DeepEqual(metrics(rep.Rows[0]), metrics(rep.Rows[i])) {
-			t.Errorf("plain arm %q diverged from serial:\n%v\n%v", rep.Rows[i][0], rep.Rows[0], rep.Rows[i])
-		}
-	}
-	if !reflect.DeepEqual(metrics(rep.Rows[4]), metrics(rep.Rows[5])) {
-		t.Errorf("chaos arms diverged:\n%v\n%v", rep.Rows[4], rep.Rows[5])
-	}
-	checkGolden(t, "scale-shard-halo", rep)
-}
-
 // TestShardPlanShape pins the partitioner: balanced contiguous district
 // groups for districted specs (clamped to the district count), halo
 // stripe lanes for un-districted indexed specs, and reasoned serial

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"os"
 	"sort"
 	"time"
 )
@@ -83,6 +84,21 @@ func WriteAll(w io.Writer, recs []*Recording) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// WriteFile creates path and encodes recs into it in the binary format
+// (read back with vifi-metrics or ReadAll). The first error wins: a failed
+// encode still closes the file, and a failed close fails the write.
+func WriteFile(path string, recs []*Recording) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = WriteAll(f, recs)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 func writeRecording(cw countWriter, r *Recording) error {

@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -58,6 +60,23 @@ func TestBinaryRoundTrip(t *testing.T) {
 		if !recs[i].Equal(got[i]) {
 			t.Errorf("recording %d did not round-trip", i)
 		}
+	}
+
+	// The file variant (the commands' -metrics writer) carries the same
+	// bytes, and a path that cannot be created is the caller's error.
+	path := filepath.Join(t.TempDir(), "run.ftdc")
+	if err := WriteFile(path, recs); err != nil {
+		t.Fatal(err)
+	}
+	onDisk, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(onDisk, buf.Bytes()) {
+		t.Errorf("WriteFile wrote %d bytes, WriteAll %d: the two encodings differ", len(onDisk), buf.Len())
+	}
+	if err := WriteFile(filepath.Join(t.TempDir(), "missing", "run.ftdc"), recs); err == nil {
+		t.Error("WriteFile into a missing directory returned no error")
 	}
 }
 

@@ -294,20 +294,11 @@ func NewChannelSized(k *sim.Kernel, p Params, factory LinkFactory, capacity int)
 	return c
 }
 
-// indexThreshold returns the node count at which the indexed path takes
-// over.
-func (c *Channel) indexThreshold() int {
-	if c.P.IndexThresholdNodes > 0 {
-		return c.P.IndexThresholdNodes
-	}
-	return DefaultIndexThreshold
-}
-
 // indexed reports whether Broadcast uses the spatial grid. It requires a
 // finite cutoff; degenerate Params (no fading falloff, no MaxRangeM)
 // keep the full sweep at any size.
 func (c *Channel) indexed() bool {
-	return len(c.nodes) >= c.indexThreshold() && c.cutoff > 0
+	return len(c.nodes) >= c.P.IndexThreshold() && c.cutoff > 0
 }
 
 // newLink builds the state of one directed link. Each link's RNG streams

@@ -133,6 +133,16 @@ func (p *Params) CutoffM() float64 {
 	return p.D50 + 4*p.ShadowSigmaM + p.FalloffM*math.Log(p.PMax*1e9)
 }
 
+// IndexThreshold returns the attached-node count at which a channel
+// under p takes the spatially indexed path: IndexThresholdNodes when set,
+// DefaultIndexThreshold otherwise.
+func (p *Params) IndexThreshold() int {
+	if p.IndexThresholdNodes > 0 {
+		return p.IndexThresholdNodes
+	}
+	return DefaultIndexThreshold
+}
+
 // Airtime returns the on-air duration of a frame with the given payload
 // size under p's bitrate and framing overhead.
 func (p Params) Airtime(payloadBytes int) time.Duration {

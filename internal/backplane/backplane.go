@@ -53,8 +53,8 @@ func DefaultConfig() Config {
 
 // Handler consumes messages delivered to a node. The payload is a pooled
 // buffer owned by the backplane: it is valid only for the duration of the
-// call, and handlers must copy anything they retain (frame.Unmarshal
-// already copies, so decode-and-dispatch is safe) — the DESIGN.md §6
+// call, and handlers must copy anything they retain (a frame.Decoder
+// copies out of it, so decode-and-dispatch is safe) — the DESIGN.md §6
 // ownership rules.
 type Handler func(from uint16, payload []byte)
 

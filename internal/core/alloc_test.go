@@ -72,11 +72,8 @@ func TestRelayDecisionAllocFree(t *testing.T) {
 	if !contains(vs.aux, bs.Addr()) {
 		vs.aux = append(vs.aux, bs.Addr())
 	}
-	f := &frame.Frame{
-		Type: frame.TypeData, Src: veh, Dst: cell.BSes[0].Addr(),
-		Seq: 9, FromVehicle: true, Payload: make([]byte, 64),
-	}
-	p := &pendPkt{f: f, heardAt: k.Now(), veh: veh}
+	p := &pendPkt{src: veh, dst: cell.BSes[0].Addr(), fromVehicle: true,
+		payload: make([]byte, 64), heardAt: k.Now(), veh: veh}
 
 	// Warm the context scratch.
 	if _, ok := bs.buildRelayContext(p); !ok {
@@ -97,9 +94,9 @@ func TestRelayDecisionAllocFree(t *testing.T) {
 
 // TestSendPathSteadyStateAllocs exercises the full vehicle send path —
 // sequence allocation, pooled payload copy, MAC marshal, broadcast,
-// retransmission timer — and requires it to settle near zero allocations
-// per packet (map bucket growth in the outstanding window is the only
-// amortized remainder).
+// retransmission timer — together with every reception it causes (data,
+// acks, the window's beacons) and requires it to settle near zero
+// allocations per packet.
 func TestSendPathSteadyStateAllocs(t *testing.T) {
 	k := sim.NewKernel(8)
 	cell := NewCell(k, DefaultCellOptions(),
@@ -119,11 +116,11 @@ func TestSendPathSteadyStateAllocs(t *testing.T) {
 		cell.Vehicle.SendData(payload)
 		k.RunUntil(k.Now() + 50*time.Millisecond)
 	})
-	// The send side is pooled, but each 50 ms window still decodes a
-	// handful of beacon/ack frames, and frame.Unmarshal hands out fresh
-	// copies by contract (~28 objects per window at this topology). The
-	// bound catches any send-side regression without outlawing decode.
-	if allocs > 40 {
+	// Sending marshals into pooled buffers and receiving decodes into
+	// receiver-owned storage; what is left is the other basestation's copy
+	// of the payload it overhears as an auxiliary (considerPending keeps
+	// it past the upcall) and map growth.
+	if allocs > 2 {
 		t.Errorf("steady-state send path allocates %.1f objects per packet", allocs)
 	}
 }

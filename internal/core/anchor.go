@@ -54,14 +54,14 @@ func (n *Node) retryRegister(veh uint16, vs *vehState) {
 
 // handleBackplane dispatches messages arriving over the inter-BS plane.
 func (n *Node) handleBackplane(from uint16, payload []byte) {
-	f, err := frame.Unmarshal(payload)
+	f, err := n.bpDec.Decode(payload)
 	if err != nil {
 		return
 	}
 	switch f.Type {
 	case frame.TypeRelay:
 		if from == n.gatewayAddr {
-			n.handleDownFromInternet(f)
+			n.handleDownFromInternet(f.Orig, f.Payload)
 			return
 		}
 		n.handleUpstreamRelay(f)
@@ -72,16 +72,16 @@ func (n *Node) handleBackplane(from uint16, payload []byte) {
 	}
 }
 
-// handleDownFromInternet accepts a downstream packet from the gateway
-// (f.Orig names the vehicle) and transmits it over the air, recording it
-// for potential salvaging.
-func (n *Node) handleDownFromInternet(f *frame.Frame) {
-	veh := f.Orig
-	d := &downPkt{payload: f.Payload, fromNetAt: n.K.Now()}
+// handleDownFromInternet accepts a downstream packet for veh from the
+// gateway and transmits it over the air, recording it for potential
+// salvaging. The salvage cache keeps the packet for salvageCacheTTL, so it
+// takes its own copy of the borrowed payload.
+func (n *Node) handleDownFromInternet(veh uint16, payload []byte) {
+	d := &downPkt{payload: append([]byte(nil), payload...), fromNetAt: n.K.Now()}
 	vs := n.ensureVeh(veh)
 	vs.salvage = append(vs.salvage, d)
 	n.trimSalvage(veh)
-	n.sendDown(veh, f.Payload, d)
+	n.sendDown(veh, d.payload, d)
 }
 
 // handleUpstreamRelay accepts a relayed upstream packet from an auxiliary
@@ -123,7 +123,7 @@ func (n *Node) handleSalvageReq(from uint16, req *frame.Frame) {
 // handleSalvageData treats a salvaged packet as if it had just arrived
 // from the Internet (§4.5).
 func (n *Node) handleSalvageData(f *frame.Frame) {
-	n.handleDownFromInternet(&frame.Frame{Type: frame.TypeRelay, Orig: f.Orig, Payload: f.Payload})
+	n.handleDownFromInternet(f.Orig, f.Payload)
 }
 
 // trimSalvage bounds the per-vehicle salvage cache.

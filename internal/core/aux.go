@@ -50,7 +50,8 @@ func (n *Node) considerPending(f *frame.Frame) {
 	}
 	n.pending = append(n.pending, pendEntry{
 		key: key,
-		pkt: pendPkt{f: f, heardAt: now, veh: veh},
+		pkt: pendPkt{src: f.Src, dst: f.Dst, fromVehicle: f.FromVehicle,
+			payload: append([]byte(nil), f.Payload...), heardAt: now, veh: veh},
 	})
 	if !n.relayArmed {
 		// Wake the dormant chain: skip the instants that passed while there
@@ -158,12 +159,12 @@ func (n *Node) decideRelay(key pendKey, p *pendPkt) {
 	ctx, ok := n.buildRelayContext(p)
 	dir := dirOf(p)
 	if !ok {
-		n.emit(EvAuxDeclined, dir, key.id, key.attempt, p.f.Src, MediumAir)
+		n.emit(EvAuxDeclined, dir, key.id, key.attempt, p.src, MediumAir)
 		return
 	}
 	prob := RelayProb(n.cfg.Coordinator, ctx)
 	if !n.rng.Bool(prob) {
-		n.emit(EvAuxDeclined, dir, key.id, key.attempt, p.f.Src, MediumAir)
+		n.emit(EvAuxDeclined, dir, key.id, key.attempt, p.src, MediumAir)
 		return
 	}
 	n.relay(key, p, dir)
@@ -179,10 +180,10 @@ func (n *Node) buildRelayContext(p *pendPkt) (*RelayContext, bool) {
 		return nil, false
 	}
 	var s, d uint16
-	if p.f.FromVehicle {
-		s, d = p.veh, p.f.Dst // upstream: vehicle → anchor
+	if p.fromVehicle {
+		s, d = p.veh, p.dst // upstream: vehicle → anchor
 	} else {
-		s, d = p.f.Src, p.veh // downstream: anchor → vehicle
+		s, d = p.src, p.veh // downstream: anchor → vehicle
 	}
 	aux := vs.aux
 	self := -1
@@ -195,7 +196,7 @@ func (n *Node) buildRelayContext(p *pendPkt) (*RelayContext, bool) {
 		psBi := n.probs.Get(s, b, now)
 		pdBi := n.probs.Get(d, b, now)
 		ctx.C[i] = Contention(psBi, psd, pdBi)
-		if p.f.FromVehicle {
+		if p.fromVehicle {
 			// Upstream relays travel the inter-BS backplane, which the
 			// paper treats as reliable relative to the vehicle channel
 			// (§4.3: "relaying uses the inter-BS communication plane,
@@ -231,16 +232,16 @@ func growFloats(s []float64, n int) []float64 {
 func (n *Node) relay(key pendKey, p *pendPkt, dir Direction) {
 	rf := &n.txFrame
 	*rf = frame.Frame{
-		Type: frame.TypeRelay, Src: n.addr, Dst: p.f.Dst,
-		Seq: p.f.Seq, Attempt: p.f.Attempt, Relayed: true,
-		Orig: p.f.Src, Payload: p.f.Payload,
+		Type: frame.TypeRelay, Src: n.addr, Dst: p.dst,
+		Seq: key.id.Seq, Attempt: key.attempt, Relayed: true,
+		Orig: p.src, Payload: p.payload,
 	}
 	if dir == Up {
-		if n.bp != nil && n.sendBackplane(p.f.Dst, rf) {
-			n.emit(EvAuxRelayed, dir, key.id, key.attempt, p.f.Dst, MediumBackplane)
+		if n.bp != nil && n.sendBackplane(p.dst, rf) {
+			n.emit(EvAuxRelayed, dir, key.id, key.attempt, p.dst, MediumBackplane)
 		}
 		return
 	}
 	n.mac.Send(rf)
-	n.emit(EvAuxRelayed, dir, key.id, key.attempt, p.f.Dst, MediumAir)
+	n.emit(EvAuxRelayed, dir, key.id, key.attempt, p.dst, MediumAir)
 }

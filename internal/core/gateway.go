@@ -17,6 +17,7 @@ const GatewayAddr uint16 = 0xFF00
 type Gateway struct {
 	K        *sim.Kernel
 	bp       *backplane.Net
+	dec      frame.Decoder // receive storage; upcalls borrow from it
 	addr     uint16
 	anchorOf map[uint16]uint16 // vehicle → current anchor
 	deliver  DeliverFunc
@@ -125,7 +126,7 @@ func (g *Gateway) Send(veh uint16, payload []byte) bool {
 
 // handleBackplane consumes registrations and upstream forwards.
 func (g *Gateway) handleBackplane(from uint16, payload []byte) {
-	f, err := frame.Unmarshal(payload)
+	f, err := g.dec.Decode(payload)
 	if err != nil {
 		return
 	}

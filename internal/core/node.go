@@ -14,7 +14,9 @@ import (
 
 // DeliverFunc receives deduplicated application payloads. For a vehicle it
 // fires on downstream packets; for the gateway on upstream ones. from is
-// the original link-layer source.
+// the original link-layer source. The payload is borrowed from the
+// receiver's frame decoder: it is valid only during the call, and a
+// consumer copies what it keeps.
 type DeliverFunc func(id frame.PacketID, payload []byte, from uint16)
 
 // vehState is a basestation's view of one vehicle, learned from its
@@ -62,11 +64,16 @@ type pendKey struct {
 	attempt uint8
 }
 
-// pendPkt is an overheard, not-yet-decided packet at an auxiliary.
+// pendPkt is an overheard, not-yet-decided packet at an auxiliary: what
+// relay needs of the frame beyond its pendKey, held by value with the
+// auxiliary's own copy of the payload (the decoded frame is only borrowed,
+// and this record lives up to pendTTL).
 type pendPkt struct {
-	f       *frame.Frame
-	heardAt time.Duration
-	veh     uint16
+	src, dst    uint16
+	fromVehicle bool
+	payload     []byte
+	heardAt     time.Duration
+	veh         uint16
 }
 
 // pendEntry is one slot of the auxiliary's pending list. The list is a
@@ -116,6 +123,7 @@ type Node struct {
 	cfg         Config
 	mac         *mac.MAC
 	bp          *backplane.Net
+	bpDec       frame.Decoder // backplane receive storage (the MAC owns the air path's)
 	addr        uint16
 	isVehicle   bool
 	gatewayAddr uint16
@@ -563,7 +571,7 @@ func (n *Node) sendAck(id frame.PacketID, attempt uint8) {
 
 // dirOf infers a pending packet's direction.
 func dirOf(p *pendPkt) Direction {
-	if p.f.FromVehicle {
+	if p.fromVehicle {
 		return Up
 	}
 	return Down

@@ -81,7 +81,7 @@ func TestUpstreamDeliveryPerfectLinks(t *testing.T) {
 	k, cell := testCell(t, 3, DefaultConfig(), uniformMatrix(2, 1), nil)
 	var got [][]byte
 	cell.Gateway.SetDeliver(func(id frame.PacketID, payload []byte, from uint16) {
-		got = append(got, payload)
+		got = append(got, append([]byte(nil), payload...)) // borrowed: copy to keep
 	})
 	k.RunUntil(3 * time.Second) // warm up anchor selection
 	const n = 50

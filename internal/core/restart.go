@@ -25,7 +25,7 @@ func (n *Node) ColdRestart() {
 		delete(n.outstanding, seq)
 		n.freePkt(pkt)
 	}
-	n.delays = newDelaySampler(len(n.delays.ring))
+	n.delays.reset()
 
 	// Receiver dedup cache.
 	for n.ackedQ.Len() > 0 {

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"github.com/vanlan/vifi/internal/frame"
@@ -10,54 +10,48 @@ import (
 // delaySampler tracks recent acknowledgment delays and serves quantiles
 // for the adaptive retransmission timer (§4.7: "the source then picks as
 // the minimum retransmission time the 99th percentile of measured
-// delays").
+// delays"). It holds the window twice — ring in arrival order, to know
+// which delay a new one evicts, and sorted ascending, so a quantile is an
+// index. Both grow on demand up to window samples: most nodes of a large
+// deployment never take one.
 type delaySampler struct {
-	ring  []time.Duration
-	next  int
-	full  bool
-	cache time.Duration
-	dirty bool
-	cachq float64
+	window int
+	ring   []time.Duration
+	next   int // ring slot the next sample overwrites once the window is full
+	sorted []time.Duration
 }
 
-func newDelaySampler(n int) *delaySampler {
-	return &delaySampler{ring: make([]time.Duration, n)}
+func newDelaySampler(window int) *delaySampler {
+	return &delaySampler{window: window}
 }
 
 func (d *delaySampler) add(v time.Duration) {
-	d.ring[d.next] = v
-	d.next++
-	if d.next == len(d.ring) {
-		d.next = 0
-		d.full = true
+	if len(d.ring) < d.window {
+		d.ring = append(d.ring, v)
+	} else {
+		i, _ := slices.BinarySearch(d.sorted, d.ring[d.next])
+		d.sorted = slices.Delete(d.sorted, i, i+1)
+		d.ring[d.next] = v
+		d.next = (d.next + 1) % d.window
 	}
-	d.dirty = true
+	i, _ := slices.BinarySearch(d.sorted, v)
+	d.sorted = slices.Insert(d.sorted, i, v)
 }
 
-func (d *delaySampler) size() int {
-	if d.full {
-		return len(d.ring)
-	}
-	return d.next
+func (d *delaySampler) size() int { return len(d.ring) }
+
+// reset empties the window, keeping its storage.
+func (d *delaySampler) reset() {
+	d.ring, d.sorted, d.next = d.ring[:0], d.sorted[:0], 0
 }
 
 // quantile returns the q-quantile of the window, or 0 when empty.
 func (d *delaySampler) quantile(q float64) time.Duration {
-	n := d.size()
+	n := len(d.sorted)
 	if n == 0 {
 		return 0
 	}
-	if !d.dirty && q == d.cachq {
-		return d.cache
-	}
-	buf := make([]time.Duration, n)
-	copy(buf, d.ring[:n])
-	sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
-	idx := int(q * float64(n-1))
-	d.cache = buf[idx]
-	d.cachq = q
-	d.dirty = false
-	return d.cache
+	return d.sorted[int(q*float64(n-1))]
 }
 
 // retxTimeout computes the current retransmission timer.

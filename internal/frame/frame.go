@@ -15,7 +15,7 @@
 //	0       1     magic 'V'
 //	1       1     version (1)
 //	2       1     type
-//	3       1     flags (bit0: relayed)
+//	3       1     flags (bit0: relayed, bit1: from a vehicle; the rest zero)
 //	4       2     src node id
 //	6       2     dst node id (0xFFFF = broadcast)
 //	8       4     seq
@@ -87,6 +87,8 @@ var (
 	ErrChecksum   = errors.New("frame: checksum mismatch")
 	ErrTruncated  = errors.New("frame: truncated body")
 	ErrOversize   = errors.New("frame: field exceeds wire limits")
+	ErrTrailing   = errors.New("frame: bytes after the declared body")
+	ErrBadFlags   = errors.New("frame: reserved flag bits set")
 )
 
 const (
@@ -94,6 +96,9 @@ const (
 	version    = 1
 	headerLen  = 13
 	trailerLen = 4
+
+	flagRelayed     = 1 << 0
+	flagFromVehicle = 1 << 1
 )
 
 // ProbEntry reports a directed reception probability p(From→To), the unit
@@ -214,10 +219,10 @@ func (f *Frame) AppendTo(dst []byte) ([]byte, error) {
 	buf[2] = byte(f.Type)
 	var flags byte
 	if f.Relayed {
-		flags |= 1
+		flags |= flagRelayed
 	}
 	if f.FromVehicle {
-		flags |= 2
+		flags |= flagFromVehicle
 	}
 	buf[3] = flags
 	binary.BigEndian.PutUint16(buf[4:], f.Src)
@@ -269,9 +274,24 @@ func (f *Frame) AppendTo(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// Unmarshal decodes a frame from buf. The returned frame's Payload aliases
-// a fresh copy, never buf itself, so callers may recycle buf.
-func Unmarshal(buf []byte) (*Frame, error) {
+// Decoder decodes wire frames into storage it owns: one Frame, one Beacon
+// body whose Aux and Probs capacity is kept across calls, and one payload
+// buffer. A receiver that decodes every frame it hears through its own
+// Decoder allocates nothing once the widest beacon and the largest
+// payload have been seen. The zero value is ready to use; a Decoder must
+// not be shared between receivers that run concurrently.
+type Decoder struct {
+	f       Frame
+	beacon  Beacon
+	payload []byte
+}
+
+// Decode decodes a frame from buf. The returned frame, its Beacon and its
+// Payload are borrowed from the decoder: they are valid until the next
+// Decode, and a caller that keeps any of them longer copies what it keeps.
+// Nothing returned aliases buf. On error the decoder's storage is
+// unspecified and the next Decode is unaffected.
+func (d *Decoder) Decode(buf []byte) (*Frame, error) {
 	if len(buf) < headerLen+trailerLen {
 		return nil, ErrTooShort
 	}
@@ -285,11 +305,15 @@ func Unmarshal(buf []byte) (*Frame, error) {
 	if crc32.ChecksumIEEE(buf[:len(buf)-trailerLen]) != want {
 		return nil, ErrChecksum
 	}
+	if buf[3]&^(flagRelayed|flagFromVehicle) != 0 {
+		return nil, ErrBadFlags
+	}
 
-	f := &Frame{
+	f := &d.f
+	*f = Frame{
 		Type:        Type(buf[2]),
-		Relayed:     buf[3]&1 != 0,
-		FromVehicle: buf[3]&2 != 0,
+		Relayed:     buf[3]&flagRelayed != 0,
+		FromVehicle: buf[3]&flagFromVehicle != 0,
 		Src:         binary.BigEndian.Uint16(buf[4:]),
 		Dst:         binary.BigEndian.Uint16(buf[6:]),
 		Seq:         binary.BigEndian.Uint32(buf[8:]),
@@ -303,22 +327,22 @@ func Unmarshal(buf []byte) (*Frame, error) {
 		}
 		f.Attempt = b[0]
 		n := int(binary.BigEndian.Uint16(b[1:]))
-		if len(b) < 3+n {
-			return nil, ErrTruncated
+		if err := bodyLen(b, 3+n); err != nil {
+			return nil, err
 		}
-		f.Payload = append([]byte(nil), b[3:3+n]...)
+		f.Payload = d.keepPayload(b[3:])
 	case TypeAck:
-		if len(b) < 7 {
-			return nil, ErrTruncated
+		if err := bodyLen(b, 7); err != nil {
+			return nil, err
 		}
 		f.AckSrc = binary.BigEndian.Uint16(b)
 		f.AckSeq = binary.BigEndian.Uint32(b[2:])
 		f.AckAttempt = b[6]
 	case TypeBeacon:
-		bc := &Beacon{}
 		if len(b) < 5 {
 			return nil, ErrTruncated
 		}
+		bc := &d.beacon
 		bc.Anchor = binary.BigEndian.Uint16(b)
 		bc.PrevAnchor = binary.BigEndian.Uint16(b[2:])
 		nAux := int(b[4])
@@ -326,27 +350,35 @@ func Unmarshal(buf []byte) (*Frame, error) {
 		if len(b) < o+2*nAux+1 {
 			return nil, ErrTruncated
 		}
-		for i := 0; i < nAux; i++ {
-			bc.Aux = append(bc.Aux, binary.BigEndian.Uint16(b[o:]))
+		nProbs := int(b[o+2*nAux])
+		if err := bodyLen(b, o+2*nAux+1+5*nProbs); err != nil {
+			return nil, err
+		}
+		if cap(bc.Aux) < nAux {
+			bc.Aux = make([]uint16, nAux)
+		}
+		bc.Aux = bc.Aux[:nAux]
+		for i := range bc.Aux {
+			bc.Aux[i] = binary.BigEndian.Uint16(b[o:])
 			o += 2
 		}
-		nProbs := int(b[o])
 		o++
-		if len(b) < o+5*nProbs {
-			return nil, ErrTruncated
+		if cap(bc.Probs) < nProbs {
+			bc.Probs = make([]ProbEntry, nProbs)
 		}
-		for i := 0; i < nProbs; i++ {
-			bc.Probs = append(bc.Probs, ProbEntry{
+		bc.Probs = bc.Probs[:nProbs]
+		for i := range bc.Probs {
+			bc.Probs[i] = ProbEntry{
 				From: binary.BigEndian.Uint16(b[o:]),
 				To:   binary.BigEndian.Uint16(b[o+2:]),
 				Prob: dequantizeProb(b[o+4]),
-			})
+			}
 			o += 5
 		}
 		f.Beacon = bc
 	case TypeSalvageReq, TypeRegister:
-		if len(b) < 2 {
-			return nil, ErrTruncated
+		if err := bodyLen(b, 2); err != nil {
+			return nil, err
 		}
 		f.Target = binary.BigEndian.Uint16(b)
 	case TypeSalvageData, TypeRelay:
@@ -356,14 +388,40 @@ func Unmarshal(buf []byte) (*Frame, error) {
 		f.Orig = binary.BigEndian.Uint16(b)
 		f.Attempt = b[2]
 		n := int(binary.BigEndian.Uint16(b[3:]))
-		if len(b) < 5+n {
-			return nil, ErrTruncated
+		if err := bodyLen(b, 5+n); err != nil {
+			return nil, err
 		}
-		f.Payload = append([]byte(nil), b[5:5+n]...)
+		f.Payload = d.keepPayload(b[5:])
 	default:
 		return nil, fmt.Errorf("%w: %d", ErrBadType, buf[2])
 	}
 	return f, nil
+}
+
+// bodyLen checks a body against the exact length its own fields declare:
+// the encoder never emits anything else, so AppendTo(Decode(b)) == b for
+// every b that decodes.
+func bodyLen(b []byte, want int) error {
+	switch {
+	case len(b) < want:
+		return ErrTruncated
+	case len(b) > want:
+		return ErrTrailing
+	}
+	return nil
+}
+
+// keepPayload copies p into the decoder's payload buffer.
+func (d *Decoder) keepPayload(p []byte) []byte {
+	d.payload = append(d.payload[:0], p...)
+	return d.payload
+}
+
+// Unmarshal decodes a frame from buf into fresh storage: the result
+// aliases neither buf nor any decoder, so callers may keep it and recycle
+// buf. Receivers on a hot path own a Decoder instead.
+func Unmarshal(buf []byte) (*Frame, error) {
+	return new(Decoder).Decode(buf)
 }
 
 // WireSize returns the encoded size of the frame without allocating.

@@ -59,7 +59,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Handler consumes decoded frames arriving from the radio.
+// Handler consumes decoded frames arriving from the radio. The frame, its
+// Beacon and its Payload live in the MAC's decoder: they are borrowed for
+// the upcall and overwritten by the next reception, so a handler copies
+// whatever it keeps (DESIGN.md §6).
 type Handler interface {
 	HandleFrame(f *frame.Frame, info radio.RxInfo)
 }
@@ -115,6 +118,9 @@ type MAC struct {
 
 	handler  Handler
 	beaconFn func() *frame.Frame
+	// dec owns the storage every received frame decodes into. One per MAC,
+	// never shared: cells run concurrently on engine workers and lanes.
+	dec frame.Decoder
 
 	// queue holds marshaled frames; SendPriority pushes at the front.
 	queue   ring.Ring[txItem]
@@ -260,7 +266,7 @@ func (m *MAC) pump() {
 
 // radioReceive decodes and dispatches an arriving frame.
 func (m *MAC) radioReceive(payload []byte, info radio.RxInfo) {
-	f, err := frame.Unmarshal(payload)
+	f, err := m.dec.Decode(payload)
 	if err != nil {
 		m.stats.DecodeErrors++
 		return

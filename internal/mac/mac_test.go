@@ -20,8 +20,18 @@ type sink struct {
 	infos  []radio.RxInfo
 }
 
+// HandleFrame keeps a copy: the frame it is handed is the MAC's decoder
+// storage, overwritten by the next reception.
 func (s *sink) HandleFrame(f *frame.Frame, info radio.RxInfo) {
-	s.frames = append(s.frames, f)
+	c := *f
+	c.Payload = append([]byte(nil), f.Payload...)
+	if f.Beacon != nil {
+		b := *f.Beacon
+		b.Aux = append([]uint16(nil), b.Aux...)
+		b.Probs = append([]frame.ProbEntry(nil), b.Probs...)
+		c.Beacon = &b
+	}
+	s.frames = append(s.frames, &c)
 	s.infos = append(s.infos, info)
 }
 
@@ -266,5 +276,45 @@ func TestStatsByType(t *testing.T) {
 	s := a.Stats()
 	if s.SentByType[frame.TypeData] != 1 || s.SentByType[frame.TypeAck] != 1 {
 		t.Errorf("per-type stats: %+v", s.SentByType)
+	}
+}
+
+// TestReceivePathSteadyStateAllocs is the receive path's end-to-end guard:
+// two MACs exchanging 40-entry beacons and 500-byte data frames — marshal
+// into pooled buffers, broadcast, pooled reception records, decode into
+// each MAC's own decoder, upcall — allocate nothing once warm.
+func TestReceivePathSteadyStateAllocs(t *testing.T) {
+	k := sim.NewKernel(11)
+	ch := perfectChannel(k)
+	a := New(k, ch, "a", mobility.Fixed{})
+	b := New(k, ch, "b", mobility.Fixed{X: 10})
+	received := 0
+	count := HandlerFunc(func(f *frame.Frame, _ radio.RxInfo) { received += len(f.Payload) + 1 })
+	a.SetHandler(count)
+	b.SetHandler(count)
+	for _, m := range []*MAC{a, b} {
+		body := &frame.Beacon{Anchor: frame.None, PrevAnchor: frame.None, Aux: []uint16{1, 2}}
+		for i := 0; i < 40; i++ {
+			body.Probs = append(body.Probs, frame.ProbEntry{From: uint16(i), To: m.Addr(), Prob: 0.5})
+		}
+		bf := &frame.Frame{Type: frame.TypeBeacon, Src: m.Addr(), Dst: frame.Broadcast, Beacon: body}
+		m.StartBeacons(func() *frame.Frame { return bf })
+	}
+	da, db := dataFrame(a.Addr(), 1, 500), dataFrame(b.Addr(), 1, 500)
+	round := func() {
+		a.Send(da)
+		b.Send(db)
+		k.RunUntil(k.Now() + 100*time.Millisecond) // one beacon interval
+	}
+	for i := 0; i < 20; i++ {
+		round()
+	}
+	before := received
+	allocs := testing.AllocsPerRun(200, round)
+	if allocs != 0 {
+		t.Errorf("warm two-MAC exchange allocates %.1f objects per round, want 0", allocs)
+	}
+	if received == before {
+		t.Error("no frame was received while measuring")
 	}
 }

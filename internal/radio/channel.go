@@ -28,7 +28,7 @@ type Receiver interface {
 	// RadioReceive is called once per correctly decoded frame. The payload
 	// is a pooled buffer owned by the channel: it is valid only for the
 	// duration of the call, and receivers must copy anything they retain
-	// (frame.Unmarshal already copies, so decode-and-dispatch is safe).
+	// (a frame.Decoder copies out of it, so decode-and-dispatch is safe).
 	RadioReceive(payload []byte, info RxInfo)
 }
 

@@ -38,11 +38,11 @@ type ReceiverFunc func(payload []byte, info RxInfo)
 // RadioReceive implements Receiver.
 func (f ReceiverFunc) RadioReceive(payload []byte, info RxInfo) { f(payload, info) }
 
-// LinkFactory builds the LinkModel for a directed (from, to) pair. The
-// default factory creates independent FadingLinks; trace-driven
-// experiments install ScheduleLinks instead. Factories must be pure
-// functions of (from, to): the channel instantiates a directed pair on
-// its first contact, whenever that happens to be.
+// LinkFactory builds the LinkModel for a directed (from, to) pair. A
+// channel given no factory builds independent FadingLinks inline in its
+// per-pair state; trace-driven experiments install ScheduleLinks instead.
+// Factories must be pure functions of (from, to): the channel instantiates
+// a directed pair whenever it first needs it.
 type LinkFactory func(from, to NodeID) LinkModel
 
 // reception is one in-flight frame at one receiver. It carries its own
@@ -88,21 +88,33 @@ func (r *reception) OnEvent() {
 
 // nbrEntry is one cached broadcast candidate: a node bucketed in the
 // transmitter's 3×3 grid neighborhood on the indexed path, every other
-// node on the full sweep. The link state is resolved on the candidate's
-// first contact and memoized — not prefetched at cache build — so the
-// steady-state broadcast probes no map, and links come into being only
-// for pairs that exchange a frame; a 3×3 neighborhood holds several times
-// more candidates than the cutoff disc, and materializing links for the
-// fringe would multiply the link table for pairs that may never do so.
-// Under delivery lanes the cache resolves links eagerly instead, because
-// worker lanes must never touch the link map (see candidates).
+// node on the full sweep. What the entry holds depends on whether the pair
+// can move (see candidates, which builds it, and inRange, which reads it):
+//
+//   - Two fixed radios (fixed set): the pair's geometry never changes, so
+//     the list build resolved it for good — dist is their distance, ls their
+//     link, and on the indexed path an entry exists only if the pair is
+//     within both the channel cutoff and the link's reach. The hot loop
+//     neither asks for a position nor tests a range.
+//   - A pair with a mover: ls is resolved on the pair's first in-cutoff
+//     frame and memoized, so the steady-state broadcast probes no map and a
+//     link comes into being only for a pair that got within the cutoff (a
+//     3×3 neighborhood holds several times more candidates than the cutoff
+//     disc). farUntil is the kinetic bound a failed cutoff test leaves
+//     behind: the pair cannot be back within the cutoff before then, so it
+//     is skipped without a Position call. Rebuilding the list forgets it.
+//     Under delivery lanes ls is resolved at build instead, because worker
+//     lanes must never touch the link map.
 //
 // owner is the delivery lane owning this candidate (the stripe of its
 // bucket cell column); zero, and never read, without lanes.
 type nbrEntry struct {
-	dst   *node
-	ls    *linkState
-	owner uint8
+	dst      *node
+	ls       *linkState
+	dist     float64
+	farUntil time.Duration
+	fixed    bool
+	owner    uint8
 }
 
 // node is the channel's view of one attached radio.
@@ -110,6 +122,7 @@ type node struct {
 	id      NodeID
 	name    string
 	mover   mobility.Mover
+	speed   float64 // speed bound in m/s (see speedBound); exactly 0 marks a fixed radio
 	recv    Receiver
 	txUntil time.Duration // transmitting until (half duplex)
 	cur     *reception    // latest reception locking this receiver
@@ -166,16 +179,38 @@ func (ln *rxLane) put(r *reception) {
 	ln.freeRx = r
 }
 
-// linkState bundles the model and the private randomness of one directed
-// link. The RNG streams are created once and advanced across the whole
-// simulation; recreating them per frame would freeze the coin flips.
-// reach caches the model's advertised Ranged cutoff (+Inf when the model
-// has none); only the indexed path consults it.
+// linkState is everything the channel keeps per directed link, as one
+// value in one allocation: the model, the link's private randomness and
+// what the pair's distance fixes. The three streams are seeded once, from
+// the labels ("link"|"loss"|"rssi", from, to), and advanced across the
+// whole simulation; recreating them per frame would freeze the coin flips.
+//
+// model is &fading, built in place over stream, when the channel has no
+// factory; a custom factory's model (ScheduleLink, FixedLink, a trace
+// replay) comes from the factory and fading/stream stay unused. reach
+// caches the model's advertised Ranged cutoff (+Inf when the model has
+// none); only the indexed path consults it. rssiAt/rssiBase memoize the
+// noise-free RSSI on the last distance, keyed like FadingLink's mean: a
+// repeated distance yields the very float it yielded before.
+//
+// A linkState is never copied: fading's modulators point at stream.
 type linkState struct {
-	model LinkModel
-	loss  *sim.RNG
-	noise *sim.RNG
-	reach float64
+	model    LinkModel
+	fading   FadingLink
+	stream   sim.RNG // drives fading: shadow, bursts, gray periods
+	loss     sim.RNG // the per-frame reception coin
+	noise    sim.RNG // the per-frame RSSI noise
+	reach    float64
+	rssiAt   float64
+	rssiBase float64
+}
+
+// rssi returns the noise-free RSSI of the link at dist.
+func (ls *linkState) rssi(p *Params, dist float64) float64 {
+	if dist != ls.rssiAt {
+		ls.rssiAt, ls.rssiBase = dist, p.rssiBase(dist)
+	}
+	return ls.rssiBase
 }
 
 // txEnd is the always-scheduled end-of-airtime event for one transmission:
@@ -227,12 +262,12 @@ const DefaultIndexThreshold = 128
 // kernel.
 type Channel struct {
 	K       *sim.Kernel
-	P       Params
-	factory LinkFactory
+	P       Params      // read-only once links exist: default links point into it
+	factory LinkFactory // nil: FadingLinks over P, built inline (see newLink)
 	nodes   []*node
-	// lazy is the directed link table keyed from<<32|to, populated on
-	// first contact. When a link comes into being never moves a coin flip:
-	// link RNG streams are label-derived (see newLink).
+	// lazy is the directed link table keyed from<<32|to, populated when a
+	// pair is first needed. When a link comes into being never moves a coin
+	// flip: link RNG streams are label-derived (see newLink).
 	lazy   map[uint64]*linkState
 	bufs   frame.BufferPool
 	rxLane // the channel's own counters and reception pool
@@ -263,14 +298,11 @@ type Channel struct {
 // If factory is nil, independent FadingLinks are created per directed pair,
 // each seeded from the kernel's labeled RNG streams.
 func NewChannel(k *sim.Kernel, p Params, factory LinkFactory) *Channel {
-	c := &Channel{K: k, P: p, lazy: map[uint64]*linkState{}}
+	c := &Channel{K: k, P: p, factory: factory, lazy: map[uint64]*linkState{}}
 	if factory == nil {
 		// The fading-derived cutoff (CutoffM) describes exactly the links
-		// this factory builds, so the indexed path may rely on it.
+		// newLink builds by default, so the indexed path may rely on it.
 		c.cutoff = p.CutoffM()
-		factory = func(from, to NodeID) LinkModel {
-			return NewFadingLink(p, k.RNG("link", fmt.Sprint(from), fmt.Sprint(to)))
-		}
 	} else {
 		// A custom factory may install models the fading parameters say
 		// nothing about (FixedLink, ScheduleLink, trace replays), so the
@@ -279,7 +311,6 @@ func NewChannel(k *sim.Kernel, p Params, factory LinkFactory) *Channel {
 		// population rather than silently dropping long-range deliveries.
 		c.cutoff = p.MaxRangeM
 	}
-	c.factory = factory
 	return c
 }
 
@@ -301,15 +332,20 @@ func (c *Channel) indexed() bool {
 	return len(c.nodes) >= c.P.IndexThreshold() && c.cutoff > 0
 }
 
-// newLink builds the state of one directed link. Each link's RNG streams
-// are derived from stable labels, so the coin flips do not depend on when
-// the link is constructed.
-func (c *Channel) newLink(from, to NodeID) linkState {
-	ls := linkState{
-		model: c.factory(from, to),
-		loss:  c.K.RNG("loss", fmt.Sprint(from), fmt.Sprint(to)),
-		noise: c.K.RNG("rssi", fmt.Sprint(from), fmt.Sprint(to)),
-		reach: math.Inf(1),
+// newLink builds the state of one directed link, in one allocation. Each
+// link's RNG streams are derived from stable labels, so the coin flips do
+// not depend on when the link is constructed. The default model shares the
+// channel's Params; P is read-only once links exist.
+func (c *Channel) newLink(from, to NodeID) *linkState {
+	ls := &linkState{reach: math.Inf(1), rssiAt: math.NaN()}
+	c.K.SeedPair(&ls.loss, "loss", int(from), int(to))
+	c.K.SeedPair(&ls.noise, "rssi", int(from), int(to))
+	if c.factory == nil {
+		c.K.SeedPair(&ls.stream, "link", int(from), int(to))
+		ls.fading.init(&c.P, &ls.stream)
+		ls.model = &ls.fading
+	} else {
+		ls.model = c.factory(from, to)
 	}
 	if r, ok := ls.model.(Ranged); ok {
 		if v := r.MaxRangeM(); v > 0 {
@@ -325,13 +361,16 @@ func pairKey(from, to NodeID) uint64 {
 }
 
 // Attach registers a radio with the channel and returns its NodeID. No
-// link state is built here — pairs are instantiated on first contact — so
-// a large fleet never pays O(N²) link memory or a quadratic attach cost.
+// link state is built here — pairs are instantiated when a broadcast first
+// needs them — so a large fleet never pays O(N²) link memory or a quadratic
+// attach cost. What is recorded is the mover's speed bound: a node that
+// advertises exactly 0 is a fixed radio for as long as it is attached.
 func (c *Channel) Attach(name string, mover mobility.Mover, recv Receiver) NodeID {
 	id := NodeID(len(c.nodes))
-	c.nodes = append(c.nodes, &node{id: id, name: name, mover: mover, recv: recv})
+	n := &node{id: id, name: name, mover: mover, speed: speedBound(mover), recv: recv}
+	c.nodes = append(c.nodes, n)
 	if c.grid != nil {
-		c.grid.insert(id, mover, c.K.Now())
+		c.grid.insert(n, c.K.Now())
 		c.scheduleReval()
 	} else if c.indexed() {
 		c.buildGrid()
@@ -394,13 +433,12 @@ func (c *Channel) Stats() Stats {
 func (c *Channel) Buffers() *frame.BufferPool { return &c.bufs }
 
 // link returns the state for the directed pair, instantiating it on
-// first contact.
+// first use.
 func (c *Channel) link(from, to NodeID) *linkState {
 	key := pairKey(from, to)
 	ls := c.lazy[key]
 	if ls == nil {
-		l := c.newLink(from, to)
-		ls = &l
+		ls = c.newLink(from, to)
 		c.lazy[key] = ls
 	}
 	return ls
@@ -500,28 +538,11 @@ func (c *Channel) Broadcast(from NodeID, payload []byte, txDone sim.Handler) tim
 	if c.shard != nil {
 		c.dispatchLanes(src, srcPos, payload, now, end)
 	} else {
-		// An indexed list skips receivers beyond the channel cutoff — or
-		// beyond the link model's own advertised reach — entirely, so
-		// neither their loss/noise streams nor any collision state is
-		// touched. Per-link streams make that safe: the skipped draws are
-		// guaranteed losses, and every other link's flips are unchanged.
-		// The full sweep never skips by range — a receiver far beyond any
-		// cutoff still draws its RSSI noise and its (losing) coin, because
-		// the seeded paper-figure runs are pinned with those draws consumed.
-		ranged := src.nbrOK
 		for i := range nbr {
 			nb := &nbr[i]
-			dist := srcPos.Dist(nb.dst.mover.Position(now))
-			if ranged && dist > c.cutoff {
-				continue
+			if dist, ok := c.inRange(src, srcPos, nb, now); ok {
+				c.deliver(&c.rxLane, src, nb.dst, nb.ls, dist, payload, now, end)
 			}
-			if nb.ls == nil {
-				nb.ls = c.link(src.id, nb.dst.id)
-			}
-			if ranged && dist > nb.ls.reach {
-				continue
-			}
-			c.deliver(&c.rxLane, src, nb.dst, nb.ls, dist, payload, now, end)
 		}
 	}
 	// Schedule the tx-done notification after the delivery events so that
@@ -556,24 +577,26 @@ func (c *Channel) scheduleTxEnd(src *node, txDone sim.Handler, end time.Duration
 // fresh walk would return the exact same nodes in the same order, so
 // reuse is byte-identical.
 //
-// Links stay lazy (resolved by the delivery loop on first contact) except
-// under delivery lanes, where they resolve here — on the coordinator —
-// together with each candidate's stripe owner, because lanes must never
-// touch the link map. Either timing is invisible to results: link RNG
-// streams are label-derived, so instantiation time never moves a coin
-// flip, and untouched links draw nothing. The eager cost is materializing
-// fringe links (inside the 3×3 cells but beyond the cutoff) the lazy path
-// would have skipped.
+// It is the one place a list is built, and it settles here everything a
+// pair's geometry fixes (addCandidate). A pair with a mover keeps its link
+// lazy (resolved by inRange on its first in-cutoff frame) except under
+// delivery lanes, where it resolves here — on the coordinator — together
+// with each candidate's stripe owner, because lanes must never touch the
+// link map. Either timing is invisible to results: link RNG streams are
+// label-derived, so instantiation time never moves a coin flip, and
+// untouched links draw nothing. The eager cost is materializing mover
+// links in the fringe (inside the 3×3 cells but beyond the cutoff) the
+// lazy path would have skipped.
 func (c *Channel) candidates(src *node, srcPos mobility.Point, now time.Duration) []nbrEntry {
 	if !c.indexed() {
 		if src.nbrOK || len(src.nbr) != len(c.nodes)-1 {
 			src.nbr = src.nbr[:0]
+			src.nbrOK = false
 			for _, dst := range c.nodes {
 				if dst != src {
-					src.nbr = append(src.nbr, nbrEntry{dst: dst})
+					c.addCandidate(src, dst, srcPos, now, 0, 0)
 				}
 			}
-			src.nbrOK = false
 		}
 		return src.nbr
 	}
@@ -582,20 +605,97 @@ func (c *Channel) candidates(src *node, srcPos mobility.Point, now time.Duration
 	if !src.nbrOK || src.nbrVer != g.version || src.nbrCell != cell {
 		lanes := c.ShardLanes()
 		src.nbr = src.nbr[:0]
-		g.neighborhood(srcPos, func(id NodeID, cellX int32) {
-			if id == src.id {
-				return
-			}
-			nb := nbrEntry{dst: c.nodes[id]}
-			if lanes > 0 {
-				nb.ls = c.link(src.id, id)
-				nb.owner = uint8(laneOf(cellX, lanes))
-			}
-			src.nbr = append(src.nbr, nb)
-		})
 		src.nbrOK, src.nbrVer, src.nbrCell = true, g.version, cell
+		g.neighborhood(srcPos, func(id NodeID, cellX int32) {
+			if id != src.id {
+				c.addCandidate(src, c.nodes[id], srcPos, now, cellX, lanes)
+			}
+		})
 	}
 	return src.nbr
+}
+
+// addCandidate appends dst to the list candidates is building for src
+// (src.nbrOK already says which kind). Two fixed radios are resolved for
+// good: their distance now is their distance on every later frame, so it
+// is stored, the link is materialized, and on the indexed path the pair is
+// left out when it lies beyond the channel cutoff or the link's reach —
+// the very `continue` inRange would otherwise take for it on every frame,
+// before any draw. The full sweep never skips by range, so there the pair
+// stays listed with its distance. Under lanes every listed pair gets its
+// link and its stripe owner.
+func (c *Channel) addCandidate(src, dst *node, srcPos mobility.Point, now time.Duration, cellX int32, lanes int) {
+	nb := nbrEntry{dst: dst}
+	if src.speed == 0 && dst.speed == 0 {
+		nb.fixed = true
+		nb.dist = srcPos.Dist(dst.mover.Position(now))
+		if src.nbrOK && nb.dist > c.cutoff {
+			return
+		}
+		nb.ls = c.link(src.id, dst.id)
+		if src.nbrOK && nb.dist > nb.ls.reach {
+			return
+		}
+	}
+	if lanes > 0 {
+		if nb.ls == nil {
+			nb.ls = c.link(src.id, dst.id)
+		}
+		nb.owner = uint8(laneOf(cellX, lanes))
+	}
+	src.nbr = append(src.nbr, nb)
+}
+
+// inRange is the one range test, shared by the serial loop and laneRun:
+// it reports nb's distance from the transmitter and whether the delivery
+// decision runs for it, leaving nb.ls resolved when it does.
+//
+// An indexed list skips receivers beyond the channel cutoff — or beyond
+// the link model's own advertised reach — entirely, so neither their
+// loss/noise streams nor any collision state is touched. Per-link streams
+// make that safe: the skipped draws are guaranteed losses, and every other
+// link's flips are unchanged. The full sweep never skips by range — a
+// receiver far beyond any cutoff still draws its RSSI noise and its
+// (losing) coin, because the seeded paper-figure runs are pinned with
+// those draws consumed.
+//
+// A fixed pair was range-tested once, by addCandidate. For a pair with a
+// mover a failed cutoff test at distance d also says when the next one can
+// succeed: the two close at no more than the sum of their speed bounds, so
+// they stay beyond the cutoff for (d − cutoff)/(v_src + v_dst) — the same
+// honest-speed-bound premise the grid's drift deadlines rest on (grid.go).
+// Until then the test is known to fail and is not repeated.
+func (c *Channel) inRange(src *node, srcPos mobility.Point, nb *nbrEntry, now time.Duration) (float64, bool) {
+	if nb.fixed {
+		return nb.dist, true
+	}
+	ranged := src.nbrOK
+	if ranged && now < nb.farUntil {
+		return 0, false
+	}
+	dist := srcPos.Dist(nb.dst.mover.Position(now))
+	if ranged && dist > c.cutoff {
+		nb.farUntil = closingTime(now, dist-c.cutoff, src.speed+nb.dst.speed)
+		return dist, false
+	}
+	if nb.ls == nil {
+		nb.ls = c.link(src.id, nb.dst.id)
+	}
+	if ranged && dist > nb.ls.reach {
+		return dist, false
+	}
+	return dist, true
+}
+
+// closingTime returns the earliest instant at which a gap of gapM meters
+// can have closed at speedMPS: now + gap/speed, rounded down, and never
+// when that is not a representable time (a zero speed sum, a bound so
+// small the quotient overflows a Duration).
+func closingTime(now time.Duration, gapM, speedMPS float64) time.Duration {
+	if ns := gapM / speedMPS * float64(time.Second); ns < float64(never-now) {
+		return now + time.Duration(ns)
+	}
+	return never
 }
 
 // Indexed reports whether the channel is running the spatially indexed
@@ -647,7 +747,7 @@ func (c *Channel) buildGrid() {
 	c.grid = g
 	now := c.K.Now()
 	for _, n := range c.nodes {
-		g.insert(n.id, n.mover, now)
+		g.insert(n, now)
 	}
 	c.scheduleReval()
 }
@@ -691,8 +791,7 @@ func (c *Channel) ensureGrid(now time.Duration) *grid {
 		g = c.grid
 	}
 	for len(g.nodes) < len(c.nodes) {
-		id := NodeID(len(g.nodes))
-		g.insert(id, c.nodes[id].mover, now)
+		g.insert(c.nodes[len(g.nodes)], now)
 		c.scheduleReval()
 	}
 	return g
@@ -722,7 +821,7 @@ func (c *Channel) deliver(ln *rxLane, src, dst *node, ls *linkState, dist float6
 		return nil
 	}
 
-	rssi := c.P.rssi(dist, ls.noise.NormFloat64()*c.P.RSSINoiseDB)
+	rssi := ls.rssi(&c.P, dist) + ls.noise.NormFloat64()*c.P.RSSINoiseDB
 
 	// Collision handling: if the destination is locked onto another frame
 	// that is still in flight (strictly: ends after now), the stronger

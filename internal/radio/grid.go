@@ -51,7 +51,6 @@ const never = time.Duration(math.MaxInt64)
 type gridNode struct {
 	key      uint64        // packed cell coordinates of the bucket holding the node
 	deadline time.Duration // revalidate at/after this time; never for stationary nodes
-	speed    float64       // speed bound in m/s
 }
 
 // grid is the uniform spatial index over node positions. Buckets are
@@ -97,24 +96,32 @@ func packCell(cx, cy int32) uint64 {
 	return uint64(uint32(cx))<<32 | uint64(uint32(cy))
 }
 
-// speedBound returns the mover's advertised maximum speed, or the
-// conservative default when the mover does not implement SpeedBounded.
+// speedBound returns the speed bound the channel relies on for a mover:
+// what it advertises through SpeedBounded, or the conservative default
+// when it advertises nothing — or nothing usable. A bound that is not
+// >= 0 (negative, NaN) is a bug in the mover, not a promise to stand
+// still, so it counts as unknown: only an advertised bound of exactly 0
+// makes a node fixed, for the grid (bucketed once) and for the channel's
+// candidate lists (geometry resolved once) alike.
 func speedBound(m mobility.Mover) float64 {
 	if s, ok := m.(mobility.SpeedBounded); ok {
-		return s.MaxSpeedMPS()
+		if v := s.MaxSpeedMPS(); v >= 0 {
+			return v
+		}
 	}
 	return defaultSpeedBoundMPS
 }
 
 // insert buckets one node at its current position. Called once per node,
-// lazily, the first time the indexed path runs after its attachment.
-func (g *grid) insert(id NodeID, m mobility.Mover, now time.Duration) {
-	key := g.cellKey(m.Position(now))
+// in attachment order.
+func (g *grid) insert(n *node, now time.Duration) {
+	id := n.id
+	key := g.cellKey(n.mover.Position(now))
 	g.buckets[key] = append(g.buckets[key], id)
 	g.version++
-	gn := gridNode{key: key, deadline: never, speed: speedBound(m)}
-	if gn.speed > 0 {
-		gn.deadline = now + g.driftBudget(gn.speed)
+	gn := gridNode{key: key, deadline: never}
+	if n.speed > 0 {
+		gn.deadline = now + g.driftBudget(n.speed)
 		g.moving = append(g.moving, id)
 		if gn.deadline < g.nextDeadline {
 			g.nextDeadline = gn.deadline
@@ -141,7 +148,7 @@ func (g *grid) revalidate(nodes []*node, now time.Duration) {
 	}
 	min := never
 	for _, id := range g.moving {
-		g.rebucket(id, nodes[id].mover, now)
+		g.rebucket(nodes[id], now)
 		if d := g.nodes[id].deadline; d < min {
 			min = d
 		}
@@ -154,9 +161,10 @@ func (g *grid) revalidate(nodes []*node, now time.Duration) {
 // only its deadline resets. The vacated slot is removed by swap-delete;
 // bucket order is irrelevant to queries (the exact distance check
 // decides), and it is deterministic either way.
-func (g *grid) rebucket(id NodeID, m mobility.Mover, now time.Duration) {
+func (g *grid) rebucket(n *node, now time.Duration) {
+	id := n.id
 	gn := &g.nodes[id]
-	key := g.cellKey(m.Position(now))
+	key := g.cellKey(n.mover.Position(now))
 	if key != gn.key {
 		old := g.buckets[gn.key]
 		for i, v := range old {
@@ -171,7 +179,7 @@ func (g *grid) rebucket(id NodeID, m mobility.Mover, now time.Duration) {
 		g.version++
 		gn.key = key
 	}
-	gn.deadline = now + g.driftBudget(gn.speed)
+	gn.deadline = now + g.driftBudget(n.speed)
 }
 
 // neighborhood invokes visit for every node bucketed in the 3×3 cells

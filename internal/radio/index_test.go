@@ -1,6 +1,7 @@
 package radio
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -169,6 +170,45 @@ func TestIndexedMovingReceiverRevalidation(t *testing.T) {
 	}
 }
 
+// TestUnusableSpeedBoundIsUnknown: a mover whose advertised bound is not
+// >= 0 has promised nothing. Taken at its word it would be bucketed once
+// with no revalidation deadline and lost on leaving its cell — and taken
+// for a fixed radio by the candidate lists. It must be handled as a mover
+// with the default bound: driving in from four cells out, it is received
+// once it arrives.
+func TestUnusableSpeedBoundIsUnknown(t *testing.T) {
+	for _, bad := range []float64{-1, math.NaN(), math.Inf(-1)} {
+		k := sim.NewKernel(6)
+		p := DefaultParams()
+		p.IndexThresholdNodes = 2
+		p.MaxRangeM = 200 // 250 m cells
+		c := NewChannel(k, p, func(from, to NodeID) LinkModel { return FixedLink(1) })
+		bs := c.Attach("bs", mobility.Fixed{}, nil)
+		route := mobility.NewRoute([]mobility.Point{{X: 1000}, {X: 0}}, 50, false)
+		var far, near int
+		veh := c.Attach("veh", advertising{&mobility.RouteMover{Route: route}, bad}, ReceiverFunc(func(_ []byte, info RxInfo) {
+			if info.Dist > p.MaxRangeM {
+				far++
+			}
+			near++
+		}))
+		if got := c.nodes[veh].speed; got != defaultSpeedBoundMPS {
+			t.Errorf("advertised %v: speed bound %v, want the default %v", bad, got, defaultSpeedBoundMPS)
+		}
+		for now := time.Duration(0); now < 25*time.Second; now += 100 * time.Millisecond {
+			k.RunUntil(now)
+			c.Broadcast(bs, make([]byte, 100), nil)
+		}
+		k.RunUntil(26 * time.Second)
+		if near == 0 {
+			t.Errorf("advertised %v: no receptions after the vehicle crossed four cells to the basestation", bad)
+		}
+		if far != 0 {
+			t.Errorf("advertised %v: %d receptions through the 200 m cutoff", bad, far)
+		}
+	}
+}
+
 // TestFadingLinkAdvertisesRange pins the Ranged contract: the advertised
 // reach brackets the model — negligible reception just beyond it, and a
 // channel-level cutoff (CutoffM with default params) at least as far as
@@ -330,6 +370,9 @@ func TestLinksInstantiateOnFirstContact(t *testing.T) {
 		for key := range c.lazy {
 			if from := key >> 32; from != 0 {
 				t.Fatalf("%s: link from %d instantiated, only node 0 transmitted", tc.name, from)
+			}
+			if d := float64(uint32(key)) * 600; tc.indexed && d > c.cutoff {
+				t.Fatalf("%s: link to a node %.0f m away, beyond the %.0f m cutoff", tc.name, d, c.cutoff)
 			}
 		}
 	}

@@ -19,6 +19,16 @@
 // Links can alternatively be driven from a per-second loss-rate trace
 // (the DieselNet methodology, §5.1) via TraceModel in this package's
 // sibling trace support.
+//
+// The channel is reproduced per directed pair, and in a deployment almost
+// every pair is two basestations that never move. So a pair's state is one
+// value (linkState: model, three private streams, memos) that comes into
+// being when the pair is first needed, and whatever the pair's geometry
+// fixes is computed once — the distance-driven arithmetic memoized on the
+// distance, two fixed radios resolved when a transmitter's candidate list
+// is built, a far-away mover skipped until it can be back in range. None
+// of it is observable: every draw happens on the same stream in the same
+// order as if each frame recomputed everything (DESIGN.md §6).
 package radio
 
 import (
@@ -145,7 +155,7 @@ func (p *Params) IndexThreshold() int {
 
 // Airtime returns the on-air duration of a frame with the given payload
 // size under p's bitrate and framing overhead.
-func (p Params) Airtime(payloadBytes int) time.Duration {
+func (p *Params) Airtime(payloadBytes int) time.Duration {
 	bits := float64(payloadBytes+p.FrameOverheadBytes) * 8
 	return time.Duration(bits / p.BitrateBps * float64(time.Second))
 }
@@ -160,12 +170,13 @@ func (p *Params) meanReception(dist, shadowM float64) float64 {
 	return p.PMax / (1 + math.Exp((dist-d50)/p.FalloffM))
 }
 
-// rssi returns a synthetic RSSI (dBm) at the given distance.
-func (p *Params) rssi(dist float64, noise float64) float64 {
+// rssiBase returns the noise-free synthetic RSSI (dBm) at the given
+// distance; a reading is the base plus the per-frame noise term.
+func (p *Params) rssiBase(dist float64) float64 {
 	if dist < 1 {
 		dist = 1
 	}
-	return p.TxPowerDBm - 40 - 10*p.PathLossExp*math.Log10(dist) + noise
+	return p.TxPowerDBm - 40 - 10*p.PathLossExp*math.Log10(dist)
 }
 
 // LinkModel computes the instantaneous reception probability of a directed
@@ -201,8 +212,8 @@ type geState struct {
 	started bool
 }
 
-func newGEState(rng *sim.RNG, goodMean, badMean time.Duration) *geState {
-	return &geState{
+func newGEState(rng *sim.RNG, goodMean, badMean time.Duration) geState {
+	return geState{
 		rng:   rng,
 		gMean: goodMean.Seconds(),
 		bMean: badMean.Seconds(),
@@ -245,8 +256,8 @@ type grayState struct {
 	episodes int
 }
 
-func newGrayState(rng *sim.RNG, gapMean, durMin, durMax time.Duration) *grayState {
-	return &grayState{
+func newGrayState(rng *sim.RNG, gapMean, durMin, durMax time.Duration) grayState {
+	return grayState{
 		rng:     rng,
 		gapMean: gapMean.Seconds(),
 		durMin:  durMin.Seconds(),
@@ -281,28 +292,56 @@ func (g *grayState) next(from time.Duration) time.Duration {
 }
 
 // FadingLink is the full statistical link model: distance mean × GE burst
-// modulation × gray periods, with static per-link shadowing.
+// modulation × gray periods, with static per-link shadowing. It is one
+// value — both modulators inline, the channel constants behind a pointer
+// shared by every link of the channel — so a channel can embed it in its
+// per-pair state, and it must not be copied once built (the modulators
+// point at the link's stream).
+//
+// meanAt/mean memoize the distance-driven mean on the last distance it was
+// asked for. The key is the distance itself, compared for equality (NaN,
+// the initial key, never hits), so a hit returns the very float the same
+// arithmetic produced before: between two radios that never move every
+// frame after the first hits, and a changed distance costs one compare.
 type FadingLink struct {
-	p      Params
+	p      *Params
 	shadow float64
-	ge     *geState
-	gray   *grayState
+	ge     geState
+	gray   grayState
+	meanAt float64
+	mean   float64
 }
 
 // NewFadingLink builds an independent link model. rng must be a stream
-// private to this link (see sim.Kernel.RNG).
+// private to this link (see sim.Kernel.RNG). The link keeps its own copy
+// of p, in the same allocation as the link itself.
 func NewFadingLink(p Params, rng *sim.RNG) *FadingLink {
-	return &FadingLink{
+	own := &struct {
+		l FadingLink
+		p Params
+	}{p: p}
+	own.l.init(&own.p, rng)
+	return &own.l
+}
+
+// init builds the link in place over constants and a stream the caller
+// keeps alive, drawing the shadow exactly as NewFadingLink always has.
+func (l *FadingLink) init(p *Params, rng *sim.RNG) {
+	*l = FadingLink{
 		p:      p,
 		shadow: rng.NormFloat64() * p.ShadowSigmaM,
 		ge:     newGEState(rng, p.GoodMean, p.BadMean),
 		gray:   newGrayState(rng, p.GrayGapMean, p.GrayMin, p.GrayMax),
+		meanAt: math.NaN(),
 	}
 }
 
 // ReceiveProb implements LinkModel.
 func (l *FadingLink) ReceiveProb(t time.Duration, dist float64) float64 {
-	pr := l.p.meanReception(dist, l.shadow)
+	if dist != l.meanAt {
+		l.meanAt, l.mean = dist, l.p.meanReception(dist, l.shadow)
+	}
+	pr := l.mean
 	if l.ge.at(t) {
 		pr *= l.p.GoodMult
 	} else {

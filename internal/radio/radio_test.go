@@ -47,7 +47,7 @@ func TestMeanReceptionMonotoneInDistance(t *testing.T) {
 
 func TestRSSIMonotone(t *testing.T) {
 	p := DefaultParams()
-	if p.rssi(10, 0) <= p.rssi(100, 0) {
+	if p.rssiBase(10) <= p.rssiBase(100) {
 		t.Error("RSSI should fall with distance")
 	}
 }
@@ -525,6 +525,18 @@ func benchBroadcast(b *testing.B, k *sim.Kernel, c *Channel, from NodeID) {
 func BenchmarkBroadcastIndexed1000(b *testing.B) {
 	k, c, veh := benchCityChannel(b, 0) // default threshold: indexed at 1000
 	benchBroadcast(b, k, c, veh)
+}
+
+// BenchmarkLinkFirstContact measures materializing one directed link: the
+// state's one allocation, its three in-place stream seedings, the shadow
+// draw and the link-table insert. A city pays it once per pair that ever
+// comes within the cutoff — hundreds of thousands of times at metro size.
+func BenchmarkLinkFirstContact(b *testing.B) {
+	c := NewChannel(sim.NewKernel(1), DefaultParams(), nil)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		c.link(NodeID(i>>9), NodeID(i&511))
+	}
 }
 
 // BenchmarkBroadcastSweep1000 is the pre-index baseline: the same

@@ -36,10 +36,11 @@ import (
 //   - workers read: positions (movers are pure functions of time),
 //     dst.down, dst.txUntil, link reach — all frozen while the
 //     coordinator is inside Broadcast;
-//   - workers write: per-link model/RNG state (exclusive: each directed
-//     link's receiver is owned by exactly one lane per dispatch),
-//     dst.cur and its displaced record (receiver-exclusive), and
-//     lane-local counters and reception pools.
+//   - workers write: per-link model/RNG/memo state and the candidate
+//     entry's kinetic bound (exclusive: each directed link's receiver, and
+//     so each entry of the transmitter's list, is owned by exactly one
+//     lane per dispatch), dst.cur and its displaced record
+//     (receiver-exclusive), and lane-local counters and reception pools.
 //
 // The coordinator then commits results in candidate order: payload
 // copies and delivery events are scheduled in exactly the sequence the
@@ -134,8 +135,8 @@ func (c *Channel) StartShards(k int) int {
 	}
 	sh.run = c.laneRun
 	c.shard = sh
-	// Candidate caches built on the serial path carry neither stripe
-	// owners nor eagerly resolved links; rebuild them on first use.
+	// Candidate caches built on the serial path carry no stripe owners
+	// and leave mover pairs' links unresolved; rebuild them on first use.
 	for _, n := range c.nodes {
 		n.nbrOK = false
 	}
@@ -267,8 +268,8 @@ func (c *Channel) laneRun(lane int) {
 			continue
 		}
 		out[i] = nil
-		dist := srcPos.Dist(nb.dst.mover.Position(now))
-		if dist > c.cutoff || dist > nb.ls.reach {
+		dist, ok := c.inRange(src, srcPos, nb, now)
+		if !ok {
 			continue
 		}
 		did++

@@ -13,6 +13,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"time"
 )
 
@@ -323,12 +324,31 @@ func (k *Kernel) siftDown(pos int32) {
 func (k *Kernel) RNG(labels ...string) *RNG {
 	h := k.root
 	for _, l := range labels {
-		for i := 0; i < len(l); i++ {
-			h = splitmix(h ^ uint64(l[i]))
-		}
-		h = splitmix(h ^ 0x9e3779b97f4a7c15)
+		h = mixLabel(h, l)
 	}
 	return NewRNG(h)
+}
+
+// SeedPair seeds r in place with the stream
+// k.RNG(label, fmt.Sprint(a), fmt.Sprint(b)) returns — the same label
+// bytes through the same hash — without allocating the strings or the
+// RNG. It exists for owners of very many pair-labelled streams (the radio
+// channel holds three per directed link) that embed their RNGs by value.
+func (k *Kernel) SeedPair(r *RNG, label string, a, b int) {
+	var buf [20]byte // the longest int64 in decimal, sign included
+	h := mixLabel(k.root, label)
+	h = mixLabel(h, strconv.AppendInt(buf[:0], int64(a), 10))
+	h = mixLabel(h, strconv.AppendInt(buf[:0], int64(b), 10))
+	r.seed(h)
+}
+
+// mixLabel folds one label — its bytes, then a terminator so that
+// ("ab","c") and ("a","bc") differ — into a stream seed.
+func mixLabel[T string | []byte](h uint64, l T) uint64 {
+	for i := 0; i < len(l); i++ {
+		h = splitmix(h ^ uint64(l[i]))
+	}
+	return splitmix(h ^ 0x9e3779b97f4a7c15)
 }
 
 // splitmix is the SplitMix64 finalizer, used both to derive stream seeds
@@ -352,6 +372,12 @@ type RNG struct {
 // NewRNG returns an RNG seeded from the given value.
 func NewRNG(seed uint64) *RNG {
 	var r RNG
+	r.seed(seed)
+	return &r
+}
+
+// seed resets r to the start of the stream NewRNG(seed) returns.
+func (r *RNG) seed(seed uint64) {
 	x := seed
 	for i := range r.s {
 		x = splitmix(x)
@@ -361,7 +387,6 @@ func NewRNG(seed uint64) *RNG {
 	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
 		r.s[0] = 0x9e3779b97f4a7c15
 	}
-	return &r
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -141,6 +142,59 @@ func TestRNGDeterministicStreams(t *testing.T) {
 			t.Fatal("same labels on same seed gave different streams")
 		}
 	}
+}
+
+// checkSeedPair asserts that SeedPair yields, draw for draw, the stream the
+// spelled-out labels do.
+func checkSeedPair(t *testing.T, k *Kernel, label string, a, b int) {
+	t.Helper()
+	want := k.RNG(label, fmt.Sprint(a), fmt.Sprint(b))
+	var got RNG
+	k.SeedPair(&got, label, a, b)
+	for i := 0; i < 8; i++ {
+		if g, w := got.Uint64(), want.Uint64(); g != w {
+			t.Fatalf("SeedPair(%q, %d, %d) draw %d = %#x, labelled stream gives %#x", label, a, b, i, g, w)
+		}
+	}
+}
+
+// TestSeedMatchesLabels pins the in-place seeding to the label hash: the
+// radio channel seeds every link stream through it, and any difference
+// (a digit, the terminator, the argument order) would move every coin
+// flip of every seeded run. The ids cross each digit-count boundary and
+// end at the largest radio count a scenario may have.
+func TestSeedMatchesLabels(t *testing.T) {
+	k := NewKernel(42)
+	ids := []int{0, 9, 10, 99, 100, 65279}
+	for _, label := range []string{"link", "loss", "rssi"} {
+		for _, a := range ids {
+			for _, b := range ids {
+				checkSeedPair(t, k, label, a, b)
+			}
+		}
+	}
+	// Re-seeding a used RNG starts the stream over.
+	var r RNG
+	k.SeedPair(&r, "loss", 3, 4)
+	first := r.Uint64()
+	k.SeedPair(&r, "loss", 3, 4)
+	if r.Uint64() != first {
+		t.Error("SeedPair on a used RNG did not restart the stream")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { k.SeedPair(&r, "loss", 65279, 12345) }); allocs != 0 {
+		t.Errorf("SeedPair allocates %.0f objects, want 0", allocs)
+	}
+}
+
+func FuzzSeedLabels(f *testing.F) {
+	f.Add(int64(1), uint(0), uint(0))
+	f.Add(int64(42), uint(9), uint(10))
+	f.Add(int64(-7), uint(65279), uint(100))
+	f.Add(int64(3), uint(math.MaxInt64), uint(1<<31))
+	f.Fuzz(func(t *testing.T, seed int64, a, b uint) {
+		// Non-negative pairs: node ids are counts.
+		checkSeedPair(t, NewKernel(seed), "loss", int(a&math.MaxInt64), int(b&math.MaxInt64))
+	})
 }
 
 func TestRNGStreamsIndependentOfOrder(t *testing.T) {

@@ -2,8 +2,11 @@
 // behind an HTTP API. Each session runs one fleet scenario (the same
 // execution path as vifi-sim -scenario) on its own goroutine, sampled
 // by the FTDC-style metrics layer in internal/obs, and can be paused
-// and resumed at sim-time barriers without perturbing the result: the
-// final report is byte-identical to the batch CLI's.
+// and resumed at sim-time barriers — one sampling interval apart, for a
+// serial and a sharded session alike — without perturbing the result: the
+// final report is byte-identical to the batch CLI's. A session whose
+// simulation panics ends failed with the panic as its error; the daemon
+// and its other sessions carry on.
 //
 // API (all JSON unless noted):
 //
@@ -15,7 +18,7 @@
 //	GET  /v1/sessions/{id}/metrics     merged sample history
 //	GET  /v1/sessions/{id}/metrics/stream   live samples as SSE
 //	GET  /v1/sessions/{id}/recording   FTDC binary (?format=json for JSON)
-//	GET  /v1/sessions/{id}/report      final text report (409 until done)
+//	GET  /v1/sessions/{id}/report      final text report (409 until done, 500 if failed)
 //	POST /v1/sessions/{id}/pause       optional {"at":"30s"} sim-time barrier
 //	POST /v1/sessions/{id}/resume
 package main

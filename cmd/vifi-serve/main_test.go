@@ -205,6 +205,57 @@ func TestServePauseResumeDeterminism(t *testing.T) {
 	}
 }
 
+// TestServePanickingSessionFails pins the daemon's isolation: a session
+// whose simulation panics ends failed with the panic text as its error,
+// and a healthy session sharing the (single) slot still ends done with
+// the batch-identical report. The HTTP API cannot produce a relay period
+// of zero, so the bad config is set on the session struct.
+func TestServePanickingSessionFails(t *testing.T) {
+	sv, ts := startTestServer(t, 1)
+	spec, err := scenario.Parse("grid-small")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := newSession("bad")
+	bad.specStr, bad.spec, bad.protocol = "grid-small", spec, "vifi"
+	bad.cfg = core.DefaultConfig()
+	bad.cfg.RelayCheck = 0
+	bad.seed, bad.shards, bad.duration, bad.interval = 17, 1, 30*time.Second, time.Second
+	sv.mu.Lock()
+	sv.sessions[bad.id] = bad
+	sv.order = append(sv.order, bad.id)
+	sv.mu.Unlock()
+	_, sub, _, live := bad.subscribe()
+	if !live {
+		t.Fatal("could not subscribe to a starting session")
+	}
+	go bad.runLoop(sv.slots)
+	good := createSession(t, ts, `{"scenario":"grid-small","duration":"30s","seed":17}`)
+
+	bad.waitDone()
+	if _, open := <-sub; open {
+		t.Error("failed session left its subscriber open")
+	}
+	var info sessionInfo
+	_, b := get(t, ts, "/v1/sessions/bad")
+	if err := json.Unmarshal(b, &info); err != nil {
+		t.Fatal(err)
+	}
+	if info.State != "failed" || !strings.Contains(info.Error, "Config.RelayCheck is 0s") {
+		t.Errorf("panicking session: state %s, error %q; want failed naming Config.RelayCheck", info.State, info.Error)
+	}
+	if code, _ := get(t, ts, "/v1/sessions/bad/report"); code != http.StatusInternalServerError {
+		t.Errorf("failed session's report: status %d, want 500", code)
+	}
+
+	// The slot came back: the healthy session runs to the batch report.
+	waitDone(t, sv, good)
+	_, got := get(t, ts, "/v1/sessions/"+good+"/report")
+	if want := batchReport(t, "grid-small", 17, 30*time.Second, 1); string(got) != want {
+		t.Errorf("healthy session's report differs from batch:\n--- serve ---\n%s--- batch ---\n%s", got, want)
+	}
+}
+
 func TestServeConcurrentSessions(t *testing.T) {
 	sv, ts := startTestServer(t, 3)
 	spec := `{"scenario":"grid-small","duration":"25s","seed":11}`

@@ -188,20 +188,35 @@ func (s *session) liveRecording() *obs.Recording {
 	return rec
 }
 
+// fail ends the session in the failed state and releases its waiters.
+func (s *session) fail(err error) {
+	s.mu.Lock()
+	s.state, s.err = "failed", err
+	s.finishSubs()
+	s.cond.Broadcast()
+	s.mu.Unlock()
+}
+
 // runLoop drives the session to completion. slots bounds the number of
 // concurrently advancing sessions; a paused session gives its slot back
 // so pausing can never starve other sessions.
 func (s *session) runLoop(slots chan struct{}) {
 	slots <- struct{}{}
 	defer func() { <-slots }()
+	// The simulation panics on states only a bug can produce (a relay
+	// period of zero, a send across a district boundary, shard recordings
+	// that diverged). Every such panic is raised on this goroutine with no
+	// session lock held and the slot taken; it ends this session, not the
+	// daemon and the sessions beside it.
+	defer func() {
+		if p := recover(); p != nil {
+			s.fail(fmt.Errorf("panic: %v", p))
+		}
+	}()
 
 	l, err := experiment.StartLiveRun(s.seed, s.spec, s.cfg, s.duration, s.shards, s.interval, s.onSample)
 	if err != nil {
-		s.mu.Lock()
-		s.state, s.err = "failed", err
-		s.finishSubs()
-		s.cond.Broadcast()
-		s.mu.Unlock()
+		s.fail(err)
 		return
 	}
 	s.mu.Lock()

@@ -55,7 +55,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		duration = fs.Duration("duration", 10*time.Minute, "simulated duration")
 		seed     = fs.Int64("seed", 42, "random seed")
 		parallel = fs.Int("parallel", runtime.GOMAXPROCS(0), "simulation worker-pool width; 1 = serial")
-		shards   = fs.Int("shards", 1, "run each scenario simulation this many ways parallel: coupled shard kernels for districted scenarios, halo-band stripe lanes for un-districted indexed ones (results are byte-identical to -shards 1; fallbacks to serial say why on stderr)")
+		shards   = fs.Int("shards", 1, "run each scenario simulation this many ways parallel: independent district kernels for districted scenarios, halo-band stripe lanes for un-districted indexed ones (results are byte-identical to -shards 1; fallbacks to serial say why on stderr)")
 		metrics  = fs.String("metrics", "", "write an FTDC-style metrics recording of every run to this file (sampling is pure observation: results are byte-identical with or without it)")
 		minterv  = fs.Duration("metrics-interval", time.Second, "sim-time sampling cadence for -metrics")
 	)

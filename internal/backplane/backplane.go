@@ -16,6 +16,7 @@
 package backplane
 
 import (
+	"fmt"
 	"strconv"
 	"time"
 
@@ -103,32 +104,17 @@ type port struct {
 	rng     *sim.RNG // per-port loss-coin stream; see the Send contract
 }
 
-// remotePort mirrors a port that lives on another shard's Net. It carries
-// only what the sending side needs before the cross-shard handoff: the
-// destination shard and the administrative down state (mirrored because
-// fault injection calls SetDown on every shard's Net at the same instant).
-type remotePort struct {
-	shard  int
-	isDown bool
-}
-
-// CrossPost carries a message that finished its uplink on this shard to
-// the destination shard; the coupler wiring injects an InjectArrive call
-// into the destination kernel at exactly arriveAt.
-type CrossPost func(dstShard int, arriveAt time.Duration, from, to uint16, payload []byte)
-
 // Net is the backplane network.
 type Net struct {
-	K         *sim.Kernel
-	cfg       Config
-	ports     map[uint16]*port
-	remotes   map[uint16]*remotePort
-	crossPost CrossPost
-	stats     Stats
-	bufs      frame.BufferPool
-	free      *transit // free list of in-flight message records
-	brown     Brownout
-	browned   bool
+	K       *sim.Kernel
+	cfg     Config
+	ports   map[uint16]*port
+	foreign map[uint16]bool // addresses owned by another district kernel
+	stats   Stats
+	bufs    frame.BufferPool
+	free    *transit // free list of in-flight message records
+	brown   Brownout
+	browned bool
 }
 
 // Brownout describes a plane-wide degradation window: every access link
@@ -203,42 +189,24 @@ func (n *Net) Attach(addr uint16, h Handler) {
 	}
 }
 
-// AttachRemote registers an address whose port lives on another shard's
-// Net. Sends to it run the local uplink and loss coins exactly like a
-// local send, then hand the message to the destination shard through the
-// CrossPost callback (see SetCrossPost).
-func (n *Net) AttachRemote(addr uint16, shard int) {
-	if n.remotes == nil {
-		n.remotes = map[uint16]*remotePort{}
+// AttachForeign registers an address whose port lives on another district
+// kernel's Net. Nothing may be sent to it: districts exchange no backplane
+// traffic (DESIGN §10), so Send panics rather than drop a message the
+// serial run would deliver.
+func (n *Net) AttachForeign(addr uint16) {
+	if n.foreign == nil {
+		n.foreign = map[uint16]bool{}
 	}
-	n.remotes[addr] = &remotePort{shard: shard}
-}
-
-// SetCrossPost installs the callback that carries uplink-complete
-// messages to their destination shard. Required before any send to an
-// AttachRemote address completes its uplink.
-func (n *Net) SetCrossPost(fn CrossPost) { n.crossPost = fn }
-
-// MinTransitDelay is the lower bound on the time between a message
-// finishing its uplink on one shard and its arrival event on another:
-// the access propagation delay plus the core delay. Brownouts only add
-// delay and uplink serialization only postpones the start, so the
-// coupler may use this as a conservative lookahead.
-func (n *Net) MinTransitDelay() time.Duration {
-	return n.cfg.Access.Delay + n.cfg.CoreDelay
+	n.foreign[addr] = true
 }
 
 // SetDown partitions (or heals) a node's access link. While down, all
-// traffic to and from the node is dropped. Remote mirrors are updated
-// too: fault injection calls SetDown on every shard's Net at the same
-// instant, so the sending-side check stays in lockstep with the real
-// port on the owning shard.
+// traffic to and from the node is dropped. Unknown and foreign addresses
+// are ignored: fault injection flips every port on every district
+// kernel's Net, and only the owning one holds it.
 func (n *Net) SetDown(addr uint16, down bool) {
 	if p, ok := n.ports[addr]; ok {
 		p.isDown = down
-	}
-	if r, ok := n.remotes[addr]; ok {
-		r.isDown = down
 	}
 }
 
@@ -246,9 +214,6 @@ func (n *Net) SetDown(addr uint16, down bool) {
 func (n *Net) IsDown(addr uint16) bool {
 	if p, ok := n.ports[addr]; ok {
 		return p.isDown
-	}
-	if r, ok := n.remotes[addr]; ok {
-		return r.isDown
 	}
 	return false
 }
@@ -277,10 +242,7 @@ type transit struct {
 	size  int
 	buf   []byte // pooled payload copy; nil when the message was lost
 	stage uint8
-	cross bool // destination port lives on another shard
-	shard int  // destination shard when cross
 	from  uint16
-	to    uint16
 	next  *transit // free-list link
 }
 
@@ -292,21 +254,6 @@ func (t *transit) OnEvent() {
 		t.src.up.queued -= t.size
 		if t.buf == nil {
 			n.freeTransit(t) // lost in flight: uplink slot reclaimed, done
-			return
-		}
-		if t.cross {
-			// Cross-shard handoff: the arrival timestamp is exactly what
-			// the local core hop would compute; the payload is copied out
-			// of the pool because the posted closure outlives this event.
-			if n.crossPost == nil {
-				panic("backplane: send to remote port without SetCrossPost")
-			}
-			arriveAt := n.K.Now() + t.src.up.spec.Delay + n.cfg.CoreDelay + n.extraDelay()
-			payload := append([]byte(nil), t.buf...)
-			n.bufs.Put(t.buf)
-			from, to, shard := t.from, t.to, t.shard
-			n.freeTransit(t)
-			n.crossPost(shard, arriveAt, from, to, payload)
 			return
 		}
 		t.stage = stageArrive
@@ -356,7 +303,6 @@ func (n *Net) allocTransit() *transit {
 // freeTransit recycles a settled message record (not its buffer).
 func (n *Net) freeTransit(t *transit) {
 	t.src, t.dst, t.buf = nil, nil, nil
-	t.cross = false
 	t.next = n.free
 	n.free = t
 }
@@ -367,17 +313,19 @@ func (n *Net) freeTransit(t *transit) {
 // serialization → handler. It reports whether the message was admitted to
 // the sender's uplink. The payload is copied (into a pooled buffer)
 // before Send returns; the caller keeps ownership of the passed slice.
+// A foreign destination panics (see AttachForeign): dropping it silently
+// would let a districted run diverge from the serial one.
 func (n *Net) Send(from, to uint16, payload []byte) bool {
 	src, ok := n.ports[from]
 	if !ok {
 		return false
 	}
-	dst, local := n.ports[to]
-	var rem *remotePort
-	if !local {
-		if rem, ok = n.remotes[to]; !ok {
-			return false
+	dst, ok := n.ports[to]
+	if !ok {
+		if n.foreign[to] {
+			panic(fmt.Sprintf("backplane: send from %d to %d crosses a district boundary", from, to))
 		}
+		return false
 	}
 	n.stats.Sent++
 	n.stats.BytesSent += len(payload)
@@ -400,22 +348,14 @@ func (n *Net) Send(from, to uint16, payload []byte) bool {
 	// partition check below, so a SetDown window never shifts a stream,
 	// and a brownout (which inflates probabilities, never draw counts)
 	// leaves every post-window draw on its original position.
-	downLoss := n.cfg.Access.Loss
-	if local {
-		downLoss = dst.down.spec.Loss
-	}
 	lostUp := src.rng.Float64() < n.effLoss(src.up.spec.Loss)
-	lostDown := src.rng.Float64() < n.effLoss(downLoss)
+	lostDown := src.rng.Float64() < n.effLoss(dst.down.spec.Loss)
 
 	t := n.allocTransit()
 	t.src, t.dst, t.size = src, dst, size
-	t.from, t.to = from, to
-	if rem != nil {
-		t.cross, t.shard = true, rem.shard
-	}
+	t.from = from
 	t.stage = stageUpDone
-	dstDown := (local && dst.isDown) || (rem != nil && rem.isDown)
-	if src.isDown || dstDown {
+	if src.isDown || dst.isDown {
 		n.stats.DroppedDown++
 		// t.buf stays nil: the uplink still serializes the doomed bytes,
 		// exactly like a message lost in flight.
@@ -431,25 +371,4 @@ func (n *Net) Send(from, to uint16, payload []byte) bool {
 	}
 	n.K.AtHandler(upDone, t)
 	return true
-}
-
-// InjectArrive runs the destination-side stages of a message that crossed
-// from another shard: downlink admission, serialization and delivery at
-// the local port. It must be invoked at exactly the arrival timestamp the
-// sending shard computed (the coupler injects it there). Sender-side
-// effects — uplink occupancy, loss coins, Sent stats — already happened
-// on the source shard's Net.
-func (n *Net) InjectArrive(from, to uint16, payload []byte) {
-	dst, ok := n.ports[to]
-	if !ok {
-		return
-	}
-	t := n.allocTransit()
-	t.dst = dst
-	t.size = len(payload)
-	t.from = from
-	t.buf = n.bufs.Get(len(payload))
-	copy(t.buf, payload)
-	t.stage = stageArrive
-	t.OnEvent()
 }

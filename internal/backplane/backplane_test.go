@@ -2,6 +2,9 @@ package backplane
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -378,4 +381,55 @@ func TestReattachReplacesHandler(t *testing.T) {
 	if len(a) != 0 || len(b) != 1 {
 		t.Errorf("handler replacement failed: a=%d b=%d", len(a), len(b))
 	}
+}
+
+// TestForeignAddress pins what replaced the cross-district exchange: an
+// address owned by another district kernel can be partitioned and healed
+// harmlessly (fault injection flips every port on every kernel's Net), a
+// send to it panics naming both ends rather than vanish, and its presence
+// changes nothing between local ports — same coins, same timestamps, same
+// stats as the plain Net.
+func TestForeignAddress(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Access.Loss = 0.3
+	run := func(foreign bool) ([]delivery, Stats, *Net) {
+		k := sim.NewKernel(13)
+		n := New(k, cfg)
+		var got []delivery
+		n.Attach(1, nil)
+		n.Attach(2, collect(k, &got))
+		if foreign {
+			n.AttachForeign(7)
+			n.AttachForeign(40000)
+			n.SetDown(7, true)
+		}
+		for i := 0; i < 80; i++ {
+			k.At(time.Duration(i)*17*time.Millisecond, func() { n.Send(1, 2, []byte{byte(i)}) })
+		}
+		k.Run()
+		return got, n.Stats(), n
+	}
+	plain, plainStats, _ := run(false)
+	got, stats, n := run(true)
+	if len(plain) == 0 || stats.DroppedLoss == 0 {
+		t.Fatalf("%d deliveries, %d lost: the comparison is vacuous", len(plain), stats.DroppedLoss)
+	}
+	if !reflect.DeepEqual(plain, got) || plainStats != stats {
+		t.Errorf("foreign addresses changed local traffic:\nplain   %+v\nforeign %+v", plainStats, stats)
+	}
+	if n.IsDown(7) {
+		t.Error("SetDown on a foreign address took effect")
+	}
+	n.SetDown(7, false)
+
+	defer func() {
+		msg := fmt.Sprint(recover())
+		if !strings.Contains(msg, "from 1 to 40000") || !strings.Contains(msg, "district boundary") {
+			t.Errorf("send to a foreign address: %q, want a panic naming 1 and 40000", msg)
+		}
+		if n.Stats() != stats {
+			t.Error("the refused send was counted")
+		}
+	}()
+	n.Send(1, 40000, []byte("x"))
 }

@@ -114,8 +114,8 @@ func (c *Cell) RadioLaneCounts() (bs, veh []int) {
 // stacks on this cell. It is the one constructor's only degree of freedom:
 // the zero value is one district with everything local (the plain fleet
 // cell), districts without a DistrictShard map are the serial districted
-// cell, and a map naming foreign shards makes this cell one shard of a
-// coupled run.
+// cell, and a map naming foreign shards makes this cell one of the
+// independent district kernels of a sharded run.
 type Placement struct {
 	Districts   int   // district count; 0 reads as 1
 	BSDistrict  []int // district per basestation; nil = all in district 0
@@ -156,8 +156,10 @@ func (p Placement) local(d int) bool {
 // radio conflict reach they exchange no radio interaction with local
 // nodes either, which is what makes the partition exact. Foreign
 // backplane addresses (gateways and basestation ports) are registered as
-// remotes pointing at their owning shard, so any cross-shard backplane
-// send flows through the coupler instead of being dropped as unknown.
+// foreign on this cell's Net, so a send that would leave the district —
+// none can: a basestation talks to its own gateway and to basestations
+// its vehicle hears — panics naming both ends instead of being dropped
+// as unknown and letting the run diverge from serial.
 func newCell(k *sim.Kernel, opts CellOptions, bsMovers, vehMovers []mobility.Mover, vehName func(int) string, p Placement) *Cell {
 	if len(bsMovers) == 0 {
 		panic("core: a cell needs at least one basestation")
@@ -192,7 +194,7 @@ func newCell(k *sim.Kernel, opts CellOptions, bsMovers, vehMovers []mobility.Mov
 				c.Gateway = gw
 			}
 		} else {
-			bp.AttachRemote(GatewayAddr+uint16(d), p.DistrictShard[d])
+			bp.AttachForeign(GatewayAddr + uint16(d))
 			if c.BSLocal == nil {
 				c.BSLocal = make([]bool, len(bsMovers))
 				c.VehLocal = make([]bool, len(vehMovers))
@@ -206,7 +208,7 @@ func newCell(k *sim.Kernel, opts CellOptions, bsMovers, vehMovers []mobility.Mov
 		if !p.local(d) {
 			id := ch.Attach(name, mv, nil)
 			if nodeBP != nil {
-				bp.AttachRemote(uint16(id), p.DistrictShard[d])
+				bp.AttachForeign(uint16(id))
 			}
 			return nil, id
 		}

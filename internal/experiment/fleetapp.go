@@ -118,11 +118,11 @@ func appStagger(kind workload.Kind, cfg workload.Config) time.Duration {
 // (seed, spec, cfg, duration); all driver randomness flows through
 // streams labeled with the spec's canonical key and the vehicle index.
 //
-// shards is the requested parallelism (≤ 1 = serial): coupled kernels for
-// districted specs, halo stripe lanes for un-districted indexed ones (see
-// shardPlan). Both preserve every RNG stream label, NodeID and draw order
-// of the serial run; only event execution (coupled) or the delivery
-// fan-out (halo) is partitioned. The result is byte-identical at any
+// shards is the requested parallelism (≤ 1 = serial): independent
+// district kernels for districted specs, halo stripe lanes for
+// un-districted indexed ones (see shardPlan). Both preserve every RNG
+// stream label, NodeID and draw order of the serial run; only event
+// execution (districts) or the delivery fan-out (halo) is partitioned. The result is byte-identical at any
 // shard count — ShardExec aside, which is execution bookkeeping.
 func RunFleetAppWorkload(seed int64, spec scenario.Spec, cfg core.Config, duration time.Duration, shards int) (*FleetAppRun, error) {
 	return runFleetApp(seed, spec, cfg, duration, shards, 0)

@@ -198,32 +198,36 @@ func buildRegistry(k *sim.Kernel, cell *core.Cell, drivers []workload.Driver, ki
 	return reg
 }
 
-// addShardSeries registers per-shard execution-balance series
-// (shard.<i>.events/rounds/stalled/halo_sent/halo_recv, pulled through
-// shardStat) on one shard's registry, so vifi-metrics and vifi-serve can
-// show shard balance live. Serial runs register nothing — their schema is
-// unchanged.
+// addShardSeries registers per-shard execution-balance series (pulled
+// through shardStat) on one shard's registry, so vifi-metrics and
+// vifi-serve can show shard balance live. Serial runs register nothing —
+// their schema is unchanged.
 //
 // Every registry carries the full layout (obs.Merge demands an identical
-// schema). Under coupled kernels a registry pulls real values only for
-// its own index — a sampler tick runs on its shard's goroutine, which may
-// read only its own coupler stats mid-window — so the merged sum
-// reconstructs every shard's true series. The single halo kernel's
-// sampler reads every lane directly: lane counters are quiescent between
-// dispatches, and sampling runs in the kernel phase.
+// schema). A district kernel has one series, shard.<i>.events, and a
+// registry pulls a real value only for its own index — a sampler tick runs
+// on its kernel's goroutine, which may read only its own counter mid-step
+// — so the merged sum reconstructs every kernel's true series. The single
+// halo kernel's sampler reads every lane's five counters directly: they
+// are quiescent between dispatches, and sampling runs in the kernel phase.
 func (s *fleetSession) addShardSeries(reg *obs.Registry, sh int) {
 	n := s.width()
 	if n < 2 {
 		return
 	}
 	for i := 0; i < n; i++ {
-		pull := func(f func(ShardRunStats) int64) func() int64 {
-			if s.coupler != nil && i != sh {
-				return func() int64 { return 0 }
+		prefix := fmt.Sprintf("shard.%d.", i)
+		if s.eff > 1 {
+			pull := func() int64 { return 0 }
+			if i == sh {
+				pull = func() int64 { return int64(s.shardStat(i).Events) }
 			}
+			reg.Counter(prefix+"events", pull)
+			continue
+		}
+		pull := func(f func(ShardRunStats) int64) func() int64 {
 			return func() int64 { return f(s.shardStat(i)) }
 		}
-		prefix := fmt.Sprintf("shard.%d.", i)
 		reg.Counter(prefix+"events", pull(func(st ShardRunStats) int64 { return int64(st.Events) }))
 		reg.Counter(prefix+"rounds", pull(func(st ShardRunStats) int64 { return int64(st.Rounds) }))
 		reg.Counter(prefix+"stalled", pull(func(st ShardRunStats) int64 { return int64(st.Stalled) }))

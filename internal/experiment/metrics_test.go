@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -92,14 +93,19 @@ func TestShardedMetricsMergeDeterminism(t *testing.T) {
 
 // TestLiveRunMatchesBatch pins the serve-mode execution path at the
 // library level: stepping a LiveRun to completion must yield the same
-// outcome counts as the one-shot batch helper, serial and sharded.
+// outcome counts as the one-shot batch helper, serial and sharded — and
+// barriers are invisible: the run stepped at 1 s, the same run stepped at
+// 250 ms and paused in the middle, and the batch run (one barrier) agree
+// on the merged recording and on the whole FleetAppRun, ShardExec
+// included.
 func TestLiveRunMatchesBatch(t *testing.T) {
 	spec, err := scenario.Parse("metro-districts")
 	if err != nil {
 		t.Fatal(err)
 	}
+	const dur = 20 * time.Second
 	for _, shards := range []int{1, 4} {
-		l, err := StartLiveRun(17, spec, core.DefaultConfig(), 20*time.Second, shards, time.Second, nil)
+		l, err := StartLiveRun(17, spec, core.DefaultConfig(), dur, shards, time.Second, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +121,7 @@ func TestLiveRunMatchesBatch(t *testing.T) {
 		}
 		live := l.Finish()
 
-		batch, err := RunFleetAppWorkload(17, spec, core.DefaultConfig(), 20*time.Second, shards)
+		batch, err := RunFleetAppWorkload(17, spec, core.DefaultConfig(), dur, shards)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,8 +133,53 @@ func TestLiveRunMatchesBatch(t *testing.T) {
 			t.Errorf("shards=%d: live run app summary diverged from batch:\n%+v\nvs\n%+v",
 				shards, live.Apps, batch.Apps)
 		}
-		if rec := l.Recording(); rec == nil || rec.Rows() == 0 {
-			t.Errorf("shards=%d: live run produced no recording", shards)
+		rec := l.Recording()
+		if rec == nil || rec.Rows() == 0 {
+			t.Fatalf("shards=%d: live run produced no recording", shards)
+		}
+
+		// The same sampled run behind four times as many barriers, with a
+		// pause (the recording read while nothing advances) halfway.
+		s, err := newFleetSession(17, spec, core.DefaultConfig(), dur, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.attachMetrics(time.Second, nil)
+		fine := &LiveRun{s: s, quantum: 250 * time.Millisecond}
+		for n := 0; ; n++ {
+			if n == 40 {
+				if mid := fine.Recording(); mid.Rows() != 10 {
+					t.Errorf("shards=%d: paused at %v with %d rows, want 10", shards, fine.Now(), mid.Rows())
+				}
+			}
+			if _, done := fine.Step(); done {
+				break
+			}
+		}
+		// ... and behind one: the batch run, sampled like the other two.
+		TakeRecordings()
+		sampled, err := runFleetApp(17, spec, core.DefaultConfig(), dur, shards, time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batchRecs := TakeRecordings()
+		if len(batchRecs) != 1 {
+			t.Fatalf("shards=%d: batch run published %d recordings", shards, len(batchRecs))
+		}
+		if !rec.Equal(fine.Recording()) || !rec.Equal(batchRecs[0]) {
+			t.Errorf("shards=%d: the recording depends on where the barriers fell", shards)
+		}
+		if fineRun := fine.Finish(); !reflect.DeepEqual(live, fineRun) || !reflect.DeepEqual(live, sampled) {
+			t.Errorf("shards=%d: the run depends on where the barriers fell:\n1s    %+v\n250ms %+v\nbatch %+v",
+				shards, live.ShardExec, fineRun.ShardExec, sampled.ShardExec)
+		}
+		if shards > 1 {
+			if len(live.ShardExec) != shards || live.ShardExec[0].Events == 0 {
+				t.Errorf("shards=%d: ShardExec %+v", shards, live.ShardExec)
+			}
+			if rec.SeriesIndex("shard.3.events") < 0 || rec.SeriesIndex("shard.0.rounds") >= 0 {
+				t.Errorf("shards=%d: a district kernel registers shard.<i>.events and nothing else", shards)
+			}
 		}
 	}
 	TakeShardLog()
@@ -170,5 +221,70 @@ func TestLiveRunLeavesSinksEmpty(t *testing.T) {
 	}
 	if got := TakeRecordings(); len(got) != 0 {
 		t.Errorf("live run published %d recordings to the sink", len(got))
+	}
+}
+
+// TestLiveRunAbandonedLeavesNoGoroutine pins the goroutine lifetime of a
+// multi-kernel run: a step's goroutines are joined before it returns, so
+// a run dropped half way (a failed or abandoned serve session) strands
+// nothing.
+func TestLiveRunAbandonedLeavesNoGoroutine(t *testing.T) {
+	spec, err := scenario.Parse("metro-districts")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	l, err := StartLiveRun(3, spec, core.DefaultConfig(), 10*time.Second, 4, time.Second, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l.Shards() != 4 {
+		t.Fatalf("ran %d kernels, want 4", l.Shards())
+	}
+	for i := 0; i < 3; i++ {
+		l.Step()
+	}
+	// A joined goroutine has called Done but may not have left the
+	// scheduler's count yet: yield until it has.
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		runtime.Gosched()
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines after three steps of an abandoned run, %d before it", n, before)
+	}
+}
+
+// TestLiveRunKernelPanicSurfacesOnCaller pins what a panic inside one of
+// several kernels does: the other kernel still reaches the barrier, and
+// the panic comes out of Step on the calling goroutine — where a serve
+// session recovers it — instead of ending the process.
+func TestLiveRunKernelPanicSurfacesOnCaller(t *testing.T) {
+	spec, err := scenario.Parse(shardTestSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := StartLiveRun(3, spec, core.DefaultConfig(), 5*time.Second, 2, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l.Shards() != 2 {
+		t.Fatalf("ran %d kernels, want 2", l.Shards())
+	}
+	l.s.kernels[1].At(500*time.Millisecond, func() { panic("boom in kernel 1") })
+	lastRan := false
+	l.s.kernels[0].At(time.Second, func() { lastRan = true })
+
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		l.Step()
+	}()
+	if got != "boom in kernel 1" {
+		t.Fatalf("Step recovered %v, want the kernel's panic", got)
+	}
+	if !lastRan || l.s.kernels[0].Now() != time.Second {
+		t.Errorf("kernel 0 stopped at %v (barrier event ran: %v); it must finish its barrier first",
+			l.s.kernels[0].Now(), lastRan)
 	}
 }

@@ -30,7 +30,7 @@ type Options struct {
 	// ignore it.
 	Scenario string
 	// Shards requests sharded single-run execution: each fleet simulation
-	// runs as this many coupled event kernels when its scenario is
+	// runs as this many independent event kernels when its scenario is
 	// districted, as this many halo-band stripe lanes inside one kernel
 	// when it is un-districted but on the indexed radio path, and
 	// serially — with the reason in the shard log — when shardPlan can

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"strconv"
+	"sync"
 	"time"
 
 	"github.com/vanlan/vifi/internal/core"
@@ -23,10 +24,11 @@ import (
 // fleetSession is one fleet application execution between build and
 // finish. eff==1 runs a single kernel — serially, or with the channel's
 // delivery fan-out halo-sharded across stripe lanes (haloLanes>1) when
-// the planner chose shardModeHalo; eff>1 runs coupled shard kernels
-// (districted specs). Every kernel runs the one setup sequence — the
-// serial run is the one-shard case, with an all-local placement — which
-// is what the sampling-identity and shard-identity goldens pin.
+// the planner chose shardModeHalo; eff>1 runs one independent kernel per
+// district group (districted specs). Every kernel runs the one setup
+// sequence — the serial run is the one-shard case, with an all-local
+// placement — which is what the sampling-identity and shard-identity
+// goldens pin.
 type fleetSession struct {
 	seed     int64
 	spec     scenario.Spec
@@ -36,11 +38,11 @@ type fleetSession struct {
 	key      string
 	appcfg   workload.Config
 
-	eff           int    // kernel count: >1 only for coupled shards
+	eff           int    // kernel count: >1 only for district kernels
 	haloLanes     int    // delivery lanes on the halo path (0/1 otherwise)
 	requested     int    // shard count the caller asked for
 	reason        string // why a shards>1 request degraded to serial
-	districtShard []int  // nil off the coupled path
+	districtShard []int  // nil unless eff > 1
 	kernels       []*sim.Kernel
 	cells         []*core.Cell
 	recs          []*faultRecorder
@@ -48,12 +50,10 @@ type fleetSession struct {
 	kinds         []workload.Kind
 	lay           *scenario.Layout
 	tl            fault.Timeline
-	coupler       *sim.Coupler // nil on the serial path
 
 	samplers []*obs.Sampler
 
-	cursor time.Duration // serial stepping cursor
-	crun   *sim.CoupledRun
+	cursor time.Duration // the last barrier every kernel reached
 	ran    bool
 }
 
@@ -65,7 +65,7 @@ func newFleetSession(seed int64, spec scenario.Spec, cfg core.Config, duration t
 	opts.Protocol = cfg
 	plan := shardPlan(spec, opts, shards)
 	eff := 1 // kernel count; the halo mode parallelizes inside one kernel
-	if plan.mode == shardModeCoupled {
+	if plan.mode == shardModeDistricts {
 		eff = plan.eff
 	}
 
@@ -84,9 +84,6 @@ func newFleetSession(seed int64, spec scenario.Spec, cfg core.Config, duration t
 		recs:    make([]*faultRecorder, eff),
 		drivers: make([][]workload.Driver, eff),
 	}
-	if eff > 1 {
-		s.coupler = sim.NewCoupler()
-	}
 
 	for sh := 0; sh < eff; sh++ {
 		k := sim.NewKernel(seed)
@@ -94,13 +91,8 @@ func newFleetSession(seed int64, spec scenario.Spec, cfg core.Config, duration t
 		if err != nil {
 			return nil, err
 		}
-		if s.coupler != nil {
-			if !cell.Channel.Indexed() {
-				panic("experiment: shard plan accepted a non-indexed channel")
-			}
-			if idx := s.coupler.AddShard(k); idx != sh {
-				panic("experiment: shard index mismatch")
-			}
+		if eff > 1 && !cell.Channel.Indexed() {
+			panic("experiment: shard plan accepted a non-indexed channel")
 		}
 		s.kernels[sh], s.cells[sh], s.lay = k, cell, lay
 
@@ -160,25 +152,6 @@ func newFleetSession(seed int64, spec scenario.Spec, cfg core.Config, duration t
 			s.reason = "channel declined the stripe plan (not on the spatially indexed path)"
 		}
 	}
-
-	if s.coupler != nil {
-		// Couple the backplanes: the only subsystem that can carry an
-		// event across districts, hence across shards. Its minimum
-		// transit delay is the lookahead; a cross-shard send posts the
-		// arrival at its exact already-computed timestamp into the
-		// destination shard's mailbox.
-		s.coupler.AddLookahead(s.cells[0].Backplane.MinTransitDelay())
-		for sh := 0; sh < eff; sh++ {
-			src := sh
-			cells := s.cells
-			coupler := s.coupler
-			cells[sh].Backplane.SetCrossPost(func(dstShard int, arriveAt time.Duration, from, to uint16, payload []byte) {
-				coupler.Post(src, dstShard, arriveAt, func() {
-					cells[dstShard].Backplane.InjectArrive(from, to, payload)
-				})
-			})
-		}
-	}
 	return s, nil
 }
 
@@ -202,7 +175,7 @@ func (s *fleetSession) attachMetrics(interval time.Duration, onSample func(shard
 	}
 }
 
-// width is the run's effective parallelism: coupled kernels or halo
+// width is the run's effective parallelism: district kernels or halo
 // lanes, 1 when serial.
 func (s *fleetSession) width() int {
 	if s.haloLanes > 1 {
@@ -211,47 +184,60 @@ func (s *fleetSession) width() int {
 	return s.eff
 }
 
-// shardStat reads shard (coupled) or lane (halo) i's live execution
+// shardStat reads district kernel or halo lane i's live execution
 // counters — the one accessor behind FleetAppRun.ShardExec and the
-// shard.<i>.* series; finish adds the owned-node counts. Halo lanes
-// report in the coupled vocabulary: Events counts in-cutoff delivery
-// decisions, Rounds the broadcast dispatches, Stalled the dispatches the
-// lane sat idle. All of it is a pure function of the simulation (stripe
-// ownership and the candidate sets are deterministic), so it is
-// reproducible across hosts despite measuring parallel execution.
+// shard.<i>.* series; finish adds the owned-node counts. A district
+// kernel reports the events it executed and nothing else: where the
+// caller put its barriers must not show in anything reported or recorded.
+// For a halo lane Events counts in-cutoff delivery decisions, Rounds the
+// broadcast dispatches, Stalled the dispatches the lane sat idle. All of
+// it is a pure function of the simulation (stripe ownership and the
+// candidate sets are deterministic), so it is reproducible across hosts
+// despite measuring parallel execution. While a step is running, kernel
+// i's counter may be read only from its own goroutine (a sampler tick).
 func (s *fleetSession) shardStat(i int) ShardRunStats {
-	if s.coupler != nil {
-		st := s.coupler.ShardStatsAt(i)
-		return ShardRunStats{Shard: i, Events: st.Events, Rounds: st.Rounds,
-			Stalled: st.StalledRounds, HaloSent: st.Posted, HaloRecv: st.Injected}
+	if s.eff > 1 {
+		return ShardRunStats{Shard: i, Events: s.kernels[i].EventsRun()}
 	}
 	ls := s.cells[0].Channel.LaneStat(i)
 	return ShardRunStats{Shard: i, Events: ls.Computed, Rounds: int(ls.Rounds),
 		Stalled: int(ls.Idle), HaloSent: int(ls.HaloSent), HaloRecv: int(ls.HaloRecv)}
 }
 
-// step advances the session through one more barrier and reports the
-// barrier's sim time plus completion. On the serial path a barrier is
-// one quantum of the kernel clock (successive RunUntil calls compose
-// exactly); on the sharded path it is one coupler window, whose command
-// sequence is invariant under pausing (see sim.CoupledRun).
+// step advances every kernel to the next barrier — one quantum of sim
+// time past the last, clamped to the end of the run — and reports the
+// barrier's sim time plus completion. Successive RunUntil calls compose
+// exactly, and district kernels share nothing (DESIGN §10), so where the
+// barriers fall changes no result: a lone kernel runs on the caller's
+// goroutine, several run on one goroutine each and are joined here.
+// Nothing outlives the call. A kernel's panic is re-raised on the caller
+// once every other kernel has reached the barrier, so it surfaces as a
+// panic out of step rather than a process crash.
 func (s *fleetSession) step(quantum time.Duration) (time.Duration, bool) {
-	if s.coupler == nil {
-		next := s.cursor + quantum
-		if next > s.until {
-			next = s.until
-		}
+	next := min(s.cursor+quantum, s.until)
+	if len(s.kernels) == 1 {
 		s.kernels[0].RunUntil(next)
-		s.cursor = next
-		s.ran = next >= s.until
-		return next, s.ran
+	} else {
+		panics := make([]any, len(s.kernels))
+		var wg sync.WaitGroup
+		for i, k := range s.kernels {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer func() { panics[i] = recover() }()
+				k.RunUntil(next)
+			}()
+		}
+		wg.Wait()
+		for _, p := range panics {
+			if p != nil {
+				panic(p)
+			}
+		}
 	}
-	if s.crun == nil {
-		s.crun = s.coupler.Begin(s.until)
-	}
-	t, done := s.crun.Step()
-	s.ran = done
-	return t, done
+	s.cursor = next
+	s.ran = next >= s.until
+	return next, s.ran
 }
 
 // recording merges the per-shard sampler recordings into the run-wide
@@ -344,7 +330,7 @@ func (s *fleetSession) finish() *FleetAppRun {
 
 	if n := s.width(); n > 1 {
 		bsN, vehN := make([]int, n), make([]int, n)
-		if s.coupler == nil {
+		if s.haloLanes > 1 {
 			bsN, vehN = s.cells[0].RadioLaneCounts() // live stripe ownership
 		} else {
 			for i := range s.lay.BSes {
@@ -365,12 +351,11 @@ func (s *fleetSession) finish() *FleetAppRun {
 }
 
 // runFleetApp is the one-shot driver behind the batch entry points:
-// build, optionally attach metrics, step to completion in whole-run
-// quanta (one RunUntil on a single kernel, every coupler window
-// otherwise), assemble. Only this batch path writes the package sinks —
-// the shard log (TakeShardLog) and, for a positive interval, the run's
-// recording (TakeRecordings); a LiveRun carries both on itself
-// (FleetAppRun.ShardExec, LiveRun.Recording).
+// build, optionally attach metrics, step to completion in one whole-run
+// quantum (one RunUntil per kernel), assemble. Only this batch path
+// writes the package sinks — the shard log (TakeShardLog) and, for a
+// positive interval, the run's recording (TakeRecordings); a LiveRun
+// carries both on itself (FleetAppRun.ShardExec, LiveRun.Recording).
 func runFleetApp(seed int64, spec scenario.Spec, cfg core.Config, duration time.Duration, shards int, interval time.Duration) (*FleetAppRun, error) {
 	s, err := newFleetSession(seed, spec, cfg, duration, shards)
 	if err != nil {
@@ -379,12 +364,10 @@ func runFleetApp(seed int64, spec scenario.Spec, cfg core.Config, duration time.
 	if interval > 0 {
 		s.attachMetrics(interval, nil)
 	}
-	for !s.ran {
-		s.step(s.until)
-	}
+	s.step(s.until)
 	run := s.finish()
 	if run.ShardExec != nil {
-		logShards(ShardLogEntry{SpecKey: s.key, Shards: len(run.ShardExec), Halo: s.coupler == nil, Stats: run.ShardExec})
+		logShards(ShardLogEntry{SpecKey: s.key, Shards: len(run.ShardExec), Halo: s.haloLanes > 1, Stats: run.ShardExec})
 	}
 	if s.reason != "" && s.requested > 1 {
 		// The caller asked for sharding and did not get it: say why on the

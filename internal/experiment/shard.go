@@ -14,11 +14,12 @@ import (
 // This file carries sharded single-scenario execution in its two exact
 // forms:
 //
-//   - Coupled (districted cities): K spatially partitioned shards, each
-//     a full sim.Kernel advancing in bounded rounds under the
-//     conservative coupler (internal/sim), with cross-shard backplane
-//     messages exchanged at window barriers. Exact because districts are
-//     separated by more than the radio conflict reach.
+//   - Districts (districted cities): K groups of districts, each group a
+//     full sim.Kernel that runs to the caller's next barrier on its own
+//     and exchanges nothing with the others. Exact because districts
+//     share nothing: moats wider than the radio conflict reach, a gateway
+//     each, routes that stay inside (DESIGN §10); a backplane send that
+//     would cross the boundary panics.
 //
 //   - Halo (un-districted indexed cities, PR 10): one kernel whose
 //     indexed radio channel fans each broadcast's delivery computations
@@ -33,15 +34,17 @@ import (
 // the reason surfaced on the shard log instead of silently degrading.
 
 // ShardRunStats is one shard's execution diagnostics after a sharded run.
+// A district kernel fills Events (the events it executed) and the owned
+// counts; the remaining fields are halo-lane vocabulary.
 type ShardRunStats struct {
 	Shard    int
-	BSes     int // basestations owned (full protocol stacks)
-	Vehicles int // fleet slots owned
-	Events   uint64
-	Rounds   int
-	Stalled  int // barrier rounds in which this shard ran no event
-	HaloSent int // cross-shard events posted by this shard
-	HaloRecv int // cross-shard events injected into this shard
+	BSes     int    // basestations owned (full protocol stacks)
+	Vehicles int    // fleet slots owned
+	Events   uint64 // kernel events run, or a lane's delivery decisions
+	Rounds   int    // broadcast dispatches the lane took part in
+	Stalled  int    // dispatches in which the lane had nothing to compute
+	HaloSent int    // deliveries other lanes computed for this lane's transmitters
+	HaloRecv int    // deliveries this lane computed for another lane's transmitters
 }
 
 // ShardLogEntry records one sharded execution — or one refused request —
@@ -80,8 +83,9 @@ func logShards(e ShardLogEntry) {
 }
 
 // FprintShardLog renders drained shard-log entries for the commands'
-// stderr diagnostics: per shard, the owned node counts, events executed,
-// barrier rounds (and how many stalled with no work), and halo traffic.
+// stderr diagnostics: per district kernel the owned node counts and
+// events executed; per halo lane also the dispatch rounds (and how many
+// it sat idle) and the halo traffic.
 func FprintShardLog(w io.Writer, entries []ShardLogEntry) {
 	for _, e := range entries {
 		if e.Reason != "" {
@@ -99,8 +103,7 @@ func FprintShardLog(w io.Writer, entries []ShardLogEntry) {
 		}
 		fmt.Fprintf(w, "sharded run (%d shards): %s\n", e.Shards, e.SpecKey)
 		for _, s := range e.Stats {
-			fmt.Fprintf(w, "  shard %d: %d BS / %d veh · %d events · %d rounds (%d stalled) · halo %d sent / %d recv\n",
-				s.Shard, s.BSes, s.Vehicles, s.Events, s.Rounds, s.Stalled, s.HaloSent, s.HaloRecv)
+			fmt.Fprintf(w, "  shard %d: %d BS / %d veh · %d events\n", s.Shard, s.BSes, s.Vehicles, s.Events)
 		}
 	}
 }
@@ -109,16 +112,16 @@ func FprintShardLog(w io.Writer, entries []ShardLogEntry) {
 type shardMode int
 
 const (
-	shardModeSerial  shardMode = iota
-	shardModeCoupled           // districted: K coupled kernels
-	shardModeHalo              // un-districted indexed: stripe lanes in one kernel
+	shardModeSerial    shardMode = iota
+	shardModeDistricts           // districted: K independent kernels
+	shardModeHalo                // un-districted indexed: stripe lanes in one kernel
 )
 
 // shardPlanResult is the planner's decision: the mode, the effective
-// parallelism (coupled kernels or halo lanes; 1 for serial), the
-// district→shard map (coupled only), and — when a request for shards>1
-// degraded to serial — the reason, so the CLIs can say so on stderr
-// instead of silently running serial.
+// parallelism (district kernels or halo lanes; 1 for serial), the
+// district→shard map (districts mode only), and — when a request for
+// shards>1 degraded to serial — the reason, so the CLIs can say so on
+// stderr instead of silently running serial.
 type shardPlanResult struct {
 	mode          shardMode
 	eff           int
@@ -131,14 +134,14 @@ type shardPlanResult struct {
 // reception state is a pure function of in-range peers; the legacy full
 // sweep folds every attached radio into per-receiver state, which
 // neither ghost attachment nor stripe ownership can partition. Districted
-// specs get coupled kernels (districts are separated by more than the
-// radio conflict reach; balanced contiguous district groups, clamped to
-// the district count). Un-districted indexed specs get halo lanes: the
-// stripes share radio edges, so the partition moves inside the kernel
-// (see radio.StartShards; clamped to radio.MaxShardLanes — the request is
-// outside input, and every lane is a worker goroutine). Anything else
-// falls back to serial with the reason recorded, keeping results
-// byte-identical by construction.
+// specs get one kernel per district group (districts are separated by
+// more than the radio conflict reach; balanced contiguous district groups,
+// clamped to the district count). Un-districted indexed specs get halo
+// lanes: the stripes share radio edges, so the partition moves inside the
+// kernel (see radio.StartShards; clamped to radio.MaxShardLanes — the
+// request is outside input, and every lane is a worker goroutine).
+// Anything else falls back to serial with the reason recorded, keeping
+// results byte-identical by construction.
 func shardPlan(spec scenario.Spec, opts core.CellOptions, shards int) shardPlanResult {
 	if shards < 2 {
 		return shardPlanResult{mode: shardModeSerial, eff: 1}
@@ -160,7 +163,7 @@ func shardPlan(spec scenario.Spec, opts core.CellOptions, shards int) shardPlanR
 		for i := range m {
 			m[i] = i * shards / d
 		}
-		return shardPlanResult{mode: shardModeCoupled, eff: shards, districtShard: m}
+		return shardPlanResult{mode: shardModeDistricts, eff: shards, districtShard: m}
 	}
 	return shardPlanResult{mode: shardModeHalo, eff: min(shards, radio.MaxShardLanes)}
 }

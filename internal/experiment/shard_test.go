@@ -24,37 +24,48 @@ func stripShardExec(r *FleetAppRun) *FleetAppRun {
 	return &c
 }
 
-// TestShardedMatchesSerial is the tentpole acceptance contract: a
-// districted scenario run as 2 and 4 coupled shard kernels produces a
-// FleetAppRun deeply equal to the serial run — every per-vehicle metric,
-// channel counter, occupancy figure and link slot, with and without the
-// multi-layer chaos fault mix.
+// TestShardedMatchesSerial is the district mode's acceptance contract: a
+// districted scenario run as K independent kernels produces a FleetAppRun
+// deeply equal to the serial run — every per-vehicle metric, channel
+// counter, occupancy figure and link slot. Every row also has to finish:
+// a backplane send that left its district would panic (DESIGN §10). The
+// mixed fleet puts TCP, Web and VoIP servers behind the per-district
+// gateways; districts=3 splits 125 basestations and 8 vehicles unevenly,
+// and K=2 over it groups two districts on one kernel.
 func TestShardedMatchesSerial(t *testing.T) {
-	for _, faults := range []string{"", chaosFaults} {
-		spec, err := scenario.Parse(shardTestSpec)
+	for _, tc := range []struct {
+		spec, faults string
+		ks           []int
+	}{
+		{shardTestSpec, "", []int{2, 4}},
+		{shardTestSpec, chaosFaults, []int{2, 4}},
+		{shardTestSpec + ",app=mixed", "", []int{2, 4}},
+		{"metro-districts,districts=3,bs=125,vehicles=8", chaosFaults, []int{2, 3}},
+	} {
+		spec, err := scenario.Parse(tc.spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		spec.Faults = faults
+		spec.Faults = tc.faults
 		dur := 12 * time.Second
 		serial, err := RunFleetAppWorkload(11, spec, core.DefaultConfig(), dur, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if serial.Transmissions == 0 || len(serial.PerVehicle) == 0 {
-			t.Fatalf("faults=%q: serial run saw no traffic — identity would be vacuous", faults)
+			t.Fatalf("%s faults=%q: serial run saw no traffic — identity would be vacuous", tc.spec, tc.faults)
 		}
-		for _, k := range []int{2, 4} {
+		for _, k := range tc.ks {
 			sharded, err := RunFleetAppWorkload(11, spec, core.DefaultConfig(), dur, k)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(sharded.ShardExec) != k {
-				t.Fatalf("faults=%q shards=%d: ran %d shards", faults, k, len(sharded.ShardExec))
+				t.Fatalf("%s faults=%q shards=%d: ran %d shards", tc.spec, tc.faults, k, len(sharded.ShardExec))
 			}
 			if !reflect.DeepEqual(stripShardExec(serial), stripShardExec(sharded)) {
-				t.Errorf("faults=%q shards=%d: sharded run diverged from serial:\nserial  %+v\nsharded %+v",
-					faults, k, serial, sharded)
+				t.Errorf("%s faults=%q shards=%d: sharded run diverged from serial:\nserial  %+v\nsharded %+v",
+					tc.spec, tc.faults, k, serial, sharded)
 			}
 		}
 	}
@@ -215,11 +226,11 @@ func TestShardPlanShape(t *testing.T) {
 	opts := core.DefaultCellOptions()
 	spec, _ := scenario.Parse(shardTestSpec)
 	p := shardPlan(spec, opts, 2)
-	if p.mode != shardModeCoupled || p.eff != 2 || !reflect.DeepEqual(p.districtShard, []int{0, 0, 1, 1}) {
+	if p.mode != shardModeDistricts || p.eff != 2 || !reflect.DeepEqual(p.districtShard, []int{0, 0, 1, 1}) {
 		t.Errorf("K=2: plan %+v", p)
 	}
 	p = shardPlan(spec, opts, 8)
-	if p.mode != shardModeCoupled || p.eff != 4 || !reflect.DeepEqual(p.districtShard, []int{0, 1, 2, 3}) {
+	if p.mode != shardModeDistricts || p.eff != 4 || !reflect.DeepEqual(p.districtShard, []int{0, 1, 2, 3}) {
 		t.Errorf("K=8 clamps to districts: plan %+v", p)
 	}
 	small := spec

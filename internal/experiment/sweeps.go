@@ -437,9 +437,9 @@ var sweeps = []sweep{
 	// model change. Each arm pins its own count, so Options.Shards is
 	// ignored. Wall-clock gains are measured by the benchmark/ module's
 	// traced pass: shard.speedup (grid-metro on two halo lanes) and
-	// shard.coupled_speedup (metro-districts on two coupled kernels).
+	// shard.coupled_speedup (metro-districts on two district kernels).
 	{
-		// The districted metro as 2 and 4 coupled shard kernels.
+		// The districted metro as 2 and 4 independent district kernels.
 		id:     "scale-shard",
 		title:  "Sharded vs serial execution identity on a districted metro grid",
 		header: identityHeader,

@@ -6,8 +6,10 @@
 // kernel so that every experiment is reproducible bit-for-bit from a seed.
 // The kernel is single-goroutine by design — wireless simulations are
 // latency-dominated, not CPU-parallel, and determinism matters more than
-// core count here. Parallelism happens above the kernel: the Coupler in
-// this package runs several kernels as conservatively coupled shards.
+// core count here. Parallelism happens around the kernel: a districted
+// city runs one kernel per group of districts, which share nothing and so
+// need no synchronisation (internal/experiment), and a Gang fans one
+// event's work out across lanes inside a kernel.
 package sim
 
 import (
@@ -188,21 +190,6 @@ func (k *Kernel) Run() {
 // clock to deadline. Events scheduled beyond the deadline remain queued.
 func (k *Kernel) RunUntil(deadline time.Duration) {
 	for len(k.heap) > 0 && k.heap[0].at <= deadline {
-		k.Step()
-	}
-	if k.now < deadline {
-		k.now = deadline
-	}
-}
-
-// RunBefore executes events with timestamps strictly < deadline, then
-// advances the clock to deadline. It is the windowed-stepping primitive of
-// the Coupler: after RunBefore(T) the kernel sits exactly at T with every
-// pre-T event executed, so events injected at ≥ T (cross-shard arrivals
-// whose timestamps land on the window edge) are legal to schedule and will
-// run in a later window in exact (at, seq) order.
-func (k *Kernel) RunBefore(deadline time.Duration) {
-	for len(k.heap) > 0 && k.heap[0].at < deadline {
 		k.Step()
 	}
 	if k.now < deadline {

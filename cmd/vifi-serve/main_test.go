@@ -3,9 +3,12 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -455,4 +458,130 @@ func TestServeSessionList(t *testing.T) {
 	if fmt.Sprint(infos[0].Seed, infos[1].Seed) != "1 2" {
 		t.Errorf("seeds = %d %d", infos[0].Seed, infos[1].Seed)
 	}
+}
+
+// startDaemon runs the API the way main does — newHTTPServer under serve,
+// on a loopback port — and returns its base URL and a function that
+// delivers the shutdown signal and reports how serve returned. tune may
+// shorten the server's timeouts before it starts.
+func startDaemon(t *testing.T, grace time.Duration, tune func(*http.Server)) (*server, string, func() error) {
+	t.Helper()
+	sv := newServer(1)
+	srv := newHTTPServer(sv.handler())
+	if tune != nil {
+		tune(srv)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	returned := make(chan error, 1)
+	go func() { returned <- serve(ctx, srv, ln, grace) }()
+	var once sync.Once
+	shutdown := func() (err error) {
+		once.Do(func() {
+			cancel()
+			select {
+			case err = <-returned:
+			case <-time.After(30 * time.Second):
+				err = errors.New("serve did not return within 30 s of the signal")
+			}
+		})
+		return err
+	}
+	t.Cleanup(func() { shutdown() })
+	return sv, "http://" + ln.Addr().String(), shutdown
+}
+
+// TestServeDropsClientHoldingHeadersOpen: a connection that starts a
+// request and never finishes its headers is closed by the daemon after
+// ReadHeaderTimeout instead of being held for as long as the client likes,
+// and the daemon keeps answering everyone else.
+func TestServeDropsClientHoldingHeadersOpen(t *testing.T) {
+	_, url, _ := startDaemon(t, time.Second, func(srv *http.Server) {
+		srv.ReadHeaderTimeout = 100 * time.Millisecond
+	})
+	conn, err := net.Dial("tcp", strings.TrimPrefix(url, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /v1/sessions HTTP/1.1\r\nHost: vifi\r\nX-Stalled: "); err != nil {
+		t.Fatal(err)
+	}
+	// The daemon closing its end is EOF here; this deadline passing first
+	// means it was still waiting for the rest of the headers.
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("the stalled connection was not dropped: %v", err)
+	}
+	resp, err := http.Get(url + "/v1/sessions")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("after dropping the stalled client: status %d", resp.StatusCode)
+	}
+}
+
+// TestServeShutdownWithPausedSession: the shutdown signal ends the daemon
+// promptly even though a session is parked at a pause barrier — it would
+// wait there forever — and a client is streaming that session's metrics,
+// which no sample will ever end. The stream is ended by the server, well
+// inside the grace period, and serve reports a clean shutdown.
+func TestServeShutdownWithPausedSession(t *testing.T) {
+	const grace = 20 * time.Second
+	sv, url, shutdown := startDaemon(t, grace, nil)
+	ts := &httptest.Server{URL: url} // the helpers only read the URL
+	id := createSession(t, ts, `{"scenario":"grid-small","duration":"20s","seed":3}`)
+	resp, err := http.Post(url+"/v1/sessions/"+id+"/pause", "application/json", strings.NewReader(`{"at":"2s"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	sv.mu.Lock()
+	s := sv.sessions[id]
+	sv.mu.Unlock()
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if state := s.info().State; state == "paused" {
+			break
+		} else if state == "done" || state == "failed" || time.Now().After(deadline) {
+			t.Fatalf("session never paused: state %s", state)
+		}
+	}
+
+	stream, err := http.Get(url + "/v1/sessions/" + id + "/metrics/stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stream.Body.Close()
+	streamEnded := make(chan struct{})
+	go func() {
+		io.Copy(io.Discard, stream.Body) // history, then nothing until the server ends it
+		close(streamEnded)
+	}()
+
+	began := time.Now()
+	if err := shutdown(); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	if took := time.Since(began); took > grace/2 {
+		t.Errorf("shutdown took %v: it waited out the grace period instead of ending the stream", took)
+	}
+	select {
+	case <-streamEnded:
+	case <-time.After(10 * time.Second):
+		t.Error("the metrics stream outlived the daemon")
+	}
+	if state := s.info().State; state != "paused" {
+		t.Errorf("shutdown moved the session to %s", state)
+	}
+	if _, err := http.Get(url + "/v1/sessions"); err == nil {
+		t.Error("the daemon still accepts connections after shutdown")
+	}
+	// Let the parked runner finish rather than leak it into later tests.
+	s.resume()
+	s.waitDone()
 }

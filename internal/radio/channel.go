@@ -54,13 +54,56 @@ type reception struct {
 	ch        *Channel
 	dst       *node
 	from      NodeID
-	rssi      float64
+	reading   // the frame's RSSI, noise transformed on first read
 	end       time.Duration
 	ok        bool
 	scheduled bool   // a delivery event owns (and will free) this record
 	buf       []byte // pooled payload copy; nil when the frame was lost
 	info      RxInfo
 	next      *reception // free-list link
+}
+
+// reading is an RSSI whose noise has been drawn but not yet computed: the
+// noise-free base and the two uniforms of the link's Box–Muller variate.
+// Drawing the uniforms is all a reading does to the link's rssi stream, so
+// whether and when it is settled — the transform run, the level kept in
+// base and u set to 1, the mark of a spent pair — moves no later draw.
+// Most readings never are: a frame's RSSI is read only if it survives its
+// coin or has to be weighed against another frame.
+type reading struct {
+	base, u, v float64
+}
+
+// level returns the RSSI, settling the reading on first use.
+func (r *reading) level(sigma float64) float64 {
+	if r.u != 1 {
+		r.base, r.u = r.base+sim.NormFrom(r.u, r.v)*sigma, 1
+	}
+	return r.base
+}
+
+// captureGuardDB widens the slack inside which captures falls back to the
+// exact comparison. What it guards against is rounding alone — the bound
+// argument is about reals, the levels are sums of floats near 100 dB, a few
+// ulps or some 1e-13 dB apart from them — so it only has to dwarf that, and
+// erring large costs nothing but an exact comparison now and then.
+const captureGuardDB = 1e-6
+
+// captures reports whether the frame read as r takes a receiver locked on
+// the frame read as prev: level(r) ≥ level(prev) + margin. |N| is bounded
+// by sim.NormBound(u) whatever v is (zero for a settled reading), so when
+// the noise-free gap clears the margin by more than both bounds — either
+// way — the answer is known and neither reading is settled. Only a gap
+// inside that slack runs the two transforms and compares the levels. (The
+// slack takes |sigma|: Params are not validated, and the sign of sigma
+// only mirrors the noise.)
+func (r *reading) captures(prev *reading, sigma, margin float64) bool {
+	gap := r.base - prev.base - margin
+	slack := math.Abs(sigma)*(sim.NormBound(r.u)+sim.NormBound(prev.u)) + captureGuardDB
+	if math.Abs(gap) > slack {
+		return gap > 0
+	}
+	return r.level(sigma) >= prev.level(sigma)+margin
 }
 
 // OnEvent completes the reception: it releases the record (and the
@@ -821,22 +864,29 @@ func (c *Channel) deliver(ln *rxLane, src, dst *node, ls *linkState, dist float6
 		return nil
 	}
 
-	rssi := ls.rssi(&c.P, dist) + ls.noise.NormFloat64()*c.P.RSSINoiseDB
+	// The RSSI noise is drawn here, so the link's stream ends every
+	// decision where it always did, and computed only where it is read.
+	sigma := c.P.RSSINoiseDB
+	in := reading{base: ls.rssi(&c.P, dist)}
+	in.u, in.v = ls.noise.NormUniforms()
 
 	// Collision handling: if the destination is locked onto another frame
 	// that is still in flight (strictly: ends after now), the stronger
 	// frame survives only with a clear capture margin; otherwise both are
 	// destroyed. A frame ending exactly now has completed reception and
-	// is not collided with.
+	// is not collided with. An incumbent that is already dead — nearly all
+	// of them are — has nothing left to lose, so the one question is
+	// whether the new frame captures, and captures mostly answers it from
+	// the noise bounds alone.
 	if prev := dst.cur; prev != nil && prev.end > now {
 		switch {
-		case rssi >= prev.rssi+c.P.CaptureDB:
+		case in.captures(&prev.reading, sigma, c.P.CaptureDB):
 			// New frame captures the receiver; the old one is lost.
 			if prev.ok {
 				prev.ok = false
 				ln.stats.Collisions++
 			}
-		case prev.rssi >= rssi+c.P.CaptureDB:
+		case prev.ok && prev.level(sigma) >= in.level(sigma)+c.P.CaptureDB:
 			// Existing frame survives; the new one is lost.
 			ln.stats.Collisions++
 			return nil
@@ -855,7 +905,7 @@ func (c *Channel) deliver(ln *rxLane, src, dst *node, ls *linkState, dist float6
 	ok := ls.loss.Float64() < pr
 	rx := ln.alloc(c)
 	rx.ch, rx.dst = c, dst
-	rx.from, rx.rssi, rx.end, rx.ok = src.id, rssi, end, ok
+	rx.from, rx.reading, rx.end, rx.ok = src.id, in, end, ok
 	// rx becomes the receiver's locking reception. A displaced record that
 	// no delivery event owns (a lost frame that completed) is recycled
 	// here; scheduled records free themselves when they fire.
@@ -867,7 +917,7 @@ func (c *Channel) deliver(ln *rxLane, src, dst *node, ls *linkState, dist float6
 		ln.stats.ChannelLosses++
 		return nil
 	}
-	rx.info = RxInfo{From: src.id, At: end, RSSI: rssi, Dist: dist}
+	rx.info = RxInfo{From: src.id, At: end, RSSI: rx.level(sigma), Dist: dist}
 	if ln != &c.rxLane {
 		return rx
 	}

@@ -53,8 +53,8 @@ func TestLinkStreamsMatchLabels(t *testing.T) {
 		if rx == nil {
 			t.Fatalf("node %d holds no reception record", j)
 		}
-		if rx.rssi != rssi {
-			t.Errorf("link %d→%d RSSI %v, labelled noise gives %v", src, j, rx.rssi, rssi)
+		if got := rx.level(p.RSSINoiseDB); got != rssi {
+			t.Errorf("link %d→%d RSSI %v, labelled noise gives %v", src, j, got, rssi)
 		}
 		if rx.ok != (coin < pr) {
 			t.Errorf("link %d→%d decided %v, labelled coin %v against p=%v says %v", src, j, rx.ok, coin, pr, coin < pr)

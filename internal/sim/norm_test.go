@@ -1,0 +1,131 @@
+package sim
+
+import (
+	"math"
+	"testing"
+)
+
+// boxMuller is NormFloat64 as it stood before it was split into
+// NormUniforms and NormFrom: the reference for both halves of the contract,
+// the variate's bits and where the stream is left.
+func boxMuller(r *RNG) float64 {
+	for {
+		u := r.Float64()
+		if u == 0 {
+			continue
+		}
+		v := r.Float64()
+		return math.Sqrt(-2*math.Log(u)) * math.Cos(2*math.Pi*v)
+	}
+}
+
+// TestNormSplitMatchesBoxMuller: NormFloat64 and NormFrom(NormUniforms())
+// yield the reference's variate bit for bit, draw after draw, and leave the
+// stream exactly where it does — the property that lets a caller hold the
+// uniforms and transform them later, or never.
+func TestNormSplitMatchesBoxMuller(t *testing.T) {
+	const draws = 1_000_000
+	for _, seed := range []uint64{1, 8, 42, 3000, math.MaxUint64} {
+		ref, whole, split := NewRNG(seed), NewRNG(seed), NewRNG(seed)
+		for i := 0; i < draws; i++ {
+			want := math.Float64bits(boxMuller(ref))
+			if got := math.Float64bits(whole.NormFloat64()); got != want {
+				t.Fatalf("seed %d draw %d: NormFloat64 = %#x, reference %#x", seed, i, got, want)
+			}
+			if got := math.Float64bits(NormFrom(split.NormUniforms())); got != want {
+				t.Fatalf("seed %d draw %d: NormFrom(NormUniforms()) = %#x, reference %#x", seed, i, got, want)
+			}
+		}
+		if *whole != *ref || *split != *ref {
+			t.Errorf("seed %d: streams diverged from the reference after %d draws", seed, draws)
+		}
+	}
+}
+
+// TestNormUniformsRejectsZero: a zero first uniform is redrawn, as the
+// reference redraws it, so the pair costs three words of the stream. A
+// xoshiro state whose second word is zero outputs zero next.
+func TestNormUniformsRejectsZero(t *testing.T) {
+	start := RNG{s: [4]uint64{0x9e3779b97f4a7c15, 0, 0xbf58476d1ce4e5b9, 0x94d049bb133111eb}}
+	if probe := start; probe.Float64() != 0 {
+		t.Fatal("the crafted state does not open with a zero uniform")
+	}
+	ref, split := start, start
+	want := boxMuller(&ref)
+	u, v := split.NormUniforms()
+	if u <= 0 || u >= 1 || v < 0 || v >= 1 {
+		t.Fatalf("NormUniforms = (%v, %v), want u in (0,1) and v in [0,1)", u, v)
+	}
+	if got := NormFrom(u, v); math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("after a rejected zero: %v, reference %v", got, want)
+	}
+	if split != ref {
+		t.Error("a rejected zero left the stream somewhere else than the reference")
+	}
+}
+
+// FuzzNormBound: for any pair NormUniforms can return, the variate lies
+// within the bound read off u's exponent. The seeds are where it is
+// tightest — both edges of each of the 53 binades, the lower one being
+// u = 2⁻ᵏ itself, with cos at its extremes (v = 0 and v = ½).
+func FuzzNormBound(f *testing.F) {
+	for k := 1; k <= 53; k++ {
+		lo := uint64(1) << (53 - k) // u = 2⁻ᵏ as a 53-bit numerator
+		for _, num := range []uint64{lo, 2*lo - 1} {
+			f.Add(num<<11, uint64(0))
+			f.Add(num<<11, uint64(1)<<63)
+		}
+	}
+	f.Add(uint64(0), uint64(0)) // folds to the smallest uniform, 2⁻⁵³
+	f.Fuzz(func(t *testing.T, ubits, vbits uint64) {
+		// The words become uniforms the way Float64 makes them; a zero u,
+		// which NormUniforms never returns, stands for the smallest one.
+		num := ubits >> 11
+		if num == 0 {
+			num = 1
+		}
+		u, v := float64(num)/(1<<53), float64(vbits>>11)/(1<<53)
+		if n, b := math.Abs(NormFrom(u, v)), NormBound(u); !(n <= b) {
+			t.Errorf("|NormFrom(%v, %v)| = %v exceeds NormBound = %v", u, v, n, b)
+		}
+	})
+}
+
+// TestNormBoundTable: the bound is the binade's own radius to within its
+// stated inflation — not merely some large number — and zero at u = 1, the
+// mark of a pair whose variate has been taken.
+func TestNormBoundTable(t *testing.T) {
+	if b := NormBound(1); b != 0 {
+		t.Errorf("NormBound(1) = %v, want 0", b)
+	}
+	for k := 1; k <= 53; k++ {
+		lo := math.Ldexp(1, -k)
+		edge := math.Abs(NormFrom(lo, 0))
+		for _, u := range []float64{lo, math.Nextafter(math.Ldexp(1, 1-k), 0)} {
+			if b := NormBound(u); b < edge || b > edge*(1+1e-9) {
+				t.Errorf("NormBound(%v) = %v, the binade's radius is %v", u, b, edge)
+			}
+		}
+	}
+}
+
+var normSink float64
+
+// BenchmarkNormFloat64 and BenchmarkNormUniforms are the two sides of
+// "RSSI noise on demand" (DESIGN §6): what a delivery decision paid per
+// reading when it took the variate, and what it pays to advance the stream
+// and keep the pair.
+func BenchmarkNormFloat64(b *testing.B) {
+	r := NewRNG(1)
+	for i := 0; i < b.N; i++ {
+		normSink += r.NormFloat64()
+	}
+}
+
+func BenchmarkNormUniforms(b *testing.B) {
+	r := NewRNG(1)
+	for i := 0; i < b.N; i++ {
+		u, v := r.NormUniforms()
+		normSink += u + v
+	}
+}

@@ -416,15 +416,46 @@ func (r *RNG) Bool(p float64) bool {
 }
 
 // NormFloat64 returns a standard normal variate (Box–Muller).
-func (r *RNG) NormFloat64() float64 {
+func (r *RNG) NormFloat64() float64 { return NormFrom(r.NormUniforms()) }
+
+// NormUniforms draws the two uniforms of one Box–Muller variate, u in
+// (0, 1) and v in [0, 1): everything NormFloat64 does to the stream and
+// none of its arithmetic. A caller that may never read the variate keeps
+// the pair and calls NormFrom only if it does.
+func (r *RNG) NormUniforms() (u, v float64) {
 	for {
-		u := r.Float64()
+		u = r.Float64()
 		if u == 0 {
 			continue
 		}
-		v := r.Float64()
-		return math.Sqrt(-2*math.Log(u)) * math.Cos(2*math.Pi*v)
+		return u, r.Float64()
 	}
+}
+
+// NormFrom is the Box–Muller transform of a pair from NormUniforms.
+func NormFrom(u, v float64) float64 {
+	return math.Sqrt(-2*math.Log(u)) * math.Cos(2*math.Pi*v)
+}
+
+// normBound[k] bounds |NormFrom(u, v)| over the binade 2⁻ᵏ ≤ u < 2¹⁻ᵏ:
+// |cos| ≤ 1 and −2·ln u ≤ 2·k·ln 2 there. Each entry is inflated by 1e-12
+// — thousands of ulps, nothing against any margin a caller compares it
+// with — so that the last-place errors of log, sqrt and cos cannot lift a
+// computed variate above it. A uniform has 53 bits, so k stops at 53;
+// entry 0 is the exponent of u = 1, which NormUniforms never draws.
+var normBound = func() (t [54]float64) {
+	for k := 1; k < len(t); k++ {
+		t[k] = math.Sqrt(2*float64(k)*math.Ln2) * (1 + 1e-12)
+	}
+	return t
+}()
+
+// NormBound returns a bound on |NormFrom(u, v)| that holds for every v,
+// read off u's exponent. u must lie in [2⁻⁵³, 1]; NormBound(1) is 0,
+// which lets a caller that has already taken its variate mark the pair
+// as spent by setting u to 1.
+func NormBound(u float64) float64 {
+	return normBound[1023-int(math.Float64bits(u)>>52)]
 }
 
 // ExpFloat64 returns an exponential variate with rate 1.

@@ -6,7 +6,8 @@
 // serial and a sharded session alike — without perturbing the result: the
 // final report is byte-identical to the batch CLI's. A session whose
 // simulation panics ends failed with the panic as its error; the daemon
-// and its other sessions carry on. SIGINT or SIGTERM shuts the daemon down:
+// and its other sessions carry on. A session holds its report and recording
+// until a client deletes it. SIGINT or SIGTERM shuts the daemon down:
 // it stops accepting, ends the live streams and exits once requests in
 // flight have been answered; sessions are not waited for.
 //
@@ -20,9 +21,13 @@
 //	GET  /v1/sessions/{id}/metrics     merged sample history
 //	GET  /v1/sessions/{id}/metrics/stream   live samples as SSE
 //	GET  /v1/sessions/{id}/recording   FTDC binary (?format=json for JSON)
-//	GET  /v1/sessions/{id}/report      final text report (409 until done, 500 if failed)
+//	GET  /v1/sessions/{id}/report      final text report (409 until done, 500 if failed,
+//	                                   410 if cancelled)
 //	POST /v1/sessions/{id}/pause       optional {"at":"30s"} sim-time barrier
 //	POST /v1/sessions/{id}/resume
+//	DELETE /v1/sessions/{id}           a running, paused or queued session: 202, it ends
+//	                                   cancelled at its next barrier (slot released, streams
+//	                                   ended); one that has ended: 204, it is forgotten
 package main
 
 import (

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
@@ -44,6 +45,7 @@ func (sv *server) handler() http.Handler {
 	mux.HandleFunc("GET /v1/sessions/{id}/report", sv.sessionReport)
 	mux.HandleFunc("POST /v1/sessions/{id}/pause", sv.pauseSession)
 	mux.HandleFunc("POST /v1/sessions/{id}/resume", sv.resumeSession)
+	mux.HandleFunc("DELETE /v1/sessions/{id}", sv.deleteSession)
 	return mux
 }
 
@@ -343,6 +345,8 @@ func (sv *server) sessionReport(w http.ResponseWriter, r *http.Request) {
 	switch state {
 	case "failed":
 		httpError(w, http.StatusInternalServerError, "session failed: %v", err)
+	case "cancelled":
+		httpError(w, http.StatusGone, "session %s was cancelled", s.id)
 	case "done":
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		w.Write(report)
@@ -389,6 +393,28 @@ func (sv *server) resumeSession(w http.ResponseWriter, r *http.Request) {
 	}
 	s.resume()
 	writeJSON(w, s.info())
+}
+
+// deleteSession stops a session that is still going — 202, the state turns
+// cancelled at its next barrier, its slot is released and its streams end —
+// and forgets one that has ended — 204, after which its id is unknown and
+// its report and recording can be collected.
+func (sv *server) deleteSession(w http.ResponseWriter, r *http.Request) {
+	s := sv.lookup(w, r)
+	if s == nil {
+		return
+	}
+	if s.cancel() {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusAccepted)
+		json.NewEncoder(w).Encode(s.info())
+		return
+	}
+	sv.mu.Lock()
+	delete(sv.sessions, s.id)
+	sv.order = slices.DeleteFunc(sv.order, func(id string) bool { return id == s.id })
+	sv.mu.Unlock()
+	w.WriteHeader(http.StatusNoContent)
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

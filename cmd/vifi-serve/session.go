@@ -31,13 +31,14 @@ type session struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	state     string // starting | running | paused | done | failed
+	state     string // starting | running | paused | done | failed | cancelled
 	now       time.Duration
 	end       time.Duration
 	eff       int
 	lanes     int // halo-band stripe lanes inside the single kernel (0 = none)
 	wantPause bool
 	pauseAt   time.Duration // pending pause barrier (0 = none)
+	cancelled chan struct{} // closed by cancel: the runner stops at its next barrier
 	err       error
 
 	run       *experiment.FleetAppRun
@@ -63,14 +64,21 @@ type liveSample struct {
 
 func newSession(id string) *session {
 	s := &session{
-		id:       id,
-		state:    "starting",
-		pending:  map[time.Duration][]int64{},
-		pendingN: map[time.Duration]int{},
-		subs:     map[int]chan liveSample{},
+		id:        id,
+		state:     "starting",
+		pending:   map[time.Duration][]int64{},
+		pendingN:  map[time.Duration]int{},
+		subs:      map[int]chan liveSample{},
+		cancelled: make(chan struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	return s
+}
+
+// terminal reports whether the run has ended, one way or another. Callers
+// hold mu.
+func (s *session) terminal() bool {
+	return s.state == "done" || s.state == "failed" || s.state == "cancelled"
 }
 
 // onSample is the sampling callback; it runs on shard worker goroutines
@@ -110,7 +118,7 @@ func (s *session) subscribe() (int, chan liveSample, []liveSample, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	hist := append([]liveSample(nil), s.samples...)
-	if s.state == "done" || s.state == "failed" {
+	if s.terminal() {
 		return 0, nil, hist, false
 	}
 	id := s.nextSub
@@ -142,8 +150,7 @@ func (s *session) finishSubs() {
 func (s *session) pause(at time.Duration) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	switch s.state {
-	case "done", "failed":
+	if s.terminal() {
 		return fmt.Errorf("session %s already %s", s.id, s.state)
 	}
 	if at <= 0 || s.now >= at {
@@ -188,10 +195,38 @@ func (s *session) liveRecording() *obs.Recording {
 	return rec
 }
 
-// fail ends the session in the failed state and releases its waiters.
-func (s *session) fail(err error) {
+// cancel asks a session that is still going to stop: the runner ends it in
+// the cancelled state at its next barrier — at once if it is paused or
+// waiting for a slot. It reports false, and does nothing, when the session
+// has already ended.
+func (s *session) cancel() bool {
 	s.mu.Lock()
-	s.state, s.err = "failed", err
+	defer s.mu.Unlock()
+	if s.terminal() {
+		return false
+	}
+	if !s.stopping() { // else a second DELETE before the barrier
+		close(s.cancelled)
+		s.cond.Broadcast() // a paused runner waits on cond
+	}
+	return true
+}
+
+// stopping reports whether cancel has been called.
+func (s *session) stopping() bool {
+	select {
+	case <-s.cancelled:
+		return true
+	default:
+		return false
+	}
+}
+
+// close puts the session in a terminal state without a result (failed,
+// cancelled) and releases its subscribers and waiters.
+func (s *session) close(state string, err error) {
+	s.mu.Lock()
+	s.state, s.err = state, err
 	s.finishSubs()
 	s.cond.Broadcast()
 	s.mu.Unlock()
@@ -201,8 +236,22 @@ func (s *session) fail(err error) {
 // concurrently advancing sessions; a paused session gives its slot back
 // so pausing can never starve other sessions.
 func (s *session) runLoop(slots chan struct{}) {
-	slots <- struct{}{}
-	defer func() { <-slots }()
+	// acquire takes a slot unless the session is cancelled first; the slot
+	// held when the loop returns, if any, is given back.
+	held := false
+	acquire := func() bool {
+		select {
+		case slots <- struct{}{}:
+			held = true
+		case <-s.cancelled:
+		}
+		return held
+	}
+	defer func() {
+		if held {
+			<-slots
+		}
+	}()
 	// The simulation panics on states only a bug can produce (a relay
 	// period of zero, a send across a district boundary, shard recordings
 	// that diverged). Every such panic is raised on this goroutine with no
@@ -210,13 +259,17 @@ func (s *session) runLoop(slots chan struct{}) {
 	// daemon and the sessions beside it.
 	defer func() {
 		if p := recover(); p != nil {
-			s.fail(fmt.Errorf("panic: %v", p))
+			s.close("failed", fmt.Errorf("panic: %v", p))
 		}
 	}()
 
+	if !acquire() {
+		s.close("cancelled", nil)
+		return
+	}
 	l, err := experiment.StartLiveRun(s.seed, s.spec, s.cfg, s.duration, s.shards, s.interval, s.onSample)
 	if err != nil {
-		s.fail(err)
+		s.close("failed", err)
 		return
 	}
 	s.mu.Lock()
@@ -229,17 +282,24 @@ func (s *session) runLoop(slots chan struct{}) {
 
 	for {
 		s.mu.Lock()
-		for s.wantPause {
+		if s.wantPause && !s.stopping() {
 			s.state = "paused"
 			s.mu.Unlock()
 			<-slots // release while paused
+			held = false
 			s.mu.Lock()
-			for s.wantPause {
+			for s.wantPause && !s.stopping() {
 				s.cond.Wait()
 			}
 			s.mu.Unlock()
-			slots <- struct{}{}
+			acquire()
 			s.mu.Lock()
+		}
+		if s.stopping() {
+			s.mu.Unlock()
+			l.Abandon()
+			s.close("cancelled", nil)
+			return
 		}
 		s.state = "running"
 		s.mu.Unlock()
@@ -275,7 +335,7 @@ func (s *session) runLoop(slots chan struct{}) {
 // waitDone blocks until the session reaches a terminal state (tests).
 func (s *session) waitDone() {
 	s.mu.Lock()
-	for s.state != "done" && s.state != "failed" {
+	for !s.terminal() {
 		s.cond.Wait()
 	}
 	s.mu.Unlock()

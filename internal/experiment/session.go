@@ -462,6 +462,10 @@ func (l *LiveRun) Series() []obs.SeriesDef {
 // layer calls it with the session lock held.
 func (l *LiveRun) Recording() *obs.Recording { return l.s.recording() }
 
+// Abandon releases what a run that will not be finished still holds — the
+// worker goroutines of its halo lanes. It must not be stepped afterwards.
+func (l *LiveRun) Abandon() { l.s.cells[0].StopRadioShards() }
+
 // Finish assembles the final FleetAppRun (idempotent). It panics if the
 // run has not completed.
 func (l *LiveRun) Finish() *FleetAppRun {

@@ -90,18 +90,34 @@ func (r *reading) level(sigma float64) float64 {
 const captureGuardDB = 1e-6
 
 // captures reports whether the frame read as r takes a receiver locked on
-// the frame read as prev: level(r) ≥ level(prev) + margin. |N| is bounded
-// by sim.NormBound(u) whatever v is (zero for a settled reading), so when
-// the noise-free gap clears the margin by more than both bounds — either
-// way — the answer is known and neither reading is settled. Only a gap
-// inside that slack runs the two transforms and compares the levels. (The
-// slack takes |sigma|: Params are not validated, and the sign of sigma
-// only mirrors the noise.)
+// the frame read as prev: level(r) ≥ level(prev) + margin. It asks three
+// questions, each dearer than the last and each only when the one before
+// left the answer open. |N| is bounded by sim.NormBound(u) whatever v is
+// (zero for a settled reading), so when the noise-free gap clears the margin
+// by more than both bounds — either way — the answer is known. Inside that
+// slack sim.NormBracket places each variate to within a few hundredths, its
+// sign included, and the answer is known unless the gap plus the bracketed
+// noise difference still straddles the guard. Only then are the two
+// transforms run and the levels compared; until then neither reading is
+// settled. (Params are not validated: the slack takes |sigma|, and under a
+// negative sigma the noise difference's bracket is mirrored.)
 func (r *reading) captures(prev *reading, sigma, margin float64) bool {
 	gap := r.base - prev.base - margin
 	slack := math.Abs(sigma)*(sim.NormBound(r.u)+sim.NormBound(prev.u)) + captureGuardDB
 	if math.Abs(gap) > slack {
 		return gap > 0
+	}
+	lo, hi := sim.NormBracket(r.u, r.v)
+	prevLo, prevHi := sim.NormBracket(prev.u, prev.v)
+	least, most := sigma*(lo-prevHi), sigma*(hi-prevLo)
+	if sigma < 0 {
+		least, most = most, least
+	}
+	switch {
+	case gap+least > captureGuardDB:
+		return true
+	case gap+most < -captureGuardDB:
+		return false
 	}
 	return r.level(sigma) >= prev.level(sigma)+margin
 }
@@ -223,29 +239,34 @@ func (ln *rxLane) put(r *reception) {
 }
 
 // linkState is everything the channel keeps per directed link, as one
-// value in one allocation: the model, the link's private randomness and
-// what the pair's distance fixes. The three streams are seeded once, from
-// the labels ("link"|"loss"|"rssi", from, to), and advanced across the
-// whole simulation; recreating them per frame would freeze the coin flips.
+// pointer-free value. The three streams are seeded once, from the labels
+// ("link"|"loss"|"rssi", from, to), and advanced across the whole
+// simulation; recreating them per frame would freeze the coin flips.
 //
-// model is &fading, built in place over stream, when the channel has no
-// factory; a custom factory's model (ScheduleLink, FixedLink, a trace
-// replay) comes from the factory and fading/stream stay unused. reach
-// caches the model's advertised Ranged cutoff (+Inf when the model has
-// none); only the indexed path consults it. rssiAt/rssiBase memoize the
-// noise-free RSSI on the last distance, keyed like FadingLink's mean: a
-// repeated distance yields the very float it yielded before.
+// The fields are ordered by who reads them. Nearly every decision delivers
+// nothing, and all it touches is the first 128 bytes: the two per-frame
+// streams, the two distance memos and the modulators' deadlines and flags.
+// rssiAt/rssiBase memoize the noise-free RSSI on the last distance, keyed
+// like fading's mean: a repeated distance yields the very float it yielded
+// before. Behind them lies what a sojourn's end, a mean that has to be
+// computed or a list build needs. stream drives fading — built in place
+// when the channel has no factory; on a channel with one both stay unused
+// and custom indexes the factory's model (ScheduleLink, FixedLink, a trace
+// replay) in Channel.models. reach caches the model's advertised Ranged
+// cutoff (+Inf when the model has none); only the indexed path consults it.
 //
-// A linkState is never copied: fading's modulators point at stream.
+// Links come from the channel's slab (newLink), 64-byte aligned and three
+// cache lines each; TestLinkLayout pins both.
 type linkState struct {
-	model    LinkModel
-	fading   FadingLink
-	stream   sim.RNG // drives fading: shadow, bursts, gray periods
 	loss     sim.RNG // the per-frame reception coin
 	noise    sim.RNG // the per-frame RSSI noise
-	reach    float64
 	rssiAt   float64
 	rssiBase float64
+	fading   fading
+
+	stream sim.RNG // drives fading: shadow, bursts, gray periods
+	reach  float64
+	custom int32
 }
 
 // rssi returns the noise-free RSSI of the link at dist.
@@ -310,8 +331,12 @@ type Channel struct {
 	nodes   []*node
 	// lazy is the directed link table keyed from<<32|to, populated when a
 	// pair is first needed. When a link comes into being never moves a coin
-	// flip: link RNG streams are label-derived (see newLink).
+	// flip: link RNG streams are label-derived (see newLink). The links
+	// themselves are carved off slab, the unused rest of the current chunk;
+	// models holds what a factory returned, indexed by linkState.custom.
 	lazy   map[uint64]*linkState
+	slab   []linkState
+	models []LinkModel
 	bufs   frame.BufferPool
 	rxLane // the channel's own counters and reception pool
 	freeTx *txEnd
@@ -375,25 +400,46 @@ func (c *Channel) indexed() bool {
 	return len(c.nodes) >= c.P.IndexThreshold() && c.cutoff > 0
 }
 
-// newLink builds the state of one directed link, in one allocation. Each
-// link's RNG streams are derived from stable labels, so the coin flips do
-// not depend on when the link is constructed. The default model shares the
-// channel's Params; P is read-only once links exist.
+// maxSlabLinks caps a slab chunk: 48 KB, which is also the most a channel
+// can have set aside and never used.
+const maxSlabLinks = 256
+
+// newLink builds the state of one directed link. Each link's RNG streams
+// are derived from stable labels, so the coin flips do not depend on when
+// the link is constructed. The default model reads the channel's Params; P
+// is read-only once links exist.
+//
+// Links are carved from chunks sized by the pairs the attached population
+// still lacks, so a cell of a dozen radios allocates once and exactly, and
+// consecutive links — a transmitter's fixed neighbours are resolved in
+// candidate order, by one list build — are consecutive in memory. A chunk
+// holds no pointers, so the allocator hands it out aligned to its size
+// class, a multiple of the cache line.
 func (c *Channel) newLink(from, to NodeID) *linkState {
-	ls := &linkState{reach: math.Inf(1), rssiAt: math.NaN()}
+	if len(c.slab) == 0 {
+		n := len(c.nodes)
+		c.slab = make([]linkState, min(max(n*(n-1)-len(c.lazy), 1), maxSlabLinks))
+	}
+	ls := &c.slab[0]
+	c.slab = c.slab[1:]
+	ls.reach, ls.rssiAt = math.Inf(1), math.NaN()
 	c.K.SeedPair(&ls.loss, "loss", int(from), int(to))
 	c.K.SeedPair(&ls.noise, "rssi", int(from), int(to))
+	var reach float64
 	if c.factory == nil {
 		c.K.SeedPair(&ls.stream, "link", int(from), int(to))
 		ls.fading.init(&c.P, &ls.stream)
-		ls.model = &ls.fading
+		reach = ls.fading.maxRange(&c.P)
 	} else {
-		ls.model = c.factory(from, to)
-	}
-	if r, ok := ls.model.(Ranged); ok {
-		if v := r.MaxRangeM(); v > 0 {
-			ls.reach = v
+		model := c.factory(from, to)
+		ls.custom = int32(len(c.models))
+		c.models = append(c.models, model)
+		if r, ok := model.(Ranged); ok {
+			reach = r.MaxRangeM()
 		}
+	}
+	if reach > 0 {
+		ls.reach = reach
 	}
 	return ls
 }
@@ -487,17 +533,18 @@ func (c *Channel) link(from, to NodeID) *linkState {
 	return ls
 }
 
-// Link exposes the LinkModel for a directed pair (diagnostics and
-// experiment instrumentation).
-func (c *Channel) Link(from, to NodeID) LinkModel { return c.link(from, to).model }
-
 // ReceiveProb reports the instantaneous reception probability from one
 // node to another given their current positions. This is the oracle the
 // idealized policies (BestBS, AllBSes, PerfectRelay) consult.
 func (c *Channel) ReceiveProb(from, to NodeID) float64 {
 	now := c.K.Now()
 	d := c.nodes[from].mover.Position(now).Dist(c.nodes[to].mover.Position(now))
-	return c.link(from, to).model.ReceiveProb(now, d)
+	ls := c.link(from, to)
+	if c.factory != nil {
+		return c.models[ls.custom].ReceiveProb(now, d)
+	}
+	ls.fading.advance(&c.P, &ls.stream, now)
+	return ls.fading.prob(&c.P, d)
 }
 
 // Busy reports whether the medium is sensed busy at the node: either the
@@ -854,10 +901,22 @@ func (c *Channel) deliver(ln *rxLane, src, dst *node, ls *linkState, dist float6
 		// argument as the indexed path's out-of-range skip.
 		return nil
 	}
-	pr := ls.model.ReceiveProb(now, dist)
+	// The link's model is advanced to now by every decision, here. A
+	// factory's model can only be asked for its probability; a default link
+	// moves its modulators and leaves the arithmetic to whoever needs it.
+	custom := c.factory != nil
+	var pr float64
+	if custom {
+		pr = c.models[ls.custom].ReceiveProb(now, dist)
+	} else {
+		ls.fading.advance(&c.P, &ls.stream, now)
+	}
 
 	// Half duplex: a transmitting receiver hears nothing.
 	if dst.txUntil > now {
+		if !custom {
+			pr = ls.fading.prob(&c.P, dist)
+		}
 		if pr > 0 {
 			ln.stats.HalfDuplex++
 		}
@@ -901,8 +960,14 @@ func (c *Channel) deliver(ln *rxLane, src, dst *node, ls *linkState, dist float6
 		}
 	}
 
-	// Channel loss?
-	ok := ls.loss.Float64() < pr
+	// Channel loss? A default link answers without its probability when the
+	// coin is out of reach (fading.receives).
+	var ok bool
+	if coin := ls.loss.Float64(); custom {
+		ok = coin < pr
+	} else {
+		ok = ls.fading.receives(&c.P, dist, coin)
+	}
 	rx := ln.alloc(c)
 	rx.ch, rx.dst = c, dst
 	rx.from, rx.reading, rx.end, rx.ok = src.id, in, end, ok

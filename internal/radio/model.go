@@ -22,13 +22,17 @@
 //
 // The channel is reproduced per directed pair, and in a deployment almost
 // every pair is two basestations that never move. So a pair's state is one
-// value (linkState: model, three private streams, memos) that comes into
-// being when the pair is first needed, and whatever the pair's geometry
-// fixes is computed once — the distance-driven arithmetic memoized on the
-// distance, two fixed radios resolved when a transmitter's candidate list
-// is built, a far-away mover skipped until it can be back in range. None
-// of it is observable: every draw happens on the same stream in the same
-// order as if each frame recomputed everything (DESIGN.md §6).
+// value (linkState: the fading state, three private streams, memos) that
+// comes into being when the pair is first needed, and whatever the pair's
+// geometry fixes is computed once — the distance-driven arithmetic memoized
+// on the distance, two fixed radios resolved when a transmitter's candidate
+// list is built, a far-away mover skipped until it can be back in range.
+// And nearly every decision delivers nothing, so what a decision computes is
+// what its outcome needs: the RSSI noise and the reception probability are
+// bounded from tables first and evaluated only when the bound leaves the
+// outcome open. None of it is observable: every draw happens on the same
+// stream in the same order as if each frame computed everything (DESIGN.md
+// §6).
 package radio
 
 import (
@@ -160,14 +164,54 @@ func (p *Params) Airtime(payloadBytes int) time.Duration {
 	return time.Duration(bits / p.BitrateBps * float64(time.Second))
 }
 
-// meanReception returns the distance-driven mean reception probability for
-// a link whose shadowing shifts D50 by shadowM meters.
-func (p *Params) meanReception(dist, shadowM float64) float64 {
+// falloff returns how far dist lies past the link's 50 % point in units of
+// FalloffM — the argument of the logistic reception curve — for a link
+// whose shadowing shifts D50 by shadowM meters.
+func (p *Params) falloff(dist, shadowM float64) float64 {
 	d50 := p.D50 + shadowM
 	if d50 < 10 {
 		d50 = 10
 	}
-	return p.PMax / (1 + math.Exp((dist-d50)/p.FalloffM))
+	return (dist - d50) / p.FalloffM
+}
+
+// meanReception returns the distance-driven mean reception probability for
+// a link whose shadowing shifts D50 by shadowM meters.
+func (p *Params) meanReception(dist, shadowM float64) float64 {
+	return p.PMax / (1 + math.Exp(p.falloff(dist, shadowM)))
+}
+
+// expFloor[k] is e^k less one part in 1e12: no more than math.Exp(x) for
+// any x ≥ k, last-place errors of Exp included.
+var expFloor = func() (t [64]float64) {
+	for k := range t {
+		t[k] = math.Exp(float64(k)) * (1 - 1e-12)
+	}
+	return t
+}()
+
+// meanBound returns a float no smaller than meanReception(dist, shadowM)
+// that costs no exponential: the curve at the whole number of falloffs below
+// dist's, e^⌊x⌋ read from expFloor (PMax itself inside the first falloff,
+// the table's last entry beyond it). It holds for the computed mean, not
+// just the real one: x is the float meanReception exponentiates, Exp(x) is
+// at least expFloor[⌊x⌋], and adding 1 and dividing a non-negative PMax are
+// monotone under rounding. Params are not validated, so ok is false where
+// that argument has nothing to stand on — a negative PMax, or an x that is
+// not a number (FalloffM = 0 at the 50 % point) — and false as well under a
+// negative multiplier, which would turn the bound around after the fact
+// (see fading.receives).
+func (p *Params) meanBound(dist, shadowM float64) (bound float64, ok bool) {
+	if !(p.PMax >= 0 && p.GoodMult >= 0 && p.BadMult >= 0 && p.GrayMult >= 0) {
+		return 0, false
+	}
+	switch x := p.falloff(dist, shadowM); {
+	case x < 1:
+		return p.PMax, true
+	case x >= 1:
+		return p.PMax / (1 + expFloor[int(min(x, float64(len(expFloor)-1)))]), true
+	}
+	return 0, false // x is NaN
 }
 
 // rssiBase returns the noise-free synthetic RSSI (dBm) at the given
@@ -202,153 +246,126 @@ type Ranged interface {
 	MaxRangeM() float64
 }
 
-// geState is a continuous-time two-state Markov modulator advanced lazily.
-type geState struct {
-	rng     *sim.RNG
-	good    bool
-	until   time.Duration // current sojourn ends at this time
-	gMean   float64       // seconds
-	bMean   float64
+// modulator is the state of one two-state process advanced lazily: whether
+// it is on and when the current sojourn ends. What it is on *for*, the
+// lengths of its sojourns and the stream they are drawn from belong to the
+// link (fading.advanceGE, fading.advanceGray), so a modulator is 16 bytes of what a
+// decision reads. until starts at the beginning of time: an unstarted
+// modulator is due at any t.
+type modulator struct {
+	until   time.Duration
+	on      bool
 	started bool
 }
 
-func newGEState(rng *sim.RNG, goodMean, badMean time.Duration) geState {
-	return geState{
-		rng:   rng,
-		gMean: goodMean.Seconds(),
-		bMean: badMean.Seconds(),
+var unstarted = modulator{until: math.MinInt64}
+
+// fading is the state of the full statistical link model: distance mean ×
+// Gilbert–Elliott burst modulation × gray periods, with static per-link
+// shadowing. It holds no pointer — the channel constants and the link's
+// private stream are handed to every method — so the channel lays it out
+// inside its per-pair state and a FadingLink wraps it with its own two.
+//
+// Field order is the channel's cache-line budget (see linkState): first
+// what every decision reads, then what only a sojourn's end, a new distance
+// or a diagnostic does.
+//
+// meanAt/mean memoize the distance-driven mean on the last distance it was
+// asked for (meanFor). The key is the distance itself, compared for equality
+// (NaN, the initial key, never hits), so a hit returns the very float the
+// same arithmetic produced before: between two radios that never move every
+// frame after the first or second hits, and a changed distance costs one
+// compare.
+type fading struct {
+	meanAt, mean float64
+	ge           modulator // on: the good state
+	gray         modulator // on: inside a gray period
+
+	shadow   float64
+	episodes int // gray periods begun
+}
+
+// init draws the link's shadow from rng, the first thing its stream yields.
+func (f *fading) init(p *Params, rng *sim.RNG) {
+	*f = fading{
+		meanAt: math.NaN(),
+		ge:     unstarted,
+		gray:   unstarted,
+		shadow: rng.NormFloat64() * p.ShadowSigmaM,
 	}
 }
 
-// at advances the modulator to time t and reports whether the link is in
-// the good state. Calls must use non-decreasing t.
-func (g *geState) at(t time.Duration) bool {
+// advance moves both modulators to time t, burst process first: everything
+// a decision at t does to the link's stream. Calls must use non-decreasing t.
+func (f *fading) advance(p *Params, rng *sim.RNG, t time.Duration) {
+	if t >= f.ge.until {
+		f.advanceGE(p, rng, t)
+	}
+	if t >= f.gray.until {
+		f.advanceGray(p, rng, t)
+	}
+}
+
+// advanceGE runs the Gilbert–Elliott process — a continuous-time two-state
+// Markov chain with exponential sojourns — up to time t.
+func (f *fading) advanceGE(p *Params, rng *sim.RNG, t time.Duration) {
+	g := &f.ge
+	sojourn := func(from time.Duration) time.Duration {
+		mean := p.BadMean
+		if g.on {
+			mean = p.GoodMean
+		}
+		return from + time.Duration(rng.ExpFloat64()*mean.Seconds()*float64(time.Second))
+	}
 	if !g.started {
 		g.started = true
 		// Start in the stationary distribution.
-		g.good = g.rng.Float64() < g.gMean/(g.gMean+g.bMean)
-		g.until = g.sojourn(0)
+		gm, bm := p.GoodMean.Seconds(), p.BadMean.Seconds()
+		g.on = rng.Float64() < gm/(gm+bm)
+		g.until = sojourn(0)
 	}
 	for t >= g.until {
-		g.good = !g.good
-		g.until = g.sojourn(g.until)
-	}
-	return g.good
-}
-
-func (g *geState) sojourn(from time.Duration) time.Duration {
-	mean := g.bMean
-	if g.good {
-		mean = g.gMean
-	}
-	return from + time.Duration(g.rng.ExpFloat64()*mean*float64(time.Second))
-}
-
-// grayState produces gray periods: exponential gaps, uniform durations.
-type grayState struct {
-	rng      *sim.RNG
-	inGray   bool
-	until    time.Duration
-	gapMean  float64 // seconds
-	durMin   float64
-	durMax   float64
-	started  bool
-	episodes int
-}
-
-func newGrayState(rng *sim.RNG, gapMean, durMin, durMax time.Duration) grayState {
-	return grayState{
-		rng:     rng,
-		gapMean: gapMean.Seconds(),
-		durMin:  durMin.Seconds(),
-		durMax:  durMax.Seconds(),
+		g.on = !g.on
+		g.until = sojourn(g.until)
 	}
 }
 
-func (g *grayState) at(t time.Duration) bool {
+// advanceGray runs the gray-period process — exponential gaps, uniform
+// durations — up to time t.
+func (f *fading) advanceGray(p *Params, rng *sim.RNG, t time.Duration) {
+	g := &f.gray
+	next := func(from time.Duration) time.Duration {
+		var d float64
+		if g.on {
+			lo, hi := p.GrayMin.Seconds(), p.GrayMax.Seconds()
+			d = lo + rng.Float64()*(hi-lo)
+		} else {
+			d = rng.ExpFloat64() * p.GrayGapMean.Seconds()
+		}
+		return from + time.Duration(d*float64(time.Second))
+	}
 	if !g.started {
 		g.started = true
-		g.inGray = false
-		g.until = g.next(0)
+		g.until = next(0)
 	}
 	for t >= g.until {
-		g.inGray = !g.inGray
-		if g.inGray {
-			g.episodes++
+		g.on = !g.on
+		if g.on {
+			f.episodes++
 		}
-		g.until = g.next(g.until)
+		g.until = next(g.until)
 	}
-	return g.inGray
 }
 
-func (g *grayState) next(from time.Duration) time.Duration {
-	var d float64
-	if g.inGray {
-		d = g.durMin + g.rng.Float64()*(g.durMax-g.durMin)
+// modulate applies the modulators' current multipliers to a mean.
+func (f *fading) modulate(p *Params, pr float64) float64 {
+	if f.ge.on {
+		pr *= p.GoodMult
 	} else {
-		d = g.rng.ExpFloat64() * g.gapMean
+		pr *= p.BadMult
 	}
-	return from + time.Duration(d*float64(time.Second))
-}
-
-// FadingLink is the full statistical link model: distance mean × GE burst
-// modulation × gray periods, with static per-link shadowing. It is one
-// value — both modulators inline, the channel constants behind a pointer
-// shared by every link of the channel — so a channel can embed it in its
-// per-pair state, and it must not be copied once built (the modulators
-// point at the link's stream).
-//
-// meanAt/mean memoize the distance-driven mean on the last distance it was
-// asked for. The key is the distance itself, compared for equality (NaN,
-// the initial key, never hits), so a hit returns the very float the same
-// arithmetic produced before: between two radios that never move every
-// frame after the first hits, and a changed distance costs one compare.
-type FadingLink struct {
-	p      *Params
-	shadow float64
-	ge     geState
-	gray   grayState
-	meanAt float64
-	mean   float64
-}
-
-// NewFadingLink builds an independent link model. rng must be a stream
-// private to this link (see sim.Kernel.RNG). The link keeps its own copy
-// of p, in the same allocation as the link itself.
-func NewFadingLink(p Params, rng *sim.RNG) *FadingLink {
-	own := &struct {
-		l FadingLink
-		p Params
-	}{p: p}
-	own.l.init(&own.p, rng)
-	return &own.l
-}
-
-// init builds the link in place over constants and a stream the caller
-// keeps alive, drawing the shadow exactly as NewFadingLink always has.
-func (l *FadingLink) init(p *Params, rng *sim.RNG) {
-	*l = FadingLink{
-		p:      p,
-		shadow: rng.NormFloat64() * p.ShadowSigmaM,
-		ge:     newGEState(rng, p.GoodMean, p.BadMean),
-		gray:   newGrayState(rng, p.GrayGapMean, p.GrayMin, p.GrayMax),
-		meanAt: math.NaN(),
-	}
-}
-
-// ReceiveProb implements LinkModel.
-func (l *FadingLink) ReceiveProb(t time.Duration, dist float64) float64 {
-	if dist != l.meanAt {
-		l.meanAt, l.mean = dist, l.p.meanReception(dist, l.shadow)
-	}
-	pr := l.mean
-	if l.ge.at(t) {
-		pr *= l.p.GoodMult
-	} else {
-		pr *= l.p.BadMult
-	}
-	if l.gray.at(t) {
-		pr *= l.p.GrayMult
+	if f.gray.on {
+		pr *= p.GrayMult
 	}
 	if pr > 1 {
 		pr = 1
@@ -356,11 +373,82 @@ func (l *FadingLink) ReceiveProb(t time.Duration, dist float64) float64 {
 	return pr
 }
 
+// meanFor returns the distance-driven mean at dist through the memo. A NaN
+// mean marks a distance that receives has seen and not computed.
+func (f *fading) meanFor(p *Params, dist float64) float64 {
+	if dist != f.meanAt || f.mean != f.mean {
+		f.meanAt, f.mean = dist, p.meanReception(dist, f.shadow)
+	}
+	return f.mean
+}
+
+// prob returns the reception probability at dist with the modulators where
+// advance left them.
+func (f *fading) prob(p *Params, dist float64) float64 {
+	return f.modulate(p, f.meanFor(p, dist))
+}
+
+// receives reports u < prob(p, dist), and at a distance the memo has never
+// seen it first asks the cheaper question: u against the modulated
+// meanBound. Multiplying by a non-negative constant and clamping at 1 are
+// monotone under rounding, so a coin not below the modulated bound is not
+// below the modulated mean either and the exponential is not taken. The
+// memo then remembers the distance alone: a pair that moves never comes
+// back to it, and a pair that stands still pays for its mean on its second
+// frame and reads it from the memo ever after.
+func (f *fading) receives(p *Params, dist, u float64) bool {
+	if dist != f.meanAt {
+		if bound, ok := p.meanBound(dist, f.shadow); ok && u >= f.modulate(p, bound) {
+			f.meanAt, f.mean = dist, math.NaN()
+			return false
+		}
+	}
+	return u < f.prob(p, dist)
+}
+
+// FadingLink is the fading model as a LinkModel of its own: the state, the
+// channel constants behind a pointer, and the stream private to the link
+// (see sim.Kernel.RNG) that its shadow, bursts and gray periods come from.
+type FadingLink struct {
+	fading
+	p   *Params
+	rng *sim.RNG
+}
+
+// NewFadingLink builds an independent link model over rng. The link keeps
+// its own copy of p, in the same allocation as the link itself.
+func NewFadingLink(p Params, rng *sim.RNG) *FadingLink {
+	own := &struct {
+		l FadingLink
+		p Params
+	}{p: p}
+	own.l.p, own.l.rng = &own.p, rng
+	own.l.init(&own.p, rng)
+	return &own.l
+}
+
+// ReceiveProb implements LinkModel.
+func (l *FadingLink) ReceiveProb(t time.Duration, dist float64) float64 {
+	l.advance(l.p, l.rng, t)
+	return l.prob(l.p, dist)
+}
+
+// Receives reports whether a frame sent at time t over dist meters is
+// received given the uniform coin u: u < ReceiveProb(t, dist), with the
+// link left exactly where ReceiveProb leaves it, at a fraction of the
+// arithmetic when the answer is no.
+func (l *FadingLink) Receives(t time.Duration, dist, u float64) bool {
+	l.advance(l.p, l.rng, t)
+	return l.receives(l.p, dist, u)
+}
+
 // MaxRangeM implements Ranged: beyond this distance the link's mean
 // reception is below ~1e-9 given its own shadowing, so skipping the
 // reception draw is indistinguishable from drawing a guaranteed loss.
-func (l *FadingLink) MaxRangeM() float64 {
-	return l.p.D50 + l.shadow + l.p.FalloffM*math.Log(l.p.PMax*1e9)
+func (l *FadingLink) MaxRangeM() float64 { return l.maxRange(l.p) }
+
+func (f *fading) maxRange(p *Params) float64 {
+	return p.D50 + f.shadow + p.FalloffM*math.Log(p.PMax*1e9)
 }
 
 // Shadow returns the link's static shadowing offset in meters of D50 shift.

@@ -2,6 +2,7 @@ package radio
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -24,7 +25,13 @@ func (c *Channel) eagerDeliver(src, dst *node, ls *linkState, dist float64, payl
 	if dst.down {
 		return
 	}
-	pr := ls.model.ReceiveProb(now, dist)
+	var pr float64
+	if c.factory != nil {
+		pr = c.models[ls.custom].ReceiveProb(now, dist)
+	} else {
+		ls.fading.advance(&c.P, &ls.stream, now)
+		pr = ls.fading.prob(&c.P, dist)
+	}
 	if dst.txUntil > now {
 		if pr > 0 {
 			ln.stats.HalfDuplex++
@@ -96,59 +103,84 @@ func (c *Channel) eagerBroadcast(from NodeID, payload []byte) {
 	c.scheduleTxEnd(src, nil, end)
 }
 
-// overlapBranches counts, per way an overlap can be settled, the decisions
-// of one run that were seen to take it.
+// overlapBranches counts, per way an overlap with a dead incumbent can be
+// settled, the decisions of one run that were seen to take it — and the
+// overlaps with a live one.
 type overlapBranches struct {
-	boundCapture int // dead incumbent, new frame captured, neither reading settled
-	boundLoss    int // dead incumbent, new frame lost, the incumbent's reading left unsettled
-	exact        int // dead incumbent, gap inside the slack: the readings were settled to compare
-	live         int // the incumbent was alive: the new frame collided with a frame that could still be lost
+	boundCapture, boundLoss     int // the exponent bounds cleared the gap: neither reading settled
+	bracketCapture, bracketLoss int // the brackets did: neither reading settled
+	exact                       int // the readings were settled to compare levels
+	live                        int // the new frame collided with a frame that could still be lost
+	unsound                     int // a reading the bounds had decided was settled anyway
 }
 
 // overlapWatch is what observe remembers of one receiver across a
 // Broadcast. A Broadcast decides each receiver at most once and a decision
 // touches only its own receiver and link, so before/after is per decision.
 type overlapWatch struct {
-	prev          *reception
-	live, settled bool
-	noise         sim.RNG
+	prev  *reception
+	was   reading // prev's reading before the decision
+	live  bool
+	noise sim.RNG
 }
 
 // observe snapshots every receiver that is locked on a frame in flight,
-// runs the broadcast, and classifies what each of their decisions did by
-// what it left behind. A decision happened iff the pair's rssi stream
-// moved. Only a record still latched is inspected afterwards (the
-// displaced incumbent of a capture may already be recycled): a captured
-// receiver's new record is settled exactly when the comparison — or a won
-// coin — needed its level.
+// runs the broadcast, and classifies what each of their decisions did. A
+// decision happened iff the pair's rssi stream moved. Whether the exponent
+// bounds decided it is recomputed here from the incumbent's reading as it
+// was, the uniforms the link's stream held and the base the link's memo
+// keeps; whether levels were compared shows in what is left behind. Only a
+// record still latched is inspected afterwards (the displaced incumbent of
+// a capture may already be recycled): a captured receiver's new record is
+// settled exactly when the comparison — or a won coin — needed its level.
 func (b *overlapBranches) observe(c *Channel, src NodeID, broadcast func()) {
 	now := c.K.Now()
 	watch := map[*node]overlapWatch{}
 	for _, d := range c.nodes {
 		if prev := d.cur; d.id != src && prev != nil && prev.end > now {
-			w := overlapWatch{prev: prev, live: prev.ok, settled: prev.u == 1}
+			w := overlapWatch{prev: prev, was: prev.reading, live: prev.ok}
 			if ls := c.lazy[pairKey(src, d.id)]; ls != nil {
 				w.noise = ls.noise
+			} else {
+				c.K.SeedPair(&w.noise, "rssi", int(src), int(d.id)) // where a link born in the broadcast starts
 			}
 			watch[d] = w
 		}
 	}
 	broadcast()
 	for d, w := range watch {
-		if ls := c.lazy[pairKey(src, d.id)]; ls == nil || ls.noise == w.noise {
+		ls := c.lazy[pairKey(src, d.id)]
+		if ls == nil || ls.noise == w.noise {
 			continue // out of range or half duplex: no draw, no decision
 		}
-		switch captured := d.cur != w.prev; {
-		case w.live:
+		if w.live {
 			b.live++
-		case captured && !d.cur.ok && d.cur.u != 1:
-			b.boundCapture++
+			continue
+		}
+		u, _ := w.noise.NormUniforms()
+		gap := ls.rssiBase - w.was.base - c.P.CaptureDB
+		slack := math.Abs(c.P.RSSINoiseDB)*(sim.NormBound(u)+sim.NormBound(w.was.u)) + captureGuardDB
+		byBound := math.Abs(gap) > slack
+		var settled bool
+		switch captured := d.cur != w.prev; {
 		case captured && !d.cur.ok:
+			if settled = d.cur.u == 1; !settled && byBound {
+				b.boundCapture++
+			} else if !settled {
+				b.bracketCapture++
+			}
+		case !captured && w.was.u != 1:
+			if settled = w.prev.u == 1; !settled && byBound {
+				b.boundLoss++
+			} else if !settled {
+				b.bracketLoss++
+			}
+		}
+		if settled {
 			b.exact++
-		case !captured && !w.settled && w.prev.u == 1:
-			b.exact++
-		case !captured && !w.settled:
-			b.boundLoss++
+			if byBound {
+				b.unsound++
+			}
 		}
 	}
 }
@@ -163,16 +195,17 @@ type hiddenDelivery struct {
 // 100 m apart over 4 km, plus vehicles crossing it — with no carrier sense
 // at all: a random radio starts a 2 ms frame every 250 µs, so some eight
 // frames are on the air at once and nearly every decision finds its
-// receiver already locked. eager runs the reference; otherwise lanes ≥ 2
-// runs the channel on that many delivery lanes, and the serial channel is
-// run under observe.
-func runHiddenTerminals(t *testing.T, eager bool, lanes int) ([]hiddenDelivery, Stats, overlapBranches) {
+// receiver already locked. sigma is the RSSI noise. eager runs the
+// reference; otherwise lanes ≥ 2 runs the channel on that many delivery
+// lanes, and the serial channel is run under observe.
+func runHiddenTerminals(t *testing.T, sigma float64, eager bool, lanes int) ([]hiddenDelivery, Stats, overlapBranches) {
 	t.Helper()
 	const cols, rows, movers = 40, 3, 8
 	const n = cols*rows + movers
 	k := sim.NewKernel(23)
 	p := DefaultParams()
 	p.IndexThresholdNodes = 64
+	p.RSSINoiseDB = sigma
 	c := NewChannel(k, p, nil)
 	var log []hiddenDelivery
 	attach := func(m mobility.Mover) {
@@ -219,28 +252,40 @@ func runHiddenTerminals(t *testing.T, eager bool, lanes int) ([]hiddenDelivery, 
 // the Box–Muller transform changes no decision. The channel, serial and on
 // two lanes, must reproduce the eager reference's counters and its delivery
 // sequence — receiver, sender, time, distance and RSSI, every float by
-// value — on a run seen to settle overlaps in each of the four ways.
+// value — under a positive, a negative (Params are not validated) and no
+// RSSI noise, and with noise on a run seen to settle overlaps in every way
+// there is: by the bounds, by the brackets and by the levels, each for a
+// capture and for a loss, and against a live incumbent.
 func TestOnDemandNoiseMatchesEagerDecision(t *testing.T) {
-	wantLog, wantStats, _ := runHiddenTerminals(t, true, 0)
-	if wantStats.Deliveries == 0 || wantStats.Collisions < wantStats.ChannelLosses {
-		t.Fatalf("overlaps do not dominate the reference run: %+v", wantStats)
-	}
-	for _, lanes := range []int{1, 2} {
-		log, stats, took := runHiddenTerminals(t, false, lanes)
-		if stats != wantStats {
-			t.Errorf("lanes=%d: stats %+v, eager reference %+v", lanes, stats, wantStats)
+	for _, sigma := range []float64{4, -4, 0} {
+		wantLog, wantStats, _ := runHiddenTerminals(t, sigma, true, 0)
+		if wantStats.Deliveries == 0 || wantStats.Collisions < wantStats.ChannelLosses {
+			t.Fatalf("sigma=%v: overlaps do not dominate the reference run: %+v", sigma, wantStats)
 		}
-		if !reflect.DeepEqual(log, wantLog) {
-			t.Errorf("lanes=%d: delivery log diverged from the eager reference (%d vs %d entries)", lanes, len(log), len(wantLog))
-			for i := 0; i < len(log) && i < len(wantLog); i++ {
-				if log[i] != wantLog[i] {
-					t.Fatalf("first difference at delivery %d: %+v, reference %+v", i, log[i], wantLog[i])
+		for _, lanes := range []int{1, 2} {
+			log, stats, took := runHiddenTerminals(t, sigma, false, lanes)
+			if stats != wantStats {
+				t.Errorf("sigma=%v lanes=%d: stats %+v, eager reference %+v", sigma, lanes, stats, wantStats)
+			}
+			if !reflect.DeepEqual(log, wantLog) {
+				t.Errorf("sigma=%v lanes=%d: delivery log diverged from the eager reference (%d vs %d entries)", sigma, lanes, len(log), len(wantLog))
+				for i := 0; i < len(log) && i < len(wantLog); i++ {
+					if log[i] != wantLog[i] {
+						t.Fatalf("first difference at delivery %d: %+v, reference %+v", i, log[i], wantLog[i])
+					}
 				}
 			}
-		}
-		t.Logf("lanes=%d: %+v, %+v, %d deliveries logged", lanes, stats, took, len(log))
-		if lanes == 1 && (took.boundCapture == 0 || took.boundLoss == 0 || took.exact == 0 || took.live == 0) {
-			t.Errorf("a way of settling an overlap went unexercised: %+v", took)
+			t.Logf("sigma=%v lanes=%d: %+v, %+v, %d deliveries logged", sigma, lanes, stats, took, len(log))
+			if lanes != 1 {
+				continue
+			}
+			if took.unsound != 0 {
+				t.Errorf("sigma=%v: %d readings were settled for a decision the bounds had made", sigma, took.unsound)
+			}
+			if sigma != 0 && (took.boundCapture == 0 || took.boundLoss == 0 || took.bracketCapture == 0 ||
+				took.bracketLoss == 0 || took.exact == 0 || took.live == 0) {
+				t.Errorf("sigma=%v: a way of settling an overlap went unexercised: %+v", sigma, took)
+			}
 		}
 	}
 }

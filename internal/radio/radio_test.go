@@ -52,13 +52,36 @@ func TestRSSIMonotone(t *testing.T) {
 	}
 }
 
+// burstLink is a link that has drawn no shadow, so that its stream yields
+// the burst (or gray) process from its first word, under the given sojourns.
+func burstLink(goodMean, badMean time.Duration) (*fading, *Params) {
+	p := DefaultParams()
+	p.GoodMean, p.BadMean = goodMean, badMean
+	return &fading{ge: unstarted, gray: unstarted}, &p
+}
+
+// goodAt and grayAt advance one modulator alone, the way advance does both.
+func goodAt(f *fading, p *Params, rng *sim.RNG, t time.Duration) bool {
+	if t >= f.ge.until {
+		f.advanceGE(p, rng, t)
+	}
+	return f.ge.on
+}
+
+func grayAt(f *fading, p *Params, rng *sim.RNG, t time.Duration) bool {
+	if t >= f.gray.until {
+		f.advanceGray(p, rng, t)
+	}
+	return f.gray.on
+}
+
 func TestGEStateStationaryFraction(t *testing.T) {
-	k := sim.NewKernel(1)
-	ge := newGEState(k.RNG("ge"), time.Second, 250*time.Millisecond)
+	rng := sim.NewKernel(1).RNG("ge")
+	f, p := burstLink(time.Second, 250*time.Millisecond)
 	good := 0
 	const n = 200000
 	for i := 0; i < n; i++ {
-		if ge.at(time.Duration(i) * 10 * time.Millisecond) {
+		if goodAt(f, p, rng, time.Duration(i)*10*time.Millisecond) {
 			good++
 		}
 	}
@@ -72,12 +95,12 @@ func TestGEStateStationaryFraction(t *testing.T) {
 func TestGEStateBurstiness(t *testing.T) {
 	// Consecutive 10 ms samples should be heavily correlated given the
 	// sojourn times are ≫ 10 ms.
-	k := sim.NewKernel(2)
-	ge := newGEState(k.RNG("ge"), time.Second, 200*time.Millisecond)
+	rng := sim.NewKernel(2).RNG("ge")
+	f, p := burstLink(time.Second, 200*time.Millisecond)
 	same, total := 0, 0
-	prev := ge.at(0)
+	prev := goodAt(f, p, rng, 0)
 	for i := 1; i < 100000; i++ {
-		cur := ge.at(time.Duration(i) * 10 * time.Millisecond)
+		cur := goodAt(f, p, rng, time.Duration(i)*10*time.Millisecond)
 		if cur == prev {
 			same++
 		}
@@ -90,12 +113,13 @@ func TestGEStateBurstiness(t *testing.T) {
 }
 
 func TestGrayStateEpisodes(t *testing.T) {
-	k := sim.NewKernel(3)
-	g := newGrayState(k.RNG("gray"), 50*time.Second, time.Second, 3*time.Second)
+	rng := sim.NewKernel(3).RNG("gray")
+	f, p := burstLink(0, 0)
+	p.GrayGapMean, p.GrayMin, p.GrayMax = 50*time.Second, time.Second, 3*time.Second
 	grayTime := 0
 	const samples = 3600 * 10 // one hour at 100 ms
 	for i := 0; i < samples; i++ {
-		if g.at(time.Duration(i) * 100 * time.Millisecond) {
+		if grayAt(f, p, rng, time.Duration(i)*100*time.Millisecond) {
 			grayTime++
 		}
 	}
@@ -104,8 +128,8 @@ func TestGrayStateEpisodes(t *testing.T) {
 	if frac < 0.01 || frac > 0.12 {
 		t.Errorf("gray fraction = %v, want a few percent", frac)
 	}
-	if g.episodes < 30 || g.episodes > 140 {
-		t.Errorf("gray episodes in an hour = %d, want ≈70", g.episodes)
+	if f.episodes < 30 || f.episodes > 140 {
+		t.Errorf("gray episodes in an hour = %d, want ≈70", f.episodes)
 	}
 }
 

@@ -14,6 +14,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -336,6 +337,12 @@ func (s Spec) Validate() error {
 	// Radio addresses are uint16 node IDs and the gateways sit at
 	// core.GatewayAddr and up, so a deployment holds that many radios.
 	const maxRadios = int(core.GatewayAddr)
+	for _, v := range []float64{s.Width, s.Height, s.JitterM, s.SpeedKmh, s.RangeM, s.BackplaneRateBps, s.BackplaneLoss} {
+		// NaN passes every range test below and Inf most of them.
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("scenario: %g is not a finite number", v)
+		}
+	}
 	switch {
 	case s.BS < 1:
 		return fmt.Errorf("scenario: bs = %d, need ≥ 1", s.BS)

@@ -129,3 +129,92 @@ func BenchmarkNormUniforms(b *testing.B) {
 		normSink += u + v
 	}
 }
+
+// uniformFrom turns a 64-bit word into a uniform the way Float64 does; a
+// zero, which NormUniforms never returns as u, stands for the smallest one.
+func uniformFrom(word uint64, nonzero bool) float64 {
+	num := word >> 11
+	if nonzero && num == 0 {
+		num = 1
+	}
+	return float64(num) / (1 << 53)
+}
+
+// FuzzNormBracket: for any pair NormUniforms can return, the variate lies
+// inside its bracket. The seeds are where a table entry is an edge value:
+// both ends of all 16 mantissa bins of all 53 binades of u (the last bin's
+// upper end is the next binade's 2⁻ᵏ less one step), against v at each
+// zero and extremum of the cosine and one step either side of it.
+func FuzzNormBracket(f *testing.F) {
+	var vs []uint64
+	for q := uint64(0); q < 4; q++ {
+		at := q << 51 // v = q/4 as a 53-bit numerator
+		vs = append(vs, at<<11, (at+1)<<11, ((at-1)&(1<<53-1))<<11)
+	}
+	for k := 1; k <= 53; k++ {
+		for m := uint64(0); m < 16; m++ {
+			lo := (16 + m) << (53 - k) >> 4 // u = 2⁻ᵏ(1 + m/16) as a 53-bit numerator
+			hi := (17+m)<<(53-k)>>4 - 1
+			for _, v := range vs {
+				f.Add(lo<<11, v)
+				f.Add(hi<<11, v)
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, ubits, vbits uint64) {
+		u, v := uniformFrom(ubits, true), uniformFrom(vbits, false)
+		n := NormFrom(u, v)
+		if lo, hi := NormBracket(u, v); !(lo <= n && n <= hi) {
+			t.Errorf("NormFrom(%v, %v) = %v outside NormBracket [%v, %v]", u, v, n, lo, hi)
+		}
+	})
+}
+
+// TestNormBracketTable: the bracket is tight — no wider than normBracketMax
+// anywhere, normBracketMean on average — empty for a spent pair whatever v
+// is, and holds on five million pairs drawn from each of three streams.
+func TestNormBracketTable(t *testing.T) {
+	const normBracketMax, normBracketMean = 0.26, 0.055
+	for _, v := range []float64{0, 0.25, 0.3, 0.5, 0.75, math.Nextafter(1, 0)} {
+		if lo, hi := NormBracket(1, v); lo != 0 || hi != 0 {
+			t.Errorf("NormBracket(1, %v) = [%v, %v], want [0, 0]", v, lo, hi)
+		}
+	}
+	for k := 1; k <= 53; k++ {
+		for m := 0; m < 16; m++ {
+			u := math.Ldexp(1+float64(m)/16, -k)
+			for j := 0; j < 256; j++ {
+				lo, hi := NormBracket(u, float64(j)/256)
+				if w := hi - lo; !(w >= 0 && w <= normBracketMax) {
+					t.Errorf("NormBracket(%v, %v) = [%v, %v]: width %v, want ≤ %v", u, float64(j)/256, lo, hi, w, normBracketMax)
+				}
+			}
+		}
+	}
+	const draws = 5_000_000
+	for _, seed := range []uint64{1, 42, 3000} {
+		r, sum := NewRNG(seed), 0.0
+		for i := 0; i < draws; i++ {
+			u, v := r.NormUniforms()
+			n := NormFrom(u, v)
+			lo, hi := NormBracket(u, v)
+			if !(lo <= n && n <= hi) {
+				t.Fatalf("seed %d draw %d: NormFrom(%v, %v) = %v outside [%v, %v]", seed, i, u, v, n, lo, hi)
+			}
+			sum += hi - lo
+		}
+		if mean := sum / draws; mean > normBracketMean {
+			t.Errorf("seed %d: mean bracket width %v, want ≤ %v", seed, mean, normBracketMean)
+		}
+	}
+}
+
+// BenchmarkNormBracket is what the second question of a capture costs per
+// reading (DESIGN §6), beside the transform it mostly replaces.
+func BenchmarkNormBracket(b *testing.B) {
+	r := NewRNG(1)
+	for i := 0; i < b.N; i++ {
+		lo, hi := NormBracket(r.NormUniforms())
+		normSink += lo + hi
+	}
+}

@@ -458,6 +458,67 @@ func NormBound(u float64) float64 {
 	return normBound[1023-int(math.Float64bits(u)>>52)]
 }
 
+// The two tables behind NormBracket. normRadius holds sqrt(−2 ln u) at the
+// edges of 16 mantissa bins per binade of u, indexed like normBound by the
+// exponent with the top four mantissa bits appended: {smallest, largest}
+// radius over the bin, the radius falling as u rises. normCos holds
+// cos 2πv at the edges of 256 equal bins of v; the cosine's zeros and
+// extrema (v = 0, ¼, ½, ¾) fall on bin edges, so it is monotone and keeps
+// one sign across every bin and its range there is its two edge values.
+// Every entry is moved outwards by 1e-12 (the radius relatively, the cosine
+// absolutely), the same allowance normBound makes for the last places of
+// log, sqrt and cos. loR and hiR say which radius each cosine bound
+// multiplies: the largest for a lower bound that is negative or an upper
+// bound that is positive, the smallest otherwise.
+var (
+	normRadius = func() (t [54 * 16][2]float64) {
+		for k := 1; k < 54; k++ { // row 0 stays {0, 0}: u = 1, a settled reading
+			hi := math.Sqrt(-2 * math.Log(math.Ldexp(1, -k)))
+			for m := 0; m < 16; m++ {
+				lo := math.Sqrt(-2 * math.Log(math.Ldexp(1+float64(m+1)/16, -k)))
+				t[k<<4|m] = [2]float64{lo * (1 - 1e-12), hi * (1 + 1e-12)}
+				hi = lo
+			}
+		}
+		return t
+	}()
+	normCos = func() (t [256]struct {
+		lo, hi   float64
+		loR, hiR uint8
+	}) {
+		a := 1.0
+		for j := range t {
+			b := math.Cos(2 * math.Pi * float64(j+1) / 256)
+			c := &t[j]
+			c.lo, c.hi = min(a, b)-1e-12, max(a, b)+1e-12
+			if c.lo < 0 {
+				c.loR = 1
+			}
+			if c.hi > 0 {
+				c.hiR = 1
+			}
+			a = b
+		}
+		return t
+	}()
+)
+
+// NormBracket returns an interval that contains NormFrom(u, v), read from
+// tables by u's exponent and top mantissa bits and by v's top eight bits:
+// the product of the radius bin and the cosine bin, 0.05 wide on average
+// and 0.25 at worst (the bin that ends at u = 1) where NormBound leaves the
+// sign and the whole cosine open. u must lie in [2⁻⁵³, 1] and v in [0, 1);
+// u = 1 — a spent pair, see NormBound — yields (0, 0). The products are of
+// table entries that bracket the very floats NormFrom multiplies, and
+// rounding a product is monotone, so the bracket holds for the computed
+// variate, not merely the real one.
+func NormBracket(u, v float64) (lo, hi float64) {
+	bits := math.Float64bits(u)
+	r := &normRadius[(1023-int(bits>>52))<<4|int(bits>>48)&15]
+	c := &normCos[int(v*256)]
+	return r[c.loR&1] * c.lo, r[c.hiR&1] * c.hi
+}
+
 // ExpFloat64 returns an exponential variate with rate 1.
 func (r *RNG) ExpFloat64() float64 {
 	for {

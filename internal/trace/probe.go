@@ -134,8 +134,8 @@ func GenerateVanLANProbes(cfg VanLANConfig) *ProbeTrace {
 		rRow := rssiFlat[s*nb : (s+1)*nb : (s+1)*nb]
 		for i, b := range bsIdx {
 			dist := pos.Dist(v.BSes[b])
-			dOK := down[i].coin.Float64() < down[i].link.ReceiveProb(at, dist)
-			uOK := up[i].coin.Float64() < up[i].link.ReceiveProb(at, dist)
+			dOK := down[i].link.Receives(at, dist, down[i].coin.Float64())
+			uOK := up[i].link.Receives(at, dist, up[i].coin.Float64())
 			dRow[i] = dOK
 			uRow[i] = uOK
 			if dOK {

@@ -254,14 +254,20 @@ func GenerateDieselNet(seed int64, channel int, duration time.Duration) *Trace {
 		t.BSes[i] = fmt.Sprintf("ch%d-bs%d", channel, i)
 	}
 	t.Ratio = make([][]float64, secs)
+	var at [BeaconsPerSecond]time.Duration
+	var pos [BeaconsPerSecond]mobility.Point
 	for s := 0; s < secs; s++ {
+		// Where the bus is at each beacon of the second is asked of the
+		// route once, not once per basestation.
+		for j := range at {
+			at[j] = time.Duration(s)*time.Second + time.Duration(j)*100*time.Millisecond
+			pos[j] = dn.Route.Position(at[j])
+		}
 		row := make([]float64, len(dn.BSes))
 		for b, bs := range dn.BSes {
 			heard := 0
-			for j := 0; j < BeaconsPerSecond; j++ {
-				at := time.Duration(s)*time.Second + time.Duration(j)*100*time.Millisecond
-				d := dn.Route.Position(at).Dist(bs)
-				if coins[b].Float64() < links[b].ReceiveProb(at, d) {
+			for j := range at {
+				if links[b].Receives(at[j], pos[j].Dist(bs), coins[b].Float64()) {
 					heard++
 				}
 			}

@@ -11,17 +11,17 @@ import (
 
 // newBareVehicle builds a minimal vehicle-side Node for driving the
 // anchor/aux selection logic directly against a hand-fed probability
-// table, without a radio stack underneath.
+// table (and hand-fed beacons), without a radio stack underneath.
 func newBareVehicle(addr uint16) *Node {
 	cfg := DefaultConfig()
 	return &Node{
+		K:          sim.NewKernel(1),
 		cfg:        cfg,
 		addr:       addr,
 		isVehicle:  true,
 		probs:      NewProbTable(cfg.ProbAlpha, cfg.ProbStale),
 		anchor:     frame.None,
 		prevAnchor: frame.None,
-		vehPeers:   map[uint16]bool{},
 	}
 }
 
@@ -85,15 +85,18 @@ func TestAuxSetWholeExpiry(t *testing.T) {
 // TestVehPeersExcludedFromCandidates pins the fleet rule at the
 // selection layer: a vehicle peer is never anchor nor auxiliary, even
 // when it is the loudest peer in the table, at addresses across the
-// whole range.
+// whole range. Peers are marked the way the air marks them: a beacon with
+// FromVehicle set, which a later basestation-style beacon does not undo.
 func TestVehPeersExcludedFromCandidates(t *testing.T) {
 	for _, vehAddr := range []uint16{0, 2047, 2048, 65535} {
 		n := newBareVehicle(0)
 		t0 := time.Second
 		n.probs.ObserveLocal(vehAddr, n.addr, 1.0, t0) // loudest peer is a vehicle
 		n.probs.ObserveLocal(3, n.addr, 0.5, t0)
-		n.vehPeers[vehAddr] = true
-		if !n.vehPeers[vehAddr] || n.vehPeers[3] {
+		n.handleBeacon(&frame.Frame{Type: frame.TypeBeacon, Src: vehAddr, FromVehicle: true, Beacon: &frame.Beacon{}})
+		n.handleBeacon(&frame.Frame{Type: frame.TypeBeacon, Src: vehAddr, Beacon: &frame.Beacon{}})
+		n.handleBeacon(&frame.Frame{Type: frame.TypeBeacon, Src: 3, Beacon: &frame.Beacon{}})
+		if !n.probs.isVehicle(vehAddr) || n.probs.isVehicle(3) {
 			t.Fatalf("vehAddr %d: vehicle-peer marking wrong", vehAddr)
 		}
 		n.selectAnchor(t0 + time.Millisecond)
@@ -121,7 +124,7 @@ func TestFleetAnchorNeverVehicle(t *testing.T) {
 			t.Errorf("vehicle %d anchored on %d, want basestation %d", i, v.Anchor(), bsAddr)
 		}
 		for _, aux := range v.auxList {
-			if v.vehPeers[aux] {
+			if v.probs.isVehicle(aux) {
 				t.Errorf("vehicle %d lists vehicle %d as auxiliary", i, aux)
 			}
 		}

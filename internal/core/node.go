@@ -129,7 +129,6 @@ type Node struct {
 	gatewayAddr uint16
 
 	probs   *ProbTable
-	counter *beaconCounter
 	rng     *sim.RNG
 	events  EventFunc
 	deliver DeliverFunc
@@ -149,10 +148,6 @@ type Node struct {
 	anchor     uint16
 	prevAnchor uint16
 	auxList    []uint16
-	// vehPeers marks addresses whose beacons carry FromVehicle: in fleet
-	// deployments a vehicle hears other vehicles loud and clear, but only
-	// basestations may serve as anchor or auxiliary (§4.3).
-	vehPeers map[uint16]bool
 
 	// Basestation state: vehs holds the per-vehicle state by vehicle
 	// address; pending is the auxiliary's overheard-packet list.
@@ -206,11 +201,9 @@ func newNode(k *sim.Kernel, cfg Config, m *mac.MAC, bp *backplane.Net,
 		acked:       map[frame.PacketID]ackedInfo{},
 		anchor:      frame.None,
 		prevAnchor:  frame.None,
-		vehPeers:    map[uint16]bool{},
 		vehs:        map[uint16]*vehState{},
 	}
 	n.windowH.n, n.relayH.n = n, n
-	n.counter = newBeaconCounter(n.probs, n.addr, cfg.ProbWindow, cfg.BeaconInterval)
 	m.SetHandler(mac.HandlerFunc(n.handleFrame))
 	if bp != nil && !isVehicle {
 		bp.Attach(n.addr, n.handleBackplane)
@@ -275,7 +268,7 @@ func (n *Node) emit(kind EventKind, dir Direction, id frame.PacketID, attempt ui
 // the anchor/auxiliary designations.
 func (n *Node) windowTick() {
 	now := n.K.Now()
-	n.counter.flush(now)
+	n.probs.flush(n.addr, float64(n.cfg.ProbWindow)/float64(n.cfg.BeaconInterval), now)
 	if n.isVehicle {
 		n.selectAnchor(now)
 	}
@@ -293,7 +286,7 @@ func (n *Node) selectAnchor(now time.Duration) {
 	best := frame.None
 	bestVal := usableBS
 	for _, peer := range n.probs.FreshLocalPeers(n.addr, now) {
-		if n.vehPeers[peer] {
+		if n.probs.isVehicle(peer) {
 			continue // only basestations can anchor (fleet deployments)
 		}
 		v := n.probs.Get(peer, n.addr, now)
@@ -323,7 +316,7 @@ func (n *Node) selectAnchor(now time.Duration) {
 	// Auxiliaries: every other usable basestation.
 	n.auxList = n.auxList[:0]
 	for _, peer := range n.probs.FreshLocalPeers(n.addr, now) {
-		if peer == n.anchor || n.vehPeers[peer] {
+		if peer == n.anchor || n.probs.isVehicle(peer) {
 			continue
 		}
 		if n.probs.Get(peer, n.addr, now) >= usableBS {
@@ -377,18 +370,11 @@ func (n *Node) handleFrame(f *frame.Frame, info radio.RxInfo) {
 // handleBeacon ingests probability reports and vehicle designations.
 func (n *Node) handleBeacon(f *frame.Frame) {
 	now := n.K.Now()
-	n.counter.hear(f.Src)
-	if f.FromVehicle {
-		n.vehPeers[f.Src] = true
-	}
+	var probs []frame.ProbEntry
 	if f.Beacon != nil {
-		for _, pe := range f.Beacon.Probs {
-			if pe.To == n.addr {
-				continue // local measurement is authoritative
-			}
-			n.probs.ObserveGossip(pe.From, pe.To, pe.Prob, now)
-		}
+		probs = f.Beacon.Probs
 	}
+	n.probs.observeBeacon(f.Src, n.addr, f.FromVehicle, probs, now)
 	if !f.FromVehicle || n.isVehicle || f.Beacon == nil {
 		return
 	}

@@ -464,21 +464,21 @@ func TestProbTable(t *testing.T) {
 
 func TestBeaconCounterDecay(t *testing.T) {
 	pt := NewProbTable(0.5, 3*time.Second)
-	bc := newBeaconCounter(pt, 9, time.Second, 100*time.Millisecond)
+	const expected = 10 // beacons per window
 	// 10/10 beacons in window 1.
 	for i := 0; i < 10; i++ {
-		bc.hear(4)
+		pt.observeBeacon(4, 9, false, nil, time.Duration(i)*100*time.Millisecond)
 	}
-	bc.flush(time.Second)
+	pt.flush(9, expected, time.Second)
 	if got := pt.Get(4, 9, time.Second); got != 1 {
 		t.Fatalf("ratio = %v, want 1", got)
 	}
 	// Silence: estimates decay by half each window.
-	bc.flush(2 * time.Second)
+	pt.flush(9, expected, 2*time.Second)
 	if got := pt.Get(4, 9, 2*time.Second); got != 0.5 {
 		t.Errorf("after one silent window = %v, want 0.5", got)
 	}
-	bc.flush(3 * time.Second)
+	pt.flush(9, expected, 3*time.Second)
 	if got := pt.Get(4, 9, 3*time.Second); got != 0.25 {
 		t.Errorf("after two silent windows = %v, want 0.25", got)
 	}

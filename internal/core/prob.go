@@ -20,6 +20,9 @@ func freshAt(t, cutoff time.Duration) bool { return t >= 0 && t >= cutoff }
 // probSlot is one directed reception-probability estimate, stored by
 // value in the table's slot slice. The EWMA of stats.EWMA is inlined so a
 // slot carries no pointers and observations touch exactly one cache line.
+// key is the pair the slot holds (slotKey): a beacon walk checks a
+// remembered position against it before trusting it. The six flags share
+// one byte so the key costs no size: 40 bytes, pinned by TestProbSlotLayout.
 //
 // The mem/wheel flags are owned by the per-self incremental index: for a
 // pair (a, b), memL/inLW describe the local fresh set of self b (is a a
@@ -31,23 +34,28 @@ type probSlot struct {
 	gossip  float64       // last value learned from a beacon
 	local   time.Duration // time of last local measurement, -1 = never
 	gossipT time.Duration // time of last gossip, -1 = never
-	ewmaOK  bool
-	hasG    bool
-	memL    bool // member of the local fresh set of self=to
-	inLW    bool // filed in that set's expiry wheel
-	memG    bool // member of the gossip fresh set of self=from
-	inGW    bool // filed in that set's expiry wheel
+	key     uint32        // slotKey(from, to)
+	flags   slotFlags
 }
 
-// emptySlot is the sentinel state of an untouched slot.
-func emptySlot() probSlot { return probSlot{local: -1, gossipT: -1} }
+// slotFlags are a probSlot's booleans.
+type slotFlags uint8
+
+const (
+	ewmaOK slotFlags = 1 << iota // ewma holds an observation
+	hasG                         // gossip holds a value
+	memL                         // member of the local fresh set of self=to
+	inLW                         // filed in that set's expiry wheel
+	memG                         // member of the gossip fresh set of self=from
+	inGW                         // filed in that set's expiry wheel
+)
 
 // update folds one observation into the slot's EWMA with the exact
 // arithmetic of stats.EWMA (first observation initializes).
 func (s *probSlot) update(x, alpha float64) {
-	if !s.ewmaOK {
+	if s.flags&ewmaOK == 0 {
 		s.ewma = x
-		s.ewmaOK = true
+		s.flags |= ewmaOK
 		return
 	}
 	s.ewma = alpha*x + (1-alpha)*s.ewma
@@ -172,6 +180,13 @@ type probIndex struct {
 // Time must be fed monotonically: observations and queries with a `now`
 // earlier than a previous call may miss entries the wheels already aged
 // out. The simulation clock satisfies this by construction.
+//
+// The table is also where a node's beacon reception lands
+// (observeBeacon): one by-value record per sender heard holds the
+// window's beacon count, the sender's vehicle mark and the slots its last
+// report resolved to, so a repeated report is folded without a map probe
+// per entry. Beacons are heard by one self per table — the node's own
+// address.
 type ProbTable struct {
 	alpha float64
 	stale time.Duration
@@ -183,6 +198,23 @@ type ProbTable struct {
 	// additional selves (tests, diagnostics) land in more.
 	idx  *probIndex
 	more map[uint16]*probIndex
+
+	senders   map[uint16]int32 // sender address → position in recs
+	recs      []senderRec
+	memo      []int32 // slot positions of the senders' last reports, one region per sender
+	heardList []int32 // recs with a nonzero count, in first-heard order
+}
+
+// senderRec is what a table remembers about one beacon sender: this
+// probe window's beacon count, whether any of its beacons carried
+// FromVehicle, and the memo region [off, off+c) whose first n positions
+// hold the slots the non-self entries of its last report resolved to, in
+// report order.
+type senderRec struct {
+	addr      uint16
+	veh       bool
+	heard     int32
+	off, n, c int32 // memo region: offset, positions filled, positions reserved
 }
 
 // NewProbTable creates a table with the given EWMA factor and staleness.
@@ -210,14 +242,19 @@ func (t *ProbTable) peek(from, to uint16) *probSlot {
 // only until the next slot call; ObserveLocal and ObserveGossip, the only
 // holders, finish with theirs before returning.
 func (t *ProbTable) slot(from, to uint16) *probSlot {
-	k := slotKey(from, to)
+	return &t.slots[t.slotIndex(slotKey(from, to))]
+}
+
+// slotIndex returns the position of the slot with key k, appending the
+// slot on first touch.
+func (t *ProbTable) slotIndex(k uint32) int32 {
 	si, ok := t.index[k]
 	if !ok {
 		si = int32(len(t.slots))
-		t.slots = append(t.slots, emptySlot())
+		t.slots = append(t.slots, probSlot{local: -1, gossipT: -1, key: k})
 		t.index[k] = si
 	}
-	return &t.slots[si]
+	return si
 }
 
 // peekIndex returns the index for self when one exists.
@@ -270,23 +307,24 @@ func (t *ProbTable) indexFor(self uint16, now time.Duration) *probIndex {
 func (t *ProbTable) buildIndex(self uint16, now time.Duration) *probIndex {
 	ix := &probIndex{self: self}
 	cutoff := now - t.stale
-	for k, si := range t.index {
-		from, to := uint16(k>>16), uint16(k)
+	for si := range t.slots {
 		e := &t.slots[si]
+		from, to := uint16(e.key>>16), uint16(e.key)
 		if to == self && freshAt(e.local, cutoff) {
-			e.memL, e.inLW = true, true
+			e.flags |= memL | inLW
 			ix.local.members = append(ix.local.members, from)
 			ix.local.pushWheel(e.local+t.stale, from)
 		}
-		if from == self && e.hasG && freshAt(e.gossipT, cutoff) {
-			e.memG, e.inGW = true, true
+		if from == self && e.flags&hasG != 0 && freshAt(e.gossipT, cutoff) {
+			e.flags |= memG | inGW
 			ix.gossip.members = append(ix.gossip.members, to)
 			ix.gossip.pushWheel(e.gossipT+t.stale, to)
 		}
 	}
-	// Pairs arrive in map order; one sort at build time establishes the
-	// invariant the updates maintain. (Wheel pops are ordered by (at, id),
-	// a total order over one-record-per-member, so filing order is moot.)
+	// Pairs arrive in first-touch order; one sort at build time establishes
+	// the invariant the updates maintain. (Wheel pops are ordered by (at,
+	// id), a total order over one-record-per-member, so filing order is
+	// moot.)
 	slices.Sort(ix.local.members)
 	slices.Sort(ix.gossip.members)
 	return ix
@@ -306,7 +344,7 @@ func (t *ProbTable) expireLocal(ix *probIndex, now time.Duration) {
 			w.pushWheel(at, it.id) // refreshed since filing
 			continue
 		}
-		e.memL, e.inLW = false, false
+		e.flags &^= memL | inLW
 		w.removeMember(it.id)
 		ix.repOK = false
 	}
@@ -322,7 +360,7 @@ func (t *ProbTable) expireGossip(ix *probIndex, now time.Duration) {
 			w.pushWheel(at, it.id)
 			continue
 		}
-		e.memG, e.inGW = false, false
+		e.flags &^= memG | inGW
 		w.removeMember(it.id)
 		ix.repOK = false
 	}
@@ -336,12 +374,12 @@ func (t *ProbTable) ObserveLocal(from, to uint16, ratio float64, now time.Durati
 	s.local = now
 	if ix := t.peekIndex(to); ix != nil {
 		ix.repOK = false
-		if !s.memL {
-			s.memL = true
+		if s.flags&memL == 0 {
+			s.flags |= memL
 			ix.local.insertMember(from)
 		}
-		if !s.inLW {
-			s.inLW = true
+		if s.flags&inLW == 0 {
+			s.flags |= inLW
 			ix.local.pushWheel(now+t.stale, from)
 		}
 	}
@@ -350,21 +388,143 @@ func (t *ProbTable) ObserveLocal(from, to uint16, ratio float64, now time.Durati
 // ObserveGossip records a probability learned from a peer's beacon.
 // Local measurements always win while fresh.
 func (t *ProbTable) ObserveGossip(from, to uint16, p float64, now time.Duration) {
-	s := t.slot(from, to)
+	t.foldGossip(t.slot(from, to), p, now)
+}
+
+// foldGossip is the one gossip formula, shared by ObserveGossip and the
+// beacon walk: it records p at now in slot s and keeps the gossip fresh
+// set of self = the slot's from up to date.
+func (t *ProbTable) foldGossip(s *probSlot, p float64, now time.Duration) {
 	s.gossip = p
 	s.gossipT = now
-	s.hasG = true
-	if ix := t.peekIndex(from); ix != nil {
+	s.flags |= hasG
+	if ix := t.peekIndex(uint16(s.key >> 16)); ix != nil {
 		ix.repOK = false
-		if !s.memG {
-			s.memG = true
+		to := uint16(s.key)
+		if s.flags&memG == 0 {
+			s.flags |= memG
 			ix.gossip.insertMember(to)
 		}
-		if !s.inGW {
-			s.inGW = true
+		if s.flags&inGW == 0 {
+			s.flags |= inGW
 			ix.gossip.pushWheel(now+t.stale, to)
 		}
 	}
+}
+
+// observeBeacon folds one beacon from sender, heard by self at now, into
+// the table: it counts the beacon toward this probe window, marks the
+// sender a vehicle when the beacon says so, and records every report
+// entry not about a link into self (self's own measurement is
+// authoritative) as gossip — in report order, with exactly the effect of
+// one ObserveGossip per entry.
+//
+// A sender lists the same pairs in the same order beacon after beacon, so
+// entry i is first tried against the slot entry i of the sender's last
+// report resolved to: when that slot's key is the entry's pair the map is
+// not consulted. Only a miss — a new sender, a member joining or leaving
+// ahead of position i, a reorder — probes the map and rewrites position
+// i. A repeated report costs one map lookup for the sender and allocates
+// nothing.
+func (t *ProbTable) observeBeacon(sender, self uint16, fromVehicle bool, probs []frame.ProbEntry, now time.Duration) {
+	ri, ok := t.senders[sender]
+	if !ok {
+		if t.senders == nil {
+			// The first beacon sizes the beacon state for a typical
+			// neighborhood (a few senders with reports of a dozen
+			// entries): one allocation each instead of a series of growth
+			// steps, and none in a table that never hears a beacon.
+			t.senders = map[uint16]int32{}
+			t.recs = make([]senderRec, 0, 8)
+			t.memo = make([]int32, 0, 64)
+			t.heardList = make([]int32, 0, 8)
+		}
+		ri = int32(len(t.recs))
+		t.recs = append(t.recs, senderRec{addr: sender, off: int32(len(t.memo))})
+		t.senders[sender] = ri
+	}
+	r := &t.recs[ri]
+	if r.heard == 0 {
+		t.heardList = append(t.heardList, ri)
+	}
+	r.heard++
+	r.veh = r.veh || fromVehicle
+	if len(probs) > int(r.c) {
+		t.reserve(r, max(int32(len(probs)), 2*r.c))
+	}
+	memo := t.memo[r.off : r.off+r.c]
+	n, i := int(r.n), 0
+	for _, pe := range probs {
+		if pe.To == self {
+			continue
+		}
+		k := slotKey(pe.From, pe.To)
+		si := memo[i]
+		if i >= n || t.slots[si].key != k {
+			si = t.slotIndex(k)
+			memo[i] = si
+		}
+		t.foldGossip(&t.slots[si], pe.Prob, now)
+		i++
+	}
+	r.n = int32(i)
+}
+
+// reserve gives r a memo region of c positions, keeping the n it has
+// filled. A region that ends the memo grows in place; any other moves to
+// the end, leaving its old positions unused. Reports only outgrow their
+// region while a neighborhood is being discovered.
+func (t *ProbTable) reserve(r *senderRec, c int32) {
+	if r.off+r.c != int32(len(t.memo)) {
+		off := int32(len(t.memo))
+		t.memo = append(t.memo, t.memo[r.off:r.off+r.n]...)
+		r.off = off
+	}
+	t.memo = append(t.memo, make([]int32, r.off+c-int32(len(t.memo)))...)
+	r.c = c
+}
+
+// isVehicle reports whether any beacon heard from addr carried
+// FromVehicle: in fleet deployments a vehicle hears other vehicles loud
+// and clear, but only basestations may serve as anchor or auxiliary
+// (§4.3).
+func (t *ProbTable) isVehicle(addr uint16) bool {
+	ri, ok := t.senders[addr]
+	return ok && t.recs[ri].veh
+}
+
+// flush closes self's probe window at now, given the beacons a window is
+// expected to carry: every sender heard this window gets its reception
+// ratio folded in (in first-heard order), and currently-known peers that
+// went silent decay toward zero so their estimates can age out.
+func (t *ProbTable) flush(self uint16, expected float64, now time.Duration) {
+	for _, ri := range t.heardList {
+		r := &t.recs[ri]
+		ratio := float64(r.heard) / expected
+		if ratio > 1 {
+			ratio = 1
+		}
+		t.ObserveLocal(r.addr, self, ratio, now)
+	}
+	// Decay peers with fresh estimates that went silent this window, but
+	// once an estimate has decayed to noise stop refreshing it so the
+	// entry can age out entirely.
+	for _, peer := range t.FreshLocalPeers(self, now) {
+		if !t.heardThisWindow(peer) && t.Get(peer, self, now) > 0.01 {
+			t.ObserveLocal(peer, self, 0, now)
+		}
+	}
+	for _, ri := range t.heardList {
+		t.recs[ri].heard = 0
+	}
+	t.heardList = t.heardList[:0]
+}
+
+// heardThisWindow reports whether a beacon from addr was heard since the
+// last flush.
+func (t *ProbTable) heardThisWindow(addr uint16) bool {
+	ri, ok := t.senders[addr]
+	return ok && t.recs[ri].heard > 0
 }
 
 // Get returns the current estimate of p(from→to), preferring fresh local
@@ -381,7 +541,7 @@ func (t *ProbTable) Get(from, to uint16, now time.Duration) float64 {
 	if freshAt(s.local, cutoff) {
 		return s.ewma
 	}
-	if s.hasG && freshAt(s.gossipT, cutoff) {
+	if s.flags&hasG != 0 && freshAt(s.gossipT, cutoff) {
 		return s.gossip
 	}
 	return 0
@@ -452,62 +612,4 @@ func (t *ProbTable) Report(self uint16, now time.Duration) []frame.ProbEntry {
 	ix.rep = out
 	ix.repOK = true
 	return out
-}
-
-// beaconCounter tracks beacons heard from each peer in the current
-// probe window and flushes per-window reception ratios into a ProbTable.
-// heard holds the per-peer counts; heardList records which peers the
-// window touched in first-heard order, so the flush sweep and the zeroing
-// visit exactly the peers heard — O(neighbors) — in a deterministic order.
-type beaconCounter struct {
-	table     *ProbTable
-	self      uint16
-	window    time.Duration
-	expected  float64          // beacons expected per window
-	heard     map[uint16]int32 // beacons heard this window, by peer
-	heardList []uint16         // peers with a nonzero count, in first-heard order
-	windowAt  time.Duration
-}
-
-func newBeaconCounter(table *ProbTable, self uint16, window, beaconInterval time.Duration) *beaconCounter {
-	return &beaconCounter{
-		table:    table,
-		self:     self,
-		window:   window,
-		expected: float64(window) / float64(beaconInterval),
-		heard:    map[uint16]int32{},
-	}
-}
-
-// hear records one beacon from the peer.
-func (b *beaconCounter) hear(peer uint16) {
-	n := b.heard[peer]
-	if n == 0 {
-		b.heardList = append(b.heardList, peer)
-	}
-	b.heard[peer] = n + 1
-}
-
-// flush closes the window at time now: every peer heard this window gets
-// its ratio folded in, and currently-known peers that went silent decay
-// toward zero so their estimates can age out.
-func (b *beaconCounter) flush(now time.Duration) {
-	for _, peer := range b.heardList {
-		r := float64(b.heard[peer]) / b.expected
-		if r > 1 {
-			r = 1
-		}
-		b.table.ObserveLocal(peer, b.self, r, now)
-	}
-	// Decay peers with fresh estimates that went silent this window, but
-	// once an estimate has decayed to noise stop refreshing it so the
-	// entry can age out entirely.
-	for _, peer := range b.table.FreshLocalPeers(b.self, now) {
-		if b.heard[peer] == 0 && b.table.Get(peer, b.self, now) > 0.01 {
-			b.table.ObserveLocal(peer, b.self, 0, now)
-		}
-	}
-	clear(b.heard)
-	b.heardList = b.heardList[:0]
-	b.windowAt = now
 }

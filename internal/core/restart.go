@@ -32,14 +32,13 @@ func (n *Node) ColdRestart() {
 		delete(n.acked, n.ackedQ.PopFront())
 	}
 
-	// Learned reachability: fresh probability table and beacon counter.
+	// Learned reachability: a fresh probability table, which also holds
+	// the beacon counts and the vehicle marks of the peers heard.
 	n.probs = NewProbTable(n.cfg.ProbAlpha, n.cfg.ProbStale)
-	n.counter = newBeaconCounter(n.probs, n.addr, n.cfg.ProbWindow, n.cfg.BeaconInterval)
 
 	// Vehicle designations.
 	n.anchor, n.prevAnchor = frame.None, frame.None
 	n.auxList = n.auxList[:0]
-	clear(n.vehPeers)
 
 	// Basestation roles: per-vehicle state (anchor flags, salvage caches)
 	// and the auxiliary's overheard-packet list.

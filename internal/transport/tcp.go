@@ -22,7 +22,9 @@ import (
 
 // SendFunc transmits one datagram toward the peer. It reports whether the
 // datagram was accepted for transmission (a vehicle without an anchor
-// rejects, which TCP experiences as loss).
+// rejects, which TCP experiences as loss). The payload is borrowed for the
+// call: an implementation copies what it keeps past its return, and the
+// caller may overwrite the bytes as soon as it returns.
 type SendFunc func(payload []byte) bool
 
 // Segment flags.

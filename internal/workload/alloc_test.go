@@ -1,9 +1,12 @@
 package workload
 
 import (
+	"bytes"
 	"encoding/binary"
 	"testing"
 	"time"
+
+	"github.com/vanlan/vifi/internal/frame"
 )
 
 // TestCBRDeliverAllocFree guards the fleet dispatch hot path end to end
@@ -55,5 +58,45 @@ func TestVoIPDeliverAllocFree(t *testing.T) {
 	// is a dedup hit and must stay free.
 	if allocs > 1 {
 		t.Errorf("VoIP delivery path allocates %.1f objects per packet", allocs)
+	}
+}
+
+// TestPortCopiesPayload pins the no-retain contract the CBR and VoIP
+// drivers build on: whatever a driver does to its buffer once SendUp or
+// SendDown has returned — here, scribbling over it before the kernel runs
+// another event — no byte delivered at the gateway or at the vehicle
+// changes, though every packet is still on the air or the backplane then.
+func TestPortCopiesPayload(t *testing.T) {
+	k, cell := testCell(t, 12, 1)
+	k.RunUntil(3 * time.Second) // anchors settle
+	port := CellPort(cell, 0)
+	got := map[string][][]byte{}
+	keep := func(dir string) func(frame.PacketID, []byte, uint16) {
+		return func(_ frame.PacketID, p []byte, _ uint16) { got[dir] = append(got[dir], append([]byte(nil), p...)) }
+	}
+	cell.HookVehicle(0, keep("down"), keep("up"))
+	const packets = 40
+	buf := make([]byte, 64)
+	for i := 0; i < packets; i++ {
+		for j := range buf {
+			buf[j] = byte(i)
+		}
+		port.SendUp(buf)
+		port.SendDown(buf)
+		for j := range buf {
+			buf[j] = 0xFF
+		}
+		k.RunUntil(k.Now() + 20*time.Millisecond)
+	}
+	k.RunUntil(k.Now() + 2*time.Second)
+	for _, dir := range []string{"up", "down"} {
+		if len(got[dir]) < packets/2 {
+			t.Fatalf("%s: %d of %d packets delivered", dir, len(got[dir]), packets)
+		}
+		for _, p := range got[dir] {
+			if len(p) != len(buf) || p[0] == 0xFF || !bytes.Equal(p, bytes.Repeat(p[:1], len(p))) {
+				t.Fatalf("%s: delivered %x — the sender's later scribble leaked in", dir, p)
+			}
+		}
 	}
 }

@@ -18,6 +18,7 @@ type CBR struct {
 	start    time.Duration
 	slot     time.Duration
 	bytes    int
+	buf      []byte // the payload scratch: ports copy what they send
 	up, down []bool
 	// upN/downN mirror the set-bit counts of up/down for Live: maintained
 	// on the delivery path so sampling never rescans the slot tables.
@@ -32,7 +33,8 @@ func NewCBR(k *sim.Kernel, port Port, veh int, start, end time.Duration, slot ti
 	}
 	return &CBR{
 		k: k, port: port, veh: veh, start: start, slot: slot, bytes: bytes,
-		up: make([]bool, slots), down: make([]bool, slots),
+		buf: make([]byte, bytes),
+		up:  make([]bool, slots), down: make([]bool, slots),
 	}
 }
 
@@ -44,18 +46,19 @@ func (c *CBR) Start() {
 	for s := range c.up {
 		s := s
 		c.k.At(c.start+time.Duration(s)*c.slot, func() {
-			c.port.SendUp(c.payload(s))
-			c.port.SendDown(c.payload(s))
+			p := c.payload(s)
+			c.port.SendUp(p)
+			c.port.SendDown(p)
 		})
 	}
 }
 
-// payload builds one probe packet: vehicle index + slot number header.
+// payload builds one probe packet — vehicle index + slot number header,
+// zero body — in the driver's scratch buffer.
 func (c *CBR) payload(slot int) []byte {
-	b := make([]byte, c.bytes)
-	binary.BigEndian.PutUint16(b, uint16(c.veh))
-	binary.BigEndian.PutUint32(b[2:], uint32(slot))
-	return b
+	binary.BigEndian.PutUint16(c.buf, uint16(c.veh))
+	binary.BigEndian.PutUint32(c.buf[2:], uint32(slot))
+	return c.buf
 }
 
 // decode parses a probe header; ok is false for foreign or short packets.

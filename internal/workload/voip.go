@@ -19,6 +19,7 @@ type VoIP struct {
 	veh        int
 	start, end time.Duration
 	call       *voip.Call
+	buf        []byte // the payload scratch: ports copy what they send
 	up, down   []voipSent
 	recvN      int // packets scored as received, for Live
 	done       bool
@@ -45,6 +46,7 @@ func NewVoIP(k *sim.Kernel, port Port, veh int, start, end time.Duration) *VoIP 
 	return &VoIP{
 		k: k, port: port, veh: veh, start: start, end: end,
 		call: voip.NewCall(),
+		buf:  make([]byte, voip.PacketBytes),
 		up:   make([]voipSent, n), down: make([]voipSent, n),
 	}
 }
@@ -57,17 +59,18 @@ func (v *VoIP) Start() {
 		v.k.At(at, func() {
 			v.up[i] = voipSent{at: v.k.Now(), sent: true}
 			v.down[i] = voipSent{at: v.k.Now(), sent: true}
-			v.port.SendUp(v.payload(i))
-			v.port.SendDown(v.payload(i))
+			p := v.payload(i)
+			v.port.SendUp(p)
+			v.port.SendDown(p)
 		})
 	}
 }
 
-// payload builds one G.729 packet with a sequence header.
+// payload builds one G.729 packet — sequence header, zero body — in the
+// driver's scratch buffer.
 func (v *VoIP) payload(seq int) []byte {
-	b := make([]byte, voip.PacketBytes)
-	binary.BigEndian.PutUint32(b, uint32(seq))
-	return b
+	binary.BigEndian.PutUint32(v.buf, uint32(seq))
+	return v.buf
 }
 
 // record scores one received packet against its send record.

@@ -89,7 +89,9 @@ func ParseKind(s string) (Kind, error) {
 // transmits from the vehicle toward the gateway (through the current
 // anchor), SendDown from the gateway toward the vehicle. Both report
 // whether the datagram was accepted (a vehicle without an anchor rejects,
-// which the application experiences as loss).
+// which the application experiences as loss). Both retain nothing of the
+// payload past their return (transport.SendFunc's contract), so the CBR
+// and VoIP drivers build every packet in one buffer of their own.
 type Port struct {
 	K        *sim.Kernel
 	SendUp   transport.SendFunc
@@ -245,6 +247,8 @@ func Bind(c *core.Cell, i int, d Driver) {
 
 // CellPort returns the datagram port for fleet slot i of the cell. The
 // downstream leg goes through the gateway serving the slot's district.
+// Both legs copy before returning: the vehicle's SendData into a pooled
+// buffer of its own, the gateway's Send by marshaling a frame.
 func CellPort(c *core.Cell, i int) Port {
 	v := c.Vehicles[i]
 	addr := v.Addr()

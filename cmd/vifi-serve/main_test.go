@@ -535,7 +535,8 @@ func TestServeShutdownWithPausedSession(t *testing.T) {
 	const grace = 20 * time.Second
 	sv, url, shutdown := startDaemon(t, grace, nil)
 	ts := &httptest.Server{URL: url} // the helpers only read the URL
-	id := createSession(t, ts, `{"scenario":"grid-small","duration":"20s","seed":3}`)
+	// An hour, so the run cannot end before the pause request lands.
+	id := createSession(t, ts, hourLong)
 	resp, err := http.Post(url+"/v1/sessions/"+id+"/pause", "application/json", strings.NewReader(`{"at":"2s"}`))
 	if err != nil {
 		t.Fatal(err)
@@ -581,7 +582,7 @@ func TestServeShutdownWithPausedSession(t *testing.T) {
 	if _, err := http.Get(url + "/v1/sessions"); err == nil {
 		t.Error("the daemon still accepts connections after shutdown")
 	}
-	// Let the parked runner finish rather than leak it into later tests.
-	s.resume()
+	// End the parked runner rather than leak it into later tests.
+	s.cancel()
 	s.waitDone()
 }

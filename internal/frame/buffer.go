@@ -3,8 +3,9 @@ package frame
 import "math/bits"
 
 // BufferPool is a size-classed free list of byte buffers for the
-// simulation hot path: frame marshaling and per-delivery payload copies
-// recycle through it instead of the garbage collector.
+// simulation hot path: frame marshaling and the radio channel's one payload
+// copy per transmission recycle through it instead of the garbage
+// collector.
 //
 // Ownership rules (see DESIGN.md, "Performance model"):
 //
@@ -12,8 +13,9 @@ import "math/bits"
 //     to Put. Putting a buffer transfers ownership back to the pool; the
 //     caller must not touch it afterwards.
 //   - Code handed a pooled buffer by someone else (a radio Receiver, a MAC
-//     handler) may read it only for the duration of the call and must copy
-//     what it wants to retain.
+//     handler) may read it only for the duration of the call, must not
+//     write it — every receiver of a frame is handed the same copy — and
+//     must copy what it wants to retain.
 //
 // The pool is deliberately not thread-safe: it lives on the
 // single-goroutine simulation kernel, and a mutex or sync.Pool would cost

@@ -1,0 +1,7 @@
+package mac
+
+import "github.com/vanlan/vifi/internal/radio"
+
+// Receiver is the radio receiver the MAC attached with, so that a test can
+// wrap it through radio.Channel.SetReceiver.
+func (m *MAC) Receiver() radio.Receiver { return radio.ReceiverFunc(m.radioReceive) }

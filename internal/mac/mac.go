@@ -259,7 +259,7 @@ func (m *MAC) pump() {
 		m.stats.SentByType[it.typ]++
 	}
 	m.ch.Broadcast(m.id, it.buf, &m.txDoneH)
-	// Broadcast copied the payload per delivery before returning; the
+	// Broadcast copied the payload for its receivers before returning; the
 	// marshal buffer can recycle immediately.
 	m.ch.Buffers().Put(it.buf)
 }

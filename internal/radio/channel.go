@@ -26,9 +26,10 @@ type RxInfo struct {
 // Receiver consumes frames delivered by the channel.
 type Receiver interface {
 	// RadioReceive is called once per correctly decoded frame. The payload
-	// is a pooled buffer owned by the channel: it is valid only for the
-	// duration of the call, and receivers must copy anything they retain
-	// (a frame.Decoder copies out of it, so decode-and-dispatch is safe).
+	// is a pooled buffer owned by the channel and shared by every receiver
+	// of the frame: it is read-only, valid only for the duration of the
+	// call, and receivers must copy anything they retain (a frame.Decoder
+	// only reads it, so decode-and-dispatch is safe).
 	RadioReceive(payload []byte, info RxInfo)
 }
 
@@ -48,19 +49,17 @@ type LinkFactory func(from, to NodeID) LinkModel
 // reception is one in-flight frame at one receiver. It carries its own
 // damage state so that collisions can void it without racing against
 // receptions that complete at the same instant. Records are pooled on the
-// channel and double as the scheduled delivery event (sim.Handler), so
-// steady-state delivery performs no allocation.
+// channel, and a surviving one is completed by its transmission's txEnd
+// (see Broadcast), so steady-state delivery performs no allocation.
 type reception struct {
-	ch        *Channel
 	dst       *node
-	from      NodeID
 	reading   // the frame's RSSI, noise transformed on first read
 	end       time.Duration
 	ok        bool
-	scheduled bool   // a delivery event owns (and will free) this record
-	buf       []byte // pooled payload copy; nil when the frame was lost
+	scheduled bool // a pending txEnd owns (and will free) this record
 	info      RxInfo
 	next      *reception // free-list link
+	later     *reception // the next survivor of the same transmission
 }
 
 // reading is an RSSI whose noise has been drawn but not yet computed: the
@@ -82,31 +81,23 @@ func (r *reading) level(sigma float64) float64 {
 	return r.base
 }
 
-// captureGuardDB widens the slack inside which captures falls back to the
-// exact comparison. What it guards against is rounding alone — the bound
+// captureGuardDB widens the band inside which captures falls back to the
+// exact comparison. What it guards against is rounding alone — the bracket
 // argument is about reals, the levels are sums of floats near 100 dB, a few
 // ulps or some 1e-13 dB apart from them — so it only has to dwarf that, and
 // erring large costs nothing but an exact comparison now and then.
 const captureGuardDB = 1e-6
 
 // captures reports whether the frame read as r takes a receiver locked on
-// the frame read as prev: level(r) ≥ level(prev) + margin. It asks three
-// questions, each dearer than the last and each only when the one before
-// left the answer open. |N| is bounded by sim.NormBound(u) whatever v is
-// (zero for a settled reading), so when the noise-free gap clears the margin
-// by more than both bounds — either way — the answer is known. Inside that
-// slack sim.NormBracket places each variate to within a few hundredths, its
-// sign included, and the answer is known unless the gap plus the bracketed
-// noise difference still straddles the guard. Only then are the two
-// transforms run and the levels compared; until then neither reading is
-// settled. (Params are not validated: the slack takes |sigma|, and under a
-// negative sigma the noise difference's bracket is mirrored.)
+// the frame read as prev: level(r) ≥ level(prev) + margin. sim.NormBracket
+// places each variate to within a few hundredths, its sign included (a
+// settled reading brackets as exactly 0), so the answer is known unless the
+// noise-free gap plus the bracketed noise difference straddles the guard.
+// Only then are the two transforms run and the levels compared; until then
+// neither reading is settled. (Params are not validated: under a negative
+// sigma the noise difference's bracket is mirrored.)
 func (r *reading) captures(prev *reading, sigma, margin float64) bool {
 	gap := r.base - prev.base - margin
-	slack := math.Abs(sigma)*(sim.NormBound(r.u)+sim.NormBound(prev.u)) + captureGuardDB
-	if math.Abs(gap) > slack {
-		return gap > 0
-	}
 	lo, hi := sim.NormBracket(r.u, r.v)
 	prevLo, prevHi := sim.NormBracket(prev.u, prev.v)
 	least, most := sigma*(lo-prevHi), sigma*(hi-prevLo)
@@ -120,29 +111,6 @@ func (r *reading) captures(prev *reading, sigma, margin float64) bool {
 		return false
 	}
 	return r.level(sigma) >= prev.level(sigma)+margin
-}
-
-// OnEvent completes the reception: it releases the record (and the
-// receiver lock it holds) and, if the frame survived, hands the payload
-// to the receiver before recycling the buffer.
-func (r *reception) OnEvent() {
-	c, d := r.ch, r.dst
-	ok, buf, info := r.ok, r.buf, r.info
-	if d.cur == r {
-		d.cur = nil
-	}
-	c.put(r)
-	if !ok {
-		if buf != nil {
-			c.bufs.Put(buf)
-		}
-		return // destroyed by a collision or half-duplex turnaround
-	}
-	c.stats.Deliveries++
-	if d.recv != nil {
-		d.recv.RadioReceive(buf, info)
-	}
-	c.bufs.Put(buf)
 }
 
 // nbrEntry is one cached broadcast candidate: a node bucketed in the
@@ -211,28 +179,28 @@ type Stats struct {
 
 // rxLane is what a delivery decision is charged to: the counters it
 // bumps and the pool its reception records come from. The channel owns
-// one (all of Stats, and the pool delivery events free into); under
-// StartShards every worker lane owns another, so concurrent decisions
-// share nothing.
+// one (all of Stats, and the pool txEnd frees completed receptions into);
+// under StartShards every worker lane owns another, so concurrent
+// decisions share nothing.
 type rxLane struct {
 	stats  Stats
 	freeRx *reception
 }
 
 // alloc takes a reception record from the lane's pool.
-func (ln *rxLane) alloc(c *Channel) *reception {
+func (ln *rxLane) alloc() *reception {
 	if r := ln.freeRx; r != nil {
 		ln.freeRx = r.next
 		r.next = nil
 		return r
 	}
-	return &reception{ch: c}
+	return &reception{}
 }
 
 // put returns a record to the lane's pool.
 func (ln *rxLane) put(r *reception) {
 	r.dst = nil
-	r.buf = nil
+	r.later = nil
 	r.scheduled = false
 	r.next = ln.freeRx
 	ln.freeRx = r
@@ -277,22 +245,48 @@ func (ls *linkState) rssi(p *Params, dist float64) float64 {
 	return ls.rssiBase
 }
 
-// txEnd is the always-scheduled end-of-airtime event for one transmission:
-// it keeps the active-transmitter list exact and invokes the sender's
-// txDone handler. Records are pooled.
+// txEnd is the always-scheduled end-of-airtime event for one transmission,
+// and the transmission's only event: it completes the frame's receptions,
+// keeps the active-transmitter list exact and invokes the sender's txDone
+// handler. Records are pooled.
 type txEnd struct {
 	ch     *Channel
 	src    *node
 	txDone sim.Handler
+	rx     *reception // the survivors, in candidate order, linked by later
+	buf    []byte     // their one shared payload copy; nil when none survived
 	next   *txEnd
 }
 
 func (t *txEnd) OnEvent() {
-	c, src, done := t.ch, t.src, t.txDone
-	t.txDone = nil
-	t.src = nil
+	c, src, done, rx, buf := t.ch, t.src, t.txDone, t.rx, t.buf
+	t.txDone, t.src, t.rx, t.buf = nil, nil, nil, nil
 	t.next = c.freeTx
 	c.freeTx = t
+	// Complete the receptions in candidate order (Broadcast says why that
+	// order): release the receiver lock if the record still holds it,
+	// recycle the record, and hand a frame that is still ok to its
+	// receiver. An upcall may answer at once; what it schedules runs after
+	// this event.
+	for rx != nil {
+		r := rx
+		rx = r.later
+		d, ok, info := r.dst, r.ok, r.info
+		if d.cur == r {
+			d.cur = nil
+		}
+		c.put(r)
+		if !ok {
+			continue // destroyed by a collision or half-duplex turnaround
+		}
+		c.stats.Deliveries++
+		if d.recv != nil {
+			d.recv.RadioReceive(buf, info)
+		}
+	}
+	if buf != nil {
+		c.bufs.Put(buf)
+	}
 	// Swap-delete the finished transmitter. The list is tiny (frames on
 	// the air right now) and its order never influences results: Busy
 	// does no RNG draws and any in-range hit returns true.
@@ -340,6 +334,11 @@ type Channel struct {
 	bufs   frame.BufferPool
 	rxLane // the channel's own counters and reception pool
 	freeTx *txEnd
+	// batch and batchTail hold the survivors of the transmission Broadcast
+	// is deciding, linked by later, and batchBuf their shared payload copy,
+	// until scheduleTxEnd hands all three to the transmission's txEnd.
+	batch, batchTail *reception
+	batchBuf         []byte
 	// activeTx lists the transmitters currently on the air, maintained by
 	// Broadcast and txEnd.OnEvent, so carrier sense scans frames in
 	// flight instead of every attached node.
@@ -591,9 +590,17 @@ func (c *Channel) Transmitting(id NodeID) bool {
 // the end-of-airtime event so virtual time advances even when every
 // reception is lost.
 //
-// The payload is copied (into pooled buffers) once per successful
-// delivery; the caller keeps ownership of the passed slice and may reuse
-// it as soon as Broadcast returns.
+// That event is the transmission's only one: the frame's surviving
+// receptions complete in it, in candidate order, before txDone. It is the
+// order one event per reception at end, scheduled in candidate order just
+// before the txEnd, would give: nothing else is scheduled between the
+// decisions and the txEnd, so events already due at end still run first
+// and whatever an upcall schedules at end still runs after txDone.
+//
+// The payload is copied once, into a pooled buffer, when the first
+// receiver survives, and every receiver is handed that copy; the caller
+// keeps ownership of the passed slice and may reuse it as soon as
+// Broadcast returns.
 func (c *Channel) Broadcast(from NodeID, payload []byte, txDone sim.Handler) time.Duration {
 	now := c.K.Now()
 	src := c.nodes[from]
@@ -635,14 +642,12 @@ func (c *Channel) Broadcast(from NodeID, payload []byte, txDone sim.Handler) tim
 			}
 		}
 	}
-	// Schedule the tx-done notification after the delivery events so that
-	// receptions completing exactly at end are processed before the sender
-	// reuses the medium (FIFO among equal timestamps).
 	c.scheduleTxEnd(src, txDone, end)
 	return airtime
 }
 
-// scheduleTxEnd arms the pooled end-of-airtime event for one transmission.
+// scheduleTxEnd arms the pooled end-of-airtime event for one transmission,
+// handing it the batch of survivors and their payload copy.
 func (c *Channel) scheduleTxEnd(src *node, txDone sim.Handler, end time.Duration) {
 	te := c.freeTx
 	if te != nil {
@@ -651,8 +656,8 @@ func (c *Channel) scheduleTxEnd(src *node, txDone sim.Handler, end time.Duration
 	} else {
 		te = &txEnd{ch: c}
 	}
-	te.src = src
-	te.txDone = txDone
+	te.src, te.txDone, te.rx, te.buf = src, txDone, c.batch, c.batchBuf
+	c.batch, c.batchTail, c.batchBuf = nil, nil, nil
 	c.K.AtHandler(end, te)
 }
 
@@ -889,10 +894,10 @@ func (c *Channel) ensureGrid(now time.Duration) *grid {
 
 // deliver decides the reception of one frame at one node — the single
 // delivery decision, charged to ln's counters and reception pool. Handed
-// the channel's own lane it also commits a surviving frame inline (payload
-// copy, delivery event) and returns nil; a worker lane must touch neither
-// the buffer pool nor the kernel, so it gets the record back — non-nil
-// exactly when a delivery event is owed — and the coordinator commits in
+// the channel's own lane it also commits a surviving frame inline (to the
+// transmission's batch) and returns nil; a worker lane must touch neither
+// the buffer pool nor the batch, so it gets the record back — non-nil
+// exactly when the frame survived — and the coordinator commits in
 // candidate order (see dispatchLanes).
 func (c *Channel) deliver(ln *rxLane, src, dst *node, ls *linkState, dist float64, payload []byte, now, end time.Duration) *reception {
 	if dst.down {
@@ -936,7 +941,7 @@ func (c *Channel) deliver(ln *rxLane, src, dst *node, ls *linkState, dist float6
 	// is not collided with. An incumbent that is already dead — nearly all
 	// of them are — has nothing left to lose, so the one question is
 	// whether the new frame captures, and captures mostly answers it from
-	// the noise bounds alone.
+	// the noise brackets alone.
 	if prev := dst.cur; prev != nil && prev.end > now {
 		switch {
 		case in.captures(&prev.reading, sigma, c.P.CaptureDB):
@@ -968,12 +973,11 @@ func (c *Channel) deliver(ln *rxLane, src, dst *node, ls *linkState, dist float6
 	} else {
 		ok = ls.fading.receives(&c.P, dist, coin)
 	}
-	rx := ln.alloc(c)
-	rx.ch, rx.dst = c, dst
-	rx.from, rx.reading, rx.end, rx.ok = src.id, in, end, ok
+	rx := ln.alloc()
+	rx.dst, rx.reading, rx.end, rx.ok = dst, in, end, ok
 	// rx becomes the receiver's locking reception. A displaced record that
-	// no delivery event owns (a lost frame that completed) is recycled
-	// here; scheduled records free themselves when they fire.
+	// no txEnd owns (a lost frame that completed) is recycled here;
+	// scheduled records are freed by their txEnd.
 	if prev := dst.cur; prev != nil && !prev.scheduled {
 		ln.put(prev)
 	}
@@ -986,16 +990,21 @@ func (c *Channel) deliver(ln *rxLane, src, dst *node, ls *linkState, dist float6
 	if ln != &c.rxLane {
 		return rx
 	}
-	c.commit(rx, payload, end)
+	c.commit(rx, payload)
 	return nil
 }
 
-// commit copies the payload into a pooled buffer and schedules the
-// delivery event of a reception that survived deliver.
-func (c *Channel) commit(rx *reception, payload []byte, end time.Duration) {
-	buf := c.bufs.Get(len(payload))
-	copy(buf, payload)
-	rx.buf = buf
+// commit appends a reception that survived deliver to the transmission's
+// batch. The first survivor copies the payload into the pooled buffer
+// every receiver of the frame is handed.
+func (c *Channel) commit(rx *reception, payload []byte) {
+	if c.batch == nil {
+		c.batchBuf = c.bufs.Get(len(payload))
+		copy(c.batchBuf, payload)
+		c.batch = rx
+	} else {
+		c.batchTail.later = rx
+	}
+	c.batchTail = rx
 	rx.scheduled = true
-	c.K.AtHandler(end, rx)
 }

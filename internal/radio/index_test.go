@@ -287,10 +287,10 @@ func TestCaptureMarginBoundary(t *testing.T) {
 }
 
 // TestSetCurRecyclesDisplacedRecord pins the pooling invariant of the
-// reception table: a lost frame's record (never scheduled as a delivery
-// event) parks on the receiver as cur, is recycled to the free list the
-// moment a later frame displaces it, and is handed out again by the next
-// allocation — one record serves an unbounded lossy stream.
+// reception table: a lost frame's record (never handed to a txEnd) parks
+// on the receiver as cur, is recycled to the free list the moment a later
+// frame displaces it, and is handed out again by the next allocation — one
+// record serves an unbounded lossy stream.
 func TestSetCurRecyclesDisplacedRecord(t *testing.T) {
 	k := sim.NewKernel(9)
 	c := NewChannel(k, DefaultParams(), func(from, to NodeID) LinkModel { return FixedLink(0) })

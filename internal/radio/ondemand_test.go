@@ -2,7 +2,6 @@ package radio
 
 import (
 	"fmt"
-	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -65,9 +64,8 @@ func (c *Channel) eagerDeliver(src, dst *node, ls *linkState, dist float64, payl
 	}
 
 	ok := ls.loss.Float64() < pr
-	rx := ln.alloc(c)
-	rx.ch, rx.dst = c, dst
-	rx.from, rx.reading, rx.end, rx.ok = src.id, reading{base: rssi, u: 1}, end, ok
+	rx := ln.alloc()
+	rx.dst, rx.reading, rx.end, rx.ok = dst, reading{base: rssi, u: 1}, end, ok
 	if prev := dst.cur; prev != nil && !prev.scheduled {
 		ln.put(prev)
 	}
@@ -77,7 +75,7 @@ func (c *Channel) eagerDeliver(src, dst *node, ls *linkState, dist float64, payl
 		return
 	}
 	rx.info = RxInfo{From: src.id, At: end, RSSI: rssi, Dist: dist}
-	c.commit(rx, payload, end)
+	c.commit(rx, payload)
 }
 
 // eagerBroadcast is the serial body of Broadcast over eagerDeliver.
@@ -107,11 +105,10 @@ func (c *Channel) eagerBroadcast(from NodeID, payload []byte) {
 // settled, the decisions of one run that were seen to take it — and the
 // overlaps with a live one.
 type overlapBranches struct {
-	boundCapture, boundLoss     int // the exponent bounds cleared the gap: neither reading settled
-	bracketCapture, bracketLoss int // the brackets did: neither reading settled
+	bracketCapture, bracketLoss int // the brackets decided: neither reading settled
 	exact                       int // the readings were settled to compare levels
 	live                        int // the new frame collided with a frame that could still be lost
-	unsound                     int // a reading the bounds had decided was settled anyway
+	unsound                     int // a reading the brackets had decided was settled anyway
 }
 
 // overlapWatch is what observe remembers of one receiver across a
@@ -126,10 +123,10 @@ type overlapWatch struct {
 
 // observe snapshots every receiver that is locked on a frame in flight,
 // runs the broadcast, and classifies what each of their decisions did. A
-// decision happened iff the pair's rssi stream moved. Whether the exponent
-// bounds decided it is recomputed here from the incumbent's reading as it
-// was, the uniforms the link's stream held and the base the link's memo
-// keeps; whether levels were compared shows in what is left behind. Only a
+// decision happened iff the pair's rssi stream moved. Whether the brackets
+// decided it is recomputed here from the incumbent's reading as it was, the
+// uniforms the link's stream held and the base the link's memo keeps;
+// whether levels were compared shows in what is left behind. Only a
 // record still latched is inspected afterwards (the displaced incumbent of
 // a capture may already be recycled): a captured receiver's new record is
 // settled exactly when the comparison — or a won coin — needed its level.
@@ -157,28 +154,26 @@ func (b *overlapBranches) observe(c *Channel, src NodeID, broadcast func()) {
 			b.live++
 			continue
 		}
-		u, _ := w.noise.NormUniforms()
+		sigma := c.P.RSSINoiseDB
 		gap := ls.rssiBase - w.was.base - c.P.CaptureDB
-		slack := math.Abs(c.P.RSSINoiseDB)*(sim.NormBound(u)+sim.NormBound(w.was.u)) + captureGuardDB
-		byBound := math.Abs(gap) > slack
+		lo, hi := sim.NormBracket(w.noise.NormUniforms())
+		prevLo, prevHi := sim.NormBracket(w.was.u, w.was.v)
+		x, y := sigma*(lo-prevHi), sigma*(hi-prevLo) // the noise difference's ends, either order
+		byBracket := gap+min(x, y) > captureGuardDB || gap+max(x, y) < -captureGuardDB
 		var settled bool
 		switch captured := d.cur != w.prev; {
 		case captured && !d.cur.ok:
-			if settled = d.cur.u == 1; !settled && byBound {
-				b.boundCapture++
-			} else if !settled {
+			if settled = d.cur.u == 1; !settled {
 				b.bracketCapture++
 			}
 		case !captured && w.was.u != 1:
-			if settled = w.prev.u == 1; !settled && byBound {
-				b.boundLoss++
-			} else if !settled {
+			if settled = w.prev.u == 1; !settled {
 				b.bracketLoss++
 			}
 		}
 		if settled {
 			b.exact++
-			if byBound {
+			if byBracket {
 				b.unsound++
 			}
 		}
@@ -254,8 +249,8 @@ func runHiddenTerminals(t *testing.T, sigma float64, eager bool, lanes int) ([]h
 // sequence — receiver, sender, time, distance and RSSI, every float by
 // value — under a positive, a negative (Params are not validated) and no
 // RSSI noise, and with noise on a run seen to settle overlaps in every way
-// there is: by the bounds, by the brackets and by the levels, each for a
-// capture and for a loss, and against a live incumbent.
+// there is: by the brackets and by the levels, a capture and a loss each by
+// the brackets, and against a live incumbent.
 func TestOnDemandNoiseMatchesEagerDecision(t *testing.T) {
 	for _, sigma := range []float64{4, -4, 0} {
 		wantLog, wantStats, _ := runHiddenTerminals(t, sigma, true, 0)
@@ -280,10 +275,9 @@ func TestOnDemandNoiseMatchesEagerDecision(t *testing.T) {
 				continue
 			}
 			if took.unsound != 0 {
-				t.Errorf("sigma=%v: %d readings were settled for a decision the bounds had made", sigma, took.unsound)
+				t.Errorf("sigma=%v: %d readings were settled for a decision the brackets had made", sigma, took.unsound)
 			}
-			if sigma != 0 && (took.boundCapture == 0 || took.boundLoss == 0 || took.bracketCapture == 0 ||
-				took.bracketLoss == 0 || took.exact == 0 || took.live == 0) {
+			if sigma != 0 && (took.bracketCapture == 0 || took.bracketLoss == 0 || took.exact == 0 || took.live == 0) {
 				t.Errorf("sigma=%v: a way of settling an overlap went unexercised: %+v", sigma, took)
 			}
 		}

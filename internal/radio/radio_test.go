@@ -279,9 +279,11 @@ type collector struct {
 	data   [][]byte
 }
 
+// RadioReceive keeps a copy: the payload is the channel's, shared by every
+// receiver of the frame and recycled after the last one.
 func (c *collector) RadioReceive(p []byte, info RxInfo) {
 	c.frames = append(c.frames, info)
-	c.data = append(c.data, p)
+	c.data = append(c.data, append([]byte(nil), p...))
 }
 
 func perfectChannel(k *sim.Kernel) *Channel {
@@ -580,4 +582,22 @@ func BenchmarkChannelBroadcast(b *testing.B) {
 	}
 	veh := c.Attach("veh", &mobility.RouteMover{Route: v.Route}, nil)
 	benchBroadcast(b, k, c, veh)
+}
+
+// BenchmarkBroadcastCell12 is one transmission on a paper-sized cell: twelve
+// fixed radios all within range on default fading links, each sending in
+// turn a frame of a beacon's size (a basestation reporting eleven peers).
+// It reports the kernel events per transmission beside ns/op.
+func BenchmarkBroadcastCell12(b *testing.B) {
+	k := sim.NewKernel(1)
+	c := NewChannel(k, DefaultParams(), nil)
+	cell12(c, ReceiverFunc(func([]byte, RxInfo) {}))
+	payload := make([]byte, 13+6+5*11+4) // header, beacon body, eleven entries, CRC
+	b.ReportAllocs()
+	ran := k.EventsRun()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.RunUntil(k.Now() + c.Broadcast(NodeID(i%12), payload, nil))
+	}
+	b.ReportMetric(float64(k.EventsRun()-ran)/float64(b.N), "events/op")
 }

@@ -42,16 +42,16 @@ import (
 //     lane per dispatch), dst.cur and its displaced record
 //     (receiver-exclusive), and lane-local counters and reception pools.
 //
-// The coordinator then commits results in candidate order: payload
-// copies and delivery events are scheduled in exactly the sequence the
-// serial loop would produce, so kernel (at, seq) order — and therefore
-// every downstream protocol decision — is untouched. Transmissions in
-// the halo band (a lane computing deliveries for a transmitter homed in
-// another stripe) consume the same per-link label-derived RNG streams as
-// serial; only the draw-site moves across lanes, never the draw-count
-// or the stream. Carrier sense still scans the coordinator-owned
-// active-transmitter list, so Busy includes halo transmitters by
-// construction.
+// The coordinator then commits results in candidate order: survivors join
+// the transmission's batch in exactly the sequence the serial loop would
+// produce, so kernel (at, seq) order and the order receptions complete in
+// — and therefore every downstream protocol decision — are untouched.
+// Transmissions in the halo band (a lane computing deliveries for a
+// transmitter homed in another stripe) consume the same per-link
+// label-derived RNG streams as serial; only the draw-site moves across
+// lanes, never the draw-count or the stream. Carrier sense still scans the
+// coordinator-owned active-transmitter list, so Busy includes halo
+// transmitters by construction.
 
 // channelLane is one delivery lane's private state. Lanes are touched by
 // exactly one goroutine per dispatch; the gang's barrier publishes their
@@ -214,13 +214,13 @@ func (c *Channel) LaneOf(id NodeID) int {
 // dispatchLanes fans the delivery decisions over src's candidate list out
 // across the stripe lanes. Candidate discovery and cache maintenance
 // already happened on the coordinator (candidates); so does the commit
-// loop below, which schedules deliveries in candidate order, reproducing
-// the serial kernel sequence exactly.
+// loop below, which batches survivors in candidate order, reproducing the
+// serial sequence exactly.
 func (c *Channel) dispatchLanes(src *node, srcPos mobility.Point, payload []byte, now, end time.Duration) {
 	sh := c.shard
 	k := len(sh.lanes)
 
-	// Recycle receptions freed by delivery events since the last
+	// Recycle receptions freed by txEnd events since the last
 	// dispatch into one lane's pool, round-robin. Pool identity is
 	// behaviorally invisible; this just keeps every pool circulating.
 	if c.freeRx != nil {
@@ -246,7 +246,7 @@ func (c *Channel) dispatchLanes(src *node, srcPos mobility.Point, payload []byte
 	for i, rx := range sh.out {
 		if rx != nil {
 			sh.out[i] = nil
-			c.commit(rx, payload, end)
+			c.commit(rx, payload)
 		}
 	}
 	sh.src = nil

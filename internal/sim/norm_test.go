@@ -64,51 +64,6 @@ func TestNormUniformsRejectsZero(t *testing.T) {
 	}
 }
 
-// FuzzNormBound: for any pair NormUniforms can return, the variate lies
-// within the bound read off u's exponent. The seeds are where it is
-// tightest — both edges of each of the 53 binades, the lower one being
-// u = 2⁻ᵏ itself, with cos at its extremes (v = 0 and v = ½).
-func FuzzNormBound(f *testing.F) {
-	for k := 1; k <= 53; k++ {
-		lo := uint64(1) << (53 - k) // u = 2⁻ᵏ as a 53-bit numerator
-		for _, num := range []uint64{lo, 2*lo - 1} {
-			f.Add(num<<11, uint64(0))
-			f.Add(num<<11, uint64(1)<<63)
-		}
-	}
-	f.Add(uint64(0), uint64(0)) // folds to the smallest uniform, 2⁻⁵³
-	f.Fuzz(func(t *testing.T, ubits, vbits uint64) {
-		// The words become uniforms the way Float64 makes them; a zero u,
-		// which NormUniforms never returns, stands for the smallest one.
-		num := ubits >> 11
-		if num == 0 {
-			num = 1
-		}
-		u, v := float64(num)/(1<<53), float64(vbits>>11)/(1<<53)
-		if n, b := math.Abs(NormFrom(u, v)), NormBound(u); !(n <= b) {
-			t.Errorf("|NormFrom(%v, %v)| = %v exceeds NormBound = %v", u, v, n, b)
-		}
-	})
-}
-
-// TestNormBoundTable: the bound is the binade's own radius to within its
-// stated inflation — not merely some large number — and zero at u = 1, the
-// mark of a pair whose variate has been taken.
-func TestNormBoundTable(t *testing.T) {
-	if b := NormBound(1); b != 0 {
-		t.Errorf("NormBound(1) = %v, want 0", b)
-	}
-	for k := 1; k <= 53; k++ {
-		lo := math.Ldexp(1, -k)
-		edge := math.Abs(NormFrom(lo, 0))
-		for _, u := range []float64{lo, math.Nextafter(math.Ldexp(1, 1-k), 0)} {
-			if b := NormBound(u); b < edge || b > edge*(1+1e-9) {
-				t.Errorf("NormBound(%v) = %v, the binade's radius is %v", u, b, edge)
-			}
-		}
-	}
-}
-
 var normSink float64
 
 // BenchmarkNormFloat64 and BenchmarkNormUniforms are the two sides of
@@ -170,6 +125,67 @@ func FuzzNormBracket(f *testing.F) {
 	})
 }
 
+// binadeRadius is the bound u's exponent alone gives on |NormFrom(u, v)|,
+// whatever v: u ≥ 2⁻ᵏ in the binade 2⁻ᵏ ≤ u < 2¹⁻ᵏ, so the radius is at
+// most sqrt(2k ln 2), and |cos| ≤ 1. A capture once asked this bound before
+// the bracket; the bracket now answers for both.
+func binadeRadius(u float64) float64 {
+	k := 1023 - int(math.Float64bits(u)>>52)
+	return math.Sqrt(2 * float64(k) * math.Ln2)
+}
+
+// normBoundSlack is how far past binadeRadius a bracket may reach: the
+// tables' 1e-12 once for the radius and once for the cosine, and 1e-12
+// more for the last places of the two ways the radius is computed.
+const normBoundSlack = 1 + 3e-12
+
+// FuzzNormBound: for any pair NormUniforms can return, the variate lies
+// within the bound read off u's exponent, and so does its whole bracket —
+// the bracket is never looser than the bound it replaced. The seeds are
+// where that bound is tightest — both edges of each of the 53 binades, the
+// lower one being u = 2⁻ᵏ itself, with cos at its extremes (v = 0 and
+// v = ½).
+func FuzzNormBound(f *testing.F) {
+	for k := 1; k <= 53; k++ {
+		lo := uint64(1) << (53 - k) // u = 2⁻ᵏ as a 53-bit numerator
+		for _, num := range []uint64{lo, 2*lo - 1} {
+			f.Add(num<<11, uint64(0))
+			f.Add(num<<11, uint64(1)<<63)
+		}
+	}
+	f.Add(uint64(0), uint64(0)) // folds to the smallest uniform, 2⁻⁵³
+	f.Fuzz(func(t *testing.T, ubits, vbits uint64) {
+		u, v := uniformFrom(ubits, true), uniformFrom(vbits, false)
+		b := binadeRadius(u)
+		if n := math.Abs(NormFrom(u, v)); !(n <= b*(1+1e-12)) {
+			t.Errorf("|NormFrom(%v, %v)| = %v exceeds the binade's radius %v", u, v, n, b)
+		}
+		if lo, hi := NormBracket(u, v); !(-lo <= b*normBoundSlack && hi <= b*normBoundSlack) {
+			t.Errorf("NormBracket(%v, %v) = [%v, %v] reaches past the binade's radius %v", u, v, lo, hi, b)
+		}
+	})
+}
+
+// TestNormBoundTable: across each binade the brackets reach the binade's
+// own radius, to within normBoundSlack, on both sides — the bound u's
+// exponent gives is attained, at u = 2⁻ᵏ with cos at ±1, and not exceeded.
+func TestNormBoundTable(t *testing.T) {
+	for k := 1; k <= 53; k++ {
+		b := binadeRadius(math.Ldexp(1, -k))
+		top, bottom := 0.0, 0.0
+		for m := 0; m < 16; m++ {
+			u := math.Ldexp(1+float64(m)/16, -k)
+			for j := 0; j < 256; j++ {
+				lo, hi := NormBracket(u, float64(j)/256)
+				top, bottom = max(top, hi), min(bottom, lo)
+			}
+		}
+		if top < b || top > b*normBoundSlack || -bottom < b || -bottom > b*normBoundSlack {
+			t.Errorf("binade 2^-%d: brackets span [%v, %v], the binade's radius is %v", k, bottom, top, b)
+		}
+	}
+}
+
 // TestNormBracketTable: the bracket is tight — no wider than normBracketMax
 // anywhere, normBracketMean on average — empty for a spent pair whatever v
 // is, and holds on five million pairs drawn from each of three streams.
@@ -209,7 +225,7 @@ func TestNormBracketTable(t *testing.T) {
 	}
 }
 
-// BenchmarkNormBracket is what the second question of a capture costs per
+// BenchmarkNormBracket is what the first question of a capture costs per
 // reading (DESIGN §6), beside the transform it mostly replaces.
 func BenchmarkNormBracket(b *testing.B) {
 	r := NewRNG(1)

@@ -437,37 +437,19 @@ func NormFrom(u, v float64) float64 {
 	return math.Sqrt(-2*math.Log(u)) * math.Cos(2*math.Pi*v)
 }
 
-// normBound[k] bounds |NormFrom(u, v)| over the binade 2⁻ᵏ ≤ u < 2¹⁻ᵏ:
-// |cos| ≤ 1 and −2·ln u ≤ 2·k·ln 2 there. Each entry is inflated by 1e-12
-// — thousands of ulps, nothing against any margin a caller compares it
-// with — so that the last-place errors of log, sqrt and cos cannot lift a
-// computed variate above it. A uniform has 53 bits, so k stops at 53;
-// entry 0 is the exponent of u = 1, which NormUniforms never draws.
-var normBound = func() (t [54]float64) {
-	for k := 1; k < len(t); k++ {
-		t[k] = math.Sqrt(2*float64(k)*math.Ln2) * (1 + 1e-12)
-	}
-	return t
-}()
-
-// NormBound returns a bound on |NormFrom(u, v)| that holds for every v,
-// read off u's exponent. u must lie in [2⁻⁵³, 1]; NormBound(1) is 0,
-// which lets a caller that has already taken its variate mark the pair
-// as spent by setting u to 1.
-func NormBound(u float64) float64 {
-	return normBound[1023-int(math.Float64bits(u)>>52)]
-}
-
 // The two tables behind NormBracket. normRadius holds sqrt(−2 ln u) at the
-// edges of 16 mantissa bins per binade of u, indexed like normBound by the
-// exponent with the top four mantissa bits appended: {smallest, largest}
-// radius over the bin, the radius falling as u rises. normCos holds
-// cos 2πv at the edges of 256 equal bins of v; the cosine's zeros and
-// extrema (v = 0, ¼, ½, ¾) fall on bin edges, so it is monotone and keeps
-// one sign across every bin and its range there is its two edge values.
-// Every entry is moved outwards by 1e-12 (the radius relatively, the cosine
-// absolutely), the same allowance normBound makes for the last places of
-// log, sqrt and cos. loR and hiR say which radius each cosine bound
+// edges of 16 mantissa bins per binade of u, indexed by k, the binade
+// 2⁻ᵏ ≤ u < 2¹⁻ᵏ read off u's exponent, with the top four mantissa bits
+// appended: {smallest, largest} radius over the bin, the radius falling as
+// u rises. A uniform has 53 bits, so k stops at 53; row 0 is the exponent
+// of u = 1, which NormUniforms never draws. normCos holds cos 2πv at the
+// edges of 256 equal bins of v; the cosine's zeros and extrema (v = 0, ¼,
+// ½, ¾) fall on bin edges, so it is monotone and keeps one sign across
+// every bin and its range there is its two edge values. Every entry is
+// moved outwards by 1e-12 (the radius relatively, the cosine absolutely) —
+// thousands of ulps, nothing against any margin a caller compares with —
+// so that the last-place errors of log, sqrt and cos cannot carry a
+// computed variate outside. loR and hiR say which radius each cosine bound
 // multiplies: the largest for a lower bound that is negative or an upper
 // bound that is positive, the smallest otherwise.
 var (
@@ -506,12 +488,12 @@ var (
 // NormBracket returns an interval that contains NormFrom(u, v), read from
 // tables by u's exponent and top mantissa bits and by v's top eight bits:
 // the product of the radius bin and the cosine bin, 0.05 wide on average
-// and 0.25 at worst (the bin that ends at u = 1) where NormBound leaves the
-// sign and the whole cosine open. u must lie in [2⁻⁵³, 1] and v in [0, 1);
-// u = 1 — a spent pair, see NormBound — yields (0, 0). The products are of
-// table entries that bracket the very floats NormFrom multiplies, and
-// rounding a product is monotone, so the bracket holds for the computed
-// variate, not merely the real one.
+// and 0.25 at worst (the bin that ends at u = 1). u must lie in [2⁻⁵³, 1]
+// and v in [0, 1); u = 1 yields (0, 0), which lets a caller that has
+// already taken its variate mark the pair as spent by setting u to 1. The
+// products are of table entries that bracket the very floats NormFrom
+// multiplies, and rounding a product is monotone, so the bracket holds for
+// the computed variate, not merely the real one.
 func NormBracket(u, v float64) (lo, hi float64) {
 	bits := math.Float64bits(u)
 	r := &normRadius[(1023-int(bits>>52))<<4|int(bits>>48)&15]

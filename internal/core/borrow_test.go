@@ -11,11 +11,11 @@ import (
 	"github.com/vanlan/vifi/internal/sim"
 )
 
-// Decoded frames are borrowed for the upcall (DESIGN §6): the receiver's
-// decoder overwrites them on its next reception. These tests hold the
-// retention sites to that — what a node keeps past the upcall must be its
-// own copy. No golden localises a slip here; it shows only as some later
-// packet carrying another packet's bytes.
+// Decoded frames are borrowed for the upcall (DESIGN §6): the decoder
+// overwrites them on its next decode. These tests hold the retention
+// sites to that — what a node keeps past the upcall must be its own copy.
+// No golden localises a slip here; it shows only as some later packet
+// carrying another packet's bytes.
 
 func marshal(t *testing.T, f *frame.Frame) []byte {
 	t.Helper()
@@ -29,8 +29,8 @@ func marshal(t *testing.T, f *frame.Frame) []byte {
 // TestOverheardPacketSurvivesLaterReceptions: an auxiliary overhears a
 // data frame and then, before its relay tick, hears beacons, an
 // acknowledgment for another packet and a second data frame — all through
-// one decoder, as its MAC delivers them. What it relays must still be the
-// first frame.
+// one decoder, as the channel delivers them. What it relays must still be
+// the first frame.
 func TestOverheardPacketSurvivesLaterReceptions(t *testing.T) {
 	cfg := DefaultConfig()
 	k, cell := oneAuxCell(t, 11, cfg, nil)

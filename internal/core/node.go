@@ -123,7 +123,7 @@ type Node struct {
 	cfg         Config
 	mac         *mac.MAC
 	bp          *backplane.Net
-	bpDec       frame.Decoder // backplane receive storage (the MAC owns the air path's)
+	bpDec       frame.Decoder // backplane receive storage; air frames come decoded by the channel
 	addr        uint16
 	isVehicle   bool
 	gatewayAddr uint16

@@ -276,10 +276,10 @@ func (f *Frame) AppendTo(dst []byte) ([]byte, error) {
 
 // Decoder decodes wire frames into storage it owns: one Frame, one Beacon
 // body whose Aux and Probs capacity is kept across calls, and one payload
-// buffer. A receiver that decodes every frame it hears through its own
-// Decoder allocates nothing once the widest beacon and the largest
-// payload have been seen. The zero value is ready to use; a Decoder must
-// not be shared between receivers that run concurrently.
+// buffer; it allocates nothing once the widest beacon and the largest
+// payload have been seen. The zero value is ready to use. One may serve
+// many receivers in turn (a radio channel's, for every receiver of a
+// transmission), never concurrently, and they only read what it returns.
 type Decoder struct {
 	f       Frame
 	beacon  Beacon

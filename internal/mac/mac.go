@@ -60,9 +60,9 @@ func (c Config) withDefaults() Config {
 }
 
 // Handler consumes decoded frames arriving from the radio. The frame, its
-// Beacon and its Payload live in the MAC's decoder: they are borrowed for
-// the upcall and overwritten by the next reception, so a handler copies
-// whatever it keeps (DESIGN.md §6).
+// Beacon and its Payload are shared by every receiver of the transmission
+// (radio.Channel.Decode): read-only, valid for the upcall, so a handler
+// writes none of them and copies whatever it keeps (DESIGN.md §6).
 type Handler interface {
 	HandleFrame(f *frame.Frame, info radio.RxInfo)
 }
@@ -118,9 +118,6 @@ type MAC struct {
 
 	handler  Handler
 	beaconFn func() *frame.Frame
-	// dec owns the storage every received frame decodes into. One per MAC,
-	// never shared: cells run concurrently on engine workers and lanes.
-	dec frame.Decoder
 
 	// queue holds marshaled frames; SendPriority pushes at the front.
 	queue   ring.Ring[txItem]
@@ -266,7 +263,7 @@ func (m *MAC) pump() {
 
 // radioReceive decodes and dispatches an arriving frame.
 func (m *MAC) radioReceive(payload []byte, info radio.RxInfo) {
-	f, err := m.dec.Decode(payload)
+	f, err := m.ch.Decode(payload)
 	if err != nil {
 		m.stats.DecodeErrors++
 		return

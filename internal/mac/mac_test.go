@@ -20,8 +20,8 @@ type sink struct {
 	infos  []radio.RxInfo
 }
 
-// HandleFrame keeps a copy: the frame it is handed is the MAC's decoder
-// storage, overwritten by the next reception.
+// HandleFrame keeps a copy: the frame it is handed is the channel's one
+// decode of the transmission, overwritten by a later decode.
 func (s *sink) HandleFrame(f *frame.Frame, info radio.RxInfo) {
 	c := *f
 	c.Payload = append([]byte(nil), f.Payload...)
@@ -281,8 +281,8 @@ func TestStatsByType(t *testing.T) {
 
 // TestReceivePathSteadyStateAllocs is the receive path's end-to-end guard:
 // two MACs exchanging 40-entry beacons and 500-byte data frames — marshal
-// into pooled buffers, broadcast, pooled reception records, decode into
-// each MAC's own decoder, upcall — allocate nothing once warm.
+// into pooled buffers, broadcast, pooled reception records, the channel's
+// decode, upcall — allocate nothing once warm.
 func TestReceivePathSteadyStateAllocs(t *testing.T) {
 	k := sim.NewKernel(11)
 	ch := perfectChannel(k)

@@ -25,11 +25,10 @@ type RxInfo struct {
 
 // Receiver consumes frames delivered by the channel.
 type Receiver interface {
-	// RadioReceive is called once per correctly decoded frame. The payload
-	// is a pooled buffer owned by the channel and shared by every receiver
-	// of the frame: it is read-only, valid only for the duration of the
-	// call, and receivers must copy anything they retain (a frame.Decoder
-	// only reads it, so decode-and-dispatch is safe).
+	// RadioReceive is called once per frame that reached the receiver. The
+	// payload is a pooled buffer owned by the channel and shared by every
+	// receiver of the frame: read-only, valid only for the call, copied by
+	// whoever keeps it. Channel.Decode decodes it once for all of them.
 	RadioReceive(payload []byte, info RxInfo)
 }
 
@@ -268,6 +267,7 @@ func (t *txEnd) OnEvent() {
 	// recycle the record, and hand a frame that is still ok to its
 	// receiver. An upcall may answer at once; what it schedules runs after
 	// this event.
+	c.rxBuf, c.decF, c.decErr = buf, nil, nil
 	for rx != nil {
 		r := rx
 		rx = r.later
@@ -284,6 +284,7 @@ func (t *txEnd) OnEvent() {
 			d.recv.RadioReceive(buf, info)
 		}
 	}
+	c.rxBuf = nil
 	if buf != nil {
 		c.bufs.Put(buf)
 	}
@@ -359,6 +360,12 @@ type Channel struct {
 	// Byte-identity with serial holds by construction: one kernel, one
 	// event order, same per-link streams, commit in candidate order.
 	shard *channelShard
+	// txEnd lends its payload (rxBuf) to its reception loop, and Decode
+	// decodes it once into dec; decF and decErr are both nil until then.
+	dec    frame.Decoder
+	rxBuf  []byte
+	decF   *frame.Frame
+	decErr error
 }
 
 // NewChannel creates a channel over the kernel with the given parameters.
@@ -519,6 +526,21 @@ func (c *Channel) Stats() Stats {
 // Buffers exposes the channel's buffer pool so the MAC layer can marshal
 // frames into recycled buffers.
 func (c *Channel) Buffers() *frame.BufferPool { return &c.bufs }
+
+// Decode decodes a payload the channel handed its receivers. In a
+// completion the lent payload is decoded once, CRC check included, and
+// every receiver gets that frame (or error): shared, read-only, valid for
+// the upcall (DESIGN §6). Other bytes — outside a completion, or not the
+// lent buffer — decode into fresh storage.
+func (c *Channel) Decode(payload []byte) (*frame.Frame, error) {
+	if len(payload) == 0 || len(payload) != len(c.rxBuf) || &payload[0] != &c.rxBuf[0] {
+		return frame.Unmarshal(payload)
+	}
+	if c.decF == nil && c.decErr == nil {
+		c.decF, c.decErr = c.dec.Decode(payload)
+	}
+	return c.decF, c.decErr
+}
 
 // link returns the state for the directed pair, instantiating it on
 // first use.

@@ -2,9 +2,11 @@ package experiment
 
 import (
 	"flag"
+	"math"
 	"os"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -24,8 +26,8 @@ var reportTable = []struct {
 	id    string
 	scale float64
 	// arms > 0 cuts a sweep's second rendering to its first arms: 10000
-	// radios are simulated once per run of the suite, and 100/250/500 still
-	// straddle the index threshold. CI's -parallel 1 vs 4 cmp has the rest.
+	// radios are simulated once per run of the suite. CI's -parallel 1 vs 4
+	// cmp has the rest.
 	arms int
 }{
 	{id: "fig1", scale: 0.04},
@@ -87,6 +89,9 @@ func TestReports(t *testing.T) {
 			if isSweep {
 				checkSweepRows(t, s, rep)
 			}
+			if check := rowPredicates[tc.id]; check != nil {
+				check(t, rep)
+			}
 
 			o.Engine = serial
 			want := *rep
@@ -109,6 +114,42 @@ func TestReports(t *testing.T) {
 	sort.Strings(ids)
 	if !slices.Equal(ids, IDs()) {
 		t.Errorf("reportTable pins %v\nbut IDs() registers %v", ids, IDs())
+	}
+}
+
+// rowPredicates are shape claims a report's rows must satisfy, checked on
+// the rows TestReports rendered beside their golden bytes.
+var rowPredicates = map[string]func(*testing.T, *Report){
+	"scale-radio": collisionsTrackNeighbors,
+}
+
+// collisionsTrackNeighbors: with the traffic fixed and the basestation
+// density constant, a receiver has as many neighbours to collide with in
+// every arm, so rx collisions/1k tx must not depend on the radio count —
+// every arm within ±15 % of the arms' median. A channel that decided
+// receivers beyond reach in some arms — they latch on frames they can
+// never receive, and book collisions — would fail it there.
+func collisionsTrackNeighbors(t *testing.T, rep *Report) {
+	t.Helper()
+	col := slices.Index(rep.Header, "rx collisions/1k tx")
+	if col < 0 {
+		t.Fatalf("%s: no rx collisions column in %v", rep.ID, rep.Header)
+	}
+	vals := make([]float64, len(rep.Rows))
+	for i, row := range rep.Rows {
+		v, err := strconv.ParseFloat(row[col], 64)
+		if err != nil {
+			t.Fatalf("%s: row %v: %v", rep.ID, row, err)
+		}
+		vals[i] = v
+	}
+	sorted := slices.Sorted(slices.Values(vals))
+	median := (sorted[(len(sorted)-1)/2] + sorted[len(sorted)/2]) / 2
+	for i, v := range vals {
+		if math.Abs(v-median) > 0.15*median {
+			t.Errorf("%s: arm %s books %.0f rx collisions/1k tx, more than 15%% off the arms' median %.0f",
+				rep.ID, rep.Rows[i][0], v, median)
+		}
 	}
 }
 

@@ -9,6 +9,9 @@ import (
 	"time"
 
 	"github.com/vanlan/vifi/internal/core"
+	"github.com/vanlan/vifi/internal/mobility"
+	"github.com/vanlan/vifi/internal/radio"
+	"github.com/vanlan/vifi/internal/sim"
 	"github.com/vanlan/vifi/internal/stats"
 )
 
@@ -297,4 +300,61 @@ func TestEnvString(t *testing.T) {
 	if EnvVanLAN.String() != "VanLAN" || EnvDieselNetCh6.String() != "DieselNet Ch.6" {
 		t.Error("env strings wrong")
 	}
+}
+
+// TestPaperCellsIgnoreTheCutoff: in the VanLAN cell no (transmitter,
+// receiver) pair is ever beyond the channel cutoff or beyond its link's own
+// reach, at any seed a golden, the CI cmp or the benchmark runs it at
+// (fig11's replicates add i·977). So the grid skips nothing a full sweep
+// would decide, and the paper figures' bytes are a property of the
+// geometry, not of luck. The basestations
+// are fixed; the vehicle's farthest point from a basestation on a segment
+// of the loop is one of its ends, so the waypoints bound every distance
+// the run can see. A link's reach follows from its shadowing, drawn from
+// the link stream the channel seeds with the labels ("link", from, to).
+// NewCell attaches the basestations first and the vehicle last.
+func TestPaperCellsIgnoreTheCutoff(t *testing.T) {
+	p := core.DefaultCellOptions().Radio
+	cutoff := p.CutoffM()
+	v := mobility.NewVanLAN()
+	veh := len(v.BSes)
+	farthest := func(from, to int) float64 {
+		if from == veh {
+			from, to = to, from
+		}
+		if to != veh {
+			return v.BSes[from].Dist(v.BSes[to])
+		}
+		d := 0.0
+		for _, w := range v.Route.Waypoints {
+			d = max(d, v.BSes[from].Dist(w))
+		}
+		return d
+	}
+	seeds := []int64{17, 42}
+	for s := int64(0); s < 16; s++ {
+		seeds = append(seeds, 3000+s, 5000+s)
+	}
+	slack := math.Inf(1)
+	for _, base := range seeds {
+		for i := int64(0); i < 3; i++ {
+			seed := base + i*977
+			k := sim.NewKernel(seed)
+			for from := 0; from <= veh; from++ {
+				for to := 0; to <= veh; to++ {
+					if from == to {
+						continue
+					}
+					d := farthest(from, to)
+					reach := radio.NewFadingLink(p, k.RNG("link", strconv.Itoa(from), strconv.Itoa(to))).MaxRangeM()
+					if d > cutoff || d > reach {
+						t.Fatalf("seed %d: link %d→%d reaches %.0f m, beyond the %.0f m cutoff or its %.0f m reach",
+							seed, from, to, d, cutoff, reach)
+					}
+					slack = min(slack, cutoff-d, reach-d)
+				}
+			}
+		}
+	}
+	t.Logf("%d seeds: every VanLAN pair stays at least %.0f m inside the cutoff and its link's reach", len(seeds)*3, slack)
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"github.com/vanlan/vifi/internal/core"
-	"github.com/vanlan/vifi/internal/radio"
 	"github.com/vanlan/vifi/internal/scenario"
 	"github.com/vanlan/vifi/internal/workload"
 )
@@ -27,12 +26,11 @@ func TestScaleProtocolArmsShared(t *testing.T) {
 }
 
 // TestScaleRadioTopArmIndexed pins the sweep's reason to exist: the top
-// arm's radio population is far past the index threshold, and the fixed
-// probe fleet is the same in every arm.
+// arm's radio population is city-sized, and the fixed probe fleet is the
+// same in every arm.
 func TestScaleRadioTopArmIndexed(t *testing.T) {
-	if top := scaleRadioArms[len(scaleRadioArms)-1]; top < 2000 || top < 8*radio.DefaultIndexThreshold {
-		t.Fatalf("top arm is %d radios, acceptance needs ≥ 2000 and well past the index threshold %d",
-			top, radio.DefaultIndexThreshold)
+	if top := scaleRadioArms[len(scaleRadioArms)-1]; top < 2000 {
+		t.Fatalf("top arm is %d radios, acceptance needs ≥ 2000", top)
 	}
 	for _, n := range scaleRadioArms {
 		if n <= scaleRadioVehicles {

@@ -8,6 +8,7 @@ import (
 	"github.com/vanlan/vifi/internal/core"
 	"github.com/vanlan/vifi/internal/fault"
 	"github.com/vanlan/vifi/internal/obs"
+	"github.com/vanlan/vifi/internal/radio"
 	"github.com/vanlan/vifi/internal/scenario"
 	"github.com/vanlan/vifi/internal/sim"
 	"github.com/vanlan/vifi/internal/workload"
@@ -91,9 +92,6 @@ func newFleetSession(seed int64, spec scenario.Spec, cfg core.Config, duration t
 		if err != nil {
 			return nil, err
 		}
-		if eff > 1 && !cell.Channel.Indexed() {
-			panic("experiment: shard plan accepted a non-indexed channel")
-		}
 		s.kernels[sh], s.cells[sh], s.lay = k, cell, lay
 
 		// Faults first, then the workload mix, then the drivers — only
@@ -142,14 +140,14 @@ func newFleetSession(seed int64, spec scenario.Spec, cfg core.Config, duration t
 		// Halo-band sharding: one kernel, serial event order, with the
 		// channel's per-broadcast delivery fan-out partitioned across
 		// stripe-owned lanes. Engaged only after the whole cell is built
-		// so every radio is attached (and the grid exists) first. The
-		// channel can still decline — e.g. degenerate radio params keep
-		// the full sweep — in which case the run proceeds serially and
-		// the reason is surfaced like any other fallback.
+		// so every radio is attached first. The channel can still decline
+		// — degenerate radio params leave it reach-less, one grid cell —
+		// in which case the run proceeds serially and the reason is
+		// surfaced like any other fallback.
 		if got := s.cells[0].StartRadioShards(plan.eff); got == plan.eff {
 			s.haloLanes = plan.eff
 		} else {
-			s.reason = "channel declined the stripe plan (not on the spatially indexed path)"
+			s.reason = "channel declined the stripe plan (reach-less: one grid cell)"
 		}
 	}
 	return s, nil
@@ -305,14 +303,14 @@ func (s *fleetSession) finish() *FleetAppRun {
 
 	// Occupancy sample: read-only with respect to the metrics above (the
 	// drivers have already stopped), so it cannot perturb any report.
-	var nbr []uint16
+	var nbr []radio.NodeID
 	for i := range s.cells[0].BSes {
 		c := s.cells[bsOwner(i)]
 		bs := c.BSes[i]
 		now := c.K.Now()
 		run.FreshPeersBS += float64(len(bs.Probs().FreshLocalPeers(bs.Addr(), now)))
 		run.ReportBS += float64(len(bs.Probs().Report(bs.Addr(), now)))
-		nbr = bs.MAC().Neighbors(nbr[:0])
+		nbr = c.Channel.NeighborIDs(c.BSRadioIDs[i], nbr[:0])
 		run.GridNbrsBS += float64(len(nbr))
 	}
 	if n := float64(run.BSCount); n > 0 {

@@ -21,13 +21,13 @@ import (
 //     each, routes that stay inside (DESIGN §10); a backplane send that
 //     would cross the boundary panics.
 //
-//   - Halo (un-districted indexed cities, PR 10): one kernel whose
-//     indexed radio channel fans each broadcast's delivery computations
-//     out across K stripe-owned worker lanes (radio.StartShards),
-//     replaying halo-band transmissions — deliveries whose transmitter
-//     is homed in another stripe — on the receiver-owning lane with the
-//     same per-link label-derived RNG streams as serial. Exact because
-//     the kernel's event order is untouched; only the draw-site moves.
+//   - Halo (un-districted cities): one kernel whose radio channel fans
+//     each broadcast's delivery computations out across K stripe-owned
+//     worker lanes (radio.StartShards), replaying halo-band transmissions
+//     — deliveries whose transmitter is homed in another stripe — on the
+//     receiver-owning lane with the same per-link label-derived RNG
+//     streams as serial. Exact because the kernel's event order is
+//     untouched; only the draw-site moves.
 //
 // Either way the sharded run is byte-identical to the serial run at any
 // K; anything the planner cannot prove exact falls back to serial, with
@@ -114,7 +114,7 @@ type shardMode int
 const (
 	shardModeSerial    shardMode = iota
 	shardModeDistricts           // districted: K independent kernels
-	shardModeHalo                // un-districted indexed: stripe lanes in one kernel
+	shardModeHalo                // un-districted: stripe lanes in one kernel
 )
 
 // shardPlanResult is the planner's decision: the mode, the effective
@@ -130,30 +130,25 @@ type shardPlanResult struct {
 }
 
 // shardPlan decides how a spec runs at the requested shard count. Both
-// sharded modes require the spatially indexed channel path, whose
-// reception state is a pure function of in-range peers; the legacy full
-// sweep folds every attached radio into per-receiver state, which
-// neither ghost attachment nor stripe ownership can partition. Districted
-// specs get one kernel per district group (districts are separated by
-// more than the radio conflict reach; balanced contiguous district groups,
-// clamped to the district count). Un-districted indexed specs get halo
-// lanes: the stripes share radio edges, so the partition moves inside the
-// kernel (see radio.StartShards; clamped to radio.MaxShardLanes — the
-// request is outside input, and every lane is a worker goroutine).
-// Anything else falls back to serial with the reason recorded, keeping
-// results byte-identical by construction.
+// sharded modes require a channel with a finite cutoff, whose reception
+// state is a pure function of in-range peers; a reach-less channel (a
+// custom LinkFactory) is one grid cell folding every attached radio into
+// per-receiver state, which neither district kernels nor stripe ownership
+// can partition. Districted specs get one kernel per district group
+// (districts are separated by more than the radio conflict reach; balanced
+// contiguous district groups, clamped to the district count). Un-districted
+// specs get halo lanes at any population: the stripes share radio edges,
+// so the partition moves inside the kernel (see radio.StartShards; clamped
+// to radio.MaxShardLanes — the request is outside input, and every lane is
+// a worker goroutine). Anything else falls back to serial with the reason
+// recorded, keeping results byte-identical by construction.
 func shardPlan(spec scenario.Spec, opts core.CellOptions, shards int) shardPlanResult {
 	if shards < 2 {
 		return shardPlanResult{mode: shardModeSerial, eff: 1}
 	}
 	if opts.LinkFactory != nil {
 		return shardPlanResult{mode: shardModeSerial, eff: 1,
-			reason: "custom LinkFactory keeps the full-sweep channel path (no derivable cutoff, no stripe plan)"}
-	}
-	threshold := opts.Radio.IndexThreshold()
-	if n := spec.BS + spec.Vehicles; n < threshold {
-		return shardPlanResult{mode: shardModeSerial, eff: 1,
-			reason: fmt.Sprintf("population %d below the index threshold %d: full-sweep channel path has no stripe plan", n, threshold)}
+			reason: "custom LinkFactory makes a reach-less channel (no derivable cutoff: one grid cell, no stripe plan)"}
 	}
 	if d := spec.Districts; d >= 2 {
 		if shards > d {

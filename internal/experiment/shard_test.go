@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
@@ -11,8 +10,7 @@ import (
 	"github.com/vanlan/vifi/internal/scenario"
 )
 
-// shardTestSpec is a districted deployment big enough for the indexed
-// channel path (124+8 = 132 radios ≥ radio.DefaultIndexThreshold) but
+// shardTestSpec is a districted deployment (124+8 = 132 radios)
 // affordable in the unit suite.
 const shardTestSpec = "metro-districts,bs=124,vehicles=8"
 
@@ -71,8 +69,7 @@ func TestShardedMatchesSerial(t *testing.T) {
 	}
 }
 
-// haloTestSpec is an un-districted deployment big enough for the indexed
-// channel path (180+8 = 188 radios ≥ radio.DefaultIndexThreshold) but
+// haloTestSpec is an un-districted deployment (180+8 = 188 radios)
 // affordable in the unit suite. grid-metro has no districts, so the
 // planner must choose the halo-band stripe lanes, not coupled kernels.
 const haloTestSpec = "grid-metro,bs=180,vehicles=8"
@@ -181,12 +178,10 @@ func TestShardedHaloRecordingSharedSeries(t *testing.T) {
 	}
 }
 
-// TestShardedFallbackSerial pins the conservative gate and its new
-// visibility: a sub-threshold spec (64 radios, full-sweep channel path)
-// requested at -shards 4 must run the exact serial path — same result,
-// no shard bookkeeping — and must say why on the shard log instead of
-// silently degrading.
-func TestShardedFallbackSerial(t *testing.T) {
+// TestShardedSmallCityTakesLanes: a city has no population below which it
+// must run serially. A 64-radio spec requested at -shards 4 runs four halo
+// lanes, logs no fallback reason and matches the serial run exactly.
+func TestShardedSmallCityTakesLanes(t *testing.T) {
 	spec, err := scenario.Parse("grid-metro,bs=60,vehicles=4")
 	if err != nil {
 		t.Fatal(err)
@@ -201,27 +196,23 @@ func TestShardedFallbackSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sharded.ShardExec != nil {
-		t.Fatal("sub-threshold spec did not fall back to the serial path")
+	if len(sharded.ShardExec) != 4 {
+		t.Fatalf("64-radio spec ran %d lanes, want 4", len(sharded.ShardExec))
 	}
-	if !reflect.DeepEqual(serial, sharded) {
-		t.Error("fallback run diverged from serial")
+	if !reflect.DeepEqual(stripShardExec(serial), stripShardExec(sharded)) {
+		t.Error("halo-sharded small city diverged from serial")
 	}
-	var reasons []string
 	for _, e := range TakeShardLog() {
 		if e.Reason != "" {
-			reasons = append(reasons, e.Reason)
+			t.Errorf("small city logged a fallback: %q", e.Reason)
 		}
-	}
-	if len(reasons) != 1 || !strings.Contains(reasons[0], "index threshold") {
-		t.Errorf("fallback reason not surfaced: %q", reasons)
 	}
 }
 
 // TestShardPlanShape pins the partitioner: balanced contiguous district
 // groups for districted specs (clamped to the district count), halo
-// stripe lanes for un-districted indexed specs, and reasoned serial
-// fallbacks for everything the planner cannot prove exact.
+// stripe lanes for un-districted specs at any population, and reasoned
+// serial fallbacks for everything the planner cannot prove exact.
 func TestShardPlanShape(t *testing.T) {
 	opts := core.DefaultCellOptions()
 	spec, _ := scenario.Parse(shardTestSpec)
@@ -233,14 +224,14 @@ func TestShardPlanShape(t *testing.T) {
 	if p.mode != shardModeDistricts || p.eff != 4 || !reflect.DeepEqual(p.districtShard, []int{0, 1, 2, 3}) {
 		t.Errorf("K=8 clamps to districts: plan %+v", p)
 	}
-	small := spec
-	small.BS = 60 // 60+8 < index threshold: full-sweep path, must not shard
-	if p = shardPlan(small, opts, 4); p.mode != shardModeSerial || p.eff != 1 || p.reason == "" {
-		t.Errorf("sub-threshold spec: plan %+v, want reasoned serial", p)
-	}
 	flat, _ := scenario.Parse("grid-metro")
 	if p = shardPlan(flat, opts, 4); p.mode != shardModeHalo || p.eff != 4 || p.districtShard != nil {
-		t.Errorf("un-districted indexed spec: plan %+v, want 4 halo lanes", p)
+		t.Errorf("un-districted spec: plan %+v, want 4 halo lanes", p)
+	}
+	small := flat
+	small.BS, small.Vehicles = 60, 4 // a 64-radio city stripes like a metro
+	if p = shardPlan(small, opts, 4); p.mode != shardModeHalo || p.eff != 4 || p.reason != "" {
+		t.Errorf("64-radio spec: plan %+v, want 4 halo lanes", p)
 	}
 	// The lane count is outside input (-shards, a served spec): a runaway
 	// request clamps to the channel's ceiling instead of starting that

@@ -132,12 +132,10 @@ var appFleets = []int{1, 4, 8, 16}
 // and scale-protocol arm.
 const scaleRadioVehicles = 16
 
-// scaleRadioArms is the total-radio axis (basestations + vehicles). The
-// 100-radio arm sits below radio.DefaultIndexThreshold (128) and runs
-// the legacy full sweep — the report notes the resulting seam — while
-// every larger arm runs the spatially indexed path, where the pre-index
-// O(N) sweep turned quadratic. The 10000-radio arm is the city-scale
-// endpoint the protocol-layer index (DESIGN.md §6) is sized against.
+// scaleRadioArms is the total-radio axis (basestations + vehicles), over
+// which a per-transmission O(N) sweep would turn quadratic. The
+// 10000-radio arm is the city-scale endpoint the protocol-layer index
+// (DESIGN.md §6) is sized against.
 var scaleRadioArms = []int{100, 250, 500, 1000, 2000, 10000}
 
 // scaleProtocolArms is a deliberate subset of scaleRadioArms built by the
@@ -355,7 +353,6 @@ var sweeps = []sweep{
 		row:    linkRow,
 		notes: []string{
 			"fixed 16-vehicle CBR traffic; only the radio population grows (region scaled for constant BS density) — per-transmission channel cost must track neighbor count, not radio count",
-			"the 100-radio arm sits below radio.DefaultIndexThreshold and runs the legacy full sweep, which also books collisions at receivers with no reception chance; the indexed arms skip out-of-range receivers entirely, hence the seam in rx collisions",
 		},
 	},
 	{

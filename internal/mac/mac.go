@@ -124,10 +124,9 @@ type MAC struct {
 	sending bool
 	stats   Stats
 
-	beaconH    beaconTask
-	pumpH      pumpTask
-	txDoneH    txDoneTask
-	nbrScratch []radio.NodeID
+	beaconH beaconTask
+	pumpH   pumpTask
+	txDoneH txDoneTask
 }
 
 // New attaches a new MAC to the channel. name must be unique per channel;
@@ -167,19 +166,6 @@ func (m *MAC) Buffers() *frame.BufferPool { return m.ch.Buffers() }
 
 // Stats returns a copy of the MAC counters.
 func (m *MAC) Stats() Stats { return m.stats }
-
-// Neighbors appends the wire addresses of the radios currently indexed
-// in this node's grid neighborhood (see radio.Channel.NeighborIDs) and
-// returns the extended slice. Diagnostic: experiment instrumentation
-// samples it to report protocol-state occupancy against the radio
-// neighborhood; protocol logic must not filter state by it.
-func (m *MAC) Neighbors(buf []uint16) []uint16 {
-	m.nbrScratch = m.ch.NeighborIDs(m.id, m.nbrScratch[:0])
-	for _, id := range m.nbrScratch {
-		buf = append(buf, uint16(id))
-	}
-	return buf
-}
 
 // QueueLen reports frames waiting (not counting one on the air).
 func (m *MAC) QueueLen() int { return m.queue.Len() }

@@ -79,8 +79,7 @@ func TestLossRecordsAreRecycled(t *testing.T) {
 func TestIndexedBroadcastAllocFree(t *testing.T) {
 	k := sim.NewKernel(13)
 	p := DefaultParams()
-	p.IndexThresholdNodes = 4
-	p.MaxRangeM = 1000 // custom factories index only with an explicit cutoff
+	p.MaxRangeM = 1000 // a custom factory has a cutoff only when told one
 	c := NewChannel(k, p, func(from, to NodeID) LinkModel {
 		return FixedLink(1) // always deliver: exercises the full path
 	})
@@ -90,9 +89,6 @@ func TestIndexedBroadcastAllocFree(t *testing.T) {
 	for i := 0; i < n; i++ {
 		// All within the cutoff of node 0, stationary: buckets never churn.
 		c.Attach("n", mobility.Fixed{X: float64(i) * 25}, sink)
-	}
-	if !c.indexed() {
-		t.Fatal("test did not engage the indexed path")
 	}
 	payload := make([]byte, 200)
 	// Warm the pools and instantiate every (0,*) link.
@@ -119,7 +115,6 @@ func TestIndexedBroadcastAllocFree(t *testing.T) {
 func TestLaneBroadcastAllocFree(t *testing.T) {
 	k := sim.NewKernel(13)
 	p := DefaultParams()
-	p.IndexThresholdNodes = 4
 	p.MaxRangeM = 1000
 	c := NewChannel(k, p, func(from, to NodeID) LinkModel { return FixedLink(1) })
 	got := 0
@@ -154,6 +149,30 @@ func TestLaneBroadcastAllocFree(t *testing.T) {
 		if c.LaneStat(i).Computed == 0 {
 			t.Errorf("lane %d computed nothing: the guard is not covering it", i)
 		}
+	}
+}
+
+// TestRevalidationAllocFree: every channel with a cutoff and a mover keeps
+// the mover's grid bucket fresh with revalidation events, a paper-sized
+// cell included, so a revalidation must allocate nothing — not its event,
+// not its sweep. The VanLAN vehicle drives on for a minute per run, past
+// two or three of its ≈24 s drift deadlines.
+func TestRevalidationAllocFree(t *testing.T) {
+	k := sim.NewKernel(15)
+	c := NewChannel(k, DefaultParams(), nil)
+	v := mobility.NewVanLAN()
+	for _, bs := range v.BSes {
+		c.Attach("bs", mobility.Fixed(bs), nil)
+	}
+	c.Attach("veh", &mobility.RouteMover{Route: v.Route}, nil)
+	k.RunUntil(time.Minute) // warm the kernel's arena
+	ran := k.EventsRun()
+	allocs := testing.AllocsPerRun(10, func() { k.RunUntil(k.Now() + time.Minute) })
+	if allocs != 0 {
+		t.Errorf("revalidating a 12-radio cell allocates %.1f objects per minute, want 0", allocs)
+	}
+	if n := k.EventsRun() - ran; n < 2*11 {
+		t.Fatalf("%d revalidations over 11 minutes: the guard is not covering them", n)
 	}
 }
 

@@ -113,15 +113,15 @@ func (r *reading) captures(prev *reading, sigma, margin float64) bool {
 }
 
 // nbrEntry is one cached broadcast candidate: a node bucketed in the
-// transmitter's 3×3 grid neighborhood on the indexed path, every other
-// node on the full sweep. What the entry holds depends on whether the pair
-// can move (see candidates, which builds it, and inRange, which reads it):
+// transmitter's 3×3 grid neighborhood. What the entry holds depends on
+// whether the pair can move (see candidates, which builds it, and inRange,
+// which reads it):
 //
 //   - Two fixed radios (fixed set): the pair's geometry never changes, so
 //     the list build resolved it for good — dist is their distance, ls their
-//     link, and on the indexed path an entry exists only if the pair is
-//     within both the channel cutoff and the link's reach. The hot loop
-//     neither asks for a position nor tests a range.
+//     link, and an entry exists only if the pair is within both the channel
+//     cutoff and the link's reach. The hot loop neither asks for a position
+//     nor tests a range.
 //   - A pair with a mover: ls is resolved on the pair's first in-cutoff
 //     frame and memoized, so the steady-state broadcast probes no map and a
 //     link comes into being only for a pair that got within the cutoff (a
@@ -154,16 +154,15 @@ type node struct {
 	cur     *reception    // latest reception locking this receiver
 	down    bool          // radio muted by fault injection (SetDown)
 
-	// nbr caches the candidate list of the node's last broadcast. With
-	// nbrOK set it is a grid neighborhood in walk order, valid while the
-	// grid version and the node's query cell are unchanged — then a fresh
-	// walk would return the exact same nodes in the same order, so reuse
-	// is byte-identical. With nbrOK clear it is the full sweep's list:
-	// every other node in ID order, valid while the node count holds.
+	// nbr caches the candidate list of the node's last broadcast: a grid
+	// neighborhood in walk order, valid while the grid version and the
+	// node's query cell are unchanged — then a fresh walk would return the
+	// exact same nodes in the same order, so reuse is byte-identical.
+	// nbrVer 0 marks no list: a node is inserted, and the version bumped,
+	// before it can broadcast.
 	nbr     []nbrEntry
 	nbrVer  uint64
 	nbrCell uint64
-	nbrOK   bool
 }
 
 // Stats aggregates channel-level counters, used by the efficiency
@@ -220,7 +219,8 @@ func (ln *rxLane) put(r *reception) {
 // when the channel has no factory; on a channel with one both stay unused
 // and custom indexes the factory's model (ScheduleLink, FixedLink, a trace
 // replay) in Channel.models. reach caches the model's advertised Ranged
-// cutoff (+Inf when the model has none); only the indexed path consults it.
+// cutoff (+Inf when the model has none); the candidate lists and inRange
+// consult it.
 //
 // Links come from the channel's slab (newLink), 64-byte aligned and three
 // cache lines each; TestLinkLayout pins both.
@@ -305,16 +305,6 @@ func (t *txEnd) OnEvent() {
 	}
 }
 
-// DefaultIndexThreshold is the attached-node count at which a channel
-// switches to the spatially indexed hot path, unless
-// Params.IndexThresholdNodes overrides it. Every run at or above
-// the threshold skips out-of-range receivers entirely (their per-link
-// streams advance less — safe because streams are private per link and
-// the skipped draws are guaranteed losses); every run below it keeps the
-// historical full sweep, so seeded sub-threshold experiments are
-// byte-identical to prior versions.
-const DefaultIndexThreshold = 128
-
 // Channel is the shared broadcast medium. All attached nodes hear all
 // transmissions subject to the per-link LinkModel, half-duplex operation
 // and collision rules. The channel is single-threaded on the simulation
@@ -345,7 +335,7 @@ type Channel struct {
 	// flight instead of every attached node.
 	activeTx []*node
 	grid     *grid
-	cutoff   float64 // cached P.CutoffM()
+	cutoff   float64 // the reception cutoff (see NewChannel); +Inf on a reach-less channel
 	// revalAt is the timestamp of the earliest pending revalidation event;
 	// revalPending is false when none is scheduled. Revalidation is
 	// event-driven (scheduled at the grid's exact drift deadlines) rather
@@ -353,9 +343,11 @@ type Channel struct {
 	// pure function of node positions and speed bounds — never of when the
 	// local traffic happened to query the index. Sharded runs depend on
 	// that: every shard sees identical bucket state at identical times.
+	// reval is the one handler every revalidation event runs.
 	revalAt      time.Duration
 	revalPending bool
-	// shard, when non-nil, fans each indexed broadcast's delivery
+	reval        revalidation
+	// shard, when non-nil, fans each broadcast's delivery
 	// decisions out across stripe-owned worker lanes (see shard.go).
 	// Byte-identity with serial holds by construction: one kernel, one
 	// event order, same per-link streams, commit in candidate order.
@@ -371,39 +363,42 @@ type Channel struct {
 // NewChannel creates a channel over the kernel with the given parameters.
 // If factory is nil, independent FadingLinks are created per directed pair,
 // each seeded from the kernel's labeled RNG streams.
+//
+// The channel's reception cutoff alone sizes its grid: the grid serves only
+// Broadcast — carrier sense scans the active-transmitter list — so folding
+// SenseRangeM in would only inflate the candidate sets. With no factory it is
+// CutoffM, which describes exactly the links newLink builds by default. A
+// custom factory may install models the fading parameters say nothing
+// about (FixedLink, ScheduleLink, trace replays), so only an explicit
+// MaxRangeM cuts its deliveries off. A channel left without a finite
+// cutoff — such a factory, or degenerate fading Params — is reach-less: its
+// cutoff is +Inf, every position falls in cell (0,0), and its one-cell grid
+// decides every receiver in attach order, which is the full sweep (DESIGN
+// §6).
 func NewChannel(k *sim.Kernel, p Params, factory LinkFactory) *Channel {
 	c := &Channel{K: k, P: p, factory: factory, lazy: map[uint64]*linkState{}}
+	c.cutoff = p.MaxRangeM
 	if factory == nil {
-		// The fading-derived cutoff (CutoffM) describes exactly the links
-		// newLink builds by default, so the indexed path may rely on it.
 		c.cutoff = p.CutoffM()
-	} else {
-		// A custom factory may install models the fading parameters say
-		// nothing about (FixedLink, ScheduleLink, trace replays), so the
-		// indexed cutoff applies only when the caller sets an explicit
-		// MaxRangeM; otherwise the channel keeps the full sweep at any
-		// population rather than silently dropping long-range deliveries.
-		c.cutoff = p.MaxRangeM
 	}
+	if !(c.cutoff > 0) {
+		c.cutoff = math.Inf(1)
+	}
+	c.grid = newGrid(c.cutoff)
+	c.reval.c = c
 	return c
 }
 
 // NewChannelSized is NewChannel with a capacity hint from a caller that
 // knows the deployment size up front (scenario generators, fleet cells).
-// The hint pre-sizes the node table.
+// The hint pre-sizes the node table and the grid's.
 func NewChannelSized(k *sim.Kernel, p Params, factory LinkFactory, capacity int) *Channel {
 	c := NewChannel(k, p, factory)
 	if capacity > 0 {
 		c.nodes = make([]*node, 0, capacity)
+		c.grid.nodes = make([]gridNode, 0, capacity)
 	}
 	return c
-}
-
-// indexed reports whether Broadcast uses the spatial grid. It requires a
-// finite cutoff; degenerate Params (no fading falloff, no MaxRangeM)
-// keep the full sweep at any size.
-func (c *Channel) indexed() bool {
-	return len(c.nodes) >= c.P.IndexThreshold() && c.cutoff > 0
 }
 
 // maxSlabLinks caps a slab chunk: 48 KB, which is also the most a channel
@@ -459,17 +454,14 @@ func pairKey(from, to NodeID) uint64 {
 // link state is built here — pairs are instantiated when a broadcast first
 // needs them — so a large fleet never pays O(N²) link memory or a quadratic
 // attach cost. What is recorded is the mover's speed bound: a node that
-// advertises exactly 0 is a fixed radio for as long as it is attached.
+// advertises exactly 0 is a fixed radio for as long as it is attached. The
+// node is bucketed in the grid at once, so bucket order is attach order.
 func (c *Channel) Attach(name string, mover mobility.Mover, recv Receiver) NodeID {
 	id := NodeID(len(c.nodes))
 	n := &node{id: id, name: name, mover: mover, speed: speedBound(mover), recv: recv}
 	c.nodes = append(c.nodes, n)
-	if c.grid != nil {
-		c.grid.insert(n, c.K.Now())
-		c.scheduleReval()
-	} else if c.indexed() {
-		c.buildGrid()
-	}
+	c.grid.insert(n, c.K.Now())
+	c.scheduleReval()
 	return id
 }
 
@@ -685,14 +677,13 @@ func (c *Channel) scheduleTxEnd(src *node, txDone sim.Handler, end time.Duration
 
 // candidates returns src's broadcast candidate list, rebuilding the
 // per-transmitter cache when it went stale, so the steady-state broadcast
-// does no map lookups at all. Below the index threshold the list is every
-// other node in ID order (nbrOK clear), valid while the node count holds.
-// On the indexed path it is the 3×3 grid neighborhood in walk order
-// (nbrOK set), valid while the grid version and the transmitter's query
+// does no map lookups at all. The list is the 3×3 grid neighborhood in
+// walk order, valid while the grid version and the transmitter's query
 // cell hold still (stationary nodes: until the next bucket change
 // anywhere; movers: also bounded by their own cell crossings) — then a
 // fresh walk would return the exact same nodes in the same order, so
-// reuse is byte-identical.
+// reuse is byte-identical. On a reach-less channel it is every other node
+// in ID order, valid until the next attach.
 //
 // It is the one place a list is built, and it settles here everything a
 // pair's geometry fixes (addCandidate). A pair with a mover keeps its link
@@ -705,24 +696,12 @@ func (c *Channel) scheduleTxEnd(src *node, txDone sim.Handler, end time.Duration
 // links in the fringe (inside the 3×3 cells but beyond the cutoff) the
 // lazy path would have skipped.
 func (c *Channel) candidates(src *node, srcPos mobility.Point, now time.Duration) []nbrEntry {
-	if !c.indexed() {
-		if src.nbrOK || len(src.nbr) != len(c.nodes)-1 {
-			src.nbr = src.nbr[:0]
-			src.nbrOK = false
-			for _, dst := range c.nodes {
-				if dst != src {
-					c.addCandidate(src, dst, srcPos, now, 0, 0)
-				}
-			}
-		}
-		return src.nbr
-	}
-	g := c.ensureGrid(now)
+	g := c.grid
 	cell := g.cellKey(srcPos)
-	if !src.nbrOK || src.nbrVer != g.version || src.nbrCell != cell {
+	if src.nbrVer != g.version || src.nbrCell != cell {
 		lanes := c.ShardLanes()
 		src.nbr = src.nbr[:0]
-		src.nbrOK, src.nbrVer, src.nbrCell = true, g.version, cell
+		src.nbrVer, src.nbrCell = g.version, cell
 		g.neighborhood(srcPos, func(id NodeID, cellX int32) {
 			if id != src.id {
 				c.addCandidate(src, c.nodes[id], srcPos, now, cellX, lanes)
@@ -732,25 +711,23 @@ func (c *Channel) candidates(src *node, srcPos mobility.Point, now time.Duration
 	return src.nbr
 }
 
-// addCandidate appends dst to the list candidates is building for src
-// (src.nbrOK already says which kind). Two fixed radios are resolved for
-// good: their distance now is their distance on every later frame, so it
-// is stored, the link is materialized, and on the indexed path the pair is
-// left out when it lies beyond the channel cutoff or the link's reach —
-// the very `continue` inRange would otherwise take for it on every frame,
-// before any draw. The full sweep never skips by range, so there the pair
-// stays listed with its distance. Under lanes every listed pair gets its
-// link and its stripe owner.
+// addCandidate appends dst to the list candidates is building for src. Two
+// fixed radios are resolved for good: their distance now is their distance
+// on every later frame, so it is stored, the link is materialized, and the
+// pair is left out when it lies beyond the channel cutoff or the link's
+// reach — the very `continue` inRange would otherwise take for it on every
+// frame, before any draw. Under lanes every listed pair gets its link and
+// its stripe owner.
 func (c *Channel) addCandidate(src, dst *node, srcPos mobility.Point, now time.Duration, cellX int32, lanes int) {
 	nb := nbrEntry{dst: dst}
 	if src.speed == 0 && dst.speed == 0 {
 		nb.fixed = true
 		nb.dist = srcPos.Dist(dst.mover.Position(now))
-		if src.nbrOK && nb.dist > c.cutoff {
+		if nb.dist > c.cutoff {
 			return
 		}
 		nb.ls = c.link(src.id, dst.id)
-		if src.nbrOK && nb.dist > nb.ls.reach {
+		if nb.dist > nb.ls.reach {
 			return
 		}
 	}
@@ -767,14 +744,11 @@ func (c *Channel) addCandidate(src, dst *node, srcPos mobility.Point, now time.D
 // it reports nb's distance from the transmitter and whether the delivery
 // decision runs for it, leaving nb.ls resolved when it does.
 //
-// An indexed list skips receivers beyond the channel cutoff — or beyond
-// the link model's own advertised reach — entirely, so neither their
-// loss/noise streams nor any collision state is touched. Per-link streams
-// make that safe: the skipped draws are guaranteed losses, and every other
-// link's flips are unchanged. The full sweep never skips by range — a
-// receiver far beyond any cutoff still draws its RSSI noise and its
-// (losing) coin, because the seeded paper-figure runs are pinned with
-// those draws consumed.
+// A receiver beyond the channel cutoff — or beyond the link model's own
+// advertised reach — is skipped entirely, so neither its loss/noise streams
+// nor any collision state is touched. Per-link streams make that safe: the
+// skipped draws are guaranteed losses, and every other link's flips are
+// unchanged. On a reach-less channel neither test ever skips.
 //
 // A fixed pair was range-tested once, by addCandidate. For a pair with a
 // mover a failed cutoff test at distance d also says when the next one can
@@ -786,22 +760,18 @@ func (c *Channel) inRange(src *node, srcPos mobility.Point, nb *nbrEntry, now ti
 	if nb.fixed {
 		return nb.dist, true
 	}
-	ranged := src.nbrOK
-	if ranged && now < nb.farUntil {
+	if now < nb.farUntil {
 		return 0, false
 	}
 	dist := srcPos.Dist(nb.dst.mover.Position(now))
-	if ranged && dist > c.cutoff {
+	if dist > c.cutoff {
 		nb.farUntil = closingTime(now, dist-c.cutoff, src.speed+nb.dst.speed)
 		return dist, false
 	}
 	if nb.ls == nil {
 		nb.ls = c.link(src.id, nb.dst.id)
 	}
-	if ranged && dist > nb.ls.reach {
-		return dist, false
-	}
-	return dist, true
+	return dist, !(dist > nb.ls.reach)
 }
 
 // closingTime returns the earliest instant at which a gap of gapM meters
@@ -815,17 +785,16 @@ func closingTime(now time.Duration, gapM, speedMPS float64) time.Duration {
 	return never
 }
 
-// Indexed reports whether the channel is running the spatially indexed
-// broadcast path (and therefore maintains the neighbor grid).
-func (c *Channel) Indexed() bool { return c.indexed() }
+// Indexed reports whether the channel runs the spatially indexed broadcast
+// path. Every channel does — a reach-less one on its one-cell grid — so it
+// always reports true.
+func (c *Channel) Indexed() bool { return true }
 
 // NeighborIDs appends to buf the IDs of the nodes currently bucketed in
 // the 3×3 grid neighborhood of id's position, excluding id itself, and
 // returns the extended slice. It is a read-only diagnostic view of the
-// index as the last Broadcast left it — it never inserts, rebuckets or
-// revalidates, so calling it cannot perturb delivery order. Before the
-// first indexed broadcast (or below the index threshold) it falls back
-// to every other attached node.
+// index — it never inserts, rebuckets or revalidates, so calling it cannot
+// perturb delivery order. On a reach-less channel it is every other node.
 //
 // The neighborhood over-approximates radio range: it is the candidate
 // set Broadcast would filter by exact distance, not the set of reachable
@@ -833,40 +802,13 @@ func (c *Channel) Indexed() bool { return c.indexed() }
 // probability estimates legitimately outlive range — which is why only
 // instrumentation and tests consume it.
 func (c *Channel) NeighborIDs(id NodeID, buf []NodeID) []NodeID {
-	g := c.grid
-	if !c.indexed() || g == nil {
-		for _, n := range c.nodes {
-			if n.id != id {
-				buf = append(buf, n.id)
-			}
-		}
-		return buf
-	}
 	pos := c.nodes[id].mover.Position(c.K.Now())
-	g.neighborhood(pos, func(nid NodeID, _ int32) {
+	c.grid.neighborhood(pos, func(nid NodeID, _ int32) {
 		if nid != id {
 			buf = append(buf, nid)
 		}
 	})
 	return buf
-}
-
-// buildGrid creates the spatial index and buckets every attached node at
-// its current position. Called from Attach the moment the channel crosses
-// the index threshold, so insertion order is attachment order and bucket
-// state never depends on when the first broadcast happens.
-func (c *Channel) buildGrid() {
-	// Cells are sized by the reception cutoff alone: the grid serves
-	// only Broadcast — carrier sense scans the active-transmitter
-	// list, never the grid — so folding SenseRangeM in would only
-	// inflate the candidate sets.
-	g := newGrid(c.cutoff)
-	c.grid = g
-	now := c.K.Now()
-	for _, n := range c.nodes {
-		g.insert(n, now)
-	}
-	c.scheduleReval()
 }
 
 // scheduleReval arranges a kernel event at the grid's earliest drift
@@ -877,7 +819,7 @@ func (c *Channel) buildGrid() {
 // can lower nextDeadline) reschedules itself without sweeping.
 func (c *Channel) scheduleReval() {
 	g := c.grid
-	if g == nil || g.nextDeadline == never {
+	if g.nextDeadline == never {
 		return
 	}
 	if c.revalPending && c.revalAt <= g.nextDeadline {
@@ -885,33 +827,22 @@ func (c *Channel) scheduleReval() {
 	}
 	c.revalPending = true
 	c.revalAt = g.nextDeadline
-	at := g.nextDeadline
-	c.K.At(at, func() {
-		if c.revalAt == at {
-			c.revalPending = false
-		}
-		g := c.grid
-		if g != nil && c.K.Now() >= g.nextDeadline {
-			g.revalidate(c.nodes, c.K.Now())
-		}
-		c.scheduleReval()
-	})
+	c.K.AtHandler(g.nextDeadline, &c.reval)
 }
 
-// ensureGrid returns the spatial index, folding in any nodes attached
-// since it was built. Revalidation is not triggered here — it runs on its
-// own scheduled deadlines (see scheduleReval).
-func (c *Channel) ensureGrid(now time.Duration) *grid {
-	g := c.grid
-	if g == nil {
-		c.buildGrid()
-		g = c.grid
+// revalidation is the channel's revalidation event. Every one it schedules
+// runs the same handler: an event fires at the instant it was scheduled
+// for, so the clock says which deadline it is.
+type revalidation struct{ c *Channel }
+
+func (r *revalidation) OnEvent() {
+	c := r.c
+	now := c.K.Now()
+	if c.revalAt == now {
+		c.revalPending = false
 	}
-	for len(g.nodes) < len(c.nodes) {
-		g.insert(c.nodes[len(g.nodes)], now)
-		c.scheduleReval()
-	}
-	return g
+	c.grid.revalidate(c.nodes, now)
+	c.scheduleReval()
 }
 
 // deliver decides the reception of one frame at one node — the single
@@ -925,7 +856,7 @@ func (c *Channel) deliver(ln *rxLane, src, dst *node, ls *linkState, dist float6
 	if dst.down {
 		// Muted receiver: skipped before any draw, so only this directed
 		// pair's private streams advance less — a guaranteed loss, same
-		// argument as the indexed path's out-of-range skip.
+		// argument as the out-of-range skip.
 		return nil
 	}
 	// The link's model is advanced to now by every decision, here. A

@@ -1,6 +1,7 @@
 package radio
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -102,11 +103,11 @@ func TestSetDownBusySensesIdle(t *testing.T) {
 // exact reception trace (time, source, RSSI) observed at the listening
 // node. Fading links and RSSI noise make every delivery consume RNG
 // draws, so any stream perturbation shows up as a trace difference.
-func receptionLog(t *testing.T, threshold int, downMid NodeID) []RxInfo {
+func receptionLog(t *testing.T, maxRangeM float64, downMid NodeID) []RxInfo {
 	t.Helper()
 	k := sim.NewKernel(23)
 	p := DefaultParams()
-	p.IndexThresholdNodes = threshold
+	p.MaxRangeM = maxRangeM
 	c := NewChannel(k, p, nil) // default fading links: loss+noise draws per delivery
 	var rx collector
 	src := c.Attach("src", mobility.Fixed{}, nil)
@@ -131,20 +132,20 @@ func receptionLog(t *testing.T, threshold int, downMid NodeID) []RxInfo {
 // TestSetDownStreamStability is the satellite contract: muting a
 // bystander must leave every live pair's RNG draws untouched, so the
 // listener's reception trace is byte-identical with and without the
-// bystander's outage — on both the dense full-sweep path and the
-// spatially indexed path.
+// bystander's outage — on a reach-less channel's one-cell grid (the full
+// sweep) and on the default cutoff's grid.
 func TestSetDownStreamStability(t *testing.T) {
 	cases := []struct {
 		name      string
-		threshold int
+		maxRangeM float64
 	}{
-		{"dense", 1 << 20}, // threshold above population: full sweep
-		{"indexed", 2},     // threshold below population: grid path
+		{"reach-less", math.Inf(1)},
+		{"cutoff", 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			base := receptionLog(t, tc.threshold, NodeID(-1))
-			faulted := receptionLog(t, tc.threshold, NodeID(2))
+			base := receptionLog(t, tc.maxRangeM, NodeID(-1))
+			faulted := receptionLog(t, tc.maxRangeM, NodeID(2))
 			if len(base) == 0 {
 				t.Fatal("baseline run delivered nothing; test is vacuous")
 			}

@@ -7,10 +7,13 @@ import (
 	"github.com/vanlan/vifi/internal/mobility"
 )
 
-// This file implements the channel's uniform spatial grid: above the
-// index threshold, Broadcast queries the 3×3 cell neighborhood of the
-// transmitter instead of sweeping every attached node, so per-frame cost
-// is O(nodes within range), not O(N).
+// This file implements the channel's uniform spatial grid: Broadcast
+// queries the 3×3 cell neighborhood of the transmitter instead of sweeping
+// every attached node, so per-frame cost is O(nodes within range), not
+// O(N). A reach-less channel's grid has cutoff +Inf: its cells are
+// infinite, every position falls in cell (0,0), no mover ever has to be
+// re-bucketed, and the walk is that one bucket in attach order — every
+// other node in ID order.
 //
 // Correctness invariant: a receiver whose true position is within the
 // channel cutoff of the transmitter must appear in the queried
@@ -31,9 +34,9 @@ import (
 // distances and applies the cutoff per receiver, so false positives cost
 // one distance check and false negatives cannot occur.
 
-// gridSlackFrac sizes the revalidation slack as a fraction of the base
-// cell edge (max of cutoff and carrier-sense range). Larger slack means
-// bigger cells (more candidates per query) but rarer re-bucketing.
+// gridSlackFrac sizes the revalidation slack as a fraction of the
+// reception cutoff. Larger slack means bigger cells (more candidates per
+// query) but rarer re-bucketing.
 const gridSlackFrac = 0.25
 
 // defaultSpeedBoundMPS bounds movers that do not advertise a speed via
@@ -58,7 +61,10 @@ type gridNode struct {
 // a-priori bounds; bucket slices are reused across re-bucketing, so the
 // steady state allocates nothing.
 type grid struct {
-	cellM   float64
+	cellM float64
+	// slackM is how far a node may drift from its recorded position before
+	// it is re-bucketed. Its deadline is closingTime over that gap: never
+	// when no Duration holds it, as on a one-cell grid, whose slack is +Inf.
 	slackM  float64
 	buckets map[uint64][]NodeID
 	nodes   []gridNode // indexed by NodeID, dense in attach order
@@ -73,12 +79,11 @@ type grid struct {
 	version uint64
 }
 
-// newGrid sizes the index for the given base range (max of the channel
-// cutoff and the carrier-sense range).
-func newGrid(baseM float64) *grid {
-	slack := baseM * gridSlackFrac
+// newGrid sizes the index for the channel's reception cutoff.
+func newGrid(cutoffM float64) *grid {
+	slack := cutoffM * gridSlackFrac
 	return &grid{
-		cellM:        baseM + slack,
+		cellM:        cutoffM + slack,
 		slackM:       slack,
 		buckets:      map[uint64][]NodeID{},
 		nextDeadline: never,
@@ -121,19 +126,13 @@ func (g *grid) insert(n *node, now time.Duration) {
 	g.version++
 	gn := gridNode{key: key, deadline: never}
 	if n.speed > 0 {
-		gn.deadline = now + g.driftBudget(n.speed)
+		gn.deadline = closingTime(now, g.slackM, n.speed)
 		g.moving = append(g.moving, id)
 		if gn.deadline < g.nextDeadline {
 			g.nextDeadline = gn.deadline
 		}
 	}
 	g.nodes = append(g.nodes, gn)
-}
-
-// driftBudget converts the slack distance into a revalidation period for
-// the given speed bound.
-func (g *grid) driftBudget(speed float64) time.Duration {
-	return time.Duration(g.slackM / speed * float64(time.Second))
 }
 
 // revalidate refreshes the moving nodes once the earliest deadline has
@@ -179,7 +178,7 @@ func (g *grid) rebucket(n *node, now time.Duration) {
 		g.version++
 		gn.key = key
 	}
-	gn.deadline = now + g.driftBudget(n.speed)
+	gn.deadline = closingTime(now, g.slackM, n.speed)
 }
 
 // neighborhood invokes visit for every node bucketed in the 3×3 cells

@@ -1,7 +1,9 @@
 package radio
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -10,24 +12,26 @@ import (
 )
 
 // runDense drives a compact deployment — every pair well inside the
-// cutoff and every link's advertised reach — under the given index
-// threshold and returns per-node delivery counts plus channel stats.
-// With no pair ever out of range the indexed path skips no draws, so
-// forcing the threshold low (indexed) or high (full sweep) must produce
+// cutoff and every link's advertised reach — under the given MaxRangeM and
+// returns per-node delivery counts plus channel stats. The lattice
+// straddles the origin, so the default cutoff's grid splits it over four
+// cells and walks it out of ID order; MaxRangeM = +Inf makes the channel
+// reach-less, one cell walked in ID order — a full sweep. With no pair
+// ever out of range the grid skips no draws, so both must produce
 // identical outcomes from identical seeds.
-func runDense(t *testing.T, threshold int) ([]int, Stats) {
+func runDense(t *testing.T, maxRangeM float64) ([]int, Stats) {
 	t.Helper()
 	const n = 140
 	k := sim.NewKernel(33)
 	p := DefaultParams()
-	p.IndexThresholdNodes = threshold
+	p.MaxRangeM = maxRangeM
 	c := NewChannel(k, p, nil) // independent fading links
 	recv := make([]int, n)
 	for i := 0; i < n; i++ {
 		i := i
 		// A 12×12-ish lattice, 30 m pitch: max separation ≈ 470 m, far
 		// below the ~1 km cutoff and any per-link reach.
-		pos := mobility.Point{X: float64(i%12) * 30, Y: float64(i/12) * 30}
+		pos := mobility.Point{X: float64(i%12)*30 - 165, Y: float64(i/12)*30 - 165}
 		c.Attach(string(rune('A'+i%26)), mobility.Fixed(pos), ReceiverFunc(func([]byte, RxInfo) { recv[i]++ }))
 	}
 	payload := make([]byte, 120)
@@ -43,13 +47,13 @@ func runDense(t *testing.T, threshold int) ([]int, Stats) {
 }
 
 // TestIndexedMatchesSweepWhenAllInRange is the equivalence half of the
-// determinism contract: as long as no receiver is out of range, the
-// spatially indexed path and the historical full sweep draw the same
+// determinism contract: as long as no receiver is out of range, a grid of
+// many cells and the one-cell grid that is the full sweep draw the same
 // per-link coins and deliver the same frames — only the bucket-driven
 // iteration order differs, which no outcome depends on.
 func TestIndexedMatchesSweepWhenAllInRange(t *testing.T) {
-	sweepRecv, sweepStats := runDense(t, 1000) // threshold above N: full sweep
-	idxRecv, idxStats := runDense(t, 8)        // threshold below N: indexed
+	sweepRecv, sweepStats := runDense(t, math.Inf(1))
+	idxRecv, idxStats := runDense(t, 0)
 	if sweepStats != idxStats {
 		t.Errorf("stats diverged: sweep %+v vs indexed %+v", sweepStats, idxStats)
 	}
@@ -63,6 +67,87 @@ func TestIndexedMatchesSweepWhenAllInRange(t *testing.T) {
 	}
 }
 
+// listedIDs returns the receivers of a node's cached candidate list, in
+// the order its broadcasts decide them.
+func listedIDs(n *node) []NodeID {
+	ids := make([]NodeID, len(n.nbr))
+	for i, nb := range n.nbr {
+		ids[i] = nb.dst.id
+	}
+	return ids
+}
+
+// othersInOrder is every attached node but src, in NodeID order.
+func othersInOrder(c *Channel, src NodeID) []NodeID {
+	var ids []NodeID
+	for id := NodeID(0); int(id) < c.NumNodes(); id++ {
+		if id != src {
+			ids = append(ids, id)
+		}
+	}
+	return ids
+}
+
+// TestSmallCellsDecideInNodeIDOrder: a reach-less FixedLink channel and a
+// 12-radio VanLAN cell on default links both decide every receiver of
+// every broadcast, in NodeID order — what a full sweep over the attached
+// radios decides — while the VanLAN vehicle drives its loop across
+// revalidations. The upcalls of each transmission come in that order too.
+// The paper figures' bytes rest on it.
+func TestSmallCellsDecideInNodeIDOrder(t *testing.T) {
+	v := mobility.NewVanLAN()
+	for _, tc := range []struct {
+		name    string
+		factory LinkFactory
+	}{
+		{"reach-less FixedLink", func(from, to NodeID) LinkModel { return FixedLink(1) }},
+		{"VanLAN default links", nil},
+	} {
+		k := sim.NewKernel(41)
+		c := NewChannel(k, DefaultParams(), tc.factory)
+		type upcall struct {
+			from, to NodeID
+			at       time.Duration
+		}
+		var log []upcall
+		attach := func(m mobility.Mover) {
+			id := NodeID(c.NumNodes())
+			c.Attach(fmt.Sprint(id), m, ReceiverFunc(func(_ []byte, info RxInfo) {
+				log = append(log, upcall{info.From, id, info.At})
+			}))
+		}
+		for _, bs := range v.BSes {
+			attach(mobility.Fixed(bs))
+		}
+		attach(&mobility.RouteMover{Route: v.Route})
+		if c.NumNodes() != 12 {
+			t.Fatalf("%s: %d radios, want 12", tc.name, c.NumNodes())
+		}
+		for step := 0; step < 1500; step++ {
+			src := NodeID(step % 12)
+			if c.Transmitting(src) {
+				continue
+			}
+			c.Broadcast(src, make([]byte, 100), nil)
+			if got, want := listedIDs(c.nodes[src]), othersInOrder(c, src); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: step %d: node %d decides %v, want %v", tc.name, step, src, got, want)
+			}
+			k.RunUntil(k.Now() + 100*time.Millisecond)
+		}
+		if veh := c.grid.nodes[11]; tc.factory == nil && veh.deadline < 100*time.Second {
+			t.Errorf("%s: vehicle's drift deadline %v after 150 s: it was not revalidated along the loop", tc.name, veh.deadline)
+		}
+		if len(log) == 0 {
+			t.Fatalf("%s: nothing delivered", tc.name)
+		}
+		for i := 1; i < len(log); i++ {
+			if prev := log[i-1]; prev.from == log[i].from && prev.at == log[i].at && prev.to >= log[i].to {
+				t.Fatalf("%s: upcalls of one transmission out of NodeID order: %d then %d", tc.name, prev.to, log[i].to)
+			}
+		}
+	}
+}
+
 // TestIndexedSkipsOutOfRange pins the cutoff semantics of the indexed
 // path: receivers beyond Params.MaxRangeM never receive, never consume
 // link randomness, and never appear in the loss statistics, while
@@ -70,7 +155,6 @@ func TestIndexedMatchesSweepWhenAllInRange(t *testing.T) {
 func TestIndexedSkipsOutOfRange(t *testing.T) {
 	k := sim.NewKernel(5)
 	p := DefaultParams()
-	p.IndexThresholdNodes = 2
 	p.MaxRangeM = 400
 	c := NewChannel(k, p, func(from, to NodeID) LinkModel { return FixedLink(1) })
 	var near, far int
@@ -99,26 +183,56 @@ func TestIndexedSkipsOutOfRange(t *testing.T) {
 // TestCustomFactoryNeedsExplicitCutoff pins the opt-in rule for custom
 // link factories: the fading-derived cutoff describes only the default
 // factory's links, so a channel whose factory installs its own models
-// (trace replays, fixed links) keeps the full sweep at any population —
-// long-range deliveries must not silently vanish when a fleet crosses
-// the index threshold — unless Params.MaxRangeM states a cutoff.
+// (trace replays, fixed links) cuts nothing off — it is reach-less, one
+// grid cell, and a FixedLink(1) receiver 50 km out still hears every frame
+// — unless Params.MaxRangeM states a cutoff.
 func TestCustomFactoryNeedsExplicitCutoff(t *testing.T) {
-	k := sim.NewKernel(15)
-	p := DefaultParams()
-	p.IndexThresholdNodes = 4
-	c := NewChannel(k, p, func(from, to NodeID) LinkModel { return FixedLink(1) })
-	var far int
-	a := c.Attach("a", mobility.Fixed{}, nil)
-	c.Attach("b", mobility.Fixed{X: 50}, nil)
-	c.Attach("c", mobility.Fixed{X: 100}, nil)
-	c.Attach("far", mobility.Fixed{X: 50000}, ReceiverFunc(func([]byte, RxInfo) { far++ }))
-	if c.indexed() {
-		t.Fatal("custom factory without MaxRangeM must not engage the indexed path")
+	for _, tc := range []struct {
+		maxRangeM float64
+		want      int
+	}{{0, 1}, {400, 0}} {
+		k := sim.NewKernel(15)
+		p := DefaultParams()
+		p.MaxRangeM = tc.maxRangeM
+		c := NewChannel(k, p, func(from, to NodeID) LinkModel { return FixedLink(1) })
+		var far int
+		a := c.Attach("a", mobility.Fixed{}, nil)
+		c.Attach("b", mobility.Fixed{X: 50}, nil)
+		c.Attach("c", mobility.Fixed{X: 100}, nil)
+		c.Attach("far", mobility.Fixed{X: 50000}, ReceiverFunc(func([]byte, RxInfo) { far++ }))
+		if reachLess := math.IsInf(c.cutoff, 1); reachLess != (tc.maxRangeM == 0) {
+			t.Fatalf("MaxRangeM %v: cutoff %v", tc.maxRangeM, c.cutoff)
+		}
+		c.Broadcast(a, make([]byte, 100), nil)
+		k.Run()
+		if far != tc.want {
+			t.Errorf("MaxRangeM %v: 50 km FixedLink(1) receiver got %d frames, want %d", tc.maxRangeM, far, tc.want)
+		}
 	}
-	c.Broadcast(a, make([]byte, 100), nil)
-	k.Run()
-	if far != 1 {
-		t.Errorf("50 km FixedLink(1) receiver got %d frames, want 1 (full sweep)", far)
+}
+
+// TestReachLessGridIsOneCell: a +Inf cutoff floors every position —
+// negative, huge, fractional — to cell (0,0), and a mover on it never gets
+// a revalidation deadline: closingTime turns the infinite slack into never
+// rather than a Duration conversion of +Inf.
+func TestReachLessGridIsOneCell(t *testing.T) {
+	g := newGrid(math.Inf(1))
+	for _, p := range []mobility.Point{{}, {X: -1e7, Y: 3}, {X: 1e15, Y: -1e15}, {X: -0.5, Y: 0.5}} {
+		if key := g.cellKey(p); key != packCell(0, 0) {
+			t.Errorf("position %+v in cell %#x, want (0,0)", p, key)
+		}
+	}
+	for _, v := range []float64{1e-9, 11, defaultSpeedBoundMPS, 1e12} {
+		if d := closingTime(time.Hour, g.slackM, v); d != never {
+			t.Errorf("speed %v: drift deadline %v, want never", v, d)
+		}
+	}
+	k := sim.NewKernel(3)
+	c := NewChannel(k, DefaultParams(), func(from, to NodeID) LinkModel { return FixedLink(1) })
+	c.Attach("bs", mobility.Fixed{X: -5000}, nil)
+	c.Attach("veh", &mobility.RouteMover{Route: mobility.NewVanLAN().Route}, nil)
+	if k.Pending() != 0 || c.revalPending {
+		t.Errorf("a reach-less channel scheduled a revalidation (%d pending)", k.Pending())
 	}
 }
 
@@ -129,7 +243,6 @@ func TestCustomFactoryNeedsExplicitCutoff(t *testing.T) {
 func TestIndexedMovingReceiverRevalidation(t *testing.T) {
 	k := sim.NewKernel(6)
 	p := DefaultParams()
-	p.IndexThresholdNodes = 2
 	p.MaxRangeM = 200
 	p.SenseRangeM = 100
 	c := NewChannel(k, p, func(from, to NodeID) LinkModel { return FixedLink(1) })
@@ -180,7 +293,6 @@ func TestUnusableSpeedBoundIsUnknown(t *testing.T) {
 	for _, bad := range []float64{-1, math.NaN(), math.Inf(-1)} {
 		k := sim.NewKernel(6)
 		p := DefaultParams()
-		p.IndexThresholdNodes = 2
 		p.MaxRangeM = 200 // 250 m cells
 		c := NewChannel(k, p, func(from, to NodeID) LinkModel { return FixedLink(1) })
 		bs := c.Attach("bs", mobility.Fixed{}, nil)
@@ -331,31 +443,26 @@ func TestSetCurRecyclesDisplacedRecord(t *testing.T) {
 	}
 }
 
-// TestLinksInstantiateOnFirstContact pins the one link-table layout on
-// both sides of the index threshold: attaching builds no link state at
-// any population, and traffic instantiates exactly the directed pairs it
-// uses — every other node on the full sweep, the in-range ones only on
-// the indexed path.
+// TestLinksInstantiateOnFirstContact pins the one link-table layout with
+// and without a cutoff: attaching builds no link state at any population,
+// and traffic instantiates exactly the directed pairs it uses — every
+// other node on a reach-less channel, the ones within the cutoff otherwise.
 func TestLinksInstantiateOnFirstContact(t *testing.T) {
 	// 8 nodes 600 m apart: only node 1 is within node 0's ≈1060 m cutoff.
 	for _, tc := range []struct {
 		name      string
-		threshold int
-		indexed   bool
+		maxRangeM float64
 		want      int
 	}{
-		{"sweep", 16, false, 7},
-		{"indexed", 4, true, 1},
+		{"reach-less", math.Inf(1), 7},
+		{"cutoff", 0, 1},
 	} {
 		k := sim.NewKernel(11)
 		p := DefaultParams()
-		p.IndexThresholdNodes = tc.threshold
+		p.MaxRangeM = tc.maxRangeM
 		c := NewChannelSized(k, p, nil, 8)
 		for i := 0; i < 8; i++ {
 			c.Attach("n", mobility.Fixed{X: float64(i) * 600}, nil)
-		}
-		if c.Indexed() != tc.indexed {
-			t.Fatalf("%s: Indexed() = %v", tc.name, c.Indexed())
 		}
 		if len(c.lazy) != 0 {
 			t.Fatalf("%s: %d links before any traffic", tc.name, len(c.lazy))
@@ -371,22 +478,21 @@ func TestLinksInstantiateOnFirstContact(t *testing.T) {
 			if from := key >> 32; from != 0 {
 				t.Fatalf("%s: link from %d instantiated, only node 0 transmitted", tc.name, from)
 			}
-			if d := float64(uint32(key)) * 600; tc.indexed && d > c.cutoff {
+			if d := float64(uint32(key)) * 600; d > c.cutoff {
 				t.Fatalf("%s: link to a node %.0f m away, beyond the %.0f m cutoff", tc.name, d, c.cutoff)
 			}
 		}
 	}
 }
 
-// TestThresholdCrossingMigratesLazy pins the mid-attach sweep→index
-// switch: traffic before the crossing instantiates links on the sweep,
-// traffic after it runs indexed over the same table, and a channel told
-// the final size up front is indistinguishable from one that was not.
-func TestThresholdCrossingMigratesLazy(t *testing.T) {
+// TestAttachMidTrafficMatchesSizeHint: radios attached between broadcasts
+// join the grid at once and every stale candidate list is rebuilt over the
+// same link table, so a channel told the final size up front is
+// indistinguishable from one that was not.
+func TestAttachMidTrafficMatchesSizeHint(t *testing.T) {
 	run := func(hint int) Stats {
 		k := sim.NewKernel(12)
 		p := DefaultParams()
-		p.IndexThresholdNodes = 10
 		var c *Channel
 		if hint > 0 {
 			c = NewChannelSized(k, p, nil, hint)
@@ -405,14 +511,8 @@ func TestThresholdCrossingMigratesLazy(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			c.Attach("n", mobility.Fixed{X: float64(i) * 25}, nil)
 			if i == 8 {
-				if c.Indexed() {
-					t.Fatal("channel indexed below the threshold")
-				}
 				drive(9, 12)
 			}
-		}
-		if !c.Indexed() {
-			t.Fatal("channel past the threshold still sweeps")
 		}
 		drive(20, 30)
 		k.Run()

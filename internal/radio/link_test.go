@@ -242,9 +242,6 @@ func runStatic(t *testing.T, advertise bool, lanes int) ([][]RxInfo, Stats) {
 		route := mobility.NewRoute([]mobility.Point{{X: -1500, Y: y}, {X: 7000, Y: y}}, 45, true)
 		attach(fixed+i, &mobility.RouteMover{Route: route})
 	}
-	if !c.Indexed() {
-		t.Fatal("deployment did not engage the indexed path")
-	}
 	if lanes > 1 && c.StartShards(lanes) != lanes {
 		t.Fatalf("StartShards(%d) did not engage", lanes)
 	}
@@ -361,7 +358,6 @@ func approach(t *testing.T, bound float64) (first time.Duration, log []RxInfo, s
 	t.Helper()
 	k := sim.NewKernel(29)
 	p := DefaultParams()
-	p.IndexThresholdNodes = 2
 	c := NewChannel(k, p, nil)
 	bs := c.Attach("bs", mobility.Fixed{}, nil)
 	const speed = 30.0

@@ -78,18 +78,12 @@ type Params struct {
 	SenseRangeM float64 // distance within which a transmitter is "heard busy"
 	CaptureDB   float64 // power advantage (dB) letting a frame survive overlap
 
-	// MaxRangeM is the hard reception cutoff in meters used by the
-	// channel's spatially indexed hot path: above the index threshold,
-	// receivers farther than the cutoff are skipped entirely. 0 derives
-	// the cutoff from the fading model (see CutoffM). The cutoff only
-	// takes effect on the indexed path — below the threshold the channel
-	// sweeps every node exactly as before, so existing seeded runs are
-	// untouched.
+	// MaxRangeM is the hard reception cutoff in meters: receivers farther
+	// than the cutoff are skipped entirely, and it sizes the channel's
+	// spatial grid. 0 derives the cutoff from the fading model (see
+	// CutoffM); a channel with a custom LinkFactory has no cutoff unless
+	// this sets one (see NewChannel).
 	MaxRangeM float64
-	// IndexThresholdNodes is the attached-node count at which the channel
-	// switches from the full-sweep path to the spatial grid index.
-	// 0 means DefaultIndexThreshold.
-	IndexThresholdNodes int
 
 	// TxPowerDBm and PathLossExp shape the synthetic RSSI readings.
 	TxPowerDBm  float64
@@ -135,8 +129,8 @@ func DefaultParams() Params {
 // MaxRangeM when set, otherwise the reach of the fading model — the
 // distance at which mean reception falls below ~1e-9 even for a link
 // shadowed four sigmas in the transmitter's favor. Beyond this distance
-// a skipped reception draw is a guaranteed loss, which is what makes the
-// indexed Broadcast path safe to cut off.
+// a skipped reception draw is a guaranteed loss, which is what makes it
+// safe for Broadcast to cut the receiver off.
 func (p *Params) CutoffM() float64 {
 	if p.MaxRangeM > 0 {
 		return p.MaxRangeM
@@ -145,16 +139,6 @@ func (p *Params) CutoffM() float64 {
 		return 0 // degenerate model: no finite reach derivable
 	}
 	return p.D50 + 4*p.ShadowSigmaM + p.FalloffM*math.Log(p.PMax*1e9)
-}
-
-// IndexThreshold returns the attached-node count at which a channel
-// under p takes the spatially indexed path: IndexThresholdNodes when set,
-// DefaultIndexThreshold otherwise.
-func (p *Params) IndexThreshold() int {
-	if p.IndexThresholdNodes > 0 {
-		return p.IndexThresholdNodes
-	}
-	return DefaultIndexThreshold
 }
 
 // Airtime returns the on-air duration of a frame with the given payload
@@ -235,11 +219,10 @@ type LinkModel interface {
 
 // Ranged is an optional LinkModel extension: a model whose ReceiveProb
 // is negligible (≲1e-9) beyond some distance advertises that reach so
-// the channel's indexed path can skip the link — and its RNG draws —
-// without consulting the model. Models with no finite reach (FixedLink,
-// ScheduleLink) don't implement it; a channel built from a custom
-// factory therefore only runs the indexed path when Params.MaxRangeM
-// states the cutoff explicitly (see NewChannel).
+// the channel can skip the link — and its RNG draws — without consulting
+// the model. Models with no finite reach (FixedLink, ScheduleLink) don't
+// implement it; a channel built from a custom factory therefore cuts
+// nothing off unless Params.MaxRangeM states a cutoff (see NewChannel).
 type Ranged interface {
 	// MaxRangeM returns the distance in meters beyond which reception is
 	// effectively impossible on this link.

@@ -199,7 +199,6 @@ func runHiddenTerminals(t *testing.T, sigma float64, eager bool, lanes int) ([]h
 	const n = cols*rows + movers
 	k := sim.NewKernel(23)
 	p := DefaultParams()
-	p.IndexThresholdNodes = 64
 	p.RSSINoiseDB = sigma
 	c := NewChannel(k, p, nil)
 	var log []hiddenDelivery

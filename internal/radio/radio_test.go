@@ -509,16 +509,12 @@ func TestChannelMovingReceiver(t *testing.T) {
 
 // benchCityChannel builds a 1000-radio constant-density deployment
 // (grid-city density, ≈47 radios per cutoff disc) with one moving
-// transmitter, forcing the indexed or the legacy full-sweep path via the
-// threshold override. The pair of benchmarks below is the acceptance
-// measurement for the spatial index: per-transmission cost must follow
-// the ~47 in-range neighbors, not the 1000 attached radios.
-func benchCityChannel(b *testing.B, threshold int) (*sim.Kernel, *Channel, NodeID) {
+// transmitter: per-transmission cost must follow the ~47 in-range
+// neighbors, not the 1000 attached radios.
+func benchCityChannel(b *testing.B) (*sim.Kernel, *Channel, NodeID) {
 	b.Helper()
 	k := sim.NewKernel(1)
-	p := DefaultParams()
-	p.IndexThresholdNodes = threshold
-	c := NewChannelSized(k, p, nil, 1000)
+	c := NewChannelSized(k, DefaultParams(), nil, 1000)
 	// 999 fixed radios on a ~10.2 km × 6.4 km region at grid-city density.
 	const cols = 39
 	for i := 0; i < 999; i++ {
@@ -535,8 +531,8 @@ func benchCityChannel(b *testing.B, threshold int) (*sim.Kernel, *Channel, NodeI
 
 // benchBroadcast is the timed loop of the broadcast benchmarks: one frame
 // on the air, then the clock runs to the end of its airtime. k.Run() would
-// never return on an indexed channel with a mover — grid revalidation is
-// a self-rescheduling event — so the drain is bounded by the frame.
+// never return on a channel with a cutoff and a mover — grid revalidation
+// is a self-rescheduling event — so the drain is bounded by the frame.
 func benchBroadcast(b *testing.B, k *sim.Kernel, c *Channel, from NodeID) {
 	payload := make([]byte, 500)
 	b.ReportAllocs()
@@ -549,7 +545,7 @@ func benchBroadcast(b *testing.B, k *sim.Kernel, c *Channel, from NodeID) {
 // BenchmarkBroadcastIndexed1000 measures steady-state Broadcast+delivery
 // on the spatially indexed path at 1000 radios.
 func BenchmarkBroadcastIndexed1000(b *testing.B) {
-	k, c, veh := benchCityChannel(b, 0) // default threshold: indexed at 1000
+	k, c, veh := benchCityChannel(b)
 	benchBroadcast(b, k, c, veh)
 }
 
@@ -563,14 +559,6 @@ func BenchmarkLinkFirstContact(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c.link(NodeID(i>>9), NodeID(i&511))
 	}
-}
-
-// BenchmarkBroadcastSweep1000 is the pre-index baseline: the same
-// deployment with the threshold forced above the population, so every
-// transmission sweeps all 1000 radios.
-func BenchmarkBroadcastSweep1000(b *testing.B) {
-	k, c, veh := benchCityChannel(b, 1<<20)
-	benchBroadcast(b, k, c, veh)
 }
 
 func BenchmarkChannelBroadcast(b *testing.B) {

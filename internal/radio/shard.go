@@ -1,6 +1,7 @@
 package radio
 
 import (
+	"math"
 	"time"
 
 	"github.com/vanlan/vifi/internal/mobility"
@@ -25,7 +26,7 @@ import (
 // barrier.
 //
 // Instead the partition moves inside the kernel: one sim.Kernel keeps
-// the exact serial event order, and each indexed Broadcast's per-receiver
+// the exact serial event order, and each Broadcast's per-receiver
 // delivery sweep — the dominant cost at metro populations: probability,
 // RSSI noise, collision/capture and loss arithmetic over every in-range
 // receiver — fans out across K worker lanes (sim.Gang). The grid's cell
@@ -115,15 +116,15 @@ const MaxShardLanes = 64
 
 // StartShards enables stripe-sharded delivery with k lanes and returns
 // the effective lane count: k when sharding engaged, 1 when the channel
-// keeps the serial path (k < 2, k > MaxShardLanes, or the channel is not
-// on the spatially indexed path — the full sweep has no stripe plan). The
+// keeps the serial path (k < 2, k > MaxShardLanes, or the channel is
+// reach-less — its one grid cell has no stripe plan). The
 // caller owns the lifecycle and must StopShards before the channel is
 // dropped, or the k-1 worker goroutines leak parked.
 func (c *Channel) StartShards(k int) int {
 	if c.shard != nil {
 		panic("radio: StartShards while sharded")
 	}
-	if k < 2 || k > MaxShardLanes || !c.indexed() {
+	if k < 2 || k > MaxShardLanes || math.IsInf(c.cutoff, 1) {
 		return 1
 	}
 	sh := &channelShard{
@@ -138,7 +139,7 @@ func (c *Channel) StartShards(k int) int {
 	// Candidate caches built on the serial path carry no stripe owners
 	// and leave mover pairs' links unresolved; rebuild them on first use.
 	for _, n := range c.nodes {
-		n.nbrOK = false
+		n.nbrVer = 0
 	}
 	return k
 }
@@ -202,9 +203,9 @@ func (c *Channel) LaneStat(i int) LaneStats {
 
 // LaneOf reports the stripe lane currently owning a node, from its live
 // position (diagnostics: per-lane node counts, stripe-crossing tests).
-// Returns 0 on a serial channel or before the grid exists.
+// Returns 0 on a serial channel.
 func (c *Channel) LaneOf(id NodeID) int {
-	if c.shard == nil || c.grid == nil {
+	if c.shard == nil {
 		return 0
 	}
 	pos := c.nodes[id].mover.Position(c.K.Now())

@@ -24,7 +24,6 @@ func runStriped(t *testing.T, lanes int) ([][]RxInfo, Stats) {
 	const n = fixed + movers
 	k := sim.NewKernel(77)
 	p := DefaultParams()
-	p.IndexThresholdNodes = 64
 	c := NewChannel(k, p, nil) // independent fading links, real RNG streams
 	logs := make([][]RxInfo, n)
 	attach := func(i int, m mobility.Mover) {
@@ -119,16 +118,16 @@ func TestShardedMatchesSerialChannel(t *testing.T) {
 	}
 }
 
-// TestShardedBelowIndexRefuses pins the no-stripe-plan rule: the full
-// sweep has no grid to stripe, so StartShards reports an effective lane
-// count of 1 and the channel stays serial.
-func TestShardedBelowIndexRefuses(t *testing.T) {
+// TestShardedReachLessRefuses pins the no-stripe-plan rule: a reach-less
+// channel's grid is one cell, with no columns to stripe, so StartShards
+// reports an effective lane count of 1 and the channel stays serial.
+func TestShardedReachLessRefuses(t *testing.T) {
 	k := sim.NewKernel(3)
-	c := NewChannel(k, DefaultParams(), nil)
+	c := NewChannel(k, DefaultParams(), func(from, to NodeID) LinkModel { return FixedLink(1) })
 	c.Attach("a", mobility.Fixed{}, nil)
-	c.Attach("b", mobility.Fixed{X: 50}, nil)
+	c.Attach("b", mobility.Fixed{X: 5000}, nil)
 	if got := c.StartShards(4); got != 1 {
-		t.Fatalf("StartShards on a full-sweep channel = %d, want 1", got)
+		t.Fatalf("StartShards on a reach-less channel = %d, want 1", got)
 	}
 	if c.ShardLanes() != 0 {
 		t.Fatal("refused StartShards left the channel sharded")
@@ -158,7 +157,6 @@ func buildCaptureTie(t *testing.T, captureDB float64, lanes int) (*Channel, *sim
 	p.PathLossExp = 3
 	p.CaptureDB = captureDB
 	p.MaxRangeM = 400 // grid cell edge 500 m: stripe boundary at X=500
-	p.IndexThresholdNodes = 2
 	c := NewChannel(k, p, func(from, to NodeID) LinkModel { return FixedLink(1) })
 	var rx collector
 	strong := c.Attach("strong", mobility.Fixed{X: 499.5}, nil) // column 0
@@ -242,7 +240,6 @@ func TestShardedStripeCrossingMidTransmission(t *testing.T) {
 		k := sim.NewKernel(21)
 		p := DefaultParams()
 		p.MaxRangeM = 400 // cell edge 500 m: stripe boundary at X=500
-		p.IndexThresholdNodes = 2
 		c := NewChannel(k, p, func(from, to NodeID) LinkModel { return FixedLink(1) })
 		bs := c.Attach("bs", mobility.Fixed{X: 480}, nil)
 		var log []RxInfo

@@ -152,16 +152,16 @@ func presets() map[string]Spec {
 		},
 		// The metropolitan reference for the radio-scaling sweep: a 484-BS
 		// region at grid-city density (≈1.5e-5 BS/m²) probed by a fixed
-		// 16-vehicle fleet. Big enough that the channel runs its spatially
-		// indexed path (≥ radio.DefaultIndexThreshold nodes).
+		// 16-vehicle fleet, spanning several cutoffs of the channel's
+		// spatial grid in each direction.
 		"grid-metro": {
 			Topology: Grid, BS: 484, Width: 7200, Height: 4500, JitterM: 30,
 			Vehicles: 16, SpeedKmh: 40, RouteStops: 10, DepartStagger: 200 * time.Millisecond,
 		},
 		// Four radio-isolated districts at grid-city density, each with its
 		// own gateway — the reference scenario for sharded execution
-		// (scale-shard): big enough for the indexed radio path (232 nodes)
-		// and structurally partitionable at 1, 2 or 4 shards.
+		// (scale-shard): 232 nodes, structurally partitionable at 1, 2 or
+		// 4 shards.
 		"metro-districts": {
 			Topology: Grid, BS: 216, Districts: 4, Width: 14400, Height: 1500, JitterM: 30,
 			Vehicles: 16, SpeedKmh: 40, RouteStops: 10, DepartStagger: 200 * time.Millisecond,

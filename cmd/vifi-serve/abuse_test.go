@@ -10,9 +10,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"github.com/vanlan/vifi/internal/core"
-	"github.com/vanlan/vifi/internal/scenario"
 )
 
 // TestServeSurvivesAbuse runs one daemon through what its users can do to
@@ -40,20 +37,9 @@ func TestServeSurvivesAbuse(t *testing.T) {
 	doomed := createSession(t, ts, `{"scenario":"grid-small","duration":"36000s","seed":3}`)
 	waitState(t, ts, doomed, "running")
 
-	spec, err := scenario.Parse("grid-small")
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := newSession("bad")
-	bad.specStr, bad.spec, bad.protocol = "grid-small", spec, "vifi"
-	bad.cfg = core.DefaultConfig()
-	bad.cfg.RelayCheck = 0 // panics in core.newCell: the API cannot produce it
-	bad.seed, bad.shards, bad.duration, bad.interval = 17, 1, 30*time.Second, time.Second
-	sv.mu.Lock()
-	sv.sessions[bad.id] = bad
-	sv.order = append(sv.order, bad.id)
-	sv.mu.Unlock()
-	go bad.runLoop(sv.slots)
+	bad := hostSession(t, sv, "bad", 17, 30*time.Second, func(s *session) {
+		s.cfg.RetxPercentile = 2 // panics mid-run: the API cannot produce it
+	})
 
 	healthy := createSession(t, ts, `{"scenario":"grid-small","duration":"30s","seed":17}`)
 

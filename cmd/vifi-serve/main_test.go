@@ -8,9 +8,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -201,51 +203,129 @@ func TestServePauseResumeDeterminism(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Errorf("pause/resume changed the report:\n--- plain ---\n%s--- paused ---\n%s", a, b)
 	}
-	_, ra := get(t, ts, "/v1/sessions/"+plain+"/recording")
-	_, rb := get(t, ts, "/v1/sessions/"+paused+"/recording")
-	if !bytes.Equal(ra, rb) {
+	ra, rb := recording(t, ts, plain), recording(t, ts, paused)
+	rb.Meta["session"] = ra.Meta["session"] // the one field that names the session
+	if !ra.Equal(rb) {
 		t.Error("pause/resume changed the metrics recording")
+	}
+}
+
+// hostSession registers and starts a grid-small session the HTTP API
+// could not create: edit sets what the API cannot (a config, a pause
+// armed before the first step) before the runner starts.
+func hostSession(t *testing.T, sv *server, id string, seed int64, dur time.Duration, edit func(*session)) *session {
+	t.Helper()
+	spec, err := scenario.Parse("grid-small")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newSession(id)
+	s.specStr, s.spec, s.protocol, s.cfg = "grid-small", spec, "vifi", core.DefaultConfig()
+	s.seed, s.shards, s.duration, s.interval = seed, 1, dur, time.Second
+	edit(s)
+	sv.mu.Lock()
+	sv.sessions[id] = s
+	sv.order = append(sv.order, id)
+	sv.mu.Unlock()
+	go s.runLoop(sv.slots)
+	return s
+}
+
+// recording downloads a session's recording and decodes it.
+func recording(t *testing.T, ts *httptest.Server, id string) *obs.Recording {
+	t.Helper()
+	code, b := get(t, ts, "/v1/sessions/"+id+"/recording")
+	if code != http.StatusOK {
+		t.Fatalf("recording of %s: status %d: %s", id, code, b)
+	}
+	recs, err := obs.ReadAll(bytes.NewReader(b))
+	if err != nil || len(recs) != 1 {
+		t.Fatalf("recording of %s: %d recordings, %v", id, len(recs), err)
+	}
+	return recs[0]
+}
+
+// TestServeRecordingIsOneHistory: a session keeps one recording, its live
+// history. Downloaded while paused and again once done, it carries the
+// same meta both times, and the finished rows extend the paused ones.
+func TestServeRecordingIsOneHistory(t *testing.T) {
+	sv, ts := startTestServer(t, 1)
+	// Armed before the runner starts, so the run cannot outrun it.
+	s := hostSession(t, sv, "paused", 3, 20*time.Second, func(s *session) {
+		if err := s.pause(5 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+	})
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if state := s.info().State; state == "paused" {
+			break
+		} else if state == "done" || state == "failed" || time.Now().After(deadline) {
+			t.Fatalf("session never paused: state %s", state)
+		}
+	}
+	mid := recording(t, ts, s.id)
+	s.resume()
+	waitDone(t, sv, s.id)
+	end := recording(t, ts, s.id)
+
+	if mid.Meta["kind"] != "serve" || !maps.Equal(mid.Meta, end.Meta) {
+		t.Errorf("meta while paused %v, once done %v; want the one serve meta", mid.Meta, end.Meta)
+	}
+	if !slices.Equal(mid.Series, end.Series) || mid.Interval != end.Interval || mid.Start != end.Start {
+		t.Errorf("schema or cadence moved between the paused and the finished download")
+	}
+	if mid.Rows() == 0 || end.Rows() <= mid.Rows() {
+		t.Fatalf("%d rows while paused, %d once done; want the run to add rows", mid.Rows(), end.Rows())
+	}
+	for i := 0; i < mid.Rows(); i++ {
+		if !slices.Equal(mid.Row(i), end.Row(i)) {
+			t.Fatalf("row %d changed between the paused and the finished download", i)
+		}
 	}
 }
 
 // TestServePanickingSessionFails pins the daemon's isolation: a session
 // whose simulation panics ends failed with the panic text as its error,
 // and a healthy session sharing the (single) slot still ends done with
-// the batch-identical report. The HTTP API cannot produce a relay period
-// of zero, so the bad config is set on the session struct.
+// the batch-identical report. The HTTP API cannot produce a retransmission
+// percentile above 1, so the bad config is set on the session struct: the
+// run starts, and the first timer read past the delay window panics.
 func TestServePanickingSessionFails(t *testing.T) {
 	sv, ts := startTestServer(t, 1)
-	spec, err := scenario.Parse("grid-small")
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := newSession("bad")
-	bad.specStr, bad.spec, bad.protocol = "grid-small", spec, "vifi"
-	bad.cfg = core.DefaultConfig()
-	bad.cfg.RelayCheck = 0
-	bad.seed, bad.shards, bad.duration, bad.interval = 17, 1, 30*time.Second, time.Second
-	sv.mu.Lock()
-	sv.sessions[bad.id] = bad
-	sv.order = append(sv.order, bad.id)
-	sv.mu.Unlock()
-	_, sub, _, live := bad.subscribe()
-	if !live {
-		t.Fatal("could not subscribe to a starting session")
-	}
-	go bad.runLoop(sv.slots)
+	var sub chan liveSample
+	bad := hostSession(t, sv, "bad", 17, 30*time.Second, func(s *session) {
+		s.cfg.RetxPercentile = 2
+		var live bool
+		if _, sub, _, live = s.subscribe(); !live {
+			t.Fatal("could not subscribe to a starting session")
+		}
+	})
 	good := createSession(t, ts, `{"scenario":"grid-small","duration":"30s","seed":17}`)
 
 	bad.waitDone()
-	if _, open := <-sub; open {
-		t.Error("failed session left its subscriber open")
+	// What was sampled before the panic, then the close.
+	samples := 0
+	for open := true; open; {
+		select {
+		case _, open = <-sub:
+			if open {
+				samples++
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("failed session left its subscriber open")
+		}
+	}
+	if samples == 0 {
+		t.Error("the failing session sampled nothing: it did not fail mid-run")
 	}
 	var info sessionInfo
 	_, b := get(t, ts, "/v1/sessions/bad")
 	if err := json.Unmarshal(b, &info); err != nil {
 		t.Fatal(err)
 	}
-	if info.State != "failed" || !strings.Contains(info.Error, "Config.RelayCheck is 0s") {
-		t.Errorf("panicking session: state %s, error %q; want failed naming Config.RelayCheck", info.State, info.Error)
+	if info.State != "failed" || !strings.Contains(info.Error, "index out of range") || info.Now == "0s" {
+		t.Errorf("panicking session: state %s at %s, error %q; want failed mid-run on the delay window's index",
+			info.State, info.Now, info.Error)
 	}
 	if code, _ := get(t, ts, "/v1/sessions/bad/report"); code != http.StatusInternalServerError {
 		t.Errorf("failed session's report: status %d, want 500", code)

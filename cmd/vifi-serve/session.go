@@ -41,12 +41,11 @@ type session struct {
 	cancelled chan struct{} // closed by cancel: the runner stops at its next barrier
 	err       error
 
-	run       *experiment.FleetAppRun
-	report    []byte
-	recording *obs.Recording
+	report []byte
 
-	// Live metrics: per-tick rows summed across shards. pending holds
-	// partially merged ticks until every shard has contributed.
+	// Live metrics: per-tick rows summed across shards — the session's one
+	// recording (liveRecording). pending holds partially merged ticks until
+	// every shard has contributed.
 	series   []obs.SeriesDef
 	samples  []liveSample
 	pending  map[time.Duration][]int64
@@ -170,16 +169,14 @@ func (s *session) resume() {
 	s.mu.Unlock()
 }
 
-// liveRecording rebuilds an obs.Recording from the merged live history.
-// Unlike the samplers' own buffers (touched by kernel goroutines during
-// a step), the history is session-owned, so this is safe at any time —
-// including mid-run and while paused.
+// liveRecording rebuilds an obs.Recording from the merged live history,
+// the only copy of the run's samples the session keeps. Unlike the
+// samplers' own buffers (touched by kernel goroutines during a step), the
+// history is session-owned, so this is safe at any time — mid-run, while
+// paused and after the end — and a later download only adds rows.
 func (s *session) liveRecording() *obs.Recording {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.recording != nil {
-		return s.recording
-	}
 	meta := map[string]string{
 		"kind":     "serve",
 		"session":  s.id,
@@ -252,11 +249,12 @@ func (s *session) runLoop(slots chan struct{}) {
 			<-slots
 		}
 	}()
-	// The simulation panics on states only a bug can produce (a relay
-	// period of zero, a send across a district boundary, shard recordings
-	// that diverged). Every such panic is raised on this goroutine with no
-	// session lock held and the slot taken; it ends this session, not the
-	// daemon and the sessions beside it.
+	// The simulation panics on states only a bug can produce (a
+	// retransmission percentile above 1, a send across a district
+	// boundary, shard recordings that diverged). Every such panic is
+	// raised on this goroutine with no session lock held and the slot
+	// taken; it ends this session, not the daemon and the sessions beside
+	// it.
 	defer func() {
 		if p := recover(); p != nil {
 			s.close("failed", fmt.Errorf("panic: %v", p))
@@ -320,12 +318,9 @@ func (s *session) runLoop(slots chan struct{}) {
 	run := l.Finish()
 	var buf bytes.Buffer
 	experiment.FprintFleetReport(&buf, run, s.protocol, s.duration, s.seed)
-	rec := l.Recording()
 
 	s.mu.Lock()
-	s.run = run
 	s.report = buf.Bytes()
-	s.recording = rec
 	s.state = "done"
 	s.finishSubs()
 	s.cond.Broadcast()

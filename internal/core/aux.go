@@ -42,7 +42,7 @@ func (n *Node) considerPending(f *frame.Frame) {
 		}
 	}
 	n.emit(EvAuxHeard, dirOfFrame(f), id, f.Attempt, f.Src, MediumAir)
-	if len(n.pending) >= n.cfg.PendingCap {
+	if len(n.pending) >= pendingCap {
 		// Evict the oldest pending entry (insertion order is age order).
 		copy(n.pending, n.pending[1:])
 		n.pending[len(n.pending)-1] = pendEntry{}
@@ -57,7 +57,7 @@ func (n *Node) considerPending(f *frame.Frame) {
 		// Wake the dormant chain: skip the instants that passed while there
 		// was nothing to decide, drawing each one's jitter as its (no-op)
 		// tick would have. An instant equal to now is skipped too: this
-		// entry's age there is 0 < AckWait, so that tick decides nothing.
+		// entry's age there is 0 < ackWait, so that tick decides nothing.
 		for n.relayNext <= now {
 			n.relayNext += n.relayPeriod()
 		}
@@ -86,7 +86,7 @@ func contains(xs []uint16, x uint16) bool {
 // so auxiliaries stay desynchronized, which suppresses duplicate relays
 // via overheard acknowledgments.
 func (n *Node) relayPeriod() time.Duration {
-	return n.cfg.RelayCheck + n.rng.Jitter(n.cfg.RelayCheck/2)
+	return relayCheck + n.rng.Jitter(relayCheck/2)
 }
 
 // relayTick is the auxiliary's relay timer (§4.4: "Each auxiliary BS has a
@@ -125,7 +125,7 @@ func (n *Node) relayTick() {
 		for _, i := range idx {
 			e := &n.pending[i]
 			age := now - e.pkt.heardAt
-			if age < n.cfg.AckWait {
+			if age < ackWait {
 				continue // still within the acknowledgment window
 			}
 			e.dead = true

@@ -32,8 +32,7 @@ func marshal(t *testing.T, f *frame.Frame) []byte {
 // one decoder, as the channel delivers them. What it relays must still be
 // the first frame.
 func TestOverheardPacketSurvivesLaterReceptions(t *testing.T) {
-	cfg := DefaultConfig()
-	k, cell := oneAuxCell(t, 11, cfg, nil)
+	k, cell := oneAuxCell(t, 11, nil)
 	k.RunUntil(3 * time.Second)
 	anchor, aux, veh := cell.BSes[0].Addr(), cell.BSes[1], cell.Vehicle.Addr()
 	if vs := aux.vehs[veh]; vs == nil || vs.anchor != anchor || !contains(vs.aux, aux.Addr()) {

@@ -18,8 +18,6 @@ type CellOptions struct {
 	// LinkFactory overrides the channel's default independent fading
 	// links; trace-driven experiments install schedule-driven links here.
 	LinkFactory radio.LinkFactory
-	// MAC overrides the default MAC configuration when non-zero.
-	MAC mac.Config
 	// Events receives protocol probe events (may be nil).
 	Events EventFunc
 }
@@ -170,19 +168,10 @@ func newCell(k *sim.Kernel, opts CellOptions, bsMovers, vehMovers []mobility.Mov
 	if n := len(bsMovers) + len(vehMovers); n > int(GatewayAddr) {
 		panic(fmt.Sprintf("core: %d radios overflow the 16-bit address space below the gateway (%d)", n, GatewayAddr))
 	}
-	if pc := opts.Protocol; pc.EnableRelay {
-		// The relay chain advances by RelayCheck, and an instant that ties
-		// with a reception is skipped because age 0 < AckWait.
-		if pc.RelayCheck <= 0 {
-			panic(fmt.Sprintf("core: Config.RelayCheck is %v; EnableRelay needs a positive relay period", pc.RelayCheck))
-		}
-		if pc.AckWait <= 0 {
-			panic(fmt.Sprintf("core: Config.AckWait is %v; EnableRelay needs a positive acknowledgment window", pc.AckWait))
-		}
-	}
 	ch := radio.NewChannelSized(k, opts.Radio, opts.LinkFactory, len(bsMovers)+len(vehMovers))
 	bp := backplane.New(k, opts.Backplane)
 	c := &Cell{K: k, Channel: ch, Backplane: bp}
+	macCfg := mac.Config{BeaconInterval: opts.Protocol.BeaconInterval}
 	if p.VehDistrict != nil {
 		c.VehDistrict = append([]int(nil), p.VehDistrict...)
 	}
@@ -212,7 +201,7 @@ func newCell(k *sim.Kernel, opts CellOptions, bsMovers, vehMovers []mobility.Mov
 			}
 			return nil, id
 		}
-		m := mac.NewWithConfig(k, ch, name, mv, opts.MAC)
+		m := mac.NewWithConfig(k, ch, name, mv, macCfg)
 		return newNode(k, opts.Protocol, m, nodeBP, c.Gateways[d].Addr(), nodeBP == nil, opts.Events), m.ID()
 	}
 	for i, mv := range bsMovers {

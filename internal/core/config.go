@@ -52,35 +52,27 @@ func (c CoordinatorKind) String() string {
 	}
 }
 
-// Config parameterizes a ViFi deployment. DefaultConfig gives the paper's
-// settings.
+// Config holds what the paper's evaluation varies — the ViFi arms
+// (relaying, salvaging, the coordinator; §5.1, §5.5.1), retransmissions
+// (off for the §5.2 link-layer probes) and the ablations' retx percentile
+// and salvage window — plus the beacon period and the estimator's EWMA
+// factor and staleness, which the benchmark's probes read. The protocol's
+// other timers and bounds are the constants below. DefaultConfig gives
+// the paper's settings.
 type Config struct {
 	// Mode switches.
 	EnableRelay   bool // auxiliary relaying (off = the BRR baseline)
 	EnableSalvage bool // anchor-to-anchor salvaging (§4.5)
 	Coordinator   CoordinatorKind
 
-	// BeaconInterval is the beacon period (also the MAC's). 100 ms.
+	// BeaconInterval is the beacon period: every MAC the cell builds
+	// beacons at it, and the probability window expects probWindow/it
+	// beacons per sender. 100 ms.
 	BeaconInterval time.Duration
-	// ProbWindow is the window over which beacon reception ratios are
-	// computed before EWMA folding (§4.6: per-second).
-	ProbWindow time.Duration
 	// ProbAlpha is the EWMA factor for reception probabilities (0.5).
 	ProbAlpha float64
 	// ProbStale ages out reception estimates and auxiliary membership.
 	ProbStale time.Duration
-
-	// AckWait is how long an auxiliary waits to overhear an acknowledgment
-	// before its relay timer may consider the packet. Must be positive with
-	// EnableRelay: a relay-timer instant that coincides with a reception
-	// is skipped on the grounds that the new packet's age 0 is below it.
-	AckWait time.Duration
-	// RelayCheck is the period of the auxiliary relay timer; each firing
-	// is jittered so auxiliaries stay desynchronized (§4.4). Must be
-	// positive with EnableRelay.
-	RelayCheck time.Duration
-	// PendingCap bounds the per-auxiliary overheard-packet buffer.
-	PendingCap int
 
 	// MaxRetx is the number of link-layer retransmissions after the first
 	// attempt (§5.3: "at most three times"). 0 disables retransmission.
@@ -88,18 +80,37 @@ type Config struct {
 	// RetxPercentile picks the acknowledgment-delay quantile used as the
 	// retransmission timer (§4.7: the 99th).
 	RetxPercentile float64
-	// RetxInit seeds the timer before enough samples exist; RetxMin and
-	// RetxMax clamp it.
-	RetxInit, RetxMin, RetxMax time.Duration
 
 	// SalvageWindow bounds how old an unacknowledged downstream packet may
 	// be and still be salvaged (§4.5: one second, from the minimum TCP
 	// RTO).
 	SalvageWindow time.Duration
-
-	// DataDst reserved sizes.
-	AckedCacheCap int // remembered (src,seq) pairs for dedup/re-acks
 }
+
+// The protocol's fixed timers and bounds.
+const (
+	// probWindow is the window over which beacon reception ratios are
+	// computed before EWMA folding (§4.6: per-second).
+	probWindow = time.Second
+	// ackWait is how long an auxiliary waits to overhear an acknowledgment
+	// before its relay timer may consider the packet. It is positive, so a
+	// relay-timer instant that coincides with a reception is skipped: the
+	// new packet's age 0 is below it.
+	ackWait = 6 * time.Millisecond
+	// relayCheck is the period of the auxiliary relay timer; each firing
+	// is jittered so auxiliaries stay desynchronized (§4.4).
+	relayCheck = 4 * time.Millisecond
+	// pendingCap bounds the per-auxiliary overheard-packet buffer.
+	pendingCap = 128
+	// retxInit seeds the retransmission timer before enough samples exist;
+	// retxMin and retxMax clamp it (§4.7).
+	retxInit = 100 * time.Millisecond
+	retxMin  = 60 * time.Millisecond
+	retxMax  = 500 * time.Millisecond
+	// ackedCacheCap is how many (src, seq) pairs a receiver remembers for
+	// deduplication and bitmap re-acknowledgment.
+	ackedCacheCap = 2048
+)
 
 // DefaultConfig returns the paper's protocol settings.
 func DefaultConfig() Config {
@@ -109,23 +120,13 @@ func DefaultConfig() Config {
 		Coordinator:   CoordViFi,
 
 		BeaconInterval: 100 * time.Millisecond,
-		ProbWindow:     time.Second,
 		ProbAlpha:      0.5,
 		ProbStale:      3 * time.Second,
 
-		AckWait:    6 * time.Millisecond,
-		RelayCheck: 4 * time.Millisecond,
-		PendingCap: 128,
-
 		MaxRetx:        3,
 		RetxPercentile: 0.99,
-		RetxInit:       100 * time.Millisecond,
-		RetxMin:        60 * time.Millisecond,
-		RetxMax:        500 * time.Millisecond,
 
 		SalvageWindow: time.Second,
-
-		AckedCacheCap: 2048,
 	}
 }
 

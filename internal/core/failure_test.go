@@ -17,7 +17,7 @@ import (
 func TestBackplanePartitionDropsButRecovers(t *testing.T) {
 	k, cell := testCell(t, 21, DefaultConfig(), uniformMatrix(2, 1), nil)
 	delivered := 0
-	cell.Gateway.SetDeliver(func(frame.PacketID, []byte, uint16) { delivered++ })
+	cell.Gateway.SetVehicleDeliver(cell.Vehicle.Addr(), func(frame.PacketID, []byte, uint16) { delivered++ })
 	k.RunUntil(3 * time.Second)
 
 	// Partition the anchor's backplane for two seconds mid-run.
@@ -79,7 +79,7 @@ func TestAnchorFlappingNoDuplicates(t *testing.T) {
 		[]mobility.Mover{mobility.Fixed{X: 0}, mobility.Fixed{X: 60}},
 		mobility.Fixed{X: 30})
 	seen := map[frame.PacketID]int{}
-	cell.Gateway.SetDeliver(func(id frame.PacketID, p []byte, from uint16) { seen[id]++ })
+	cell.Gateway.SetVehicleDeliver(cell.Vehicle.Addr(), func(id frame.PacketID, p []byte, from uint16) { seen[id]++ })
 	k.RunUntil(3 * time.Second)
 	for i := 0; i < 800; i++ {
 		k.At(3*time.Second+time.Duration(i)*50*time.Millisecond, func() {
@@ -128,28 +128,26 @@ func TestBeaconStarvationLosesAnchor(t *testing.T) {
 	}
 }
 
+// TestPendingCapBounded: an auxiliary that overhears more than pendingCap
+// packets between two relay ticks evicts the oldest instead of growing.
 func TestPendingCapBounded(t *testing.T) {
-	// A tiny pending buffer at the auxiliary must evict, not grow.
 	m := uniformMatrix(3, 0.9)
 	m[0][2] = 0.95
 	m[2][0] = 0.0 // anchor never hears the vehicle: every packet pends at the aux
 	m[2][1] = 1.0
-	cfg := DefaultConfig()
-	cfg.PendingCap = 4
-	cfg.MaxRetx = 0
-	// Slow the relay timer so pendings accumulate.
-	cfg.AckWait = 200 * time.Millisecond
-	cfg.RelayCheck = 100 * time.Millisecond
-	k, cell := testCell(t, 24, cfg, m, nil)
+	k, cell := testCell(t, 24, DefaultConfig(), m, nil)
 	k.RunUntil(3 * time.Second)
-	for i := 0; i < 100; i++ {
-		k.At(3*time.Second+time.Duration(i)*10*time.Millisecond, func() {
-			cell.Vehicle.SendData(make([]byte, 50))
-		})
+	aux, veh := cell.BSes[1], cell.Vehicle
+	const extra = 10
+	for seq := uint32(1); seq <= pendingCap+extra; seq++ {
+		aux.considerPending(&frame.Frame{Type: frame.TypeData, Src: veh.Addr(), Dst: veh.Anchor(),
+			Seq: seq, FromVehicle: true, Payload: make([]byte, 50)})
 	}
-	k.RunUntil(8 * time.Second)
-	if got := len(cell.BSes[1].pending); got > cfg.PendingCap {
-		t.Errorf("pending buffer grew to %d (cap %d)", got, cfg.PendingCap)
+	if got := len(aux.pending); got != pendingCap {
+		t.Fatalf("pending buffer holds %d after %d overheard packets, want the cap %d", got, pendingCap+extra, pendingCap)
+	}
+	if oldest := aux.pending[0].key.id.Seq; oldest != extra+1 {
+		t.Errorf("oldest kept packet is seq %d, want %d: eviction drops the oldest first", oldest, extra+1)
 	}
 }
 

@@ -51,11 +51,10 @@ func TestFleetCellPerVehicleProtocol(t *testing.T) {
 	}
 
 	upFrom := map[uint16]int{}
-	c.Gateway.SetDeliver(func(id frame.PacketID, p []byte, from uint16) { upFrom[from]++ })
 	downAt := make([]int, len(c.Vehicles))
-	for i, v := range c.Vehicles {
-		i := i
-		v.SetDeliver(func(id frame.PacketID, p []byte, from uint16) { downAt[i]++ })
+	for i := range c.Vehicles {
+		c.HookVehicle(i, func(id frame.PacketID, p []byte, from uint16) { downAt[i]++ },
+			func(id frame.PacketID, p []byte, from uint16) { upFrom[from]++ })
 	}
 
 	payload := make([]byte, 200)

@@ -20,10 +20,8 @@ type Gateway struct {
 	dec      frame.Decoder // receive storage; upcalls borrow from it
 	addr     uint16
 	anchorOf map[uint16]uint16 // vehicle → current anchor
-	deliver  DeliverFunc
-	// vehDeliver is the per-vehicle upstream dispatch table, dense by
-	// vehicle address. Fleet application workloads hook one callback per
-	// vehicle here; the global deliver remains the fallback. Lookup is a
+	// vehDeliver is the upstream dispatch table, dense by vehicle address:
+	// one callback per hooked vehicle (SetVehicleDeliver). Lookup is a
 	// slice index, so dispatch never allocates.
 	vehDeliver []DeliverFunc
 	events     EventFunc
@@ -38,12 +36,6 @@ type Gateway struct {
 	DuplicatesUp   int
 	Registrations  int
 	AnchorSwitches int
-}
-
-// NewGateway attaches a gateway to the backplane at the well-known
-// address.
-func NewGateway(k *sim.Kernel, bp *backplane.Net, events EventFunc) *Gateway {
-	return NewGatewayAt(k, bp, GatewayAddr, events)
 }
 
 // NewGatewayAt attaches a gateway at an explicit backplane address.
@@ -66,14 +58,10 @@ func NewGatewayAt(k *sim.Kernel, bp *backplane.Net, addr uint16, events EventFun
 // Addr returns the gateway's backplane address.
 func (g *Gateway) Addr() uint16 { return g.addr }
 
-// SetDeliver installs the upstream application delivery callback.
-func (g *Gateway) SetDeliver(d DeliverFunc) { g.deliver = d }
-
-// SetVehicleDeliver installs an upstream delivery callback for packets
-// originating at one vehicle. Per-vehicle hooks take precedence over the
-// global SetDeliver callback, which stays the fallback for unhooked
-// vehicles. Fleet application drivers (internal/workload) multiplex over
-// the shared backplane through this table.
+// SetVehicleDeliver installs the upstream delivery callback for packets
+// originating at one vehicle; an unhooked vehicle's payloads are counted
+// and dropped. Application drivers (internal/workload) multiplex over the
+// shared backplane through this table (Cell.HookVehicle).
 func (g *Gateway) SetVehicleDeliver(veh uint16, d DeliverFunc) {
 	for len(g.vehDeliver) <= int(veh) {
 		g.vehDeliver = append(g.vehDeliver, nil)
@@ -82,16 +70,12 @@ func (g *Gateway) SetVehicleDeliver(veh uint16, d DeliverFunc) {
 }
 
 // dispatchUp routes one deduplicated upstream payload to the vehicle's
-// hook, falling back to the global callback. Hot path: must not allocate.
+// hook. Hot path: must not allocate.
 func (g *Gateway) dispatchUp(id frame.PacketID, payload []byte, veh uint16) {
 	if int(veh) < len(g.vehDeliver) {
 		if d := g.vehDeliver[veh]; d != nil {
 			d(id, payload, veh)
-			return
 		}
-	}
-	if g.deliver != nil {
-		g.deliver(id, payload, veh)
 	}
 }
 

@@ -77,7 +77,7 @@ type pendPkt struct {
 }
 
 // pendEntry is one slot of the auxiliary's pending list. The list is a
-// small insertion-ordered slice (bounded by PendingCap): linear scans beat
+// small insertion-ordered slice (bounded by pendingCap): linear scans beat
 // a map at this size, keep eviction order exact, and never allocate.
 type pendEntry struct {
 	key  pendKey
@@ -209,9 +209,9 @@ func newNode(k *sim.Kernel, cfg Config, m *mac.MAC, bp *backplane.Net,
 		bp.Attach(n.addr, n.handleBackplane)
 	}
 	m.StartBeacons(n.buildBeacon)
-	k.AfterHandler(cfg.ProbWindow+k.RNG("corewin", fmt.Sprint(m.Addr())).Jitter(cfg.ProbWindow/4), &n.windowH)
+	k.AfterHandler(probWindow+k.RNG("corewin", fmt.Sprint(m.Addr())).Jitter(probWindow/4), &n.windowH)
 	if !isVehicle && cfg.EnableRelay {
-		n.relayNext = k.Now() + cfg.RelayCheck + n.rng.Jitter(cfg.RelayCheck)
+		n.relayNext = k.Now() + relayCheck + n.rng.Jitter(relayCheck)
 	}
 	return n
 }
@@ -268,11 +268,11 @@ func (n *Node) emit(kind EventKind, dir Direction, id frame.PacketID, attempt ui
 // the anchor/auxiliary designations.
 func (n *Node) windowTick() {
 	now := n.K.Now()
-	n.probs.flush(n.addr, float64(n.cfg.ProbWindow)/float64(n.cfg.BeaconInterval), now)
+	n.probs.flush(n.addr, float64(probWindow)/float64(n.cfg.BeaconInterval), now)
 	if n.isVehicle {
 		n.selectAnchor(now)
 	}
-	n.K.AfterHandler(n.cfg.ProbWindow, &n.windowH)
+	n.K.AfterHandler(probWindow, &n.windowH)
 }
 
 // usableBS is the minimum averaged beacon reception ratio for a
@@ -539,7 +539,7 @@ func (n *Node) sendBackplane(to uint16, f *frame.Frame) bool {
 func (n *Node) rememberAcked(id frame.PacketID, attempt uint8, now time.Duration) {
 	n.acked[id] = ackedInfo{attempt: attempt, lastAck: now}
 	n.ackedQ.PushBack(id)
-	for n.ackedQ.Len() > n.cfg.AckedCacheCap {
+	for n.ackedQ.Len() > ackedCacheCap {
 		delete(n.acked, n.ackedQ.PopFront())
 	}
 }

@@ -80,7 +80,7 @@ func TestAnchorPrefersBestBS(t *testing.T) {
 func TestUpstreamDeliveryPerfectLinks(t *testing.T) {
 	k, cell := testCell(t, 3, DefaultConfig(), uniformMatrix(2, 1), nil)
 	var got [][]byte
-	cell.Gateway.SetDeliver(func(id frame.PacketID, payload []byte, from uint16) {
+	cell.Gateway.SetVehicleDeliver(cell.Vehicle.Addr(), func(id frame.PacketID, payload []byte, from uint16) {
 		got = append(got, append([]byte(nil), payload...)) // borrowed: copy to keep
 	})
 	k.RunUntil(3 * time.Second) // warm up anchor selection
@@ -127,7 +127,7 @@ func TestNoDuplicateAppDelivery(t *testing.T) {
 	cfg.MaxRetx = 5
 	k, cell := testCell(t, 5, cfg, m, nil)
 	seen := map[string]int{}
-	cell.Gateway.SetDeliver(func(id frame.PacketID, payload []byte, from uint16) {
+	cell.Gateway.SetVehicleDeliver(cell.Vehicle.Addr(), func(id frame.PacketID, payload []byte, from uint16) {
 		seen[string(payload)]++
 	})
 	k.RunUntil(3 * time.Second)
@@ -161,7 +161,7 @@ func TestRetransmissionRecoversLosses(t *testing.T) {
 	run := func(cfg Config, seed int64) int {
 		k, cell := testCell(t, seed, cfg, m, nil)
 		n := 0
-		cell.Gateway.SetDeliver(func(frame.PacketID, []byte, uint16) { n++ })
+		cell.Gateway.SetVehicleDeliver(cell.Vehicle.Addr(), func(frame.PacketID, []byte, uint16) { n++ })
 		k.RunUntil(3 * time.Second)
 		for i := 0; i < 200; i++ {
 			k.At(3*time.Second+time.Duration(i)*25*time.Millisecond, func() {
@@ -197,7 +197,7 @@ func TestUpstreamRelayingBeatsBRR(t *testing.T) {
 		cfg.MaxRetx = 0 // isolate diversity from retransmission
 		k, cell := testCell(t, 7, cfg, m, nil)
 		n := 0
-		cell.Gateway.SetDeliver(func(frame.PacketID, []byte, uint16) { n++ })
+		cell.Gateway.SetVehicleDeliver(cell.Vehicle.Addr(), func(frame.PacketID, []byte, uint16) { n++ })
 		k.RunUntil(3 * time.Second)
 		for i := 0; i < 300; i++ {
 			k.At(3*time.Second+time.Duration(i)*25*time.Millisecond, func() {
@@ -495,7 +495,7 @@ func TestVehicleSendWithoutAnchor(t *testing.T) {
 func TestGatewaySendWithoutRegistration(t *testing.T) {
 	k := sim.NewKernel(14)
 	bp := backplane.New(k, backplane.DefaultConfig())
-	gw := NewGateway(k, bp, nil)
+	gw := NewGatewayAt(k, bp, GatewayAddr, nil)
 	if gw.Send(42, []byte("x")) {
 		t.Error("gateway send succeeded without a registered anchor")
 	}

@@ -3,12 +3,10 @@ package core
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"testing"
 	"time"
 
 	"github.com/vanlan/vifi/internal/frame"
-	"github.com/vanlan/vifi/internal/mobility"
 	"github.com/vanlan/vifi/internal/sim"
 )
 
@@ -17,11 +15,11 @@ import (
 // §4.4 timer would follow. It is only exact while the node's relay coin
 // draws nothing from the shared stream — true in oneAuxCell, where the sole
 // auxiliary's relay probability is 1.
-func relayChain(seed int64, addr uint16, cfg Config, until time.Duration) []time.Duration {
+func relayChain(seed int64, addr uint16, until time.Duration) []time.Duration {
 	r := sim.NewKernel(seed).RNG("core", fmt.Sprint(addr))
-	chain := []time.Duration{cfg.RelayCheck + r.Jitter(cfg.RelayCheck)}
+	chain := []time.Duration{relayCheck + r.Jitter(relayCheck)}
 	for chain[len(chain)-1] <= until {
-		chain = append(chain, chain[len(chain)-1]+cfg.RelayCheck+r.Jitter(cfg.RelayCheck/2))
+		chain = append(chain, chain[len(chain)-1]+relayCheck+r.Jitter(relayCheck/2))
 	}
 	return chain
 }
@@ -34,19 +32,19 @@ func firstAtOrAfter(chain []time.Duration, t time.Duration) time.Duration {
 // oneAuxCell is an anchor (bs0), one auxiliary (bs1) and a vehicle the
 // anchor never hears: every upstream packet pends at bs1, whose relay
 // probability is 1/c ≥ 1 and so flips no coin.
-func oneAuxCell(t *testing.T, seed int64, cfg Config, events EventFunc) (*sim.Kernel, *Cell) {
+func oneAuxCell(t *testing.T, seed int64, events EventFunc) (*sim.Kernel, *Cell) {
 	m := uniformMatrix(3, 0.9)
 	m[0][2] = 0.95
 	m[1][2] = 0.3
 	m[2][0] = 0
 	m[2][1] = 1
-	return testCell(t, seed, cfg, m, events)
+	return testCell(t, seed, DefaultConfig(), m, events)
 }
 
 // auxDecisions checks every relay decision bs1 emitted against the
 // reference chain: a packet overheard at h is decided at the first chain
-// instant ≥ h+AckWait, never elsewhere. It returns the decision instants.
-func auxDecisions(t *testing.T, seed int64, cfg Config, chain []time.Duration, events []Event) []time.Duration {
+// instant ≥ h+ackWait, never elsewhere. It returns the decision instants.
+func auxDecisions(t *testing.T, seed int64, chain []time.Duration, events []Event) []time.Duration {
 	t.Helper()
 	heard := map[pendKey]time.Duration{}
 	var at []time.Duration
@@ -63,7 +61,7 @@ func auxDecisions(t *testing.T, seed int64, cfg Config, chain []time.Duration, e
 			if !ok {
 				t.Fatalf("seed %d: decision at %v for a packet never heard", seed, e.At)
 			}
-			if want := firstAtOrAfter(chain, h+cfg.AckWait); e.At != want {
+			if want := firstAtOrAfter(chain, h+ackWait); e.At != want {
 				t.Errorf("seed %d: packet heard at %v decided at %v, want chain instant %v",
 					seed, h, e.At, want)
 			}
@@ -84,11 +82,10 @@ func TestRelayDecisionsFollowTheChain(t *testing.T) {
 		burst2, quiet2 = 16 * time.Second, 18 * time.Second
 		last, end      = 30 * time.Second, 31 * time.Second
 	)
-	cfg := DefaultConfig()
 	for seed := int64(1); seed <= 24; seed++ {
-		chain := relayChain(seed, 1, cfg, end)
+		chain := relayChain(seed, 1, end)
 		var events []Event
-		k, cell := oneAuxCell(t, seed, cfg, func(e Event) { events = append(events, e) })
+		k, cell := oneAuxCell(t, seed, func(e Event) { events = append(events, e) })
 		aux := cell.BSes[1]
 
 		// Overheard traffic at arbitrary instants in the two bursts and
@@ -126,14 +123,14 @@ func TestRelayDecisionsFollowTheChain(t *testing.T) {
 		})
 		k.RunUntil(end)
 
-		at := auxDecisions(t, seed, cfg, chain, events)
+		at := auxDecisions(t, seed, chain, events)
 		var inBurst1, afterWake, afterLast bool
 		for _, d := range at {
 			if d > quiet1+time.Second && d < wake {
 				t.Errorf("seed %d: decision at %v inside the dormancy", seed, d)
 			}
 			inBurst1 = inBurst1 || d < quiet1+time.Second
-			afterWake = afterWake || d == firstAtOrAfter(chain, wake+cfg.AckWait)
+			afterWake = afterWake || d == firstAtOrAfter(chain, wake+ackWait)
 			afterLast = afterLast || d > last
 		}
 		if !inBurst1 || !afterWake || !afterLast {
@@ -169,10 +166,9 @@ func TestIdleBasestationsScheduleNoRelayEvents(t *testing.T) {
 // the instant the never-stopped timer of the old design would have used.
 func TestRelayChainSurvivesColdRestart(t *testing.T) {
 	const seed = 11
-	cfg := DefaultConfig()
-	chain := relayChain(seed, 1, cfg, 8*time.Second)
+	chain := relayChain(seed, 1, 8*time.Second)
 	var events []Event
-	k, cell := oneAuxCell(t, seed, cfg, func(e Event) { events = append(events, e) })
+	k, cell := oneAuxCell(t, seed, func(e Event) { events = append(events, e) })
 	aux := cell.BSes[1]
 
 	k.RunUntil(3 * time.Second)
@@ -208,38 +204,11 @@ func TestRelayChainSurvivesColdRestart(t *testing.T) {
 		cell.Vehicle.SendData(make([]byte, 64))
 	}
 	k.RunUntil(8 * time.Second)
-	at := auxDecisions(t, seed, cfg, chain, events)
+	at := auxDecisions(t, seed, chain, events)
 	if len(at) == 0 || at[len(at)-1] < 6*time.Second {
 		t.Fatalf("no relay decision on the traffic after the restart: %v", at)
 	}
 	if at[0] <= tick {
 		t.Errorf("decision at %v on state the restart discarded", at[0])
-	}
-}
-
-// TestCellRejectsNonPositiveRelayTiming: a relay period of zero would never
-// advance the chain, and an acknowledgment window of zero would void the
-// argument that lets a waking chain skip the instant it ties with.
-func TestCellRejectsNonPositiveRelayTiming(t *testing.T) {
-	build := func(cfg Config) (msg string) {
-		defer func() { msg = fmt.Sprint(recover()) }()
-		opts := DefaultCellOptions()
-		opts.Protocol = cfg
-		NewCell(sim.NewKernel(1), opts, []mobility.Mover{mobility.Fixed{}}, mobility.Fixed{X: 50})
-		return
-	}
-	for field, set := range map[string]func(*Config){
-		"RelayCheck": func(c *Config) { c.RelayCheck = 0 },
-		"AckWait":    func(c *Config) { c.AckWait = -time.Millisecond },
-	} {
-		cfg := DefaultConfig()
-		set(&cfg)
-		if msg := build(cfg); !strings.Contains(msg, "Config."+field) {
-			t.Errorf("%s: cell built or panicked with %q, want a message naming the field", field, msg)
-		}
-		cfg.EnableRelay = false
-		if msg := build(cfg); msg != "<nil>" {
-			t.Errorf("%s without EnableRelay: rejected with %q", field, msg)
-		}
 	}
 }

@@ -58,16 +58,10 @@ func (d *delaySampler) quantile(q float64) time.Duration {
 func (n *Node) retxTimeout() time.Duration {
 	// Require a few samples before trusting the estimate.
 	if n.delays.size() < 8 {
-		return n.cfg.RetxInit
+		return retxInit
 	}
 	t := n.delays.quantile(n.cfg.RetxPercentile)
-	if t < n.cfg.RetxMin {
-		t = n.cfg.RetxMin
-	}
-	if t > n.cfg.RetxMax {
-		t = n.cfg.RetxMax
-	}
-	return t
+	return min(max(t, retxMin), retxMax)
 }
 
 // allocPkt takes an outPkt from the node's free list (growing only while

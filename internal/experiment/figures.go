@@ -47,7 +47,7 @@ func Fig2(o Options) *Report {
 	}
 	fullF := make([]Future[*trace.ProbeTrace], trials)
 	for trial := 0; trial < trials; trial++ {
-		fullF[trial] = eng.VanLANProbes(o.Seed+int64(trial*131), trips, nil)
+		fullF[trial] = eng.VanLANProbes(o.Seed+int64(trial*131), trips)
 	}
 	full := make([]*trace.ProbeTrace, trials)
 	for trial := range full {
@@ -117,7 +117,7 @@ func Fig3(o Options) *Report {
 	eng := o.engine()
 	// The trace generates first; the per-policy replays over it then run
 	// as pool-bounded jobs (the trace is read-only once built).
-	pt := eng.VanLANProbes(o.Seed, o.scaled(6), nil).Wait()
+	pt := eng.VanLANProbes(o.Seed, o.scaled(6)).Wait()
 	tlPolicies := []func() handoff.Policy{
 		func() handoff.Policy { return handoff.NewBRR() },
 		func() handoff.Policy { return handoff.NewBestBS() },
@@ -187,7 +187,7 @@ func Fig4(o Options) *Report {
 		Header: []string{"sweep", "x", "AllBSes", "BestBS", "BRR", "Sticky"},
 	}
 	eng := o.engine()
-	pt := eng.VanLANProbes(o.Seed, o.scaled(8), nil).Wait()
+	pt := eng.VanLANProbes(o.Seed, o.scaled(8)).Wait()
 	policies := []func() handoff.Policy{
 		func() handoff.Policy { return handoff.NewAllBSes() },
 		func() handoff.Policy { return handoff.NewBestBS() },
@@ -239,7 +239,7 @@ func Fig5(o Options) *Report {
 	}
 	eng := o.engine()
 	dur := time.Duration(o.scaled(40)) * time.Minute
-	ptF := eng.VanLANProbes(o.Seed, o.scaled(4), nil)
+	ptF := eng.VanLANProbes(o.Seed, o.scaled(4))
 	ch1F := eng.DieselNetTrace(o.Seed, 1, dur)
 	ch6F := eng.DieselNetTrace(o.Seed, 6, dur)
 	pt, ch1, ch6 := ptF.Wait(), ch1F.Wait(), ch6F.Wait()

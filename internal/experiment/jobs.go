@@ -1,9 +1,7 @@
 package experiment
 
 import (
-	"fmt"
 	"strconv"
-	"strings"
 	"time"
 
 	"github.com/vanlan/vifi/internal/core"
@@ -62,29 +60,15 @@ func (e *Engine) VoIP(seed int64, env Env, cfg core.Config, dur time.Duration) F
 }
 
 // VanLANProbes schedules generation of the §3 VanLAN measurement trace
-// used by Figs 2–5 and 7. Equal (seed, trips, subset) share one trace.
-func (e *Engine) VanLANProbes(seed int64, trips int, subset []int) Future[*trace.ProbeTrace] {
-	var b strings.Builder
-	fmt.Fprintf(&b, "trips=%d subset=", trips)
-	for i, s := range subset {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.Itoa(s))
-	}
-	key := JobKey{Kind: "vanlan-probes", Seed: seed, Extra: b.String()}
+// used by Figs 2–5 and 7 (Fig 2 subsets it with ProbeTrace.Subset). Equal
+// (seed, trips) share one trace.
+func (e *Engine) VanLANProbes(seed int64, trips int) Future[*trace.ProbeTrace] {
+	key := JobKey{Kind: "vanlan-probes", Seed: seed, Extra: "trips=" + strconv.Itoa(trips)}
 	return Future[*trace.ProbeTrace]{f: e.memoize(key, func() any {
-		return generateVanLANProbes(seed, trips, subset)
+		cfg := trace.DefaultVanLANConfig(seed)
+		cfg.Trips = trips
+		return trace.GenerateVanLANProbes(cfg)
 	})}
-}
-
-// generateVanLANProbes is the leaf computation behind VanLANProbes, also
-// called directly from inside jobs (which must not re-enter the engine).
-func generateVanLANProbes(seed int64, trips int, subset []int) *trace.ProbeTrace {
-	cfg := trace.DefaultVanLANConfig(seed)
-	cfg.Trips = trips
-	cfg.BSSubset = subset
-	return trace.GenerateVanLANProbes(cfg)
 }
 
 // DieselNetTrace schedules synthesis of a DieselNet beacon trace.

@@ -23,7 +23,7 @@ func Fig7(o Options) *Report {
 	dur := time.Duration(o.scaled(900)) * time.Second
 	vifiF := eng.Probe(o.Seed, EnvVanLAN, core.DefaultConfig(), dur)
 	brrF := eng.Probe(o.Seed, EnvVanLAN, core.BRRConfig(), dur)
-	ptF := eng.VanLANProbes(o.Seed, o.scaled(8), nil)
+	ptF := eng.VanLANProbes(o.Seed, o.scaled(8))
 	vifi, brr, pt := vifiF.Wait(), brrF.Wait(), ptF.Wait()
 
 	// Each sweep row replays the measurement trace for the two oracles and

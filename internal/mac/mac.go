@@ -19,45 +19,29 @@ import (
 	"github.com/vanlan/vifi/internal/sim"
 )
 
-// Config holds MAC tunables. Zero fields take defaults from DefaultConfig.
+// Config holds the MAC's one tunable. A zero BeaconInterval takes
+// DefaultConfig's.
 type Config struct {
 	// BeaconInterval is the period of beacon emission. The paper's nodes
 	// beacon periodically (§4.6); we default to the common 100 ms.
 	BeaconInterval time.Duration
-	// QueueCap bounds the transmit queue in frames; beyond it, new data
-	// frames are dropped (drop-tail).
-	QueueCap int
-	// BackoffMin/Max bound the uniform retry delay when the medium is
-	// sensed busy.
-	BackoffMin, BackoffMax time.Duration
 }
 
 // DefaultConfig returns the standard MAC configuration.
 func DefaultConfig() Config {
-	return Config{
-		BeaconInterval: 100 * time.Millisecond,
-		QueueCap:       64,
-		BackoffMin:     100 * time.Microsecond,
-		BackoffMax:     900 * time.Microsecond,
-	}
+	return Config{BeaconInterval: 100 * time.Millisecond}
 }
 
-func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.BeaconInterval == 0 {
-		c.BeaconInterval = d.BeaconInterval
-	}
-	if c.QueueCap == 0 {
-		c.QueueCap = d.QueueCap
-	}
-	if c.BackoffMin == 0 {
-		c.BackoffMin = d.BackoffMin
-	}
-	if c.BackoffMax == 0 {
-		c.BackoffMax = d.BackoffMax
-	}
-	return c
-}
+// The MAC's fixed queue and carrier-sense backoff.
+const (
+	// queueCap bounds the transmit queue in frames; beyond it, new frames
+	// are dropped (drop-tail).
+	queueCap = 64
+	// backoffMin and backoffMax bound the uniform retry delay when the
+	// medium is sensed busy.
+	backoffMin = 100 * time.Microsecond
+	backoffMax = 900 * time.Microsecond
+)
 
 // Handler consumes decoded frames arriving from the radio. The frame, its
 // Beacon and its Payload are shared by every receiver of the transmission
@@ -146,7 +130,9 @@ func New(k *sim.Kernel, ch *radio.Channel, name string, mover mobility.Mover) *M
 // NewWithConfig is New with explicit configuration.
 func NewWithConfig(k *sim.Kernel, ch *radio.Channel, name string, mover mobility.Mover, cfg Config) *MAC {
 	m := New(k, ch, name, mover)
-	m.cfg = cfg.withDefaults()
+	if cfg.BeaconInterval != 0 {
+		m.cfg = cfg
+	}
 	return m
 }
 
@@ -206,7 +192,7 @@ func (m *MAC) send(f *frame.Frame, front bool) bool {
 	if err != nil {
 		panic("mac: unmarshalable frame: " + err.Error())
 	}
-	if m.queue.Len() >= m.cfg.QueueCap {
+	if m.queue.Len() >= queueCap {
 		pool.Put(buf)
 		m.stats.DroppedFull++
 		return false
@@ -230,8 +216,7 @@ func (m *MAC) pump() {
 	}
 	if m.ch.Busy(m.id) {
 		m.stats.BusyDefers++
-		d := m.cfg.BackoffMin +
-			time.Duration(m.rng.Float64()*float64(m.cfg.BackoffMax-m.cfg.BackoffMin))
+		d := backoffMin + time.Duration(m.rng.Float64()*float64(backoffMax-backoffMin))
 		m.K.AfterHandler(d, &m.pumpH)
 		return
 	}

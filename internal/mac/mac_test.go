@@ -99,21 +99,22 @@ func TestOneOutstandingFrame(t *testing.T) {
 func TestQueueCapDropTail(t *testing.T) {
 	k := sim.NewKernel(3)
 	ch := perfectChannel(k)
-	a := NewWithConfig(k, ch, "a", mobility.Fixed{}, Config{QueueCap: 4})
+	a := New(k, ch, "a", mobility.Fixed{})
 	New(k, ch, "b", mobility.Fixed{X: 10})
 
+	const sent = queueCap + 10
 	accepted := 0
-	for i := 0; i < 10; i++ {
+	for i := 0; i < sent; i++ {
 		if a.Send(dataFrame(a.Addr(), uint32(i), 1000)) {
 			accepted++
 		}
 	}
-	// One dequeued to the air immediately, then 4 queued, rest dropped.
-	if accepted != 5 {
-		t.Errorf("accepted %d, want 5", accepted)
+	// One dequeued to the air immediately, then queueCap queued, rest dropped.
+	if accepted != queueCap+1 {
+		t.Errorf("accepted %d, want %d", accepted, queueCap+1)
 	}
-	if s := a.Stats(); s.DroppedFull != 5 {
-		t.Errorf("dropped = %d, want 5", s.DroppedFull)
+	if s := a.Stats(); s.DroppedFull != sent-queueCap-1 {
+		t.Errorf("dropped = %d, want %d", s.DroppedFull, sent-queueCap-1)
 	}
 }
 

@@ -546,20 +546,6 @@ func (c *Channel) link(from, to NodeID) *linkState {
 	return ls
 }
 
-// ReceiveProb reports the instantaneous reception probability from one
-// node to another given their current positions. This is the oracle the
-// idealized policies (BestBS, AllBSes, PerfectRelay) consult.
-func (c *Channel) ReceiveProb(from, to NodeID) float64 {
-	now := c.K.Now()
-	d := c.nodes[from].mover.Position(now).Dist(c.nodes[to].mover.Position(now))
-	ls := c.link(from, to)
-	if c.factory != nil {
-		return c.models[ls.custom].ReceiveProb(now, d)
-	}
-	ls.fading.advance(&c.P, &ls.stream, now)
-	return ls.fading.prob(&c.P, d)
-}
-
 // Busy reports whether the medium is sensed busy at the node: either the
 // node itself is transmitting, or some in-flight transmission originates
 // within carrier-sense range. Only the active-transmitter list is

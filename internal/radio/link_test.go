@@ -161,7 +161,7 @@ func (s scripted) Position(t time.Duration) mobility.Point {
 // TestMemoIsKeyedOnDistance drives one link through the distance sequence
 // a, a, b, a, NaN, a — hit, miss, miss back to an old key, the key that
 // never equals itself, and the miss after it — and compares every
-// ReceiveProb and RSSI base, bit for bit, with an oracle that has no memo:
+// reception probability and RSSI base, bit for bit, with an oracle that has no memo:
 // a twin link on the same labelled stream supplies the burst and gray
 // state, and the distance arithmetic is recomputed here every time.
 func TestMemoIsKeyedOnDistance(t *testing.T) {
@@ -190,8 +190,8 @@ func TestMemoIsKeyedOnDistance(t *testing.T) {
 		if want > 1 {
 			want = 1
 		}
-		if got := c.ReceiveProb(0, 1); math.Float64bits(got) != math.Float64bits(want) {
-			t.Errorf("step %d (d=%v): ReceiveProb = %v, memo-free oracle %v", i, d, got, want)
+		if got := receiveProb(c, 0, 1); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("step %d (d=%v): reception probability = %v, memo-free oracle %v", i, d, got, want)
 		}
 		if got, want := ls.rssi(&c.P, d), p.rssiBase(d); math.Float64bits(got) != math.Float64bits(want) {
 			t.Errorf("step %d (d=%v): RSSI base = %v, memo-free oracle %v", i, d, got, want)

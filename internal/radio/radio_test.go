@@ -450,6 +450,16 @@ func TestChannelBusyCarrierSense(t *testing.T) {
 	}
 }
 
+// receiveProb is a default link's instantaneous reception probability
+// between two attached nodes at their positions now: the link's modulators
+// advanced to now, then its mean at the pair's distance.
+func receiveProb(c *Channel, from, to NodeID) float64 {
+	now := c.K.Now()
+	ls := c.link(from, to)
+	ls.fading.advance(&c.P, &ls.stream, now)
+	return ls.fading.prob(&c.P, c.nodes[from].mover.Position(now).Dist(c.nodes[to].mover.Position(now)))
+}
+
 func TestChannelReceiveProbUsesDistance(t *testing.T) {
 	k := sim.NewKernel(15)
 	c := NewChannel(k, DefaultParams(), nil) // default fading links
@@ -461,8 +471,8 @@ func TestChannelReceiveProbUsesDistance(t *testing.T) {
 	const samples = 500
 	for i := 0; i < samples; i++ {
 		k.RunUntil(k.Now() + 100*time.Millisecond)
-		pNear += c.ReceiveProb(a, near)
-		pFar += c.ReceiveProb(a, farn)
+		pNear += receiveProb(c, a, near)
+		pFar += receiveProb(c, a, farn)
 	}
 	pNear /= samples
 	pFar /= samples

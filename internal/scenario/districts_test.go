@@ -39,39 +39,49 @@ func TestDistrictLayoutDeterministic(t *testing.T) {
 // partition rests on: every node — basestation position and every route
 // waypoint — stays inside its district's stripe, and adjacent stripes
 // are separated by more than the radio conflict reach (reception cutoff
-// and carrier-sense range), so districts share no radio state at all.
+// and carrier-sense range) under the spec's own radio overrides, so
+// districts share no radio state at all.
 func TestDistrictSeparation(t *testing.T) {
-	spec, err := Parse("metro-districts")
-	if err != nil {
-		t.Fatal(err)
-	}
-	lay, err := Generate(sim.NewKernel(3), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := radio.DefaultParams()
-	reach := math.Max(p.CutoffM(), p.SenseRangeM)
-	if lay.MoatM <= reach {
-		t.Fatalf("moat %.1f m does not clear the conflict reach %.1f m", lay.MoatM, reach)
-	}
-	for d := 1; d < lay.Districts(); d++ {
-		if gap := lay.DistrictX0[d] - lay.DistrictX1[d-1]; gap < lay.MoatM-1e-9 {
-			t.Fatalf("districts %d/%d separated by %.1f m, want ≥ %.1f m", d-1, d, gap, lay.MoatM)
+	for _, tc := range []struct {
+		spec string
+		d50  float64 // the 50 %-reception distance the spec runs at
+	}{
+		{"metro-districts", radio.DefaultParams().D50},
+		{"metro-districts,range=400", 400},
+	} {
+		spec, err := Parse(tc.spec)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	for i, pt := range lay.BSes {
-		d := lay.BSDistrict[i]
-		if pt.X < lay.DistrictX0[d]-1e-9 || pt.X > lay.DistrictX1[d]+1e-9 {
-			t.Errorf("bs %d at x=%.1f outside district %d span [%.1f, %.1f]",
-				i, pt.X, d, lay.DistrictX0[d], lay.DistrictX1[d])
+		lay, err := Generate(sim.NewKernel(3), spec)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	for i, r := range lay.Routes {
-		d := lay.VehDistrict[i]
-		for _, wp := range r.Waypoints {
-			if wp.X < lay.DistrictX0[d]-1e-9 || wp.X > lay.DistrictX1[d]+1e-9 {
-				t.Errorf("vehicle %d waypoint x=%.1f outside district %d span [%.1f, %.1f]",
-					i, wp.X, d, lay.DistrictX0[d], lay.DistrictX1[d])
+		p := radio.DefaultParams()
+		p.D50 = tc.d50
+		reach := math.Max(p.CutoffM(), p.SenseRangeM)
+		if lay.MoatM <= reach {
+			t.Fatalf("%s: moat %.1f m does not clear the conflict reach %.1f m", tc.spec, lay.MoatM, reach)
+		}
+		for d := 1; d < lay.Districts(); d++ {
+			if gap := lay.DistrictX0[d] - lay.DistrictX1[d-1]; gap < lay.MoatM-1e-9 {
+				t.Fatalf("%s: districts %d/%d separated by %.1f m, want ≥ %.1f m", tc.spec, d-1, d, gap, lay.MoatM)
+			}
+		}
+		for i, pt := range lay.BSes {
+			d := lay.BSDistrict[i]
+			if pt.X < lay.DistrictX0[d]-1e-9 || pt.X > lay.DistrictX1[d]+1e-9 {
+				t.Errorf("%s: bs %d at x=%.1f outside district %d span [%.1f, %.1f]",
+					tc.spec, i, pt.X, d, lay.DistrictX0[d], lay.DistrictX1[d])
+			}
+		}
+		for i, r := range lay.Routes {
+			d := lay.VehDistrict[i]
+			for _, wp := range r.Waypoints {
+				if wp.X < lay.DistrictX0[d]-1e-9 || wp.X > lay.DistrictX1[d]+1e-9 {
+					t.Errorf("%s: vehicle %d waypoint x=%.1f outside district %d span [%.1f, %.1f]",
+						tc.spec, i, wp.X, d, lay.DistrictX0[d], lay.DistrictX1[d])
+				}
 			}
 		}
 	}

@@ -7,7 +7,6 @@ import (
 
 	"github.com/vanlan/vifi/internal/core"
 	"github.com/vanlan/vifi/internal/mobility"
-	"github.com/vanlan/vifi/internal/radio"
 	"github.com/vanlan/vifi/internal/sim"
 )
 
@@ -50,10 +49,7 @@ const moatFrac = 1.05
 // the reach no frame can be received and no transmitter is sensed, so
 // nodes in different districts share no radio state at all.
 func (s Spec) MoatM() float64 {
-	p := radio.DefaultParams()
-	if s.RangeM > 0 {
-		p.D50 = s.RangeM
-	}
+	p := s.Apply(core.DefaultCellOptions()).Radio
 	return math.Max(p.CutoffM(), p.SenseRangeM) * moatFrac
 }
 

@@ -164,7 +164,7 @@ func TestParseAppKnobs(t *testing.T) {
 		t.Errorf("app knobs not applied: %+v", s)
 	}
 	cfg := s.AppConfig()
-	if cfg.App != workload.MixedKind || cfg.TCP.TransferBytes != 20480 ||
+	if cfg.TCP.TransferBytes != 20480 ||
 		cfg.Web.Think != 2*time.Second || cfg.Mix != [4]int{1, 2, 3, 4} {
 		t.Errorf("AppConfig did not fold knobs: %+v", cfg)
 	}

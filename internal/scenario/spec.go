@@ -123,7 +123,6 @@ func (s Spec) FaultSpec() (fault.Spec, error) { return fault.Parse(s.Faults) }
 // AppConfig folds the spec's application knobs into a workload config.
 func (s Spec) AppConfig() workload.Config {
 	cfg := workload.DefaultConfig()
-	cfg.App = s.App
 	if s.AppXferBytes > 0 {
 		cfg.TCP.TransferBytes = s.AppXferBytes
 	}

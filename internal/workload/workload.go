@@ -126,8 +126,6 @@ type LiveStats struct {
 
 // Config parameterizes driver construction for a fleet.
 type Config struct {
-	App Kind
-
 	// CBR: one CBRBytes-sized packet each way per CBRSlot.
 	CBRSlot  time.Duration
 	CBRBytes int
@@ -148,7 +146,6 @@ type Config struct {
 // TCP loop, G.729 VoIP, 10 KB web pages, and an even mixed split.
 func DefaultConfig() Config {
 	return Config{
-		App:      CBRKind,
 		CBRSlot:  200 * time.Millisecond,
 		CBRBytes: 500,
 		TCP:      DefaultTCPConfig(),

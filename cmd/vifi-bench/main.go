@@ -62,7 +62,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		all        = fs.Bool("all", false, "run everything, including ablations")
 		parallel   = fs.Int("parallel", runtime.GOMAXPROCS(0), "simulation worker-pool width; 1 = serial")
 		scn        = fs.String("scenario", "", "base scenario for the scale-* experiments (preset[,key=value...]); empty keeps their defaults")
-		shards     = fs.Int("shards", 1, "run each fleet simulation this many ways parallel — independent district kernels (districted) or halo-band stripe lanes (un-districted indexed); reports stay byte-identical, fallbacks to serial say why on stderr")
+		shards     = fs.Int("shards", 1, "run each fleet simulation this many ways parallel — independent district kernels (districted) or halo-band stripe lanes (un-districted indexed); reports stay byte-identical")
 		cpuprofile = fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memprofile = fs.String("memprofile", "", "write a pprof heap profile to this file at exit")
 		metrics    = fs.String("metrics", "", "write an FTDC-style metrics recording of every executed run to this file (reports stay byte-identical)")

@@ -38,6 +38,7 @@ import (
 	"github.com/vanlan/vifi/internal/fault"
 	"github.com/vanlan/vifi/internal/obs"
 	"github.com/vanlan/vifi/internal/scenario"
+	"github.com/vanlan/vifi/internal/workload"
 )
 
 func main() {
@@ -55,7 +56,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		duration = fs.Duration("duration", 10*time.Minute, "simulated duration")
 		seed     = fs.Int64("seed", 42, "random seed")
 		parallel = fs.Int("parallel", runtime.GOMAXPROCS(0), "simulation worker-pool width; 1 = serial")
-		shards   = fs.Int("shards", 1, "run each scenario simulation this many ways parallel: independent district kernels for districted scenarios, halo-band stripe lanes for un-districted indexed ones (results are byte-identical to -shards 1; fallbacks to serial say why on stderr)")
+		shards   = fs.Int("shards", 1, "run each scenario simulation this many ways parallel: independent district kernels for districted scenarios, halo-band stripe lanes for un-districted indexed ones (results are byte-identical to -shards 1)")
 		metrics  = fs.String("metrics", "", "write an FTDC-style metrics recording of every run to this file (sampling is pure observation: results are byte-identical with or without it)")
 		minterv  = fs.Duration("metrics-interval", time.Second, "sim-time sampling cadence for -metrics")
 	)
@@ -76,19 +77,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "%-14s %s\n", name, fault.Preset(name))
 		}
 		return 0
-	}
-
-	var e experiment.Env
-	switch *env {
-	case "vanlan":
-		e = experiment.EnvVanLAN
-	case "dieselnet1":
-		e = experiment.EnvDieselNetCh1
-	case "dieselnet6":
-		e = experiment.EnvDieselNetCh6
-	default:
-		fmt.Fprintf(stderr, "vifi-sim: unknown environment %q\n", *env)
-		return 2
 	}
 
 	names := strings.Split(*protocol, ",")
@@ -136,53 +124,55 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return writeMetrics()
 	}
 
-	switch *wkld {
-	case "voip":
-		futs := make([]experiment.Future[*experiment.VoIPRun], len(cfgs))
-		for i, cfg := range cfgs {
-			futs[i] = eng.VoIP(*seed, e, cfg, *duration)
-		}
-		for i, name := range names {
-			q := futs[i].Wait().Quality
-			printHeader(stdout, e, name, *duration, *seed)
+	// The paper's testbeds: -env and -workload apply from here on.
+	e, ok := map[string]experiment.Env{
+		"vanlan":     experiment.EnvVanLAN,
+		"dieselnet1": experiment.EnvDieselNetCh1,
+		"dieselnet6": experiment.EnvDieselNetCh6,
+	}[*env]
+	if !ok {
+		fmt.Fprintf(stderr, "vifi-sim: unknown environment %q\n", *env)
+		return 2
+	}
+	kind, ok := map[string]workload.Kind{
+		"voip":   workload.VoIPKind,
+		"tcp":    workload.TCPKind,
+		"probes": workload.CBRKind,
+	}[*wkld]
+	if !ok {
+		fmt.Fprintf(stderr, "vifi-sim: unknown workload %q\n", *wkld)
+		return 2
+	}
+	futs := make([]experiment.Future[*experiment.TestbedRun], len(cfgs))
+	for i, cfg := range cfgs {
+		// TCP collects for the salvaged-packet count.
+		futs[i] = eng.Testbed(*seed, e, kind, cfg, *duration, kind == workload.TCPKind)
+	}
+	for i, name := range names {
+		run := futs[i].Wait()
+		printHeader(stdout, e, name, *duration, *seed)
+		switch kind {
+		case workload.VoIPKind:
+			q := run.VoIP
 			fmt.Fprintf(stdout, "median disruption-free session: %.0f s\n", q.MedianSessionSec)
 			fmt.Fprintf(stdout, "mean MoS (3s windows):          %.2f\n", q.MeanMoS)
 			fmt.Fprintf(stdout, "interruptions:                  %d over %d windows\n\n", q.Interruptions, q.Windows)
-		}
-	case "tcp":
-		futs := make([]experiment.Future[*experiment.TCPRun], len(cfgs))
-		for i, cfg := range cfgs {
-			futs[i] = eng.TCP(*seed, e, cfg, *duration)
-		}
-		for i, name := range names {
-			run := futs[i].Wait()
-			st := run.Stats
-			printHeader(stdout, e, name, *duration, *seed)
-			fmt.Fprintf(stdout, "completed transfers:   %d (%.3f /s)\n", st.Completed,
-				float64(st.Completed)/run.Duration.Seconds())
-			fmt.Fprintf(stdout, "aborted transfers:     %d\n", st.Aborted)
+		case workload.TCPKind:
+			fmt.Fprintf(stdout, "completed transfers:   %d (%.3f /s)\n", run.Completed,
+				float64(run.Completed)/run.Span.Seconds())
+			fmt.Fprintf(stdout, "aborted transfers:     %d\n", run.Aborted)
 			fmt.Fprintf(stdout, "median transfer time:  %.2f s (p90 %.2f s)\n",
-				st.MedianTransferTime(), st.TransferTimes.Quantile(0.9))
-			fmt.Fprintf(stdout, "transfers per session: %.1f\n", st.TransfersPerSession())
-			fmt.Fprintf(stdout, "salvaged packets:      %d\n\n", run.Salvaged)
-		}
-	case "probes":
-		futs := make([]experiment.Future[*experiment.FleetRun], len(cfgs))
-		for i, cfg := range cfgs {
-			futs[i] = eng.Probe(*seed, e, cfg, *duration)
-		}
-		for i, name := range names {
-			run := futs[i].Wait()
-			printHeader(stdout, e, name, *duration, *seed)
+				run.TransferQuantile(0.5), run.TransferQuantile(0.9))
+			fmt.Fprintf(stdout, "transfers per session: %.1f\n", run.TransfersPerSession())
+			fmt.Fprintf(stdout, "salvaged packets:      %d\n\n", run.Collector.Salvaged)
+		case workload.CBRKind:
+			link := run.Link()
 			for _, ratio := range []float64{0.3, 0.5, 0.7, 0.9} {
 				fmt.Fprintf(stdout, "median session (1s, ≥%.0f%%): %.0f s\n",
-					ratio*100, run.MedianSession(time.Second, ratio))
+					ratio*100, link.MedianSession(time.Second, ratio))
 			}
 			fmt.Fprintln(stdout)
 		}
-	default:
-		fmt.Fprintf(stderr, "vifi-sim: unknown workload %q\n", *wkld)
-		return 2
 	}
 	return writeMetrics()
 }

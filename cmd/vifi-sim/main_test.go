@@ -97,8 +97,8 @@ func TestScenarioFleetWorkload(t *testing.T) {
 	}
 }
 
-// TestScenarioListAndErrors covers the preset listing and the spec-error
-// exit path.
+// TestScenarioListAndErrors covers the preset listing, the spec-error
+// exit path and the -env/-workload values a scenario run ignores.
 func TestScenarioListAndErrors(t *testing.T) {
 	var out, errb strings.Builder
 	if code := run([]string{"-scenario", "list"}, &out, &errb); code != 0 {
@@ -113,5 +113,13 @@ func TestScenarioListAndErrors(t *testing.T) {
 	errb.Reset()
 	if code := run([]string{"-scenario", "grid-city,bogus=1"}, &out, &errb); code != 2 {
 		t.Errorf("bad override: exit %d, want 2", code)
+	}
+	// -scenario replaces -env and -workload: a value there is ignored,
+	// not rejected.
+	out.Reset()
+	errb.Reset()
+	args := []string{"-scenario", "grid-small,vehicles=2", "-env", "mars", "-workload", "quic", "-duration", "5s"}
+	if code := run(args, &out, &errb); code != 0 {
+		t.Errorf("ignored -env/-workload: exit %d, stderr: %s", code, errb.String())
 	}
 }

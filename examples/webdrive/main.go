@@ -33,10 +33,10 @@ func run(w io.Writer, seed int64, airtime time.Duration) {
 	fmt.Fprintf(w, "%-20s %10s %12s %12s %18s\n",
 		"protocol", "completed", "median (s)", "p90 (s)", "transfers/session")
 	for _, arm := range arms {
-		st := vifi.NewVanLAN(seed, arm.cfg).RunTCP(airtime)
+		m := vifi.NewVanLAN(seed, arm.cfg).RunTCP(airtime)
 		fmt.Fprintf(w, "%-20s %10d %12.2f %12.2f %18.1f\n",
-			arm.name, st.Completed, st.MedianTransferTime(),
-			st.TransferTimes.Quantile(0.9), st.TransfersPerSession())
+			arm.name, m.Completed, m.TransferQuantile(0.5),
+			m.TransferQuantile(0.9), m.TransfersPerSession())
 	}
 	fmt.Fprintln(w, "\npaper shape: ViFi doubles successful transfers; salvaging adds ~10% over diversity alone")
 }

@@ -110,9 +110,7 @@ func AblateDiversity(o Options) *Report {
 				movers[j] = mobility.Fixed(v.BSes[j])
 			}
 			cell := core.NewCell(k, opts, movers, &mobility.RouteMover{Route: v.Route})
-			d := workload.NewVoIP(k, workload.CellPort(cell, 0), 0, fleetWarm, dur)
-			driveCell(k, cell, d, workload.VoIPKind, dur+time.Second, 0, nil)
-			return d.Stop().VoIP
+			return runTestbed(k, cell, workload.VoIPKind, dur, nil, 0, nil).VoIP
 		})
 	}
 	for i, nb := range counts {
@@ -144,9 +142,9 @@ func AblateBackplane(o Options) *Report {
 		{"100 Mbit/s, 1 ms (LAN)", 100e6, time.Millisecond},
 	}
 	eng := o.engine()
-	futs := make([]Future[*workload.TCPStats], len(cases))
+	futs := make([]Future[workload.Metrics], len(cases))
 	for i, c := range cases {
-		futs[i] = goJob(eng, func() *workload.TCPStats {
+		futs[i] = goJob(eng, func() workload.Metrics {
 			k := sim.NewKernel(o.Seed)
 			opts := core.DefaultCellOptions()
 			opts.Backplane = backplane.Config{
@@ -154,15 +152,12 @@ func AblateBackplane(o Options) *Report {
 				CoreDelay: c.delay / 2,
 			}
 			cell := core.NewVanLANCell(k, opts)
-			d := workload.NewTCP(k, workload.DefaultTCPConfig(), workload.CellPort(cell, 0), 0, fleetWarm, dur)
-			driveCell(k, cell, d, workload.TCPKind, dur, 0, nil)
-			d.Stop()
-			return d.Stats()
+			return runTestbed(k, cell, workload.TCPKind, dur, nil, 0, nil).Metrics
 		})
 	}
 	for i, c := range cases {
-		st := futs[i].Wait()
-		r.AddRow(c.name, f2(st.MedianTransferTime()), f1(st.TransfersPerSession()))
+		m := futs[i].Wait()
+		r.AddRow(c.name, f2(m.TransferQuantile(0.5)), f1(m.TransfersPerSession()))
 	}
 	r.AddNote("design claim: ViFi needs little backplane capacity — thin links should perform close to a LAN")
 	return r
@@ -179,7 +174,7 @@ func AblateSalvage(o Options) *Report {
 	eng := o.engine()
 	dur := time.Duration(o.scaled(1200)) * time.Second
 	windows := []time.Duration{0, 500 * time.Millisecond, time.Second, 2 * time.Second, 4 * time.Second}
-	futs := make([]Future[*TCPRun], len(windows))
+	futs := make([]Future[*TestbedRun], len(windows))
 	for i, w := range windows {
 		cfg := core.DefaultConfig()
 		if w == 0 {
@@ -187,14 +182,14 @@ func AblateSalvage(o Options) *Report {
 		} else {
 			cfg.SalvageWindow = w
 		}
-		futs[i] = eng.TCP(o.Seed, EnvVanLAN, cfg, dur)
+		futs[i] = eng.Testbed(o.Seed, EnvVanLAN, workload.TCPKind, cfg, dur, true)
 	}
 	for i, w := range windows {
 		run := futs[i].Wait()
 		r.AddRow(fmt.Sprintf("%gs", w.Seconds()),
-			f2(run.Stats.MedianTransferTime()),
-			f1(run.Stats.TransfersPerSession()),
-			fmt.Sprint(run.Salvaged))
+			f2(run.TransferQuantile(0.5)),
+			f1(run.TransfersPerSession()),
+			fmt.Sprint(run.Collector.Salvaged))
 	}
 	r.AddNote("paper: the 1 s window (minimum TCP RTO) captures the disproportionate benefit; little beyond it")
 	return r
@@ -210,18 +205,18 @@ func AblateRetx(o Options) *Report {
 	eng := o.engine()
 	dur := time.Duration(o.scaled(900)) * time.Second
 	percentiles := []float64{0.5, 0.9, 0.99, 0.999}
-	futs := make([]Future[*TCPRun], len(percentiles))
+	futs := make([]Future[*TestbedRun], len(percentiles))
 	for i, p := range percentiles {
 		cfg := core.DefaultConfig()
 		cfg.RetxPercentile = p
-		futs[i] = eng.TCP(o.Seed, EnvVanLAN, cfg, dur)
+		futs[i] = eng.Testbed(o.Seed, EnvVanLAN, workload.TCPKind, cfg, dur, true)
 	}
 	for i, p := range percentiles {
 		run := futs[i].Wait()
 		// Spurious retransmissions ≈ retransmitted attempts whose earlier
 		// attempt had already reached the destination.
 		spurious := spuriousRetxRate(run.Collector)
-		r.AddRow(fmt.Sprintf("%g", p), f2(run.Stats.MedianTransferTime()), f2(spurious))
+		r.AddRow(fmt.Sprintf("%g", p), f2(run.TransferQuantile(0.5)), f2(spurious))
 	}
 	r.AddNote("paper: the 99th percentile errs toward waiting, trading delay for fewer spurious retransmissions")
 	return r

@@ -14,6 +14,9 @@ import (
 
 	"github.com/vanlan/vifi/internal/core"
 	"github.com/vanlan/vifi/internal/scenario"
+	"github.com/vanlan/vifi/internal/sim"
+	"github.com/vanlan/vifi/internal/trace"
+	"github.com/vanlan/vifi/internal/workload"
 )
 
 // reportTable is the package's byte-identity contract: one row per
@@ -228,45 +231,86 @@ func checkWellFormed(t *testing.T, id string, rep *Report) {
 	}
 }
 
-// TestRunCacheSharesIdenticalWorkloads checks the memoization contract:
-// two figures needing the same (seed, env, config, duration) run get one
-// execution and the same result object.
-func TestRunCacheSharesIdenticalWorkloads(t *testing.T) {
+// TestTestbedJobSharing checks the testbed job's memoization contract:
+// equal inputs run one job and hand every requester the same result, a
+// differing duration misses; the probe normalizes MaxRetx away, so configurations differing only there
+// share a run; a collecting and a plain run are two runs. DieselNet cells
+// read the engine's trace memo: one engine hands both cells of a seed the
+// same trace, two engines generate their own.
+func TestTestbedJobSharing(t *testing.T) {
 	eng := NewEngine(2)
 	cfg := core.DefaultConfig()
-	a := eng.TCP(5, EnvVanLAN, cfg, 30*time.Second)
-	b := eng.TCP(5, EnvVanLAN, cfg, 30*time.Second)
+	a := eng.Testbed(5, EnvVanLAN, workload.TCPKind, cfg, 30*time.Second, true)
+	b := eng.Testbed(5, EnvVanLAN, workload.TCPKind, cfg, 30*time.Second, true)
 	if a.Wait() != b.Wait() {
 		t.Error("identical TCP jobs returned distinct results")
 	}
-	if hits := eng.CacheHits(); hits != 1 {
-		t.Errorf("cache hits = %d, want 1", hits)
+	if jobs, hits := eng.Jobs(), eng.CacheHits(); jobs != 1 || hits != 1 {
+		t.Errorf("jobs/hits = %d/%d, want 1/1", jobs, hits)
 	}
 	// A differing duration must miss.
-	c := eng.TCP(5, EnvVanLAN, cfg, 31*time.Second)
+	c := eng.Testbed(5, EnvVanLAN, workload.TCPKind, cfg, 31*time.Second, true)
 	if c.Wait() == a.Wait() {
 		t.Error("different durations shared a result")
 	}
-	// MaxRetx is normalized away for probe jobs (the workload forces it
-	// to zero), so configs differing only there share a run.
-	p1 := eng.Probe(5, EnvVanLAN, cfg, 20*time.Second)
+	if jobs, hits := eng.Jobs(), eng.CacheHits(); jobs != 2 || hits != 1 {
+		t.Errorf("jobs/hits = %d/%d, want 2/1", jobs, hits)
+	}
 	retx := cfg
 	retx.MaxRetx = 0
-	p2 := eng.Probe(5, EnvVanLAN, retx, 20*time.Second)
+	p1 := eng.Testbed(5, EnvVanLAN, workload.CBRKind, cfg, 20*time.Second, false)
+	p2 := eng.Testbed(5, EnvVanLAN, workload.CBRKind, retx, 20*time.Second, false)
 	if p1.Wait() != p2.Wait() {
 		t.Error("probe jobs differing only in MaxRetx did not share")
+	}
+	p3 := eng.Testbed(5, EnvVanLAN, workload.CBRKind, cfg, 20*time.Second, true)
+	if p3.Wait() == p1.Wait() || p3.Wait().Collector == nil || p1.Wait().Collector != nil {
+		t.Error("collecting and plain probe runs shared a result")
+	}
+	if jobs, hits := eng.Jobs(), eng.CacheHits(); jobs != 4 || hits != 2 {
+		t.Errorf("jobs/hits = %d/%d, want 4/2", jobs, hits)
+	}
+
+	// Each memo entry generates once, so one entry after two cells and a
+	// direct read of the cells' key is one shared trace.
+	for _, c := range []core.Config{cfg, core.BRRConfig()} {
+		eng.buildCell(sim.NewKernel(7), EnvDieselNetCh1, c, nil, time.Minute)
+	}
+	seed := int64(sim.NewKernel(7).RNG("traceseed").Uint64() % (1 << 30))
+	tr := eng.dieselNet(seed, 1, time.Hour)
+	if len(eng.traces) != 1 {
+		t.Errorf("two cells at one seed and their key made %d traces, want 1", len(eng.traces))
+	}
+	if other := NewEngine(1).dieselNet(seed, 1, time.Hour); other == tr {
+		t.Error("two engines share a trace")
+	}
+	// Concurrent first readers of one key wait for the one generation.
+	fresh := NewEngine(4)
+	got := make([]*trace.Trace, 4)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = fresh.dieselNet(seed, 6, time.Minute)
+		}()
+	}
+	wg.Wait()
+	for _, g := range got[1:] {
+		if g != got[0] {
+			t.Fatal("concurrent readers of one key got distinct traces")
+		}
 	}
 }
 
 // TestSharedTCPRunConcurrentQuantiles guards the cache's immutability
-// contract: quantile queries lazily sort the sample, so cached runs are
-// frozen (pre-sorted) before publication. Two figures quantiling the same
-// shared run concurrently must be race-free (run with -race).
+// contract: two figures quantiling the same shared run concurrently must
+// be race-free (run with -race) and agree.
 func TestSharedTCPRunConcurrentQuantiles(t *testing.T) {
 	eng := NewEngine(4)
-	futs := []Future[*TCPRun]{
-		eng.TCP(3, EnvVanLAN, core.DefaultConfig(), 40*time.Second),
-		eng.TCP(3, EnvVanLAN, core.DefaultConfig(), 40*time.Second),
+	futs := []Future[*TestbedRun]{
+		eng.Testbed(3, EnvVanLAN, workload.TCPKind, core.DefaultConfig(), 40*time.Second, true),
+		eng.Testbed(3, EnvVanLAN, workload.TCPKind, core.DefaultConfig(), 40*time.Second, true),
 	}
 	medians := make([]float64, len(futs))
 	var wg sync.WaitGroup
@@ -275,8 +319,8 @@ func TestSharedTCPRunConcurrentQuantiles(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			run := f.Wait()
-			medians[i] = run.Stats.MedianTransferTime()
-			run.Stats.TransferTimes.Quantile(0.9)
+			medians[i] = run.TransferQuantile(0.5)
+			run.TransferQuantile(0.9)
 		}()
 	}
 	wg.Wait()
@@ -286,18 +330,22 @@ func TestSharedTCPRunConcurrentQuantiles(t *testing.T) {
 }
 
 // TestWorkloadLevelDeterminism pins the lower layer directly: two
-// executions of one workload with one seed agree on outcome counts.
+// executions of one workload with one seed, on two engines, agree on
+// outcome counts.
 func TestWorkloadLevelDeterminism(t *testing.T) {
-	a := RunTCPWorkload(31, EnvDieselNetCh1, core.DefaultConfig(), 45*time.Second, 0)
-	b := RunTCPWorkload(31, EnvDieselNetCh1, core.DefaultConfig(), 45*time.Second, 0)
-	if a.Stats.Completed != b.Stats.Completed || a.Stats.Aborted != b.Stats.Aborted ||
-		a.Salvaged != b.Salvaged {
-		t.Errorf("TCP diverged: %d/%d/%d vs %d/%d/%d",
-			a.Stats.Completed, a.Stats.Aborted, a.Salvaged,
-			b.Stats.Completed, b.Stats.Aborted, b.Salvaged)
+	run := func(seed int64, env Env, kind workload.Kind, collect bool) *TestbedRun {
+		return NewEngine(1).Testbed(seed, env, kind, core.DefaultConfig(), 45*time.Second, collect).Wait()
 	}
-	qa := RunVoIPWorkload(37, EnvVanLAN, core.DefaultConfig(), 45*time.Second, 0).Quality
-	qb := RunVoIPWorkload(37, EnvVanLAN, core.DefaultConfig(), 45*time.Second, 0).Quality
+	a := run(31, EnvDieselNetCh1, workload.TCPKind, true)
+	b := run(31, EnvDieselNetCh1, workload.TCPKind, true)
+	if a.Completed != b.Completed || a.Aborted != b.Aborted ||
+		a.Collector.Salvaged != b.Collector.Salvaged {
+		t.Errorf("TCP diverged: %d/%d/%d vs %d/%d/%d",
+			a.Completed, a.Aborted, a.Collector.Salvaged,
+			b.Completed, b.Aborted, b.Collector.Salvaged)
+	}
+	qa := run(37, EnvVanLAN, workload.VoIPKind, false).VoIP
+	qb := run(37, EnvVanLAN, workload.VoIPKind, false).VoIP
 	if qa.MeanMoS != qb.MeanMoS || qa.Interruptions != qb.Interruptions {
 		t.Errorf("VoIP diverged: %v/%d vs %v/%d",
 			qa.MeanMoS, qa.Interruptions, qb.MeanMoS, qb.Interruptions)

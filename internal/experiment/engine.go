@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/vanlan/vifi/internal/core"
+	"github.com/vanlan/vifi/internal/trace"
 )
 
 // Engine schedules independent simulation runs — jobs — onto a bounded
@@ -37,8 +38,9 @@ type Engine struct {
 	// appears in job keys.
 	metricsInterval time.Duration
 
-	mu   sync.Mutex
-	memo map[JobKey]*future
+	mu     sync.Mutex
+	memo   map[JobKey]*future
+	traces map[traceKey]func() *trace.Trace // DieselNet trace memo (dieselNet)
 
 	jobs atomic.Int64 // jobs actually executed
 	hits atomic.Int64 // run-cache hits (jobs avoided)
@@ -54,6 +56,7 @@ func NewEngine(workers int) *Engine {
 		workers: workers,
 		sem:     make(chan struct{}, workers),
 		memo:    map[JobKey]*future{},
+		traces:  map[traceKey]func() *trace.Trace{},
 	}
 }
 

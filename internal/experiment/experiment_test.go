@@ -13,6 +13,7 @@ import (
 	"github.com/vanlan/vifi/internal/radio"
 	"github.com/vanlan/vifi/internal/sim"
 	"github.com/vanlan/vifi/internal/stats"
+	"github.com/vanlan/vifi/internal/workload"
 )
 
 // tiny returns options small enough for CI while still exercising every
@@ -225,10 +226,15 @@ func TestMedianTimeWeightedHelper(t *testing.T) {
 	}
 }
 
+// testbed runs one default-protocol testbed job on a fresh engine.
+func testbed(seed int64, env Env, kind workload.Kind, dur time.Duration, collect bool) *TestbedRun {
+	return NewEngine(1).Testbed(seed, env, kind, core.DefaultConfig(), dur, collect).Wait()
+}
+
 func TestCollectorTable1Pipeline(t *testing.T) {
 	// A miniature TCP run must populate every Table 1 statistic without
 	// NaNs or out-of-range values.
-	run := RunTCPWorkload(11, EnvVanLAN, core.DefaultConfig(), 60*time.Second, 0)
+	run := testbed(11, EnvVanLAN, workload.TCPKind, 60*time.Second, true)
 	for _, dir := range []core.Direction{core.Up, core.Down} {
 		s := run.Collector.Stats(dir)
 		if s.SourceTransmissions == 0 {
@@ -255,7 +261,7 @@ func TestCollectorTable1Pipeline(t *testing.T) {
 }
 
 func TestEfficiencyBounds(t *testing.T) {
-	run := RunTCPWorkload(12, EnvVanLAN, core.DefaultConfig(), 60*time.Second, 0)
+	run := testbed(12, EnvVanLAN, workload.TCPKind, 60*time.Second, true)
 	for _, dir := range []core.Direction{core.Up, core.Down} {
 		e := run.Collector.Efficiency(dir)
 		p := run.Collector.PerfectRelayEfficiency(dir)
@@ -269,8 +275,7 @@ func TestEfficiencyBounds(t *testing.T) {
 }
 
 func TestVoIPWorkloadRuns(t *testing.T) {
-	run := RunVoIPWorkload(13, EnvVanLAN, core.DefaultConfig(), 90*time.Second, 0)
-	q := run.Quality
+	q := testbed(13, EnvVanLAN, workload.VoIPKind, 90*time.Second, false).VoIP
 	if q.Windows == 0 {
 		t.Fatal("no VoIP windows scored")
 	}
@@ -280,7 +285,7 @@ func TestVoIPWorkloadRuns(t *testing.T) {
 }
 
 func TestProbeWorkloadTraceDriven(t *testing.T) {
-	run := RunProbeWorkload(14, EnvDieselNetCh1, core.DefaultConfig(), 60*time.Second, nil, 0)
+	run := testbed(14, EnvDieselNetCh1, workload.CBRKind, 60*time.Second, false).Link()
 	if len(run.Up) != 1 || len(run.Up[0]) == 0 || len(run.Down[0]) == 0 {
 		t.Fatal("probe run empty")
 	}

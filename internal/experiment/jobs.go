@@ -1,61 +1,48 @@
 package experiment
 
 import (
+	"fmt"
 	"strconv"
+	"sync"
 	"time"
 
 	"github.com/vanlan/vifi/internal/core"
+	"github.com/vanlan/vifi/internal/sim"
 	"github.com/vanlan/vifi/internal/trace"
+	"github.com/vanlan/vifi/internal/workload"
 )
 
-// This file defines the engine's job vocabulary: one constructor per
-// independently runnable simulation workload. Each returns a Future whose
-// result is memoized in the engine's run-cache (except where noted), so
-// figures that need the same run share one execution.
+// This file defines the engine's job vocabulary for the paper's testbeds
+// (the fleet runs' FleetApp is in fleetapp.go) and the DieselNet trace
+// memo the testbed cells read. Runs are memoized in the engine's
+// run-cache, so figures that need the same run share one execution.
 
-// Probe schedules the §5.2 link-layer probe workload. The workload forces
-// MaxRetx to zero, so the key is normalized the same way: configurations
-// differing only in MaxRetx share one run.
-func (e *Engine) Probe(seed int64, env Env, cfg core.Config, dur time.Duration) Future[*FleetRun] {
-	cfg.MaxRetx = 0
-	key := JobKey{Kind: "probe", Seed: seed, Env: env, Cfg: cfg, Dur: dur}
-	return Future[*FleetRun]{f: e.memoize(key, func() any {
-		return RunProbeWorkload(seed, env, cfg, dur, nil, e.metricsInterval)
-	})}
-}
-
-// ProbeCollect schedules a probe workload with an event collector
-// attached. The collector is a side channel the run-cache cannot share,
-// so these jobs are never memoized; the job owns the collector and
-// returns it alongside the run.
-func (e *Engine) ProbeCollect(seed int64, env Env, cfg core.Config, dur time.Duration) Future[*Collector] {
-	return goJob(e, func() *Collector {
-		col := NewCollector()
-		RunProbeWorkload(seed, env, cfg, dur, col.Handle, 0)
-		return col
-	})
-}
-
-// TCP schedules the §5.3.1 repeated-transfer TCP workload. The returned
-// TCPRun (stats and collector) is shared across figures; treat it as
-// read-only.
-func (e *Engine) TCP(seed int64, env Env, cfg core.Config, dur time.Duration) Future[*TCPRun] {
-	key := JobKey{Kind: "tcp", Seed: seed, Env: env, Cfg: cfg, Dur: dur}
-	return Future[*TCPRun]{f: e.memoize(key, func() any {
-		run := RunTCPWorkload(seed, env, cfg, dur, e.metricsInterval)
-		// Freeze lazily-sorting state before publication: Sample.Quantile
-		// sorts in place, and two figures quantiling one cached run
-		// concurrently would race on it.
-		run.Stats.TransferTimes.Sort()
-		return run
-	})}
-}
-
-// VoIP schedules the §5.3.2 G.729 call workload.
-func (e *Engine) VoIP(seed int64, env Env, cfg core.Config, dur time.Duration) Future[*VoIPRun] {
-	key := JobKey{Kind: "voip", Seed: seed, Env: env, Cfg: cfg, Dur: dur}
-	return Future[*VoIPRun]{f: e.memoize(key, func() any {
-		return RunVoIPWorkload(seed, env, cfg, dur, e.metricsInterval)
+// Testbed schedules one run of the paper's own evaluation: one vehicle on
+// the environment's testbed under a workload kind — CBR is the §5.2
+// link-layer probe, TCP the §5.3.1 transfer loop, VoIP the §5.3.2 G.729
+// call. The probe disables link-layer retransmissions (the application
+// runs keep cfg's ≤3), so its key is normalized the same way: probe
+// configurations differing only in MaxRetx share one run.
+// collect attaches an event Collector (Fig 9, Fig 12, Table 1 and Table 2
+// read it); a collecting and a plain run are two runs.
+func (e *Engine) Testbed(seed int64, env Env, kind workload.Kind, cfg core.Config, dur time.Duration, collect bool) Future[*TestbedRun] {
+	name := kind.String()
+	if kind == workload.CBRKind {
+		cfg.MaxRetx = 0
+		name = "probe"
+	}
+	key := JobKey{Kind: "testbed", Seed: seed, Env: env, Cfg: cfg, Dur: dur, Extra: fmt.Sprintf("%s collect=%t", name, collect)}
+	return Future[*TestbedRun]{f: e.memoize(key, func() any {
+		k := sim.NewKernel(seed)
+		var col *Collector
+		var events core.EventFunc
+		if collect {
+			col = NewCollector()
+			events = col.Handle
+		}
+		cell, dur := e.buildCell(k, env, cfg, events, dur)
+		return runTestbed(k, cell, kind, dur, col, e.metricsInterval,
+			runMeta(name, env.String(), seed, 1, dur, cfg))
 	})}
 }
 
@@ -71,10 +58,33 @@ func (e *Engine) VanLANProbes(seed int64, trips int) Future[*trace.ProbeTrace] {
 	})}
 }
 
-// DieselNetTrace schedules synthesis of a DieselNet beacon trace.
+// DieselNetTrace schedules synthesis of a DieselNet beacon trace (Fig 5)
+// through the engine's trace memo.
 func (e *Engine) DieselNetTrace(seed int64, channel int, dur time.Duration) Future[*trace.Trace] {
-	key := JobKey{Kind: "dntrace", Seed: seed, Dur: dur, Extra: strconv.Itoa(channel)}
-	return Future[*trace.Trace]{f: e.memoize(key, func() any {
-		return trace.GenerateDieselNet(seed, channel, dur)
-	})}
+	return goJob(e, func() *trace.Trace { return e.dieselNet(seed, channel, dur) })
+}
+
+// traceKey names one synthetic DieselNet trace.
+type traceKey struct {
+	seed    int64
+	channel int
+	dur     time.Duration
+}
+
+// dieselNet returns the engine's DieselNet trace for (seed, channel, dur),
+// generating it on first use: the generation sweep dominates short
+// DieselNet runs, so every job of one engine shares each trace. It runs
+// inline in the calling job, never as a pool job (jobs are leaves):
+// distinct traces generate in parallel, and a same-key caller blocks only
+// on that one generation. The trace is read-only once generated.
+func (e *Engine) dieselNet(seed int64, channel int, dur time.Duration) *trace.Trace {
+	key := traceKey{seed, channel, dur}
+	e.mu.Lock()
+	gen, ok := e.traces[key]
+	if !ok {
+		gen = sync.OnceValue(func() *trace.Trace { return trace.GenerateDieselNet(seed, channel, dur) })
+		e.traces[key] = gen
+	}
+	e.mu.Unlock()
+	return gen()
 }

@@ -8,6 +8,7 @@ import (
 	"github.com/vanlan/vifi/internal/handoff"
 	"github.com/vanlan/vifi/internal/stats"
 	"github.com/vanlan/vifi/internal/trace"
+	"github.com/vanlan/vifi/internal/workload"
 )
 
 // Fig7 reproduces the link-layer comparison: ViFi's median session length
@@ -21,10 +22,10 @@ func Fig7(o Options) *Report {
 	}
 	eng := o.engine()
 	dur := time.Duration(o.scaled(900)) * time.Second
-	vifiF := eng.Probe(o.Seed, EnvVanLAN, core.DefaultConfig(), dur)
-	brrF := eng.Probe(o.Seed, EnvVanLAN, core.BRRConfig(), dur)
+	vifiF := eng.Testbed(o.Seed, EnvVanLAN, workload.CBRKind, core.DefaultConfig(), dur, false)
+	brrF := eng.Testbed(o.Seed, EnvVanLAN, workload.CBRKind, core.BRRConfig(), dur, false)
 	ptF := eng.VanLANProbes(o.Seed, o.scaled(8))
-	vifi, brr, pt := vifiF.Wait(), brrF.Wait(), ptF.Wait()
+	vifi, brr, pt := vifiF.Wait().Link(), brrF.Wait().Link(), ptF.Wait()
 
 	// Each sweep row replays the measurement trace for the two oracles and
 	// reduces both live runs — pool jobs, merged in declaration order.
@@ -71,12 +72,12 @@ func Fig8(o Options) *Report {
 		name string
 		cfg  core.Config
 	}{{"BRR", core.BRRConfig()}, {"ViFi", core.DefaultConfig()}}
-	futs := make([]Future[*FleetRun], len(arms))
+	futs := make([]Future[*TestbedRun], len(arms))
 	for i, c := range arms {
-		futs[i] = eng.Probe(o.Seed, EnvVanLAN, c.cfg, dur)
+		futs[i] = eng.Testbed(o.Seed, EnvVanLAN, workload.CBRKind, c.cfg, dur, false)
 	}
 	for i, c := range arms {
-		ratios := futs[i].Wait().intervalRatios(0, time.Second)
+		ratios := futs[i].Wait().Link().intervalRatios(0, time.Second)
 		adequate := make([]bool, len(ratios))
 		for i, ratio := range ratios {
 			adequate[i] = ratio >= 0.5
@@ -108,19 +109,19 @@ func Fig9(o Options) *Report {
 		{"Only Diversity", core.DiversityOnlyConfig()},
 		{"ViFi", core.DefaultConfig()},
 	}
-	futs := make([]Future[*TCPRun], len(arms))
+	futs := make([]Future[*TestbedRun], len(arms))
 	for i, c := range arms {
-		futs[i] = eng.TCP(o.Seed, EnvVanLAN, c.cfg, dur)
+		futs[i] = eng.Testbed(o.Seed, EnvVanLAN, workload.TCPKind, c.cfg, dur, true)
 	}
 	for i, c := range arms {
 		run := futs[i].Wait()
 		r.AddRow(c.name,
-			f2(run.Stats.MedianTransferTime()),
-			f2(run.Stats.TransferTimes.Quantile(0.9)),
-			f1(run.Stats.TransfersPerSession()),
-			fmt.Sprint(run.Stats.Completed),
-			fmt.Sprint(run.Stats.Aborted),
-			fmt.Sprint(run.Salvaged))
+			f2(run.TransferQuantile(0.5)),
+			f2(run.TransferQuantile(0.9)),
+			f1(run.TransfersPerSession()),
+			fmt.Sprint(run.Completed),
+			fmt.Sprint(run.Aborted),
+			fmt.Sprint(run.Collector.Salvaged))
 	}
 	r.AddNote("paper shape: ViFi halves BRR's median transfer time and doubles transfers/session; salvaging adds ~10%% on top of diversity")
 	r.AddNote("paper reference: EVDO Rev. A measured 0.75 s median downlink for the same workload")
@@ -138,16 +139,16 @@ func Fig10(o Options) *Report {
 	eng := o.engine()
 	dur := time.Duration(o.scaled(1800)) * time.Second
 	envs := []Env{EnvDieselNetCh1, EnvDieselNetCh6}
-	brrF := make([]Future[*TCPRun], len(envs))
-	vifiF := make([]Future[*TCPRun], len(envs))
+	brrF := make([]Future[*TestbedRun], len(envs))
+	vifiF := make([]Future[*TestbedRun], len(envs))
 	for i, env := range envs {
-		brrF[i] = eng.TCP(o.Seed, env, core.BRRConfig(), dur)
-		vifiF[i] = eng.TCP(o.Seed, env, core.DefaultConfig(), dur)
+		brrF[i] = eng.Testbed(o.Seed, env, workload.TCPKind, core.BRRConfig(), dur, true)
+		vifiF[i] = eng.Testbed(o.Seed, env, workload.TCPKind, core.DefaultConfig(), dur, true)
 	}
 	for i, env := range envs {
-		rate := func(f Future[*TCPRun]) float64 {
+		rate := func(f Future[*TestbedRun]) float64 {
 			run := f.Wait()
-			return float64(run.Stats.Completed) / run.Duration.Seconds()
+			return float64(run.Completed) / run.Span.Seconds()
 		}
 		b := rate(brrF[i])
 		v := rate(vifiF[i])
@@ -176,28 +177,28 @@ func Fig11(o Options) *Report {
 	envs := []Env{EnvVanLAN, EnvDieselNetCh1, EnvDieselNetCh6}
 	// Schedule every (env, protocol, replicate) run up front, then pool in
 	// declaration order — the paper pools sessions across days of driving.
-	futs := map[Env]map[bool][]Future[*VoIPRun]{}
+	futs := map[Env]map[bool][]Future[*TestbedRun]{}
 	for _, env := range envs {
-		futs[env] = map[bool][]Future[*VoIPRun]{}
+		futs[env] = map[bool][]Future[*TestbedRun]{}
 		for _, brr := range []bool{true, false} {
 			cfg := core.DefaultConfig()
 			if brr {
 				cfg = core.BRRConfig()
 			}
-			fs := make([]Future[*VoIPRun], runs)
+			fs := make([]Future[*TestbedRun], runs)
 			for i := 0; i < runs; i++ {
-				fs[i] = eng.VoIP(o.Seed+int64(i*977), env, cfg, dur)
+				fs[i] = eng.Testbed(o.Seed+int64(i*977), env, workload.VoIPKind, cfg, dur, false)
 			}
 			futs[env][brr] = fs
 		}
 	}
 	for _, env := range envs {
-		pooled := func(fs []Future[*VoIPRun]) (median, meanMoS float64) {
+		pooled := func(fs []Future[*TestbedRun]) (median, meanMoS float64) {
 			var lens []float64
 			var mosSum float64
 			var mosN int
 			for _, f := range fs {
-				q := f.Wait().Quality
+				q := f.Wait().VoIP
 				lens = append(lens, q.SessionLens...)
 				mosSum += q.MeanMoS * float64(q.Windows)
 				mosN += q.Windows
@@ -230,8 +231,8 @@ func Fig12(o Options) *Report {
 	}
 	eng := o.engine()
 	dur := time.Duration(o.scaled(1200)) * time.Second
-	brrF := eng.TCP(o.Seed, EnvVanLAN, core.BRRConfig(), dur)
-	vifiF := eng.TCP(o.Seed, EnvVanLAN, core.DefaultConfig(), dur)
+	brrF := eng.Testbed(o.Seed, EnvVanLAN, workload.TCPKind, core.BRRConfig(), dur, true)
+	vifiF := eng.Testbed(o.Seed, EnvVanLAN, workload.TCPKind, core.DefaultConfig(), dur, true)
 	brr := brrF.Wait().Collector
 	vifi := vifiF.Wait().Collector
 	for _, dir := range []core.Direction{core.Up, core.Down} {
@@ -253,8 +254,7 @@ func Table1(o Options) *Report {
 		Header: []string{"row", "statistic", "upstream", "downstream"},
 	}
 	dur := time.Duration(o.scaled(1200)) * time.Second
-	run := o.engine().TCP(o.Seed, EnvVanLAN, core.DefaultConfig(), dur).Wait()
-	col := run.Collector
+	col := o.engine().Testbed(o.Seed, EnvVanLAN, workload.TCPKind, core.DefaultConfig(), dur, true).Wait().Collector
 	up := col.Stats(core.Up)
 	down := col.Stats(core.Down)
 	med := col.MedianAuxCount()
@@ -286,12 +286,12 @@ func Table2(o Options) *Report {
 	eng := o.engine()
 	dur := time.Duration(o.scaled(1500)) * time.Second
 	kinds := []core.CoordinatorKind{core.CoordViFi, core.CoordNotG1, core.CoordNotG2, core.CoordNotG3}
-	futs := make([]Future[*Collector], len(kinds))
+	futs := make([]Future[*TestbedRun], len(kinds))
 	for i, c := range kinds {
-		futs[i] = eng.ProbeCollect(o.Seed, EnvDieselNetCh1, DefaultTableConfig(c), dur)
+		futs[i] = eng.Testbed(o.Seed, EnvDieselNetCh1, workload.CBRKind, DefaultTableConfig(c), dur, true)
 	}
 	for i, c := range kinds {
-		down := futs[i].Wait().Stats(core.Down)
+		down := futs[i].Wait().Collector.Stats(core.Down)
 		r.AddRow(c.String(), pct(down.FalsePositiveRate), pct(down.FalseNegativeGivenHeard))
 	}
 	r.AddNote("*false negatives conditioned on ≥1 auxiliary overhearing the failure — coordination failures, not coverage gaps (our synthetic traces spend more time out of coverage than the originals)")

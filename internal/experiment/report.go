@@ -20,8 +20,9 @@ type Options struct {
 	Scale float64
 	// Engine schedules the experiment's simulation runs. nil runs every
 	// job on a fresh one-worker engine (serial, with a per-figure
-	// run-cache); a shared Engine adds bounded parallelism and
-	// cross-figure memoization. Reports are byte-identical either way.
+	// run-cache and DieselNet trace memo); a shared Engine adds bounded
+	// parallelism and cross-figure memoization. Reports are byte-identical
+	// either way.
 	Engine *Engine
 	// Scenario overrides the base scenario spec of the scale-* sweeps: a
 	// preset name plus key=value overrides in internal/scenario.Parse
@@ -31,11 +32,8 @@ type Options struct {
 	Scenario string
 	// Shards requests sharded single-run execution: each fleet simulation
 	// runs as this many independent event kernels when its scenario is
-	// districted, as this many halo-band stripe lanes inside one kernel
-	// when it is un-districted but on the indexed radio path, and
-	// serially — with the reason in the shard log — when shardPlan can
-	// prove neither exact. Results are byte-identical in every case; 0
-	// means 1.
+	// districted and as this many halo-band stripe lanes inside one kernel
+	// otherwise. Results are byte-identical in every case; 0 means 1.
 	Shards int
 }
 

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"fmt"
 	"strconv"
 	"sync"
 	"time"
@@ -39,11 +40,9 @@ type fleetSession struct {
 	key      string
 	appcfg   workload.Config
 
-	eff           int    // kernel count: >1 only for district kernels
-	haloLanes     int    // delivery lanes on the halo path (0/1 otherwise)
-	requested     int    // shard count the caller asked for
-	reason        string // why a shards>1 request degraded to serial
-	districtShard []int  // nil unless eff > 1
+	eff           int   // kernel count: >1 only for district kernels
+	haloLanes     int   // delivery lanes on the halo path (0/1 otherwise)
+	districtShard []int // nil unless eff > 1
 	kernels       []*sim.Kernel
 	cells         []*core.Cell
 	recs          []*faultRecorder
@@ -64,7 +63,7 @@ type fleetSession struct {
 func newFleetSession(seed int64, spec scenario.Spec, cfg core.Config, duration time.Duration, shards int) (*fleetSession, error) {
 	opts := core.DefaultCellOptions()
 	opts.Protocol = cfg
-	plan := shardPlan(spec, opts, shards)
+	plan := shardPlan(spec, shards)
 	eff := 1 // kernel count; the halo mode parallelizes inside one kernel
 	if plan.mode == shardModeDistricts {
 		eff = plan.eff
@@ -79,7 +78,6 @@ func newFleetSession(seed int64, spec scenario.Spec, cfg core.Config, duration t
 		duration: duration, until: duration + time.Second,
 		key: spec.Key(), appcfg: spec.AppConfig(),
 		eff: eff, districtShard: plan.districtShard,
-		requested: shards, reason: plan.reason,
 		kernels: make([]*sim.Kernel, eff),
 		cells:   make([]*core.Cell, eff),
 		recs:    make([]*faultRecorder, eff),
@@ -140,15 +138,12 @@ func newFleetSession(seed int64, spec scenario.Spec, cfg core.Config, duration t
 		// Halo-band sharding: one kernel, serial event order, with the
 		// channel's per-broadcast delivery fan-out partitioned across
 		// stripe-owned lanes. Engaged only after the whole cell is built
-		// so every radio is attached first. The channel can still decline
-		// — degenerate radio params leave it reach-less, one grid cell —
-		// in which case the run proceeds serially and the reason is
-		// surfaced like any other fallback.
-		if got := s.cells[0].StartRadioShards(plan.eff); got == plan.eff {
-			s.haloLanes = plan.eff
-		} else {
-			s.reason = "channel declined the stripe plan (reach-less: one grid cell)"
+		// so every radio is attached first. Only a reach-less channel
+		// declines, and a validated spec never builds one.
+		if got := s.cells[0].StartRadioShards(plan.eff); got != plan.eff {
+			panic(fmt.Sprintf("experiment: channel started %d of %d planned halo lanes", got, plan.eff))
 		}
+		s.haloLanes = plan.eff
 	}
 	return s, nil
 }
@@ -366,12 +361,6 @@ func runFleetApp(seed int64, spec scenario.Spec, cfg core.Config, duration time.
 	run := s.finish()
 	if run.ShardExec != nil {
 		logShards(ShardLogEntry{SpecKey: s.key, Shards: len(run.ShardExec), Halo: s.haloLanes > 1, Stats: run.ShardExec})
-	}
-	if s.reason != "" && s.requested > 1 {
-		// The caller asked for sharding and did not get it: say why on the
-		// shard log (the CLIs drain it to stderr) instead of silently
-		// having run serial.
-		logShards(ShardLogEntry{SpecKey: s.key, Shards: s.requested, Reason: s.reason})
 	}
 	logRecording(s.recording())
 	return run, nil

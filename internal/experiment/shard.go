@@ -6,7 +6,6 @@ import (
 	"sort"
 	"sync"
 
-	"github.com/vanlan/vifi/internal/core"
 	"github.com/vanlan/vifi/internal/radio"
 	"github.com/vanlan/vifi/internal/scenario"
 )
@@ -30,8 +29,8 @@ import (
 //     untouched; only the draw-site moves.
 //
 // Either way the sharded run is byte-identical to the serial run at any
-// K; anything the planner cannot prove exact falls back to serial, with
-// the reason surfaced on the shard log instead of silently degrading.
+// K. A generated spec always has a finite radio cutoff, so every request
+// for K ≥ 2 gets one of the two; there is no fallback to serial.
 
 // ShardRunStats is one shard's execution diagnostics after a sharded run.
 // A district kernel fills Events (the events it executed) and the owned
@@ -47,16 +46,13 @@ type ShardRunStats struct {
 	HaloRecv int    // deliveries this lane computed for another lane's transmitters
 }
 
-// ShardLogEntry records one sharded execution — or one refused request —
-// for command-line diagnostics (vifi-sim/vifi-bench print these on
-// stderr). Halo marks single-kernel stripe-lane execution; a non-empty
-// Reason marks a requested shard count that degraded to serial, with
-// Stats nil.
+// ShardLogEntry records one sharded execution for command-line
+// diagnostics (vifi-sim/vifi-bench print these on stderr). Halo marks
+// single-kernel stripe-lane execution.
 type ShardLogEntry struct {
 	SpecKey string
 	Shards  int
 	Halo    bool
-	Reason  string
 	Stats   []ShardRunStats
 }
 
@@ -88,11 +84,6 @@ func logShards(e ShardLogEntry) {
 // it sat idle) and the halo traffic.
 func FprintShardLog(w io.Writer, entries []ShardLogEntry) {
 	for _, e := range entries {
-		if e.Reason != "" {
-			fmt.Fprintf(w, "sharded run requested (-shards %d) fell back to serial: %s: %s\n",
-				e.Shards, e.SpecKey, e.Reason)
-			continue
-		}
 		if e.Halo {
 			fmt.Fprintf(w, "halo-sharded run (%d lanes): %s\n", e.Shards, e.SpecKey)
 			for _, s := range e.Stats {
@@ -118,37 +109,27 @@ const (
 )
 
 // shardPlanResult is the planner's decision: the mode, the effective
-// parallelism (district kernels or halo lanes; 1 for serial), the
-// district→shard map (districts mode only), and — when a request for
-// shards>1 degraded to serial — the reason, so the CLIs can say so on
-// stderr instead of silently running serial.
+// parallelism (district kernels or halo lanes; 1 for serial) and the
+// district→shard map (districts mode only).
 type shardPlanResult struct {
 	mode          shardMode
 	eff           int
 	districtShard []int
-	reason        string
 }
 
 // shardPlan decides how a spec runs at the requested shard count. Both
-// sharded modes require a channel with a finite cutoff, whose reception
-// state is a pure function of in-range peers; a reach-less channel (a
-// custom LinkFactory) is one grid cell folding every attached radio into
-// per-receiver state, which neither district kernels nor stripe ownership
-// can partition. Districted specs get one kernel per district group
-// (districts are separated by more than the radio conflict reach; balanced
-// contiguous district groups, clamped to the district count). Un-districted
-// specs get halo lanes at any population: the stripes share radio edges,
-// so the partition moves inside the kernel (see radio.StartShards; clamped
-// to radio.MaxShardLanes — the request is outside input, and every lane is
-// a worker goroutine). Anything else falls back to serial with the reason
-// recorded, keeping results byte-identical by construction.
-func shardPlan(spec scenario.Spec, opts core.CellOptions, shards int) shardPlanResult {
+// sharded modes rely on the finite cutoff of a generated cell's default
+// links, which makes reception state a pure function of in-range peers.
+// Districted specs get one kernel per district group (districts are
+// separated by more than the radio conflict reach; balanced contiguous
+// district groups, clamped to the district count). Un-districted specs get
+// halo lanes at any population: the stripes share radio edges, so the
+// partition moves inside the kernel (see radio.StartShards; clamped to
+// radio.MaxShardLanes — the request is outside input, and every lane is a
+// worker goroutine). Below two shards the run is serial.
+func shardPlan(spec scenario.Spec, shards int) shardPlanResult {
 	if shards < 2 {
 		return shardPlanResult{mode: shardModeSerial, eff: 1}
-	}
-	if opts.LinkFactory != nil {
-		return shardPlanResult{mode: shardModeSerial, eff: 1,
-			reason: "custom LinkFactory makes a reach-less channel (no derivable cutoff: one grid cell, no stripe plan)"}
 	}
 	if d := spec.Districts; d >= 2 {
 		if shards > d {

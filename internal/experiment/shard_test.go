@@ -123,7 +123,7 @@ func TestShardedHaloMatchesSerial(t *testing.T) {
 	entries := TakeShardLog()
 	haloLogged := false
 	for _, e := range entries {
-		if e.Halo && len(e.Stats) > 0 && e.Reason == "" {
+		if e.Halo && len(e.Stats) > 0 {
 			haloLogged = true
 		}
 	}
@@ -180,7 +180,7 @@ func TestShardedHaloRecordingSharedSeries(t *testing.T) {
 
 // TestShardedSmallCityTakesLanes: a city has no population below which it
 // must run serially. A 64-radio spec requested at -shards 4 runs four halo
-// lanes, logs no fallback reason and matches the serial run exactly.
+// lanes, logs them and matches the serial run exactly.
 func TestShardedSmallCityTakesLanes(t *testing.T) {
 	spec, err := scenario.Parse("grid-metro,bs=60,vehicles=4")
 	if err != nil {
@@ -202,49 +202,41 @@ func TestShardedSmallCityTakesLanes(t *testing.T) {
 	if !reflect.DeepEqual(stripShardExec(serial), stripShardExec(sharded)) {
 		t.Error("halo-sharded small city diverged from serial")
 	}
-	for _, e := range TakeShardLog() {
-		if e.Reason != "" {
-			t.Errorf("small city logged a fallback: %q", e.Reason)
-		}
+	if log := TakeShardLog(); len(log) != 1 || !log[0].Halo || len(log[0].Stats) != 4 {
+		t.Errorf("small city logged %+v, want one 4-lane halo entry", log)
 	}
 }
 
 // TestShardPlanShape pins the partitioner: balanced contiguous district
 // groups for districted specs (clamped to the district count), halo
-// stripe lanes for un-districted specs at any population, and reasoned
-// serial fallbacks for everything the planner cannot prove exact.
+// stripe lanes for un-districted specs at any population, and serial
+// below two shards.
 func TestShardPlanShape(t *testing.T) {
-	opts := core.DefaultCellOptions()
 	spec, _ := scenario.Parse(shardTestSpec)
-	p := shardPlan(spec, opts, 2)
+	p := shardPlan(spec, 2)
 	if p.mode != shardModeDistricts || p.eff != 2 || !reflect.DeepEqual(p.districtShard, []int{0, 0, 1, 1}) {
 		t.Errorf("K=2: plan %+v", p)
 	}
-	p = shardPlan(spec, opts, 8)
+	p = shardPlan(spec, 8)
 	if p.mode != shardModeDistricts || p.eff != 4 || !reflect.DeepEqual(p.districtShard, []int{0, 1, 2, 3}) {
 		t.Errorf("K=8 clamps to districts: plan %+v", p)
 	}
 	flat, _ := scenario.Parse("grid-metro")
-	if p = shardPlan(flat, opts, 4); p.mode != shardModeHalo || p.eff != 4 || p.districtShard != nil {
+	if p = shardPlan(flat, 4); p.mode != shardModeHalo || p.eff != 4 || p.districtShard != nil {
 		t.Errorf("un-districted spec: plan %+v, want 4 halo lanes", p)
 	}
 	small := flat
 	small.BS, small.Vehicles = 60, 4 // a 64-radio city stripes like a metro
-	if p = shardPlan(small, opts, 4); p.mode != shardModeHalo || p.eff != 4 || p.reason != "" {
+	if p = shardPlan(small, 4); p.mode != shardModeHalo || p.eff != 4 {
 		t.Errorf("64-radio spec: plan %+v, want 4 halo lanes", p)
 	}
 	// The lane count is outside input (-shards, a served spec): a runaway
 	// request clamps to the channel's ceiling instead of starting that
 	// many worker goroutines.
-	if p = shardPlan(flat, opts, 100000); p.mode != shardModeHalo || p.eff != radio.MaxShardLanes {
+	if p = shardPlan(flat, 100000); p.mode != shardModeHalo || p.eff != radio.MaxShardLanes {
 		t.Errorf("runaway halo request: plan %+v, want %d lanes", p, radio.MaxShardLanes)
 	}
-	custom := opts
-	custom.LinkFactory = func(from, to radio.NodeID) radio.LinkModel { return radio.FixedLink(1) }
-	if p = shardPlan(flat, custom, 4); p.mode != shardModeSerial || p.reason == "" {
-		t.Errorf("custom LinkFactory: plan %+v, want reasoned serial", p)
-	}
-	if p = shardPlan(flat, opts, 1); p.mode != shardModeSerial || p.reason != "" {
-		t.Errorf("unrequested sharding: plan %+v, want silent serial", p)
+	if p = shardPlan(flat, 1); p.mode != shardModeSerial || p.eff != 1 {
+		t.Errorf("unrequested sharding: plan %+v, want serial", p)
 	}
 }

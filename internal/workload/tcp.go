@@ -1,10 +1,10 @@
 package workload
 
 import (
+	"sort"
 	"time"
 
 	"github.com/vanlan/vifi/internal/sim"
-	"github.com/vanlan/vifi/internal/stats"
 	"github.com/vanlan/vifi/internal/transport"
 )
 
@@ -29,50 +29,6 @@ func DefaultTCPConfig() TCPConfig {
 	}
 }
 
-// TCPStats aggregates the paper's two TCP measures: per-transfer
-// completion times and completed transfers per session, where a session
-// ends when a transfer is terminated for lack of progress (§5.3.1).
-type TCPStats struct {
-	TransferTimes *stats.Sample // seconds, completed transfers only
-	Sessions      []int         // completed transfers per session
-	Completed     int
-	Aborted       int
-	currentRun    int
-}
-
-func (s *TCPStats) transferDone(r transport.TransferResult) {
-	if r.Completed {
-		s.Completed++
-		s.currentRun++
-		s.TransferTimes.Add(r.Duration.Seconds())
-	} else {
-		s.Aborted++
-		s.finish()
-	}
-}
-
-// finish closes the current session.
-func (s *TCPStats) finish() {
-	s.Sessions = append(s.Sessions, s.currentRun)
-	s.currentRun = 0
-}
-
-// MedianTransferTime returns the median completion time in seconds.
-func (s *TCPStats) MedianTransferTime() float64 { return s.TransferTimes.Median() }
-
-// TransfersPerSession returns the mean completed transfers per session
-// (Fig 9b).
-func (s *TCPStats) TransfersPerSession() float64 {
-	if len(s.Sessions) == 0 {
-		return float64(s.Completed)
-	}
-	total := 0
-	for _, n := range s.Sessions {
-		total += n
-	}
-	return float64(total) / float64(len(s.Sessions))
-}
-
 // TCP is the §5.3.1 session: the vehicle downloads a fixed-size file from
 // the wired host over and over — next transfer, settled, gap — with the
 // ten-second no-progress abort ending a session.
@@ -82,19 +38,17 @@ type TCP struct {
 	x          transfer
 	veh        int
 	start, end time.Duration
-	// stats is its own allocation: results keep it (TCPRun.Stats sits in
-	// the engine's run-cache) long after the driver, and a pointer into
-	// the driver would pin the kernel and the whole cell with it.
-	stats *TCPStats
-	final Metrics
+	completed  int
+	aborted    int
+	secs       []float64 // completed transfer times in seconds
+	final      Metrics
 }
 
 // NewTCP builds the driver. The loop starts at start; no new transfer
 // begins at or after end, though one already in flight may still settle
 // before Stop.
 func NewTCP(k *sim.Kernel, cfg TCPConfig, port Port, veh int, start, end time.Duration) *TCP {
-	t := &TCP{k: k, cfg: cfg, veh: veh, start: start, end: end,
-		stats: &TCPStats{TransferTimes: stats.NewSample(256)}}
+	t := &TCP{k: k, cfg: cfg, veh: veh, start: start, end: end}
 	t.x = transfer{k: k, cfg: cfg.TCP, port: port, timeout: cfg.StallTimeout, settled: t.settled}
 	return t
 }
@@ -111,18 +65,18 @@ func (t *TCP) next() {
 }
 
 // settled books the finished transfer and pauses before the next. The
-// endpoints stay up through the gap.
+// endpoints stay up through the gap. An abort ends a session (§5.3.1).
 func (t *TCP) settled(r transport.TransferResult) {
-	t.stats.transferDone(r)
+	if r.Completed {
+		t.completed++
+		t.secs = append(t.secs, r.Duration.Seconds())
+	} else {
+		t.aborted++
+	}
 	if !t.x.stopped {
 		t.k.After(t.cfg.Gap, t.next)
 	}
 }
-
-// Stats exposes the session's transfer statistics: still accumulating
-// while the loop runs, final (trailing session closed, times sorted)
-// after Stop.
-func (t *TCP) Stats() *TCPStats { return t.stats }
 
 // DeliverDown feeds a datagram that arrived at the vehicle (the client).
 func (t *TCP) DeliverDown(p []byte) { t.x.deliverDown(p) }
@@ -132,22 +86,19 @@ func (t *TCP) DeliverUp(p []byte) { t.x.deliverUp(p) }
 
 // Live reports transfers completed and aborted so far.
 func (t *TCP) Live() LiveStats {
-	return LiveStats{Completed: t.stats.Completed, Aborted: t.stats.Aborted}
+	return LiveStats{Completed: t.completed, Aborted: t.aborted}
 }
 
-// Stop halts the loop, closes the trailing session and reports transfer
-// metrics.
+// Stop halts the loop and reports transfer metrics, times sorted.
 func (t *TCP) Stop() Metrics {
 	if t.x.stopped {
 		return t.final
 	}
 	t.x.stop()
-	t.stats.finish()
-	t.stats.TransferTimes.Sort()
+	sort.Float64s(t.secs)
 	t.final = Metrics{
 		App: TCPKind, Vehicle: t.veh, Span: span(t.start, t.end),
-		Completed: t.stats.Completed, Aborted: t.stats.Aborted,
-		TransferSecs: append([]float64(nil), t.stats.TransferTimes.Values()...),
+		Completed: t.completed, Aborted: t.aborted, TransferSecs: t.secs,
 	}
 	return t.final
 }

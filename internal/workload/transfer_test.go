@@ -1,11 +1,11 @@
 package workload
 
 import (
+	"sort"
 	"testing"
 	"time"
 
 	"github.com/vanlan/vifi/internal/sim"
-	"github.com/vanlan/vifi/internal/stats"
 	"github.com/vanlan/vifi/internal/transport"
 )
 
@@ -43,50 +43,83 @@ func (w *wire) down(b []byte) bool {
 	return w.carry(b, Driver.DeliverDown)
 }
 
+// TestTCPSessionsOnFlappingLink drives a session through two 25 s
+// outages, each long enough for the stall rule, and checks its Metrics
+// against a hand count of the transfers as they settle: a session ends at
+// each abort and at Stop, so TransfersPerSession is the mean of the
+// hand-kept per-session counts.
 func TestTCPSessionsOnFlappingLink(t *testing.T) {
-	// A link that dies for 25 s mid-run must abort a transfer (ending a
-	// session) and recover afterwards.
+	const end = 120 * time.Second
 	k := sim.NewKernel(8)
 	w := &wire{k: k, delay: 15 * time.Millisecond, dead: func() bool {
 		now := k.Now()
-		return now > 20*time.Second && now < 45*time.Second
+		return (now > 20*time.Second && now < 45*time.Second) ||
+			(now > 70*time.Second && now < 95*time.Second)
 	}}
-	d := NewTCP(k, DefaultTCPConfig(), w.port(), 0, 0, 90*time.Second)
+	d := NewTCP(k, DefaultTCPConfig(), w.port(), 0, 0, end)
 	w.d = d
 	d.Start()
-	k.RunUntil(90 * time.Second)
-	d.Stop()
-	st := d.Stats()
+	var sessions []int
+	run, seen := 0, LiveStats{}
+	for k.Now() < end && k.Step() {
+		live := d.Live()
+		if live.Completed > seen.Completed {
+			run++
+		}
+		if live.Aborted > seen.Aborted {
+			sessions = append(sessions, run)
+			run = 0
+		}
+		seen = live
+	}
+	sessions = append(sessions, run)
+	m := d.Stop()
 
-	if st.Completed < 10 {
-		t.Errorf("completed only %d transfers", st.Completed)
+	completed := 0
+	for _, n := range sessions {
+		completed += n
 	}
-	if st.Aborted == 0 {
-		t.Error("the outage aborted no transfer")
+	if m.Aborted < 2 || m.Aborted != len(sessions)-1 {
+		t.Fatalf("aborted = %d, hand count %d sessions %v; want ≥2 aborts", m.Aborted, len(sessions), sessions)
 	}
-	if len(st.Sessions) < 2 {
-		t.Errorf("sessions = %v, want the outage to split them", st.Sessions)
+	if m.Completed != completed || len(m.TransferSecs) != completed || completed < 10 {
+		t.Errorf("completed = %d (%d times), hand count %d", m.Completed, len(m.TransferSecs), completed)
 	}
-	if st.MedianTransferTime() <= 0 || st.MedianTransferTime() > 2 {
-		t.Errorf("median transfer time = %v s", st.MedianTransferTime())
+	if want := float64(completed) / float64(len(sessions)); m.TransfersPerSession() != want {
+		t.Errorf("transfers/session = %v, hand count %v", m.TransfersPerSession(), want)
+	}
+	if !sort.Float64sAreSorted(m.TransferSecs) {
+		t.Error("transfer times not sorted")
+	}
+	if med := m.TransferQuantile(0.5); med <= 0 || med > 2 {
+		t.Errorf("median transfer time = %v s", med)
 	}
 }
 
+// TestTCPStatsAccounting books a fixed sequence of settled transfers —
+// two completions, an abort, one more completion — and checks the
+// Metrics Stop reports: two sessions of two and one transfers, times
+// sorted.
 func TestTCPStatsAccounting(t *testing.T) {
-	ws := &TCPStats{TransferTimes: stats.NewSample(4)}
-	ws.transferDone(transport.TransferResult{Completed: true, Duration: time.Second})
-	ws.transferDone(transport.TransferResult{Completed: true, Duration: 2 * time.Second})
-	ws.transferDone(transport.TransferResult{Completed: false})
-	ws.transferDone(transport.TransferResult{Completed: true, Duration: time.Second})
-	ws.finish()
-	if ws.Completed != 3 || ws.Aborted != 1 {
-		t.Errorf("completed/aborted = %d/%d", ws.Completed, ws.Aborted)
+	k := sim.NewKernel(8)
+	d := NewTCP(k, DefaultTCPConfig(), (&wire{k: k}).port(), 0, 0, time.Minute)
+	d.settled(transport.TransferResult{Completed: true, Duration: 2 * time.Second})
+	d.settled(transport.TransferResult{Completed: true, Duration: time.Second})
+	d.settled(transport.TransferResult{Completed: false})
+	d.settled(transport.TransferResult{Completed: true, Duration: time.Second})
+	if live := d.Live(); live.Completed != 3 || live.Aborted != 1 {
+		t.Errorf("live completed/aborted = %d/%d", live.Completed, live.Aborted)
 	}
-	if len(ws.Sessions) != 2 || ws.Sessions[0] != 2 || ws.Sessions[1] != 1 {
-		t.Errorf("sessions = %v", ws.Sessions)
+	m := d.Stop()
+	if m.Completed != 3 || m.Aborted != 1 {
+		t.Errorf("completed/aborted = %d/%d", m.Completed, m.Aborted)
 	}
-	if got := ws.TransfersPerSession(); got != 1.5 {
+	if got := m.TransfersPerSession(); got != 1.5 {
 		t.Errorf("transfers/session = %v, want 1.5", got)
+	}
+	if want := []float64{1, 1, 2}; len(m.TransferSecs) != 3 ||
+		m.TransferSecs[0] != want[0] || m.TransferSecs[1] != want[1] || m.TransferSecs[2] != want[2] {
+		t.Errorf("transfer times = %v, want %v", m.TransferSecs, want)
 	}
 }
 

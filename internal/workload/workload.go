@@ -284,6 +284,18 @@ type Metrics struct {
 	VoIP voip.Quality
 }
 
+// TransferQuantile returns the interpolated q-quantile of the completed
+// transfer (page) times in seconds, 0 when none completed.
+func (m Metrics) TransferQuantile(q float64) float64 { return quantile(m.TransferSecs, q) }
+
+// TransfersPerSession is Fig 9b's mean completed transfers per TCP
+// session. A session ends at each stall abort and at Stop, so a stopped
+// session has Aborted+1 of them, and together they hold every completed
+// transfer.
+func (m Metrics) TransfersPerSession() float64 {
+	return float64(m.Completed) / float64(m.Aborted+1)
+}
+
 // AppSummary aggregates the metrics of every vehicle running one app.
 type AppSummary struct {
 	Vehicles int

@@ -56,8 +56,10 @@ func DiversityOnly() Protocol { return core.DiversityOnlyConfig() }
 // uninterrupted session length, mean MoS and interruption count.
 type VoIPQuality = voip.Quality
 
-// TCPStats summarizes a repeated-transfer TCP run.
-type TCPStats = workload.TCPStats
+// AppMetrics is one application session's report: for a TCP run the
+// completed and aborted transfers and the transfer times, with
+// TransferQuantile and TransfersPerSession over them.
+type AppMetrics = workload.Metrics
 
 // Deployment is a runnable ViFi environment: VanLAN (live channel
 // simulation over the campus layout) or DieselNet (trace-driven).
@@ -86,16 +88,21 @@ func NewDieselNet(seed int64, channel int, cfg Protocol) *Deployment {
 	}
 }
 
+// run drives one testbed workload on a fresh one-worker engine.
+func (d *Deployment) run(kind workload.Kind, duration time.Duration) *experiment.TestbedRun {
+	return experiment.NewEngine(1).Testbed(d.seed, d.env, kind, d.cfg, duration, false).Wait()
+}
+
 // RunVoIP drives a bidirectional G.729 call for the duration and scores
 // it with the paper's E-model and interruption rule (§5.3.2).
 func (d *Deployment) RunVoIP(duration time.Duration) VoIPQuality {
-	return experiment.RunVoIPWorkload(d.seed, d.env, d.cfg, duration, 0).Quality
+	return d.run(workload.VoIPKind, duration).VoIP
 }
 
 // RunTCP drives the paper's repeated 10 KB transfer workload with the
 // 10-second stall abort (§5.3.1).
-func (d *Deployment) RunTCP(duration time.Duration) *TCPStats {
-	return experiment.RunTCPWorkload(d.seed, d.env, d.cfg, duration, 0).Stats
+func (d *Deployment) RunTCP(duration time.Duration) AppMetrics {
+	return d.run(workload.TCPKind, duration).Metrics
 }
 
 // LinkSessionMedian runs the §5.2 link-layer probe workload (500-byte
@@ -103,8 +110,7 @@ func (d *Deployment) RunTCP(duration time.Duration) *TCPStats {
 // time-weighted median uninterrupted session length for the adequacy
 // definition (interval, minimum combined reception ratio).
 func (d *Deployment) LinkSessionMedian(duration, interval time.Duration, minRatio float64) float64 {
-	run := experiment.RunProbeWorkload(d.seed, d.env, d.cfg, duration, nil, 0)
-	return run.MedianSession(interval, minRatio)
+	return d.run(workload.CBRKind, duration).Link().MedianSession(interval, minRatio)
 }
 
 // Experiment regenerates one of the paper's tables or figures (ids:

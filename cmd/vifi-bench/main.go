@@ -169,31 +169,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return nil
 	}
 	start := time.Now()
-	if *parallel > 1 {
-		// Every figure runner starts at once; runners mostly merge — the
-		// engine's bounded pool carries the simulation work, and the
-		// shared run-cache deduplicates identical workloads across
-		// figures. Reports stream in request order as they complete.
-		ready := make([]chan struct{}, len(ids))
-		for i := range ids {
-			ready[i] = make(chan struct{})
-			go func(i int) {
-				exec(i)
-				close(ready[i])
-			}(i)
-		}
-		for i := range ids {
-			<-ready[i]
-			if emit(i) != nil {
-				return 1
-			}
-		}
-	} else {
-		for i := range ids {
+	// Every figure runner starts at once; runners mostly merge — the
+	// engine's bounded pool carries the simulation work (one worker is the
+	// serial run: jobs are leaves), and the shared run-cache deduplicates
+	// identical workloads across figures. Reports stream in request order
+	// as they complete.
+	ready := make([]chan struct{}, len(ids))
+	for i := range ids {
+		ready[i] = make(chan struct{})
+		go func(i int) {
 			exec(i)
-			if emit(i) != nil {
-				return 1
-			}
+			close(ready[i])
+		}(i)
+	}
+	for i := range ids {
+		<-ready[i]
+		if emit(i) != nil {
+			return 1
 		}
 	}
 	fmt.Fprintf(stderr, "total %v · %d workers · %d jobs run · %d run-cache hits\n",

@@ -481,10 +481,12 @@ func TestServeBadRequests(t *testing.T) {
 	}
 }
 
-// TestServeRequestBounds pins the two bounds on outside input: a request
-// body is read up to maxBodyBytes and no further, and a sampling interval
-// below minInterval (one barrier step and one retained row per interval)
-// is refused with the floor named.
+// TestServeRequestBounds pins the bounds on outside input: a request body
+// is read up to maxBodyBytes and no further, a sampling interval below
+// minInterval (one barrier step and one retained row per interval) is
+// refused with the floor named, and so is a session of more than maxRows
+// rows — a 24 h run at 1 ms would reserve ≈16 GB of rows before its first
+// event and end the daemon with a fatal out-of-memory error.
 func TestServeRequestBounds(t *testing.T) {
 	sv, ts := startTestServer(t, 1)
 	// Valid JSON either way: only its size is wrong.
@@ -497,6 +499,7 @@ func TestServeRequestBounds(t *testing.T) {
 		{"interval 1ms", "/v1/sessions", `{"scenario":"grid-small","duration":"2s","interval":"1ms"}`, http.StatusCreated, "s1"},
 		{"interval 1ns", "/v1/sessions", `{"scenario":"grid-small","duration":"2s","interval":"1ns"}`, http.StatusBadRequest, minInterval.String()},
 		{"interval 0s", "/v1/sessions", `{"scenario":"grid-small","duration":"2s","interval":"0s"}`, http.StatusBadRequest, minInterval.String()},
+		{"24h at 1ms", "/v1/sessions", `{"scenario":"grid-city","duration":"24h","interval":"1ms"}`, http.StatusBadRequest, fmt.Sprint(maxRows)},
 		{"oversize create", "/v1/sessions", `{"scenario":"grid-small","duration":"2s"` + pad + `}`, http.StatusRequestEntityTooLarge, ""},
 		{"oversize pause", "/v1/sessions/s1/pause", `{"at":""` + pad + `}`, http.StatusRequestEntityTooLarge, ""},
 	} {

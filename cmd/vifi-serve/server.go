@@ -50,11 +50,17 @@ func (sv *server) handler() http.Handler {
 }
 
 // Bounds on what a client may ask of the daemon. A session takes one
-// barrier step and retains one sample row per interval, so the floor on
-// interval bounds both its step rate and its memory per simulated second.
+// barrier step and retains one sample row per interval, and its samplers
+// reserve every row of the run before the first event. So the floor on
+// interval bounds its step rate and its memory per simulated second, and
+// maxRows bounds duration/interval: the rows, hence the memory, of the
+// whole session (1<<18 rows is ≈72 h at the 1 s default interval). An
+// allocation past the host's memory is a fatal error, which no recover
+// contains: without the row bound one request could end the daemon.
 const (
 	maxBodyBytes = 64 << 10
 	minInterval  = time.Millisecond
+	maxRows      = 1 << 18
 )
 
 // decodeBody reads a JSON request body of at most maxBodyBytes into v,
@@ -75,7 +81,8 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 
 // createRequest is the POST /v1/sessions body. Durations are Go
 // duration strings ("600s", "2m"); interval defaults to 1s (and may not
-// be below minInterval) and shards to 1 (serial).
+// be below minInterval, nor duration/interval above maxRows) and shards
+// to 1 (serial).
 type createRequest struct {
 	Scenario string `json:"scenario"`
 	Protocol string `json:"protocol"`
@@ -119,6 +126,11 @@ func (sv *server) createSession(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusBadRequest, "interval %q is below the %v floor", req.Interval, minInterval)
 			return
 		}
+	}
+	if rows := dur / interval; rows > maxRows {
+		httpError(w, http.StatusBadRequest, "duration %v at interval %v is %d sample rows, above the %d-row bound",
+			dur, interval, rows, maxRows)
+		return
 	}
 	shards := req.Shards
 	if shards < 1 {

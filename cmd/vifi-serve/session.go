@@ -14,8 +14,8 @@ import (
 
 // session is one hosted scenario run: a fleet simulation advancing on
 // its own goroutine in barrier-aligned steps, pausable between steps,
-// with a live metrics history accumulated from the per-shard sampling
-// callbacks. All mutable state is guarded by mu; cond signals
+// with a live metrics history of the run-wide rows the LiveRun hands over
+// at each barrier. All mutable state is guarded by mu; cond signals
 // pause/resume transitions to the runner goroutine.
 type session struct {
 	id       string
@@ -43,19 +43,16 @@ type session struct {
 
 	report []byte
 
-	// Live metrics: per-tick rows summed across shards — the session's one
-	// recording (liveRecording). pending holds partially merged ticks until
-	// every shard has contributed.
-	series   []obs.SeriesDef
-	samples  []liveSample
-	pending  map[time.Duration][]int64
-	pendingN map[time.Duration]int
+	// Live metrics: the run-wide rows published so far — the session's one
+	// recording (liveRecording).
+	series  []obs.SeriesDef
+	samples []liveSample
 
 	subs    map[int]chan liveSample
 	nextSub int
 }
 
-// liveSample is one fully merged sampling tick.
+// liveSample is one run-wide sampling tick.
 type liveSample struct {
 	At     time.Duration `json:"at_ns"`
 	Values []int64       `json:"values"`
@@ -65,8 +62,6 @@ func newSession(id string) *session {
 	s := &session{
 		id:        id,
 		state:     "starting",
-		pending:   map[time.Duration][]int64{},
-		pendingN:  map[time.Duration]int{},
 		subs:      map[int]chan liveSample{},
 		cancelled: make(chan struct{}),
 	}
@@ -80,27 +75,13 @@ func (s *session) terminal() bool {
 	return s.state == "done" || s.state == "failed" || s.state == "cancelled"
 }
 
-// onSample is the sampling callback; it runs on shard worker goroutines
-// during a step and merges rows tick-by-tick. A tick is published once
-// all effective shards have contributed.
-func (s *session) onSample(shard int, at time.Duration, row []int64) {
+// onSample is the sampling callback: LiveRun.Step calls it on the runner
+// goroutine, once per run-wide row (already summed across district
+// kernels), after every kernel has reached the barrier.
+func (s *session) onSample(at time.Duration, row []int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	p := s.pending[at]
-	if p == nil {
-		p = make([]int64, len(row))
-		s.pending[at] = p
-	}
-	for i, v := range row {
-		p[i] += v
-	}
-	s.pendingN[at]++
-	if s.pendingN[at] < s.eff {
-		return
-	}
-	delete(s.pending, at)
-	delete(s.pendingN, at)
-	sm := liveSample{At: at, Values: p}
+	sm := liveSample{At: at, Values: append([]int64(nil), row...)}
 	s.samples = append(s.samples, sm)
 	for _, ch := range s.subs {
 		select {
@@ -169,11 +150,11 @@ func (s *session) resume() {
 	s.mu.Unlock()
 }
 
-// liveRecording rebuilds an obs.Recording from the merged live history,
-// the only copy of the run's samples the session keeps. Unlike the
-// samplers' own buffers (touched by kernel goroutines during a step), the
-// history is session-owned, so this is safe at any time — mid-run, while
-// paused and after the end — and a later download only adds rows.
+// liveRecording rebuilds an obs.Recording from the live history, the
+// only copy of the run's samples the session keeps. Unlike the LiveRun's
+// recording (grown by every step on the runner goroutine), the history is
+// session-owned, so this is safe at any time — mid-run, while paused and
+// after the end — and a later download only adds rows.
 func (s *session) liveRecording() *obs.Recording {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -251,10 +232,10 @@ func (s *session) runLoop(slots chan struct{}) {
 	}()
 	// The simulation panics on states only a bug can produce (a
 	// retransmission percentile above 1, a send across a district
-	// boundary, shard recordings that diverged). Every such panic is
-	// raised on this goroutine with no session lock held and the slot
-	// taken; it ends this session, not the daemon and the sessions beside
-	// it.
+	// boundary, a kernel missing a sample row at a barrier). Every such
+	// panic is raised on this goroutine with no session lock held and the
+	// slot taken; it ends this session, not the daemon and the sessions
+	// beside it.
 	defer func() {
 		if p := recover(); p != nil {
 			s.close("failed", fmt.Errorf("panic: %v", p))
@@ -275,7 +256,7 @@ func (s *session) runLoop(slots chan struct{}) {
 	s.end = l.End()
 	s.eff = l.Shards()
 	s.lanes = l.Lanes()
-	s.series = l.Series()
+	s.series = l.Recording().Series
 	s.mu.Unlock()
 
 	for {

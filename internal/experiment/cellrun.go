@@ -105,8 +105,7 @@ type TestbedRun struct {
 }
 
 // Link returns a CBR run's one-row slot table: the §5.2 probe as a fleet
-// of one, which Fig 7, Fig 8 and the session metrics read. The run keeps
-// no channel counters or spec key, so the table's are zero.
+// of one, which Fig 7, Fig 8 and the session metrics read.
 func (r *TestbedRun) Link() *FleetRun {
 	return &FleetRun{SlotDur: r.Slot, Duration: r.Span,
 		Up: [][]bool{r.Up}, Down: [][]bool{r.Down}}

@@ -136,13 +136,7 @@ func assembleLink(run *FleetAppRun, slotDur time.Duration) {
 	if run.Apps.App(workload.CBRKind).Vehicles == 0 {
 		return
 	}
-	link := &FleetRun{
-		SpecKey:       run.SpecKey,
-		SlotDur:       slotDur,
-		BSCount:       run.BSCount,
-		Transmissions: run.Transmissions,
-		Collisions:    run.Collisions,
-	}
+	link := &FleetRun{SlotDur: slotDur}
 	for _, m := range run.PerVehicle {
 		if m.App != workload.CBRKind {
 			continue

@@ -122,10 +122,10 @@ func TestRunFleetWorkloadMatchesCBRApp(t *testing.T) {
 		t.Fatal(err)
 	}
 	if link.DeliveryRatio() != app.DeliveryRatio() ||
-		link.Transmissions != app.Transmissions ||
+		forced.Transmissions != app.Transmissions ||
 		link.DeliveredPerSec() != app.DeliveredPerSec() {
 		t.Errorf("wrapper diverged from CBR app run: %v/%d vs %v/%d",
-			link.DeliveryRatio(), link.Transmissions, app.DeliveryRatio(), app.Transmissions)
+			link.DeliveryRatio(), forced.Transmissions, app.DeliveryRatio(), app.Transmissions)
 	}
 	if len(link.Up) != 4 {
 		t.Errorf("link rows = %d, want one per vehicle", len(link.Up))

@@ -203,30 +203,31 @@ func buildRegistry(k *sim.Kernel, cell *core.Cell, drivers []workload.Driver, ki
 // vifi-serve can show shard balance live. Serial runs register nothing —
 // their schema is unchanged.
 //
-// Every registry carries the full layout (obs.Merge demands an identical
-// schema). A district kernel has one series, shard.<i>.events, and a
-// registry pulls a real value only for its own index — a sampler tick runs
-// on its kernel's goroutine, which may read only its own counter mid-step
-// — so the merged sum reconstructs every kernel's true series. The single
-// halo kernel's sampler reads every lane's five counters directly: they
-// are quiescent between dispatches, and sampling runs in the kernel phase.
-func (s *fleetSession) addShardSeries(reg *obs.Registry, sh int) {
-	n := s.width()
+// Every registry carries the full layout (LiveRun.barrier sums the
+// kernels' rows column by column). A district kernel has one series,
+// shard.<i>.events, and a registry pulls a real value only for its own
+// index — a sampler tick runs on its kernel's goroutine, which may read
+// only its own counter mid-step — so the row sum at the barrier
+// reconstructs every kernel's true series. The single halo kernel's
+// sampler reads every lane's five counters directly: they are quiescent
+// between dispatches, and sampling runs in the kernel phase.
+func (l *LiveRun) addShardSeries(reg *obs.Registry, sh int) {
+	n := l.width()
 	if n < 2 {
 		return
 	}
 	for i := 0; i < n; i++ {
 		prefix := fmt.Sprintf("shard.%d.", i)
-		if s.eff > 1 {
+		if l.eff > 1 {
 			pull := func() int64 { return 0 }
 			if i == sh {
-				pull = func() int64 { return int64(s.shardStat(i).Events) }
+				pull = func() int64 { return int64(l.shardStat(i).Events) }
 			}
 			reg.Counter(prefix+"events", pull)
 			continue
 		}
 		pull := func(f func(ShardRunStats) int64) func() int64 {
-			return func() int64 { return f(s.shardStat(i)) }
+			return func() int64 { return f(l.shardStat(i)) }
 		}
 		reg.Counter(prefix+"events", pull(func(st ShardRunStats) int64 { return int64(st.Events) }))
 		reg.Counter(prefix+"rounds", pull(func(st ShardRunStats) int64 { return int64(st.Rounds) }))

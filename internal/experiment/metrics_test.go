@@ -3,10 +3,12 @@ package experiment
 import (
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/vanlan/vifi/internal/core"
+	"github.com/vanlan/vifi/internal/obs"
 	"github.com/vanlan/vifi/internal/scenario"
 )
 
@@ -97,7 +99,9 @@ func TestShardedMetricsMergeDeterminism(t *testing.T) {
 // barriers are invisible: the run stepped at 1 s, the same run stepped at
 // 250 ms and paused in the middle, and the batch run (one barrier) agree
 // on the merged recording and on the whole FleetAppRun, ShardExec
-// included.
+// included. onSample sees exactly the recording's rows, each once and in
+// time order, on the stepping goroutine (the unlocked appends below are
+// what -race checks).
 func TestLiveRunMatchesBatch(t *testing.T) {
 	spec, err := scenario.Parse("metro-districts")
 	if err != nil {
@@ -105,7 +109,13 @@ func TestLiveRunMatchesBatch(t *testing.T) {
 	}
 	const dur = 20 * time.Second
 	for _, shards := range []int{1, 4} {
-		l, err := StartLiveRun(17, spec, core.DefaultConfig(), dur, shards, time.Second, nil)
+		var ats []time.Duration
+		var rows [][]int64
+		onSample := func(at time.Duration, row []int64) {
+			ats = append(ats, at)
+			rows = append(rows, append([]int64(nil), row...))
+		}
+		l, err := StartLiveRun(17, spec, core.DefaultConfig(), dur, shards, time.Second, onSample)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,19 +147,26 @@ func TestLiveRunMatchesBatch(t *testing.T) {
 		if rec == nil || rec.Rows() == 0 {
 			t.Fatalf("shards=%d: live run produced no recording", shards)
 		}
+		if len(rows) != rec.Rows() {
+			t.Fatalf("shards=%d: onSample saw %d rows, the recording has %d", shards, len(rows), rec.Rows())
+		}
+		for i, row := range rows {
+			if ats[i] != time.Duration(i+1)*time.Second || !reflect.DeepEqual(row, rec.Row(i)) {
+				t.Errorf("shards=%d: published row %d at %v = %v, recorded %v", shards, i, ats[i], row, rec.Row(i))
+			}
+		}
 
 		// The same sampled run behind four times as many barriers, with a
 		// pause (the recording read while nothing advances) halfway.
-		s, err := newFleetSession(17, spec, core.DefaultConfig(), dur, shards)
+		fine, err := StartLiveRun(17, spec, core.DefaultConfig(), dur, shards, time.Second, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.attachMetrics(time.Second, nil)
-		fine := &LiveRun{s: s, quantum: 250 * time.Millisecond}
+		fine.quantum = 250 * time.Millisecond
 		for n := 0; ; n++ {
 			if n == 40 {
 				if mid := fine.Recording(); mid.Rows() != 10 {
-					t.Errorf("shards=%d: paused at %v with %d rows, want 10", shards, fine.Now(), mid.Rows())
+					t.Errorf("shards=%d: paused at %v with %d rows, want 10", shards, fine.cursor, mid.Rows())
 				}
 			}
 			if _, done := fine.Step(); done {
@@ -271,9 +288,9 @@ func TestLiveRunKernelPanicSurfacesOnCaller(t *testing.T) {
 	if l.Shards() != 2 {
 		t.Fatalf("ran %d kernels, want 2", l.Shards())
 	}
-	l.s.kernels[1].At(500*time.Millisecond, func() { panic("boom in kernel 1") })
+	l.kernels[1].At(500*time.Millisecond, func() { panic("boom in kernel 1") })
 	lastRan := false
-	l.s.kernels[0].At(time.Second, func() { lastRan = true })
+	l.kernels[0].At(time.Second, func() { lastRan = true })
 
 	var got any
 	func() {
@@ -283,8 +300,102 @@ func TestLiveRunKernelPanicSurfacesOnCaller(t *testing.T) {
 	if got != "boom in kernel 1" {
 		t.Fatalf("Step recovered %v, want the kernel's panic", got)
 	}
-	if !lastRan || l.s.kernels[0].Now() != time.Second {
+	if !lastRan || l.kernels[0].Now() != time.Second {
 		t.Errorf("kernel 0 stopped at %v (barrier event ran: %v); it must finish its barrier first",
-			l.s.kernels[0].Now(), lastRan)
+			l.kernels[0].Now(), lastRan)
+	}
+}
+
+// TestLiveRunDivergentKernelPanics pins the merge's guard: a kernel whose
+// recording lacks a row the barrier has passed (here a sampler whose
+// horizon ends at 2 s) stops the run with a panic naming that row, out of
+// Step on the calling goroutine, instead of a silently short sum.
+func TestLiveRunDivergentKernelPanics(t *testing.T) {
+	spec, err := scenario.Parse(shardTestSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := StartLiveRun(3, spec, core.DefaultConfig(), 5*time.Second, 2, time.Second, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l.Shards() != 2 {
+		t.Fatalf("ran %d kernels, want 2", l.Shards())
+	}
+	reg := buildRegistry(l.kernels[1], l.cells[1], l.drivers[1], l.kinds)
+	l.addShardSeries(reg, 1)
+	l.samplers[1] = obs.Attach(l.kernels[1], reg, time.Second, 2*time.Second, nil)
+
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		for i := 0; i < 3; i++ {
+			l.Step()
+		}
+	}()
+	msg, _ := got.(string)
+	if !strings.Contains(msg, "kernel 1 has no sample row 2 (at 3s)") {
+		t.Fatalf("Step recovered %v, want the missing row named", got)
+	}
+	if rows := l.Recording().Rows(); rows != 2 {
+		t.Errorf("merged %d rows before the guard tripped, want 2", rows)
+	}
+}
+
+// TestLiveRunRecordingSumsKernelRows pins what Recording returns: with one
+// kernel the sampler's own recording, no copy; with several a separate
+// recording on the same series and cadence whose every row is the sum of
+// the kernels' rows at that time, each kernel's own rows left as sampled.
+func TestLiveRunRecordingSumsKernelRows(t *testing.T) {
+	spec, err := scenario.Parse(shardTestSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{1, 2} {
+		l, err := StartLiveRun(5, spec, core.DefaultConfig(), 4*time.Second, shards, time.Second, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if l.Shards() != shards {
+			t.Fatalf("ran %d kernels, want %d", l.Shards(), shards)
+		}
+		for _, done := l.Step(); !done; _, done = l.Step() {
+		}
+		l.Finish()
+		rec := l.Recording()
+		if shards == 1 {
+			if rec != l.samplers[0].Recording() {
+				t.Error("shards=1: Recording is not the lone sampler's own recording")
+			}
+			continue
+		}
+		first := l.samplers[0].Recording()
+		if rec == first {
+			t.Fatal("shards=2: Recording is kernel 0's own recording, not the merge")
+		}
+		if !reflect.DeepEqual(rec.Series, first.Series) || rec.Interval != first.Interval {
+			t.Errorf("shards=2: merged series/interval %v/%v, kernel 0 has %v/%v",
+				rec.Series, rec.Interval, first.Series, first.Interval)
+		}
+		ev := rec.SeriesIndex("sim.events")
+		for _, sp := range l.samplers {
+			if r := sp.Recording(); r.Rows() != rec.Rows() || r.Row(r.Rows() - 1)[ev] == 0 {
+				t.Fatalf("shards=2: a kernel has %d of %d rows or ran no events", r.Rows(), rec.Rows())
+			}
+		}
+		for i := 0; i < rec.Rows(); i++ {
+			want := make([]int64, len(rec.Series))
+			for _, sp := range l.samplers {
+				if at := sp.Recording().At(i); at != rec.At(i) {
+					t.Fatalf("shards=2: row %d is at %v in a kernel, %v merged", i, at, rec.At(i))
+				}
+				for j, v := range sp.Recording().Row(i) {
+					want[j] += v
+				}
+			}
+			if got := rec.Row(i); !reflect.DeepEqual(got, want) {
+				t.Errorf("shards=2: merged row %d = %v, kernel sum %v", i, got, want)
+			}
+		}
 	}
 }

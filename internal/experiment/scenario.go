@@ -17,20 +17,15 @@ const fleetWarm = 2 * time.Second
 
 // FleetRun is the slot table of one constant-rate execution — a CBR
 // fleet's link view, or the §5.2 probe run as a fleet of one: per-vehicle,
-// per-slot delivery outcomes for both directions, plus channel-level
-// counters. Results are shared through the run-cache; treat as read-only.
+// per-slot delivery outcomes for both directions. Results are shared
+// through the run-cache; treat as read-only.
 type FleetRun struct {
-	SpecKey  string
 	SlotDur  time.Duration
 	Duration time.Duration
 	// Up[v][i] / Down[v][i] record whether vehicle v's slot-i packet was
 	// delivered (upstream at the gateway, downstream at the vehicle).
 	// Vehicles depart staggered, so later vehicles have fewer slots.
 	Up, Down [][]bool
-	// Channel counters over the whole run.
-	Transmissions int
-	Collisions    int
-	BSCount       int
 }
 
 // sent returns the total number of send opportunities (both directions).

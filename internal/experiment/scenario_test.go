@@ -57,11 +57,10 @@ func TestScaleFleetTopArmShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := app.Link
-	if run.BSCount != spec.BS || len(run.Up) != spec.Vehicles {
-		t.Errorf("run shape %d/%d, want %d/%d", run.BSCount, len(run.Up), spec.BS, spec.Vehicles)
+	if app.BSCount != spec.BS || len(app.Link.Up) != spec.Vehicles {
+		t.Errorf("run shape %d/%d, want %d/%d", app.BSCount, len(app.Link.Up), spec.BS, spec.Vehicles)
 	}
-	if run.Transmissions == 0 {
+	if app.Transmissions == 0 {
 		t.Error("no channel activity")
 	}
 }
@@ -108,8 +107,8 @@ func TestFleetWorkloadDeterminism(t *testing.T) {
 	}
 	appB, _ := RunFleetAppWorkload(9, spec, core.DefaultConfig(), 20*time.Second, 1)
 	a, b := appA.Link, appB.Link
-	if a.DeliveryRatio() != b.DeliveryRatio() || a.Transmissions != b.Transmissions ||
-		a.Collisions != b.Collisions || a.DeliveredPerSec() != b.DeliveredPerSec() {
+	if a.DeliveryRatio() != b.DeliveryRatio() || appA.Transmissions != appB.Transmissions ||
+		appA.Collisions != appB.Collisions || a.DeliveredPerSec() != b.DeliveredPerSec() {
 		t.Errorf("fleet runs diverged: %+v vs %+v", a, b)
 	}
 	if a.sent() == 0 {

@@ -15,23 +15,22 @@ import (
 	"github.com/vanlan/vifi/internal/workload"
 )
 
-// This file carries the fleet execution session: the build / advance /
-// finish phases of a fleet application run, factored out of the one-shot
-// runners so a serving frontend can hold a run open, advance it in
-// barrier-aligned steps, sample metrics between steps, and still produce
-// the byte-identical FleetAppRun the batch path computes. The batch
-// runner (RunFleetAppWorkload) builds a session and drives the same step
-// loop to completion in one call.
+// This file carries the fleet execution: the build / advance / finish
+// phases of a fleet application run. A serving frontend holds a LiveRun
+// open, advances it in barrier-aligned steps and reads metrics between
+// steps; the batch runner (runFleetApp) is the same LiveRun stepped
+// through one whole-run quantum. Both finish into the byte-identical
+// FleetAppRun.
 
-// fleetSession is one fleet application execution between build and
-// finish. eff==1 runs a single kernel — serially, or with the channel's
-// delivery fan-out halo-sharded across stripe lanes (haloLanes>1) when
-// the planner chose shardModeHalo; eff>1 runs one independent kernel per
-// district group (districted specs). Every kernel runs the one setup
-// sequence — the serial run is the one-shard case, with an all-local
-// placement — which is what the sampling-identity and shard-identity
-// goldens pin.
-type fleetSession struct {
+// LiveRun is one fleet application execution between build and finish.
+// eff==1 runs a single kernel — serially, or with the channel's delivery
+// fan-out halo-sharded across stripe lanes (haloLanes>1) when the planner
+// chose shardModeHalo; eff>1 runs one independent kernel per district
+// group (districted specs). Every kernel runs the one setup sequence — the
+// serial run is the one-shard case, with an all-local placement — which is
+// what the sampling-identity and shard-identity goldens pin. Not safe for
+// concurrent use; the serve layer serializes access per session.
+type LiveRun struct {
 	seed     int64
 	spec     scenario.Spec
 	cfg      core.Config
@@ -51,16 +50,28 @@ type fleetSession struct {
 	lay           *scenario.Layout
 	tl            fault.Timeline
 
+	// Sampling: one sampler per kernel. merged is the run-wide recording —
+	// the lone sampler's own with one kernel, else the row sums of every
+	// kernel's rows up to the last barrier (see barrier).
 	samplers []*obs.Sampler
+	merged   *obs.Recording
+	onSample func(at time.Duration, row []int64)
 
-	cursor time.Duration // the last barrier every kernel reached
-	ran    bool
+	quantum time.Duration
+	cursor  time.Duration // the last barrier every kernel reached
+	run     *FleetAppRun
 }
 
-// newFleetSession builds the full simulation state for one fleet run:
-// kernels, cells, fault plan, workload drivers — everything up to (but
-// not including) the first executed event.
-func newFleetSession(seed int64, spec scenario.Spec, cfg core.Config, duration time.Duration, shards int) (*fleetSession, error) {
+// StartLiveRun builds the full simulation state for one fleet run —
+// kernels, cells, fault plan, workload drivers, samplers — everything up
+// to (but not including) the first executed event. interval is the
+// metrics sampling cadence and the stepping quantum; non-positive
+// disables sampling and steps in one-second quanta. onSample, when
+// non-nil, is handed each run-wide sample row once, in time order, on the
+// goroutine that calls Step (see barrier); the row is a view into the
+// run's recording, so it must not be written.
+func StartLiveRun(seed int64, spec scenario.Spec, cfg core.Config, duration time.Duration, shards int,
+	interval time.Duration, onSample func(at time.Duration, row []int64)) (*LiveRun, error) {
 	opts := core.DefaultCellOptions()
 	opts.Protocol = cfg
 	plan := shardPlan(spec, shards)
@@ -73,15 +84,17 @@ func newFleetSession(seed int64, spec scenario.Spec, cfg core.Config, duration t
 	if err != nil {
 		return nil, err
 	}
-	s := &fleetSession{
+	l := &LiveRun{
 		seed: seed, spec: spec, cfg: cfg,
 		duration: duration, until: duration + time.Second,
 		key: spec.Key(), appcfg: spec.AppConfig(),
 		eff: eff, districtShard: plan.districtShard,
-		kernels: make([]*sim.Kernel, eff),
-		cells:   make([]*core.Cell, eff),
-		recs:    make([]*faultRecorder, eff),
-		drivers: make([][]workload.Driver, eff),
+		kernels:  make([]*sim.Kernel, eff),
+		cells:    make([]*core.Cell, eff),
+		recs:     make([]*faultRecorder, eff),
+		drivers:  make([][]workload.Driver, eff),
+		quantum:  time.Second,
+		onSample: onSample,
 	}
 
 	for sh := 0; sh < eff; sh++ {
@@ -90,47 +103,47 @@ func newFleetSession(seed int64, spec scenario.Spec, cfg core.Config, duration t
 		if err != nil {
 			return nil, err
 		}
-		s.kernels[sh], s.cells[sh], s.lay = k, cell, lay
+		l.kernels[sh], l.cells[sh], l.lay = k, cell, lay
 
 		// Faults first, then the workload mix, then the drivers — only
 		// the driver set is filtered to locally owned fleet slots.
 		nv := len(cell.Vehicles)
 		if !fs.Empty() {
-			s.tl = fault.Plan(k, s.key, fs, duration, len(cell.BSes), nv)
-			s.recs[sh] = newFaultRecorder(k, duration)
-			scenario.InstallFaults(k, cell, &s.tl, s.recs[sh].restored)
+			l.tl = fault.Plan(k, l.key, fs, duration, len(cell.BSes), nv)
+			l.recs[sh] = newFaultRecorder(k, duration)
+			scenario.InstallFaults(k, cell, &l.tl, l.recs[sh].restored)
 		}
 		kinds := make([]workload.Kind, nv)
 		if spec.App == workload.MixedKind {
-			kinds = workload.SplitKinds(k.RNG("workload", s.key, "mix"), s.appcfg.Mix, nv)
+			kinds = workload.SplitKinds(k.RNG("workload", l.key, "mix"), l.appcfg.Mix, nv)
 		} else {
 			for i := range kinds {
 				kinds[i] = spec.App
 			}
 		}
 		if sh == 0 {
-			s.kinds = kinds
+			l.kinds = kinds
 		}
-		s.drivers[sh] = make([]workload.Driver, nv)
+		l.drivers[sh] = make([]workload.Driver, nv)
 		for i := 0; i < nv; i++ {
 			if !cell.LocalVehicle(i) {
 				continue
 			}
 			start := lay.Departs[i] + fleetWarm +
-				appStagger(kinds[i], s.appcfg)*time.Duration(i)/time.Duration(nv)
+				appStagger(kinds[i], l.appcfg)*time.Duration(i)/time.Duration(nv)
 			end := duration
 			if start > end {
 				start = end // departed too late: zero-length session
 			}
-			rng := k.RNG("workload", s.key, "veh", strconv.Itoa(i))
-			d := workload.New(k, s.appcfg, kinds[i], workload.CellPort(cell, i), i, start, end, rng)
-			if s.recs[sh] != nil {
-				s.recs[sh].bind(cell, i, d)
+			rng := k.RNG("workload", l.key, "veh", strconv.Itoa(i))
+			d := workload.New(k, l.appcfg, kinds[i], workload.CellPort(cell, i), i, start, end, rng)
+			if l.recs[sh] != nil {
+				l.recs[sh].bind(cell, i, d)
 			} else {
 				workload.Bind(cell, i, d)
 			}
 			d.Start()
-			s.drivers[sh][i] = d
+			l.drivers[sh][i] = d
 		}
 	}
 
@@ -140,41 +153,42 @@ func newFleetSession(seed int64, spec scenario.Spec, cfg core.Config, duration t
 		// stripe-owned lanes. Engaged only after the whole cell is built
 		// so every radio is attached first. Only a reach-less channel
 		// declines, and a validated spec never builds one.
-		if got := s.cells[0].StartRadioShards(plan.eff); got != plan.eff {
+		if got := l.cells[0].StartRadioShards(plan.eff); got != plan.eff {
 			panic(fmt.Sprintf("experiment: channel started %d of %d planned halo lanes", got, plan.eff))
 		}
-		s.haloLanes = plan.eff
+		l.haloLanes = plan.eff
 	}
-	return s, nil
+	if interval > 0 {
+		l.quantum = interval
+		l.attachMetrics(interval)
+	}
+	return l, nil
 }
 
-// attachMetrics installs one obs sampler per shard at the given cadence.
-// Must be called after newFleetSession and before the first step — the
-// samplers are pure observers (no RNG, no state mutation), so the run's
-// outcome is byte-identical with or without them. onSample, when
-// non-nil, fires synchronously on each shard's tick with a transient
-// view of the sampled row.
-func (s *fleetSession) attachMetrics(interval time.Duration, onSample func(shard int, at time.Duration, row []int64)) {
-	meta := runMeta("fleetapp", s.key, s.seed, s.width(), s.duration, s.cfg)
-	s.samplers = make([]*obs.Sampler, s.eff)
-	for sh := 0; sh < s.eff; sh++ {
-		reg := buildRegistry(s.kernels[sh], s.cells[sh], s.drivers[sh], s.kinds)
-		s.addShardSeries(reg, sh)
-		s.samplers[sh] = obs.Attach(s.kernels[sh], reg, interval, s.until, meta)
-		if onSample != nil {
-			sh := sh
-			s.samplers[sh].SetOnSample(func(at time.Duration, row []int64) { onSample(sh, at, row) })
-		}
+// attachMetrics installs one obs sampler per kernel at the given cadence.
+// The samplers are pure observers (no RNG, no state mutation), so the
+// run's outcome is byte-identical with or without them.
+func (l *LiveRun) attachMetrics(interval time.Duration) {
+	meta := runMeta("fleetapp", l.key, l.seed, l.width(), l.duration, l.cfg)
+	l.samplers = make([]*obs.Sampler, l.eff)
+	for sh := 0; sh < l.eff; sh++ {
+		reg := buildRegistry(l.kernels[sh], l.cells[sh], l.drivers[sh], l.kinds)
+		l.addShardSeries(reg, sh)
+		l.samplers[sh] = obs.Attach(l.kernels[sh], reg, interval, l.until, meta)
+	}
+	l.merged = l.samplers[0].Recording()
+	if l.eff > 1 {
+		l.merged = obs.NewRecording(meta, interval, interval, l.merged.Series)
 	}
 }
 
 // width is the run's effective parallelism: district kernels or halo
 // lanes, 1 when serial.
-func (s *fleetSession) width() int {
-	if s.haloLanes > 1 {
-		return s.haloLanes
+func (l *LiveRun) width() int {
+	if l.haloLanes > 1 {
+		return l.haloLanes
 	}
-	return s.eff
+	return l.eff
 }
 
 // shardStat reads district kernel or halo lane i's live execution
@@ -188,32 +202,38 @@ func (s *fleetSession) width() int {
 // candidate sets are deterministic), so it is reproducible across hosts
 // despite measuring parallel execution. While a step is running, kernel
 // i's counter may be read only from its own goroutine (a sampler tick).
-func (s *fleetSession) shardStat(i int) ShardRunStats {
-	if s.eff > 1 {
-		return ShardRunStats{Shard: i, Events: s.kernels[i].EventsRun()}
+func (l *LiveRun) shardStat(i int) ShardRunStats {
+	if l.eff > 1 {
+		return ShardRunStats{Shard: i, Events: l.kernels[i].EventsRun()}
 	}
-	ls := s.cells[0].Channel.LaneStat(i)
+	ls := l.cells[0].Channel.LaneStat(i)
 	return ShardRunStats{Shard: i, Events: ls.Computed, Rounds: int(ls.Rounds),
 		Stalled: int(ls.Idle), HaloSent: int(ls.HaloSent), HaloRecv: int(ls.HaloRecv)}
 }
 
-// step advances every kernel to the next barrier — one quantum of sim
-// time past the last, clamped to the end of the run — and reports the
-// barrier's sim time plus completion. Successive RunUntil calls compose
-// exactly, and district kernels share nothing (DESIGN §10), so where the
-// barriers fall changes no result: a lone kernel runs on the caller's
-// goroutine, several run on one goroutine each and are joined here.
-// Nothing outlives the call. A kernel's panic is re-raised on the caller
-// once every other kernel has reached the barrier, so it surfaces as a
-// panic out of step rather than a process crash.
-func (s *fleetSession) step(quantum time.Duration) (time.Duration, bool) {
-	next := min(s.cursor+quantum, s.until)
-	if len(s.kernels) == 1 {
-		s.kernels[0].RunUntil(next)
+// Step advances every kernel to the next barrier — one quantum of sim
+// time past the last, clamped to the end of the run — publishes the
+// sample rows completed by then (barrier), and reports the barrier's sim
+// time plus completion; after completion it is a no-op returning (end,
+// true). Successive RunUntil calls compose exactly, and district kernels
+// share nothing (DESIGN §10), so where the barriers fall changes no
+// result: a lone kernel runs on the caller's goroutine, several run on one
+// goroutine each and are joined here. Nothing outlives the call. A
+// kernel's panic is re-raised on the caller once every other kernel has
+// reached the barrier, so it surfaces as a panic out of Step rather than a
+// process crash.
+func (l *LiveRun) Step() (time.Duration, bool) {
+	prev := l.cursor
+	if prev >= l.until {
+		return l.until, true
+	}
+	next := min(prev+l.quantum, l.until)
+	if len(l.kernels) == 1 {
+		l.kernels[0].RunUntil(next)
 	} else {
-		panics := make([]any, len(s.kernels))
+		panics := make([]any, len(l.kernels))
 		var wg sync.WaitGroup
-		for i, k := range s.kernels {
+		for i, k := range l.kernels {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
@@ -228,79 +248,102 @@ func (s *fleetSession) step(quantum time.Duration) (time.Duration, bool) {
 			}
 		}
 	}
-	s.cursor = next
-	s.ran = next >= s.until
-	return next, s.ran
+	l.cursor = next
+	l.barrier(prev)
+	return next, next >= l.until
 }
 
-// recording merges the per-shard sampler recordings into the run-wide
-// view (elementwise sums over an identical schema). Nil when metrics
-// were never attached.
-func (s *fleetSession) recording() *obs.Recording {
-	if s.samplers == nil {
-		return nil
+// barrier publishes the sample rows that fell in (prev, cursor]. Every
+// kernel is quiescent here, so this is the one place rows are read. With
+// several kernels each row is first summed into the run-wide recording:
+// every standard series is a sum-merge (counters count disjoint local
+// work; occupancy gauges partition over owned nodes), so the merged
+// series of shard-local subsystems equals the serial run's. Then onSample
+// sees the row, in time order, on the goroutine that called Step. A kernel
+// missing a row here has diverged from the run's cadence: the run panics
+// naming the row.
+func (l *LiveRun) barrier(prev time.Duration) {
+	if l.samplers == nil {
+		return
 	}
-	recs := make([]*obs.Recording, len(s.samplers))
-	for i, sp := range s.samplers {
-		recs[i] = sp.Recording()
+	iv := l.merged.Interval
+	want := int(l.cursor / iv)
+	for sh, sp := range l.samplers {
+		if r := sp.Recording(); r.Rows() < want {
+			panic(fmt.Sprintf("experiment: kernel %d has no sample row %d (at %v) at the %v barrier",
+				sh, r.Rows(), r.At(r.Rows()), l.cursor))
+		}
 	}
-	merged, err := obs.Merge(recs)
-	if err != nil {
-		panic("experiment: shard recordings diverged: " + err.Error())
+	for i := int(prev / iv); i < want; i++ {
+		if l.eff > 1 {
+			l.merged.Append(l.samplers[0].Recording().Row(i)...)
+			row := l.merged.Row(i)
+			for _, sp := range l.samplers[1:] {
+				for j, v := range sp.Recording().Row(i) {
+					row[j] += v
+				}
+			}
+		}
+		if l.onSample != nil {
+			l.onSample(l.merged.At(i), l.merged.Row(i))
+		}
 	}
-	return merged
 }
 
-// finish assembles the FleetAppRun, merging per-shard state in global
-// node order so every float accumulation and slice append happens in
-// exactly the serial iteration order.
-func (s *fleetSession) finish() *FleetAppRun {
-	if !s.ran {
-		panic("experiment: fleet session finish before completion")
+// Finish assembles the FleetAppRun (idempotent), merging per-shard state
+// in global node order so every float accumulation and slice append
+// happens in exactly the serial iteration order. It panics if the run has
+// not completed.
+func (l *LiveRun) Finish() *FleetAppRun {
+	if l.run != nil {
+		return l.run
 	}
-	nv := len(s.cells[0].Vehicles)
+	if l.cursor < l.until {
+		panic("experiment: fleet run finish before completion")
+	}
+	nv := len(l.cells[0].Vehicles)
 	run := &FleetAppRun{
-		SpecKey:  s.key,
-		App:      s.spec.App,
-		BSCount:  len(s.cells[0].BSes),
+		SpecKey:  l.key,
+		App:      l.spec.App,
+		BSCount:  len(l.cells[0].BSes),
 		Vehicles: nv,
-		Duration: s.duration,
+		Duration: l.duration,
 	}
 	vehOwner := func(i int) int {
-		if s.districtShard == nil {
+		if l.districtShard == nil {
 			return 0
 		}
-		return s.districtShard[s.lay.VehDistrict[i]]
+		return l.districtShard[l.lay.VehDistrict[i]]
 	}
 	bsOwner := func(i int) int {
-		if s.districtShard == nil {
+		if l.districtShard == nil {
 			return 0
 		}
-		return s.districtShard[s.lay.BSDistrict[i]]
+		return l.districtShard[l.lay.BSDistrict[i]]
 	}
 	run.PerVehicle = make([]workload.Metrics, nv)
 	for i := 0; i < nv; i++ {
-		run.PerVehicle[i] = s.drivers[vehOwner(i)][i].Stop()
+		run.PerVehicle[i] = l.drivers[vehOwner(i)][i].Stop()
 	}
 	run.Apps = workload.Aggregate(run.PerVehicle)
-	for sh := 0; sh < s.eff; sh++ {
-		st := s.cells[sh].Channel.Stats()
+	for sh := 0; sh < l.eff; sh++ {
+		st := l.cells[sh].Channel.Stats()
 		run.Transmissions += st.Transmissions
 		run.Collisions += st.Collisions
 	}
-	if s.recs[0] != nil {
-		rec := s.recs[0]
-		if s.eff > 1 {
-			rec = mergeFaultRecorders(s.recs)
+	if l.recs[0] != nil {
+		rec := l.recs[0]
+		if l.eff > 1 {
+			rec = mergeFaultRecorders(l.recs)
 		}
-		run.Faults = rec.report(s.tl)
+		run.Faults = rec.report(l.tl)
 	}
 
 	// Occupancy sample: read-only with respect to the metrics above (the
 	// drivers have already stopped), so it cannot perturb any report.
 	var nbr []radio.NodeID
-	for i := range s.cells[0].BSes {
-		c := s.cells[bsOwner(i)]
+	for i := range l.cells[0].BSes {
+		c := l.cells[bsOwner(i)]
 		bs := c.BSes[i]
 		now := c.K.Now()
 		run.FreshPeersBS += float64(len(bs.Probs().FreshLocalPeers(bs.Addr(), now)))
@@ -314,19 +357,19 @@ func (s *fleetSession) finish() *FleetAppRun {
 		run.GridNbrsBS /= n
 	}
 	for i := 0; i < nv; i++ {
-		run.AuxPerVeh += float64(s.cells[vehOwner(i)].Vehicles[i].AuxCount())
+		run.AuxPerVeh += float64(l.cells[vehOwner(i)].Vehicles[i].AuxCount())
 	}
 	if nv > 0 {
 		run.AuxPerVeh /= float64(nv)
 	}
-	assembleLink(run, s.appcfg.CBRSlot)
+	assembleLink(run, l.appcfg.CBRSlot)
 
-	if n := s.width(); n > 1 {
+	if n := l.width(); n > 1 {
 		bsN, vehN := make([]int, n), make([]int, n)
-		if s.haloLanes > 1 {
-			bsN, vehN = s.cells[0].RadioLaneCounts() // live stripe ownership
+		if l.haloLanes > 1 {
+			bsN, vehN = l.cells[0].RadioLaneCounts() // live stripe ownership
 		} else {
-			for i := range s.lay.BSes {
+			for i := range l.lay.BSes {
 				bsN[bsOwner(i)]++
 			}
 			for i := 0; i < nv; i++ {
@@ -335,129 +378,52 @@ func (s *fleetSession) finish() *FleetAppRun {
 		}
 		run.ShardExec = make([]ShardRunStats, n)
 		for i := range run.ShardExec {
-			run.ShardExec[i] = s.shardStat(i)
+			run.ShardExec[i] = l.shardStat(i)
 			run.ShardExec[i].BSes, run.ShardExec[i].Vehicles = bsN[i], vehN[i]
 		}
-		s.cells[0].StopRadioShards()
+		l.cells[0].StopRadioShards()
 	}
+	l.run = run
 	return run
 }
 
-// runFleetApp is the one-shot driver behind the batch entry points:
-// build, optionally attach metrics, step to completion in one whole-run
-// quantum (one RunUntil per kernel), assemble. Only this batch path
-// writes the package sinks — the shard log (TakeShardLog) and, for a
-// positive interval, the run's recording (TakeRecordings); a LiveRun
-// carries both on itself (FleetAppRun.ShardExec, LiveRun.Recording).
+// runFleetApp is the one-shot driver behind the batch entry points: a
+// LiveRun stepped to completion in one whole-run quantum (one RunUntil
+// per kernel), then assembled. Only this batch path writes the package
+// sinks — the shard log (TakeShardLog) and, for a positive interval, the
+// run's recording (TakeRecordings); a stepped LiveRun carries both on
+// itself (FleetAppRun.ShardExec, LiveRun.Recording).
 func runFleetApp(seed int64, spec scenario.Spec, cfg core.Config, duration time.Duration, shards int, interval time.Duration) (*FleetAppRun, error) {
-	s, err := newFleetSession(seed, spec, cfg, duration, shards)
+	l, err := StartLiveRun(seed, spec, cfg, duration, shards, interval, nil)
 	if err != nil {
 		return nil, err
 	}
-	if interval > 0 {
-		s.attachMetrics(interval, nil)
-	}
-	s.step(s.until)
-	run := s.finish()
+	l.quantum = l.until
+	l.Step()
+	run := l.Finish()
 	if run.ShardExec != nil {
-		logShards(ShardLogEntry{SpecKey: s.key, Shards: len(run.ShardExec), Halo: s.haloLanes > 1, Stats: run.ShardExec})
+		logShards(ShardLogEntry{SpecKey: l.key, Shards: len(run.ShardExec), Halo: l.haloLanes > 1, Stats: run.ShardExec})
 	}
-	logRecording(s.recording())
+	logRecording(l.Recording())
 	return run, nil
 }
 
-// --- Live (stepped) execution ---------------------------------------------
+// End returns the run's final sim time (duration plus the drain second).
+func (l *LiveRun) End() time.Duration { return l.until }
 
-// LiveRun is an interactively stepped fleet execution for the serving
-// frontend: build once, advance in barrier-aligned steps, observe live
-// metrics between steps, and finish into the identical FleetAppRun the
-// batch runners produce for the same (seed, spec, cfg, duration,
-// shards). Not safe for concurrent use; the serve layer serializes
-// access per session.
-type LiveRun struct {
-	s       *fleetSession
-	quantum time.Duration
-	now     time.Duration
-	done    bool
-	run     *FleetAppRun
-}
-
-// StartLiveRun builds a fleet session for stepped execution. interval
-// is the metrics sampling cadence (and the serial stepping quantum);
-// non-positive disables sampling and steps in one-second quanta.
-// onSample, when non-nil, fires on each shard's sampling tick.
-func StartLiveRun(seed int64, spec scenario.Spec, cfg core.Config, duration time.Duration, shards int,
-	interval time.Duration, onSample func(shard int, at time.Duration, row []int64)) (*LiveRun, error) {
-	s, err := newFleetSession(seed, spec, cfg, duration, shards)
-	if err != nil {
-		return nil, err
-	}
-	quantum := interval
-	if quantum <= 0 {
-		quantum = time.Second
-	}
-	if interval > 0 {
-		s.attachMetrics(interval, onSample)
-	}
-	return &LiveRun{s: s, quantum: quantum}, nil
-}
-
-// Step advances through one barrier; it returns the reached sim time
-// and whether the run is complete. Calling Step after completion is a
-// no-op returning (end, true).
-func (l *LiveRun) Step() (time.Duration, bool) {
-	if l.done {
-		return l.now, true
-	}
-	t, done := l.s.step(l.quantum)
-	l.now, l.done = t, done
-	return t, done
-}
-
-// Now returns the last barrier's sim time.
-func (l *LiveRun) Now() time.Duration { return l.now }
-
-// Done reports whether the run has completed.
-func (l *LiveRun) Done() bool { return l.done }
-
-// End returns the session's final sim time (duration plus the drain
-// second, matching the batch runners).
-func (l *LiveRun) End() time.Duration { return l.s.until }
-
-// Shards returns the kernel/sampler count (1 = serial or halo-sharded):
-// the number of independent metric-sample contributors per tick, which
-// is what the serve layer's merge threshold counts.
-func (l *LiveRun) Shards() int { return l.s.eff }
+// Shards returns the kernel/sampler count (1 = serial or halo-sharded).
+func (l *LiveRun) Shards() int { return l.eff }
 
 // Lanes returns the halo delivery-lane count (0 when the run is not
 // halo-sharded). Lane balance is visible live through the shard.* series.
-func (l *LiveRun) Lanes() int { return l.s.haloLanes }
+func (l *LiveRun) Lanes() int { return l.haloLanes }
 
-// SpecKey returns the scenario's canonical key.
-func (l *LiveRun) SpecKey() string { return l.s.key }
-
-// Series returns the registry schema (nil when sampling is disabled).
-func (l *LiveRun) Series() []obs.SeriesDef {
-	if l.s.samplers == nil {
-		return nil
-	}
-	return l.s.samplers[0].Recording().Series
-}
-
-// Recording returns the merged run-wide recording so far. The merge is
-// only coherent between steps (samplers are quiescent then); the serve
-// layer calls it with the session lock held.
-func (l *LiveRun) Recording() *obs.Recording { return l.s.recording() }
+// Recording returns the run-wide recording up to the last barrier, nil
+// when sampling is disabled: with one kernel the sampler's own recording,
+// else the rows barrier has summed. It grows with every Step, so read it
+// between steps only.
+func (l *LiveRun) Recording() *obs.Recording { return l.merged }
 
 // Abandon releases what a run that will not be finished still holds — the
 // worker goroutines of its halo lanes. It must not be stepped afterwards.
-func (l *LiveRun) Abandon() { l.s.cells[0].StopRadioShards() }
-
-// Finish assembles the final FleetAppRun (idempotent). It panics if the
-// run has not completed.
-func (l *LiveRun) Finish() *FleetAppRun {
-	if l.run == nil {
-		l.run = l.s.finish()
-	}
-	return l.run
-}
+func (l *LiveRun) Abandon() { l.cells[0].StopRadioShards() }

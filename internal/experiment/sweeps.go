@@ -201,12 +201,12 @@ var linkHeader = []string{"arm", "BSes", "vehicles", "delivered/s", "delivery", 
 func linkRow(label string, run *FleetAppRun) []string {
 	link := run.Link
 	colPerK := 0.0
-	if link.Transmissions > 0 {
-		colPerK = 1000 * float64(link.Collisions) / float64(link.Transmissions)
+	if run.Transmissions > 0 {
+		colPerK = 1000 * float64(run.Collisions) / float64(run.Transmissions)
 	}
 	return []string{
 		label,
-		fmt.Sprintf("%d", link.BSCount),
+		fmt.Sprintf("%d", run.BSCount),
 		fmt.Sprintf("%d", len(link.Up)),
 		fmt.Sprintf("%.1f", link.DeliveredPerSec()),
 		pct(link.DeliveryRatio()),

@@ -132,35 +132,6 @@ func TestReadRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestMerge pins the elementwise sum-merge and its schema guards.
-func TestMerge(t *testing.T) {
-	series := []SeriesDef{{Name: "n", Kind: Counter}}
-	a := mkRecording(map[string]string{"shard": "0"}, series, [][]int64{{1}, {2}, {3}})
-	b := mkRecording(map[string]string{"shard": "1"}, series, [][]int64{{10}, {20}, {30}})
-	m, err := Merge([]*Recording{a, b})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int64{11, 22, 33}
-	for i, w := range want {
-		if got := m.Row(i)[0]; got != w {
-			t.Errorf("merged row %d = %d, want %d", i, got, w)
-		}
-	}
-	// Merging must not mutate the inputs.
-	if a.Row(0)[0] != 1 || b.Row(0)[0] != 10 {
-		t.Error("merge mutated an input recording")
-	}
-	short := mkRecording(nil, series, [][]int64{{1}})
-	if _, err := Merge([]*Recording{a, short}); err == nil {
-		t.Error("row-count mismatch merged without error")
-	}
-	other := mkRecording(nil, []SeriesDef{{Name: "m", Kind: Counter}}, [][]int64{{1}, {2}, {3}})
-	if _, err := Merge([]*Recording{a, other}); err == nil {
-		t.Error("schema mismatch merged without error")
-	}
-}
-
 // TestSamplerCadence pins the tick schedule and the recorded values: one
 // row per interval multiple in (0, until], reading the pull functions at
 // exactly the tick's simulation time.
@@ -190,25 +161,6 @@ func TestSamplerCadence(t *testing.T) {
 		if row[1] != int64((i+1)*10) {
 			t.Errorf("row %d clock = %d, want %d", i, row[1], (i+1)*10)
 		}
-	}
-}
-
-// TestSamplerOnSample pins the live-row fanout used by vifi-serve.
-func TestSamplerOnSample(t *testing.T) {
-	k := sim.NewKernel(1)
-	var v int64
-	reg := NewRegistry()
-	reg.Counter("v", func() int64 { v++; return v })
-	s := Attach(k, reg, time.Millisecond, 3*time.Millisecond, nil)
-	var ats []time.Duration
-	var vals []int64
-	s.SetOnSample(func(at time.Duration, row []int64) {
-		ats = append(ats, at)
-		vals = append(vals, row[0])
-	})
-	k.RunUntil(10 * time.Millisecond)
-	if len(ats) != 3 || ats[2] != 3*time.Millisecond || vals[2] != 3 {
-		t.Errorf("onSample saw ats=%v vals=%v", ats, vals)
 	}
 }
 

@@ -109,47 +109,3 @@ func (r *Recording) Equal(o *Recording) bool {
 	}
 	return true
 }
-
-// Merge sums recordings elementwise into a new one: same schema, same
-// cadence, same row count required. This is how per-shard recordings of
-// one sharded run combine — every standard series is a sum-merge
-// (counters count disjoint local work; occupancy gauges partition over
-// owned nodes), so the merged series of shard-local subsystems equals
-// the serial run's. Meta is taken from the first recording.
-func Merge(recs []*Recording) (*Recording, error) {
-	if len(recs) == 0 {
-		return nil, fmt.Errorf("obs: merge of zero recordings")
-	}
-	first := recs[0]
-	out := &Recording{
-		Meta:     first.Meta,
-		Interval: first.Interval,
-		Start:    first.Start,
-		Series:   first.Series,
-		data:     append([]int64(nil), first.data...),
-	}
-	for _, r := range recs[1:] {
-		if r.Interval != first.Interval || r.Start != first.Start {
-			return nil, fmt.Errorf("obs: merge cadence mismatch (%v/%v vs %v/%v)",
-				r.Interval, r.Start, first.Interval, first.Start)
-		}
-		if len(r.Series) != len(first.Series) {
-			return nil, fmt.Errorf("obs: merge schema width mismatch (%d vs %d)",
-				len(r.Series), len(first.Series))
-		}
-		for i := range r.Series {
-			if r.Series[i] != first.Series[i] {
-				return nil, fmt.Errorf("obs: merge schema mismatch at column %d (%q vs %q)",
-					i, r.Series[i].Name, first.Series[i].Name)
-			}
-		}
-		if len(r.data) != len(first.data) {
-			return nil, fmt.Errorf("obs: merge row count mismatch (%d vs %d rows)",
-				r.Rows(), first.Rows())
-		}
-		for i, v := range r.data {
-			out.data[i] += v
-		}
-	}
-	return out, nil
-}

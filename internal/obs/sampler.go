@@ -19,12 +19,6 @@ type Sampler struct {
 	until    time.Duration
 	next     time.Duration
 	rec      *Recording
-
-	// onSample, when set, observes each row as it is appended. The row
-	// slice aliases the recording's backing array — copy to retain. Used
-	// by vifi-serve to fan samples out to live subscribers; batch runs
-	// leave it nil, which keeps the tick allocation-free.
-	onSample func(at time.Duration, row []int64)
 }
 
 // Attach registers a sampler on the kernel: ticks at interval,
@@ -56,17 +50,9 @@ func Attach(k *sim.Kernel, reg *Registry, interval, until time.Duration, meta ma
 	return s
 }
 
-// SetOnSample installs the live-row observer (see the field comment).
-// Call before the first tick.
-func (s *Sampler) SetOnSample(fn func(at time.Duration, row []int64)) { s.onSample = fn }
-
 // OnEvent implements sim.Handler: take one sample row, reschedule.
 func (s *Sampler) OnEvent() {
-	base := len(s.rec.data)
 	s.rec.data = s.reg.sample(s.rec.data)
-	if s.onSample != nil {
-		s.onSample(s.next, s.rec.data[base:])
-	}
 	s.next += s.interval
 	if s.next <= s.until {
 		s.k.AtHandler(s.next, s)

@@ -79,11 +79,9 @@ func runSymmetricCell(seed int64, nAux int, dur time.Duration, col *Collector) {
 	cell := core.NewCell(k, opts, movers, mobility.Fixed{X: float64(nbs) * 10})
 	k.RunUntil(3 * time.Second)
 	n := int((dur - 3*time.Second) / (50 * time.Millisecond))
-	for i := 0; i < n; i++ {
-		k.At(3*time.Second+time.Duration(i)*50*time.Millisecond, func() {
-			cell.Gateway.Send(cell.Vehicle.Addr(), make([]byte, 200))
-		})
-	}
+	k.Every(3*time.Second, 50*time.Millisecond, n, func(int) {
+		cell.Gateway.Send(cell.Vehicle.Addr(), make([]byte, 200))
+	})
 	k.RunUntil(dur)
 }
 

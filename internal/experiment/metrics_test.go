@@ -399,3 +399,23 @@ func TestLiveRunRecordingSumsKernelRows(t *testing.T) {
 		}
 	}
 }
+
+// TestLiveRunSetupIsIndependentOfDuration pins that setup schedules no
+// packet ahead: every CBR and VoIP driver is one pending train (Kernel.Every),
+// so a 6 h session starts with exactly the events a 1 min one does.
+func TestLiveRunSetupIsIndependentOfDuration(t *testing.T) {
+	spec, err := scenario.Parse("grid-city,app=mixed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pending := func(dur time.Duration) int {
+		l, err := StartLiveRun(3, spec, core.DefaultConfig(), dur, 1, time.Second, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l.kernels[0].Pending()
+	}
+	if short, long := pending(time.Minute), pending(6*time.Hour); short != long {
+		t.Errorf("setup leaves %d events pending for 1 min, %d for 6 h", short, long)
+	}
+}

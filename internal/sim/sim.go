@@ -130,15 +130,54 @@ func (k *Kernel) release(i int32) {
 }
 
 func (k *Kernel) schedule(at time.Duration, h Handler) Timer {
+	k.seq++
+	return k.push(at, k.seq, h)
+}
+
+// push queues h under the key (at, seq).
+func (k *Kernel) push(at time.Duration, seq uint64, h Handler) Timer {
 	if at < k.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, k.now))
 	}
-	k.seq++
 	i := k.alloc()
 	ev := &k.pool[i]
-	ev.at, ev.seq, ev.h = at, k.seq, h
+	ev.at, ev.seq, ev.h = at, seq, h
 	k.heapPush(i)
 	return Timer{k: k, idx: i, gen: ev.gen}
+}
+
+// Every schedules fn(i) at start + i·period for each i in [0, n) — a
+// fixed-period packet train — while keeping a single event pending. The
+// call reserves n consecutive sequence numbers, so firing i carries
+// exactly the key (at, seq) the i-th of n back-to-back At calls would
+// have had, and the kernel pops the same order either way (DESIGN §6
+// "Trains"). Firing i+1 is armed before fn(i) runs. Like At, it panics
+// when start is in the past; period must not be negative. A train cannot
+// be stopped.
+func (k *Kernel) Every(start, period time.Duration, n int, fn func(i int)) {
+	if n <= 0 {
+		return
+	}
+	t := &train{k: k, start: start, period: period, base: k.seq + 1, n: n, fn: fn}
+	k.seq += uint64(n)
+	k.push(start, t.base, t)
+}
+
+// train is one Every call; firing i holds the reserved seq base+i.
+type train struct {
+	k             *Kernel
+	start, period time.Duration
+	base          uint64
+	i, n          int
+	fn            func(int)
+}
+
+func (t *train) OnEvent() {
+	i := t.i
+	if t.i++; t.i < t.n {
+		t.k.push(t.start+time.Duration(t.i)*t.period, t.base+uint64(t.i), t)
+	}
+	t.fn(i)
 }
 
 // At schedules fn to run at absolute virtual time at. Scheduling in the

@@ -41,16 +41,13 @@ func NewCBR(k *sim.Kernel, port Port, veh int, start, end time.Duration, slot ti
 // Slots returns the session's send-opportunity count (per direction).
 func (c *CBR) Slots() int { return len(c.up) }
 
-// Start schedules every slot's paired sends.
+// Start schedules the slots' paired sends as one train.
 func (c *CBR) Start() {
-	for s := range c.up {
-		s := s
-		c.k.At(c.start+time.Duration(s)*c.slot, func() {
-			p := c.payload(s)
-			c.port.SendUp(p)
-			c.port.SendDown(p)
-		})
-	}
+	c.k.Every(c.start, c.slot, len(c.up), func(s int) {
+		p := c.payload(s)
+		c.port.SendUp(p)
+		c.port.SendDown(p)
+	})
 }
 
 // payload builds one probe packet — vehicle index + slot number header,

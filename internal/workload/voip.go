@@ -51,19 +51,15 @@ func NewVoIP(k *sim.Kernel, port Port, veh int, start, end time.Duration) *VoIP 
 	}
 }
 
-// Start schedules the full packet train.
+// Start schedules the packet train.
 func (v *VoIP) Start() {
-	for i := range v.up {
-		i := i
-		at := v.start + time.Duration(i)*voip.PacketInterval
-		v.k.At(at, func() {
-			v.up[i] = voipSent{at: v.k.Now(), sent: true}
-			v.down[i] = voipSent{at: v.k.Now(), sent: true}
-			p := v.payload(i)
-			v.port.SendUp(p)
-			v.port.SendDown(p)
-		})
-	}
+	v.k.Every(v.start, voip.PacketInterval, len(v.up), func(i int) {
+		v.up[i] = voipSent{at: v.k.Now(), sent: true}
+		v.down[i] = voipSent{at: v.k.Now(), sent: true}
+		p := v.payload(i)
+		v.port.SendUp(p)
+		v.port.SendDown(p)
+	})
 }
 
 // payload builds one G.729 packet — sequence header, zero body — in the

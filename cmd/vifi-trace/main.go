@@ -44,6 +44,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	switch {
 	case *gen:
+		if *channel != 1 && *channel != 6 {
+			fmt.Fprintf(stderr, "vifi-trace: -channel %d: DieselNet profiled channels 1 and 6 only\n", *channel)
+			return 2
+		}
+		if *duration < time.Second {
+			fmt.Fprintf(stderr, "vifi-trace: -duration %v: a trace needs at least one whole second\n", *duration)
+			return 2
+		}
 		tr := trace.GenerateDieselNet(*seed, *channel, *duration)
 		w := stdout
 		if *out != "" {

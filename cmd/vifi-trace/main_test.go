@@ -67,3 +67,30 @@ func TestInspectMissingFile(t *testing.T) {
 		t.Errorf("stderr missing prefix: %s", errb.String())
 	}
 }
+
+// TestGenRejectsBadFlags: a channel that was never profiled and a duration
+// shorter than one second are usage errors naming the flag, not a panic or
+// a header-only trace.
+func TestGenRejectsBadFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-gen", "-channel", "2"}, "-channel 2"},
+		{[]string{"-gen", "-channel", "0", "-duration", "1m"}, "-channel 0"},
+		{[]string{"-gen", "-duration", "-5s"}, "-duration -5s"},
+		{[]string{"-gen", "-duration", "500ms"}, "-duration 500ms"},
+		{[]string{"-gen", "-duration", "0s"}, "-duration 0s"},
+	} {
+		var out, errb strings.Builder
+		if code := run(tc.args, &out, &errb); code != 2 {
+			t.Errorf("%v: exit = %d, want 2", tc.args, code)
+		}
+		if !strings.Contains(errb.String(), tc.flag) {
+			t.Errorf("%v: stderr %q does not name %q", tc.args, errb.String(), tc.flag)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: wrote %d bytes of output", tc.args, out.Len())
+		}
+	}
+}

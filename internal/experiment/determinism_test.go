@@ -4,6 +4,7 @@ import (
 	"flag"
 	"math"
 	"os"
+	"reflect"
 	"slices"
 	"sort"
 	"strconv"
@@ -284,21 +285,43 @@ func TestTestbedJobSharing(t *testing.T) {
 	if other := NewEngine(1).dieselNet(seed, 1, time.Hour); other == tr {
 		t.Error("two engines share a trace")
 	}
-	// Concurrent first readers of one key wait for the one generation.
-	fresh := NewEngine(4)
-	got := make([]*trace.Trace, 4)
+}
+
+// TestDieselNetTraceConcurrent: goroutines asking Engine.DieselNetTrace for
+// one key wait for its one generation and share it, goroutines on other keys
+// get their own traces, and every trace is the one a direct synthesis makes.
+// Run under -race: the memo and the generator's workers are what it checks.
+func TestDieselNetTraceConcurrent(t *testing.T) {
+	eng := NewEngine(4)
+	keys := []struct {
+		seed    int64
+		channel int
+	}{{11, 1}, {11, 6}, {12, 6}}
+	const perKey = 4
+	got := make([]*trace.Trace, len(keys)*perKey)
 	var wg sync.WaitGroup
 	for i := range got {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got[i] = fresh.dieselNet(seed, 6, time.Minute)
+			k := keys[i%len(keys)]
+			got[i] = eng.DieselNetTrace(k.seed, k.channel, time.Minute).Wait()
 		}()
 	}
 	wg.Wait()
-	for _, g := range got[1:] {
-		if g != got[0] {
-			t.Fatal("concurrent readers of one key got distinct traces")
+	for i, tr := range got {
+		if first := got[i%len(keys)]; tr != first {
+			t.Errorf("reader %d of key %v got its own trace", i, keys[i%len(keys)])
+		}
+	}
+	for i, k := range keys {
+		for j := range keys[:i] {
+			if got[i] == got[j] {
+				t.Errorf("keys %v and %v share a trace", k, keys[j])
+			}
+		}
+		if want := trace.GenerateDieselNet(k.seed, k.channel, time.Minute); !reflect.DeepEqual(got[i].Ratio, want.Ratio) {
+			t.Errorf("key %v: the memo's trace differs from a direct synthesis", k)
 		}
 	}
 }

@@ -165,37 +165,44 @@ func (p *Params) meanReception(dist, shadowM float64) float64 {
 	return p.PMax / (1 + math.Exp(p.falloff(dist, shadowM)))
 }
 
-// expFloor[k] is e^k less one part in 1e12: no more than math.Exp(x) for
-// any x ≥ k, last-place errors of Exp included.
-var expFloor = func() (t [64]float64) {
-	for k := range t {
-		t[k] = math.Exp(float64(k)) * (1 - 1e-12)
+// curveBracket[i] encloses the logistic 1/(1+e^x) over x in [i−64, i−63),
+// each side pushed outwards by one part in 1e12: the first row reaches down
+// to −∞ and so tops out at 1, the last reaches up to +∞ and so bottoms out
+// at 0.
+var curveBracket = func() (t [128]struct{ lo, hi float64 }) {
+	for i := range t {
+		k := float64(i - 64)
+		t[i].lo = 1 / (1 + math.Exp(k+1)) * (1 - 1e-12)
+		t[i].hi = 1 / (1 + math.Exp(k)) * (1 + 1e-12)
 	}
+	t[0].hi, t[len(t)-1].lo = 1, 0
 	return t
 }()
 
-// meanBound returns a float no smaller than meanReception(dist, shadowM)
-// that costs no exponential: the curve at the whole number of falloffs below
-// dist's, e^⌊x⌋ read from expFloor (PMax itself inside the first falloff,
-// the table's last entry beyond it). It holds for the computed mean, not
-// just the real one: x is the float meanReception exponentiates, Exp(x) is
-// at least expFloor[⌊x⌋], and adding 1 and dividing a non-negative PMax are
-// monotone under rounding. Params are not validated, so ok is false where
+// meanBracket returns lo ≤ meanReception(dist, shadowM) ≤ hi at no
+// exponential's cost: PMax times the row of curveBracket that ⌊x⌋ selects.
+// It holds for the computed mean, not just the real one: x is the float
+// meanReception exponentiates, and the rows' margin is a thousand times
+// wider than the last-place errors of Exp, the add, the divide and the
+// multiply together. Params are not validated, so ok is false where
 // that argument has nothing to stand on — a negative PMax, or an x that is
 // not a number (FalloffM = 0 at the 50 % point) — and false as well under a
-// negative multiplier, which would turn the bound around after the fact
+// negative multiplier, which would turn the bracket around after the fact
 // (see fading.receives).
-func (p *Params) meanBound(dist, shadowM float64) (bound float64, ok bool) {
-	if !(p.PMax >= 0 && p.GoodMult >= 0 && p.BadMult >= 0 && p.GrayMult >= 0) {
-		return 0, false
+func (p *Params) meanBracket(dist, shadowM float64) (lo, hi float64, ok bool) {
+	x := p.falloff(dist, shadowM)
+	if !(p.PMax >= 0 && p.GoodMult >= 0 && p.BadMult >= 0 && p.GrayMult >= 0) || x != x {
+		return 0, 0, false
 	}
-	switch x := p.falloff(dist, shadowM); {
-	case x < 1:
-		return p.PMax, true
-	case x >= 1:
-		return p.PMax / (1 + expFloor[int(min(x, float64(len(expFloor)-1)))]), true
+	i := 0 // the row ⌊x⌋ selects; x < −63 reads the first
+	if x >= 63 {
+		i = len(curveBracket) - 1
+	} else if x >= -63 {
+		if i = int(x) + 64; float64(int(x)) > x { // int truncates towards 0
+			i--
+		}
 	}
-	return 0, false // x is NaN
+	return p.PMax * curveBracket[i].lo, p.PMax * curveBracket[i].hi, true
 }
 
 // rssiBase returns the noise-free synthetic RSSI (dBm) at the given
@@ -373,17 +380,20 @@ func (f *fading) prob(p *Params, dist float64) float64 {
 
 // receives reports u < prob(p, dist), and at a distance the memo has never
 // seen it first asks the cheaper question: u against the modulated
-// meanBound. Multiplying by a non-negative constant and clamping at 1 are
-// monotone under rounding, so a coin not below the modulated bound is not
-// below the modulated mean either and the exponential is not taken. The
-// memo then remembers the distance alone: a pair that moves never comes
-// back to it, and a pair that stands still pays for its mean on its second
-// frame and reads it from the memo ever after.
+// meanBracket. Multiplying by a non-negative constant and clamping at 1 are
+// monotone under rounding, so a coin not below the modulated upper side is
+// not below the modulated mean either, a coin below the modulated lower side
+// is, and in both cases the exponential is not taken. The memo then
+// remembers the distance alone: a pair that moves never comes back to it,
+// and a pair that stands still pays for its mean on its second frame and
+// reads it from the memo ever after.
 func (f *fading) receives(p *Params, dist, u float64) bool {
 	if dist != f.meanAt {
-		if bound, ok := p.meanBound(dist, f.shadow); ok && u >= f.modulate(p, bound) {
-			f.meanAt, f.mean = dist, math.NaN()
-			return false
+		if lo, hi, ok := p.meanBracket(dist, f.shadow); ok {
+			if lost := u >= f.modulate(p, hi); lost || u < f.modulate(p, lo) {
+				f.meanAt, f.mean = dist, math.NaN()
+				return !lost
+			}
 		}
 	}
 	return u < f.prob(p, dist)

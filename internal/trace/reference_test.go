@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -48,25 +49,40 @@ func eagerDieselNet(seed int64, channel int, duration time.Duration) [][]float64
 	return ratio
 }
 
+// TestDieselNetMatchesEagerLoop: the generator's trace is the eager loop's,
+// at ten minutes on three seeds, and at the production size — one hour at
+// seed 3000 on both channels — with one worker and with four, which splits
+// every channel's columns into blocks synthesized side by side.
 func TestDieselNetMatchesEagerLoop(t *testing.T) {
-	for _, seed := range []int64{1, 7, 3000} {
-		for _, channel := range []int{1, 6} {
-			got := GenerateDieselNet(seed, channel, 10*time.Minute)
-			want := eagerDieselNet(seed, channel, 10*time.Minute)
-			if !reflect.DeepEqual(got.Ratio, want) {
-				t.Errorf("seed %d channel %d: Ratio differs from the eager loop's", seed, channel)
-			}
-			heard := 0
-			for _, row := range want {
-				for _, r := range row {
-					if r > 0 {
-						heard++
-					}
+	check := func(seed int64, channel int, dur time.Duration) {
+		t.Helper()
+		got := GenerateDieselNet(seed, channel, dur)
+		want := eagerDieselNet(seed, channel, dur)
+		if !reflect.DeepEqual(got.Ratio, want) {
+			t.Errorf("seed %d channel %d %v at GOMAXPROCS %d: Ratio differs from the eager loop's", seed, channel, dur, runtime.GOMAXPROCS(0))
+		}
+		heard := 0
+		for _, row := range want {
+			for _, r := range row {
+				if r > 0 {
+					heard++
 				}
 			}
-			if heard == 0 {
-				t.Errorf("seed %d channel %d: the reference heard nothing", seed, channel)
-			}
+		}
+		if heard == 0 {
+			t.Errorf("seed %d channel %d: the reference heard nothing", seed, channel)
+		}
+	}
+	for _, seed := range []int64{1, 7, 3000} {
+		for _, channel := range []int{1, 6} {
+			check(seed, channel, 10*time.Minute)
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, channel := range []int{1, 6} {
+			check(3000, channel, time.Hour)
 		}
 	}
 }

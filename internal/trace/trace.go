@@ -28,7 +28,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"strconv"
+	"sync"
 	"time"
 
 	"github.com/vanlan/vifi/internal/mobility"
@@ -128,19 +130,32 @@ func (t *Trace) VisibleCounts(threshold float64) []int {
 	return out
 }
 
-// ScheduleLinks converts the trace into per-BS radio.ScheduleLink models
-// for the vehicle↔BS links (used symmetrically, as the paper does:
-// "ignores any asymmetry").
-func (t *Trace) ScheduleLinks() []*radio.ScheduleLink {
-	out := make([]*radio.ScheduleLink, len(t.BSes))
-	for b := range t.BSes {
-		per := make([]float64, len(t.Ratio))
-		for s := range t.Ratio {
-			per[s] = t.Ratio[s][b]
-		}
-		out[b] = &radio.ScheduleLink{PerSecond: per}
+// ScheduleLinks returns the trace's columns as per-BS link models for the
+// vehicle↔BS links (used symmetrically, as the paper does: "ignores any
+// asymmetry"). Basestation b's model replays Ratio[s][b] as the reception
+// probability during second s and zero beyond the trace, as a
+// radio.ScheduleLink does; it reads the trace, so nothing is copied.
+func (t *Trace) ScheduleLinks() []radio.LinkModel {
+	out := make([]radio.LinkModel, len(t.BSes))
+	for b := range out {
+		out[b] = column{t, b}
 	}
 	return out
+}
+
+// column is one basestation's column of a trace as a radio.LinkModel.
+type column struct {
+	t *Trace
+	b int
+}
+
+// ReceiveProb implements radio.LinkModel.
+func (c column) ReceiveProb(at time.Duration, _ float64) float64 {
+	s := int(at / time.Second)
+	if s < 0 || s >= len(c.t.Ratio) {
+		return 0
+	}
+	return c.t.Ratio[s][c.b]
 }
 
 // InterBSRatios assigns the paper's inter-BS loss model: 0 for pairs never
@@ -234,47 +249,60 @@ func Read(r io.Reader) (*Trace, error) {
 // GenerateDieselNet synthesizes a DieselNet-style trace for the given
 // channel (1 or 6) by driving the town route through independent fading
 // links and logging per-second beacon reception ratios, exactly as the
-// instrumented bus did (§2.2).
+// instrumented bus did (§2.2). A column reads only its own link and coin
+// streams and the route's stateless positions, so min(GOMAXPROCS, #BSes)
+// workers synthesize contiguous blocks of columns side by side, each asking
+// the route for a second's positions once for its block. The trace is the
+// same at any GOMAXPROCS (DESIGN.md §6 "Trace synthesis").
 func GenerateDieselNet(seed int64, channel int, duration time.Duration) *Trace {
 	dn := mobility.NewDieselNet(channel)
 	k := sim.NewKernel(seed)
 	p := radio.DefaultParams()
-	links := make([]*radio.FadingLink, len(dn.BSes))
-	coins := make([]*sim.RNG, len(dn.BSes))
+	nb := len(dn.BSes)
+	links := make([]*radio.FadingLink, nb)
+	coins := make([]*sim.RNG, nb)
+	t := &Trace{
+		Name:  fmt.Sprintf("dieselnet-ch%d", channel),
+		BSes:  make([]string, nb),
+		Ratio: make([][]float64, int(duration/time.Second)),
+	}
 	for i := range links {
 		links[i] = radio.NewFadingLink(p, k.RNG("dieselnet", fmt.Sprint(channel), fmt.Sprint(i)))
 		coins[i] = k.RNG("dieselnet-coin", fmt.Sprint(channel), fmt.Sprint(i))
-	}
-	secs := int(duration / time.Second)
-	t := &Trace{
-		Name: fmt.Sprintf("dieselnet-ch%d", channel),
-		BSes: make([]string, len(dn.BSes)),
-	}
-	for i := range dn.BSes {
 		t.BSes[i] = fmt.Sprintf("ch%d-bs%d", channel, i)
 	}
-	t.Ratio = make([][]float64, secs)
-	var at [BeaconsPerSecond]time.Duration
-	var pos [BeaconsPerSecond]mobility.Point
-	for s := 0; s < secs; s++ {
-		// Where the bus is at each beacon of the second is asked of the
-		// route once, not once per basestation.
-		for j := range at {
-			at[j] = time.Duration(s)*time.Second + time.Duration(j)*100*time.Millisecond
-			pos[j] = dn.Route.Position(at[j])
-		}
-		row := make([]float64, len(dn.BSes))
-		for b, bs := range dn.BSes {
-			heard := 0
-			for j := range at {
-				if links[b].Receives(at[j], pos[j].Dist(bs), coins[b].Float64()) {
-					heard++
+	cells := make([]float64, len(t.Ratio)*nb)
+	for s := range t.Ratio {
+		t.Ratio[s] = cells[s*nb : (s+1)*nb : (s+1)*nb]
+	}
+	var wg sync.WaitGroup
+	workers := min(runtime.GOMAXPROCS(0), nb)
+	for w := range workers {
+		wg.Add(1)
+		go func(lo, hi int) { // the columns [lo, hi) of every row
+			defer wg.Done()
+			var at [BeaconsPerSecond]time.Duration
+			var pos [BeaconsPerSecond]mobility.Point
+			for s, row := range t.Ratio {
+				for j := range at {
+					at[j] = time.Duration(s)*time.Second + time.Duration(j)*100*time.Millisecond
+					pos[j] = dn.Route.Position(at[j])
+				}
+				for b := lo; b < hi; b++ {
+					link, coin, bs, heard := links[b], coins[b], dn.BSes[b], 0
+					for j := range at {
+						// Every beacon advances the link in order: its burst and
+						// gray processes draw from one stream.
+						if link.Receives(at[j], pos[j].Dist(bs), coin.Float64()) {
+							heard++
+						}
+					}
+					row[b] = float64(heard) / BeaconsPerSecond
 				}
 			}
-			row[b] = float64(heard) / BeaconsPerSecond
-		}
-		t.Ratio[s] = row
+		}(w*nb/workers, (w+1)*nb/workers)
 	}
+	wg.Wait()
 	t.computeCoVisibility()
 	return t
 }

@@ -96,6 +96,14 @@ func TestScheduleLinks(t *testing.T) {
 	if got := links[2].ReceiveProb(10*time.Second, 0); got != 0 {
 		t.Errorf("beyond trace = %v", got)
 	}
+	if got := links[0].ReceiveProb(-time.Second, 0); got != 0 {
+		t.Errorf("before trace = %v", got)
+	}
+	// The links read the trace itself: they copy nothing.
+	tr.Ratio[1][2] = 0.25
+	if got := links[2].ReceiveProb(1500*time.Millisecond, 0); got != 0.25 {
+		t.Errorf("bs c second 1 after a write = %v, want the trace's 0.25", got)
+	}
 }
 
 func TestInterBSRatios(t *testing.T) {

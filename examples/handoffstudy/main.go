@@ -20,10 +20,8 @@ func main() {
 }
 
 func run(w io.Writer, seed int64, trips int) {
-	cfg := trace.DefaultVanLANConfig(seed)
-	cfg.Trips = trips
 	fmt.Fprintf(w, "Generating VanLAN probe logs (%d shuttle trips)...\n", trips)
-	pt := trace.GenerateVanLANProbes(cfg)
+	pt := trace.GenerateVanLANProbes(seed, trips)
 
 	fmt.Fprintln(w)
 	fmt.Fprintf(w, "%-10s %16s %26s\n", "policy", "packets (both)", "median session @50%/1s (s)")

@@ -139,7 +139,7 @@ func runTestbed(k *sim.Kernel, cell *core.Cell, kind workload.Kind, dur time.Dur
 		cbr := workload.NewCBR(k, port, 0, fleetWarm, dur, probeSlot, 500)
 		d, until = cbr, fleetWarm+time.Duration(cbr.Slots())*probeSlot+2*time.Second
 	case workload.TCPKind:
-		d = workload.NewTCP(k, workload.DefaultTCPConfig(), port, 0, fleetWarm, dur)
+		d = workload.NewTCP(k, workload.DefaultConfig().TransferBytes, port, 0, fleetWarm, dur)
 	case workload.VoIPKind:
 		d, until = workload.NewVoIP(k, port, 0, fleetWarm, dur), dur+time.Second
 	default:

@@ -52,9 +52,7 @@ func (e *Engine) Testbed(seed int64, env Env, kind workload.Kind, cfg core.Confi
 func (e *Engine) VanLANProbes(seed int64, trips int) Future[*trace.ProbeTrace] {
 	key := JobKey{Kind: "vanlan-probes", Seed: seed, Extra: "trips=" + strconv.Itoa(trips)}
 	return Future[*trace.ProbeTrace]{f: e.memoize(key, func() any {
-		cfg := trace.DefaultVanLANConfig(seed)
-		cfg.Trips = trips
-		return trace.GenerateVanLANProbes(cfg)
+		return trace.GenerateVanLANProbes(seed, trips)
 	})}
 }
 

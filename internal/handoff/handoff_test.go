@@ -39,9 +39,7 @@ func syntheticTrace(slots int) *trace.ProbeTrace {
 
 func vanlanTrace(t testing.TB, seed int64, trips int) *trace.ProbeTrace {
 	t.Helper()
-	cfg := trace.DefaultVanLANConfig(seed)
-	cfg.Trips = trips
-	return trace.GenerateVanLANProbes(cfg)
+	return trace.GenerateVanLANProbes(seed, trips)
 }
 
 func TestEvaluateAllBSesPerfectOnSynthetic(t *testing.T) {

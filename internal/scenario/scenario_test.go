@@ -164,14 +164,14 @@ func TestParseAppKnobs(t *testing.T) {
 		t.Errorf("app knobs not applied: %+v", s)
 	}
 	cfg := s.AppConfig()
-	if cfg.TCP.TransferBytes != 20480 ||
-		cfg.Web.Think != 2*time.Second || cfg.Mix != [4]int{1, 2, 3, 4} {
+	if cfg.TransferBytes != 20480 ||
+		cfg.Think != 2*time.Second || cfg.Mix != [4]int{1, 2, 3, 4} {
 		t.Errorf("AppConfig did not fold knobs: %+v", cfg)
 	}
 	// Unset knobs keep the workload defaults.
 	plain, _ := Parse("grid,app=tcp")
-	if got := plain.AppConfig(); got.TCP.TransferBytes != 10*1024 {
-		t.Errorf("default transfer size = %d, want 10240", got.TCP.TransferBytes)
+	if got := plain.AppConfig(); got.TransferBytes != 10*1024 {
+		t.Errorf("default transfer size = %d, want 10240", got.TransferBytes)
 	}
 	for _, bad := range []string{
 		"grid,app=quic", "grid,mix=1:2:3", "grid,mix=0:0:0:0",

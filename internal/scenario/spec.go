@@ -124,10 +124,10 @@ func (s Spec) FaultSpec() (fault.Spec, error) { return fault.Parse(s.Faults) }
 func (s Spec) AppConfig() workload.Config {
 	cfg := workload.DefaultConfig()
 	if s.AppXferBytes > 0 {
-		cfg.TCP.TransferBytes = s.AppXferBytes
+		cfg.TransferBytes = s.AppXferBytes
 	}
 	if s.AppThink > 0 {
-		cfg.Web.Think = s.AppThink
+		cfg.Think = s.AppThink
 	}
 	if s.AppMix != ([4]int{}) {
 		cfg.Mix = s.AppMix

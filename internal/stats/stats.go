@@ -124,15 +124,6 @@ func (s *Sample) Mean() float64 {
 	return sum / float64(len(s.xs))
 }
 
-// Sum returns the sum of all observations.
-func (s *Sample) Sum() float64 {
-	sum := 0.0
-	for _, x := range s.xs {
-		sum += x
-	}
-	return sum
-}
-
 // Variance returns the unbiased sample variance, or 0 when fewer than two
 // observations are present.
 func (s *Sample) Variance() float64 {
@@ -160,27 +151,6 @@ func (s *Sample) Quantile(q float64) float64 {
 	}
 	s.Sort()
 	return quantileSorted(s.xs, q)
-}
-
-// Median returns the 0.5-quantile.
-func (s *Sample) Median() float64 { return s.Quantile(0.5) }
-
-// Min returns the smallest observation, or 0 for an empty sample.
-func (s *Sample) Min() float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	s.Sort()
-	return s.xs[0]
-}
-
-// Max returns the largest observation, or 0 for an empty sample.
-func (s *Sample) Max() float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	s.Sort()
-	return s.xs[len(s.xs)-1]
 }
 
 // quantileSorted computes the interpolated q-quantile of sorted xs.

@@ -20,23 +20,14 @@ func TestSampleBasics(t *testing.T) {
 	if s.Len() != 5 {
 		t.Fatalf("len = %d, want 5", s.Len())
 	}
-	if got := s.Sum(); got != 14 {
-		t.Errorf("sum = %v, want 14", got)
-	}
 	if got := s.Mean(); !almostEqual(got, 2.8, 1e-12) {
 		t.Errorf("mean = %v, want 2.8", got)
-	}
-	if got := s.Min(); got != 1 {
-		t.Errorf("min = %v, want 1", got)
-	}
-	if got := s.Max(); got != 5 {
-		t.Errorf("max = %v, want 5", got)
 	}
 }
 
 func TestSampleEmptyReductions(t *testing.T) {
 	var s Sample
-	if s.Mean() != 0 || s.Median() != 0 || s.Min() != 0 || s.Max() != 0 {
+	if s.Mean() != 0 || s.Quantile(0.5) != 0 {
 		t.Error("empty sample reductions should be 0")
 	}
 	if s.Variance() != 0 || s.Stddev() != 0 {
@@ -164,7 +155,8 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 			}
 			prev = v
 		}
-		return s.Quantile(0) == s.Min() && s.Quantile(1) == s.Max()
+		xs := s.Values()
+		return len(xs) == 0 || s.Quantile(0) == slices.Min(xs) && s.Quantile(1) == slices.Max(xs)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -50,40 +50,21 @@ func (pt *ProbeTrace) Validate() error {
 	return nil
 }
 
-// VanLANConfig parameterizes probe-trace generation.
-type VanLANConfig struct {
-	Seed     int64
-	Trips    int           // number of shuttle passes to record
-	SlotDur  time.Duration // probe interval; the paper uses 100 ms
-	Params   radio.Params  // channel model
-	BSSubset []int         // optional: indices of BSes to include (nil = all)
-}
+// probeSlot is the §3 probe interval: every node broadcasts one probe
+// per 100 ms slot.
+const probeSlot = 100 * time.Millisecond
 
-// DefaultVanLANConfig returns the paper's measurement settings.
-func DefaultVanLANConfig(seed int64) VanLANConfig {
-	return VanLANConfig{
-		Seed:    seed,
-		Trips:   10,
-		SlotDur: 100 * time.Millisecond,
-		Params:  radio.DefaultParams(),
-	}
-}
-
-// GenerateVanLANProbes synthesizes the §3 probe logs: the shuttle drives
-// its loop Trips times while every node broadcasts a probe per slot.
+// GenerateVanLANProbes synthesizes the §3 probe logs over every VanLAN
+// basestation: the shuttle drives its loop trips times while every node
+// broadcasts a probe per probeSlot, through the default channel model.
 // Collisions are ignored, as in the paper's methodology ("We verified
-// that self-interference of this traffic is minimal").
-func GenerateVanLANProbes(cfg VanLANConfig) *ProbeTrace {
+// that self-interference of this traffic is minimal"). An experiment on
+// fewer basestations takes ProbeTrace.Subset of this trace.
+func GenerateVanLANProbes(seed int64, trips int) *ProbeTrace {
 	v := mobility.NewVanLAN()
-	bsIdx := cfg.BSSubset
-	if bsIdx == nil {
-		bsIdx = make([]int, len(v.BSes))
-		for i := range bsIdx {
-			bsIdx[i] = i
-		}
-	}
-	k := sim.NewKernel(cfg.Seed)
-	nb := len(bsIdx)
+	params := radio.DefaultParams()
+	k := sim.NewKernel(seed)
+	nb := len(v.BSes)
 
 	type dir struct {
 		link *radio.FadingLink
@@ -92,28 +73,28 @@ func GenerateVanLANProbes(cfg VanLANConfig) *ProbeTrace {
 	down := make([]dir, nb)
 	up := make([]dir, nb)
 	rssiRNG := make([]*sim.RNG, nb)
-	for i, b := range bsIdx {
-		down[i] = dir{
-			link: radio.NewFadingLink(cfg.Params, k.RNG("vanlan", "down", fmt.Sprint(b))),
+	for b := range nb {
+		down[b] = dir{
+			link: radio.NewFadingLink(params, k.RNG("vanlan", "down", fmt.Sprint(b))),
 			coin: k.RNG("vanlan", "down-coin", fmt.Sprint(b)),
 		}
-		up[i] = dir{
-			link: radio.NewFadingLink(cfg.Params, k.RNG("vanlan", "up", fmt.Sprint(b))),
+		up[b] = dir{
+			link: radio.NewFadingLink(params, k.RNG("vanlan", "up", fmt.Sprint(b))),
 			coin: k.RNG("vanlan", "up-coin", fmt.Sprint(b)),
 		}
-		rssiRNG[i] = k.RNG("vanlan", "rssi", fmt.Sprint(b))
+		rssiRNG[b] = k.RNG("vanlan", "rssi", fmt.Sprint(b))
 	}
 
 	lap := v.Route.LapTime()
-	slotsPerTrip := int(lap / cfg.SlotDur)
+	slotsPerTrip := int(lap / probeSlot)
 	pt := &ProbeTrace{
 		BSes:         make([]string, nb),
-		SlotDur:      cfg.SlotDur,
-		Slots:        slotsPerTrip * cfg.Trips,
+		SlotDur:      probeSlot,
+		Slots:        slotsPerTrip * trips,
 		SlotsPerTrip: slotsPerTrip,
 	}
-	for i, b := range bsIdx {
-		pt.BSes[i] = fmt.Sprintf("bs%d", b)
+	for b := range nb {
+		pt.BSes[b] = fmt.Sprintf("bs%d", b)
 	}
 	pt.Down = make([][]bool, pt.Slots)
 	pt.Up = make([][]bool, pt.Slots)
@@ -126,22 +107,22 @@ func GenerateVanLANProbes(cfg VanLANConfig) *ProbeTrace {
 	rssiFlat := make([]float64, pt.Slots*nb)
 
 	for s := 0; s < pt.Slots; s++ {
-		at := time.Duration(s) * cfg.SlotDur
+		at := time.Duration(s) * probeSlot
 		pos := v.Route.Position(at)
 		pt.Pos[s] = pos
 		dRow := downFlat[s*nb : (s+1)*nb : (s+1)*nb]
 		uRow := upFlat[s*nb : (s+1)*nb : (s+1)*nb]
 		rRow := rssiFlat[s*nb : (s+1)*nb : (s+1)*nb]
-		for i, b := range bsIdx {
-			dist := pos.Dist(v.BSes[b])
-			dOK := down[i].link.Receives(at, dist, down[i].coin.Float64())
-			uOK := up[i].link.Receives(at, dist, up[i].coin.Float64())
-			dRow[i] = dOK
-			uRow[i] = uOK
+		for b, bs := range v.BSes {
+			dist := pos.Dist(bs)
+			dOK := down[b].link.Receives(at, dist, down[b].coin.Float64())
+			uOK := up[b].link.Receives(at, dist, up[b].coin.Float64())
+			dRow[b] = dOK
+			uRow[b] = uOK
 			if dOK {
-				rRow[i] = rssiAt(cfg.Params, dist, rssiRNG[i])
+				rRow[b] = rssiAt(params, dist, rssiRNG[b])
 			} else {
-				rRow[i] = math.NaN()
+				rRow[b] = math.NaN()
 			}
 		}
 		pt.Down[s] = dRow
@@ -159,8 +140,8 @@ func GenerateVanLANProbes(cfg VanLANConfig) *ProbeTrace {
 	}
 	for a := 0; a < nb; a++ {
 		for b := a + 1; b < nb; b++ {
-			d := v.BSes[bsIdx[a]].Dist(v.BSes[bsIdx[b]])
-			l := radio.NewFadingLink(cfg.Params, k.RNG("vanlan", "interbs", fmt.Sprint(bsIdx[a]), fmt.Sprint(bsIdx[b])))
+			d := v.BSes[a].Dist(v.BSes[b])
+			l := radio.NewFadingLink(params, k.RNG("vanlan", "interbs", fmt.Sprint(a), fmt.Sprint(b)))
 			// Average the fading process over a minute of samples.
 			sum := 0.0
 			const n = 600
@@ -176,14 +157,12 @@ func GenerateVanLANProbes(cfg VanLANConfig) *ProbeTrace {
 }
 
 // Subset extracts the columns of the given basestations (by index into
-// the generating deployment) from a full probe trace. Because every
-// basestation's loss, fading and RSSI streams are derived from labels of
-// its absolute index, the extracted Down/Up/RSSI/Pos columns are
-// byte-identical to generating the trace with BSSubset directly — which
-// lets one full-trace generation serve every subset experiment. InterBS
-// is extracted from the full-trace measurement (the directed pair order
-// of a direct subset generation may differ, but the mean ratios describe
-// the same static links).
+// the generating deployment) from a full probe trace: basestation i of
+// the result is basestation idx[i] of pt, its Down/Up/RSSI columns and
+// its InterBS ratios, and the vehicle positions are shared. Every
+// basestation's loss, fading and RSSI streams are labelled by its
+// absolute index, so one full-trace generation serves every subset
+// experiment.
 func (pt *ProbeTrace) Subset(idx []int) *ProbeTrace {
 	nb := len(idx)
 	out := &ProbeTrace{

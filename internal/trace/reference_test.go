@@ -87,11 +87,14 @@ func TestDieselNetMatchesEagerLoop(t *testing.T) {
 	}
 }
 
-// eagerVanLAN is GenerateVanLANProbes over the full deployment, flattened:
-// Down and Up as they were decided, RSSI by bits, and the inter-BS means.
-func eagerVanLAN(cfg VanLANConfig) (down, up []bool, rssi []uint64, interBS [][]float64) {
+// eagerVanLAN is GenerateVanLANProbes flattened: Down and Up as they were
+// decided, RSSI by bits, and the inter-BS means, with probes every 100 ms
+// through the default channel model.
+func eagerVanLAN(seed int64, trips int) (down, up []bool, rssi []uint64, interBS [][]float64) {
+	const slot = 100 * time.Millisecond
+	params := radio.DefaultParams()
 	v := mobility.NewVanLAN()
-	k := sim.NewKernel(cfg.Seed)
+	k := sim.NewKernel(seed)
 	nb := len(v.BSes)
 	type dir struct {
 		link *radio.FadingLink
@@ -100,13 +103,13 @@ func eagerVanLAN(cfg VanLANConfig) (down, up []bool, rssi []uint64, interBS [][]
 	downDir, upDir := make([]dir, nb), make([]dir, nb)
 	rssiRNG := make([]*sim.RNG, nb)
 	for b := 0; b < nb; b++ {
-		downDir[b] = dir{radio.NewFadingLink(cfg.Params, k.RNG("vanlan", "down", fmt.Sprint(b))), k.RNG("vanlan", "down-coin", fmt.Sprint(b))}
-		upDir[b] = dir{radio.NewFadingLink(cfg.Params, k.RNG("vanlan", "up", fmt.Sprint(b))), k.RNG("vanlan", "up-coin", fmt.Sprint(b))}
+		downDir[b] = dir{radio.NewFadingLink(params, k.RNG("vanlan", "down", fmt.Sprint(b))), k.RNG("vanlan", "down-coin", fmt.Sprint(b))}
+		upDir[b] = dir{radio.NewFadingLink(params, k.RNG("vanlan", "up", fmt.Sprint(b))), k.RNG("vanlan", "up-coin", fmt.Sprint(b))}
 		rssiRNG[b] = k.RNG("vanlan", "rssi", fmt.Sprint(b))
 	}
-	slots := int(v.Route.LapTime()/cfg.SlotDur) * cfg.Trips
+	slots := int(v.Route.LapTime()/slot) * trips
 	for s := 0; s < slots; s++ {
-		at := time.Duration(s) * cfg.SlotDur
+		at := time.Duration(s) * slot
 		pos := v.Route.Position(at)
 		for b := 0; b < nb; b++ {
 			dist := pos.Dist(v.BSes[b])
@@ -114,7 +117,7 @@ func eagerVanLAN(cfg VanLANConfig) (down, up []bool, rssi []uint64, interBS [][]
 			uOK := upDir[b].coin.Float64() < upDir[b].link.ReceiveProb(at, dist)
 			r := math.NaN()
 			if dOK {
-				r = rssiAt(cfg.Params, dist, rssiRNG[b])
+				r = rssiAt(params, dist, rssiRNG[b])
 			}
 			down, up, rssi = append(down, dOK), append(up, uOK), append(rssi, math.Float64bits(r))
 		}
@@ -127,7 +130,7 @@ func eagerVanLAN(cfg VanLANConfig) (down, up []bool, rssi []uint64, interBS [][]
 	for a := 0; a < nb; a++ {
 		for b := a + 1; b < nb; b++ {
 			d := v.BSes[a].Dist(v.BSes[b])
-			l := radio.NewFadingLink(cfg.Params, k.RNG("vanlan", "interbs", fmt.Sprint(a), fmt.Sprint(b)))
+			l := radio.NewFadingLink(params, k.RNG("vanlan", "interbs", fmt.Sprint(a), fmt.Sprint(b)))
 			sum := 0.0
 			const n = 600
 			for j := 0; j < n; j++ {
@@ -141,9 +144,7 @@ func eagerVanLAN(cfg VanLANConfig) (down, up []bool, rssi []uint64, interBS [][]
 
 func TestVanLANProbesMatchEagerLoop(t *testing.T) {
 	for _, seed := range []int64{1, 7, 3000} {
-		cfg := DefaultVanLANConfig(seed)
-		cfg.Trips = 2
-		pt := GenerateVanLANProbes(cfg)
+		pt := GenerateVanLANProbes(seed, 2)
 		var down, up []bool
 		var rssi []uint64
 		for s := 0; s < pt.Slots; s++ {
@@ -152,7 +153,7 @@ func TestVanLANProbesMatchEagerLoop(t *testing.T) {
 				rssi = append(rssi, math.Float64bits(r))
 			}
 		}
-		wantDown, wantUp, wantRSSI, wantInterBS := eagerVanLAN(cfg)
+		wantDown, wantUp, wantRSSI, wantInterBS := eagerVanLAN(seed, 2)
 		if !reflect.DeepEqual(down, wantDown) || !reflect.DeepEqual(up, wantUp) {
 			t.Errorf("seed %d: Down/Up differ from the eager loop's", seed)
 		}

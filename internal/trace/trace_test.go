@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -228,9 +229,7 @@ func TestGenerateDieselNetDeterminism(t *testing.T) {
 }
 
 func TestGenerateVanLANProbes(t *testing.T) {
-	cfg := DefaultVanLANConfig(3)
-	cfg.Trips = 2
-	pt := GenerateVanLANProbes(cfg)
+	pt := GenerateVanLANProbes(3, 2)
 	if err := pt.Validate(); err != nil {
 		t.Fatalf("invalid probe trace: %v", err)
 	}
@@ -271,23 +270,47 @@ func TestGenerateVanLANProbes(t *testing.T) {
 	}
 }
 
+// TestVanLANSubset holds ProbeTrace.Subset to its doc: basestation i of
+// the subset is basestation idx[i] of the full trace, slot for slot and
+// pair for pair, over the full trace's positions.
 func TestVanLANSubset(t *testing.T) {
-	cfg := DefaultVanLANConfig(4)
-	cfg.Trips = 1
-	cfg.BSSubset = []int{0, 5, 10}
-	pt := GenerateVanLANProbes(cfg)
-	if len(pt.BSes) != 3 {
-		t.Errorf("subset BSes = %d, want 3", len(pt.BSes))
+	full := GenerateVanLANProbes(4, 1)
+	idx := []int{0, 5, 10}
+	pt := full.Subset(idx)
+	if err := pt.Validate(); err != nil {
+		t.Fatalf("invalid subset: %v", err)
 	}
-	if pt.BSes[1] != "bs5" {
+	if !slices.Equal(pt.BSes, []string{"bs0", "bs5", "bs10"}) {
 		t.Errorf("subset names = %v", pt.BSes)
+	}
+	if pt.Slots != full.Slots || pt.SlotDur != full.SlotDur || pt.SlotsPerTrip != full.SlotsPerTrip {
+		t.Errorf("subset slots %d/%v/%d, full %d/%v/%d",
+			pt.Slots, pt.SlotDur, pt.SlotsPerTrip, full.Slots, full.SlotDur, full.SlotsPerTrip)
+	}
+	if len(pt.Pos) == 0 || &pt.Pos[0] != &full.Pos[0] || len(pt.Pos) != len(full.Pos) {
+		t.Error("subset does not share the full trace's positions")
+	}
+	sameRSSI := func(a, b float64) bool { return a == b || math.IsNaN(a) && math.IsNaN(b) }
+	for s := 0; s < pt.Slots; s++ {
+		for i, b := range idx {
+			if pt.Down[s][i] != full.Down[s][b] || pt.Up[s][i] != full.Up[s][b] ||
+				!sameRSSI(pt.RSSI[s][i], full.RSSI[s][b]) {
+				t.Fatalf("slot %d: subset column %d differs from full column %d", s, i, b)
+			}
+		}
+	}
+	for a := range idx {
+		for b := range idx {
+			if pt.InterBS[a][b] != full.InterBS[idx[a]][idx[b]] {
+				t.Errorf("InterBS[%d][%d] = %v, want full[%d][%d] = %v",
+					a, b, pt.InterBS[a][b], idx[a], idx[b], full.InterBS[idx[a]][idx[b]])
+			}
+		}
 	}
 }
 
 func TestProbeVisibleCounts(t *testing.T) {
-	cfg := DefaultVanLANConfig(5)
-	cfg.Trips = 1
-	pt := GenerateVanLANProbes(cfg)
+	pt := GenerateVanLANProbes(5, 1)
 	counts := pt.VisibleCounts(0)
 	if len(counts) != pt.Slots/10 {
 		t.Fatalf("counts len = %d, want %d", len(counts), pt.Slots/10)

@@ -78,26 +78,40 @@ func (p PacketOutcome) Late() bool {
 // Usable reports whether the packet plays out.
 func (p PacketOutcome) Usable() bool { return p.Received && !p.Late() }
 
-// Call accumulates both directions of a VoIP session and scores it in
-// three-second windows.
-type Call struct {
-	Window  time.Duration
-	packets []PacketOutcome
-}
-
 // DefaultWindow is the paper's scoring window: calls are evaluated in
 // three-second slices (§5.3.2).
 const DefaultWindow = 3 * time.Second
 
-// NewCall returns a call evaluated over the paper's 3 s windows.
-func NewCall() *Call {
-	return &Call{Window: DefaultWindow}
+// Call scores both directions of a VoIP session in three-second windows.
+// It keeps one count pair per window, not the outcomes themselves: a
+// window's score depends only on how many of its packets were sent and
+// how many of those did not play out.
+type Call struct {
+	all, lost []int // per window: packets sent, packets lost or late
 }
 
-// Add records one packet outcome (either direction — the MoS applies to
-// the conversation as a whole).
+// NewCall returns a call of length total, scored over the whole
+// DefaultWindow slices it holds; a trailing partial window is not scored.
+func NewCall(total time.Duration) *Call {
+	n := max(int(total/DefaultWindow), 0)
+	return &Call{all: make([]int, n), lost: make([]int, n)}
+}
+
+// Add folds one packet outcome (either direction — the MoS applies to
+// the conversation as a whole) into the window it was sent in. A packet
+// sent outside the scored windows is ignored.
 func (c *Call) Add(p PacketOutcome) {
-	c.packets = append(c.packets, p)
+	if p.SentAt < 0 {
+		return
+	}
+	w := int(p.SentAt / DefaultWindow)
+	if w >= len(c.all) {
+		return
+	}
+	c.all[w]++
+	if !p.Usable() {
+		c.lost[w]++
+	}
 }
 
 // WindowScore is one scored window of the call.
@@ -111,34 +125,21 @@ type WindowScore struct {
 // Windows scores the call: per window, e = (lost + late)/total and
 // MoS = MoS(R(177, e)). Windows with no packets at all are total outages
 // (e = 1).
-func (c *Call) Windows(total time.Duration) []WindowScore {
-	n := int(total / c.Window)
-	if n == 0 {
+func (c *Call) Windows() []WindowScore {
+	if len(c.all) == 0 {
 		return nil
 	}
-	lost := make([]int, n)
-	all := make([]int, n)
-	for _, p := range c.packets {
-		w := int(p.SentAt / c.Window)
-		if w < 0 || w >= n {
-			continue
-		}
-		all[w]++
-		if !p.Usable() {
-			lost[w]++
-		}
-	}
-	out := make([]WindowScore, n)
-	for w := range out {
+	out := make([]WindowScore, len(c.all))
+	for w, all := range c.all {
 		e := 1.0
-		if all[w] > 0 {
-			e = float64(lost[w]) / float64(all[w])
+		if all > 0 {
+			e = float64(c.lost[w]) / float64(all)
 		}
 		out[w] = WindowScore{
-			Start:    time.Duration(w) * c.Window,
+			Start:    time.Duration(w) * DefaultWindow,
 			LossRate: e,
 			MoS:      MoS(RFactor(MouthToEarTargetMs, e)),
-			Packets:  all[w],
+			Packets:  all,
 		}
 	}
 	return out
@@ -157,10 +158,10 @@ type Quality struct {
 	SessionLens      []float64 // raw uninterrupted-session lengths (seconds)
 }
 
-// Score evaluates the call over its duration: the windows' MoS series
-// read through the session reducer at the interruption threshold.
-func (c *Call) Score(total time.Duration) Quality {
-	ws := c.Windows(total)
+// Score evaluates the call: the windows' MoS series read through the
+// session reducer at the interruption threshold.
+func (c *Call) Score() Quality {
+	ws := c.Windows()
 	q := Quality{Windows: len(ws)}
 	if len(ws) == 0 {
 		return q
@@ -172,7 +173,7 @@ func (c *Call) Score(total time.Duration) Quality {
 		sum += w.MoS
 	}
 	q.MeanMoS = sum / float64(len(ws))
-	q.SessionLens, q.Interruptions = stats.Sessions(mos, InterruptionMoS, c.Window.Seconds())
+	q.SessionLens, q.Interruptions = stats.Sessions(mos, InterruptionMoS, DefaultWindow.Seconds())
 	q.MedianSessionSec = stats.TimeWeightedMedian(q.SessionLens)
 	return q
 }

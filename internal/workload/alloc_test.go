@@ -34,30 +34,26 @@ func TestCBRDeliverAllocFree(t *testing.T) {
 }
 
 // TestVoIPDeliverAllocFree guards the VoIP record path: scoring a
-// received packet against its send record must not allocate once the
-// call's outcome buffer has grown.
+// received packet — the receipt mark and the window count — must not
+// allocate.
 func TestVoIPDeliverAllocFree(t *testing.T) {
 	k, cell := testCell(t, 10, 1)
 	d := NewVoIP(k, CellPort(cell, 0), 0, 0, 60*time.Second)
-	for i := range d.up {
-		d.up[i].at = time.Duration(i) * 20 * time.Millisecond
-		d.down[i].at = d.up[i].at
-	}
+	d.sent = len(d.up)
 	p := make([]byte, 20)
-	// Warm the call's append buffer.
-	for i := 0; i < 512; i++ {
-		binary.BigEndian.PutUint32(p, uint32(i))
-		d.DeliverUp(p)
-	}
-	binary.BigEndian.PutUint32(p, 600)
-	allocs := testing.AllocsPerRun(100, func() {
+	seq := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		binary.BigEndian.PutUint32(p, uint32(seq))
+		seq++
 		d.DeliverDown(p)
 		d.DeliverUp(p)
+		d.DeliverUp(p) // a duplicate receipt
 	})
-	// The first run records the outcome (amortized append); every repeat
-	// is a dedup hit and must stay free.
-	if allocs > 1 {
+	if allocs != 0 {
 		t.Errorf("VoIP delivery path allocates %.1f objects per packet", allocs)
+	}
+	if d.recvN != 2*seq {
+		t.Errorf("scored %d receipts of %d packet pairs", d.recvN, seq)
 	}
 }
 

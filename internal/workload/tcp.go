@@ -8,33 +8,15 @@ import (
 	"github.com/vanlan/vifi/internal/transport"
 )
 
-// TCPConfig parameterizes the repeated-transfer workload of §5.3.1.
-type TCPConfig struct {
-	TCP transport.Config
-	// TransferBytes is the file size (10 KB in the paper).
-	TransferBytes int
-	// StallTimeout aborts a transfer making no progress (10 s).
-	StallTimeout time.Duration
-	// Gap is the pause between consecutive transfers.
-	Gap time.Duration
-}
-
-// DefaultTCPConfig returns the paper's workload.
-func DefaultTCPConfig() TCPConfig {
-	return TCPConfig{
-		TCP:           transport.DefaultConfig(),
-		TransferBytes: 10 * 1024,
-		StallTimeout:  10 * time.Second,
-		Gap:           100 * time.Millisecond,
-	}
-}
+// gap is the pause between consecutive transfers of a session.
+const gap = 100 * time.Millisecond
 
 // TCP is the §5.3.1 session: the vehicle downloads a fixed-size file from
 // the wired host over and over — next transfer, settled, gap — with the
 // ten-second no-progress abort ending a session.
 type TCP struct {
 	k          *sim.Kernel
-	cfg        TCPConfig
+	bytes      int // the file size (10 KB in the paper)
 	x          transfer
 	veh        int
 	start, end time.Duration
@@ -44,12 +26,12 @@ type TCP struct {
 	final      Metrics
 }
 
-// NewTCP builds the driver. The loop starts at start; no new transfer
-// begins at or after end, though one already in flight may still settle
-// before Stop.
-func NewTCP(k *sim.Kernel, cfg TCPConfig, port Port, veh int, start, end time.Duration) *TCP {
-	t := &TCP{k: k, cfg: cfg, veh: veh, start: start, end: end}
-	t.x = transfer{k: k, cfg: cfg.TCP, port: port, timeout: cfg.StallTimeout, settled: t.settled}
+// NewTCP builds the driver, which fetches a bytes-long file each time.
+// The loop starts at start; no new transfer begins at or after end,
+// though one already in flight may still settle before Stop.
+func NewTCP(k *sim.Kernel, bytes int, port Port, veh int, start, end time.Duration) *TCP {
+	t := &TCP{k: k, bytes: bytes, veh: veh, start: start, end: end}
+	t.x = transfer{k: k, port: port, settled: t.settled}
 	return t
 }
 
@@ -61,7 +43,7 @@ func (t *TCP) next() {
 	if t.x.stopped || t.k.Now() >= t.end {
 		return
 	}
-	t.x.open(t.cfg.TransferBytes)
+	t.x.open(t.bytes)
 }
 
 // settled books the finished transfer and pauses before the next. The
@@ -74,7 +56,7 @@ func (t *TCP) settled(r transport.TransferResult) {
 		t.aborted++
 	}
 	if !t.x.stopped {
-		t.k.After(t.cfg.Gap, t.next)
+		t.k.After(gap, t.next)
 	}
 }
 

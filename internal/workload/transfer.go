@@ -7,6 +7,11 @@ import (
 	"github.com/vanlan/vifi/internal/transport"
 )
 
+// stallTimeout is the §5.3.1 abort: "transfers that make no progress for
+// ten seconds are terminated". It guards every TCP transfer and every web
+// object.
+const stallTimeout = 10 * time.Second
+
 // transfer is the one mini-TCP download engine under the TCP and Web
 // drivers: a sender at the wired host and a receiver at the vehicle on a
 // fresh connection id per object, the §5.3.1 no-progress guard
@@ -21,9 +26,7 @@ import (
 // drops them while the user thinks, so it is ignored.
 type transfer struct {
 	k       *sim.Kernel
-	cfg     transport.Config
 	port    Port
-	timeout time.Duration
 	settled func(transport.TransferResult)
 
 	conn     uint32
@@ -39,19 +42,19 @@ type transfer struct {
 // no-progress guard.
 func (x *transfer) open(size int) {
 	x.conn++
-	x.sender = transport.NewSender(x.k, x.cfg, x.conn, size, x.port.SendDown, x.done)
+	x.sender = transport.NewSender(x.k, transport.DefaultConfig(), x.conn, size, x.port.SendDown, x.done)
 	x.receiver = transport.NewReceiver(x.k, x.conn, x.port.SendUp)
 	x.sender.Start()
 	x.acked = 0
-	x.guard = x.k.After(x.timeout, x.check)
+	x.guard = x.k.After(stallTimeout, x.check)
 }
 
-// check aborts the transfer when a whole timeout passed without newly
+// check aborts the transfer when a whole stallTimeout passed without newly
 // acknowledged bytes, and otherwise keeps watching.
 func (x *transfer) check() {
 	if p := x.sender.Progress(); p > x.acked {
 		x.acked = p
-		x.guard = x.k.After(x.timeout, x.check)
+		x.guard = x.k.After(stallTimeout, x.check)
 		return
 	}
 	x.sender.Abort()

@@ -56,7 +56,7 @@ func TestTCPSessionsOnFlappingLink(t *testing.T) {
 		return (now > 20*time.Second && now < 45*time.Second) ||
 			(now > 70*time.Second && now < 95*time.Second)
 	}}
-	d := NewTCP(k, DefaultTCPConfig(), w.port(), 0, 0, end)
+	d := NewTCP(k, DefaultConfig().TransferBytes, w.port(), 0, 0, end)
 	w.d = d
 	d.Start()
 	var sessions []int
@@ -102,7 +102,7 @@ func TestTCPSessionsOnFlappingLink(t *testing.T) {
 // sorted.
 func TestTCPStatsAccounting(t *testing.T) {
 	k := sim.NewKernel(8)
-	d := NewTCP(k, DefaultTCPConfig(), (&wire{k: k}).port(), 0, 0, time.Minute)
+	d := NewTCP(k, DefaultConfig().TransferBytes, (&wire{k: k}).port(), 0, 0, time.Minute)
 	d.settled(transport.TransferResult{Completed: true, Duration: 2 * time.Second})
 	d.settled(transport.TransferResult{Completed: true, Duration: time.Second})
 	d.settled(transport.TransferResult{Completed: false})
@@ -129,21 +129,16 @@ func TestTCPStatsAccounting(t *testing.T) {
 // TCP, which keeps its endpoints through the gap, and ignored by Web,
 // which drops them while the user thinks.
 func TestLateDuplicateBetweenTransfers(t *testing.T) {
-	tcpCfg := DefaultTCPConfig()
-	tcpCfg.Gap = time.Second
-	webCfg := DefaultWebConfig()
-	webCfg.MaxExtraObjects = 0
-	webCfg.Think = time.Hour
 	for _, tc := range []struct {
 		name  string
 		build func(*sim.Kernel, Port) Driver
 		reack int
 	}{
 		{"tcp", func(k *sim.Kernel, p Port) Driver {
-			return NewTCP(k, tcpCfg, p, 0, 0, time.Minute)
+			return NewTCP(k, DefaultConfig().TransferBytes, p, 0, 0, time.Minute)
 		}, 1},
 		{"web", func(k *sim.Kernel, p Port) Driver {
-			return NewWeb(k, webCfg, p, 0, 0, time.Minute, k.RNG("late-dup"))
+			return NewWeb(k, time.Hour, p, 0, 0, time.Minute, k.RNG("late-dup"))
 		}, 0},
 	} {
 		k := sim.NewKernel(12)
@@ -162,5 +157,58 @@ func TestLateDuplicateBetweenTransfers(t *testing.T) {
 		if got := w.upSent - before; got != tc.reack {
 			t.Errorf("%s: late duplicate drew %d acknowledgements, want %d", tc.name, got, tc.reack)
 		}
+	}
+}
+
+// TestNewUsesSpecKnobs checks that the two application knobs a scenario
+// spec sets reach the drivers workload.New builds: the TCP driver fetches
+// files of TransferBytes, and the web driver's pauses between pages
+// average Think.
+func TestNewUsesSpecKnobs(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.TransferBytes = 20480
+	cfg.Think = 5 * time.Second
+
+	k := sim.NewKernel(14)
+	w := &wire{k: k, delay: 5 * time.Millisecond}
+	tcp := New(k, cfg, TCPKind, w.port(), 0, 0, time.Minute, k.RNG("knobs", "tcp")).(*TCP)
+	w.d = tcp
+	tcp.Start()
+	for tcp.Live().Completed == 0 {
+		if !k.Step() {
+			t.Fatal("tcp: queue drained before the first transfer completed")
+		}
+	}
+	if got := tcp.x.sender.Progress(); got != cfg.TransferBytes {
+		t.Errorf("tcp: first transfer moved %d bytes, want %d", got, cfg.TransferBytes)
+	}
+
+	const end = 2000 * time.Second
+	k = sim.NewKernel(15)
+	w = &wire{k: k, delay: 5 * time.Millisecond}
+	web := New(k, cfg, WebKind, w.port(), 0, 0, end, k.RNG("knobs", "web")).(*Web)
+	w.d = web
+	web.Start()
+	var pauses []time.Duration
+	var loaded time.Duration
+	seen, pageStart := 0, web.pageStart
+	for k.Now() < end && k.Step() {
+		if web.Live().Completed > seen {
+			seen, loaded = web.Live().Completed, k.Now()
+		}
+		if web.pageStart != pageStart {
+			pageStart = web.pageStart
+			pauses = append(pauses, pageStart-loaded)
+		}
+	}
+	var sum time.Duration
+	for _, p := range pauses {
+		sum += p
+	}
+	if len(pauses) < 100 {
+		t.Fatalf("web: %d pages in %v", len(pauses), end)
+	}
+	if mean := sum / time.Duration(len(pauses)); mean < 4*time.Second || mean > 6*time.Second {
+		t.Errorf("web: mean think %v over %d pages, want ≈ %v", mean, len(pauses), cfg.Think)
 	}
 }

@@ -20,42 +20,33 @@ type VoIP struct {
 	start, end time.Duration
 	call       *voip.Call
 	buf        []byte // the payload scratch: ports copy what they send
-	up, down   []voipSent
-	recvN      int // packets scored as received, for Live
-	done       bool
-	final      Metrics
-}
-
-// voipSent tracks one direction's packet: whether it was actually sent,
-// when it left, and whether its outcome is already recorded. sent is
-// explicit — a zero send time is legitimate for sessions starting at
-// t=0, so it cannot double as the sentinel.
-type voipSent struct {
-	at   time.Duration
-	sent bool
-	done bool
+	// up/down mark each packet received, like CBR's slot tables. Packet i
+	// is the train's firing i, so it left at exactly start + i·PacketInterval;
+	// sent counts the firings so far, and only packets below it have left.
+	up, down []bool
+	sent     int
+	recvN    int // packets scored as received, for Live
+	done     bool
+	final    Metrics
 }
 
 // NewVoIP builds the driver: one packet pair every voip.PacketInterval
 // over [start, end).
 func NewVoIP(k *sim.Kernel, port Port, veh int, start, end time.Duration) *VoIP {
-	n := 0
-	if end > start {
-		n = int((end - start) / voip.PacketInterval)
-	}
+	length := span(start, end)
+	n := int(length / voip.PacketInterval)
 	return &VoIP{
 		k: k, port: port, veh: veh, start: start, end: end,
-		call: voip.NewCall(),
+		call: voip.NewCall(length),
 		buf:  make([]byte, voip.PacketBytes),
-		up:   make([]voipSent, n), down: make([]voipSent, n),
+		up:   make([]bool, n), down: make([]bool, n),
 	}
 }
 
 // Start schedules the packet train.
 func (v *VoIP) Start() {
 	v.k.Every(v.start, voip.PacketInterval, len(v.up), func(i int) {
-		v.up[i] = voipSent{at: v.k.Now(), sent: true}
-		v.down[i] = voipSent{at: v.k.Now(), sent: true}
+		v.sent = i + 1
 		p := v.payload(i)
 		v.port.SendUp(p)
 		v.port.SendDown(p)
@@ -69,22 +60,24 @@ func (v *VoIP) payload(seq int) []byte {
 	return v.buf
 }
 
-// record scores one received packet against its send record.
-func (v *VoIP) record(list []voipSent, p []byte) {
+// sentAt is packet seq's send time relative to the call start.
+func sentAt(seq int) time.Duration { return time.Duration(seq) * voip.PacketInterval }
+
+// record scores the first receipt of a sent packet.
+func (v *VoIP) record(recv []bool, p []byte) {
 	if len(p) < 4 {
 		return
 	}
 	seq := int(binary.BigEndian.Uint32(p))
-	if seq < 0 || seq >= len(list) || list[seq].done {
+	if seq < 0 || seq >= v.sent || recv[seq] {
 		return
 	}
-	list[seq].done = true
+	recv[seq] = true
 	v.recvN++
-	now := v.k.Now()
 	v.call.Add(voip.PacketOutcome{
-		SentAt:   list[seq].at - v.start,
+		SentAt:   sentAt(seq),
 		Received: true,
-		Delay:    now - list[seq].at,
+		Delay:    v.k.Now() - v.start - sentAt(seq),
 	})
 }
 
@@ -97,23 +90,22 @@ func (v *VoIP) DeliverDown(p []byte) { v.record(v.down, p) }
 // Live reports call packets received so far (both directions).
 func (v *VoIP) Live() LiveStats { return LiveStats{Delivered: v.recvN} }
 
-// Stop counts unreceived packets as losses and scores the call.
+// Stop counts sent but unreceived packets as losses and scores the call.
 func (v *VoIP) Stop() Metrics {
 	if v.done {
 		return v.final
 	}
 	v.done = true
-	for _, list := range [][]voipSent{v.up, v.down} {
-		for _, s := range list {
-			if s.sent && !s.done {
-				v.call.Add(voip.PacketOutcome{SentAt: s.at - v.start, Received: false})
+	for _, recv := range [][]bool{v.up, v.down} {
+		for seq, ok := range recv[:v.sent] {
+			if !ok {
+				v.call.Add(voip.PacketOutcome{SentAt: sentAt(seq), Received: false})
 			}
 		}
 	}
-	length := span(v.start, v.end)
 	v.final = Metrics{
-		App: VoIPKind, Vehicle: v.veh, Span: length,
-		VoIP: v.call.Score(length),
+		App: VoIPKind, Vehicle: v.veh, Span: span(v.start, v.end),
+		VoIP: v.call.Score(),
 	}
 	return v.final
 }

@@ -7,33 +7,16 @@ import (
 	"github.com/vanlan/vifi/internal/transport"
 )
 
-// WebConfig parameterizes the browsing session: a page is one main
-// object plus up to MaxExtraObjects embedded objects, fetched
-// back-to-back over mini-TCP; between pages the user thinks. The stall
-// rule matches §5.3.1: an object making no progress for StallTimeout
-// aborts the whole page.
-type WebConfig struct {
-	TCP             transport.Config
-	PageBytes       int           // main object size
-	ObjectBytes     int           // embedded object size
-	MaxExtraObjects int           // embedded objects per page, drawn 0..Max
-	Think           time.Duration // mean think time between pages (exponential)
-	StallTimeout    time.Duration
-}
-
-// DefaultWebConfig returns a 10 KB-page browsing profile shaped like the
-// paper's web workload: an 8 KB main object plus up to four 2 KB
-// embedded objects, three-second mean think time, ten-second stall rule.
-func DefaultWebConfig() WebConfig {
-	return WebConfig{
-		TCP:             transport.DefaultConfig(),
-		PageBytes:       8 * 1024,
-		ObjectBytes:     2 * 1024,
-		MaxExtraObjects: 4,
-		Think:           3 * time.Second,
-		StallTimeout:    10 * time.Second,
-	}
-}
+// A page is one pageBytes main object plus 0..maxExtraObjects embedded
+// objects of objectBytes each, fetched back-to-back over mini-TCP: a
+// 10 KB-page profile shaped like the paper's web workload. The stall rule
+// matches §5.3.1: an object making no progress for stallTimeout aborts
+// the whole page.
+const (
+	pageBytes       = 8 * 1024
+	objectBytes     = 2 * 1024
+	maxExtraObjects = 4
+)
 
 // Web is a browsing session: request/response bursts over mini-TCP. The
 // vehicle (client) requests; the wired side (server) streams each object
@@ -42,7 +25,7 @@ func DefaultWebConfig() WebConfig {
 // paper's transfer metric.
 type Web struct {
 	k          *sim.Kernel
-	cfg        WebConfig
+	meanThink  time.Duration // mean think time between pages (exponential)
 	x          transfer
 	veh        int
 	start, end time.Duration
@@ -58,11 +41,12 @@ type Web struct {
 	final Metrics
 }
 
-// NewWeb builds the driver. rng drives page shapes and think times and
-// must be dedicated to this driver.
-func NewWeb(k *sim.Kernel, cfg WebConfig, port Port, veh int, start, end time.Duration, rng *sim.RNG) *Web {
-	w := &Web{k: k, cfg: cfg, veh: veh, start: start, end: end, rng: rng}
-	w.x = transfer{k: k, cfg: cfg.TCP, port: port, timeout: cfg.StallTimeout, settled: w.objectDone}
+// NewWeb builds the driver; between pages the user thinks for an
+// exponential pause of mean think. rng drives page shapes and think
+// times and must be dedicated to this driver.
+func NewWeb(k *sim.Kernel, think time.Duration, port Port, veh int, start, end time.Duration, rng *sim.RNG) *Web {
+	w := &Web{k: k, meanThink: think, veh: veh, start: start, end: end, rng: rng}
+	w.x = transfer{k: k, port: port, settled: w.objectDone}
 	return w
 }
 
@@ -76,8 +60,8 @@ func (w *Web) startPage() {
 		return
 	}
 	w.pageStart = w.k.Now()
-	w.objsLeft = 1 + w.rng.Intn(w.cfg.MaxExtraObjects+1)
-	w.x.open(w.cfg.PageBytes)
+	w.objsLeft = 1 + w.rng.Intn(maxExtraObjects+1)
+	w.x.open(pageBytes)
 }
 
 // objectDone advances the burst or closes the page. A stalled object
@@ -93,7 +77,7 @@ func (w *Web) objectDone(r transport.TransferResult) {
 	}
 	w.objsLeft--
 	if w.objsLeft > 0 {
-		w.x.open(w.cfg.ObjectBytes)
+		w.x.open(objectBytes)
 		return
 	}
 	w.completed++
@@ -105,7 +89,7 @@ func (w *Web) objectDone(r transport.TransferResult) {
 // exponential pause.
 func (w *Web) think() {
 	w.x.drop()
-	pause := time.Duration(w.rng.ExpFloat64() * float64(w.cfg.Think))
+	pause := time.Duration(w.rng.ExpFloat64() * float64(w.meanThink))
 	w.k.After(pause, w.startPage)
 }
 

@@ -124,18 +124,22 @@ type LiveStats struct {
 	Aborted   int
 }
 
-// Config parameterizes driver construction for a fleet.
+// Config is what a fleet's drivers vary: the scenario spec sets the
+// transfer size (xfer=), the web think time (think=) and the mixed split
+// (mix=). Everything else about the applications is the paper's
+// methodology and a constant of the driver that uses it.
 type Config struct {
-	// CBR: one CBRBytes-sized packet each way per CBRSlot.
+	// CBR: one CBRBytes-sized packet each way per CBRSlot, the fleet
+	// probe's shape.
 	CBRSlot  time.Duration
 	CBRBytes int
 
-	// TCP: the §5.3.1 repeated-transfer workload (transfer size, stall
-	// abort, inter-transfer gap).
-	TCP TCPConfig
+	// TransferBytes is the file size of the §5.3.1 repeated-transfer TCP
+	// workload.
+	TransferBytes int
 
-	// Web: request/response bursts over mini-TCP.
-	Web WebConfig
+	// Think is the mean (exponential) pause between web pages.
+	Think time.Duration
 
 	// Mix weights the cbr:tcp:voip:web split for MixedKind (SplitKinds).
 	Mix [4]int
@@ -143,14 +147,15 @@ type Config struct {
 
 // DefaultConfig returns the paper-shaped applications: the fleet probe
 // CBR (500 bytes per 200 ms slot each way), the 10 KB repeated-transfer
-// TCP loop, G.729 VoIP, 10 KB web pages, and an even mixed split.
+// TCP loop, web pages with a three-second mean think time, and an even
+// mixed split.
 func DefaultConfig() Config {
 	return Config{
-		CBRSlot:  200 * time.Millisecond,
-		CBRBytes: 500,
-		TCP:      DefaultTCPConfig(),
-		Web:      DefaultWebConfig(),
-		Mix:      [4]int{1, 1, 1, 1},
+		CBRSlot:       200 * time.Millisecond,
+		CBRBytes:      500,
+		TransferBytes: 10 * 1024,
+		Think:         3 * time.Second,
+		Mix:           [4]int{1, 1, 1, 1},
 	}
 }
 
@@ -164,11 +169,11 @@ func New(k *sim.Kernel, cfg Config, kind Kind, port Port, veh int, start, end ti
 	case CBRKind:
 		return NewCBR(k, port, veh, start, end, cfg.CBRSlot, cfg.CBRBytes)
 	case TCPKind:
-		return NewTCP(k, cfg.TCP, port, veh, start, end)
+		return NewTCP(k, cfg.TransferBytes, port, veh, start, end)
 	case VoIPKind:
 		return NewVoIP(k, port, veh, start, end)
 	case WebKind:
-		return NewWeb(k, cfg.Web, port, veh, start, end, rng)
+		return NewWeb(k, cfg.Think, port, veh, start, end, rng)
 	default:
 		panic(fmt.Sprintf("workload: New on non-concrete kind %v", kind))
 	}

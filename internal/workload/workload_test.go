@@ -68,7 +68,7 @@ func TestCBRDriverRecordsDeliveries(t *testing.T) {
 
 func TestTCPDriverCompletesTransfers(t *testing.T) {
 	k, cell := testCell(t, 7, 1)
-	d := NewTCP(k, DefaultConfig().TCP, CellPort(cell, 0), 0, 2*time.Second, 60*time.Second)
+	d := NewTCP(k, DefaultConfig().TransferBytes, CellPort(cell, 0), 0, 2*time.Second, 60*time.Second)
 	ms := runDrivers(k, cell, []Driver{d}, 60*time.Second)
 	m := ms[0]
 	if m.App != TCPKind {
@@ -97,7 +97,7 @@ func TestVoIPDriverScoresCall(t *testing.T) {
 
 func TestWebDriverLoadsPages(t *testing.T) {
 	k, cell := testCell(t, 13, 1)
-	d := NewWeb(k, DefaultWebConfig(), CellPort(cell, 0), 0, 2*time.Second, 120*time.Second,
+	d := NewWeb(k, DefaultConfig().Think, CellPort(cell, 0), 0, 2*time.Second, 120*time.Second,
 		k.RNG("workload-test", "web"))
 	ms := runDrivers(k, cell, []Driver{d}, 120*time.Second)
 	m := ms[0]
@@ -119,9 +119,9 @@ func TestDriversDeterministic(t *testing.T) {
 		k, cell := testCell(t, 21, 3)
 		end := 45 * time.Second
 		drivers := []Driver{
-			NewTCP(k, DefaultConfig().TCP, CellPort(cell, 0), 0, 2*time.Second, end),
+			NewTCP(k, DefaultConfig().TransferBytes, CellPort(cell, 0), 0, 2*time.Second, end),
 			NewVoIP(k, CellPort(cell, 1), 1, 2*time.Second, end),
-			NewWeb(k, DefaultWebConfig(), CellPort(cell, 2), 2, 2*time.Second, end,
+			NewWeb(k, DefaultConfig().Think, CellPort(cell, 2), 2, 2*time.Second, end,
 				k.RNG("workload-test", "det")),
 		}
 		return runDrivers(k, cell, drivers, end+time.Second)

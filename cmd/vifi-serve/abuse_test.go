@@ -43,9 +43,7 @@ func TestServeSurvivesAbuse(t *testing.T) {
 
 	healthy := createSession(t, ts, `{"scenario":"grid-small","duration":"30s","seed":17}`)
 
-	// The slow consumer: one event at a time, well behind the run. (Its
-	// response headers arrive with the first sample, once the session has
-	// had its turn at the slot.)
+	// The slow consumer: one event at a time, well behind the run.
 	streamEnd := make(chan string, 1)
 	go func() {
 		last := ""

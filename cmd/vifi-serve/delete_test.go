@@ -59,7 +59,7 @@ func waitEnded(t *testing.T, sv *server, id string) string {
 	if s == nil {
 		t.Fatalf("no session %s", id)
 	}
-	s.waitDone()
+	waitEnd(s)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.state

@@ -79,6 +79,18 @@ func get(t *testing.T, ts *httptest.Server, path string) (int, []byte) {
 	return resp.StatusCode, b
 }
 
+// waitEnd blocks until s has reached a terminal state: the runner wakes
+// grew on every terminal transition.
+func waitEnd(s *session) {
+	for {
+		_, grew, ended := s.view()
+		if ended {
+			return
+		}
+		<-grew
+	}
+}
+
 func waitDone(t *testing.T, sv *server, id string) {
 	t.Helper()
 	sv.mu.Lock()
@@ -87,7 +99,7 @@ func waitDone(t *testing.T, sv *server, id string) {
 	if s == nil {
 		t.Fatalf("no session %s", id)
 	}
-	s.waitDone()
+	waitEnd(s)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.state != "done" {
@@ -231,6 +243,29 @@ func hostSession(t *testing.T, sv *server, id string, seed int64, dur time.Durat
 	return s
 }
 
+// readStream reads a session's metrics stream to its end and returns the
+// sample events it carried and whether a done event closed it.
+func readStream(t *testing.T, ts *httptest.Server, id string) (rows int, done bool) {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/v1/sessions/" + id + "/metrics/stream")
+	if err != nil {
+		t.Error(err)
+		return 0, false
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		line := sc.Text()
+		if strings.HasPrefix(line, "data: {\"at_ns\"") {
+			rows++
+		}
+		if line == "event: done" {
+			done = true
+		}
+	}
+	return rows, done
+}
+
 // recording downloads a session's recording and decodes it.
 func recording(t *testing.T, ts *httptest.Server, id string) *obs.Recording {
 	t.Helper()
@@ -292,30 +327,31 @@ func TestServeRecordingIsOneHistory(t *testing.T) {
 // run starts, and the first timer read past the delay window panics.
 func TestServePanickingSessionFails(t *testing.T) {
 	sv, ts := startTestServer(t, 1)
-	var sub chan liveSample
 	bad := hostSession(t, sv, "bad", 17, 30*time.Second, func(s *session) {
 		s.cfg.RetxPercentile = 2
-		var live bool
-		if _, sub, _, live = s.subscribe(); !live {
-			t.Fatal("could not subscribe to a starting session")
-		}
 	})
 	good := createSession(t, ts, `{"scenario":"grid-small","duration":"30s","seed":17}`)
 
-	bad.waitDone()
-	// What was sampled before the panic, then the close.
-	samples := 0
-	for open := true; open; {
-		select {
-		case _, open = <-sub:
-			if open {
-				samples++
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatal("failed session left its subscriber open")
+	waitEnd(bad)
+	// What was published before the panic, then the done event.
+	samples := make(chan int, 1)
+	go func() {
+		rows, done := readStream(t, ts, "bad")
+		if !done {
+			rows = -1
 		}
+		samples <- rows
+	}()
+	var published int
+	select {
+	case published = <-samples:
+	case <-time.After(10 * time.Second):
+		t.Fatal("failed session left its stream open")
 	}
-	if samples == 0 {
+	if published < 0 {
+		t.Fatal("failed session's stream ended without the done event")
+	}
+	if published == 0 {
 		t.Error("the failing session sampled nothing: it did not fail mid-run")
 	}
 	var info sessionInfo
@@ -429,23 +465,7 @@ func TestServeMetricsEndpoints(t *testing.T) {
 	}
 
 	// Stream: history replays then the done event closes the stream.
-	resp, err := http.Get(ts.URL + "/v1/sessions/" + id + "/metrics/stream")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	sc := bufio.NewScanner(resp.Body)
-	var dataLines int
-	var sawDone bool
-	for sc.Scan() {
-		line := sc.Text()
-		if strings.HasPrefix(line, "data: {\"at_ns\"") {
-			dataLines++
-		}
-		if line == "event: done" {
-			sawDone = true
-		}
-	}
+	dataLines, sawDone := readStream(t, ts, id)
 	if dataLines != len(hist.Samples) || !sawDone {
 		t.Errorf("stream: %d data lines (want %d), done=%v", dataLines, len(hist.Samples), sawDone)
 	}
@@ -667,5 +687,5 @@ func TestServeShutdownWithPausedSession(t *testing.T) {
 	}
 	// End the parked runner rather than leak it into later tests.
 	s.cancel()
-	s.waitDone()
+	waitEnd(s)
 }

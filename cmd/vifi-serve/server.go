@@ -194,7 +194,7 @@ func (s *session) info() sessionInfo {
 		State:    s.state,
 		Now:      s.now.String(),
 		End:      s.end.String(),
-		Samples:  len(s.samples),
+		Samples:  s.hist.Rows(),
 	}
 	if s.eff == 0 {
 		info.Shards = s.shards
@@ -235,12 +235,11 @@ func (sv *server) inspectSession(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	info := s.info()
-	s.mu.Lock()
-	series := make([]string, len(s.series))
-	for i, d := range s.series {
+	hist, _, _ := s.view()
+	series := make([]string, len(hist.Series))
+	for i, d := range hist.Series {
 		series[i] = d.Name
 	}
-	s.mu.Unlock()
 	writeJSON(w, struct {
 		sessionInfo
 		Series []string `json:"series"`
@@ -254,23 +253,30 @@ type metricsHistory struct {
 	Samples []liveSample    `json:"samples"`
 }
 
+// sample is row i of rec in its wire form; Values is a view of the row.
+func sample(rec *obs.Recording, i int) liveSample {
+	return liveSample{At: rec.At(i), Values: rec.Row(i)}
+}
+
 func (sv *server) sessionMetrics(w http.ResponseWriter, r *http.Request) {
 	s := sv.lookup(w, r)
 	if s == nil {
 		return
 	}
-	s.mu.Lock()
-	h := metricsHistory{
-		Series:  append([]obs.SeriesDef(nil), s.series...),
-		Samples: append([]liveSample(nil), s.samples...),
+	hist, _, _ := s.view()
+	h := metricsHistory{Series: hist.Series}
+	for i := range hist.Rows() {
+		h.Samples = append(h.Samples, sample(&hist, i))
 	}
-	s.mu.Unlock()
 	writeJSON(w, h)
 }
 
-// streamMetrics serves the live sample feed as server-sent events. The
-// history is replayed first, then each merged tick is pushed as it
-// lands; the stream ends when the run completes.
+// streamMetrics serves the live sample feed as server-sent events. It
+// walks the history by row index: it sends every row published so far,
+// then waits for the next barrier (or the client to go) and sends what
+// that added, so a slow client falls behind but loses nothing. Once the
+// session has ended and its last row is out, a done event closes the
+// stream.
 func (sv *server) streamMetrics(w http.ResponseWriter, r *http.Request) {
 	s := sv.lookup(w, r)
 	if s == nil {
@@ -284,39 +290,22 @@ func (sv *server) streamMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 
-	id, ch, hist, live := s.subscribe()
-	if live {
-		defer s.unsubscribe(id)
-	}
-	enc := func(sm liveSample) bool {
-		b, _ := json.Marshal(sm)
-		if _, err := fmt.Fprintf(w, "data: %s\n\n", b); err != nil {
-			return false
+	for next := 0; ; {
+		hist, grew, ended := s.view()
+		for ; next < hist.Rows(); next++ {
+			b, _ := json.Marshal(sample(&hist, next))
+			if _, err := fmt.Fprintf(w, "data: %s\n\n", b); err != nil {
+				return
+			}
 		}
-		fl.Flush()
-		return true
-	}
-	for _, sm := range hist {
-		if !enc(sm) {
+		if ended {
+			fmt.Fprint(w, "event: done\ndata: {}\n\n")
+			fl.Flush()
 			return
 		}
-	}
-	if !live {
-		fmt.Fprint(w, "event: done\ndata: {}\n\n")
 		fl.Flush()
-		return
-	}
-	for {
 		select {
-		case sm, ok := <-ch:
-			if !ok {
-				fmt.Fprint(w, "event: done\ndata: {}\n\n")
-				fl.Flush()
-				return
-			}
-			if !enc(sm) {
-				return
-			}
+		case <-grew:
 		case <-r.Context().Done():
 			return
 		}

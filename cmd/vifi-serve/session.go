@@ -14,9 +14,9 @@ import (
 
 // session is one hosted scenario run: a fleet simulation advancing on
 // its own goroutine in barrier-aligned steps, pausable between steps,
-// with a live metrics history of the run-wide rows the LiveRun hands over
-// at each barrier. All mutable state is guarded by mu; cond signals
-// pause/resume transitions to the runner goroutine.
+// whose metrics history is the run's own recording as of the last barrier.
+// All mutable state is guarded by mu; cond signals pause/resume
+// transitions to the runner goroutine.
 type session struct {
 	id       string
 	specStr  string
@@ -43,16 +43,17 @@ type session struct {
 
 	report []byte
 
-	// Live metrics: the run-wide rows published so far — the session's one
-	// recording (liveRecording).
-	series  []obs.SeriesDef
-	samples []liveSample
-
-	subs    map[int]chan liveSample
-	nextSub int
+	// hist is the session's one history: a Snapshot of the LiveRun's
+	// recording taken at the last barrier (the zero Recording until the
+	// run starts). Rows below its length are never written again, so a
+	// reader shares them after dropping mu. grew is closed and replaced
+	// each time hist is published and when the session ends.
+	hist obs.Recording
+	grew chan struct{}
 }
 
-// liveSample is one run-wide sampling tick.
+// liveSample is one run-wide sampling tick, the wire form of a row of
+// hist; it exists only while a response is being encoded.
 type liveSample struct {
 	At     time.Duration `json:"at_ns"`
 	Values []int64       `json:"values"`
@@ -62,8 +63,8 @@ func newSession(id string) *session {
 	s := &session{
 		id:        id,
 		state:     "starting",
-		subs:      map[int]chan liveSample{},
 		cancelled: make(chan struct{}),
+		grew:      make(chan struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	return s
@@ -75,54 +76,27 @@ func (s *session) terminal() bool {
 	return s.state == "done" || s.state == "failed" || s.state == "cancelled"
 }
 
-// onSample is the sampling callback: LiveRun.Step calls it on the runner
-// goroutine, once per run-wide row (already summed across district
-// kernels), after every kernel has reached the barrier.
-func (s *session) onSample(at time.Duration, row []int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sm := liveSample{At: at, Values: append([]int64(nil), row...)}
-	s.samples = append(s.samples, sm)
-	for _, ch := range s.subs {
-		select {
-		case ch <- sm:
-		default: // slow subscriber: drop rather than stall the run
-		}
-	}
+// publish stores rec's rows up to this barrier as the session's history
+// and wakes every reader waiting on grew. Callers hold mu; rec is the
+// LiveRun's recording, read between steps on the runner goroutine.
+func (s *session) publish(rec *obs.Recording) {
+	s.hist = rec.Snapshot()
+	s.wake()
 }
 
-// subscribe registers a live-sample listener and returns it with the
-// history snapshot taken under the same lock (no tick is lost between
-// snapshot and subscription).
-func (s *session) subscribe() (int, chan liveSample, []liveSample, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	hist := append([]liveSample(nil), s.samples...)
-	if s.terminal() {
-		return 0, nil, hist, false
-	}
-	id := s.nextSub
-	s.nextSub++
-	ch := make(chan liveSample, 256)
-	s.subs[id] = ch
-	return id, ch, hist, true
+// wake wakes every reader waiting on grew. Callers hold mu.
+func (s *session) wake() {
+	close(s.grew)
+	s.grew = make(chan struct{})
 }
 
-func (s *session) unsubscribe(id int) {
+// view returns the history, the channel that is closed when it next grows
+// or the session ends, and whether the session has ended (so hist is
+// final).
+func (s *session) view() (obs.Recording, <-chan struct{}, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if ch, ok := s.subs[id]; ok {
-		delete(s.subs, id)
-		close(ch)
-	}
-}
-
-// finishSubs closes every live subscriber once the run ends.
-func (s *session) finishSubs() {
-	for id, ch := range s.subs {
-		delete(s.subs, id)
-		close(ch)
-	}
+	return s.hist, s.grew, s.terminal()
 }
 
 // pause requests a pause: immediately (at ≤ 0, lands at the next
@@ -150,15 +124,15 @@ func (s *session) resume() {
 	s.mu.Unlock()
 }
 
-// liveRecording rebuilds an obs.Recording from the live history, the
-// only copy of the run's samples the session keeps. Unlike the LiveRun's
-// recording (grown by every step on the runner goroutine), the history is
-// session-owned, so this is safe at any time — mid-run, while paused and
-// after the end — and a later download only adds rows.
+// liveRecording returns the session's history under the serve meta. It
+// shares the history's rows and copies none, so it is safe at any time —
+// mid-run, while paused and after the end — and a later download only
+// adds rows.
 func (s *session) liveRecording() *obs.Recording {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	meta := map[string]string{
+	rec := s.hist
+	rec.Meta = map[string]string{
 		"kind":     "serve",
 		"session":  s.id,
 		"spec":     s.spec.Key(),
@@ -166,11 +140,8 @@ func (s *session) liveRecording() *obs.Recording {
 		"seed":     fmt.Sprint(s.seed),
 		"duration": s.duration.String(),
 	}
-	rec := obs.NewRecording(meta, s.interval, s.interval, s.series)
-	for _, sm := range s.samples {
-		rec.Append(sm.Values...)
-	}
-	return rec
+	rec.Interval, rec.Start = s.interval, s.interval
+	return &rec
 }
 
 // cancel asks a session that is still going to stop: the runner ends it in
@@ -201,12 +172,12 @@ func (s *session) stopping() bool {
 }
 
 // close puts the session in a terminal state without a result (failed,
-// cancelled) and releases its subscribers and waiters.
+// cancelled) and wakes its readers. The history keeps the rows of the
+// last barrier reached.
 func (s *session) close(state string, err error) {
 	s.mu.Lock()
 	s.state, s.err = state, err
-	s.finishSubs()
-	s.cond.Broadcast()
+	s.wake()
 	s.mu.Unlock()
 }
 
@@ -246,7 +217,7 @@ func (s *session) runLoop(slots chan struct{}) {
 		s.close("cancelled", nil)
 		return
 	}
-	l, err := experiment.StartLiveRun(s.seed, s.spec, s.cfg, s.duration, s.shards, s.interval, s.onSample)
+	l, err := experiment.StartLiveRun(s.seed, s.spec, s.cfg, s.duration, s.shards, s.interval, nil)
 	if err != nil {
 		s.close("failed", err)
 		return
@@ -256,7 +227,7 @@ func (s *session) runLoop(slots chan struct{}) {
 	s.end = l.End()
 	s.eff = l.Shards()
 	s.lanes = l.Lanes()
-	s.series = l.Recording().Series
+	s.publish(l.Recording())
 	s.mu.Unlock()
 
 	for {
@@ -287,6 +258,7 @@ func (s *session) runLoop(slots chan struct{}) {
 
 		s.mu.Lock()
 		s.now = t
+		s.publish(l.Recording())
 		if s.pauseAt > 0 && t >= s.pauseAt {
 			s.wantPause, s.pauseAt = true, 0
 		}
@@ -303,16 +275,6 @@ func (s *session) runLoop(slots chan struct{}) {
 	s.mu.Lock()
 	s.report = buf.Bytes()
 	s.state = "done"
-	s.finishSubs()
-	s.cond.Broadcast()
-	s.mu.Unlock()
-}
-
-// waitDone blocks until the session reaches a terminal state (tests).
-func (s *session) waitDone() {
-	s.mu.Lock()
-	for !s.terminal() {
-		s.cond.Wait()
-	}
+	s.wake()
 	s.mu.Unlock()
 }

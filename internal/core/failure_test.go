@@ -8,6 +8,7 @@ import (
 	"github.com/vanlan/vifi/internal/mobility"
 	"github.com/vanlan/vifi/internal/radio"
 	"github.com/vanlan/vifi/internal/sim"
+	"github.com/vanlan/vifi/internal/trace"
 )
 
 // These tests inject faults — backplane partitions, anchor flapping,
@@ -54,7 +55,7 @@ func TestAnchorFlappingNoDuplicates(t *testing.T) {
 				per[s] = 0.25
 			}
 		}
-		return &radio.ScheduleLink{PerSecond: per}
+		return schedule(per)
 	}
 	factory := func(from, to radio.NodeID) radio.LinkModel {
 		switch {
@@ -109,7 +110,7 @@ func TestBeaconStarvationLosesAnchor(t *testing.T) {
 	// All links die at t=5s; within the staleness window the vehicle must
 	// drop its anchor and refuse sends rather than blackholing silently.
 	dead := func() radio.LinkModel {
-		return &radio.ScheduleLink{PerSecond: []float64{1, 1, 1, 1, 1}} // zero after 5s
+		return schedule([]float64{1, 1, 1, 1, 1}) // zero after 5s
 	}
 	k := sim.NewKernel(23)
 	opts := DefaultCellOptions()
@@ -199,13 +200,13 @@ func TestSalvageWindowExpiry(t *testing.T) {
 		// Vehicle hears both BSes' beacons but anchor's data never
 		// arrives, so downstream packets stay unacknowledged.
 		if from == 0 && to == 2 {
-			return &radio.ScheduleLink{PerSecond: onesThenZeros(6, 40)}
+			return schedule(onesThenZeros(6, 40))
 		}
 		if from == 1 && to == 2 || from == 2 && to == 1 {
-			return &radio.ScheduleLink{PerSecond: zerosThenOnes(6, 40)}
+			return schedule(zerosThenOnes(6, 40))
 		}
 		if from == 2 && to == 0 {
-			return &radio.ScheduleLink{PerSecond: onesThenZeros(6, 40)}
+			return schedule(onesThenZeros(6, 40))
 		}
 		return radio.FixedLink(0.3)
 	}
@@ -230,6 +231,16 @@ func TestSalvageWindowExpiry(t *testing.T) {
 	if salvaged != 0 {
 		t.Errorf("%d packets salvaged from far outside the window", salvaged)
 	}
+}
+
+// schedule replays per[s] as the reception probability during second s,
+// and zero beyond it, as the one column of a one-basestation trace.
+func schedule(per []float64) radio.LinkModel {
+	tr := &trace.Trace{BSes: []string{"bs"}, Ratio: make([][]float64, len(per))}
+	for s, p := range per {
+		tr.Ratio[s] = []float64{p}
+	}
+	return tr.ScheduleLinks()[0]
 }
 
 func onesThenZeros(n, total int) []float64 {

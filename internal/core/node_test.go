@@ -303,7 +303,7 @@ func TestSalvageRecoversInFlightPackets(t *testing.T) {
 				per[s] = 0.95
 			}
 		}
-		return &radio.ScheduleLink{PerSecond: per}
+		return schedule(per)
 	}
 	factory := func(from, to radio.NodeID) radio.LinkModel {
 		// Node ids: bs0=0, bs1=1, veh=2.

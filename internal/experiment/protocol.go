@@ -142,8 +142,9 @@ func Fig10(o Options) *Report {
 	brrF := make([]Future[*TestbedRun], len(envs))
 	vifiF := make([]Future[*TestbedRun], len(envs))
 	for i, env := range envs {
-		brrF[i] = eng.Testbed(o.Seed, env, workload.TCPKind, core.BRRConfig(), dur, true)
-		vifiF[i] = eng.Testbed(o.Seed, env, workload.TCPKind, core.DefaultConfig(), dur, true)
+		// Only the completion count and span are read: no collector.
+		brrF[i] = eng.Testbed(o.Seed, env, workload.TCPKind, core.BRRConfig(), dur, false)
+		vifiF[i] = eng.Testbed(o.Seed, env, workload.TCPKind, core.DefaultConfig(), dur, false)
 	}
 	for i, env := range envs {
 		rate := func(f Future[*TestbedRun]) float64 {

@@ -421,7 +421,9 @@ func (l *LiveRun) Lanes() int { return l.haloLanes }
 // Recording returns the run-wide recording up to the last barrier, nil
 // when sampling is disabled: with one kernel the sampler's own recording,
 // else the rows barrier has summed. It grows with every Step, so read it
-// between steps only.
+// between steps only; but a step only adds rows past the last barrier's
+// and never writes one below it, so a Snapshot taken between steps may be
+// read from any goroutine while later steps run.
 func (l *LiveRun) Recording() *obs.Recording { return l.merged }
 
 // Abandon releases what a run that will not be finished still holds — the

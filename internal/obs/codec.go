@@ -48,10 +48,10 @@ type countWriter struct {
 	w *bufio.Writer
 }
 
+// uvarint appends v to the writer's free buffer, so encoding a value
+// allocates nothing.
 func (cw countWriter) uvarint(v uint64) error {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	_, err := cw.w.Write(buf[:n])
+	_, err := cw.w.Write(binary.AppendUvarint(cw.w.AvailableBuffer(), v))
 	return err
 }
 

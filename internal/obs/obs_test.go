@@ -188,3 +188,37 @@ func TestSamplerTickDoesNotAllocate(t *testing.T) {
 		t.Errorf("sampler tick allocated %.1f objects/run, want 0", allocs)
 	}
 }
+
+// TestRecordingSnapshot: a snapshot keeps its rows and count while the live
+// recording grows into the same backing array, and an Append on the
+// snapshot reallocates instead of writing the live rows.
+func TestRecordingSnapshot(t *testing.T) {
+	k := sim.NewKernel(1)
+	reg := NewRegistry()
+	reg.Gauge("clock.ms", func() int64 { return int64(k.Now() / time.Millisecond) })
+	live := Attach(k, reg, 10*time.Millisecond, time.Second, nil).Recording()
+	k.RunUntil(50 * time.Millisecond)
+	snap := live.Snapshot()
+	if snap.Rows() != 5 || cap(live.data) <= len(live.data) {
+		t.Fatalf("snapshot of %d rows, live cap %d len %d; want 5 rows with spare live capacity",
+			snap.Rows(), cap(live.data), len(live.data))
+	}
+
+	k.RunUntil(200 * time.Millisecond) // the live recording grows in place
+	if live.Rows() != 20 || snap.Rows() != 5 {
+		t.Fatalf("live %d rows, snapshot %d; want 20 and 5", live.Rows(), snap.Rows())
+	}
+	for i := 0; i < snap.Rows(); i++ {
+		if got, want := snap.Row(i)[0], int64(10*(i+1)); got != want || snap.At(i) != live.At(i) {
+			t.Errorf("snapshot row %d = %d at %v, want %d at %v", i, got, snap.At(i), want, live.At(i))
+		}
+	}
+
+	snap.Append(-1)
+	if got := live.Row(5)[0]; got != 60 {
+		t.Errorf("Append on the snapshot wrote the live row 5: %d, want 60", got)
+	}
+	if snap.Rows() != 6 || snap.Row(5)[0] != -1 || live.Rows() != 20 {
+		t.Errorf("after Append: snapshot %d rows ending %d, live %d rows", snap.Rows(), snap.Row(snap.Rows() - 1)[0], live.Rows())
+	}
+}

@@ -53,6 +53,18 @@ func (r *Recording) At(i int) time.Duration {
 	return r.Start + time.Duration(i)*r.Interval
 }
 
+// Snapshot returns a copy of the recording as it stands, sharing its rows
+// (and its Meta and Series, which are read-only): its data is capped at
+// its length, so an Append on the snapshot reallocates and never writes
+// the live array. A row once taken is never written again, so a snapshot
+// made between sampler advances may be read from any goroutine while the
+// live recording keeps growing.
+func (r *Recording) Snapshot() Recording {
+	c := *r
+	c.data = c.data[:len(c.data):len(c.data)]
+	return c
+}
+
 // Row returns row i as a view into the backing array; copy to retain
 // across further sampling.
 func (r *Recording) Row(i int) []int64 {

@@ -60,6 +60,9 @@ func (s *Sampler) OnEvent() {
 }
 
 // Recording returns the rows accumulated so far. The recording keeps
-// growing until the horizon passes; readers that copy rows out (Row
-// returns views) must do so before further kernel advancement.
+// growing until the horizon passes, on the kernel's goroutine, so read it
+// only while the kernel is stopped. Each tick writes a new row into the
+// capacity Attach reserved and never rewrites an older one: a Snapshot
+// taken while the kernel is stopped stays readable from any goroutine as
+// the kernel runs on.
 func (s *Sampler) Recording() *Recording { return s.rec }

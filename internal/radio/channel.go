@@ -212,15 +212,14 @@ func (ln *rxLane) put(r *reception) {
 // The fields are ordered by who reads them. Nearly every decision delivers
 // nothing, and all it touches is the first 128 bytes: the two per-frame
 // streams, the two distance memos and the modulators' deadlines and flags.
-// rssiAt/rssiBase memoize the noise-free RSSI on the last distance, keyed
+// rssiAt/rssiBase memoize Params.RSSIBase on the last distance, keyed
 // like fading's mean: a repeated distance yields the very float it yielded
 // before. Behind them lies what a sojourn's end, a mean that has to be
 // computed or a list build needs. stream drives fading — built in place
 // when the channel has no factory; on a channel with one both stay unused
-// and custom indexes the factory's model (ScheduleLink, FixedLink, a trace
-// replay) in Channel.models. reach caches the model's advertised Ranged
-// cutoff (+Inf when the model has none); the candidate lists and inRange
-// consult it.
+// and custom indexes the factory's model (FixedLink, a trace replay) in
+// Channel.models. reach caches the model's advertised Ranged cutoff (+Inf
+// when the model has none); the candidate lists and inRange consult it.
 //
 // Links come from the channel's slab (newLink), 64-byte aligned and three
 // cache lines each; TestLinkLayout pins both.
@@ -239,7 +238,7 @@ type linkState struct {
 // rssi returns the noise-free RSSI of the link at dist.
 func (ls *linkState) rssi(p *Params, dist float64) float64 {
 	if dist != ls.rssiAt {
-		ls.rssiAt, ls.rssiBase = dist, p.rssiBase(dist)
+		ls.rssiAt, ls.rssiBase = dist, p.RSSIBase(dist)
 	}
 	return ls.rssiBase
 }
@@ -369,8 +368,8 @@ type Channel struct {
 // SenseRangeM in would only inflate the candidate sets. With no factory it is
 // CutoffM, which describes exactly the links newLink builds by default. A
 // custom factory may install models the fading parameters say nothing
-// about (FixedLink, ScheduleLink, trace replays), so only an explicit
-// MaxRangeM cuts its deliveries off. A channel left without a finite
+// about (FixedLink, trace replays), so only an explicit MaxRangeM cuts its
+// deliveries off. A channel left without a finite
 // cutoff — such a factory, or degenerate fading Params — is reach-less: its
 // cutoff is +Inf, every position falls in cell (0,0), and its one-cell grid
 // decides every receiver in attach order, which is the full sweep (DESIGN

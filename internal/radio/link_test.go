@@ -48,7 +48,7 @@ func TestLinkStreamsMatchLabels(t *testing.T) {
 		}
 		pr := twin.ReceiveProb(0, dist)
 		noise, loss := k.RNG("rssi", from, to), k.RNG("loss", from, to)
-		rssi := p.rssiBase(dist) + noise.NormFloat64()*p.RSSINoiseDB
+		rssi := p.RSSIBase(dist) + noise.NormFloat64()*p.RSSINoiseDB
 		coin := loss.Float64()
 		rx := c.nodes[j].cur
 		if rx == nil {
@@ -193,7 +193,7 @@ func TestMemoIsKeyedOnDistance(t *testing.T) {
 		if got := receiveProb(c, 0, 1); math.Float64bits(got) != math.Float64bits(want) {
 			t.Errorf("step %d (d=%v): reception probability = %v, memo-free oracle %v", i, d, got, want)
 		}
-		if got, want := ls.rssi(&c.P, d), p.rssiBase(d); math.Float64bits(got) != math.Float64bits(want) {
+		if got, want := ls.rssi(&c.P, d), p.RSSIBase(d); math.Float64bits(got) != math.Float64bits(want) {
 			t.Errorf("step %d (d=%v): RSSI base = %v, memo-free oracle %v", i, d, got, want)
 		}
 	}

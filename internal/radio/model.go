@@ -205,9 +205,11 @@ func (p *Params) meanBracket(dist, shadowM float64) (lo, hi float64, ok bool) {
 	return p.PMax * curveBracket[i].lo, p.PMax * curveBracket[i].hi, true
 }
 
-// rssiBase returns the noise-free synthetic RSSI (dBm) at the given
-// distance; a reading is the base plus the per-frame noise term.
-func (p *Params) rssiBase(dist float64) float64 {
+// RSSIBase returns the noise-free synthetic RSSI (dBm) at the given
+// distance; a reading is the base plus the per-frame noise term,
+// NormFloat64()·RSSINoiseDB. It is the one owner of the synthetic RSSI:
+// the channel's receptions and the generated VanLAN probe traces read it.
+func (p *Params) RSSIBase(dist float64) float64 {
 	if dist < 1 {
 		dist = 1
 	}
@@ -227,7 +229,7 @@ type LinkModel interface {
 // Ranged is an optional LinkModel extension: a model whose ReceiveProb
 // is negligible (≲1e-9) beyond some distance advertises that reach so
 // the channel can skip the link — and its RNG draws — without consulting
-// the model. Models with no finite reach (FixedLink, ScheduleLink) don't
+// the model. Models with no finite reach (FixedLink, a trace replay) don't
 // implement it; a channel built from a custom factory therefore cuts
 // nothing off unless Params.MaxRangeM states a cutoff (see NewChannel).
 type Ranged interface {
@@ -454,21 +456,3 @@ type FixedLink float64
 
 // ReceiveProb implements LinkModel.
 func (f FixedLink) ReceiveProb(time.Duration, float64) float64 { return float64(f) }
-
-// ScheduleLink drives reception probability from a per-second schedule
-// (the paper's trace-driven methodology, §5.1: "The beacon loss ratio from
-// a BS to the vehicle in each one-second interval is used as the packet
-// loss rate"). Seconds beyond the schedule yield probability zero.
-type ScheduleLink struct {
-	// PerSecond[i] is the reception probability during second i.
-	PerSecond []float64
-}
-
-// ReceiveProb implements LinkModel.
-func (s *ScheduleLink) ReceiveProb(t time.Duration, _ float64) float64 {
-	i := int(t / time.Second)
-	if i < 0 || i >= len(s.PerSecond) {
-		return 0
-	}
-	return s.PerSecond[i]
-}

@@ -47,7 +47,7 @@ func TestMeanReceptionMonotoneInDistance(t *testing.T) {
 
 func TestRSSIMonotone(t *testing.T) {
 	p := DefaultParams()
-	if p.rssiBase(10) <= p.rssiBase(100) {
+	if p.RSSIBase(10) <= p.RSSIBase(100) {
 		t.Error("RSSI should fall with distance")
 	}
 }
@@ -253,22 +253,11 @@ func TestFadingLinksIndependentAcrossBSes(t *testing.T) {
 	}
 }
 
+// TestFixedAndScheduleLinks pins FixedLink; the per-second schedule
+// replay is trace's (TestScheduleLinks).
 func TestFixedAndScheduleLinks(t *testing.T) {
 	if FixedLink(0.4).ReceiveProb(0, 99) != 0.4 {
 		t.Error("FixedLink wrong")
-	}
-	s := &ScheduleLink{PerSecond: []float64{1, 0.5, 0}}
-	cases := []struct {
-		at   time.Duration
-		want float64
-	}{
-		{0, 1}, {999 * time.Millisecond, 1}, {time.Second, 0.5},
-		{2500 * time.Millisecond, 0}, {10 * time.Second, 0},
-	}
-	for _, c := range cases {
-		if got := s.ReceiveProb(c.at, 0); got != c.want {
-			t.Errorf("ScheduleLink at %v = %v, want %v", c.at, got, c.want)
-		}
 	}
 }
 

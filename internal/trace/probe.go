@@ -120,7 +120,7 @@ func GenerateVanLANProbes(seed int64, trips int) *ProbeTrace {
 			dRow[b] = dOK
 			uRow[b] = uOK
 			if dOK {
-				rRow[b] = rssiAt(params, dist, rssiRNG[b])
+				rRow[b] = params.RSSIBase(dist) + rssiRNG[b].NormFloat64()*params.RSSINoiseDB
 			} else {
 				rRow[b] = math.NaN()
 			}
@@ -204,15 +204,6 @@ func (pt *ProbeTrace) Subset(idx []int) *ProbeTrace {
 		}
 	}
 	return out
-}
-
-// rssiAt mirrors radio's synthetic RSSI (kept here so trace generation
-// does not need a live channel).
-func rssiAt(p radio.Params, dist float64, rng *sim.RNG) float64 {
-	if dist < 1 {
-		dist = 1
-	}
-	return p.TxPowerDBm - 40 - 10*p.PathLossExp*math.Log10(dist) + rng.NormFloat64()*p.RSSINoiseDB
 }
 
 // VisibleCounts mirrors Trace.VisibleCounts for probe traces: for each

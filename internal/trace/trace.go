@@ -133,8 +133,10 @@ func (t *Trace) VisibleCounts(threshold float64) []int {
 // ScheduleLinks returns the trace's columns as per-BS link models for the
 // vehicle↔BS links (used symmetrically, as the paper does: "ignores any
 // asymmetry"). Basestation b's model replays Ratio[s][b] as the reception
-// probability during second s and zero beyond the trace, as a
-// radio.ScheduleLink does; it reads the trace, so nothing is copied.
+// probability during second s and zero beyond the trace (the paper's
+// §5.1 methodology: "The beacon loss ratio from a BS to the vehicle in
+// each one-second interval is used as the packet loss rate"); it reads the
+// trace, so nothing is copied.
 func (t *Trace) ScheduleLinks() []radio.LinkModel {
 	out := make([]radio.LinkModel, len(t.BSes))
 	for b := range out {

@@ -309,9 +309,6 @@ type AppSummary struct {
 	// the denominator for fleet-wide per-minute rates.
 	ActiveMinutes float64
 
-	// CBR.
-	Slots, UpDelivered, DownDelivered int
-
 	// TCP/Web.
 	Completed, Aborted int
 	MedianTransferSec  float64
@@ -356,15 +353,6 @@ func Aggregate(ms []Metrics) Summary {
 		a := &sum.Apps[int(m.App)]
 		a.Vehicles++
 		a.ActiveMinutes += m.Span.Minutes()
-		a.Slots += len(m.Up)
-		for i := range m.Up {
-			if m.Up[i] {
-				a.UpDelivered++
-			}
-			if m.Down[i] {
-				a.DownDelivered++
-			}
-		}
 		a.Completed += m.Completed
 		a.Aborted += m.Aborted
 		transfers[m.App] = append(transfers[m.App], m.TransferSecs...)

@@ -218,10 +218,6 @@ func TestAggregatePoolsPerApp(t *testing.T) {
 	if v.MeanMoS != wantMoS {
 		t.Errorf("window-weighted MoS = %g, want %g", v.MeanMoS, wantMoS)
 	}
-	c := s.App(CBRKind)
-	if c.Slots != 2 || c.UpDelivered != 1 || c.DownDelivered != 2 {
-		t.Errorf("cbr summary: %+v", c)
-	}
 }
 
 // quality builds a voip.Quality literal for aggregation tests.

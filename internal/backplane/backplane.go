@@ -24,12 +24,15 @@ import (
 	"github.com/vanlan/vifi/internal/sim"
 )
 
-// LinkSpec describes one direction of an access link.
+// queueBytes is the FIFO capacity of every access link direction.
+const queueBytes = 64 << 10
+
+// LinkSpec describes one direction of an access link. Its FIFO holds
+// queueBytes.
 type LinkSpec struct {
-	RateBps    float64       // serialization rate in bits/s
-	Delay      time.Duration // propagation delay
-	Loss       float64       // random loss probability per message
-	QueueBytes int           // FIFO capacity; 0 means unbounded
+	RateBps float64       // serialization rate in bits/s
+	Delay   time.Duration // propagation delay
+	Loss    float64       // random loss probability per message
 }
 
 // Config describes the backplane.
@@ -43,10 +46,9 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Access: LinkSpec{
-			RateBps:    5e6,
-			Delay:      8 * time.Millisecond,
-			Loss:       0,
-			QueueBytes: 64 << 10,
+			RateBps: 5e6,
+			Delay:   8 * time.Millisecond,
+			Loss:    0,
 		},
 		CoreDelay: 4 * time.Millisecond,
 	}
@@ -81,7 +83,7 @@ type qlink struct {
 // completion time at the given effective rate (the spec rate, scaled
 // down during brownouts). The caller must schedule the dequeue itself.
 func (l *qlink) admit(now time.Duration, size int, rateBps float64) (done time.Duration, ok bool) {
-	if l.spec.QueueBytes > 0 && l.queued+size > l.spec.QueueBytes {
+	if l.queued+size > queueBytes {
 		return 0, false
 	}
 	start := now

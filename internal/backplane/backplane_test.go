@@ -111,13 +111,11 @@ func TestSerializationQueuesBackToBack(t *testing.T) {
 
 func TestQueueOverflowDrops(t *testing.T) {
 	k := sim.NewKernel(5)
-	cfg := DefaultConfig()
-	cfg.Access.QueueBytes = 25000 // fits two 10 kB messages plus change
-	n := New(k, cfg)
+	n := New(k, DefaultConfig())
 	var got []delivery
 	n.Attach(1, nil)
 	n.Attach(2, collect(k, &got))
-	msg := make([]byte, 10000)
+	msg := make([]byte, 30000) // 64 KiB fits two plus change
 	admitted := 0
 	for i := 0; i < 6; i++ {
 		if n.Send(1, 2, msg) {
@@ -138,21 +136,19 @@ func TestQueueOverflowDrops(t *testing.T) {
 
 func TestQueueDrainsOverTime(t *testing.T) {
 	k := sim.NewKernel(6)
-	cfg := DefaultConfig()
-	cfg.Access.QueueBytes = 15000
-	n := New(k, cfg)
+	n := New(k, DefaultConfig())
 	var got []delivery
 	n.Attach(1, nil)
 	n.Attach(2, collect(k, &got))
-	msg := make([]byte, 10000)
+	msg := make([]byte, 40000) // 64 KiB fits one
 	if !n.Send(1, 2, msg) {
 		t.Fatal("first send rejected")
 	}
 	if n.Send(1, 2, msg) {
 		t.Fatal("second immediate send should overflow")
 	}
-	// After the first serializes (16 ms), there is room again.
-	k.RunUntil(20 * time.Millisecond)
+	// After the first serializes (64 ms), there is room again.
+	k.RunUntil(70 * time.Millisecond)
 	if !n.Send(1, 2, msg) {
 		t.Fatal("send after drain rejected")
 	}
@@ -346,15 +342,16 @@ func TestSendSteadyStateAllocs(t *testing.T) {
 	k2 := sim.NewKernel(14)
 	nd := New(k2, DefaultConfig())
 	nd.Attach(1, nil)
+	nd.Attach(3, nil)
 	nd.Attach(2, func(uint16, []byte) {})
-	// A slow, shallow downlink: the burst crosses the fast uplink intact
-	// and overflows at the destination (the stageArrive drop path).
+	// A slow downlink fed by two senders: each half of the burst fits its
+	// fast uplink, and together they overflow the destination's 64 KiB
+	// (the stageArrive drop path).
 	nd.ports[2].down.spec.RateBps = 1e4
-	nd.ports[2].down.spec.QueueBytes = 1000
-	big := make([]byte, 700)
+	big := make([]byte, 20000)
 	burst := func() {
-		for i := 0; i < 4; i++ { // 2800 bytes at once: two must drop
-			nd.Send(1, 2, big)
+		for i := 0; i < 4; i++ { // 80 000 bytes at once: one must drop
+			nd.Send(uint16(1+2*(i&1)), 2, big)
 		}
 		k2.Run()
 	}

@@ -146,7 +146,7 @@ func AblateBackplane(o Options) *Report {
 			k := sim.NewKernel(o.Seed)
 			opts := core.DefaultCellOptions()
 			opts.Backplane = backplane.Config{
-				Access:    backplane.LinkSpec{RateBps: c.rate, Delay: c.delay, QueueBytes: 64 << 10},
+				Access:    backplane.LinkSpec{RateBps: c.rate, Delay: c.delay},
 				CoreDelay: c.delay / 2,
 			}
 			cell := core.NewVanLANCell(k, opts)

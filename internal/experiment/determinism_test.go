@@ -215,7 +215,8 @@ func goldenBytes(t *testing.T, name, got string) {
 }
 
 // checkWellFormed asserts what every registered runner owes its caller:
-// a report that carries its id, a title, a header and at least one row.
+// a report that carries its id, a title, a header and at least one row,
+// and a value in every cell of a row whose label is not blank.
 func checkWellFormed(t *testing.T, id string, rep *Report) {
 	t.Helper()
 	if rep.ID != id {
@@ -226,6 +227,16 @@ func checkWellFormed(t *testing.T, id string, rep *Report) {
 	}
 	if len(rep.Rows) == 0 {
 		t.Errorf("%s: empty report", id)
+	}
+	for _, row := range rep.Rows {
+		if len(row) == 0 || row[0] == "" {
+			continue // a blank-labelled row separates sections
+		}
+		for i := 1; i < len(rep.Header); i++ {
+			if i >= len(row) || row[i] == "" {
+				t.Errorf("%s: row %q renders nothing under %q", id, row[0], rep.Header[i])
+			}
+		}
 	}
 	if s := rep.String(); !strings.Contains(s, id) {
 		t.Errorf("%s: rendering lacks the id:\n%s", id, s)

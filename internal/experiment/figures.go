@@ -117,7 +117,9 @@ func Fig3(o Options) *Report {
 	eng := o.engine()
 	// The trace generates first; the per-policy replays over it then run
 	// as pool-bounded jobs (the trace is read-only once built).
-	pt := eng.VanLANProbes(o.Seed, o.scaled(6)).Wait()
+	trips := o.scaled(6)
+	pt := eng.VanLANProbes(o.Seed, trips).Wait()
+	trip := min(1, trips-1) // the second trip, or the only one a short run drives
 	tlPolicies := []func() handoff.Policy{
 		func() handoff.Policy { return handoff.NewBRR() },
 		func() handoff.Policy { return handoff.NewBestBS() },
@@ -127,7 +129,7 @@ func Fig3(o Options) *Report {
 	for i, mk := range tlPolicies {
 		tlJobs[i] = goJob(eng, func() [2][2]string {
 			p := mk()
-			tl := handoff.TripTimeline(pt, p, 1, 0.5)
+			tl := handoff.TripTimeline(pt, p, trip, 0.5)
 			return [2][2]string{
 				{fmt.Sprintf("(%s) trip timeline", p.Name()), sparkline(tl.Adequate)},
 				{fmt.Sprintf("(%s) interruptions", p.Name()), fmt.Sprint(len(tl.Interruptions))},

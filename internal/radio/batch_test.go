@@ -92,7 +92,7 @@ func TestSameInstantOrder(t *testing.T) {
 		}))
 	}
 	payload := []byte("s speaks")
-	end := c.P.Airtime(len(payload))
+	end := Airtime(len(payload))
 	k.At(end, func() { note("scheduled at end before the broadcast") })
 	c.Broadcast(0, payload, done("s"))
 	k.Run()

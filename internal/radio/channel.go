@@ -73,9 +73,9 @@ type reading struct {
 }
 
 // level returns the RSSI, settling the reading on first use.
-func (r *reading) level(sigma float64) float64 {
+func (r *reading) level() float64 {
 	if r.u != 1 {
-		r.base, r.u = r.base+sim.NormFrom(r.u, r.v)*sigma, 1
+		r.base, r.u = r.base+sim.NormFrom(r.u, r.v)*RSSINoiseDB, 1
 	}
 	return r.base
 }
@@ -88,28 +88,24 @@ func (r *reading) level(sigma float64) float64 {
 const captureGuardDB = 1e-6
 
 // captures reports whether the frame read as r takes a receiver locked on
-// the frame read as prev: level(r) ≥ level(prev) + margin. sim.NormBracket
+// the frame read as prev: level(r) ≥ level(prev) + captureDB. sim.NormBracket
 // places each variate to within a few hundredths, its sign included (a
 // settled reading brackets as exactly 0), so the answer is known unless the
 // noise-free gap plus the bracketed noise difference straddles the guard.
 // Only then are the two transforms run and the levels compared; until then
-// neither reading is settled. (Params are not validated: under a negative
-// sigma the noise difference's bracket is mirrored.)
-func (r *reading) captures(prev *reading, sigma, margin float64) bool {
-	gap := r.base - prev.base - margin
+// neither reading is settled.
+func (r *reading) captures(prev *reading) bool {
+	gap := r.base - prev.base - captureDB
 	lo, hi := sim.NormBracket(r.u, r.v)
 	prevLo, prevHi := sim.NormBracket(prev.u, prev.v)
-	least, most := sigma*(lo-prevHi), sigma*(hi-prevLo)
-	if sigma < 0 {
-		least, most = most, least
-	}
+	least, most := RSSINoiseDB*(lo-prevHi), RSSINoiseDB*(hi-prevLo)
 	switch {
 	case gap+least > captureGuardDB:
 		return true
 	case gap+most < -captureGuardDB:
 		return false
 	}
-	return r.level(sigma) >= prev.level(sigma)+margin
+	return r.level() >= prev.level()+captureDB
 }
 
 // nbrEntry is one cached broadcast candidate: a node bucketed in the
@@ -212,7 +208,7 @@ func (ln *rxLane) put(r *reception) {
 // The fields are ordered by who reads them. Nearly every decision delivers
 // nothing, and all it touches is the first 128 bytes: the two per-frame
 // streams, the two distance memos and the modulators' deadlines and flags.
-// rssiAt/rssiBase memoize Params.RSSIBase on the last distance, keyed
+// rssiAt/rssiBase memoize RSSIBase on the last distance, keyed
 // like fading's mean: a repeated distance yields the very float it yielded
 // before. Behind them lies what a sojourn's end, a mean that has to be
 // computed or a list build needs. stream drives fading — built in place
@@ -236,9 +232,9 @@ type linkState struct {
 }
 
 // rssi returns the noise-free RSSI of the link at dist.
-func (ls *linkState) rssi(p *Params, dist float64) float64 {
+func (ls *linkState) rssi(dist float64) float64 {
 	if dist != ls.rssiAt {
-		ls.rssiAt, ls.rssiBase = dist, p.RSSIBase(dist)
+		ls.rssiAt, ls.rssiBase = dist, RSSIBase(dist)
 	}
 	return ls.rssiBase
 }
@@ -370,7 +366,7 @@ type Channel struct {
 // custom factory may install models the fading parameters say nothing
 // about (FixedLink, trace replays), so only an explicit MaxRangeM cuts its
 // deliveries off. A channel left without a finite
-// cutoff — such a factory, or degenerate fading Params — is reach-less: its
+// cutoff — such a factory — is reach-less: its
 // cutoff is +Inf, every position falls in cell (0,0), and its one-cell grid
 // decides every receiver in attach order, which is the full sweep (DESIGN
 // §6).
@@ -428,7 +424,7 @@ func (c *Channel) newLink(from, to NodeID) *linkState {
 	var reach float64
 	if c.factory == nil {
 		c.K.SeedPair(&ls.stream, "link", int(from), int(to))
-		ls.fading.init(&c.P, &ls.stream)
+		ls.fading.init(&ls.stream)
 		reach = ls.fading.maxRange(&c.P)
 	} else {
 		model := c.factory(from, to)
@@ -569,7 +565,7 @@ func (c *Channel) Busy(id NodeID) bool {
 		if n.id == id || n.txUntil <= now {
 			continue
 		}
-		if n.mover.Position(now).Dist(pos) <= c.P.SenseRangeM {
+		if n.mover.Position(now).Dist(pos) <= SenseRangeM {
 			return true
 		}
 	}
@@ -603,7 +599,7 @@ func (c *Channel) Transmitting(id NodeID) bool {
 func (c *Channel) Broadcast(from NodeID, payload []byte, txDone sim.Handler) time.Duration {
 	now := c.K.Now()
 	src := c.nodes[from]
-	airtime := c.P.Airtime(len(payload))
+	airtime := Airtime(len(payload))
 	end := now + airtime
 	if src.txUntil > now {
 		// Model guard: the MAC enforces one outstanding frame, so this is
@@ -852,7 +848,7 @@ func (c *Channel) deliver(ln *rxLane, src, dst *node, ls *linkState, dist float6
 	if custom {
 		pr = c.models[ls.custom].ReceiveProb(now, dist)
 	} else {
-		ls.fading.advance(&c.P, &ls.stream, now)
+		ls.fading.advance(&ls.stream, now)
 	}
 
 	// Half duplex: a transmitting receiver hears nothing.
@@ -868,8 +864,7 @@ func (c *Channel) deliver(ln *rxLane, src, dst *node, ls *linkState, dist float6
 
 	// The RSSI noise is drawn here, so the link's stream ends every
 	// decision where it always did, and computed only where it is read.
-	sigma := c.P.RSSINoiseDB
-	in := reading{base: ls.rssi(&c.P, dist)}
+	in := reading{base: ls.rssi(dist)}
 	in.u, in.v = ls.noise.NormUniforms()
 
 	// Collision handling: if the destination is locked onto another frame
@@ -882,13 +877,13 @@ func (c *Channel) deliver(ln *rxLane, src, dst *node, ls *linkState, dist float6
 	// the noise brackets alone.
 	if prev := dst.cur; prev != nil && prev.end > now {
 		switch {
-		case in.captures(&prev.reading, sigma, c.P.CaptureDB):
+		case in.captures(&prev.reading):
 			// New frame captures the receiver; the old one is lost.
 			if prev.ok {
 				prev.ok = false
 				ln.stats.Collisions++
 			}
-		case prev.ok && prev.level(sigma) >= in.level(sigma)+c.P.CaptureDB:
+		case prev.ok && prev.captures(&in):
 			// Existing frame survives; the new one is lost.
 			ln.stats.Collisions++
 			return nil
@@ -924,7 +919,7 @@ func (c *Channel) deliver(ln *rxLane, src, dst *node, ls *linkState, dist float6
 		ln.stats.ChannelLosses++
 		return nil
 	}
-	rx.info = RxInfo{From: src.id, At: end, RSSI: rx.level(sigma), Dist: dist}
+	rx.info = RxInfo{From: src.id, At: end, RSSI: rx.level(), Dist: dist}
 	if ln != &c.rxLane {
 		return rx
 	}

@@ -72,7 +72,7 @@ func TestSetDownVoidsInFlightReception(t *testing.T) {
 	b := c.Attach("b", mobility.Fixed{X: 10}, &rx)
 	c.Broadcast(a, make([]byte, 1000), nil)
 	// Crash the receiver mid-frame: the frame must not be delivered.
-	k.After(c.P.Airtime(1000)/2, func() { c.SetDown(b) })
+	k.After(Airtime(1000)/2, func() { c.SetDown(b) })
 	k.Run()
 	if len(rx.frames) != 0 {
 		t.Errorf("reception in flight at crash time was delivered: %d frames", len(rx.frames))

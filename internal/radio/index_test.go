@@ -244,7 +244,6 @@ func TestIndexedMovingReceiverRevalidation(t *testing.T) {
 	k := sim.NewKernel(6)
 	p := DefaultParams()
 	p.MaxRangeM = 200
-	p.SenseRangeM = 100
 	c := NewChannel(k, p, func(from, to NodeID) LinkModel { return FixedLink(1) })
 	bs := c.Attach("bs", mobility.Fixed{}, nil)
 	route := mobility.NewRoute([]mobility.Point{{X: 0}, {X: 1000}}, 50, true)
@@ -334,7 +333,7 @@ func TestFadingLinkAdvertisesRange(t *testing.T) {
 		if pr := l.ReceiveProb(0, reach+1); pr > 1e-8 {
 			t.Fatalf("link %d: ReceiveProb just past advertised reach = %v, want ≈0", i, pr)
 		}
-		if l.Shadow() < 4*p.ShadowSigmaM && reach > p.CutoffM() {
+		if l.Shadow() < 4*shadowSigmaM && reach > p.CutoffM() {
 			t.Fatalf("link %d: reach %.0f m exceeds channel cutoff %.0f m at %.1f m shadow",
 				i, reach, p.CutoffM(), l.Shadow())
 		}
@@ -342,59 +341,33 @@ func TestFadingLinkAdvertisesRange(t *testing.T) {
 }
 
 // TestCaptureMarginBoundary pins the collision arithmetic at the exact
-// capture threshold. With noise disabled and distances 1 m vs 10 m at
-// path-loss exponent 3, the RSSI gap is exactly 30 dB, so CaptureDB=30
-// sits precisely on the >= boundary of both branches.
+// capture threshold. Settled readings (u = 1: the noise is spent, so the
+// level is the base) exactly captureDB apart sit on the >= of captures,
+// which decides both the capture and the survival branch of deliver: the
+// stronger frame takes the receiver whichever came first. A dB short of the
+// margin, neither frame clears it — mutual destruction. The levels are
+// whole dB, so every sum and difference here is exact.
 func TestCaptureMarginBoundary(t *testing.T) {
-	build := func(captureDB float64) (*Channel, *sim.Kernel, NodeID, NodeID, *collector) {
-		k := sim.NewKernel(8)
-		p := DefaultParams()
-		p.RSSINoiseDB = 0
-		p.PathLossExp = 3
-		p.CaptureDB = captureDB
-		c := NewChannel(k, p, func(from, to NodeID) LinkModel { return FixedLink(1) })
-		var rx collector
-		strong := c.Attach("strong", mobility.Fixed{X: 1}, nil)
-		weak := c.Attach("weak", mobility.Fixed{X: 10}, nil)
-		c.Attach("r", mobility.Fixed{}, &rx)
-		return c, k, strong, weak, &rx
-	}
-
-	// New frame exactly CaptureDB stronger than the locked one: captures.
-	c, k, strong, weak, rx := build(30)
-	c.Broadcast(weak, make([]byte, 500), nil)
-	c.Broadcast(strong, make([]byte, 500), nil)
-	k.Run()
-	if len(rx.frames) != 1 || rx.frames[0].From != strong {
-		t.Fatalf("exact-margin capture failed: got %+v, want 1 frame from %v", rx.frames, strong)
-	}
-	if got := c.Stats().Collisions; got != 1 {
-		t.Errorf("exact-margin capture collisions = %d, want 1 (the displaced frame)", got)
-	}
-
-	// Locked frame exactly CaptureDB stronger than the newcomer: survives.
-	c, k, strong, weak, rx = build(30)
-	c.Broadcast(strong, make([]byte, 500), nil)
-	c.Broadcast(weak, make([]byte, 500), nil)
-	k.Run()
-	if len(rx.frames) != 1 || rx.frames[0].From != strong {
-		t.Fatalf("exact-margin survival failed: got %+v, want 1 frame from %v", rx.frames, strong)
-	}
-	if got := c.Stats().Collisions; got != 1 {
-		t.Errorf("exact-margin survival collisions = %d, want 1 (the rejected newcomer)", got)
-	}
-
-	// One dB over the gap: neither side clears the margin — mutual
-	// destruction, both frames counted.
-	c, k, strong, weak, rx = build(31)
-	c.Broadcast(weak, make([]byte, 500), nil)
-	c.Broadcast(strong, make([]byte, 500), nil)
-	k.Run()
-	if len(rx.frames) != 0 {
-		t.Fatalf("mutual destruction delivered %d frames", len(rx.frames))
-	}
-	if got := c.Stats().Collisions; got != 2 {
-		t.Errorf("mutual destruction collisions = %d, want 2 (both frames)", got)
+	settled := func(level float64) *reading { return &reading{base: level, u: 1} }
+	for _, tc := range []struct {
+		strong, weak float64
+		captures     bool
+	}{
+		{-60, -60 - captureDB, true},
+		{-61, -60 - captureDB, false},
+		{-20, -20 - captureDB, true},
+		{-95, -95 - captureDB, true},
+	} {
+		strong, weak := settled(tc.strong), settled(tc.weak)
+		if got := strong.captures(weak); got != tc.captures {
+			t.Errorf("%v dBm over %v dBm: captures = %v, want %v", tc.strong, tc.weak, got, tc.captures)
+		}
+		if weak.captures(strong) {
+			t.Errorf("%v dBm over %v dBm: the weaker frame captures", tc.weak, tc.strong)
+		}
+		if strong.u != 1 || weak.u != 1 || strong.base != tc.strong || weak.base != tc.weak {
+			t.Errorf("%v dBm over %v dBm: captures moved a settled reading", tc.strong, tc.weak)
+		}
 	}
 }
 

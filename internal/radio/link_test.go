@@ -48,13 +48,13 @@ func TestLinkStreamsMatchLabels(t *testing.T) {
 		}
 		pr := twin.ReceiveProb(0, dist)
 		noise, loss := k.RNG("rssi", from, to), k.RNG("loss", from, to)
-		rssi := p.RSSIBase(dist) + noise.NormFloat64()*p.RSSINoiseDB
+		rssi := RSSIBase(dist) + noise.NormFloat64()*RSSINoiseDB
 		coin := loss.Float64()
 		rx := c.nodes[j].cur
 		if rx == nil {
 			t.Fatalf("node %d holds no reception record", j)
 		}
-		if got := rx.level(p.RSSINoiseDB); got != rssi {
+		if got := rx.level(); got != rssi {
 			t.Errorf("link %d→%d RSSI %v, labelled noise gives %v", src, j, got, rssi)
 		}
 		if rx.ok != (coin < pr) {
@@ -94,15 +94,15 @@ func TestLinkIsOneAllocation(t *testing.T) {
 			t.Fatalf("%s: only %d links materialized", tc.name, len(c.lazy))
 		}
 	}
-	// A standalone link (trace generation, the fig6 runners) keeps its own
-	// Params copy; link and copy are one object too.
+	// A standalone link (trace generation, the fig6 runners) holds its
+	// Params by value: one object too.
 	p, rng := DefaultParams(), sim.NewRNG(1)
 	var l *FadingLink
 	if allocs := testing.AllocsPerRun(100, func() { l = NewFadingLink(p, rng) }); allocs != 1 {
 		t.Errorf("NewFadingLink allocates %.0f objects, want 1", allocs)
 	}
-	if l.p == &p || *l.p != p {
-		t.Error("NewFadingLink must keep a private copy of its Params")
+	if l.p != p {
+		t.Error("NewFadingLink must keep its Params")
 	}
 }
 
@@ -178,14 +178,14 @@ func TestMemoIsKeyedOnDistance(t *testing.T) {
 		now := time.Duration(i) * time.Second
 		k.RunUntil(now)
 		want := p.meanReception(d, twin.shadow)
-		twin.advance(twin.p, twin.rng, now)
+		twin.advance(twin.rng, now)
 		if twin.ge.on {
-			want *= p.GoodMult
+			want *= goodMult
 		} else {
-			want *= p.BadMult
+			want *= badMult
 		}
 		if twin.gray.on {
-			want *= p.GrayMult
+			want *= grayMult
 		}
 		if want > 1 {
 			want = 1
@@ -193,7 +193,7 @@ func TestMemoIsKeyedOnDistance(t *testing.T) {
 		if got := receiveProb(c, 0, 1); math.Float64bits(got) != math.Float64bits(want) {
 			t.Errorf("step %d (d=%v): reception probability = %v, memo-free oracle %v", i, d, got, want)
 		}
-		if got, want := ls.rssi(&c.P, d), p.RSSIBase(d); math.Float64bits(got) != math.Float64bits(want) {
+		if got, want := ls.rssi(d), RSSIBase(d); math.Float64bits(got) != math.Float64bits(want) {
 			t.Errorf("step %d (d=%v): RSSI base = %v, memo-free oracle %v", i, d, got, want)
 		}
 	}

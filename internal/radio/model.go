@@ -42,41 +42,60 @@ import (
 	"github.com/vanlan/vifi/internal/sim"
 )
 
-// Params collects the channel model constants. Zero value is not useful;
-// start from DefaultParams.
-type Params struct {
-	// BitrateBps is the over-the-air bitrate. The paper fixes 1 Mbps
+// The calibrated channel. The calibration targets the paper's published
+// shapes: ~0.7 unconditional reception near a BS, conditional loss after a
+// loss ≫ unconditional (Fig 6a), usable range of roughly 150–250 m at
+// 1 Mbps, and gray periods that strike about once a minute per link. What a
+// run may still vary is Params.
+const (
+	// bitrateBps is the over-the-air bitrate: the paper fixes 1 Mbps
 	// (802.11b broadcast, maximum range).
-	BitrateBps float64
-	// FrameOverheadBytes approximates PHY/MAC framing added to each payload.
-	FrameOverheadBytes int
+	bitrateBps = 1e6
+	// frameOverheadBytes approximates PHY/MAC framing added to each
+	// payload: PLCP+MAC header+FCS at 1 Mbps, roughly.
+	frameOverheadBytes = 58
 
-	// D50 is the distance in meters at which mean reception is 50 %.
-	D50 float64
-	// FalloffM controls how fast reception decays around D50 (logistic
+	// falloffM controls how fast reception decays around D50 (logistic
 	// slope, meters).
-	FalloffM float64
-	// PMax is the reception probability at distance zero in the good state.
-	PMax float64
-	// ShadowSigmaM is the standard deviation (meters of D50 shift) of
+	falloffM = 40
+	// pMax is the reception probability at distance zero in the good state.
+	pMax = 0.85
+	// shadowSigmaM is the standard deviation (meters of D50 shift) of
 	// per-link static shadowing.
-	ShadowSigmaM float64
+	shadowSigmaM = 22
 
 	// Gilbert–Elliott burst process: exponential sojourns.
-	GoodMean time.Duration // mean time in the good state
-	BadMean  time.Duration // mean time in the bad state
-	GoodMult float64       // reception multiplier while good
-	BadMult  float64       // reception multiplier while bad
+	goodMean = 1100 * time.Millisecond // mean time in the good state
+	badMean  = 200 * time.Millisecond  // mean time in the bad state
+	goodMult = 1.0                     // reception multiplier while good
+	badMult  = 0.08                    // reception multiplier while bad
 
 	// Gray periods: exponential gaps, uniform durations.
-	GrayGapMean time.Duration // mean time between gray periods per link
-	GrayMin     time.Duration // minimum gray period duration
-	GrayMax     time.Duration // maximum gray period duration
-	GrayMult    float64       // reception multiplier during a gray period
+	grayGapMean = 26 * time.Second // mean time between gray periods per link
+	grayMin     = 1 * time.Second  // minimum gray period duration
+	grayMax     = 9 * time.Second  // maximum gray period duration
+	grayMult    = 0.03             // reception multiplier during a gray period
 
-	// Carrier sense and collisions.
-	SenseRangeM float64 // distance within which a transmitter is "heard busy"
-	CaptureDB   float64 // power advantage (dB) letting a frame survive overlap
+	// SenseRangeM is the distance within which a transmitter is "heard
+	// busy" (carrier sense).
+	SenseRangeM = 320
+	// captureDB is the power advantage (dB) letting a frame survive an
+	// overlap.
+	captureDB = 10
+
+	// txPowerDBm and pathLossExp shape the synthetic RSSI readings, and
+	// RSSINoiseDB is the standard deviation of a reading's per-frame noise.
+	txPowerDBm  = 18
+	pathLossExp = 3.0
+	RSSINoiseDB = 4
+)
+
+// Params is what a run may vary of the channel model. Zero value is not
+// useful; start from DefaultParams.
+type Params struct {
+	// D50 is the distance in meters at which mean reception is 50 %; a
+	// scenario's range= sets it.
+	D50 float64
 
 	// MaxRangeM is the hard reception cutoff in meters: receivers farther
 	// than the cutoff are skipped entirely, and it sizes the channel's
@@ -84,45 +103,12 @@ type Params struct {
 	// CutoffM); a channel with a custom LinkFactory has no cutoff unless
 	// this sets one (see NewChannel).
 	MaxRangeM float64
-
-	// TxPowerDBm and PathLossExp shape the synthetic RSSI readings.
-	TxPowerDBm  float64
-	PathLossExp float64
-	RSSINoiseDB float64
 }
 
-// DefaultParams returns the calibrated model. The calibration targets the
-// paper's published shapes: ~0.7 unconditional reception near a BS,
-// conditional loss after a loss ≫ unconditional (Fig 6a), usable range of
-// roughly 150–250 m at 1 Mbps, and gray periods that strike about once a
-// minute per link.
+// DefaultParams returns the calibrated model: a 150 m 50 % point and the
+// cutoff the fading model derives.
 func DefaultParams() Params {
-	return Params{
-		BitrateBps:         1e6,
-		FrameOverheadBytes: 58, // PLCP+MAC header+FCS at 1 Mbps, roughly
-
-		D50:          150,
-		FalloffM:     40,
-		PMax:         0.85,
-		ShadowSigmaM: 22,
-
-		GoodMean: 1100 * time.Millisecond,
-		BadMean:  200 * time.Millisecond,
-		GoodMult: 1.0,
-		BadMult:  0.08,
-
-		GrayGapMean: 26 * time.Second,
-		GrayMin:     1 * time.Second,
-		GrayMax:     9 * time.Second,
-		GrayMult:    0.03,
-
-		SenseRangeM: 320,
-		CaptureDB:   10,
-
-		TxPowerDBm:  18,
-		PathLossExp: 3.0,
-		RSSINoiseDB: 4,
-	}
+	return Params{D50: 150}
 }
 
 // CutoffM returns the effective hard reception cutoff of the channel:
@@ -135,34 +121,36 @@ func (p *Params) CutoffM() float64 {
 	if p.MaxRangeM > 0 {
 		return p.MaxRangeM
 	}
-	if p.FalloffM <= 0 || p.PMax <= 0 {
-		return 0 // degenerate model: no finite reach derivable
-	}
-	return p.D50 + 4*p.ShadowSigmaM + p.FalloffM*math.Log(p.PMax*1e9)
+	return p.D50 + 4*shadowSigmaM + fadeReachM
 }
 
+// fadeReachM is how far past its 50 % point a link's mean reception falls
+// below ~1e-9: pMax/(1+e^x) < 1e-9 once x = (dist−d50)/falloffM exceeds
+// ln(pMax·1e9).
+var fadeReachM = falloffM * math.Log(pMax*1e9)
+
 // Airtime returns the on-air duration of a frame with the given payload
-// size under p's bitrate and framing overhead.
-func (p *Params) Airtime(payloadBytes int) time.Duration {
-	bits := float64(payloadBytes+p.FrameOverheadBytes) * 8
-	return time.Duration(bits / p.BitrateBps * float64(time.Second))
+// size at the channel's bitrate and framing overhead.
+func Airtime(payloadBytes int) time.Duration {
+	bits := float64(payloadBytes+frameOverheadBytes) * 8
+	return time.Duration(bits / bitrateBps * float64(time.Second))
 }
 
 // falloff returns how far dist lies past the link's 50 % point in units of
-// FalloffM — the argument of the logistic reception curve — for a link
+// falloffM — the argument of the logistic reception curve — for a link
 // whose shadowing shifts D50 by shadowM meters.
 func (p *Params) falloff(dist, shadowM float64) float64 {
 	d50 := p.D50 + shadowM
 	if d50 < 10 {
 		d50 = 10
 	}
-	return (dist - d50) / p.FalloffM
+	return (dist - d50) / falloffM
 }
 
 // meanReception returns the distance-driven mean reception probability for
 // a link whose shadowing shifts D50 by shadowM meters.
 func (p *Params) meanReception(dist, shadowM float64) float64 {
-	return p.PMax / (1 + math.Exp(p.falloff(dist, shadowM)))
+	return pMax / (1 + math.Exp(p.falloff(dist, shadowM)))
 }
 
 // curveBracket[i] encloses the logistic 1/(1+e^x) over x in [i−64, i−63),
@@ -180,18 +168,15 @@ var curveBracket = func() (t [128]struct{ lo, hi float64 }) {
 }()
 
 // meanBracket returns lo ≤ meanReception(dist, shadowM) ≤ hi at no
-// exponential's cost: PMax times the row of curveBracket that ⌊x⌋ selects.
+// exponential's cost: pMax times the row of curveBracket that ⌊x⌋ selects.
 // It holds for the computed mean, not just the real one: x is the float
 // meanReception exponentiates, and the rows' margin is a thousand times
 // wider than the last-place errors of Exp, the add, the divide and the
-// multiply together. Params are not validated, so ok is false where
-// that argument has nothing to stand on — a negative PMax, or an x that is
-// not a number (FalloffM = 0 at the 50 % point) — and false as well under a
-// negative multiplier, which would turn the bracket around after the fact
-// (see fading.receives).
+// multiply together. ok is false where x is not a number: a NaN distance,
+// whose mean is NaN and hears no coin.
 func (p *Params) meanBracket(dist, shadowM float64) (lo, hi float64, ok bool) {
 	x := p.falloff(dist, shadowM)
-	if !(p.PMax >= 0 && p.GoodMult >= 0 && p.BadMult >= 0 && p.GrayMult >= 0) || x != x {
+	if x != x {
 		return 0, 0, false
 	}
 	i := 0 // the row ⌊x⌋ selects; x < −63 reads the first
@@ -202,18 +187,18 @@ func (p *Params) meanBracket(dist, shadowM float64) (lo, hi float64, ok bool) {
 			i--
 		}
 	}
-	return p.PMax * curveBracket[i].lo, p.PMax * curveBracket[i].hi, true
+	return pMax * curveBracket[i].lo, pMax * curveBracket[i].hi, true
 }
 
 // RSSIBase returns the noise-free synthetic RSSI (dBm) at the given
 // distance; a reading is the base plus the per-frame noise term,
 // NormFloat64()·RSSINoiseDB. It is the one owner of the synthetic RSSI:
 // the channel's receptions and the generated VanLAN probe traces read it.
-func (p *Params) RSSIBase(dist float64) float64 {
+func RSSIBase(dist float64) float64 {
 	if dist < 1 {
 		dist = 1
 	}
-	return p.TxPowerDBm - 40 - 10*p.PathLossExp*math.Log10(dist)
+	return txPowerDBm - 40 - 10*pathLossExp*math.Log10(dist)
 }
 
 // LinkModel computes the instantaneous reception probability of a directed
@@ -241,8 +226,8 @@ type Ranged interface {
 // modulator is the state of one two-state process advanced lazily: whether
 // it is on and when the current sojourn ends. What it is on *for*, the
 // lengths of its sojourns and the stream they are drawn from belong to the
-// link (fading.advanceGE, fading.advanceGray), so a modulator is 16 bytes of what a
-// decision reads. until starts at the beginning of time: an unstarted
+// link (fading.advanceGE, fading.advanceGray), so a modulator is 16 bytes of
+// what a decision reads. until starts at the beginning of time: an unstarted
 // modulator is due at any t.
 type modulator struct {
 	until   time.Duration
@@ -254,9 +239,9 @@ var unstarted = modulator{until: math.MinInt64}
 
 // fading is the state of the full statistical link model: distance mean ×
 // Gilbert–Elliott burst modulation × gray periods, with static per-link
-// shadowing. It holds no pointer — the channel constants and the link's
-// private stream are handed to every method — so the channel lays it out
-// inside its per-pair state and a FadingLink wraps it with its own two.
+// shadowing. It holds no pointer — the run's Params and the link's private
+// stream are handed to the methods that read them — so the channel lays it
+// out inside its per-pair state and a FadingLink wraps it with its own two.
 //
 // Field order is the channel's cache-line budget (see linkState): first
 // what every decision reads, then what only a sojourn's end, a new distance
@@ -278,41 +263,41 @@ type fading struct {
 }
 
 // init draws the link's shadow from rng, the first thing its stream yields.
-func (f *fading) init(p *Params, rng *sim.RNG) {
+func (f *fading) init(rng *sim.RNG) {
 	*f = fading{
 		meanAt: math.NaN(),
 		ge:     unstarted,
 		gray:   unstarted,
-		shadow: rng.NormFloat64() * p.ShadowSigmaM,
+		shadow: rng.NormFloat64() * shadowSigmaM,
 	}
 }
 
 // advance moves both modulators to time t, burst process first: everything
 // a decision at t does to the link's stream. Calls must use non-decreasing t.
-func (f *fading) advance(p *Params, rng *sim.RNG, t time.Duration) {
+func (f *fading) advance(rng *sim.RNG, t time.Duration) {
 	if t >= f.ge.until {
-		f.advanceGE(p, rng, t)
+		f.advanceGE(rng, t)
 	}
 	if t >= f.gray.until {
-		f.advanceGray(p, rng, t)
+		f.advanceGray(rng, t)
 	}
 }
 
 // advanceGE runs the Gilbert–Elliott process — a continuous-time two-state
 // Markov chain with exponential sojourns — up to time t.
-func (f *fading) advanceGE(p *Params, rng *sim.RNG, t time.Duration) {
+func (f *fading) advanceGE(rng *sim.RNG, t time.Duration) {
 	g := &f.ge
 	sojourn := func(from time.Duration) time.Duration {
-		mean := p.BadMean
+		mean := badMean
 		if g.on {
-			mean = p.GoodMean
+			mean = goodMean
 		}
 		return from + time.Duration(rng.ExpFloat64()*mean.Seconds()*float64(time.Second))
 	}
 	if !g.started {
 		g.started = true
 		// Start in the stationary distribution.
-		gm, bm := p.GoodMean.Seconds(), p.BadMean.Seconds()
+		gm, bm := goodMean.Seconds(), badMean.Seconds()
 		g.on = rng.Float64() < gm/(gm+bm)
 		g.until = sojourn(0)
 	}
@@ -324,15 +309,15 @@ func (f *fading) advanceGE(p *Params, rng *sim.RNG, t time.Duration) {
 
 // advanceGray runs the gray-period process — exponential gaps, uniform
 // durations — up to time t.
-func (f *fading) advanceGray(p *Params, rng *sim.RNG, t time.Duration) {
+func (f *fading) advanceGray(rng *sim.RNG, t time.Duration) {
 	g := &f.gray
 	next := func(from time.Duration) time.Duration {
 		var d float64
 		if g.on {
-			lo, hi := p.GrayMin.Seconds(), p.GrayMax.Seconds()
+			lo, hi := grayMin.Seconds(), grayMax.Seconds()
 			d = lo + rng.Float64()*(hi-lo)
 		} else {
-			d = rng.ExpFloat64() * p.GrayGapMean.Seconds()
+			d = rng.ExpFloat64() * grayGapMean.Seconds()
 		}
 		return from + time.Duration(d*float64(time.Second))
 	}
@@ -350,14 +335,14 @@ func (f *fading) advanceGray(p *Params, rng *sim.RNG, t time.Duration) {
 }
 
 // modulate applies the modulators' current multipliers to a mean.
-func (f *fading) modulate(p *Params, pr float64) float64 {
+func (f *fading) modulate(pr float64) float64 {
 	if f.ge.on {
-		pr *= p.GoodMult
+		pr *= goodMult
 	} else {
-		pr *= p.BadMult
+		pr *= badMult
 	}
 	if f.gray.on {
-		pr *= p.GrayMult
+		pr *= grayMult
 	}
 	if pr > 1 {
 		pr = 1
@@ -377,7 +362,7 @@ func (f *fading) meanFor(p *Params, dist float64) float64 {
 // prob returns the reception probability at dist with the modulators where
 // advance left them.
 func (f *fading) prob(p *Params, dist float64) float64 {
-	return f.modulate(p, f.meanFor(p, dist))
+	return f.modulate(f.meanFor(p, dist))
 }
 
 // receives reports u < prob(p, dist), and at a distance the memo has never
@@ -392,7 +377,7 @@ func (f *fading) prob(p *Params, dist float64) float64 {
 func (f *fading) receives(p *Params, dist, u float64) bool {
 	if dist != f.meanAt {
 		if lo, hi, ok := p.meanBracket(dist, f.shadow); ok {
-			if lost := u >= f.modulate(p, hi); lost || u < f.modulate(p, lo) {
+			if lost := u >= f.modulate(hi); lost || u < f.modulate(lo) {
 				f.meanAt, f.mean = dist, math.NaN()
 				return !lost
 			}
@@ -402,30 +387,25 @@ func (f *fading) receives(p *Params, dist, u float64) bool {
 }
 
 // FadingLink is the fading model as a LinkModel of its own: the state, the
-// channel constants behind a pointer, and the stream private to the link
-// (see sim.Kernel.RNG) that its shadow, bursts and gray periods come from.
+// run's Params, and the stream private to the link (see sim.Kernel.RNG)
+// that its shadow, bursts and gray periods come from.
 type FadingLink struct {
 	fading
-	p   *Params
+	p   Params
 	rng *sim.RNG
 }
 
-// NewFadingLink builds an independent link model over rng. The link keeps
-// its own copy of p, in the same allocation as the link itself.
+// NewFadingLink builds an independent link model over rng.
 func NewFadingLink(p Params, rng *sim.RNG) *FadingLink {
-	own := &struct {
-		l FadingLink
-		p Params
-	}{p: p}
-	own.l.p, own.l.rng = &own.p, rng
-	own.l.init(&own.p, rng)
-	return &own.l
+	l := &FadingLink{p: p, rng: rng}
+	l.init(rng)
+	return l
 }
 
 // ReceiveProb implements LinkModel.
 func (l *FadingLink) ReceiveProb(t time.Duration, dist float64) float64 {
-	l.advance(l.p, l.rng, t)
-	return l.prob(l.p, dist)
+	l.advance(l.rng, t)
+	return l.prob(&l.p, dist)
 }
 
 // Receives reports whether a frame sent at time t over dist meters is
@@ -433,17 +413,17 @@ func (l *FadingLink) ReceiveProb(t time.Duration, dist float64) float64 {
 // link left exactly where ReceiveProb leaves it, at a fraction of the
 // arithmetic when the answer is no.
 func (l *FadingLink) Receives(t time.Duration, dist, u float64) bool {
-	l.advance(l.p, l.rng, t)
-	return l.receives(l.p, dist, u)
+	l.advance(l.rng, t)
+	return l.receives(&l.p, dist, u)
 }
 
 // MaxRangeM implements Ranged: beyond this distance the link's mean
 // reception is below ~1e-9 given its own shadowing, so skipping the
 // reception draw is indistinguishable from drawing a guaranteed loss.
-func (l *FadingLink) MaxRangeM() float64 { return l.maxRange(l.p) }
+func (l *FadingLink) MaxRangeM() float64 { return l.maxRange(&l.p) }
 
 func (f *fading) maxRange(p *Params) float64 {
-	return p.D50 + f.shadow + p.FalloffM*math.Log(p.PMax*1e9)
+	return p.D50 + f.shadow + fadeReachM
 }
 
 // Shadow returns the link's static shadowing offset in meters of D50 shift.

@@ -28,7 +28,7 @@ func (c *Channel) eagerDeliver(src, dst *node, ls *linkState, dist float64, payl
 	if c.factory != nil {
 		pr = c.models[ls.custom].ReceiveProb(now, dist)
 	} else {
-		ls.fading.advance(&c.P, &ls.stream, now)
+		ls.fading.advance(&ls.stream, now)
 		pr = ls.fading.prob(&c.P, dist)
 	}
 	if dst.txUntil > now {
@@ -38,17 +38,17 @@ func (c *Channel) eagerDeliver(src, dst *node, ls *linkState, dist float64, payl
 		return
 	}
 
-	rssi := ls.rssi(&c.P, dist) + ls.noise.NormFloat64()*c.P.RSSINoiseDB
+	rssi := ls.rssi(dist) + ls.noise.NormFloat64()*RSSINoiseDB
 
 	if prev := dst.cur; prev != nil && prev.end > now {
 		switch {
-		case rssi >= prev.base+c.P.CaptureDB:
+		case rssi >= prev.base+captureDB:
 			// New frame captures the receiver; the old one is lost.
 			if prev.ok {
 				prev.ok = false
 				ln.stats.Collisions++
 			}
-		case prev.base >= rssi+c.P.CaptureDB:
+		case prev.base >= rssi+captureDB:
 			// Existing frame survives; the new one is lost.
 			ln.stats.Collisions++
 			return
@@ -82,7 +82,7 @@ func (c *Channel) eagerDeliver(src, dst *node, ls *linkState, dist float64, payl
 func (c *Channel) eagerBroadcast(from NodeID, payload []byte) {
 	now := c.K.Now()
 	src := c.nodes[from]
-	end := now + c.P.Airtime(len(payload))
+	end := now + Airtime(len(payload))
 	src.txUntil = end
 	c.activeTx = append(c.activeTx, src)
 	c.stats.Transmissions++
@@ -154,12 +154,11 @@ func (b *overlapBranches) observe(c *Channel, src NodeID, broadcast func()) {
 			b.live++
 			continue
 		}
-		sigma := c.P.RSSINoiseDB
-		gap := ls.rssiBase - w.was.base - c.P.CaptureDB
+		gap := ls.rssiBase - w.was.base - captureDB
 		lo, hi := sim.NormBracket(w.noise.NormUniforms())
 		prevLo, prevHi := sim.NormBracket(w.was.u, w.was.v)
-		x, y := sigma*(lo-prevHi), sigma*(hi-prevLo) // the noise difference's ends, either order
-		byBracket := gap+min(x, y) > captureGuardDB || gap+max(x, y) < -captureGuardDB
+		least, most := RSSINoiseDB*(lo-prevHi), RSSINoiseDB*(hi-prevLo) // the noise difference's ends
+		byBracket := gap+least > captureGuardDB || gap+most < -captureGuardDB
 		var settled bool
 		switch captured := d.cur != w.prev; {
 		case captured && !d.cur.ok:
@@ -190,17 +189,15 @@ type hiddenDelivery struct {
 // 100 m apart over 4 km, plus vehicles crossing it — with no carrier sense
 // at all: a random radio starts a 2 ms frame every 250 µs, so some eight
 // frames are on the air at once and nearly every decision finds its
-// receiver already locked. sigma is the RSSI noise. eager runs the
-// reference; otherwise lanes ≥ 2 runs the channel on that many delivery
-// lanes, and the serial channel is run under observe.
-func runHiddenTerminals(t *testing.T, sigma float64, eager bool, lanes int) ([]hiddenDelivery, Stats, overlapBranches) {
+// receiver already locked. eager runs the reference; otherwise lanes ≥ 2
+// runs the channel on that many delivery lanes, and the serial channel is
+// run under observe.
+func runHiddenTerminals(t *testing.T, eager bool, lanes int) ([]hiddenDelivery, Stats, overlapBranches) {
 	t.Helper()
 	const cols, rows, movers = 40, 3, 8
 	const n = cols*rows + movers
 	k := sim.NewKernel(23)
-	p := DefaultParams()
-	p.RSSINoiseDB = sigma
-	c := NewChannel(k, p, nil)
+	c := NewChannel(k, DefaultParams(), nil)
 	var log []hiddenDelivery
 	attach := func(m mobility.Mover) {
 		id := NodeID(c.NumNodes())
@@ -246,39 +243,36 @@ func runHiddenTerminals(t *testing.T, sigma float64, eager bool, lanes int) ([]h
 // the Box–Muller transform changes no decision. The channel, serial and on
 // two lanes, must reproduce the eager reference's counters and its delivery
 // sequence — receiver, sender, time, distance and RSSI, every float by
-// value — under a positive, a negative (Params are not validated) and no
-// RSSI noise, and with noise on a run seen to settle overlaps in every way
-// there is: by the brackets and by the levels, a capture and a loss each by
-// the brackets, and against a live incumbent.
+// value — on a run seen to settle overlaps in every way there is: by the
+// brackets and by the levels, a capture and a loss each by the brackets,
+// and against a live incumbent.
 func TestOnDemandNoiseMatchesEagerDecision(t *testing.T) {
-	for _, sigma := range []float64{4, -4, 0} {
-		wantLog, wantStats, _ := runHiddenTerminals(t, sigma, true, 0)
-		if wantStats.Deliveries == 0 || wantStats.Collisions < wantStats.ChannelLosses {
-			t.Fatalf("sigma=%v: overlaps do not dominate the reference run: %+v", sigma, wantStats)
+	wantLog, wantStats, _ := runHiddenTerminals(t, true, 0)
+	if wantStats.Deliveries == 0 || wantStats.Collisions < wantStats.ChannelLosses {
+		t.Fatalf("overlaps do not dominate the reference run: %+v", wantStats)
+	}
+	for _, lanes := range []int{1, 2} {
+		log, stats, took := runHiddenTerminals(t, false, lanes)
+		if stats != wantStats {
+			t.Errorf("lanes=%d: stats %+v, eager reference %+v", lanes, stats, wantStats)
 		}
-		for _, lanes := range []int{1, 2} {
-			log, stats, took := runHiddenTerminals(t, sigma, false, lanes)
-			if stats != wantStats {
-				t.Errorf("sigma=%v lanes=%d: stats %+v, eager reference %+v", sigma, lanes, stats, wantStats)
-			}
-			if !reflect.DeepEqual(log, wantLog) {
-				t.Errorf("sigma=%v lanes=%d: delivery log diverged from the eager reference (%d vs %d entries)", sigma, lanes, len(log), len(wantLog))
-				for i := 0; i < len(log) && i < len(wantLog); i++ {
-					if log[i] != wantLog[i] {
-						t.Fatalf("first difference at delivery %d: %+v, reference %+v", i, log[i], wantLog[i])
-					}
+		if !reflect.DeepEqual(log, wantLog) {
+			t.Errorf("lanes=%d: delivery log diverged from the eager reference (%d vs %d entries)", lanes, len(log), len(wantLog))
+			for i := 0; i < len(log) && i < len(wantLog); i++ {
+				if log[i] != wantLog[i] {
+					t.Fatalf("first difference at delivery %d: %+v, reference %+v", i, log[i], wantLog[i])
 				}
 			}
-			t.Logf("sigma=%v lanes=%d: %+v, %+v, %d deliveries logged", sigma, lanes, stats, took, len(log))
-			if lanes != 1 {
-				continue
-			}
-			if took.unsound != 0 {
-				t.Errorf("sigma=%v: %d readings were settled for a decision the brackets had made", sigma, took.unsound)
-			}
-			if sigma != 0 && (took.bracketCapture == 0 || took.bracketLoss == 0 || took.exact == 0 || took.live == 0) {
-				t.Errorf("sigma=%v: a way of settling an overlap went unexercised: %+v", sigma, took)
-			}
+		}
+		t.Logf("lanes=%d: %+v, %+v, %d deliveries logged", lanes, stats, took, len(log))
+		if lanes != 1 {
+			continue
+		}
+		if took.unsound != 0 {
+			t.Errorf("%d readings were settled for a decision the brackets had made", took.unsound)
+		}
+		if took.bracketCapture == 0 || took.bracketLoss == 0 || took.exact == 0 || took.live == 0 {
+			t.Errorf("a way of settling an overlap went unexercised: %+v", took)
 		}
 	}
 }

@@ -11,9 +11,8 @@ import (
 )
 
 func TestAirtime(t *testing.T) {
-	p := DefaultParams()
 	// 500 B payload + 58 B overhead at 1 Mbps = 4464 µs.
-	got := p.Airtime(500)
+	got := Airtime(500)
 	want := time.Duration(float64(558*8) / 1e6 * float64(time.Second))
 	if got != want {
 		t.Errorf("airtime = %v, want %v", got, want)
@@ -33,60 +32,57 @@ func TestMeanReceptionMonotoneInDistance(t *testing.T) {
 		}
 		prev = pr
 	}
-	if p.meanReception(0, 0) < p.PMax*0.95 {
-		t.Error("reception at 0m should be near PMax")
+	if p.meanReception(0, 0) < pMax*0.95 {
+		t.Error("reception at 0m should be near pMax")
 	}
 	if p.meanReception(500, 0) > 0.05 {
 		t.Error("reception at 500m should be near zero")
 	}
-	// At D50 the reception is half PMax by construction.
-	if got := p.meanReception(p.D50, 0); math.Abs(got-p.PMax/2) > 1e-9 {
-		t.Errorf("reception at D50 = %v, want %v", got, p.PMax/2)
+	// At D50 the reception is half pMax by construction.
+	if got := p.meanReception(p.D50, 0); math.Abs(got-pMax/2) > 1e-9 {
+		t.Errorf("reception at D50 = %v, want %v", got, pMax/2)
 	}
 }
 
 func TestRSSIMonotone(t *testing.T) {
-	p := DefaultParams()
-	if p.RSSIBase(10) <= p.RSSIBase(100) {
+	if RSSIBase(10) <= RSSIBase(100) {
 		t.Error("RSSI should fall with distance")
 	}
 }
 
 // burstLink is a link that has drawn no shadow, so that its stream yields
-// the burst (or gray) process from its first word, under the given sojourns.
-func burstLink(goodMean, badMean time.Duration) (*fading, *Params) {
-	p := DefaultParams()
-	p.GoodMean, p.BadMean = goodMean, badMean
-	return &fading{ge: unstarted, gray: unstarted}, &p
+// the burst (or gray) process from its first word.
+func burstLink() *fading {
+	return &fading{ge: unstarted, gray: unstarted}
 }
 
 // goodAt and grayAt advance one modulator alone, the way advance does both.
-func goodAt(f *fading, p *Params, rng *sim.RNG, t time.Duration) bool {
+func goodAt(f *fading, rng *sim.RNG, t time.Duration) bool {
 	if t >= f.ge.until {
-		f.advanceGE(p, rng, t)
+		f.advanceGE(rng, t)
 	}
 	return f.ge.on
 }
 
-func grayAt(f *fading, p *Params, rng *sim.RNG, t time.Duration) bool {
+func grayAt(f *fading, rng *sim.RNG, t time.Duration) bool {
 	if t >= f.gray.until {
-		f.advanceGray(p, rng, t)
+		f.advanceGray(rng, t)
 	}
 	return f.gray.on
 }
 
 func TestGEStateStationaryFraction(t *testing.T) {
 	rng := sim.NewKernel(1).RNG("ge")
-	f, p := burstLink(time.Second, 250*time.Millisecond)
+	f := burstLink()
 	good := 0
 	const n = 200000
 	for i := 0; i < n; i++ {
-		if goodAt(f, p, rng, time.Duration(i)*10*time.Millisecond) {
+		if goodAt(f, rng, time.Duration(i)*10*time.Millisecond) {
 			good++
 		}
 	}
 	frac := float64(good) / n
-	want := 1.0 / 1.25 // gMean/(gMean+bMean)
+	want := goodMean.Seconds() / (goodMean + badMean).Seconds()
 	if math.Abs(frac-want) > 0.02 {
 		t.Errorf("good fraction = %v, want ≈%v", frac, want)
 	}
@@ -96,11 +92,11 @@ func TestGEStateBurstiness(t *testing.T) {
 	// Consecutive 10 ms samples should be heavily correlated given the
 	// sojourn times are ≫ 10 ms.
 	rng := sim.NewKernel(2).RNG("ge")
-	f, p := burstLink(time.Second, 200*time.Millisecond)
+	f := burstLink()
 	same, total := 0, 0
-	prev := goodAt(f, p, rng, 0)
+	prev := goodAt(f, rng, 0)
 	for i := 1; i < 100000; i++ {
-		cur := goodAt(f, p, rng, time.Duration(i)*10*time.Millisecond)
+		cur := goodAt(f, rng, time.Duration(i)*10*time.Millisecond)
 		if cur == prev {
 			same++
 		}
@@ -114,22 +110,22 @@ func TestGEStateBurstiness(t *testing.T) {
 
 func TestGrayStateEpisodes(t *testing.T) {
 	rng := sim.NewKernel(3).RNG("gray")
-	f, p := burstLink(0, 0)
-	p.GrayGapMean, p.GrayMin, p.GrayMax = 50*time.Second, time.Second, 3*time.Second
+	f := burstLink()
 	grayTime := 0
 	const samples = 3600 * 10 // one hour at 100 ms
 	for i := 0; i < samples; i++ {
-		if grayAt(f, p, rng, time.Duration(i)*100*time.Millisecond) {
+		if grayAt(f, rng, time.Duration(i)*100*time.Millisecond) {
 			grayTime++
 		}
 	}
-	// Expected: ~70 episodes/hour × ~2 s each ≈ 140 s gray out of 3600 s.
+	// Expected: a 26 s gap and a 1–9 s period make a 31 s cycle, so
+	// ≈116 episodes/hour × 5 s each ≈ 580 s gray out of 3600 s.
 	frac := float64(grayTime) / samples
-	if frac < 0.01 || frac > 0.12 {
-		t.Errorf("gray fraction = %v, want a few percent", frac)
+	if frac < 0.08 || frac > 0.25 {
+		t.Errorf("gray fraction = %v, want ≈0.16", frac)
 	}
-	if f.episodes < 30 || f.episodes > 140 {
-		t.Errorf("gray episodes in an hour = %d, want ≈70", f.episodes)
+	if f.episodes < 85 || f.episodes > 150 {
+		t.Errorf("gray episodes in an hour = %d, want ≈116", f.episodes)
 	}
 }
 
@@ -393,21 +389,30 @@ func TestChannelCollisionDestroysBoth(t *testing.T) {
 	}
 }
 
+// TestChannelCapture: A is 100× closer than B, 60 dB stronger against a
+// 10 dB margin and 4 dB of noise per reading, so A's frame takes the
+// receiver whether it comes second (capture) or first (survival).
 func TestChannelCapture(t *testing.T) {
-	k := sim.NewKernel(13)
-	p := DefaultParams()
-	p.RSSINoiseDB = 0 // deterministic power ordering
-	c := NewChannel(k, p, func(from, to NodeID) LinkModel { return FixedLink(1) })
-	var rx collector
-	// A is 10× closer than B: its frame should capture the receiver.
-	a := c.Attach("a", mobility.Fixed{X: 5}, nil)
-	b := c.Attach("b", mobility.Fixed{X: 500}, nil)
-	c.Attach("r", mobility.Fixed{}, &rx)
-	c.Broadcast(b, make([]byte, 500), nil) // weaker first
-	c.Broadcast(a, make([]byte, 500), nil) // stronger second, captures
-	k.Run()
-	if len(rx.frames) != 1 || rx.frames[0].From != a {
-		t.Fatalf("capture failed: got %d frames %+v, want 1 from %v (b=%v)", len(rx.frames), rx.frames, a, b)
+	for _, strongFirst := range []bool{false, true} {
+		k := sim.NewKernel(13)
+		c := NewChannel(k, DefaultParams(), func(from, to NodeID) LinkModel { return FixedLink(1) })
+		var rx collector
+		a := c.Attach("a", mobility.Fixed{X: 5}, nil)
+		b := c.Attach("b", mobility.Fixed{X: 500}, nil)
+		c.Attach("r", mobility.Fixed{}, &rx)
+		first, second := b, a
+		if strongFirst {
+			first, second = a, b
+		}
+		c.Broadcast(first, make([]byte, 500), nil)
+		c.Broadcast(second, make([]byte, 500), nil)
+		k.Run()
+		if len(rx.frames) != 1 || rx.frames[0].From != a {
+			t.Fatalf("strong first %v: got %d frames %+v, want 1 from %v (b=%v)", strongFirst, len(rx.frames), rx.frames, a, b)
+		}
+		if got := c.Stats().Collisions; got != 1 {
+			t.Errorf("strong first %v: collisions = %d, want 1", strongFirst, got)
+		}
 	}
 }
 
@@ -445,7 +450,7 @@ func TestChannelBusyCarrierSense(t *testing.T) {
 func receiveProb(c *Channel, from, to NodeID) float64 {
 	now := c.K.Now()
 	ls := c.link(from, to)
-	ls.fading.advance(&c.P, &ls.stream, now)
+	ls.fading.advance(&ls.stream, now)
 	return ls.fading.prob(&c.P, c.nodes[from].mover.Position(now).Dist(c.nodes[to].mover.Position(now)))
 }
 

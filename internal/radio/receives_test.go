@@ -12,30 +12,21 @@ import (
 // and leaves the link's stream where ReceiveProb leaves it. Twin links on
 // one label walk a million non-decreasing times over distances that stand
 // still (the memo hits), drift, jump, and sit at 0, at 5 km and at NaN —
-// under the calibrated Params, where both sides of the bracket have to be
-// seen deciding, and under Params nothing validates: a multiplier above 1
-// (the clamp), PMax = 0 (no coin is below a zero lower side), a negative
-// multiplier (the bracket must stand aside: every miss is seen to take the
-// exponential), falloffs of 1e-9, 0 and −40 m, and a D50 so low the 10 m
-// floor takes over.
+// at the default D50 and at the 50 % points a scenario's range= can set:
+// a short 60 m and a long 400 m, and 5 m, where the 10 m floor takes over.
+// Under each, both sides of the bracket have to be seen deciding.
 func TestReceivesMatchesReceiveProb(t *testing.T) {
 	for _, tc := range []struct {
-		name    string
-		set     func(*Params)
-		bounded bool // the bracket is expected to settle some coins
-		heard   bool // … and to hear some of them
+		name string
+		d50  float64
 	}{
-		{"default", func(*Params) {}, true, true},
-		{"GoodMult>1", func(p *Params) { p.GoodMult = 1.6 }, true, true},
-		{"PMax=0", func(p *Params) { p.PMax = 0 }, true, false},
-		{"BadMult<0", func(p *Params) { p.BadMult = -0.08 }, false, false},
-		{"FalloffM=1e-9", func(p *Params) { p.FalloffM = 1e-9 }, true, true},
-		{"FalloffM=0", func(p *Params) { p.FalloffM = 0 }, true, true},
-		{"FalloffM=-40", func(p *Params) { p.FalloffM = -40 }, true, true},
-		{"D50 floor", func(p *Params) { p.D50 = -200 }, true, true},
+		{"default", DefaultParams().D50},
+		{"range=60", 60},
+		{"range=400", 400},
+		{"D50 floor", 5},
 	} {
 		p := DefaultParams()
-		tc.set(&p)
+		p.D50 = tc.d50
 		k := sim.NewKernel(77)
 		a, b := NewFadingLink(p, k.RNG("twin")), NewFadingLink(p, k.RNG("twin"))
 		coin, walk := k.RNG("coin"), k.RNG("walk")
@@ -87,8 +78,8 @@ func TestReceivesMatchesReceiveProb(t *testing.T) {
 		if *a.rng != *b.rng || a.ge != b.ge || a.gray != b.gray {
 			t.Errorf("%s: the twins' streams or modulators ended apart", tc.name)
 		}
-		if tc.bounded == (byBound == 0) || tc.heard == (heard == 0) {
-			t.Errorf("%s: %d coins settled by the bracket, %d of them heard; want some = %v, %v", tc.name, byBound, heard, tc.bounded, tc.heard)
+		if byBound == 0 || heard == 0 {
+			t.Errorf("%s: %d coins settled by the bracket, %d of them heard; want some of each", tc.name, byBound, heard)
 		}
 		t.Logf("%s: %d received, %d settled by the bracket, %d of them heard", tc.name, received, byBound, heard)
 	}
@@ -98,25 +89,25 @@ func TestReceivesMatchesReceiveProb(t *testing.T) {
 // computed mean, and keeps enclosing it through each of the four
 // modulations a decision can apply. With strict set it also asks for the
 // margin: each side clear of the mean, except where the side is the curve's
-// own limit (lo = 0 past the last row, hi = PMax before the first).
+// own limit (lo = 0 past the last row, hi = pMax before the first).
 func checkBracket(t testing.TB, p *Params, dist, shadow float64, strict bool) {
 	t.Helper()
 	lo, hi, ok := p.meanBracket(dist, shadow)
 	if !ok {
-		t.Fatalf("meanBracket(%v, %v) does not hold under valid Params", dist, shadow)
+		t.Fatalf("meanBracket(%v, %v) at D50 %v does not hold", dist, shadow, p.D50)
 	}
 	mean := p.meanReception(dist, shadow)
 	if !(lo <= mean && mean <= hi) {
 		t.Fatalf("meanBracket(%v, %v) = [%v, %v] misses the mean %v", dist, shadow, lo, hi, mean)
 	}
-	if strict && !((lo < mean || lo == 0) && (mean < hi || hi == p.PMax)) {
+	if strict && !((lo < mean || lo == 0) && (mean < hi || hi == pMax)) {
 		t.Fatalf("meanBracket(%v, %v) = [%v, %v] touches the mean %v: no margin", dist, shadow, lo, hi, mean)
 	}
 	var f fading
 	for _, ge := range []bool{false, true} {
 		for _, gray := range []bool{false, true} {
 			f.ge.on, f.gray.on = ge, gray
-			if m := f.modulate(p, mean); !(f.modulate(p, lo) <= m && m <= f.modulate(p, hi)) {
+			if m := f.modulate(mean); !(f.modulate(lo) <= m && m <= f.modulate(hi)) {
 				t.Fatalf("meanBracket(%v, %v) modulated (good %v, gray %v) misses the mean %v", dist, shadow, ge, gray, m)
 			}
 		}
@@ -128,14 +119,14 @@ func checkBracket(t testing.TB, p *Params, dist, shadow float64, strict bool) {
 // step above each whole number of falloffs past the 50 % point, and halfway
 // to the next — from beyond the first row to beyond the last, for four
 // shadows (the 10 m floor's among them), and at the values no distance
-// should produce. Params the argument cannot stand on report ok == false.
+// should produce. A NaN distance reports ok == false.
 func TestMeanBracketEncloses(t *testing.T) {
 	p := DefaultParams()
 	for _, shadow := range []float64{0, -31.7, -400, 2600} {
 		d50 := max(p.D50+shadow, 10)
 		for k := -66; k < 70; k++ {
-			edge := d50 + float64(k)*p.FalloffM
-			for _, dist := range []float64{math.Nextafter(edge, -1e9), edge, math.Nextafter(edge, 1e9), edge + p.FalloffM/2} {
+			edge := d50 + float64(k)*falloffM
+			for _, dist := range []float64{math.Nextafter(edge, -1e9), edge, math.Nextafter(edge, 1e9), edge + falloffM/2} {
 				checkBracket(t, &p, dist, shadow, true)
 			}
 		}
@@ -146,35 +137,27 @@ func TestMeanBracketEncloses(t *testing.T) {
 	if _, _, ok := p.meanBracket(math.NaN(), 0); ok {
 		t.Error("meanBracket of a NaN distance claims to hold")
 	}
-	for name, set := range map[string]func(*Params){
-		"PMax<0":     func(p *Params) { p.PMax = -0.85 },
-		"PMax=NaN":   func(p *Params) { p.PMax = math.NaN() },
-		"GoodMult<0": func(p *Params) { p.GoodMult = -1 },
-		"BadMult<0":  func(p *Params) { p.BadMult = -0.08 },
-		"GrayMult<0": func(p *Params) { p.GrayMult = -0.03 },
-		"FalloffM=0": func(p *Params) { p.FalloffM = 0 },
-	} {
-		q := DefaultParams()
-		set(&q)
-		if _, _, ok := q.meanBracket(q.D50, 0); ok {
-			t.Errorf("%s: meanBracket claims to hold", name)
-		}
-	}
 }
 
-// FuzzMeanBracket: for any distance and shadow, the bracket encloses the
-// computed mean under every modulation. The seeds sit one step either side
-// of, and on, every row edge of the table.
+// FuzzMeanBracket: for any distance, shadow and D50 a scenario's range= can
+// set (finite, ≥ 0), the bracket encloses the computed mean under every
+// modulation. The seeds sit one step either side of, and on, every row edge
+// of the table, at the default D50 and at the 10 m floor.
 func FuzzMeanBracket(f *testing.F) {
-	p := DefaultParams()
-	for k := -65; k <= 64; k++ {
-		edge := p.D50 + float64(k)*p.FalloffM
-		f.Add(math.Nextafter(edge, -1e9), 0.0)
-		f.Add(edge, 0.0)
-		f.Add(math.Nextafter(edge, 1e9), 0.0)
+	for _, d50 := range []float64{DefaultParams().D50, 10} {
+		for k := -65; k <= 64; k++ {
+			edge := d50 + float64(k)*falloffM
+			f.Add(math.Nextafter(edge, -1e9), 0.0, d50)
+			f.Add(edge, 0.0, d50)
+			f.Add(math.Nextafter(edge, 1e9), 0.0, d50)
+		}
 	}
-	f.Fuzz(func(t *testing.T, dist, shadow float64) {
-		if dist != dist || shadow != shadow || p.falloff(dist, shadow) != p.falloff(dist, shadow) {
+	f.Fuzz(func(t *testing.T, dist, shadow, d50 float64) {
+		if !(d50 >= 0) || math.IsInf(d50, 1) {
+			return // not a D50 range= accepts
+		}
+		p := Params{D50: d50}
+		if x := p.falloff(dist, shadow); x != x {
 			return // NaN: the bracket reports ok == false (TestMeanBracketEncloses)
 		}
 		checkBracket(t, &p, dist, shadow, false)

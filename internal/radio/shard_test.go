@@ -136,32 +136,28 @@ func TestShardedReachLessRefuses(t *testing.T) {
 
 	// Same refusal for a lane count past the ceiling, even on an indexed
 	// channel: owners are a uint8 and every lane is a worker goroutine.
-	c, _, _, _, _ = buildCaptureTie(t, 30, 1)
+	c, _, _, _, _ = buildCaptureTie(t, 499.5, 1)
 	if got := c.StartShards(MaxShardLanes + 1); got != 1 || c.ShardLanes() != 0 {
 		t.Fatalf("StartShards(%d) = %d with %d lanes live, want a refusal", MaxShardLanes+1, got, c.ShardLanes())
 	}
 }
 
-// buildCaptureTie builds the cross-stripe capture-tie geometry: a
-// receiver just inside stripe column 1, a strong transmitter 1 m away in
-// column 0 (a halo transmitter from the receiver-owning lane's point of
-// view) and a weak one 10 m away in column 1. With noise off and
-// path-loss exponent 3 the RSSI gap is exactly 30 dB, so CaptureDB=30
-// sits precisely on the >= boundary of both capture branches — the tie
-// must resolve identically whether the computing lane is local or halo.
-func buildCaptureTie(t *testing.T, captureDB float64, lanes int) (*Channel, *sim.Kernel, NodeID, NodeID, *collector) {
+// buildCaptureTie builds the cross-stripe overlap geometry: a receiver
+// just inside stripe column 1, a transmitter at strongX in column 0 (a halo
+// transmitter from the receiver-owning lane's point of view) and a weak one
+// 10 m away in column 1. At strongX = 499.5 the column-0 frame is 1 m out,
+// 30 dB stronger than the weak one against the 10 dB capture margin; at
+// 490.5 both are 10 m out and neither clears the margin.
+func buildCaptureTie(t *testing.T, strongX float64, lanes int) (*Channel, *sim.Kernel, NodeID, NodeID, *collector) {
 	t.Helper()
 	k := sim.NewKernel(8)
 	p := DefaultParams()
-	p.RSSINoiseDB = 0
-	p.PathLossExp = 3
-	p.CaptureDB = captureDB
 	p.MaxRangeM = 400 // grid cell edge 500 m: stripe boundary at X=500
 	c := NewChannel(k, p, func(from, to NodeID) LinkModel { return FixedLink(1) })
 	var rx collector
-	strong := c.Attach("strong", mobility.Fixed{X: 499.5}, nil) // column 0
-	weak := c.Attach("weak", mobility.Fixed{X: 510.5}, nil)     // column 1
-	c.Attach("r", mobility.Fixed{X: 500.5}, &rx)                // column 1
+	strong := c.Attach("strong", mobility.Fixed{X: strongX}, nil) // column 0
+	weak := c.Attach("weak", mobility.Fixed{X: 510.5}, nil)       // column 1
+	c.Attach("r", mobility.Fixed{X: 500.5}, &rx)                  // column 1
 	if lanes > 1 {
 		if got := c.StartShards(lanes); got != lanes {
 			t.Fatalf("StartShards(%d) = %d", lanes, got)
@@ -170,25 +166,25 @@ func buildCaptureTie(t *testing.T, captureDB float64, lanes int) (*Channel, *sim
 	return c, k, strong, weak, &rx
 }
 
-// TestShardedCaptureTieAcrossStripes replays the exact-margin collision
-// cases of TestCaptureMarginBoundary with the two transmitters homed in
-// different stripes, serial vs 2 lanes. The strong transmitter's delivery
-// is halo traffic (computed by the receiver's lane, stripe 1, for a
-// stripe-0 transmitter), so the boundary arithmetic and the displaced-
-// frame bookkeeping run on a worker lane — and must still land exactly
-// where the serial switch does.
+// TestShardedCaptureTieAcrossStripes replays the three ways an overlap
+// ends — capture, survival, mutual destruction — with the two transmitters
+// homed in different stripes, serial vs 2 lanes. The column-0
+// transmitter's delivery is halo traffic (computed by the receiver's lane,
+// stripe 1, for a stripe-0 transmitter), so the capture arithmetic and the
+// displaced-frame bookkeeping run on a worker lane — and must still land
+// exactly where the serial switch does.
 func TestShardedCaptureTieAcrossStripes(t *testing.T) {
 	for _, lanes := range []int{1, 2} {
-		// New frame exactly CaptureDB stronger than the locked one: captures.
-		c, k, strong, weak, rx := buildCaptureTie(t, 30, lanes)
+		// The stronger frame second: it captures the receiver.
+		c, k, strong, weak, rx := buildCaptureTie(t, 499.5, lanes)
 		c.Broadcast(weak, make([]byte, 500), nil)
 		c.Broadcast(strong, make([]byte, 500), nil)
 		k.Run()
 		if len(rx.frames) != 1 || rx.frames[0].From != strong {
-			t.Fatalf("lanes=%d exact-margin capture: got %+v, want 1 frame from %v", lanes, rx.frames, strong)
+			t.Fatalf("lanes=%d capture: got %+v, want 1 frame from %v", lanes, rx.frames, strong)
 		}
 		if got := c.Stats().Collisions; got != 1 {
-			t.Errorf("lanes=%d exact-margin capture collisions = %d, want 1", lanes, got)
+			t.Errorf("lanes=%d capture collisions = %d, want 1", lanes, got)
 		}
 		if lanes > 1 {
 			if sent := c.LaneStat(0).HaloSent; sent == 0 {
@@ -197,23 +193,23 @@ func TestShardedCaptureTieAcrossStripes(t *testing.T) {
 			c.StopShards()
 		}
 
-		// Locked frame exactly CaptureDB stronger than the newcomer: survives.
-		c, k, strong, weak, rx = buildCaptureTie(t, 30, lanes)
+		// The stronger frame first: it survives the newcomer.
+		c, k, strong, weak, rx = buildCaptureTie(t, 499.5, lanes)
 		c.Broadcast(strong, make([]byte, 500), nil)
 		c.Broadcast(weak, make([]byte, 500), nil)
 		k.Run()
 		if len(rx.frames) != 1 || rx.frames[0].From != strong {
-			t.Fatalf("lanes=%d exact-margin survival: got %+v, want 1 frame from %v", lanes, rx.frames, strong)
+			t.Fatalf("lanes=%d survival: got %+v, want 1 frame from %v", lanes, rx.frames, strong)
 		}
 		if got := c.Stats().Collisions; got != 1 {
-			t.Errorf("lanes=%d exact-margin survival collisions = %d, want 1", lanes, got)
+			t.Errorf("lanes=%d survival collisions = %d, want 1", lanes, got)
 		}
 		if lanes > 1 {
 			c.StopShards()
 		}
 
-		// One dB over the gap: mutual destruction, both frames counted.
-		c, k, strong, weak, rx = buildCaptureTie(t, 31, lanes)
+		// Equal distances: mutual destruction, both frames counted.
+		c, k, strong, weak, rx = buildCaptureTie(t, 490.5, lanes)
 		c.Broadcast(weak, make([]byte, 500), nil)
 		c.Broadcast(strong, make([]byte, 500), nil)
 		k.Run()

@@ -59,7 +59,7 @@ func TestDistrictSeparation(t *testing.T) {
 		}
 		p := radio.DefaultParams()
 		p.D50 = tc.d50
-		reach := math.Max(p.CutoffM(), p.SenseRangeM)
+		reach := math.Max(p.CutoffM(), radio.SenseRangeM)
 		if lay.MoatM <= reach {
 			t.Fatalf("%s: moat %.1f m does not clear the conflict reach %.1f m", tc.spec, lay.MoatM, reach)
 		}

@@ -7,6 +7,7 @@ import (
 
 	"github.com/vanlan/vifi/internal/core"
 	"github.com/vanlan/vifi/internal/mobility"
+	"github.com/vanlan/vifi/internal/radio"
 	"github.com/vanlan/vifi/internal/sim"
 )
 
@@ -50,7 +51,7 @@ const moatFrac = 1.05
 // nodes in different districts share no radio state at all.
 func (s Spec) MoatM() float64 {
 	p := s.Apply(core.DefaultCellOptions()).Radio
-	return math.Max(p.CutoffM(), p.SenseRangeM) * moatFrac
+	return math.Max(p.CutoffM(), radio.SenseRangeM) * moatFrac
 }
 
 // Generate derives the deployment geometry from the kernel's seed and the

@@ -89,8 +89,10 @@ type Spec struct {
 	// sites share nothing but the Internet. Grid topology only.
 	Districts int
 
-	// RangeM overrides the radio model's 50%-reception distance when
-	// positive (0 keeps radio.DefaultParams).
+	// RangeM overrides radio.Params.D50, the radio model's 50%-reception
+	// distance and the one radio value a spec can set, when positive (0
+	// keeps the default 150 m; every other radio value is a constant of
+	// internal/radio).
 	RangeM float64
 
 	// Backplane overrides; zero values keep backplane.DefaultConfig.

@@ -120,7 +120,7 @@ func GenerateVanLANProbes(seed int64, trips int) *ProbeTrace {
 			dRow[b] = dOK
 			uRow[b] = uOK
 			if dOK {
-				rRow[b] = params.RSSIBase(dist) + rssiRNG[b].NormFloat64()*params.RSSINoiseDB
+				rRow[b] = radio.RSSIBase(dist) + rssiRNG[b].NormFloat64()*radio.RSSINoiseDB
 			} else {
 				rRow[b] = math.NaN()
 			}

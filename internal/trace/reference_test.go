@@ -117,7 +117,7 @@ func eagerVanLAN(seed int64, trips int) (down, up []bool, rssi []uint64, interBS
 			uOK := upDir[b].coin.Float64() < upDir[b].link.ReceiveProb(at, dist)
 			r := math.NaN()
 			if dOK {
-				r = params.RSSIBase(dist) + rssiRNG[b].NormFloat64()*params.RSSINoiseDB
+				r = radio.RSSIBase(dist) + rssiRNG[b].NormFloat64()*radio.RSSINoiseDB
 			}
 			down, up, rssi = append(down, dOK), append(up, uOK), append(rssi, math.Float64bits(r))
 		}

@@ -16,6 +16,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strings"
 	"time"
 
 	"github.com/vanlan/vifi/internal/obs"
@@ -62,15 +63,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 	case *series != "":
+		found := false
 		for _, r := range recs {
 			col := r.Column(*series)
 			if col == nil {
 				continue
 			}
+			found = true
 			fmt.Fprintf(stdout, "# %s\n", metaLine(r))
 			for i, v := range col {
 				fmt.Fprintf(stdout, "%v\t%d\n", r.Start+time.Duration(i)*r.Interval, v)
 			}
+		}
+		if !found {
+			fmt.Fprintf(stderr, "vifi-metrics: no recording has series %q; the recordings have: %s\n",
+				*series, strings.Join(seriesNames(recs), ", "))
+			return 1
 		}
 	case *dump:
 		for _, r := range recs {
@@ -104,6 +112,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	return 0
+}
+
+// seriesNames lists the distinct series names of recs in first-seen order.
+func seriesNames(recs []*obs.Recording) []string {
+	seen := map[string]bool{}
+	var names []string
+	for _, r := range recs {
+		for _, s := range r.Series {
+			if !seen[s.Name] {
+				seen[s.Name] = true
+				names = append(names, s.Name)
+			}
+		}
+	}
+	return names
 }
 
 // metaLine renders a recording's meta map sorted by key.

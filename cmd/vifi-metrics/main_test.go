@@ -75,6 +75,22 @@ func TestDumpAndSeries(t *testing.T) {
 	}
 }
 
+func TestUnknownSeries(t *testing.T) {
+	path := writeTestRecording(t)
+	var out, errOut bytes.Buffer
+	if code := run([]string{"-series", "radio.txx", path}, &out, &errOut); code != 1 {
+		t.Errorf("unknown series: exit %d, want 1", code)
+	}
+	if out.Len() != 0 {
+		t.Errorf("unknown series printed %q", out.String())
+	}
+	for _, want := range []string{`"radio.txx"`, "radio.tx, sim.heap"} {
+		if !strings.Contains(errOut.String(), want) {
+			t.Errorf("error %q lacks %q", errOut.String(), want)
+		}
+	}
+}
+
 func TestJSONRoundTrips(t *testing.T) {
 	path := writeTestRecording(t)
 	var out, errOut bytes.Buffer

@@ -27,8 +27,8 @@ func run(w io.Writer, seed int64, trips int) {
 	fmt.Fprintf(w, "%-10s %16s %26s\n", "policy", "packets (both)", "median session @50%/1s (s)")
 	var allPkts, brrPkts int
 	for _, p := range handoff.AllPolicies() {
-		res := handoff.Evaluate(pt, p, time.Second)
-		med := res.MedianSessionTimeWeighted(0.5)
+		res := handoff.Evaluate(pt, p)
+		med := res.MedianSession(time.Second, 0.5)
 		fmt.Fprintf(w, "%-10s %16d %26.0f\n", p.Name(), res.Delivered(), med)
 		switch p.Name() {
 		case "AllBSes":

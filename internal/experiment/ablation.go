@@ -30,7 +30,7 @@ func AblateAux(o Options) *Report {
 	for i, nAux := range counts {
 		futs[i] = goJob(eng, func() *Collector {
 			col := NewCollector()
-			runSymmetricCell(o.Seed, nAux, dur, col)
+			runSymmetricCell(o.Seed, nAux, dur, col, eng.metricsInterval)
 			return col
 		})
 	}
@@ -49,8 +49,8 @@ func AblateAux(o Options) *Report {
 
 // runSymmetricCell builds a cell with one anchor, nAux perfectly
 // symmetric auxiliaries, a mediocre anchor→vehicle link, and a steady
-// downstream packet stream.
-func runSymmetricCell(seed int64, nAux int, dur time.Duration, col *Collector) {
+// downstream packet stream. mi > 0 samples metrics at that cadence.
+func runSymmetricCell(seed int64, nAux int, dur time.Duration, col *Collector, mi time.Duration) {
 	k := sim.NewKernel(seed)
 	nbs := nAux + 1
 	veh := radio.NodeID(nbs)
@@ -77,12 +77,15 @@ func runSymmetricCell(seed int64, nAux int, dur time.Duration, col *Collector) {
 		movers[i] = mobility.Fixed{X: float64(i) * 10}
 	}
 	cell := core.NewCell(k, opts, movers, mobility.Fixed{X: float64(nbs) * 10})
+	publish := sampleRun(k, cell, nil, nil, mi, dur,
+		runMeta("ablate-aux", fmt.Sprintf("aux=%d", nAux), seed, 1, dur, cfg))
 	k.RunUntil(3 * time.Second)
 	n := int((dur - 3*time.Second) / (50 * time.Millisecond))
 	k.Every(3*time.Second, 50*time.Millisecond, n, func(int) {
 		cell.Gateway.Send(cell.Vehicle.Addr(), make([]byte, 200))
 	})
 	k.RunUntil(dur)
+	publish()
 }
 
 // AblateDiversity probes §3.4.1's claim that two to three basestations
@@ -108,7 +111,8 @@ func AblateDiversity(o Options) *Report {
 				movers[j] = mobility.Fixed(v.BSes[j])
 			}
 			cell := core.NewCell(k, opts, movers, &mobility.RouteMover{Route: v.Route})
-			return runTestbed(k, cell, workload.VoIPKind, dur, nil, 0, nil).VoIP
+			return runTestbed(k, cell, workload.VoIPKind, dur, nil, eng.metricsInterval,
+				runMeta("ablate-diversity", fmt.Sprintf("bses=%d", nb), o.Seed, 1, dur, opts.Protocol)).VoIP
 		})
 	}
 	for i, nb := range counts {
@@ -150,7 +154,8 @@ func AblateBackplane(o Options) *Report {
 				CoreDelay: c.delay / 2,
 			}
 			cell := core.NewVanLANCell(k, opts)
-			return runTestbed(k, cell, workload.TCPKind, dur, nil, 0, nil).Metrics
+			return runTestbed(k, cell, workload.TCPKind, dur, nil, eng.metricsInterval,
+				runMeta("ablate-backplane", c.name, o.Seed, 1, dur, opts.Protocol)).Metrics
 		})
 	}
 	for i, c := range cases {

@@ -9,6 +9,7 @@ import (
 	"github.com/vanlan/vifi/internal/obs"
 	"github.com/vanlan/vifi/internal/radio"
 	"github.com/vanlan/vifi/internal/sim"
+	"github.com/vanlan/vifi/internal/stats"
 	"github.com/vanlan/vifi/internal/workload"
 )
 
@@ -91,6 +92,10 @@ func (e *Engine) buildCell(k *sim.Kernel, env Env, cfg core.Config, events core.
 // the one-vehicle case of the fleet machinery: a workload.Driver on fleet
 // slot 0, advanced by runTestbed.
 
+// fleetWarm is the settling time before a vehicle starts measuring (one
+// probability window plus anchor selection slack, as in the §5 workloads).
+const fleetWarm = 2 * time.Second
+
 // probeSlot is the §5.2 probe's cadence: one 500-byte packet each way
 // every 100 ms.
 const probeSlot = 100 * time.Millisecond
@@ -106,8 +111,8 @@ type TestbedRun struct {
 
 // Link returns a CBR run's one-row slot table: the §5.2 probe as a fleet
 // of one, which Fig 7, Fig 8 and the session metrics read.
-func (r *TestbedRun) Link() *FleetRun {
-	return &FleetRun{SlotDur: r.Slot, Duration: r.Span,
+func (r *TestbedRun) Link() *stats.SlotTable {
+	return &stats.SlotTable{SlotDur: r.Slot, Duration: r.Span,
 		Up: [][]bool{r.Up}, Down: [][]bool{r.Down}}
 }
 
@@ -147,14 +152,21 @@ func runTestbed(k *sim.Kernel, cell *core.Cell, kind workload.Kind, dur time.Dur
 	}
 	workload.Bind(cell, 0, d)
 	d.Start()
-	var sp *obs.Sampler
-	if mi > 0 {
-		reg := buildRegistry(k, cell, []workload.Driver{d}, []workload.Kind{kind})
-		sp = obs.Attach(k, reg, mi, until, meta)
-	}
+	publish := sampleRun(k, cell, []workload.Driver{d}, []workload.Kind{kind}, mi, until, meta)
 	k.RunUntil(until)
-	if sp != nil {
-		logRecording(sp.Recording())
-	}
+	publish()
 	return &TestbedRun{Metrics: d.Stop(), Collector: col}
+}
+
+// sampleRun attaches a metrics sampler to a cell run that will end at
+// until when mi > 0, and returns what publishes its recording to the
+// package sink (TakeRecordings) once the run has ended; with mi ≤ 0 it
+// attaches nothing and publishes nothing.
+func sampleRun(k *sim.Kernel, cell *core.Cell, drivers []workload.Driver, kinds []workload.Kind,
+	mi, until time.Duration, meta map[string]string) (publish func()) {
+	if mi <= 0 {
+		return func() {}
+	}
+	sp := obs.Attach(k, buildRegistry(k, cell, drivers, kinds), mi, until, meta)
+	return func() { logRecording(sp.Recording()) }
 }

@@ -2,17 +2,19 @@ package experiment
 
 import (
 	"math"
-	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/vanlan/vifi/internal/core"
+	"github.com/vanlan/vifi/internal/handoff"
 	"github.com/vanlan/vifi/internal/mobility"
 	"github.com/vanlan/vifi/internal/radio"
 	"github.com/vanlan/vifi/internal/sim"
 	"github.com/vanlan/vifi/internal/stats"
+	"github.com/vanlan/vifi/internal/trace"
 	"github.com/vanlan/vifi/internal/workload"
 )
 
@@ -104,116 +106,40 @@ func TestFig6BurstShape(t *testing.T) {
 	}
 }
 
-// TestSlotTableReductions pins the one interval-adequacy vector under
-// every session metric — MedianSession, Interruptions and Fig 8's
-// timeline (its adequacy row is these ratios thresholded at 0.5, its
-// count row is stats.Sessions' interruptions) — against hand-computed
-// values.
-func TestSlotTableReductions(t *testing.T) {
-	rep := func(n int, v bool) []bool {
-		out := make([]bool, n)
-		for i := range out {
-			out[i] = v
-		}
-		return out
+// TestReplayReadsLikeALiveRun holds trace replay and live runs to one
+// reducer: a one-basestation probe trace whose per-slot outcomes are a
+// live probe run's row, one VanLAN trip long, replayed under AllBSes must
+// read exactly as the live slot table does at every interval Fig 4
+// sweeps — sessions, median and interruptions.
+func TestReplayReadsLikeALiveRun(t *testing.T) {
+	const tripSlots = 2071 // a VanLAN lap in 100 ms slots
+	live := testbed(21, EnvVanLAN, workload.CBRKind, fleetWarm+tripSlots*probeSlot, false).Link()
+	up, down := live.Up[0], live.Down[0]
+	if len(up) != tripSlots {
+		t.Fatalf("live row has %d slots, want %d", len(up), tripSlots)
 	}
-	cat := func(parts ...[]bool) []bool {
-		var out []bool
-		for _, p := range parts {
-			out = append(out, p...)
-		}
-		return out
+	pt := &trace.ProbeTrace{BSes: []string{"bs0"}, SlotDur: live.SlotDur, Slots: tripSlots, SlotsPerTrip: tripSlots}
+	for s := range up {
+		pt.Up = append(pt.Up, []bool{up[s]})
+		pt.Down = append(pt.Down, []bool{down[s]})
+		pt.RSSI = append(pt.RSSI, []float64{math.NaN()})
+		pt.Pos = append(pt.Pos, mobility.Point{})
 	}
-	T, F := true, false
-	for _, tc := range []struct {
-		name          string
-		run           FleetRun
-		interval      time.Duration
-		ratios        [][]float64 // per vehicle, at interval
-		interrupts    []int       // per vehicle, at interval and 0.5
-		median        float64     // MedianSession(interval, 0.5)
-		interruptions float64     // Interruptions(): 1 s intervals per vehicle-hour
-	}{
-		{
-			// A probe run: one vehicle, 100 ms slots, five per interval.
-			name: "one vehicle",
-			run: FleetRun{SlotDur: 100 * time.Millisecond,
-				Up:   [][]bool{{T, T, F, F, T, T, T, T, F, F}},
-				Down: [][]bool{{T, T, T, T, T, T, T, T, F, F}}},
-			interval:   500 * time.Millisecond,
-			ratios:     [][]float64{{0.8, 0.6}},
-			interrupts: []int{0},
-			median:     1.0, // one session of two intervals
-			// One whole second at 14/20: adequate, no interruption.
-			interruptions: 0,
-		},
-		{
-			// Staggered departures leave later vehicles shorter rows:
-			// 10, 7 and 25 slots of 200 ms. Trailing partial intervals
-			// (v1's last two slots) are dropped.
-			name: "ragged fleet",
-			run: FleetRun{SlotDur: 200 * time.Millisecond,
-				Up: [][]bool{
-					cat(rep(5, T), rep(5, F)),
-					{F, F, F, F, F, T, T},
-					cat(rep(7, T), rep(3, F), rep(15, T)),
-				},
-				Down: [][]bool{
-					cat(rep(5, T), rep(5, F)),
-					{F, F, F, F, T, T, T},
-					cat(rep(5, T), rep(5, F), rep(15, T)),
-				}},
-			interval:   time.Second,
-			ratios:     [][]float64{{1, 0}, {0.1}, {1, 0.2, 1, 1, 1}},
-			interrupts: []int{1, 1, 1}, // v1 opens inadequate: that counts
-			median:     3,              // sessions 1 s, 1 s, 3 s: half of 5 s falls in the 3 s one
-			// 3 interruptions over 2+1+5 whole vehicle-seconds.
-			interruptions: 3 / (8.0 / 3600),
-		},
-		{
-			// An interval shorter than a slot counts one slot per
-			// interval; session lengths are still in interval units.
-			name: "interval below slot",
-			run: FleetRun{SlotDur: 200 * time.Millisecond,
-				Up:   [][]bool{{T, F, T, T}},
-				Down: [][]bool{{T, F, F, T}}},
-			interval:   100 * time.Millisecond,
-			ratios:     [][]float64{{1, 0, 0.5, 1}},
-			interrupts: []int{1},
-			median:     0.2, // sessions 0.1 s and 0.2 s
-			// Four slots make no whole second: no vehicle-hours.
-			interruptions: 0,
-		},
-		{
-			name:     "no vehicles",
-			run:      FleetRun{SlotDur: 200 * time.Millisecond},
-			interval: time.Second,
-		},
-		{
-			// Vehicles that departed after the run's end.
-			name: "empty rows",
-			run: FleetRun{SlotDur: 200 * time.Millisecond,
-				Up: [][]bool{{}, {}}, Down: [][]bool{{}, {}}},
-			interval:   time.Second,
-			ratios:     [][]float64{{}, {}},
-			interrupts: []int{0, 0},
-		},
-	} {
-		for v := range tc.run.Up {
-			got := tc.run.intervalRatios(v, tc.interval)
-			if !reflect.DeepEqual(got, tc.ratios[v]) {
-				t.Errorf("%s: vehicle %d ratios = %v, want %v", tc.name, v, got, tc.ratios[v])
-			}
-			if _, n := stats.Sessions(got, 0.5, tc.interval.Seconds()); n != tc.interrupts[v] {
-				t.Errorf("%s: vehicle %d interruptions = %d, want %d", tc.name, v, n, tc.interrupts[v])
-			}
+	if err := pt.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	replay := handoff.Evaluate(pt, handoff.NewAllBSes())
+	for _, iv := range []time.Duration{500 * time.Millisecond, time.Second,
+		2 * time.Second, 4 * time.Second, 8 * time.Second, 16 * time.Second} {
+		if got, want := replay.Sessions(iv, 0.5), live.Sessions(iv, 0.5); !slices.Equal(got, want) {
+			t.Errorf("%v: replayed sessions %v, live %v", iv, got, want)
 		}
-		if got := tc.run.MedianSession(tc.interval, 0.5); got != tc.median {
-			t.Errorf("%s: median session = %v, want %v", tc.name, got, tc.median)
+		if got, want := replay.MedianSession(iv, 0.5), live.MedianSession(iv, 0.5); got != want {
+			t.Errorf("%v: replayed median %v s, live %v s", iv, got, want)
 		}
-		if got := tc.run.Interruptions(); math.Abs(got-tc.interruptions) > 1e-9*tc.interruptions {
-			t.Errorf("%s: interruptions/veh·h = %v, want %v", tc.name, got, tc.interruptions)
-		}
+	}
+	if got, want := replay.Interruptions(), live.Interruptions(); got != want || want == 0 {
+		t.Errorf("replayed interruptions %v per hour, live %v", got, want)
 	}
 }
 

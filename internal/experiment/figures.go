@@ -63,7 +63,7 @@ func Fig2(o Options) *Report {
 				pt := ft.Subset(subset)
 				perDay := make(map[string]float64, 6)
 				for _, p := range handoff.AllPolicies() {
-					res := handoff.Evaluate(pt, p, time.Second)
+					res := handoff.Evaluate(pt, p)
 					perDay[p.Name()] = float64(res.Delivered()) / float64(trips) * tripsPerDay / 1000
 				}
 				return perDay
@@ -120,60 +120,34 @@ func Fig3(o Options) *Report {
 	trips := o.scaled(6)
 	pt := eng.VanLANProbes(o.Seed, trips).Wait()
 	trip := min(1, trips-1) // the second trip, or the only one a short run drives
-	tlPolicies := []func() handoff.Policy{
-		func() handoff.Policy { return handoff.NewBRR() },
-		func() handoff.Policy { return handoff.NewBestBS() },
-		func() handoff.Policy { return handoff.NewAllBSes() },
+	// One replay per policy: the timelines (a–c) and the CDF (d) both
+	// read its slot table.
+	replays := map[string]Future[*handoff.Result]{}
+	for _, p := range []handoff.Policy{handoff.NewBRR(), handoff.NewBestBS(), handoff.NewAllBSes(), handoff.NewSticky()} {
+		replays[p.Name()] = goJob(eng, func() *handoff.Result { return handoff.Evaluate(pt, p) })
 	}
-	tlJobs := make([]Future[[2][2]string], len(tlPolicies))
-	for i, mk := range tlPolicies {
-		tlJobs[i] = goJob(eng, func() [2][2]string {
-			p := mk()
-			tl := handoff.TripTimeline(pt, p, trip, 0.5)
-			return [2][2]string{
-				{fmt.Sprintf("(%s) trip timeline", p.Name()), sparkline(tl.Adequate)},
-				{fmt.Sprintf("(%s) interruptions", p.Name()), fmt.Sprint(len(tl.Interruptions))},
-			}
-		})
-	}
-	cdfPolicies := []func() handoff.Policy{
-		func() handoff.Policy { return handoff.NewSticky() },
-		func() handoff.Policy { return handoff.NewBRR() },
-		func() handoff.Policy { return handoff.NewBestBS() },
-		func() handoff.Policy { return handoff.NewAllBSes() },
-	}
-	cdfJobs := make([]Future[[2]string], len(cdfPolicies))
-	for i, mk := range cdfPolicies {
-		cdfJobs[i] = goJob(eng, func() [2]string {
-			p := mk()
-			res := handoff.Evaluate(pt, p, time.Second)
-			lens := res.Sessions(0.5)
-			xs, ps := handoff.SessionTimeCDF(lens)
-			var cells []string
-			for _, q := range []float64{25, 50, 75} {
-				x := 0.0
-				for i := range xs {
-					if ps[i] >= q {
-						x = xs[i]
-						break
-					}
-				}
-				cells = append(cells, fmt.Sprintf("p%.0f=%.0fs", q, x))
-			}
-			return [2]string{fmt.Sprintf("(%s)", p.Name()), strings.Join(cells, " ")}
-		})
-	}
-	for _, f := range tlJobs {
-		rows := f.Wait()
-		r.AddRow(rows[0][0], rows[0][1])
-		r.AddRow(rows[1][0], rows[1][1])
+	for _, name := range []string{"BRR", "BestBS", "AllBSes"} {
+		adequate, interruptions := replays[name].Wait().Timeline(trip)
+		r.AddRow(fmt.Sprintf("(%s) trip timeline", name), sparkline(adequate))
+		r.AddRow(fmt.Sprintf("(%s) interruptions", name), fmt.Sprint(interruptions))
 	}
 	// (d): CDF of time spent in sessions of a given length.
 	r.AddRow("", "")
 	r.AddRow("session CDF", "len(s): %time ≤ len")
-	for _, f := range cdfJobs {
-		row := f.Wait()
-		r.AddRow(row[0], row[1])
+	for _, name := range []string{"Sticky", "BRR", "BestBS", "AllBSes"} {
+		xs, ps := handoff.SessionTimeCDF(replays[name].Wait().Sessions(time.Second, 0.5))
+		var cells []string
+		for _, q := range []float64{25, 50, 75} {
+			x := 0.0
+			for i := range xs {
+				if ps[i] >= q {
+					x = xs[i]
+					break
+				}
+			}
+			cells = append(cells, fmt.Sprintf("p%.0f=%.0fs", q, x))
+		}
+		r.AddRow(fmt.Sprintf("(%s)", name), strings.Join(cells, " "))
 	}
 	r.AddNote("paper shape: median session AllBSes > 2× BestBS and > 7× BRR; Sticky worst")
 	return r
@@ -190,43 +164,41 @@ func Fig4(o Options) *Report {
 	}
 	eng := o.engine()
 	pt := eng.VanLANProbes(o.Seed, o.scaled(8)).Wait()
-	policies := []func() handoff.Policy{
-		func() handoff.Policy { return handoff.NewAllBSes() },
-		func() handoff.Policy { return handoff.NewBestBS() },
-		func() handoff.Policy { return handoff.NewBRR() },
-		func() handoff.Policy { return handoff.NewSticky() },
+	// One pool job per policy replays the trace, the figure's actual
+	// compute; every row reduces the four slot tables.
+	policies := []handoff.Policy{handoff.NewAllBSes(), handoff.NewBestBS(), handoff.NewBRR(), handoff.NewSticky()}
+	replays := make([]Future[*handoff.Result], len(policies))
+	for i, p := range policies {
+		replays[i] = goJob(eng, func() *handoff.Result { return handoff.Evaluate(pt, p) })
 	}
-	// One pool job per sweep row: each replays the trace under four
-	// policies, which is the figure's actual compute.
-	intervals := []time.Duration{500 * time.Millisecond, time.Second,
-		2 * time.Second, 4 * time.Second, 8 * time.Second, 16 * time.Second}
-	ratios := []float64{0.1, 0.3, 0.5, 0.7, 0.9}
-	rowJobs := make([]Future[[]string], 0, len(intervals)+len(ratios))
-	for _, iv := range intervals {
-		rowJobs = append(rowJobs, goJob(eng, func() []string {
-			row := []string{"(a) interval", fmt.Sprintf("%gs", iv.Seconds())}
-			for _, mk := range policies {
-				med := handoff.Evaluate(pt, mk(), iv).MedianSessionTimeWeighted(0.5)
-				row = append(row, fmt.Sprintf("%.0fs", med))
-			}
-			return row
-		}))
+	tables := make([]*stats.SlotTable, len(replays))
+	for i, f := range replays {
+		tables[i] = &f.Wait().SlotTable
 	}
-	for _, ratio := range ratios {
-		rowJobs = append(rowJobs, goJob(eng, func() []string {
-			row := []string{"(b) ratio", pct(ratio)}
-			for _, mk := range policies {
-				med := handoff.Evaluate(pt, mk(), time.Second).MedianSessionTimeWeighted(ratio)
-				row = append(row, fmt.Sprintf("%.0fs", med))
-			}
-			return row
-		}))
-	}
-	for _, f := range rowJobs {
-		r.AddRow(f.Wait()...)
-	}
+	addSessionSweep(r, []time.Duration{500 * time.Millisecond, time.Second,
+		2 * time.Second, 4 * time.Second, 8 * time.Second, 16 * time.Second}, tables...)
 	r.AddNote("paper shape: methods converge when the requirement is lax; multi-BS advantage grows as it tightens")
 	return r
+}
+
+// addSessionSweep adds a median-session sweep's rows, one cell per slot
+// table: (a) over the averaging interval at 50 % reception, then (b) over
+// the reception-ratio threshold at one-second intervals (Fig 4, Fig 7).
+func addSessionSweep(r *Report, intervals []time.Duration, tables ...*stats.SlotTable) {
+	for _, iv := range intervals {
+		row := []string{"(a) interval", fmt.Sprintf("%gs", iv.Seconds())}
+		for _, t := range tables {
+			row = append(row, fmt.Sprintf("%.0fs", t.MedianSession(iv, 0.5)))
+		}
+		r.AddRow(row...)
+	}
+	for _, ratio := range []float64{0.1, 0.3, 0.5, 0.7, 0.9} {
+		row := []string{"(b) ratio", pct(ratio)}
+		for _, t := range tables {
+			row = append(row, fmt.Sprintf("%.0fs", t.MedianSession(time.Second, ratio)))
+		}
+		r.AddRow(row...)
+	}
 }
 
 // Fig5 reproduces the CDFs of the number of basestations audible per

@@ -6,6 +6,7 @@ import (
 
 	"github.com/vanlan/vifi/internal/core"
 	"github.com/vanlan/vifi/internal/scenario"
+	"github.com/vanlan/vifi/internal/stats"
 	"github.com/vanlan/vifi/internal/voip"
 	"github.com/vanlan/vifi/internal/workload"
 )
@@ -18,8 +19,7 @@ import (
 
 // FleetAppRun is the outcome of one fleet application execution: the
 // per-vehicle driver metrics, the fleet-wide per-app aggregation, and —
-// when CBR vehicles ran — the slot-level FleetRun the link metrics come
-// from. Results are shared through the run-cache; treat as read-only.
+// when CBR vehicles ran — the slot table the link metrics come from. Results are shared through the run-cache; treat as read-only.
 type FleetAppRun struct {
 	SpecKey  string
 	App      workload.Kind
@@ -32,7 +32,7 @@ type FleetAppRun struct {
 
 	// Link carries the CBR vehicles' per-slot outcomes (one row per CBR
 	// vehicle, in fleet order); nil when no vehicle ran CBR.
-	Link *FleetRun
+	Link *stats.SlotTable
 
 	// Channel counters over the whole run.
 	Transmissions int
@@ -128,7 +128,7 @@ func RunFleetAppWorkload(seed int64, spec scenario.Spec, cfg core.Config, durati
 	return runFleetApp(seed, spec, cfg, duration, shards, 0)
 }
 
-// assembleLink rebuilds the slot-level FleetRun from the CBR vehicles so
+// assembleLink rebuilds the slot table from the CBR vehicles so
 // link metrics read exactly like the original constant-rate workload.
 // Pure over the run's already-merged fields, so the serial and sharded
 // paths assemble byte-identical links.
@@ -136,7 +136,7 @@ func assembleLink(run *FleetAppRun, slotDur time.Duration) {
 	if run.Apps.App(workload.CBRKind).Vehicles == 0 {
 		return
 	}
-	link := &FleetRun{SlotDur: slotDur}
+	link := &stats.SlotTable{SlotDur: slotDur}
 	for _, m := range run.PerVehicle {
 		if m.App != workload.CBRKind {
 			continue

@@ -36,6 +36,37 @@ func TestSamplingPreservesGoldenReports(t *testing.T) {
 	}
 }
 
+// TestAblationsSampleEveryArm holds the hand-built ablation cells to
+// EnableMetrics' promise: every arm a metrics-enabled engine executes
+// publishes one recording under a meta of its own, and the reports keep
+// their committed goldens.
+func TestAblationsSampleEveryArm(t *testing.T) {
+	TakeRecordings()
+	for _, tc := range []struct {
+		id   string
+		arms int
+	}{{"ablate-aux", 6}, {"ablate-diversity", 6}, {"ablate-backplane", 4}} {
+		eng := NewEngine(2)
+		eng.EnableMetrics(time.Second)
+		rep, err := Run(tc.id, Options{Seed: 17, Scale: 0.04, Engine: eng}) // reportTable's options
+		if err != nil {
+			t.Fatalf("%s: %v", tc.id, err)
+		}
+		goldenBytes(t, tc.id, rep.String())
+		recs := TakeRecordings()
+		seen := map[string]bool{}
+		for _, r := range recs {
+			if r.Meta["kind"] != tc.id || r.Rows() == 0 {
+				t.Errorf("%s: recording %v with %d rows", tc.id, r.Meta, r.Rows())
+			}
+			seen[metaKey(r)] = true
+		}
+		if len(recs) != tc.arms || len(seen) != tc.arms {
+			t.Errorf("%s: %d recordings, %d distinct metas; want one per arm (%d)", tc.id, len(recs), len(seen), tc.arms)
+		}
+	}
+}
+
 // TestShardedMetricsMergeDeterminism pins the multi-kernel sampling
 // path: each shard samples its own registry at the same sim times, the
 // per-shard recordings merge into one, and two identical sharded runs

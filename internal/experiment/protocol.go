@@ -25,36 +25,14 @@ func Fig7(o Options) *Report {
 	vifiF := eng.Testbed(o.Seed, EnvVanLAN, workload.CBRKind, core.DefaultConfig(), dur, false)
 	brrF := eng.Testbed(o.Seed, EnvVanLAN, workload.CBRKind, core.BRRConfig(), dur, false)
 	ptF := eng.VanLANProbes(o.Seed, o.scaled(8))
-	vifi, brr, pt := vifiF.Wait().Link(), brrF.Wait().Link(), ptF.Wait()
-
-	// Each sweep row replays the measurement trace for the two oracles and
-	// reduces both live runs — pool jobs, merged in declaration order.
-	oracle := func(mk func() handoff.Policy, iv time.Duration, ratio float64) float64 {
-		return handoff.Evaluate(pt, mk(), iv).MedianSessionTimeWeighted(ratio)
-	}
-	var rowJobs []Future[[]string]
-	for _, iv := range []time.Duration{500 * time.Millisecond, time.Second,
-		2 * time.Second, 4 * time.Second, 8 * time.Second} {
-		rowJobs = append(rowJobs, goJob(eng, func() []string {
-			return []string{"(a) interval", fmt.Sprintf("%gs", iv.Seconds()),
-				fmt.Sprintf("%.0fs", oracle(func() handoff.Policy { return handoff.NewAllBSes() }, iv, 0.5)),
-				fmt.Sprintf("%.0fs", vifi.MedianSession(iv, 0.5)),
-				fmt.Sprintf("%.0fs", oracle(func() handoff.Policy { return handoff.NewBestBS() }, iv, 0.5)),
-				fmt.Sprintf("%.0fs", brr.MedianSession(iv, 0.5))}
-		}))
-	}
-	for _, ratio := range []float64{0.1, 0.3, 0.5, 0.7, 0.9} {
-		rowJobs = append(rowJobs, goJob(eng, func() []string {
-			return []string{"(b) ratio", pct(ratio),
-				fmt.Sprintf("%.0fs", oracle(func() handoff.Policy { return handoff.NewAllBSes() }, time.Second, ratio)),
-				fmt.Sprintf("%.0fs", vifi.MedianSession(time.Second, ratio)),
-				fmt.Sprintf("%.0fs", oracle(func() handoff.Policy { return handoff.NewBestBS() }, time.Second, ratio)),
-				fmt.Sprintf("%.0fs", brr.MedianSession(time.Second, ratio))}
-		}))
-	}
-	for _, f := range rowJobs {
-		r.AddRow(f.Wait()...)
-	}
+	pt := ptF.Wait()
+	// The oracles are one trace replay each, pool jobs; every row then
+	// reduces their slot tables and the two live runs' alike.
+	allF := goJob(eng, func() *handoff.Result { return handoff.Evaluate(pt, handoff.NewAllBSes()) })
+	bestF := goJob(eng, func() *handoff.Result { return handoff.Evaluate(pt, handoff.NewBestBS()) })
+	addSessionSweep(r, []time.Duration{500 * time.Millisecond, time.Second,
+		2 * time.Second, 4 * time.Second, 8 * time.Second},
+		&allF.Wait().SlotTable, vifiF.Wait().Link(), &bestF.Wait().SlotTable, brrF.Wait().Link())
 	r.AddNote("paper shape: ViFi beats the BestBS oracle and approaches AllBSes; BRR trails badly")
 	return r
 }
@@ -77,12 +55,7 @@ func Fig8(o Options) *Report {
 		futs[i] = eng.Testbed(o.Seed, EnvVanLAN, workload.CBRKind, c.cfg, dur, false)
 	}
 	for i, c := range arms {
-		ratios := futs[i].Wait().Link().intervalRatios(0, time.Second)
-		adequate := make([]bool, len(ratios))
-		for i, ratio := range ratios {
-			adequate[i] = ratio >= 0.5
-		}
-		_, interruptions := stats.Sessions(ratios, 0.5, 1)
+		adequate, interruptions := futs[i].Wait().Link().Timeline(0)
 		r.AddRow(c.name, sparkline(adequate))
 		r.AddRow(c.name+" interruptions", fmt.Sprint(interruptions))
 	}

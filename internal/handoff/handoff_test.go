@@ -2,12 +2,26 @@ package handoff
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
 	"github.com/vanlan/vifi/internal/mobility"
 	"github.com/vanlan/vifi/internal/trace"
 )
+
+// oneBSTrace builds a one-basestation ProbeTrace whose per-slot outcomes
+// are up and down: replayed under AllBSes, its slot table is exactly them.
+func oneBSTrace(up, down []bool, slotDur time.Duration, slotsPerTrip int) *trace.ProbeTrace {
+	pt := &trace.ProbeTrace{BSes: []string{"bs0"}, SlotDur: slotDur, Slots: len(up), SlotsPerTrip: slotsPerTrip}
+	for s := range up {
+		pt.Up = append(pt.Up, []bool{up[s]})
+		pt.Down = append(pt.Down, []bool{down[s]})
+		pt.RSSI = append(pt.RSSI, []float64{math.NaN()})
+		pt.Pos = append(pt.Pos, mobility.Point{})
+	}
+	return pt
+}
 
 // syntheticTrace builds a hand-crafted ProbeTrace: 2 BSes, 10 slots/sec.
 // BS 0 is perfect for the first half, dead after; BS 1 the reverse.
@@ -44,20 +58,18 @@ func vanlanTrace(t testing.TB, seed int64, trips int) *trace.ProbeTrace {
 
 func TestEvaluateAllBSesPerfectOnSynthetic(t *testing.T) {
 	pt := syntheticTrace(200)
-	res := Evaluate(pt, NewAllBSes(), time.Second)
+	res := Evaluate(pt, NewAllBSes())
 	if res.Delivered() != 400 {
 		t.Errorf("AllBSes delivered %d, want 400 (every slot both directions)", res.Delivered())
 	}
-	for i, r := range res.IntervalRatio {
-		if r != 1 {
-			t.Errorf("interval %d ratio = %v, want 1", i, r)
-		}
+	if got := res.Sessions(time.Second, 1); !slices.Equal(got, []float64{20}) {
+		t.Errorf("sessions at 100%% = %v, want one of 20 s", got)
 	}
 }
 
 func TestEvaluateBRRTracksHandover(t *testing.T) {
 	pt := syntheticTrace(400)
-	res := Evaluate(pt, NewBRR(), time.Second)
+	res := Evaluate(pt, NewBRR())
 	// BRR must capture most of both halves, losing only the adaptation lag
 	// around the switch (EWMA α=0.5 halves in one second).
 	if res.Delivered() < 700 {
@@ -70,7 +82,7 @@ func TestEvaluateBRRTracksHandover(t *testing.T) {
 
 func TestEvaluateRSSIPicksStrongest(t *testing.T) {
 	pt := syntheticTrace(400)
-	res := Evaluate(pt, NewRSSI(), time.Second)
+	res := Evaluate(pt, NewRSSI())
 	if res.Delivered() < 700 {
 		t.Errorf("RSSI delivered %d/800", res.Delivered())
 	}
@@ -78,7 +90,7 @@ func TestEvaluateRSSIPicksStrongest(t *testing.T) {
 
 func TestStickyHoldsThroughTimeout(t *testing.T) {
 	pt := syntheticTrace(400) // switch at slot 200; sticky timeout = 30 slots
-	res := Evaluate(pt, NewSticky(), time.Second)
+	res := Evaluate(pt, NewSticky())
 	// Sticky stays on dead BS0 for 3 s (30 slots ⇒ 60 packets lost) before
 	// re-associating.
 	if res.Delivered() > 800-55 {
@@ -91,9 +103,9 @@ func TestStickyHoldsThroughTimeout(t *testing.T) {
 
 func TestBestBSOracleBeatsPractical(t *testing.T) {
 	pt := vanlanTrace(t, 11, 3)
-	best := Evaluate(pt, NewBestBS(), time.Second)
-	brr := Evaluate(pt, NewBRR(), time.Second)
-	rssi := Evaluate(pt, NewRSSI(), time.Second)
+	best := Evaluate(pt, NewBestBS())
+	brr := Evaluate(pt, NewBRR())
+	rssi := Evaluate(pt, NewRSSI())
 	if best.Delivered() < brr.Delivered() {
 		t.Errorf("BestBS (%d) worse than BRR (%d)", best.Delivered(), brr.Delivered())
 	}
@@ -104,9 +116,9 @@ func TestBestBSOracleBeatsPractical(t *testing.T) {
 
 func TestAllBSesDominatesEverything(t *testing.T) {
 	pt := vanlanTrace(t, 12, 3)
-	all := Evaluate(pt, NewAllBSes(), time.Second)
+	all := Evaluate(pt, NewAllBSes())
 	for _, p := range []Policy{NewRSSI(), NewBRR(), NewSticky(), NewHistory(), NewBestBS()} {
-		r := Evaluate(pt, p, time.Second)
+		r := Evaluate(pt, p)
 		if r.Delivered() > all.Delivered() {
 			t.Errorf("%s (%d) beat AllBSes (%d)", p.Name(), r.Delivered(), all.Delivered())
 		}
@@ -116,7 +128,7 @@ func TestAllBSesDominatesEverything(t *testing.T) {
 func TestPaperOrderingOnVanLAN(t *testing.T) {
 	// The paper's Fig 2 ordering: AllBSes > BestBS > {History,RSSI,BRR} > Sticky.
 	pt := vanlanTrace(t, 13, 6)
-	get := func(p Policy) int { return Evaluate(pt, p, time.Second).Delivered() }
+	get := func(p Policy) int { return Evaluate(pt, p).Delivered() }
 	all := get(NewAllBSes())
 	best := get(NewBestBS())
 	brr := get(NewBRR())
@@ -137,7 +149,7 @@ func TestSessionLengthsOrdering(t *testing.T) {
 	// of AllBSes exceeds BestBS, which exceeds BRR.
 	pt := vanlanTrace(t, 14, 6)
 	med := func(p Policy) float64 {
-		return Evaluate(pt, p, time.Second).MedianSessionTimeWeighted(0.5)
+		return Evaluate(pt, p).MedianSession(time.Second, 0.5)
 	}
 	all := med(NewAllBSes())
 	best := med(NewBestBS())
@@ -153,8 +165,8 @@ func TestSessionLengthsOrdering(t *testing.T) {
 func TestSessionsRespectTripBoundaries(t *testing.T) {
 	pt := syntheticTrace(400)
 	pt.SlotsPerTrip = 100 // 4 trips of 10 s
-	res := Evaluate(pt, NewAllBSes(), time.Second)
-	lens := res.Sessions(0.5)
+	res := Evaluate(pt, NewAllBSes())
+	lens := res.Sessions(time.Second, 0.5)
 	// Perfect connectivity, but split at trip boundaries: 4 sessions of 10 s.
 	if len(lens) != 4 {
 		t.Fatalf("sessions = %v, want 4 entries", lens)
@@ -167,21 +179,10 @@ func TestSessionsRespectTripBoundaries(t *testing.T) {
 }
 
 func TestSessionsSplitOnBadIntervals(t *testing.T) {
-	r := &Result{
-		Policy:        "x",
-		IntervalDur:   time.Second,
-		IntervalRatio: []float64{1, 1, 0.2, 1, 1, 1, 0.1, 1},
-		IntervalTrip:  []int{0, 0, 0, 0, 0, 0, 0, 0},
-	}
-	lens := r.Sessions(0.5)
-	want := []float64{2, 3, 1}
-	if len(lens) != len(want) {
-		t.Fatalf("sessions = %v, want %v", lens, want)
-	}
-	for i := range want {
-		if lens[i] != want[i] {
-			t.Errorf("session %d = %v, want %v", i, lens[i], want[i])
-		}
+	ok := []bool{true, true, false, true, true, true, false, true}
+	res := Evaluate(oneBSTrace(ok, ok, time.Second, 0), NewAllBSes())
+	if lens := res.Sessions(time.Second, 0.5); !slices.Equal(lens, []float64{2, 3, 1}) {
+		t.Errorf("sessions = %v, want [2 3 1]", lens)
 	}
 }
 
@@ -189,18 +190,17 @@ func TestMedianTimeWeighted(t *testing.T) {
 	// Sessions: 1s ×9 and one 91s session (the row stats.TestTimeWeightedMedian
 	// pins). Time-weighted median = 91 (more than half the time is inside
 	// the long session); the plain median would be 1.
-	r := &Result{IntervalDur: time.Second}
+	var ok []bool
 	for i := 0; i < 9; i++ {
-		r.IntervalRatio = append(r.IntervalRatio, 1, 0)
+		ok = append(ok, true, false)
 	}
 	for i := 0; i < 91; i++ {
-		r.IntervalRatio = append(r.IntervalRatio, 1)
+		ok = append(ok, true)
 	}
-	r.IntervalTrip = make([]int, len(r.IntervalRatio))
-	if got := r.MedianSessionTimeWeighted(0.5); got != 91 {
+	if got := Evaluate(oneBSTrace(ok, ok, time.Second, 0), NewAllBSes()).MedianSession(time.Second, 0.5); got != 91 {
 		t.Errorf("time-weighted median = %v, want 91", got)
 	}
-	if got := (&Result{IntervalDur: time.Second}).MedianSessionTimeWeighted(0.5); got != 0 {
+	if got := Evaluate(oneBSTrace(nil, nil, time.Second, 0), NewAllBSes()).MedianSession(time.Second, 0.5); got != 0 {
 		t.Errorf("empty median = %v", got)
 	}
 }
@@ -302,36 +302,51 @@ func TestPracticalPoliciesAreCausal(t *testing.T) {
 
 func TestTripTimeline(t *testing.T) {
 	pt := vanlanTrace(t, 16, 2)
-	tl := TripTimeline(pt, NewBRR(), 0, 0.5)
-	if len(tl.Adequate) == 0 {
-		t.Fatal("empty timeline")
+	res := Evaluate(pt, NewBRR())
+	adequate, interruptions := res.Timeline(0)
+	// One cell per whole second of the trip: its trailing partial second
+	// is dropped.
+	if want := pt.SlotsPerTrip / 10; len(adequate) != want {
+		t.Fatalf("timeline has %d cells, want %d", len(adequate), want)
 	}
-	if len(tl.Adequate) != len(tl.Positions) {
-		t.Fatal("positions and adequacy disagree")
+	// Interruptions are the adequate→inadequate transitions (one if the
+	// trip opens inadequate).
+	n, prev := 0, true
+	for _, ok := range adequate {
+		if !ok && prev {
+			n++
+		}
+		prev = ok
 	}
-	// Interruptions must coincide with the beginning of inadequate runs.
-	for _, in := range tl.Interruptions {
-		if tl.Adequate[in.AtSecond] {
-			t.Errorf("interruption at second %d marked adequate", in.AtSecond)
-		}
-		if in.AtSecond > 0 && !tl.Adequate[in.AtSecond-1] {
-			t.Errorf("interruption at %d not a transition", in.AtSecond)
-		}
+	if interruptions != n {
+		t.Errorf("interruptions = %d, the timeline shows %d", interruptions, n)
 	}
 	// BRR on VanLAN should suffer at least one interruption per trip
 	// (the Fig 3a finding).
-	if len(tl.Interruptions) == 0 {
+	if interruptions == 0 {
 		t.Error("BRR trip had no interruptions at all")
 	}
 }
 
-func TestEvaluateIntervalSizes(t *testing.T) {
+func TestEvaluateRowsPerTrip(t *testing.T) {
+	// Trips of 15 s over a 40 s trace: rows of 150, 150 and 100 slots.
 	pt := syntheticTrace(400)
-	for _, iv := range []time.Duration{500 * time.Millisecond, time.Second, 4 * time.Second} {
-		res := Evaluate(pt, NewAllBSes(), iv)
-		wantIntervals := int(time.Duration(400) * 100 * time.Millisecond / iv)
-		if len(res.IntervalRatio) != wantIntervals {
-			t.Errorf("interval %v: got %d intervals, want %d", iv, len(res.IntervalRatio), wantIntervals)
+	pt.SlotsPerTrip = 150
+	res := Evaluate(pt, NewAllBSes())
+	if len(res.Up) != 3 || len(res.Up[0]) != 150 || len(res.Up[2]) != 100 {
+		t.Fatalf("rows of %d slots", len(res.Up))
+	}
+	// A trip's trailing partial interval is dropped: 15 s holds three
+	// whole 4 s intervals, 10 s two.
+	for _, tc := range []struct {
+		iv   time.Duration
+		want []float64
+	}{
+		{time.Second, []float64{15, 15, 10}},
+		{4 * time.Second, []float64{12, 12, 8}},
+	} {
+		if got := res.Sessions(tc.iv, 0.5); !slices.Equal(got, tc.want) {
+			t.Errorf("interval %v: sessions %v, want %v", tc.iv, got, tc.want)
 		}
 	}
 }
@@ -340,10 +355,10 @@ func TestLongerIntervalsNeverShortenSessions(t *testing.T) {
 	// A longer averaging interval is a weaker requirement (Fig 4a): the
 	// median session must be non-decreasing in the interval.
 	pt := vanlanTrace(t, 17, 4)
+	res := Evaluate(pt, NewBRR())
 	prev := -1.0
 	for _, iv := range []time.Duration{time.Second, 2 * time.Second, 4 * time.Second, 8 * time.Second} {
-		res := Evaluate(pt, NewBRR(), iv)
-		med := res.MedianSessionTimeWeighted(0.5)
+		med := res.MedianSession(iv, 0.5)
 		if med < prev {
 			t.Errorf("median session shrank from %v to %v at interval %v", prev, med, iv)
 		}

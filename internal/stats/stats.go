@@ -1,7 +1,8 @@
 // Package stats provides the small statistical toolkit used throughout the
 // ViFi reproduction: samples with quantiles and confidence intervals,
 // empirical CDFs, exponentially weighted moving averages, and the paper's
-// session metric (Sessions, TimeWeightedMedian).
+// session metric (Sessions, TimeWeightedMedian, and the SlotTable that
+// feeds them).
 //
 // The package is deliberately dependency-free and allocation-conscious; the
 // experiment harnesses construct millions of samples per run.

@@ -231,7 +231,7 @@ func TestMeanCI95Coverage(t *testing.T) {
 }
 
 // TestSessions pins the session reducer against hand-computed values:
-// the same runs and interruption counts the FleetRun, handoff and voip
+// the same runs and interruption counts the SlotTable, handoff and voip
 // tests expect from their readings of it.
 func TestSessions(t *testing.T) {
 	cases := []struct {

@@ -32,6 +32,7 @@ import (
 	"github.com/vanlan/vifi/internal/mobility"
 	"github.com/vanlan/vifi/internal/scenario"
 	"github.com/vanlan/vifi/internal/sim"
+	"github.com/vanlan/vifi/internal/stats"
 	"github.com/vanlan/vifi/internal/trace"
 	"github.com/vanlan/vifi/internal/voip"
 	"github.com/vanlan/vifi/internal/workload"
@@ -138,7 +139,7 @@ type FleetRun = experiment.FleetAppRun
 
 // LinkRun is the slot-level delivery table behind a CBR fleet's link
 // metrics (FleetRun.Link).
-type LinkRun = experiment.FleetRun
+type LinkRun = stats.SlotTable
 
 // AppKind selects a per-vehicle application workload in a scenario spec
 // (app=cbr|tcp|voip|web|mixed).

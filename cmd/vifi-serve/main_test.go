@@ -107,21 +107,51 @@ func waitDone(t *testing.T, sv *server, id string) {
 	}
 }
 
+// TestServeReportMatchesBatch: a session's final report is the batch
+// report, for a generated fleet and for a paper testbed alike.
 func TestServeReportMatchesBatch(t *testing.T) {
 	sv, ts := startTestServer(t, 2)
-	id := createSession(t, ts, `{"scenario":"grid-small","duration":"30s","seed":17}`)
-	if id != "s1" {
-		t.Fatalf("id = %q, want s1", id)
+	for i, scn := range []string{"grid-small", "vanlan,app=voip"} {
+		id := createSession(t, ts, fmt.Sprintf(`{"scenario":%q,"duration":"30s","seed":17}`, scn))
+		if want := fmt.Sprintf("s%d", i+1); id != want {
+			t.Fatalf("id = %q, want %s", id, want)
+		}
+		waitDone(t, sv, id)
+
+		code, got := get(t, ts, "/v1/sessions/"+id+"/report")
+		if code != http.StatusOK {
+			t.Fatalf("%s report: status %d: %s", scn, code, got)
+		}
+		want := batchReport(t, scn, 17, 30*time.Second, 1)
+		if string(got) != want {
+			t.Errorf("%s: serve report differs from batch:\n--- serve ---\n%s--- batch ---\n%s", scn, got, want)
+		}
 	}
+}
+
+// TestServeTraceDrivenShardsRunSerially: a session asking a trace-driven
+// testbed for shards runs it serially (its trace links have no cutoff to
+// shard by) and reports exactly the serial batch run.
+func TestServeTraceDrivenShardsRunSerially(t *testing.T) {
+	sv, ts := startTestServer(t, 2)
+	id := createSession(t, ts, `{"scenario":"dieselnet1,app=tcp","duration":"20s","seed":7,"shards":4}`)
 	waitDone(t, sv, id)
 
 	code, got := get(t, ts, "/v1/sessions/"+id+"/report")
 	if code != http.StatusOK {
 		t.Fatalf("report: status %d: %s", code, got)
 	}
-	want := batchReport(t, "grid-small", 17, 30*time.Second, 1)
+	want := batchReport(t, "dieselnet1,app=tcp", 7, 20*time.Second, 1)
 	if string(got) != want {
-		t.Errorf("serve report differs from batch:\n--- serve ---\n%s--- batch ---\n%s", got, want)
+		t.Errorf("sharded trace-driven report differs from serial batch:\n--- serve ---\n%s--- batch ---\n%s", got, want)
+	}
+	var info sessionInfo
+	_, b := get(t, ts, "/v1/sessions/"+id)
+	if err := json.Unmarshal(b, &info); err != nil {
+		t.Fatal(err)
+	}
+	if info.Shards != 1 || info.Lanes != 0 {
+		t.Errorf("info shards=%d lanes=%d, want a serial run (1, 0)", info.Shards, info.Lanes)
 	}
 }
 

@@ -7,9 +7,14 @@ import (
 
 func TestBadInputs(t *testing.T) {
 	cases := [][]string{
-		{"-env", "mars"},
+		{"-scenario", "mars"},
 		{"-protocol", "carrier-pigeon"},
-		{"-workload", "quic"},
+		{"-scenario", "vanlan,app=quic"},
+		{"-scenario", "vanlan,vehicles=2"},
+		// The paper's testbeds are scenario presets: the old
+		// environment/workload flags are gone.
+		{"-env", "vanlan"},
+		{"-workload", "voip"},
 		{"-nope"},
 	}
 	for _, args := range cases {
@@ -29,11 +34,11 @@ func TestHelpExitsZero(t *testing.T) {
 
 func TestVoIPEndToEnd(t *testing.T) {
 	var out, errb strings.Builder
-	args := []string{"-env", "vanlan", "-protocol", "vifi", "-workload", "voip", "-duration", "45s"}
+	args := []string{"-scenario", "vanlan,app=voip", "-protocol", "vifi", "-duration", "45s"}
 	if code := run(args, &out, &errb); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errb.String())
 	}
-	for _, want := range []string{"environment=VanLAN", "protocol=vifi", "mean MoS"} {
+	for _, want := range []string{"scenario=vanlan bs=11", "protocol=vifi", "11 basestations, 1 vehicles", "mean MoS"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("output missing %q:\n%s", want, out.String())
 		}
@@ -44,7 +49,7 @@ func TestVoIPEndToEnd(t *testing.T) {
 // two arms, parallel pool, both sections present in order.
 func TestMultiProtocolCompare(t *testing.T) {
 	var out, errb strings.Builder
-	args := []string{"-env", "dieselnet1", "-protocol", "vifi,brr", "-workload", "tcp",
+	args := []string{"-scenario", "dieselnet1,app=tcp", "-protocol", "vifi,brr",
 		"-duration", "40s", "-parallel", "2"}
 	if code := run(args, &out, &errb); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errb.String())
@@ -55,19 +60,44 @@ func TestMultiProtocolCompare(t *testing.T) {
 	if vifiAt < 0 || brrAt < 0 || brrAt < vifiAt {
 		t.Errorf("protocol sections missing or out of order:\n%s", s)
 	}
-	if strings.Count(s, "completed transfers:") != 2 {
+	if strings.Count(s, "tcp transfers:") != 2 {
 		t.Errorf("want one TCP summary per protocol:\n%s", s)
 	}
 }
 
+// TestProbesWorkload runs the default app on a testbed: the §5.2
+// link-layer probe.
 func TestProbesWorkload(t *testing.T) {
 	var out, errb strings.Builder
-	args := []string{"-workload", "probes", "-duration", "30s"}
+	args := []string{"-scenario", "vanlan", "-duration", "30s"}
 	if code := run(args, &out, &errb); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errb.String())
 	}
-	if strings.Count(out.String(), "median session") != 4 {
-		t.Errorf("want four adequacy rows:\n%s", out.String())
+	for _, want := range []string{"app=cbr", "median session (1s,50%)", "interruptions:"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("output missing %q:\n%s", want, out.String())
+		}
+	}
+}
+
+// TestTraceDrivenShardsRunSerially: a trace-driven testbed's links have
+// no radio cutoff to shard by, so -shards 4 runs it serially — no panic,
+// no shard log, and -shards 1's stdout byte for byte.
+func TestTraceDrivenShardsRunSerially(t *testing.T) {
+	outputs := make([]string, 2)
+	for i, shards := range []string{"1", "4"} {
+		var out, errb strings.Builder
+		args := []string{"-scenario", "dieselnet1,app=tcp", "-duration", "30s", "-seed", "7", "-shards", shards}
+		if code := run(args, &out, &errb); code != 0 {
+			t.Fatalf("-shards %s: exit %d, stderr: %s", shards, code, errb.String())
+		}
+		if errb.Len() != 0 {
+			t.Errorf("-shards %s: stderr %q, want no shard log", shards, errb.String())
+		}
+		outputs[i] = out.String()
+	}
+	if outputs[0] != outputs[1] {
+		t.Errorf("-shards 4 stdout differs from -shards 1:\n%s\nvs\n%s", outputs[1], outputs[0])
 	}
 }
 
@@ -97,14 +127,14 @@ func TestScenarioFleetWorkload(t *testing.T) {
 	}
 }
 
-// TestScenarioListAndErrors covers the preset listing, the spec-error
-// exit path and the -env/-workload values a scenario run ignores.
+// TestScenarioListAndErrors covers the preset listing (the testbeds
+// included) and the spec-error exit path.
 func TestScenarioListAndErrors(t *testing.T) {
 	var out, errb strings.Builder
 	if code := run([]string{"-scenario", "list"}, &out, &errb); code != 0 {
 		t.Fatalf("list: exit %d", code)
 	}
-	for _, want := range []string{"grid-city", "strip-highway", "cluster-town"} {
+	for _, want := range []string{"grid-city", "strip-highway", "cluster-town", "vanlan", "dieselnet1", "dieselnet6"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("preset %s missing from list:\n%s", want, out.String())
 		}
@@ -113,13 +143,5 @@ func TestScenarioListAndErrors(t *testing.T) {
 	errb.Reset()
 	if code := run([]string{"-scenario", "grid-city,bogus=1"}, &out, &errb); code != 2 {
 		t.Errorf("bad override: exit %d, want 2", code)
-	}
-	// -scenario replaces -env and -workload: a value there is ignored,
-	// not rejected.
-	out.Reset()
-	errb.Reset()
-	args := []string{"-scenario", "grid-small,vehicles=2", "-env", "mars", "-workload", "quic", "-duration", "5s"}
-	if code := run(args, &out, &errb); code != 0 {
-		t.Errorf("ignored -env/-workload: exit %d, stderr: %s", code, errb.String())
 	}
 }

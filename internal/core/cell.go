@@ -255,14 +255,3 @@ func (c *Cell) HookVehicle(i int, down, up DeliverFunc) {
 	v.SetDeliver(down)
 	c.GatewayFor(i).SetVehicleDeliver(v.Addr(), up)
 }
-
-// NewVanLANCell builds a cell over the VanLAN campus: its eleven
-// basestations and the shuttle loop.
-func NewVanLANCell(k *sim.Kernel, opts CellOptions) *Cell {
-	v := mobility.NewVanLAN()
-	movers := make([]mobility.Mover, len(v.BSes))
-	for i, p := range v.BSes {
-		movers[i] = mobility.Fixed(p)
-	}
-	return NewCell(k, opts, movers, &mobility.RouteMover{Route: v.Route})
-}

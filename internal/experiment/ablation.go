@@ -4,13 +4,12 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/vanlan/vifi/internal/backplane"
 	"github.com/vanlan/vifi/internal/core"
 	"github.com/vanlan/vifi/internal/frame"
 	"github.com/vanlan/vifi/internal/mobility"
+	"github.com/vanlan/vifi/internal/obs"
 	"github.com/vanlan/vifi/internal/radio"
 	"github.com/vanlan/vifi/internal/sim"
-	"github.com/vanlan/vifi/internal/voip"
 	"github.com/vanlan/vifi/internal/workload"
 )
 
@@ -77,20 +76,25 @@ func runSymmetricCell(seed int64, nAux int, dur time.Duration, col *Collector, m
 		movers[i] = mobility.Fixed{X: float64(i) * 10}
 	}
 	cell := core.NewCell(k, opts, movers, mobility.Fixed{X: float64(nbs) * 10})
-	publish := sampleRun(k, cell, nil, nil, mi, dur,
-		runMeta("ablate-aux", fmt.Sprintf("aux=%d", nAux), seed, 1, dur, cfg))
+	var sp *obs.Sampler
+	if mi > 0 {
+		sp = obs.Attach(k, buildRegistry(k, cell, nil, nil), mi, dur,
+			runMeta("ablate-aux", fmt.Sprintf("aux=%d", nAux), seed, 1, dur, cfg))
+	}
 	k.RunUntil(3 * time.Second)
 	n := int((dur - 3*time.Second) / (50 * time.Millisecond))
 	k.Every(3*time.Second, 50*time.Millisecond, n, func(int) {
 		cell.Gateway.Send(cell.Vehicle.Addr(), make([]byte, 200))
 	})
 	k.RunUntil(dur)
-	publish()
+	if sp != nil {
+		logRecording(sp.Recording())
+	}
 }
 
 // AblateDiversity probes §3.4.1's claim that two to three basestations
 // capture most of the diversity gain: ViFi VoIP session length on VanLAN
-// restricted to k basestations.
+// restricted to its first k basestations.
 func AblateDiversity(o Options) *Report {
 	r := &Report{
 		ID:     "ablate-diversity",
@@ -100,23 +104,14 @@ func AblateDiversity(o Options) *Report {
 	eng := o.engine()
 	dur := time.Duration(o.scaled(900)) * time.Second
 	counts := []int{1, 2, 3, 5, 8, 11}
-	futs := make([]Future[voip.Quality], len(counts))
+	futs := make([]Future[*FleetAppRun], len(counts))
 	for i, nb := range counts {
-		futs[i] = goJob(eng, func() voip.Quality {
-			v := mobility.NewVanLAN()
-			k := sim.NewKernel(o.Seed)
-			opts := core.DefaultCellOptions()
-			movers := make([]mobility.Mover, nb)
-			for j := 0; j < nb; j++ {
-				movers[j] = mobility.Fixed(v.BSes[j])
-			}
-			cell := core.NewCell(k, opts, movers, &mobility.RouteMover{Route: v.Route})
-			return runTestbed(k, cell, workload.VoIPKind, dur, nil, eng.metricsInterval,
-				runMeta("ablate-diversity", fmt.Sprintf("bses=%d", nb), o.Seed, 1, dur, opts.Protocol)).VoIP
-		})
+		spec := testbedSpec("vanlan", workload.VoIPKind)
+		spec.BS = nb
+		futs[i] = eng.FleetApp(o.Seed, spec, core.DefaultConfig(), dur, 1)
 	}
 	for i, nb := range counts {
-		q := futs[i].Wait()
+		q := futs[i].Wait().PerVehicle[0].VoIP
 		r.AddRow(fmt.Sprint(nb), f1(q.MedianSessionSec), f2(q.MeanMoS))
 	}
 	r.AddNote("paper shape: most of the gain arrives by 2–3 BSes (§3.4.1)")
@@ -144,22 +139,14 @@ func AblateBackplane(o Options) *Report {
 		{"100 Mbit/s, 1 ms (LAN)", 100e6, time.Millisecond},
 	}
 	eng := o.engine()
-	futs := make([]Future[workload.Metrics], len(cases))
+	futs := make([]Future[*FleetAppRun], len(cases))
 	for i, c := range cases {
-		futs[i] = goJob(eng, func() workload.Metrics {
-			k := sim.NewKernel(o.Seed)
-			opts := core.DefaultCellOptions()
-			opts.Backplane = backplane.Config{
-				Access:    backplane.LinkSpec{RateBps: c.rate, Delay: c.delay},
-				CoreDelay: c.delay / 2,
-			}
-			cell := core.NewVanLANCell(k, opts)
-			return runTestbed(k, cell, workload.TCPKind, dur, nil, eng.metricsInterval,
-				runMeta("ablate-backplane", c.name, o.Seed, 1, dur, opts.Protocol)).Metrics
-		})
+		spec := testbedSpec("vanlan", workload.TCPKind)
+		spec.BackplaneRateBps, spec.BackplaneDelay = c.rate, c.delay
+		futs[i] = eng.FleetApp(o.Seed, spec, core.DefaultConfig(), dur, 1)
 	}
 	for i, c := range cases {
-		m := futs[i].Wait()
+		m := futs[i].Wait().PerVehicle[0]
 		r.AddRow(c.name, f2(m.TransferQuantile(0.5)), f1(m.TransfersPerSession()))
 	}
 	r.AddNote("design claim: ViFi needs little backplane capacity — thin links should perform close to a LAN")
@@ -177,7 +164,7 @@ func AblateSalvage(o Options) *Report {
 	eng := o.engine()
 	dur := time.Duration(o.scaled(1200)) * time.Second
 	windows := []time.Duration{0, 500 * time.Millisecond, time.Second, 2 * time.Second, 4 * time.Second}
-	futs := make([]Future[*TestbedRun], len(windows))
+	futs := make([]Future[*FleetAppRun], len(windows))
 	for i, w := range windows {
 		cfg := core.DefaultConfig()
 		if w == 0 {
@@ -185,13 +172,14 @@ func AblateSalvage(o Options) *Report {
 		} else {
 			cfg.SalvageWindow = w
 		}
-		futs[i] = eng.Testbed(o.Seed, EnvVanLAN, workload.TCPKind, cfg, dur, true)
+		futs[i] = eng.collect(o.Seed, testbedSpec("vanlan", workload.TCPKind), cfg, dur)
 	}
 	for i, w := range windows {
 		run := futs[i].Wait()
+		m := run.PerVehicle[0]
 		r.AddRow(fmt.Sprintf("%gs", w.Seconds()),
-			f2(run.TransferQuantile(0.5)),
-			f1(run.TransfersPerSession()),
+			f2(m.TransferQuantile(0.5)),
+			f1(m.TransfersPerSession()),
 			fmt.Sprint(run.Collector.Salvaged))
 	}
 	r.AddNote("paper: the 1 s window (minimum TCP RTO) captures the disproportionate benefit; little beyond it")
@@ -208,18 +196,18 @@ func AblateRetx(o Options) *Report {
 	eng := o.engine()
 	dur := time.Duration(o.scaled(900)) * time.Second
 	percentiles := []float64{0.5, 0.9, 0.99, 0.999}
-	futs := make([]Future[*TestbedRun], len(percentiles))
+	futs := make([]Future[*FleetAppRun], len(percentiles))
 	for i, p := range percentiles {
 		cfg := core.DefaultConfig()
 		cfg.RetxPercentile = p
-		futs[i] = eng.Testbed(o.Seed, EnvVanLAN, workload.TCPKind, cfg, dur, true)
+		futs[i] = eng.collect(o.Seed, testbedSpec("vanlan", workload.TCPKind), cfg, dur)
 	}
 	for i, p := range percentiles {
 		run := futs[i].Wait()
 		// Spurious retransmissions ≈ retransmitted attempts whose earlier
 		// attempt had already reached the destination.
 		spurious := spuriousRetxRate(run.Collector)
-		r.AddRow(fmt.Sprintf("%g", p), f2(run.TransferQuantile(0.5)), f2(spurious))
+		r.AddRow(fmt.Sprintf("%g", p), f2(run.PerVehicle[0].TransferQuantile(0.5)), f2(spurious))
 	}
 	r.AddNote("paper: the 99th percentile errs toward waiting, trading delay for fewer spurious retransmissions")
 	return r

@@ -1,8 +1,11 @@
 package experiment
 
 import (
+	"time"
+
 	"github.com/vanlan/vifi/internal/core"
 	"github.com/vanlan/vifi/internal/frame"
+	"github.com/vanlan/vifi/internal/sim"
 )
 
 // txKey identifies one source transmission (direction + packet id +
@@ -42,13 +45,26 @@ type Collector struct {
 	Drops      [2]int
 
 	// AuxCountSamples collects the vehicle's auxiliary-set size over time
-	// (Table 1 row A1); the runner feeds it once per second.
+	// (Table 1 row A1): a collecting TCP run feeds it once per second.
 	AuxCountSamples []int
 }
 
 // NewCollector returns an empty collector.
 func NewCollector() *Collector {
 	return &Collector{tx: map[txKey]*txRecord{}}
+}
+
+// sampleAux appends veh's auxiliary-set size to AuxCountSamples once per
+// second from fleetWarm until dur.
+func (c *Collector) sampleAux(k *sim.Kernel, veh *core.Node, dur time.Duration) {
+	var sample func()
+	sample = func() {
+		c.AuxCountSamples = append(c.AuxCountSamples, veh.AuxCount())
+		if k.Now() < dur {
+			k.After(time.Second, sample)
+		}
+	}
+	k.After(fleetWarm, sample)
 }
 
 // Handle is the core.EventFunc sink.

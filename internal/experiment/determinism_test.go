@@ -243,17 +243,19 @@ func checkWellFormed(t *testing.T, id string, rep *Report) {
 	}
 }
 
-// TestTestbedJobSharing checks the testbed job's memoization contract:
-// equal inputs run one job and hand every requester the same result, a
-// differing duration misses; the probe normalizes MaxRetx away, so configurations differing only there
-// share a run; a collecting and a plain run are two runs. DieselNet cells
-// read the engine's trace memo: one engine hands both cells of a seed the
-// same trace, two engines generate their own.
-func TestTestbedJobSharing(t *testing.T) {
+// TestPresetJobSharing checks the memoization contract of the paper's
+// runs, one-vehicle FleetApp runs over the testbed presets: equal inputs
+// run one job and hand every requester the same result, a differing
+// duration misses; the probe normalizes MaxRetx away, so configurations
+// differing only there share a run; a collecting and a plain run are two
+// runs. DieselNet runs read the engine's trace memo: one engine makes one
+// trace per seed for every run on it, two engines make their own.
+func TestPresetJobSharing(t *testing.T) {
 	eng := NewEngine(2)
 	cfg := core.DefaultConfig()
-	a := eng.Testbed(5, EnvVanLAN, workload.TCPKind, cfg, 30*time.Second, true)
-	b := eng.Testbed(5, EnvVanLAN, workload.TCPKind, cfg, 30*time.Second, true)
+	tcp := testbedSpec("vanlan", workload.TCPKind)
+	a := eng.collect(5, tcp, cfg, 30*time.Second)
+	b := eng.collect(5, tcp, cfg, 30*time.Second)
 	if a.Wait() != b.Wait() {
 		t.Error("identical TCP jobs returned distinct results")
 	}
@@ -261,21 +263,22 @@ func TestTestbedJobSharing(t *testing.T) {
 		t.Errorf("jobs/hits = %d/%d, want 1/1", jobs, hits)
 	}
 	// A differing duration must miss.
-	c := eng.Testbed(5, EnvVanLAN, workload.TCPKind, cfg, 31*time.Second, true)
+	c := eng.collect(5, tcp, cfg, 31*time.Second)
 	if c.Wait() == a.Wait() {
 		t.Error("different durations shared a result")
 	}
 	if jobs, hits := eng.Jobs(), eng.CacheHits(); jobs != 2 || hits != 1 {
 		t.Errorf("jobs/hits = %d/%d, want 2/1", jobs, hits)
 	}
+	probe := testbedSpec("vanlan", workload.CBRKind)
 	retx := cfg
 	retx.MaxRetx = 0
-	p1 := eng.Testbed(5, EnvVanLAN, workload.CBRKind, cfg, 20*time.Second, false)
-	p2 := eng.Testbed(5, EnvVanLAN, workload.CBRKind, retx, 20*time.Second, false)
+	p1 := eng.FleetApp(5, probe, cfg, 20*time.Second, 1)
+	p2 := eng.FleetApp(5, probe, retx, 20*time.Second, 1)
 	if p1.Wait() != p2.Wait() {
 		t.Error("probe jobs differing only in MaxRetx did not share")
 	}
-	p3 := eng.Testbed(5, EnvVanLAN, workload.CBRKind, cfg, 20*time.Second, true)
+	p3 := eng.collect(5, probe, cfg, 20*time.Second)
 	if p3.Wait() == p1.Wait() || p3.Wait().Collector == nil || p1.Wait().Collector != nil {
 		t.Error("collecting and plain probe runs shared a result")
 	}
@@ -283,15 +286,14 @@ func TestTestbedJobSharing(t *testing.T) {
 		t.Errorf("jobs/hits = %d/%d, want 4/2", jobs, hits)
 	}
 
-	// Each memo entry generates once, so one entry after two cells and a
-	// direct read of the cells' key is one shared trace.
+	// Two protocols on one seed and the seed's key read one memo entry.
 	for _, c := range []core.Config{cfg, core.BRRConfig()} {
-		eng.buildCell(sim.NewKernel(7), EnvDieselNetCh1, c, nil, time.Minute)
+		eng.FleetApp(7, testbedSpec("dieselnet1", workload.CBRKind), c, 10*time.Second, 1).Wait()
 	}
 	seed := int64(sim.NewKernel(7).RNG("traceseed").Uint64() % (1 << 30))
 	tr := eng.dieselNet(seed, 1, time.Hour)
 	if len(eng.traces) != 1 {
-		t.Errorf("two cells at one seed and their key made %d traces, want 1", len(eng.traces))
+		t.Errorf("two runs at one seed and their key made %d traces, want 1", len(eng.traces))
 	}
 	if other := NewEngine(1).dieselNet(seed, 1, time.Hour); other == tr {
 		t.Error("two engines share a trace")
@@ -342,9 +344,10 @@ func TestDieselNetTraceConcurrent(t *testing.T) {
 // be race-free (run with -race) and agree.
 func TestSharedTCPRunConcurrentQuantiles(t *testing.T) {
 	eng := NewEngine(4)
-	futs := []Future[*TestbedRun]{
-		eng.Testbed(3, EnvVanLAN, workload.TCPKind, core.DefaultConfig(), 40*time.Second, true),
-		eng.Testbed(3, EnvVanLAN, workload.TCPKind, core.DefaultConfig(), 40*time.Second, true),
+	tcp := testbedSpec("vanlan", workload.TCPKind)
+	futs := []Future[*FleetAppRun]{
+		eng.collect(3, tcp, core.DefaultConfig(), 40*time.Second),
+		eng.collect(3, tcp, core.DefaultConfig(), 40*time.Second),
 	}
 	medians := make([]float64, len(futs))
 	var wg sync.WaitGroup
@@ -352,9 +355,9 @@ func TestSharedTCPRunConcurrentQuantiles(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			run := f.Wait()
-			medians[i] = run.TransferQuantile(0.5)
-			run.TransferQuantile(0.9)
+			m := f.Wait().PerVehicle[0]
+			medians[i] = m.TransferQuantile(0.5)
+			m.TransferQuantile(0.9)
 		}()
 	}
 	wg.Wait()
@@ -367,19 +370,19 @@ func TestSharedTCPRunConcurrentQuantiles(t *testing.T) {
 // executions of one workload with one seed, on two engines, agree on
 // outcome counts.
 func TestWorkloadLevelDeterminism(t *testing.T) {
-	run := func(seed int64, env Env, kind workload.Kind, collect bool) *TestbedRun {
-		return NewEngine(1).Testbed(seed, env, kind, core.DefaultConfig(), 45*time.Second, collect).Wait()
+	run := func(seed int64, preset string, kind workload.Kind, collect bool) *FleetAppRun {
+		return paperRun(seed, preset, kind, 45*time.Second, collect)
 	}
-	a := run(31, EnvDieselNetCh1, workload.TCPKind, true)
-	b := run(31, EnvDieselNetCh1, workload.TCPKind, true)
-	if a.Completed != b.Completed || a.Aborted != b.Aborted ||
+	a := run(31, "dieselnet1", workload.TCPKind, true)
+	b := run(31, "dieselnet1", workload.TCPKind, true)
+	if ma, mb := a.PerVehicle[0], b.PerVehicle[0]; ma.Completed != mb.Completed || ma.Aborted != mb.Aborted ||
 		a.Collector.Salvaged != b.Collector.Salvaged {
 		t.Errorf("TCP diverged: %d/%d/%d vs %d/%d/%d",
-			a.Completed, a.Aborted, a.Collector.Salvaged,
-			b.Completed, b.Aborted, b.Collector.Salvaged)
+			ma.Completed, ma.Aborted, a.Collector.Salvaged,
+			mb.Completed, mb.Aborted, b.Collector.Salvaged)
 	}
-	qa := run(37, EnvVanLAN, workload.VoIPKind, false).VoIP
-	qb := run(37, EnvVanLAN, workload.VoIPKind, false).VoIP
+	qa := run(37, "vanlan", workload.VoIPKind, false).PerVehicle[0].VoIP
+	qb := run(37, "vanlan", workload.VoIPKind, false).PerVehicle[0].VoIP
 	if qa.MeanMoS != qb.MeanMoS || qa.Interruptions != qb.Interruptions {
 		t.Errorf("VoIP diverged: %v/%d vs %v/%d",
 			qa.MeanMoS, qa.Interruptions, qb.MeanMoS, qb.Interruptions)

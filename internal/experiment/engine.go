@@ -18,10 +18,10 @@ import (
 // serial execution no matter how many workers run.
 //
 // The memoizing run-cache deduplicates identical workloads across figures:
-// a job keyed by (kind, seed, env, config, duration) that has already been
+// a job keyed by (kind, seed, config, duration, spec) that has already been
 // scheduled — even if it is still running — hands the same future to every
 // requester. Fig 9, Fig 12 and Table 1, for example, all need the same
-// VanLAN ViFi TCP run; the engine computes it once.
+// collecting VanLAN ViFi TCP run; the engine computes it once.
 //
 // Rule: job functions must be leaves. A job must never Wait on another
 // future from the same engine — with a bounded pool that is a deadlock
@@ -72,14 +72,13 @@ func (e *Engine) CacheHits() int64 { return e.hits.Load() }
 
 // JobKey identifies one simulation run for memoization. Two jobs with
 // equal keys must be observationally identical, so the key carries every
-// input that influences the result: the workload kind, the seed, the
-// environment, the full protocol configuration (core.Config is flat and
-// comparable) and the duration. Extra disambiguates kinds with additional
-// inputs (e.g. the probe-trace trip count and basestation subset).
+// input that influences the result: the job kind, the seed, the full
+// protocol configuration (core.Config is flat and comparable) and the
+// duration. Extra carries the rest (a fleet run's spec key, shard count
+// and collection; the probe trace's trip count).
 type JobKey struct {
 	Kind  string
 	Seed  int64
-	Env   Env
 	Cfg   core.Config
 	Dur   time.Duration
 	Extra string

@@ -113,7 +113,8 @@ func TestFig6BurstShape(t *testing.T) {
 // sweeps — sessions, median and interruptions.
 func TestReplayReadsLikeALiveRun(t *testing.T) {
 	const tripSlots = 2071 // a VanLAN lap in 100 ms slots
-	live := testbed(21, EnvVanLAN, workload.CBRKind, fleetWarm+tripSlots*probeSlot, false).Link()
+	probe := testbedSpec("vanlan", workload.CBRKind)
+	live := NewEngine(1).FleetApp(21, probe, core.DefaultConfig(), fleetWarm+tripSlots*probe.AppConfig().CBRSlot, 1).Wait().Link
 	up, down := live.Up[0], live.Down[0]
 	if len(up) != tripSlots {
 		t.Fatalf("live row has %d slots, want %d", len(up), tripSlots)
@@ -152,15 +153,32 @@ func TestMedianTimeWeightedHelper(t *testing.T) {
 	}
 }
 
-// testbed runs one default-protocol testbed job on a fresh engine.
-func testbed(seed int64, env Env, kind workload.Kind, dur time.Duration, collect bool) *TestbedRun {
-	return NewEngine(1).Testbed(seed, env, kind, core.DefaultConfig(), dur, collect).Wait()
+// paperRun runs one default-protocol testbed preset on a fresh engine.
+func paperRun(seed int64, preset string, app workload.Kind, dur time.Duration, collect bool) *FleetAppRun {
+	return NewEngine(1).fleetApp(seed, testbedSpec(preset, app), core.DefaultConfig(), dur, 1, collect).Wait()
+}
+
+// TestRunLongerThanTrace: a DieselNet run asked for more than its
+// one-hour trace runs the trace's hour and says so — FleetAppRun.Duration,
+// the probe's slots and the report header all carry the hour, not the
+// two requested.
+func TestRunLongerThanTrace(t *testing.T) {
+	run := paperRun(7, "dieselnet1", workload.CBRKind, 2*time.Hour, false)
+	m := run.PerVehicle[0]
+	if span := time.Hour - fleetWarm; run.Duration != time.Hour || m.Span != span || len(m.Up) != int(span/m.Slot) {
+		t.Errorf("duration %v, span %v, %d slots of %v; want 1h, %v, %d", run.Duration, m.Span, len(m.Up), m.Slot, span, int(span/m.Slot))
+	}
+	var buf strings.Builder
+	FprintFleetReport(&buf, run, "vifi", 2*time.Hour, 7)
+	if header, _, _ := strings.Cut(buf.String(), "\n"); !strings.Contains(header, " duration=1h0m0s ") {
+		t.Errorf("report header %q, want duration=1h0m0s", header)
+	}
 }
 
 func TestCollectorTable1Pipeline(t *testing.T) {
 	// A miniature TCP run must populate every Table 1 statistic without
 	// NaNs or out-of-range values.
-	run := testbed(11, EnvVanLAN, workload.TCPKind, 60*time.Second, true)
+	run := paperRun(11, "vanlan", workload.TCPKind, 60*time.Second, true)
 	for _, dir := range []core.Direction{core.Up, core.Down} {
 		s := run.Collector.Stats(dir)
 		if s.SourceTransmissions == 0 {
@@ -187,7 +205,7 @@ func TestCollectorTable1Pipeline(t *testing.T) {
 }
 
 func TestEfficiencyBounds(t *testing.T) {
-	run := testbed(12, EnvVanLAN, workload.TCPKind, 60*time.Second, true)
+	run := paperRun(12, "vanlan", workload.TCPKind, 60*time.Second, true)
 	for _, dir := range []core.Direction{core.Up, core.Down} {
 		e := run.Collector.Efficiency(dir)
 		p := run.Collector.PerfectRelayEfficiency(dir)
@@ -201,7 +219,7 @@ func TestEfficiencyBounds(t *testing.T) {
 }
 
 func TestVoIPWorkloadRuns(t *testing.T) {
-	q := testbed(13, EnvVanLAN, workload.VoIPKind, 90*time.Second, false).VoIP
+	q := paperRun(13, "vanlan", workload.VoIPKind, 90*time.Second, false).PerVehicle[0].VoIP
 	if q.Windows == 0 {
 		t.Fatal("no VoIP windows scored")
 	}
@@ -211,7 +229,7 @@ func TestVoIPWorkloadRuns(t *testing.T) {
 }
 
 func TestProbeWorkloadTraceDriven(t *testing.T) {
-	run := testbed(14, EnvDieselNetCh1, workload.CBRKind, 60*time.Second, false).Link()
+	run := paperRun(14, "dieselnet1", workload.CBRKind, 60*time.Second, false).Link
 	if len(run.Up) != 1 || len(run.Up[0]) == 0 || len(run.Down[0]) == 0 {
 		t.Fatal("probe run empty")
 	}
@@ -224,12 +242,6 @@ func TestProbeWorkloadTraceDriven(t *testing.T) {
 	}
 	if !anyUp {
 		t.Error("no upstream probe ever delivered on the trace")
-	}
-}
-
-func TestEnvString(t *testing.T) {
-	if EnvVanLAN.String() != "VanLAN" || EnvDieselNetCh6.String() != "DieselNet Ch.6" {
-		t.Error("env strings wrong")
 	}
 }
 

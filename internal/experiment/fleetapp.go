@@ -59,6 +59,11 @@ type FleetAppRun struct {
 	// simulation outcome: every other field is byte-identical at any
 	// shard count, which is what the scale-shard golden pins.
 	ShardExec []ShardRunStats
+
+	// Collector holds a collecting run's protocol events (Fig 9, Fig 12,
+	// Table 1, Table 2 and the salvage/retx ablations read it); nil for a
+	// plain run.
+	Collector *Collector
 }
 
 // DeliveredPerSec, DeliveryRatio, MedianSession and Interruptions expose
@@ -125,7 +130,7 @@ func appStagger(kind workload.Kind, cfg workload.Config) time.Duration {
 // execution (districts) or the delivery fan-out (halo) is partitioned. The result is byte-identical at any
 // shard count — ShardExec aside, which is execution bookkeeping.
 func RunFleetAppWorkload(seed int64, spec scenario.Spec, cfg core.Config, duration time.Duration, shards int) (*FleetAppRun, error) {
-	return runFleetApp(seed, spec, cfg, duration, shards, 0)
+	return runFleetApp(seed, spec, cfg, duration, shards, 0, runHooks{})
 }
 
 // assembleLink rebuilds the slot table from the CBR vehicles so
@@ -153,19 +158,39 @@ func assembleLink(run *FleetAppRun, slotDur time.Duration) {
 // FleetApp schedules a fleet application workload on the engine at the
 // requested shard count, memoized per (seed, spec, config, duration,
 // shards) — the spec's canonical key (which encodes the app and its
-// knobs) is the cache discriminator. Shard counts above one get their own
-// cache line (" shards=N" key fragment): the simulation outcome is
-// byte-identical at any count — that is the whole contract — but the
-// identity tests need both executions to actually run, and a shards≤1
-// request keeps the exact historical key.
+// knobs) is the cache discriminator, and the config is the one the spec
+// runs (Spec.Protocol), so probe configurations differing only in
+// MaxRetx share a run. Shard counts above one get their own cache line
+// (" shards=N" key fragment): the simulation outcome is byte-identical at
+// any count — that is the whole contract — but the identity tests need
+// both executions to actually run, and a shards≤1 request keeps the exact
+// historical key. A trace-driven preset reads the engine's trace memo.
 func (e *Engine) FleetApp(seed int64, spec scenario.Spec, cfg core.Config, dur time.Duration, shards int) Future[*FleetAppRun] {
+	return e.fleetApp(seed, spec, cfg, dur, shards, false)
+}
+
+// collect schedules a serial FleetApp run with an event Collector attached
+// (FleetAppRun.Collector). A collecting and a plain run are two runs.
+func (e *Engine) collect(seed int64, spec scenario.Spec, cfg core.Config, dur time.Duration) Future[*FleetAppRun] {
+	return e.fleetApp(seed, spec, cfg, dur, 1, true)
+}
+
+func (e *Engine) fleetApp(seed int64, spec scenario.Spec, cfg core.Config, dur time.Duration, shards int, collect bool) Future[*FleetAppRun] {
+	cfg = spec.Protocol(cfg)
 	extra := spec.Key()
 	if shards > 1 {
 		extra += fmt.Sprintf(" shards=%d", shards)
 	}
+	if collect {
+		extra += " collect"
+	}
 	key := JobKey{Kind: "fleetapp", Seed: seed, Cfg: cfg, Dur: dur, Extra: extra}
 	return Future[*FleetAppRun]{f: e.memoize(key, func() any {
-		run, err := runFleetApp(seed, spec, cfg, dur, shards, e.metricsInterval)
+		h := runHooks{traces: e.dieselNet}
+		if collect {
+			h.col = NewCollector()
+		}
+		run, err := runFleetApp(seed, spec, cfg, dur, shards, e.metricsInterval, h)
 		if err != nil {
 			// Callers validate the spec before scheduling ((sweep).run
 			// does so arm by arm, the CLIs through scenario.Parse);

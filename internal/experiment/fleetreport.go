@@ -14,9 +14,11 @@ import (
 // summary (faulted runs only), and the channel counters. Both vifi-sim
 // and the vifi-serve session report use this renderer, which is what
 // makes the daemon's final report byte-identical to the batch CLI's for
-// the same (spec, protocol, duration, seed).
-func FprintFleetReport(w io.Writer, run *FleetAppRun, protocol string, duration time.Duration, seed int64) {
-	fmt.Fprintf(w, "scenario=%s protocol=%s duration=%v seed=%d\n", run.SpecKey, protocol, duration, seed)
+// the same (spec, protocol, duration, seed). The header carries the
+// duration the run covered, run.Duration: a trace-driven testbed clamps
+// the requested one to its trace.
+func FprintFleetReport(w io.Writer, run *FleetAppRun, protocol string, _ time.Duration, seed int64) {
+	fmt.Fprintf(w, "scenario=%s protocol=%s duration=%v seed=%d\n", run.SpecKey, protocol, run.Duration, seed)
 	fmt.Fprintf(w, "deployment:             %d basestations, %d vehicles\n", run.BSCount, run.Vehicles)
 	printFleetApps(w, run)
 	printFaults(w, run.Faults)

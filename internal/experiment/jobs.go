@@ -1,49 +1,36 @@
 package experiment
 
 import (
-	"fmt"
 	"strconv"
 	"sync"
 	"time"
 
-	"github.com/vanlan/vifi/internal/core"
-	"github.com/vanlan/vifi/internal/sim"
+	"github.com/vanlan/vifi/internal/scenario"
 	"github.com/vanlan/vifi/internal/trace"
 	"github.com/vanlan/vifi/internal/workload"
 )
 
 // This file defines the engine's job vocabulary for the paper's testbeds
-// (the fleet runs' FleetApp is in fleetapp.go) and the DieselNet trace
-// memo the testbed cells read. Runs are memoized in the engine's
-// run-cache, so figures that need the same run share one execution.
+// (every run is a FleetApp, fleetapp.go) and the DieselNet trace memo the
+// trace-driven presets read. Runs are memoized in the engine's run-cache,
+// so figures that need the same run share one execution.
 
-// Testbed schedules one run of the paper's own evaluation: one vehicle on
-// the environment's testbed under a workload kind — CBR is the §5.2
+// testbeds names the paper's environments (§5.1) by preset, in report
+// order.
+var testbeds = []struct{ preset, name string }{
+	{"vanlan", "VanLAN"}, {"dieselnet1", "DieselNet Ch.1"}, {"dieselnet6", "DieselNet Ch.6"},
+}
+
+// testbedSpec returns a testbed preset running app: CBR is the §5.2
 // link-layer probe, TCP the §5.3.1 transfer loop, VoIP the §5.3.2 G.729
-// call. The probe disables link-layer retransmissions (the application
-// runs keep cfg's ≤3), so its key is normalized the same way: probe
-// configurations differing only in MaxRetx share one run.
-// collect attaches an event Collector (Fig 9, Fig 12, Table 1 and Table 2
-// read it); a collecting and a plain run are two runs.
-func (e *Engine) Testbed(seed int64, env Env, kind workload.Kind, cfg core.Config, dur time.Duration, collect bool) Future[*TestbedRun] {
-	name := kind.String()
-	if kind == workload.CBRKind {
-		cfg.MaxRetx = 0
-		name = "probe"
+// call.
+func testbedSpec(preset string, app workload.Kind) scenario.Spec {
+	spec, err := scenario.Preset(preset)
+	if err != nil {
+		panic(err) // callers name presets
 	}
-	key := JobKey{Kind: "testbed", Seed: seed, Env: env, Cfg: cfg, Dur: dur, Extra: fmt.Sprintf("%s collect=%t", name, collect)}
-	return Future[*TestbedRun]{f: e.memoize(key, func() any {
-		k := sim.NewKernel(seed)
-		var col *Collector
-		var events core.EventFunc
-		if collect {
-			col = NewCollector()
-			events = col.Handle
-		}
-		cell, dur := e.buildCell(k, env, cfg, events, dur)
-		return runTestbed(k, cell, kind, dur, col, e.metricsInterval,
-			runMeta(name, env.String(), seed, 1, dur, cfg))
-	})}
+	spec.App = app
+	return spec
 }
 
 // VanLANProbes schedules generation of the §3 VanLAN measurement trace

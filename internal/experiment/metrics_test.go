@@ -36,16 +36,17 @@ func TestSamplingPreservesGoldenReports(t *testing.T) {
 	}
 }
 
-// TestAblationsSampleEveryArm holds the hand-built ablation cells to
-// EnableMetrics' promise: every arm a metrics-enabled engine executes
-// publishes one recording under a meta of its own, and the reports keep
-// their committed goldens.
+// TestAblationsSampleEveryArm holds the ablations to EnableMetrics'
+// promise: every arm a metrics-enabled engine executes publishes one
+// recording under a meta of its own — the hand-built ablate-aux cells
+// under the ablation's id, the testbed arms as the fleet runs they are —
+// and the reports keep their committed goldens.
 func TestAblationsSampleEveryArm(t *testing.T) {
 	TakeRecordings()
 	for _, tc := range []struct {
-		id   string
-		arms int
-	}{{"ablate-aux", 6}, {"ablate-diversity", 6}, {"ablate-backplane", 4}} {
+		id, kind string
+		arms     int
+	}{{"ablate-aux", "ablate-aux", 6}, {"ablate-diversity", "fleetapp", 6}, {"ablate-backplane", "fleetapp", 4}} {
 		eng := NewEngine(2)
 		eng.EnableMetrics(time.Second)
 		rep, err := Run(tc.id, Options{Seed: 17, Scale: 0.04, Engine: eng}) // reportTable's options
@@ -56,7 +57,7 @@ func TestAblationsSampleEveryArm(t *testing.T) {
 		recs := TakeRecordings()
 		seen := map[string]bool{}
 		for _, r := range recs {
-			if r.Meta["kind"] != tc.id || r.Rows() == 0 {
+			if r.Meta["kind"] != tc.kind || r.Rows() == 0 {
 				t.Errorf("%s: recording %v with %d rows", tc.id, r.Meta, r.Rows())
 			}
 			seen[metaKey(r)] = true
@@ -206,7 +207,7 @@ func TestLiveRunMatchesBatch(t *testing.T) {
 		}
 		// ... and behind one: the batch run, sampled like the other two.
 		TakeRecordings()
-		sampled, err := runFleetApp(17, spec, core.DefaultConfig(), dur, shards, time.Second)
+		sampled, err := runFleetApp(17, spec, core.DefaultConfig(), dur, shards, time.Second, runHooks{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -22,8 +22,9 @@ func Fig7(o Options) *Report {
 	}
 	eng := o.engine()
 	dur := time.Duration(o.scaled(900)) * time.Second
-	vifiF := eng.Testbed(o.Seed, EnvVanLAN, workload.CBRKind, core.DefaultConfig(), dur, false)
-	brrF := eng.Testbed(o.Seed, EnvVanLAN, workload.CBRKind, core.BRRConfig(), dur, false)
+	probe := testbedSpec("vanlan", workload.CBRKind)
+	vifiF := eng.FleetApp(o.Seed, probe, core.DefaultConfig(), dur, 1)
+	brrF := eng.FleetApp(o.Seed, probe, core.BRRConfig(), dur, 1)
 	ptF := eng.VanLANProbes(o.Seed, o.scaled(8))
 	pt := ptF.Wait()
 	// The oracles are one trace replay each, pool jobs; every row then
@@ -32,7 +33,7 @@ func Fig7(o Options) *Report {
 	bestF := goJob(eng, func() *handoff.Result { return handoff.Evaluate(pt, handoff.NewBestBS()) })
 	addSessionSweep(r, []time.Duration{500 * time.Millisecond, time.Second,
 		2 * time.Second, 4 * time.Second, 8 * time.Second},
-		&allF.Wait().SlotTable, vifiF.Wait().Link(), &bestF.Wait().SlotTable, brrF.Wait().Link())
+		&allF.Wait().SlotTable, vifiF.Wait().Link, &bestF.Wait().SlotTable, brrF.Wait().Link)
 	r.AddNote("paper shape: ViFi beats the BestBS oracle and approaches AllBSes; BRR trails badly")
 	return r
 }
@@ -50,12 +51,12 @@ func Fig8(o Options) *Report {
 		name string
 		cfg  core.Config
 	}{{"BRR", core.BRRConfig()}, {"ViFi", core.DefaultConfig()}}
-	futs := make([]Future[*TestbedRun], len(arms))
+	futs := make([]Future[*FleetAppRun], len(arms))
 	for i, c := range arms {
-		futs[i] = eng.Testbed(o.Seed, EnvVanLAN, workload.CBRKind, c.cfg, dur, false)
+		futs[i] = eng.FleetApp(o.Seed, testbedSpec("vanlan", workload.CBRKind), c.cfg, dur, 1)
 	}
 	for i, c := range arms {
-		adequate, interruptions := futs[i].Wait().Link().Timeline(0)
+		adequate, interruptions := futs[i].Wait().Link.Timeline(0)
 		r.AddRow(c.name, sparkline(adequate))
 		r.AddRow(c.name+" interruptions", fmt.Sprint(interruptions))
 	}
@@ -82,18 +83,19 @@ func Fig9(o Options) *Report {
 		{"Only Diversity", core.DiversityOnlyConfig()},
 		{"ViFi", core.DefaultConfig()},
 	}
-	futs := make([]Future[*TestbedRun], len(arms))
+	futs := make([]Future[*FleetAppRun], len(arms))
 	for i, c := range arms {
-		futs[i] = eng.Testbed(o.Seed, EnvVanLAN, workload.TCPKind, c.cfg, dur, true)
+		futs[i] = eng.collect(o.Seed, testbedSpec("vanlan", workload.TCPKind), c.cfg, dur)
 	}
 	for i, c := range arms {
 		run := futs[i].Wait()
+		m := run.PerVehicle[0]
 		r.AddRow(c.name,
-			f2(run.TransferQuantile(0.5)),
-			f2(run.TransferQuantile(0.9)),
-			f1(run.TransfersPerSession()),
-			fmt.Sprint(run.Completed),
-			fmt.Sprint(run.Aborted),
+			f2(m.TransferQuantile(0.5)),
+			f2(m.TransferQuantile(0.9)),
+			f1(m.TransfersPerSession()),
+			fmt.Sprint(m.Completed),
+			fmt.Sprint(m.Aborted),
 			fmt.Sprint(run.Collector.Salvaged))
 	}
 	r.AddNote("paper shape: ViFi halves BRR's median transfer time and doubles transfers/session; salvaging adds ~10%% on top of diversity")
@@ -111,18 +113,19 @@ func Fig10(o Options) *Report {
 	}
 	eng := o.engine()
 	dur := time.Duration(o.scaled(1800)) * time.Second
-	envs := []Env{EnvDieselNetCh1, EnvDieselNetCh6}
-	brrF := make([]Future[*TestbedRun], len(envs))
-	vifiF := make([]Future[*TestbedRun], len(envs))
+	envs := testbeds[1:] // the DieselNet channels
+	brrF := make([]Future[*FleetAppRun], len(envs))
+	vifiF := make([]Future[*FleetAppRun], len(envs))
 	for i, env := range envs {
 		// Only the completion count and span are read: no collector.
-		brrF[i] = eng.Testbed(o.Seed, env, workload.TCPKind, core.BRRConfig(), dur, false)
-		vifiF[i] = eng.Testbed(o.Seed, env, workload.TCPKind, core.DefaultConfig(), dur, false)
+		spec := testbedSpec(env.preset, workload.TCPKind)
+		brrF[i] = eng.FleetApp(o.Seed, spec, core.BRRConfig(), dur, 1)
+		vifiF[i] = eng.FleetApp(o.Seed, spec, core.DefaultConfig(), dur, 1)
 	}
 	for i, env := range envs {
-		rate := func(f Future[*TestbedRun]) float64 {
-			run := f.Wait()
-			return float64(run.Completed) / run.Span.Seconds()
+		rate := func(f Future[*FleetAppRun]) float64 {
+			m := f.Wait().PerVehicle[0]
+			return float64(m.Completed) / m.Span.Seconds()
 		}
 		b := rate(brrF[i])
 		v := rate(vifiF[i])
@@ -130,7 +133,7 @@ func Fig10(o Options) *Report {
 		if b > 0 {
 			gain = fmt.Sprintf("%.1fx", v/b)
 		}
-		r.AddRow(env.String(), fmt.Sprintf("%.3f", b), fmt.Sprintf("%.3f", v), gain)
+		r.AddRow(env.name, fmt.Sprintf("%.3f", b), fmt.Sprintf("%.3f", v), gain)
 	}
 	r.AddNote("paper shape: ViFi roughly doubles BRR's transfer rate on both channels")
 	return r
@@ -148,31 +151,30 @@ func Fig11(o Options) *Report {
 	eng := o.engine()
 	dur := time.Duration(o.scaled(1200)) * time.Second
 	runs := o.scaled(3)
-	envs := []Env{EnvVanLAN, EnvDieselNetCh1, EnvDieselNetCh6}
 	// Schedule every (env, protocol, replicate) run up front, then pool in
 	// declaration order — the paper pools sessions across days of driving.
-	futs := map[Env]map[bool][]Future[*TestbedRun]{}
-	for _, env := range envs {
-		futs[env] = map[bool][]Future[*TestbedRun]{}
+	futs := map[string]map[bool][]Future[*FleetAppRun]{}
+	for _, env := range testbeds {
+		futs[env.preset] = map[bool][]Future[*FleetAppRun]{}
 		for _, brr := range []bool{true, false} {
 			cfg := core.DefaultConfig()
 			if brr {
 				cfg = core.BRRConfig()
 			}
-			fs := make([]Future[*TestbedRun], runs)
+			fs := make([]Future[*FleetAppRun], runs)
 			for i := 0; i < runs; i++ {
-				fs[i] = eng.Testbed(o.Seed+int64(i*977), env, workload.VoIPKind, cfg, dur, false)
+				fs[i] = eng.FleetApp(o.Seed+int64(i*977), testbedSpec(env.preset, workload.VoIPKind), cfg, dur, 1)
 			}
-			futs[env][brr] = fs
+			futs[env.preset][brr] = fs
 		}
 	}
-	for _, env := range envs {
-		pooled := func(fs []Future[*TestbedRun]) (median, meanMoS float64) {
+	for _, env := range testbeds {
+		pooled := func(fs []Future[*FleetAppRun]) (median, meanMoS float64) {
 			var lens []float64
 			var mosSum float64
 			var mosN int
 			for _, f := range fs {
-				q := f.Wait().VoIP
+				q := f.Wait().PerVehicle[0].VoIP
 				lens = append(lens, q.SessionLens...)
 				mosSum += q.MeanMoS * float64(q.Windows)
 				mosN += q.Windows
@@ -182,13 +184,13 @@ func Fig11(o Options) *Report {
 			}
 			return stats.TimeWeightedMedian(lens), meanMoS
 		}
-		bMed, bMoS := pooled(futs[env][true])
-		vMed, vMoS := pooled(futs[env][false])
+		bMed, bMoS := pooled(futs[env.preset][true])
+		vMed, vMoS := pooled(futs[env.preset][false])
 		gain := "n/a"
 		if bMed > 0 {
 			gain = fmt.Sprintf("%.1fx", vMed/bMed)
 		}
-		r.AddRow(env.String(), f1(bMed), f1(vMed), gain, f2(bMoS), f2(vMoS))
+		r.AddRow(env.name, f1(bMed), f1(vMed), gain, f2(bMoS), f2(vMoS))
 	}
 	r.AddNote("paper shape: ViFi sessions ≈2× BRR on VanLAN, ≥1.5× on DieselNet; mean MoS 3.4 vs 3.0 on VanLAN")
 	return r
@@ -205,8 +207,9 @@ func Fig12(o Options) *Report {
 	}
 	eng := o.engine()
 	dur := time.Duration(o.scaled(1200)) * time.Second
-	brrF := eng.Testbed(o.Seed, EnvVanLAN, workload.TCPKind, core.BRRConfig(), dur, true)
-	vifiF := eng.Testbed(o.Seed, EnvVanLAN, workload.TCPKind, core.DefaultConfig(), dur, true)
+	tcp := testbedSpec("vanlan", workload.TCPKind)
+	brrF := eng.collect(o.Seed, tcp, core.BRRConfig(), dur)
+	vifiF := eng.collect(o.Seed, tcp, core.DefaultConfig(), dur)
 	brr := brrF.Wait().Collector
 	vifi := vifiF.Wait().Collector
 	for _, dir := range []core.Direction{core.Up, core.Down} {
@@ -228,7 +231,7 @@ func Table1(o Options) *Report {
 		Header: []string{"row", "statistic", "upstream", "downstream"},
 	}
 	dur := time.Duration(o.scaled(1200)) * time.Second
-	col := o.engine().Testbed(o.Seed, EnvVanLAN, workload.TCPKind, core.DefaultConfig(), dur, true).Wait().Collector
+	col := o.engine().collect(o.Seed, testbedSpec("vanlan", workload.TCPKind), core.DefaultConfig(), dur).Wait().Collector
 	up := col.Stats(core.Up)
 	down := col.Stats(core.Down)
 	med := col.MedianAuxCount()
@@ -260,9 +263,9 @@ func Table2(o Options) *Report {
 	eng := o.engine()
 	dur := time.Duration(o.scaled(1500)) * time.Second
 	kinds := []core.CoordinatorKind{core.CoordViFi, core.CoordNotG1, core.CoordNotG2, core.CoordNotG3}
-	futs := make([]Future[*TestbedRun], len(kinds))
+	futs := make([]Future[*FleetAppRun], len(kinds))
 	for i, c := range kinds {
-		futs[i] = eng.Testbed(o.Seed, EnvDieselNetCh1, workload.CBRKind, DefaultTableConfig(c), dur, true)
+		futs[i] = eng.collect(o.Seed, testbedSpec("dieselnet1", workload.CBRKind), DefaultTableConfig(c), dur)
 	}
 	for i, c := range kinds {
 		down := futs[i].Wait().Collector.Stats(core.Down)

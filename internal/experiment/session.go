@@ -62,6 +62,10 @@ type LiveRun struct {
 	run     *FleetAppRun
 }
 
+// fleetWarm is the settling time before a vehicle starts measuring (one
+// probability window plus anchor selection slack, as in the §5 workloads).
+const fleetWarm = 2 * time.Second
+
 // StartLiveRun builds the full simulation state for one fleet run —
 // kernels, cells, fault plan, workload drivers, samplers — everything up
 // to (but not including) the first executed event. interval is the
@@ -69,11 +73,31 @@ type LiveRun struct {
 // disables sampling and steps in one-second quanta. onSample, when
 // non-nil, is handed each run-wide sample row once, in time order, on the
 // goroutine that calls Step (see barrier); the row is a view into the
-// run's recording, so it must not be written.
+// run's recording, so it must not be written. A trace-driven preset
+// generates its trace and runs at most the trace's length.
 func StartLiveRun(seed int64, spec scenario.Spec, cfg core.Config, duration time.Duration, shards int,
 	interval time.Duration, onSample func(at time.Duration, row []int64)) (*LiveRun, error) {
+	return startLiveRun(seed, spec, cfg, duration, shards, interval, onSample, runHooks{})
+}
+
+// runHooks is what a run scheduled on an engine adds to a plain LiveRun:
+// the engine's trace memo as the trace-driven presets' link source (nil
+// generates the trace), and a Collector that receives every protocol
+// event and, on a TCP run, the vehicle's auxiliary-set size each second
+// (Table 1 row A1).
+type runHooks struct {
+	traces scenario.Traces
+	col    *Collector
+}
+
+func startLiveRun(seed int64, spec scenario.Spec, cfg core.Config, duration time.Duration, shards int,
+	interval time.Duration, onSample func(at time.Duration, row []int64), h runHooks) (*LiveRun, error) {
+	cfg = spec.Protocol(cfg)
 	opts := core.DefaultCellOptions()
 	opts.Protocol = cfg
+	if h.col != nil {
+		opts.Events = h.col.Handle
+	}
 	plan := shardPlan(spec, shards)
 	eff := 1 // kernel count; the halo mode parallelizes inside one kernel
 	if plan.mode == shardModeDistricts {
@@ -86,7 +110,6 @@ func StartLiveRun(seed int64, spec scenario.Spec, cfg core.Config, duration time
 	}
 	l := &LiveRun{
 		seed: seed, spec: spec, cfg: cfg,
-		duration: duration, until: duration + time.Second,
 		key: spec.Key(), appcfg: spec.AppConfig(),
 		eff: eff, districtShard: plan.districtShard,
 		kernels:  make([]*sim.Kernel, eff),
@@ -99,11 +122,17 @@ func StartLiveRun(seed int64, spec scenario.Spec, cfg core.Config, duration time
 
 	for sh := 0; sh < eff; sh++ {
 		k := sim.NewKernel(seed)
-		cell, lay, err := scenario.BuildCell(k, spec, opts, plan.districtShard, sh)
+		cell, lay, err := scenario.BuildCell(k, spec, opts, plan.districtShard, sh, h.traces)
 		if err != nil {
 			return nil, err
 		}
 		l.kernels[sh], l.cells[sh], l.lay = k, cell, lay
+		if lay.Span > 0 && duration > lay.Span {
+			duration = lay.Span // a trace-driven run ends with its trace
+		}
+		if h.col != nil && spec.App == workload.TCPKind {
+			h.col.sampleAux(k, cell.Vehicle, duration)
+		}
 
 		// Faults first, then the workload mix, then the drivers — only
 		// the driver set is filtered to locally owned fleet slots.
@@ -146,6 +175,8 @@ func StartLiveRun(seed int64, spec scenario.Spec, cfg core.Config, duration time
 			l.drivers[sh][i] = d
 		}
 	}
+
+	l.duration, l.until = duration, duration+time.Second
 
 	if plan.mode == shardModeHalo {
 		// Halo-band sharding: one kernel, serial event order, with the
@@ -393,14 +424,15 @@ func (l *LiveRun) Finish() *FleetAppRun {
 // sinks — the shard log (TakeShardLog) and, for a positive interval, the
 // run's recording (TakeRecordings); a stepped LiveRun carries both on
 // itself (FleetAppRun.ShardExec, LiveRun.Recording).
-func runFleetApp(seed int64, spec scenario.Spec, cfg core.Config, duration time.Duration, shards int, interval time.Duration) (*FleetAppRun, error) {
-	l, err := StartLiveRun(seed, spec, cfg, duration, shards, interval, nil)
+func runFleetApp(seed int64, spec scenario.Spec, cfg core.Config, duration time.Duration, shards int, interval time.Duration, h runHooks) (*FleetAppRun, error) {
+	l, err := startLiveRun(seed, spec, cfg, duration, shards, interval, nil, h)
 	if err != nil {
 		return nil, err
 	}
 	l.quantum = l.until
 	l.Step()
 	run := l.Finish()
+	run.Collector = h.col
 	if run.ShardExec != nil {
 		logShards(ShardLogEntry{SpecKey: l.key, Shards: len(run.ShardExec), Halo: l.haloLanes > 1, Stats: run.ShardExec})
 	}

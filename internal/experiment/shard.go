@@ -29,8 +29,9 @@ import (
 //     untouched; only the draw-site moves.
 //
 // Either way the sharded run is byte-identical to the serial run at any
-// K. A generated spec always has a finite radio cutoff, so every request
-// for K ≥ 2 gets one of the two; there is no fallback to serial.
+// K. Both rely on a finite radio cutoff: every spec but a trace-driven
+// testbed has one, so every other request for K ≥ 2 gets one of the two.
+// A trace-driven testbed runs serially at any K.
 
 // ShardRunStats is one shard's execution diagnostics after a sharded run.
 // A district kernel fills Events (the events it executed) and the owned
@@ -126,9 +127,11 @@ type shardPlanResult struct {
 // halo lanes at any population: the stripes share radio edges, so the
 // partition moves inside the kernel (see radio.StartShards; clamped to
 // radio.MaxShardLanes — the request is outside input, and every lane is a
-// worker goroutine). Below two shards the run is serial.
+// worker goroutine). Below two shards the run is serial, and so is a
+// trace-driven testbed: its links replay a trace at any distance, so no
+// cutoff bounds a stripe's reach.
 func shardPlan(spec scenario.Spec, shards int) shardPlanResult {
-	if shards < 2 {
+	if shards < 2 || spec.Topology.TraceChannel() != 0 {
 		return shardPlanResult{mode: shardModeSerial, eff: 1}
 	}
 	if d := spec.Districts; d >= 2 {

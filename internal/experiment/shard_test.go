@@ -143,11 +143,11 @@ func TestShardedHaloRecordingSharedSeries(t *testing.T) {
 	}
 	dur := 8 * time.Second
 	TakeRecordings() // drain anything earlier tests left behind
-	if _, err := runFleetApp(5, spec, core.DefaultConfig(), dur, 1, time.Second); err != nil {
+	if _, err := runFleetApp(5, spec, core.DefaultConfig(), dur, 1, time.Second, runHooks{}); err != nil {
 		t.Fatal(err)
 	}
 	serialRecs := TakeRecordings()
-	if _, err := runFleetApp(5, spec, core.DefaultConfig(), dur, 4, time.Second); err != nil {
+	if _, err := runFleetApp(5, spec, core.DefaultConfig(), dur, 4, time.Second, runHooks{}); err != nil {
 		t.Fatal(err)
 	}
 	haloRecs := TakeRecordings()

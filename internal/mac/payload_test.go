@@ -11,6 +11,7 @@ import (
 	"github.com/vanlan/vifi/internal/frame"
 	"github.com/vanlan/vifi/internal/mac"
 	"github.com/vanlan/vifi/internal/radio"
+	"github.com/vanlan/vifi/internal/scenario"
 	"github.com/vanlan/vifi/internal/sim"
 )
 
@@ -26,7 +27,14 @@ import (
 // protocol's handler; either fails on any change.
 func TestReceiversDoNotWritePayload(t *testing.T) {
 	k := sim.NewKernel(26)
-	cell := core.NewVanLANCell(k, core.DefaultCellOptions())
+	vanlan, err := scenario.Preset("vanlan")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell, _, err := scenario.BuildCell(k, vanlan, core.DefaultCellOptions(), nil, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	upcalls := 0
 	var before, after []byte
 	for _, n := range slices.Concat(cell.BSes, cell.Vehicles) {

@@ -178,7 +178,7 @@ func TestShardCellMatchesSerialIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		zero, lay, err := BuildCell(sim.NewKernel(9), spec, core.DefaultCellOptions(), nil, 0)
+		zero, lay, err := BuildCell(sim.NewKernel(9), spec, core.DefaultCellOptions(), nil, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,7 +186,7 @@ func TestShardCellMatchesSerialIdentity(t *testing.T) {
 		if !want.BSLocalNil || !want.VehLocalNil || want.Vehicle != 0 || want.Gateways[0] != int(core.GatewayAddr) {
 			t.Fatalf("%s: all-local cell carries ghost state: %+v", tc.spec, want)
 		}
-		mapped, _, err := BuildCell(sim.NewKernel(9), spec, core.DefaultCellOptions(), tc.allLocal, 0)
+		mapped, _, err := BuildCell(sim.NewKernel(9), spec, core.DefaultCellOptions(), tc.allLocal, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,7 +211,7 @@ func TestShardCellMatchesSerialIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := core.DefaultCellOptions()
-	serial, _, err := BuildCell(sim.NewKernel(9), spec, opts, nil, 0)
+	serial, _, err := BuildCell(sim.NewKernel(9), spec, opts, nil, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestShardCellMatchesSerialIdentity(t *testing.T) {
 	bsOwners := make([]int, len(serial.BSes))
 	vehOwners := make([]int, len(serial.Vehicles))
 	for shard := 0; shard < 2; shard++ {
-		cell, _, err := BuildCell(sim.NewKernel(9), spec, opts, districtShard, shard)
+		cell, _, err := BuildCell(sim.NewKernel(9), spec, opts, districtShard, shard, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

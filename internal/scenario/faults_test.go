@@ -65,7 +65,7 @@ func TestKeyFaultsFragment(t *testing.T) {
 func TestInstallFaultsDrivesOutages(t *testing.T) {
 	k := sim.NewKernel(7)
 	spec, _ := Parse("grid-small,vehicles=2")
-	cell, _, err := BuildCell(k, spec, core.DefaultCellOptions(), nil, 0)
+	cell, _, err := BuildCell(k, spec, core.DefaultCellOptions(), nil, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

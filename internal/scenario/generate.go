@@ -9,17 +9,24 @@ import (
 	"github.com/vanlan/vifi/internal/mobility"
 	"github.com/vanlan/vifi/internal/radio"
 	"github.com/vanlan/vifi/internal/sim"
+	"github.com/vanlan/vifi/internal/trace"
 )
 
 // Layout is a generated deployment: basestation positions plus one route
 // and departure time per vehicle. For districted specs (Spec.Districts ≥
 // 2) the district fields record the stripe partition; otherwise they are
-// zero/nil and Districts reads as 1.
+// zero/nil and Districts reads as 1. A trace-driven vehicle has a nil
+// route: its links replay the trace, so it parks past the last
+// basestation.
 type Layout struct {
 	Spec    Spec
 	BSes    []mobility.Point
 	Routes  []*mobility.Route
 	Departs []time.Duration
+
+	// Span bounds how long the deployment can run, 0 when unbounded:
+	// BuildCell sets it to a trace-driven layout's trace length.
+	Span time.Duration
 
 	// BSDistrict/VehDistrict map each basestation and vehicle index to its
 	// district; DistrictX0/DistrictX1 bound each district's usable x-span
@@ -66,6 +73,9 @@ func Generate(k *sim.Kernel, s Spec) (*Layout, error) {
 	if s.Districts >= 2 {
 		return generateDistricts(k, s)
 	}
+	if s.Topology.testbedBSes() > 0 {
+		return testbedLayout(s), nil
+	}
 	key := s.GeomKey()
 	lay := &Layout{Spec: s}
 	lay.BSes = placeBSes(k.RNG("scenario", key, "bs"), s)
@@ -89,6 +99,26 @@ func Generate(k *sim.Kernel, s Spec) (*Layout, error) {
 		lay.Departs[i] = time.Duration(i) * s.DepartStagger
 	}
 	return lay, nil
+}
+
+// traceSpacingM spaces a trace-driven layout's nodes along the x axis:
+// their links replay the trace, so positions only order them.
+const traceSpacingM = 50
+
+// testbedLayout is a testbed's fixed layout, its first s.BS basestations:
+// the VanLAN campus and shuttle loop, or a trace's basestations in a row
+// with the vehicle parked after them. It draws no random number.
+func testbedLayout(s Spec) *Layout {
+	lay := &Layout{Spec: s, Routes: make([]*mobility.Route, 1), Departs: make([]time.Duration, 1)}
+	if s.Topology == VanLAN {
+		v := mobility.NewVanLAN()
+		lay.BSes, lay.Routes[0] = v.BSes[:s.BS], v.Route
+		return lay
+	}
+	for i := 0; i < s.BS; i++ {
+		lay.BSes = append(lay.BSes, mobility.Point{X: float64(i) * traceSpacingM})
+	}
+	return lay
 }
 
 // generateDistricts lays out a districted spec: D vertical stripes of
@@ -248,6 +278,12 @@ func (s Spec) Apply(opts core.CellOptions) core.CellOptions {
 	return opts
 }
 
+// Traces is the link source of the trace-driven topologies: the
+// DieselNet trace for (seed, channel, duration). trace.GenerateDieselNet
+// is one; the experiment engine's memo, which generates each trace once
+// per engine, is another.
+type Traces func(seed int64, channel int, dur time.Duration) *trace.Trace
+
 // BuildCell generates the layout and wires a running fleet cell over it:
 // fixed basestations, one route-driven vehicle per fleet slot with its
 // staggered departure, and the spec's radio/backplane parameters.
@@ -257,7 +293,12 @@ func (s Spec) Apply(opts core.CellOptions) core.CellOptions {
 // full stacks when districtShard[d] == shard and position-only ghosts
 // otherwise (see core.Placement). The layout — and every NodeID and RNG
 // stream label — is identical under any placement on the same kernel seed.
-func BuildCell(k *sim.Kernel, s Spec, opts core.CellOptions, districtShard []int, shard int) (*core.Cell, *Layout, error) {
+//
+// A testbed is a fleet of one, built by core.NewCell, so its vehicle keeps
+// the "veh" stream labels. A trace-driven testbed's links come from
+// traces (nil generates the trace) and its layout's Span is the trace's
+// length.
+func BuildCell(k *sim.Kernel, s Spec, opts core.CellOptions, districtShard []int, shard int, traces Traces) (*core.Cell, *Layout, error) {
 	lay, err := Generate(k, s)
 	if err != nil {
 		return nil, nil, err
@@ -266,15 +307,48 @@ func BuildCell(k *sim.Kernel, s Spec, opts core.CellOptions, districtShard []int
 		return nil, nil, fmt.Errorf("scenario: %d-district placement for a %d-district spec", len(districtShard), lay.Districts())
 	}
 	bs, vehs := layoutMovers(lay)
-	return core.NewFleetCell(k, s.Apply(opts), bs, vehs, core.Placement{
+	opts = s.Apply(opts)
+	if ch := s.Topology.TraceChannel(); ch != 0 {
+		if traces == nil {
+			traces = trace.GenerateDieselNet
+		}
+		opts.LinkFactory, lay.Span = traceLinks(k, ch, s.BS, traces)
+	}
+	if s.Topology.testbedBSes() > 0 {
+		return core.NewCell(k, opts, bs, vehs[0]), lay, nil
+	}
+	return core.NewFleetCell(k, opts, bs, vehs, core.Placement{
 		Districts:  lay.Districts(),
 		BSDistrict: lay.BSDistrict, VehDistrict: lay.VehDistrict,
 		DistrictShard: districtShard, Shard: shard,
 	}), lay, nil
 }
 
+// traceLinks is a trace-driven cell's link factory over its first nb
+// basestations: vehicle↔BS links replay one hour of per-second beacon
+// ratios (nothing is copied: the links read the trace), inter-BS links
+// follow the paper's never-co-visible rule (§5.1). It also returns the
+// trace's length.
+func traceLinks(k *sim.Kernel, channel, nb int, traces Traces) (radio.LinkFactory, time.Duration) {
+	tr := traces(int64(k.RNG("traceseed").Uint64()%(1<<30)), channel, time.Hour)
+	links := tr.ScheduleLinks()
+	inter := tr.InterBSRatios(k.RNG("interbs", fmt.Sprint(channel)))
+	veh := radio.NodeID(nb)
+	return func(from, to radio.NodeID) radio.LinkModel {
+		switch {
+		case from == veh:
+			return links[int(to)]
+		case to == veh:
+			return links[int(from)]
+		default:
+			return radio.FixedLink(inter[int(from)][int(to)])
+		}
+	}, time.Duration(tr.Seconds()) * time.Second
+}
+
 // layoutMovers materializes the layout's movers: fixed basestations and
-// one route-driven vehicle per fleet slot with its staggered departure.
+// one route-driven vehicle per fleet slot with its staggered departure
+// (a routeless, trace-driven vehicle parks after the last basestation).
 func layoutMovers(lay *Layout) (bs, vehs []mobility.Mover) {
 	bs = make([]mobility.Mover, len(lay.BSes))
 	for i, p := range lay.BSes {
@@ -282,6 +356,10 @@ func layoutMovers(lay *Layout) (bs, vehs []mobility.Mover) {
 	}
 	vehs = make([]mobility.Mover, len(lay.Routes))
 	for i, r := range lay.Routes {
+		if r == nil {
+			vehs[i] = mobility.Fixed{X: float64(len(lay.BSes)) * traceSpacingM}
+			continue
+		}
 		vehs[i] = &mobility.RouteMover{Route: r, Depart: lay.Departs[i]}
 	}
 	return bs, vehs

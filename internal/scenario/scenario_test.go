@@ -1,13 +1,17 @@
 package scenario
 
 import (
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/vanlan/vifi/internal/core"
 	"github.com/vanlan/vifi/internal/frame"
+	"github.com/vanlan/vifi/internal/mobility"
 	"github.com/vanlan/vifi/internal/sim"
+	"github.com/vanlan/vifi/internal/trace"
 	"github.com/vanlan/vifi/internal/workload"
 )
 
@@ -188,6 +192,9 @@ func TestParseAppKnobs(t *testing.T) {
 func TestGenerateDeterministic(t *testing.T) {
 	for _, name := range Presets() {
 		s, _ := Preset(name)
+		if s.Topology.testbedBSes() > 0 {
+			continue // a testbed's layout is fixed (TestTestbedPresets)
+		}
 		gen := func(seed int64) *Layout {
 			lay, err := Generate(sim.NewKernel(seed), s)
 			if err != nil {
@@ -236,6 +243,9 @@ func TestGenerateShapes(t *testing.T) {
 	k := sim.NewKernel(3)
 	for _, name := range Presets() {
 		s, _ := Preset(name)
+		if s.Topology.testbedBSes() > 0 {
+			continue // a testbed's layout is fixed (TestTestbedPresets)
+		}
 		lay, err := Generate(k, s)
 		if err != nil {
 			t.Fatal(err)
@@ -270,7 +280,7 @@ func TestBuildCellRunsFleet(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := sim.NewKernel(11)
-	cell, lay, err := BuildCell(k, spec, core.DefaultCellOptions(), nil, 0)
+	cell, lay, err := BuildCell(k, spec, core.DefaultCellOptions(), nil, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,5 +316,78 @@ func TestApplyOverrides(t *testing.T) {
 	if opts.Backplane.Access.RateBps != 1e6 || opts.Backplane.Access.Delay != 20*time.Millisecond ||
 		opts.Backplane.Access.Loss != 0.05 {
 		t.Errorf("backplane overrides not applied: %+v", opts.Backplane)
+	}
+}
+
+// TestTestbedPresets: the paper's testbeds are one-vehicle presets over
+// fixed layouts. bs=N keeps the first N basestations, any other fleet size
+// or more basestations than the testbed has is rejected, the vehicle keeps
+// the single-vehicle cell's "veh" labels, a trace-driven testbed reads its
+// links from the given trace source and is bounded by the trace, and CBR
+// on a testbed is the §5.2 probe (100 ms slots, no link-layer
+// retransmissions) while a fleet's CBR and a testbed's TCP keep theirs.
+func TestTestbedPresets(t *testing.T) {
+	for name, bs := range map[string]int{"vanlan": 11, "dieselnet1": 10, "dieselnet6": 14} {
+		s, err := Parse(name)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", name, err)
+		}
+		if s.BS != bs || s.Vehicles != 1 || s.Topology.String() != name {
+			t.Errorf("%s: %d BS, %d vehicles, topology %s", name, s.BS, s.Vehicles, s.Topology)
+		}
+		a, errA := Generate(sim.NewKernel(1), s)
+		b, errB := Generate(sim.NewKernel(2), s)
+		if errA != nil || errB != nil || len(a.BSes) != bs || len(a.Routes) != 1 || !reflect.DeepEqual(a, b) {
+			t.Errorf("%s: the layout is not fixed across seeds (%v, %v)", name, errA, errB)
+		}
+	}
+	for _, bad := range []string{"vanlan,vehicles=2", "dieselnet6,vehicles=3", "vanlan,bs=12",
+		"dieselnet1,bs=11", "vanlan,districts=2"} {
+		if _, err := Parse(bad); err == nil {
+			t.Errorf("Parse(%q) accepted", bad)
+		}
+	}
+
+	s, err := Parse("vanlan,bs=3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell, lay, err := BuildCell(sim.NewKernel(1), s, core.DefaultCellOptions(), nil, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(lay.BSes, mobility.NewVanLAN().BSes[:3]) || len(cell.BSes) != 3 || lay.Span != 0 {
+		t.Errorf("vanlan,bs=3: basestations %v, span %v", lay.BSes, lay.Span)
+	}
+	if got := cell.Channel.NodeName(cell.VehRadioIDs[0]); got != "veh" {
+		t.Errorf("testbed vehicle named %q, want veh", got)
+	}
+
+	dn, _ := Parse("dieselnet6,bs=4")
+	var asked []int
+	minute := func(seed int64, channel int, _ time.Duration) *trace.Trace {
+		asked = append(asked, channel)
+		return trace.GenerateDieselNet(seed, channel, time.Minute)
+	}
+	if _, lay, err := BuildCell(sim.NewKernel(1), dn, core.DefaultCellOptions(), nil, 0, minute); err != nil ||
+		!slices.Equal(asked, []int{6}) || lay.Span != time.Minute || len(lay.BSes) != 4 {
+		t.Errorf("dieselnet6,bs=4: err %v, trace channels %v, span %v, %d BSes", err, asked, lay.Span, len(lay.BSes))
+	}
+
+	cfg := core.DefaultConfig()
+	for _, tc := range []struct {
+		spec  string
+		probe bool
+		slot  time.Duration
+	}{{"vanlan", true, 100 * time.Millisecond}, {"dieselnet1", true, 100 * time.Millisecond},
+		{"vanlan,app=tcp", false, 200 * time.Millisecond}, {"grid-small", false, 200 * time.Millisecond}} {
+		s, _ := Parse(tc.spec)
+		wantRetx := cfg.MaxRetx
+		if tc.probe {
+			wantRetx = 0
+		}
+		if s.probe() != tc.probe || s.AppConfig().CBRSlot != tc.slot || s.Protocol(cfg).MaxRetx != wantRetx {
+			t.Errorf("%s: probe %v, slot %v, MaxRetx %d", tc.spec, s.probe(), s.AppConfig().CBRSlot, s.Protocol(cfg).MaxRetx)
+		}
 	}
 }

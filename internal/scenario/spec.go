@@ -1,8 +1,9 @@
-// Package scenario generates synthetic deployments at arbitrary scale:
-// parameterized basestation topologies (grid, strip, cluster), fleets of
-// vehicles on generated routes with staggered departures, and per-scenario
-// radio/backplane parameters. It turns the repository's two hand-built
-// testbeds (VanLAN, DieselNet) into an unbounded scenario space.
+// Package scenario describes every deployment a run drives: the paper's
+// two testbeds as presets (vanlan, the campus run live; dieselnet1 and
+// dieselnet6, trace-driven), and synthetic deployments at arbitrary scale
+// — parameterized basestation topologies (grid, strip, cluster), fleets
+// of vehicles on generated routes with staggered departures, and
+// per-scenario radio/backplane parameters.
 //
 // Determinism contract: a scenario is a pure function of (kernel seed,
 // Spec). All geometry draws come from kernel RNG streams labeled with the
@@ -15,6 +16,7 @@ package scenario
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -22,6 +24,7 @@ import (
 
 	"github.com/vanlan/vifi/internal/core"
 	"github.com/vanlan/vifi/internal/fault"
+	"github.com/vanlan/vifi/internal/mobility"
 	"github.com/vanlan/vifi/internal/workload"
 )
 
@@ -39,23 +42,54 @@ const (
 	// Cluster scatters basestations in hot spots — organic shop/home
 	// deployments around a town.
 	Cluster
+	// VanLAN is the paper's campus testbed (§5.1), run live: the fixed
+	// layout of mobility.NewVanLAN, of which bs=N keeps the first N
+	// basestations, and its one shuttle.
+	VanLAN
+	// DieselNet1 and DieselNet6 are the paper's trace-driven testbed on
+	// channel 1 or 6 (§5.1): the vehicle's links replay one hour of
+	// synthetic DieselNet beacon ratios, inter-BS links follow the
+	// never-co-visible rule. A run ends with its trace.
+	DieselNet1
+	DieselNet6
 )
+
+// topologyNames are the topologies' names in a spec, in constant order.
+var topologyNames = []string{"grid", "strip", "cluster", "vanlan", "dieselnet1", "dieselnet6"}
 
 // String implements fmt.Stringer.
 func (t Topology) String() string {
-	switch t {
-	case Grid:
-		return "grid"
-	case Strip:
-		return "strip"
-	case Cluster:
-		return "cluster"
-	default:
+	if t < 0 || int(t) >= len(topologyNames) {
 		return "topology(?)"
+	}
+	return topologyNames[t]
+}
+
+// TraceChannel is the DieselNet channel a trace-driven topology replays,
+// 0 for topologies whose links are the radio model's.
+func (t Topology) TraceChannel() int {
+	switch t {
+	case DieselNet1:
+		return 1
+	case DieselNet6:
+		return 6
+	default:
+		return 0
 	}
 }
 
-// Spec parameterizes one synthetic deployment. The zero value is not
+// testbedBS holds each testbed topology's basestation count.
+var testbedBS = map[Topology]int{
+	VanLAN:     len(mobility.NewVanLAN().BSes),
+	DieselNet1: len(mobility.NewDieselNet(1).BSes),
+	DieselNet6: len(mobility.NewDieselNet(6).BSes),
+}
+
+// testbedBSes is a testbed topology's basestation count, 0 for the
+// generated ones.
+func (t Topology) testbedBSes() int { return testbedBS[t] }
+
+// Spec parameterizes one deployment. The zero value is not
 // runnable; start from a preset (Parse, Preset) and override fields.
 type Spec struct {
 	Topology Topology
@@ -122,9 +156,34 @@ type Spec struct {
 // FaultSpec parses the spec's fault string ("" yields the empty spec).
 func (s Spec) FaultSpec() (fault.Spec, error) { return fault.Parse(s.Faults) }
 
+// probeSlot is the §5.2 link-layer probe's cadence: one 500-byte packet
+// each way every 100 ms.
+const probeSlot = 100 * time.Millisecond
+
+// probe reports whether the spec runs the §5.2 link-layer probe: CBR on a
+// testbed. The probe differs from a fleet's CBR in two ways, both kept
+// here — it sends every probeSlot (AppConfig), and with link-layer
+// retransmissions off (Protocol).
+func (s Spec) probe() bool {
+	return s.App == workload.CBRKind && s.Topology.testbedBSes() > 0
+}
+
+// Protocol returns cfg as the spec runs it: the probe disables link-layer
+// retransmissions, so probe configurations differing only in MaxRetx are
+// one run.
+func (s Spec) Protocol(cfg core.Config) core.Config {
+	if s.probe() {
+		cfg.MaxRetx = 0
+	}
+	return cfg
+}
+
 // AppConfig folds the spec's application knobs into a workload config.
 func (s Spec) AppConfig() workload.Config {
 	cfg := workload.DefaultConfig()
+	if s.probe() {
+		cfg.CBRSlot = probeSlot
+	}
 	if s.AppXferBytes > 0 {
 		cfg.TransferBytes = s.AppXferBytes
 	}
@@ -191,6 +250,11 @@ func presets() map[string]Spec {
 			Topology: Cluster, BS: 18, Clusters: 4, Width: 1500, Height: 1000, JitterM: 80,
 			Vehicles: 6, SpeedKmh: 40, RouteStops: 8, DepartStagger: 2 * time.Second,
 		},
+		// The paper's testbeds: one vehicle each, every basestation. The
+		// geometry fields stay zero — the topology fixes the layout.
+		"vanlan":     {Topology: VanLAN, BS: VanLAN.testbedBSes(), Vehicles: 1},
+		"dieselnet1": {Topology: DieselNet1, BS: DieselNet1.testbedBSes(), Vehicles: 1},
+		"dieselnet6": {Topology: DieselNet6, BS: DieselNet6.testbedBSes(), Vehicles: 1},
 	}
 }
 
@@ -252,16 +316,11 @@ func (s *Spec) set(key, val string) error {
 	var err error
 	switch key {
 	case "topology":
-		switch val {
-		case "grid":
-			s.Topology = Grid
-		case "strip":
-			s.Topology = Strip
-		case "cluster":
-			s.Topology = Cluster
-		default:
-			return fmt.Errorf("scenario: unknown topology %q (grid, strip, cluster)", val)
+		t := slices.Index(topologyNames, val)
+		if t < 0 {
+			return fmt.Errorf("scenario: unknown topology %q (%s)", val, strings.Join(topologyNames, ", "))
 		}
+		s.Topology = Topology(t)
 	case "bs":
 		s.BS, err = geti()
 	case "clusters":
@@ -333,7 +392,9 @@ func parseMix(val string) ([4]int, error) {
 	return mix, nil
 }
 
-// Validate reports the first configuration error.
+// Validate reports the first configuration error. A testbed topology
+// fixes its layout, so its geometry fields are not read; it carries one
+// vehicle and at most its own basestations.
 func (s Spec) Validate() error {
 	// Radio addresses are uint16 node IDs and the gateways sit at
 	// core.GatewayAddr and up, so a deployment holds that many radios.
@@ -344,6 +405,7 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("scenario: %g is not a finite number", v)
 		}
 	}
+	testbed := s.Topology.testbedBSes()
 	switch {
 	case s.BS < 1:
 		return fmt.Errorf("scenario: bs = %d, need ≥ 1", s.BS)
@@ -352,16 +414,8 @@ func (s Spec) Validate() error {
 	case s.BS > maxRadios || s.Vehicles > maxRadios || s.BS+s.Vehicles > maxRadios:
 		return fmt.Errorf("scenario: bs = %d plus vehicles = %d exceeds the %d radios the 16-bit address space holds",
 			s.BS, s.Vehicles, maxRadios)
-	case s.Width <= 0 || s.Height <= 0:
-		return fmt.Errorf("scenario: region %gx%g must be positive", s.Width, s.Height)
-	case s.SpeedKmh <= 0:
-		return fmt.Errorf("scenario: speed %g km/h must be positive", s.SpeedKmh)
-	case s.RouteStops < 2:
-		return fmt.Errorf("scenario: stops = %d, need ≥ 2", s.RouteStops)
 	case s.JitterM < 0 || s.RangeM < 0 || s.BackplaneLoss < 0 || s.BackplaneLoss > 1:
 		return fmt.Errorf("scenario: negative jitter/range or loss outside [0,1]")
-	case s.Topology == Cluster && s.Clusters < 1:
-		return fmt.Errorf("scenario: cluster topology needs clusters ≥ 1")
 	case s.DepartStagger < 0:
 		return fmt.Errorf("scenario: stagger must be ≥ 0")
 	case s.Districts < 0:
@@ -378,6 +432,20 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("scenario: negative app transfer size or think time")
 	case s.AppMix[0] < 0 || s.AppMix[1] < 0 || s.AppMix[2] < 0 || s.AppMix[3] < 0:
 		return fmt.Errorf("scenario: negative mix weight")
+	case testbed > 0 && s.Vehicles != 1:
+		return fmt.Errorf("scenario: the %s testbed carries one vehicle, have vehicles = %d", s.Topology, s.Vehicles)
+	case testbed > 0 && s.BS > testbed:
+		return fmt.Errorf("scenario: the %s testbed has %d basestations, have bs = %d", s.Topology, testbed, s.BS)
+	case testbed > 0:
+		// The layout is fixed: the geometry checks below do not apply.
+	case s.Width <= 0 || s.Height <= 0:
+		return fmt.Errorf("scenario: region %gx%g must be positive", s.Width, s.Height)
+	case s.SpeedKmh <= 0:
+		return fmt.Errorf("scenario: speed %g km/h must be positive", s.SpeedKmh)
+	case s.RouteStops < 2:
+		return fmt.Errorf("scenario: stops = %d, need ≥ 2", s.RouteStops)
+	case s.Topology == Cluster && s.Clusters < 1:
+		return fmt.Errorf("scenario: cluster topology needs clusters ≥ 1")
 	}
 	if s.Faults != "" {
 		if _, err := fault.Parse(s.Faults); err != nil {

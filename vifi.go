@@ -16,6 +16,12 @@
 // baseline the paper compares against, or use Experiment to regenerate
 // any of the paper's figures.
 //
+// One run type serves every deployment: the paper's testbeds (NewVanLAN,
+// NewDieselNet) are the vanlan, dieselnet1 and dieselnet6 scenario
+// presets — a fleet of one vehicle — and run exactly as a generated city
+// fleet does (NewScenario, RunFleet), so NewScenario("vanlan,app=voip")
+// and NewVanLAN(...).RunVoIP drive the same simulation.
+//
 // Everything is deterministic: equal seeds give byte-identical results,
 // even when experiments run on the parallel engine's worker pool
 // (cmd/vifi-bench -parallel N). See DESIGN.md for the system inventory
@@ -24,6 +30,7 @@
 package vifi
 
 import (
+	"fmt"
 	"time"
 
 	"github.com/vanlan/vifi/internal/core"
@@ -62,48 +69,61 @@ type VoIPQuality = voip.Quality
 // TransferQuantile and TransfersPerSession over them.
 type AppMetrics = workload.Metrics
 
-// Deployment is a runnable ViFi environment: VanLAN (live channel
-// simulation over the campus layout) or DieselNet (trace-driven).
+// Deployment is one of the paper's testbeds with its one vehicle: VanLAN
+// (live channel simulation over the campus layout) or DieselNet
+// (trace-driven) — the vanlan, dieselnet1 and dieselnet6 scenario
+// presets.
 type Deployment struct {
 	seed int64
-	env  experiment.Env
+	spec scenario.Spec
 	cfg  Protocol
 }
 
 // NewVanLAN returns the Redmond campus deployment: eleven basestations,
 // the shuttle loop, and the calibrated vehicular channel.
 func NewVanLAN(seed int64, cfg Protocol) *Deployment {
-	return &Deployment{seed: seed, env: experiment.EnvVanLAN, cfg: cfg}
+	return testbed(seed, "vanlan", cfg)
 }
 
 // NewDieselNet returns the trace-driven Amherst deployment for channel 1
-// or 6 (panics on other channels, mirroring the profiled dataset).
+// or 6 (panics on other channels, mirroring the profiled dataset). A run
+// lasts at most its one-hour trace.
 func NewDieselNet(seed int64, channel int, cfg Protocol) *Deployment {
-	switch channel {
-	case 1:
-		return &Deployment{seed: seed, env: experiment.EnvDieselNetCh1, cfg: cfg}
-	case 6:
-		return &Deployment{seed: seed, env: experiment.EnvDieselNetCh6, cfg: cfg}
-	default:
+	if channel != 1 && channel != 6 {
 		panic("vifi: DieselNet was profiled on channels 1 and 6 only")
 	}
+	return testbed(seed, fmt.Sprintf("dieselnet%d", channel), cfg)
 }
 
-// run drives one testbed workload on a fresh one-worker engine.
-func (d *Deployment) run(kind workload.Kind, duration time.Duration) *experiment.TestbedRun {
-	return experiment.NewEngine(1).Testbed(d.seed, d.env, kind, d.cfg, duration, false).Wait()
+func testbed(seed int64, preset string, cfg Protocol) *Deployment {
+	spec, err := scenario.Preset(preset)
+	if err != nil {
+		panic(err) // callers name presets
+	}
+	return &Deployment{seed: seed, spec: spec, cfg: cfg}
+}
+
+// run drives the testbed's vehicle under one application workload.
+func (d *Deployment) run(kind workload.Kind, duration time.Duration) *FleetRun {
+	spec := d.spec
+	spec.App = kind
+	run, err := experiment.RunFleetAppWorkload(d.seed, spec, d.cfg, duration, 1)
+	if err != nil {
+		panic(err) // a preset running a concrete app is valid
+	}
+	return run
 }
 
 // RunVoIP drives a bidirectional G.729 call for the duration and scores
 // it with the paper's E-model and interruption rule (§5.3.2).
 func (d *Deployment) RunVoIP(duration time.Duration) VoIPQuality {
-	return d.run(workload.VoIPKind, duration).VoIP
+	return d.run(workload.VoIPKind, duration).PerVehicle[0].VoIP
 }
 
 // RunTCP drives the paper's repeated 10 KB transfer workload with the
 // 10-second stall abort (§5.3.1).
 func (d *Deployment) RunTCP(duration time.Duration) AppMetrics {
-	return d.run(workload.TCPKind, duration).Metrics
+	return d.run(workload.TCPKind, duration).PerVehicle[0]
 }
 
 // LinkSessionMedian runs the §5.2 link-layer probe workload (500-byte
@@ -111,7 +131,7 @@ func (d *Deployment) RunTCP(duration time.Duration) AppMetrics {
 // time-weighted median uninterrupted session length for the adequacy
 // definition (interval, minimum combined reception ratio).
 func (d *Deployment) LinkSessionMedian(duration, interval time.Duration, minRatio float64) float64 {
-	return d.run(workload.CBRKind, duration).Link().MedianSession(interval, minRatio)
+	return d.run(workload.CBRKind, duration).MedianSession(interval, minRatio)
 }
 
 // Experiment regenerates one of the paper's tables or figures (ids:

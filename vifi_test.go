@@ -1,6 +1,7 @@
 package vifi
 
 import (
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -109,5 +110,23 @@ func TestFacadeScenario(t *testing.T) {
 	}
 	if s := vrun.Apps.App(VoIPApp); s.Vehicles != 3 || s.CallWindows == 0 {
 		t.Errorf("voip fleet summary: %+v", s)
+	}
+}
+
+// TestFacadeTestbedIsAScenario: a testbed deployment is its preset run as
+// a fleet of one, so NewVanLAN's call and the vanlan,app=voip scenario's
+// one vehicle are the same simulation.
+func TestFacadeTestbedIsAScenario(t *testing.T) {
+	q := NewVanLAN(4, DefaultProtocol()).RunVoIP(40 * time.Second)
+	d, err := NewScenario(4, "vanlan,app=voip", DefaultProtocol())
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := d.RunFleet(40 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if run.Vehicles != 1 || !reflect.DeepEqual(run.PerVehicle[0].VoIP, q) {
+		t.Errorf("scenario run (%d vehicles) %+v, testbed call %+v", run.Vehicles, run.PerVehicle[0].VoIP, q)
 	}
 }

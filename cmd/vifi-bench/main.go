@@ -36,6 +36,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -80,6 +81,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stdout, id)
 		}
 		return 0
+	}
+	if !(*scale > 0) || math.IsInf(*scale, 1) {
+		fmt.Fprintf(stderr, "vifi-bench: -scale %v is not a positive number\n", *scale)
+		return 2
 	}
 
 	if *cpuprofile != "" {

@@ -24,6 +24,20 @@ func TestBadFlag(t *testing.T) {
 	}
 }
 
+// TestBadScale: a scale must be a positive finite number, or nothing is
+// run and the exit is a usage error.
+func TestBadScale(t *testing.T) {
+	for _, scale := range []string{"0", "-1", "NaN", "+Inf"} {
+		var out, errb strings.Builder
+		if code := run([]string{"-run", "fig7", "-scale", scale}, &out, &errb); code != 2 {
+			t.Errorf("-scale %s: exit = %d, want 2", scale, code)
+		}
+		if out.Len() != 0 {
+			t.Errorf("-scale %s: a report was printed:\n%s", scale, out.String())
+		}
+	}
+}
+
 func TestHelpExitsZero(t *testing.T) {
 	var out, errb strings.Builder
 	if code := run([]string{"-h"}, &out, &errb); code != 0 {

@@ -74,6 +74,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
+	if *duration <= 0 {
+		fmt.Fprintf(stderr, "vifi-sim: -duration %v is not positive\n", *duration)
+		return 2
+	}
+
 	names := strings.Split(*protocol, ",")
 	cfgs := make([]core.Config, len(names))
 	for i, name := range names {

@@ -16,6 +16,10 @@ func TestBadInputs(t *testing.T) {
 		{"-env", "vanlan"},
 		{"-workload", "voip"},
 		{"-nope"},
+		// A run needs simulated time: no panic, no empty report.
+		{"-duration", "0s"},
+		{"-scenario", "grid,faults=chaos", "-duration", "-5s"},
+		{"-scenario", "vanlan,app=voip", "-duration", "0s"},
 	}
 	for _, args := range cases {
 		var out, errb strings.Builder

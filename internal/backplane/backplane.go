@@ -98,7 +98,6 @@ func (l *qlink) admit(now time.Duration, size int, rateBps float64) (done time.D
 }
 
 type port struct {
-	addr    uint16
 	handler Handler
 	up      *qlink
 	down    *qlink
@@ -183,7 +182,6 @@ func (n *Net) Attach(addr uint16, h Handler) {
 		return
 	}
 	n.ports[addr] = &port{
-		addr:    addr,
 		handler: h,
 		up:      &qlink{spec: n.cfg.Access},
 		down:    &qlink{spec: n.cfg.Access},

@@ -33,7 +33,6 @@ type Gateway struct {
 	SentDown       int
 	NoAnchorDrops  int
 	DeliveredUp    int
-	DuplicatesUp   int
 	Registrations  int
 	AnchorSwitches int
 }
@@ -127,7 +126,6 @@ func (g *Gateway) handleBackplane(from uint16, payload []byte) {
 		// anchor changes.
 		id := frame.PacketID{Src: f.Orig, Seq: f.Seq}
 		if g.dedup[id] {
-			g.DuplicatesUp++
 			return
 		}
 		g.dedup[id] = true

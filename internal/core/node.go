@@ -25,7 +25,6 @@ type DeliverFunc func(id frame.PacketID, payload []byte, from uint16)
 type vehState struct {
 	amAnchor   bool // this BS believes it is the vehicle's anchor
 	anchor     uint16
-	prevAnchor uint16
 	aux        []uint16
 	lastBeacon time.Duration
 	// regRetry marks a Register the backplane refused to admit (anchor
@@ -246,7 +245,7 @@ func (n *Node) Probs() *ProbTable { return n.probs }
 func (n *Node) ensureVeh(veh uint16) *vehState {
 	vs := n.vehs[veh]
 	if vs == nil {
-		vs = &vehState{anchor: frame.None, prevAnchor: frame.None}
+		vs = &vehState{anchor: frame.None}
 		n.vehs[veh] = vs
 	}
 	return vs
@@ -382,7 +381,6 @@ func (n *Node) handleBeacon(f *frame.Frame) {
 	veh := f.Src
 	vs := n.ensureVeh(veh)
 	vs.anchor = f.Beacon.Anchor
-	vs.prevAnchor = f.Beacon.PrevAnchor
 	vs.aux = append(vs.aux[:0], f.Beacon.Aux...)
 	vs.lastBeacon = now
 

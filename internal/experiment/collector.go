@@ -27,7 +27,6 @@ type txRecord struct {
 	relays    int
 	relayRecv int
 	declined  int
-	supressed int
 }
 
 // Collector aggregates core protocol events into the statistics behind
@@ -36,13 +35,10 @@ type Collector struct {
 	tx map[txKey]*txRecord
 
 	// Direction-level counters.
-	Deliver    [2]int // unique app deliveries
-	SrcTxAir   [2]int // source transmissions on the air
-	RelayAir   [2]int // relays on the air (downstream)
-	RelayBack  [2]int // relays on the backplane (upstream)
-	Salvaged   int
-	SalvageReq int
-	Drops      [2]int
+	Deliver  [2]int // unique app deliveries
+	SrcTxAir [2]int // source transmissions on the air
+	RelayAir [2]int // relays on the air (downstream)
+	Salvaged int
 
 	// AuxCountSamples collects the vehicle's auxiliary-set size over time
 	// (Table 1 row A1): a collecting TCP run feeds it once per second.
@@ -80,14 +76,10 @@ func (c *Collector) Handle(e core.Event) {
 		c.rec(e).relayRecv++
 	case core.EvAuxHeard:
 		c.rec(e).auxHeard++
-	case core.EvAuxSuppressed:
-		c.rec(e).supressed++
 	case core.EvAuxRelayed:
 		c.rec(e).relays++
 		if e.Medium == core.MediumAir {
 			c.RelayAir[d]++
-		} else {
-			c.RelayBack[d]++
 		}
 	case core.EvAuxDeclined:
 		c.rec(e).declined++
@@ -95,10 +87,6 @@ func (c *Collector) Handle(e core.Event) {
 		c.Deliver[d]++
 	case core.EvSalvaged:
 		c.Salvaged++
-	case core.EvSalvageReq:
-		c.SalvageReq++
-	case core.EvSrcDrop:
-		c.Drops[d]++
 	}
 }
 

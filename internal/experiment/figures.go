@@ -122,9 +122,9 @@ func Fig3(o Options) *Report {
 	trip := min(1, trips-1) // the second trip, or the only one a short run drives
 	// One replay per policy: the timelines (a–c) and the CDF (d) both
 	// read its slot table.
-	replays := map[string]Future[*handoff.Result]{}
+	replays := map[string]Future[*stats.SlotTable]{}
 	for _, p := range []handoff.Policy{handoff.NewBRR(), handoff.NewBestBS(), handoff.NewAllBSes(), handoff.NewSticky()} {
-		replays[p.Name()] = goJob(eng, func() *handoff.Result { return handoff.Evaluate(pt, p) })
+		replays[p.Name()] = goJob(eng, func() *stats.SlotTable { return handoff.Evaluate(pt, p) })
 	}
 	for _, name := range []string{"BRR", "BestBS", "AllBSes"} {
 		adequate, interruptions := replays[name].Wait().Timeline(trip)
@@ -167,13 +167,13 @@ func Fig4(o Options) *Report {
 	// One pool job per policy replays the trace, the figure's actual
 	// compute; every row reduces the four slot tables.
 	policies := []handoff.Policy{handoff.NewAllBSes(), handoff.NewBestBS(), handoff.NewBRR(), handoff.NewSticky()}
-	replays := make([]Future[*handoff.Result], len(policies))
+	replays := make([]Future[*stats.SlotTable], len(policies))
 	for i, p := range policies {
-		replays[i] = goJob(eng, func() *handoff.Result { return handoff.Evaluate(pt, p) })
+		replays[i] = goJob(eng, func() *stats.SlotTable { return handoff.Evaluate(pt, p) })
 	}
 	tables := make([]*stats.SlotTable, len(replays))
 	for i, f := range replays {
-		tables[i] = &f.Wait().SlotTable
+		tables[i] = f.Wait()
 	}
 	addSessionSweep(r, []time.Duration{500 * time.Millisecond, time.Second,
 		2 * time.Second, 4 * time.Second, 8 * time.Second, 16 * time.Second}, tables...)

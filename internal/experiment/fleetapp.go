@@ -18,11 +18,12 @@ import (
 // (sweeps.go) are tables of these runs.
 
 // FleetAppRun is the outcome of one fleet application execution: the
-// per-vehicle driver metrics, the fleet-wide per-app aggregation, and —
-// when CBR vehicles ran — the slot table the link metrics come from. Results are shared through the run-cache; treat as read-only.
+// per-vehicle driver metrics (each names the app its vehicle ran), the
+// fleet-wide per-app aggregation, and — when CBR vehicles ran — the slot
+// table the link metrics come from. Results are shared through the
+// run-cache; treat as read-only.
 type FleetAppRun struct {
 	SpecKey  string
-	App      workload.Kind
 	BSCount  int
 	Vehicles int
 	Duration time.Duration

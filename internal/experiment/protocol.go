@@ -29,11 +29,11 @@ func Fig7(o Options) *Report {
 	pt := ptF.Wait()
 	// The oracles are one trace replay each, pool jobs; every row then
 	// reduces their slot tables and the two live runs' alike.
-	allF := goJob(eng, func() *handoff.Result { return handoff.Evaluate(pt, handoff.NewAllBSes()) })
-	bestF := goJob(eng, func() *handoff.Result { return handoff.Evaluate(pt, handoff.NewBestBS()) })
+	allF := goJob(eng, func() *stats.SlotTable { return handoff.Evaluate(pt, handoff.NewAllBSes()) })
+	bestF := goJob(eng, func() *stats.SlotTable { return handoff.Evaluate(pt, handoff.NewBestBS()) })
 	addSessionSweep(r, []time.Duration{500 * time.Millisecond, time.Second,
 		2 * time.Second, 4 * time.Second, 8 * time.Second},
-		&allF.Wait().SlotTable, vifiF.Wait().Link, &bestF.Wait().SlotTable, brrF.Wait().Link)
+		allF.Wait(), vifiF.Wait().Link, bestF.Wait(), brrF.Wait().Link)
 	r.AddNote("paper shape: ViFi beats the BestBS oracle and approaches AllBSes; BRR trails badly")
 	return r
 }

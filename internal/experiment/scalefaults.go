@@ -36,7 +36,8 @@ type FaultReport struct {
 
 	// Availability is the fraction of one-second bins with at least one
 	// application delivery somewhere in the fleet, counted from the
-	// first delivery onward. GapBins are the silent bins; GapBinsFault
+	// first delivery onward (from the start when nothing was ever
+	// delivered). GapBins are the silent bins; GapBinsFault
 	// the subset overlapping an injected outage window — the remainder
 	// is ordinary radio silence, not fault-attributable.
 	Availability float64
@@ -148,15 +149,12 @@ func (r *faultRecorder) report(tl fault.Timeline) *FaultReport {
 	if recovered > 0 {
 		rep.RecoveryMeanSec = (recoverySum / time.Duration(recovered)).Seconds()
 	}
-	first := -1
+	first := 0 // a run that never delivered is silent from its start
 	for i, b := range r.bins {
 		if b {
 			first = i
 			break
 		}
-	}
-	if first < 0 {
-		return rep
 	}
 	total := 0
 	for i := first; i < len(r.bins); i++ {

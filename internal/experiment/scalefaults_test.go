@@ -7,6 +7,7 @@ import (
 	"github.com/vanlan/vifi/internal/core"
 	"github.com/vanlan/vifi/internal/fault"
 	"github.com/vanlan/vifi/internal/scenario"
+	"github.com/vanlan/vifi/internal/sim"
 )
 
 // TestFaultedRunInjectsAndRecovers pins the sweep's substance at test
@@ -57,5 +58,53 @@ func TestUnfaultedRunHasNilFaultReport(t *testing.T) {
 	}
 	if run.Faults != nil {
 		t.Error("fault-free run carries a FaultReport")
+	}
+}
+
+// TestSilentFaultedRunCountsEveryBin: a faulted run that delivered nothing
+// is silent in every one-second bin, and the silent bins an outage
+// overlaps are attributed to it — zero availability never comes with zero
+// silent bins.
+func TestSilentFaultedRunCountsEveryBin(t *testing.T) {
+	r := newFaultRecorder(sim.NewKernel(1), 10*time.Second) // bins 0…11
+	tl := fault.Timeline{Outages: []fault.Outage{
+		{Layer: fault.LayerBS, Start: 2500 * time.Millisecond, End: 4 * time.Second}, // bins 2 and 3
+	}}
+	rep := r.report(tl)
+	if rep.Availability != 0 || rep.GapBins != 12 || rep.GapBinsFault != 2 {
+		t.Errorf("silent run: availability %v, %d silent bins, %d fault-attributable; want 0, 12, 2",
+			rep.Availability, rep.GapBins, rep.GapBinsFault)
+	}
+
+	spec, err := scenario.Parse("dieselnet1,faults=chaos,app=tcp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := RunFleetAppWorkload(1, spec, core.DefaultConfig(), 30*time.Second, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The bus spends these 30 s short of the covered town core, so the run
+	// never delivers: all 32 bins (30 s plus the drain) are silent.
+	if f := run.Faults; f.Availability != 0 || f.GapBins != 32 || f.GapBinsFault == 0 {
+		t.Errorf("silent DieselNet run: %+v, want availability 0 over 32 silent bins, some fault-attributable", f)
+	}
+}
+
+// TestNonPositiveDurationIsAnError: a run needs simulated time. A zero or
+// negative duration is an error returned before anything is built — on a
+// faulted spec too, whose fault recorder is sized by the duration.
+func TestNonPositiveDurationIsAnError(t *testing.T) {
+	spec, err := scenario.Parse("grid,faults=chaos")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dur := range []time.Duration{0, -5 * time.Second} {
+		if l, err := StartLiveRun(1, spec, core.DefaultConfig(), dur, 1, time.Second, nil); err == nil || l != nil {
+			t.Errorf("StartLiveRun(duration %v) = %v, %v; want an error", dur, l, err)
+		}
+		if run, err := RunFleetAppWorkload(1, spec, core.DefaultConfig(), dur, 1); err == nil || run != nil {
+			t.Errorf("RunFleetAppWorkload(duration %v) = %v, %v; want an error", dur, run, err)
+		}
 	}
 }

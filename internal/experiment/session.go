@@ -32,7 +32,6 @@ import (
 // concurrent use; the serve layer serializes access per session.
 type LiveRun struct {
 	seed     int64
-	spec     scenario.Spec
 	cfg      core.Config
 	duration time.Duration
 	until    time.Duration
@@ -74,7 +73,8 @@ const fleetWarm = 2 * time.Second
 // non-nil, is handed each run-wide sample row once, in time order, on the
 // goroutine that calls Step (see barrier); the row is a view into the
 // run's recording, so it must not be written. A trace-driven preset
-// generates its trace and runs at most the trace's length.
+// generates its trace and runs at most the trace's length. A duration that
+// is not positive is an error.
 func StartLiveRun(seed int64, spec scenario.Spec, cfg core.Config, duration time.Duration, shards int,
 	interval time.Duration, onSample func(at time.Duration, row []int64)) (*LiveRun, error) {
 	return startLiveRun(seed, spec, cfg, duration, shards, interval, onSample, runHooks{})
@@ -92,6 +92,9 @@ type runHooks struct {
 
 func startLiveRun(seed int64, spec scenario.Spec, cfg core.Config, duration time.Duration, shards int,
 	interval time.Duration, onSample func(at time.Duration, row []int64), h runHooks) (*LiveRun, error) {
+	if duration <= 0 {
+		return nil, fmt.Errorf("experiment: run duration %v is not positive", duration)
+	}
 	cfg = spec.Protocol(cfg)
 	opts := core.DefaultCellOptions()
 	opts.Protocol = cfg
@@ -109,7 +112,7 @@ func startLiveRun(seed int64, spec scenario.Spec, cfg core.Config, duration time
 		return nil, err
 	}
 	l := &LiveRun{
-		seed: seed, spec: spec, cfg: cfg,
+		seed: seed, cfg: cfg,
 		key: spec.Key(), appcfg: spec.AppConfig(),
 		eff: eff, districtShard: plan.districtShard,
 		kernels:  make([]*sim.Kernel, eff),
@@ -335,7 +338,6 @@ func (l *LiveRun) Finish() *FleetAppRun {
 	nv := len(l.cells[0].Vehicles)
 	run := &FleetAppRun{
 		SpecKey:  l.key,
-		App:      l.spec.App,
 		BSCount:  len(l.cells[0].BSes),
 		Vehicles: nv,
 		Duration: l.duration,

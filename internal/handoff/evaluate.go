@@ -7,20 +7,14 @@ import (
 	"github.com/vanlan/vifi/internal/trace"
 )
 
-// Result is the outcome of replaying a handoff policy over a probe trace:
-// the policy's name and its per-slot outcomes, one row per trip (one row
-// for a trace without trips), which the session metric reads exactly as
-// it reads a live run's.
-type Result struct {
-	Policy string
-	stats.SlotTable
-}
-
 // Evaluate replays the trace against the policy using the paper's
 // methodology: one packet per direction per slot, received iff the logged
 // probe for (slot, chosen BS, direction) was received; for multi-BS
-// policies a direction succeeds if any chosen BS's probe got through.
-func Evaluate(pt *trace.ProbeTrace, p Policy) *Result {
+// policies a direction succeeds if any chosen BS's probe got through. The
+// outcome is the policy's slot table, one row per trip (one row for a
+// trace without trips), which the session metric reads exactly as it
+// reads a live run's.
+func Evaluate(pt *trace.ProbeTrace, p Policy) *stats.SlotTable {
 	p.Reset(pt)
 	up, down := make([]bool, pt.Slots), make([]bool, pt.Slots)
 	for s := range pt.Slots {
@@ -29,8 +23,7 @@ func Evaluate(pt *trace.ProbeTrace, p Policy) *Result {
 			down[s] = down[s] || pt.Down[s][b]
 		}
 	}
-	res := &Result{Policy: p.Name(), SlotTable: stats.SlotTable{
-		SlotDur: pt.SlotDur, Duration: time.Duration(pt.Slots) * pt.SlotDur}}
+	res := &stats.SlotTable{SlotDur: pt.SlotDur, Duration: time.Duration(pt.Slots) * pt.SlotDur}
 	for lo := 0; lo < pt.Slots; {
 		hi := pt.Slots
 		if pt.SlotsPerTrip > 0 {

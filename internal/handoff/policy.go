@@ -8,6 +8,8 @@
 // against ProbeTrace logs exactly as in the paper: the policy picks an
 // association per 100 ms slot, and the logged probe outcomes determine
 // which of that slot's two packets (one per direction) get through.
+// Evaluate returns those outcomes as a stats.SlotTable, which the session
+// metric reads exactly as it reads a live run's.
 //
 // Practical policies may only look backward in the trace; the idealized
 // ones declare their oracle access explicitly.

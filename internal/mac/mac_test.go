@@ -176,8 +176,8 @@ func TestBeaconsPeriodicWithJitter(t *testing.T) {
 	ch := perfectChannel(k)
 	a := New(k, ch, "a", mobility.Fixed{})
 	b := New(k, ch, "b", mobility.Fixed{X: 10})
-	var rx sink
-	b.SetHandler(&rx)
+	var at []time.Duration
+	b.SetHandler(HandlerFunc(func(*frame.Frame, radio.RxInfo) { at = append(at, k.Now()) }))
 
 	n := 0
 	a.StartBeacons(func() *frame.Frame {
@@ -188,15 +188,15 @@ func TestBeaconsPeriodicWithJitter(t *testing.T) {
 	k.RunUntil(5 * time.Second)
 
 	// ≈50 beacons in 5 s at 100 ms interval.
-	if len(rx.frames) < 45 || len(rx.frames) > 55 {
-		t.Errorf("received %d beacons in 5s, want ≈50", len(rx.frames))
+	if len(at) < 45 || len(at) > 55 {
+		t.Errorf("received %d beacons in 5s, want ≈50", len(at))
 	}
 	if a.Stats().BeaconsSent != n {
 		t.Errorf("BeaconsSent = %d, generator ran %d times", a.Stats().BeaconsSent, n)
 	}
 	// Inter-beacon spacing stays at the interval.
-	for i := 1; i < len(rx.infos); i++ {
-		gap := rx.infos[i].At - rx.infos[i-1].At
+	for i := 1; i < len(at); i++ {
+		gap := at[i] - at[i-1]
 		if gap < 90*time.Millisecond || gap > 115*time.Millisecond {
 			t.Errorf("beacon gap %v at %d", gap, i)
 		}

@@ -48,7 +48,7 @@ func TestReceiversDoNotWritePayload(t *testing.T) {
 			h.HandleFrame(f, info)
 			if after, err = f.AppendTo(after[:0]); err != nil || !bytes.Equal(before, after) {
 				t.Fatalf("%s's handler at %v wrote into the shared decoded %v frame from %s (%v)",
-					cell.Channel.NodeName(m.ID()), info.At, f.Type, cell.Channel.NodeName(info.From), err)
+					cell.Channel.NodeName(m.ID()), k.Now(), f.Type, cell.Channel.NodeName(info.From), err)
 			}
 		}))
 		inner := m.Receiver()
@@ -57,7 +57,7 @@ func TestReceiversDoNotWritePayload(t *testing.T) {
 			inner.RadioReceive(p, info)
 			if crc32.ChecksumIEEE(p) != sum {
 				t.Fatalf("%s's upcall at %v wrote into the shared payload of a frame from %s",
-					cell.Channel.NodeName(m.ID()), info.At, cell.Channel.NodeName(info.From))
+					cell.Channel.NodeName(m.ID()), k.Now(), cell.Channel.NodeName(info.From))
 			}
 			upcalls++
 		}))

@@ -220,9 +220,8 @@ func (v *VanLAN) Bounds() (w, h float64) { return 828, 559 }
 // half belong to the town mesh (regularly spaced), the rest to shops
 // (clustered irregularly).
 type DieselNet struct {
-	Channel int
-	BSes    []Point
-	Route   *Route
+	BSes  []Point
+	Route *Route
 }
 
 // NewDieselNet returns the town layout for channel 1 or 6.
@@ -262,8 +261,7 @@ func NewDieselNet(channel int) *DieselNet {
 		bses = append(bses, a.Add(float64(i)*7, float64(i%3)*9))
 	}
 	return &DieselNet{
-		Channel: channel,
-		BSes:    bses,
-		Route:   NewRoute(road, KmhToMps(32), true),
+		BSes:  bses,
+		Route: NewRoute(road, KmhToMps(32), true),
 	}
 }

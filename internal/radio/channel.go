@@ -14,13 +14,10 @@ import (
 // integers assigned by Attach in attachment order.
 type NodeID int
 
-// RxInfo carries per-frame PHY metadata delivered with a received frame,
-// mirroring what the paper's modified driver logs (§2.1).
+// RxInfo is what a receiver learns of a frame besides its bytes: the
+// radio that sent it. A receiver that wants the time reads its kernel.
 type RxInfo struct {
 	From NodeID
-	At   time.Duration // reception completion time
-	RSSI float64       // synthetic RSSI in dBm
-	Dist float64       // true distance at transmit time (diagnostic)
 }
 
 // Receiver consumes frames delivered by the channel.
@@ -55,8 +52,7 @@ type reception struct {
 	reading   // the frame's RSSI, noise transformed on first read
 	end       time.Duration
 	ok        bool
-	scheduled bool // a pending txEnd owns (and will free) this record
-	info      RxInfo
+	scheduled bool       // a pending txEnd owns (and will free) this record
 	next      *reception // free-list link
 	later     *reception // the next survivor of the same transmission
 }
@@ -66,8 +62,8 @@ type reception struct {
 // Drawing the uniforms is all a reading does to the link's rssi stream, so
 // whether and when it is settled — the transform run, the level kept in
 // base and u set to 1, the mark of a spent pair — moves no later draw.
-// Most readings never are: a frame's RSSI is read only if it survives its
-// coin or has to be weighed against another frame.
+// Most readings never are: a frame's RSSI is read only when it has to be
+// weighed against another frame (captures).
 type reading struct {
 	base, u, v float64
 }
@@ -266,7 +262,7 @@ func (t *txEnd) OnEvent() {
 	for rx != nil {
 		r := rx
 		rx = r.later
-		d, ok, info := r.dst, r.ok, r.info
+		d, ok := r.dst, r.ok
 		if d.cur == r {
 			d.cur = nil
 		}
@@ -276,7 +272,7 @@ func (t *txEnd) OnEvent() {
 		}
 		c.stats.Deliveries++
 		if d.recv != nil {
-			d.recv.RadioReceive(buf, info)
+			d.recv.RadioReceive(buf, RxInfo{From: src.id})
 		}
 	}
 	c.rxBuf = nil
@@ -633,7 +629,7 @@ func (c *Channel) Broadcast(from NodeID, payload []byte, txDone sim.Handler) tim
 		for i := range nbr {
 			nb := &nbr[i]
 			if dist, ok := c.inRange(src, srcPos, nb, now); ok {
-				c.deliver(&c.rxLane, src, nb.dst, nb.ls, dist, payload, now, end)
+				c.deliver(&c.rxLane, nb.dst, nb.ls, dist, payload, now, end)
 			}
 		}
 	}
@@ -833,7 +829,7 @@ func (r *revalidation) OnEvent() {
 // the buffer pool nor the batch, so it gets the record back — non-nil
 // exactly when the frame survived — and the coordinator commits in
 // candidate order (see dispatchLanes).
-func (c *Channel) deliver(ln *rxLane, src, dst *node, ls *linkState, dist float64, payload []byte, now, end time.Duration) *reception {
+func (c *Channel) deliver(ln *rxLane, dst *node, ls *linkState, dist float64, payload []byte, now, end time.Duration) *reception {
 	if dst.down {
 		// Muted receiver: skipped before any draw, so only this directed
 		// pair's private streams advance less — a guaranteed loss, same
@@ -919,7 +915,6 @@ func (c *Channel) deliver(ln *rxLane, src, dst *node, ls *linkState, dist float6
 		ln.stats.ChannelLosses++
 		return nil
 	}
-	rx.info = RxInfo{From: src.id, At: end, RSSI: rx.level(), Dist: dist}
 	if ln != &c.rxLane {
 		return rx
 	}

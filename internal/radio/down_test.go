@@ -100,18 +100,20 @@ func TestSetDownBusySensesIdle(t *testing.T) {
 }
 
 // receptionLog drives a fixed broadcast schedule from src and returns the
-// exact reception trace (time, source, RSSI) observed at the listening
-// node. Fading links and RSSI noise make every delivery consume RNG
-// draws, so any stream perturbation shows up as a trace difference.
-func receptionLog(t *testing.T, maxRangeM float64, downMid NodeID) []RxInfo {
+// exact reception trace (source, time) observed at the listening node.
+// Fading links make every delivery consume RNG draws, so any stream
+// perturbation shows up as a trace difference.
+func receptionLog(t *testing.T, maxRangeM float64, downMid NodeID) []heard {
 	t.Helper()
 	k := sim.NewKernel(23)
 	p := DefaultParams()
 	p.MaxRangeM = maxRangeM
 	c := NewChannel(k, p, nil) // default fading links: loss+noise draws per delivery
-	var rx collector
+	var log []heard
 	src := c.Attach("src", mobility.Fixed{}, nil)
-	c.Attach("listener", mobility.Fixed{X: 30}, &rx)
+	c.Attach("listener", mobility.Fixed{X: 30}, ReceiverFunc(func(_ []byte, info RxInfo) {
+		log = append(log, heard{info.From, k.Now()})
+	}))
 	bystander := c.Attach("bystander", mobility.Fixed{X: 60}, nil)
 
 	const frames = 400
@@ -126,7 +128,7 @@ func receptionLog(t *testing.T, maxRangeM float64, downMid NodeID) []RxInfo {
 		k.At(5*time.Second, func() { c.SetUp(bystander) })
 	}
 	k.Run()
-	return rx.frames
+	return log
 }
 
 // TestSetDownStreamStability is the satellite contract: muting a

@@ -113,7 +113,7 @@ func TestSmallCellsDecideInNodeIDOrder(t *testing.T) {
 		attach := func(m mobility.Mover) {
 			id := NodeID(c.NumNodes())
 			c.Attach(fmt.Sprint(id), m, ReceiverFunc(func(_ []byte, info RxInfo) {
-				log = append(log, upcall{info.From, id, info.At})
+				log = append(log, upcall{info.From, id, k.Now()})
 			}))
 		}
 		for _, bs := range v.BSes {
@@ -248,13 +248,13 @@ func TestIndexedMovingReceiverRevalidation(t *testing.T) {
 	bs := c.Attach("bs", mobility.Fixed{}, nil)
 	route := mobility.NewRoute([]mobility.Point{{X: 0}, {X: 1000}}, 50, true)
 	var early, mid, late int
-	c.Attach("veh", &mobility.RouteMover{Route: route}, ReceiverFunc(func(_ []byte, info RxInfo) {
-		switch {
-		case info.At < 3*time.Second:
+	c.Attach("veh", &mobility.RouteMover{Route: route}, ReceiverFunc(func([]byte, RxInfo) {
+		switch at := k.Now(); {
+		case at < 3*time.Second:
 			early++
-		case info.At > 17*time.Second && info.At < 23*time.Second:
+		case at > 17*time.Second && at < 23*time.Second:
 			mid++ // vehicle parked ~1 km out (far end of the loop)
-		case info.At > 37*time.Second:
+		case at > 37*time.Second:
 			late++ // back within 150 m of the basestation
 		}
 	}))
@@ -297,8 +297,10 @@ func TestUnusableSpeedBoundIsUnknown(t *testing.T) {
 		bs := c.Attach("bs", mobility.Fixed{}, nil)
 		route := mobility.NewRoute([]mobility.Point{{X: 1000}, {X: 0}}, 50, false)
 		var far, near int
-		veh := c.Attach("veh", advertising{&mobility.RouteMover{Route: route}, bad}, ReceiverFunc(func(_ []byte, info RxInfo) {
-			if info.Dist > p.MaxRangeM {
+		m := &mobility.RouteMover{Route: route}
+		veh := c.Attach("veh", advertising{m, bad}, ReceiverFunc(func([]byte, RxInfo) {
+			// The distance the frame was decided at: it left airtime ago.
+			if m.Position(k.Now()-Airtime(100)).Dist(mobility.Point{}) > p.MaxRangeM {
 				far++
 			}
 			near++

@@ -219,15 +219,15 @@ func (a advertising) MaxSpeedMPS() float64 { return a.mps }
 // returns every node's reception log plus the channel stats. advertise
 // selects how the basestations are attached: as mobility.Fixed (resolved at
 // list build) or as the same points behind a mover that advertises nothing.
-func runStatic(t *testing.T, advertise bool, lanes int) ([][]RxInfo, Stats) {
+func runStatic(t *testing.T, advertise bool, lanes int) ([][]heard, Stats) {
 	t.Helper()
 	const fixed, movers, n = 190, 10, 200
 	k := sim.NewKernel(91)
 	c := NewChannelSized(k, DefaultParams(), nil, n)
-	logs := make([][]RxInfo, n)
+	logs := make([][]heard, n)
 	attach := func(i int, m mobility.Mover) {
 		c.Attach(fmt.Sprint(i), m, ReceiverFunc(func(_ []byte, info RxInfo) {
-			logs[i] = append(logs[i], info)
+			logs[i] = append(logs[i], heard{info.From, k.Now()})
 		}))
 	}
 	for i := 0; i < fixed; i++ {
@@ -266,8 +266,8 @@ func runStatic(t *testing.T, advertise bool, lanes int) ([][]RxInfo, Stats) {
 }
 
 // TestFixedPairMatchesUnadvertisedStatic is the invisibility bar for the
-// fixed-pair fast path: the same city yields the same RxInfo sequences
-// (From, At, RSSI, Dist — every float) and Stats whether its basestations
+// fixed-pair fast path: the same city yields the same delivery logs
+// (sender and upcall time of every frame) and Stats whether its basestations
 // say they are fixed or merely happen not to move, serially and on two
 // delivery lanes.
 func TestFixedPairMatchesUnadvertisedStatic(t *testing.T) {
@@ -354,7 +354,7 @@ func TestFixedCandidatesArePrefiltered(t *testing.T) {
 // first delivery decision (the link's materialization), the vehicle's
 // reception log, where the link's three streams ended up and the longest
 // skip window seen.
-func approach(t *testing.T, bound float64) (first time.Duration, log []RxInfo, streams [3]sim.RNG, window time.Duration) {
+func approach(t *testing.T, bound float64) (first time.Duration, log []heard, streams [3]sim.RNG, window time.Duration) {
 	t.Helper()
 	k := sim.NewKernel(29)
 	p := DefaultParams()
@@ -368,7 +368,7 @@ func approach(t *testing.T, bound float64) (first time.Duration, log []RxInfo, s
 	if bound > 0 {
 		m = advertising{m, bound}
 	}
-	veh := c.Attach("veh", m, ReceiverFunc(func(_ []byte, info RxInfo) { log = append(log, info) }))
+	veh := c.Attach("veh", m, ReceiverFunc(func(_ []byte, info RxInfo) { log = append(log, heard{info.From, k.Now()}) }))
 	first = -1
 	for now := time.Duration(0); now < 115*time.Second; now += 2 * time.Millisecond {
 		k.RunUntil(now)

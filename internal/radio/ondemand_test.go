@@ -19,7 +19,7 @@ import (
 // its RSSI up front — the draw, the capture switch and the bookkeeping
 // verbatim, serial only. A record it writes is a settled reading (u = 1),
 // which is what a level known at birth is.
-func (c *Channel) eagerDeliver(src, dst *node, ls *linkState, dist float64, payload []byte, now, end time.Duration) {
+func (c *Channel) eagerDeliver(dst *node, ls *linkState, dist float64, payload []byte, now, end time.Duration) {
 	ln := &c.rxLane
 	if dst.down {
 		return
@@ -74,7 +74,6 @@ func (c *Channel) eagerDeliver(src, dst *node, ls *linkState, dist float64, payl
 		ln.stats.ChannelLosses++
 		return
 	}
-	rx.info = RxInfo{From: src.id, At: end, RSSI: rssi, Dist: dist}
 	c.commit(rx, payload)
 }
 
@@ -95,7 +94,7 @@ func (c *Channel) eagerBroadcast(from NodeID, payload []byte) {
 	for i := range nbr {
 		nb := &nbr[i]
 		if dist, ok := c.inRange(src, srcPos, nb, now); ok {
-			c.eagerDeliver(src, nb.dst, nb.ls, dist, payload, now, end)
+			c.eagerDeliver(nb.dst, nb.ls, dist, payload, now, end)
 		}
 	}
 	c.scheduleTxEnd(src, nil, end)
@@ -129,7 +128,7 @@ type overlapWatch struct {
 // whether levels were compared shows in what is left behind. Only a
 // record still latched is inspected afterwards (the displaced incumbent of
 // a capture may already be recycled): a captured receiver's new record is
-// settled exactly when the comparison — or a won coin — needed its level.
+// settled exactly when the comparison needed its level.
 func (b *overlapBranches) observe(c *Channel, src NodeID, broadcast func()) {
 	now := c.K.Now()
 	watch := map[*node]overlapWatch{}
@@ -161,7 +160,7 @@ func (b *overlapBranches) observe(c *Channel, src NodeID, broadcast func()) {
 		byBracket := gap+least > captureGuardDB || gap+most < -captureGuardDB
 		var settled bool
 		switch captured := d.cur != w.prev; {
-		case captured && !d.cur.ok:
+		case captured:
 			if settled = d.cur.u == 1; !settled {
 				b.bracketCapture++
 			}
@@ -182,7 +181,7 @@ func (b *overlapBranches) observe(c *Channel, src NodeID, broadcast func()) {
 // hiddenDelivery is one entry of a run's delivery log.
 type hiddenDelivery struct {
 	To NodeID
-	RxInfo
+	heard
 }
 
 // runHiddenTerminals drives a strip city — three rows of fixed radios
@@ -202,7 +201,7 @@ func runHiddenTerminals(t *testing.T, eager bool, lanes int) ([]hiddenDelivery, 
 	attach := func(m mobility.Mover) {
 		id := NodeID(c.NumNodes())
 		c.Attach(fmt.Sprint(id), m, ReceiverFunc(func(_ []byte, info RxInfo) {
-			log = append(log, hiddenDelivery{id, info})
+			log = append(log, hiddenDelivery{id, heard{info.From, k.Now()}})
 		}))
 	}
 	for i := 0; i < cols*rows; i++ {
@@ -242,8 +241,8 @@ func runHiddenTerminals(t *testing.T, eager bool, lanes int) ([]hiddenDelivery, 
 // TestOnDemandNoiseMatchesEagerDecision: deferring (and mostly skipping)
 // the Box–Muller transform changes no decision. The channel, serial and on
 // two lanes, must reproduce the eager reference's counters and its delivery
-// sequence — receiver, sender, time, distance and RSSI, every float by
-// value — on a run seen to settle overlaps in every way there is: by the
+// sequence — receiver, sender and upcall time — on a run seen to settle
+// overlaps in every way there is: by the
 // brackets and by the levels, a capture and a loss each by the brackets,
 // and against a live incumbent.
 func TestOnDemandNoiseMatchesEagerDecision(t *testing.T) {

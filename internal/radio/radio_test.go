@@ -259,6 +259,13 @@ func TestFixedAndScheduleLinks(t *testing.T) {
 
 // --- Channel tests -------------------------------------------------------
 
+// heard is one entry of a delivery log: the frame's sender and the kernel
+// time of its upcall.
+type heard struct {
+	From NodeID
+	At   time.Duration
+}
+
 type collector struct {
 	frames []RxInfo
 	data   [][]byte
@@ -483,10 +490,10 @@ func TestChannelMovingReceiver(t *testing.T) {
 	bs := c.Attach("bs", mobility.Fixed{}, nil)
 	var early, late int
 	veh := c.Attach("veh", &mobility.RouteMover{Route: route}, nil)
-	c.SetReceiver(veh, ReceiverFunc(func(p []byte, info RxInfo) {
-		if info.At < 10*time.Second {
+	c.SetReceiver(veh, ReceiverFunc(func([]byte, RxInfo) {
+		if at := k.Now(); at < 10*time.Second {
 			early++
-		} else if info.At > 60*time.Second {
+		} else if at > 60*time.Second {
 			late++
 		}
 	}))

@@ -92,7 +92,6 @@ type channelShard struct {
 
 // LaneStats reports one delivery lane's execution diagnostics.
 type LaneStats struct {
-	Lane     int
 	Computed uint64 // in-cutoff delivery computations performed
 	Rounds   uint64 // broadcast dispatches participated in
 	Idle     uint64 // dispatches with no candidate in this lane's stripes
@@ -183,11 +182,11 @@ func (c *Channel) ShardLanes() int {
 func (c *Channel) LaneStat(i int) LaneStats {
 	sh := c.shard
 	if sh == nil {
-		return LaneStats{Lane: i} // sharding already torn down
+		return LaneStats{} // sharding already torn down
 	}
 	ln := sh.lanes[i]
 	st := LaneStats{
-		Lane: i, Computed: ln.computed, Rounds: ln.rounds, Idle: ln.idle,
+		Computed: ln.computed, Rounds: ln.rounds, Idle: ln.idle,
 	}
 	for s, n := range ln.haloFrom {
 		if s != i {
@@ -275,7 +274,7 @@ func (c *Channel) laneRun(lane int) {
 		}
 		did++
 		ln.haloFrom[sh.stripe]++
-		out[i] = c.deliver(&ln.rxLane, src, nb.dst, nb.ls, dist, nil, now, end)
+		out[i] = c.deliver(&ln.rxLane, nb.dst, nb.ls, dist, nil, now, end)
 	}
 	ln.computed += did
 	if did == 0 {

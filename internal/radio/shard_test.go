@@ -17,7 +17,7 @@ import (
 // runs the serial indexed path; lanes>1 runs the same workload sharded.
 // The two must be byte-identical: same kernel, same event order, same
 // per-link streams, commits in candidate order.
-func runStriped(t *testing.T, lanes int) ([][]RxInfo, Stats) {
+func runStriped(t *testing.T, lanes int) ([][]heard, Stats) {
 	t.Helper()
 	const fixed = 110
 	const movers = 10
@@ -25,10 +25,10 @@ func runStriped(t *testing.T, lanes int) ([][]RxInfo, Stats) {
 	k := sim.NewKernel(77)
 	p := DefaultParams()
 	c := NewChannel(k, p, nil) // independent fading links, real RNG streams
-	logs := make([][]RxInfo, n)
+	logs := make([][]heard, n)
 	attach := func(i int, m mobility.Mover) {
 		c.Attach(fmt.Sprint(i), m, ReceiverFunc(func(_ []byte, info RxInfo) {
-			logs[i] = append(logs[i], info)
+			logs[i] = append(logs[i], heard{info.From, k.Now()})
 		}))
 	}
 	// Lattice over ~8 km of X — seven grid columns at the default cutoff —
@@ -232,16 +232,16 @@ func TestShardedCaptureTieAcrossStripes(t *testing.T) {
 // computed by different lanes. Ownership moving between lanes must not
 // move a single coin flip: the delivery log equals the serial run's.
 func TestShardedStripeCrossingMidTransmission(t *testing.T) {
-	run := func(lanes int) []RxInfo {
+	run := func(lanes int) []heard {
 		k := sim.NewKernel(21)
 		p := DefaultParams()
 		p.MaxRangeM = 400 // cell edge 500 m: stripe boundary at X=500
 		c := NewChannel(k, p, func(from, to NodeID) LinkModel { return FixedLink(1) })
 		bs := c.Attach("bs", mobility.Fixed{X: 480}, nil)
-		var log []RxInfo
+		var log []heard
 		route := mobility.NewRoute([]mobility.Point{{X: 300}, {X: 700}}, 40, true)
 		veh := c.Attach("veh", &mobility.RouteMover{Route: route}, ReceiverFunc(func(_ []byte, info RxInfo) {
-			log = append(log, info)
+			log = append(log, heard{info.From, k.Now()})
 		}))
 		if lanes > 1 {
 			if got := c.StartShards(lanes); got != lanes {

@@ -12,8 +12,10 @@ import (
 
 // ProbeTrace is the §3 measurement log: per 100 ms slot, whether each
 // direction of each vehicle↔BS pair delivered its 500-byte probe, plus
-// the RSSI of downstream beacons (for the RSSI handoff policy) and the
-// vehicle position (for the History policy and the path plots).
+// the RSSI of downstream beacons (for the RSSI and Sticky policies) and
+// the vehicle position (for the History policy and the path plots). That
+// is everything a handoff replay reads: the log keeps no
+// basestation↔basestation ratios.
 type ProbeTrace struct {
 	BSes    []string
 	SlotDur time.Duration
@@ -30,9 +32,6 @@ type ProbeTrace struct {
 	RSSI [][]float64
 	// Pos[slot]: vehicle position at the slot start.
 	Pos []mobility.Point
-	// InterBS[a][b]: mean reception ratio between basestations a and b
-	// measured over the collection period (VanLAN logs these too, §5.1).
-	InterBS [][]float64
 }
 
 // Validate checks structural invariants.
@@ -129,37 +128,13 @@ func GenerateVanLANProbes(seed int64, trips int) *ProbeTrace {
 		pt.Up[s] = uRow
 		pt.RSSI[s] = rRow
 	}
-
-	// Inter-BS mean reception ratios from static distances through the
-	// same reception curve (basestations do not move, so a long-run mean
-	// is representative).
-	pt.InterBS = make([][]float64, nb)
-	for a := range pt.InterBS {
-		pt.InterBS[a] = make([]float64, nb)
-		pt.InterBS[a][a] = 1
-	}
-	for a := 0; a < nb; a++ {
-		for b := a + 1; b < nb; b++ {
-			d := v.BSes[a].Dist(v.BSes[b])
-			l := radio.NewFadingLink(params, k.RNG("vanlan", "interbs", fmt.Sprint(a), fmt.Sprint(b)))
-			// Average the fading process over a minute of samples.
-			sum := 0.0
-			const n = 600
-			for j := 0; j < n; j++ {
-				sum += l.ReceiveProb(time.Duration(j)*100*time.Millisecond, d)
-			}
-			r := sum / n
-			pt.InterBS[a][b] = r
-			pt.InterBS[b][a] = r
-		}
-	}
 	return pt
 }
 
 // Subset extracts the columns of the given basestations (by index into
 // the generating deployment) from a full probe trace: basestation i of
-// the result is basestation idx[i] of pt, its Down/Up/RSSI columns and
-// its InterBS ratios, and the vehicle positions are shared. Every
+// the result is basestation idx[i] of pt with its Down/Up/RSSI columns,
+// and the vehicle positions are shared. Every
 // basestation's loss, fading and RSSI streams are labelled by its
 // absolute index, so one full-trace generation serves every subset
 // experiment.
@@ -193,15 +168,6 @@ func (pt *ProbeTrace) Subset(idx []int) *ProbeTrace {
 		out.Down[s] = dRow
 		out.Up[s] = uRow
 		out.RSSI[s] = rRow
-	}
-	if pt.InterBS != nil {
-		out.InterBS = make([][]float64, nb)
-		for a := range idx {
-			out.InterBS[a] = make([]float64, nb)
-			for b := range idx {
-				out.InterBS[a][b] = pt.InterBS[idx[a]][idx[b]]
-			}
-		}
 	}
 	return out
 }

@@ -45,7 +45,6 @@ const BeaconsPerSecond = 10
 // Trace is a per-second reception-ratio trace between one vehicle and a
 // set of basestations (the DieselNet reduction).
 type Trace struct {
-	Name string
 	BSes []string
 	// Ratio[s][b] is the beacon reception ratio from basestation b to the
 	// vehicle during second s, in [0,1].
@@ -264,7 +263,6 @@ func GenerateDieselNet(seed int64, channel int, duration time.Duration) *Trace {
 	links := make([]*radio.FadingLink, nb)
 	coins := make([]*sim.RNG, nb)
 	t := &Trace{
-		Name:  fmt.Sprintf("dieselnet-ch%d", channel),
 		BSes:  make([]string, nb),
 		Ratio: make([][]float64, int(duration/time.Second)),
 	}

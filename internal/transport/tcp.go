@@ -341,20 +341,17 @@ func max64(a, b float64) float64 {
 // Receiver is the data-receiving half: it completes the handshake,
 // acknowledges cumulatively, and buffers out-of-order segments.
 type Receiver struct {
-	K    *sim.Kernel
 	send SendFunc
 	conn uint32
 
 	rcvNxt int
 	ooo    map[int][]byte // out-of-order: seq → payload
-
-	SegmentsReceived int
-	AcksSent         int
 }
 
-// NewReceiver creates the receiving half of a transfer.
-func NewReceiver(k *sim.Kernel, conn uint32, send SendFunc) *Receiver {
-	return &Receiver{K: k, send: send, conn: conn, ooo: map[int][]byte{}}
+// NewReceiver creates the receiving half of a transfer. The kernel is not
+// kept: a receiver keeps no timer and only answers what it is handed.
+func NewReceiver(_ *sim.Kernel, conn uint32, send SendFunc) *Receiver {
+	return &Receiver{send: send, conn: conn, ooo: map[int][]byte{}}
 }
 
 // Received reports contiguous bytes received so far.
@@ -372,7 +369,6 @@ func (r *Receiver) Deliver(buf []byte) {
 		return
 	}
 	if len(seg.Payload) > 0 {
-		r.SegmentsReceived++
 		seq := int(seg.Seq)
 		if seq == r.rcvNxt {
 			r.rcvNxt += len(seg.Payload)
@@ -391,7 +387,6 @@ func (r *Receiver) Deliver(buf []byte) {
 				r.ooo[seq] = append([]byte(nil), seg.Payload...)
 			}
 		}
-		r.AcksSent++
 		r.send((&segment{Flags: flagACK, Conn: r.conn, Ack: uint32(r.rcvNxt)}).marshal())
 	}
 }

@@ -17,7 +17,6 @@ type CBR struct {
 	veh      int
 	start    time.Duration
 	slot     time.Duration
-	bytes    int
 	buf      []byte // the payload scratch: ports copy what they send
 	up, down []bool
 	// upN/downN mirror the set-bit counts of up/down for Live: maintained
@@ -32,7 +31,7 @@ func NewCBR(k *sim.Kernel, port Port, veh int, start, end time.Duration, slot ti
 		slots = int((end - start) / slot)
 	}
 	return &CBR{
-		k: k, port: port, veh: veh, start: start, slot: slot, bytes: bytes,
+		k: k, port: port, veh: veh, start: start, slot: slot,
 		buf: make([]byte, bytes),
 		up:  make([]bool, slots), down: make([]bool, slots),
 	}

@@ -326,8 +326,7 @@ type AppSummary struct {
 // Summary is the fleet-wide aggregation, one AppSummary per concrete
 // kind (fixed order, so reports and goldens are deterministic).
 type Summary struct {
-	Vehicles int
-	Apps     [numKinds]AppSummary
+	Apps [numKinds]AppSummary
 }
 
 // App returns the aggregation for one concrete kind. Non-concrete kinds
@@ -342,7 +341,6 @@ func (s *Summary) App(k Kind) AppSummary {
 // Aggregate pools per-vehicle metrics into the fleet summary.
 func Aggregate(ms []Metrics) Summary {
 	var sum Summary
-	sum.Vehicles = len(ms)
 	transfers := make([][]float64, numKinds)
 	sessions := make([][]float64, numKinds)
 	mosWeighted := make([]float64, numKinds)

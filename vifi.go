@@ -72,7 +72,8 @@ type AppMetrics = workload.Metrics
 // Deployment is one of the paper's testbeds with its one vehicle: VanLAN
 // (live channel simulation over the campus layout) or DieselNet
 // (trace-driven) — the vanlan, dieselnet1 and dieselnet6 scenario
-// presets.
+// presets. Its Run methods take a positive duration and panic on any
+// other.
 type Deployment struct {
 	seed int64
 	spec scenario.Spec
@@ -109,7 +110,7 @@ func (d *Deployment) run(kind workload.Kind, duration time.Duration) *FleetRun {
 	spec.App = kind
 	run, err := experiment.RunFleetAppWorkload(d.seed, spec, d.cfg, duration, 1)
 	if err != nil {
-		panic(err) // a preset running a concrete app is valid
+		panic(err) // a preset runs any concrete app: only a duration ≤ 0 fails
 	}
 	return run
 }
@@ -151,8 +152,9 @@ func Experiments() []string { return experiment.IDs() }
 // --- Generated city-scale scenarios ---------------------------------------
 
 // FleetRun reports one fleet application-workload execution over a
-// generated scenario: per-vehicle application metrics (Apps aggregates
-// them per app kind), channel counters, and — for constant-rate (CBR)
+// generated scenario: per-vehicle application metrics, each naming the
+// app its vehicle ran (Apps aggregates them per app kind), channel
+// counters, and — for constant-rate (CBR)
 // vehicles — the link-level accessors DeliveredPerSec, DeliveryRatio,
 // MedianSession and Interruptions.
 type FleetRun = experiment.FleetAppRun

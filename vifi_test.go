@@ -86,6 +86,9 @@ func TestFacadeScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := d.RunFleet(0); err == nil {
+		t.Error("a zero-duration fleet run was accepted")
+	}
 	run, err := d.RunFleet(15 * time.Second)
 	if err != nil {
 		t.Fatal(err)

@@ -86,6 +86,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "vifi-bench: -scale %v is not a positive number\n", *scale)
 		return 2
 	}
+	if *shards < 1 {
+		fmt.Fprintf(stderr, "vifi-bench: -shards %d is not positive\n", *shards)
+		return 2
+	}
+	if *metrics != "" && *minterv <= 0 {
+		fmt.Fprintf(stderr, "vifi-bench: -metrics-interval %v is not positive: the recording would hold no sample\n", *minterv)
+		return 2
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)

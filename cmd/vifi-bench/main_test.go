@@ -1,6 +1,7 @@
 package main
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -34,6 +35,27 @@ func TestBadScale(t *testing.T) {
 		}
 		if out.Len() != 0 {
 			t.Errorf("-scale %s: a report was printed:\n%s", scale, out.String())
+		}
+	}
+}
+
+// TestBadShardsAndMetricsInterval: a run is split into at least one
+// shard, and a recording needs a positive sampling interval; otherwise
+// nothing is run and the exit is a usage error.
+func TestBadShardsAndMetricsInterval(t *testing.T) {
+	ftdc := filepath.Join(t.TempDir(), "m.ftdc")
+	for _, flags := range [][]string{
+		{"-shards", "0"},
+		{"-shards", "-3"},
+		{"-metrics", ftdc, "-metrics-interval", "0"},
+		{"-metrics", ftdc, "-metrics-interval", "-1s"},
+	} {
+		var out, errb strings.Builder
+		if code := run(append([]string{"-run", "fig7", "-scale", "0.01"}, flags...), &out, &errb); code != 2 {
+			t.Errorf("%v: exit = %d, want 2", flags, code)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: a report was printed:\n%s", flags, out.String())
 		}
 	}
 }

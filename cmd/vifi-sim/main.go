@@ -78,6 +78,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "vifi-sim: -duration %v is not positive\n", *duration)
 		return 2
 	}
+	if *shards < 1 {
+		fmt.Fprintf(stderr, "vifi-sim: -shards %d is not positive\n", *shards)
+		return 2
+	}
+	if *metrics != "" && *minterv <= 0 {
+		fmt.Fprintf(stderr, "vifi-sim: -metrics-interval %v is not positive: the recording would hold no sample\n", *minterv)
+		return 2
+	}
 
 	names := strings.Split(*protocol, ",")
 	cfgs := make([]core.Config, len(names))

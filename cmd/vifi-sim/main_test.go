@@ -1,11 +1,14 @@
 package main
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
 func TestBadInputs(t *testing.T) {
+	ftdc := filepath.Join(t.TempDir(), "m.ftdc")
+	small := []string{"-scenario", "grid-small,vehicles=2", "-duration", "5s"}
 	cases := [][]string{
 		{"-scenario", "mars"},
 		{"-protocol", "carrier-pigeon"},
@@ -20,6 +23,12 @@ func TestBadInputs(t *testing.T) {
 		{"-duration", "0s"},
 		{"-scenario", "grid,faults=chaos", "-duration", "-5s"},
 		{"-scenario", "vanlan,app=voip", "-duration", "0s"},
+		// A run is split into at least one shard, and a recording needs
+		// a positive sampling interval or it holds no sample.
+		append(small, "-shards", "0"),
+		append(small, "-shards", "-3"),
+		append(small, "-metrics", ftdc, "-metrics-interval", "0"),
+		append(small, "-metrics", ftdc, "-metrics-interval", "-1s"),
 	}
 	for _, args := range cases {
 		var out, errb strings.Builder

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"time"
 
 	"github.com/vanlan/vifi/internal/frame"
@@ -75,13 +77,30 @@ func (n *Node) handleBackplane(from uint16, payload []byte) {
 // handleDownFromInternet accepts a downstream packet for veh from the
 // gateway and transmits it over the air, recording it for potential
 // salvaging. The salvage cache keeps the packet for salvageCacheTTL, so it
-// takes its own copy of the borrowed payload.
+// takes its own pooled copy of the borrowed payload.
 func (n *Node) handleDownFromInternet(veh uint16, payload []byte) {
-	d := &downPkt{payload: append([]byte(nil), payload...), fromNetAt: n.K.Now()}
+	seq := n.enqueueData(veh, payload, Down)
+	keep := n.mac.Buffers().Get(len(payload))
+	copy(keep, payload)
 	vs := n.ensureVeh(veh)
-	vs.salvage = append(vs.salvage, d)
+	vs.salvage = append(vs.salvage, downPkt{seq: seq, payload: keep, fromNetAt: n.K.Now()})
 	n.trimSalvage(veh)
-	n.sendDown(veh, d.payload, d)
+}
+
+// salvageAcked marks the vehicle's acknowledgment of downstream packet seq
+// in the salvage cache. Entries are appended in seq order, so a binary
+// search finds the entry — or finds it already trimmed.
+func (n *Node) salvageAcked(veh uint16, seq uint32) {
+	vs := n.vehs[veh]
+	if vs == nil {
+		return
+	}
+	i, ok := slices.BinarySearchFunc(vs.salvage, seq, func(d downPkt, seq uint32) int {
+		return cmp.Compare(d.seq, seq)
+	})
+	if ok {
+		vs.salvage[i].acked = true
+	}
 }
 
 // handleUpstreamRelay accepts a relayed upstream packet from an auxiliary
@@ -106,7 +125,8 @@ func (n *Node) handleSalvageReq(from uint16, req *frame.Frame) {
 	if vs == nil {
 		return
 	}
-	for _, d := range vs.salvage {
+	for i := range vs.salvage {
+		d := &vs.salvage[i]
 		if d.acked || now-d.fromNetAt > n.cfg.SalvageWindow {
 			continue
 		}
@@ -126,7 +146,15 @@ func (n *Node) handleSalvageData(f *frame.Frame) {
 	n.handleDownFromInternet(f.Orig, f.Payload)
 }
 
-// trimSalvage bounds the per-vehicle salvage cache.
+// salvageCacheCap bounds the per-vehicle salvage cache to its newest
+// entries.
+const salvageCacheCap = 512
+
+// trimSalvage bounds the per-vehicle salvage cache, giving the payloads
+// of the dropped entries back to the pool. Entries are appended as they
+// arrive, so the expired ones and those beyond the cap form a prefix; the
+// survivors move to the front, keeping the slice's capacity for the
+// appends to come.
 func (n *Node) trimSalvage(veh uint16) {
 	vs := n.vehs[veh]
 	if vs == nil {
@@ -134,24 +162,18 @@ func (n *Node) trimSalvage(veh uint16) {
 	}
 	cache := vs.salvage
 	now := n.K.Now()
-	keep := cache[:0]
-	for _, d := range cache {
-		if now-d.fromNetAt <= salvageCacheTTL {
-			keep = append(keep, d)
-		}
+	drop := max(len(cache)-salvageCacheCap, 0)
+	for drop < len(cache) && now-cache[drop].fromNetAt > salvageCacheTTL {
+		drop++
 	}
-	// Drop references outside the kept window so the GC can reclaim
-	// settled packets: the compacted survivors occupy cache[0:len(keep)],
-	// and truncation to the newest 512 keeps only the tail of that.
-	for i := len(keep); i < len(cache); i++ {
-		cache[i] = nil
+	if drop == 0 {
+		return
 	}
-	if len(keep) > 512 {
-		start := len(keep) - 512
-		for i := 0; i < start; i++ {
-			cache[i] = nil
-		}
-		keep = keep[start:]
+	pool := n.mac.Buffers()
+	for i := range cache[:drop] {
+		pool.Put(cache[i].payload)
 	}
-	vs.salvage = keep
+	kept := copy(cache, cache[drop:])
+	clear(cache[kept:])
+	vs.salvage = cache[:kept]
 }

@@ -42,16 +42,20 @@ func (n *Node) considerPending(f *frame.Frame) {
 		}
 	}
 	n.emit(EvAuxHeard, dirOfFrame(f), id, f.Attempt, f.Src, MediumAir)
+	pool := n.mac.Buffers()
 	if len(n.pending) >= pendingCap {
 		// Evict the oldest pending entry (insertion order is age order).
+		pool.Put(n.pending[0].pkt.payload)
 		copy(n.pending, n.pending[1:])
 		n.pending[len(n.pending)-1] = pendEntry{}
 		n.pending = n.pending[:len(n.pending)-1]
 	}
+	payload := pool.Get(len(f.Payload))
+	copy(payload, f.Payload)
 	n.pending = append(n.pending, pendEntry{
 		key: key,
 		pkt: pendPkt{src: f.Src, dst: f.Dst, fromVehicle: f.FromVehicle,
-			payload: append([]byte(nil), f.Payload...), heardAt: now, veh: veh},
+			payload: payload, heardAt: now, veh: veh},
 	})
 	if !n.relayArmed {
 		// Wake the dormant chain: skip the instants that passed while there
@@ -134,12 +138,15 @@ func (n *Node) relayTick() {
 			}
 			n.decideRelay(e.key, &e.pkt)
 		}
-		// Compact the survivors, preserving insertion (age) order.
+		// Compact the survivors, preserving insertion (age) order; the
+		// decided entries give their payloads back.
 		live := n.pending[:0]
 		for i := range n.pending {
-			if !n.pending[i].dead {
-				live = append(live, n.pending[i])
+			if n.pending[i].dead {
+				n.mac.Buffers().Put(n.pending[i].pkt.payload)
+				continue
 			}
+			live = append(live, n.pending[i])
 		}
 		for i := len(live); i < len(n.pending); i++ {
 			n.pending[i] = pendEntry{}

@@ -3,6 +3,7 @@ package core
 import (
 	"github.com/vanlan/vifi/internal/backplane"
 	"github.com/vanlan/vifi/internal/frame"
+	"github.com/vanlan/vifi/internal/ring"
 	"github.com/vanlan/vifi/internal/sim"
 )
 
@@ -27,7 +28,12 @@ type Gateway struct {
 	events     EventFunc
 
 	dedup  map[frame.PacketID]bool
-	dedupQ []frame.PacketID
+	dedupQ ring.Ring[frame.PacketID] // FIFO bounding dedup
+
+	// Send's scratch: the backplane copies what it admits, so one frame
+	// and one buffer serve every downstream packet.
+	txFrame frame.Frame
+	txBuf   []byte
 
 	// Counters.
 	SentDown       int
@@ -97,12 +103,14 @@ func (g *Gateway) Send(veh uint16, payload []byte) bool {
 		g.NoAnchorDrops++
 		return false
 	}
-	f := &frame.Frame{Type: frame.TypeRelay, Src: g.addr, Dst: anchor,
+	f := &g.txFrame
+	*f = frame.Frame{Type: frame.TypeRelay, Src: g.addr, Dst: anchor,
 		Orig: veh, Payload: payload}
-	buf, err := f.Marshal()
+	buf, err := f.AppendTo(g.txBuf[:0])
 	if err != nil {
 		return false
 	}
+	g.txBuf = buf
 	g.SentDown++
 	return g.bp.Send(g.addr, anchor, buf)
 }
@@ -129,11 +137,9 @@ func (g *Gateway) handleBackplane(from uint16, payload []byte) {
 			return
 		}
 		g.dedup[id] = true
-		g.dedupQ = append(g.dedupQ, id)
-		for len(g.dedupQ) > 4096 {
-			old := g.dedupQ[0]
-			g.dedupQ = g.dedupQ[1:]
-			delete(g.dedup, old)
+		g.dedupQ.PushBack(id)
+		for g.dedupQ.Len() > 4096 {
+			delete(g.dedup, g.dedupQ.PopFront())
 		}
 		g.DeliveredUp++
 		if g.events != nil {

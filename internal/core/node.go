@@ -32,8 +32,9 @@ type vehState struct {
 	// retries on the vehicle's next beacon so a fault window cannot leave
 	// the gateway pointing at a stale anchor forever.
 	regRetry bool
-	// salvage records downstream packets for potential salvaging (§4.5).
-	salvage []*downPkt
+	// salvage records downstream packets for potential salvaging (§4.5),
+	// in arrival order — which is also seq order and fromNetAt order.
+	salvage []downPkt
 }
 
 // outPkt is one unacknowledged outgoing packet at a source. Records are
@@ -50,8 +51,7 @@ type outPkt struct {
 	acked   bool
 	dropped bool
 	dir     Direction
-	salv    *downPkt // anchor: backing salvage-cache entry
-	free    *outPkt  // free-list link
+	free    *outPkt // free-list link
 }
 
 // OnEvent fires the retransmission timer.
@@ -70,7 +70,7 @@ type pendKey struct {
 type pendPkt struct {
 	src, dst    uint16
 	fromVehicle bool
-	payload     []byte
+	payload     []byte // pooled; given back wherever the entry dies
 	heardAt     time.Duration
 	veh         uint16
 }
@@ -85,10 +85,12 @@ type pendEntry struct {
 }
 
 // downPkt is an anchor's record of a downstream packet for salvaging
-// (§4.5): what arrived from the Internet, when, and whether the vehicle
+// (§4.5): what arrived from the Internet, when, under which of the
+// anchor's sequence numbers it went out, and whether the vehicle
 // acknowledged it.
 type downPkt struct {
-	payload   []byte
+	seq       uint32
+	payload   []byte // pooled; given back when trimSalvage or ColdRestart drops the entry
 	fromNetAt time.Duration
 	acked     bool
 }
@@ -438,8 +440,8 @@ func (n *Node) handleAck(f *frame.Frame) {
 			if f.AckAttempt == pkt.attempt {
 				n.delays.add(now - pkt.txAt)
 			}
-			if pkt.salv != nil {
-				pkt.salv.acked = true
+			if pkt.dir == Down {
+				n.salvageAcked(pkt.dst, pkt.seq)
 			}
 			n.emit(EvAckRecv, pkt.dir, frame.PacketID{Src: n.addr, Seq: f.AckSeq}, f.AckAttempt, f.Src, MediumAir)
 		}
@@ -454,6 +456,7 @@ func (n *Node) handleAck(f *frame.Frame) {
 			if e.key.id == id {
 				dir := dirOf(&e.pkt)
 				n.emit(EvAuxSuppressed, dir, id, e.key.attempt, f.Src, MediumAir)
+				n.mac.Buffers().Put(e.pkt.payload)
 				continue
 			}
 			live = append(live, *e)

@@ -41,9 +41,17 @@ func (n *Node) ColdRestart() {
 	n.auxList = n.auxList[:0]
 
 	// Basestation roles: per-vehicle state (anchor flags, salvage caches)
-	// and the auxiliary's overheard-packet list.
+	// and the auxiliary's overheard-packet list, whose pooled payloads go
+	// back to the pool.
+	pool := n.mac.Buffers()
+	for _, vs := range n.vehs {
+		for i := range vs.salvage {
+			pool.Put(vs.salvage[i].payload)
+		}
+	}
 	clear(n.vehs)
 	for i := range n.pending {
+		pool.Put(n.pending[i].pkt.payload)
 		n.pending[i] = pendEntry{}
 	}
 	n.pending = n.pending[:0]

@@ -87,7 +87,8 @@ func (n *Node) freePkt(p *outPkt) {
 // SendData transmits an application payload. On a vehicle it is addressed
 // to the current anchor (§4.3: upstream packets are forwarded through the
 // anchor); returns false — without consuming a sequence number — when the
-// vehicle has no anchor. Basestations use sendDown instead.
+// vehicle has no anchor. Basestations send downstream through the gateway
+// (handleDownFromInternet) instead.
 func (n *Node) SendData(payload []byte) bool {
 	if !n.isVehicle {
 		panic("core: SendData on a basestation; use the gateway for downstream traffic")
@@ -95,30 +96,24 @@ func (n *Node) SendData(payload []byte) bool {
 	if n.anchor == frame.None {
 		return false
 	}
-	n.enqueueData(n.anchor, payload, Up, nil)
+	n.enqueueData(n.anchor, payload, Up)
 	return true
 }
 
-// sendDown transmits a downstream payload from an anchor to a vehicle.
-// salv links the packet to its salvage-cache entry.
-func (n *Node) sendDown(veh uint16, payload []byte, salv *downPkt) {
-	n.enqueueData(veh, payload, Down, salv)
-}
-
-// enqueueData allocates a sequence number and performs the first
-// transmission.
-func (n *Node) enqueueData(dst uint16, payload []byte, dir Direction, salv *downPkt) {
+// enqueueData allocates a sequence number, performs the first
+// transmission and returns the sequence number.
+func (n *Node) enqueueData(dst uint16, payload []byte, dir Direction) uint32 {
 	n.nextSeq++
 	pkt := n.allocPkt()
 	pkt.seq = n.nextSeq
 	pkt.dst = dst
 	pkt.dir = dir
-	pkt.salv = salv
 	pkt.payload = n.mac.Buffers().Get(len(payload))
 	copy(pkt.payload, payload)
 	n.outstanding[pkt.seq] = pkt
 	n.pruneOutstanding()
 	n.transmit(pkt)
+	return pkt.seq
 }
 
 // transmit puts one attempt of the packet on the air and arms the

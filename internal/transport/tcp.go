@@ -23,8 +23,10 @@ import (
 // SendFunc transmits one datagram toward the peer. It reports whether the
 // datagram was accepted for transmission (a vehicle without an anchor
 // rejects, which TCP experiences as loss). The payload is borrowed for the
-// call: an implementation copies what it keeps past its return, and the
-// caller may overwrite the bytes as soon as it returns.
+// call and an implementation keeps nothing of it past its return: it
+// copies what it carries on, because each Sender and Receiver encodes
+// every segment into one buffer of its own and overwrites it with the
+// next.
 type SendFunc func(payload []byte) bool
 
 // Segment flags.
@@ -48,22 +50,29 @@ const segHeaderLen = 1 + 4 + 4 + 4 + 2
 
 var errSegment = errors.New("transport: malformed segment")
 
-func (s *segment) marshal() []byte {
-	buf := make([]byte, segHeaderLen+len(s.Payload))
-	buf[0] = s.Flags
-	binary.BigEndian.PutUint32(buf[1:], s.Conn)
-	binary.BigEndian.PutUint32(buf[5:], s.Seq)
-	binary.BigEndian.PutUint32(buf[9:], s.Ack)
-	binary.BigEndian.PutUint16(buf[13:], uint16(len(s.Payload)))
-	copy(buf[segHeaderLen:], s.Payload)
+// encodeSegment writes a segment with n zero payload bytes (the
+// transfers carry no content) into buf's storage, growing it only when it
+// is too short, and returns the encoded bytes.
+func encodeSegment(buf []byte, flags uint8, conn, seq, ack uint32, n int) []byte {
+	size := segHeaderLen + n
+	if cap(buf) < size {
+		buf = make([]byte, size)
+	}
+	buf = buf[:size]
+	buf[0] = flags
+	binary.BigEndian.PutUint32(buf[1:], conn)
+	binary.BigEndian.PutUint32(buf[5:], seq)
+	binary.BigEndian.PutUint32(buf[9:], ack)
+	binary.BigEndian.PutUint16(buf[13:], uint16(n))
+	clear(buf[segHeaderLen:])
 	return buf
 }
 
 // parseSegment decodes a segment without copying: the returned Payload
 // aliases buf, so it follows buf's ownership (valid only for the duration
-// of the Deliver call that received it, per the DESIGN.md §6 rules).
-// Consumers that retain payload bytes past the call must copy — the
-// receiver's out-of-order buffer is the one place that does.
+// of the Deliver call that received it, per the DESIGN.md §6 rules). No
+// consumer retains payload bytes: the receiver's out-of-order buffer keeps
+// lengths only.
 func parseSegment(buf []byte) (segment, error) {
 	if len(buf) < segHeaderLen {
 		return segment{}, errSegment
@@ -137,10 +146,13 @@ type Sender struct {
 	rto          time.Duration
 	backoff      int
 	rtoTimer     sim.Timer
+	rtoH         rtoTask
 	// RTT sampling (Karn's rule: only non-retransmitted segments).
 	sampleSeq int
 	sampleAt  time.Duration
 	sampling  bool
+
+	buf []byte // every segment is encoded here (SendFunc keeps nothing)
 
 	// Counters.
 	SegmentsSent int
@@ -148,14 +160,22 @@ type Sender struct {
 	FastRetx     int
 }
 
+// rtoTask is the sender's retransmission timer as a sim.Handler, so
+// re-arming it per acknowledgment allocates no closure.
+type rtoTask struct{ s *Sender }
+
+func (t *rtoTask) OnEvent() { t.s.onRTO() }
+
 // NewSender creates a sender for one transfer of size bytes.
 func NewSender(k *sim.Kernel, cfg Config, conn uint32, size int, send SendFunc, done func(TransferResult)) *Sender {
-	return &Sender{
+	s := &Sender{
 		K: k, cfg: cfg, send: send, conn: conn, size: size, done: done,
 		cwnd:     float64(cfg.InitCwnd * cfg.MSS),
 		ssthresh: float64(cfg.SSThresh * cfg.MSS),
 		rto:      cfg.RTOInit,
 	}
+	s.rtoH.s = s
+	return s
 }
 
 // Start sends the SYN.
@@ -167,7 +187,8 @@ func (s *Sender) Start() {
 
 func (s *Sender) sendSYN() {
 	s.SegmentsSent++
-	s.send((&segment{Flags: flagSYN, Conn: s.conn}).marshal())
+	s.buf = encodeSegment(s.buf, flagSYN, s.conn, 0, 0, 0)
+	s.send(s.buf)
 }
 
 // Deliver feeds a datagram from the link layer into the sender.
@@ -268,8 +289,8 @@ func (s *Sender) pump() {
 
 func (s *Sender) sendData(from, to int) {
 	s.SegmentsSent++
-	payload := make([]byte, to-from)
-	s.send((&segment{Conn: s.conn, Seq: uint32(from), Payload: payload}).marshal())
+	s.buf = encodeSegment(s.buf, 0, s.conn, uint32(from), 0, to-from)
+	s.send(s.buf)
 }
 
 // retransmit resends the earliest unacknowledged segment.
@@ -299,7 +320,7 @@ func (s *Sender) armRTO() {
 	if d > s.cfg.RTOMax {
 		d = s.cfg.RTOMax
 	}
-	s.rtoTimer = s.K.After(d, s.onRTO)
+	s.rtoTimer = s.K.AfterHandler(d, &s.rtoH)
 }
 
 func (s *Sender) onRTO() {
@@ -339,19 +360,21 @@ func max64(a, b float64) float64 {
 }
 
 // Receiver is the data-receiving half: it completes the handshake,
-// acknowledges cumulatively, and buffers out-of-order segments.
+// acknowledges cumulatively, and parks out-of-order segments. Nothing
+// reads the bytes of a transfer, so a parked segment is its length.
 type Receiver struct {
 	send SendFunc
 	conn uint32
+	buf  []byte // every segment is encoded here (SendFunc keeps nothing)
 
 	rcvNxt int
-	ooo    map[int][]byte // out-of-order: seq → payload
+	ooo    map[int]int // out-of-order: seq → payload length
 }
 
 // NewReceiver creates the receiving half of a transfer. The kernel is not
 // kept: a receiver keeps no timer and only answers what it is handed.
 func NewReceiver(_ *sim.Kernel, conn uint32, send SendFunc) *Receiver {
-	return &Receiver{send: send, conn: conn, ooo: map[int][]byte{}}
+	return &Receiver{send: send, conn: conn, ooo: map[int]int{}}
 }
 
 // Received reports contiguous bytes received so far.
@@ -365,7 +388,8 @@ func (r *Receiver) Deliver(buf []byte) {
 	}
 	if seg.Flags&flagSYN != 0 {
 		// Handshake: SYN-ACK (repeated SYNs re-elicit it).
-		r.send((&segment{Flags: flagSYN | flagACK, Conn: r.conn}).marshal())
+		r.buf = encodeSegment(r.buf, flagSYN|flagACK, r.conn, 0, 0, 0)
+		r.send(r.buf)
 		return
 	}
 	if len(seg.Payload) > 0 {
@@ -374,19 +398,19 @@ func (r *Receiver) Deliver(buf []byte) {
 			r.rcvNxt += len(seg.Payload)
 			// Drain contiguous out-of-order data.
 			for {
-				p, ok := r.ooo[r.rcvNxt]
+				n, ok := r.ooo[r.rcvNxt]
 				if !ok {
 					break
 				}
 				delete(r.ooo, r.rcvNxt)
-				r.rcvNxt += len(p)
+				r.rcvNxt += n
 			}
 		} else if seq > r.rcvNxt {
 			if _, dup := r.ooo[seq]; !dup {
-				// Retained past the call: copy out of the caller's buffer.
-				r.ooo[seq] = append([]byte(nil), seg.Payload...)
+				r.ooo[seq] = len(seg.Payload)
 			}
 		}
-		r.send((&segment{Flags: flagACK, Conn: r.conn, Ack: uint32(r.rcvNxt)}).marshal())
+		r.buf = encodeSegment(r.buf, flagACK, r.conn, 0, uint32(r.rcvNxt), 0)
+		r.send(r.buf)
 	}
 }

@@ -194,7 +194,7 @@ func TestTrimSalvageOverflow(t *testing.T) {
 		vs.salvage = append(vs.salvage, downPkt{seq: uint32(i + 1), payload: make([]byte, 64),
 			fromNetAt: k.Now(), acked: i%2 == 0})
 	}
-	n.trimSalvage(3)
+	n.trimSalvage(vs)
 	got := n.vehs[3].salvage
 	if len(got) != 512 {
 		t.Fatalf("kept %d entries, want 512", len(got))
@@ -203,5 +203,34 @@ func TestTrimSalvageOverflow(t *testing.T) {
 		if want := uint32(600 - 512 + 1 + i); d.seq != want {
 			t.Fatalf("kept entry %d is seq %d, want %d: truncation keeps the newest entries in order", i, d.seq, want)
 		}
+	}
+}
+
+// TestSenderStateAllocatedInOnePiece: a sender's state comes in blocks.
+// Filling a fresh delay window (§4.7) is one allocation — its ring and
+// its sorted copy together — and a fresh sender's first pktBlock packet
+// records are one block.
+func TestSenderStateAllocatedInOnePiece(t *testing.T) {
+	fill := testing.AllocsPerRun(20, func() {
+		d := newDelaySampler(512)
+		for i := range 2000 {
+			d.add(time.Duration(i % 37))
+		}
+	})
+	if fill != 1 {
+		t.Errorf("filling a fresh delay window allocates %.1f objects, want 1", fill)
+	}
+
+	k := sim.NewKernel(1)
+	cell := NewCell(k, DefaultCellOptions(), []mobility.Mover{mobility.Fixed{X: 0}}, mobility.Fixed{X: 10})
+	n := cell.Vehicle
+	recs := testing.AllocsPerRun(20, func() {
+		n.pktFree, n.pktSlab = nil, nil
+		for range pktBlock {
+			n.allocPkt()
+		}
+	})
+	if recs != 1 {
+		t.Errorf("a fresh sender's first %d packet records allocate %.1f objects, want 1 block", pktBlock, recs)
 	}
 }

@@ -9,7 +9,8 @@ import (
 )
 
 // salvageCacheTTL bounds how long downstream packets are remembered for
-// potential salvaging, comfortably above the salvage window.
+// potential salvaging, comfortably above the shipped salvage windows; it
+// also caps Config.SalvageWindow.
 const salvageCacheTTL = 5 * time.Second
 
 // becomeAnchor runs when a vehicle's beacon names this basestation as its
@@ -84,12 +85,13 @@ func (n *Node) handleDownFromInternet(veh uint16, payload []byte) {
 	copy(keep, payload)
 	vs := n.ensureVeh(veh)
 	vs.salvage = append(vs.salvage, downPkt{seq: seq, payload: keep, fromNetAt: n.K.Now()})
-	n.trimSalvage(veh)
+	n.trimSalvage(vs)
 }
 
 // salvageAcked marks the vehicle's acknowledgment of downstream packet seq
-// in the salvage cache. Entries are appended in seq order, so a binary
-// search finds the entry — or finds it already trimmed.
+// in the salvage cache and gives its payload back. Entries are appended in
+// seq order, so a binary search finds the entry — or finds it already
+// trimmed; the entry itself stays, keeping the cache in seq order.
 func (n *Node) salvageAcked(veh uint16, seq uint32) {
 	vs := n.vehs[veh]
 	if vs == nil {
@@ -100,6 +102,7 @@ func (n *Node) salvageAcked(veh uint16, seq uint32) {
 	})
 	if ok {
 		vs.salvage[i].acked = true
+		n.release(&vs.salvage[i].payload)
 	}
 }
 
@@ -114,12 +117,15 @@ func (n *Node) handleUpstreamRelay(f *frame.Frame) {
 
 // handleSalvageReq answers a new anchor's pull: every unacknowledged
 // downstream packet for the vehicle that arrived from the Internet within
-// the salvage window is transferred (§4.5).
+// the salvage window is transferred (§4.5). The window is capped at
+// salvageCacheTTL, so whether an entry is handed over never depends on
+// whether a trim has dropped it yet.
 func (n *Node) handleSalvageReq(from uint16, req *frame.Frame) {
 	if !n.cfg.EnableSalvage {
 		return
 	}
 	now := n.K.Now()
+	window := min(n.cfg.SalvageWindow, salvageCacheTTL)
 	veh := req.Target
 	vs := n.vehs[veh]
 	if vs == nil {
@@ -127,7 +133,7 @@ func (n *Node) handleSalvageReq(from uint16, req *frame.Frame) {
 	}
 	for i := range vs.salvage {
 		d := &vs.salvage[i]
-		if d.acked || now-d.fromNetAt > n.cfg.SalvageWindow {
+		if d.acked || now-d.fromNetAt > window {
 			continue
 		}
 		sf := &n.txFrame
@@ -135,6 +141,7 @@ func (n *Node) handleSalvageReq(from uint16, req *frame.Frame) {
 			Orig: veh, Payload: d.payload}
 		if n.sendBackplane(from, sf) {
 			d.acked = true // handed over; stop considering it ours
+			n.release(&d.payload)
 			n.emit(EvSalvaged, Down, frame.PacketID{Src: veh}, 0, from, MediumBackplane)
 		}
 	}
@@ -150,30 +157,29 @@ func (n *Node) handleSalvageData(f *frame.Frame) {
 // entries.
 const salvageCacheCap = 512
 
-// trimSalvage bounds the per-vehicle salvage cache, giving the payloads
-// of the dropped entries back to the pool. Entries are appended as they
+// trimSalvage bounds a vehicle's salvage cache, giving the payloads of
+// the dropped entries back to the pool. Entries are appended as they
 // arrive, so the expired ones and those beyond the cap form a prefix; the
 // survivors move to the front, keeping the slice's capacity for the
-// appends to come.
-func (n *Node) trimSalvage(veh uint16) {
-	vs := n.vehs[veh]
-	if vs == nil {
-		return
-	}
+// appends to come. A cache left empty drops its backing array.
+func (n *Node) trimSalvage(vs *vehState) {
 	cache := vs.salvage
 	now := n.K.Now()
 	drop := max(len(cache)-salvageCacheCap, 0)
 	for drop < len(cache) && now-cache[drop].fromNetAt > salvageCacheTTL {
 		drop++
 	}
-	if drop == 0 {
-		return
-	}
 	pool := n.mac.Buffers()
 	for i := range cache[:drop] {
 		pool.Put(cache[i].payload)
 	}
-	kept := copy(cache, cache[drop:])
-	clear(cache[kept:])
-	vs.salvage = cache[:kept]
+	if drop == len(cache) {
+		vs.salvage = nil // an already-empty cache too
+		return
+	}
+	if drop > 0 {
+		kept := copy(cache, cache[drop:])
+		clear(cache[kept:])
+		vs.salvage = cache[:kept]
+	}
 }

@@ -83,7 +83,8 @@ type Config struct {
 
 	// SalvageWindow bounds how old an unacknowledged downstream packet may
 	// be and still be salvaged (§4.5: one second, from the minimum TCP
-	// RTO).
+	// RTO). It is capped at salvageCacheTTL (5 s), how long an anchor
+	// keeps a downstream packet at all: a longer window salvages no more.
 	SalvageWindow time.Duration
 }
 

@@ -193,44 +193,107 @@ func TestAlternativeCoordinatorsRunEndToEnd(t *testing.T) {
 }
 
 func TestSalvageWindowExpiry(t *testing.T) {
-	// Packets older than the salvage window must not be handed over.
+	// Packets older than the salvage window must not be handed over: ten
+	// downstream packets at t≈3s are far outside the 1s window by the
+	// time the anchor changes (t≈7s). A window that covers them salvages
+	// them, so the handoff does pull from the old anchor.
+	if salvaged, _, _ := salvageAfterHandoff(t, DefaultConfig(), 6); salvaged != 0 {
+		t.Errorf("%d packets salvaged from far outside the window", salvaged)
+	}
+	cfg := DefaultConfig()
+	cfg.SalvageWindow = salvageCacheTTL
+	if salvaged, req, last := salvageAfterHandoff(t, cfg, 6); salvaged == 0 {
+		t.Errorf("nothing salvaged %v after the packets arrived with a %v window", req-last, cfg.SalvageWindow)
+	}
+}
+
+// TestSalvageWindowCappedByCacheTTL: a salvage window longer than the
+// cache's TTL salvages nothing the TTL has expired. With a 10 s window
+// and downstream traffic stopped 6 s before the salvage request, nothing
+// is handed over — whether or not a trim got to the entries first.
+func TestSalvageWindowCappedByCacheTTL(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.SalvageWindow = 10 * time.Second
+	salvaged, req, lastSend := salvageAfterHandoff(t, cfg, 9)
+	if req-lastSend < 6*time.Second || req-lastSend > 8*time.Second {
+		t.Fatalf("salvage request %v after the last downstream packet, want 6-8 s", req-lastSend)
+	}
+	if salvaged != 0 {
+		t.Errorf("%d packets salvaged %v after they arrived: the %v window must be capped at the %v cache TTL",
+			salvaged, req-lastSend, cfg.SalvageWindow, salvageCacheTTL)
+	}
+
+	// The hand-over itself skips an entry past the TTL that no trim has
+	// dropped yet.
 	k := sim.NewKernel(26)
 	opts := DefaultCellOptions()
+	opts.Protocol = cfg
+	handed := 0
+	opts.Events = func(e Event) {
+		if e.Kind == EvSalvaged {
+			handed++
+		}
+	}
+	cell := NewCell(k, opts, []mobility.Mover{mobility.Fixed{X: 0}, mobility.Fixed{X: 60}}, mobility.Fixed{X: 30})
+	k.RunUntil(8 * time.Second)
+	old, veh := cell.BSes[0], cell.Vehicle.Addr()
+	vs := old.ensureVeh(veh)
+	vs.salvage = append(vs.salvage,
+		downPkt{seq: 1, payload: make([]byte, 64), fromNetAt: k.Now() - 6*time.Second},
+		downPkt{seq: 2, payload: make([]byte, 64), fromNetAt: k.Now() - 4*time.Second})
+	old.handleSalvageReq(cell.BSes[1].Addr(), &frame.Frame{Type: frame.TypeSalvageReq, Target: veh})
+	if handed != 1 || !vs.salvage[1].acked || vs.salvage[0].acked {
+		t.Errorf("handed over %d entries (6 s old: %v, 4 s old: %v), want only the one within the %v TTL",
+			handed, vs.salvage[0].acked, vs.salvage[1].acked, salvageCacheTTL)
+	}
+}
+
+// salvageAfterHandoff sends ten downstream packets at t≈3s to a vehicle
+// that stops hearing its anchor (bs0) just then, so they stay
+// unacknowledged in bs0's salvage cache, and lets it hear bs1 from second
+// handoff on. It returns the packets salvaged, when the (first) salvage
+// request went out and when the last packet was sent.
+func salvageAfterHandoff(t *testing.T, cfg Config, handoff int) (salvaged int, req, lastSend time.Duration) {
+	t.Helper()
+	k := sim.NewKernel(26)
+	opts := DefaultCellOptions()
+	opts.Protocol = cfg
 	opts.LinkFactory = func(from, to radio.NodeID) radio.LinkModel {
-		// Vehicle hears both BSes' beacons but anchor's data never
-		// arrives, so downstream packets stay unacknowledged.
-		if from == 0 && to == 2 {
-			return schedule(onesThenZeros(6, 40))
-		}
-		if from == 1 && to == 2 || from == 2 && to == 1 {
-			return schedule(zerosThenOnes(6, 40))
-		}
-		if from == 2 && to == 0 {
-			return schedule(onesThenZeros(6, 40))
+		// Node ids: bs0=0, bs1=1, veh=2. bs0 keeps hearing the vehicle's
+		// beacons, so it stays the anchor the gateway sends through.
+		switch [2]radio.NodeID{from, to} {
+		case [2]radio.NodeID{0, 2}:
+			return schedule(onesThenZeros(3, 40))
+		case [2]radio.NodeID{2, 0}:
+			return radio.FixedLink(0.95)
+		case [2]radio.NodeID{1, 2}, [2]radio.NodeID{2, 1}:
+			return schedule(zerosThenOnes(handoff, 40))
 		}
 		return radio.FixedLink(0.3)
 	}
-	salvaged := 0
 	opts.Events = func(e Event) {
-		if e.Kind == EvSalvaged {
+		switch {
+		case e.Kind == EvSalvaged:
 			salvaged++
+		case e.Kind == EvSalvageReq && req == 0:
+			req = e.At
 		}
 	}
 	cell := NewCell(k, opts,
 		[]mobility.Mover{mobility.Fixed{X: 0}, mobility.Fixed{X: 60}},
 		mobility.Fixed{X: 30})
 	k.RunUntil(3 * time.Second)
-	// Ten downstream packets early (t≈3s) — far outside the 1s salvage
-	// window by the time the anchor changes (t≈7-8s).
 	for i := 0; i < 10; i++ {
 		k.At(3*time.Second+time.Duration(i)*50*time.Millisecond, func() {
 			cell.Gateway.Send(cell.Vehicle.Addr(), make([]byte, 100))
+			lastSend = k.Now()
 		})
 	}
-	k.RunUntil(15 * time.Second)
-	if salvaged != 0 {
-		t.Errorf("%d packets salvaged from far outside the window", salvaged)
+	k.RunUntil(time.Duration(handoff+9) * time.Second)
+	if req == 0 {
+		t.Fatal("the anchor never changed: no salvage request")
 	}
+	return salvaged, req, lastSend
 }
 
 // schedule replays per[s] as the reception probability during second s,

@@ -44,7 +44,7 @@ type outPkt struct {
 	n       *Node
 	seq     uint32
 	dst     uint16 // fixed for anchors; re-resolved per attempt on vehicles
-	payload []byte // pooled buffer owned by this record
+	payload []byte // pooled; given back at settlement (ack or give-up)
 	attempt uint8
 	txAt    time.Duration
 	timer   sim.Timer
@@ -90,7 +90,7 @@ type pendEntry struct {
 // acknowledged it.
 type downPkt struct {
 	seq       uint32
-	payload   []byte // pooled; given back when trimSalvage or ColdRestart drops the entry
+	payload   []byte // pooled; given back once acked or handed over, or when trimSalvage or ColdRestart drops the entry
 	fromNetAt time.Duration
 	acked     bool
 }
@@ -138,7 +138,8 @@ type Node struct {
 	nextSeq     uint32
 	outstanding map[uint32]*outPkt
 	pktFree     *outPkt
-	delays      *delaySampler
+	pktSlab     []outPkt // the unused rest of allocPkt's current block
+	delays      delaySampler
 
 	// Receiver state. acked holds values (no per-packet allocation);
 	// ackedQ is the FIFO bounding it.
@@ -266,12 +267,16 @@ func (n *Node) emit(kind EventKind, dir Direction, id frame.PacketID, attempt ui
 // --- Periodic work -------------------------------------------------------
 
 // windowTick closes a probability window and, on vehicles, re-evaluates
-// the anchor/auxiliary designations.
+// the anchor/auxiliary designations. On basestations it also sweeps every
+// salvage cache, so the caches of vehicles that moved on expire too.
 func (n *Node) windowTick() {
 	now := n.K.Now()
 	n.probs.flush(n.addr, float64(probWindow)/float64(n.cfg.BeaconInterval), now)
 	if n.isVehicle {
 		n.selectAnchor(now)
+	}
+	for _, vs := range n.vehs {
+		n.trimSalvage(vs)
 	}
 	n.K.AfterHandler(probWindow, &n.windowH)
 }
@@ -437,6 +442,7 @@ func (n *Node) handleAck(f *frame.Frame) {
 		if pkt, ok := n.outstanding[f.AckSeq]; ok && !pkt.acked && !pkt.dropped {
 			pkt.acked = true
 			pkt.timer.Stop()
+			n.release(&pkt.payload)
 			if f.AckAttempt == pkt.attempt {
 				n.delays.add(now - pkt.txAt)
 			}

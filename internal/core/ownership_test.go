@@ -17,7 +17,11 @@ import (
 // hand-overs and TTL trims. Afterwards every payload still owned must be
 // its own buffer, and none may be in the channel's pool: draining the
 // pool's classes must turn up neither an owned buffer (a Put that kept
-// its entry) nor one buffer twice (a double Put).
+// its entry) nor one buffer twice (a double Put). No settled packet may
+// hold one: an acked or dropped outPkt, an acked or handed-over downPkt,
+// or a downPkt expired for longer than the window sweep's period. Once
+// traffic stops and the cache TTL has passed, every basestation the
+// vehicle left holds an empty salvage cache with no backing array.
 func TestPooledPayloadOwnership(t *testing.T) {
 	k := sim.NewKernel(11)
 	var counts [NumEventKinds]int
@@ -60,32 +64,35 @@ func TestPooledPayloadOwnership(t *testing.T) {
 		t.Error("no salvage cache dropped an expired entry")
 	}
 
+	for _, n := range append([]*Node{cell.Vehicle}, cell.BSes...) {
+		for _, p := range n.outstanding {
+			if (p.acked || p.dropped) && p.payload != nil {
+				t.Errorf("node %d: settled packet %d (acked %v, dropped %v) still holds its payload",
+					n.addr, p.seq, p.acked, p.dropped)
+			}
+		}
+		for _, vs := range n.vehs {
+			for _, d := range vs.salvage {
+				if d.acked && d.payload != nil {
+					t.Errorf("node %d: acked or handed-over salvage entry %d still holds its payload", n.addr, d.seq)
+				}
+				if age := k.Now() - d.fromNetAt; age > salvageCacheTTL+probWindow {
+					t.Errorf("node %d: salvage entry %d is %v old, past the TTL and a window sweep", n.addr, d.seq, age)
+				}
+			}
+		}
+	}
+
 	owned := map[*byte]string{}
 	classes := map[int]bool{}
-	own := func(b []byte, what string) {
-		if cap(b) == 0 {
-			return
-		}
+	ownedPayloads(append([]*Node{cell.Vehicle}, cell.BSes...), func(b []byte, what string) {
 		p := unsafe.SliceData(b)
 		if prev, dup := owned[p]; dup {
 			t.Errorf("%s and %s share one buffer", prev, what)
 		}
 		owned[p] = what
 		classes[cap(b)] = true
-	}
-	for _, n := range append([]*Node{cell.Vehicle}, cell.BSes...) {
-		for _, e := range n.pending {
-			own(e.pkt.payload, "a pending entry")
-		}
-		for _, vs := range n.vehs {
-			for _, d := range vs.salvage {
-				own(d.payload, "a salvage entry")
-			}
-		}
-		for _, p := range n.outstanding {
-			own(p.payload, "an outstanding packet")
-		}
-	}
+	})
 	if len(owned) == 0 {
 		t.Fatal("no payload is owned at the end of the run")
 	}
@@ -105,5 +112,81 @@ func TestPooledPayloadOwnership(t *testing.T) {
 			}
 			got[p] = true
 		}
+	}
+
+	// Traffic has stopped: the caches the vehicle left empty out.
+	k.RunUntil(k.Now() + salvageCacheTTL + 2*probWindow)
+	for _, n := range cell.BSes {
+		if vs := n.vehs[veh]; vs != nil && n.addr != cell.Vehicle.Anchor() && vs.salvage != nil {
+			t.Errorf("basestation %d: the vehicle left, yet its salvage cache holds %d entries in a %d-slot array",
+				n.addr, len(vs.salvage), cap(vs.salvage))
+		}
+	}
+}
+
+// ownedPayloads calls own with every pooled payload the nodes hold past a
+// call: the auxiliaries' pending entries, the anchors' salvage caches and
+// the senders' in-flight records.
+func ownedPayloads(nodes []*Node, own func(b []byte, what string)) {
+	for _, n := range nodes {
+		for _, e := range n.pending {
+			if cap(e.pkt.payload) > 0 {
+				own(e.pkt.payload, "a pending entry")
+			}
+		}
+		for _, vs := range n.vehs {
+			for _, d := range vs.salvage {
+				if cap(d.payload) > 0 {
+					own(d.payload, "a salvage entry")
+				}
+			}
+		}
+		for _, p := range n.outstanding {
+			if cap(p.payload) > 0 {
+				own(p.payload, "an outstanding packet")
+			}
+		}
+	}
+}
+
+// TestOwnedBuffersFollowTraffic: the pooled buffers a deployment owns
+// follow its traffic, not its age. Two vehicles drive down a long row of
+// basestations with steady traffic both ways, meeting new basestations
+// all along: what is owned at 120 s is what is owned at 60 s, give or
+// take the packets in flight — a cache left behind, or a settled packet
+// still holding its payload, would make it grow with the distance driven.
+func TestOwnedBuffersFollowTraffic(t *testing.T) {
+	k := sim.NewKernel(12)
+	var bs []mobility.Mover
+	for i := range 18 {
+		bs = append(bs, mobility.Fixed{X: float64(i) * 150, Y: float64(i%2) * 20})
+	}
+	var vehs []mobility.Mover
+	for _, start := range []float64{-50, 100} {
+		route := mobility.NewRoute([]mobility.Point{{X: start, Y: 10}, {X: 2700, Y: 10}}, mobility.KmhToMps(36), false)
+		vehs = append(vehs, &mobility.RouteMover{Route: route})
+	}
+	cell := NewFleetCell(k, DefaultCellOptions(), bs, vehs, Placement{})
+	nodes := append(append([]*Node{}, cell.Vehicles...), cell.BSes...)
+	up, down := make([]byte, 200), make([]byte, 300)
+	k.Every(time.Second, 40*time.Millisecond, int(119*time.Second/(40*time.Millisecond)), func(int) {
+		for _, v := range cell.Vehicles {
+			v.SendData(up)
+			cell.Gateway.Send(v.Addr(), down)
+		}
+	})
+	owned := func(at time.Duration) (n int) {
+		k.RunUntil(at)
+		ownedPayloads(nodes, func([]byte, string) { n++ })
+		return n
+	}
+	at60, at120 := owned(60*time.Second), owned(120*time.Second)
+	t.Logf("owned pooled payloads: %d at 60 s, %d at 120 s", at60, at120)
+	if at60 == 0 {
+		t.Fatal("nothing owned at 60 s: the run has no traffic in flight")
+	}
+	if slack := at60/2 + 32; at120 > at60+slack {
+		t.Errorf("owned pooled payloads grew from %d at 60 s to %d at 120 s (slack %d): buffers outlive their packets",
+			at60, at120, slack)
 	}
 }

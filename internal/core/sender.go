@@ -12,8 +12,8 @@ import (
 // the minimum retransmission time the 99th percentile of measured
 // delays"). It holds the window twice — ring in arrival order, to know
 // which delay a new one evicts, and sorted ascending, so a quantile is an
-// index. Both grow on demand up to window samples: most nodes of a large
-// deployment never take one.
+// index. Both are carved from one allocation, made at the full window size
+// on the first sample: most nodes of a large deployment never take one.
 type delaySampler struct {
 	window int
 	ring   []time.Duration
@@ -21,11 +21,15 @@ type delaySampler struct {
 	sorted []time.Duration
 }
 
-func newDelaySampler(window int) *delaySampler {
-	return &delaySampler{window: window}
+func newDelaySampler(window int) delaySampler {
+	return delaySampler{window: window}
 }
 
 func (d *delaySampler) add(v time.Duration) {
+	if d.ring == nil {
+		buf := make([]time.Duration, 2*d.window)
+		d.ring, d.sorted = buf[:0:d.window], buf[d.window:d.window]
+	}
 	if len(d.ring) < d.window {
 		d.ring = append(d.ring, v)
 	} else {
@@ -64,22 +68,40 @@ func (n *Node) retxTimeout() time.Duration {
 	return min(max(t, retxMin), retxMax)
 }
 
-// allocPkt takes an outPkt from the node's free list (growing only while
-// the in-flight window is still being discovered).
+// pktBlock is how many outPkt records one allocation holds.
+const pktBlock = 32
+
+// allocPkt takes an outPkt from the node's free list, or carves it off
+// the node's current block of pktBlock records while the in-flight window
+// is still being discovered.
 func (n *Node) allocPkt() *outPkt {
 	if p := n.pktFree; p != nil {
 		n.pktFree = p.free
 		*p = outPkt{n: n}
 		return p
 	}
-	return &outPkt{n: n}
+	if len(n.pktSlab) == 0 {
+		n.pktSlab = make([]outPkt, pktBlock)
+	}
+	p := &n.pktSlab[0]
+	n.pktSlab = n.pktSlab[1:]
+	p.n = n
+	return p
 }
 
-// freePkt recycles a settled packet record and its pooled payload buffer.
+// release gives a dead packet's pooled payload back to the pool at once,
+// while the record holding it lives on: a settled outPkt stays in
+// outstanding for the bitmap until pruned, an acked or handed-over downPkt
+// keeps the salvage cache in seq order.
+func (n *Node) release(payload *[]byte) {
+	n.mac.Buffers().Put(*payload)
+	*payload = nil
+}
+
+// freePkt recycles a pruned packet record (and its payload, when
+// ColdRestart settles a packet still in flight).
 func (n *Node) freePkt(p *outPkt) {
-	if p.payload != nil {
-		n.mac.Buffers().Put(p.payload)
-	}
+	n.mac.Buffers().Put(p.payload)
 	*p = outPkt{n: n, free: n.pktFree}
 	n.pktFree = p
 }
@@ -158,6 +180,7 @@ func (n *Node) retxFire(pkt *outPkt) {
 	}
 	if int(pkt.attempt) >= n.cfg.MaxRetx {
 		pkt.dropped = true
+		n.release(&pkt.payload)
 		n.emit(EvSrcDrop, pkt.dir, frame.PacketID{Src: n.addr, Seq: pkt.seq}, pkt.attempt, pkt.dst, MediumAir)
 		return
 	}

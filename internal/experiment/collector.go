@@ -20,7 +20,6 @@ type txKey struct {
 // txRecord accumulates the fate of one source transmission across the
 // probe events — the unit of analysis of Table 1.
 type txRecord struct {
-	dir       core.Direction
 	srcTx     bool
 	dstDirect bool
 	auxHeard  int
@@ -32,7 +31,7 @@ type txRecord struct {
 // Collector aggregates core protocol events into the statistics behind
 // Table 1, Table 2 and Fig 12.
 type Collector struct {
-	tx map[txKey]*txRecord
+	tx map[txKey]txRecord
 
 	// Direction-level counters.
 	Deliver  [2]int // unique app deliveries
@@ -47,7 +46,7 @@ type Collector struct {
 
 // NewCollector returns an empty collector.
 func NewCollector() *Collector {
-	return &Collector{tx: map[txKey]*txRecord{}}
+	return &Collector{tx: map[txKey]txRecord{}}
 }
 
 // sampleAux appends veh's auxiliary-set size to AuxCountSamples once per
@@ -67,37 +66,40 @@ func (c *Collector) sampleAux(k *sim.Kernel, veh *core.Node, dur time.Duration) 
 func (c *Collector) Handle(e core.Event) {
 	d := int(e.Dir)
 	switch e.Kind {
+	case core.EvDeliver:
+		c.Deliver[d]++
+		return
+	case core.EvSalvaged:
+		c.Salvaged++
+		return
 	case core.EvSrcTx:
 		c.SrcTxAir[d]++
-		c.rec(e).srcTx = true
-	case core.EvDstRecvDirect:
-		c.rec(e).dstDirect = true
-	case core.EvDstRecvRelay:
-		c.rec(e).relayRecv++
-	case core.EvAuxHeard:
-		c.rec(e).auxHeard++
 	case core.EvAuxRelayed:
-		c.rec(e).relays++
 		if e.Medium == core.MediumAir {
 			c.RelayAir[d]++
 		}
-	case core.EvAuxDeclined:
-		c.rec(e).declined++
-	case core.EvDeliver:
-		c.Deliver[d]++
-	case core.EvSalvaged:
-		c.Salvaged++
+	case core.EvDstRecvDirect, core.EvDstRecvRelay, core.EvAuxHeard, core.EvAuxDeclined:
+	default:
+		return
 	}
-}
-
-func (c *Collector) rec(e core.Event) *txRecord {
+	// The rest fold into the transmission's record.
 	k := txKey{dir: e.Dir, id: e.ID, attempt: e.Attempt}
-	r, ok := c.tx[k]
-	if !ok {
-		r = &txRecord{dir: e.Dir}
-		c.tx[k] = r
+	r := c.tx[k]
+	switch e.Kind {
+	case core.EvSrcTx:
+		r.srcTx = true
+	case core.EvDstRecvDirect:
+		r.dstDirect = true
+	case core.EvDstRecvRelay:
+		r.relayRecv++
+	case core.EvAuxHeard:
+		r.auxHeard++
+	case core.EvAuxRelayed:
+		r.relays++
+	case core.EvAuxDeclined:
+		r.declined++
 	}
-	return r
+	c.tx[k] = r
 }
 
 // CoordStats are the Table 1 / Table 2 statistics for one direction.
@@ -146,8 +148,8 @@ func (c *Collector) Stats(dir core.Direction) CoordStats {
 	var failOverheard, failNoRelay, failHeardNoRelay int
 	var relays, relayRecv int
 	var detFP, allFP int
-	for _, r := range c.tx {
-		if r.dir != dir || !r.srcTx {
+	for k, r := range c.tx {
+		if k.dir != dir || !r.srcTx {
 			continue
 		}
 		s.SourceTransmissions++
@@ -249,8 +251,8 @@ func (c *Collector) PerfectRelayEfficiency(dir core.Direction) float64 {
 	// on the iteration (equal seeds could render differently).
 	var srcTx, sure, rated, relayTx int
 	relayRate := c.Stats(dir).RelayDelivery
-	for _, r := range c.tx {
-		if r.dir != dir || !r.srcTx {
+	for k, r := range c.tx {
+		if k.dir != dir || !r.srcTx {
 			continue
 		}
 		srcTx++

@@ -191,8 +191,7 @@ func TestTrimSalvageOverflow(t *testing.T) {
 	n := cell.BSes[0]
 	vs := n.ensureVeh(3)
 	for i := 0; i < 600; i++ {
-		vs.salvage = append(vs.salvage, downPkt{seq: uint32(i + 1), payload: make([]byte, 64),
-			fromNetAt: k.Now(), acked: i%2 == 0})
+		vs.salvage = append(vs.salvage, downPkt{seq: uint32(i + 1), payload: make([]byte, 64), fromNetAt: k.Now()})
 	}
 	n.trimSalvage(vs)
 	got := n.vehs[3].salvage

@@ -88,10 +88,10 @@ func (n *Node) handleDownFromInternet(veh uint16, payload []byte) {
 	n.trimSalvage(vs)
 }
 
-// salvageAcked marks the vehicle's acknowledgment of downstream packet seq
-// in the salvage cache and gives its payload back. Entries are appended in
-// seq order, so a binary search finds the entry — or finds it already
-// trimmed; the entry itself stays, keeping the cache in seq order.
+// salvageAcked removes downstream packet seq, which the vehicle has
+// acknowledged, from its salvage cache and gives its payload back.
+// Entries are appended in seq order, so a binary search finds the entry —
+// or finds it already trimmed.
 func (n *Node) salvageAcked(veh uint16, seq uint32) {
 	vs := n.vehs[veh]
 	if vs == nil {
@@ -101,8 +101,8 @@ func (n *Node) salvageAcked(veh uint16, seq uint32) {
 		return cmp.Compare(d.seq, seq)
 	})
 	if ok {
-		vs.salvage[i].acked = true
-		n.release(&vs.salvage[i].payload)
+		n.mac.Buffers().Put(vs.salvage[i].payload)
+		vs.salvage = slices.Delete(vs.salvage, i, i+1)
 	}
 }
 
@@ -117,9 +117,9 @@ func (n *Node) handleUpstreamRelay(f *frame.Frame) {
 
 // handleSalvageReq answers a new anchor's pull: every unacknowledged
 // downstream packet for the vehicle that arrived from the Internet within
-// the salvage window is transferred (§4.5). The window is capped at
-// salvageCacheTTL, so whether an entry is handed over never depends on
-// whether a trim has dropped it yet.
+// the salvage window is transferred (§4.5), and a packet handed over
+// leaves the cache. The window is capped at salvageCacheTTL, so whether an
+// entry is handed over never depends on whether a trim has dropped it yet.
 func (n *Node) handleSalvageReq(from uint16, req *frame.Frame) {
 	if !n.cfg.EnableSalvage {
 		return
@@ -131,20 +131,20 @@ func (n *Node) handleSalvageReq(from uint16, req *frame.Frame) {
 	if vs == nil {
 		return
 	}
-	for i := range vs.salvage {
-		d := &vs.salvage[i]
-		if d.acked || now-d.fromNetAt > window {
-			continue
+	vs.salvage = slices.DeleteFunc(vs.salvage, func(d downPkt) bool {
+		if now-d.fromNetAt > window {
+			return false
 		}
 		sf := &n.txFrame
 		*sf = frame.Frame{Type: frame.TypeSalvageData, Src: n.addr, Dst: from,
 			Orig: veh, Payload: d.payload}
-		if n.sendBackplane(from, sf) {
-			d.acked = true // handed over; stop considering it ours
-			n.release(&d.payload)
-			n.emit(EvSalvaged, Down, frame.PacketID{Src: veh}, 0, from, MediumBackplane)
+		if !n.sendBackplane(from, sf) {
+			return false
 		}
-	}
+		n.mac.Buffers().Put(d.payload)
+		n.emit(EvSalvaged, Down, frame.PacketID{Src: veh}, 0, from, MediumBackplane)
+		return true
+	})
 }
 
 // handleSalvageData treats a salvaged packet as if it had just arrived

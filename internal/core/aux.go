@@ -46,9 +46,7 @@ func (n *Node) considerPending(f *frame.Frame) {
 	if len(n.pending) >= pendingCap {
 		// Evict the oldest pending entry (insertion order is age order).
 		pool.Put(n.pending[0].pkt.payload)
-		copy(n.pending, n.pending[1:])
-		n.pending[len(n.pending)-1] = pendEntry{}
-		n.pending = n.pending[:len(n.pending)-1]
+		n.pending = slices.Delete(n.pending, 0, 1)
 	}
 	payload := pool.Get(len(f.Payload))
 	copy(payload, f.Payload)
@@ -128,30 +126,20 @@ func (n *Node) relayTick() {
 		n.relayScratch = idx
 		for _, i := range idx {
 			e := &n.pending[i]
-			age := now - e.pkt.heardAt
-			if age < ackWait {
-				continue // still within the acknowledgment window
+			if age := now - e.pkt.heardAt; age >= ackWait && age <= pendTTL {
+				n.decideRelay(e.key, &e.pkt)
 			}
-			e.dead = true
-			if age > pendTTL {
-				continue
+		}
+		// Past the acknowledgment window every entry is decided (or too
+		// old to relay): it leaves the list, which keeps insertion (age)
+		// order, and gives its payload back.
+		n.pending = slices.DeleteFunc(n.pending, func(e pendEntry) bool {
+			if now-e.pkt.heardAt < ackWait {
+				return false
 			}
-			n.decideRelay(e.key, &e.pkt)
-		}
-		// Compact the survivors, preserving insertion (age) order; the
-		// decided entries give their payloads back.
-		live := n.pending[:0]
-		for i := range n.pending {
-			if n.pending[i].dead {
-				n.mac.Buffers().Put(n.pending[i].pkt.payload)
-				continue
-			}
-			live = append(live, n.pending[i])
-		}
-		for i := len(live); i < len(n.pending); i++ {
-			n.pending[i] = pendEntry{}
-		}
-		n.pending = live
+			n.mac.Buffers().Put(e.pkt.payload)
+			return true
+		})
 	}
 	n.relayNext = now + n.relayPeriod()
 	n.relayArmed = len(n.pending) > 0

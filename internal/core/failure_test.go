@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -242,9 +243,13 @@ func TestSalvageWindowCappedByCacheTTL(t *testing.T) {
 		downPkt{seq: 1, payload: make([]byte, 64), fromNetAt: k.Now() - 6*time.Second},
 		downPkt{seq: 2, payload: make([]byte, 64), fromNetAt: k.Now() - 4*time.Second})
 	old.handleSalvageReq(cell.BSes[1].Addr(), &frame.Frame{Type: frame.TypeSalvageReq, Target: veh})
-	if handed != 1 || !vs.salvage[1].acked || vs.salvage[0].acked {
-		t.Errorf("handed over %d entries (6 s old: %v, 4 s old: %v), want only the one within the %v TTL",
-			handed, vs.salvage[0].acked, vs.salvage[1].acked, salvageCacheTTL)
+	var left []uint32
+	for _, d := range vs.salvage {
+		left = append(left, d.seq)
+	}
+	if handed != 1 || !slices.Equal(left, []uint32{1}) {
+		t.Errorf("handed over %d entries, leaving seqs %v; want the 4 s old entry (seq 2) handed over and only the 6 s old one (seq 1) left, past the %v TTL",
+			handed, left, salvageCacheTTL)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/vanlan/vifi/internal/backplane"
@@ -37,19 +38,19 @@ type vehState struct {
 	salvage []downPkt
 }
 
-// outPkt is one unacknowledged outgoing packet at a source. Records are
-// pooled on the node and double as their own retransmission-timer event
-// (sim.Handler), so the send path does not allocate in steady state.
+// outPkt is one in-flight outgoing packet at a source: it is in
+// outstanding from its first transmission until settle (ack, give-up or
+// ColdRestart) takes it out. Records are pooled on the node and double as
+// their own retransmission-timer event (sim.Handler), so the send path
+// does not allocate in steady state.
 type outPkt struct {
 	n       *Node
 	seq     uint32
 	dst     uint16 // fixed for anchors; re-resolved per attempt on vehicles
-	payload []byte // pooled; given back at settlement (ack or give-up)
+	payload []byte // pooled; given back by settle
 	attempt uint8
 	txAt    time.Duration
 	timer   sim.Timer
-	acked   bool
-	dropped bool
 	dir     Direction
 	free    *outPkt // free-list link
 }
@@ -75,24 +76,25 @@ type pendPkt struct {
 	veh         uint16
 }
 
-// pendEntry is one slot of the auxiliary's pending list. The list is a
-// small insertion-ordered slice (bounded by pendingCap): linear scans beat
-// a map at this size, keep eviction order exact, and never allocate.
+// pendEntry is one slot of the auxiliary's pending list, from the moment
+// the packet is overheard until relayTick decides it, an ack suppresses
+// it or a newer entry evicts it. The list is a small insertion-ordered
+// slice (bounded by pendingCap): linear scans beat a map at this size,
+// keep eviction order exact, and never allocate.
 type pendEntry struct {
-	key  pendKey
-	pkt  pendPkt
-	dead bool // marked during relayTick's sorted sweep, compacted after
+	key pendKey
+	pkt pendPkt
 }
 
 // downPkt is an anchor's record of a downstream packet for salvaging
-// (§4.5): what arrived from the Internet, when, under which of the
-// anchor's sequence numbers it went out, and whether the vehicle
-// acknowledged it.
+// (§4.5): what arrived from the Internet, when, and under which of the
+// anchor's sequence numbers it went out. It stays in the salvage cache
+// only while the vehicle may still need it: the vehicle's ack, a
+// hand-over to the new anchor, trimSalvage and ColdRestart remove it.
 type downPkt struct {
 	seq       uint32
-	payload   []byte // pooled; given back once acked or handed over, or when trimSalvage or ColdRestart drops the entry
+	payload   []byte // pooled; given back when the entry leaves the cache
 	fromNetAt time.Duration
-	acked     bool
 }
 
 // ackedInfo remembers a packet the node has acknowledged, for
@@ -439,38 +441,30 @@ func (n *Node) handleAirRelay(f *frame.Frame) {
 func (n *Node) handleAck(f *frame.Frame) {
 	now := n.K.Now()
 	if f.AckSrc == n.addr {
-		if pkt, ok := n.outstanding[f.AckSeq]; ok && !pkt.acked && !pkt.dropped {
-			pkt.acked = true
-			pkt.timer.Stop()
-			n.release(&pkt.payload)
+		if pkt, ok := n.outstanding[f.AckSeq]; ok {
 			if f.AckAttempt == pkt.attempt {
 				n.delays.add(now - pkt.txAt)
 			}
-			if pkt.dir == Down {
-				n.salvageAcked(pkt.dst, pkt.seq)
+			dir, dst := pkt.dir, pkt.dst
+			n.settle(pkt)
+			if dir == Down {
+				n.salvageAcked(dst, f.AckSeq)
 			}
-			n.emit(EvAckRecv, pkt.dir, frame.PacketID{Src: n.addr, Seq: f.AckSeq}, f.AckAttempt, f.Src, MediumAir)
+			n.emit(EvAckRecv, dir, frame.PacketID{Src: n.addr, Seq: f.AckSeq}, f.AckAttempt, f.Src, MediumAir)
 		}
 	}
 	// Suppress any pending relay for this packet, regardless of attempt
 	// (the packet is at the destination).
 	if !n.isVehicle && n.cfg.EnableRelay {
 		id := frame.PacketID{Src: f.AckSrc, Seq: f.AckSeq}
-		live := n.pending[:0]
-		for i := range n.pending {
-			e := &n.pending[i]
-			if e.key.id == id {
-				dir := dirOf(&e.pkt)
-				n.emit(EvAuxSuppressed, dir, id, e.key.attempt, f.Src, MediumAir)
-				n.mac.Buffers().Put(e.pkt.payload)
-				continue
+		n.pending = slices.DeleteFunc(n.pending, func(e pendEntry) bool {
+			if e.key.id != id {
+				return false
 			}
-			live = append(live, *e)
-		}
-		for i := len(live); i < len(n.pending); i++ {
-			n.pending[i] = pendEntry{}
-		}
-		n.pending = live
+			n.emit(EvAuxSuppressed, dirOf(&e.pkt), id, e.key.attempt, f.Src, MediumAir)
+			n.mac.Buffers().Put(e.pkt.payload)
+			return true
+		})
 	}
 }
 

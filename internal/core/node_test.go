@@ -7,6 +7,7 @@ import (
 
 	"github.com/vanlan/vifi/internal/backplane"
 	"github.com/vanlan/vifi/internal/frame"
+	"github.com/vanlan/vifi/internal/mac"
 	"github.com/vanlan/vifi/internal/mobility"
 	"github.com/vanlan/vifi/internal/radio"
 	"github.com/vanlan/vifi/internal/sim"
@@ -393,7 +394,69 @@ func TestBitmapReAck(t *testing.T) {
 	// losses.
 	lost := float64(srcTx-reTx) * 0.6
 	if float64(reTx) > lost*0.9 {
-		t.Logf("retransmissions %d vs expected ack losses %.0f", reTx, lost)
+		t.Errorf("retransmissions %d vs expected ack losses %.0f: the bitmap elicits too few re-acks", reTx, lost)
+	}
+}
+
+// TestBitmapNamesOnlyInFlightPackets: the §4.8 bitmap names a packet only
+// while its sender still waits for the ack. bs0 sends bursts of two
+// packets to an address nobody answers, with MaxRetx = 0, so every packet
+// is given up one retxInit after its only transmission — before the next
+// burst. bs1 overhears every data frame: the second packet of a burst
+// names the first (still in flight), and no frame names a packet given up
+// before it went out. Run with about 10 and about 70 packets given up, on
+// both sides of the 64 records a sender once kept before pruning them.
+func TestBitmapNamesOnlyInFlightPackets(t *testing.T) {
+	for _, bursts := range []int{5, 35} {
+		t.Run(fmt.Sprint(2*bursts, "_given_up"), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.MaxRetx = 0
+			given := map[uint32]bool{}
+			var bs0 uint16
+			k, cell := testCell(t, 21, cfg, uniformMatrix(3, 1), func(e Event) {
+				if e.Kind == EvSrcDrop && e.Node == bs0 {
+					given[e.ID.Seq] = true
+				}
+			})
+			sender, listener := cell.BSes[0], cell.BSes[1]
+			bs0 = sender.Addr()
+			const nobody = 999
+			heard, named := 0, 0
+			listener.MAC().SetHandler(mac.HandlerFunc(func(f *frame.Frame, _ radio.RxInfo) {
+				if f.Type != frame.TypeData || f.Src != bs0 {
+					return
+				}
+				heard++
+				for i := range 8 {
+					if f.AckBitmap&(1<<i) == 0 {
+						continue
+					}
+					seq := f.Seq - 1 - uint32(i)
+					if given[seq] {
+						t.Errorf("data frame %d names seq %d, given up before it was sent", f.Seq, seq)
+					}
+					named++
+				}
+			}))
+			const gap = 3 * retxInit
+			for b := range bursts {
+				k.At(time.Second+time.Duration(b)*gap, func() {
+					sender.enqueueData(nobody, make([]byte, 100), Down)
+					sender.enqueueData(nobody, make([]byte, 100), Down)
+				})
+			}
+			k.RunUntil(time.Second + time.Duration(bursts)*gap)
+			if len(given) != 2*bursts {
+				t.Fatalf("%d packets given up, want %d", len(given), 2*bursts)
+			}
+			t.Logf("bs1 heard %d data frames with %d bitmap bits set", heard, named)
+			if heard < bursts || named == 0 {
+				t.Errorf("bs1 heard %d data frames naming %d packets: the run does not exercise the bitmap", heard, named)
+			}
+			if len(sender.outstanding) != 0 {
+				t.Errorf("%d given-up packets still in outstanding", len(sender.outstanding))
+			}
+		})
 	}
 }
 

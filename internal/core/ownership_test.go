@@ -5,6 +5,7 @@ import (
 	"time"
 	"unsafe"
 
+	"github.com/vanlan/vifi/internal/frame"
 	"github.com/vanlan/vifi/internal/mobility"
 	"github.com/vanlan/vifi/internal/sim"
 )
@@ -17,33 +18,18 @@ import (
 // hand-overs and TTL trims. Afterwards every payload still owned must be
 // its own buffer, and none may be in the channel's pool: draining the
 // pool's classes must turn up neither an owned buffer (a Put that kept
-// its entry) nor one buffer twice (a double Put). No settled packet may
-// hold one: an acked or dropped outPkt, an acked or handed-over downPkt,
-// or a downPkt expired for longer than the window sweep's period. Once
+// its entry) nor one buffer twice (a double Put). A record is in its
+// table only while its packet is live, so every outPkt in outstanding and
+// every downPkt in a salvage cache holds a payload, and no downPkt has
+// expired for longer than the window sweep's period. Once
 // traffic stops and the cache TTL has passed, every basestation the
 // vehicle left holds an empty salvage cache with no backing array.
 func TestPooledPayloadOwnership(t *testing.T) {
 	k := sim.NewKernel(11)
 	var counts [NumEventKinds]int
-	opts := DefaultCellOptions()
-	opts.Events = func(e Event) { counts[e.Kind]++ }
-	bs := []mobility.Mover{
-		mobility.Fixed{X: 0}, mobility.Fixed{X: 150, Y: 20}, mobility.Fixed{X: 300},
-		mobility.Fixed{X: 450, Y: 20}, mobility.Fixed{X: 600},
-	}
-	route := mobility.NewRoute([]mobility.Point{{X: -50, Y: 10}, {X: 650, Y: 10}}, mobility.KmhToMps(36), false)
-	cell := NewCell(k, opts, bs, &mobility.RouteMover{Route: route})
-	veh := cell.Vehicle.Addr()
-
-	// 25 downstream packets a second: a salvage cache holds at most a few
-	// hundred entries, far below salvageCacheCap, so every entry it drops
-	// has expired.
-	up, down := make([]byte, 200), make([]byte, 300)
 	const end = 55 * time.Second
-	k.Every(time.Second, 40*time.Millisecond, int((end-time.Second)/(40*time.Millisecond)), func(int) {
-		cell.Vehicle.SendData(up)
-		cell.Gateway.Send(veh, down)
-	})
+	cell := driveBy(k, func(e Event) { counts[e.Kind]++ }, end)
+	veh := cell.Vehicle.Addr()
 	k.RunUntil(end + 13*time.Millisecond) // stop mid-traffic: entries are in flight
 
 	for _, ev := range []struct {
@@ -66,15 +52,14 @@ func TestPooledPayloadOwnership(t *testing.T) {
 
 	for _, n := range append([]*Node{cell.Vehicle}, cell.BSes...) {
 		for _, p := range n.outstanding {
-			if (p.acked || p.dropped) && p.payload != nil {
-				t.Errorf("node %d: settled packet %d (acked %v, dropped %v) still holds its payload",
-					n.addr, p.seq, p.acked, p.dropped)
+			if p.payload == nil {
+				t.Errorf("node %d: packet %d is in outstanding without a payload", n.addr, p.seq)
 			}
 		}
 		for _, vs := range n.vehs {
 			for _, d := range vs.salvage {
-				if d.acked && d.payload != nil {
-					t.Errorf("node %d: acked or handed-over salvage entry %d still holds its payload", n.addr, d.seq)
+				if d.payload == nil {
+					t.Errorf("node %d: salvage entry %d is in the cache without a payload", n.addr, d.seq)
 				}
 				if age := k.Now() - d.fromNetAt; age > salvageCacheTTL+probWindow {
 					t.Errorf("node %d: salvage entry %d is %v old, past the TTL and a window sweep", n.addr, d.seq, age)
@@ -120,6 +105,80 @@ func TestPooledPayloadOwnership(t *testing.T) {
 		if vs := n.vehs[veh]; vs != nil && n.addr != cell.Vehicle.Anchor() && vs.salvage != nil {
 			t.Errorf("basestation %d: the vehicle left, yet its salvage cache holds %d entries in a %d-slot array",
 				n.addr, len(vs.salvage), cap(vs.salvage))
+		}
+	}
+}
+
+// driveBy builds a vehicle driving past a row of five basestations at
+// 36 km/h, with a 200-byte upstream and a 300-byte downstream packet every
+// 40 ms from 1 s until end. At 25 downstream packets a second a salvage
+// cache holds at most a few hundred entries, far below salvageCacheCap,
+// so every entry a trim drops has expired.
+func driveBy(k *sim.Kernel, events EventFunc, end time.Duration) *Cell {
+	opts := DefaultCellOptions()
+	opts.Events = events
+	bs := []mobility.Mover{
+		mobility.Fixed{X: 0}, mobility.Fixed{X: 150, Y: 20}, mobility.Fixed{X: 300},
+		mobility.Fixed{X: 450, Y: 20}, mobility.Fixed{X: 600},
+	}
+	route := mobility.NewRoute([]mobility.Point{{X: -50, Y: 10}, {X: 650, Y: 10}}, mobility.KmhToMps(36), false)
+	cell := NewCell(k, opts, bs, &mobility.RouteMover{Route: route})
+	veh := cell.Vehicle.Addr()
+	up, down := make([]byte, 200), make([]byte, 300)
+	k.Every(time.Second, 40*time.Millisecond, int((end-time.Second)/(40*time.Millisecond)), func(int) {
+		cell.Vehicle.SendData(up)
+		cell.Gateway.Send(veh, down)
+	})
+	return cell
+}
+
+// TestSettledPacketsLeaveTheirTables: a record is in a protocol table only
+// while its packet is live. Mid-traffic, no anchor's salvage cache holds a
+// packet whose ack it has received. Once traffic stops and every sender
+// has had (MaxRetx+1)·retxMax to settle its last packet and every
+// auxiliary pendTTL to decide its last overheard one, every node's
+// outstanding and pending are empty.
+func TestSettledPacketsLeaveTheirTables(t *testing.T) {
+	k := sim.NewKernel(13)
+	var relayed [2]int
+	ackedAt := map[frame.PacketID]bool{} // downstream packets whose source got the ack
+	const end = 30 * time.Second
+	cell := driveBy(k, func(e Event) {
+		switch e.Kind {
+		case EvAuxRelayed:
+			relayed[e.Dir]++
+		case EvAckRecv:
+			if e.Dir == Down {
+				ackedAt[e.ID] = true
+			}
+		}
+	}, end)
+	nodes := append([]*Node{cell.Vehicle}, cell.BSes...)
+
+	k.RunUntil(end - 7*time.Millisecond)
+	if relayed[Up] == 0 || relayed[Down] == 0 {
+		t.Fatalf("relays up %d, down %d: the run must relay both ways", relayed[Up], relayed[Down])
+	}
+	cached := 0
+	for _, n := range cell.BSes {
+		for _, vs := range n.vehs {
+			for _, d := range vs.salvage {
+				cached++
+				if ackedAt[frame.PacketID{Src: n.addr, Seq: d.seq}] {
+					t.Errorf("basestation %d: salvage entry %d stays cached after its ack", n.addr, d.seq)
+				}
+			}
+		}
+	}
+	if cached == 0 || len(ackedAt) == 0 {
+		t.Fatalf("%d salvage entries, %d downstream acks: the run exercises neither", cached, len(ackedAt))
+	}
+
+	k.RunUntil(end + time.Duration(DefaultConfig().MaxRetx+1)*retxMax + pendTTL)
+	for _, n := range nodes {
+		if len(n.outstanding) != 0 || len(n.pending) != 0 {
+			t.Errorf("node %d: %d records in outstanding and %d in pending after every packet settled",
+				n.addr, len(n.outstanding), len(n.pending))
 		}
 	}
 }

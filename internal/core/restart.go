@@ -20,10 +20,8 @@ import "github.com/vanlan/vifi/internal/frame"
 // correctly on the fresh state.
 func (n *Node) ColdRestart() {
 	// Sender: settle and recycle everything in flight.
-	for seq, pkt := range n.outstanding {
-		pkt.timer.Stop()
-		delete(n.outstanding, seq)
-		n.freePkt(pkt)
+	for _, pkt := range n.outstanding {
+		n.settle(pkt)
 	}
 	n.delays.reset()
 

@@ -76,8 +76,7 @@ const pktBlock = 32
 // is still being discovered.
 func (n *Node) allocPkt() *outPkt {
 	if p := n.pktFree; p != nil {
-		n.pktFree = p.free
-		*p = outPkt{n: n}
+		n.pktFree, p.free = p.free, nil // settle left the rest zeroed
 		return p
 	}
 	if len(n.pktSlab) == 0 {
@@ -89,18 +88,12 @@ func (n *Node) allocPkt() *outPkt {
 	return p
 }
 
-// release gives a dead packet's pooled payload back to the pool at once,
-// while the record holding it lives on: a settled outPkt stays in
-// outstanding for the bitmap until pruned, an acked or handed-over downPkt
-// keeps the salvage cache in seq order.
-func (n *Node) release(payload *[]byte) {
-	n.mac.Buffers().Put(*payload)
-	*payload = nil
-}
-
-// freePkt recycles a pruned packet record (and its payload, when
-// ColdRestart settles a packet still in flight).
-func (n *Node) freePkt(p *outPkt) {
+// settle ends a packet's life at its sender — on ack, on give-up and in
+// ColdRestart: its timer stops, it leaves outstanding (so the §4.8 bitmap
+// stops naming it), and its payload and record go back to be reused.
+func (n *Node) settle(p *outPkt) {
+	p.timer.Stop()
+	delete(n.outstanding, p.seq)
 	n.mac.Buffers().Put(p.payload)
 	*p = outPkt{n: n, free: n.pktFree}
 	n.pktFree = p
@@ -133,7 +126,6 @@ func (n *Node) enqueueData(dst uint16, payload []byte, dir Direction) uint32 {
 	pkt.payload = n.mac.Buffers().Get(len(payload))
 	copy(pkt.payload, payload)
 	n.outstanding[pkt.seq] = pkt
-	n.pruneOutstanding()
 	n.transmit(pkt)
 	return pkt.seq
 }
@@ -175,21 +167,18 @@ func (n *Node) armRetx(pkt *outPkt) {
 // retxFire retransmits an unacknowledged packet or gives up after
 // MaxRetx retransmissions.
 func (n *Node) retxFire(pkt *outPkt) {
-	if pkt.acked || pkt.dropped {
-		return
-	}
 	if int(pkt.attempt) >= n.cfg.MaxRetx {
-		pkt.dropped = true
-		n.release(&pkt.payload)
 		n.emit(EvSrcDrop, pkt.dir, frame.PacketID{Src: n.addr, Seq: pkt.seq}, pkt.attempt, pkt.dst, MediumAir)
+		n.settle(pkt)
 		return
 	}
 	pkt.attempt++
 	n.transmit(pkt)
 }
 
-// buildBitmap reports which of the eight packets before seq remain
-// unacknowledged at this sender (§4.8).
+// buildBitmap reports which of the eight packets before seq are still in
+// flight at this sender (§4.8): a packet is in outstanding from its first
+// transmission until it is acknowledged or given up.
 func (n *Node) buildBitmap(seq uint32) uint8 {
 	var bm uint8
 	for i := 0; i < 8; i++ {
@@ -197,24 +186,9 @@ func (n *Node) buildBitmap(seq uint32) uint8 {
 		if seq <= back {
 			break
 		}
-		if pkt, ok := n.outstanding[seq-back]; ok && !pkt.acked {
+		if _, ok := n.outstanding[seq-back]; ok {
 			bm |= 1 << i
 		}
 	}
 	return bm
-}
-
-// pruneOutstanding drops settled entries far behind the send window so the
-// map stays bounded while the bitmap window (8) keeps its history.
-func (n *Node) pruneOutstanding() {
-	if len(n.outstanding) < 64 {
-		return
-	}
-	for seq, pkt := range n.outstanding {
-		if seq+16 < n.nextSeq && (pkt.acked || pkt.dropped) {
-			pkt.timer.Stop()
-			delete(n.outstanding, seq)
-			n.freePkt(pkt)
-		}
-	}
 }

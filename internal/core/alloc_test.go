@@ -37,8 +37,8 @@ func TestObserveLocalAllocFree(t *testing.T) {
 // TestProbTableFootprintFollowsPairs pins the storage layout's one
 // promise: a table costs what the pairs it holds cost, wherever their
 // addresses sit. One observation between two high addresses on a fresh
-// table must allocate a slot and an index entry — not row headers or a
-// row sized by the address.
+// table must allocate one bucket array — not row headers or a row sized
+// by the address.
 func TestProbTableFootprintFollowsPairs(t *testing.T) {
 	pt := NewProbTable(0.5, 3*time.Second)
 	var before, after runtime.MemStats
@@ -233,3 +233,49 @@ func TestSenderStateAllocatedInOnePiece(t *testing.T) {
 		t.Errorf("a fresh sender's first %d packet records allocate %.1f objects, want 1 block", pktBlock, recs)
 	}
 }
+
+// TestProbTableDiscoveryAllocs pins what discovering a neighborhood costs
+// a cold table: 12 senders, each reporting its 12 local estimates and 12
+// gossiped ones (one about a link into self, so 23 pairs fold), then a
+// window flush and the node's own report. As in a node, the first report
+// is built before any beacon is heard. The 156 pairs land in one bucket
+// array that grows twice, and self's fresh sets and report are sized once
+// from the room kept for senders rather than doubling from empty: 24
+// allocations, where a slot slice beside an index map, with sets that
+// doubled, took 58.
+func TestProbTableDiscoveryAllocs(t *testing.T) {
+	const self = 0
+	var reports [12][]frame.ProbEntry
+	for i := range reports {
+		s := uint16(100 + i)
+		for j := uint16(0); j < 12; j++ {
+			x := uint16(100 + j)
+			if x == s {
+				x = self
+			}
+			reports[i] = append(reports[i],
+				frame.ProbEntry{From: x, To: s, Prob: 0.5}, frame.ProbEntry{From: s, To: x, Prob: 0.25})
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		pt := NewProbTable(0.5, 3*time.Second)
+		now := time.Second
+		pt.Report(self, now)
+		for i, rep := range reports {
+			pt.observeBeacon(uint16(100+i), self, false, rep, now)
+		}
+		pt.flush(self, 10, now)
+		if rep := pt.Report(self, now); len(rep) != 24 {
+			t.Fatalf("report has %d entries, want 24", len(rep))
+		}
+	})
+	if raceBuild {
+		t.Skipf("race build: %.0f allocations, not a normal build's count", allocs)
+	}
+	if allocs > 24 {
+		t.Errorf("discovering a 12-sender neighborhood allocates %.0f objects, want ≤ 24", allocs)
+	}
+}
+
+// raceBuild is set in -race builds (race_test.go).
+var raceBuild bool

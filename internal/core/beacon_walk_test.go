@@ -102,6 +102,14 @@ func FuzzBeaconReport(f *testing.F) {
 		4, 0, 0, 0, 4, 1, 0, 5, 0, 0, 0, 0, 0, 1, 1, 0, 9, 0, 0, 0,
 		3, 1, 0, 100, 0, 1, 1, 3, 0, 0, 0, 4, 9, 0, 0, 0,
 		6, 0, 0, 50, 0, 0, 0, 1, 9, 0, 0, 0})
+	// Self 1: a three-entry report (with (0, 0)) is folded into the first
+	// 64 buckets; a second sender's 255-entry report grows the array three
+	// times mid-walk; both reports are folded again over positions the
+	// growths moved. A check after each repeat.
+	f.Add([]byte{1,
+		1, 0, 0, 0, 1, 0, 34, 0, 1, 0, 200, 1, 0, 0, 0, 0,
+		4, 1, 0, 0, 0, 1, 0, 5,
+		0, 0, 0, 9, 9, 0, 0, 0, 0, 1, 0, 7, 9, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// One op grows a list to 255 entries, so 256 ops reach every shape;
 		// longer inputs only slow the minimizer down (255-entry reports
@@ -238,5 +246,105 @@ func TestBeaconIngestAllocatesNothing(t *testing.T) {
 func TestProbSlotLayout(t *testing.T) {
 	if got := unsafe.Sizeof(probSlot{}); got != 40 {
 		t.Errorf("probSlot is %d bytes, want 40", got)
+	}
+}
+
+// probeLen is the number of buckets a lookup of k visits, its own
+// included.
+func probeLen(t *testing.T, pt *ProbTable, k uint32) int {
+	t.Helper()
+	si, ok := pt.find(k)
+	if !ok {
+		t.Fatalf("key %#x not in the table", k)
+	}
+	return int((uint32(si)-pt.home(k))&uint32(len(pt.slots)-1)) + 1
+}
+
+// TestSlotProbesStayShort pins the bucket hash. Every local pair a node
+// holds (x→self) has the same low 16 bits, so a hash that ignored the
+// high half would put the whole neighborhood in one probe run; here 10 000
+// local and 10 000 gossip pairs (self→x) of one self must each be found a
+// bucket or two from home.
+func TestSlotProbesStayShort(t *testing.T) {
+	const self, n = 7, 10000
+	pt := NewProbTable(0.5, 3*time.Second)
+	for x := uint16(1000); x < 1000+n; x++ {
+		pt.ObserveLocal(x, self, 0.5, time.Second)
+		pt.ObserveGossip(self, x, 0.5, time.Second)
+	}
+	total, longest := 0, 0
+	for x := uint16(1000); x < 1000+n; x++ {
+		for _, k := range []uint32{slotKey(x, self), slotKey(self, x)} {
+			l := probeLen(t, pt, k)
+			total += l
+			longest = max(longest, l)
+		}
+	}
+	// Measured at 20 000 pairs in 32 768 buckets: mean 1.15, longest 2.
+	if mean := float64(total) / (2 * n); mean > 2 || longest > 4 {
+		t.Errorf("probes: mean %.2f, longest %d; want mean ≤ 2, longest ≤ 4", mean, longest)
+	}
+}
+
+// TestWalkSurvivesGrowth folds a sender's report, grows the bucket array
+// twice under it with another sender's reports, and folds the first
+// report again: every position the walk remembered now names a bucket
+// that holds another pair or none, and the walk must notice either. The
+// first report leads with two pairs whose home bucket is 0 in 64 buckets
+// and 3 in 256, ahead of (0, 0), whose home is always 0: the walk
+// remembers (0, 0) at bucket 2, and after the growths bucket 2 is empty —
+// its key reads 0, so only the live flag tells it from (0, 0).
+func TestWalkSurvivesGrowth(t *testing.T) {
+	const self, a, b = 3000, 500, 501
+	const stale = 3 * time.Second
+	dut := NewProbTable(0.5, stale)
+	ref := newRefBeacons(0.5, stale)
+	repA := []frame.ProbEntry{{From: 1, To: 174}, {From: 2, To: 314}, {From: 0, To: 0}}
+	for i := uint16(0); i < 37; i++ {
+		repA = append(repA, frame.ProbEntry{From: a, To: 2000 + i})
+	}
+	var repB []frame.ProbEntry
+	for i := uint16(0); i < 100; i++ {
+		repB = append(repB, frame.ProbEntry{From: b, To: 1000 + i})
+	}
+	now := time.Second
+	hear := func(sender uint16, probs []frame.ProbEntry, p float64) {
+		for i := range probs {
+			probs[i].Prob = p
+		}
+		dut.observeBeacon(sender, self, false, probs, now)
+		ref.hear(sender, self, false, probs, now)
+		now += 10 * time.Millisecond
+	}
+	hear(a, repA, 0.25)
+	if len(dut.slots) != 64 {
+		t.Fatalf("%d buckets after the first report, want 64", len(dut.slots))
+	}
+	hear(b, repB[:50], 0.5)
+	hear(b, repB, 0.5)
+	if len(dut.slots) != 256 {
+		t.Fatalf("%d buckets after the second sender, want 256 (two growths)", len(dut.slots))
+	}
+	r := dut.recs[dut.senders[a]]
+	if si := dut.memo[r.off+2]; dut.slots[si].flags&live != 0 {
+		t.Fatalf("(0, 0)'s remembered bucket %d is live; the setup no longer leaves it empty", si)
+	}
+	hear(a, repA, 0.75)
+
+	pairs := append(append([]frame.ProbEntry{}, repA...), repB...)
+	for _, pe := range pairs {
+		if g, w := dut.Get(pe.From, pe.To, now), ref.table.Get(pe.From, pe.To, now); g != w {
+			t.Errorf("Get(%d,%d) = %v, ref %v", pe.From, pe.To, g, w)
+		}
+	}
+	// Get(0, 0) is 1 by definition; the value folded into (0, 0) shows in
+	// the report of self 0.
+	for _, s := range []uint16{0, a, b} {
+		if g, w := dut.Report(s, now), ref.table.Report(s, now); fmt.Sprint(g) != fmt.Sprint(w) {
+			t.Errorf("Report(%d) =\n%v\nref\n%v", s, g, w)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { dut.observeBeacon(a, self, false, repA, now) }); allocs != 0 {
+		t.Errorf("the report after the growths allocates %.1f objects, want 0", allocs)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"slices"
 	"time"
 
@@ -18,11 +19,12 @@ import (
 func freshAt(t, cutoff time.Duration) bool { return t >= 0 && t >= cutoff }
 
 // probSlot is one directed reception-probability estimate, stored by
-// value in the table's slot slice. The EWMA of stats.EWMA is inlined so a
-// slot carries no pointers and observations touch exactly one cache line.
-// key is the pair the slot holds (slotKey): a beacon walk checks a
-// remembered position against it before trusting it. The six flags share
-// one byte so the key costs no size: 40 bytes, pinned by TestProbSlotLayout.
+// value in a bucket of the table's open-addressed slot array. The EWMA of
+// stats.EWMA is inlined so a slot carries no pointers and observations
+// touch exactly one cache line. key is the pair the slot holds (slotKey):
+// lookups probe for it, and a beacon walk checks a remembered position
+// against it before trusting it. The seven flags share one byte so the key
+// costs no size: 40 bytes, pinned by TestProbSlotLayout.
 //
 // The mem/wheel flags are owned by the per-self incremental index: for a
 // pair (a, b), memL/inLW describe the local fresh set of self b (is a a
@@ -48,6 +50,7 @@ const (
 	inLW                         // filed in that set's expiry wheel
 	memG                         // member of the gossip fresh set of self=from
 	inGW                         // filed in that set's expiry wheel
+	live                         // the bucket holds a pair (key is valid)
 )
 
 // update folds one observation into the slot's EWMA with the exact
@@ -78,6 +81,19 @@ type wheelItem struct {
 type freshSet struct {
 	members []uint16    // sorted ascending: exactly the currently fresh ids
 	wheel   []wheelItem // min-heap on (at, id); one record per member
+}
+
+// size gives a set that has never held a member room for n members and
+// their wheel records, one allocation each. It is called as a member
+// arrives, with the room the table keeps for beacon senders (cap of
+// recs), so a set is sized once for the neighborhood when the first member
+// arrives instead of doubling up from empty — by then the node has heard
+// its neighbors. A set with room, or no n to go on, is left as it is.
+func (s *freshSet) size(n int) {
+	if cap(s.members) == 0 && n > 0 {
+		s.members = make([]uint16, 0, n)
+		s.wheel = make([]wheelItem, 0, n)
+	}
 }
 
 // insertMember adds id to the sorted member list.
@@ -166,16 +182,16 @@ type probIndex struct {
 // gossiped in peers' beacons (§4.6). Entries age out after the staleness
 // window so departed nodes stop influencing relay decisions.
 //
-// Storage is one pointer-free slot slice plus one index map keyed
-// from<<16|to (a uint32, so lookups take the runtime's fast 32-bit map
-// path): a node's table holds exactly the pairs it has observed — its own
-// neighborhood and what neighbors gossip — whatever the addresses are,
-// and neither the map nor the slots contain pointers, keeping a
-// million-slot fleet out of garbage-collector scans. Steady state never
-// allocates. The aggregate read paths (FreshLocalPeers, Report) are
-// served by incremental per-self indexes (probIndex) maintained by the
-// observe calls and aged by expiry wheels, so their cost follows the
-// node's neighborhood, never the population.
+// Storage is one pointer-free, open-addressed array of slots, each
+// carrying its key from<<16|to: a node's table holds exactly the pairs it
+// has observed — its own neighborhood and what neighbors gossip —
+// whatever the addresses are, in one allocation per growth step, and the
+// slots contain no pointers, keeping a million-slot fleet out of
+// garbage-collector scans. Steady state never allocates. The aggregate
+// read paths (FreshLocalPeers, Report) are served by incremental
+// per-self indexes (probIndex) maintained by the observe calls and aged
+// by expiry wheels, so their cost follows the node's neighborhood, never
+// the population.
 //
 // Time must be fed monotonically: observations and queries with a `now`
 // earlier than a previous call may miss entries the wheels already aged
@@ -190,8 +206,14 @@ type probIndex struct {
 type ProbTable struct {
 	alpha float64
 	stale time.Duration
-	index map[uint32]int32 // from<<16|to → position in slots
+	// slots is the pair store: nil before the first pair, then a
+	// power-of-two array of buckets, at most 3/4 live, probed linearly
+	// from the bucket the key hashes to (find). No pair is ever removed,
+	// so there are no tombstones; a growth rehashes every slot to a new
+	// position.
 	slots []probSlot
+	nLive int32 // live buckets
+	shift uint8 // 32 − log2(len(slots)): the hash bits that pick a bucket
 
 	// idx is the per-self incremental index. A protocol node only ever
 	// queries its own address, so the first index is cached directly;
@@ -201,15 +223,15 @@ type ProbTable struct {
 
 	senders   map[uint16]int32 // sender address → position in recs
 	recs      []senderRec
-	memo      []int32 // slot positions of the senders' last reports, one region per sender
+	memo      []int32 // bucket positions of the senders' last reports, one region per sender
 	heardList []int32 // recs with a nonzero count, in first-heard order
 }
 
 // senderRec is what a table remembers about one beacon sender: this
 // probe window's beacon count, whether any of its beacons carried
 // FromVehicle, and the memo region [off, off+c) whose first n positions
-// hold the slots the non-self entries of its last report resolved to, in
-// report order.
+// hold the buckets the non-self entries of its last report resolved to,
+// in report order.
 type senderRec struct {
 	addr      uint16
 	veh       bool
@@ -218,43 +240,95 @@ type senderRec struct {
 }
 
 // NewProbTable creates a table with the given EWMA factor and staleness.
+// It allocates nothing but the table itself: the bucket array appears
+// with the first pair.
 func NewProbTable(alpha float64, stale time.Duration) *ProbTable {
-	return &ProbTable{alpha: alpha, stale: stale, index: map[uint32]int32{}}
+	return &ProbTable{alpha: alpha, stale: stale}
 }
 
-// slotKey packs a directed pair into the index key.
+// slotKey packs a directed pair into the slot key.
 func slotKey(from, to uint16) uint32 { return uint32(from)<<16 | uint32(to) }
 
-// peek returns the slot for (from, to) without growing the table, or nil
-// when the pair has never been observed. The pointer is valid until the
-// next slot call.
+// home is the bucket a lookup of k starts from: the high bits of
+// k·⌊2³²/φ⌋, never the low bits of k. A key's low 16 bits are its `to`,
+// the same for every local pair x→self a node holds, so a mask of them
+// would put a node's whole neighborhood in one probe run
+// (TestSlotProbesStayShort).
+func (t *ProbTable) home(k uint32) uint32 { return (k * 0x9E3779B1) >> t.shift }
+
+// find returns the bucket of the slot with key k and true, or the empty
+// bucket where that slot would go and false. The array must exist.
+func (t *ProbTable) find(k uint32) (int32, bool) {
+	mask := uint32(len(t.slots) - 1)
+	for i := t.home(k); ; i = (i + 1) & mask {
+		s := &t.slots[i]
+		if s.flags&live == 0 {
+			return int32(i), false
+		}
+		if s.key == k {
+			return int32(i), true
+		}
+	}
+}
+
+// peek returns the slot for (from, to) without adding it, or nil when the
+// pair has never been observed. The pointer is valid until the next slot
+// call.
 func (t *ProbTable) peek(from, to uint16) *probSlot {
-	if si, ok := t.index[slotKey(from, to)]; ok {
+	if t.slots == nil {
+		return nil
+	}
+	if si, ok := t.find(slotKey(from, to)); ok {
 		return &t.slots[si]
 	}
 	return nil
 }
 
-// slot returns the slot for (from, to), appending it on first touch.
-// Growth only happens while the neighborhood is still being discovered;
-// steady state never allocates. An append may move the slice, so the
-// returned pointer — and any earlier one from peek or slot — is valid
-// only until the next slot call; ObserveLocal and ObserveGossip, the only
-// holders, finish with theirs before returning.
+// slot returns the slot for (from, to), adding it on first touch. Growth
+// only happens while the neighborhood is still being discovered; steady
+// state never allocates. A growth rehashes every slot into a new array,
+// so the returned pointer — and any earlier one from peek or slot — is
+// valid only until the next slot call; ObserveLocal and ObserveGossip,
+// the only holders, finish with theirs before returning.
 func (t *ProbTable) slot(from, to uint16) *probSlot {
 	return &t.slots[t.slotIndex(slotKey(from, to))]
 }
 
-// slotIndex returns the position of the slot with key k, appending the
-// slot on first touch.
+// slotIndex returns the bucket of the slot with key k, adding the slot on
+// first touch. An addition that would take the array past load 3/4
+// doubles it first, which moves every slot: a bucket position held across
+// a slotIndex call is a hint to check against the key, never a truth.
 func (t *ProbTable) slotIndex(k uint32) int32 {
-	si, ok := t.index[k]
-	if !ok {
-		si = int32(len(t.slots))
-		t.slots = append(t.slots, probSlot{local: -1, gossipT: -1, key: k})
-		t.index[k] = si
+	var si int32
+	if t.slots != nil {
+		var ok bool
+		if si, ok = t.find(k); ok {
+			return si
+		}
 	}
+	if 4*(t.nLive+1) > 3*int32(len(t.slots)) {
+		t.grow()
+		si, _ = t.find(k)
+	}
+	t.slots[si] = probSlot{local: -1, gossipT: -1, key: k, flags: live}
+	t.nLive++
 	return si
+}
+
+// grow doubles the bucket array (or makes the first one) and rehashes
+// every live slot into it. The first array has 64 buckets, 2.5 KB: room
+// for 48 pairs, a small neighborhood, before the first growth.
+func (t *ProbTable) grow() {
+	old := t.slots
+	n := max(2*len(old), 64)
+	t.slots = make([]probSlot, n)
+	t.shift = uint8(32 - bits.TrailingZeros(uint(n)))
+	for i := range old {
+		if old[i].flags&live != 0 {
+			si, _ := t.find(old[i].key)
+			t.slots[si] = old[i]
+		}
+	}
 }
 
 // peekIndex returns the index for self when one exists.
@@ -309,20 +383,25 @@ func (t *ProbTable) buildIndex(self uint16, now time.Duration) *probIndex {
 	cutoff := now - t.stale
 	for si := range t.slots {
 		e := &t.slots[si]
+		if e.flags&live == 0 {
+			continue
+		}
 		from, to := uint16(e.key>>16), uint16(e.key)
 		if to == self && freshAt(e.local, cutoff) {
 			e.flags |= memL | inLW
+			ix.local.size(cap(t.recs))
 			ix.local.members = append(ix.local.members, from)
 			ix.local.pushWheel(e.local+t.stale, from)
 		}
 		if from == self && e.flags&hasG != 0 && freshAt(e.gossipT, cutoff) {
 			e.flags |= memG | inGW
+			ix.gossip.size(cap(t.recs))
 			ix.gossip.members = append(ix.gossip.members, to)
 			ix.gossip.pushWheel(e.gossipT+t.stale, to)
 		}
 	}
-	// Pairs arrive in first-touch order; one sort at build time establishes
-	// the invariant the updates maintain. (Wheel pops are ordered by (at,
+	// Pairs arrive in bucket order; one sort at build time establishes the
+	// invariant the updates maintain. (Wheel pops are ordered by (at,
 	// id), a total order over one-record-per-member, so filing order is
 	// moot.)
 	slices.Sort(ix.local.members)
@@ -376,6 +455,7 @@ func (t *ProbTable) ObserveLocal(from, to uint16, ratio float64, now time.Durati
 		ix.repOK = false
 		if s.flags&memL == 0 {
 			s.flags |= memL
+			ix.local.size(cap(t.recs))
 			ix.local.insertMember(from)
 		}
 		if s.flags&inLW == 0 {
@@ -403,6 +483,7 @@ func (t *ProbTable) foldGossip(s *probSlot, p float64, now time.Duration) {
 		to := uint16(s.key)
 		if s.flags&memG == 0 {
 			s.flags |= memG
+			ix.gossip.size(cap(t.recs))
 			ix.gossip.insertMember(to)
 		}
 		if s.flags&inGW == 0 {
@@ -420,12 +501,12 @@ func (t *ProbTable) foldGossip(s *probSlot, p float64, now time.Duration) {
 // one ObserveGossip per entry.
 //
 // A sender lists the same pairs in the same order beacon after beacon, so
-// entry i is first tried against the slot entry i of the sender's last
-// report resolved to: when that slot's key is the entry's pair the map is
-// not consulted. Only a miss — a new sender, a member joining or leaving
-// ahead of position i, a reorder — probes the map and rewrites position
-// i. A repeated report costs one map lookup for the sender and allocates
-// nothing.
+// entry i is first tried against the bucket entry i of the sender's last
+// report resolved to: when that bucket is live and holds the entry's pair
+// the array is not probed. Only a miss — a new sender, a member joining or
+// leaving ahead of position i, a reorder, a growth that moved the slot —
+// probes the array and rewrites position i. A repeated report costs one
+// map lookup for the sender and allocates nothing.
 func (t *ProbTable) observeBeacon(sender, self uint16, fromVehicle bool, probs []frame.ProbEntry, now time.Duration) {
 	ri, ok := t.senders[sender]
 	if !ok {
@@ -460,7 +541,7 @@ func (t *ProbTable) observeBeacon(sender, self uint16, fromVehicle bool, probs [
 		}
 		k := slotKey(pe.From, pe.To)
 		si := memo[i]
-		if i >= n || t.slots[si].key != k {
+		if i >= n || t.slots[si].key != k || t.slots[si].flags&live == 0 {
 			si = t.slotIndex(k)
 			memo[i] = si
 		}
@@ -582,6 +663,12 @@ func (t *ProbTable) Report(self uint16, now time.Duration) []frame.ProbEntry {
 	}
 	out := ix.rep[:0]
 	lm, gm := ix.local.members, ix.gossip.members
+	if cap(out) == 0 {
+		// The first report gets room for a local and a gossip entry per
+		// sender the table has room for, as the sets got room for their
+		// members.
+		out = make([]frame.ProbEntry, 0, max(len(lm)+len(gm), 2*cap(t.recs)))
+	}
 	li := 0
 	for ; li < len(lm) && lm[li] < self; li++ {
 		out = append(out, frame.ProbEntry{From: lm[li], To: self, Prob: t.peek(lm[li], self).ewma})

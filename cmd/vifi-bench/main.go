@@ -36,7 +36,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -82,8 +81,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	if !(*scale > 0) || math.IsInf(*scale, 1) {
-		fmt.Fprintf(stderr, "vifi-bench: -scale %v is not a positive number\n", *scale)
+	if err := experiment.CheckScale(*scale); err != nil {
+		fmt.Fprintf(stderr, "vifi-bench: -%v\n", err)
 		return 2
 	}
 	if *shards < 1 {

@@ -7,11 +7,23 @@ import (
 	"github.com/vanlan/vifi"
 )
 
-// ExampleDeployment_RunVoIP measures disruption-free VoIP call time for
-// ViFi against the hard-handoff baseline on the VanLAN campus.
-func ExampleDeployment_RunVoIP() {
-	vf := vifi.NewVanLAN(42, vifi.DefaultProtocol()).RunVoIP(2 * time.Minute)
-	brr := vifi.NewVanLAN(42, vifi.HardHandoff()).RunVoIP(2 * time.Minute)
+// ExampleScenarioDeployment_RunFleet measures disruption-free VoIP call
+// time for ViFi against the hard-handoff baseline on the VanLAN campus,
+// a fleet of one vehicle.
+func ExampleScenarioDeployment_RunFleet() {
+	call := func(cfg vifi.Protocol) *vifi.FleetRun {
+		dep, err := vifi.NewScenario(42, "vanlan,app=voip", cfg)
+		if err != nil {
+			panic(err)
+		}
+		run, err := dep.RunFleet(2 * time.Minute)
+		if err != nil {
+			panic(err)
+		}
+		return run
+	}
+	vf := call(vifi.DefaultProtocol()).PerVehicle[0].VoIP
+	brr := call(vifi.HardHandoff()).PerVehicle[0].VoIP
 	fmt.Printf("ViFi windows scored: %d (same for BRR: %v)\n",
 		vf.Windows, vf.Windows == brr.Windows)
 	// Output:

@@ -7,6 +7,7 @@ package main
 import (
 	"fmt"
 	"io"
+	"log"
 	"os"
 	"time"
 
@@ -14,26 +15,39 @@ import (
 )
 
 func main() {
-	run(os.Stdout, 11, 10*time.Minute)
+	if err := run(os.Stdout, 11, 10*time.Minute); err != nil {
+		log.Fatal(err)
+	}
 }
 
-func run(w io.Writer, seed int64, airtime time.Duration) {
-	type env struct {
-		name string
-		mk   func(p vifi.Protocol) *vifi.Deployment
+func run(w io.Writer, seed int64, airtime time.Duration) error {
+	// Each testbed is a preset: a fleet of one vehicle.
+	envs := []struct{ name, spec string }{
+		{"VanLAN (live channel)", "vanlan,app=voip"},
+		{"DieselNet channel 1", "dieselnet1,app=voip"},
+		{"DieselNet channel 6", "dieselnet6,app=voip"},
 	}
-	envs := []env{
-		{"VanLAN (live channel)", func(p vifi.Protocol) *vifi.Deployment { return vifi.NewVanLAN(seed, p) }},
-		{"DieselNet channel 1", func(p vifi.Protocol) *vifi.Deployment { return vifi.NewDieselNet(seed, 1, p) }},
-		{"DieselNet channel 6", func(p vifi.Protocol) *vifi.Deployment { return vifi.NewDieselNet(seed, 6, p) }},
+	call := func(spec string, cfg vifi.Protocol) (*vifi.FleetRun, error) {
+		d, err := vifi.NewScenario(seed, spec, cfg)
+		if err != nil {
+			return nil, err
+		}
+		return d.RunFleet(airtime)
 	}
 
 	fmt.Fprintln(w, "VoIP while driving: disruption-free session length (G.729, MoS<2 rule)")
 	fmt.Fprintln(w)
 	fmt.Fprintf(w, "%-24s %12s %12s %7s %16s\n", "environment", "BRR (s)", "ViFi (s)", "gain", "interruptions")
 	for _, e := range envs {
-		brr := e.mk(vifi.HardHandoff()).RunVoIP(airtime)
-		vf := e.mk(vifi.DefaultProtocol()).RunVoIP(airtime)
+		brrRun, err := call(e.spec, vifi.HardHandoff())
+		if err != nil {
+			return err
+		}
+		vfRun, err := call(e.spec, vifi.DefaultProtocol())
+		if err != nil {
+			return err
+		}
+		brr, vf := brrRun.PerVehicle[0].VoIP, vfRun.PerVehicle[0].VoIP
 		gain := "-"
 		if brr.MedianSessionSec > 0 {
 			gain = fmt.Sprintf("%.1fx", vf.MedianSessionSec/brr.MedianSessionSec)
@@ -44,4 +58,5 @@ func run(w io.Writer, seed int64, airtime time.Duration) {
 	}
 	fmt.Fprintln(w, "\npaper shape: gains of ~2x on VanLAN and ≥1.5x on DieselNet (Fig 11);")
 	fmt.Fprintln(w, "single runs are noisy — cmd/vifi-bench pools several for the stable figure")
+	return nil
 }

@@ -8,6 +8,7 @@ package main
 import (
 	"fmt"
 	"io"
+	"log"
 	"os"
 	"time"
 
@@ -15,10 +16,12 @@ import (
 )
 
 func main() {
-	run(os.Stdout, 23, 12*time.Minute)
+	if err := run(os.Stdout, 23, 12*time.Minute); err != nil {
+		log.Fatal(err)
+	}
 }
 
-func run(w io.Writer, seed int64, airtime time.Duration) {
+func run(w io.Writer, seed int64, airtime time.Duration) error {
 	arms := []struct {
 		name string
 		cfg  vifi.Protocol
@@ -33,10 +36,20 @@ func run(w io.Writer, seed int64, airtime time.Duration) {
 	fmt.Fprintf(w, "%-20s %10s %12s %12s %18s\n",
 		"protocol", "completed", "median (s)", "p90 (s)", "transfers/session")
 	for _, arm := range arms {
-		m := vifi.NewVanLAN(seed, arm.cfg).RunTCP(airtime)
+		// The VanLAN testbed is a preset: a fleet of one vehicle.
+		d, err := vifi.NewScenario(seed, "vanlan,app=tcp", arm.cfg)
+		if err != nil {
+			return err
+		}
+		res, err := d.RunFleet(airtime)
+		if err != nil {
+			return err
+		}
+		m := res.PerVehicle[0]
 		fmt.Fprintf(w, "%-20s %10d %12.2f %12.2f %18.1f\n",
 			arm.name, m.Completed, m.TransferQuantile(0.5),
 			m.TransferQuantile(0.9), m.TransfersPerSession())
 	}
 	fmt.Fprintln(w, "\npaper shape: ViFi doubles successful transfers; salvaging adds ~10% over diversity alone")
+	return nil
 }

@@ -23,14 +23,16 @@ func freshAt(t, cutoff time.Duration) bool { return t >= 0 && t >= cutoff }
 // stats.EWMA is inlined so a slot carries no pointers and observations
 // touch exactly one cache line. key is the pair the slot holds (slotKey):
 // lookups probe for it, and a beacon walk checks a remembered position
-// against it before trusting it. The seven flags share one byte so the key
+// against it before trusting it. The five flags share one byte so the key
 // costs no size: 40 bytes, pinned by TestProbSlotLayout.
 //
-// The mem/wheel flags are owned by the per-self incremental index: for a
-// pair (a, b), memL/inLW describe the local fresh set of self b (is a a
-// member / filed in b's expiry wheel) and memG/inGW the gossip set of
-// self a. Each directed pair belongs to at most one set of each kind, so
-// the flags can live with the timestamps they qualify.
+// The membership flags are owned by the per-self incremental index: for
+// a pair (a, b), memL says a is a member of the local fresh set of self b
+// and memG says b is a member of the gossip fresh set of self a. A member
+// has exactly one record in its set's expiry wheel, filed when it joins
+// and re-filed rather than dropped while it stays fresh, so one flag
+// covers both. Each directed pair belongs to at most one set of each
+// kind, so the flags can live with the timestamps they qualify.
 type probSlot struct {
 	ewma    float64
 	gossip  float64       // last value learned from a beacon
@@ -47,9 +49,7 @@ const (
 	ewmaOK slotFlags = 1 << iota // ewma holds an observation
 	hasG                         // gossip holds a value
 	memL                         // member of the local fresh set of self=to
-	inLW                         // filed in that set's expiry wheel
 	memG                         // member of the gossip fresh set of self=from
-	inGW                         // filed in that set's expiry wheel
 	live                         // the bucket holds a pair (key is valid)
 )
 
@@ -77,7 +77,7 @@ type wheelItem struct {
 // member list FreshLocalPeers/Report hand out, plus the expiry wheel (a
 // binary min-heap on expiry time) that ages members out lazily when a
 // query advances past their staleness deadline — no rescans. Membership
-// and wheel-filing state live as flags on the probSlot itself.
+// lives as a flag on the probSlot itself (memL or memG).
 type freshSet struct {
 	members []uint16    // sorted ascending: exactly the currently fresh ids
 	wheel   []wheelItem // min-heap on (at, id); one record per member
@@ -388,13 +388,13 @@ func (t *ProbTable) buildIndex(self uint16, now time.Duration) *probIndex {
 		}
 		from, to := uint16(e.key>>16), uint16(e.key)
 		if to == self && freshAt(e.local, cutoff) {
-			e.flags |= memL | inLW
+			e.flags |= memL
 			ix.local.size(cap(t.recs))
 			ix.local.members = append(ix.local.members, from)
 			ix.local.pushWheel(e.local+t.stale, from)
 		}
 		if from == self && e.flags&hasG != 0 && freshAt(e.gossipT, cutoff) {
-			e.flags |= memG | inGW
+			e.flags |= memG
 			ix.gossip.size(cap(t.recs))
 			ix.gossip.members = append(ix.gossip.members, to)
 			ix.gossip.pushWheel(e.gossipT+t.stale, to)
@@ -423,7 +423,7 @@ func (t *ProbTable) expireLocal(ix *probIndex, now time.Duration) {
 			w.pushWheel(at, it.id) // refreshed since filing
 			continue
 		}
-		e.flags &^= memL | inLW
+		e.flags &^= memL
 		w.removeMember(it.id)
 		ix.repOK = false
 	}
@@ -439,7 +439,7 @@ func (t *ProbTable) expireGossip(ix *probIndex, now time.Duration) {
 			w.pushWheel(at, it.id)
 			continue
 		}
-		e.flags &^= memG | inGW
+		e.flags &^= memG
 		w.removeMember(it.id)
 		ix.repOK = false
 	}
@@ -457,9 +457,6 @@ func (t *ProbTable) ObserveLocal(from, to uint16, ratio float64, now time.Durati
 			s.flags |= memL
 			ix.local.size(cap(t.recs))
 			ix.local.insertMember(from)
-		}
-		if s.flags&inLW == 0 {
-			s.flags |= inLW
 			ix.local.pushWheel(now+t.stale, from)
 		}
 	}
@@ -485,9 +482,6 @@ func (t *ProbTable) foldGossip(s *probSlot, p float64, now time.Duration) {
 			s.flags |= memG
 			ix.gossip.size(cap(t.recs))
 			ix.gossip.insertMember(to)
-		}
-		if s.flags&inGW == 0 {
-			s.flags |= inGW
 			ix.gossip.pushWheel(now+t.stale, to)
 		}
 	}

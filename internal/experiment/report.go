@@ -8,6 +8,7 @@ package experiment
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -44,6 +45,17 @@ func (o Options) engine() *Engine {
 		return o.Engine
 	}
 	return NewEngine(1)
+}
+
+// CheckScale returns an error unless s is a positive, finite Scale. Run
+// takes any Scale and floors every count at one (the zero Options runs
+// each figure at that floor), so a caller handed a scale checks it here
+// first.
+func CheckScale(s float64) error {
+	if !(s > 0) || math.IsInf(s, 1) {
+		return fmt.Errorf("scale %v is not a positive finite number", s)
+	}
+	return nil
 }
 
 // scaled returns max(1, round(n·Scale)) for trial counts.

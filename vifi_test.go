@@ -1,15 +1,33 @@
 package vifi
 
 import (
-	"reflect"
+	"math"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 )
 
+// fleet runs a preset spec and fails the test on any error.
+func fleet(t *testing.T, seed int64, spec string, cfg Protocol, d time.Duration) *FleetRun {
+	t.Helper()
+	dep, err := NewScenario(seed, spec, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := dep.RunFleet(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return run
+}
+
 func TestFacadeVoIP(t *testing.T) {
-	q := NewVanLAN(1, DefaultProtocol()).RunVoIP(60 * time.Second)
+	run := fleet(t, 1, "vanlan,app=voip", DefaultProtocol(), 60*time.Second)
+	if run.Vehicles != 1 {
+		t.Fatalf("testbed fleet of %d vehicles", run.Vehicles)
+	}
+	q := run.PerVehicle[0].VoIP
 	if q.Windows == 0 {
 		t.Fatal("no VoIP windows")
 	}
@@ -19,29 +37,28 @@ func TestFacadeVoIP(t *testing.T) {
 }
 
 func TestFacadeTCPDeterminism(t *testing.T) {
-	a := NewVanLAN(9, HardHandoff()).RunTCP(60 * time.Second)
-	b := NewVanLAN(9, HardHandoff()).RunTCP(60 * time.Second)
+	a := fleet(t, 9, "vanlan,app=tcp", HardHandoff(), 60*time.Second).PerVehicle[0]
+	b := fleet(t, 9, "vanlan,app=tcp", HardHandoff(), 60*time.Second).PerVehicle[0]
 	if a.Completed != b.Completed || a.Aborted != b.Aborted {
 		t.Errorf("same seed diverged: %d/%d vs %d/%d",
 			a.Completed, a.Aborted, b.Completed, b.Aborted)
 	}
-	c := NewVanLAN(10, HardHandoff()).RunTCP(60 * time.Second)
+	c := fleet(t, 10, "vanlan,app=tcp", HardHandoff(), 60*time.Second).PerVehicle[0]
 	if c.Completed == a.Completed && slices.Equal(c.TransferSecs, a.TransferSecs) {
 		t.Error("different seeds produced identical runs")
 	}
 }
 
 func TestFacadeDieselNet(t *testing.T) {
-	q := NewDieselNet(2, 1, DefaultProtocol()).RunVoIP(45 * time.Second)
+	q := fleet(t, 2, "dieselnet1,app=voip", DefaultProtocol(), 45*time.Second).PerVehicle[0].VoIP
 	if q.Windows == 0 {
 		t.Fatal("trace-driven run produced nothing")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("channel 3 accepted")
-		}
-	}()
-	NewDieselNet(2, 3, DefaultProtocol())
+	// DieselNet was profiled on channels 1 and 6 only.
+	if _, err := NewScenario(2, "dieselnet3", DefaultProtocol()); err == nil ||
+		!strings.Contains(err.Error(), `unknown preset "dieselnet3"`) {
+		t.Errorf("channel 3: err = %v", err)
+	}
 }
 
 func TestFacadeExperiment(t *testing.T) {
@@ -55,26 +72,12 @@ func TestFacadeExperiment(t *testing.T) {
 	if _, err := Experiment("figX", 3, 1); err == nil {
 		t.Error("unknown experiment accepted")
 	}
-	if len(Experiments()) < 13 {
-		t.Errorf("only %d experiments registered", len(Experiments()))
-	}
-}
-
-func TestFacadeTrace(t *testing.T) {
-	tr := GenerateDieselNetTrace(4, 6, time.Minute)
-	if tr.NumBSes() != 14 || tr.Seconds() != 60 {
-		t.Errorf("trace shape: %d BSes, %d s", tr.NumBSes(), tr.Seconds())
-	}
-}
-
-func TestFacadeCustomCell(t *testing.T) {
-	k := NewKernel(5)
-	cell := NewCell(k, DefaultCellOptions(),
-		[]Mover{Fixed{X: 0}, Fixed{X: 120}},
-		&RouteMover{Route: NewRoute([]Point{{X: 0}, {X: 300}}, 10, true)})
-	k.RunUntil(5 * time.Second)
-	if cell.Vehicle.Anchor() == 0xFFFE {
-		t.Error("vehicle never anchored in a 2-BS cell")
+	// A scale that is not a positive finite number is refused before
+	// anything runs, never silently floored to the smallest run.
+	for _, s := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		if out, err := Experiment("fig6", 3, s); err == nil {
+			t.Errorf("scale %v accepted:\n%s", s, out)
+		}
 	}
 }
 
@@ -103,33 +106,8 @@ func TestFacadeScenario(t *testing.T) {
 		t.Error("presets missing")
 	}
 	// An application spec returns per-app stats through the same facade.
-	app, err := NewScenario(9, "grid,app=voip,vehicles=3", DefaultProtocol())
-	if err != nil {
-		t.Fatal(err)
-	}
-	vrun, err := app.RunFleet(20 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
+	vrun := fleet(t, 9, "grid,app=voip,vehicles=3", DefaultProtocol(), 20*time.Second)
 	if s := vrun.Apps.App(VoIPApp); s.Vehicles != 3 || s.CallWindows == 0 {
 		t.Errorf("voip fleet summary: %+v", s)
-	}
-}
-
-// TestFacadeTestbedIsAScenario: a testbed deployment is its preset run as
-// a fleet of one, so NewVanLAN's call and the vanlan,app=voip scenario's
-// one vehicle are the same simulation.
-func TestFacadeTestbedIsAScenario(t *testing.T) {
-	q := NewVanLAN(4, DefaultProtocol()).RunVoIP(40 * time.Second)
-	d, err := NewScenario(4, "vanlan,app=voip", DefaultProtocol())
-	if err != nil {
-		t.Fatal(err)
-	}
-	run, err := d.RunFleet(40 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if run.Vehicles != 1 || !reflect.DeepEqual(run.PerVehicle[0].VoIP, q) {
-		t.Errorf("scenario run (%d vehicles) %+v, testbed call %+v", run.Vehicles, run.PerVehicle[0].VoIP, q)
 	}
 }

@@ -18,6 +18,15 @@ func TestSmoke(t *testing.T) {
 	}
 }
 
+// TestRunError: a run the library refuses (here a zero airtime) comes
+// back from run as an error for main to report, not as a panic.
+func TestRunError(t *testing.T) {
+	var out strings.Builder
+	if err := run(&out, 1, 0); err == nil {
+		t.Fatalf("zero airtime accepted; output:\n%s", out.String())
+	}
+}
+
 const want = `VoIP while driving: disruption-free session length (G.729, MoS<2 rule)
 
 environment                   BRR (s)     ViFi (s)    gain    interruptions

@@ -18,6 +18,15 @@ func TestSmoke(t *testing.T) {
 	}
 }
 
+// TestRunError: a run the library refuses (here a zero airtime) comes
+// back from run as an error for main to report, not as a panic.
+func TestRunError(t *testing.T) {
+	var out strings.Builder
+	if err := run(&out, 1, 0); err == nil {
+		t.Fatalf("zero airtime accepted; output:\n%s", out.String())
+	}
+}
+
 const want = `Web browsing while driving: repeated 10 KB fetches on VanLAN
 
 protocol              completed   median (s)      p90 (s)  transfers/session

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -66,6 +67,25 @@ func TestSweepRejectsBadScenario(t *testing.T) {
 		}
 		if rep != nil || eng.Jobs() != 0 {
 			t.Errorf("%s on %q: report %v and %d jobs run beside the error", tc.id, tc.scenario, rep, eng.Jobs())
+		}
+	}
+}
+
+// TestCheckScale: a scale is refused unless it is a positive finite
+// number, because Run floors every count at one and would otherwise turn
+// 0, a negative, NaN or +Inf into the smallest run without a word.
+func TestCheckScale(t *testing.T) {
+	for _, s := range []float64{0.05, 1, 3} {
+		if err := CheckScale(s); err != nil {
+			t.Errorf("scale %v refused: %v", s, err)
+		}
+	}
+	for _, s := range []float64{0, math.Copysign(0, -1), -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		err := CheckScale(s)
+		if err == nil {
+			t.Errorf("scale %v accepted", s)
+		} else if !strings.Contains(err.Error(), "not a positive finite number") {
+			t.Errorf("scale %v: err = %v", s, err)
 		}
 	}
 }

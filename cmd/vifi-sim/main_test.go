@@ -29,6 +29,13 @@ func TestBadInputs(t *testing.T) {
 		append(small, "-shards", "-3"),
 		append(small, "-metrics", ftdc, "-metrics-interval", "0"),
 		append(small, "-metrics", ftdc, "-metrics-interval", "-1s"),
+		// A spec the generator cannot lay out, or whose backplane
+		// settings the run would silently drop, is refused before any
+		// run starts.
+		{"-scenario", "grid-city,districts=3", "-duration", "3s"},
+		{"-scenario", "grid-city,bprate=-1", "-duration", "3s"},
+		{"-scenario", "grid-city,bpdelay=-1s", "-duration", "3s"},
+		{"-scenario", "cluster-town,clusters=-1", "-duration", "3s"},
 	}
 	for _, args := range cases {
 		var out, errb strings.Builder

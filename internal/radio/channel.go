@@ -112,17 +112,19 @@ func (r *reading) captures(prev *reading) bool {
 //   - Two fixed radios (fixed set): the pair's geometry never changes, so
 //     the list build resolved it for good — dist is their distance, ls their
 //     link, and an entry exists only if the pair is within both the channel
-//     cutoff and the link's reach. The hot loop neither asks for a position
-//     nor tests a range.
+//     cutoff and the link's reach. The entry owns the link — the pair map
+//     holds it only on a factory channel (see Channel.lazy) — and a rebuild
+//     hands it to the pair's new entry. The hot loop neither asks for a
+//     position nor tests a range.
 //   - A pair with a mover: ls is resolved on the pair's first in-cutoff
-//     frame and memoized, so the steady-state broadcast probes no map and a
-//     link comes into being only for a pair that got within the cutoff (a
-//     3×3 neighborhood holds several times more candidates than the cutoff
-//     disc). farUntil is the kinetic bound a failed cutoff test leaves
-//     behind: the pair cannot be back within the cutoff before then, so it
-//     is skipped without a Position call. Rebuilding the list forgets it.
-//     Under delivery lanes ls is resolved at build instead, because worker
-//     lanes must never touch the link map.
+//     frame, from the channel's pair map, and memoized, so the steady-state
+//     broadcast probes no map and a link comes into being only for a pair
+//     that got within the cutoff (a 3×3 neighborhood holds several times
+//     more candidates than the cutoff disc). farUntil is the kinetic bound a
+//     failed cutoff test leaves behind: the pair cannot be back within the
+//     cutoff before then, so it is skipped without a Position call.
+//     Rebuilding the list forgets it. Under delivery lanes ls is resolved at
+//     build instead, because worker lanes must never touch the pair map.
 //
 // owner is the delivery lane owning this candidate (the stripe of its
 // bucket cell column); zero, and never read, without lanes.
@@ -149,9 +151,9 @@ type node struct {
 	// nbr caches the candidate list of the node's last broadcast: a grid
 	// neighborhood in walk order, valid while the grid version and the
 	// node's query cell are unchanged — then a fresh walk would return the
-	// exact same nodes in the same order, so reuse is byte-identical.
-	// nbrVer 0 marks no list: a node is inserted, and the version bumped,
-	// before it can broadcast.
+	// exact same nodes in the same order, so reuse is byte-identical. Its
+	// length is its capacity. nbrVer 0 marks no list: a node is inserted,
+	// and the version bumped, before it can broadcast.
 	nbr     []nbrEntry
 	nbrVer  uint64
 	nbrCell uint64
@@ -305,17 +307,30 @@ type Channel struct {
 	P       Params      // read-only once links exist: default links point into it
 	factory LinkFactory // nil: FadingLinks over P, built inline (see newLink)
 	nodes   []*node
-	// lazy is the directed link table keyed from<<32|to, populated when a
-	// pair is first needed. When a link comes into being never moves a coin
-	// flip: link RNG streams are label-derived (see newLink). The links
-	// themselves are carved off slab, the unused rest of the current chunk;
+	// lazy is the link table of the directed pairs with a mover, keyed
+	// from<<32|to and populated when a pair is first needed: a mover leaves
+	// a transmitter's candidate list and comes back, so its link must
+	// outlive the list. A fixed pair's link is owned by its transmitter's
+	// candidate entry instead (nbrEntry) and is keyed here only on a
+	// factory channel, whose model states its reach only once built: the
+	// map keeps it so that no rebuild builds it twice. When a link comes
+	// into being never moves a coin flip: link RNG streams are
+	// label-derived (see newLink). The links themselves are carved off
+	// slab, the unused rest of the current chunk, and built counts them;
 	// models holds what a factory returned, indexed by linkState.custom.
 	lazy   map[uint64]*linkState
 	slab   []linkState
+	built  int
 	models []LinkModel
-	bufs   frame.BufferPool
-	rxLane // the channel's own counters and reception pool
-	freeTx *txEnd
+	// scratch is where candidates builds a list before copying it out at
+	// its exact length, and carry hands the build each fixed entry's old
+	// link by destination. Both are the channel's, reused by every build;
+	// carry is all nil between builds.
+	scratch []nbrEntry
+	carry   []*linkState
+	bufs    frame.BufferPool
+	rxLane  // the channel's own counters and reception pool
+	freeTx  *txEnd
 	// batch and batchTail hold the survivors of the transmission Broadcast
 	// is deciding, linked by later, and batchBuf their shared payload copy,
 	// until scheduleTxEnd hands all three to the transmission's txEnd.
@@ -399,7 +414,9 @@ const maxSlabLinks = 256
 // newLink builds the state of one directed link. Each link's RNG streams
 // are derived from stable labels, so the coin flips do not depend on when
 // the link is constructed. The default model reads the channel's Params; P
-// is read-only once links exist.
+// is read-only once links exist. The caller keeps the link where it is
+// read: a fixed pair's in its transmitter's candidate entry, any other in
+// the pair map (link).
 //
 // Links are carved from chunks sized by the pairs the attached population
 // still lacks, so a cell of a dozen radios allocates once and exactly, and
@@ -410,10 +427,11 @@ const maxSlabLinks = 256
 func (c *Channel) newLink(from, to NodeID) *linkState {
 	if len(c.slab) == 0 {
 		n := len(c.nodes)
-		c.slab = make([]linkState, min(max(n*(n-1)-len(c.lazy), 1), maxSlabLinks))
+		c.slab = make([]linkState, min(max(n*(n-1)-c.built, 1), maxSlabLinks))
 	}
 	ls := &c.slab[0]
 	c.slab = c.slab[1:]
+	c.built++
 	ls.reach, ls.rssiAt = math.Inf(1), math.NaN()
 	c.K.SeedPair(&ls.loss, "loss", int(from), int(to))
 	c.K.SeedPair(&ls.noise, "rssi", int(from), int(to))
@@ -434,6 +452,21 @@ func (c *Channel) newLink(from, to NodeID) *linkState {
 		ls.reach = reach
 	}
 	return ls
+}
+
+// fadingReach is the reach newLink gives the default link (from, to),
+// without building it: the shadow is the first draw of the pair's "link"
+// stream, so a stack copy of the stream yields the very same value. Like
+// newLink, it reports a reach that is not positive as none (+Inf).
+func (c *Channel) fadingReach(from, to NodeID) float64 {
+	var rng sim.RNG
+	c.K.SeedPair(&rng, "link", int(from), int(to))
+	var f fading
+	f.init(&rng)
+	if reach := f.maxRange(&c.P); reach > 0 {
+		return reach
+	}
+	return math.Inf(1)
 }
 
 // pairKey packs a directed pair into the link-table key.
@@ -525,8 +558,9 @@ func (c *Channel) Decode(payload []byte) (*frame.Frame, error) {
 	return c.decF, c.decErr
 }
 
-// link returns the state for the directed pair, instantiating it on
-// first use.
+// link returns the pair map's state for the directed pair, instantiating
+// it on first use: the link of a pair with a mover, or a factory
+// channel's fixed pair (see Channel.lazy).
 func (c *Channel) link(from, to NodeID) *linkState {
 	key := pairKey(from, to)
 	ls := c.lazy[key]
@@ -663,11 +697,17 @@ func (c *Channel) scheduleTxEnd(src *node, txDone sim.Handler, end time.Duration
 // in ID order, valid until the next attach.
 //
 // It is the one place a list is built, and it settles here everything a
-// pair's geometry fixes (addCandidate). A pair with a mover keeps its link
-// lazy (resolved by inRange on its first in-cutoff frame) except under
-// delivery lanes, where it resolves here — on the coordinator — together
-// with each candidate's stripe owner, because lanes must never touch the
-// link map. Either timing is invisible to results: link RNG streams are
+// pair's geometry fixes (addCandidate). The build runs in the channel's
+// scratch slice and the list is copied out at its exact length, into the
+// old backing array when that has it. A fixed entry owns its link, so
+// the old list's fixed links are handed over by destination through
+// carry, which is cleared again after the walk: a fixed pair's
+// neighbourhood never loses it, so every link a fixed entry owned finds
+// its new entry. A pair with a mover keeps its link lazy (resolved by
+// inRange on its first in-cutoff frame) except under delivery lanes,
+// where it resolves here — on the coordinator — together with each
+// candidate's stripe owner, because lanes must never touch the pair map.
+// Either timing is invisible to results: link RNG streams are
 // label-derived, so instantiation time never moves a coin flip, and
 // untouched links draw nothing. The eager cost is materializing mover
 // links in the fringe (inside the 3×3 cells but beyond the cutoff) the
@@ -677,24 +717,41 @@ func (c *Channel) candidates(src *node, srcPos mobility.Point, now time.Duration
 	cell := g.cellKey(srcPos)
 	if src.nbrVer != g.version || src.nbrCell != cell {
 		lanes := c.ShardLanes()
-		src.nbr = src.nbr[:0]
 		src.nbrVer, src.nbrCell = g.version, cell
+		if len(c.carry) < len(c.nodes) {
+			c.carry = make([]*linkState, len(c.nodes), cap(c.nodes))
+		}
+		for _, nb := range src.nbr {
+			if nb.fixed {
+				c.carry[nb.dst.id] = nb.ls
+			}
+		}
+		c.scratch = c.scratch[:0]
 		g.neighborhood(srcPos, func(id NodeID, cellX int32) {
 			if id != src.id {
 				c.addCandidate(src, c.nodes[id], srcPos, now, cellX, lanes)
 			}
 		})
+		for _, nb := range src.nbr {
+			c.carry[nb.dst.id] = nil
+		}
+		if cap(src.nbr) != len(c.scratch) {
+			src.nbr = make([]nbrEntry, len(c.scratch))
+		}
+		src.nbr = src.nbr[:len(c.scratch)]
+		copy(src.nbr, c.scratch)
 	}
 	return src.nbr
 }
 
 // addCandidate appends dst to the list candidates is building for src. Two
 // fixed radios are resolved for good: their distance now is their distance
-// on every later frame, so it is stored, the link is materialized, and the
-// pair is left out when it lies beyond the channel cutoff or the link's
-// reach — the very `continue` inRange would otherwise take for it on every
-// frame, before any draw. Under lanes every listed pair gets its link and
-// its stripe owner.
+// on every later frame, so it is stored, the link is carried over or
+// materialized, and the pair is left out when it lies beyond the channel
+// cutoff or the link's reach — the very `continue` inRange would otherwise
+// take for it on every frame, before any draw. A default link's reach is
+// read before the link is built (fadingReach), so a pair beyond it gets
+// none. Under lanes every listed pair gets its link and its stripe owner.
 func (c *Channel) addCandidate(src, dst *node, srcPos mobility.Point, now time.Duration, cellX int32, lanes int) {
 	nb := nbrEntry{dst: dst}
 	if src.speed == 0 && dst.speed == 0 {
@@ -703,7 +760,16 @@ func (c *Channel) addCandidate(src, dst *node, srcPos mobility.Point, now time.D
 		if nb.dist > c.cutoff {
 			return
 		}
-		nb.ls = c.link(src.id, dst.id)
+		nb.ls = c.carry[dst.id]
+		switch {
+		case nb.ls != nil:
+		case c.factory != nil:
+			nb.ls = c.link(src.id, dst.id)
+		case nb.dist > c.fadingReach(src.id, dst.id):
+			return
+		default:
+			nb.ls = c.newLink(src.id, dst.id)
+		}
 		if nb.dist > nb.ls.reach {
 			return
 		}
@@ -714,7 +780,7 @@ func (c *Channel) addCandidate(src, dst *node, srcPos mobility.Point, now time.D
 		}
 		nb.owner = uint8(laneOf(cellX, lanes))
 	}
-	src.nbr = append(src.nbr, nb)
+	c.scratch = append(c.scratch, nb)
 }
 
 // inRange is the one range test, shared by the serial loop and laneRun:

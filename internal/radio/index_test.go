@@ -420,41 +420,47 @@ func TestSetCurRecyclesDisplacedRecord(t *testing.T) {
 
 // TestLinksInstantiateOnFirstContact pins the one link-table layout with
 // and without a cutoff: attaching builds no link state at any population,
-// and traffic instantiates exactly the directed pairs it uses — every
-// other node on a reach-less channel, the ones within the cutoff otherwise.
+// and traffic instantiates exactly the directed pairs a frame can use —
+// every other node on a reach-less factory channel, the ones within their
+// own link's reach on a reach-less fading channel, the ones within the
+// cutoff and their reach otherwise — each once.
 func TestLinksInstantiateOnFirstContact(t *testing.T) {
-	// 8 nodes 600 m apart: only node 1 is within node 0's ≈1060 m cutoff.
+	// 8 nodes 600 m apart: only node 1 is within node 0's ≈1060 m cutoff,
+	// and within the ≈970 m a default link reaches.
 	for _, tc := range []struct {
 		name      string
 		maxRangeM float64
+		factory   LinkFactory
 		want      int
 	}{
-		{"reach-less", math.Inf(1), 7},
-		{"cutoff", 0, 1},
+		{"reach-less", 0, func(from, to NodeID) LinkModel { return FixedLink(1) }, 7},
+		{"reach-less fading", math.Inf(1), nil, 1},
+		{"cutoff", 0, nil, 1},
 	} {
 		k := sim.NewKernel(11)
 		p := DefaultParams()
 		p.MaxRangeM = tc.maxRangeM
-		c := NewChannelSized(k, p, nil, 8)
+		c := NewChannelSized(k, p, tc.factory, 8)
 		for i := 0; i < 8; i++ {
 			c.Attach("n", mobility.Fixed{X: float64(i) * 600}, nil)
 		}
-		if len(c.lazy) != 0 {
-			t.Fatalf("%s: %d links before any traffic", tc.name, len(c.lazy))
+		if n := len(links(c)); n != 0 {
+			t.Fatalf("%s: %d links before any traffic", tc.name, n)
 		}
 		for rep := 0; rep < 2; rep++ { // the repeat finds every link in place
 			c.Broadcast(0, make([]byte, 50), nil)
 			k.Run()
 		}
-		if len(c.lazy) != tc.want {
-			t.Fatalf("%s: %d links after node 0 broadcast to 7 peers, want %d", tc.name, len(c.lazy), tc.want)
+		all := links(c)
+		if len(all) != tc.want || c.built != tc.want {
+			t.Fatalf("%s: %d links (%d built) after node 0 broadcast to 7 peers, want %d", tc.name, len(all), c.built, tc.want)
 		}
-		for key := range c.lazy {
+		for key, ls := range all {
 			if from := key >> 32; from != 0 {
 				t.Fatalf("%s: link from %d instantiated, only node 0 transmitted", tc.name, from)
 			}
-			if d := float64(uint32(key)) * 600; d > c.cutoff {
-				t.Fatalf("%s: link to a node %.0f m away, beyond the %.0f m cutoff", tc.name, d, c.cutoff)
+			if d := float64(uint32(key)) * 600; d > c.cutoff || d > ls.reach {
+				t.Fatalf("%s: link to a node %.0f m away, beyond the %.0f m cutoff or its %.0f m reach", tc.name, d, c.cutoff, ls.reach)
 			}
 		}
 	}

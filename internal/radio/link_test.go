@@ -2,6 +2,7 @@ package radio
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"reflect"
 	"testing"
@@ -17,6 +18,31 @@ import (
 // streams they always were, and everything the channel remembers about a
 // pair's geometry (memoized arithmetic, pre-filtered candidate lists,
 // kinetic skip windows) yields exactly what recomputing it every frame does.
+
+// linkOf returns the directed pair's link where the channel keeps it — a
+// fixed pair's in its transmitter's candidate list, any other pair's in
+// the pair map — or nil when the pair has none.
+func linkOf(c *Channel, from, to NodeID) *linkState {
+	for _, nb := range c.nodes[from].nbr {
+		if nb.fixed && nb.dst.id == to {
+			return nb.ls
+		}
+	}
+	return c.lazy[pairKey(from, to)]
+}
+
+// links returns every link the channel keeps, keyed like the pair map.
+func links(c *Channel) map[uint64]*linkState {
+	all := maps.Clone(c.lazy)
+	for _, n := range c.nodes {
+		for _, nb := range n.nbr {
+			if nb.fixed {
+				all[pairKey(n.id, nb.dst.id)] = nb.ls
+			}
+		}
+	}
+	return all
+}
 
 // TestLinkStreamsMatchLabels: a link's three embedded streams are the ones
 // k.RNG("link"|"loss"|"rssi", from, to) yields. After one broadcast from
@@ -37,7 +63,7 @@ func TestLinkStreamsMatchLabels(t *testing.T) {
 			continue
 		}
 		from, to := fmt.Sprint(int(src)), fmt.Sprint(int(j))
-		ls := c.lazy[pairKey(src, j)]
+		ls := linkOf(c, src, j)
 		if ls == nil {
 			t.Fatalf("no link %d→%d after the broadcast", src, j)
 		}
@@ -296,7 +322,8 @@ func TestFixedPairMatchesUnadvertisedStatic(t *testing.T) {
 // transmitter's list holds exactly the fixed nodes within both the channel
 // cutoff and their link's reach (each with its distance and link in
 // place), every mover of the neighborhood, and links exist only for pairs
-// within the cutoff.
+// within the cutoff and their reach — owned by the list, none of them in
+// the pair map.
 func TestFixedCandidatesArePrefiltered(t *testing.T) {
 	k := sim.NewKernel(23)
 	p := DefaultParams()
@@ -336,8 +363,11 @@ func TestFixedCandidatesArePrefiltered(t *testing.T) {
 		if nb != nil && (!nb.fixed || nb.dist != d || nb.ls == nil || nb.farUntil != 0) {
 			t.Fatalf("node %d: entry not resolved at build: %+v", id, *nb)
 		}
-		if _, ok := c.lazy[pairKey(src.id, id)]; ok != (d <= c.cutoff) {
-			t.Fatalf("node %d at %.0f m (cutoff %.0f): link exists = %v", id, d, c.cutoff, ok)
+		if _, ok := c.lazy[pairKey(src.id, id)]; ok {
+			t.Fatalf("node %d: a fixed pair's link is in the pair map", id)
+		}
+		if ls := linkOf(c, src.id, id); (ls != nil) != want || (nb != nil && ls != nb.ls) {
+			t.Fatalf("node %d at %.0f m (cutoff %.0f, reach %.0f): link exists = %v, want %v", id, d, c.cutoff, reach, ls != nil, want)
 		}
 	}
 	if len(listed) < 20 || len(listed) > fixed/2 {
@@ -345,6 +375,84 @@ func TestFixedCandidatesArePrefiltered(t *testing.T) {
 	}
 	if beyond == 0 {
 		t.Error("no pair fell between its link's reach and the cutoff: that half of the prefilter is untested")
+	}
+}
+
+// TestFixedLinksLiveInTheirList: on a lattice crossed by one mover, after
+// every radio has broadcast, (i) the pair map holds no fixed pair, only
+// pairs with the mover; (ii) every candidate list is exactly as long as
+// its backing array; and (iii) a rebuild forced by an attach — the grid
+// version moves, so every list is built again — leaves each fixed entry
+// the very link it had, whose streams go on from where they were.
+func TestFixedLinksLiveInTheirList(t *testing.T) {
+	k := sim.NewKernel(37)
+	c := NewChannel(k, DefaultParams(), nil)
+	const cols, rows = 12, 8
+	for i := 0; i < cols*rows; i++ {
+		c.Attach("bs", mobility.Fixed{X: float64(i%cols) * 200, Y: float64(i/cols) * 200}, nil)
+	}
+	route := mobility.NewRoute([]mobility.Point{{X: 0, Y: 700}, {X: 2200, Y: 700}}, 15, true)
+	veh := c.Attach("veh", &mobility.RouteMover{Route: route}, nil)
+	payload := make([]byte, 100)
+	round := func() {
+		for id := NodeID(0); id < NodeID(c.NumNodes()); id++ {
+			c.Broadcast(id, payload, nil)
+			k.RunUntil(k.Now() + 5*time.Millisecond) // one frame on the air at a time: every decision draws
+		}
+	}
+	check := func(when string) {
+		t.Helper()
+		for key := range c.lazy {
+			if from, to := NodeID(key>>32), NodeID(uint32(key)); from != veh && to != veh {
+				t.Fatalf("%s: fixed pair %d→%d is in the pair map", when, from, to)
+			}
+		}
+		for _, n := range c.nodes {
+			if len(n.nbr) != cap(n.nbr) {
+				t.Fatalf("%s: node %d's list holds %d entries in %d slots", when, n.id, len(n.nbr), cap(n.nbr))
+			}
+		}
+	}
+	round()
+	check("after one round")
+	if len(c.lazy) == 0 {
+		t.Fatal("no mover link in the pair map: the mover never came within the cutoff")
+	}
+
+	type held struct {
+		ls          *linkState
+		loss, noise sim.RNG
+	}
+	before := map[uint64]held{}
+	for _, n := range c.nodes {
+		for _, nb := range n.nbr {
+			if nb.fixed {
+				before[pairKey(n.id, nb.dst.id)] = held{nb.ls, nb.ls.loss, nb.ls.noise}
+			}
+		}
+	}
+	if len(before) < cols*rows*10 {
+		t.Fatalf("only %d fixed links: the lattice does not exercise the lists", len(before))
+	}
+	ver := c.grid.version
+	c.Attach("bs", mobility.Fixed{X: 1100, Y: 700}, nil) // mid-lattice: lists change length
+	if c.grid.version == ver {
+		t.Fatal("the attach did not move the grid version")
+	}
+	round()
+	check("after the rebuild")
+	for key, h := range before {
+		from, to := NodeID(key>>32), NodeID(uint32(key))
+		ls := linkOf(c, from, to)
+		if ls != h.ls {
+			t.Fatalf("link %d→%d was not carried over the rebuild", from, to)
+		}
+		// One decision since the snapshot: one noise variate, one coin.
+		h.noise.NormUniforms()
+		h.loss.Float64()
+		if ls.noise != h.noise || ls.loss != h.loss {
+			t.Fatalf("link %d→%d streams did not continue across the rebuild", from, to)
+		}
 	}
 }
 

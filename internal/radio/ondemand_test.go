@@ -135,7 +135,7 @@ func (b *overlapBranches) observe(c *Channel, src NodeID, broadcast func()) {
 	for _, d := range c.nodes {
 		if prev := d.cur; d.id != src && prev != nil && prev.end > now {
 			w := overlapWatch{prev: prev, was: prev.reading, live: prev.ok}
-			if ls := c.lazy[pairKey(src, d.id)]; ls != nil {
+			if ls := linkOf(c, src, d.id); ls != nil {
 				w.noise = ls.noise
 			} else {
 				c.K.SeedPair(&w.noise, "rssi", int(src), int(d.id)) // where a link born in the broadcast starts
@@ -145,7 +145,7 @@ func (b *overlapBranches) observe(c *Channel, src NodeID, broadcast func()) {
 	}
 	broadcast()
 	for d, w := range watch {
-		ls := c.lazy[pairKey(src, d.id)]
+		ls := linkOf(c, src, d.id)
 		if ls == nil || ls.noise == w.noise {
 			continue // out of range or half duplex: no draw, no decision
 		}

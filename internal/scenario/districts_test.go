@@ -94,20 +94,13 @@ func TestDistrictSpecValidation(t *testing.T) {
 		"metro-districts,bs=3",           // fewer basestations than districts
 		"metro-districts,vehicles=2",     // fewer vehicles than districts
 		"metro-districts,districts=-1",   // negative
+		"metro-districts,w=3000",         // too narrow for the moats
 	} {
 		if s, err := Parse(bad); err == nil {
 			if err := s.Validate(); err == nil {
 				t.Errorf("%q validated", bad)
 			}
 		}
-	}
-	// Too narrow for the moats: caught at generation time.
-	s, err := Parse("metro-districts,w=3000")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Generate(sim.NewKernel(1), s); err == nil {
-		t.Error("3000 m wide 4-district spec generated")
 	}
 }
 

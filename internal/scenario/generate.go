@@ -61,6 +61,21 @@ func (s Spec) MoatM() float64 {
 	return math.Max(p.CutoffM(), radio.SenseRangeM) * moatFrac
 }
 
+// districtStripe returns the width of each district's stripe and of the
+// moats between them, and an error when the region is too narrow to hold
+// the districts: a stripe must be wider than the basestations' placement
+// jitter on both sides.
+func (s Spec) districtStripe() (stripeW, moat float64, err error) {
+	D := s.Districts
+	moat = s.MoatM()
+	stripeW = (s.Width - float64(D-1)*moat) / float64(D)
+	if stripeW <= 2*s.JitterM {
+		return 0, 0, fmt.Errorf("scenario: width %g cannot hold %d districts with %.0fm moats (stripe %.0fm)",
+			s.Width, D, moat, stripeW)
+	}
+	return stripeW, moat, nil
+}
+
 // Generate derives the deployment geometry from the kernel's seed and the
 // spec. All randomness flows through streams labeled with the spec's
 // geometry key (GeomKey — the application knobs are excluded), so
@@ -131,11 +146,9 @@ func testbedLayout(s Spec) *Layout {
 // departure keeps the global stagger.
 func generateDistricts(k *sim.Kernel, s Spec) (*Layout, error) {
 	D := s.Districts
-	moat := s.MoatM()
-	stripeW := (s.Width - float64(D-1)*moat) / float64(D)
-	if stripeW <= 2*s.JitterM {
-		return nil, fmt.Errorf("scenario: width %g cannot hold %d districts with %.0fm moats (stripe %.0fm)",
-			s.Width, D, moat, stripeW)
+	stripeW, moat, err := s.districtStripe()
+	if err != nil {
+		return nil, err
 	}
 	key := s.GeomKey()
 	lay := &Layout{Spec: s, MoatM: moat}

@@ -45,6 +45,45 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestValidateRefusesUnrunnableSpecs: a spec the generator cannot lay out,
+// or whose backplane or cluster setting Apply and the generator would
+// silently replace by a default, is an error at Validate — before a run
+// starts and before its key is filed. Each one is refused by the parser
+// too.
+func TestValidateRefusesUnrunnableSpecs(t *testing.T) {
+	for _, tc := range []struct {
+		spec string
+		set  func(*Spec)
+		want string
+	}{
+		{"grid-city,districts=3", func(s *Spec) { s.Districts = 3 }, "cannot hold 3 districts"},
+		{"grid-city,bprate=-1", func(s *Spec) { s.BackplaneRateBps = -1 }, "bprate"},
+		{"grid-city,bpdelay=-1s", func(s *Spec) { s.BackplaneDelay = -time.Second }, "bpdelay"},
+		{"grid-city,clusters=-1", func(s *Spec) { s.Clusters = -1 }, "clusters"},
+	} {
+		s, err := Preset("grid-city")
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.set(&s)
+		if err := s.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Validate() = %v, want an error naming %q", tc.spec, err, tc.want)
+		}
+		if _, err := Parse(tc.spec); err == nil {
+			t.Errorf("Parse(%q) succeeded, want error", tc.spec)
+		}
+	}
+	// The boundary: zero keeps the defaults, and a region just wide enough
+	// for its stripes still validates and generates.
+	ok, err := Parse("grid-city,bprate=0,bpdelay=0s,clusters=0,districts=2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Generate(sim.NewKernel(1), ok); err != nil {
+		t.Errorf("grid-city with 2 districts: %v", err)
+	}
+}
+
 // TestRadioCountFitsAddressSpace pins the deployment-size bound: radio
 // addresses are uint16 node IDs below core.GatewayAddr (0xFF00 = 65280),
 // so a spec asking for more radios is an error at the one parser every

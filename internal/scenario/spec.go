@@ -416,6 +416,12 @@ func (s Spec) Validate() error {
 			s.BS, s.Vehicles, maxRadios)
 	case s.JitterM < 0 || s.RangeM < 0 || s.BackplaneLoss < 0 || s.BackplaneLoss > 1:
 		return fmt.Errorf("scenario: negative jitter/range or loss outside [0,1]")
+	case s.BackplaneRateBps < 0:
+		return fmt.Errorf("scenario: bprate = %g, need ≥ 0 (0 keeps the default)", s.BackplaneRateBps)
+	case s.BackplaneDelay < 0:
+		return fmt.Errorf("scenario: bpdelay = %s, need ≥ 0 (0 keeps the default)", s.BackplaneDelay)
+	case s.Clusters < 0:
+		return fmt.Errorf("scenario: clusters = %d, need ≥ 0", s.Clusters)
 	case s.DepartStagger < 0:
 		return fmt.Errorf("scenario: stagger must be ≥ 0")
 	case s.Districts < 0:
@@ -446,6 +452,11 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("scenario: stops = %d, need ≥ 2", s.RouteStops)
 	case s.Topology == Cluster && s.Clusters < 1:
 		return fmt.Errorf("scenario: cluster topology needs clusters ≥ 1")
+	}
+	if s.Districts >= 2 {
+		if _, _, err := s.districtStripe(); err != nil {
+			return err
+		}
 	}
 	if s.Faults != "" {
 		if _, err := fault.Parse(s.Faults); err != nil {

@@ -112,10 +112,9 @@ func (r *reading) captures(prev *reading) bool {
 //   - Two fixed radios (fixed set): the pair's geometry never changes, so
 //     the list build resolved it for good — dist is their distance, ls their
 //     link, and an entry exists only if the pair is within both the channel
-//     cutoff and the link's reach. The entry owns the link — the pair map
-//     holds it only on a factory channel (see Channel.lazy) — and a rebuild
-//     hands it to the pair's new entry. The hot loop neither asks for a
-//     position nor tests a range.
+//     cutoff and the link's reach. The entry owns the link, which the pair
+//     map never holds, and a rebuild hands it to the pair's new entry. The
+//     hot loop neither asks for a position nor tests a range.
 //   - A pair with a mover: ls is resolved on the pair's first in-cutoff
 //     frame, from the channel's pair map, and memoized, so the steady-state
 //     broadcast probes no map and a link comes into being only for a pair
@@ -311,10 +310,8 @@ type Channel struct {
 	// from<<32|to and populated when a pair is first needed: a mover leaves
 	// a transmitter's candidate list and comes back, so its link must
 	// outlive the list. A fixed pair's link is owned by its transmitter's
-	// candidate entry instead (nbrEntry) and is keyed here only on a
-	// factory channel, whose model states its reach only once built: the
-	// map keeps it so that no rebuild builds it twice. When a link comes
-	// into being never moves a coin flip: link RNG streams are
+	// candidate entry instead (nbrEntry) and is never keyed here. When a
+	// link comes into being never moves a coin flip: link RNG streams are
 	// label-derived (see newLink). The links themselves are carved off
 	// slab, the unused rest of the current chunk, and built counts them;
 	// models holds what a factory returned, indexed by linkState.custom.
@@ -435,38 +432,41 @@ func (c *Channel) newLink(from, to NodeID) *linkState {
 	ls.reach, ls.rssiAt = math.Inf(1), math.NaN()
 	c.K.SeedPair(&ls.loss, "loss", int(from), int(to))
 	c.K.SeedPair(&ls.noise, "rssi", int(from), int(to))
-	var reach float64
 	if c.factory == nil {
-		c.K.SeedPair(&ls.stream, "link", int(from), int(to))
-		ls.fading.init(&ls.stream)
-		reach = ls.fading.maxRange(&c.P)
-	} else {
-		model := c.factory(from, to)
-		ls.custom = int32(len(c.models))
-		c.models = append(c.models, model)
-		if r, ok := model.(Ranged); ok {
-			reach = r.MaxRangeM()
-		}
+		ls.reach = c.initFading(&ls.stream, &ls.fading, from, to)
+		return ls
 	}
-	if reach > 0 {
-		ls.reach = reach
+	model := c.factory(from, to)
+	ls.custom = int32(len(c.models))
+	c.models = append(c.models, model)
+	if r, ok := model.(Ranged); ok {
+		if reach := r.MaxRangeM(); reach > 0 {
+			ls.reach = reach
+		}
 	}
 	return ls
 }
 
-// fadingReach is the reach newLink gives the default link (from, to),
-// without building it: the shadow is the first draw of the pair's "link"
-// stream, so a stack copy of the stream yields the very same value. Like
-// newLink, it reports a reach that is not positive as none (+Inf).
-func (c *Channel) fadingReach(from, to NodeID) float64 {
-	var rng sim.RNG
-	c.K.SeedPair(&rng, "link", int(from), int(to))
-	var f fading
-	f.init(&rng)
+// initFading seeds rng with the default link (from, to)'s "link" stream,
+// starts f on it and returns the link's reach, +Inf when that is not
+// positive. newLink runs it on the link it builds; fadingReach runs it on
+// stack values to learn the reach without building the link — the same
+// draws, so the same value.
+func (c *Channel) initFading(rng *sim.RNG, f *fading, from, to NodeID) float64 {
+	c.K.SeedPair(rng, "link", int(from), int(to))
+	f.init(rng)
 	if reach := f.maxRange(&c.P); reach > 0 {
 		return reach
 	}
 	return math.Inf(1)
+}
+
+// fadingReach is the reach newLink gives the default link (from, to),
+// without building it.
+func (c *Channel) fadingReach(from, to NodeID) float64 {
+	var rng sim.RNG
+	var f fading
+	return c.initFading(&rng, &f, from, to)
 }
 
 // pairKey packs a directed pair into the link-table key.
@@ -558,9 +558,8 @@ func (c *Channel) Decode(payload []byte) (*frame.Frame, error) {
 	return c.decF, c.decErr
 }
 
-// link returns the pair map's state for the directed pair, instantiating
-// it on first use: the link of a pair with a mover, or a factory
-// channel's fixed pair (see Channel.lazy).
+// link returns the pair map's state for the directed pair, a pair with a
+// mover, instantiating it on first use (see Channel.lazy).
 func (c *Channel) link(from, to NodeID) *linkState {
 	key := pairKey(from, to)
 	ls := c.lazy[key]
@@ -751,7 +750,9 @@ func (c *Channel) candidates(src *node, srcPos mobility.Point, now time.Duration
 // cutoff or the link's reach — the very `continue` inRange would otherwise
 // take for it on every frame, before any draw. A default link's reach is
 // read before the link is built (fadingReach), so a pair beyond it gets
-// none. Under lanes every listed pair gets its link and its stripe owner.
+// none; a factory's model is built to be asked (no factory in the repo
+// returns a Ranged one). Under lanes every listed pair gets its link and
+// its stripe owner.
 func (c *Channel) addCandidate(src, dst *node, srcPos mobility.Point, now time.Duration, cellX int32, lanes int) {
 	nb := nbrEntry{dst: dst}
 	if src.speed == 0 && dst.speed == 0 {
@@ -763,9 +764,7 @@ func (c *Channel) addCandidate(src, dst *node, srcPos mobility.Point, now time.D
 		nb.ls = c.carry[dst.id]
 		switch {
 		case nb.ls != nil:
-		case c.factory != nil:
-			nb.ls = c.link(src.id, dst.id)
-		case nb.dist > c.fadingReach(src.id, dst.id):
+		case c.factory == nil && nb.dist > c.fadingReach(src.id, dst.id):
 			return
 		default:
 			nb.ls = c.newLink(src.id, dst.id)

@@ -178,7 +178,7 @@ func newCell(k *sim.Kernel, opts CellOptions, bsMovers, vehMovers []mobility.Mov
 	for d := 0; d < max(p.Districts, 1); d++ {
 		var gw *Gateway
 		if p.local(d) {
-			gw = NewGatewayAt(k, bp, GatewayAddr+uint16(d), opts.Events)
+			gw = NewGatewayAt(k, bp, GatewayAddr+uint16(d), opts.Protocol, opts.Events)
 			if c.Gateway == nil {
 				c.Gateway = gw
 			}

@@ -60,3 +60,45 @@ func TestBeaconPeriodHasOneOwner(t *testing.T) {
 		}
 	}
 }
+
+// TestConfigValidate: a configuration the stack cannot run is an error,
+// and the edges of each range still run. At a RetxPercentile outside
+// [0, 1] the retransmission timer indexes past its delay window; at a
+// BeaconInterval of 0 every window expects +Inf beacons and every
+// estimate reads 0, and below 0 the MACs beacon without end at one
+// instant; a MaxRetx past 255 overflows the uint8 attempt counter, so a
+// packet that is never acked is never given up.
+func TestConfigValidate(t *testing.T) {
+	edit := func(f func(*Config)) Config {
+		c := DefaultConfig()
+		f(&c)
+		return c
+	}
+	for name, c := range map[string]Config{
+		"vifi":               DefaultConfig(),
+		"brr":                BRRConfig(),
+		"MaxRetx 0":          edit(func(c *Config) { c.MaxRetx = 0 }),
+		"MaxRetx 255":        edit(func(c *Config) { c.MaxRetx = 255 }),
+		"RetxPercentile 0":   edit(func(c *Config) { c.RetxPercentile = 0 }),
+		"RetxPercentile 1":   edit(func(c *Config) { c.RetxPercentile = 1 }),
+		"BeaconInterval 1ns": edit(func(c *Config) { c.BeaconInterval = 1 }),
+	} {
+		if err := c.Validate(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	for name, c := range map[string]Config{
+		"MaxRetx -1":            edit(func(c *Config) { c.MaxRetx = -1 }),
+		"MaxRetx 256":           edit(func(c *Config) { c.MaxRetx = 256 }),
+		"MaxRetx 300":           edit(func(c *Config) { c.MaxRetx = 300 }),
+		"RetxPercentile -0.01":  edit(func(c *Config) { c.RetxPercentile = -0.01 }),
+		"RetxPercentile 1.5":    edit(func(c *Config) { c.RetxPercentile = 1.5 }),
+		"RetxPercentile NaN":    edit(func(c *Config) { c.RetxPercentile = math.NaN() }),
+		"BeaconInterval 0":      edit(func(c *Config) { c.BeaconInterval = 0 }),
+		"BeaconInterval -100ms": edit(func(c *Config) { c.BeaconInterval = -100 * time.Millisecond }),
+	} {
+		if err := c.Validate(); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"maps"
+	"time"
+
 	"github.com/vanlan/vifi/internal/backplane"
 	"github.com/vanlan/vifi/internal/frame"
-	"github.com/vanlan/vifi/internal/ring"
 	"github.com/vanlan/vifi/internal/sim"
 )
 
@@ -27,8 +29,8 @@ type Gateway struct {
 	vehDeliver []DeliverFunc
 	events     EventFunc
 
-	dedup  map[frame.PacketID]bool
-	dedupQ ring.Ring[frame.PacketID] // FIFO bounding dedup
+	dedup          map[frame.PacketID]time.Duration // upstream packet → last seen
+	horizon, swept time.Duration                    // dedupHorizon; the last sweep
 
 	// Send's scratch: the backplane copies what it admits, so one frame
 	// and one buffer serve every downstream packet.
@@ -43,18 +45,19 @@ type Gateway struct {
 	AnchorSwitches int
 }
 
-// NewGatewayAt attaches a gateway at an explicit backplane address.
-// Districted deployments run one gateway per district at GatewayAddr+d,
-// so each district's wired side is self-contained and no backplane
-// message ever needs to reach another district.
-func NewGatewayAt(k *sim.Kernel, bp *backplane.Net, addr uint16, events EventFunc) *Gateway {
+// NewGatewayAt attaches a gateway at an explicit backplane address for
+// anchors running cfg. Districted deployments run one gateway per district
+// at GatewayAddr+d, so each district's wired side is self-contained and no
+// backplane message ever needs to reach another district.
+func NewGatewayAt(k *sim.Kernel, bp *backplane.Net, addr uint16, cfg Config, events EventFunc) *Gateway {
 	g := &Gateway{
 		K:        k,
 		bp:       bp,
 		addr:     addr,
 		anchorOf: map[uint16]uint16{},
 		events:   events,
-		dedup:    map[frame.PacketID]bool{},
+		dedup:    map[frame.PacketID]time.Duration{},
+		horizon:  cfg.dedupHorizon(),
 	}
 	bp.Attach(g.addr, g.handleBackplane)
 	return g
@@ -133,13 +136,15 @@ func (g *Gateway) handleBackplane(from uint16, payload []byte) {
 		// vehicle; Seq identifies the packet for deduplication across
 		// anchor changes.
 		id := frame.PacketID{Src: f.Orig, Seq: f.Seq}
-		if g.dedup[id] {
+		now := g.K.Now()
+		_, dup := g.dedup[id]
+		g.dedup[id] = now
+		if dup {
 			return
 		}
-		g.dedup[id] = true
-		g.dedupQ.PushBack(id)
-		for g.dedupQ.Len() > 4096 {
-			delete(g.dedup, g.dedupQ.PopFront())
+		if now-g.swept >= g.horizon {
+			g.swept = now
+			maps.DeleteFunc(g.dedup, func(_ frame.PacketID, seen time.Duration) bool { return now-seen > g.horizon })
 		}
 		g.DeliveredUp++
 		if g.events != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"time"
 
@@ -9,7 +10,6 @@ import (
 	"github.com/vanlan/vifi/internal/frame"
 	"github.com/vanlan/vifi/internal/mac"
 	"github.com/vanlan/vifi/internal/radio"
-	"github.com/vanlan/vifi/internal/ring"
 	"github.com/vanlan/vifi/internal/sim"
 )
 
@@ -143,10 +143,7 @@ type Node struct {
 	pktSlab     []outPkt // the unused rest of allocPkt's current block
 	delays      delaySampler
 
-	// Receiver state. acked holds values (no per-packet allocation);
-	// ackedQ is the FIFO bounding it.
-	acked  map[frame.PacketID]ackedInfo
-	ackedQ ring.Ring[frame.PacketID]
+	acked map[frame.PacketID]ackedInfo // receiver state, kept a dedupHorizon past last use
 
 	// Vehicle state.
 	anchor     uint16
@@ -270,7 +267,8 @@ func (n *Node) emit(kind EventKind, dir Direction, id frame.PacketID, attempt ui
 
 // windowTick closes a probability window and, on vehicles, re-evaluates
 // the anchor/auxiliary designations. On basestations it also sweeps every
-// salvage cache, so the caches of vehicles that moved on expire too.
+// salvage cache, so the caches of vehicles that moved on expire too. Every
+// node forgets acked packets past the dedup horizon (a delete-only sweep).
 func (n *Node) windowTick() {
 	now := n.K.Now()
 	n.probs.flush(n.addr, float64(probWindow)/float64(n.cfg.BeaconInterval), now)
@@ -280,6 +278,7 @@ func (n *Node) windowTick() {
 	for _, vs := range n.vehs {
 		n.trimSalvage(vs)
 	}
+	maps.DeleteFunc(n.acked, func(_ frame.PacketID, a ackedInfo) bool { return now-a.lastAck > n.cfg.dedupHorizon() })
 	n.K.AfterHandler(probWindow, &n.windowH)
 }
 
@@ -503,7 +502,7 @@ func (n *Node) ackAndDeliver(id frame.PacketID, attempt uint8, payload []byte, d
 		n.sendAck(id, attempt)
 		return
 	}
-	n.rememberAcked(id, attempt, now)
+	n.acked[id] = ackedInfo{attempt: attempt, lastAck: now}
 	n.sendAck(id, attempt)
 
 	if n.isVehicle {
@@ -534,15 +533,6 @@ func (n *Node) sendBackplane(to uint16, f *frame.Frame) bool {
 	ok := n.bp.Send(n.addr, to, buf)
 	pool.Put(buf)
 	return ok
-}
-
-// rememberAcked inserts into the bounded acknowledged-packet cache.
-func (n *Node) rememberAcked(id frame.PacketID, attempt uint8, now time.Duration) {
-	n.acked[id] = ackedInfo{attempt: attempt, lastAck: now}
-	n.ackedQ.PushBack(id)
-	for n.ackedQ.Len() > ackedCacheCap {
-		delete(n.acked, n.ackedQ.PopFront())
-	}
 }
 
 // sendAck broadcasts an acknowledgment with queue priority (§4.3 step 2).

@@ -558,7 +558,7 @@ func TestVehicleSendWithoutAnchor(t *testing.T) {
 func TestGatewaySendWithoutRegistration(t *testing.T) {
 	k := sim.NewKernel(14)
 	bp := backplane.New(k, backplane.DefaultConfig())
-	gw := NewGatewayAt(k, bp, GatewayAddr, nil)
+	gw := NewGatewayAt(k, bp, GatewayAddr, DefaultConfig(), nil)
 	if gw.Send(42, []byte("x")) {
 		t.Error("gateway send succeeded without a registered anchor")
 	}

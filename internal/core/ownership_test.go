@@ -138,6 +138,15 @@ func driveBy(k *sim.Kernel, events EventFunc, end time.Duration) *Cell {
 // has had (MaxRetx+1)·retxMax to settle its last packet and every
 // auxiliary pendTTL to decide its last overheard one, every node's
 // outstanding and pending are empty.
+//
+// The dedup tables keep a packet for a horizon past its last use. Each
+// node receives at most driveBy's 25 packets a second, so during the drive
+// no node's acked table holds more than the packets sent in a horizon, a
+// window sweep and a sender's retry span, however long it has been
+// driving (at a fixed 2 048-entry cap it grows with the drive). The
+// gateway sweeps once a horizon, so whenever it delivers a packet it holds
+// none last seen two horizons ago. A horizon and a window sweep after
+// every packet settled, every acked table is empty.
 func TestSettledPacketsLeaveTheirTables(t *testing.T) {
 	k := sim.NewKernel(13)
 	var relayed [2]int
@@ -154,6 +163,33 @@ func TestSettledPacketsLeaveTheirTables(t *testing.T) {
 		}
 	}, end)
 	nodes := append([]*Node{cell.Vehicle}, cell.BSes...)
+	horizon := DefaultConfig().dedupHorizon()
+	gw, upDelivered := cell.Gateway, 0
+	gw.SetVehicleDeliver(cell.Vehicle.Addr(), func(id frame.PacketID, _ []byte, _ uint16) {
+		upDelivered++
+		for old, seen := range gw.dedup {
+			if age := k.Now() - seen; age > 2*horizon {
+				t.Fatalf("at %v the gateway still holds packet %v, last seen %v ago", k.Now(), old, age)
+			}
+		}
+	})
+
+	// A packet is last used at most (MaxRetx+1)·retxMax + pendTTL after
+	// it is sent, and its entry goes at the first sweep a horizon later.
+	retrying := time.Duration(DefaultConfig().MaxRetx+1)*retxMax + pendTTL
+	most := int(25 * (horizon + probWindow + retrying).Seconds())
+	biggest := 0
+	for at := 2 * time.Second; at < end; at += 10 * time.Millisecond {
+		k.RunUntil(at)
+		for _, n := range nodes {
+			if len(n.acked) > most {
+				t.Fatalf("at %v node %d holds %d acked packets, more than 25/s × (horizon %v + probWindow + %v)",
+					at, n.addr, len(n.acked), horizon, retrying)
+			}
+			biggest = max(biggest, len(n.acked))
+		}
+	}
+	t.Logf("at most %d acked entries on a node (bound %d); %d upstream deliveries", biggest, most, upDelivered)
 
 	k.RunUntil(end - 7*time.Millisecond)
 	if relayed[Up] == 0 || relayed[Down] == 0 {
@@ -174,11 +210,20 @@ func TestSettledPacketsLeaveTheirTables(t *testing.T) {
 		t.Fatalf("%d salvage entries, %d downstream acks: the run exercises neither", cached, len(ackedAt))
 	}
 
-	k.RunUntil(end + time.Duration(DefaultConfig().MaxRetx+1)*retxMax + pendTTL)
+	settled := end + time.Duration(DefaultConfig().MaxRetx+1)*retxMax + pendTTL
+	k.RunUntil(settled)
 	for _, n := range nodes {
 		if len(n.outstanding) != 0 || len(n.pending) != 0 {
 			t.Errorf("node %d: %d records in outstanding and %d in pending after every packet settled",
 				n.addr, len(n.outstanding), len(n.pending))
+		}
+	}
+
+	k.RunUntil(settled + horizon + probWindow)
+	for _, n := range nodes {
+		if len(n.acked) != 0 {
+			t.Errorf("node %d: %d acked packets remembered a horizon and a window sweep after every packet settled",
+				n.addr, len(n.acked))
 		}
 	}
 }

@@ -6,18 +6,18 @@ import "github.com/vanlan/vifi/internal/frame"
 // would: everything learned over the air or the backplane — probability
 // tables, beacon counters, anchor/auxiliary designations, per-vehicle
 // state including the salvage cache, in-flight packets, the auxiliary
-// pending list and the dedup cache — is discarded, so peers' entries for
-// this node age out and both sides re-learn from scratch. The fault
-// injector calls this when a basestation's outage ends.
+// pending list and the table of acked packets — is discarded, so peers'
+// entries for this node age out and both sides re-learn from scratch. The
+// fault injector calls this when a basestation's outage ends.
 //
 // Two counters deliberately survive: nextSeq and beaconSeq. Reusing
 // sequence numbers after a crash would collide fresh PacketIDs with
-// pre-crash ones still sitting in peers' dedup caches, silently
-// swallowing new packets — modeling the usual persisted/randomized
-// initial sequence number. The node's window timer keeps running and its
-// relay-timer chain keeps its place (a tick armed over the discarded
-// pending list fires once, finds nothing and goes dormant); both operate
-// correctly on the fresh state.
+// pre-crash ones that peers remember for a dedup horizon after their
+// last copy, silently swallowing new packets — modeling the usual
+// persisted/randomized initial sequence number. The node's window timer
+// keeps running and its relay-timer chain keeps its place (a tick armed
+// over the discarded pending list fires once, finds nothing and goes
+// dormant); both operate correctly on the fresh state.
 func (n *Node) ColdRestart() {
 	// Sender: settle and recycle everything in flight.
 	for _, pkt := range n.outstanding {
@@ -25,10 +25,7 @@ func (n *Node) ColdRestart() {
 	}
 	n.delays.reset()
 
-	// Receiver dedup cache.
-	for n.ackedQ.Len() > 0 {
-		delete(n.acked, n.ackedQ.PopFront())
-	}
+	clear(n.acked)
 
 	// Learned reachability: a fresh probability table, which also holds
 	// the beacon counts and the vehicle marks of the peers heard.

@@ -1,7 +1,7 @@
 // Package ring provides a small growable deque over a power-of-two
-// backing slice. It backs the bounded FIFO structures on the simulation
-// hot path (the MAC transmit queue, the acknowledged-packet window): all
-// operations are O(1) amortized and steady state never allocates.
+// backing slice. It backs the MAC transmit queue, a bounded FIFO on the
+// simulation hot path: all operations are O(1) amortized and steady state
+// never allocates.
 package ring
 
 // Ring is a deque of T. The zero value is ready to use.

@@ -113,10 +113,13 @@ type ScenarioDeployment struct {
 // key=value overrides, e.g. "dieselnet6,app=tcp",
 // "grid-city,vehicles=30,bs=72" or "grid-city,app=mixed,mix=1:2:1:1". See
 // internal/scenario for the full key set; an unknown preset or key is an
-// error.
+// error, and so is a protocol the stack cannot run (core.Config.Validate).
 func NewScenario(seed int64, spec string, cfg Protocol) (*ScenarioDeployment, error) {
 	s, err := scenario.Parse(spec)
 	if err != nil {
+		return nil, err
+	}
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	return &ScenarioDeployment{seed: seed, spec: s, cfg: cfg}, nil

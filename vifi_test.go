@@ -61,6 +61,28 @@ func TestFacadeDieselNet(t *testing.T) {
 	}
 }
 
+// TestFacadeRejectsUnrunnableProtocol: NewScenario refuses a Protocol the
+// stack cannot run before anything is simulated. Run, each of these
+// panics in the retransmission timer (RetxPercentile 1.5, NaN), never
+// returns (BeaconInterval < 0), reports an all-zero estimator as a
+// plausible MoS (BeaconInterval 0) or never gives a packet up (MaxRetx
+// 300 overflows the attempt counter).
+func TestFacadeRejectsUnrunnableProtocol(t *testing.T) {
+	for name, edit := range map[string]func(*Protocol){
+		"RetxPercentile 1.5": func(p *Protocol) { p.RetxPercentile = 1.5 },
+		"RetxPercentile NaN": func(p *Protocol) { p.RetxPercentile = math.NaN() },
+		"BeaconInterval -1s": func(p *Protocol) { p.BeaconInterval = -time.Second },
+		"BeaconInterval 0":   func(p *Protocol) { p.BeaconInterval = 0 },
+		"MaxRetx 300":        func(p *Protocol) { p.MaxRetx = 300 },
+	} {
+		p := DefaultProtocol()
+		edit(&p)
+		if _, err := NewScenario(1, "vanlan,app=voip", p); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
 func TestFacadeExperiment(t *testing.T) {
 	out, err := Experiment("fig6", 3, 0.05)
 	if err != nil {

@@ -61,8 +61,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		list       = fs.Bool("list", false, "list experiment ids and exit")
 		all        = fs.Bool("all", false, "run everything, including ablations")
 		parallel   = fs.Int("parallel", runtime.GOMAXPROCS(0), "simulation worker-pool width; 1 = serial")
-		scn        = fs.String("scenario", "", "base scenario for the scale-* experiments (preset[,key=value...]); empty keeps their defaults")
-		shards     = fs.Int("shards", 1, "run each fleet simulation this many ways parallel — independent district kernels (districted) or halo-band stripe lanes (un-districted indexed); reports stay byte-identical")
+		scn        = fs.String("scenario", "", "base scenario for the scale-* experiments (preset[,key=value...]); empty keeps their defaults; the paper figures and ablations ignore it")
+		shards     = fs.Int("shards", 1, "run each fleet simulation of the scale-* experiments this many ways parallel — independent district kernels (districted) or halo-band stripe lanes (un-districted indexed); the paper figures and ablations run serially; reports stay byte-identical")
 		cpuprofile = fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memprofile = fs.String("memprofile", "", "write a pprof heap profile to this file at exit")
 		metrics    = fs.String("metrics", "", "write an FTDC-style metrics recording of every executed run to this file (reports stay byte-identical)")

@@ -121,18 +121,28 @@ func (c Config) dedupHorizon() time.Duration {
 	return 2 * time.Duration(c.MaxRetx+1) * retxMax
 }
 
-// Validate reports a configuration the protocol cannot run: a beacon
-// period that is not positive, a retransmission count outside the
-// attempt counter's [0, 255], or a retransmission percentile outside
-// [0, 1].
+// Validate reports a configuration the protocol cannot run or would run
+// misleadingly: a beacon period or estimate lifetime that is not
+// positive, an EWMA factor outside (0, 1], a coordinator the relay
+// switch does not know, a retransmission count outside the attempt
+// counter's [0, 255], a retransmission percentile outside [0, 1], or a
+// negative salvage window.
 func (c Config) Validate() error {
 	switch {
 	case c.BeaconInterval <= 0:
 		return fmt.Errorf("core: beacon interval %v is not positive", c.BeaconInterval)
+	case c.ProbStale <= 0:
+		return fmt.Errorf("core: ProbStale %v is not positive", c.ProbStale)
+	case !(c.ProbAlpha > 0 && c.ProbAlpha <= 1):
+		return fmt.Errorf("core: ProbAlpha %v is outside (0, 1]", c.ProbAlpha)
+	case c.Coordinator < CoordViFi || c.Coordinator > CoordNotG3:
+		return fmt.Errorf("core: unknown coordinator %d", int(c.Coordinator))
 	case c.MaxRetx < 0 || c.MaxRetx > math.MaxUint8:
 		return fmt.Errorf("core: MaxRetx %d is outside [0, 255]", c.MaxRetx)
 	case !(c.RetxPercentile >= 0 && c.RetxPercentile <= 1):
 		return fmt.Errorf("core: RetxPercentile %v is outside [0, 1]", c.RetxPercentile)
+	case c.SalvageWindow < 0:
+		return fmt.Errorf("core: SalvageWindow %v is negative", c.SalvageWindow)
 	}
 	return nil
 }

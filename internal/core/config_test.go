@@ -67,7 +67,11 @@ func TestBeaconPeriodHasOneOwner(t *testing.T) {
 // BeaconInterval of 0 every window expects +Inf beacons and every
 // estimate reads 0, and below 0 the MACs beacon without end at one
 // instant; a MaxRetx past 255 overflows the uint8 attempt counter, so a
-// packet that is never acked is never given up.
+// packet that is never acked is never given up. The rest run without
+// error but mislead: a ProbStale ≤ 0 ages every estimate out at once, a
+// ProbAlpha outside (0, 1] (NaN included) folds nothing sane, an unknown
+// Coordinator never relays while the run is labelled ViFi, and a
+// negative SalvageWindow salvages nothing.
 func TestConfigValidate(t *testing.T) {
 	edit := func(f func(*Config)) Config {
 		c := DefaultConfig()
@@ -82,6 +86,12 @@ func TestConfigValidate(t *testing.T) {
 		"RetxPercentile 0":   edit(func(c *Config) { c.RetxPercentile = 0 }),
 		"RetxPercentile 1":   edit(func(c *Config) { c.RetxPercentile = 1 }),
 		"BeaconInterval 1ns": edit(func(c *Config) { c.BeaconInterval = 1 }),
+		"diversity-only":     DiversityOnlyConfig(),
+		"ProbStale 1ns":      edit(func(c *Config) { c.ProbStale = 1 }),
+		"ProbAlpha 1":        edit(func(c *Config) { c.ProbAlpha = 1 }),
+		"ProbAlpha 1e-9":     edit(func(c *Config) { c.ProbAlpha = 1e-9 }),
+		"CoordNotG3":         edit(func(c *Config) { c.Coordinator = CoordNotG3 }),
+		"SalvageWindow 0":    edit(func(c *Config) { c.SalvageWindow = 0 }),
 	} {
 		if err := c.Validate(); err != nil {
 			t.Errorf("%s: %v", name, err)
@@ -96,6 +106,15 @@ func TestConfigValidate(t *testing.T) {
 		"RetxPercentile NaN":    edit(func(c *Config) { c.RetxPercentile = math.NaN() }),
 		"BeaconInterval 0":      edit(func(c *Config) { c.BeaconInterval = 0 }),
 		"BeaconInterval -100ms": edit(func(c *Config) { c.BeaconInterval = -100 * time.Millisecond }),
+		"ProbStale 0":           edit(func(c *Config) { c.ProbStale = 0 }),
+		"ProbStale -1s":         edit(func(c *Config) { c.ProbStale = -time.Second }),
+		"ProbAlpha 0":           edit(func(c *Config) { c.ProbAlpha = 0 }),
+		"ProbAlpha 2":           edit(func(c *Config) { c.ProbAlpha = 2 }),
+		"ProbAlpha -0.5":        edit(func(c *Config) { c.ProbAlpha = -0.5 }),
+		"ProbAlpha NaN":         edit(func(c *Config) { c.ProbAlpha = math.NaN() }),
+		"Coordinator -1":        edit(func(c *Config) { c.Coordinator = -1 }),
+		"Coordinator 99":        edit(func(c *Config) { c.Coordinator = 99 }),
+		"SalvageWindow -1s":     edit(func(c *Config) { c.SalvageWindow = -time.Second }),
 	} {
 		if err := c.Validate(); err == nil {
 			t.Errorf("%s: accepted", name)

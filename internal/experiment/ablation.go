@@ -10,7 +10,6 @@ import (
 	"github.com/vanlan/vifi/internal/obs"
 	"github.com/vanlan/vifi/internal/radio"
 	"github.com/vanlan/vifi/internal/sim"
-	"github.com/vanlan/vifi/internal/workload"
 )
 
 // AblateAux probes the §5.5.2 limitation: coordination quality as the
@@ -90,127 +89,6 @@ func runSymmetricCell(seed int64, nAux int, dur time.Duration, col *Collector, m
 	if sp != nil {
 		logRecording(sp.Recording())
 	}
-}
-
-// AblateDiversity probes §3.4.1's claim that two to three basestations
-// capture most of the diversity gain: ViFi VoIP session length on VanLAN
-// restricted to its first k basestations.
-func AblateDiversity(o Options) *Report {
-	r := &Report{
-		ID:     "ablate-diversity",
-		Title:  "ViFi gain vs number of available BSes (§3.4.1)",
-		Header: []string{"#BSes", "median VoIP session (s)", "mean MoS"},
-	}
-	eng := o.engine()
-	dur := time.Duration(o.scaled(900)) * time.Second
-	counts := []int{1, 2, 3, 5, 8, 11}
-	futs := make([]Future[*FleetAppRun], len(counts))
-	for i, nb := range counts {
-		spec := testbedSpec("vanlan", workload.VoIPKind)
-		spec.BS = nb
-		futs[i] = eng.FleetApp(o.Seed, spec, core.DefaultConfig(), dur, 1)
-	}
-	for i, nb := range counts {
-		q := futs[i].Wait().PerVehicle[0].VoIP
-		r.AddRow(fmt.Sprint(nb), f1(q.MedianSessionSec), f2(q.MeanMoS))
-	}
-	r.AddNote("paper shape: most of the gain arrives by 2–3 BSes (§3.4.1)")
-	return r
-}
-
-// AblateBackplane sweeps the inter-BS plane's bandwidth and latency and
-// reports ViFi TCP performance, probing the §4.1 bandwidth-limited
-// assumption.
-func AblateBackplane(o Options) *Report {
-	r := &Report{
-		ID:     "ablate-backplane",
-		Title:  "ViFi TCP vs backplane capacity (§4.1)",
-		Header: []string{"backplane", "median transfer (s)", "transfers/session"},
-	}
-	dur := time.Duration(o.scaled(900)) * time.Second
-	cases := []struct {
-		name  string
-		rate  float64
-		delay time.Duration
-	}{
-		{"512 kbit/s, 40 ms", 512e3, 40 * time.Millisecond},
-		{"2 Mbit/s, 20 ms", 2e6, 20 * time.Millisecond},
-		{"5 Mbit/s, 8 ms (default)", 5e6, 8 * time.Millisecond},
-		{"100 Mbit/s, 1 ms (LAN)", 100e6, time.Millisecond},
-	}
-	eng := o.engine()
-	futs := make([]Future[*FleetAppRun], len(cases))
-	for i, c := range cases {
-		spec := testbedSpec("vanlan", workload.TCPKind)
-		spec.BackplaneRateBps, spec.BackplaneDelay = c.rate, c.delay
-		futs[i] = eng.FleetApp(o.Seed, spec, core.DefaultConfig(), dur, 1)
-	}
-	for i, c := range cases {
-		m := futs[i].Wait().PerVehicle[0]
-		r.AddRow(c.name, f2(m.TransferQuantile(0.5)), f1(m.TransfersPerSession()))
-	}
-	r.AddNote("design claim: ViFi needs little backplane capacity — thin links should perform close to a LAN")
-	return r
-}
-
-// AblateSalvage sweeps the salvage window (§4.5) on the VanLAN TCP
-// workload.
-func AblateSalvage(o Options) *Report {
-	r := &Report{
-		ID:     "ablate-salvage",
-		Title:  "Salvage window sweep on VanLAN TCP (§4.5)",
-		Header: []string{"window", "median transfer (s)", "transfers/session", "salvaged"},
-	}
-	eng := o.engine()
-	dur := time.Duration(o.scaled(1200)) * time.Second
-	windows := []time.Duration{0, 500 * time.Millisecond, time.Second, 2 * time.Second, 4 * time.Second}
-	futs := make([]Future[*FleetAppRun], len(windows))
-	for i, w := range windows {
-		cfg := core.DefaultConfig()
-		if w == 0 {
-			cfg.EnableSalvage = false
-		} else {
-			cfg.SalvageWindow = w
-		}
-		futs[i] = eng.collect(o.Seed, testbedSpec("vanlan", workload.TCPKind), cfg, dur)
-	}
-	for i, w := range windows {
-		run := futs[i].Wait()
-		m := run.PerVehicle[0]
-		r.AddRow(fmt.Sprintf("%gs", w.Seconds()),
-			f2(m.TransferQuantile(0.5)),
-			f1(m.TransfersPerSession()),
-			fmt.Sprint(run.Collector.Salvaged))
-	}
-	r.AddNote("paper: the 1 s window (minimum TCP RTO) captures the disproportionate benefit; little beyond it")
-	return r
-}
-
-// AblateRetx sweeps the retransmission-timer percentile (§4.7).
-func AblateRetx(o Options) *Report {
-	r := &Report{
-		ID:     "ablate-retx",
-		Title:  "Retransmission-timer percentile sweep (§4.7)",
-		Header: []string{"percentile", "median transfer (s)", "spurious retx/pkt"},
-	}
-	eng := o.engine()
-	dur := time.Duration(o.scaled(900)) * time.Second
-	percentiles := []float64{0.5, 0.9, 0.99, 0.999}
-	futs := make([]Future[*FleetAppRun], len(percentiles))
-	for i, p := range percentiles {
-		cfg := core.DefaultConfig()
-		cfg.RetxPercentile = p
-		futs[i] = eng.collect(o.Seed, testbedSpec("vanlan", workload.TCPKind), cfg, dur)
-	}
-	for i, p := range percentiles {
-		run := futs[i].Wait()
-		// Spurious retransmissions ≈ retransmitted attempts whose earlier
-		// attempt had already reached the destination.
-		spurious := spuriousRetxRate(run.Collector)
-		r.AddRow(fmt.Sprintf("%g", p), f2(run.PerVehicle[0].TransferQuantile(0.5)), f2(spurious))
-	}
-	r.AddNote("paper: the 99th percentile errs toward waiting, trading delay for fewer spurious retransmissions")
-	return r
 }
 
 // spuriousRetxRate computes retransmissions for packets that had already

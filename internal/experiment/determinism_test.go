@@ -158,27 +158,39 @@ func collisionsTrackNeighbors(t *testing.T, rep *Report) {
 }
 
 // checkSweepRows asserts a sweep rendered one row per arm, and that arms
-// differing only in their pinned shard count — the identity sweeps' whole
-// point — rendered equal cells after the label. An arm that pins a count
-// but has no sibling to be identical to is a stale table.
+// running one spec under one protocol config — differing only in their
+// pinned shard count, the identity sweeps' whole point — rendered equal
+// cells after the label. An arm that pins a count but has no sibling to be
+// identical to is a stale table.
 func checkSweepRows(t *testing.T, s sweep, rep *Report) {
 	t.Helper()
 	if len(rep.Rows) != len(s.arms) {
 		t.Fatalf("%s: %d rows for %d arms", s.id, len(rep.Rows), len(s.arms))
 	}
-	bySpec := map[string][]int{}
+	type run struct {
+		spec string
+		cfg  core.Config
+	}
+	byRun := map[run][]int{}
 	for i, arm := range s.arms {
 		var spec scenario.Spec
-		arm.set(&spec)
-		bySpec[spec.Key()] = append(bySpec[spec.Key()], i)
+		cfg := core.DefaultConfig()
+		if arm.set != nil {
+			arm.set(&spec)
+		}
+		if arm.cfg != nil {
+			cfg = arm.cfg()
+		}
+		k := run{spec.Key(), cfg}
+		byRun[k] = append(byRun[k], i)
 	}
-	for _, g := range bySpec {
+	for _, g := range byRun {
 		for _, i := range g {
 			if arm := s.arms[i]; arm.shards != 0 && len(g) < 2 {
-				t.Errorf("%s: arm %q pins %d shards but no other arm runs its spec", s.id, arm.label, arm.shards)
+				t.Errorf("%s: arm %q pins %d shards but no other arm runs its spec and config", s.id, arm.label, arm.shards)
 			}
 			if !slices.Equal(rep.Rows[i][1:], rep.Rows[g[0]][1:]) {
-				t.Errorf("%s: arms running one spec diverged:\n%v\n%v", s.id, rep.Rows[g[0]], rep.Rows[i])
+				t.Errorf("%s: arms running one spec and config diverged:\n%v\n%v", s.id, rep.Rows[g[0]], rep.Rows[i])
 			}
 		}
 	}

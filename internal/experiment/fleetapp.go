@@ -14,8 +14,8 @@ import (
 // This file carries the fleet application workloads: every vehicle of a
 // generated scenario runs the application session its spec names (CBR,
 // TCP, VoIP, Web, or a mixed split), multiplexed over the shared channel
-// and backplane through per-vehicle delivery hooks. The scale-* sweeps
-// (sweeps.go) are tables of these runs.
+// and backplane through per-vehicle delivery hooks. The sweeps table
+// (sweeps.go) is made of these runs.
 
 // FleetAppRun is the outcome of one fleet application execution: the
 // per-vehicle driver metrics (each names the app its vehicle ran), the

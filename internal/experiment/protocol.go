@@ -64,45 +64,6 @@ func Fig8(o Options) *Report {
 	return r
 }
 
-// Fig9 reproduces the VanLAN TCP results: median transfer time for BRR,
-// ViFi without salvaging ("Only Diversity") and full ViFi, plus completed
-// transfers per session, with the EVDO cellular reference.
-func Fig9(o Options) *Report {
-	r := &Report{
-		ID:     "fig9",
-		Title:  "TCP performance in VanLAN (10 KB transfers)",
-		Header: []string{"protocol", "median transfer (s)", "p90 transfer (s)", "transfers/session", "completed", "aborted", "salvaged pkts"},
-	}
-	eng := o.engine()
-	dur := time.Duration(o.scaled(1200)) * time.Second
-	arms := []struct {
-		name string
-		cfg  core.Config
-	}{
-		{"BRR", core.BRRConfig()},
-		{"Only Diversity", core.DiversityOnlyConfig()},
-		{"ViFi", core.DefaultConfig()},
-	}
-	futs := make([]Future[*FleetAppRun], len(arms))
-	for i, c := range arms {
-		futs[i] = eng.collect(o.Seed, testbedSpec("vanlan", workload.TCPKind), c.cfg, dur)
-	}
-	for i, c := range arms {
-		run := futs[i].Wait()
-		m := run.PerVehicle[0]
-		r.AddRow(c.name,
-			f2(m.TransferQuantile(0.5)),
-			f2(m.TransferQuantile(0.9)),
-			f1(m.TransfersPerSession()),
-			fmt.Sprint(m.Completed),
-			fmt.Sprint(m.Aborted),
-			fmt.Sprint(run.Collector.Salvaged))
-	}
-	r.AddNote("paper shape: ViFi halves BRR's median transfer time and doubles transfers/session; salvaging adds ~10%% on top of diversity")
-	r.AddNote("paper reference: EVDO Rev. A measured 0.75 s median downlink for the same workload")
-	return r
-}
-
 // Fig10 reproduces the DieselNet TCP results: completed transfers per
 // second on channels 1 and 6, trace-driven.
 func Fig10(o Options) *Report {
@@ -249,38 +210,6 @@ func Table1(o Options) *Report {
 		pct(up.DeterministicFPRate), pct(down.DeterministicFPRate),
 		pct(up.AllHeardFPRate), pct(down.AllHeardFPRate))
 	return r
-}
-
-// Table2 reproduces the coordination-formulation comparison on DieselNet
-// channel 1 (downstream): false positives and negatives for ViFi, ¬G1,
-// ¬G2 and ¬G3.
-func Table2(o Options) *Report {
-	r := &Report{
-		ID:     "table2",
-		Title:  "Downstream coordination mechanisms on DieselNet Ch.1",
-		Header: []string{"mechanism", "false positives", "false negatives*"},
-	}
-	eng := o.engine()
-	dur := time.Duration(o.scaled(1500)) * time.Second
-	kinds := []core.CoordinatorKind{core.CoordViFi, core.CoordNotG1, core.CoordNotG2, core.CoordNotG3}
-	futs := make([]Future[*FleetAppRun], len(kinds))
-	for i, c := range kinds {
-		futs[i] = eng.collect(o.Seed, testbedSpec("dieselnet1", workload.CBRKind), DefaultTableConfig(c), dur)
-	}
-	for i, c := range kinds {
-		down := futs[i].Wait().Collector.Stats(core.Down)
-		r.AddRow(c.String(), pct(down.FalsePositiveRate), pct(down.FalseNegativeGivenHeard))
-	}
-	r.AddNote("*false negatives conditioned on ≥1 auxiliary overhearing the failure — coordination failures, not coverage gaps (our synthetic traces spend more time out of coverage than the originals)")
-	r.AddNote("paper shape: similar false negatives everywhere; ViFi far fewer false positives than ¬G3; ¬G1's false positives grow with auxiliary count (see ablate-aux)")
-	return r
-}
-
-// DefaultTableConfig returns ViFi with the chosen relay coordinator.
-func DefaultTableConfig(kind core.CoordinatorKind) core.Config {
-	cfg := core.DefaultConfig()
-	cfg.Coordinator = kind
-	return cfg
 }
 
 // TraceSummary reduces a DieselNet trace to the headline coverage

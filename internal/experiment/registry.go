@@ -8,9 +8,13 @@ import (
 // Runner produces one paper figure, table or ablation report.
 type Runner func(Options) *Report
 
-// figures maps the paper's tables and figures, and the ablations, to their
-// runners. The city-scale scale-* reports are not functions but rows of
-// the sweeps table (sweeps.go); Run and IDs consult both.
+// figures maps the reports a table row cannot express to their runners:
+// each reads several runs in one row (Fig 7, 10, 11, 12), renders several
+// rows from one run (Fig 8, Table 1), or runs a job that is not a fleet
+// run (Fig 1–6's traces, Fig 7's oracles, ablate-aux's symmetric cell).
+// Every report that is one fleet run per row — Fig 9, Table 2, the other
+// ablations and the scale-* reports — is a row of the sweeps table
+// (sweeps.go); Run and IDs consult both.
 var figures = map[string]Runner{
 	"fig1":   Fig1,
 	"fig2":   Fig2,
@@ -20,19 +24,13 @@ var figures = map[string]Runner{
 	"fig6":   Fig6,
 	"fig7":   Fig7,
 	"fig8":   Fig8,
-	"fig9":   Fig9,
 	"fig10":  Fig10,
 	"fig11":  Fig11,
 	"fig12":  Fig12,
 	"table1": Table1,
-	"table2": Table2,
 
 	// Ablations and extensions (DESIGN.md §4).
-	"ablate-aux":       AblateAux,
-	"ablate-diversity": AblateDiversity,
-	"ablate-backplane": AblateBackplane,
-	"ablate-salvage":   AblateSalvage,
-	"ablate-retx":      AblateRetx,
+	"ablate-aux": AblateAux,
 }
 
 // IDs returns all experiment ids in a stable order.
@@ -48,9 +46,10 @@ func IDs() []string {
 	return out
 }
 
-// Run executes one experiment by id. A figure always yields its report; a
-// sweep fails — before simulating anything — when Options.Scenario does
-// not parse or makes one of its arms an invalid deployment.
+// Run executes one experiment by id. A figure, and a sweep on a testbed,
+// always yields its report; any other sweep fails — before simulating
+// anything — when Options.Scenario does not parse or makes one of its
+// arms an invalid deployment.
 func Run(id string, o Options) (*Report, error) {
 	if r, ok := figures[id]; ok {
 		return r(o), nil

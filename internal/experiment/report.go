@@ -1,6 +1,7 @@
-// Package experiment contains one runner per table and figure of the ViFi
+// Package experiment contains one report per table and figure of the ViFi
 // paper's evaluation (§3 and §5), plus the ablation studies listed in
-// DESIGN.md. Each runner returns a Report — the textual equivalent of the
+// DESIGN.md and the city-scale sweeps: a runner function, or a row of the
+// sweeps table. Each returns a Report — the textual equivalent of the
 // paper's plot or table — and is reachable from cmd/vifi-bench. What the
 // runs cost is measured by the benchmark/ module (shard.speedup and
 // shard.coupled_speedup for the sharded modes).
@@ -29,12 +30,14 @@ type Options struct {
 	// preset name plus key=value overrides in internal/scenario.Parse
 	// syntax. Empty keeps each sweep's default; one that does not parse,
 	// or that makes an arm invalid, is an error from Run. Paper figures
-	// ignore it.
+	// and ablations ignore it, the sweep rows on a testbed among them.
 	Scenario string
-	// Shards requests sharded single-run execution: each fleet simulation
-	// runs as this many independent event kernels when its scenario is
-	// districted and as this many halo-band stripe lanes inside one kernel
-	// otherwise. Results are byte-identical in every case; 0 means 1.
+	// Shards requests sharded single-run execution of the scale-* sweeps:
+	// each fleet simulation runs as this many independent event kernels
+	// when its scenario is districted and as this many halo-band stripe
+	// lanes inside one kernel otherwise. Results are byte-identical in
+	// every case; 0 means 1. Paper figures and ablations, the sweep rows
+	// on a testbed among them, ignore it and run serially.
 	Shards int
 }
 

@@ -119,3 +119,42 @@ func TestFleetWorkloadDeterminism(t *testing.T) {
 		t.Fatal("workload sent nothing")
 	}
 }
+
+// TestTestbedRowsIgnoreOverrides: a sweep row on one of the paper's
+// testbeds is a paper figure. Rendered again with a -scenario and a
+// -shards override on the same engine, it must print the plain rendering's
+// bytes from the plain rendering's jobs: no job runs, and every arm is a
+// run-cache hit.
+func TestTestbedRowsIgnoreOverrides(t *testing.T) {
+	rows := 0
+	for _, s := range sweeps {
+		if !s.testbed() {
+			continue
+		}
+		rows++
+		t.Run(s.id, func(t *testing.T) {
+			eng := NewEngine(2)
+			o := Options{Seed: 3, Scale: 0.005, Engine: eng}
+			plain, err := Run(s.id, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			jobs, hits := eng.Jobs(), eng.CacheHits()
+			o.Scenario, o.Shards = "grid-city", 4
+			over, err := Run(s.id, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if over.String() != plain.String() {
+				t.Errorf("the overrides changed the report:\n--- plain\n%s\n--- overridden\n%s", plain, over)
+			}
+			if eng.Jobs() != jobs || eng.CacheHits() != hits+int64(len(s.arms)) {
+				t.Errorf("overridden rendering moved jobs/hits %d/%d to %d/%d, want %d/%d",
+					jobs, hits, eng.Jobs(), eng.CacheHits(), jobs, hits+int64(len(s.arms)))
+			}
+		})
+	}
+	if rows == 0 {
+		t.Error("no sweep row runs a testbed")
+	}
+}

@@ -12,52 +12,80 @@ import (
 	"github.com/vanlan/vifi/internal/workload"
 )
 
-// This file is the table of city-scale sweeps (DESIGN.md §7–§10): nine
-// scale-* reports over synthetic deployments from internal/scenario, each
-// a row of sweeps — a preset, the application it pins, its arms and a row
-// renderer — run by the one scaffold (sweep).run. They probe the regime
-// the ROADMAP's north star cares about — many vehicles contending for one
-// channel across a large deployment — rather than any figure of the
-// paper. Adding a sweep is adding a row here and a golden (TestReports
-// holds the two together).
+// This file is the table of reports that are one run per row: six of the
+// paper's (Fig 9, Table 2 and four DESIGN.md §4 ablations) on its
+// testbeds, and nine scale-* reports over synthetic deployments from
+// internal/scenario (DESIGN.md §7–§10). Each is a row of sweeps — a
+// preset, the application it pins, its run length, its arms and a row
+// renderer — run by the one scaffold (sweep).run. Adding a report that
+// fits this shape is adding a row here and a golden (TestReports holds
+// the two together); one whose row reads several runs, whose run yields
+// several rows, or whose job is not a fleet run stays a function
+// (registry.go).
 
-// sweep is one scale-* report as data.
+// sweep is one report as data.
 type sweep struct {
 	id, title string
 	header    []string
 	// preset is the default base deployment; Options.Scenario overrides
-	// it. app is the measured application, pinned on whichever base runs.
+	// it, unless it is a testbed. app is the measured application, pinned
+	// on whichever base runs.
 	preset string
 	app    workload.Kind
-	arms   []sweepArm
+	// seconds is the run length at Scale 1; collect attaches an event
+	// Collector to every arm's run (FleetAppRun.Collector).
+	seconds int
+	collect bool
+	arms    []sweepArm
 	// row renders one arm's run under header.
 	row func(label string, run *FleetAppRun) []string
-	// notes follow the "scenario base" note under the table.
+	// notes follow the "scenario base" note, which a testbed row lacks.
 	notes []string
 }
 
-// sweepArm is one row of a sweep: set turns the base spec into the arm's.
-// shards pins the arm's shard count; 0 takes Options.Shards, and only the
-// two identity sweeps — whose axis it is — pin their own.
+// sweepArm is one row of a sweep: set turns the base spec into the arm's
+// and cfg returns its protocol; either may be nil, for the base spec and
+// core.DefaultConfig. shards pins the arm's shard count; 0 takes
+// Options.Shards, and only the two identity sweeps — whose axis it is —
+// pin their own.
 type sweepArm struct {
 	label  string
 	set    func(*scenario.Spec)
+	cfg    func() core.Config
 	shards int
 }
 
-// axis builds one arm per value of an integer axis, labelled "name=value".
-func axis(name string, values []int, set func(*scenario.Spec, int)) []sweepArm {
+// axis builds one arm per value of an integer axis, labelled by format.
+func axis(format string, values []int, set func(*scenario.Spec, int)) []sweepArm {
 	arms := make([]sweepArm, len(values))
 	for i, v := range values {
 		arms[i] = sweepArm{
-			label: fmt.Sprintf("%s=%d", name, v),
+			label: fmt.Sprintf(format, v),
 			set:   func(s *scenario.Spec) { set(s, v) },
 		}
 	}
 	return arms
 }
 
+// tune builds one arm per value of a protocol setting, labelled by
+// format: set applies the value to core.DefaultConfig.
+func tune[T any](format string, values []T, set func(*core.Config, T)) []sweepArm {
+	arms := make([]sweepArm, len(values))
+	for i, v := range values {
+		arms[i] = sweepArm{
+			label: fmt.Sprintf(format, v),
+			cfg: func() core.Config {
+				c := core.DefaultConfig()
+				set(&c, v)
+				return c
+			},
+		}
+	}
+	return arms
+}
+
 func setVehicles(s *scenario.Spec, n int) { s.Vehicles = n }
+func setBS(s *scenario.Spec, n int)       { s.BS = n }
 
 // forceApp pins a sweep's measured application on its base spec and
 // clears the knobs that app ignores, so meaningless -scenario overrides
@@ -77,13 +105,17 @@ func forceApp(s scenario.Spec, app workload.Kind) scenario.Spec {
 }
 
 // run is the scaffold every sweep shares: resolve the base scenario, pin
-// the measured app, validate every arm's spec — a -scenario override can
-// make a single arm invalid (a one-vehicle fleet on a four-district city),
-// and that is the caller's error to read, not an engine goroutine's panic
-// — then schedule one memoized fleet job per arm and render rows, then
-// notes, in declaration order. Nothing is scheduled unless every arm is
-// valid.
+// the measured app, validate every arm's spec and protocol — a -scenario
+// override can make a single arm invalid (a one-vehicle fleet on a
+// four-district city), and that is the caller's error to read, not an
+// engine goroutine's panic — then schedule one memoized fleet job per arm
+// and render rows, then notes, in declaration order. Nothing is scheduled
+// unless every arm is valid.
 func (s sweep) run(o Options) (*Report, error) {
+	testbed := s.testbed()
+	if testbed {
+		o.Scenario, o.Shards = "", 1
+	}
 	src := cmp.Or(o.Scenario, s.preset)
 	base, err := scenario.Parse(src)
 	if err != nil {
@@ -91,26 +123,43 @@ func (s sweep) run(o Options) (*Report, error) {
 	}
 	base = forceApp(base, s.app)
 	specs := make([]scenario.Spec, len(s.arms))
+	cfgs := make([]core.Config, len(s.arms))
 	for i, arm := range s.arms {
-		specs[i] = base
-		arm.set(&specs[i])
-		if err := specs[i].Validate(); err != nil {
+		specs[i], cfgs[i] = base, core.DefaultConfig()
+		if arm.set != nil {
+			arm.set(&specs[i])
+		}
+		if arm.cfg != nil {
+			cfgs[i] = arm.cfg()
+		}
+		if err := cmp.Or(specs[i].Validate(), cfgs[i].Validate()); err != nil {
 			return nil, fmt.Errorf("experiment: %s arm %q on base %q: %w", s.id, arm.label, src, err)
 		}
 	}
 	eng := o.engine()
-	dur := time.Duration(o.scaled(240)) * time.Second
+	dur := time.Duration(o.scaled(s.seconds)) * time.Second
 	futs := make([]Future[*FleetAppRun], len(s.arms))
 	for i, arm := range s.arms {
-		futs[i] = eng.FleetApp(o.Seed, specs[i], core.DefaultConfig(), dur, cmp.Or(arm.shards, o.Shards))
+		futs[i] = eng.fleetApp(o.Seed, specs[i], cfgs[i], dur, cmp.Or(arm.shards, o.Shards), s.collect)
 	}
 	r := &Report{ID: s.id, Title: s.title, Header: s.header}
 	for i, arm := range s.arms {
 		r.AddRow(s.row(arm.label, futs[i].Wait())...)
 	}
-	r.AddNote("scenario base: %s", base.Key())
+	if !testbed {
+		r.AddNote("scenario base: %s", base.Key())
+	}
 	r.Notes = append(r.Notes, s.notes...)
 	return r, nil
+}
+
+// testbed reports whether the row's preset is one of the paper's
+// testbeds. Such a row is a paper figure: it ignores Options.Scenario and
+// Options.Shards, runs every arm serially — the jobs Fig 12 and Table 1
+// share — and adds no "scenario base" note.
+func (s sweep) testbed() bool {
+	base, err := scenario.Parse(s.preset)
+	return err == nil && base.Topology.Testbed()
 }
 
 // sweepByID finds a table row.
@@ -306,7 +355,107 @@ func identityRow(label string, run *FleetAppRun) []string {
 	}
 }
 
+// backplaneArm runs its testbed over an inter-BS plane of the given
+// bandwidth and latency.
+func backplaneArm(label string, rate float64, delay time.Duration) sweepArm {
+	return sweepArm{label: label, set: func(s *scenario.Spec) { s.BackplaneRateBps, s.BackplaneDelay = rate, delay }}
+}
+
+// transferRow renders a TCP run's median transfer time and transfers per
+// session.
+func transferRow(label string, run *FleetAppRun) []string {
+	m := run.PerVehicle[0]
+	return []string{label, f2(m.TransferQuantile(0.5)), f1(m.TransfersPerSession())}
+}
+
 var sweeps = []sweep{
+	// §5 and the DESIGN.md §4 ablations: one testbed run per arm.
+	{
+		// Fig 9: BRR, ViFi without salvaging ("Only Diversity") and full
+		// ViFi, with the EVDO cellular reference.
+		id: "fig9", title: "TCP performance in VanLAN (10 KB transfers)",
+		header: []string{"protocol", "median transfer (s)", "p90 transfer (s)", "transfers/session", "completed", "aborted", "salvaged pkts"},
+		preset: "vanlan", app: workload.TCPKind, seconds: 1200, collect: true,
+		arms: []sweepArm{{label: "BRR", cfg: core.BRRConfig}, {label: "Only Diversity", cfg: core.DiversityOnlyConfig}, {label: "ViFi"}},
+		row: func(label string, run *FleetAppRun) []string {
+			m := run.PerVehicle[0]
+			return []string{label, f2(m.TransferQuantile(0.5)), f2(m.TransferQuantile(0.9)), f1(m.TransfersPerSession()),
+				fmt.Sprint(m.Completed), fmt.Sprint(m.Aborted), fmt.Sprint(run.Collector.Salvaged)}
+		},
+		notes: []string{
+			"paper shape: ViFi halves BRR's median transfer time and doubles transfers/session; salvaging adds ~10% on top of diversity",
+			"paper reference: EVDO Rev. A measured 0.75 s median downlink for the same workload",
+		},
+	},
+	{
+		// Table 2: the relay coordinators (§5.5.1), downstream probes.
+		id: "table2", title: "Downstream coordination mechanisms on DieselNet Ch.1",
+		header: []string{"mechanism", "false positives", "false negatives*"},
+		preset: "dieselnet1", app: workload.CBRKind, seconds: 1500, collect: true,
+		arms: tune("%v", []core.CoordinatorKind{core.CoordViFi, core.CoordNotG1, core.CoordNotG2, core.CoordNotG3},
+			func(c *core.Config, k core.CoordinatorKind) { c.Coordinator = k }),
+		row: func(label string, run *FleetAppRun) []string {
+			down := run.Collector.Stats(core.Down)
+			return []string{label, pct(down.FalsePositiveRate), pct(down.FalseNegativeGivenHeard)}
+		},
+		notes: []string{
+			"*false negatives conditioned on ≥1 auxiliary overhearing the failure — coordination failures, not coverage gaps (our synthetic traces spend more time out of coverage than the originals)",
+			"paper shape: similar false negatives everywhere; ViFi far fewer false positives than ¬G3; ¬G1's false positives grow with auxiliary count (see ablate-aux)",
+		},
+	},
+	{
+		// §3.4.1: ViFi VoIP on VanLAN's first k basestations.
+		id: "ablate-diversity", title: "ViFi gain vs number of available BSes (§3.4.1)",
+		header: []string{"#BSes", "median VoIP session (s)", "mean MoS"},
+		preset: "vanlan", app: workload.VoIPKind, seconds: 900,
+		arms: axis("%d", []int{1, 2, 3, 5, 8, 11}, setBS),
+		row: func(label string, run *FleetAppRun) []string {
+			q := run.PerVehicle[0].VoIP
+			return []string{label, f1(q.MedianSessionSec), f2(q.MeanMoS)}
+		},
+		notes: []string{"paper shape: most of the gain arrives by 2–3 BSes (§3.4.1)"},
+	},
+	{
+		// §4.1: is a thin backplane enough?
+		id: "ablate-backplane", title: "ViFi TCP vs backplane capacity (§4.1)",
+		header: []string{"backplane", "median transfer (s)", "transfers/session"},
+		preset: "vanlan", app: workload.TCPKind, seconds: 900,
+		arms: []sweepArm{
+			backplaneArm("512 kbit/s, 40 ms", 512e3, 40*time.Millisecond),
+			backplaneArm("2 Mbit/s, 20 ms", 2e6, 20*time.Millisecond),
+			backplaneArm("5 Mbit/s, 8 ms (default)", 5e6, 8*time.Millisecond),
+			backplaneArm("100 Mbit/s, 1 ms (LAN)", 100e6, time.Millisecond),
+		},
+		row:   transferRow,
+		notes: []string{"design claim: ViFi needs little backplane capacity — thin links should perform close to a LAN"},
+	},
+	{
+		// §4.5: the salvage window. The 0 s arm switches salvaging off,
+		// which is Fig 9's Only Diversity run.
+		id: "ablate-salvage", title: "Salvage window sweep on VanLAN TCP (§4.5)",
+		header: []string{"window", "median transfer (s)", "transfers/session", "salvaged"},
+		preset: "vanlan", app: workload.TCPKind, seconds: 1200, collect: true,
+		arms: append([]sweepArm{{label: "0s", cfg: core.DiversityOnlyConfig}}, tune("%gs", []float64{0.5, 1, 2, 4},
+			func(c *core.Config, sec float64) { c.SalvageWindow = time.Duration(sec * float64(time.Second)) })...),
+		row: func(label string, run *FleetAppRun) []string {
+			return append(transferRow(label, run), fmt.Sprint(run.Collector.Salvaged))
+		},
+		notes: []string{"paper: the 1 s window (minimum TCP RTO) captures the disproportionate benefit; little beyond it"},
+	},
+	{
+		// §4.7: the retransmission timer's percentile. Spurious
+		// retransmissions are attempts whose earlier attempt had already
+		// reached the destination.
+		id: "ablate-retx", title: "Retransmission-timer percentile sweep (§4.7)",
+		header: []string{"percentile", "median transfer (s)", "spurious retx/pkt"},
+		preset: "vanlan", app: workload.TCPKind, seconds: 900, collect: true,
+		arms: tune("%g", []float64{0.5, 0.9, 0.99, 0.999}, func(c *core.Config, p float64) { c.RetxPercentile = p }),
+		row: func(label string, run *FleetAppRun) []string {
+			return []string{label, f2(run.PerVehicle[0].TransferQuantile(0.5)), f2(spuriousRetxRate(run.Collector))}
+		},
+		notes: []string{"paper: the 99th percentile errs toward waiting, trading delay for fewer spurious retransmissions"},
+	},
+
 	// §7 — link delivery under a fleet-wide constant-rate workload: one
 	// 500-byte packet each way per 200 ms slot, and 5 pkt/s per direction
 	// per vehicle drives a 24-vehicle fleet to the channel's saturation
@@ -314,27 +463,23 @@ var sweeps = []sweep{
 	{
 		// Aggregate throughput, delivery ratio and session quality as more
 		// vehicles share one channel; grid-city is 54 basestations.
-		id:     "scale-fleet",
-		title:  "Fleet-size scaling on a generated city grid",
+		id: "scale-fleet", title: "Fleet-size scaling on a generated city grid",
 		header: linkHeader,
-		preset: "grid-city",
-		app:    workload.CBRKind,
-		arms:   axis("fleet", []int{1, 4, 8, 16, 24}, setVehicles),
-		row:    linkRow,
-		notes:  []string{"expected shape: aggregate delivered/s grows then saturates at the channel knee; per-vehicle delivery and session length degrade as the fleet contends"},
+		preset: "grid-city", app: workload.CBRKind, seconds: 240,
+		arms:  axis("fleet=%d", []int{1, 4, 8, 16, 24}, setVehicles),
+		row:   linkRow,
+		notes: []string{"expected shape: aggregate delivered/s grows then saturates at the channel knee; per-vehicle delivery and session length degrade as the fleet contends"},
 	},
 	{
 		// Coverage and session quality versus infrastructure investment.
 		// The default base runs 8 vehicles; a -scenario override keeps
 		// whatever fleet size it asks for (only the BS count is swept).
-		id:     "scale-density",
-		title:  "Basestation-density scaling on a generated city grid",
+		id: "scale-density", title: "Basestation-density scaling on a generated city grid",
 		header: linkHeader,
-		preset: "grid-city,vehicles=8",
-		app:    workload.CBRKind,
-		arms:   axis("bs", []int{14, 28, 54, 96}, func(s *scenario.Spec, n int) { s.BS = n }),
-		row:    linkRow,
-		notes:  []string{"expected shape: delivery ratio and session length improve with density until routes are fully covered, then flatten"},
+		preset: "grid-city,vehicles=8", app: workload.CBRKind, seconds: 240,
+		arms:  axis("bs=%d", []int{14, 28, 54, 96}, setBS),
+		row:   linkRow,
+		notes: []string{"expected shape: delivery ratio and session length improve with density until routes are fully covered, then flatten"},
 	},
 	{
 		// The channel-layer stress test behind the spatial index (DESIGN.md
@@ -344,13 +489,11 @@ var sweeps = []sweep{
 		// density) grows, so any super-linear wall-time growth is
 		// attributable to per-transmission channel cost, not to added
 		// workload.
-		id:     "scale-radio",
-		title:  "Radio-count scaling at fixed traffic on a generated metro grid",
+		id: "scale-radio", title: "Radio-count scaling at fixed traffic on a generated metro grid",
 		header: linkHeader,
-		preset: "grid-metro",
-		app:    workload.CBRKind,
-		arms:   axis("radios", scaleRadioArms, setScaleRadioArm),
-		row:    linkRow,
+		preset: "grid-metro", app: workload.CBRKind, seconds: 240,
+		arms: axis("radios=%d", scaleRadioArms, setScaleRadioArm),
+		row:  linkRow,
 		notes: []string{
 			"fixed 16-vehicle CBR traffic; only the radio population grows (region scaled for constant BS density) — per-transmission channel cost must track neighbor count, not radio count",
 		},
@@ -363,41 +506,35 @@ var sweeps = []sweep{
 		// are supposed to track. The tx column is the anchor showing the
 		// contrast the sweep exists for: transmissions grow with the
 		// population (every radio beacons), occupancy does not.
-		id:    "scale-protocol",
-		title: "Protocol-state occupancy vs radio population on a generated metro grid",
+		id: "scale-protocol", title: "Protocol-state occupancy vs radio population on a generated metro grid",
 		header: []string{"arm", "BSes", "vehicles", "tx",
 			"fresh peers/BS", "report entries/BS", "grid nbrs/BS", "aux/veh"},
-		preset: "grid-metro",
-		app:    workload.CBRKind,
-		arms:   axis("radios", scaleProtocolArms, setScaleRadioArm),
-		row:    occupancyRow,
-		notes:  []string{"occupancy sampled once at run end; fresh peers and report entries must track the grid neighborhood (constant BS density), not the radio population — flat columns across a 20× population growth are the O(neighbors) beaconing contract"},
+		preset: "grid-metro", app: workload.CBRKind, seconds: 240,
+		arms:  axis("radios=%d", scaleProtocolArms, setScaleRadioArm),
+		row:   occupancyRow,
+		notes: []string{"occupancy sampled once at run end; fresh peers and report entries must track the grid neighborhood (constant BS density), not the radio population — flat columns across a 20× population growth are the O(neighbors) beaconing contract"},
 	},
 
 	// §8 — what the paper's §5.3 actually evaluates, application metrics,
 	// but under fleet contention: every vehicle runs its own session.
 	{
 		// §5.3.1: every vehicle runs its own 10 KB transfer loop.
-		id:     "scale-app-tcp",
-		title:  "TCP transfer scaling on a generated city grid",
+		id: "scale-app-tcp", title: "TCP transfer scaling on a generated city grid",
 		header: []string{"arm", "BSes", "vehicles", "completed", "aborted", "median xfer (s)", "p90 xfer (s)", "xfers/veh·min"},
-		preset: "grid-city",
-		app:    workload.TCPKind,
-		arms:   axis("fleet", appFleets, setVehicles),
-		row:    tcpRow,
-		notes:  []string{"expected shape: median transfer time grows and per-vehicle completions fall as the fleet contends (§5.3.1 measured under contention)"},
+		preset: "grid-city", app: workload.TCPKind, seconds: 240,
+		arms:  axis("fleet=%d", appFleets, setVehicles),
+		row:   tcpRow,
+		notes: []string{"expected shape: median transfer time grows and per-vehicle completions fall as the fleet contends (§5.3.1 measured under contention)"},
 	},
 	{
 		// §5.3.2: every vehicle holds a bidirectional G.729 call scored
 		// with the E-model and the MoS<2 disruption classifier.
-		id:     "scale-app-voip",
-		title:  "VoIP call scaling on a generated city grid",
+		id: "scale-app-voip", title: "VoIP call scaling on a generated city grid",
 		header: []string{"arm", "BSes", "vehicles", "mean MoS", "median session (s)", "disruptions", "disrupt/call·min"},
-		preset: "grid-city",
-		app:    workload.VoIPKind,
-		arms:   axis("fleet", appFleets, setVehicles),
-		row:    voipRow,
-		notes:  []string{"expected shape: disruptions per call-minute climb with fleet size as windows blow the 52 ms wireless budget (§5.3.2 under contention)"},
+		preset: "grid-city", app: workload.VoIPKind, seconds: 240,
+		arms:  axis("fleet=%d", appFleets, setVehicles),
+		row:   voipRow,
+		notes: []string{"expected shape: disruptions per call-minute climb with fleet size as windows blow the 52 ms wireless budget (§5.3.2 under contention)"},
 	},
 
 	// §9 — resilience. Where the other sweeps show cost staying flat, this
@@ -407,12 +544,10 @@ var sweeps = []sweep{
 	// time, and availability and recovery time track the injected outage
 	// rate instead of collapsing.
 	{
-		id:    "scale-faults",
-		title: "Resilience under basestation crash/restart on a generated city grid",
+		id: "scale-faults", title: "Resilience under basestation crash/restart on a generated city grid",
 		header: []string{"arm", "outages", "down (s)", "avail", "gaps (fault/all)",
 			"recovery (s)", "mean MoS", "disrupt/call·min"},
-		preset: "grid-city",
-		app:    workload.VoIPKind,
+		preset: "grid-city", app: workload.VoIPKind, seconds: 240,
 		arms: []sweepArm{
 			crashArm("none", ""),
 			crashArm("mtbf=4m", "bs:mtbf=4m0s:mttr=4s"),
@@ -437,11 +572,9 @@ var sweeps = []sweep{
 	// shard.coupled_speedup (metro-districts on two district kernels).
 	{
 		// The districted metro as 2 and 4 independent district kernels.
-		id:     "scale-shard",
-		title:  "Sharded vs serial execution identity on a districted metro grid",
+		id: "scale-shard", title: "Sharded vs serial execution identity on a districted metro grid",
 		header: identityHeader,
-		preset: "metro-districts",
-		app:    workload.CBRKind,
+		preset: "metro-districts", app: workload.CBRKind, seconds: 240,
 		arms: []sweepArm{
 			identityArm("shards=1", "", 1),
 			identityArm("shards=2", "", 2),
@@ -456,11 +589,9 @@ var sweeps = []sweep{
 		// The un-districted metro grid — stripes sharing radio edges, the
 		// case the district partition has to refuse — with the delivery
 		// fan-out halo-sharded across 2, 4 and 8 stripe lanes.
-		id:     "scale-shard-halo",
-		title:  "Halo-band sharded vs serial execution identity on an un-districted metro grid",
+		id: "scale-shard-halo", title: "Halo-band sharded vs serial execution identity on an un-districted metro grid",
 		header: identityHeader,
-		preset: "grid-metro",
-		app:    workload.CBRKind,
+		preset: "grid-metro", app: workload.CBRKind, seconds: 240,
 		arms: []sweepArm{
 			identityArm("lanes=1", "", 1),
 			identityArm("lanes=2", "", 2),

@@ -25,6 +25,7 @@ import (
 	"github.com/vanlan/vifi/internal/core"
 	"github.com/vanlan/vifi/internal/fault"
 	"github.com/vanlan/vifi/internal/mobility"
+	"github.com/vanlan/vifi/internal/trace"
 	"github.com/vanlan/vifi/internal/workload"
 )
 
@@ -88,6 +89,10 @@ var testbedBS = map[Topology]int{
 // testbedBSes is a testbed topology's basestation count, 0 for the
 // generated ones.
 func (t Topology) testbedBSes() int { return testbedBS[t] }
+
+// Testbed reports whether t is one of the paper's testbeds (§5.1) rather
+// than a generated deployment.
+func (t Topology) Testbed() bool { return t.testbedBSes() > 0 }
 
 // Spec parameterizes one deployment. The zero value is not
 // runnable; start from a preset (Parse, Preset) and override fields.
@@ -156,16 +161,13 @@ type Spec struct {
 // FaultSpec parses the spec's fault string ("" yields the empty spec).
 func (s Spec) FaultSpec() (fault.Spec, error) { return fault.Parse(s.Faults) }
 
-// probeSlot is the §5.2 link-layer probe's cadence: one 500-byte packet
-// each way every 100 ms.
-const probeSlot = 100 * time.Millisecond
-
 // probe reports whether the spec runs the §5.2 link-layer probe: CBR on a
 // testbed. The probe differs from a fleet's CBR in two ways, both kept
-// here — it sends every probeSlot (AppConfig), and with link-layer
-// retransmissions off (Protocol).
+// here — it sends one 500-byte packet each way every trace.ProbeSlot, the
+// §3 probes' cadence (AppConfig), and with link-layer retransmissions off
+// (Protocol).
 func (s Spec) probe() bool {
-	return s.App == workload.CBRKind && s.Topology.testbedBSes() > 0
+	return s.App == workload.CBRKind && s.Topology.Testbed()
 }
 
 // Protocol returns cfg as the spec runs it: the probe disables link-layer
@@ -182,7 +184,7 @@ func (s Spec) Protocol(cfg core.Config) core.Config {
 func (s Spec) AppConfig() workload.Config {
 	cfg := workload.DefaultConfig()
 	if s.probe() {
-		cfg.CBRSlot = probeSlot
+		cfg.CBRSlot = trace.ProbeSlot
 	}
 	if s.AppXferBytes > 0 {
 		cfg.TransferBytes = s.AppXferBytes

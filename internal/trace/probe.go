@@ -49,13 +49,15 @@ func (pt *ProbeTrace) Validate() error {
 	return nil
 }
 
-// probeSlot is the §3 probe interval: every node broadcasts one probe
-// per 100 ms slot.
-const probeSlot = 100 * time.Millisecond
+// ProbeSlot is the §3 probe interval: every node broadcasts one probe
+// per 100 ms slot. The §5.2 link-layer probe (scenario's CBR on a
+// testbed) sends at the same cadence, so Fig 7 compares tables of one
+// slot length.
+const ProbeSlot = 100 * time.Millisecond
 
 // GenerateVanLANProbes synthesizes the §3 probe logs over every VanLAN
 // basestation: the shuttle drives its loop trips times while every node
-// broadcasts a probe per probeSlot, through the default channel model.
+// broadcasts a probe per ProbeSlot, through the default channel model.
 // Collisions are ignored, as in the paper's methodology ("We verified
 // that self-interference of this traffic is minimal"). An experiment on
 // fewer basestations takes ProbeTrace.Subset of this trace.
@@ -85,10 +87,10 @@ func GenerateVanLANProbes(seed int64, trips int) *ProbeTrace {
 	}
 
 	lap := v.Route.LapTime()
-	slotsPerTrip := int(lap / probeSlot)
+	slotsPerTrip := int(lap / ProbeSlot)
 	pt := &ProbeTrace{
 		BSes:         make([]string, nb),
-		SlotDur:      probeSlot,
+		SlotDur:      ProbeSlot,
 		Slots:        slotsPerTrip * trips,
 		SlotsPerTrip: slotsPerTrip,
 	}
@@ -106,7 +108,7 @@ func GenerateVanLANProbes(seed int64, trips int) *ProbeTrace {
 	rssiFlat := make([]float64, pt.Slots*nb)
 
 	for s := 0; s < pt.Slots; s++ {
-		at := time.Duration(s) * probeSlot
+		at := time.Duration(s) * ProbeSlot
 		pos := v.Route.Position(at)
 		pt.Pos[s] = pos
 		dRow := downFlat[s*nb : (s+1)*nb : (s+1)*nb]

@@ -66,7 +66,10 @@ func TestFacadeDieselNet(t *testing.T) {
 // panics in the retransmission timer (RetxPercentile 1.5, NaN), never
 // returns (BeaconInterval < 0), reports an all-zero estimator as a
 // plausible MoS (BeaconInterval 0) or never gives a packet up (MaxRetx
-// 300 overflows the attempt counter).
+// 300 overflows the attempt counter). The rest run and mislead: at seed 1
+// over 60 s the default MoS of 2.60 reads 1.93 at ProbStale −1 s, 2.18 at
+// ProbAlpha NaN and 2.50 at Coordinator 99, which never relays while the
+// run is labelled ViFi; ProbAlpha 0 or 2 and SalvageWindow −1 s run too.
 func TestFacadeRejectsUnrunnableProtocol(t *testing.T) {
 	for name, edit := range map[string]func(*Protocol){
 		"RetxPercentile 1.5": func(p *Protocol) { p.RetxPercentile = 1.5 },
@@ -74,6 +77,12 @@ func TestFacadeRejectsUnrunnableProtocol(t *testing.T) {
 		"BeaconInterval -1s": func(p *Protocol) { p.BeaconInterval = -time.Second },
 		"BeaconInterval 0":   func(p *Protocol) { p.BeaconInterval = 0 },
 		"MaxRetx 300":        func(p *Protocol) { p.MaxRetx = 300 },
+		"ProbStale -1s":      func(p *Protocol) { p.ProbStale = -time.Second },
+		"ProbAlpha NaN":      func(p *Protocol) { p.ProbAlpha = math.NaN() },
+		"ProbAlpha 0":        func(p *Protocol) { p.ProbAlpha = 0 },
+		"ProbAlpha 2":        func(p *Protocol) { p.ProbAlpha = 2 },
+		"Coordinator 99":     func(p *Protocol) { p.Coordinator = 99 },
+		"SalvageWindow -1s":  func(p *Protocol) { p.SalvageWindow = -time.Second },
 	} {
 		p := DefaultProtocol()
 		edit(&p)

@@ -17,7 +17,6 @@ package backplane
 
 import (
 	"fmt"
-	"strconv"
 	"time"
 
 	"github.com/vanlan/vifi/internal/frame"
@@ -61,6 +60,16 @@ func DefaultConfig() Config {
 // ownership rules.
 type Handler func(from uint16, payload []byte)
 
+// BackplaneReceive implements Receiver.
+func (h Handler) BackplaneReceive(from uint16, payload []byte) { h(from, payload) }
+
+// Receiver is what a port delivers to: Handler as an interface, so an
+// owner can attach a long-lived adapter instead of a method-value closure.
+// The payload rules are Handler's.
+type Receiver interface {
+	BackplaneReceive(from uint16, payload []byte)
+}
+
 // Stats counts backplane events.
 type Stats struct {
 	Sent           int
@@ -97,19 +106,24 @@ func (l *qlink) admit(now time.Duration, size int, rateBps float64) (done time.D
 	return done, true
 }
 
-type port struct {
-	handler Handler
-	up      *qlink
-	down    *qlink
-	isDown  bool
-	rng     *sim.RNG // per-port loss-coin stream; see the Send contract
+// Port is one node's attachment to the plane: its receiver, both
+// directions of its access link and its loss-coin stream, all by value.
+// The zero value is ready for AttachPort; an owner of many ports (core's
+// basestations) embeds them, so attaching one allocates nothing. A Port
+// must not move once attached.
+type Port struct {
+	recv   Receiver
+	up     qlink
+	down   qlink
+	isDown bool
+	rng    sim.RNG // per-port loss-coin stream; see the Send contract
 }
 
 // Net is the backplane network.
 type Net struct {
 	K       *sim.Kernel
 	cfg     Config
-	ports   map[uint16]*port
+	ports   map[uint16]*Port
 	foreign map[uint16]bool // addresses owned by another district kernel
 	stats   Stats
 	bufs    frame.BufferPool
@@ -170,23 +184,35 @@ func New(k *sim.Kernel, cfg Config) *Net {
 	return &Net{
 		K:     k,
 		cfg:   cfg,
-		ports: map[uint16]*port{},
+		ports: map[uint16]*Port{},
 	}
 }
 
-// Attach registers a node address with its delivery handler. Attaching an
-// existing address replaces its handler but keeps link state.
+// Attach registers a node address with its delivery handler (nil
+// delivers nowhere): AttachPort on a port of its own.
 func (n *Net) Attach(addr uint16, h Handler) {
-	if p, ok := n.ports[addr]; ok {
-		p.handler = h
+	var r Receiver
+	if h != nil {
+		r = h
+	}
+	n.AttachPort(addr, new(Port), r)
+}
+
+// AttachPort registers a node address on p, a zero Port the caller keeps,
+// with its receiver (nil delivers nowhere) — the one way a port comes
+// into being, which Attach wraps. Its loss coins are the
+// ("backplane", fmt.Sprint(addr)) stream, seeded in place. Attaching an
+// existing address replaces its receiver but keeps its port and link
+// state; p is then left untouched.
+func (n *Net) AttachPort(addr uint16, p *Port, r Receiver) {
+	if old, ok := n.ports[addr]; ok {
+		old.recv = r
 		return
 	}
-	n.ports[addr] = &port{
-		handler: h,
-		up:      &qlink{spec: n.cfg.Access},
-		down:    &qlink{spec: n.cfg.Access},
-		rng:     n.K.RNG("backplane", strconv.Itoa(int(addr))),
-	}
+	p.recv = r
+	p.up.spec, p.down.spec = n.cfg.Access, n.cfg.Access
+	n.K.Seed(&p.rng, []string{"backplane"}, int(addr))
+	n.ports[addr] = p
 }
 
 // AttachForeign registers an address whose port lives on another district
@@ -237,8 +263,8 @@ const (
 // buffer pool and the record through the free list.
 type transit struct {
 	n     *Net
-	src   *port
-	dst   *port
+	src   *Port
+	dst   *Port
 	size  int
 	buf   []byte // pooled payload copy; nil when the message was lost
 	stage uint8
@@ -283,8 +309,8 @@ func (t *transit) OnEvent() {
 		}
 		n.stats.Delivered++
 		n.stats.BytesDelivered += len(buf)
-		if dst.handler != nil {
-			dst.handler(from, buf)
+		if dst.recv != nil {
+			dst.recv.BackplaneReceive(from, buf)
 		}
 		n.bufs.Put(buf)
 	}

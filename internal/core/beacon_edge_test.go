@@ -14,15 +14,16 @@ import (
 // table (and hand-fed beacons), without a radio stack underneath.
 func newBareVehicle(addr uint16) *Node {
 	cfg := DefaultConfig()
-	return &Node{
+	n := &Node{
 		K:          sim.NewKernel(1),
 		cfg:        cfg,
 		addr:       addr,
 		isVehicle:  true,
-		probs:      NewProbTable(cfg.ProbAlpha, cfg.ProbStale),
 		anchor:     frame.None,
 		prevAnchor: frame.None,
 	}
+	n.probs.init(cfg.ProbAlpha, cfg.ProbStale)
+	return n
 }
 
 // TestReportPeerStaleBetweenBeacons pins the in-between-beacons expiry:
@@ -194,5 +195,97 @@ func TestBatchedReportAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("cached report path allocates %.1f objects, want 0", allocs)
+	}
+}
+
+// reportProbe tells whether Report built its result afresh: plant writes
+// a sentinel into the table-owned report, and a report returned from the
+// cache still carries it, where a rebuilt one has overwritten it.
+type reportProbe struct{ rep []frame.ProbEntry }
+
+const reportSentinel = -1
+
+func (p *reportProbe) plant(rep []frame.ProbEntry) {
+	p.rep = rep
+	if len(rep) > 0 {
+		rep[0].Prob = reportSentinel
+	}
+}
+
+func (p *reportProbe) rebuilt() bool {
+	return len(p.rep) == 0 || p.rep[0].Prob != reportSentinel
+}
+
+// TestRepeatedBeaconKeepsTheReport pins when the cached beacon report is
+// dropped: only by a change the report can show. A node hearing one
+// neighbour's identical beacon every interval, building its own beacon
+// after each, rebuilds its report once — when the neighbour's gossip
+// about the node's outgoing link first joins its gossip set — and never
+// again, though every beacon re-folds that entry.
+func TestRepeatedBeaconKeepsTheReport(t *testing.T) {
+	n := newBareVehicle(5)
+	f := &frame.Frame{Type: frame.TypeBeacon, Src: 1, Dst: frame.Broadcast, Beacon: &frame.Beacon{
+		Anchor: frame.None, PrevAnchor: frame.None,
+		Probs: []frame.ProbEntry{
+			{From: 1, To: 5, Prob: 0.9}, // about a link into the node: skipped
+			{From: 2, To: 1, Prob: 0.3}, // about another node's link
+			{From: 5, To: 1, Prob: 0.5}, // the node's outgoing link: reported
+		},
+	}}
+	var probe reportProbe
+	probe.plant(n.buildBeacon().Beacon.Probs)
+	rebuilds := 0
+	for i := 1; i <= 20; i++ {
+		n.K.RunUntil(time.Duration(i) * n.cfg.BeaconInterval)
+		n.handleBeacon(f)
+		b := n.buildBeacon().Beacon
+		if len(b.Probs) != 1 || b.Probs[0].From != 5 || b.Probs[0].To != 1 {
+			t.Fatalf("beacon %d reports %v, want the one gossiped entry 5→1", i, b.Probs)
+		}
+		if probe.rebuilt() {
+			rebuilds++
+		}
+		probe.plant(b.Probs)
+	}
+	if rebuilds != 1 {
+		t.Errorf("hearing the same beacon 20 times rebuilt the report %d times, want 1", rebuilds)
+	}
+}
+
+// TestReportFollowsShownValues is the other side of the cache rule: a
+// local EWMA or a gossiped value that takes other bits, a member that
+// joins and one that expires each drop the report, while a local
+// observation that leaves the EWMA's bits as they were does not.
+func TestReportFollowsShownValues(t *testing.T) {
+	const self = 5
+	pt := NewProbTable(0.5, 3*time.Second)
+	now := time.Second
+	pt.ObserveLocal(2, self, 0, now)
+	pt.ObserveGossip(self, 3, 0.25, now)
+	var probe reportProbe
+	for _, step := range []struct {
+		name    string
+		observe func()
+		rebuild bool
+	}{
+		{"unchanged EWMA", func() { pt.ObserveLocal(2, self, 0, now) }, false},
+		{"unchanged gossip", func() { pt.ObserveGossip(self, 3, 0.25, now) }, false},
+		{"moved EWMA", func() { pt.ObserveLocal(2, self, 0.5, now) }, true},
+		{"moved gossip", func() { pt.ObserveGossip(self, 3, 0.75, now) }, true},
+		{"new local member", func() { pt.ObserveLocal(4, self, 1, now) }, true},
+		{"new gossip member", func() { pt.ObserveGossip(self, 6, 1, now) }, true},
+		{"gossip not about self", func() { pt.ObserveGossip(3, 6, 0.5, now) }, false},
+		{"refresh", func() { now += 2 * time.Second; pt.ObserveLocal(4, self, 1, now) }, false},
+		{"expiry", func() { now += 1500 * time.Millisecond }, true}, // all but 4→5 go stale
+	} {
+		probe.plant(pt.Report(self, now))
+		step.observe()
+		pt.Report(self, now)
+		if got := probe.rebuilt(); got != step.rebuild {
+			t.Errorf("%s: report rebuilt = %v, want %v", step.name, got, step.rebuild)
+		}
+	}
+	if rep := pt.Report(self, now); len(rep) != 1 || rep[0].From != 4 {
+		t.Errorf("final report %v, want only 4→5", rep)
 	}
 }

@@ -339,7 +339,7 @@ func TestWalkSurvivesGrowth(t *testing.T) {
 	if len(dut.slots) != 256 {
 		t.Fatalf("%d buckets after the second sender, want 256 (two growths)", len(dut.slots))
 	}
-	r := dut.recs[dut.senders[a]]
+	r := dut.rec(a)
 	if si := dut.memo[r.off+2]; dut.slots[si].flags&live != 0 {
 		t.Fatalf("(0, 0)'s remembered bucket %d is live; the setup no longer leaves it empty", si)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 
 	"github.com/vanlan/vifi/internal/backplane"
 	"github.com/vanlan/vifi/internal/mac"
@@ -142,9 +143,17 @@ func (p Placement) local(d int) bool {
 // placement: one gateway per district (addresses GatewayAddr+d), then
 // basestations in global index order (addresses 0..len(bsMovers)-1), then
 // vehicles in global index order, each wired to its own district's
-// gateway. The channel is sized for the total up front, so link rows
-// never re-grow and city-scale fleets start on the spatially indexed path
-// from the first attach.
+// gateway. Basestations are named "bs0", "bs1", …; vehicles "veh0",
+// "veh1", … when vehNumbered, else "veh". The channel is sized for the
+// total up front, so link rows never re-grow and city-scale fleets start
+// on the spatially indexed path from the first attach.
+//
+// The cell builds every radio in place, one slab per layer: the channel's
+// node records (NewChannelSized), then here one []Node, one []mac.MAC and
+// one []backplane.Port sized by the radios with a full stack on this
+// cell, and every name a substring of one string (radioNames). mac.Init,
+// newNode and AttachPort fill their slab elements and seed each radio's
+// streams in place, so building a radio allocates nothing of its own.
 //
 // A node whose district belongs to another shard attaches as a
 // position-only ghost — same name, same mover, nil receiver — so channel
@@ -158,7 +167,7 @@ func (p Placement) local(d int) bool {
 // none can: a basestation talks to its own gateway and to basestations
 // its vehicle hears — panics naming both ends instead of being dropped
 // as unknown and letting the run diverge from serial.
-func newCell(k *sim.Kernel, opts CellOptions, bsMovers, vehMovers []mobility.Mover, vehName func(int) string, p Placement) *Cell {
+func newCell(k *sim.Kernel, opts CellOptions, bsMovers, vehMovers []mobility.Mover, vehNumbered bool, p Placement) *Cell {
 	if len(bsMovers) == 0 {
 		panic("core: a cell needs at least one basestation")
 	}
@@ -191,6 +200,22 @@ func newCell(k *sim.Kernel, opts CellOptions, bsMovers, vehMovers []mobility.Mov
 		}
 		c.Gateways = append(c.Gateways, gw)
 	}
+	// The slabs: one element per radio with a full stack here.
+	localBS, localVeh := 0, 0
+	for i := range bsMovers {
+		if p.local(district(p.BSDistrict, i)) {
+			localBS++
+		}
+	}
+	for i := range vehMovers {
+		if p.local(district(p.VehDistrict, i)) {
+			localVeh++
+		}
+	}
+	nodes := make([]Node, localBS+localVeh)
+	macs := make([]mac.MAC, len(nodes))
+	ports := make([]backplane.Port, localBS)
+	names := radioNames(len(bsMovers), len(vehMovers), vehNumbered)
 	// attach wires one radio: a full stack (nodeBP is nil for vehicles,
 	// which have no wired port) or, off-shard, a ghost.
 	attach := func(name string, mv mobility.Mover, d int, nodeBP *backplane.Net) (*Node, radio.NodeID) {
@@ -201,18 +226,25 @@ func newCell(k *sim.Kernel, opts CellOptions, bsMovers, vehMovers []mobility.Mov
 			}
 			return nil, id
 		}
-		m := mac.NewWithConfig(k, ch, name, mv, macCfg)
-		return newNode(k, opts.Protocol, m, nodeBP, c.Gateways[d].Addr(), nodeBP == nil, opts.Events), m.ID()
+		n, m := &nodes[0], &macs[0]
+		nodes, macs = nodes[1:], macs[1:]
+		var port *backplane.Port
+		if nodeBP != nil {
+			port, ports = &ports[0], ports[1:]
+		}
+		m.Init(k, ch, name, mv, macCfg)
+		newNode(n, k, opts.Protocol, m, nodeBP, port, c.Gateways[d].Addr(), nodeBP == nil, opts.Events)
+		return n, m.ID()
 	}
 	for i, mv := range bsMovers {
-		n, id := attach(fmt.Sprintf("bs%d", i), mv, district(p.BSDistrict, i), bp)
+		n, id := attach(names[i], mv, district(p.BSDistrict, i), bp)
 		c.BSes, c.BSRadioIDs = append(c.BSes, n), append(c.BSRadioIDs, id)
 		if c.BSLocal != nil {
 			c.BSLocal[i] = n != nil
 		}
 	}
 	for i, mv := range vehMovers {
-		n, id := attach(vehName(i), mv, district(p.VehDistrict, i), nil)
+		n, id := attach(names[len(bsMovers)+i], mv, district(p.VehDistrict, i), nil)
 		c.Vehicles, c.VehRadioIDs = append(c.Vehicles, n), append(c.VehRadioIDs, id)
 		if c.VehLocal != nil {
 			c.VehLocal[i] = n != nil
@@ -224,6 +256,34 @@ func newCell(k *sim.Kernel, opts CellOptions, bsMovers, vehMovers []mobility.Mov
 	return c
 }
 
+// radioNames returns a cell's radio names in attach order — "bs0" …
+// "bs<nbs-1>", then "veh0" … when vehNumbered, else "veh" for each vehicle
+// — as substrings of one string, so a name costs no allocation of its own.
+func radioNames(nbs, nveh int, vehNumbered bool) []string {
+	appendName := func(b []byte, i int) []byte {
+		if i < nbs {
+			return strconv.AppendInt(append(b, "bs"...), int64(i), 10)
+		}
+		if b = append(b, "veh"...); vehNumbered {
+			b = strconv.AppendInt(b, int64(i-nbs), 10)
+		}
+		return b
+	}
+	names := make([]string, nbs+nveh)
+	// Every name fits in "veh" and the digits of the radio count.
+	b := make([]byte, 0, len(names)*(len("veh")+len(strconv.Itoa(len(names)))))
+	for i := range names {
+		b = appendName(b, i)
+	}
+	all, off := string(b), 0
+	var one [24]byte
+	for i := range names {
+		n := len(appendName(one[:0], i))
+		names[i], off = all[off:off+n], off+n
+	}
+	return names
+}
+
 // NewCell builds and starts a single-vehicle deployment. Basestations are
 // attached first (addresses 0..len(bsMovers)-1), the vehicle last. All
 // nodes begin beaconing immediately; anchor selection settles after
@@ -231,7 +291,7 @@ func newCell(k *sim.Kernel, opts CellOptions, bsMovers, vehMovers []mobility.Mov
 // labels ("mac","veh"), so fleet support cannot disturb existing seeded
 // experiments.
 func NewCell(k *sim.Kernel, opts CellOptions, bsMovers []mobility.Mover, vehMover mobility.Mover) *Cell {
-	return newCell(k, opts, bsMovers, []mobility.Mover{vehMover}, func(int) string { return "veh" }, Placement{})
+	return newCell(k, opts, bsMovers, []mobility.Mover{vehMover}, false, Placement{})
 }
 
 // NewFleetCell builds a deployment with a fleet of vehicles ("veh0",
@@ -242,7 +302,7 @@ func NewCell(k *sim.Kernel, opts CellOptions, bsMovers []mobility.Mover, vehMove
 // the fleet contends for the medium like any dense 802.11 deployment while
 // each vehicle runs its own anchor/auxiliary protocol.
 func NewFleetCell(k *sim.Kernel, opts CellOptions, bsMovers, vehMovers []mobility.Mover, p Placement) *Cell {
-	return newCell(k, opts, bsMovers, vehMovers, func(i int) string { return fmt.Sprintf("veh%d", i) }, p)
+	return newCell(k, opts, bsMovers, vehMovers, true, p)
 }
 
 // HookVehicle installs per-vehicle application delivery callbacks for

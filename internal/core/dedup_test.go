@@ -32,6 +32,9 @@ func TestDedupHorizonCoversTheLatestCopy(t *testing.T) {
 	// window sweeps and returns that instant.
 	firstCopyAt := func(k *sim.Kernel, veh *Node) time.Duration {
 		stale := frame.PacketID{Src: 0xBEEF, Seq: 1}
+		if veh.acked == nil { // made on first write
+			veh.acked = map[frame.PacketID]ackedInfo{}
+		}
 		veh.acked[stale] = ackedInfo{lastAck: -2 * horizon}
 		for k.RunUntil(k.Now() + time.Millisecond); veh.acked[stale] != (ackedInfo{}); k.RunUntil(k.Now() + time.Millisecond) {
 			if k.Now() > 2*probWindow {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"maps"
 	"slices"
 	"time"
@@ -108,7 +107,7 @@ type ackedInfo struct {
 const reAckMin = 20 * time.Millisecond
 
 // windowTask and relayTask are the node's periodic-timer sim.Handler
-// adapters, allocated once with the node.
+// adapters, embedded in the node.
 type windowTask struct{ n *Node }
 
 func (t *windowTask) OnEvent() { t.n.windowTick() }
@@ -116,6 +115,18 @@ func (t *windowTask) OnEvent() { t.n.windowTick() }
 type relayTask struct{ n *Node }
 
 func (t *relayTask) OnEvent() { t.n.relayTick() }
+
+// upcalls is the node's adapter for the layers below it — the MAC's frame
+// handler and beacon source, the backplane port's receiver — embedded in
+// the node like the timer adapters, so wiring the node allocates no
+// method-value closure.
+type upcalls struct{ n *Node }
+
+func (u *upcalls) HandleFrame(f *frame.Frame, info radio.RxInfo) { u.n.handleFrame(f, info) }
+
+func (u *upcalls) Beacon() *frame.Frame { return u.n.buildBeacon() }
+
+func (u *upcalls) BackplaneReceive(from uint16, payload []byte) { u.n.handleBackplane(from, payload) }
 
 // Node is one ViFi protocol entity — a vehicle or a basestation. Both run
 // the same engine; the isVehicle flag enables anchor selection and
@@ -131,12 +142,12 @@ type Node struct {
 	isVehicle   bool
 	gatewayAddr uint16
 
-	probs   *ProbTable
-	rng     *sim.RNG
+	probs   ProbTable
+	rng     sim.RNG // the ("core", addr) stream
 	events  EventFunc
 	deliver DeliverFunc
 
-	// Sender state.
+	// Sender state. The maps here and below are made on first write.
 	nextSeq     uint32
 	outstanding map[uint32]*outPkt
 	pktFree     *outPkt
@@ -171,6 +182,7 @@ type Node struct {
 
 	windowH windowTask
 	relayH  relayTask
+	up      upcalls
 
 	beaconSeq uint32
 
@@ -181,12 +193,21 @@ type Node struct {
 	evCounts [NumEventKinds]uint64
 }
 
-// newNode wires a protocol entity onto its MAC and (for basestations)
-// backplane. Cell is the public constructor.
-func newNode(k *sim.Kernel, cfg Config, m *mac.MAC, bp *backplane.Net,
-	gatewayAddr uint16, isVehicle bool, events EventFunc) *Node {
+// newNode builds a protocol entity in place, in n (a zero Node that must
+// not move afterwards), and wires it onto its attached MAC and, for a
+// basestation, onto port, its place on the backplane. newCell is the only
+// caller: it keeps a cell's nodes, MACs and ports in one slab per layer,
+// so a node allocates nothing here. Its probability table, its ("core",
+// addr) stream and its upcall and timer adapters are fields; the one-shot
+// ("corewin", addr) stream that places its first window lives on the
+// stack; its maps are made on first write. Both streams carry the labels
+// k.RNG("core", fmt.Sprint(addr)) and k.RNG("corewin", …) would, and the
+// first beacon is scheduled before the first window: labels and order are
+// part of every seeded run's bytes.
+func newNode(n *Node, k *sim.Kernel, cfg Config, m *mac.MAC, bp *backplane.Net, port *backplane.Port,
+	gatewayAddr uint16, isVehicle bool, events EventFunc) {
 
-	n := &Node{
+	*n = Node{
 		K:           k,
 		cfg:         cfg,
 		mac:         m,
@@ -194,27 +215,25 @@ func newNode(k *sim.Kernel, cfg Config, m *mac.MAC, bp *backplane.Net,
 		addr:        m.Addr(),
 		isVehicle:   isVehicle,
 		gatewayAddr: gatewayAddr,
-		probs:       NewProbTable(cfg.ProbAlpha, cfg.ProbStale),
-		rng:         k.RNG("core", fmt.Sprint(m.Addr())),
 		events:      events,
-		outstanding: map[uint32]*outPkt{},
 		delays:      newDelaySampler(512),
-		acked:       map[frame.PacketID]ackedInfo{},
 		anchor:      frame.None,
 		prevAnchor:  frame.None,
-		vehs:        map[uint16]*vehState{},
 	}
-	n.windowH.n, n.relayH.n = n, n
-	m.SetHandler(mac.HandlerFunc(n.handleFrame))
+	n.probs.init(cfg.ProbAlpha, cfg.ProbStale)
+	k.Seed(&n.rng, []string{"core"}, int(n.addr))
+	n.windowH.n, n.relayH.n, n.up.n = n, n, n
+	m.SetHandler(&n.up)
 	if bp != nil && !isVehicle {
-		bp.Attach(n.addr, n.handleBackplane)
+		bp.AttachPort(n.addr, port, &n.up)
 	}
-	m.StartBeacons(n.buildBeacon)
-	k.AfterHandler(probWindow+k.RNG("corewin", fmt.Sprint(m.Addr())).Jitter(probWindow/4), &n.windowH)
+	m.StartBeaconsFrom(&n.up)
+	var win sim.RNG
+	k.Seed(&win, []string{"corewin"}, int(n.addr))
+	k.AfterHandler(probWindow+win.Jitter(probWindow/4), &n.windowH)
 	if !isVehicle && cfg.EnableRelay {
 		n.relayNext = k.Now() + relayCheck + n.rng.Jitter(relayCheck)
 	}
-	return n
 }
 
 // Addr returns the node's link-layer address.
@@ -241,12 +260,15 @@ func (n *Node) SetDeliver(d DeliverFunc) { n.deliver = d }
 func (n *Node) MAC() *mac.MAC { return n.mac }
 
 // Probs exposes the node's probability table (diagnostics).
-func (n *Node) Probs() *ProbTable { return n.probs }
+func (n *Node) Probs() *ProbTable { return &n.probs }
 
 // ensureVeh returns the state for a vehicle, creating it on first beacon.
 func (n *Node) ensureVeh(veh uint16) *vehState {
 	vs := n.vehs[veh]
 	if vs == nil {
+		if n.vehs == nil {
+			n.vehs = map[uint16]*vehState{}
+		}
 		vs = &vehState{anchor: frame.None}
 		n.vehs[veh] = vs
 	}
@@ -501,6 +523,9 @@ func (n *Node) ackAndDeliver(id frame.PacketID, attempt uint8, payload []byte, d
 		n.acked[id] = info
 		n.sendAck(id, attempt)
 		return
+	}
+	if n.acked == nil {
+		n.acked = map[frame.PacketID]ackedInfo{}
 	}
 	n.acked[id] = ackedInfo{attempt: attempt, lastAck: now}
 	n.sendAck(id, attempt)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/bits"
 	"slices"
 	"time"
@@ -83,19 +84,6 @@ type freshSet struct {
 	wheel   []wheelItem // min-heap on (at, id); one record per member
 }
 
-// size gives a set that has never held a member room for n members and
-// their wheel records, one allocation each. It is called as a member
-// arrives, with the room the table keeps for beacon senders (cap of
-// recs), so a set is sized once for the neighborhood when the first member
-// arrives instead of doubling up from empty — by then the node has heard
-// its neighbors. A set with room, or no n to go on, is left as it is.
-func (s *freshSet) size(n int) {
-	if cap(s.members) == 0 && n > 0 {
-		s.members = make([]uint16, 0, n)
-		s.wheel = make([]wheelItem, 0, n)
-	}
-}
-
 // insertMember adds id to the sorted member list.
 func (s *freshSet) insertMember(id uint16) {
 	i, ok := slices.BinarySearch(s.members, id)
@@ -170,11 +158,30 @@ type probIndex struct {
 	self   uint16
 	local  freshSet
 	gossip freshSet
-	// rep caches the beacon report between queries: it stays valid until
-	// an observation touches self's sets or a member expires, so beacons
+	// rep caches the beacon report between queries. It stays valid until
+	// something it shows changes: a member joins or leaves a set (expiry
+	// included), or a member's value — the EWMA of a local member, the
+	// gossip of a gossip member — takes other bits. A repeated beacon that
+	// re-folds the values it already carried leaves it valid, so beacons
 	// inside a quiet interval reuse it without touching any peer.
 	rep   []frame.ProbEntry
 	repOK bool
+}
+
+// size gives both fresh sets of an index that has never had room, room
+// for n members each and their wheel records: one allocation for the two
+// member lists and one for the two wheels, each set capped at its half. It
+// is called as a member of either set arrives, with the room the table
+// keeps for beacon senders (cap of recs), so the sets are sized once for
+// the neighborhood instead of doubling up from empty — by then the node
+// has heard its neighbors. An index with room, or no n to go on, is left
+// as it is; a set that outgrows its half moves to an array of its own.
+func (ix *probIndex) size(n int) {
+	if n > 0 && cap(ix.local.members) == 0 && cap(ix.gossip.members) == 0 {
+		m, w := make([]uint16, 2*n), make([]wheelItem, 2*n)
+		ix.local.members, ix.gossip.members = m[:0:n], m[n:n:2*n]
+		ix.local.wheel, ix.gossip.wheel = w[:0:n], w[n:n:2*n]
+	}
 }
 
 // ProbTable holds a node's view of pairwise reception probabilities
@@ -215,16 +222,37 @@ type ProbTable struct {
 	nLive int32 // live buckets
 	shift uint8 // 32 − log2(len(slots)): the hash bits that pick a bucket
 
-	// idx is the per-self incremental index. A protocol node only ever
-	// queries its own address, so the first index is cached directly;
-	// additional selves (tests, diagnostics) land in more.
-	idx  *probIndex
-	more map[uint16]*probIndex
+	// idx is the per-self incremental index, built (hasIdx) on the first
+	// query. A protocol node only ever queries its own address, so the
+	// first index lives in the table; additional selves (tests,
+	// diagnostics) land in more.
+	idx    probIndex
+	hasIdx bool
+	more   map[uint16]*probIndex
 
-	senders   map[uint16]int32 // sender address → position in recs
+	// The beacon state, backed by one beaconRoom from the first beacon.
+	keys      []senderKey // the senders heard, ascending by address
 	recs      []senderRec
 	memo      []int32 // bucket positions of the senders' last reports, one region per sender
 	heardList []int32 // recs with a nonzero count, in first-heard order
+}
+
+// senderKey finds a sender's record: keys holds one per sender, sorted by
+// address, so a lookup is a binary search over a few cache lines.
+type senderKey struct {
+	addr uint16
+	ri   int32 // position in recs
+}
+
+// beaconRoom is the first backing of a table's beacon state, made with
+// the first beacon for a typical neighborhood — a few senders with
+// reports of a dozen entries — as one allocation: none in a table that
+// never hears a beacon, and no series of growth steps in one that does. A
+// neighborhood that outgrows a slice moves that slice alone.
+type beaconRoom struct {
+	keys [8]senderKey
+	recs [8]senderRec
+	ints [8 + 64]int32 // heardList's room, then memo's
 }
 
 // senderRec is what a table remembers about one beacon sender: this
@@ -239,11 +267,22 @@ type senderRec struct {
 	off, n, c int32 // memo region: offset, positions filled, positions reserved
 }
 
-// NewProbTable creates a table with the given EWMA factor and staleness.
-// It allocates nothing but the table itself: the bucket array appears
-// with the first pair.
+// NewProbTable creates a table with the given EWMA factor and staleness:
+// init on a table of its own. A node embeds its table by value and inits
+// it in place instead. Neither allocates more than the table: the bucket
+// array appears with the first pair, the beacon state with the first
+// beacon.
 func NewProbTable(alpha float64, stale time.Duration) *ProbTable {
-	return &ProbTable{alpha: alpha, stale: stale}
+	t := new(ProbTable)
+	t.init(alpha, stale)
+	return t
+}
+
+// init empties t in place into a table with the given EWMA factor and
+// staleness — the one constructor, which NewProbTable and a node's cold
+// restart share.
+func (t *ProbTable) init(alpha float64, stale time.Duration) {
+	*t = ProbTable{alpha: alpha, stale: stale}
 }
 
 // slotKey packs a directed pair into the slot key.
@@ -333,8 +372,8 @@ func (t *ProbTable) grow() {
 
 // peekIndex returns the index for self when one exists.
 func (t *ProbTable) peekIndex(self uint16) *probIndex {
-	if ix := t.idx; ix != nil && ix.self == self {
-		return ix
+	if t.hasIdx && t.idx.self == self {
+		return &t.idx
 	}
 	if t.more != nil {
 		return t.more[self]
@@ -363,23 +402,24 @@ func (t *ProbTable) indexFor(self uint16, now time.Duration) *probIndex {
 	if ix := t.peekIndex(self); ix != nil {
 		return ix
 	}
-	ix := t.buildIndex(self, now)
-	if t.idx == nil {
-		t.idx = ix
-	} else {
+	ix := &t.idx
+	if t.hasIdx {
 		if t.more == nil {
 			t.more = map[uint16]*probIndex{}
 		}
+		ix = new(probIndex)
 		t.more[self] = ix
 	}
+	t.hasIdx = true
+	t.buildIndex(ix, self, now)
 	return ix
 }
 
-// buildIndex seeds the per-self index from the slots already stored:
-// entries fresh at build time become members with a wheel record; stale
-// entries stay out (a future observation re-adds them).
-func (t *ProbTable) buildIndex(self uint16, now time.Duration) *probIndex {
-	ix := &probIndex{self: self}
+// buildIndex seeds ix, an empty index, as self's from the slots already
+// stored: entries fresh at build time become members with a wheel record;
+// stale entries stay out (a future observation re-adds them).
+func (t *ProbTable) buildIndex(ix *probIndex, self uint16, now time.Duration) {
+	ix.self = self
 	cutoff := now - t.stale
 	for si := range t.slots {
 		e := &t.slots[si]
@@ -389,13 +429,13 @@ func (t *ProbTable) buildIndex(self uint16, now time.Duration) *probIndex {
 		from, to := uint16(e.key>>16), uint16(e.key)
 		if to == self && freshAt(e.local, cutoff) {
 			e.flags |= memL
-			ix.local.size(cap(t.recs))
+			ix.size(cap(t.recs))
 			ix.local.members = append(ix.local.members, from)
 			ix.local.pushWheel(e.local+t.stale, from)
 		}
 		if from == self && e.flags&hasG != 0 && freshAt(e.gossipT, cutoff) {
 			e.flags |= memG
-			ix.gossip.size(cap(t.recs))
+			ix.size(cap(t.recs))
 			ix.gossip.members = append(ix.gossip.members, to)
 			ix.gossip.pushWheel(e.gossipT+t.stale, to)
 		}
@@ -406,7 +446,6 @@ func (t *ProbTable) buildIndex(self uint16, now time.Duration) *probIndex {
 	// moot.)
 	slices.Sort(ix.local.members)
 	slices.Sort(ix.gossip.members)
-	return ix
 }
 
 // expireLocal advances self's local wheel to now: filed records past
@@ -446,18 +485,23 @@ func (t *ProbTable) expireGossip(ix *probIndex, now time.Duration) {
 }
 
 // ObserveLocal folds a locally measured reception ratio for from→to
-// (normally to == self) at the given time.
+// (normally to == self) at the given time. The cached report of self =
+// to is dropped only when from joins the local set or its EWMA, the value
+// the report shows, takes other bits.
 func (t *ProbTable) ObserveLocal(from, to uint16, ratio float64, now time.Duration) {
 	s := t.slot(from, to)
+	was := s.ewma
 	s.update(ratio, t.alpha)
 	s.local = now
 	if ix := t.peekIndex(to); ix != nil {
-		ix.repOK = false
 		if s.flags&memL == 0 {
+			ix.repOK = false
 			s.flags |= memL
-			ix.local.size(cap(t.recs))
+			ix.size(cap(t.recs))
 			ix.local.insertMember(from)
 			ix.local.pushWheel(now+t.stale, from)
+		} else if math.Float64bits(s.ewma) != math.Float64bits(was) {
+			ix.repOK = false
 		}
 	}
 }
@@ -470,19 +514,24 @@ func (t *ProbTable) ObserveGossip(from, to uint16, p float64, now time.Duration)
 
 // foldGossip is the one gossip formula, shared by ObserveGossip and the
 // beacon walk: it records p at now in slot s and keeps the gossip fresh
-// set of self = the slot's from up to date.
+// set of self = the slot's from up to date. The cached report of that
+// self is dropped only when to joins the set or its gossip, the value the
+// report shows, takes other bits.
 func (t *ProbTable) foldGossip(s *probSlot, p float64, now time.Duration) {
+	was := s.gossip
 	s.gossip = p
 	s.gossipT = now
 	s.flags |= hasG
 	if ix := t.peekIndex(uint16(s.key >> 16)); ix != nil {
-		ix.repOK = false
 		to := uint16(s.key)
 		if s.flags&memG == 0 {
+			ix.repOK = false
 			s.flags |= memG
-			ix.gossip.size(cap(t.recs))
+			ix.size(cap(t.recs))
 			ix.gossip.insertMember(to)
 			ix.gossip.pushWheel(now+t.stale, to)
+		} else if math.Float64bits(p) != math.Float64bits(was) {
+			ix.repOK = false
 		}
 	}
 }
@@ -500,24 +549,19 @@ func (t *ProbTable) foldGossip(s *probSlot, p float64, now time.Duration) {
 // the array is not probed. Only a miss — a new sender, a member joining or
 // leaving ahead of position i, a reorder, a growth that moved the slot —
 // probes the array and rewrites position i. A repeated report costs one
-// map lookup for the sender and allocates nothing.
+// binary search for the sender and allocates nothing.
 func (t *ProbTable) observeBeacon(sender, self uint16, fromVehicle bool, probs []frame.ProbEntry, now time.Duration) {
-	ri, ok := t.senders[sender]
+	ki, ok := t.sender(sender)
 	if !ok {
-		if t.senders == nil {
-			// The first beacon sizes the beacon state for a typical
-			// neighborhood (a few senders with reports of a dozen
-			// entries): one allocation each instead of a series of growth
-			// steps, and none in a table that never hears a beacon.
-			t.senders = map[uint16]int32{}
-			t.recs = make([]senderRec, 0, 8)
-			t.memo = make([]int32, 0, 64)
-			t.heardList = make([]int32, 0, 8)
+		if t.recs == nil {
+			room := new(beaconRoom)
+			t.keys, t.recs = room.keys[:0], room.recs[:0]
+			t.heardList, t.memo = room.ints[:0:8], room.ints[8:8]
 		}
-		ri = int32(len(t.recs))
+		t.keys = slices.Insert(t.keys, ki, senderKey{addr: sender, ri: int32(len(t.recs))})
 		t.recs = append(t.recs, senderRec{addr: sender, off: int32(len(t.memo))})
-		t.senders[sender] = ri
 	}
+	ri := t.keys[ki].ri
 	r := &t.recs[ri]
 	if r.heard == 0 {
 		t.heardList = append(t.heardList, ri)
@@ -559,13 +603,35 @@ func (t *ProbTable) reserve(r *senderRec, c int32) {
 	r.c = c
 }
 
+// sender returns the position in keys of addr's key and true, or where
+// that key would go and false.
+func (t *ProbTable) sender(addr uint16) (int, bool) {
+	lo, hi := 0, len(t.keys)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); t.keys[m].addr < addr {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(t.keys) && t.keys[lo].addr == addr
+}
+
+// rec returns addr's sender record, nil when no beacon of addr was heard.
+func (t *ProbTable) rec(addr uint16) *senderRec {
+	if ki, ok := t.sender(addr); ok {
+		return &t.recs[t.keys[ki].ri]
+	}
+	return nil
+}
+
 // isVehicle reports whether any beacon heard from addr carried
 // FromVehicle: in fleet deployments a vehicle hears other vehicles loud
 // and clear, but only basestations may serve as anchor or auxiliary
 // (§4.3).
 func (t *ProbTable) isVehicle(addr uint16) bool {
-	ri, ok := t.senders[addr]
-	return ok && t.recs[ri].veh
+	r := t.rec(addr)
+	return r != nil && r.veh
 }
 
 // flush closes self's probe window at now, given the beacons a window is
@@ -598,8 +664,8 @@ func (t *ProbTable) flush(self uint16, expected float64, now time.Duration) {
 // heardThisWindow reports whether a beacon from addr was heard since the
 // last flush.
 func (t *ProbTable) heardThisWindow(addr uint16) bool {
-	ri, ok := t.senders[addr]
-	return ok && t.recs[ri].heard > 0
+	r := t.rec(addr)
+	return r != nil && r.heard > 0
 }
 
 // Get returns the current estimate of p(from→to), preferring fresh local

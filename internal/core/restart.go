@@ -29,7 +29,7 @@ func (n *Node) ColdRestart() {
 
 	// Learned reachability: a fresh probability table, which also holds
 	// the beacon counts and the vehicle marks of the peers heard.
-	n.probs = NewProbTable(n.cfg.ProbAlpha, n.cfg.ProbStale)
+	n.probs.init(n.cfg.ProbAlpha, n.cfg.ProbStale)
 
 	// Vehicle designations.
 	n.anchor, n.prevAnchor = frame.None, frame.None

@@ -125,6 +125,9 @@ func (n *Node) enqueueData(dst uint16, payload []byte, dir Direction) uint32 {
 	pkt.dir = dir
 	pkt.payload = n.mac.Buffers().Get(len(payload))
 	copy(pkt.payload, payload)
+	if n.outstanding == nil {
+		n.outstanding = map[uint32]*outPkt{}
+	}
 	n.outstanding[pkt.seq] = pkt
 	n.transmit(pkt)
 	return pkt.seq

@@ -41,6 +41,9 @@ const (
 	// medium is sensed busy.
 	backoffMin = 100 * time.Microsecond
 	backoffMax = 900 * time.Microsecond
+	// queueInit is the length of the queue's first backing array, which
+	// the MAC carries inline (MAC.qbuf).
+	queueInit = 16
 )
 
 // Handler consumes decoded frames arriving from the radio. The frame, its
@@ -56,6 +59,17 @@ type HandlerFunc func(f *frame.Frame, info radio.RxInfo)
 
 // HandleFrame implements Handler.
 func (h HandlerFunc) HandleFrame(f *frame.Frame, info radio.RxInfo) { h(f, info) }
+
+// Beaconer produces a node's periodic beacon; see StartBeaconsFrom.
+type Beaconer interface {
+	Beacon() *frame.Frame
+}
+
+// BeaconFunc adapts a function to Beaconer.
+type BeaconFunc func() *frame.Frame
+
+// Beacon implements Beaconer.
+func (f BeaconFunc) Beacon() *frame.Frame { return f() }
 
 // Stats counts MAC-level events.
 type Stats struct {
@@ -75,8 +89,9 @@ type txItem struct {
 	typ frame.Type
 }
 
-// beaconTask, pumpTask and txDoneTask are the MAC's sim.Handler adapters:
-// allocated once with the MAC, scheduled forever after without a closure.
+// beaconTask, pumpTask and txDoneTask are the MAC's sim.Handler adapters
+// and rxTask its radio.Receiver: embedded in the MAC, scheduled and
+// attached without a closure.
 type beaconTask struct{ m *MAC }
 
 func (t *beaconTask) OnEvent() { t.m.beaconTick() }
@@ -92,48 +107,59 @@ func (t *txDoneTask) OnEvent() {
 	t.m.pump()
 }
 
+type rxTask struct{ m *MAC }
+
+func (t *rxTask) RadioReceive(payload []byte, info radio.RxInfo) { t.m.radioReceive(payload, info) }
+
 // MAC is one node's medium access entity.
 type MAC struct {
 	K   *sim.Kernel
 	ch  *radio.Channel
 	id  radio.NodeID
 	cfg Config
-	rng *sim.RNG
+	rng sim.RNG // the ("mac", name) stream
 
-	handler  Handler
-	beaconFn func() *frame.Frame
+	handler Handler
+	beacon  Beaconer
 
-	// queue holds marshaled frames; SendPriority pushes at the front.
+	// queue holds marshaled frames; SendPriority pushes at the front. Its
+	// first backing array is qbuf.
 	queue   ring.Ring[txItem]
+	qbuf    [queueInit]txItem
 	sending bool
 	stats   Stats
 
 	beaconH beaconTask
 	pumpH   pumpTask
 	txDoneH txDoneTask
+	rxH     rxTask
 }
 
-// New attaches a new MAC to the channel. name must be unique per channel;
-// mover supplies the node's position over time.
+// New attaches a new MAC with DefaultConfig to the channel: Init on a MAC
+// of its own. name must be unique per channel; mover supplies the node's
+// position over time.
 func New(k *sim.Kernel, ch *radio.Channel, name string, mover mobility.Mover) *MAC {
-	m := &MAC{
-		K:   k,
-		ch:  ch,
-		cfg: DefaultConfig(),
-		rng: k.RNG("mac", name),
-	}
-	m.beaconH.m, m.pumpH.m, m.txDoneH.m = m, m, m
-	m.id = ch.Attach(name, mover, radio.ReceiverFunc(m.radioReceive))
+	m := new(MAC)
+	m.Init(k, ch, name, mover, Config{})
 	return m
 }
 
-// NewWithConfig is New with explicit configuration.
-func NewWithConfig(k *sim.Kernel, ch *radio.Channel, name string, mover mobility.Mover, cfg Config) *MAC {
-	m := New(k, ch, name, mover)
-	if cfg.BeaconInterval != 0 {
-		m.cfg = cfg
+// Init attaches m, a zero MAC, to the channel in place — the one MAC
+// constructor, which New wraps. Everything a MAC needs lives in the
+// struct: its ("mac", name) stream, seeded in place, its timer and
+// receiver adapters and its queue's first backing array, so a caller that
+// keeps its MACs in one slab (core's cells do) allocates nothing per MAC
+// here. m must not move once attached. A zero cfg.BeaconInterval takes
+// DefaultConfig's.
+func (m *MAC) Init(k *sim.Kernel, ch *radio.Channel, name string, mover mobility.Mover, cfg Config) {
+	m.K, m.ch, m.cfg = k, ch, cfg
+	if m.cfg.BeaconInterval == 0 {
+		m.cfg = DefaultConfig()
 	}
-	return m
+	k.Seed(&m.rng, []string{"mac", name})
+	m.queue.Init(m.qbuf[:])
+	m.beaconH.m, m.pumpH.m, m.txDoneH.m, m.rxH.m = m, m, m, m
+	m.id = ch.Attach(name, mover, &m.rxH)
 }
 
 // ID returns the node's radio identifier; protocol layers use it as the
@@ -156,19 +182,28 @@ func (m *MAC) Stats() Stats { return m.stats }
 // QueueLen reports frames waiting (not counting one on the air).
 func (m *MAC) QueueLen() int { return m.queue.Len() }
 
-// StartBeacons begins periodic beacon emission. fn is invoked at each
-// beacon time to produce the frame; returning nil skips that beacon. The
-// first beacon fires after a random fraction of the interval so that
-// nodes desynchronize.
+// StartBeacons is StartBeaconsFrom with a function for the source.
 func (m *MAC) StartBeacons(fn func() *frame.Frame) {
-	m.beaconFn = fn
+	var src Beaconer
+	if fn != nil {
+		src = BeaconFunc(fn)
+	}
+	m.StartBeaconsFrom(src)
+}
+
+// StartBeaconsFrom begins periodic beacon emission. src is asked at each
+// beacon time for the frame; a nil frame skips that beacon. The first
+// beacon fires after a random fraction of the interval so that nodes
+// desynchronize.
+func (m *MAC) StartBeaconsFrom(src Beaconer) {
+	m.beacon = src
 	first := time.Duration(m.rng.Float64() * float64(m.cfg.BeaconInterval))
 	m.K.AfterHandler(first, &m.beaconH)
 }
 
 func (m *MAC) beaconTick() {
-	if m.beaconFn != nil {
-		if f := m.beaconFn(); f != nil {
+	if m.beacon != nil {
+		if f := m.beacon.Beacon(); f != nil {
 			if m.send(f, false) {
 				m.stats.BeaconsSent++
 			}

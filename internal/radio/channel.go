@@ -178,14 +178,25 @@ type rxLane struct {
 	freeRx *reception
 }
 
-// alloc takes a reception record from the lane's pool.
+// rxChunk is how many reception records an empty pool takes at once.
+const rxChunk = 64
+
+// alloc takes a reception record from the lane's pool. An empty pool is
+// refilled with a chunk of rxChunk records, so a lane allocates once per
+// chunk of receptions it ever holds at once, not once per record.
 func (ln *rxLane) alloc() *reception {
-	if r := ln.freeRx; r != nil {
-		ln.freeRx = r.next
-		r.next = nil
-		return r
+	if ln.freeRx == nil {
+		chunk := make([]reception, rxChunk)
+		for i := range chunk[1:] {
+			chunk[i+1].next = ln.freeRx
+			ln.freeRx = &chunk[i+1]
+		}
+		return &chunk[0]
 	}
-	return &reception{}
+	r := ln.freeRx
+	ln.freeRx = r.next
+	r.next = nil
+	return r
 }
 
 // put returns a record to the lane's pool.
@@ -306,6 +317,9 @@ type Channel struct {
 	P       Params      // read-only once links exist: default links point into it
 	factory LinkFactory // nil: FadingLinks over P, built inline (see newLink)
 	nodes   []*node
+	// nodeSlab is the unused rest of the node records NewChannelSized set
+	// aside for the radios it was told of; Attach carves from it.
+	nodeSlab []node
 	// lazy is the link table of the directed pairs with a mover, keyed
 	// from<<32|to and populated when a pair is first needed: a mover leaves
 	// a transmitter's candidate list and comes back, so its link must
@@ -325,9 +339,13 @@ type Channel struct {
 	// carry is all nil between builds.
 	scratch []nbrEntry
 	carry   []*linkState
-	bufs    frame.BufferPool
-	rxLane  // the channel's own counters and reception pool
-	freeTx  *txEnd
+	// lists is the unused rest of the chunk radios' first candidate lists
+	// are carved from, and listed counts the radios that have had one.
+	lists  []nbrEntry
+	listed int
+	bufs   frame.BufferPool
+	rxLane // the channel's own counters and reception pool
+	freeTx *txEnd
 	// batch and batchTail hold the survivors of the transmission Broadcast
 	// is deciding, linked by later, and batchBuf their shared payload copy,
 	// until scheduleTxEnd hands all three to the transmission's txEnd.
@@ -394,11 +412,13 @@ func NewChannel(k *sim.Kernel, p Params, factory LinkFactory) *Channel {
 
 // NewChannelSized is NewChannel with a capacity hint from a caller that
 // knows the deployment size up front (scenario generators, fleet cells).
-// The hint pre-sizes the node table and the grid's.
+// The hint pre-sizes the node table and the grid's, and sets aside the
+// node records themselves, one slab for the radios it announces.
 func NewChannelSized(k *sim.Kernel, p Params, factory LinkFactory, capacity int) *Channel {
 	c := NewChannel(k, p, factory)
 	if capacity > 0 {
 		c.nodes = make([]*node, 0, capacity)
+		c.nodeSlab = make([]node, capacity)
 		c.grid.nodes = make([]gridNode, 0, capacity)
 	}
 	return c
@@ -482,7 +502,13 @@ func pairKey(from, to NodeID) uint64 {
 // node is bucketed in the grid at once, so bucket order is attach order.
 func (c *Channel) Attach(name string, mover mobility.Mover, recv Receiver) NodeID {
 	id := NodeID(len(c.nodes))
-	n := &node{id: id, name: name, mover: mover, speed: speedBound(mover), recv: recv}
+	var n *node
+	if len(c.nodeSlab) > 0 {
+		n, c.nodeSlab = &c.nodeSlab[0], c.nodeSlab[1:]
+	} else {
+		n = new(node)
+	}
+	*n = node{id: id, name: name, mover: mover, speed: speedBound(mover), recv: recv}
 	c.nodes = append(c.nodes, n)
 	c.grid.insert(n, c.K.Now())
 	c.scheduleReval()
@@ -734,13 +760,35 @@ func (c *Channel) candidates(src *node, srcPos mobility.Point, now time.Duration
 		for _, nb := range src.nbr {
 			c.carry[nb.dst.id] = nil
 		}
-		if cap(src.nbr) != len(c.scratch) {
-			src.nbr = make([]nbrEntry, len(c.scratch))
+		switch n := len(c.scratch); {
+		case cap(src.nbr) == n:
+			src.nbr = src.nbr[:n]
+		case src.nbr == nil:
+			src.nbr = c.firstList(n)
+		default:
+			src.nbr = make([]nbrEntry, n)
 		}
-		src.nbr = src.nbr[:len(c.scratch)]
 		copy(src.nbr, c.scratch)
 	}
 	return src.nbr
+}
+
+// maxListChunk caps a chunk of first candidate lists: 40 KB.
+const maxListChunk = 1024
+
+// firstList returns room for a radio's first candidate list of n entries,
+// carved at its exact capacity from a chunk the channel shares among first
+// lists. The chunk is sized by the radios still without one, as if each
+// list were as long as this one, so a cell's first lists take a few
+// allocations in all. A later list of another length is the radio's own.
+func (c *Channel) firstList(n int) []nbrEntry {
+	c.listed++
+	if len(c.lists) < n {
+		c.lists = make([]nbrEntry, min(n*(len(c.nodes)-c.listed+1), max(maxListChunk, n)))
+	}
+	l := c.lists[:n:n]
+	c.lists = c.lists[n:]
+	return l
 }
 
 // addCandidate appends dst to the list candidates is building for src. Two

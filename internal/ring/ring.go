@@ -11,6 +11,17 @@ type Ring[T any] struct {
 	n    int
 }
 
+// Init gives an empty ring buf as its backing storage, so an owner that
+// embeds the first backing array — the MAC keeps it next to its queue —
+// allocates nothing until the ring outgrows it. len(buf) must be a power
+// of two; a ring that is not empty, or a buf of another length, panics.
+func (r *Ring[T]) Init(buf []T) {
+	if r.n != 0 || len(buf) == 0 || len(buf)&(len(buf)-1) != 0 {
+		panic("ring: Init needs an empty ring and a power-of-two buffer")
+	}
+	r.buf, r.head = buf, 0
+}
+
 // Len returns the number of queued elements.
 func (r *Ring[T]) Len() int { return r.n }
 

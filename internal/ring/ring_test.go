@@ -79,3 +79,32 @@ func TestSteadyStateAllocFree(t *testing.T) {
 		t.Errorf("warm ring allocates %.1f objects, want 0", allocs)
 	}
 }
+
+func TestInitUsesTheGivenBuffer(t *testing.T) {
+	var backing [4]int
+	var r Ring[int]
+	r.Init(backing[:])
+	for i := 0; i < 4; i++ {
+		r.PushBack(i)
+	}
+	if backing != [4]int{0, 1, 2, 3} {
+		t.Fatalf("Init's buffer holds %v, want the four pushed values", backing)
+	}
+	r.PushFront(-1) // outgrows the buffer: the ring moves to its own
+	for want := -1; want < 4; want++ {
+		if got := r.PopFront(); got != want {
+			t.Fatalf("PopFront = %d, want %d", got, want)
+		}
+	}
+	for _, buf := range [][]int{nil, make([]int, 3)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Init(len %d) did not panic", len(buf))
+				}
+			}()
+			var r Ring[int]
+			r.Init(buf)
+		}()
+	}
+}

@@ -362,18 +362,24 @@ func traceLinks(k *sim.Kernel, channel, nb int, traces Traces) (radio.LinkFactor
 // layoutMovers materializes the layout's movers: fixed basestations and
 // one route-driven vehicle per fleet slot with its staggered departure
 // (a routeless, trace-driven vehicle parks after the last basestation).
+// The movers of each kind are one slab, each interface pointing at its
+// element, so boxing a mover allocates nothing.
 func layoutMovers(lay *Layout) (bs, vehs []mobility.Mover) {
 	bs = make([]mobility.Mover, len(lay.BSes))
+	fixed := make([]mobility.Fixed, len(lay.BSes))
 	for i, p := range lay.BSes {
-		bs[i] = mobility.Fixed(p)
+		fixed[i] = mobility.Fixed(p)
+		bs[i] = &fixed[i]
 	}
 	vehs = make([]mobility.Mover, len(lay.Routes))
+	routes := make([]mobility.RouteMover, len(lay.Routes))
 	for i, r := range lay.Routes {
 		if r == nil {
-			vehs[i] = mobility.Fixed{X: float64(len(lay.BSes)) * traceSpacingM}
+			vehs[i] = &mobility.Fixed{X: float64(len(lay.BSes)) * traceSpacingM}
 			continue
 		}
-		vehs[i] = &mobility.RouteMover{Route: r, Depart: lay.Departs[i]}
+		routes[i] = mobility.RouteMover{Route: r, Depart: lay.Departs[i]}
+		vehs[i] = &routes[i]
 	}
 	return bs, vehs
 }

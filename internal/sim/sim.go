@@ -346,26 +346,38 @@ func (k *Kernel) siftDown(pos int32) {
 // and the given labels. Identical labels yield identical streams, so each
 // link, node or process can own an independent stream that does not
 // perturb any other — adding a new consumer of randomness never changes
-// existing experiments.
+// existing experiments. It is Seed into a fresh RNG.
 func (k *Kernel) RNG(labels ...string) *RNG {
+	r := new(RNG)
+	k.Seed(r, labels)
+	return r
+}
+
+// Seed seeds r in place with the stream
+// k.RNG(labels[0], …, fmt.Sprint(ints[0]), …) returns: the string labels,
+// then each integer as the decimal bytes fmt.Sprint prints for it, through
+// the one label hash. It allocates neither the strings nor the RNG — the
+// label slice and the integers stay on the caller's stack — so an owner
+// of a per-radio or per-link stream embeds its RNG by value and seeds it
+// here. RNG and SeedPair are this method; no other hashes a label.
+func (k *Kernel) Seed(r *RNG, labels []string, ints ...int) {
 	h := k.root
 	for _, l := range labels {
 		h = mixLabel(h, l)
 	}
-	return NewRNG(h)
+	var buf [20]byte // the longest int64 in decimal, sign included
+	for _, i := range ints {
+		h = mixLabel(h, strconv.AppendInt(buf[:0], int64(i), 10))
+	}
+	r.seed(h)
 }
 
 // SeedPair seeds r in place with the stream
-// k.RNG(label, fmt.Sprint(a), fmt.Sprint(b)) returns — the same label
-// bytes through the same hash — without allocating the strings or the
-// RNG. It exists for owners of very many pair-labelled streams (the radio
-// channel holds three per directed link) that embed their RNGs by value.
+// k.RNG(label, fmt.Sprint(a), fmt.Sprint(b)) returns — Seed with one
+// label and two integers. The radio channel holds three such streams per
+// directed link.
 func (k *Kernel) SeedPair(r *RNG, label string, a, b int) {
-	var buf [20]byte // the longest int64 in decimal, sign included
-	h := mixLabel(k.root, label)
-	h = mixLabel(h, strconv.AppendInt(buf[:0], int64(a), 10))
-	h = mixLabel(h, strconv.AppendInt(buf[:0], int64(b), 10))
-	r.seed(h)
+	k.Seed(r, []string{label}, a, b)
 }
 
 // mixLabel folds one label — its bytes, then a terminator so that

@@ -144,6 +144,73 @@ func TestRNGDeterministicStreams(t *testing.T) {
 	}
 }
 
+// TestSeedMatchesLabels pins in-place seeding to the label hash: Seed
+// must yield the stream k.RNG returns for the same labels with each
+// integer spelled by fmt.Sprint — the first 64 draws and the state they
+// end in — and SeedPair must be Seed with one label and two integers.
+// Every radio, MAC, backplane port and link seeds its stream this way, and
+// any difference (a digit, the sign, the terminator, the argument order)
+// would move every coin flip of every seeded run. The cases cover zero,
+// one and two integers, a bare string label, the integers at each
+// digit-count boundary, the sign, the largest radio count a scenario may
+// have and one past 32 bits.
+func TestSeedMatchesLabels(t *testing.T) {
+	k := NewKernel(42)
+	type seedCase struct {
+		labels []string
+		ints   []int
+	}
+	cases := []seedCase{
+		{labels: []string{"traceseed"}},
+		{labels: []string{"mac", "veh3"}},
+		{labels: []string{"mac", "bs0"}},
+		{labels: []string{"mac", ""}},
+	}
+	ints := []int{-1, 0, 9, 10, 99, 100, 255, 65279, 65535, 1 << 40}
+	for _, a := range ints {
+		cases = append(cases,
+			seedCase{labels: []string{"core"}, ints: []int{a}},
+			seedCase{labels: []string{"workload", "grid-metro", "veh"}, ints: []int{a}})
+		for _, b := range ints {
+			for _, label := range []string{"link", "loss", "rssi"} {
+				cases = append(cases, seedCase{labels: []string{label}, ints: []int{a, b}})
+			}
+		}
+	}
+	for _, c := range cases {
+		spelled := append([]string(nil), c.labels...)
+		for _, i := range c.ints {
+			spelled = append(spelled, fmt.Sprint(i))
+		}
+		want := k.RNG(spelled...)
+		var got RNG
+		got.Uint64() // Seed restarts a used generator
+		k.Seed(&got, c.labels, c.ints...)
+		if len(c.labels) == 1 && len(c.ints) == 2 {
+			var pair RNG
+			k.SeedPair(&pair, c.labels[0], c.ints[0], c.ints[1])
+			if pair != got {
+				t.Fatalf("SeedPair%q ≠ Seed", spelled)
+			}
+		}
+		for i := 0; i < 64; i++ {
+			if g, w := got.Uint64(), want.Uint64(); g != w {
+				t.Fatalf("Seed%q draw %d = %#x, labelled stream gives %#x", spelled, i, g, w)
+			}
+		}
+		if got != *want {
+			t.Fatalf("Seed%q ends in state %x, labelled stream in %x", spelled, got.s, want.s)
+		}
+	}
+	var r RNG
+	if allocs := testing.AllocsPerRun(100, func() { k.Seed(&r, []string{"mac", "veh3"}, 1<<40, -1) }); allocs != 0 {
+		t.Errorf("Seed allocates %.0f objects, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { k.SeedPair(&r, "loss", 65279, 12345) }); allocs != 0 {
+		t.Errorf("SeedPair allocates %.0f objects, want 0", allocs)
+	}
+}
+
 // checkSeedPair asserts that SeedPair yields, draw for draw, the stream the
 // spelled-out labels do.
 func checkSeedPair(t *testing.T, k *Kernel, label string, a, b int) {
@@ -155,34 +222,6 @@ func checkSeedPair(t *testing.T, k *Kernel, label string, a, b int) {
 		if g, w := got.Uint64(), want.Uint64(); g != w {
 			t.Fatalf("SeedPair(%q, %d, %d) draw %d = %#x, labelled stream gives %#x", label, a, b, i, g, w)
 		}
-	}
-}
-
-// TestSeedMatchesLabels pins the in-place seeding to the label hash: the
-// radio channel seeds every link stream through it, and any difference
-// (a digit, the terminator, the argument order) would move every coin
-// flip of every seeded run. The ids cross each digit-count boundary and
-// end at the largest radio count a scenario may have.
-func TestSeedMatchesLabels(t *testing.T) {
-	k := NewKernel(42)
-	ids := []int{0, 9, 10, 99, 100, 65279}
-	for _, label := range []string{"link", "loss", "rssi"} {
-		for _, a := range ids {
-			for _, b := range ids {
-				checkSeedPair(t, k, label, a, b)
-			}
-		}
-	}
-	// Re-seeding a used RNG starts the stream over.
-	var r RNG
-	k.SeedPair(&r, "loss", 3, 4)
-	first := r.Uint64()
-	k.SeedPair(&r, "loss", 3, 4)
-	if r.Uint64() != first {
-		t.Error("SeedPair on a used RNG did not restart the stream")
-	}
-	if allocs := testing.AllocsPerRun(100, func() { k.SeedPair(&r, "loss", 65279, 12345) }); allocs != 0 {
-		t.Errorf("SeedPair allocates %.0f objects, want 0", allocs)
 	}
 }
 

@@ -25,10 +25,11 @@ func TestBadFlag(t *testing.T) {
 	}
 }
 
-// TestBadScale: a scale must be a positive finite number, or nothing is
-// run and the exit is a usage error.
+// TestBadScale: a scale must be a positive finite number small enough for
+// every run length to fit, or nothing is run and the exit is a usage
+// error.
 func TestBadScale(t *testing.T) {
-	for _, scale := range []string{"0", "-1", "NaN", "+Inf"} {
+	for _, scale := range []string{"0", "-1", "NaN", "+Inf", "1e300"} {
 		var out, errb strings.Builder
 		if code := run([]string{"-run", "fig7", "-scale", scale}, &out, &errb); code != 2 {
 			t.Errorf("-scale %s: exit = %d, want 2", scale, code)

@@ -72,10 +72,10 @@ var reportTable = []struct {
 // shared 4-worker engine and must be well-formed and byte-identical to
 // its committed golden — the cross-version contract: reproducibility only
 // shows a binary agrees with itself, the goldens catch behaviour changes
-// that stay self-consistent. A sweep must render one row per arm, equal
-// where arms differ only in shard count. Then the id renders again with
-// equal options on a one-worker engine: that one byte comparison is both
-// "equal seeds reproduce" and "pool width never shows".
+// that stay self-consistent. A sweep rendered per arm must render one row
+// per arm, equal where arms differ only in shard count. Then the id
+// renders again with equal options on a one-worker engine: that one byte
+// comparison is both "equal seeds reproduce" and "pool width never shows".
 func TestReports(t *testing.T) {
 	pool, serial := NewEngine(4), NewEngine(1)
 	var ids []string
@@ -157,13 +157,17 @@ func collisionsTrackNeighbors(t *testing.T, rep *Report) {
 	}
 }
 
-// checkSweepRows asserts a sweep rendered one row per arm, and that arms
-// running one spec under one protocol config — differing only in their
-// pinned shard count, the identity sweeps' whole point — rendered equal
-// cells after the label. An arm that pins a count but has no sibling to be
-// identical to is a stale table.
+// checkSweepRows asserts a sweep rendered per arm (perArm) rendered one
+// row per arm, and that arms running one spec under one protocol config —
+// differing only in their pinned shard count, the identity sweeps' whole
+// point — rendered equal cells after the label. An arm that pins a count
+// but has no sibling to be identical to is a stale table. A reducer over
+// several runs (Fig 8, 10–12, Table 1) has its golden alone.
 func checkSweepRows(t *testing.T, s sweep, rep *Report) {
 	t.Helper()
+	if _, ok := s.reduce.(perArm); !ok {
+		return
+	}
 	if len(rep.Rows) != len(s.arms) {
 		t.Fatalf("%s: %d rows for %d arms", s.id, len(rep.Rows), len(s.arms))
 	}
@@ -266,8 +270,8 @@ func TestPresetJobSharing(t *testing.T) {
 	eng := NewEngine(2)
 	cfg := core.DefaultConfig()
 	tcp := testbedSpec("vanlan", workload.TCPKind)
-	a := eng.collect(5, tcp, cfg, 30*time.Second)
-	b := eng.collect(5, tcp, cfg, 30*time.Second)
+	a := eng.fleetApp(5, tcp, cfg, 30*time.Second, 1, true)
+	b := eng.fleetApp(5, tcp, cfg, 30*time.Second, 1, true)
 	if a.Wait() != b.Wait() {
 		t.Error("identical TCP jobs returned distinct results")
 	}
@@ -275,7 +279,7 @@ func TestPresetJobSharing(t *testing.T) {
 		t.Errorf("jobs/hits = %d/%d, want 1/1", jobs, hits)
 	}
 	// A differing duration must miss.
-	c := eng.collect(5, tcp, cfg, 31*time.Second)
+	c := eng.fleetApp(5, tcp, cfg, 31*time.Second, 1, true)
 	if c.Wait() == a.Wait() {
 		t.Error("different durations shared a result")
 	}
@@ -290,7 +294,7 @@ func TestPresetJobSharing(t *testing.T) {
 	if p1.Wait() != p2.Wait() {
 		t.Error("probe jobs differing only in MaxRetx did not share")
 	}
-	p3 := eng.collect(5, probe, cfg, 20*time.Second)
+	p3 := eng.fleetApp(5, probe, cfg, 20*time.Second, 1, true)
 	if p3.Wait() == p1.Wait() || p3.Wait().Collector == nil || p1.Wait().Collector != nil {
 		t.Error("collecting and plain probe runs shared a result")
 	}
@@ -358,8 +362,8 @@ func TestSharedTCPRunConcurrentQuantiles(t *testing.T) {
 	eng := NewEngine(4)
 	tcp := testbedSpec("vanlan", workload.TCPKind)
 	futs := []Future[*FleetAppRun]{
-		eng.collect(3, tcp, core.DefaultConfig(), 40*time.Second),
-		eng.collect(3, tcp, core.DefaultConfig(), 40*time.Second),
+		eng.fleetApp(3, tcp, core.DefaultConfig(), 40*time.Second, 1, true),
+		eng.fleetApp(3, tcp, core.DefaultConfig(), 40*time.Second, 1, true),
 	}
 	medians := make([]float64, len(futs))
 	var wg sync.WaitGroup

@@ -140,8 +140,9 @@ func (e *Engine) memoize(key JobKey, fn func() any) *future {
 }
 
 // goJob schedules an arbitrary leaf computation with no memoization and
-// returns a typed future. Figures use it for one-off arms (ablation
-// sweeps, Monte Carlo halves) that are never shared across figures.
+// returns a typed future. The figure runners use it for their jobs that
+// are not fleet runs and are never shared across figures: Fig 1–7's
+// trials, trace replays and CDFs, and ablate-aux's symmetric cells.
 func goJob[T any](e *Engine, fn func() T) Future[T] {
 	return Future[T]{f: e.submit(func() any { return fn() })}
 }

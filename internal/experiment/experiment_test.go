@@ -301,3 +301,30 @@ func TestPaperCellsIgnoreTheCutoff(t *testing.T) {
 	}
 	t.Logf("%d seeds: every VanLAN pair stays at least %.0f m inside the cutoff and its link's reach", len(seeds)*3, slack)
 }
+
+// TestFloorScaleCellsAreFinite: at a scale that floors every run to its
+// shortest, a testbed report still renders a number or a word in every
+// cell, never NaN or ±Inf — an empty run reads 0 and a ratio against 0
+// reads n/a. Only the testbed reports run here (the figure functions and
+// the testbed rows): at this scale they take seconds, the city sweeps do
+// not.
+func TestFloorScaleCellsAreFinite(t *testing.T) {
+	o := Options{Seed: 42, Scale: 1e-4, Engine: NewEngine(2)}
+	for _, id := range IDs() {
+		if s, ok := sweepByID(id); ok && !s.testbed() {
+			continue
+		}
+		rep, err := Run(id, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range rep.Rows {
+			for _, c := range row {
+				v, err := strconv.ParseFloat(strings.TrimRight(c, "%x"), 64)
+				if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+					t.Errorf("%s: row %q renders %q", id, row[0], c)
+				}
+			}
+		}
+	}
+}

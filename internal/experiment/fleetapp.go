@@ -61,9 +61,9 @@ type FleetAppRun struct {
 	// shard count, which is what the scale-shard golden pins.
 	ShardExec []ShardRunStats
 
-	// Collector holds a collecting run's protocol events (Fig 9, Fig 12,
-	// Table 1, Table 2 and the salvage/retx ablations read it); nil for a
-	// plain run.
+	// Collector holds a collecting run's protocol events (the testbed
+	// rows that set collect read it: Fig 9, Fig 12, Tables 1 and 2 and
+	// the salvage/retx ablations); nil for a plain run.
 	Collector *Collector
 }
 
@@ -170,12 +170,8 @@ func (e *Engine) FleetApp(seed int64, spec scenario.Spec, cfg core.Config, dur t
 	return e.fleetApp(seed, spec, cfg, dur, shards, false)
 }
 
-// collect schedules a serial FleetApp run with an event Collector attached
-// (FleetAppRun.Collector). A collecting and a plain run are two runs.
-func (e *Engine) collect(seed int64, spec scenario.Spec, cfg core.Config, dur time.Duration) Future[*FleetAppRun] {
-	return e.fleetApp(seed, spec, cfg, dur, 1, true)
-}
-
+// fleetApp is FleetApp that may attach an event Collector to the run
+// (FleetAppRun.Collector): a collecting and a plain run are two runs.
 func (e *Engine) fleetApp(seed int64, spec scenario.Spec, cfg core.Config, dur time.Duration, shards int, collect bool) Future[*FleetAppRun] {
 	cfg = spec.Protocol(cfg)
 	extra := spec.Key()
@@ -193,7 +189,7 @@ func (e *Engine) fleetApp(seed int64, spec scenario.Spec, cfg core.Config, dur t
 		}
 		run, err := runFleetApp(seed, spec, cfg, dur, shards, e.metricsInterval, h)
 		if err != nil {
-			// Callers validate the spec before scheduling ((sweep).run
+			// Callers validate the spec before scheduling ((sweep).plan
 			// does so arm by arm, the CLIs through scenario.Parse);
 			// reaching this is a programming error, not a data error.
 			panic(fmt.Sprintf("experiment: fleet app job: %v", err))

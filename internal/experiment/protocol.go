@@ -38,161 +38,59 @@ func Fig7(o Options) *Report {
 	return r
 }
 
-// Fig8 reproduces the qualitative BRR-vs-ViFi trip timelines.
-func Fig8(o Options) *Report {
-	r := &Report{
-		ID:     "fig8",
-		Title:  "BRR vs ViFi along a VanLAN path segment",
-		Header: []string{"protocol", "timeline (1s cells: # adequate, . interrupted)"},
+// brrAndViFi declares a BRR arm and then a ViFi arm on each testbed,
+// both labelled by its name: the §5 comparisons across environments (Fig
+// 10, Fig 11), whose reducers read the arms in pairs.
+func brrAndViFi(envs []struct{ preset, name string }) []sweepArm {
+	arms := make([]sweepArm, 0, 2*len(envs))
+	for _, env := range envs {
+		arms = append(arms, sweepArm{label: env.name, preset: env.preset, cfg: core.BRRConfig},
+			sweepArm{label: env.name, preset: env.preset})
 	}
-	eng := o.engine()
-	dur := time.Duration(o.scaled(400)) * time.Second
-	arms := []struct {
-		name string
-		cfg  core.Config
-	}{{"BRR", core.BRRConfig()}, {"ViFi", core.DefaultConfig()}}
-	futs := make([]Future[*FleetAppRun], len(arms))
-	for i, c := range arms {
-		futs[i] = eng.FleetApp(o.Seed, testbedSpec("vanlan", workload.CBRKind), c.cfg, dur, 1)
-	}
-	for i, c := range arms {
-		adequate, interruptions := futs[i].Wait().Link.Timeline(0)
-		r.AddRow(c.name, sparkline(adequate))
-		r.AddRow(c.name+" interruptions", fmt.Sprint(interruptions))
-	}
-	r.AddNote("paper shape: the same segment shows several interruptions under BRR and almost none under ViFi")
-	return r
+	return arms
 }
 
-// Fig10 reproduces the DieselNet TCP results: completed transfers per
-// second on channels 1 and 6, trace-driven.
-func Fig10(o Options) *Report {
-	r := &Report{
-		ID:     "fig10",
-		Title:  "TCP performance in DieselNet (transfers/second)",
-		Header: []string{"environment", "BRR", "ViFi", "gain"},
+// gain renders ViFi's result as a multiple of BRR's, n/a when BRR's is 0.
+func gain(vifi, brr float64) string {
+	if brr > 0 {
+		return fmt.Sprintf("%.1fx", vifi/brr)
 	}
-	eng := o.engine()
-	dur := time.Duration(o.scaled(1800)) * time.Second
-	envs := testbeds[1:] // the DieselNet channels
-	brrF := make([]Future[*FleetAppRun], len(envs))
-	vifiF := make([]Future[*FleetAppRun], len(envs))
-	for i, env := range envs {
-		// Only the completion count and span are read: no collector.
-		spec := testbedSpec(env.preset, workload.TCPKind)
-		brrF[i] = eng.FleetApp(o.Seed, spec, core.BRRConfig(), dur, 1)
-		vifiF[i] = eng.FleetApp(o.Seed, spec, core.DefaultConfig(), dur, 1)
-	}
-	for i, env := range envs {
-		rate := func(f Future[*FleetAppRun]) float64 {
-			m := f.Wait().PerVehicle[0]
-			return float64(m.Completed) / m.Span.Seconds()
-		}
-		b := rate(brrF[i])
-		v := rate(vifiF[i])
-		gain := "n/a"
-		if b > 0 {
-			gain = fmt.Sprintf("%.1fx", v/b)
-		}
-		r.AddRow(env.name, fmt.Sprintf("%.3f", b), fmt.Sprintf("%.3f", v), gain)
-	}
-	r.AddNote("paper shape: ViFi roughly doubles BRR's transfer rate on both channels")
-	return r
+	return "n/a"
 }
 
-// Fig11 reproduces the VoIP results: median uninterrupted session length
-// (MoS ≥ 2 in 3 s windows) and mean MoS for BRR and ViFi across all three
-// environments.
-func Fig11(o Options) *Report {
-	r := &Report{
-		ID:     "fig11",
-		Title:  "Median length of uninterrupted VoIP sessions",
-		Header: []string{"environment", "BRR session (s)", "ViFi session (s)", "gain", "BRR MoS", "ViFi MoS"},
+// transferRate is a TCP run's completed transfers per second of session,
+// 0 when the run ended before its session began.
+func transferRate(run *FleetAppRun) float64 {
+	m := run.PerVehicle[0]
+	if m.Span <= 0 {
+		return 0
 	}
-	eng := o.engine()
-	dur := time.Duration(o.scaled(1200)) * time.Second
-	runs := o.scaled(3)
-	// Schedule every (env, protocol, replicate) run up front, then pool in
-	// declaration order — the paper pools sessions across days of driving.
-	futs := map[string]map[bool][]Future[*FleetAppRun]{}
-	for _, env := range testbeds {
-		futs[env.preset] = map[bool][]Future[*FleetAppRun]{}
-		for _, brr := range []bool{true, false} {
-			cfg := core.DefaultConfig()
-			if brr {
-				cfg = core.BRRConfig()
-			}
-			fs := make([]Future[*FleetAppRun], runs)
-			for i := 0; i < runs; i++ {
-				fs[i] = eng.FleetApp(o.Seed+int64(i*977), testbedSpec(env.preset, workload.VoIPKind), cfg, dur, 1)
-			}
-			futs[env.preset][brr] = fs
-		}
-	}
-	for _, env := range testbeds {
-		pooled := func(fs []Future[*FleetAppRun]) (median, meanMoS float64) {
-			var lens []float64
-			var mosSum float64
-			var mosN int
-			for _, f := range fs {
-				q := f.Wait().PerVehicle[0].VoIP
-				lens = append(lens, q.SessionLens...)
-				mosSum += q.MeanMoS * float64(q.Windows)
-				mosN += q.Windows
-			}
-			if mosN > 0 {
-				meanMoS = mosSum / float64(mosN)
-			}
-			return stats.TimeWeightedMedian(lens), meanMoS
-		}
-		bMed, bMoS := pooled(futs[env.preset][true])
-		vMed, vMoS := pooled(futs[env.preset][false])
-		gain := "n/a"
-		if bMed > 0 {
-			gain = fmt.Sprintf("%.1fx", vMed/bMed)
-		}
-		r.AddRow(env.name, f1(bMed), f1(vMed), gain, f2(bMoS), f2(vMoS))
-	}
-	r.AddNote("paper shape: ViFi sessions ≈2× BRR on VanLAN, ≥1.5× on DieselNet; mean MoS 3.4 vs 3.0 on VanLAN")
-	return r
+	return float64(m.Completed) / m.Span.Seconds()
 }
 
-// Fig12 reproduces the medium-usage efficiency comparison: application
-// packets delivered per wireless transmission, upstream and downstream,
-// for BRR, ViFi and the PerfectRelay oracle estimated from ViFi's logs.
-func Fig12(o Options) *Report {
-	r := &Report{
-		ID:     "fig12",
-		Title:  "Efficiency of medium usage (VanLAN TCP workload)",
-		Header: []string{"direction", "BRR", "ViFi", "PerfectRelay"},
+// pooledVoIP pools VoIP runs in order — the paper pools sessions across
+// days of driving — into the time-weighted median uninterrupted session
+// (seconds) and the window-weighted mean MoS.
+func pooledVoIP(runs []*FleetAppRun) (median, meanMoS float64) {
+	var lens []float64
+	var windows int
+	for _, run := range runs {
+		q := run.PerVehicle[0].VoIP
+		lens = append(lens, q.SessionLens...)
+		meanMoS += q.MeanMoS * float64(q.Windows)
+		windows += q.Windows
 	}
-	eng := o.engine()
-	dur := time.Duration(o.scaled(1200)) * time.Second
-	tcp := testbedSpec("vanlan", workload.TCPKind)
-	brrF := eng.collect(o.Seed, tcp, core.BRRConfig(), dur)
-	vifiF := eng.collect(o.Seed, tcp, core.DefaultConfig(), dur)
-	brr := brrF.Wait().Collector
-	vifi := vifiF.Wait().Collector
-	for _, dir := range []core.Direction{core.Up, core.Down} {
-		r.AddRow(dir.String(),
-			f2(brr.Efficiency(dir)),
-			f2(vifi.Efficiency(dir)),
-			f2(vifi.PerfectRelayEfficiency(dir)))
+	if windows > 0 {
+		meanMoS /= float64(windows)
 	}
-	r.AddNote("paper shape: upstream ViFi ≈ PerfectRelay > BRR; downstream all comparable with BRR slightly ahead of ViFi")
-	return r
+	return stats.TimeWeightedMedian(lens), meanMoS
 }
 
-// Table1 reproduces the detailed coordination statistics of the VanLAN
-// TCP experiments.
-func Table1(o Options) *Report {
-	r := &Report{
-		ID:     "table1",
-		Title:  "Detailed ViFi coordination behaviour (VanLAN TCP)",
-		Header: []string{"row", "statistic", "upstream", "downstream"},
-	}
-	dur := time.Duration(o.scaled(1200)) * time.Second
-	col := o.engine().collect(o.Seed, testbedSpec("vanlan", workload.TCPKind), core.DefaultConfig(), dur).Wait().Collector
+// coordinationRows is Table 1's reducer: the coordination statistics of
+// its one collecting ViFi run, and the counterfactual false-positive
+// rates as a note.
+func coordinationRows(r *Report, _ []sweepArm, runs [][]*FleetAppRun) {
+	col := runs[0][0].Collector
 	up := col.Stats(core.Up)
 	down := col.Stats(core.Down)
 	med := col.MedianAuxCount()
@@ -209,7 +107,6 @@ func Table1(o Options) *Report {
 	r.AddNote("counterfactual FP without ack suppression or coin: up %s / down %s; hearing-only: up %s / down %s (paper: 60/250 and 170/360)",
 		pct(up.DeterministicFPRate), pct(down.DeterministicFPRate),
 		pct(up.AllHeardFPRate), pct(down.AllHeardFPRate))
-	return r
 }
 
 // TraceSummary reduces a DieselNet trace to the headline coverage

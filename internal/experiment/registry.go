@@ -8,26 +8,21 @@ import (
 // Runner produces one paper figure, table or ablation report.
 type Runner func(Options) *Report
 
-// figures maps the reports a table row cannot express to their runners:
-// each reads several runs in one row (Fig 7, 10, 11, 12), renders several
-// rows from one run (Fig 8, Table 1), or runs a job that is not a fleet
-// run (Fig 1–6's traces, Fig 7's oracles, ablate-aux's symmetric cell).
-// Every report that is one fleet run per row — Fig 9, Table 2, the other
-// ablations and the scale-* reports — is a row of the sweeps table
-// (sweeps.go); Run and IDs consult both.
+// figures maps the reports whose job is not only fleet runs to their
+// runners: Fig 1–6 reduce VanLAN probe and DieselNet traces, Fig 7 adds
+// trace-replayed handoff oracles to its two live runs, and ablate-aux
+// builds its symmetric cell by hand. Every report that is fleet runs and
+// one reduction — Fig 8–12, Tables 1 and 2, the other ablations and the
+// scale-* reports — is a row of the sweeps table (sweeps.go); Run and IDs
+// consult both.
 var figures = map[string]Runner{
-	"fig1":   Fig1,
-	"fig2":   Fig2,
-	"fig3":   Fig3,
-	"fig4":   Fig4,
-	"fig5":   Fig5,
-	"fig6":   Fig6,
-	"fig7":   Fig7,
-	"fig8":   Fig8,
-	"fig10":  Fig10,
-	"fig11":  Fig11,
-	"fig12":  Fig12,
-	"table1": Table1,
+	"fig1": Fig1,
+	"fig2": Fig2,
+	"fig3": Fig3,
+	"fig4": Fig4,
+	"fig5": Fig5,
+	"fig6": Fig6,
+	"fig7": Fig7,
 
 	// Ablations and extensions (DESIGN.md §4).
 	"ablate-aux": AblateAux,

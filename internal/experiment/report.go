@@ -1,16 +1,18 @@
 // Package experiment contains one report per table and figure of the ViFi
 // paper's evaluation (§3 and §5), plus the ablation studies listed in
-// DESIGN.md and the city-scale sweeps: a runner function, or a row of the
-// sweeps table. Each returns a Report — the textual equivalent of the
-// paper's plot or table — and is reachable from cmd/vifi-bench. What the
-// runs cost is measured by the benchmark/ module (shard.speedup and
-// shard.coupled_speedup for the sharded modes).
+// DESIGN.md and the city-scale sweeps: a row of the sweeps table when the
+// report is fleet runs and one reduction, a runner function when its job
+// is not only fleet runs (Fig 1–7, ablate-aux). Each returns a Report —
+// the textual equivalent of the paper's plot or table — and is reachable
+// from cmd/vifi-bench. What the runs cost is measured by the benchmark/
+// module (shard.speedup and shard.coupled_speedup for the sharded modes).
 package experiment
 
 import (
 	"fmt"
 	"math"
 	"strings"
+	"time"
 )
 
 // Options control experiment scale and reproducibility.
@@ -50,13 +52,20 @@ func (o Options) engine() *Engine {
 	return NewEngine(1)
 }
 
-// CheckScale returns an error unless s is a positive, finite Scale. Run
-// takes any Scale and floors every count at one (the zero Options runs
-// each figure at that floor), so a caller handed a scale checks it here
-// first.
+// maxScale is the largest Scale at which every registered report's
+// scaled counts and run lengths fit: the longest run, Fig 5's 40-minute
+// DieselNet trace (2400 s), must stay a whole number of seconds a
+// time.Duration holds, about 292 years. Every count is far below that.
+const maxScale = float64(math.MaxInt64/int64(time.Second)) / 2400
+
+// CheckScale returns an error unless s is a positive Scale no larger than
+// maxScale. Run takes any Scale and floors every count at one (the zero
+// Options runs each figure at that floor), and a larger scale overflows a
+// count or a duration into that floor or below zero, so a caller handed a
+// scale checks it here first.
 func CheckScale(s float64) error {
-	if !(s > 0) || math.IsInf(s, 1) {
-		return fmt.Errorf("scale %v is not a positive finite number", s)
+	if !(s > 0 && s <= maxScale) {
+		return fmt.Errorf("scale %v is not a positive finite number up to %v, the largest at which every run length fits", s, maxScale)
 	}
 	return nil
 }

@@ -123,8 +123,8 @@ func TestFleetWorkloadDeterminism(t *testing.T) {
 // TestTestbedRowsIgnoreOverrides: a sweep row on one of the paper's
 // testbeds is a paper figure. Rendered again with a -scenario and a
 // -shards override on the same engine, it must print the plain rendering's
-// bytes from the plain rendering's jobs: no job runs, and every arm is a
-// run-cache hit.
+// bytes from the plain rendering's jobs: no job runs, and every planned
+// run is a run-cache hit.
 func TestTestbedRowsIgnoreOverrides(t *testing.T) {
 	rows := 0
 	for _, s := range sweeps {
@@ -148,9 +148,13 @@ func TestTestbedRowsIgnoreOverrides(t *testing.T) {
 			if over.String() != plain.String() {
 				t.Errorf("the overrides changed the report:\n--- plain\n%s\n--- overridden\n%s", plain, over)
 			}
-			if eng.Jobs() != jobs || eng.CacheHits() != hits+int64(len(s.arms)) {
+			plan, _, err := s.plan(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if eng.Jobs() != jobs || eng.CacheHits() != hits+int64(len(plan)) {
 				t.Errorf("overridden rendering moved jobs/hits %d/%d to %d/%d, want %d/%d",
-					jobs, hits, eng.Jobs(), eng.CacheHits(), jobs, hits+int64(len(s.arms)))
+					jobs, hits, eng.Jobs(), eng.CacheHits(), jobs, hits+int64(len(plan)))
 			}
 		})
 	}

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"github.com/vanlan/vifi/internal/core"
@@ -12,16 +13,16 @@ import (
 	"github.com/vanlan/vifi/internal/workload"
 )
 
-// This file is the table of reports that are one run per row: six of the
-// paper's (Fig 9, Table 2 and four DESIGN.md §4 ablations) on its
-// testbeds, and nine scale-* reports over synthetic deployments from
-// internal/scenario (DESIGN.md §7–§10). Each is a row of sweeps — a
-// preset, the application it pins, its run length, its arms and a row
-// renderer — run by the one scaffold (sweep).run. Adding a report that
-// fits this shape is adding a row here and a golden (TestReports holds
-// the two together); one whose row reads several runs, whose run yields
-// several rows, or whose job is not a fleet run stays a function
-// (registry.go).
+// This file is the table of reports that are fleet runs and one
+// reduction: eleven of the paper's (Fig 8–12, Tables 1 and 2, and four
+// DESIGN.md §4 ablations) on its testbeds, and nine scale-* reports over
+// synthetic deployments from internal/scenario (DESIGN.md §7–§10). Each
+// is a row of sweeps — a preset, the application it pins, its run length,
+// its arms, how many seeds each arm runs and one reduce over the waited
+// runs — planned and run by the one scaffold (sweep).run. Adding a report
+// whose job is fleet runs is adding a row here and a golden (TestReports
+// holds the two together); one whose job is not only fleet runs stays a
+// function (registry.go).
 
 // sweep is one report as data.
 type sweep struct {
@@ -33,23 +34,48 @@ type sweep struct {
 	preset string
 	app    workload.Kind
 	// seconds is the run length at Scale 1; collect attaches an event
-	// Collector to every arm's run (FleetAppRun.Collector).
-	seconds int
-	collect bool
-	arms    []sweepArm
-	// row renders one arm's run under header.
-	row func(label string, run *FleetAppRun) []string
+	// Collector to every run (FleetAppRun.Collector). Each arm runs
+	// o.scaled(replicates) seeds, o.Seed + i·977, so 0 runs one at every
+	// scale.
+	seconds    int
+	collect    bool
+	replicates int
+	arms       []sweepArm
+	reduce     reducer
 	// notes follow the "scenario base" note, which a testbed row lacks.
 	notes []string
 }
 
-// sweepArm is one row of a sweep: set turns the base spec into the arm's
+// reducer renders a row's waited runs under its header, as rows and any
+// computed notes: runs[i] holds arms[i]'s runs in seed order.
+type reducer interface {
+	render(r *Report, arms []sweepArm, runs [][]*FleetAppRun)
+}
+
+// reduceFunc is a reducer written as one function over every run.
+type reduceFunc func(r *Report, arms []sweepArm, runs [][]*FleetAppRun)
+
+func (f reduceFunc) render(r *Report, arms []sweepArm, runs [][]*FleetAppRun) { f(r, arms, runs) }
+
+// perArm is the reducer of a row rendered one row per arm: it renders each
+// arm's one run under the arm's label.
+type perArm func(label string, run *FleetAppRun) []string
+
+func (row perArm) render(r *Report, arms []sweepArm, runs [][]*FleetAppRun) {
+	for i, arm := range arms {
+		r.AddRow(row(arm.label, runs[i][0])...)
+	}
+}
+
+// sweepArm is one arm of a sweep: set turns the base spec into the arm's
 // and cfg returns its protocol; either may be nil, for the base spec and
-// core.DefaultConfig. shards pins the arm's shard count; 0 takes
+// core.DefaultConfig. preset, when set, names the testbed the arm runs in
+// place of the row's. shards pins the arm's shard count; 0 takes
 // Options.Shards, and only the two identity sweeps — whose axis it is —
 // pin their own.
 type sweepArm struct {
 	label  string
+	preset string
 	set    func(*scenario.Spec)
 	cfg    func() core.Config
 	shards int
@@ -104,14 +130,24 @@ func forceApp(s scenario.Spec, app workload.Kind) scenario.Spec {
 	return s
 }
 
-// run is the scaffold every sweep shares: resolve the base scenario, pin
-// the measured app, validate every arm's spec and protocol — a -scenario
-// override can make a single arm invalid (a one-vehicle fleet on a
-// four-district city), and that is the caller's error to read, not an
-// engine goroutine's panic — then schedule one memoized fleet job per arm
-// and render rows, then notes, in declaration order. Nothing is scheduled
-// unless every arm is valid.
-func (s sweep) run(o Options) (*Report, error) {
+// fleetRun is one planned fleet run: its arm and the inputs of its job.
+type fleetRun struct {
+	arm     int
+	seed    int64
+	spec    scenario.Spec
+	cfg     core.Config
+	dur     time.Duration
+	shards  int
+	collect bool
+}
+
+// plan resolves the base scenario, pins the measured app and validates
+// every arm's spec and protocol — a -scenario override can make a single
+// arm invalid (a one-vehicle fleet on a four-district city), and that is
+// the caller's error to read, not an engine goroutine's panic — then
+// returns every run, arm by arm in seed order, scheduling nothing. note
+// names the base scenario; a testbed row has none to name.
+func (s sweep) plan(o Options) (runs []fleetRun, note string, err error) {
 	testbed := s.testbed()
 	if testbed {
 		o.Scenario, o.Shards = "", 1
@@ -119,35 +155,58 @@ func (s sweep) run(o Options) (*Report, error) {
 	src := cmp.Or(o.Scenario, s.preset)
 	base, err := scenario.Parse(src)
 	if err != nil {
-		return nil, fmt.Errorf("experiment: %s base %q: %w", s.id, src, err)
+		return nil, "", fmt.Errorf("experiment: %s base %q: %w", s.id, src, err)
 	}
 	base = forceApp(base, s.app)
-	specs := make([]scenario.Spec, len(s.arms))
-	cfgs := make([]core.Config, len(s.arms))
+	dur := time.Duration(o.scaled(s.seconds)) * time.Second
+	seeds := o.scaled(s.replicates)
+	runs = make([]fleetRun, 0, len(s.arms)*seeds)
 	for i, arm := range s.arms {
-		specs[i], cfgs[i] = base, core.DefaultConfig()
+		spec, cfg := base, core.DefaultConfig()
+		// An arm on the row's own testbed runs the base, parsed once.
+		if arm.preset != "" && arm.preset != src {
+			spec = forceApp(testbedSpec(arm.preset, s.app), s.app)
+		}
 		if arm.set != nil {
-			arm.set(&specs[i])
+			arm.set(&spec)
 		}
 		if arm.cfg != nil {
-			cfgs[i] = arm.cfg()
+			cfg = arm.cfg()
 		}
-		if err := cmp.Or(specs[i].Validate(), cfgs[i].Validate()); err != nil {
-			return nil, fmt.Errorf("experiment: %s arm %q on base %q: %w", s.id, arm.label, src, err)
+		if err := cmp.Or(spec.Validate(), cfg.Validate()); err != nil {
+			return nil, "", fmt.Errorf("experiment: %s arm %q on base %q: %w", s.id, arm.label, src, err)
 		}
-	}
-	eng := o.engine()
-	dur := time.Duration(o.scaled(s.seconds)) * time.Second
-	futs := make([]Future[*FleetAppRun], len(s.arms))
-	for i, arm := range s.arms {
-		futs[i] = eng.fleetApp(o.Seed, specs[i], cfgs[i], dur, cmp.Or(arm.shards, o.Shards), s.collect)
-	}
-	r := &Report{ID: s.id, Title: s.title, Header: s.header}
-	for i, arm := range s.arms {
-		r.AddRow(s.row(arm.label, futs[i].Wait())...)
+		for j := range seeds {
+			runs = append(runs, fleetRun{i, o.Seed + int64(j*977), spec, cfg, dur, cmp.Or(arm.shards, o.Shards), s.collect})
+		}
 	}
 	if !testbed {
-		r.AddNote("scenario base: %s", base.Key())
+		note = "scenario base: " + base.Key()
+	}
+	return runs, note, nil
+}
+
+// run is the scaffold every sweep shares: plan, so nothing is scheduled
+// unless every arm is valid, then schedule one memoized fleet job per
+// planned run, hand the waited runs to reduce and add the notes.
+func (s sweep) run(o Options) (*Report, error) {
+	plan, note, err := s.plan(o)
+	if err != nil {
+		return nil, err
+	}
+	eng := o.engine()
+	futs := make([]Future[*FleetAppRun], len(plan))
+	for i, q := range plan {
+		futs[i] = eng.fleetApp(q.seed, q.spec, q.cfg, q.dur, q.shards, q.collect)
+	}
+	runs := make([][]*FleetAppRun, len(s.arms))
+	for i, q := range plan {
+		runs[q.arm] = append(runs[q.arm], futs[i].Wait())
+	}
+	r := &Report{ID: s.id, Title: s.title, Header: s.header}
+	s.reduce.render(r, s.arms, runs)
+	if note != "" {
+		r.Notes = append(r.Notes, note)
 	}
 	r.Notes = append(r.Notes, s.notes...)
 	return r, nil
@@ -155,11 +214,11 @@ func (s sweep) run(o Options) (*Report, error) {
 
 // testbed reports whether the row's preset is one of the paper's
 // testbeds. Such a row is a paper figure: it ignores Options.Scenario and
-// Options.Shards, runs every arm serially — the jobs Fig 12 and Table 1
-// share — and adds no "scenario base" note.
+// Options.Shards, runs every arm serially — the jobs Fig 9, Fig 12 and
+// Table 1 share — and adds no "scenario base" note. It reads the preset's
+// name, not its parsed spec: a parse allocates every preset.
 func (s sweep) testbed() bool {
-	base, err := scenario.Parse(s.preset)
-	return err == nil && base.Topology.Testbed()
+	return slices.ContainsFunc(testbeds, func(t struct{ preset, name string }) bool { return t.preset == s.preset })
 }
 
 // sweepByID finds a table row.
@@ -369,7 +428,23 @@ func transferRow(label string, run *FleetAppRun) []string {
 }
 
 var sweeps = []sweep{
-	// §5 and the DESIGN.md §4 ablations: one testbed run per arm.
+	// §5: the paper's protocol comparisons, and the DESIGN.md §4
+	// ablations, on its testbeds.
+	{
+		// Fig 8: BRR and ViFi trip timelines along one VanLAN segment.
+		id: "fig8", title: "BRR vs ViFi along a VanLAN path segment",
+		header: []string{"protocol", "timeline (1s cells: # adequate, . interrupted)"},
+		preset: "vanlan", app: workload.CBRKind, seconds: 400,
+		arms: []sweepArm{{label: "BRR", cfg: core.BRRConfig}, {label: "ViFi"}},
+		reduce: reduceFunc(func(r *Report, arms []sweepArm, runs [][]*FleetAppRun) {
+			for i, arm := range arms {
+				adequate, interruptions := runs[i][0].Link.Timeline(0)
+				r.AddRow(arm.label, sparkline(adequate))
+				r.AddRow(arm.label+" interruptions", fmt.Sprint(interruptions))
+			}
+		}),
+		notes: []string{"paper shape: the same segment shows several interruptions under BRR and almost none under ViFi"},
+	},
 	{
 		// Fig 9: BRR, ViFi without salvaging ("Only Diversity") and full
 		// ViFi, with the EVDO cellular reference.
@@ -377,15 +452,71 @@ var sweeps = []sweep{
 		header: []string{"protocol", "median transfer (s)", "p90 transfer (s)", "transfers/session", "completed", "aborted", "salvaged pkts"},
 		preset: "vanlan", app: workload.TCPKind, seconds: 1200, collect: true,
 		arms: []sweepArm{{label: "BRR", cfg: core.BRRConfig}, {label: "Only Diversity", cfg: core.DiversityOnlyConfig}, {label: "ViFi"}},
-		row: func(label string, run *FleetAppRun) []string {
+		reduce: perArm(func(label string, run *FleetAppRun) []string {
 			m := run.PerVehicle[0]
 			return []string{label, f2(m.TransferQuantile(0.5)), f2(m.TransferQuantile(0.9)), f1(m.TransfersPerSession()),
 				fmt.Sprint(m.Completed), fmt.Sprint(m.Aborted), fmt.Sprint(run.Collector.Salvaged)}
-		},
+		}),
 		notes: []string{
 			"paper shape: ViFi halves BRR's median transfer time and doubles transfers/session; salvaging adds ~10% on top of diversity",
 			"paper reference: EVDO Rev. A measured 0.75 s median downlink for the same workload",
 		},
+	},
+	{
+		// Fig 10: DieselNet TCP on channels 1 and 6, trace-driven. Only
+		// the completion count and span are read: no collector.
+		id: "fig10", title: "TCP performance in DieselNet (transfers/second)",
+		header: []string{"environment", "BRR", "ViFi", "gain"},
+		preset: "dieselnet1", app: workload.TCPKind, seconds: 1800,
+		arms: brrAndViFi(testbeds[1:]),
+		reduce: reduceFunc(func(r *Report, arms []sweepArm, runs [][]*FleetAppRun) {
+			for i := 0; i < len(arms); i += 2 {
+				b, v := transferRate(runs[i][0]), transferRate(runs[i+1][0])
+				r.AddRow(arms[i].label, fmt.Sprintf("%.3f", b), fmt.Sprintf("%.3f", v), gain(v, b))
+			}
+		}),
+		notes: []string{"paper shape: ViFi roughly doubles BRR's transfer rate on both channels"},
+	},
+	{
+		// Fig 11: median uninterrupted VoIP session (MoS ≥ 2 in 3 s
+		// windows) and mean MoS in all three environments, three
+		// replicates pooled.
+		id: "fig11", title: "Median length of uninterrupted VoIP sessions",
+		header: []string{"environment", "BRR session (s)", "ViFi session (s)", "gain", "BRR MoS", "ViFi MoS"},
+		preset: "vanlan", app: workload.VoIPKind, seconds: 1200, replicates: 3,
+		arms: brrAndViFi(testbeds),
+		reduce: reduceFunc(func(r *Report, arms []sweepArm, runs [][]*FleetAppRun) {
+			for i := 0; i < len(arms); i += 2 {
+				bMed, bMoS := pooledVoIP(runs[i])
+				vMed, vMoS := pooledVoIP(runs[i+1])
+				r.AddRow(arms[i].label, f1(bMed), f1(vMed), gain(vMed, bMed), f2(bMoS), f2(vMoS))
+			}
+		}),
+		notes: []string{"paper shape: ViFi sessions ≈2× BRR on VanLAN, ≥1.5× on DieselNet; mean MoS 3.4 vs 3.0 on VanLAN"},
+	},
+	{
+		// Fig 12: application packets delivered per wireless transmission
+		// for BRR, ViFi and the PerfectRelay oracle estimated from ViFi's
+		// logs. Both runs are Fig 9's.
+		id: "fig12", title: "Efficiency of medium usage (VanLAN TCP workload)",
+		header: []string{"direction", "BRR", "ViFi", "PerfectRelay"},
+		preset: "vanlan", app: workload.TCPKind, seconds: 1200, collect: true,
+		arms: []sweepArm{{label: "BRR", cfg: core.BRRConfig}, {label: "ViFi"}},
+		reduce: reduceFunc(func(r *Report, _ []sweepArm, runs [][]*FleetAppRun) {
+			brr, vifi := runs[0][0].Collector, runs[1][0].Collector
+			for _, dir := range []core.Direction{core.Up, core.Down} {
+				r.AddRow(dir.String(), f2(brr.Efficiency(dir)), f2(vifi.Efficiency(dir)), f2(vifi.PerfectRelayEfficiency(dir)))
+			}
+		}),
+		notes: []string{"paper shape: upstream ViFi ≈ PerfectRelay > BRR; downstream all comparable with BRR slightly ahead of ViFi"},
+	},
+	{
+		// Table 1: ViFi's coordination statistics on Fig 9's ViFi run.
+		id: "table1", title: "Detailed ViFi coordination behaviour (VanLAN TCP)",
+		header: []string{"row", "statistic", "upstream", "downstream"},
+		preset: "vanlan", app: workload.TCPKind, seconds: 1200, collect: true,
+		arms:   []sweepArm{{label: "ViFi"}},
+		reduce: reduceFunc(coordinationRows),
 	},
 	{
 		// Table 2: the relay coordinators (§5.5.1), downstream probes.
@@ -394,10 +525,10 @@ var sweeps = []sweep{
 		preset: "dieselnet1", app: workload.CBRKind, seconds: 1500, collect: true,
 		arms: tune("%v", []core.CoordinatorKind{core.CoordViFi, core.CoordNotG1, core.CoordNotG2, core.CoordNotG3},
 			func(c *core.Config, k core.CoordinatorKind) { c.Coordinator = k }),
-		row: func(label string, run *FleetAppRun) []string {
+		reduce: perArm(func(label string, run *FleetAppRun) []string {
 			down := run.Collector.Stats(core.Down)
 			return []string{label, pct(down.FalsePositiveRate), pct(down.FalseNegativeGivenHeard)}
-		},
+		}),
 		notes: []string{
 			"*false negatives conditioned on ≥1 auxiliary overhearing the failure — coordination failures, not coverage gaps (our synthetic traces spend more time out of coverage than the originals)",
 			"paper shape: similar false negatives everywhere; ViFi far fewer false positives than ¬G3; ¬G1's false positives grow with auxiliary count (see ablate-aux)",
@@ -409,10 +540,10 @@ var sweeps = []sweep{
 		header: []string{"#BSes", "median VoIP session (s)", "mean MoS"},
 		preset: "vanlan", app: workload.VoIPKind, seconds: 900,
 		arms: axis("%d", []int{1, 2, 3, 5, 8, 11}, setBS),
-		row: func(label string, run *FleetAppRun) []string {
+		reduce: perArm(func(label string, run *FleetAppRun) []string {
 			q := run.PerVehicle[0].VoIP
 			return []string{label, f1(q.MedianSessionSec), f2(q.MeanMoS)}
-		},
+		}),
 		notes: []string{"paper shape: most of the gain arrives by 2–3 BSes (§3.4.1)"},
 	},
 	{
@@ -426,8 +557,8 @@ var sweeps = []sweep{
 			backplaneArm("5 Mbit/s, 8 ms (default)", 5e6, 8*time.Millisecond),
 			backplaneArm("100 Mbit/s, 1 ms (LAN)", 100e6, time.Millisecond),
 		},
-		row:   transferRow,
-		notes: []string{"design claim: ViFi needs little backplane capacity — thin links should perform close to a LAN"},
+		reduce: perArm(transferRow),
+		notes:  []string{"design claim: ViFi needs little backplane capacity — thin links should perform close to a LAN"},
 	},
 	{
 		// §4.5: the salvage window. The 0 s arm switches salvaging off,
@@ -437,9 +568,9 @@ var sweeps = []sweep{
 		preset: "vanlan", app: workload.TCPKind, seconds: 1200, collect: true,
 		arms: append([]sweepArm{{label: "0s", cfg: core.DiversityOnlyConfig}}, tune("%gs", []float64{0.5, 1, 2, 4},
 			func(c *core.Config, sec float64) { c.SalvageWindow = time.Duration(sec * float64(time.Second)) })...),
-		row: func(label string, run *FleetAppRun) []string {
+		reduce: perArm(func(label string, run *FleetAppRun) []string {
 			return append(transferRow(label, run), fmt.Sprint(run.Collector.Salvaged))
-		},
+		}),
 		notes: []string{"paper: the 1 s window (minimum TCP RTO) captures the disproportionate benefit; little beyond it"},
 	},
 	{
@@ -450,9 +581,9 @@ var sweeps = []sweep{
 		header: []string{"percentile", "median transfer (s)", "spurious retx/pkt"},
 		preset: "vanlan", app: workload.TCPKind, seconds: 900, collect: true,
 		arms: tune("%g", []float64{0.5, 0.9, 0.99, 0.999}, func(c *core.Config, p float64) { c.RetxPercentile = p }),
-		row: func(label string, run *FleetAppRun) []string {
+		reduce: perArm(func(label string, run *FleetAppRun) []string {
 			return []string{label, f2(run.PerVehicle[0].TransferQuantile(0.5)), f2(spuriousRetxRate(run.Collector))}
-		},
+		}),
 		notes: []string{"paper: the 99th percentile errs toward waiting, trading delay for fewer spurious retransmissions"},
 	},
 
@@ -466,9 +597,9 @@ var sweeps = []sweep{
 		id: "scale-fleet", title: "Fleet-size scaling on a generated city grid",
 		header: linkHeader,
 		preset: "grid-city", app: workload.CBRKind, seconds: 240,
-		arms:  axis("fleet=%d", []int{1, 4, 8, 16, 24}, setVehicles),
-		row:   linkRow,
-		notes: []string{"expected shape: aggregate delivered/s grows then saturates at the channel knee; per-vehicle delivery and session length degrade as the fleet contends"},
+		arms:   axis("fleet=%d", []int{1, 4, 8, 16, 24}, setVehicles),
+		reduce: perArm(linkRow),
+		notes:  []string{"expected shape: aggregate delivered/s grows then saturates at the channel knee; per-vehicle delivery and session length degrade as the fleet contends"},
 	},
 	{
 		// Coverage and session quality versus infrastructure investment.
@@ -477,9 +608,9 @@ var sweeps = []sweep{
 		id: "scale-density", title: "Basestation-density scaling on a generated city grid",
 		header: linkHeader,
 		preset: "grid-city,vehicles=8", app: workload.CBRKind, seconds: 240,
-		arms:  axis("bs=%d", []int{14, 28, 54, 96}, setBS),
-		row:   linkRow,
-		notes: []string{"expected shape: delivery ratio and session length improve with density until routes are fully covered, then flatten"},
+		arms:   axis("bs=%d", []int{14, 28, 54, 96}, setBS),
+		reduce: perArm(linkRow),
+		notes:  []string{"expected shape: delivery ratio and session length improve with density until routes are fully covered, then flatten"},
 	},
 	{
 		// The channel-layer stress test behind the spatial index (DESIGN.md
@@ -492,8 +623,8 @@ var sweeps = []sweep{
 		id: "scale-radio", title: "Radio-count scaling at fixed traffic on a generated metro grid",
 		header: linkHeader,
 		preset: "grid-metro", app: workload.CBRKind, seconds: 240,
-		arms: axis("radios=%d", scaleRadioArms, setScaleRadioArm),
-		row:  linkRow,
+		arms:   axis("radios=%d", scaleRadioArms, setScaleRadioArm),
+		reduce: perArm(linkRow),
 		notes: []string{
 			"fixed 16-vehicle CBR traffic; only the radio population grows (region scaled for constant BS density) — per-transmission channel cost must track neighbor count, not radio count",
 		},
@@ -510,9 +641,9 @@ var sweeps = []sweep{
 		header: []string{"arm", "BSes", "vehicles", "tx",
 			"fresh peers/BS", "report entries/BS", "grid nbrs/BS", "aux/veh"},
 		preset: "grid-metro", app: workload.CBRKind, seconds: 240,
-		arms:  axis("radios=%d", scaleProtocolArms, setScaleRadioArm),
-		row:   occupancyRow,
-		notes: []string{"occupancy sampled once at run end; fresh peers and report entries must track the grid neighborhood (constant BS density), not the radio population — flat columns across a 20× population growth are the O(neighbors) beaconing contract"},
+		arms:   axis("radios=%d", scaleProtocolArms, setScaleRadioArm),
+		reduce: perArm(occupancyRow),
+		notes:  []string{"occupancy sampled once at run end; fresh peers and report entries must track the grid neighborhood (constant BS density), not the radio population — flat columns across a 20× population growth are the O(neighbors) beaconing contract"},
 	},
 
 	// §8 — what the paper's §5.3 actually evaluates, application metrics,
@@ -522,9 +653,9 @@ var sweeps = []sweep{
 		id: "scale-app-tcp", title: "TCP transfer scaling on a generated city grid",
 		header: []string{"arm", "BSes", "vehicles", "completed", "aborted", "median xfer (s)", "p90 xfer (s)", "xfers/veh·min"},
 		preset: "grid-city", app: workload.TCPKind, seconds: 240,
-		arms:  axis("fleet=%d", appFleets, setVehicles),
-		row:   tcpRow,
-		notes: []string{"expected shape: median transfer time grows and per-vehicle completions fall as the fleet contends (§5.3.1 measured under contention)"},
+		arms:   axis("fleet=%d", appFleets, setVehicles),
+		reduce: perArm(tcpRow),
+		notes:  []string{"expected shape: median transfer time grows and per-vehicle completions fall as the fleet contends (§5.3.1 measured under contention)"},
 	},
 	{
 		// §5.3.2: every vehicle holds a bidirectional G.729 call scored
@@ -532,9 +663,9 @@ var sweeps = []sweep{
 		id: "scale-app-voip", title: "VoIP call scaling on a generated city grid",
 		header: []string{"arm", "BSes", "vehicles", "mean MoS", "median session (s)", "disruptions", "disrupt/call·min"},
 		preset: "grid-city", app: workload.VoIPKind, seconds: 240,
-		arms:  axis("fleet=%d", appFleets, setVehicles),
-		row:   voipRow,
-		notes: []string{"expected shape: disruptions per call-minute climb with fleet size as windows blow the 52 ms wireless budget (§5.3.2 under contention)"},
+		arms:   axis("fleet=%d", appFleets, setVehicles),
+		reduce: perArm(voipRow),
+		notes:  []string{"expected shape: disruptions per call-minute climb with fleet size as windows blow the 52 ms wireless budget (§5.3.2 under contention)"},
 	},
 
 	// §9 — resilience. Where the other sweeps show cost staying flat, this
@@ -554,7 +685,7 @@ var sweeps = []sweep{
 			crashArm("mtbf=2m", "bs:mtbf=2m0s:mttr=4s"),
 			crashArm("mtbf=1m", "bs:mtbf=1m0s:mttr=4s"),
 		},
-		row: faultsRow,
+		reduce: perArm(faultsRow),
 		notes: []string{
 			"graceful degradation: availability and recovery stay bounded as crash frequency grows; the un-faulted arm pins the baseline the faulted arms degrade from",
 			"each basestation runs its own seeded Poisson crash process (mttr=4s); restarts come back with cold protocol state and must re-learn peers and anchors",
@@ -582,8 +713,8 @@ var sweeps = []sweep{
 			identityArm("chaos shards=1", chaosFaults, 1),
 			identityArm("chaos shards=4", chaosFaults, 4),
 		},
-		row:   identityRow,
-		notes: []string{"identity contract: every metric cell must be byte-identical across shard counts within a fault variant — the partition changes wall-clock execution, never the simulation"},
+		reduce: perArm(identityRow),
+		notes:  []string{"identity contract: every metric cell must be byte-identical across shard counts within a fault variant — the partition changes wall-clock execution, never the simulation"},
 	},
 	{
 		// The un-districted metro grid — stripes sharing radio edges, the
@@ -600,7 +731,7 @@ var sweeps = []sweep{
 			identityArm("chaos lanes=1", chaosFaults, 1),
 			identityArm("chaos lanes=4", chaosFaults, 4),
 		},
-		row:   identityRow,
-		notes: []string{"identity contract: every metric cell must be byte-identical across lane counts within a fault variant — the stripe partition moves delivery computations across worker lanes, never a coin flip or an event"},
+		reduce: perArm(identityRow),
+		notes:  []string{"identity contract: every metric cell must be byte-identical across lane counts within a fault variant — the stripe partition moves delivery computations across worker lanes, never a coin flip or an event"},
 	},
 }

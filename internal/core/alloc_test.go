@@ -2,8 +2,10 @@ package core
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/vanlan/vifi/internal/frame"
 	"github.com/vanlan/vifi/internal/mobility"
@@ -238,10 +240,11 @@ func TestSenderStateAllocatedInOnePiece(t *testing.T) {
 // a cold table: 12 senders, each reporting its 12 local estimates and 12
 // gossiped ones (one about a link into self, so 23 pairs fold), then a
 // window flush and the node's own report. As in a node, the first report
-// is built before any beacon is heard. The 156 pairs land in one bucket
-// array that grows twice, and self's fresh sets and report are sized once
-// from the room kept for senders rather than doubling from empty: 24
-// allocations, where a slot slice beside an index map, with sets that
+// is built before any beacon is heard. The 156 pairs start in the table's
+// room and grow out of it twice, and self's fresh sets and report are
+// sized once from the space kept for senders rather than doubling from
+// empty: 15 allocations with the table itself, where separate first
+// backings took 24 and a slot slice beside an index map, with sets that
 // doubled, took 58.
 func TestProbTableDiscoveryAllocs(t *testing.T) {
 	const self = 0
@@ -272,8 +275,77 @@ func TestProbTableDiscoveryAllocs(t *testing.T) {
 	if raceBuild {
 		t.Skipf("race build: %.0f allocations, not a normal build's count", allocs)
 	}
-	if allocs > 24 {
-		t.Errorf("discovering a 12-sender neighborhood allocates %.0f objects, want ≤ 24", allocs)
+	if allocs > 15 {
+		t.Errorf("discovering a 12-sender neighborhood allocates %.0f objects, want ≤ 15", allocs)
+	}
+}
+
+// TestProbTableRoom pins the table's room (probRoom): every part of a
+// table starts in it, so a standalone table whose neighborhood fits — 8
+// senders, 48 pairs, a 16-entry report — allocates exactly one object
+// however many parts it uses; and a cell's nodes carve their rooms from
+// one slab, so the 12 tables of a VanLAN cell took theirs in one
+// allocation by the time each has beaconed.
+func TestProbTableRoom(t *testing.T) {
+	const self = 0
+	// Sender s reports self→s, which self's gossip set takes, and x→s for
+	// four others: 8 + 32 gossiped pairs, then 8 local ones at the flush.
+	var reports [roomPeers][]frame.ProbEntry
+	for i := range reports {
+		s := uint16(100 + i)
+		reports[i] = append(reports[i], frame.ProbEntry{From: self, To: s, Prob: 0.5})
+		for j := 1; j <= 4; j++ {
+			x := uint16(100 + (i+j)%roomPeers)
+			reports[i] = append(reports[i], frame.ProbEntry{From: x, To: s, Prob: 0.25})
+		}
+	}
+	tables := make([]ProbTable, 101)
+	allocs := testing.AllocsPerRun(len(tables)-1, func() {
+		pt := &tables[0]
+		tables = tables[1:]
+		pt.init(0.5, 3*time.Second)
+		now := time.Second
+		pt.Report(self, now)
+		for i, rep := range reports {
+			pt.observeBeacon(uint16(100+i), self, false, rep, now)
+		}
+		pt.flush(self, 10, now)
+		if rep := pt.Report(self, now); len(rep) != 2*roomPeers {
+			t.Fatalf("report has %d entries, want %d", len(rep), 2*roomPeers)
+		}
+		if pt.nLive != 48 {
+			t.Fatalf("%d pairs folded, want 48", pt.nLive)
+		}
+	})
+	// A race build's allocation counts are not a normal build's.
+	if allocs != 1 && !raceBuild {
+		t.Errorf("a table whose neighborhood fits its room allocates %.0f objects, want 1 (the room)", allocs)
+	}
+
+	k := sim.NewKernel(7)
+	v := mobility.NewVanLAN()
+	movers := make([]mobility.Mover, len(v.BSes))
+	for i, bs := range v.BSes {
+		movers[i] = mobility.Fixed(bs)
+	}
+	cell := NewCell(k, DefaultCellOptions(), movers, &mobility.RouteMover{Route: v.Route})
+	k.RunUntil(time.Second)
+	nodes := append(append([]*Node(nil), cell.BSes...), cell.Vehicle)
+	var rooms []uintptr
+	for _, n := range nodes {
+		if n.probs.room == nil {
+			t.Fatalf("node %d has no room after a second of beacons", n.addr)
+		}
+		rooms = append(rooms, uintptr(unsafe.Pointer(n.probs.room)))
+	}
+	slices.Sort(rooms)
+	for i := 1; i < len(rooms); i++ {
+		if d := rooms[i] - rooms[i-1]; d != unsafe.Sizeof(probRoom{}) {
+			t.Fatalf("rooms %d and %d are %d bytes apart, want adjacent (%d)", i-1, i, d, unsafe.Sizeof(probRoom{}))
+		}
+	}
+	if len(cell.rooms.free) != 0 || cell.rooms.left != 0 {
+		t.Errorf("the slab has %d rooms unused and %d tables without one, want none", len(cell.rooms.free), cell.rooms.left)
 	}
 }
 

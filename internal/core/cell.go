@@ -61,6 +61,9 @@ type Cell struct {
 	VehLocal    []bool
 	BSRadioIDs  []radio.NodeID
 	VehRadioIDs []radio.NodeID
+
+	// rooms hands the nodes' probability tables their rooms.
+	rooms roomSlab
 }
 
 // GatewayFor returns the gateway serving fleet slot i.
@@ -153,7 +156,9 @@ func (p Placement) local(d int) bool {
 // one []backplane.Port sized by the radios with a full stack on this
 // cell, and every name a substring of one string (radioNames). mac.Init,
 // newNode and AttachPort fill their slab elements and seed each radio's
-// streams in place, so building a radio allocates nothing of its own.
+// streams in place, so building a radio allocates nothing of its own. The
+// nodes' probability tables take their rooms from the cell's roomSlab at
+// their first touch, inside the run: the slab is made then, never here.
 //
 // A node whose district belongs to another shard attaches as a
 // position-only ghost — same name, same mover, nil receiver — so channel
@@ -215,6 +220,7 @@ func newCell(k *sim.Kernel, opts CellOptions, bsMovers, vehMovers []mobility.Mov
 	nodes := make([]Node, localBS+localVeh)
 	macs := make([]mac.MAC, len(nodes))
 	ports := make([]backplane.Port, localBS)
+	c.rooms.left = len(nodes)
 	names := radioNames(len(bsMovers), len(vehMovers), vehNumbered)
 	// attach wires one radio: a full stack (nodeBP is nil for vehicles,
 	// which have no wired port) or, off-shard, a ghost.
@@ -233,7 +239,7 @@ func newCell(k *sim.Kernel, opts CellOptions, bsMovers, vehMovers []mobility.Mov
 			port, ports = &ports[0], ports[1:]
 		}
 		m.Init(k, ch, name, mv, macCfg)
-		newNode(n, k, opts.Protocol, m, nodeBP, port, c.Gateways[d].Addr(), nodeBP == nil, opts.Events)
+		newNode(n, k, opts.Protocol, m, nodeBP, port, &c.rooms, c.Gateways[d].Addr(), nodeBP == nil, opts.Events)
 		return n, m.ID()
 	}
 	for i, mv := range bsMovers {

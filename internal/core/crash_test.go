@@ -209,6 +209,8 @@ func TestColdRestartClearsProtocolState(t *testing.T) {
 		t.Fatal("BS0 heard no beacons; scenario not exercised")
 	}
 
+	restartAt := k.Now()
+	room := bs.probs.room
 	bs.ColdRestart()
 	if vs := bs.vehs[veh]; vs != nil {
 		t.Error("per-vehicle state survived ColdRestart")
@@ -222,6 +224,22 @@ func TestColdRestartClearsProtocolState(t *testing.T) {
 	}
 	if bs.nextSeq != seqBefore {
 		t.Errorf("nextSeq reset from %d to %d; sequence numbers must survive restart", seqBefore, bs.nextSeq)
+	}
+
+	// The table keeps its room, and the beacons heard next fill it afresh:
+	// no pair learned before the restart comes back with it.
+	k.RunUntil(restartAt + 500*time.Millisecond)
+	if bs.probs.room != room {
+		t.Error("the table took a second room at its restart")
+	}
+	if len(bs.probs.slots) == 0 {
+		t.Fatal("BS0 stored no pair after its restart; scenario not exercised")
+	}
+	for _, s := range bs.probs.slots {
+		if s.flags&live != 0 && max(s.local, s.gossipT) < restartAt {
+			t.Errorf("pair %d→%d, last observed at %v, survived the restart at %v",
+				s.key>>16, uint16(s.key), max(s.local, s.gossipT), restartAt)
+		}
 	}
 
 	// The fresh state must re-learn: beacons keep flowing, so the BS

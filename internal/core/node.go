@@ -198,14 +198,15 @@ type Node struct {
 // basestation, onto port, its place on the backplane. newCell is the only
 // caller: it keeps a cell's nodes, MACs and ports in one slab per layer,
 // so a node allocates nothing here. Its probability table, its ("core",
-// addr) stream and its upcall and timer adapters are fields; the one-shot
-// ("corewin", addr) stream that places its first window lives on the
-// stack; its maps are made on first write. Both streams carry the labels
+// addr) stream and its upcall and timer adapters are fields, and the
+// table takes its room from rooms, the cell's slab, at its first touch;
+// the one-shot ("corewin", addr) stream that places its first window
+// lives on the stack; its maps are made on first write. Both streams carry the labels
 // k.RNG("core", fmt.Sprint(addr)) and k.RNG("corewin", …) would, and the
 // first beacon is scheduled before the first window: labels and order are
 // part of every seeded run's bytes.
 func newNode(n *Node, k *sim.Kernel, cfg Config, m *mac.MAC, bp *backplane.Net, port *backplane.Port,
-	gatewayAddr uint16, isVehicle bool, events EventFunc) {
+	rooms *roomSlab, gatewayAddr uint16, isVehicle bool, events EventFunc) {
 
 	*n = Node{
 		K:           k,
@@ -221,6 +222,7 @@ func newNode(n *Node, k *sim.Kernel, cfg Config, m *mac.MAC, bp *backplane.Net, 
 		prevAnchor:  frame.None,
 	}
 	n.probs.init(cfg.ProbAlpha, cfg.ProbStale)
+	n.probs.src = rooms
 	k.Seed(&n.rng, []string{"core"}, int(n.addr))
 	n.windowH.n, n.relayH.n, n.up.n = n, n, n
 	m.SetHandler(&n.up)

@@ -168,20 +168,80 @@ type probIndex struct {
 	repOK bool
 }
 
-// size gives both fresh sets of an index that has never had room, room
-// for n members each and their wheel records: one allocation for the two
-// member lists and one for the two wheels, each set capped at its half. It
-// is called as a member of either set arrives, with the room the table
-// keeps for beacon senders (cap of recs), so the sets are sized once for
-// the neighborhood instead of doubling up from empty — by then the node
-// has heard its neighbors. An index with room, or no n to go on, is left
-// as it is; a set that outgrows its half moves to an array of its own.
-func (ix *probIndex) size(n int) {
-	if n > 0 && cap(ix.local.members) == 0 && cap(ix.gossip.members) == 0 {
-		m, w := make([]uint16, 2*n), make([]wheelItem, 2*n)
-		ix.local.members, ix.gossip.members = m[:0:n], m[n:n:2*n]
-		ix.local.wheel, ix.gossip.wheel = w[:0:n], w[n:n:2*n]
+// sizeIndex gives both fresh sets of ix, an index that has never had
+// room, their first backing as a member of either arrives: room for as
+// many members each as the table keeps for beacon senders (cap of recs),
+// at least roomPeers, and their wheel records, so the sets are sized once
+// for the neighborhood instead of doubling up from empty — by then the
+// node has heard its neighbors. The table's own index finds roomPeers
+// each in the room; a larger neighborhood, or an extra self's index, gets
+// one member array and one wheel array. An index with room is left as it
+// is; a set that outgrows its half moves to an array of its own.
+func (t *ProbTable) sizeIndex(ix *probIndex) {
+	if cap(ix.local.members) != 0 || cap(ix.gossip.members) != 0 {
+		return
 	}
+	n := max(cap(t.recs), roomPeers)
+	var m []uint16
+	var w []wheelItem
+	if n == roomPeers && ix == &t.idx {
+		r := t.takeRoom()
+		m, w = r.members[:], r.wheel[:]
+	} else {
+		m, w = make([]uint16, 2*n), make([]wheelItem, 2*n)
+	}
+	ix.local.members, ix.gossip.members = m[:0:n], m[n:n:2*n]
+	ix.local.wheel, ix.gossip.wheel = w[:0:n], w[n:n:2*n]
+}
+
+// roomPeers is how many beacon senders a room has space for, and how many
+// members each fresh set of its index.
+const roomPeers = 8
+
+// probRoom holds the first backing of each lazily grown part of a table,
+// at the capacity that part starts with: the first bucket array, the
+// beacon state, the fresh sets of the table's own index and its first
+// report. A table takes its room at its first touch (takeRoom) — a node's
+// from its cell's roomSlab, any other table one of its own — so the first
+// use of each part costs a node no allocation of its own, and a table
+// that is never touched costs no room. A part that outgrows its room
+// moves to an array of its own, leaving its space in the room unused. The
+// room holds no pointers, so a slab of them is never scanned.
+type probRoom struct {
+	slots [64]probSlot
+	// The beacon state: senders' keys and records, then heardList's and
+	// memo's int32s.
+	keys [roomPeers]senderKey
+	recs [roomPeers]senderRec
+	ints [roomPeers + 64]int32
+	// The fresh sets of the table's own index, a half of each array per set.
+	members [2 * roomPeers]uint16
+	wheel   [2 * roomPeers]wheelItem
+	rep     [2 * roomPeers]frame.ProbEntry // a local and a gossip entry per sender
+}
+
+// roomSlab hands the tables of a cell's nodes their rooms, carved from one
+// slab made at the first touch of any of them and sized by the nodes that
+// have no room yet (left), so a cell's rooms take one allocation and none
+// is made before the run uses it. A nil *roomSlab gives each table a room
+// of its own.
+type roomSlab struct {
+	free []probRoom
+	left int
+}
+
+// take returns an empty room.
+func (s *roomSlab) take() *probRoom {
+	if s == nil {
+		return new(probRoom)
+	}
+	if len(s.free) == 0 {
+		s.free = make([]probRoom, max(s.left, 1))
+	}
+	r := &s.free[0]
+	s.free = s.free[1:]
+	s.left--
+	return r
 }
 
 // ProbTable holds a node's view of pairwise reception probabilities
@@ -192,13 +252,13 @@ func (ix *probIndex) size(n int) {
 // Storage is one pointer-free, open-addressed array of slots, each
 // carrying its key from<<16|to: a node's table holds exactly the pairs it
 // has observed — its own neighborhood and what neighbors gossip —
-// whatever the addresses are, in one allocation per growth step, and the
-// slots contain no pointers, keeping a million-slot fleet out of
-// garbage-collector scans. Steady state never allocates. The aggregate
-// read paths (FreshLocalPeers, Report) are served by incremental
-// per-self indexes (probIndex) maintained by the observe calls and aged
-// by expiry wheels, so their cost follows the node's neighborhood, never
-// the population.
+// whatever the addresses are, in the table's room until the first growth
+// and then in one allocation per growth step, and the slots contain no
+// pointers, keeping a million-slot fleet out of garbage-collector scans.
+// Steady state never allocates. The aggregate read paths
+// (FreshLocalPeers, Report) are served by incremental per-self indexes
+// (probIndex) maintained by the observe calls and aged by expiry wheels,
+// so their cost follows the node's neighborhood, never the population.
 //
 // Time must be fed monotonically: observations and queries with a `now`
 // earlier than a previous call may miss entries the wheels already aged
@@ -210,6 +270,11 @@ func (ix *probIndex) size(n int) {
 // report resolved to, so a repeated report is folded without a map probe
 // per entry. Beacons are heard by one self per table — the node's own
 // address.
+//
+// Every part of the table starts in its room (probRoom), taken at the
+// table's first touch: the bucket array appears with the first pair, the
+// beacon state with the first beacon, the fresh sets with their first
+// member and the report with the first query — none of them at build.
 type ProbTable struct {
 	alpha float64
 	stale time.Duration
@@ -230,11 +295,16 @@ type ProbTable struct {
 	hasIdx bool
 	more   map[uint16]*probIndex
 
-	// The beacon state, backed by one beaconRoom from the first beacon.
+	// The beacon state, backed by the room from the first beacon.
 	keys      []senderKey // the senders heard, ascending by address
 	recs      []senderRec
 	memo      []int32 // bucket positions of the senders' last reports, one region per sender
 	heardList []int32 // recs with a nonzero count, in first-heard order
+
+	// room backs every part above at its first capacity; nil until the
+	// first touch, when it is taken from src (see probRoom).
+	room *probRoom
+	src  *roomSlab
 }
 
 // senderKey finds a sender's record: keys holds one per sender, sorted by
@@ -242,17 +312,6 @@ type ProbTable struct {
 type senderKey struct {
 	addr uint16
 	ri   int32 // position in recs
-}
-
-// beaconRoom is the first backing of a table's beacon state, made with
-// the first beacon for a typical neighborhood — a few senders with
-// reports of a dozen entries — as one allocation: none in a table that
-// never hears a beacon, and no series of growth steps in one that does. A
-// neighborhood that outgrows a slice moves that slice alone.
-type beaconRoom struct {
-	keys [8]senderKey
-	recs [8]senderRec
-	ints [8 + 64]int32 // heardList's room, then memo's
 }
 
 // senderRec is what a table remembers about one beacon sender: this
@@ -269,9 +328,9 @@ type senderRec struct {
 
 // NewProbTable creates a table with the given EWMA factor and staleness:
 // init on a table of its own. A node embeds its table by value and inits
-// it in place instead. Neither allocates more than the table: the bucket
-// array appears with the first pair, the beacon state with the first
-// beacon.
+// it in place instead. Neither allocates more than the table: its room
+// comes with its first touch, and in it the bucket array appears with the
+// first pair, the beacon state with the first beacon.
 func NewProbTable(alpha float64, stale time.Duration) *ProbTable {
 	t := new(ProbTable)
 	t.init(alpha, stale)
@@ -280,9 +339,22 @@ func NewProbTable(alpha float64, stale time.Duration) *ProbTable {
 
 // init empties t in place into a table with the given EWMA factor and
 // staleness — the one constructor, which NewProbTable and a node's cold
-// restart share.
+// restart share. A table that has a room keeps it, emptied: a restarted
+// node never takes a second room, and no slot learned before the restart
+// survives in it.
 func (t *ProbTable) init(alpha float64, stale time.Duration) {
-	*t = ProbTable{alpha: alpha, stale: stale}
+	if t.room != nil {
+		*t.room = probRoom{}
+	}
+	*t = ProbTable{alpha: alpha, stale: stale, room: t.room, src: t.src}
+}
+
+// takeRoom returns the table's room, taking it from src on first use.
+func (t *ProbTable) takeRoom() *probRoom {
+	if t.room == nil {
+		t.room = t.src.take()
+	}
+	return t.room
 }
 
 // slotKey packs a directed pair into the slot key.
@@ -354,13 +426,17 @@ func (t *ProbTable) slotIndex(k uint32) int32 {
 	return si
 }
 
-// grow doubles the bucket array (or makes the first one) and rehashes
-// every live slot into it. The first array has 64 buckets, 2.5 KB: room
-// for 48 pairs, a small neighborhood, before the first growth.
+// grow doubles the bucket array and rehashes every live slot into it, or
+// makes the first one: the room's 64 buckets, 2.5 KB, space for 48 pairs,
+// a small neighborhood, before the first growth.
 func (t *ProbTable) grow() {
 	old := t.slots
-	n := max(2*len(old), 64)
-	t.slots = make([]probSlot, n)
+	if old == nil {
+		t.slots = t.takeRoom().slots[:]
+	} else {
+		t.slots = make([]probSlot, 2*len(old))
+	}
+	n := len(t.slots)
 	t.shift = uint8(32 - bits.TrailingZeros(uint(n)))
 	for i := range old {
 		if old[i].flags&live != 0 {
@@ -429,13 +505,13 @@ func (t *ProbTable) buildIndex(ix *probIndex, self uint16, now time.Duration) {
 		from, to := uint16(e.key>>16), uint16(e.key)
 		if to == self && freshAt(e.local, cutoff) {
 			e.flags |= memL
-			ix.size(cap(t.recs))
+			t.sizeIndex(ix)
 			ix.local.members = append(ix.local.members, from)
 			ix.local.pushWheel(e.local+t.stale, from)
 		}
 		if from == self && e.flags&hasG != 0 && freshAt(e.gossipT, cutoff) {
 			e.flags |= memG
-			ix.size(cap(t.recs))
+			t.sizeIndex(ix)
 			ix.gossip.members = append(ix.gossip.members, to)
 			ix.gossip.pushWheel(e.gossipT+t.stale, to)
 		}
@@ -497,7 +573,7 @@ func (t *ProbTable) ObserveLocal(from, to uint16, ratio float64, now time.Durati
 		if s.flags&memL == 0 {
 			ix.repOK = false
 			s.flags |= memL
-			ix.size(cap(t.recs))
+			t.sizeIndex(ix)
 			ix.local.insertMember(from)
 			ix.local.pushWheel(now+t.stale, from)
 		} else if math.Float64bits(s.ewma) != math.Float64bits(was) {
@@ -527,7 +603,7 @@ func (t *ProbTable) foldGossip(s *probSlot, p float64, now time.Duration) {
 		if s.flags&memG == 0 {
 			ix.repOK = false
 			s.flags |= memG
-			ix.size(cap(t.recs))
+			t.sizeIndex(ix)
 			ix.gossip.insertMember(to)
 			ix.gossip.pushWheel(now+t.stale, to)
 		} else if math.Float64bits(p) != math.Float64bits(was) {
@@ -554,9 +630,9 @@ func (t *ProbTable) observeBeacon(sender, self uint16, fromVehicle bool, probs [
 	ki, ok := t.sender(sender)
 	if !ok {
 		if t.recs == nil {
-			room := new(beaconRoom)
+			room := t.takeRoom()
 			t.keys, t.recs = room.keys[:0], room.recs[:0]
-			t.heardList, t.memo = room.ints[:0:8], room.ints[8:8]
+			t.heardList, t.memo = room.ints[:0:roomPeers], room.ints[roomPeers:roomPeers]
 		}
 		t.keys = slices.Insert(t.keys, ki, senderKey{addr: sender, ri: int32(len(t.recs))})
 		t.recs = append(t.recs, senderRec{addr: sender, off: int32(len(t.memo))})
@@ -591,8 +667,11 @@ func (t *ProbTable) observeBeacon(sender, self uint16, fromVehicle bool, probs [
 
 // reserve gives r a memo region of c positions, keeping the n it has
 // filled. A region that ends the memo grows in place; any other moves to
-// the end, leaving its old positions unused. Reports only outgrow their
-// region while a neighborhood is being discovered.
+// the end, leaving its old positions unused. The memo starts in the room,
+// with space for 64 positions — a few senders' reports of a dozen
+// entries — and moves to an array of its own when it outgrows that.
+// Reports only outgrow their region while a neighborhood is being
+// discovered.
 func (t *ProbTable) reserve(r *senderRec, c int32) {
 	if r.off+r.c != int32(len(t.memo)) {
 		off := int32(len(t.memo))
@@ -726,8 +805,13 @@ func (t *ProbTable) Report(self uint16, now time.Duration) []frame.ProbEntry {
 	if cap(out) == 0 {
 		// The first report gets room for a local and a gossip entry per
 		// sender the table has room for, as the sets got room for their
-		// members.
-		out = make([]frame.ProbEntry, 0, max(len(lm)+len(gm), 2*cap(t.recs)))
+		// members: the room's report when that fits and this is the
+		// table's own index.
+		if c := max(len(lm)+len(gm), 2*cap(t.recs)); c > 2*roomPeers || ix != &t.idx {
+			out = make([]frame.ProbEntry, 0, c)
+		} else {
+			out = t.takeRoom().rep[:0]
+		}
 	}
 	li := 0
 	for ; li < len(lm) && lm[li] < self; li++ {

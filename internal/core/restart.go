@@ -28,7 +28,8 @@ func (n *Node) ColdRestart() {
 	clear(n.acked)
 
 	// Learned reachability: a fresh probability table, which also holds
-	// the beacon counts and the vehicle marks of the peers heard.
+	// the beacon counts and the vehicle marks of the peers heard. It keeps
+	// its room, emptied, rather than taking a second one.
 	n.probs.init(n.cfg.ProbAlpha, n.cfg.ProbStale)
 
 	// Vehicle designations.

@@ -14,11 +14,13 @@ var raceBuild bool
 
 // maxAllocsPerRadio bounds the heap objects a grid-metro session allocates
 // per radio while StartLiveRun builds it and through its first simulated
-// second, the lazy first use of every radio's protocol state: 4.43 measured
-// (607–613 to build, 1 601 to run the second, 500 radios), rounded up. A
+// second, the lazy first use of every radio's protocol state: 1.89 measured
+// (608–613 to build, 334 to run the second, 500 radios), rounded up. A
 // radio's nodes, MACs, channel records and ports are slab elements seeded
-// in place (DESIGN §6 "A radio is built in place").
-const maxAllocsPerRadio = 5
+// in place, and its probability table's first backings are a room carved
+// from one slab per cell at first use (DESIGN §6 "A radio is built in
+// place").
+const maxAllocsPerRadio = 2
 
 // TestRadioBuildAllocs gates the build layout: it counts
 // runtime.MemStats.Mallocs around StartLiveRun on grid-metro and around

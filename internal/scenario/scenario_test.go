@@ -127,6 +127,26 @@ func TestPresetsAllValid(t *testing.T) {
 	}
 }
 
+// TestPresetAllocFree: the catalogue is an array of values, so looking a
+// preset up allocates nothing, and no name shadows another.
+func TestPresetAllocFree(t *testing.T) {
+	for _, name := range []string{"vanlan", "grid-metro"} {
+		if allocs := testing.AllocsPerRun(100, func() {
+			if _, err := Preset(name); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("Preset(%q) allocates %.0f objects, want 0", name, allocs)
+		}
+	}
+	names := Presets()
+	for i := 1; i < len(names); i++ {
+		if names[i-1] >= names[i] {
+			t.Errorf("Presets() = %v: not sorted, or %q twice", names, names[i])
+		}
+	}
+}
+
 func TestKeyDistinguishesSpecs(t *testing.T) {
 	a, _ := Parse("grid-city")
 	b, _ := Parse("grid-city,vehicles=25")

@@ -198,74 +198,79 @@ func (s Spec) AppConfig() workload.Config {
 	return cfg
 }
 
-// presets is the named scenario catalogue. Kept in a function so callers
-// can never mutate the catalogue through a returned Spec.
-func presets() map[string]Spec {
-	return map[string]Spec{
-		// A compact sanity-scale grid.
-		"grid-small": {
-			Topology: Grid, BS: 12, Width: 900, Height: 600, JitterM: 25,
-			Vehicles: 3, SpeedKmh: 36, RouteStops: 6, DepartStagger: 2 * time.Second,
-		},
-		// The city-scale reference: 54 basestations, a 24-vehicle fleet.
-		"grid-city": {
-			Topology: Grid, BS: 54, Width: 2400, Height: 1500, JitterM: 30,
-			Vehicles: 24, SpeedKmh: 40, RouteStops: 10, DepartStagger: 2 * time.Second,
-		},
-		// The metropolitan reference for the radio-scaling sweep: a 484-BS
-		// region at grid-city density (≈1.5e-5 BS/m²) probed by a fixed
-		// 16-vehicle fleet, spanning several cutoffs of the channel's
-		// spatial grid in each direction.
-		"grid-metro": {
-			Topology: Grid, BS: 484, Width: 7200, Height: 4500, JitterM: 30,
-			Vehicles: 16, SpeedKmh: 40, RouteStops: 10, DepartStagger: 200 * time.Millisecond,
-		},
-		// Four radio-isolated districts at grid-city density, each with its
-		// own gateway — the reference scenario for sharded execution
-		// (scale-shard): 232 nodes, structurally partitionable at 1, 2 or
-		// 4 shards.
-		"metro-districts": {
-			Topology: Grid, BS: 216, Districts: 4, Width: 14400, Height: 1500, JitterM: 30,
-			Vehicles: 16, SpeedKmh: 40, RouteStops: 10, DepartStagger: 200 * time.Millisecond,
-		},
-		// A corridor deployment: basestations along a highway.
-		"strip-highway": {
-			Topology: Strip, BS: 40, Width: 6000, Height: 400, JitterM: 20,
-			Vehicles: 16, SpeedKmh: 80, RouteStops: 4, DepartStagger: 3 * time.Second,
-		},
-		// Organic hot-spot coverage around a town.
-		"cluster-town": {
-			Topology: Cluster, BS: 50, Clusters: 7, Width: 2600, Height: 1600, JitterM: 90,
-			Vehicles: 20, SpeedKmh: 40, RouteStops: 9, DepartStagger: 2 * time.Second,
-		},
-		// Short exploration aliases: compact instances of each topology for
-		// quick command lines like `vifi-sim -scenario grid,app=voip`.
-		"grid": {
-			Topology: Grid, BS: 12, Width: 900, Height: 600, JitterM: 25,
-			Vehicles: 3, SpeedKmh: 36, RouteStops: 6, DepartStagger: 2 * time.Second,
-		},
-		"strip": {
-			Topology: Strip, BS: 16, Width: 2400, Height: 300, JitterM: 20,
-			Vehicles: 6, SpeedKmh: 60, RouteStops: 4, DepartStagger: 2 * time.Second,
-		},
-		"cluster": {
-			Topology: Cluster, BS: 18, Clusters: 4, Width: 1500, Height: 1000, JitterM: 80,
-			Vehicles: 6, SpeedKmh: 40, RouteStops: 8, DepartStagger: 2 * time.Second,
-		},
-		// The paper's testbeds: one vehicle each, every basestation. The
-		// geometry fields stay zero — the topology fixes the layout.
-		"vanlan":     {Topology: VanLAN, BS: VanLAN.testbedBSes(), Vehicles: 1},
-		"dieselnet1": {Topology: DieselNet1, BS: DieselNet1.testbedBSes(), Vehicles: 1},
-		"dieselnet6": {Topology: DieselNet6, BS: DieselNet6.testbedBSes(), Vehicles: 1},
-	}
+// preset is one named entry of the scenario catalogue.
+type preset struct {
+	name string
+	spec Spec
+}
+
+// presets is the named scenario catalogue: an array of values, so a
+// lookup copies the Spec it returns (no caller can mutate the catalogue
+// through it) and allocates nothing, and loading the package builds no
+// map.
+var presets = [...]preset{
+	// A compact sanity-scale grid.
+	{"grid-small", Spec{
+		Topology: Grid, BS: 12, Width: 900, Height: 600, JitterM: 25,
+		Vehicles: 3, SpeedKmh: 36, RouteStops: 6, DepartStagger: 2 * time.Second,
+	}},
+	// The city-scale reference: 54 basestations, a 24-vehicle fleet.
+	{"grid-city", Spec{
+		Topology: Grid, BS: 54, Width: 2400, Height: 1500, JitterM: 30,
+		Vehicles: 24, SpeedKmh: 40, RouteStops: 10, DepartStagger: 2 * time.Second,
+	}},
+	// The metropolitan reference for the radio-scaling sweep: a 484-BS
+	// region at grid-city density (≈1.5e-5 BS/m²) probed by a fixed
+	// 16-vehicle fleet, spanning several cutoffs of the channel's
+	// spatial grid in each direction.
+	{"grid-metro", Spec{
+		Topology: Grid, BS: 484, Width: 7200, Height: 4500, JitterM: 30,
+		Vehicles: 16, SpeedKmh: 40, RouteStops: 10, DepartStagger: 200 * time.Millisecond,
+	}},
+	// Four radio-isolated districts at grid-city density, each with its
+	// own gateway — the reference scenario for sharded execution
+	// (scale-shard): 232 nodes, structurally partitionable at 1, 2 or
+	// 4 shards.
+	{"metro-districts", Spec{
+		Topology: Grid, BS: 216, Districts: 4, Width: 14400, Height: 1500, JitterM: 30,
+		Vehicles: 16, SpeedKmh: 40, RouteStops: 10, DepartStagger: 200 * time.Millisecond,
+	}},
+	// A corridor deployment: basestations along a highway.
+	{"strip-highway", Spec{
+		Topology: Strip, BS: 40, Width: 6000, Height: 400, JitterM: 20,
+		Vehicles: 16, SpeedKmh: 80, RouteStops: 4, DepartStagger: 3 * time.Second,
+	}},
+	// Organic hot-spot coverage around a town.
+	{"cluster-town", Spec{
+		Topology: Cluster, BS: 50, Clusters: 7, Width: 2600, Height: 1600, JitterM: 90,
+		Vehicles: 20, SpeedKmh: 40, RouteStops: 9, DepartStagger: 2 * time.Second,
+	}},
+	// Short exploration aliases: compact instances of each topology for
+	// quick command lines like `vifi-sim -scenario grid,app=voip`.
+	{"grid", Spec{
+		Topology: Grid, BS: 12, Width: 900, Height: 600, JitterM: 25,
+		Vehicles: 3, SpeedKmh: 36, RouteStops: 6, DepartStagger: 2 * time.Second,
+	}},
+	{"strip", Spec{
+		Topology: Strip, BS: 16, Width: 2400, Height: 300, JitterM: 20,
+		Vehicles: 6, SpeedKmh: 60, RouteStops: 4, DepartStagger: 2 * time.Second,
+	}},
+	{"cluster", Spec{
+		Topology: Cluster, BS: 18, Clusters: 4, Width: 1500, Height: 1000, JitterM: 80,
+		Vehicles: 6, SpeedKmh: 40, RouteStops: 8, DepartStagger: 2 * time.Second,
+	}},
+	// The paper's testbeds: one vehicle each, every basestation. The
+	// geometry fields stay zero — the topology fixes the layout.
+	{"vanlan", Spec{Topology: VanLAN, BS: VanLAN.testbedBSes(), Vehicles: 1}},
+	{"dieselnet1", Spec{Topology: DieselNet1, BS: DieselNet1.testbedBSes(), Vehicles: 1}},
+	{"dieselnet6", Spec{Topology: DieselNet6, BS: DieselNet6.testbedBSes(), Vehicles: 1}},
 }
 
 // Presets lists the preset names in a stable order.
 func Presets() []string {
-	m := presets()
-	out := make([]string, 0, len(m))
-	for name := range m {
-		out = append(out, name)
+	out := make([]string, len(presets))
+	for i, p := range presets {
+		out[i] = p.name
 	}
 	sort.Strings(out)
 	return out
@@ -273,8 +278,10 @@ func Presets() []string {
 
 // Preset returns a named preset spec.
 func Preset(name string) (Spec, error) {
-	if s, ok := presets()[name]; ok {
-		return s, nil
+	for i := range presets {
+		if presets[i].name == name {
+			return presets[i].spec, nil
+		}
 	}
 	return Spec{}, fmt.Errorf("scenario: unknown preset %q (have %s)", name, strings.Join(Presets(), ", "))
 }
